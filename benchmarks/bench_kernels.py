@@ -1,27 +1,21 @@
-"""Kernel fast-path microbenchmarks.
+"""Field-backend microbenchmarks.
 
-Races every kernel in :mod:`repro.ecc` / :mod:`repro.algebra` against
-the reference path it replaces, asserting the results are the same
-group elements / field vectors before reporting the speedups:
+Races the numpy limb-vector engine against the pure-Python backend --
+both are supported hosts, selected by what is installed -- on the
+whole-vector ops the backend hooks cover (NTT, Lagrange basis,
+extended-domain expression evaluation) plus the resident product-tree
+inversion, through the ``repro.algebra.backend`` switch.  Results are
+asserted equal before any speedup is reported.
 
-- **MSM**: batch-affine Pippenger over GLV-split scalars vs the
-  full-width Jacobian bucket path,
-- **fixed-base**: table-driven commitments vs the generic MSM over the
-  same parameter bases,
-- **NTT**: cached bit-reversal/twiddle plans vs per-call rebuilding,
-- **field backend**: the numpy limb-vector engine vs the pure-Python
-  backend on whole-vector ops (batch inversion, NTT, Lagrange basis,
-  extended-domain expression evaluation), raced through the
-  ``repro.algebra.backend`` toggle,
-- **end-to-end**: a full TPC-H Q1 prove+verify with the fast path off
-  and on (``--skip-e2e`` for the CI smoke run).
+End-to-end prove/verify time is the benchmark of record's job
+(``BENCHMARK.json``, ``benchmarks/e2e/``); this file only answers
+"does the vector engine still beat the scalar loops it replaces".
 
-Runs standalone (``python benchmarks/bench_kernels.py [--points N]
-[--backend-n N] [--skip-e2e] [--check]``) or under pytest.  ``--check``
-exits nonzero unless the batch-affine MSM beats the Jacobian path and
-(with numpy installed, at ``--backend-n`` >= 8192) the vector backend
-clears its floor on the NTT and batch-inversion rows -- the CI kernel
-smoke job gates on it.  Results persist to
+Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]
+[--check]``) or under pytest.  ``--check`` exits nonzero unless (with
+numpy installed, at ``--backend-n`` >= 8192) the vector backend clears
+its floor on the NTT and batch-inversion rows -- the CI backend-matrix
+numpy leg gates on it.  Results persist to
 ``benchmarks/results/kernels.{txt,json}``.
 """
 
@@ -31,97 +25,11 @@ import argparse
 import random
 import sys
 
-from repro import kernels
 from repro.algebra import backend as field_backend
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import SCALAR_FIELD, montgomery_batch_inv
-from repro.bench.harness import (
-    BenchConfig,
-    bench_metadata,
-    build_tpch_system,
-    real_prove_query,
-    timed,
-)
+from repro.bench.harness import BenchConfig, bench_metadata, timed
 from repro.bench.reporting import Report
-from repro.commit.ipa import commit_polynomial
-from repro.commit.params import setup
-from repro.ecc import fixed_base
-from repro.ecc.curve import PALLAS
-from repro.ecc.msm import msm
-
-
-def bench_msm(n: int, seed: int = 7) -> dict:
-    """Batch-affine + GLV MSM vs the Jacobian reference at ``n`` points."""
-    rng = random.Random(seed)
-    g = PALLAS.generator
-    pts = []
-    acc = g
-    for i in range(n):
-        pts.append(acc)
-        acc = acc.double() if i % 3 else acc + g
-    sc = [rng.randrange(1, SCALAR_FIELD.p) for _ in range(n)]
-    with kernels.fastpath(False):
-        ref, jacobian_s = timed(lambda: msm(pts, sc))
-    fast, fast_s = timed(lambda: msm(pts, sc))
-    assert fast == ref, "batch-affine MSM diverged from the Jacobian path"
-    return {
-        "points": n,
-        "jacobian_s": jacobian_s,
-        "fast_s": fast_s,
-        "speedup": jacobian_s / fast_s if fast_s else float("inf"),
-    }
-
-
-def bench_fixed_base(k: int = 8, commits: int = 8, seed: int = 11) -> dict:
-    """Fixed-base-table commitments vs generic MSMs over the same bases."""
-    rng = random.Random(seed)
-    params = setup(k, label=b"bench-kernels")
-    jobs = [
-        (
-            [rng.randrange(SCALAR_FIELD.p) for _ in range(params.n)],
-            rng.randrange(SCALAR_FIELD.p),
-        )
-        for _ in range(commits)
-    ]
-
-    def run():
-        return [commit_polynomial(params, coeffs, blind) for coeffs, blind in jobs]
-
-    with kernels.fastpath(False):
-        ref, generic_s = timed(run)
-    _tables, build_s = timed(lambda: fixed_base.tables_for_params(params))
-    fast, fast_s = timed(run)
-    assert fast == ref, "fixed-base commitments diverged from the generic MSM"
-    return {
-        "k": k,
-        "commits": commits,
-        "generic_s": generic_s,
-        "table_build_s": build_s,
-        "fast_s": fast_s,
-        "speedup": generic_s / fast_s if fast_s else float("inf"),
-    }
-
-
-def bench_fft(k: int = 12, repeats: int = 16, seed: int = 13) -> dict:
-    """Plan-cached NTTs vs per-call twiddle rebuilding."""
-    rng = random.Random(seed)
-    dom = EvaluationDomain(SCALAR_FIELD, k)
-    vecs = [
-        [rng.randrange(SCALAR_FIELD.p) for _ in range(dom.size)]
-        for _ in range(repeats)
-    ]
-    with kernels.fastpath(False):
-        ref, uncached_s = timed(lambda: [dom.fft(v) for v in vecs])
-    dom.fft(vecs[0])  # warm the plan cache outside the timed region
-    fast, cached_s = timed(lambda: [dom.fft(v) for v in vecs])
-    assert fast == ref, "plan-cached NTT diverged from the reference"
-    return {
-        "k": k,
-        "transforms": repeats,
-        "uncached_s": uncached_s,
-        "cached_s": cached_s,
-        "speedup": uncached_s / cached_s if cached_s else float("inf"),
-    }
 
 
 def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
@@ -137,7 +45,7 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     a vector and consumes the inverses in place.  Crossing the int
     boundary both ways costs ~600ns/element, which is more than the
     ladder itself saves over CPython's C-speed bigint multiply; that
-    is why the backend declines plain list-in/list-out batch_inv.
+    is why the hook protocol has no list-in/list-out batch inversion.
     """
     if "numpy" not in field_backend.available_backends():
         return None
@@ -223,89 +131,31 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     }
 
 
-def bench_e2e(config: BenchConfig) -> dict:
-    """Full Q1 prove+verify, fast path off vs on, at bench scale.
-
-    One warmup prove fills every cache whose cost is not the kernels'
-    to claim (proving keys, fixed-base tables, NTT plans), so the two
-    timed runs differ only in which arithmetic path executes.
-    """
-    prover, verifier = build_tpch_system(config)
-    real_prove_query(config, "Q1", prover, verifier)  # warmup
-    with kernels.fastpath(False):
-        _, reference_s = timed(
-            lambda: real_prove_query(config, "Q1", prover, verifier)
-        )
-    _, fast_s = timed(lambda: real_prove_query(config, "Q1", prover, verifier))
-    return {
-        "lineitem_rows": config.lineitem_rows,
-        "k": config.k,
-        "reference_s": reference_s,
-        "fast_s": fast_s,
-        "speedup": reference_s / fast_s if fast_s else float("inf"),
-    }
-
-
 def run_benches(
-    config: BenchConfig,
-    points: int = 4096,
-    e2e: bool = True,
-    check: bool = False,
-    backend_n: int = 16384,
+    config: BenchConfig, check: bool = False, backend_n: int = 16384
 ) -> dict:
-    results = {
-        "msm": [bench_msm(n) for n in sorted({1024, points})],
-        "fixed_base": bench_fixed_base(k=min(config.k, 8)),
-        "fft": bench_fft(),
-    }
+    results = {}
     backend_rows = bench_field_backend(n=backend_n)
     if backend_rows is not None:
         results["field_backend"] = backend_rows
-    if e2e:
-        results["e2e_q1"] = bench_e2e(config)
 
-    report = Report("kernels", "Kernel fast path: measured speedups")
+    report = Report("kernels", "Field backend: numpy limb engine vs python")
     report.line(
-        "every row compares the optimized kernel against the reference "
-        "path on identical inputs (results asserted equal first)\n"
+        "every row runs both backends on identical inputs (results "
+        "asserted equal first)\n"
     )
-    rows = [
-        (
-            f"msm ({r['points']} pts)",
-            f"{r['jacobian_s']:.3f}",
-            f"{r['fast_s']:.3f}",
-            f"{r['speedup']:.2f}x",
-        )
-        for r in results["msm"]
-    ]
-    fb = results["fixed_base"]
-    rows.append(
-        (
-            f"fixed-base commits (2^{fb['k']} x{fb['commits']})",
-            f"{fb['generic_s']:.3f}",
-            f"{fb['fast_s']:.3f}",
-            f"{fb['speedup']:.2f}x",
-        )
-    )
-    ff = results["fft"]
-    rows.append(
-        (
-            f"ntt (2^{ff['k']} x{ff['transforms']})",
-            f"{ff['uncached_s']:.3f}",
-            f"{ff['cached_s']:.3f}",
-            f"{ff['speedup']:.2f}x",
-        )
-    )
-    if "field_backend" in results:
-        fb_rows = results["field_backend"]
-        bn = fb_rows["n"]
+    if backend_rows is None:
+        report.line("numpy not installed: nothing to race")
+    else:
+        rows = []
+        bn = backend_rows["n"]
         for key, label in (
-            ("fft", f"backend: ntt ({bn} pts)"),
-            ("batch_inv", f"backend: batch inv resident ({bn})"),
-            ("lagrange", f"backend: lagrange basis ({bn})"),
-            ("expr_eval", f"backend: expression eval ({bn})"),
+            ("fft", f"ntt ({bn} pts)"),
+            ("batch_inv", f"batch inv resident ({bn})"),
+            ("lagrange", f"lagrange basis ({bn})"),
+            ("expr_eval", f"expression eval ({bn})"),
         ):
-            r = fb_rows[key]
+            r = backend_rows[key]
             rows.append(
                 (
                     label,
@@ -314,70 +164,35 @@ def run_benches(
                     f"{r['speedup']:.2f}x",
                 )
             )
-    if e2e:
-        ee = results["e2e_q1"]
-        rows.append(
-            (
-                f"prove+verify Q1 ({ee['lineitem_rows']} rows, k={ee['k']})",
-                f"{ee['reference_s']:.3f}",
-                f"{ee['fast_s']:.3f}",
-                f"{ee['speedup']:.2f}x",
-            )
-        )
-    report.table(["kernel", "reference (s)", "fast (s)", "speedup"], rows)
-    fb_amortized = fb["table_build_s"] / fb["commits"]
-    report.line(
-        f"\nfixed-base tables built once in {fb['table_build_s']:.3f}s "
-        f"({fb_amortized:.3f}s amortized over the measured commits; "
-        "persisted via the artifact cache across runs)"
-    )
+        report.table(["op", "python (s)", "numpy (s)", "speedup"], rows)
     report.emit(metadata={**bench_metadata(config), "kernels": results})
 
-    if check:
-        worst = min(r["speedup"] for r in results["msm"])
-        if worst <= 1.0:
-            print(
-                f"CHECK FAILED: batch-affine MSM speedup {worst:.2f}x <= 1.0x",
-                file=sys.stderr,
-            )
-            return {**results, "check_ok": False}
-        # Backend floors only apply at sizes where the vector engine's
-        # dispatch overhead is amortized (small smoke runs skip them);
-        # set below the steady-state measurements (~1.5x NTT, ~1.3x
-        # resident inversion at 16384) to absorb CI jitter.
-        if "field_backend" in results and results["field_backend"]["n"] >= 8192:
-            fb_rows = results["field_backend"]
-            for key, floor in (("fft", 1.25), ("batch_inv", 1.05)):
-                got = fb_rows[key]["speedup"]
-                if got < floor:
-                    print(
-                        f"CHECK FAILED: field backend {key} speedup "
-                        f"{got:.2f}x < {floor}x at n={fb_rows['n']}",
-                        file=sys.stderr,
-                    )
-                    return {**results, "check_ok": False}
+    # Backend floors only apply at sizes where the vector engine's
+    # dispatch overhead is amortized (small smoke runs skip them); set
+    # below the steady-state measurements (~1.5x NTT, ~1.3x resident
+    # inversion at 16384) to absorb CI jitter.
+    if check and backend_rows is not None and backend_rows["n"] >= 8192:
+        for key, floor in (("fft", 1.25), ("batch_inv", 1.05)):
+            got = backend_rows[key]["speedup"]
+            if got < floor:
+                print(
+                    f"CHECK FAILED: field backend {key} speedup "
+                    f"{got:.2f}x < {floor}x at n={backend_rows['n']}",
+                    file=sys.stderr,
+                )
+                return {**results, "check_ok": False}
     return {**results, "check_ok": True}
 
 
 def test_kernel_microbench(bench_config):
-    """Pytest entry: small-size smoke run (the CI job uses the CLI)."""
-    results = run_benches(bench_config, points=512, e2e=False, check=True)
-    assert results["check_ok"], "batch-affine MSM slower than Jacobian path"
+    """Pytest entry: the backend race at bench scale, floors checked
+    (the CI job uses the CLI)."""
+    results = run_benches(bench_config, check=True)
+    assert results["check_ok"], "field backend slower than its floors"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--points",
-        type=int,
-        default=4096,
-        help="MSM microbenchmark size (default 4096)",
-    )
-    parser.add_argument(
-        "--skip-e2e",
-        action="store_true",
-        help="skip the end-to-end Q1 prove (CI smoke runs)",
-    )
     parser.add_argument(
         "--backend-n",
         type=int,
@@ -388,33 +203,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless the batch-affine MSM beats the "
-        "Jacobian path and the field backend clears its floors",
+        help="exit nonzero unless the field backend clears its floors",
     )
     args = parser.parse_args(argv)
     results = run_benches(
-        BenchConfig(),
-        points=args.points,
-        e2e=not args.skip_e2e,
-        check=args.check,
-        backend_n=args.backend_n,
+        BenchConfig(), check=args.check, backend_n=args.backend_n
     )
-    if args.check and results["check_ok"]:
-        # Only the CLI path feeds the regression history -- the pytest
-        # smoke entry runs at a different size and would skew medians.
+    if args.check and results["check_ok"] and "field_backend" in results:
+        # Only the CLI path feeds the regression history.
         from repro.bench import trend
 
+        fb_rows = results["field_backend"]
         metrics = {
-            f"msm_{r['points']}_fast_s": r["fast_s"] for r in results["msm"]
+            f"backend_{key}_numpy_s": fb_rows[key]["numpy_s"]
+            for key in ("fft", "batch_inv", "lagrange", "expr_eval")
         }
-        metrics["fixed_base_fast_s"] = results["fixed_base"]["fast_s"]
-        metrics["fft_cached_s"] = results["fft"]["cached_s"]
-        if "field_backend" in results:
-            fb_rows = results["field_backend"]
-            for key in ("fft", "batch_inv", "lagrange", "expr_eval"):
-                metrics[f"backend_{key}_numpy_s"] = fb_rows[key]["numpy_s"]
-        if "e2e_q1" in results:
-            metrics["e2e_q1_fast_s"] = results["e2e_q1"]["fast_s"]
         if trend.report_regressions(trend.track("kernels", metrics)):
             return 1
     return 0 if results["check_ok"] else 1

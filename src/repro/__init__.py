@@ -20,7 +20,7 @@ or, serving many clients asynchronously::
 
 Everything else lives in the subpackages (``repro.sql`` for the query
 pipeline, ``repro.proving`` for the proof system internals,
-``repro.ecc`` for curve arithmetic and the kernel fast path).
+``repro.ecc`` for curve arithmetic and the MSM kernels).
 """
 
 from repro import telemetry

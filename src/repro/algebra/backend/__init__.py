@@ -1,17 +1,15 @@
 """Pluggable field-arithmetic backends.
 
 The reference prover does all field arithmetic on plain Python ints.
-That is the correctness baseline, but several hot paths -- whole-vector
-batch inversion, NTT butterflies, extended-domain expression evaluation
--- are *data parallel*, and a vectorized engine can run them on whole
-arrays at once.  This package provides that seam:
+That is the correctness baseline, but several hot paths -- NTT
+butterflies, fused Lagrange evaluation, extended-domain expression
+evaluation -- are *data parallel*, and a vectorized engine can run them
+on whole arrays at once.  This package provides that seam:
 
 - :mod:`~repro.algebra.backend.reference` -- the pure-Python backend
   (declines every hook; callers run their reference loops),
 - :mod:`~repro.algebra.backend.numpy_backend` -- limb-vector arithmetic
-  on numpy int64 arrays (:mod:`~repro.algebra.backend.numpy_limb`),
-- :mod:`~repro.algebra.backend.gmpy2_scalar` -- optional gmpy2 scalar
-  path for the Montgomery inversion ladder.
+  on numpy int64 arrays (:mod:`~repro.algebra.backend.numpy_limb`).
 
 Every hook is **bit-identical** to the reference path: same field
 elements out, same proof bytes under
@@ -22,13 +20,12 @@ to amortize the array dispatch, unsupported shape -- and the caller
 falls through to its reference loop.  That makes backend selection a
 pure performance knob, never a correctness one.
 
-Selection mirrors ``REPRO_KERNEL_FASTPATH``: the ``REPRO_FIELD_BACKEND``
-environment variable picks ``auto`` (default), ``python``, ``numpy`` or
-``gmpy2``; :func:`set_backend` / :func:`backend` switch it in-process
-(benchmarks race both sides from one interpreter).  ``auto`` resolves
-to the fastest *available* engine -- numpy, then gmpy2, then python --
-so machines without the optional dependencies transparently run the
-reference path.
+Selection: the ``REPRO_FIELD_BACKEND`` environment variable picks
+``auto`` (default), ``python`` or ``numpy``; :func:`set_backend` /
+:func:`backend` switch it in-process (benchmarks race both sides from
+one interpreter).  ``auto`` resolves to the fastest *available* engine
+-- numpy, then python -- so machines without the optional dependency
+transparently run the reference path.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 _ENV_FLAG = "REPRO_FIELD_BACKEND"
 
 #: Resolution order for ``auto``: fastest available engine wins.
-_AUTO_ORDER = ("numpy", "gmpy2", "python")
+_AUTO_ORDER = ("numpy", "python")
 
 
 class FieldBackend:
@@ -62,11 +59,6 @@ class FieldBackend:
     def available(cls) -> bool:
         """True when this backend's dependencies import on this host."""
         return True
-
-    def batch_inv(self, values: Sequence[int], p: int) -> list[int] | None:
-        """Invert ``values`` (already canonical, already zero-checked)
-        mod ``p``, or decline."""
-        return None
 
     def ntt(self, values: list[int], omega: int, p: int) -> list[int] | None:
         """Forward NTT of canonical ``values`` (length a power of two,
@@ -113,17 +105,15 @@ class FieldBackend:
 
 def _registry() -> dict[str, FieldBackend]:
     """Name -> backend instance.  Built lazily so importing this module
-    never imports numpy/gmpy2; instances are cached after first use."""
+    never imports numpy; instances are cached after first use."""
     global _BACKENDS
     if _BACKENDS is None:
-        from repro.algebra.backend.gmpy2_scalar import Gmpy2Backend
         from repro.algebra.backend.numpy_backend import NumpyBackend
         from repro.algebra.backend.reference import PythonBackend
 
         _BACKENDS = {
             "python": PythonBackend(),
             "numpy": NumpyBackend(),
-            "gmpy2": Gmpy2Backend(),
         }
     return _BACKENDS
 

@@ -8,7 +8,7 @@ arithmetic on ``(L, n)`` int64 limb arrays.  The adapter's job is
 the int boundary, and track limb magnitudes so every product stays
 inside the engine's certified bounds.
 
-Where the engine wins (measured; see DESIGN.md section 5j):
+Where the engine wins (measured; see DESIGN.md section 5e):
 
 - NTTs from :data:`~repro.algebra.backend.numpy_limb.MIN_NTT` points
   up -- the butterflies and twiddle products are pure array ops,
@@ -24,8 +24,8 @@ Where the engine wins (measured; see DESIGN.md section 5j):
 Where it loses: list-boundary batch inversion.  Montgomery inversion is
 3n multiplications on either engine, CPython's bigint multiply is
 already C speed, and the lift/lower conversions add ~600ns/element on
-top -- measured 0.7-0.8x.  :meth:`NumpyBackend.batch_inv` therefore
-declines, and the vector inversion is reserved for call sites whose
+top -- measured 0.7-0.8x.  The protocol therefore has no batch-inversion
+hook, and the vector inversion is reserved for call sites whose
 operands already live (or are produced) in limb form.
 """
 
@@ -77,14 +77,6 @@ class NumpyBackend(FieldBackend):
         return numpy_limb.available()
 
     # -- hooks -----------------------------------------------------------
-
-    def batch_inv(self, values: Sequence[int], p: int) -> list[int] | None:
-        # Deliberate decline (measured pessimization): Montgomery is 3n
-        # multiplications on both engines, and paying lift+lower to run
-        # them vectorized loses to CPython's C-speed bigint multiply.
-        # The product-tree inversion (ctx.tree_inv_arr) wins only when
-        # the batch is already resident -- see lagrange_evals.
-        return None
 
     def ntt(self, values: list, omega: int, p: int) -> list | None:
         n = len(values)

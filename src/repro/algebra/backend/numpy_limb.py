@@ -21,14 +21,13 @@ the scalar reference path bit for bit.
 Magnitude contract: callers track a per-array bound ``mag`` on
 ``max |limb|`` and must keep ``L * mag_a * mag_b <= 2^62`` for every
 product (``_Ctx.normalize`` restores ``mag <= OUT_LIM`` in two carry
-rounds).  The fast path only supports sparse primes ``p = 2^s + c``
+rounds).  The engine only supports sparse primes ``p = 2^s + c``
 with small ``c`` (both Pasta fields qualify); other moduli are
 declined and fall back to the reference path.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 from repro.errors import BatchInversionError
@@ -73,8 +72,9 @@ MIN_EXPR = 1024
 #: Montgomery core.
 TREE_CUTOFF = 256
 
-#: opt-in magnitude self-checks (certified unnecessary; see _mul_chunk).
-_DEBUG = bool(os.environ.get("REPRO_NUMPY_DEBUG"))
+#: magnitude self-checks (certified unnecessary; see _mul_chunk) --
+#: the limb-parity tests switch them on.
+_DEBUG = False
 
 
 def available() -> bool:
@@ -310,8 +310,8 @@ class _Ctx:
         rq = w.rq
         for _ in range(3):
             self._carry_round(res, rq, w.ob)
-        if _DEBUG and np.any(np.abs(res) > OUT_LIM):  # pragma: no cover
-            raise AssertionError("mul finalize exceeded OUT_LIM")
+        if _DEBUG and np.any(np.abs(res) > OUT_LIM):
+            raise AssertionError("mul finalize exceeded OUT_LIM")  # pragma: no cover
         if res is not out:
             np.copyto(out, res)
 
@@ -553,8 +553,10 @@ class _Ctx:
         cl[1:] += ql[:-1]
         np.multiply(f0, ql[l - 1], out=t3)
         cl += t3
-        if _DEBUG and np.any(np.abs(cl) > OUT_LIM):  # pragma: no cover
-            raise AssertionError("twiddle mul finalize exceeded OUT_LIM")
+        if _DEBUG and np.any(np.abs(cl) > OUT_LIM):
+            raise AssertionError(  # pragma: no cover
+                "twiddle mul finalize exceeded OUT_LIM"
+            )
         return cl
 
     def ntt(self, values: list, omega: int) -> list:

@@ -3,7 +3,7 @@
 Declines every hook, so call sites run their reference loops on plain
 Python ints.  This is the correctness baseline the vectorized backends
 are validated against, and what ``auto`` resolves to on hosts without
-numpy or gmpy2.
+numpy.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ All transforms operate in place on lists of raw ints.
 
 from __future__ import annotations
 
-from repro import kernels, parallel, telemetry
+from repro import parallel, telemetry
 from repro.algebra import backend as field_backend
 from repro.algebra import fft_plan
 from repro.algebra.field import Field
@@ -22,31 +22,15 @@ from repro.algebra.field import Field
 PARALLEL_MIN_SIZE = 256
 
 
-def _bit_reverse_permute(values: list[int]) -> None:
-    """Reorder ``values`` (length a power of two) in bit-reversed index
-    order, in place."""
-    n = len(values)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            values[i], values[j] = values[j], values[i]
-
-
 def fft_in_place(values: list[int], omega: int, p: int) -> None:
     """Iterative Cooley-Tukey NTT over GF(p).
 
     ``omega`` must be a primitive n-th root of unity for n = len(values).
-    With the kernel fast path enabled the bit-reversal indices and
-    per-stage twiddle ladders come from the per-``(n, omega, p)`` plan
-    cache (:mod:`repro.algebra.fft_plan`) instead of being rebuilt per
-    call; the butterflies are identical, so outputs match exactly.  The
-    active field backend may take the transform over entirely (numpy
-    limb-vector butterflies); its output is bit-identical to the plan
+    The bit-reversal indices and per-stage twiddle ladders come from
+    the per-``(n, omega, p)`` plan cache (:mod:`repro.algebra.fft_plan`)
+    instead of being rebuilt per call.  The active field backend may
+    take the transform over entirely (numpy limb-vector butterflies
+    above its size threshold); its output is bit-identical to the plan
     path, so proofs do not depend on which engine ran.
     """
     n = len(values)
@@ -55,30 +39,11 @@ def fft_in_place(values: list[int], omega: int, p: int) -> None:
     telemetry.incr("fft.calls")
     telemetry.incr("fft.points", n)
     telemetry.observe("fft.points_per_call", n)
-    if kernels.fastpath_enabled():
-        out = field_backend.active().ntt(values, omega, p)
-        if out is not None:
-            values[:] = out
-            return
-        fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p))
+    out = field_backend.active().ntt(values, omega, p)
+    if out is not None:
+        values[:] = out
         return
-    _bit_reverse_permute(values)
-    # Precompute the twiddle ladder: omega^(n/2m) for each stage.
-    length = 2
-    while length <= n:
-        w_m = pow(omega, n // length, p)
-        half = length // 2
-        # Twiddles for this stage.
-        ws = [1] * half
-        for i in range(1, half):
-            ws[i] = ws[i - 1] * w_m % p
-        for start in range(0, n, length):
-            for i in range(half):
-                lo = values[start + i]
-                hi = values[start + i + half] * ws[i] % p
-                values[start + i] = (lo + hi) % p
-                values[start + i + half] = (lo - hi) % p
-        length *= 2
+    fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p))
 
 
 def _fft_task(vectors: list[list[int]], omega: int, p: int) -> list[list[int]]:
@@ -137,7 +102,7 @@ class EvaluationDomain:
         self.omega_inv = field.inv(self.omega)
         self.size_inv = field.inv(self.size)
         # Cached coset power ladders [1, shift, shift^2, ..] keyed by
-        # shift (kernel fast path; a domain sees one or two shifts).
+        # shift (a domain sees one or two shifts).
         self._shift_ladders: dict[int, list[int]] = {}
 
     def _shift_powers(self, shift: int) -> list[int]:
@@ -174,17 +139,11 @@ class EvaluationDomain:
 
     def _coset_scale(self, values: list[int], count: int, shift: int) -> None:
         """Scale ``values[i] *= shift^i`` for ``i < count`` in place,
-        through the cached ladder on the kernel fast path."""
+        through the cached ladder."""
         p = self.field.p
-        if kernels.fastpath_enabled():
-            ladder = self._shift_powers(shift)
-            for i in range(count):
-                values[i] = values[i] * ladder[i] % p
-            return
-        power = 1
+        ladder = self._shift_powers(shift)
         for i in range(count):
-            values[i] = values[i] * power % p
-            power = power * shift % p
+            values[i] = values[i] * ladder[i] % p
 
     def coset_fft(self, coeffs: list[int], shift: int) -> list[int]:
         """Coefficients -> evaluations over the coset ``shift * H``."""

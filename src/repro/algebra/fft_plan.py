@@ -1,11 +1,11 @@
 """Cached NTT execution plans: bit-reversal indices + twiddle ladders.
 
-The reference :func:`repro.algebra.domain.fft_in_place` rebuilds the
-per-stage twiddle ladder (``n - 1`` multiplications plus one modexp per
-stage) on *every* transform.  The prover runs thousands of transforms
-over a handful of domains, so this module precomputes the plan --
-bit-reversal swap pairs and the full twiddle table of every stage --
-once per ``(n, omega, p)`` and replays it.
+Rebuilding the per-stage twiddle ladder costs ``n - 1``
+multiplications plus one modexp per stage on *every* transform.  The
+prover runs thousands of transforms over a handful of domains, so this
+module precomputes the plan -- bit-reversal swap pairs and the full
+twiddle table of every stage -- once per ``(n, omega, p)`` and
+:func:`repro.algebra.domain.fft_in_place` replays it.
 
 Plans live in a module-level cache: the parent process and each forked
 worker build a plan at most once and hit it thereafter (the
@@ -93,8 +93,8 @@ def clear_cache() -> None:
 def ntt_in_place(values: list[int], plan: NttPlan) -> None:
     """Iterative Cooley-Tukey NTT replaying a precomputed plan.
 
-    Identical butterflies (and therefore identical outputs) to the
-    reference transform; only the index/twiddle recomputation is gone.
+    The textbook butterflies; only the per-call index/twiddle
+    recomputation is gone.
     """
     if len(values) != plan.n:
         raise ValueError("vector length does not match plan size")

@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
 from repro import telemetry
-from repro.algebra import backend as field_backend
 from repro.errors import BatchInversionError
 
 #: Thread-local override stream for :meth:`Field.rand` (see
@@ -88,16 +87,11 @@ def montgomery_batch_inv(values: Sequence[int], p: int) -> list[int]:
 
     A zero input raises :class:`~repro.errors.BatchInversionError`
     naming the offending index (detected up front, before any work).
-    The active field backend may take over the ladder (gmpy2's GMP
-    multiply); results are identical either way.
     """
     n = len(values)
     vals = [v % p for v in values]
     if 0 in vals:
         raise BatchInversionError(vals.index(0))
-    out = field_backend.active().batch_inv(vals, p)
-    if out is not None:
-        return out
     prefix = [0] * n
     acc = 1
     for i, v in enumerate(vals):

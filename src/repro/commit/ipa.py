@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro import kernels, parallel, telemetry
+from repro import parallel, telemetry
 from repro.algebra.field import Field
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
@@ -134,19 +134,15 @@ def commit_polynomial(
 ) -> Point:
     """Commit to polynomial coefficients (little-endian).
 
-    With the kernel fast path enabled the MSM runs against the
-    parameter set's fixed-base tables (same group element)."""
+    The MSM runs against the parameter set's fixed-base tables (the
+    same group element as ``msm(params.g + [params.w], ...)``)."""
     padded = list(coeffs) + [0] * (params.n - len(coeffs))
     if len(padded) > params.n:
         raise ValueError("polynomial exceeds parameter capacity")
-    if kernels.fastpath_enabled():
-        tables = fixed_base.tables_for_params(params)
-        return fixed_base.fixed_base_msm(
-            tables,
-            padded + [blind],
-            indices=list(range(params.n)) + [params.n],
-        )
-    return msm(list(params.g) + [params.w], padded + [blind])
+    # Table index i < n is g[i] and index n is w, so the padded
+    # coefficients followed by the blind line up with the default indices.
+    tables = fixed_base.tables_for_params(params)
+    return fixed_base.fixed_base_msm(tables, padded + [blind])
 
 
 def _commit_batch_task(
@@ -165,17 +161,14 @@ def _commit_batch_task(
     over the shipped bases -- identical elements either way.
     """
     curve = curve_by_name(curve_name)
-    n = len(g_coords)
-    if kernels.fastpath_enabled():
-        tables = fixed_base.lookup_tables(fingerprint)
-        if tables is not None:
-            indices = list(range(n)) + [n]
-            return points_to_affine_tuples(
-                [
-                    fixed_base.fixed_base_msm(tables, padded + [blind], indices)
-                    for padded, blind in jobs
-                ]
-            )
+    tables = fixed_base.lookup_tables(fingerprint)
+    if tables is not None:
+        return points_to_affine_tuples(
+            [
+                fixed_base.fixed_base_msm(tables, padded + [blind])
+                for padded, blind in jobs
+            ]
+        )
     bases = points_from_affine_tuples(curve, g_coords) + points_from_affine_tuples(
         curve, [w_coord]
     )
@@ -208,11 +201,10 @@ def _commit_polynomials(
         if len(coeffs) > params.n:
             raise ValueError("polynomial exceeds parameter capacity")
         jobs.append((list(coeffs) + [0] * (params.n - len(coeffs)), blind))
-    if kernels.fastpath_enabled():
-        # Build (or load) the tables in the parent first: workers forked
-        # afterwards inherit the registry; ones forked earlier fall back
-        # through the disk cache or to the generic MSM.
-        fixed_base.tables_for_params(params)
+    # Build (or load) the tables in the parent first: workers forked
+    # afterwards inherit the registry; ones forked earlier fall back
+    # through the disk cache or to the generic MSM.
+    fixed_base.tables_for_params(params)
     g_coords = points_to_affine_tuples(list(params.g))
     w_coord = params.w.to_affine()
     tasks = [
@@ -393,9 +385,6 @@ def verify_opening(
     s, a, residual = reduced
     p = field.p
     scalars = [a * si % p for si in s]
-    if kernels.fastpath_enabled():
-        tables = fixed_base.tables_for_params(params)
-        folded = fixed_base.fixed_base_msm(tables, scalars)
-    else:
-        folded = msm(list(params.g), scalars)
+    tables = fixed_base.tables_for_params(params)
+    folded = fixed_base.fixed_base_msm(tables, scalars)
     return (folded + residual).is_identity()

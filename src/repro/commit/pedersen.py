@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro import kernels
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
 from repro.ecc.curve import Point
-from repro.ecc.msm import msm
 
 
 def pedersen_commit(
@@ -23,21 +21,18 @@ def pedersen_commit(
     """Commit to ``values`` (length at most ``params.n``) with blinding
     factor ``blind``.
 
-    With the kernel fast path enabled the MSM runs against the
-    parameter set's precomputed fixed-base tables (same group element,
-    no doubling chain -- see :mod:`repro.ecc.fixed_base`).
+    The MSM runs against the parameter set's precomputed fixed-base
+    tables (the same group element as a generic MSM over ``params.g``
+    and ``params.w``, without the doubling chain -- see
+    :mod:`repro.ecc.fixed_base`).
     """
     if len(values) > params.n:
         raise ValueError(
             f"vector of length {len(values)} exceeds params capacity {params.n}"
         )
-    if kernels.fastpath_enabled():
-        tables = fixed_base.tables_for_params(params)
-        return fixed_base.fixed_base_msm(
-            tables,
-            list(values) + [blind],
-            indices=list(range(len(values))) + [params.n],
-        )
-    points: list[Point] = list(params.g[: len(values)]) + [params.w]
-    scalars = list(values) + [blind]
-    return msm(points, scalars)
+    tables = fixed_base.tables_for_params(params)
+    return fixed_base.fixed_base_msm(
+        tables,
+        list(values) + [blind],
+        indices=list(range(len(values))) + [params.n],
+    )

@@ -59,9 +59,9 @@ class ProverConfig:
     field_backend:
         Field-arithmetic engine for the session
         (:mod:`repro.algebra.backend`): ``auto`` (the default) picks
-        the fastest available, ``python`` / ``numpy`` / ``gmpy2`` force
-        one.  All engines produce bit-identical proofs; this is purely
-        a performance knob.
+        the fastest available, ``python`` / ``numpy`` force one.  All
+        engines produce bit-identical proofs; this is purely a
+        performance knob.
     field / curve:
         The circuit field and commitment curve (the paper's choices by
         default).
@@ -100,10 +100,10 @@ class ProverConfig:
             raise ConfigError(f"workers must be >= 0, got {self.workers}")
         if self.scale < 0:
             raise ConfigError(f"scale must be >= 0, got {self.scale}")
-        if self.field_backend not in ("auto", "python", "numpy", "gmpy2"):
+        if self.field_backend not in ("auto", "python", "numpy"):
             raise ConfigError(
                 "field_backend must be one of 'auto', 'python', 'numpy', "
-                f"'gmpy2', got {self.field_backend!r}"
+                f"got {self.field_backend!r}"
             )
 
     @property
@@ -135,11 +135,6 @@ class ServiceConfig:
         ``LOW`` submissions are shed once the queue reaches
         ``max_queue_depth - high_priority_reserve``, keeping headroom
         for latency-sensitive traffic during overload.
-    warm_start:
-        Prebuild the fixed-base MSM tables for the session's parameter
-        set when the service starts (registry -> disk -> build, the
-        same fallback chain the kernel fast path uses), so the first
-        job does not pay the table build.
     poll_interval:
         Worker queue-poll period in seconds; bounds shutdown latency.
     shutdown_timeout:
@@ -203,7 +198,6 @@ class ServiceConfig:
     workers: int = 2
     max_queue_depth: int = 64
     high_priority_reserve: int = 8
-    warm_start: bool = True
     poll_interval: float = 0.05
     shutdown_timeout: float = 30.0
     event_log_path: str | os.PathLike[str] | None = None

@@ -173,22 +173,19 @@ class Point:
     def __mul__(self, scalar: int) -> "Point":
         """Scalar multiplication (left-to-right, 4-bit windows).
 
-        Full-width scalars take the GLV fast path when the kernel layer
-        is enabled: two interleaved ~128-bit halves against the curve's
-        cube-root endomorphism (same group element either way).
+        Full-width scalars on a curve with a known cube-root
+        endomorphism split into two interleaved ~128-bit halves
+        (:func:`repro.ecc.glv.endo_mul`; same group element either way).
         """
         n = scalar % self.curve.scalar_field.p
         if n == 0 or self.z == 0:
             return Point._identity(self.curve)
         if n.bit_length() > 128:
-            from repro import kernels
+            from repro.ecc import glv
 
-            if kernels.fastpath_enabled():
-                from repro.ecc import glv
-
-                endo = glv.curve_endo(self.curve)
-                if endo is not None:
-                    return glv.endo_mul(self, n, endo)
+            endo = glv.curve_endo(self.curve)
+            if endo is not None:
+                return glv.endo_mul(self, n, endo)
         # Window precomputation sized to the scalar: table[w] = w * P.
         # A scalar that fits one 4-bit window only ever indexes up to
         # its own value; full-width scalars use all 15 entries.

@@ -6,7 +6,7 @@ Pippenger's bucket method computes an n-point MSM in roughly
 ``n * 255`` for naive per-point scalar multiplication.
 
 Two independent kernel optimizations ride on top (both produce the
-same group elements as the reference path, see ``repro.kernels``):
+same group elements as :func:`msm_naive`, the test oracle):
 
 - **GLV splitting** (:mod:`repro.ecc.glv`): every scalar is decomposed
   against the curve's cube-root endomorphism into two ~128-bit halves,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro import kernels, parallel, telemetry
+from repro import parallel, telemetry
 from repro.ecc import glv
 from repro.ecc.batch_affine import linear_combination, sum_affine_lists
 from repro.ecc.curve import (
@@ -41,24 +41,14 @@ from repro.ecc.curve import (
 #: out windows exceeds the bucket work itself.
 PARALLEL_THRESHOLD = 64
 
-#: Below this many nonzero pairs the fast path sums per-point GLV
-#: scalar multiplications directly -- bucket machinery only pays off
-#: once the shared inversions amortize.
+#: Below this many nonzero pairs :func:`msm` sums per-point GLV scalar
+#: multiplications directly -- bucket machinery only pays off once the
+#: shared inversions amortize.
 _TINY_MSM = 8
 
 
 def _window_size(n: int) -> int:
-    """Heuristic window size ~ log2(n) (clamped), the standard choice."""
-    if n < 4:
-        return 1
-    if n < 32:
-        return 3
-    c = n.bit_length() - 1
-    return min(c, 16)
-
-
-def _fast_window_size(n: int) -> int:
-    """Window size for the batch-affine path: smaller than the classic
+    """Window size for batch-affine buckets: smaller than the classic
     ``log2(n)`` so buckets collect several points each.
 
     The classic choice makes buckets singletons, which starves the
@@ -70,81 +60,6 @@ def _fast_window_size(n: int) -> int:
     if n < 64:
         return 3
     return max(3, min(n.bit_length() - 5, 16))
-
-
-def _window_sum(
-    curve: Curve,
-    pairs: Sequence[tuple[Point, int]],
-    c: int,
-    w: int,
-) -> Point:
-    """The bucketed sum of window ``w`` (the reference Jacobian inner
-    loop, kept as the kernel baseline)."""
-    mask = (1 << c) - 1
-    shift = w * c
-    buckets: list[Point | None] = [None] * mask
-    for pt, s in pairs:
-        idx = (s >> shift) & mask
-        if idx:
-            existing = buckets[idx - 1]
-            buckets[idx - 1] = pt if existing is None else existing + pt
-    # Running-sum trick: sum_k k * bucket[k] via two passes.
-    running = curve.identity()
-    total = curve.identity()
-    for b in reversed(buckets):
-        if b is not None:
-            running = running + b
-        total = total + running
-    return total
-
-
-def _window_sums_task(
-    curve_name: str,
-    coords: list[tuple[int, int]],
-    scalars: list[int],
-    c: int,
-    w_lo: int,
-    w_hi: int,
-) -> list[tuple[int, int]]:
-    """Worker task: window sums for windows ``[w_lo, w_hi)``.
-
-    Top-level (picklable) and pure: points travel as affine tuples and
-    come back the same way.
-    """
-    curve = curve_by_name(curve_name)
-    points = points_from_affine_tuples(curve, coords)
-    pairs = list(zip(points, scalars))
-    return points_to_affine_tuples(
-        [_window_sum(curve, pairs, c, w) for w in range(w_lo, w_hi)]
-    )
-
-
-def _all_window_sums(
-    curve: Curve,
-    pairs: list[tuple[Point, int]],
-    c: int,
-    num_windows: int,
-) -> list[Point]:
-    """Every window sum, farmed out across workers when configured."""
-    if (
-        not parallel.is_parallel()
-        or len(pairs) < PARALLEL_THRESHOLD
-        or num_windows < 2
-    ):
-        return [_window_sum(curve, pairs, c, w) for w in range(num_windows)]
-    coords = points_to_affine_tuples([pt for pt, _ in pairs])
-    scalars = [s for _, s in pairs]
-    tasks = [
-        (curve.name, coords, scalars, c, lo, hi)
-        for lo, hi in parallel.chunk_bounds(num_windows, parallel.workers())
-    ]
-    window_sums: list[Point] = []
-    for chunk in parallel.pmap(_window_sums_task, tasks):
-        window_sums.extend(points_from_affine_tuples(curve, chunk))
-    return window_sums
-
-
-# -- batch-affine fast path ---------------------------------------------------
 
 
 def collapse_buckets(curve: Curve, buckets: dict[int, Point]) -> Point:
@@ -218,7 +133,7 @@ def _affine_window_sums_task(
     )
 
 
-def _msm_fast(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
+def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     """Batch-affine Pippenger over GLV-split half-width scalars."""
     if len(pairs) < _TINY_MSM:
         acc = curve.identity()
@@ -229,7 +144,7 @@ def _msm_fast(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     entries = glv.split_entries(curve, coords, [s for _, s in pairs])
     if not entries:
         return curve.identity()
-    c = _fast_window_size(len(entries))
+    c = _window_size(len(entries))
     num_bits = max(s.bit_length() for _, _, s in entries)
     num_windows = (num_bits + c - 1) // c
     if (
@@ -254,8 +169,8 @@ def _msm_fast(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     return acc
 
 
-#: Base folds shorter than this run the per-element reference path --
-#: the vectorized schedule needs enough elements to amortize its
+#: Base folds shorter than this pay a two-point MSM per element -- the
+#: vectorized schedule needs enough elements to amortize its
 #: digit-table construction.
 _FOLD_MIN = 32
 
@@ -268,15 +183,15 @@ def fold_bases(
 ) -> list[Point]:
     """The IPA base fold ``[u_inv * lo + u * hi for lo, hi in zip(..)]``.
 
-    The reference path pays a two-point MSM (two full scalar
-    multiplications) per element.  Since *every* element shares the same
-    two scalars, the fast path runs one vectorized double-and-add over
-    the whole vector -- each step a single batch-affine pass with one
-    shared inversion -- after GLV-splitting both scalars to half width.
-    Same group elements either way.
+    Element by element this is a two-point MSM (two full scalar
+    multiplications) each.  Since *every* element shares the same two
+    scalars, folds of at least ``_FOLD_MIN`` elements run one vectorized
+    double-and-add over the whole vector -- each step a single
+    batch-affine pass with one shared inversion -- after GLV-splitting
+    both scalars to half width.  Same group elements either way.
     """
     curve = g_lo[0].curve
-    if not kernels.fastpath_enabled() or len(g_lo) < _FOLD_MIN:
+    if len(g_lo) < _FOLD_MIN:
         return [msm([lo, hi], [u_inv, u]) for lo, hi in zip(g_lo, g_hi)]
     p = curve.field.p
     order = curve.scalar_field.p
@@ -346,26 +261,7 @@ def msm(points: Sequence[Point], scalars: Sequence[int]) -> Point:
     if len(pairs) == 1:
         pt, s = pairs[0]
         return pt * s
-    if kernels.fastpath_enabled():
-        return _msm_fast(curve, pairs)
-    return _msm_jacobian(curve, pairs)
-
-
-def _msm_jacobian(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
-    """The pre-existing full-width Jacobian Pippenger (the benchmark
-    baseline the batch-affine path is validated and raced against)."""
-    c = _window_size(len(pairs))
-    num_bits = curve.scalar_field.p.bit_length()
-    num_windows = (num_bits + c - 1) // c
-
-    window_sums = _all_window_sums(curve, pairs, c, num_windows)
-
-    acc = window_sums[-1]
-    for total in reversed(window_sums[:-1]):
-        for _ in range(c):
-            acc = acc.double()
-        acc = acc + total
-    return acc
+    return _pippenger(curve, pairs)
 
 
 def msm_naive(points: Sequence[Point], scalars: Sequence[int]) -> Point:

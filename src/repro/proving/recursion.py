@@ -38,13 +38,11 @@ performs the single combined check.  Lifecycle rules:
 
 from __future__ import annotations
 
-from repro import kernels
 from repro.algebra.field import Field
 from repro.commit.ipa import IpaProof, reduce_opening
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
 from repro.ecc.curve import Point
-from repro.ecc.msm import msm
 from repro.errors import StateError
 from repro.transcript import Transcript
 
@@ -165,11 +163,8 @@ class Accumulator:
         if self._deferred == 0:
             self._consume()
             return True
-        if kernels.fastpath_enabled():
-            tables = fixed_base.tables_for_params(self.params)
-            folded = fixed_base.fixed_base_msm(tables, self._scalars)
-        else:
-            folded = msm(list(self.params.g), self._scalars)
+        tables = fixed_base.tables_for_params(self.params)
+        folded = fixed_base.fixed_base_msm(tables, self._scalars)
         ok = (folded + self._residual).is_identity()
         self._consume()
         return ok

@@ -34,6 +34,7 @@ worker threads.
 from __future__ import annotations
 
 import heapq
+import logging
 import random
 import threading
 import time
@@ -41,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import telemetry
 from repro.config import ServiceConfig
+from repro.ecc import fixed_base
 from repro.errors import (
     JobFailed,
     JobNotFound,
@@ -70,6 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.system.prover_node import QueryResponse
     from repro.system.verifier_node import AggReport, BatchReport
 
+logger = logging.getLogger("repro.service")
+
 
 class ProvingService:
     """A pool of long-lived prover workers behind a priority queue.
@@ -96,8 +100,7 @@ class ProvingService:
         self._chaos = chaos
         if session.prover.commitment is None:
             session.commit()
-        if self.config.warm_start:
-            self._warm_start()
+        self._warm_start()
         self.queue = JobQueue(
             self.config.max_queue_depth,
             self.config.high_priority_reserve,
@@ -174,15 +177,15 @@ class ProvingService:
         Fixed-base MSM tables are keyed by the session's public
         parameters and shared by every worker, so building them once
         here (registry -> disk cache -> fresh build) keeps the first
-        job's latency in line with steady state.
+        job's latency in line with steady state.  Best-effort: a cache
+        directory that cannot be written (or a host too small to hold
+        the tables) leaves the build to the first commitment.
         """
         try:
-            from repro.ecc import fixed_base, kernels
-
-            if kernels.fastpath_enabled():
-                fixed_base.tables_for_params(self.session.params)
-        except Exception:  # warm start is best-effort, never fatal
+            fixed_base.tables_for_params(self.session.params)
+        except (OSError, MemoryError):
             telemetry.incr("service.warm_start_errors")
+            logger.warning("fixed-base table warm start failed", exc_info=True)
 
     # -- journal + crash recovery ----------------------------------------
 
@@ -809,11 +812,14 @@ class ProvingService:
                 self.events_log.emit(
                     "cancelled", job_id=job.job_id, trace_id=job.trace_id
                 )
+        # Supervisor first: a tick caught mid-respawn has published a
+        # replacement worker it has not started yet, and joining that
+        # raises.
+        self.supervisor.join(timeout=self.config.shutdown_timeout)
         for worker in self.workers:
             worker.request_stop()
         for worker in self.workers:
             worker.join(timeout=self.config.shutdown_timeout)
-        self.supervisor.join(timeout=self.config.shutdown_timeout)
         self.events_log.emit("closed", uptime_seconds=round(
             time.time() - self.started_at, 6
         ))

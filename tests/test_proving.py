@@ -5,9 +5,12 @@ These are the slowest unit tests in the suite (real curve arithmetic),
 so circuits are kept at k=5 (32 rows).
 """
 
+import hashlib
+
 import pytest
 
 from repro.algebra import SCALAR_FIELD
+from repro.algebra.field import deterministic_rng
 from repro.plonkish import Assignment, ConstraintSystem, MockProver
 from repro.proving import Accumulator, create_proof, keygen, verify_proof
 from repro.proving.keygen import finalize_fixed
@@ -15,6 +18,9 @@ from repro.proving.prover import ProverTiming, ProvingError
 
 F = SCALAR_FIELD
 K = 5
+
+GOLDEN_K5 = "619da66fbfae00d6b12266420355a02c"
+GOLDEN_K6_TPCH = "71b8dcf5e4f78e57d0bbde30ecefe238"
 
 
 def build_circuit():
@@ -222,3 +228,42 @@ class TestAccumulator:
         # Constraint check still passes; the deferred MSM must catch it.
         verified = verify_proof(pk.vk, bad, instance, accumulator=acc)
         assert not (verified and acc.finalize())
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+class TestGoldenProofDigest:
+    """Cross-commit byte-identity: under a pinned prover seed the wire
+    bytes are a function of the code alone, so a refactor that claims
+    "proofs stay byte-identical" must leave these digests untouched.
+    Recorded at commit cb71d82 (the parent of the kernel-toggle
+    removal); a deliberate protocol change re-records them."""
+
+    def test_k5_circuit(self, params_k6_module):
+        cs, cols = build_circuit()
+        cs.copy(cols["c"], 0, cols["b"], 1)
+        cs.copy(cols["c"], 1, cols["b"], 2)
+        asg, _ = assign_circuit(cs, cols)
+        with deterministic_rng(0x5EED):
+            pk = keygen(params_k6_module, cs, F, K)
+            finalize_fixed(pk, asg)
+            proof = create_proof(pk, asg)
+        assert _digest(proof.to_bytes()) == GOLDEN_K5
+
+    def test_k6_tpch_query(self):
+        from repro.api import PoneglyphDB
+        from repro.config import ProverConfig
+        from repro.tpch import generate
+
+        config = ProverConfig(
+            k=6, limb_bits=4, value_bits=24, key_bits=16, use_cache=False
+        )
+        with PoneglyphDB.open(generate(16, seed=11), config) as session:
+            with deterministic_rng(0x5EED):
+                session.commit()
+                response = session.prove(
+                    "select count(*) as n from nation where n_regionkey >= 2"
+                )
+        assert _digest(response.wire_bytes()) == GOLDEN_K6_TPCH

@@ -158,6 +158,30 @@ class TestRealService:
             report.require()
 
 
+class TestWarmStart:
+    def test_open_builds_fixed_base_tables_before_first_job(
+        self, real_run, monkeypatch
+    ):
+        """Opening a service pays the fixed-base table build up front,
+        so the first job finds the tables in the registry."""
+        from repro import telemetry
+        from repro.ecc import fixed_base
+
+        session = real_run["session"]
+        monkeypatch.setattr(fixed_base, "_CACHE", None)  # registry only
+        fixed_base.clear_registry()
+        with session.serve(ServiceConfig(workers=1)) as service:
+            fingerprint = session.params.fingerprint()
+            assert fixed_base.lookup_tables(fingerprint) is not None
+            builds = telemetry.counters_snapshot().get(
+                "msm.fixed_base_table_builds", 0
+            )
+            service.wait(service.submit(SQL_COUNT), timeout=300)
+            counters = telemetry.counters_snapshot()
+        assert counters.get("msm.fixed_base_table_builds", 0) == builds
+        assert counters.get("service.warm_start_errors", 0) == 0
+
+
 class TestRollup:
     """``submit_aggregate`` fans a batch out to the prover farm;
     ``rollup`` folds finished jobs into one transportable ``AggProof``
