@@ -1,10 +1,13 @@
-"""Field-backend microbenchmarks.
+"""Field-backend and commit-kernel microbenchmarks.
 
 Races the numpy limb-vector engine against the pure-Python backend --
 both are supported hosts, selected by what is installed -- on the
 whole-vector ops the backend hooks cover (NTT, Lagrange basis,
 extended-domain expression evaluation) plus the resident product-tree
-inversion, through the ``repro.algebra.backend`` switch.  Results are
+inversion, through the ``repro.algebra.backend`` switch.  One more row
+commits a limb-shaped column (4-bit data, full-width blinding rows)
+by its values against the Lagrange-basis tables and by its
+coefficients, the way every column was committed before.  Results are
 asserted equal before any speedup is reported.
 
 End-to-end prove/verify time is the benchmark of record's job
@@ -14,8 +17,10 @@ End-to-end prove/verify time is the benchmark of record's job
 Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]
 [--check]``) or under pytest.  ``--check`` exits nonzero unless (with
 numpy installed, at ``--backend-n`` >= 8192) the vector backend clears
-its floor on the NTT and batch-inversion rows -- the CI backend-matrix
-numpy leg gates on it.  Results persist to
+its floor on the NTT and batch-inversion rows, and the narrow column
+costs at most an eighth of its coefficient form's bucket insertions (a
+count, so it cannot flake) -- the CI backend-matrix numpy leg gates on
+it.  Results persist to
 ``benchmarks/results/kernels.{txt,json}``.
 """
 
@@ -25,11 +30,57 @@ import argparse
 import random
 import sys
 
+from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import SCALAR_FIELD, montgomery_batch_inv
 from repro.bench.harness import BenchConfig, bench_metadata, timed
 from repro.bench.reporting import Report
+from repro.commit.ipa import commit_lagrange, commit_polynomial
+from repro.commit.params import setup
+from repro.ecc import fixed_base
+
+#: A narrow column may cost at most this fraction of the bucket
+#: insertions its coefficient form costs (measured: 275 against 4,112 at k=7, ~1/15).
+NARROW_DIGITS_CEILING = 1 / 8
+
+
+def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
+    """One limb-shaped column -- 4-bit values, then the four full-width
+    blinding rows -- committed as values (``commit_lagrange``) and as
+    coefficients (``commit_polynomial`` of the inverse FFT): same group
+    element, seconds and bucket insertions (``msm.fixed_base_digits``)
+    of each."""
+    rng = random.Random(seed)
+    p = SCALAR_FIELD.p
+    params = setup(k)
+    column = [rng.randrange(16) for _ in range(params.n - 4)]
+    column += [rng.randrange(p) for _ in range(4)]
+    blind = rng.randrange(p)
+    coeffs = EvaluationDomain(SCALAR_FIELD, k).ifft(column)
+    for kind in (fixed_base.MONOMIAL, fixed_base.LAGRANGE):
+        fixed_base.tables_for_params(params, kind=kind)  # untimed build
+
+    def measure(commit, vector):
+        previous = telemetry.enable(True)
+        try:
+            before = telemetry.counters_snapshot().get("msm.fixed_base_digits", 0)
+            point, seconds = timed(lambda: commit(params, vector, blind))
+            after = telemetry.counters_snapshot()["msm.fixed_base_digits"]
+        finally:
+            telemetry.enable(previous)
+        return point, {"seconds": seconds, "digits": int(after - before)}
+
+    as_values, values_row = measure(commit_lagrange, column)
+    as_coeffs, coeffs_row = measure(commit_polynomial, coeffs)
+    assert as_values == as_coeffs, "Lagrange commit diverged from the oracle"
+    return {
+        "n": params.n,
+        "values": values_row,
+        "coeffs": coeffs_row,
+        "speedup": coeffs_row["seconds"] / values_row["seconds"],
+        "digits_frac": values_row["digits"] / coeffs_row["digits"],
+    }
 
 
 def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
@@ -138,8 +189,9 @@ def run_benches(
     backend_rows = bench_field_backend(n=backend_n)
     if backend_rows is not None:
         results["field_backend"] = backend_rows
+    narrow = results["narrow_commit"] = bench_narrow_commit()
 
-    report = Report("kernels", "Field backend: numpy limb engine vs python")
+    report = Report("kernels", "Kernels: field-backend race, narrow-column commit")
     report.line(
         "every row runs both backends on identical inputs (results "
         "asserted equal first)\n"
@@ -165,7 +217,32 @@ def run_benches(
                 )
             )
         report.table(["op", "python (s)", "numpy (s)", "speedup"], rows)
+    report.line(
+        f"\nfixed-base commit of a 4-bit column ({narrow['n']} rows + blind): "
+        "values vs coefficients, same point"
+    )
+    report.table(
+        ["committed as", "seconds", "bucket insertions"],
+        [
+            (form, f"{narrow[form]['seconds']:.4f}", str(narrow[form]["digits"]))
+            for form in ("values", "coeffs")
+        ],
+    )
+    report.line(
+        f"speedup {narrow['speedup']:.2f}x, insertions "
+        f"{narrow['digits_frac']:.3f} of the coefficient form"
+    )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
+
+    if check and narrow["digits_frac"] > NARROW_DIGITS_CEILING:
+        print(
+            "CHECK FAILED: a narrow column costs "
+            f"{narrow['digits_frac']:.3f} of its coefficient form's bucket "
+            f"insertions (> {NARROW_DIGITS_CEILING:.3f}): columns are "
+            "reaching the MSM as full-width scalars again",
+            file=sys.stderr,
+        )
+        return {**results, "check_ok": False}
 
     # Backend floors only apply at sizes where the vector engine's
     # dispatch overhead is amortized (small smoke runs skip them); set
@@ -188,7 +265,7 @@ def test_kernel_microbench(bench_config):
     """Pytest entry: the backend race at bench scale, floors checked
     (the CI job uses the CLI)."""
     results = run_benches(bench_config, check=True)
-    assert results["check_ok"], "field backend slower than its floors"
+    assert results["check_ok"], "a kernel check failed (see stderr)"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -203,7 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless the field backend clears its floors",
+        help="exit nonzero unless the field backend clears its floors "
+        "and narrow columns stay narrow in the commit kernel",
     )
     args = parser.parse_args(argv)
     results = run_benches(

@@ -10,13 +10,20 @@ hashes -- no trusted setup.
 
 from repro.commit.params import PublicParams, setup
 from repro.commit.pedersen import pedersen_commit
-from repro.commit.ipa import IpaProof, commit_polynomial, open_polynomial, verify_opening
+from repro.commit.ipa import (
+    IpaProof,
+    commit_lagrange,
+    commit_polynomial,
+    open_polynomial,
+    verify_opening,
+)
 
 __all__ = [
     "PublicParams",
     "setup",
     "pedersen_commit",
     "IpaProof",
+    "commit_lagrange",
     "commit_polynomial",
     "open_polynomial",
     "verify_opening",

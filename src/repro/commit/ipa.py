@@ -1,7 +1,10 @@
 """The Inner Product Argument polynomial commitment (Halo / BCMS style).
 
 Given a Pedersen commitment ``C = <a, G> + r*W`` to the coefficients of
-a polynomial ``p`` and a public evaluation point ``x``, the prover
+a polynomial ``p`` -- computed from them (:func:`commit_polynomial`) or,
+for a circuit or database column, from its values against the
+Lagrange-basis generators (:func:`commit_lagrange`; same ``C``) -- and
+a public evaluation point ``x``, the prover
 convinces the verifier that ``p(x) = v`` with a proof of ``2 log n``
 group elements plus two scalars.  This is the scheme the paper selects
 (section 3.2) for its linear prover, logarithmic proofs, and
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import parallel, telemetry
+from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
@@ -129,52 +133,103 @@ class IpaProof:
         return proof
 
 
+def _padded(params: PublicParams, vector: Sequence[int]) -> list[int]:
+    if len(vector) > params.n:
+        raise ValueError("polynomial exceeds parameter capacity")
+    return list(vector) + [0] * (params.n - len(vector))
+
+
+def _commit(
+    params: PublicParams, vector: Sequence[int], blind: int, kind: str
+) -> Point:
+    # In both table sets index i < n is the i-th basis element and
+    # index n is w, so the padded vector followed by the blind lines up
+    # with the default indices.
+    tables = fixed_base.tables_for_params(params, kind=kind)
+    return fixed_base.fixed_base_msm(tables, _padded(params, vector) + [blind])
+
+
 def commit_polynomial(
     params: PublicParams, coeffs: Sequence[int], blind: int
 ) -> Point:
-    """Commit to polynomial coefficients (little-endian).
+    """Commit to polynomial coefficients (little-endian):
+    ``<coeffs, g> + blind * w``.
 
-    The MSM runs against the parameter set's fixed-base tables (the
-    same group element as ``msm(params.g + [params.w], ...)``)."""
-    padded = list(coeffs) + [0] * (params.n - len(coeffs))
-    if len(padded) > params.n:
-        raise ValueError("polynomial exceeds parameter capacity")
-    # Table index i < n is g[i] and index n is w, so the padded
-    # coefficients followed by the blind line up with the default indices.
-    tables = fixed_base.tables_for_params(params)
-    return fixed_base.fixed_base_msm(tables, padded + [blind])
+    For data born as coefficients (the quotient pieces) and as the test
+    oracle of :func:`commit_lagrange`; the MSM runs against the
+    parameter set's fixed-base tables."""
+    return _commit(params, coeffs, blind, fixed_base.MONOMIAL)
+
+
+def commit_lagrange(
+    params: PublicParams, evals: Sequence[int], blind: int
+) -> Point:
+    """Commit to the polynomial with values ``evals`` over the size-``n``
+    evaluation domain (zero on the rows past ``len(evals)``).
+
+    The same group element as ``commit_polynomial(params, ifft(evals),
+    blind)``, computed against the Lagrange-basis tables
+    (:func:`repro.ecc.fixed_base.lagrange_bases`) so the MSM pays only
+    for the bits the column's values have -- every column of a circuit
+    and of the database is committed this way."""
+    return _commit(params, evals, blind, fixed_base.LAGRANGE)
 
 
 def _commit_batch_task(
     curve_name: str,
     fingerprint: str,
+    kind: str,
     g_coords: list[tuple[int, int]],
     w_coord: tuple[int, int],
     jobs: list[tuple[list[int], int]],
 ) -> list[tuple[int, int]]:
-    """Worker task: commit each (padded coefficients, blind) job.
+    """Worker task: commit each (padded vector, blind) job.
 
-    Bases travel once per task as affine tuples; inside a worker the
-    MSM itself runs serially (no nested pools).  Workers prefer the
-    fixed-base tables under ``fingerprint`` (inherited at fork or read
-    from the attached disk cache); a miss falls back to the generic MSM
-    over the shipped bases -- identical elements either way.
+    Workers prefer the ``kind`` tables under ``fingerprint`` (inherited
+    at fork or read from the attached disk cache).  On a miss they fall
+    back to the oracle -- the generic MSM over the shipped ``g`` and
+    ``w``, of the inverse FFT for a Lagrange-basis job -- identical
+    elements either way.  Inside a worker the MSM itself runs serially
+    (no nested pools).
     """
     curve = curve_by_name(curve_name)
-    tables = fixed_base.lookup_tables(fingerprint)
+    tables = fixed_base.lookup_tables(fingerprint, kind=kind)
     if tables is not None:
         return points_to_affine_tuples(
             [
-                fixed_base.fixed_base_msm(tables, padded + [blind])
-                for padded, blind in jobs
+                fixed_base.fixed_base_msm(tables, vector + [blind])
+                for vector, blind in jobs
             ]
         )
-    bases = points_from_affine_tuples(curve, g_coords) + points_from_affine_tuples(
-        curve, [w_coord]
-    )
+    bases = points_from_affine_tuples(curve, g_coords + [w_coord])
+    if kind == fixed_base.LAGRANGE:
+        domain = EvaluationDomain(curve.scalar_field, len(g_coords).bit_length() - 1)
+        jobs = [(domain.ifft(vector), blind) for vector, blind in jobs]
     return points_to_affine_tuples(
-        [msm(bases, padded + [blind]) for padded, blind in jobs]
+        [msm(bases, vector + [blind]) for vector, blind in jobs]
     )
+
+
+def _commit_many(
+    params: PublicParams, items: Sequence[tuple[Sequence[int], int]], kind: str
+) -> list[Point]:
+    if not parallel.is_parallel() or len(items) < 2:
+        return [_commit(params, vector, blind, kind) for vector, blind in items]
+    jobs = [(_padded(params, vector), blind) for vector, blind in items]
+    # Build (or load) the tables in the parent first: workers forked
+    # afterwards inherit the registry; ones forked earlier fall back
+    # through the disk cache or to the oracle.
+    fixed_base.tables_for_params(params, kind=kind)
+    g_coords = points_to_affine_tuples(list(params.g))
+    w_coord = params.w.to_affine()
+    tasks = [
+        (params.curve.name, params.fingerprint(), kind, g_coords, w_coord, chunk)
+        for chunk in parallel.chunked(jobs, parallel.workers())
+    ]
+    out: list[Point] = []
+    for chunk in parallel.pmap(_commit_batch_task, tasks):
+        out.extend(points_from_affine_tuples(params.curve, chunk))
+    return out
 
 
 def commit_polynomials(
@@ -188,33 +243,16 @@ def commit_polynomials(
     scheduling differs.
     """
     with telemetry.span("commit.polynomials", count=len(items)):
-        return _commit_polynomials(params, items)
+        return _commit_many(params, items, fixed_base.MONOMIAL)
 
 
-def _commit_polynomials(
+def commit_lagrange_many(
     params: PublicParams, items: Sequence[tuple[Sequence[int], int]]
 ) -> list[Point]:
-    if not parallel.is_parallel() or len(items) < 2:
-        return [commit_polynomial(params, coeffs, blind) for coeffs, blind in items]
-    jobs = []
-    for coeffs, blind in items:
-        if len(coeffs) > params.n:
-            raise ValueError("polynomial exceeds parameter capacity")
-        jobs.append((list(coeffs) + [0] * (params.n - len(coeffs)), blind))
-    # Build (or load) the tables in the parent first: workers forked
-    # afterwards inherit the registry; ones forked earlier fall back
-    # through the disk cache or to the generic MSM.
-    fixed_base.tables_for_params(params)
-    g_coords = points_to_affine_tuples(list(params.g))
-    w_coord = params.w.to_affine()
-    tasks = [
-        (params.curve.name, params.fingerprint(), g_coords, w_coord, chunk)
-        for chunk in parallel.chunked(jobs, parallel.workers())
-    ]
-    out: list[Point] = []
-    for chunk in parallel.pmap(_commit_batch_task, tasks):
-        out.extend(points_from_affine_tuples(params.curve, chunk))
-    return out
+    """:func:`commit_lagrange` of many ``(evals, blind)`` pairs, across
+    the worker pool when one is configured (identical results)."""
+    with telemetry.span("commit.lagrange", count=len(items)):
+        return _commit_many(params, items, fixed_base.LAGRANGE)
 
 
 def _powers(x: int, n: int, p: int) -> list[int]:

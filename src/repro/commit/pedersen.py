@@ -22,9 +22,11 @@ def pedersen_commit(
     factor ``blind``.
 
     The MSM runs against the parameter set's precomputed fixed-base
-    tables (the same group element as a generic MSM over ``params.g``
-    and ``params.w``, without the doubling chain -- see
-    :mod:`repro.ecc.fixed_base`).
+    tables over ``g`` (the same group element as a generic MSM over
+    ``params.g`` and ``params.w``, without the doubling chain -- see
+    :mod:`repro.ecc.fixed_base`, which also fixes ``w``'s table index).
+    Circuit and database columns do not come through here: they are
+    committed by :func:`repro.commit.ipa.commit_lagrange`.
     """
     if len(values) > params.n:
         raise ValueError(

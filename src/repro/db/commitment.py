@@ -25,19 +25,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro import parallel, telemetry
-from repro.algebra.domain import EvaluationDomain, fft_in_place
+from repro import telemetry
 from repro.algebra.field import Field, SCALAR_FIELD
-from repro.commit.ipa import commit_polynomial
+from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.db.database import Database
-from repro.ecc.curve import (
-    Point,
-    curve_by_name,
-    points_from_affine_tuples,
-    points_to_affine_tuples,
-)
-from repro.ecc.msm import msm
+from repro.ecc.curve import Point
 from repro.plonkish.assignment import ZK_ROWS
 from repro.wire import ByteReader, WireFormatError, point_wire_size
 
@@ -172,45 +165,20 @@ def padded_column(
     return list(values) + [0] * (usable - len(values)) + list(tail)
 
 
-def _column_commit_task(
-    curve_name: str,
-    g_coords: list[tuple[int, int]],
-    w_coord: tuple[int, int],
-    p: int,
-    omega_inv: int,
-    size_inv: int,
-    jobs: list[tuple[list[int], int]],
-) -> list[tuple[int, int]]:
-    """Worker task: IFFT + Pedersen/IPA commitment of each padded column
-    vector.  Pure in its arguments (the parent draws all randomness)."""
-    curve = curve_by_name(curve_name)
-    bases = points_from_affine_tuples(curve, g_coords) + points_from_affine_tuples(
-        curve, [w_coord]
-    )
-    out = []
-    for vector, blind in jobs:
-        values = list(vector)
-        fft_in_place(values, omega_inv, p)
-        coeffs = [v * size_inv % p for v in values]
-        out.append(msm(bases, coeffs + [blind]).to_affine())
-    return out
-
-
 def _commit_all_columns(
     db: Database,
     fit: PublicParams,
     k: int,
-    field_: Field,
     secrets: dict[tuple[str, str], ColumnSecret],
 ) -> dict[tuple[str, str], Point]:
-    """Commit every column (coefficient form) using the per-column
-    randomness in ``secrets``; columns fan out across the worker pool.
+    """Commit every column using the per-column randomness in
+    ``secrets``; columns fan out across the worker pool.
 
-    Commitment happens in coefficient form -- the same form the proving
-    system commits advice columns in, so a scan links to this commitment
-    through the blinding delta alone.
+    Each padded column is committed as the values, over the size-``2^k``
+    evaluation domain, of a polynomial -- exactly how the proving system
+    commits the advice column a scan loads it into, so a scan links to
+    this commitment through the blinding delta alone.
     """
-    domain = EvaluationDomain(field_, k)
     keys: list[tuple[str, str]] = []
     jobs: list[tuple[list[int], int]] = []
     for table_name in sorted(db.tables):
@@ -222,40 +190,8 @@ def _commit_all_columns(
             jobs.append((vector, secret.blind))
 
     with telemetry.span("db.commit_columns", columns=len(jobs), k=k):
-        points = _commit_column_jobs(domain, fit, field_, jobs)
+        points = commit_lagrange_many(fit, jobs)
     return dict(zip(keys, points))
-
-
-def _commit_column_jobs(
-    domain: EvaluationDomain,
-    fit: PublicParams,
-    field_: Field,
-    jobs: list[tuple[list[int], int]],
-) -> list[Point]:
-    if parallel.is_parallel() and len(jobs) >= 2:
-        g_coords = points_to_affine_tuples(list(fit.g))
-        w_coord = fit.w.to_affine()
-        tasks = [
-            (
-                fit.curve.name,
-                g_coords,
-                w_coord,
-                field_.p,
-                domain.omega_inv,
-                domain.size_inv,
-                chunk,
-            )
-            for chunk in parallel.chunked(jobs, parallel.workers())
-        ]
-        points: list[Point] = []
-        for chunk in parallel.pmap(_column_commit_task, tasks):
-            points.extend(points_from_affine_tuples(fit.curve, chunk))
-    else:
-        points = [
-            commit_polynomial(fit, domain.ifft(vector), blind)
-            for vector, blind in jobs
-        ]
-    return points
 
 
 def commit_database(
@@ -279,7 +215,7 @@ def commit_database(
             tail = [field_.rand() for _ in range(ZK_ROWS)]
             blind = field_.rand()
             secrets[(table_name, column_name)] = ColumnSecret(blind, tail)
-    commitments = _commit_all_columns(db, fit, k, field_, secrets)
+    commitments = _commit_all_columns(db, fit, k, secrets)
     leaves = [
         key[0].encode() + b"." + key[1].encode() + b":" + pt.to_bytes()
         for key, pt in sorted(commitments.items())
@@ -315,7 +251,7 @@ def _recommit_with(
     secrets: CommitmentSecrets,
 ) -> tuple[DatabaseCommitment, CommitmentSecrets]:
     fit = params.truncated(k) if params.k > k else params
-    commitments = _commit_all_columns(db, fit, k, SCALAR_FIELD, secrets.columns)
+    commitments = _commit_all_columns(db, fit, k, secrets.columns)
     leaves = [
         key[0].encode() + b"." + key[1].encode() + b":" + pt.to_bytes()
         for key, pt in sorted(commitments.items())

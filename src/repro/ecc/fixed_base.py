@@ -1,34 +1,45 @@
 """Fixed-base MSM over precomputed window tables.
 
 Every Pedersen/IPA commitment in a proving session is an MSM against
-the *same* bases: the public-parameter generators ``G_i`` plus the
-blinding base ``W`` (and ``U`` for the inner-product rounds).  Those
-bases never change, so the doubling chains that dominate a generic
-Pippenger run can be paid once: for window width ``c`` we precompute
-the shifted bases ``B[i][j] = 2^(j*c) * G_i`` for every window ``j``.
+the *same* bases: the public-parameter generators ``G_i`` (for a
+coefficient vector) or their Lagrange-basis images ``L_j`` (for a
+column's values over the evaluation domain), plus the blinding base
+``W`` and the inner-product base ``U``.  Those bases never change, so
+the doubling chains that dominate a generic Pippenger run can be paid
+once: for window width ``c`` we precompute the shifted bases
+``B[i][j] = 2^(j*c) * base_i`` for every window ``j``.
 
 A commitment then needs **zero doublings**: each scalar's base-``2^c``
 digits index straight into one shared bucket set (all shifted bases
 are plain affine points, so windows do not need separate buckets), the
 buckets are reduced with one batch-affine accumulation
 (:func:`~repro.ecc.batch_affine.sum_affine_lists`), and a single
-running-sum collapse finishes the job.
+running-sum collapse finishes the job.  The unit of work is the
+*nonzero digit*, not the point: a 4-bit limb costs one bucket
+insertion where a full-width scalar costs 32, which is why columns are
+committed by their values against the Lagrange set
+(:func:`lagrange_bases`) rather than by their coefficients.
 
 Tables are keyed by the :meth:`~repro.commit.params.PublicParams.fingerprint`
-of the parameter set.  A process-local registry serves repeat lookups
-(forked workers inherit it for free); optionally an
-:class:`~repro.cache.ArtifactCache` attached via :func:`configure_cache`
-persists tables across runs next to the cached parameters themselves.
-The result is always the same group element the generic
-:func:`~repro.ecc.msm.msm` would produce -- only the schedule differs.
+of the parameter set and the basis (``MONOMIAL`` / ``LAGRANGE``, whose
+layout is stated once, at the registry below).  A process-local
+registry serves repeat lookups (forked workers inherit it for free);
+optionally an :class:`~repro.cache.ArtifactCache` attached via
+:func:`configure_cache` persists tables across runs next to the cached
+parameters themselves.  The result is always the same group element
+the generic :func:`~repro.ecc.msm.msm` would produce -- only the
+schedule differs.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
 from typing import TYPE_CHECKING, Sequence
 
 from repro import telemetry
+from repro.algebra import fft_plan
+from repro.algebra.domain import EvaluationDomain
 from repro.cache import cache_key
 from repro.ecc.batch_affine import batch_double, sum_affine_lists
 from repro.ecc.curve import Curve, Point, curve_by_name, points_to_affine_tuples
@@ -146,6 +157,11 @@ def fixed_base_msm(
             w += 1
     telemetry.incr("msm.fixed_base_calls")
     telemetry.incr("msm.fixed_base_points", live)
+    # Bucket insertions: the kernel's unit of work (points times the
+    # nonzero base-2^c digits of their scalars).
+    telemetry.incr(
+        "msm.fixed_base_digits", sum(len(pts) for pts in buckets.values())
+    )
     if not buckets:
         return curve.identity()
     rounds = sum_affine_lists(curve.field.p, list(buckets.values()))
@@ -158,10 +174,26 @@ def fixed_base_msm(
 
 # -- per-parameter-set table registry ----------------------------------------
 
-#: Process-local tables keyed by (params fingerprint, window width).
-#: Forked workers inherit whatever the parent built before the pool
-#: started; later misses rebuild (or disk-load) per worker.
-_REGISTRY: dict[tuple[str, int], FixedBaseTables] = {}
+#: A parameter set has two table sets, one per basis a committed vector
+#: can be expressed in: ``MONOMIAL`` over ``g`` (coefficient vectors --
+#: quotient pieces, the IPA folded base) and ``LAGRANGE`` over
+#: :func:`lagrange_bases` (column values on the evaluation domain).
+#: Both hold ``n + 2`` bases: index ``i < n`` is ``g[i]`` / ``L[i]``,
+#: index ``n`` is the blinding base ``w`` and ``n + 1`` is ``u``.
+MONOMIAL = "g"
+LAGRANGE = "lagrange"
+
+_Key = tuple[str, str, int]  # (kind, params fingerprint, window width)
+
+#: Process-local tables.  Forked workers inherit whatever the parent
+#: built before the pool started; later misses disk-load per worker.
+_REGISTRY: dict[_Key, FixedBaseTables] = {}
+
+#: One build lock per table set, so concurrent first users (service
+#: workers, verifier threads) load or build it once; ``_LOCKS_GUARD``
+#: covers the lock table itself.
+_LOCKS: dict[_Key, threading.Lock] = {}
+_LOCKS_GUARD = threading.Lock()
 
 #: Optional artifact cache for cross-run persistence (see
 #: :func:`configure_cache`; sessions attach their cache here).
@@ -180,53 +212,97 @@ def clear_registry() -> None:
     _REGISTRY.clear()
 
 
-def _disk_key(fingerprint: str, c: int) -> str:
-    return cache_key("fixedbase", fingerprint, c)
+def lagrange_bases(params: "PublicParams") -> list[Point]:
+    """``L_j = sum_i (n^-1 * omega^(-i*j)) * g[i]``: the group inverse FFT
+    of ``params.g`` over the size-``n`` evaluation domain of the scalar
+    field.
+
+    By linearity ``sum_j e_j * L_j == sum_i c_i * g[i]`` whenever ``c``
+    is the inverse FFT of ``e``, so committing a column's *values*
+    against ``L`` gives the group element its coefficients give against
+    ``g`` -- without widening small values into full-width scalars.
+    """
+    domain = EvaluationDomain(params.curve.scalar_field, params.k)
+    plan = fft_plan.plan_for(domain.size, domain.omega_inv, domain.field.p)
+    pts = list(params.g)
+    for i, j in plan.swaps:
+        pts[i], pts[j] = pts[j], pts[i]
+    length = 2
+    for ws in plan.stages:
+        half = length // 2
+        for start in range(0, plan.n, length):
+            for i in range(half):
+                lo = pts[start + i]
+                hi = pts[start + i + half]
+                if i:  # ws[0] == 1
+                    hi = hi * ws[i]
+                pts[start + i] = lo + hi
+                pts[start + i + half] = lo - hi
+        length *= 2
+    return [pt * domain.size_inv for pt in pts]
 
 
-def lookup_tables(fingerprint: str, c: int = FIXED_BASE_WINDOW) -> FixedBaseTables | None:
-    """Registry (then disk) lookup only -- never builds.  Worker tasks
-    use this: on a miss they fall back to the generic MSM."""
-    key = (fingerprint, c)
+def _disk_key(key: _Key) -> str:
+    return cache_key("fixedbase-" + key[0], *key[1:])
+
+
+def _lookup(key: _Key, shape: tuple[str, int] | None = None):
+    """Registry, then disk.  A disk entry that is not a table set of
+    this window width -- and, when the caller knows them, of ``shape =
+    (curve name, base count)`` -- is ignored, so it gets rebuilt over."""
     tables = _REGISTRY.get(key)
-    if tables is not None:
-        telemetry.incr("msm.fixed_base_table_hits")
-        return tables
-    if _CACHE is not None:
-        raw = _CACHE.get_bytes(_disk_key(fingerprint, c))
+    if tables is None and _CACHE is not None:
+        raw = _CACHE.get_bytes(_disk_key(key))
         if raw is not None:
             try:
                 tables = pickle.loads(raw)
             except Exception:
                 tables = None
-            if isinstance(tables, FixedBaseTables):
-                _REGISTRY[key] = tables
-                telemetry.incr("msm.fixed_base_table_hits")
-                return tables
-    return None
+            if not (
+                isinstance(tables, FixedBaseTables)
+                and tables.c == key[2]
+                and shape in (None, (tables.curve_name, len(tables)))
+            ):
+                return None
+            _REGISTRY[key] = tables
+    if tables is not None:
+        telemetry.incr("msm.fixed_base_table_hits")
+    return tables
+
+
+def lookup_tables(
+    fingerprint: str, c: int = FIXED_BASE_WINDOW, kind: str = MONOMIAL
+) -> FixedBaseTables | None:
+    """Registry (then disk) lookup only -- never builds, never blocks.
+    Worker tasks use this: on a miss they fall back to the generic MSM."""
+    return _lookup((kind, fingerprint, c))
 
 
 def tables_for_params(
-    params: "PublicParams", c: int = FIXED_BASE_WINDOW
+    params: "PublicParams", c: int = FIXED_BASE_WINDOW, kind: str = MONOMIAL
 ) -> FixedBaseTables:
-    """The (cached) tables for ``params``'s bases ``g + [w, u]``.
+    """The (cached) ``kind`` table set of ``params``.
 
-    Base index ``i < n`` is ``g[i]``; index ``n`` is the blinding base
-    ``w`` and ``n + 1`` is ``u``.  Built on first use per parameter
-    fingerprint, registered in-process, and persisted through the
-    attached artifact cache when one is configured.
+    Built on first use per parameter fingerprint -- once, however many
+    threads ask at the same time -- registered in-process, and
+    persisted through the attached artifact cache when one is
+    configured.
     """
-    fingerprint = params.fingerprint()
-    tables = lookup_tables(fingerprint, c)
-    if tables is not None:
-        return tables
-    bases = list(params.g) + [params.w, params.u]
-    tables = build_tables(params.curve, bases, c)
-    _REGISTRY[(fingerprint, c)] = tables
-    telemetry.incr("msm.fixed_base_table_builds")
-    if _CACHE is not None:
-        _CACHE.put_bytes(
-            _disk_key(fingerprint, c),
-            pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+    key = (kind, params.fingerprint(), c)
+    if key in _REGISTRY:
+        return _lookup(key)
+    with _LOCKS_GUARD:
+        lock = _LOCKS.setdefault(key, threading.Lock())
+    with lock:
+        tables = _lookup(key, (params.curve.name, params.n + 2))
+        if tables is None:
+            bases = list(params.g) if kind == MONOMIAL else lagrange_bases(params)
+            tables = build_tables(params.curve, bases + [params.w, params.u], c)
+            _REGISTRY[key] = tables
+            telemetry.incr("msm.fixed_base_table_builds")
+            if _CACHE is not None:
+                _CACHE.put_bytes(
+                    _disk_key(key),
+                    pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL),
+                )
     return tables

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro import telemetry
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
-from repro.commit.ipa import commit_polynomials
+from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
 from repro.plonkish.assignment import ZK_ROWS, Assignment
@@ -225,8 +225,8 @@ def _keygen(
     all_values = [system_values[name] for name in system_names] + sigma_values
     all_coeffs = domain.ifft_many(all_values)
     all_ext = extended_domain.coset_fft_many(all_coeffs, coset_shift)
-    all_commits = commit_polynomials(
-        fit_params, [(coeffs, 0) for coeffs in all_coeffs]
+    all_commits = commit_lagrange_many(
+        fit_params, [(values, 0) for values in all_values]
     )
     polys = [
         PolyData(coeffs=coeffs, extended_evals=ext, commitment=commitment)
@@ -313,8 +313,8 @@ def finalize_fixed(pk: ProvingKey, assignment: Assignment) -> None:
         pk.fixed_values = [list(col) for col in assignment.fixed]
         coeffs_list = domain.ifft_many(list(assignment.fixed))
         ext_list = ext.coset_fft_many(coeffs_list, shift)
-        commits = commit_polynomials(
-            fit_params, [(coeffs, 0) for coeffs in coeffs_list]
+        commits = commit_lagrange_many(
+            fit_params, [(values, 0) for values in pk.fixed_values]
         )
         pk.fixed = [
             PolyData(coeffs=coeffs, extended_evals=ext_evals, commitment=commitment)

@@ -17,7 +17,11 @@ from repro import telemetry
 from repro.algebra.field import Field
 from repro.errors import ReproError
 from repro.algebra.poly import evaluate_coeffs
-from repro.commit.ipa import commit_polynomial, commit_polynomials
+from repro.commit.ipa import (
+    commit_lagrange,
+    commit_lagrange_many,
+    commit_polynomials,
+)
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.proving.evaluation import evaluate_expression_ext, evaluate_expression_rows
@@ -100,14 +104,16 @@ def create_proof(
     )
     overrides = advice_blind_overrides or {}
     # Batched: per-column IFFTs and commitment MSMs are independent, so
-    # they fan out across the worker pool when one is configured.
+    # they fan out across the worker pool when one is configured.  The
+    # MSMs take the column values (narrow scalars); the coefficients
+    # are for the later rounds.
     advice_coeffs = domain.ifft_many(list(assignment.advice))
     advice_blinds = [
         overrides.get(index, field.rand())
         for index in range(len(assignment.advice))
     ]
-    advice_commitments = commit_polynomials(
-        params, list(zip(advice_coeffs, advice_blinds))
+    advice_commitments = commit_lagrange_many(
+        params, list(zip(assignment.advice, advice_blinds))
     )
     transcript.absorb_points(b"advice", advice_commitments)
     phase.end()
@@ -143,8 +149,8 @@ def create_proof(
         a_coeffs = domain.ifft(a_full)
         s_coeffs = domain.ifft(s_full)
         a_blind, s_blind = field.rand(), field.rand()
-        a_commit = commit_polynomial(params, a_coeffs, a_blind)
-        s_commit = commit_polynomial(params, s_coeffs, s_blind)
+        a_commit = commit_lagrange(params, a_full, a_blind)
+        s_commit = commit_lagrange(params, s_full, s_blind)
         transcript.absorb_point(b"lookup-a", a_commit)
         transcript.absorb_point(b"lookup-s", s_commit)
         lookup_data.append(
@@ -220,8 +226,8 @@ def create_proof(
 
     perm_z_coeffs = domain.ifft_many(perm_z_values)
     perm_z_blinds = [field.rand() for _ in perm_z_values]
-    perm_z_commitments = commit_polynomials(
-        params, list(zip(perm_z_coeffs, perm_z_blinds))
+    perm_z_commitments = commit_lagrange_many(
+        params, list(zip(perm_z_values, perm_z_blinds))
     )
     transcript.absorb_points(b"perm-z", perm_z_commitments)
 
@@ -249,7 +255,7 @@ def create_proof(
             z[i] = field.rand()
         z_coeffs = domain.ifft(z)
         z_blind = field.rand()
-        z_commit = commit_polynomial(params, z_coeffs, z_blind)
+        z_commit = commit_lagrange(params, z, z_blind)
         transcript.absorb_point(b"lookup-z", z_commit)
         data["z_coeffs"] = z_coeffs
         data["z_blind"] = z_blind
@@ -285,7 +291,7 @@ def create_proof(
             z[i] = field.rand()
         z_coeffs = domain.ifft(z)
         z_blind = field.rand()
-        z_commit = commit_polynomial(params, z_coeffs, z_blind)
+        z_commit = commit_lagrange(params, z, z_blind)
         transcript.absorb_point(b"shuffle-z", z_commit)
         shuffle_data.append({"z_coeffs": z_coeffs, "z_blind": z_blind})
         shuffle_parts.append(ShuffleProofPart(z_commitment=z_commit))

@@ -174,15 +174,18 @@ class ProvingService:
     def _warm_start(self) -> None:
         """Pre-build shared process-wide artifacts before taking jobs.
 
-        Fixed-base MSM tables are keyed by the session's public
+        Both fixed-base MSM table sets are keyed by the session's public
         parameters and shared by every worker, so building them once
         here (registry -> disk cache -> fresh build) keeps the first
-        job's latency in line with steady state.  Best-effort: a cache
-        directory that cannot be written (or a host too small to hold
-        the tables) leaves the build to the first commitment.
+        job's latency in line with steady state -- also for a service
+        that replays a journal before anyone committed in this process.
+        Best-effort: a cache directory that cannot be written (or a
+        host too small to hold the tables) leaves the build to the
+        first commitment.
         """
         try:
-            fixed_base.tables_for_params(self.session.params)
+            for kind in (fixed_base.MONOMIAL, fixed_base.LAGRANGE):
+                fixed_base.tables_for_params(self.session.params, kind=kind)
         except (OSError, MemoryError):
             telemetry.incr("service.warm_start_errors")
             logger.warning("fixed-base table warm start failed", exc_info=True)

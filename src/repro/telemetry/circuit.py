@@ -167,8 +167,9 @@ class CircuitReport:
     def commitment_msm_sizes(self) -> dict[str, int]:
         """Estimated per-phase MSM sizes (points per multi-scalar mul).
 
-        Every column/polynomial commitment is one size-``rows`` MSM over
-        the committed coefficients; the quotient splits into
+        Every column/polynomial commitment is one size-``rows`` MSM
+        (over the column's values against the Lagrange-basis tables, or
+        a quotient chunk's coefficients); the quotient splits into
         ``2^(extended_k - k)`` chunks of the same size.
         """
         quotient_chunks = 1 << (self.extended_k - self.k)
@@ -185,7 +186,15 @@ class CircuitReport:
         """How many size-``rows`` MSMs one ``create_proof`` performs,
         from shape alone (advice + 2 permuted cols and 1 product per
         lookup, 1 product per shuffle and permutation chunk, quotient
-        chunks, plus the final multiopen/IPA commitment)."""
+        chunks, plus the final multiopen/IPA commitment).
+
+        Times ``rows + 1`` points this is an *upper bound* on the
+        fixed-base work, not the work: the kernel pays per nonzero
+        scalar digit (``msm.fixed_base_digits``), and scalar width
+        varies by column kind -- advice and permuted-lookup columns are
+        narrow (limbs, values, selector bits; only the blinding rows
+        are full width), while grand products, sigma columns and
+        quotient chunks are full width throughout."""
         quotient_chunks = 1 << (self.extended_k - self.k)
         return (
             self.advice_columns
@@ -250,7 +259,7 @@ class CircuitReport:
             f"permutation products={self.permutation_grand_products} "
             f"(chunk {self.permutation_chunk})",
             f"estimated commit MSMs: {self.estimated_commit_msms()} "
-            f"x {self.rows} points",
+            f"x {self.rows} points (an upper bound: work follows scalar width)",
             "",
             f"{'gate':<28} {'operator':<10} {'constraints':>11} {'degree':>7}",
             f"{'-' * 28} {'-' * 10} {'-' * 11} {'-' * 7}",

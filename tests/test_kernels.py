@@ -22,15 +22,11 @@ from repro import parallel
 from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.fft_plan import NttPlan, ntt_in_place, plan_for
-from repro.commit.ipa import (
-    _commit_batch_task,
-    commit_polynomial,
-    commit_polynomials,
-)
+from repro.commit.ipa import commit_polynomial, commit_polynomials
 from repro.commit.pedersen import pedersen_commit
 from repro.ecc import PALLAS, VESTA
 from repro.ecc import fixed_base, glv
-from repro.ecc.curve import Point, points_to_affine_tuples
+from repro.ecc.curve import Point
 from repro.ecc.msm import fold_bases, msm, msm_naive
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
@@ -147,21 +143,6 @@ class TestFixedBase:
         )
         assert pedersen_commit(params_k6, vals, blind) == ref
         assert commit_polynomial(params_k6, vals, blind) == ref
-
-    def test_worker_without_tables_falls_back_to_generic_msm(self, params_k6):
-        """A fork worker that cannot find the tables (registry miss, no
-        disk cache entry) commits over the shipped bases instead."""
-        rng = random.Random(43)
-        padded = [rng.randrange(SCALAR_FIELD.p) for _ in range(params_k6.n)]
-        blind = rng.randrange(SCALAR_FIELD.p)
-        (got,) = _commit_batch_task(
-            PALLAS.name,
-            "no-such-fingerprint",
-            points_to_affine_tuples(list(params_k6.g)),
-            params_k6.w.to_affine(),
-            [(padded, blind)],
-        )
-        assert got == commit_polynomial(params_k6, padded, blind).to_affine()
 
     def test_fingerprint_distinguishes_truncation(self, params_k6):
         assert params_k6.fingerprint() != params_k6.truncated(5).fingerprint()
