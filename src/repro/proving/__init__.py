@@ -6,16 +6,23 @@ non-interactive zero-knowledge proof, and verifies such proofs:
 1. :mod:`repro.proving.keygen` -- derive the proving key (fixed-column
    polynomials, copy-constraint sigma polynomials, system selectors)
    and the verification key (their commitments).
-2. :mod:`repro.proving.prover` -- the five-round Fiat-Shamir protocol:
-   commit advice; build lookup permutations (theta); build permutation
-   and lookup grand products (beta, gamma); build the quotient
-   polynomial (y); evaluate everything at a random point (x) and batch
-   the openings through the IPA (:mod:`repro.proving.multiopen`).
+2. :mod:`repro.proving.prover` -- the five-round Fiat-Shamir protocol
+   as a table of round functions (``ROUNDS``): commit advice; build
+   lookup permutations (theta); build permutation and lookup grand
+   products (beta, gamma); build the quotient polynomial (y); evaluate
+   everything at a random point (x) and batch the openings through the
+   IPA (:mod:`repro.proving.multiopen`).
 3. :mod:`repro.proving.verifier` -- recompute every challenge, check
    the combined constraint identity at x, and verify the batched IPA
    openings -- optionally deferring their linear-time base-folding MSMs
    into a :class:`repro.proving.recursion.Accumulator` (the recursive
    proof-composition technique the paper leverages).
+
+What the two sides must agree on exists once: the proof's sections,
+wire codec and transcript order in :mod:`repro.proving.proof`
+(``SECTIONS``); the challenges per round, the opening schedule and the
+constraint identity in :mod:`repro.proving.protocol`.  The verifier
+imports nothing from the prover.
 """
 
 from repro.proving.aggregate import AggEntry, AggProof, ScanLinkClaim, aggregate

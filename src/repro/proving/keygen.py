@@ -42,11 +42,15 @@ PERMUTATION_CHUNK = 3
 
 @dataclass
 class PolyData:
-    """One committed polynomial in the three forms the prover needs."""
+    """One committed polynomial in the forms the prover needs: the key's
+    fixed / sigma / system polynomials, and -- with their ``blind`` --
+    the ones each proof commits (whose extended evaluations the
+    quotient round fills in on first use)."""
 
     coeffs: list[int]
-    extended_evals: list[int] = dc_field(repr=False)
+    extended_evals: list[int] | None = dc_field(default=None, repr=False)
     commitment: Point | None = None
+    blind: int = 0
 
 
 @dataclass

@@ -1,22 +1,35 @@
-"""The proof container and its wire format.
+"""The proof container, its schema and its wire format.
 
 A :class:`Proof` holds every prover message of the non-interactive
-protocol, in transcript order.  Its byte serialization defines the
-"proof size" metric reported in the paper's Table 4 -- and, more
-importantly, the *adversarial surface*: a verifier only ever receives
-bytes, so :meth:`Proof.from_bytes` is the strict gate every remote
-proof passes through.  Decoding enforces (via
+protocol.  What it is made of is written down once, in
+:data:`SECTIONS`: one row per ``Proof`` attribute giving its element
+kind, the shape the verifying key pins for it, its transcript label and
+the round whose message it belongs to.  Everything that has to agree
+on that list walks it instead of re-typing it:
+
+- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB2`` wire
+  codec) and :meth:`Proof.size_bytes`;
+- :meth:`Proof.has_shape`, the structural check that opens
+  ``verify_proof``;
+- :meth:`Proof.absorb_round`, the Fiat-Shamir absorption order shared
+  by the prover's rounds and the verifier's replay;
+- :meth:`Proof.leaves`, from which :mod:`repro.soundness` builds its
+  field-level mutations;
+- :func:`wire_layout`, the layout block in DESIGN.md section 5c.
+
+The byte serialization defines the "proof size" metric reported in the
+paper's Table 4 -- and, more importantly, the *adversarial surface*: a
+verifier only ever receives bytes, so :meth:`Proof.from_bytes` is the
+strict gate every remote proof passes through.  Decoding enforces (via
 :class:`repro.wire.ByteReader`):
 
 - the ``PDB2`` version header;
 - element counts that match the verifying key's circuit shape exactly
-  (advice columns, lookups, shuffles, permutation chunks, sigma and
-  system polynomials) and are length-checked against the remaining
-  bytes before any allocation;
-- a quotient-chunk count within the vk's degree-derived bound;
+  and are length-checked against the remaining bytes before any
+  allocation (the quotient-chunk count is bounded, not pinned);
 - canonical scalars (``< p``) and canonical on-curve points;
-- strictly ascending, vk-matching evaluation keys (one canonical
-  encoding per proof -- re-orderings are rejected);
+- ascending, vk-matching evaluation keys (one canonical encoding per
+  proof -- re-orderings are rejected);
 - IPA openings with exactly ``log2 n`` rounds each;
 - no trailing bytes.
 
@@ -29,6 +42,7 @@ run (exercised exhaustively by :mod:`repro.soundness`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Iterator
 
 from repro.commit.ipa import IpaProof
 from repro.ecc.curve import Point
@@ -37,6 +51,9 @@ from repro.wire import ByteReader, SCALAR_BYTES, WireFormatError, point_wire_siz
 #: Wire-format version header; bump when the layout changes.
 WIRE_MAGIC = b"PDB2"
 
+#: The round whose message is the evaluations at ``x``.
+EVALUATION_ROUND = 5
+
 
 @dataclass
 class LookupProofPart:
@@ -44,13 +61,31 @@ class LookupProofPart:
 
     permuted_input_commitment: Point
     permuted_table_commitment: Point
-    z_commitment: Point
+    #: sent one round after the permuted pair
+    z_commitment: Point | None = None
     # evaluations at the challenge point
     z_x: int = 0
     z_wx: int = 0
     permuted_input_x: int = 0
     permuted_input_winv_x: int = 0
     permuted_table_x: int = 0
+
+    #: (commitment, transcript label, round that absorbs it), wire order.
+    POINTS: ClassVar = (
+        ("permuted_input_commitment", b"lookup-a", 2),
+        ("permuted_table_commitment", b"lookup-s", 2),
+        ("z_commitment", b"lookup-z", 3),
+    )
+    #: (evaluation, commitment it opens, rotation of ``x``) -- the wire
+    #: order, the transcript order and the opening order at once.
+    EVALS: ClassVar = (
+        ("z_x", "z_commitment", 0),
+        ("z_wx", "z_commitment", 1),
+        ("permuted_input_x", "permuted_input_commitment", 0),
+        ("permuted_input_winv_x", "permuted_input_commitment", -1),
+        ("permuted_table_x", "permuted_table_commitment", 0),
+    )
+    EVAL_LABEL: ClassVar = b"eval-lookup"
 
 
 @dataclass
@@ -61,10 +96,213 @@ class ShuffleProofPart:
     z_x: int = 0
     z_wx: int = 0
 
+    POINTS: ClassVar = (("z_commitment", b"shuffle-z", 3),)
+    EVALS: ClassVar = (("z_x", "z_commitment", 0), ("z_wx", "z_commitment", 1))
+    EVAL_LABEL: ClassVar = b"eval-shuffle"
+
+
+#: Evaluation keys of one permutation grand product, in opening order:
+#: at ``x``, at ``omega * x`` and -- for every chunk but the last, whose
+#: end value seeds the next chunk -- at ``omega^usable * x``.
+PERMUTATION_Z_KEYS = ("x", "wx", "chain")
+
+
+def permutation_z_keys(vk) -> list[tuple[str, ...]]:
+    chunks = len(vk.permutation_chunks)
+    return [PERMUTATION_Z_KEYS[: 3 if j < chunks - 1 else 2] for j in range(chunks)]
+
+
+# Element kinds; each constant is also the element's wire layout.
+POINTS = "points"
+SCALARS = "scalars"
+KEYED = "(u32 column, i32 rotation, scalar), keys ascending"  # {(col, rot): eval}
+NAMED = "scalars, names ascending"  # {name: eval}
+CHUNKS = "per chunk: scalars, keys ascending"  # [{key: eval}]
+PARTS = "per part: its points, then its scalars"  # [LookupProofPart | ...]
+OPENINGS = "per opening: scalar point + IPA proof"  # [(point, IpaProof)]
+
+
+@dataclass(frozen=True)
+class Section:
+    """One row of the proof schema."""
+
+    attr: str  # the Proof attribute
+    kind: str
+    #: ``shape(vk, queries, n_h)`` -- what the verifying key pins: the
+    #: element count, the ascending keys (KEYED / NAMED) or every
+    #: entry's keys (CHUNKS); ``n_h`` is the number of quotient
+    #: commitments the proof itself carries.  ``None``: not pinned.
+    shape: Callable[[Any, Any, int], Any] | None
+    pinned_to: str  # the same, in words (for the layout block)
+    label: bytes = b""  # transcript label (PARTS label each field)
+    round: int = 0  # round whose message absorbs it
+    part: type | None = None  # PARTS: the record class
+    bounded: bool = False  # shape is an upper bound (>= 1), not a pin
+
+    def records(self, value) -> list[list[tuple[Any, Any, bool]]]:
+        """The elements in wire order, each a list of cells
+        ``(container, key, is_point)`` where ``container[key]`` reads
+        and writes one point or scalar."""
+        if self.kind is PARTS:
+            names = [(name, True) for name, *_ in self.part.POINTS]
+            names += [(name, False) for name, *_ in self.part.EVALS]
+            return [
+                [(vars(part), name, is_point) for name, is_point in names]
+                for part in value
+            ]
+        if self.kind is CHUNKS:
+            return [[(entry, key, False) for key in sorted(entry)] for entry in value]
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        return [[(value, key, self.kind is POINTS)] for key in keys]
+
+    def fits(self, value, expected) -> bool:
+        """Does an in-memory value have the pinned shape?"""
+        if self.bounded:
+            return 1 <= len(value) <= expected
+        if self.kind in (KEYED, NAMED):
+            return set(value) == set(expected)
+        if self.kind is CHUNKS:
+            return [set(entry) for entry in value] == [set(k) for k in expected]
+        return len(value) == expected
+
+    def absorb(self, transcript, value, number: int) -> None:
+        """Absorb what round ``number`` sends of this section."""
+        if self.kind is PARTS:
+            for part in value:
+                for name, label, sent in self.part.POINTS:
+                    if sent == number:
+                        transcript.absorb_point(label, getattr(part, name))
+                if number == EVALUATION_ROUND:
+                    transcript.absorb_scalars(
+                        self.part.EVAL_LABEL,
+                        [getattr(part, name) for name, *_ in self.part.EVALS],
+                    )
+        elif self.round != number:
+            return
+        elif self.kind is POINTS:
+            transcript.absorb_points(self.label, value)
+        elif self.kind is SCALARS:
+            transcript.absorb_scalars(self.label, value)
+        else:  # KEYED, NAMED, CHUNKS: one scalar at a time, keys ascending
+            for record in self.records(value):
+                for container, key, _ in record:
+                    transcript.absorb_scalar(self.label, container[key])
+
+    def element_size(self, vk) -> int:
+        """The fewest wire bytes one element takes (what bounds a
+        hostile count before anything is allocated)."""
+        point = point_wire_size(vk.params.curve)
+        if self.kind is PARTS:
+            return len(self.part.POINTS) * point + len(self.part.EVALS) * SCALAR_BYTES
+        return {
+            POINTS: point,
+            KEYED: 8 + SCALAR_BYTES,
+            CHUNKS: 2 * SCALAR_BYTES,
+            OPENINGS: 4 + 2 * vk.params.k * point + 3 * SCALAR_BYTES,
+        }.get(self.kind, SCALAR_BYTES)
+
+    def read(self, reader: ByteReader, what: str, expected, vk):
+        """Decode the elements that follow the count."""
+        curve, p = vk.params.curve, vk.field.p
+        if self.kind is POINTS:
+            return [reader.point(curve, what) for _ in range(expected)]
+        if self.kind is SCALARS:
+            return [reader.scalar(p, what) for _ in range(expected)]
+        if self.kind is NAMED:
+            return {name: reader.scalar(p, what) for name in expected}
+        if self.kind is CHUNKS:
+            return [
+                {key: reader.scalar(p, what) for key in sorted(keys)}
+                for keys in expected
+            ]
+        if self.kind is PARTS:
+            return [
+                self.part(
+                    **{n: reader.point(curve, what) for n, *_ in self.part.POINTS},
+                    **{n: reader.scalar(p, what) for n, *_ in self.part.EVALS},
+                )
+                for _ in range(expected)
+            ]
+        if self.kind is OPENINGS:
+            return [
+                (reader.scalar(p, what), IpaProof.read_from(reader, curve, vk.params.k))
+                for _ in range(expected)
+            ]
+        out = {}
+        for key in expected:  # KEYED: exactly the circuit's keys, ascending
+            if (reader.u32(what), reader.i32(what)) != key:
+                raise WireFormatError(f"{what} keys do not match the circuit")
+            out[key] = reader.scalar(p, what)
+        return out
+
+
+#: The proof schema, in wire order.
+SECTIONS = (
+    Section("advice_commitments", POINTS,
+            lambda vk, queries, n_h: len(vk.cs.advice_columns),
+            "advice columns of cs", b"advice", 1),
+    Section("lookup_parts", PARTS,
+            lambda vk, queries, n_h: len(vk.cs.lookups),
+            "lookups of cs", part=LookupProofPart),
+    Section("shuffle_parts", PARTS,
+            lambda vk, queries, n_h: len(vk.cs.shuffles),
+            "shuffles of cs", part=ShuffleProofPart),
+    Section("permutation_z_commitments", POINTS,
+            lambda vk, queries, n_h: len(vk.permutation_chunks),
+            "vk.permutation_chunks", b"perm-z", 3),
+    Section("h_commitments", POINTS,
+            lambda vk, queries, n_h: 1 << (vk.extended_k - vk.k),
+            "1 <= count <= 2^(extended_k - k)", b"h", 4, bounded=True),
+    Section("advice_evals", KEYED,
+            lambda vk, queries, n_h: queries.advice,
+            "collect_queries(cs).advice", b"eval-advice", EVALUATION_ROUND),
+    Section("fixed_evals", KEYED,
+            lambda vk, queries, n_h: queries.fixed,
+            "collect_queries(cs).fixed", b"eval-fixed", EVALUATION_ROUND),
+    Section("sigma_evals", SCALARS,
+            lambda vk, queries, n_h: len(vk.sigma_commitments),
+            "vk.sigma_commitments", b"eval-sigma", EVALUATION_ROUND),
+    Section("system_evals", NAMED,
+            lambda vk, queries, n_h: sorted(vk.system_commitments),
+            "vk.system_commitments", b"eval-system", EVALUATION_ROUND),
+    Section("permutation_z_evals", CHUNKS,
+            lambda vk, queries, n_h: permutation_z_keys(vk),
+            "vk.permutation_chunks; chain on all but the last",
+            b"eval-perm-z", EVALUATION_ROUND),
+    Section("h_evals", SCALARS,
+            lambda vk, queries, n_h: n_h,
+            "count of h_commitments", b"eval-h", EVALUATION_ROUND),
+    Section("openings", OPENINGS, None,
+            "one per distinct opening point (checked by multi_verify)"),
+)
+
+#: Within a round the transcript takes the sections in wire order,
+#: except that the lookup and shuffle parts follow the permutation
+#: argument (round-3 grand products and round-5 evaluations alike).
+TRANSCRIPT_ORDER = tuple(
+    {section.attr: section for section in SECTIONS}[attr]
+    for attr in (
+        "advice_commitments", "permutation_z_commitments", "h_commitments",
+        "advice_evals", "fixed_evals", "sigma_evals", "system_evals",
+        "permutation_z_evals", "lookup_parts", "shuffle_parts", "h_evals",
+    )
+)
+
+
+def wire_layout() -> str:
+    """The ``PDB2`` layout, one line per schema row (DESIGN.md 5c
+    carries this text; a tier-1 test keeps the two equal)."""
+    rows = [
+        f"{section.attr:<26}: u32 count, {section.kind}  # {section.pinned_to}"
+        for section in SECTIONS
+    ]
+    ipa = "IPA proof: u32 rounds (== k), rounds x (L, R), a, blind"
+    return "\n".join([f'"{WIRE_MAGIC.decode()}"', *rows, ipa])
+
 
 @dataclass
 class Proof:
-    """All prover messages, in protocol order."""
+    """All prover messages; :data:`SECTIONS` describes each attribute."""
 
     advice_commitments: list[Point]
     lookup_parts: list[LookupProofPart]
@@ -83,122 +321,78 @@ class Proof:
     # Batched IPA opening proofs, one per distinct evaluation point.
     openings: list[tuple[int, IpaProof]] = field(default_factory=list)
 
+    def leaves(self) -> Iterator[tuple[str, Any, Any, bool]]:
+        """Every point and scalar outside the openings, in wire order,
+        as ``(label, container, key, is_point)``."""
+        for section in SECTIONS[:-1]:  # all but the openings
+            records = section.records(getattr(self, section.attr))
+            for i, record in enumerate(records):
+                for container, key, is_point in record:
+                    if section.kind is PARTS:
+                        label = f"{section.attr.removesuffix('_parts')}[{i}].{key}"
+                    elif section.kind is CHUNKS:
+                        label = f"{section.attr}[{i}][{key}]"
+                    else:
+                        label = f"{section.attr}[{key}]"
+                    yield label, container, key, is_point
+
+    def has_shape(self, vk, queries) -> bool:
+        """Whether every section has exactly the shape ``vk`` pins."""
+        n_h = len(self.h_commitments)
+        return all(
+            section.fits(
+                getattr(self, section.attr), section.shape(vk, queries, n_h)
+            )
+            for section in SECTIONS
+            if section.shape is not None
+        )
+
+    def absorb_round(self, transcript, number: int) -> None:
+        """Absorb the message of round ``number`` (1-5) into the
+        transcript: the one absorption order both sides use."""
+        for section in TRANSCRIPT_ORDER:
+            section.absorb(transcript, getattr(self, section.attr), number)
+
     def size_bytes(self) -> int:
-        """Serialized proof size in bytes.
-
-        Points are 64 bytes (uncompressed Pasta affine), scalars 32.
-        A production encoding would compress points to 32 bytes; we
-        report the uncompressed size our serializer actually produces.
-        """
-        n_points = (
-            len(self.advice_commitments)
-            + 3 * len(self.lookup_parts)
-            + len(self.shuffle_parts)
-            + len(self.permutation_z_commitments)
-            + len(self.h_commitments)
-        )
-        n_scalars = (
-            len(self.advice_evals)
-            + len(self.fixed_evals)
-            + len(self.sigma_evals)
-            + len(self.system_evals)
-            + sum(len(d) for d in self.permutation_z_evals)
-            + 5 * len(self.lookup_parts)
-            + 2 * len(self.shuffle_parts)
-            + len(self.h_evals)
-        )
-        opening_bytes = sum(proof.size_bytes() + 32 for _, proof in self.openings)
-        return n_points * 64 + n_scalars * 32 + opening_bytes
-
-    def _scalar_modulus(self) -> int:
-        """The scalar field modulus, recovered from any commitment's
-        curve (every scalar in a proof lives in that field)."""
-        for pt in (
-            self.advice_commitments
-            + self.permutation_z_commitments
-            + self.h_commitments
-        ):
-            return pt.curve.scalar_field.p
-        for part in self.lookup_parts:
-            return part.z_commitment.curve.scalar_field.p
-        for part in self.shuffle_parts:
-            return part.z_commitment.curve.scalar_field.p
-        from repro.algebra.field import SCALAR_FIELD
-
-        return SCALAR_FIELD.p
+        """Serialized proof size in bytes: the length of
+        :meth:`to_bytes` (points are 64 bytes uncompressed, scalars 32;
+        a production encoding would compress points to 32)."""
+        return len(self.to_bytes())
 
     def to_bytes(self) -> bytes:
         """Canonical wire serialization (format ``PDB2``).
 
         Scalars are reduced into the scalar field before encoding, so a
         residue has exactly one byte representation; the strict inverse
-        is :meth:`from_bytes`.  Layout documented in DESIGN.md.
+        is :meth:`from_bytes`.
         """
-        p = self._scalar_modulus()
+        # Every scalar lives in the scalar field of the commitments' curve.
+        p = next(
+            container[key].curve.scalar_field.p
+            for _, container, key, is_point in self.leaves()
+            if is_point
+        )
+
+        def scalar(value: int) -> bytes:
+            return (value % p).to_bytes(SCALAR_BYTES, "little")
+
+        def u32(value: int) -> bytes:
+            return (value % (1 << 32)).to_bytes(4, "little")
+
         chunks: list[bytes] = [WIRE_MAGIC]
-
-        def put_point(pt: Point) -> None:
-            chunks.append(pt.to_bytes())
-
-        def put_scalar(s: int) -> None:
-            chunks.append((s % p).to_bytes(SCALAR_BYTES, "little"))
-
-        def put_count(c: int) -> None:
-            chunks.append(c.to_bytes(4, "little"))
-
-        def put_evals(evals: dict[tuple[int, int], int]) -> None:
-            put_count(len(evals))
-            for (col, rot), v in sorted(evals.items()):
-                put_count(col)
-                put_count(rot % (1 << 32))
-                put_scalar(v)
-
-        put_count(len(self.advice_commitments))
-        for pt in self.advice_commitments:
-            put_point(pt)
-        put_count(len(self.lookup_parts))
-        for part in self.lookup_parts:
-            put_point(part.permuted_input_commitment)
-            put_point(part.permuted_table_commitment)
-            put_point(part.z_commitment)
-            for s in (
-                part.z_x,
-                part.z_wx,
-                part.permuted_input_x,
-                part.permuted_input_winv_x,
-                part.permuted_table_x,
-            ):
-                put_scalar(s)
-        put_count(len(self.shuffle_parts))
-        for sp in self.shuffle_parts:
-            put_point(sp.z_commitment)
-            put_scalar(sp.z_x)
-            put_scalar(sp.z_wx)
-        put_count(len(self.permutation_z_commitments))
-        for pt in self.permutation_z_commitments:
-            put_point(pt)
-        put_count(len(self.h_commitments))
-        for pt in self.h_commitments:
-            put_point(pt)
-        put_evals(self.advice_evals)
-        put_evals(self.fixed_evals)
-        put_count(len(self.sigma_evals))
-        for v in self.sigma_evals:
-            put_scalar(v)
-        put_count(len(self.system_evals))
-        for name in sorted(self.system_evals):
-            put_scalar(self.system_evals[name])
-        put_count(len(self.permutation_z_evals))
-        for d in self.permutation_z_evals:
-            for key in sorted(d):
-                put_scalar(d[key])
-        put_count(len(self.h_evals))
-        for v in self.h_evals:
-            put_scalar(v)
-        put_count(len(self.openings))
-        for point, ipa in self.openings:
-            put_scalar(point)
-            chunks.append(ipa.to_bytes())
+        for section in SECTIONS:
+            value = getattr(self, section.attr)
+            chunks.append(u32(len(value)))
+            if section.kind is OPENINGS:
+                for point, ipa in value:
+                    chunks += (scalar(point), ipa.to_bytes())
+                continue
+            for record in section.records(value):
+                for container, key, is_point in record:
+                    if section.kind is KEYED:
+                        chunks += (u32(key[0]), u32(key[1]))
+                    cell = container[key]
+                    chunks.append(cell.to_bytes() if is_point else scalar(cell))
         return b"".join(chunks)
 
     @classmethod
@@ -212,149 +406,30 @@ class Proof:
         """
         from repro.proving.protocol import collect_queries
 
-        curve = vk.params.curve
-        p = vk.field.p
-        cs = vk.cs
-        point_size = point_wire_size(curve)
-        queries = collect_queries(cs)
-
+        queries = collect_queries(vk.cs)
         reader = ByteReader(data)
         reader.expect(WIRE_MAGIC, "proof header")
-
-        def exact_count(what: str, expected: int, element_size: int) -> int:
-            got = reader.count(
-                what, element_size=element_size, max_count=expected
-            )
-            if got != expected:
-                raise WireFormatError(
-                    f"{what} count {got} != expected {expected}"
+        values: dict[str, Any] = {}
+        for section in SECTIONS:
+            what = section.attr.replace("_", " ")
+            if section.shape is None:
+                low, high = 0, reader.remaining
+            else:
+                expected = section.shape(
+                    vk, queries, len(values.get("h_commitments", ()))
                 )
-            return got
-
-        def read_evals(
-            what: str, expected_keys: list[tuple[int, int]]
-        ) -> dict[tuple[int, int], int]:
-            exact_count(what, len(expected_keys), 8 + SCALAR_BYTES)
-            out: dict[tuple[int, int], int] = {}
-            previous: tuple[int, int] | None = None
-            for _ in expected_keys:
-                key = (reader.u32(f"{what} column"), reader.i32(f"{what} rotation"))
-                if previous is not None and key <= previous:
-                    raise WireFormatError(f"{what} keys not strictly ascending")
-                previous = key
-                out[key] = reader.scalar(p, what)
-            if sorted(out) != sorted(expected_keys):
-                raise WireFormatError(f"{what} keys do not match the circuit")
-            return out
-
-        exact_count("advice commitments", len(cs.advice_columns), point_size)
-        advice_commitments = [
-            reader.point(curve, "advice commitment")
-            for _ in cs.advice_columns
-        ]
-
-        exact_count(
-            "lookup parts", len(cs.lookups), 3 * point_size + 5 * SCALAR_BYTES
-        )
-        lookup_parts = [
-            LookupProofPart(
-                permuted_input_commitment=reader.point(curve, "lookup A'"),
-                permuted_table_commitment=reader.point(curve, "lookup S'"),
-                z_commitment=reader.point(curve, "lookup z"),
-                z_x=reader.scalar(p, "lookup z(x)"),
-                z_wx=reader.scalar(p, "lookup z(wx)"),
-                permuted_input_x=reader.scalar(p, "lookup A'(x)"),
-                permuted_input_winv_x=reader.scalar(p, "lookup A'(x/w)"),
-                permuted_table_x=reader.scalar(p, "lookup S'(x)"),
+                high = expected if isinstance(expected, int) else len(expected)
+                # The quotient splits into 1 to 2^(extended_k - k) chunks
+                # of degree < n; any other count cannot come from an
+                # honest prover and would let a cheat inflate its degree.
+                low = 1 if section.bounded else high
+            count = reader.count(
+                what, element_size=section.element_size(vk), max_count=high
             )
-            for _ in cs.lookups
-        ]
-
-        exact_count(
-            "shuffle parts", len(cs.shuffles), point_size + 2 * SCALAR_BYTES
-        )
-        shuffle_parts = [
-            ShuffleProofPart(
-                z_commitment=reader.point(curve, "shuffle z"),
-                z_x=reader.scalar(p, "shuffle z(x)"),
-                z_wx=reader.scalar(p, "shuffle z(wx)"),
-            )
-            for _ in cs.shuffles
-        ]
-
-        n_chunks = len(vk.permutation_chunks)
-        exact_count("permutation z commitments", n_chunks, point_size)
-        permutation_z_commitments = [
-            reader.point(curve, "permutation z commitment")
-            for _ in range(n_chunks)
-        ]
-
-        # The quotient is split into at most 2^(extended_k - k) chunks of
-        # degree < n; a count outside [1, bound] cannot come from an
-        # honest prover and would let a cheat inflate the quotient degree.
-        h_bound = 1 << (vk.extended_k - vk.k)
-        n_h = reader.count(
-            "h commitments", element_size=point_size, max_count=h_bound
-        )
-        if n_h < 1:
-            raise WireFormatError("h commitments count must be at least 1")
-        h_commitments = [
-            reader.point(curve, "h commitment") for _ in range(n_h)
-        ]
-
-        advice_evals = read_evals("advice evals", queries.advice)
-        fixed_evals = read_evals("fixed evals", queries.fixed)
-
-        exact_count("sigma evals", len(vk.sigma_commitments), SCALAR_BYTES)
-        sigma_evals = [
-            reader.scalar(p, "sigma eval") for _ in vk.sigma_commitments
-        ]
-
-        system_names = sorted(vk.system_commitments)
-        exact_count("system evals", len(system_names), SCALAR_BYTES)
-        system_evals = {
-            name: reader.scalar(p, f"system eval {name}")
-            for name in system_names
-        }
-
-        exact_count("permutation z evals", n_chunks, 2 * SCALAR_BYTES)
-        permutation_z_evals: list[dict[str, int]] = []
-        for j in range(n_chunks):
-            keys = ["wx", "x"]
-            if n_chunks > 1 and j < n_chunks - 1:
-                keys = ["chain", "wx", "x"]  # sorted order
-            permutation_z_evals.append(
-                {key: reader.scalar(p, f"permutation z eval {key}") for key in keys}
-            )
-
-        exact_count("h evals", n_h, SCALAR_BYTES)
-        h_evals = [reader.scalar(p, "h eval") for _ in range(n_h)]
-
-        ipa_size = 4 + 2 * vk.params.k * point_size + 2 * SCALAR_BYTES
-        n_openings = reader.count(
-            "openings",
-            element_size=SCALAR_BYTES + ipa_size,
-            max_count=max(1, reader.remaining // (SCALAR_BYTES + ipa_size)),
-        )
-        openings: list[tuple[int, IpaProof]] = []
-        for _ in range(n_openings):
-            point = reader.scalar(p, "opening point")
-            openings.append(
-                (point, IpaProof.read_from(reader, curve, vk.params.k))
-            )
-
+            if count < low:
+                raise WireFormatError(f"{what} count {count} is below {low}")
+            if section.shape is None or section.bounded:
+                expected = count
+            values[section.attr] = section.read(reader, what, expected, vk)
         reader.finish()
-        return cls(
-            advice_commitments=advice_commitments,
-            lookup_parts=lookup_parts,
-            shuffle_parts=shuffle_parts,
-            permutation_z_commitments=permutation_z_commitments,
-            h_commitments=h_commitments,
-            advice_evals=advice_evals,
-            fixed_evals=fixed_evals,
-            sigma_evals=sigma_evals,
-            system_evals=system_evals,
-            permutation_z_evals=permutation_z_evals,
-            h_evals=h_evals,
-            openings=openings,
-        )
+        return cls(**values)

@@ -1,11 +1,21 @@
 """Proof generation (paper workflow phase 4).
 
-``create_proof`` executes the five Fiat-Shamir rounds described in the
-package docstring.  The prover's asymptotics match the paper's design
-goals: committing and FFT-ing each column is ``O(n log n)`` field work
-plus one ``O(n)`` MSM, the quotient is evaluated on an extended domain
-whose size is governed by the *maximum constraint degree* -- which is
-why every gate in :mod:`repro.gates` is engineered for low degree.
+``create_proof`` is a driver over :data:`ROUNDS`: per round it opens
+the span, draws the round's challenges, runs the round function over
+the :class:`ProverState` and absorbs the message the round added to the
+proof.  Round functions never touch the transcript (multiopen excepted:
+the IPA is its own sub-protocol), so the order of prover messages
+exists once -- in the proof schema, where the verifier replays it from
+(:meth:`~repro.proving.proof.Proof.absorb_round`).  What is opened
+where is :func:`~repro.proving.protocol.opening_schedule`; the
+constraints are :func:`~repro.proving.protocol.combined_constraint`,
+the function the verifier evaluates at ``x``, here on the coset.
+
+The prover's asymptotics match the paper's design goals: committing
+and FFT-ing each column is ``O(n log n)`` field work plus one ``O(n)``
+MSM, the quotient is evaluated on an extended domain whose size is
+governed by the *maximum constraint degree* -- which is why every gate
+in :mod:`repro.gates` is engineered for low degree.
 """
 
 from __future__ import annotations
@@ -14,21 +24,30 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from repro import telemetry
-from repro.algebra.field import Field
 from repro.errors import ReproError
 from repro.algebra.poly import evaluate_coeffs
-from repro.commit.ipa import (
-    commit_lagrange,
-    commit_lagrange_many,
-    commit_polynomials,
-)
+from repro.commit.ipa import commit_lagrange_many, commit_polynomials
+from repro.ecc.curve import Point
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ColumnKind
+from repro.plonkish.expression import Expression
 from repro.proving.evaluation import evaluate_expression_ext, evaluate_expression_rows
-from repro.proving.keygen import ProvingKey
+from repro.proving.keygen import PolyData, ProvingKey
 from repro.proving.multiopen import OpeningClaim, multi_open
 from repro.proving.proof import LookupProofPart, Proof, ShuffleProofPart
-from repro.proving.protocol import collect_queries, init_transcript
+from repro.proving.protocol import (
+    SYSTEM_SELECTORS,
+    QuerySet,
+    cell,
+    collect_queries,
+    combined_constraint,
+    compress_rows,
+    draw_challenges,
+    grand_product_fractions,
+    init_transcript,
+    opening_schedule,
+)
+from repro.transcript import Transcript
 
 
 @dataclass
@@ -57,6 +76,30 @@ class ProvingError(ReproError, ValueError):
     input value missing from its table)."""
 
 
+@dataclass
+class ProverState:
+    """Everything one proof generation carries from round to round."""
+
+    pk: ProvingKey
+    assignment: Assignment
+    transcript: Transcript  # read by the driver and by multiopen only
+    queries: QuerySet
+    blind_overrides: dict[int, int]
+    faults: object | None
+    proof: Proof  # filled round by round
+    #: The polynomial behind every commitment, keyed by the path
+    #: :func:`~repro.proving.protocol.opening_schedule` gives it.
+    polys: dict[tuple, PolyData]
+    #: The values of those polynomials over the domain's rows (the
+    #: sigmas and every column committed so far), under the same paths.
+    columns: dict[tuple, list[int]]
+    #: Expression values over the usable rows, by expression object.
+    row_values: dict[Expression, list[int]] = dc_field(default_factory=dict)
+    claims: list[OpeningClaim] = dc_field(default_factory=list)
+    #: Challenges by name, added by the driver as each round opens.
+    challenges: dict[str, int] = dc_field(default_factory=dict)
+
+
 def create_proof(
     pk: ProvingKey,
     assignment: Assignment,
@@ -80,424 +123,266 @@ def create_proof(
     the verifier must still reject.  Never set it in production code.
     """
     sw_total = telemetry.stopwatch().start()
+    assignment.fill_blinding()
+    key_polys = {
+        "fixed_commitments": enumerate(pk.fixed),
+        "sigma_commitments": enumerate(pk.sigmas),
+        "system_commitments": pk.system.items(),
+    }
+    state = ProverState(
+        pk=pk,
+        assignment=assignment,
+        transcript=init_transcript(pk.vk, assignment.instance),
+        queries=collect_queries(pk.vk.cs),
+        blind_overrides=advice_blind_overrides or {},
+        faults=_faults,
+        proof=Proof([], [], [], [], []),
+        polys={
+            (attr, key): poly
+            for attr, items in key_polys.items()
+            for key, poly in items
+        },
+        columns={
+            ("sigma_commitments", i): v for i, v in enumerate(pk.sigma_values)
+        },
+    )
+    for number, (span, timing_field, run_round) in enumerate(ROUNDS, start=1):
+        phase = telemetry.begin_span(span)
+        state.challenges.update(draw_challenges(state.transcript, number))
+        work = run_round(state)
+        state.proof.absorb_round(state.transcript, number)
+        phase.set(**work).end()
+        if timing:
+            setattr(timing, timing_field, phase.duration)
+    sw_total.end()
+    if timing:
+        timing.total = sw_total.duration
+    return state.proof
+
+
+#: Where the schedule finds each column kind's commitment.
+_COLUMN_PATHS = {
+    ColumnKind.ADVICE: "advice_commitments",
+    ColumnKind.FIXED: "fixed_commitments",
+    ColumnKind.INSTANCE: "instance",  # computed by the verifier, never opened
+}
+
+
+def _commit_columns(
+    state: ProverState,
+    columns: list[list[int]],
+    paths: list[tuple],
+    pinned_blinds: dict[int, int] | None = None,
+) -> list[Point]:
+    """iFFT, blind and commit evaluation-form columns, and remember
+    under ``paths`` how to open each.  The MSMs take the column values
+    (narrow scalars); the coefficients are for the later rounds.
+    Batched: the transforms and MSMs are independent, so they fan out
+    across the worker pool when one is configured."""
+    pk = state.pk
+    coeffs = pk.domain.ifft_many(columns)
+    blinds = [pk.vk.field.rand() for _ in columns]
+    if pinned_blinds:
+        blinds = [pinned_blinds.get(i, blind) for i, blind in enumerate(blinds)]
+    commitments = commit_lagrange_many(pk.vk.params, list(zip(columns, blinds)))
+    for path, poly, commitment, blind in zip(paths, coeffs, commitments, blinds):
+        state.polys[path] = PolyData(poly, commitment=commitment, blind=blind)
+    state.columns.update(zip(paths, columns))
+    return commitments
+
+
+def _row_values(state: ProverState, expr) -> list[int]:
+    """``expr`` on every usable row of the assignment (memoized: the
+    lookup round and the grand-product round read the same ones)."""
+    if expr not in state.row_values:
+        vk = state.pk.vk
+        state.row_values[expr] = evaluate_expression_rows(
+            expr, state.assignment.query, range(vk.usable_rows), vk.field.p
+        )
+    return state.row_values[expr]
+
+
+def _grand_product(
+    state: ProverState, fractions, start: int = 1, must_close: str = ""
+) -> list[int]:
+    """The column ``Z`` with ``Z[0] = start`` that steps by each usable
+    row's ``(numer, denom)`` fraction, random past ``Z[usable]``.  With
+    ``must_close`` a product that does not return to 1 has no witness
+    and raises :class:`ProvingError` with that message."""
+    field = state.pk.vk.field
+    p, n, usable = field.p, state.pk.domain.size, state.pk.vk.usable_rows
+    numer, denom = zip(*fractions)
+    denom_inv = field.batch_inv(list(denom))
+    z = [0] * n
+    z[0] = start
+    for i in range(usable):
+        z[i + 1] = z[i] * numer[i] % p * denom_inv[i] % p
+    if must_close and z[usable] != 1:
+        raise ProvingError(must_close)
+    for i in range(usable + 1, n):
+        z[i] = field.rand()
+    return z
+
+
+# ---- round 1: commit advice columns ---------------------------------------
+def commit_advice(state: ProverState) -> dict:
+    advice = state.assignment.advice
+    state.proof.advice_commitments = _commit_columns(
+        state,
+        list(advice),
+        [("advice_commitments", i) for i in range(len(advice))],
+        state.blind_overrides,
+    )
+    return {"columns": len(advice)}
+
+
+# ---- round 2: lookup permutations (theta) ---------------------------------
+def lookup_commit(state: ProverState) -> dict:
+    vk = state.pk.vk
+    field, usable = vk.field, vk.usable_rows
+    theta = state.challenges["theta"]
+    blinding_rows = vk.n_rows - usable
+    for li, lookup in enumerate(vk.cs.lookups):
+        telemetry.incr("lookup.rows", usable)
+        inputs, table = (
+            compress_rows([_row_values(state, e) for e in exprs], theta, field.p)
+            for exprs in (lookup.inputs, lookup.table)
+        )
+        permuted_inputs, permuted_table = _permute_lookup(lookup.name, inputs, table)
+        permuted_inputs += [field.rand() for _ in range(blinding_rows)]
+        permuted_table += [field.rand() for _ in range(blinding_rows)]
+        commitments = _commit_columns(
+            state,
+            [permuted_inputs, permuted_table],
+            [
+                ("lookup_parts", li, "permuted_input_commitment"),
+                ("lookup_parts", li, "permuted_table_commitment"),
+            ],
+        )
+        state.proof.lookup_parts.append(LookupProofPart(*commitments))
+    return {"lookups": len(vk.cs.lookups)}
+
+
+# ---- round 3: grand products (beta, gamma) --------------------------------
+def grand_products(state: ProverState) -> dict:
+    pk, proof = state.pk, state.proof
     vk = pk.vk
-    field: Field = vk.field
-    p = field.p
-    cs = vk.cs
-    domain = pk.domain
-    ext_domain = pk.extended_domain
-    shift = pk.coset_shift
-    n = domain.size
-    usable = vk.usable_rows
+    p, usable = vk.field.p, vk.usable_rows
+    omegas = [1] * usable
+    for i in range(1, usable):
+        omegas[i] = omegas[i - 1] * pk.domain.omega % p
+    opened = _opened_values(state, state.columns.__getitem__, 1)
+
+    arguments = {"permutation_z_evals": [], "lookup_parts": [], "shuffle_parts": []}
+    for attr, i, fractions in grand_product_fractions(
+        vk, omegas, lambda expr: _row_values(state, expr), opened, state.challenges
+    ):
+        arguments[attr].append((i, fractions))
+
+    # Permutation chunks: each starts where the previous one ended.
+    z_columns: list[list[int]] = []
+    start = 1
+    for j, fractions in arguments["permutation_z_evals"]:
+        z_columns.append(_grand_product(state, fractions, start))
+        start = z_columns[-1][usable]
+    proof.permutation_z_commitments = _commit_columns(
+        state,
+        z_columns,
+        [("permutation_z_commitments", j) for j in range(len(z_columns))],
+    )
+    for li, fractions in arguments["lookup_parts"]:
+        z = _grand_product(
+            state,
+            fractions,
+            must_close="lookup grand product does not close; an input value "
+            "is missing from the lookup table",
+        )
+        (proof.lookup_parts[li].z_commitment,) = _commit_columns(
+            state, [z], [("lookup_parts", li, "z_commitment")]
+        )
+    for si, fractions in arguments["shuffle_parts"]:
+        z = _grand_product(
+            state,
+            fractions,
+            must_close=f"shuffle {vk.cs.shuffles[si].name!r} grand product does "
+            "not close; the two sides are not equal as multisets",
+        )
+        (commitment,) = _commit_columns(
+            state, [z], [("shuffle_parts", si, "z_commitment")]
+        )
+        proof.shuffle_parts.append(ShuffleProofPart(commitment))
+    return {"chunks": len(vk.permutation_chunks)}
+
+
+def _opened_values(state: ProverState, values_of, step: int):
+    """The ``opened`` argument of the protocol's constraint functions:
+    resolves an evaluation path through the opening schedule to
+    ``values_of(commitment path)`` rotated by the evaluation's rotation,
+    one row being ``step`` positions."""
+    slots = {
+        evaluation: (commitment, rotation)
+        for evaluation, commitment, rotation in opening_schedule(
+            state.pk.vk, state.queries, 0
+        )
+    }
+
+    def opened(evaluation: tuple) -> list[int]:
+        commitment, rotation = slots[evaluation]
+        values = values_of(commitment)
+        s = rotation * step % len(values)
+        return values[s:] + values[:s] if s else values
+
+    return opened
+
+
+# ---- round 4: quotient polynomial (y) --------------------------------------
+def quotient(state: ProverState) -> dict:
+    pk, assignment = state.pk, state.assignment
+    vk = pk.vk
+    field, p, n = vk.field, vk.field.p, pk.domain.size
+    ext_domain, shift = pk.extended_domain, pk.coset_shift
     ext_n = ext_domain.size
     rotation_factor = ext_n // n
-    params = vk.params
 
-    queries = collect_queries(cs)
+    for ci, coeffs in enumerate(pk.domain.ifft_many(list(assignment.instance))):
+        state.polys[("instance", ci)] = PolyData(coeffs)
 
-    assignment.fill_blinding()
-    transcript = init_transcript(vk, assignment.instance)
+    def extended(path: tuple) -> list[int]:
+        poly = state.polys[path]
+        if poly.extended_evals is None:
+            poly.extended_evals = ext_domain.coset_fft(poly.coeffs, shift)
+        return poly.extended_evals
 
-    # ---- round 1: commit advice columns --------------------------------
-    phase = telemetry.begin_span(
-        "prove.commit_advice", columns=len(assignment.advice)
+    def column_ext(col: Column) -> list[int]:
+        return extended((_COLUMN_PATHS[col.kind], col.index))
+
+    x_ext = [shift % p] * ext_n
+    for t in range(1, ext_n):
+        x_ext[t] = x_ext[t - 1] * ext_domain.omega % p
+    combined = combined_constraint(
+        vk,
+        [pk.system[name].extended_evals for name in SYSTEM_SELECTORS],
+        x_ext,
+        lambda expr: evaluate_expression_ext(
+            expr, column_ext, ext_n, rotation_factor, p
+        ),
+        _opened_values(state, extended, rotation_factor),
+        state.challenges,
     )
-    overrides = advice_blind_overrides or {}
-    # Batched: per-column IFFTs and commitment MSMs are independent, so
-    # they fan out across the worker pool when one is configured.  The
-    # MSMs take the column values (narrow scalars); the coefficients
-    # are for the later rounds.
-    advice_coeffs = domain.ifft_many(list(assignment.advice))
-    advice_blinds = [
-        overrides.get(index, field.rand())
-        for index in range(len(assignment.advice))
-    ]
-    advice_commitments = commit_lagrange_many(
-        params, list(zip(assignment.advice, advice_blinds))
-    )
-    transcript.absorb_points(b"advice", advice_commitments)
-    phase.end()
-    if timing:
-        timing.commit_advice = phase.duration
-
-    # ---- round 2: lookup permutations (theta) ----------------------------
-    phase = telemetry.begin_span("prove.lookup_commit", lookups=len(cs.lookups))
-    theta = transcript.challenge_scalar(b"theta")
-
-    def compress(exprs, row_count):
-        vectors = [
-            evaluate_expression_rows(
-                e, assignment.query, range(row_count), p
-            )
-            for e in exprs
-        ]
-        out = [0] * row_count
-        for vec in vectors:
-            out = [(acc * theta + v) % p for acc, v in zip(out, vec)]
-        return out
-
-    lookup_data = []  # per lookup: dict with A, S, A', S', coeffs, blinds
-    lookup_parts: list[LookupProofPart] = []
-    for lookup in cs.lookups:
-        telemetry.incr("lookup.rows", usable)
-        a_vals = compress(lookup.inputs, usable)
-        s_vals = compress(lookup.table, usable)
-        a_perm, s_perm = _permute_lookup(lookup.name, a_vals, s_vals)
-        # Blinding rows.
-        a_full = a_perm + [field.rand() for _ in range(n - usable)]
-        s_full = s_perm + [field.rand() for _ in range(n - usable)]
-        a_coeffs = domain.ifft(a_full)
-        s_coeffs = domain.ifft(s_full)
-        a_blind, s_blind = field.rand(), field.rand()
-        a_commit = commit_lagrange(params, a_full, a_blind)
-        s_commit = commit_lagrange(params, s_full, s_blind)
-        transcript.absorb_point(b"lookup-a", a_commit)
-        transcript.absorb_point(b"lookup-s", s_commit)
-        lookup_data.append(
-            {
-                "a_vals": a_vals,
-                "s_vals": s_vals,
-                "a_full": a_full,
-                "s_full": s_full,
-                "a_coeffs": a_coeffs,
-                "s_coeffs": s_coeffs,
-                "a_blind": a_blind,
-                "s_blind": s_blind,
-            }
-        )
-        lookup_parts.append(
-            LookupProofPart(
-                permuted_input_commitment=a_commit,
-                permuted_table_commitment=s_commit,
-                z_commitment=None,  # type: ignore[arg-type] - set below
-            )
-        )
-    phase.end()
-    if timing:
-        timing.lookups = phase.duration
-
-    # ---- round 3: grand products (beta, gamma) ---------------------------
-    phase = telemetry.begin_span(
-        "prove.grand_products", chunks=len(vk.permutation_chunks)
-    )
-    beta = transcript.challenge_scalar(b"beta")
-    gamma = transcript.challenge_scalar(b"gamma")
-
-    omegas = [1] * n
-    for i in range(1, n):
-        omegas[i] = omegas[i - 1] * domain.omega % p
-
-    def column_values(col: Column) -> list[int]:
-        if col.kind is ColumnKind.ADVICE:
-            return assignment.advice[col.index]
-        if col.kind is ColumnKind.FIXED:
-            return assignment.fixed[col.index]
-        return assignment.instance[col.index]
-
-    # Permutation grand products, chunked (paper Eq. 2/3 generalized).
-    deltas = [1]
-    for _ in range(len(cs.equality_columns) - 1):
-        deltas.append(deltas[-1] * vk.delta % p)
-
-    perm_z_values: list[list[int]] = []
-    carry = 1
-    global_index = {col: i for i, col in enumerate(cs.equality_columns)}
-    for chunk in vk.permutation_chunks:
-        numer = [1] * usable
-        denom = [1] * usable
-        for col in chunk:
-            gi = global_index[col]
-            w = column_values(col)
-            sigma = pk.sigma_values[gi]
-            for i in range(usable):
-                numer[i] = numer[i] * ((w[i] + beta * deltas[gi] % p * omegas[i] + gamma) % p) % p
-                denom[i] = denom[i] * ((w[i] + beta * sigma[i] + gamma) % p) % p
-        denom_inv = field.batch_inv(denom)
-        z = [0] * n
-        z[0] = carry
-        for i in range(usable):
-            nxt = z[i] * numer[i] % p * denom_inv[i] % p
-            if i + 1 < n:
-                z[i + 1] = nxt
-        carry = z[usable]
-        for i in range(usable + 1, n):
-            z[i] = field.rand()
-        perm_z_values.append(z)
-
-    perm_z_coeffs = domain.ifft_many(perm_z_values)
-    perm_z_blinds = [field.rand() for _ in perm_z_values]
-    perm_z_commitments = commit_lagrange_many(
-        params, list(zip(perm_z_values, perm_z_blinds))
-    )
-    transcript.absorb_points(b"perm-z", perm_z_commitments)
-
-    # Lookup grand products.
-    for data, part in zip(lookup_data, lookup_parts):
-        a_vals, s_vals = data["a_vals"], data["s_vals"]
-        a_perm, s_perm = data["a_full"], data["s_full"]
-        denom = [
-            (a_perm[i] + beta) * (s_perm[i] + gamma) % p for i in range(usable)
-        ]
-        denom_inv = field.batch_inv(denom)
-        z = [0] * n
-        z[0] = 1
-        for i in range(usable):
-            ratio = (a_vals[i] + beta) * (s_vals[i] + gamma) % p * denom_inv[i] % p
-            nxt = z[i] * ratio % p
-            if i + 1 < n:
-                z[i + 1] = nxt
-        if z[usable] != 1:
-            raise ProvingError(
-                "lookup grand product does not close; an input value is "
-                "missing from the lookup table"
-            )
-        for i in range(usable + 1, n):
-            z[i] = field.rand()
-        z_coeffs = domain.ifft(z)
-        z_blind = field.rand()
-        z_commit = commit_lagrange(params, z, z_blind)
-        transcript.absorb_point(b"lookup-z", z_commit)
-        data["z_coeffs"] = z_coeffs
-        data["z_blind"] = z_blind
-        part.z_commitment = z_commit
-
-    # Shuffle grand products (paper Eq. 5, generalized to tuple groups).
-    shuffle_parts: list[ShuffleProofPart] = []
-    shuffle_data: list[dict] = []
-    for shuffle in cs.shuffles:
-        input_vecs = [compress(group, usable) for group in shuffle.input_groups]
-        table_vecs = [compress(group, usable) for group in shuffle.table_groups]
-        denom = [1] * usable
-        for vec in table_vecs:
-            for i in range(usable):
-                denom[i] = denom[i] * ((vec[i] + gamma) % p) % p
-        numer = [1] * usable
-        for vec in input_vecs:
-            for i in range(usable):
-                numer[i] = numer[i] * ((vec[i] + gamma) % p) % p
-        denom_inv = field.batch_inv(denom)
-        z = [0] * n
-        z[0] = 1
-        for i in range(usable):
-            nxt = z[i] * numer[i] % p * denom_inv[i] % p
-            if i + 1 < n:
-                z[i + 1] = nxt
-        if z[usable] != 1:
-            raise ProvingError(
-                f"shuffle {shuffle.name!r} grand product does not close; "
-                "the two sides are not equal as multisets"
-            )
-        for i in range(usable + 1, n):
-            z[i] = field.rand()
-        z_coeffs = domain.ifft(z)
-        z_blind = field.rand()
-        z_commit = commit_lagrange(params, z, z_blind)
-        transcript.absorb_point(b"shuffle-z", z_commit)
-        shuffle_data.append({"z_coeffs": z_coeffs, "z_blind": z_blind})
-        shuffle_parts.append(ShuffleProofPart(z_commitment=z_commit))
-    phase.end()
-    if timing:
-        timing.permutations = phase.duration
-
-    # ---- round 4: quotient polynomial (y) ---------------------------------
-    phase = telemetry.begin_span("prove.quotient", extended_n=ext_n)
-    y = transcript.challenge_scalar(b"y")
-
-    # Extended-coset evaluations of every polynomial the constraints read.
-    ext_cache: dict[tuple[str, int], list[int]] = {}
-
-    def ext_of_coeffs(tag: str, index: int, coeffs: list[int]) -> list[int]:
-        key = (tag, index)
-        if key not in ext_cache:
-            ext_cache[key] = ext_domain.coset_fft(coeffs, shift)
-        return ext_cache[key]
-
-    instance_coeffs = domain.ifft_many(list(assignment.instance))
-
-    def get_column_ext(col: Column) -> list[int]:
-        if col.kind is ColumnKind.ADVICE:
-            return ext_of_coeffs("advice", col.index, advice_coeffs[col.index])
-        if col.kind is ColumnKind.FIXED:
-            return pk.fixed[col.index].extended_evals
-        return ext_of_coeffs("instance", col.index, instance_coeffs[col.index])
-
-    x_ext = [0] * ext_n
-    x_ext[0] = shift % p
-    for j in range(1, ext_n):
-        x_ext[j] = x_ext[j - 1] * ext_domain.omega % p
-
-    combined = [0] * ext_n
-
-    def fold_in(values: list[int]) -> None:
-        for j in range(ext_n):
-            combined[j] = (combined[j] * y + values[j]) % p
-
-    def rot(values: list[int], by_rows: int) -> list[int]:
-        s = (by_rows * rotation_factor) % ext_n
-        return values[s:] + values[:s]
-
-    l0_ext = pk.system["l0"].extended_evals
-    l_last_ext = pk.system["l_last"].extended_evals
-    active_ext = pk.system["l_active"].extended_evals
-
-    # 1) gate constraints (implicitly gated to active rows, so advice
-    #    cells randomized in the blinding region never violate gates)
-    for gate in cs.gates:
-        for constraint in gate.constraints:
-            values = evaluate_expression_ext(
-                constraint, get_column_ext, ext_n, rotation_factor, p
-            )
-            fold_in(
-                [active_ext[t] * values[t] % p for t in range(ext_n)]
-            )
-
-    # 2) permutation constraints
-    perm_z_ext = [
-        ext_of_coeffs("perm-z", j, coeffs) for j, coeffs in enumerate(perm_z_coeffs)
-    ]
-    for j, chunk in enumerate(vk.permutation_chunks):
-        if j == 0:
-            fold_in(
-                [l0_ext[t] * ((perm_z_ext[0][t] - 1) % p) % p for t in range(ext_n)]
-            )
-        else:
-            prev_rot = rot(perm_z_ext[j - 1], usable)
-            fold_in(
-                [
-                    l0_ext[t] * ((perm_z_ext[j][t] - prev_rot[t]) % p) % p
-                    for t in range(ext_n)
-                ]
-            )
-        numer = [1] * ext_n
-        denom = [1] * ext_n
-        for col in chunk:
-            gi = global_index[col]
-            w_ext = get_column_ext(col)
-            sigma_ext = pk.sigmas[gi].extended_evals
-            d_gi = deltas[gi]
-            for t in range(ext_n):
-                numer[t] = numer[t] * ((w_ext[t] + beta * d_gi % p * x_ext[t] + gamma) % p) % p
-                denom[t] = denom[t] * ((w_ext[t] + beta * sigma_ext[t] + gamma) % p) % p
-        z_next = rot(perm_z_ext[j], 1)
-        z_cur = perm_z_ext[j]
-        fold_in(
-            [
-                active_ext[t]
-                * ((z_next[t] * denom[t] - z_cur[t] * numer[t]) % p)
-                % p
-                for t in range(ext_n)
-            ]
-        )
-    if vk.permutation_chunks:
-        z_last_next = rot(perm_z_ext[-1], 1)
-        fold_in(
-            [l_last_ext[t] * ((z_last_next[t] - 1) % p) % p for t in range(ext_n)]
-        )
-
-    # 3) lookup constraints
-    for li, (lookup, data) in enumerate(zip(cs.lookups, lookup_data)):
-        a_ext = ext_of_coeffs("lookup-a", li, data["a_coeffs"])
-        s_ext = ext_of_coeffs("lookup-s", li, data["s_coeffs"])
-        z_ext = ext_of_coeffs("lookup-z", li, data["z_coeffs"])
-        # Compressed input/table expressions on the extended domain.
-        a_input = [0] * ext_n
-        for expr in lookup.inputs:
-            vals = evaluate_expression_ext(
-                expr, get_column_ext, ext_n, rotation_factor, p
-            )
-            a_input = [(acc * theta + v) % p for acc, v in zip(a_input, vals)]
-        s_table = [0] * ext_n
-        for expr in lookup.table:
-            vals = evaluate_expression_ext(
-                expr, get_column_ext, ext_n, rotation_factor, p
-            )
-            s_table = [(acc * theta + v) % p for acc, v in zip(s_table, vals)]
-        z_next = rot(z_ext, 1)
-        a_prev = rot(a_ext, -1)
-        fold_in([l0_ext[t] * ((z_ext[t] - 1) % p) % p for t in range(ext_n)])
-        fold_in(
-            [
-                active_ext[t]
-                * (
-                    (
-                        z_next[t]
-                        * ((a_ext[t] + beta) % p)
-                        % p
-                        * ((s_ext[t] + gamma) % p)
-                        - z_ext[t]
-                        * ((a_input[t] + beta) % p)
-                        % p
-                        * ((s_table[t] + gamma) % p)
-                    )
-                    % p
-                )
-                % p
-                for t in range(ext_n)
-            ]
-        )
-        fold_in([l_last_ext[t] * ((z_next[t] - 1) % p) % p for t in range(ext_n)])
-        fold_in(
-            [l0_ext[t] * ((a_ext[t] - s_ext[t]) % p) % p for t in range(ext_n)]
-        )
-        fold_in(
-            [
-                active_ext[t]
-                * ((a_ext[t] - s_ext[t]) % p)
-                % p
-                * ((a_ext[t] - a_prev[t]) % p)
-                % p
-                for t in range(ext_n)
-            ]
-        )
-
-    # 4) shuffle constraints
-    for si, (shuffle, data) in enumerate(zip(cs.shuffles, shuffle_data)):
-        z_ext = ext_of_coeffs("shuffle-z", si, data["z_coeffs"])
-        z_next = rot(z_ext, 1)
-
-        def group_products(groups):
-            prod = [1] * ext_n
-            for group in groups:
-                compressed = [0] * ext_n
-                for expr in group:
-                    vals = evaluate_expression_ext(
-                        expr, get_column_ext, ext_n, rotation_factor, p
-                    )
-                    compressed = [
-                        (acc * theta + v) % p for acc, v in zip(compressed, vals)
-                    ]
-                for t in range(ext_n):
-                    prod[t] = prod[t] * ((compressed[t] + gamma) % p) % p
-            return prod
-
-        input_prod = group_products(shuffle.input_groups)
-        table_prod = group_products(shuffle.table_groups)
-        fold_in([l0_ext[t] * ((z_ext[t] - 1) % p) % p for t in range(ext_n)])
-        fold_in(
-            [
-                active_ext[t]
-                * ((z_next[t] * table_prod[t] - z_ext[t] * input_prod[t]) % p)
-                % p
-                for t in range(ext_n)
-            ]
-        )
-        fold_in([l_last_ext[t] * ((z_next[t] - 1) % p) % p for t in range(ext_n)])
 
     # Divide by the vanishing polynomial Z_H(X) = X^n - 1 (nonzero on
     # the coset).  Its values repeat with period ext_n / n.
     period = rotation_factor
-    shift_n = pow(shift, n, p)
     omega_ext_n = pow(ext_domain.omega, n, p)
     zh_distinct = []
-    acc = shift_n
+    acc = pow(shift, n, p)
     for _ in range(period):
         zh_distinct.append((acc - 1) % p)
         acc = acc * omega_ext_n % p
     zh_inv = field.batch_inv(zh_distinct)
-    quotient = [
-        combined[j] * zh_inv[j % period] % p for j in range(ext_n)
-    ]
-    h_coeffs = ext_domain.coset_ifft(quotient, shift)
+    h_coeffs = ext_domain.coset_ifft(
+        [combined[t] * zh_inv[t % period] % p for t in range(ext_n)], shift
+    )
     # Trim trailing zeros, then split into n-sized pieces.
     while len(h_coeffs) > 1 and h_coeffs[-1] == 0:
         h_coeffs.pop()
@@ -506,163 +391,62 @@ def create_proof(
     # zero chunks.  The proof stays internally consistent -- every eval
     # and opening is honest -- so only a structural degree bound in the
     # verifier can reject it.
-    for _ in range(int(getattr(_faults, "extra_h_chunks", 0) or 0)):
+    for _ in range(int(getattr(state.faults, "extra_h_chunks", 0) or 0)):
         pieces.append([0])
-    h_blinds = [field.rand() for _ in pieces]
-    h_commitments = commit_polynomials(params, list(zip(pieces, h_blinds)))
-    transcript.absorb_points(b"h", h_commitments)
-    phase.end()
-    if timing:
-        timing.quotient = phase.duration
+    blinds = [field.rand() for _ in pieces]
+    commitments = commit_polynomials(vk.params, list(zip(pieces, blinds)))
+    state.proof.h_commitments = commitments
+    for i, (piece, commitment, blind) in enumerate(zip(pieces, commitments, blinds)):
+        state.polys[("h_commitments", i)] = PolyData(
+            piece, commitment=commitment, blind=blind
+        )
+    return {"extended_n": ext_n}
 
-    # ---- round 5: evaluations at x -----------------------------------------
-    phase = telemetry.begin_span("prove.evaluations")
-    x = transcript.challenge_scalar(b"x")
 
-    proof = Proof(
-        advice_commitments=advice_commitments,
-        lookup_parts=lookup_parts,
-        shuffle_parts=shuffle_parts,
-        permutation_z_commitments=perm_z_commitments,
-        h_commitments=h_commitments,
+# ---- round 5: evaluations at x ---------------------------------------------
+def evaluations(state: ProverState) -> dict:
+    pk, proof = state.pk, state.proof
+    vk = pk.vk
+    p = vk.field.p
+    proof.sigma_evals = [0] * len(pk.sigmas)
+    proof.permutation_z_evals = [{} for _ in vk.permutation_chunks]
+    proof.h_evals = [0] * len(proof.h_commitments)
+    schedule = list(opening_schedule(vk, state.queries, len(proof.h_commitments)))
+    x = state.challenges["x"]
+    points = {r: pk.domain.rotated_point(x, r) for *_, r in schedule}
+    for evaluation, commitment, rotation in schedule:
+        poly = state.polys[commitment]
+        value = evaluate_coeffs(poly.coeffs, points[rotation], p)
+        container, key = cell(proof, evaluation)
+        container[key] = value
+        state.claims.append(
+            OpeningClaim(
+                points[rotation], poly.coeffs, poly.blind, poly.commitment, value,
+            )
+        )
+    return {}
+
+
+# ---- multiopen --------------------------------------------------------------
+def multiopen(state: ProverState) -> dict:
+    vk = state.pk.vk
+    state.proof.openings = multi_open(
+        vk.params, state.transcript, state.claims, vk.field
     )
-
-    def point_at(rotation: int) -> int:
-        return domain.rotated_point(x, rotation)
-
-    for ci, rotation in queries.advice:
-        proof.advice_evals[(ci, rotation)] = evaluate_coeffs(
-            advice_coeffs[ci], point_at(rotation), p
-        )
-    for ci, rotation in queries.fixed:
-        proof.fixed_evals[(ci, rotation)] = evaluate_coeffs(
-            pk.fixed[ci].coeffs, point_at(rotation), p
-        )
-    proof.sigma_evals = [
-        evaluate_coeffs(pd.coeffs, x, p) for pd in pk.sigmas
-    ]
-    proof.system_evals = {
-        name: evaluate_coeffs(pd.coeffs, x, p)
-        for name, pd in pk.system.items()
-    }
-    x_next = point_at(1)
-    x_prev = point_at(-1)
-    x_chain = domain.rotated_point(x, usable)
-    n_chunks = len(vk.permutation_chunks)
-    for j, coeffs in enumerate(perm_z_coeffs):
-        entry = {
-            "x": evaluate_coeffs(coeffs, x, p),
-            "wx": evaluate_coeffs(coeffs, x_next, p),
-        }
-        if n_chunks > 1 and j < n_chunks - 1:
-            entry["chain"] = evaluate_coeffs(coeffs, x_chain, p)
-        proof.permutation_z_evals.append(entry)
-    for data, part in zip(lookup_data, lookup_parts):
-        part.z_x = evaluate_coeffs(data["z_coeffs"], x, p)
-        part.z_wx = evaluate_coeffs(data["z_coeffs"], x_next, p)
-        part.permuted_input_x = evaluate_coeffs(data["a_coeffs"], x, p)
-        part.permuted_input_winv_x = evaluate_coeffs(data["a_coeffs"], x_prev, p)
-        part.permuted_table_x = evaluate_coeffs(data["s_coeffs"], x, p)
-    for data, part in zip(shuffle_data, shuffle_parts):
-        part.z_x = evaluate_coeffs(data["z_coeffs"], x, p)
-        part.z_wx = evaluate_coeffs(data["z_coeffs"], x_next, p)
-    proof.h_evals = [evaluate_coeffs(piece, x, p) for piece in pieces]
-
-    _absorb_evaluations(transcript, proof)
-    phase.end()
-    if timing:
-        timing.evaluations = phase.duration
-
-    # ---- multiopen --------------------------------------------------------
-    phase = telemetry.begin_span("prove.multiopen")
-    claims: list[OpeningClaim] = []
-
-    def claim(point, coeffs, blind, commitment, evaluation):
-        claims.append(OpeningClaim(point, coeffs, blind, commitment, evaluation))
-
-    for ci, rotation in queries.advice:
-        claim(
-            point_at(rotation),
-            advice_coeffs[ci],
-            advice_blinds[ci],
-            advice_commitments[ci],
-            proof.advice_evals[(ci, rotation)],
-        )
-    for ci, rotation in queries.fixed:
-        claim(
-            point_at(rotation),
-            pk.fixed[ci].coeffs,
-            0,
-            pk.fixed[ci].commitment,
-            proof.fixed_evals[(ci, rotation)],
-        )
-    for gi, pd in enumerate(pk.sigmas):
-        claim(x, pd.coeffs, 0, pd.commitment, proof.sigma_evals[gi])
-    for name in sorted(pk.system):
-        pd = pk.system[name]
-        claim(x, pd.coeffs, 0, pd.commitment, proof.system_evals[name])
-    for j, (coeffs, blind, commitment) in enumerate(
-        zip(perm_z_coeffs, perm_z_blinds, perm_z_commitments)
-    ):
-        entry = proof.permutation_z_evals[j]
-        claim(x, coeffs, blind, commitment, entry["x"])
-        claim(x_next, coeffs, blind, commitment, entry["wx"])
-        if "chain" in entry:
-            claim(x_chain, coeffs, blind, commitment, entry["chain"])
-    for data, part in zip(lookup_data, lookup_parts):
-        claim(x, data["z_coeffs"], data["z_blind"], part.z_commitment, part.z_x)
-        claim(x_next, data["z_coeffs"], data["z_blind"], part.z_commitment, part.z_wx)
-        claim(x, data["a_coeffs"], data["a_blind"],
-              part.permuted_input_commitment, part.permuted_input_x)
-        claim(x_prev, data["a_coeffs"], data["a_blind"],
-              part.permuted_input_commitment, part.permuted_input_winv_x)
-        claim(x, data["s_coeffs"], data["s_blind"],
-              part.permuted_table_commitment, part.permuted_table_x)
-    for data, part in zip(shuffle_data, shuffle_parts):
-        claim(x, data["z_coeffs"], data["z_blind"], part.z_commitment, part.z_x)
-        claim(x_next, data["z_coeffs"], data["z_blind"], part.z_commitment,
-              part.z_wx)
-    for piece, blind, commitment, evaluation in zip(
-        pieces, h_blinds, h_commitments, proof.h_evals
-    ):
-        claim(x, piece, blind, commitment, evaluation)
-
-    proof.openings = multi_open(params, transcript, claims, field)
-    phase.set(claims=len(claims)).end()
-    sw_total.end()
-    if timing:
-        timing.multiopen = phase.duration
-        timing.total = sw_total.duration
-    return proof
+    return {"claims": len(state.claims)}
 
 
-def _absorb_evaluations(transcript, proof: Proof) -> None:
-    """Absorb all x-evaluations in canonical order (mirrored verbatim by
-    the verifier)."""
-    for key in sorted(proof.advice_evals):
-        transcript.absorb_scalar(b"eval-advice", proof.advice_evals[key])
-    for key in sorted(proof.fixed_evals):
-        transcript.absorb_scalar(b"eval-fixed", proof.fixed_evals[key])
-    transcript.absorb_scalars(b"eval-sigma", proof.sigma_evals)
-    for name in sorted(proof.system_evals):
-        transcript.absorb_scalar(b"eval-system", proof.system_evals[name])
-    for entry in proof.permutation_z_evals:
-        for key in sorted(entry):
-            transcript.absorb_scalar(b"eval-perm-z", entry[key])
-    for part in proof.lookup_parts:
-        transcript.absorb_scalars(
-            b"eval-lookup",
-            [
-                part.z_x,
-                part.z_wx,
-                part.permuted_input_x,
-                part.permuted_input_winv_x,
-                part.permuted_table_x,
-            ],
-        )
-    for part in proof.shuffle_parts:
-        transcript.absorb_scalars(b"eval-shuffle", [part.z_x, part.z_wx])
-    transcript.absorb_scalars(b"eval-h", proof.h_evals)
+#: The rounds, in order: (telemetry span, ProverTiming field, function).
+#: The span names are also what ``telemetry.selfcheck`` expects and what
+#: the benchmark of record books kernel time under.
+ROUNDS = (
+    ("prove.commit_advice", "commit_advice", commit_advice),
+    ("prove.lookup_commit", "lookups", lookup_commit),
+    ("prove.grand_products", "permutations", grand_products),
+    ("prove.quotient", "quotient", quotient),
+    ("prove.evaluations", "evaluations", evaluations),
+    ("prove.multiopen", "multiopen", multiopen),
+)
 
 
 def _permute_lookup(

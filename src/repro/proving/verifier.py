@@ -1,22 +1,38 @@
 """Proof verification (paper workflow phase 5).
 
-The verifier recomputes every Fiat-Shamir challenge from the proof's
-commitments, evaluates the combined constraint identity at the random
+The verifier checks the proof object has the shape the verifying key
+pins (:meth:`~repro.proving.proof.Proof.has_shape`), replays the five
+rounds to recompute every Fiat-Shamir challenge
+(:func:`~repro.proving.protocol.draw_challenges` /
+:meth:`~repro.proving.proof.Proof.absorb_round`), evaluates the
+constraint identity of :mod:`repro.proving.protocol` at the random
 point ``x`` using the opened evaluations, checks it equals
-``h(x) * (x^n - 1)``, and finally verifies the batched IPA openings --
-either immediately or deferred into a recursion
-:class:`~repro.proving.recursion.Accumulator`.
+``h(x) * (x^n - 1)``, and finally verifies the batched IPA openings of
+:func:`~repro.proving.protocol.opening_schedule` -- either immediately
+or deferred into a recursion
+:class:`~repro.proving.recursion.Accumulator`.  Nothing here is a copy
+of the prover: both sides walk the same schema, schedule and formulas.
 """
 
 from __future__ import annotations
 
+from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
 from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.proving.keygen import VerifyingKey
 from repro.proving.multiopen import OpeningClaim, multi_verify
 from repro.proving.proof import Proof
-from repro.proving.protocol import collect_queries, init_transcript
-from repro.proving.prover import _absorb_evaluations
+from repro.proving.protocol import (
+    ROUND_CHALLENGES,
+    SYSTEM_SELECTORS,
+    collect_queries,
+    combined_constraint,
+    compress,
+    draw_challenges,
+    init_transcript,
+    opening_schedule,
+    read,
+)
 from repro.proving.recursion import Accumulator
 
 
@@ -37,42 +53,14 @@ def verify_proof(
     n = vk.n_rows
     usable = vk.usable_rows
     params = vk.params
-
-    from repro.algebra.domain import EvaluationDomain
-
     domain = EvaluationDomain(field, vk.k)
     queries = collect_queries(cs)
 
     # Structural checks before any crypto.
-    if len(proof.advice_commitments) != len(cs.advice_columns):
-        return False
-    if len(proof.lookup_parts) != len(cs.lookups):
-        return False
-    if len(proof.shuffle_parts) != len(cs.shuffles):
-        return False
-    if len(proof.permutation_z_commitments) != len(vk.permutation_chunks):
-        return False
     if len(instance) != len(cs.instance_columns):
         return False
-    if len(proof.permutation_z_evals) != len(vk.permutation_chunks):
+    if not proof.has_shape(vk, queries):
         return False
-    if len(proof.sigma_evals) != len(vk.sigma_commitments):
-        return False
-    if set(proof.system_evals) != set(vk.system_commitments):
-        return False
-    if len(proof.h_evals) != len(proof.h_commitments):
-        return False
-    # The honest quotient splits into at most 2^(extended_k - k) chunks
-    # of degree < n; an unbounded count would let a prover inflate the
-    # quotient degree past what the extended domain determines.
-    if not 1 <= len(proof.h_commitments) <= (1 << (vk.extended_k - vk.k)):
-        return False
-    for key in queries.advice:
-        if key not in proof.advice_evals:
-            return False
-    for key in queries.fixed:
-        if key not in proof.fixed_evals:
-            return False
 
     padded_instance = []
     for values in instance:
@@ -82,25 +70,13 @@ def verify_proof(
             [v % p for v in values] + [0] * (n - len(values))
         )
 
+    # ---- replay the rounds, recomputing challenges --------------------------
     transcript = init_transcript(vk, padded_instance)
-
-    # ---- replay rounds 1-4, recomputing challenges ------------------------
-    transcript.absorb_points(b"advice", proof.advice_commitments)
-    theta = transcript.challenge_scalar(b"theta")
-    for part in proof.lookup_parts:
-        transcript.absorb_point(b"lookup-a", part.permuted_input_commitment)
-        transcript.absorb_point(b"lookup-s", part.permuted_table_commitment)
-    beta = transcript.challenge_scalar(b"beta")
-    gamma = transcript.challenge_scalar(b"gamma")
-    transcript.absorb_points(b"perm-z", proof.permutation_z_commitments)
-    for part in proof.lookup_parts:
-        transcript.absorb_point(b"lookup-z", part.z_commitment)
-    for part in proof.shuffle_parts:
-        transcript.absorb_point(b"shuffle-z", part.z_commitment)
-    y = transcript.challenge_scalar(b"y")
-    transcript.absorb_points(b"h", proof.h_commitments)
-    x = transcript.challenge_scalar(b"x")
-    _absorb_evaluations(transcript, proof)
+    challenges: dict[str, int] = {}
+    for number in range(1, max(ROUND_CHALLENGES) + 1):
+        challenges.update(draw_challenges(transcript, number))
+        proof.absorb_round(transcript, number)
+    x = challenges["x"]
 
     # ---- instance evaluations (computed, not opened) -----------------------
     # All Lagrange bases at each distinct point are batch-evaluated once
@@ -128,170 +104,34 @@ def verify_proof(
             return proof.fixed_evals[(col.index, rotation)]
         return instance_evals[(col.index, rotation)]
 
-    # ---- rebuild the combined constraint value at x -------------------------
-    combined = 0
-
-    def fold_in(value: int) -> None:
-        nonlocal combined
-        combined = (combined * y + value) % p
-
-    try:
-        l0_x = proof.system_evals["l0"]
-        l_last_x = proof.system_evals["l_last"]
-        active_x = proof.system_evals["l_active"]
-
-        # 1) gates (active-row gated, mirroring the prover)
-        for gate in cs.gates:
-            for constraint in gate.constraints:
-                fold_in(active_x * constraint.evaluate(query_eval, p) % p)
-
-        # 2) permutation argument
-        deltas = [1]
-        for _ in range(len(cs.equality_columns) - 1):
-            deltas.append(deltas[-1] * vk.delta % p)
-        global_index = {col: i for i, col in enumerate(cs.equality_columns)}
-        n_chunks = len(vk.permutation_chunks)
-        for j, chunk in enumerate(vk.permutation_chunks):
-            entry = proof.permutation_z_evals[j]
-            if j == 0:
-                fold_in(l0_x * ((entry["x"] - 1) % p) % p)
-            else:
-                prev = proof.permutation_z_evals[j - 1]
-                fold_in(l0_x * ((entry["x"] - prev["chain"]) % p) % p)
-            numer = 1
-            denom = 1
-            for col in chunk:
-                gi = global_index[col]
-                w_x = query_eval(col, 0)
-                sigma_x = proof.sigma_evals[gi]
-                numer = numer * ((w_x + beta * deltas[gi] % p * x + gamma) % p) % p
-                denom = denom * ((w_x + beta * sigma_x + gamma) % p) % p
-            fold_in(
-                active_x * ((entry["wx"] * denom - entry["x"] * numer) % p) % p
-            )
-        if n_chunks:
-            fold_in(
-                l_last_x
-                * ((proof.permutation_z_evals[-1]["wx"] - 1) % p)
-                % p
-            )
-
-        # 3) lookup arguments
-        for lookup, part in zip(cs.lookups, proof.lookup_parts):
-            a_input = 0
-            for expr in lookup.inputs:
-                a_input = (a_input * theta + expr.evaluate(query_eval, p)) % p
-            s_table = 0
-            for expr in lookup.table:
-                s_table = (s_table * theta + expr.evaluate(query_eval, p)) % p
-            fold_in(l0_x * ((part.z_x - 1) % p) % p)
-            fold_in(
-                active_x
-                * (
-                    (
-                        part.z_wx
-                        * ((part.permuted_input_x + beta) % p)
-                        % p
-                        * ((part.permuted_table_x + gamma) % p)
-                        - part.z_x
-                        * ((a_input + beta) % p)
-                        % p
-                        * ((s_table + gamma) % p)
-                    )
-                    % p
-                )
-                % p
-            )
-            fold_in(l_last_x * ((part.z_wx - 1) % p) % p)
-            fold_in(
-                l0_x
-                * ((part.permuted_input_x - part.permuted_table_x) % p)
-                % p
-            )
-            fold_in(
-                active_x
-                * ((part.permuted_input_x - part.permuted_table_x) % p)
-                % p
-                * ((part.permuted_input_x - part.permuted_input_winv_x) % p)
-                % p
-            )
-
-        # 4) shuffle arguments
-        for shuffle, part in zip(cs.shuffles, proof.shuffle_parts):
-
-            def group_product(groups):
-                prod = 1
-                for group in groups:
-                    compressed = 0
-                    for expr in group:
-                        compressed = (
-                            compressed * theta + expr.evaluate(query_eval, p)
-                        ) % p
-                    prod = prod * ((compressed + gamma) % p) % p
-                return prod
-
-            input_prod = group_product(shuffle.input_groups)
-            table_prod = group_product(shuffle.table_groups)
-            fold_in(l0_x * ((part.z_x - 1) % p) % p)
-            fold_in(
-                active_x
-                * ((part.z_wx * table_prod - part.z_x * input_prod) % p)
-                % p
-            )
-            fold_in(l_last_x * ((part.z_wx - 1) % p) % p)
-    except KeyError:
-        # Proof is missing an evaluation a constraint needs.
-        return False
-
+    # ---- the constraint identity at x ---------------------------------------
+    (combined,) = combined_constraint(
+        vk,
+        [[proof.system_evals[name]] for name in SYSTEM_SELECTORS],
+        [x],
+        lambda expr: [expr.evaluate(query_eval, p)],
+        lambda path: [read(proof, path)],
+        challenges,
+    )
     # h(x) * (x^n - 1) must equal the combined constraint value.
-    h_x = 0
     x_to_n = pow(x, n, p)
-    for h_eval in reversed(proof.h_evals):
-        h_x = (h_x * x_to_n + h_eval) % p
+    h_x = compress(reversed(proof.h_evals), x_to_n, p)
     if combined != h_x * ((x_to_n - 1) % p) % p:
         return False
 
     # ---- verify the batched openings ----------------------------------------
-    x_next = domain.rotated_point(x, 1)
-    x_prev = domain.rotated_point(x, -1)
-    x_chain = domain.rotated_point(x, usable)
-
-    claims: list[OpeningClaim] = []
-
-    def claim(point, commitment, evaluation):
-        claims.append(OpeningClaim(point, None, None, commitment, evaluation))
-
-    def point_at(rotation: int) -> int:
-        return domain.rotated_point(x, rotation)
-
-    for ci, rotation in queries.advice:
-        claim(point_at(rotation), proof.advice_commitments[ci],
-              proof.advice_evals[(ci, rotation)])
-    for ci, rotation in queries.fixed:
-        claim(point_at(rotation), vk.fixed_commitments[ci],
-              proof.fixed_evals[(ci, rotation)])
-    for gi, commitment in enumerate(vk.sigma_commitments):
-        claim(x, commitment, proof.sigma_evals[gi])
-    for name in sorted(vk.system_commitments):
-        claim(x, vk.system_commitments[name], proof.system_evals[name])
-    for j, commitment in enumerate(proof.permutation_z_commitments):
-        entry = proof.permutation_z_evals[j]
-        claim(x, commitment, entry["x"])
-        claim(x_next, commitment, entry["wx"])
-        if "chain" in entry:
-            claim(x_chain, commitment, entry["chain"])
-    for part in proof.lookup_parts:
-        claim(x, part.z_commitment, part.z_x)
-        claim(x_next, part.z_commitment, part.z_wx)
-        claim(x, part.permuted_input_commitment, part.permuted_input_x)
-        claim(x_prev, part.permuted_input_commitment, part.permuted_input_winv_x)
-        claim(x, part.permuted_table_commitment, part.permuted_table_x)
-    for part in proof.shuffle_parts:
-        claim(x, part.z_commitment, part.z_x)
-        claim(x_next, part.z_commitment, part.z_wx)
-    for commitment, evaluation in zip(proof.h_commitments, proof.h_evals):
-        claim(x, commitment, evaluation)
-
+    schedule = list(opening_schedule(vk, queries, len(proof.h_commitments)))
+    points = {r: domain.rotated_point(x, r) for *_, r in schedule}
+    claims = []
+    for evaluation, commitment, rotation in schedule:
+        # Fixed, sigma and system commitments are the verifying key's.
+        owner = vk if hasattr(vk, commitment[0]) else proof
+        claims.append(
+            OpeningClaim(
+                points[rotation], None, None,
+                read(owner, commitment), read(proof, evaluation),
+            )
+        )
     return multi_verify(
         params, transcript, claims, proof.openings, field, accumulator
     )

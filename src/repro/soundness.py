@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator
 
-from repro.proving.proof import Proof
+from repro.proving.proof import SECTIONS, Proof
 from repro.proving.verifier import verify_proof
 from repro.wire import WireFormatError
 
@@ -92,116 +93,41 @@ def _shift(pt):
 
 
 def field_mutators(template: Proof) -> Iterator[tuple[str, Mutator]]:
-    """Yield ``(label, mutate)`` pairs covering every Proof field.
+    """Yield ``(label, mutate)`` pairs covering every Proof field, by
+    walking the proof schema (:data:`repro.proving.proof.SECTIONS`):
+    every point shifted, every scalar bumped, every section's container
+    shortened / lengthened / reordered, then the IPA openings' own
+    fields.
 
     ``template`` is only inspected for shape (list lengths, dict keys);
     each mutator is applied to a *fresh* decode of the honest bytes.
     """
+    for n, (label, _, _, is_point) in enumerate(template.leaves()):
+        def bump(pr, n=n):
+            _, container, key, is_point = next(islice(pr.leaves(), n, None))
+            cell = container[key]
+            container[key] = _shift(cell) if is_point else cell + 1
 
-    def point_list(name: str, length: int):
-        for i in range(length):
-            yield (
-                f"{name}[{i}]+G",
-                lambda pr, i=i: getattr(pr, name).__setitem__(
-                    i, _shift(getattr(pr, name)[i])
-                ),
-            )
-        if length:
-            yield f"{name}.drop", lambda pr: getattr(pr, name).pop()
-            yield (
-                f"{name}.dup",
-                lambda pr: getattr(pr, name).append(getattr(pr, name)[-1]),
-            )
-        if length >= 2:
+        yield f"{label}+{'G' if is_point else '1'}", bump
+
+    for section in SECTIONS:
+        name, value = section.attr, getattr(template, section.attr)
+        if not value:
+            continue
+        if isinstance(value, dict):
+            yield f"{name}.drop", lambda pr, name=name: getattr(pr, name).popitem()
+            continue
+        yield f"{name}.drop", lambda pr, name=name: getattr(pr, name).pop()
+        yield (
+            f"{name}.dup",
+            lambda pr, name=name: getattr(pr, name).append(getattr(pr, name)[-1]),
+        )
+        if len(value) >= 2 and value[0] != value[-1]:
             def swap(pr, name=name):
                 lst = getattr(pr, name)
                 lst[0], lst[-1] = lst[-1], lst[0]
 
-            if template and getattr(template, name)[0] != getattr(
-                template, name
-            )[-1]:
-                yield f"{name}.swap", swap
-
-    yield from point_list("advice_commitments", len(template.advice_commitments))
-    yield from point_list(
-        "permutation_z_commitments", len(template.permutation_z_commitments)
-    )
-    yield from point_list("h_commitments", len(template.h_commitments))
-
-    for i in range(len(template.lookup_parts)):
-        for attr in (
-            "permuted_input_commitment",
-            "permuted_table_commitment",
-            "z_commitment",
-        ):
-            yield (
-                f"lookup[{i}].{attr}+G",
-                lambda pr, i=i, attr=attr: setattr(
-                    pr.lookup_parts[i], attr, _shift(getattr(pr.lookup_parts[i], attr))
-                ),
-            )
-        for attr in (
-            "z_x",
-            "z_wx",
-            "permuted_input_x",
-            "permuted_input_winv_x",
-            "permuted_table_x",
-        ):
-            yield (
-                f"lookup[{i}].{attr}+1",
-                lambda pr, i=i, attr=attr: setattr(
-                    pr.lookup_parts[i], attr, getattr(pr.lookup_parts[i], attr) + 1
-                ),
-            )
-
-    for i in range(len(template.shuffle_parts)):
-        yield (
-            f"shuffle[{i}].z_commitment+G",
-            lambda pr, i=i: setattr(
-                pr.shuffle_parts[i],
-                "z_commitment",
-                _shift(pr.shuffle_parts[i].z_commitment),
-            ),
-        )
-        for attr in ("z_x", "z_wx"):
-            yield (
-                f"shuffle[{i}].{attr}+1",
-                lambda pr, i=i, attr=attr: setattr(
-                    pr.shuffle_parts[i], attr, getattr(pr.shuffle_parts[i], attr) + 1
-                ),
-            )
-
-    for field_name in ("advice_evals", "fixed_evals", "system_evals"):
-        for key in getattr(template, field_name):
-            yield (
-                f"{field_name}[{key}]+1",
-                lambda pr, field_name=field_name, key=key: getattr(
-                    pr, field_name
-                ).__setitem__(key, getattr(pr, field_name)[key] + 1),
-            )
-
-    for list_name in ("sigma_evals", "h_evals"):
-        for i in range(len(getattr(template, list_name))):
-            yield (
-                f"{list_name}[{i}]+1",
-                lambda pr, list_name=list_name, i=i: getattr(
-                    pr, list_name
-                ).__setitem__(i, getattr(pr, list_name)[i] + 1),
-            )
-        if getattr(template, list_name):
-            yield (
-                f"{list_name}.drop",
-                lambda pr, list_name=list_name: getattr(pr, list_name).pop(),
-            )
-
-    for i, entry in enumerate(template.permutation_z_evals):
-        for key in entry:
-            yield (
-                f"permutation_z_evals[{i}][{key}]+1",
-                lambda pr, i=i, key=key: pr.permutation_z_evals[i].__setitem__(
-                    key, pr.permutation_z_evals[i][key] + 1
-                ),
-            )
+            yield f"{name}.swap", swap
 
     for i, (_, ipa) in enumerate(template.openings):
         yield (
@@ -210,38 +136,25 @@ def field_mutators(template: Proof) -> Iterator[tuple[str, Mutator]]:
                 i, (pr.openings[i][0] + 1, pr.openings[i][1])
             ),
         )
-        yield (
-            f"openings[{i}].a+1",
-            lambda pr, i=i: setattr(
-                pr.openings[i][1], "a", pr.openings[i][1].a + 1
-            ),
-        )
-        yield (
-            f"openings[{i}].blind+1",
-            lambda pr, i=i: setattr(
-                pr.openings[i][1], "blind", pr.openings[i][1].blind + 1
-            ),
-        )
+        for attr in ("a", "blind"):
+            yield (
+                f"openings[{i}].{attr}+1",
+                lambda pr, i=i, attr=attr: setattr(
+                    pr.openings[i][1], attr, getattr(pr.openings[i][1], attr) + 1
+                ),
+            )
         for j in range(len(ipa.rounds)):
             for side, idx in (("L", 0), ("R", 1)):
                 def tamper_round(pr, i=i, j=j, idx=idx):
-                    left, right = pr.openings[i][1].rounds[j]
-                    pair = [left, right]
+                    pair = list(pr.openings[i][1].rounds[j])
                     pair[idx] = _shift(pair[idx])
-                    pr.openings[i][1].rounds[j] = (pair[0], pair[1])
+                    pr.openings[i][1].rounds[j] = tuple(pair)
 
                 yield f"openings[{i}].rounds[{j}].{side}+G", tamper_round
         yield (
             f"openings[{i}].rounds.drop",
             lambda pr, i=i: pr.openings[i][1].rounds.pop(),
         )
-    if template.openings:
-        yield "openings.drop", lambda pr: pr.openings.pop()
-    if len(template.openings) >= 2:
-        def swap_openings(pr):
-            pr.openings[0], pr.openings[-1] = pr.openings[-1], pr.openings[0]
-
-        yield "openings.swap", swap_openings
 
 
 # -- byte-level mutations ---------------------------------------------------

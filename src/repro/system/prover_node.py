@@ -82,7 +82,7 @@ class QueryResponse:
 
     @property
     def proof_size_bytes(self) -> int:
-        return len(self.proof_bytes) if self.proof_bytes else self.proof.size_bytes()
+        return len(self.wire_bytes())
 
 
 #: Legacy ``ProverNode`` keyword -> the ``ProverConfig`` field that

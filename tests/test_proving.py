@@ -11,73 +11,35 @@ import pytest
 
 from repro.algebra import SCALAR_FIELD
 from repro.algebra.field import deterministic_rng
-from repro.plonkish import Assignment, ConstraintSystem, MockProver
+from repro.plonkish import MockProver
 from repro.proving import Accumulator, create_proof, keygen, verify_proof
 from repro.proving.keygen import finalize_fixed
 from repro.proving.prover import ProverTiming, ProvingError
+from repro.telemetry.selfcheck import EXAMPLE_K as K
+from repro.telemetry.selfcheck import example_assignment, example_circuit
+from tests.conftest import two_chunk_shuffle_circuit
 
 F = SCALAR_FIELD
-K = 5
 
 GOLDEN_K5 = "619da66fbfae00d6b12266420355a02c"
 GOLDEN_K6_TPCH = "71b8dcf5e4f78e57d0bbde30ecefe238"
+GOLDEN_K5_TWO_CHUNK_SHUFFLE = "8c582237c5fa3284d7992b794b24d36a"
 
 
-def build_circuit():
-    """The paper's Example 2.1 pipeline f(x,y,z) = 3*(x+y)*z plus a
-    4-bit range lookup on column a, exercising gates, copies, lookups
-    and the instance column at once."""
-    cs = ConstraintSystem()
-    q_add = cs.selector("q_add")
-    q_mul = cs.selector("q_mul")
-    q_range = cs.selector("q_range")
-    q_out = cs.selector("q_out")
-    table = cs.fixed_column("range_table")
-    a = cs.advice_column("a")
-    b = cs.advice_column("b")
-    c = cs.advice_column("c")
-    out = cs.instance_column("out")
-    cs.create_gate("add", [q_add.cur() * (a.cur() + b.cur() - c.cur())])
-    cs.create_gate("mul", [q_mul.cur() * (a.cur() * b.cur() - c.cur())])
-    cs.create_gate("out", [q_out.cur() * (c.cur() - out.cur())])
-    cs.add_lookup("range16", [q_range.cur() * a.cur()], [table.cur()])
-    return cs, dict(
-        q_add=q_add, q_mul=q_mul, q_range=q_range, q_out=q_out,
-        table=table, a=a, b=b, c=c, out=out,
-    )
-
-
-def assign_circuit(cs, cols, x=7, y=11, z=13, break_mul=False):
-    asg = Assignment(cs, F, K)
-    asg.assign_column(cols["table"], list(range(16)))
-    asg.assign(cols["q_add"], 0, 1)
-    asg.assign(cols["a"], 0, x)
-    asg.assign(cols["b"], 0, y)
-    asg.assign(cols["c"], 0, x + y)
-    asg.assign(cols["q_range"], 0, 1)
-    asg.assign(cols["q_mul"], 1, 1)
-    asg.assign(cols["a"], 1, z)
-    asg.assign(cols["b"], 1, x + y)
-    asg.assign(cols["c"], 1, (x + y) * z)
-    asg.assign(cols["q_mul"], 2, 1)
-    asg.assign(cols["a"], 2, 3)
-    asg.assign(cols["b"], 2, (x + y) * z)
-    result = 3 * (x + y) * z
-    if break_mul:
-        result += 1
-    asg.assign(cols["c"], 2, result)
-    asg.assign(cols["q_out"], 2, 1)
-    asg.assign(cols["out"], 2, result)
-    return asg, result
+def assign_broken_mul(cs, cols):
+    """The example witness with the final product (and the public
+    output) off by one: every cell is consistent except the mul gate."""
+    asg, result = example_assignment(cs, cols)
+    asg.assign(cols["c"], 2, result + 1)
+    asg.assign(cols["out"], 2, result + 1)
+    return asg, result + 1
 
 
 @pytest.fixture(scope="module")
 def proven(params_k6_module):
     """One honest (pk, proof, instance) triple shared by read-only tests."""
-    cs, cols = build_circuit()
-    cs.copy(cols["c"], 0, cols["b"], 1)
-    cs.copy(cols["c"], 1, cols["b"], 2)
-    asg, result = assign_circuit(cs, cols)
+    cs, cols = example_circuit()
+    asg, result = example_assignment(cs, cols)
     pk = keygen(params_k6_module, cs, F, K)
     finalize_fixed(pk, asg)
     proof = create_proof(pk, asg)
@@ -98,9 +60,8 @@ class TestHonestProofs:
         assert verify_proof(pk.vk, proof, instance)
 
     def test_mock_agrees(self):
-        cs, cols = build_circuit()
-        cs.copy(cols["c"], 0, cols["b"], 1)
-        asg, _ = assign_circuit(cs, cols)
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
         assert MockProver(cs, asg, F).verify() == []
 
     def test_proof_is_nondeterministic_but_both_verify(
@@ -108,8 +69,8 @@ class TestHonestProofs:
     ):
         # Fresh blinding every run: proofs differ, both verify (ZK
         # proofs are randomized).
-        cs, cols = build_circuit()
-        asg, _ = assign_circuit(cs, cols)
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
         pk = keygen(params_k6_module, cs, F, K)
         finalize_fixed(pk, asg)
         p1 = create_proof(pk, asg)
@@ -120,8 +81,8 @@ class TestHonestProofs:
         assert verify_proof(pk.vk, p2, instance)
 
     def test_timing_instrumentation(self, params_k6_module):
-        cs, cols = build_circuit()
-        asg, _ = assign_circuit(cs, cols)
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
         pk = keygen(params_k6_module, cs, F, K)
         finalize_fixed(pk, asg)
         timing = ProverTiming()
@@ -138,7 +99,7 @@ class TestHonestProofs:
     def test_proof_serialization_roundtrip_size(self, proven):
         _, proof, _, _ = proven
         data = proof.to_bytes()
-        assert len(data) >= proof.size_bytes() * 0.5  # same order of magnitude
+        assert proof.size_bytes() == len(data)
         assert data == proof.to_bytes()
 
 
@@ -150,8 +111,8 @@ class TestRejection:
         assert not verify_proof(pk.vk, proof, bad)
 
     def test_wrong_witness_rejected(self, params_k6_module):
-        cs, cols = build_circuit()
-        asg, result = assign_circuit(cs, cols, break_mul=True)
+        cs, cols = example_circuit()
+        asg, result = assign_broken_mul(cs, cols)
         pk = keygen(params_k6_module, cs, F, K)
         finalize_fixed(pk, asg)
         proof = create_proof(pk, asg)
@@ -159,9 +120,9 @@ class TestRejection:
         assert not verify_proof(pk.vk, proof, instance)
 
     def test_copy_violation_rejected(self, params_k6_module):
-        cs, cols = build_circuit()
+        cs, cols = example_circuit()
         cs.copy(cols["a"], 0, cols["b"], 0)  # 7 != 11, violated
-        asg, _ = assign_circuit(cs, cols)
+        asg, _ = example_assignment(cs, cols)
         pk = keygen(params_k6_module, cs, F, K)
         finalize_fixed(pk, asg)
         proof = create_proof(pk, asg)
@@ -169,8 +130,8 @@ class TestRejection:
         assert not verify_proof(pk.vk, proof, instance)
 
     def test_lookup_violation_unprovable(self, params_k6_module):
-        cs, cols = build_circuit()
-        asg, _ = assign_circuit(cs, cols, x=99)  # 99 outside [0,16)
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols, x=99)  # 99 outside [0,16)
         pk = keygen(params_k6_module, cs, F, K)
         finalize_fixed(pk, asg)
         with pytest.raises(ProvingError):
@@ -234,25 +195,69 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+@pytest.fixture()
+def claims(monkeypatch):
+    """Record the opening claims each side hands to multiopen, as
+    ``{"prover": [...], "verifier": [...]}`` of ``(point, commitment,
+    evaluation)`` sequences."""
+    from repro.proving import prover, verifier
+
+    seen = {}
+
+    def spy(module, name, side):
+        original = getattr(module, name)
+
+        def recording(params, transcript, claims, *rest):
+            seen[side] = [(c.point, c.commitment, c.evaluation) for c in claims]
+            return original(params, transcript, claims, *rest)
+
+        monkeypatch.setattr(module, name, recording)
+
+    spy(prover, "multi_open", "prover")
+    spy(verifier, "multi_verify", "verifier")
+    return seen
+
+
 class TestGoldenProofDigest:
     """Cross-commit byte-identity: under a pinned prover seed the wire
     bytes are a function of the code alone, so a refactor that claims
     "proofs stay byte-identical" must leave these digests untouched.
-    Recorded at commit cb71d82 (the parent of the kernel-toggle
-    removal); a deliberate protocol change re-records them."""
+    The first two were recorded at commit cb71d82 (the parent of the
+    kernel-toggle removal), the two-chunk + shuffle one at 5f5755b (the
+    parent of the round-pipeline refactor); a deliberate protocol
+    change re-records them.
 
-    def test_k5_circuit(self, params_k6_module):
-        cs, cols = build_circuit()
-        cs.copy(cols["c"], 0, cols["b"], 1)
-        cs.copy(cols["c"], 1, cols["b"], 2)
-        asg, _ = assign_circuit(cs, cols)
+    Each test also checks the two sides of ``opening_schedule``: the
+    claims the prover opened and the claims the verifier checked are
+    the same ``(point, commitment, evaluation)`` sequence."""
+
+    def test_k5_circuit(self, params_k6_module, claims):
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
         with deterministic_rng(0x5EED):
             pk = keygen(params_k6_module, cs, F, K)
             finalize_fixed(pk, asg)
             proof = create_proof(pk, asg)
         assert _digest(proof.to_bytes()) == GOLDEN_K5
+        instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
+        assert verify_proof(pk.vk, proof, instance)
+        assert claims["prover"] == claims["verifier"]
 
-    def test_k6_tpch_query(self):
+    def test_k5_two_chunks_and_shuffle(self, params_k6_module, claims):
+        # The only circuit with more than one permutation chunk (the
+        # "chain" evaluation, a 4th opening point) and a shuffle.
+        cs, asg, instance = two_chunk_shuffle_circuit()
+        with deterministic_rng(0x5EED):
+            pk = keygen(params_k6_module, cs, F, K)
+            finalize_fixed(pk, asg)
+            proof = create_proof(pk, asg)
+        assert len(pk.vk.permutation_chunks) == 2 and len(cs.shuffles) == 1
+        assert len(proof.openings) == 4
+        assert verify_proof(pk.vk, proof, instance)
+        assert claims["prover"] == claims["verifier"]
+        assert _digest(proof.to_bytes()) == GOLDEN_K5_TWO_CHUNK_SHUFFLE
+
+    def test_k6_tpch_query(self, claims):
         from repro.api import PoneglyphDB
         from repro.config import ProverConfig
         from repro.tpch import generate
@@ -266,4 +271,6 @@ class TestGoldenProofDigest:
                 response = session.prove(
                     "select count(*) as n from nation where n_regionkey >= 2"
                 )
+            assert session.verify(response).accepted
         assert _digest(response.wire_bytes()) == GOLDEN_K6_TPCH
+        assert claims["prover"] == claims["verifier"]

@@ -7,6 +7,9 @@ a dedicated regression (they pass trivially on code without the fix),
 and a small TPC-H query exercises the same sweep end-to-end.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +18,17 @@ from repro.algebra import SCALAR_FIELD
 from repro.commit import setup
 from repro.commit.ipa import IpaProof
 from repro.config import ProverConfig
-from repro.plonkish import Assignment, ConstraintSystem
 from repro.proving import create_proof, keygen, verify_proof
 from repro.proving.keygen import finalize_fixed
-from repro.proving.proof import Proof, WIRE_MAGIC
+from repro.proving.proof import (
+    CHUNKS,
+    KEYED,
+    NAMED,
+    SECTIONS,
+    WIRE_MAGIC,
+    Proof,
+    wire_layout,
+)
 from repro.soundness import (
     ProverFaults,
     byte_mutations,
@@ -28,57 +38,15 @@ from repro.soundness import (
     run_aggregate_tamper_suite,
     run_tamper_suite,
 )
+from repro.telemetry.selfcheck import EXAMPLE_K as K
+from repro.telemetry.selfcheck import example_assignment, example_circuit
 from repro.wire import WireFormatError
+from tests.conftest import two_chunk_shuffle_circuit
 
 F = SCALAR_FIELD
-K = 5
-
-
-def build_circuit():
-    """The paper's Example 2.1 pipeline f(x,y,z) = 3*(x+y)*z with a
-    4-bit range lookup and copy constraints (mirrors test_proving)."""
-    cs = ConstraintSystem()
-    q_add = cs.selector("q_add")
-    q_mul = cs.selector("q_mul")
-    q_range = cs.selector("q_range")
-    q_out = cs.selector("q_out")
-    table = cs.fixed_column("range_table")
-    a = cs.advice_column("a")
-    b = cs.advice_column("b")
-    c = cs.advice_column("c")
-    out = cs.instance_column("out")
-    cs.create_gate("add", [q_add.cur() * (a.cur() + b.cur() - c.cur())])
-    cs.create_gate("mul", [q_mul.cur() * (a.cur() * b.cur() - c.cur())])
-    cs.create_gate("out", [q_out.cur() * (c.cur() - out.cur())])
-    cs.add_lookup("range16", [q_range.cur() * a.cur()], [table.cur()])
-    cs.copy(c, 0, b, 1)
-    cs.copy(c, 1, b, 2)
-    return cs, dict(
-        q_add=q_add, q_mul=q_mul, q_range=q_range, q_out=q_out,
-        table=table, a=a, b=b, c=c, out=out,
-    )
-
-
-def assign_circuit(cs, cols, x=7, y=11, z=13):
-    asg = Assignment(cs, F, K)
-    asg.assign_column(cols["table"], list(range(16)))
-    asg.assign(cols["q_add"], 0, 1)
-    asg.assign(cols["a"], 0, x)
-    asg.assign(cols["b"], 0, y)
-    asg.assign(cols["c"], 0, x + y)
-    asg.assign(cols["q_range"], 0, 1)
-    asg.assign(cols["q_mul"], 1, 1)
-    asg.assign(cols["a"], 1, z)
-    asg.assign(cols["b"], 1, x + y)
-    asg.assign(cols["c"], 1, (x + y) * z)
-    asg.assign(cols["q_mul"], 2, 1)
-    asg.assign(cols["a"], 2, 3)
-    asg.assign(cols["b"], 2, (x + y) * z)
-    result = 3 * (x + y) * z
-    asg.assign(cols["c"], 2, result)
-    asg.assign(cols["q_out"], 2, 1)
-    asg.assign(cols["out"], 2, result)
-    return asg, result
+#: ``field_mutators`` labels per fixture, recorded at the parent of the
+#: schema refactor (where they were enumerated by hand).
+PARENT_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_5f5755b.json"
 
 
 @pytest.fixture(scope="module")
@@ -86,22 +54,39 @@ def params():
     return setup(K)
 
 
-@pytest.fixture(scope="module")
-def proven(params):
-    """One honest (pk, asg, proof, instance) shared by read-only tests."""
-    cs, cols = build_circuit()
-    asg, _ = assign_circuit(cs, cols)
+def prove_honestly(params, cs, asg, instance):
     pk = keygen(params, cs, F, K)
     finalize_fixed(pk, asg)
     proof = create_proof(pk, asg)
-    instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
     assert verify_proof(pk.vk, proof, instance)
     return pk, asg, proof, instance
 
 
+@pytest.fixture(scope="module")
+def proven(params):
+    """One honest (pk, asg, proof, instance) shared by read-only tests."""
+    cs, cols = example_circuit()
+    asg, _ = example_assignment(cs, cols)
+    instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
+    return prove_honestly(params, cs, asg, instance)
+
+
+@pytest.fixture(scope="module")
+def proven_two_chunk(params):
+    """The same for the two-permutation-chunk + shuffle circuit: the
+    only fixture whose proof has a ``chain`` evaluation, a fourth
+    opening point and a shuffle part."""
+    return prove_honestly(params, *two_chunk_shuffle_circuit())
+
+
+@pytest.fixture(scope="module", params=["proven", "proven_two_chunk"])
+def field_fixture(request):
+    return request.getfixturevalue(request.param)
+
+
 class TestRoundTrip:
-    def test_from_bytes_inverts_to_bytes(self, proven):
-        pk, _, proof, _ = proven
+    def test_from_bytes_inverts_to_bytes(self, field_fixture):
+        pk, _, proof, _ = field_fixture
         data = proof.to_bytes()
         decoded = Proof.from_bytes(pk.vk, data)
         assert decoded == proof
@@ -138,8 +123,8 @@ class TestRoundTrip:
     def test_roundtrip_property_over_random_witnesses(self, params, x, y, z):
         """from_bytes(to_bytes(p)) == p for proofs over arbitrary
         witnesses (fresh blinding every example)."""
-        cs, cols = build_circuit()
-        asg, _ = assign_circuit(cs, cols, x=x, y=y, z=z)
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols, x=x, y=y, z=z)
         pk = keygen(params, cs, F, K)
         finalize_fixed(pk, asg)
         proof = create_proof(pk, asg)
@@ -150,8 +135,8 @@ class TestRoundTrip:
 
 
 class TestFieldLevelTampering:
-    def test_every_field_mutation_rejected(self, proven):
-        pk, _, proof, instance = proven
+    def test_every_field_mutation_rejected(self, field_fixture):
+        pk, _, proof, instance = field_fixture
         report = run_tamper_suite(
             pk.vk, proof, instance, include_byte_level=False
         )
@@ -162,15 +147,88 @@ class TestFieldLevelTampering:
         assert report.rejected_decode > 0  # structural mutations
         assert report.rejected_verify > 0  # value mutations
 
-    def test_mutators_cover_all_proof_fields(self, proven):
-        pk, _, proof, _ = proven
+    def test_mutators_cover_all_proof_fields(self, proven_two_chunk):
+        pk, _, proof, _ = proven_two_chunk
         labels = " ".join(label for label, _ in field_mutators(proof))
         for field_name in (
-            "advice_commitments", "lookup", "permutation_z_commitments",
-            "h_commitments", "advice_evals", "fixed_evals", "sigma_evals",
-            "system_evals", "permutation_z_evals", "h_evals", "openings",
+            "advice_commitments", "lookup", "shuffle",
+            "permutation_z_commitments", "h_commitments", "advice_evals",
+            "fixed_evals", "sigma_evals", "system_evals",
+            "permutation_z_evals", "chain", "h_evals", "openings",
         ):
             assert field_name in labels, f"no mutator touches {field_name}"
+
+
+    @pytest.mark.parametrize(
+        "name, fixture",
+        [("example", "proven"), ("two_chunk_shuffle", "proven_two_chunk")],
+    )
+    def test_mutators_keep_every_label_of_the_hand_written_list(
+        self, request, name, fixture
+    ):
+        """The schema walk yields at least the mutations the
+        hand-enumerated ``field_mutators`` of commit 5f5755b did."""
+        _, _, proof, _ = request.getfixturevalue(fixture)
+        recorded = json.loads(PARENT_LABELS.read_text())[name]
+        labels = {label for label, _ in field_mutators(proof)}
+        assert set(recorded) <= labels, sorted(set(recorded) - labels)
+
+
+def _malformed_sections():
+    """(section, what, edit) for a missing, an extra and -- where
+    entries have keys -- a mis-keyed entry in every schema section."""
+    for section in SECTIONS:
+        if section.shape is None:
+            continue  # openings: counted against the claims by multi_verify
+        keyed = section.kind in (KEYED, NAMED)
+        new_key = (999, 0) if section.kind is KEYED else "bogus"
+        yield section.attr, "missing", (
+            (lambda v: v.pop(next(iter(v)))) if keyed else (lambda v: v.pop())
+        )
+        yield section.attr, "extra", (
+            (lambda v, k=new_key: v.setdefault(k, 0))
+            if keyed
+            else (lambda v: v.append(v[-1]))
+        )
+        if keyed or section.kind is CHUNKS:
+            def rekey(v, k=new_key, keyed=keyed):
+                entry = v if keyed else v[0]
+                entry[k] = entry.pop(next(iter(entry)))
+
+            yield section.attr, "mis-keyed", rekey
+
+
+class TestShapeCheck:
+    """``verify_proof`` refuses a proof object that does not have the
+    verifying key's shape before any cryptography: one schema-driven
+    check, exercised on every section."""
+
+    @pytest.mark.parametrize(
+        "attr, what, edit",
+        [pytest.param(a, w, e, id=f"{a}-{w}") for a, w, e in _malformed_sections()],
+    )
+    def test_malformed_section_refused_before_multi_verify(
+        self, proven_two_chunk, monkeypatch, attr, what, edit
+    ):
+        import copy
+
+        from repro.proving import verifier
+
+        pk, _, proof, instance = proven_two_chunk
+        bad = copy.deepcopy(proof)
+        edit(getattr(bad, attr))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("shape check let the proof through")
+
+        monkeypatch.setattr(verifier, "multi_verify", unreachable)
+        assert not verify_proof(pk.vk, bad, instance)
+
+
+def test_design_doc_carries_the_schema_layout():
+    """DESIGN.md 5c's ``PDB2`` block is ``wire_layout()`` verbatim."""
+    design = Path(__file__).resolve().parents[1] / "DESIGN.md"
+    assert wire_layout() in design.read_text(encoding="utf-8")
 
 
 class TestByteLevelTampering:
