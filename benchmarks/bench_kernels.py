@@ -18,9 +18,11 @@ Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]
 [--check]``) or under pytest.  ``--check`` exits nonzero unless (with
 numpy installed, at ``--backend-n`` >= 8192) the vector backend clears
 its floor on the NTT and batch-inversion rows, and the narrow column
-costs at most an eighth of its coefficient form's bucket insertions (a
-count, so it cannot flake) -- the CI backend-matrix numpy leg gates on
-it.  Results persist to
+costs at most an eighth of its coefficient form's bucket insertions,
+and the example circuit's proof transforms exactly the points and
+commits exactly the quotient chunks the static cost model predicts for
+the quotient-sized domain (counts, so they cannot flake) -- the CI
+backend-matrix numpy leg gates on it.  Results persist to
 ``benchmarks/results/kernels.{txt,json}``.
 """
 
@@ -80,6 +82,50 @@ def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
         "coeffs": coeffs_row,
         "speedup": coeffs_row["seconds"] / values_row["seconds"],
         "digits_frac": values_row["digits"] / coeffs_row["digits"],
+    }
+
+
+def count_quotient_domain() -> dict:
+    """Prove the example circuit with counters on and set two counts
+    beside what the static cost model says they are: the points the
+    proof's transforms covered -- every committed or instance column
+    once over the ``n`` rows and once over the quotient's
+    ``2^extended_k`` coset, plus the quotient's own inverse transform
+    -- and the quotient chunks it committed."""
+    from repro.proving import create_proof, keygen
+    from repro.proving.keygen import PERMUTATION_CHUNK, finalize_fixed
+    from repro.telemetry import CircuitReport
+    from repro.telemetry.selfcheck import (
+        EXAMPLE_K,
+        example_assignment,
+        example_circuit,
+    )
+
+    cs, cols = example_circuit()
+    asg, _ = example_assignment(cs, cols)
+    pk = keygen(setup(EXAMPLE_K), cs, SCALAR_FIELD, EXAMPLE_K)
+    finalize_fixed(pk, asg)
+    previous = telemetry.enable(True)
+    try:
+        before = telemetry.counters_snapshot().get("fft.points", 0)
+        proof = create_proof(pk, asg)
+        fft_points = telemetry.counters_snapshot()["fft.points"] - before
+    finally:
+        telemetry.enable(previous)
+    report = CircuitReport.from_constraint_system(cs, EXAMPLE_K, PERMUTATION_CHUNK)
+    columns = (
+        report.advice_columns
+        + 3 * len(report.lookups)
+        + report.shuffles
+        + report.permutation_grand_products
+        + report.instance_columns
+    )
+    return {
+        "fft_points": int(fft_points),
+        "predicted_fft_points": columns * report.rows
+        + (columns + 1) * (1 << report.extended_k),
+        "h_commitments": len(proof.h_commitments),
+        "predicted_quotient_chunks": report.quotient_chunks,
     }
 
 
@@ -232,8 +278,29 @@ def run_benches(
         f"speedup {narrow['speedup']:.2f}x, insertions "
         f"{narrow['digits_frac']:.3f} of the coefficient form"
     )
+    quotient = results["quotient_domain"] = count_quotient_domain()
+    report.line(
+        f"\nexample circuit proof: {quotient['fft_points']} transform points "
+        f"(cost model {quotient['predicted_fft_points']}), "
+        f"{quotient['h_commitments']} quotient chunks "
+        f"(cost model {quotient['predicted_quotient_chunks']})"
+    )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
 
+    if check and (
+        quotient["fft_points"] != quotient["predicted_fft_points"]
+        or quotient["h_commitments"] != quotient["predicted_quotient_chunks"]
+    ):
+        print(
+            f"CHECK FAILED: the example proof transformed "
+            f"{quotient['fft_points']} points and committed "
+            f"{quotient['h_commitments']} quotient chunks; the cost model "
+            f"says {quotient['predicted_fft_points']} and "
+            f"{quotient['predicted_quotient_chunks']}: the prover's quotient "
+            "domain and ConstraintSystem.quotient_extension disagree",
+            file=sys.stderr,
+        )
+        return {**results, "check_ok": False}
     if check and narrow["digits_frac"] > NARROW_DIGITS_CEILING:
         print(
             "CHECK FAILED: a narrow column costs "
@@ -280,8 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless the field backend clears its floors "
-        "and narrow columns stay narrow in the commit kernel",
+        help="exit nonzero unless the field backend clears its floors, "
+        "narrow columns stay narrow in the commit kernel and the "
+        "quotient domain is the size the cost model predicts",
     )
     args = parser.parse_args(argv)
     results = run_benches(

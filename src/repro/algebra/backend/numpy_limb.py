@@ -434,7 +434,11 @@ class _Ctx:
         for i, v in enumerate(root):
             prefix[i] = acc
             acc = acc * v % p
-        inv_acc = pow(acc, p - 2, p) * scale % p
+        if not acc:  # some input was zero; say which before pow() refuses
+            raise BatchInversionError(
+                next(i for i, v in enumerate(self.lower(arr)) if not v % p)
+            )
+        inv_acc = pow(acc, -1, p) * scale % p
         out = [0] * m
         for i in range(m - 1, -1, -1):
             out[i] = prefix[i] * inv_acc % p

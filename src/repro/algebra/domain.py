@@ -3,8 +3,9 @@
 A PLONKish circuit with ``2^k`` rows is interpolated over the
 multiplicative subgroup ``H = <omega>`` of order ``2^k``.  The quotient
 (vanishing) argument needs evaluations on an *extended* coset domain of
-size ``2^(k + extension)`` so that products of column polynomials -- whose
-degree exceeds ``2^k`` -- are still uniquely determined.
+size ``2^(k + extension)``: products of column polynomials have degree
+beyond ``2^k``, and the domain has to determine their quotient by
+``X^n - 1``.
 
 All transforms operate in place on lists of raw ints.
 """
@@ -242,8 +243,8 @@ class EvaluationDomain:
         ``L_0(x) .. L_{count-1}(x)`` with ONE batch inversion.
 
         Matches ``[self.lagrange_basis_eval(i, x) for i in range(count)]``
-        but replaces the per-basis field inversion (a ~254-bit modexp
-        each) with a single Montgomery batch inversion -- the verifier
+        but replaces the per-basis field inversion with a single
+        Montgomery batch inversion -- the verifier
         uses this to evaluate instance columns at each distinct opening
         point (see ``proving/verifier.py``).
 

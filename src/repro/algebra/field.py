@@ -72,12 +72,12 @@ PALLAS_SCALAR_MODULUS = (
 
 
 #: Minimum vector length before batch inversion fans out to workers
-#: (below it the per-chunk pickle + modexp overhead dominates).
+#: (below it the per-chunk pickle + inversion overhead dominates).
 _PARALLEL_INV_MIN = 8192
 
 
 def montgomery_batch_inv(values: Sequence[int], p: int) -> list[int]:
-    """Montgomery batch inversion: O(n) multiplications, one modexp.
+    """Montgomery batch inversion: O(n) multiplications, one inversion.
 
     Does NOT feed the ``field.inversions`` telemetry counter -- use
     :meth:`Field.batch_inv` for workload inversions.  This raw form is
@@ -97,7 +97,7 @@ def montgomery_batch_inv(values: Sequence[int], p: int) -> list[int]:
     for i, v in enumerate(vals):
         prefix[i] = acc
         acc = acc * v % p
-    inv_acc = pow(acc, p - 2, p)
+    inv_acc = pow(acc, -1, p)  # extended Euclid: ~6x cheaper than Fermat
     out = [0] * n
     for i in range(n - 1, -1, -1):
         out[i] = prefix[i] * inv_acc % p
@@ -187,7 +187,7 @@ class Field:
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         telemetry.incr("field.inversions")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return (a * self.inv(b)) % self.p
@@ -207,7 +207,7 @@ class Field:
         the error says exactly where).
 
         Large inputs are inverted in chunks across the worker pool when
-        one is configured (one extra modexp per chunk; the inverses
+        one is configured (one extra inversion per chunk; the inverses
         themselves are unique, so results are identical either way).
         """
         p = self.p
@@ -215,7 +215,7 @@ class Field:
         if n == 0:
             return []
         # Counted once per element here, before any parallel dispatch,
-        # so serial and parallel totals agree (the per-chunk modexps in
+        # so serial and parallel totals agree (the per-chunk inversions in
         # workers are an implementation detail, not a workload metric).
         telemetry.incr("field.inversions", n)
         if n >= _PARALLEL_INV_MIN:

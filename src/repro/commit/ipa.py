@@ -289,11 +289,24 @@ def _open_polynomial(
     x: int,
     field: Field,
 ) -> IpaProof:
+    """The halving rounds.
+
+    The protocol's folded base is ``u^-1 * g_lo + u * g_hi``: two
+    full-width scalars per element.  ``g`` is kept *scaled* instead --
+    ``g_lo + u^2 * g_hi``, which is ``u`` times that -- so each fold
+    multiplies by one scalar, and the factor owed (``scale``, the
+    product of the ``u^-1`` so far: true base ``= scale * g``) goes
+    into the scalars of the next round's ``L`` / ``R`` MSMs, where a
+    field multiplication per coefficient pays for it.  ``L``, ``R``,
+    ``a`` and the blind are the same elements either way; the base
+    itself is never published.
+    """
     p = field.p
     n = params.n
     a = list(c % p for c in coeffs) + [0] * (n - len(coeffs))
     b = _powers(x % p, n, p)
     g: list[Point] = list(params.g)
+    scale = 1
 
     xi = transcript.challenge_scalar(b"ipa-xi")
     u_prime = params.u * xi
@@ -311,10 +324,12 @@ def _open_polynomial(
         inner_lo_hi = sum(ai * bi for ai, bi in zip(a_lo, b_hi)) % p
         inner_hi_lo = sum(ai * bi for ai, bi in zip(a_hi, b_lo)) % p
         left = msm(
-            g_hi + [u_prime, params.w], a_lo + [inner_lo_hi, l_blind]
+            g_hi + [u_prime, params.w],
+            [ai * scale % p for ai in a_lo] + [inner_lo_hi, l_blind],
         )
         right = msm(
-            g_lo + [u_prime, params.w], a_hi + [inner_hi_lo, r_blind]
+            g_lo + [u_prime, params.w],
+            [ai * scale % p for ai in a_hi] + [inner_hi_lo, r_blind],
         )
         transcript.absorb_point(b"ipa-L", left)
         transcript.absorb_point(b"ipa-R", right)
@@ -323,8 +338,9 @@ def _open_polynomial(
 
         a = [(lo * u + hi * u_inv) % p for lo, hi in zip(a_lo, a_hi)]
         b = [(lo * u_inv + hi * u) % p for lo, hi in zip(b_lo, b_hi)]
-        g = fold_bases(g_lo, g_hi, u_inv, u)
         u_sq = u * u % p
+        g = fold_bases(g_lo, g_hi, 1, u_sq)
+        scale = scale * u_inv % p
         u_inv_sq = u_inv * u_inv % p
         r = (r + l_blind * u_sq + r_blind * u_inv_sq) % p
         rounds.append((left, right))

@@ -5,7 +5,7 @@ the inversion an affine addition needs.  But when *many* independent
 additions happen at once -- Pippenger bucket accumulation, fixed-base
 digit accumulation, the IPA base fold -- their inversions can share one
 Montgomery batch inversion: each affine addition then costs ~4 field
-multiplications plus an O(1) amortized share of a single modexp, less
+multiplications plus an O(1) amortized share of a single inversion, less
 than a third of the Jacobian cost.
 
 Points here are affine coordinate pairs ``(x, y)`` with ``None`` for
@@ -153,7 +153,7 @@ def linear_combination(
     shared by all elements, so the double-and-add schedule is common to
     the whole vector: each step is a single elementwise batch pass with
     one shared inversion.  This is the IPA base-fold kernel -- the
-    per-round ``g' = u^-1 * g_lo + u * g_hi`` -- where the reference
+    per-round ``g' = g_lo + u^2 * g_hi`` -- where the reference
     path pays a full two-point MSM per element.
     """
     if not streams:

@@ -216,11 +216,11 @@ class Point:
         if self.z == 1:
             return (self.x, self.y)
         p = self.curve.field.p
-        # Raw modexp, not Field.inv: normalization happens at
+        # Raw inversion, not Field.inv: normalization happens at
         # serialization boundaries whose count depends on the execution
         # backend (worker tasks re-serialize), so it must not feed the
-        # field.inversions workload counter.
-        z_inv = pow(self.z, p - 2, p)
+        # field.inversions workload counter.  z is nonzero mod p here.
+        z_inv = pow(self.z, -1, p)
         z_inv2 = z_inv * z_inv % p
         return (self.x * z_inv2 % p, self.y * z_inv2 % p * z_inv % p)
 

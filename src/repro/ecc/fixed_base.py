@@ -13,8 +13,10 @@ A commitment then needs **zero doublings**: each scalar's base-``2^c``
 digits index straight into one shared bucket set (all shifted bases
 are plain affine points, so windows do not need separate buckets), the
 buckets are reduced with one batch-affine accumulation
-(:func:`~repro.ecc.batch_affine.sum_affine_lists`), and a single
-running-sum collapse finishes the job.  The unit of work is the
+(:func:`~repro.ecc.batch_affine.sum_affine_lists`), and a two-level
+collapse finishes the job: the same batched addition folds the 255
+buckets into 15 + 15 half-digit sums, and only those go through a
+Jacobian running sum.  The unit of work is the
 *nonzero digit*, not the point: a 4-bit limb costs one bucket
 insertion where a full-width scalar costs 32, which is why columns are
 committed by their values against the Lagrange set
@@ -164,12 +166,35 @@ def fixed_base_msm(
     )
     if not buckets:
         return curve.identity()
-    rounds = sum_affine_lists(curve.field.p, list(buckets.values()))
+    p = curve.field.p
+    rounds = sum_affine_lists(p, list(buckets.values()))
+    # Two-level collapse of sum_d d * bucket[d].  With d = hi * 2^h + lo
+    # that is 2^h * sum_hi hi * H[hi] + sum_lo lo * L[lo], where H / L
+    # add up the buckets that share a high / low half-digit.  Forming H
+    # and L is more of the batched affine addition that filled the
+    # buckets; what is left for Jacobian arithmetic is two running sums
+    # over at most 2^h - 1 entries each, instead of one over 2^c - 1.
+    half = c // 2
+    low = (1 << half) - 1
+    his: dict[int, list[tuple[int, int]]] = {}
+    los: dict[int, list[tuple[int, int]]] = {}
+    for d, pts in buckets.items():
+        if pts:  # a bucket whose points cancelled is empty
+            if d >> half:
+                his.setdefault(d >> half, []).append(pts[0])
+            if d & low:
+                los.setdefault(d & low, []).append(pts[0])
+    rounds += sum_affine_lists(p, [*his.values(), *los.values()])
     telemetry.incr("msm.batch_affine_rounds", rounds)
-    return collapse_buckets(
-        curve,
-        {d: Point(curve, *pts[0]) for d, pts in buckets.items() if pts},
+    hi_sum, lo_sum = (
+        collapse_buckets(
+            curve, {i: Point(curve, *pts[0]) for i, pts in part.items() if pts}
+        )
+        for part in (his, los)
     )
+    for _ in range(half):
+        hi_sum = hi_sum.double()
+    return hi_sum + lo_sum
 
 
 # -- per-parameter-set table registry ----------------------------------------

@@ -262,6 +262,27 @@ class ConstraintSystem:
                 degree = max(degree, 1 + 1 + total)
         return degree
 
+    def quotient_extension(self, permutation_chunk: int = 3) -> int:
+        """``log2`` of the factor by which the quotient's evaluation
+        domain exceeds the circuit's ``n`` rows:
+        ``ceil(log2(degree - 1))`` for ``degree =``
+        :meth:`required_degree`.
+
+        The combined constraint has degree at most ``degree * (n - 1)``,
+        so ``h = constraint / (X^n - 1)`` has fewer than
+        ``(degree - 1) * n`` coefficients.  The prover divides pointwise
+        on a coset and interpolates ``h``, so the coset has to determine
+        ``h`` -- not the constraint, which would take ``degree * n``
+        points.  One formula, three readers: keygen sizes
+        ``pk.extended_domain`` (and ``vk.extended_k``) with it, the
+        proof schema bounds the quotient chunks by ``2^extension``
+        through ``vk.extended_k``, and the static cost model
+        (:class:`~repro.telemetry.circuit.CircuitReport`) reports the
+        same ``extended_k`` from it.
+        """
+        degree = self.required_degree(permutation_chunk)
+        return max(1, (degree - 2).bit_length())
+
     def num_constraints(self) -> int:
         """Total polynomial constraints (one per gate constraint); the
         complexity currency of the paper's section 4 analyses."""

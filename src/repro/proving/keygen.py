@@ -207,12 +207,10 @@ def _keygen(
     if usable <= 1:
         raise ValueError("circuit too small for blinding rows")
 
-    degree = cs.required_degree(PERMUTATION_CHUNK)
-    # The combined constraint polynomial has degree <= degree * (n - 1),
-    # so an extended domain of ceil(log2(degree)) extra bits determines
-    # it uniquely.
-    extension = max(1, (degree - 1).bit_length())
-    extended_k = k + extension
+    # The quotient h, not the constraint it divides, is what the coset
+    # evaluations must determine: fewer than (degree - 1) * n
+    # coefficients at constraint degree <= degree * (n - 1).
+    extended_k = k + cs.quotient_extension(PERMUTATION_CHUNK)
     domain = EvaluationDomain(field, k)
     extended_domain = EvaluationDomain(field, extended_k)
     coset_shift = field.multiplicative_generator
@@ -277,6 +275,10 @@ def keygen_fingerprint(
     import hashlib
 
     h = hashlib.blake2b(digest_size=20)
+    # The tag versions what a pickled key *holds* for the same inputs:
+    # cached keys whose extended_evals were laid out over a domain of
+    # another size must miss, not load.
+    h.update(b"quotient-domain-v2|")
     h.update(f"{params.curve.name}|{params.k}|{field.p}|{k}|".encode())
     h.update(params.g[0].to_bytes())
     h.update(cs.fingerprint().encode())

@@ -14,8 +14,11 @@ the function the verifier evaluates at ``x``, here on the coset.
 The prover's asymptotics match the paper's design goals: committing
 and FFT-ing each column is ``O(n log n)`` field work plus one ``O(n)``
 MSM, the quotient is evaluated on an extended domain whose size is
-governed by the *maximum constraint degree* -- which is why every gate
-in :mod:`repro.gates` is engineered for low degree.
+governed by the *maximum constraint degree* ``d`` -- ``2^ceil(log2(d -
+1)) * n`` points, what it takes to determine ``h``
+(:meth:`~repro.plonkish.constraint_system.ConstraintSystem.quotient_extension`)
+-- which is why every gate in :mod:`repro.gates` is engineered for low
+degree.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ class CircuitReport:
             )
 
         degree = cs.required_degree(permutation_chunk)
-        extended_k = k + max(1, (degree - 1).bit_length())
+        extended_k = k + cs.quotient_extension(permutation_chunk)
         equality = len(cs.equality_columns)
         chunks = (
             (equality + permutation_chunk - 1) // permutation_chunk
@@ -164,22 +164,30 @@ class CircuitReport:
 
     # -- derived MSM estimates -------------------------------------------
 
+    @property
+    def quotient_chunks(self) -> int:
+        """How many ``rows``-coefficient pieces the prover commits the
+        quotient in: ``h`` has ``(degree - 1) * rows - degree + 1``
+        coefficients when some constraint reaches ``required_degree``,
+        which is ``degree - 1`` pieces -- at most the ``2^(extended_k -
+        k)`` the quotient's domain holds and the verifier allows."""
+        return self.required_degree - 1
+
     def commitment_msm_sizes(self) -> dict[str, int]:
         """Estimated per-phase MSM sizes (points per multi-scalar mul).
 
         Every column/polynomial commitment is one size-``rows`` MSM
         (over the column's values against the Lagrange-basis tables, or
         a quotient chunk's coefficients); the quotient splits into
-        ``2^(extended_k - k)`` chunks of the same size.
+        :attr:`quotient_chunks` chunks of the same size.
         """
-        quotient_chunks = 1 << (self.extended_k - self.k)
         return {
             "advice": self.rows,
             "fixed": self.rows,
             "lookup_permuted": self.rows,
             "grand_product": self.rows,
             "quotient_chunk": self.rows,
-            "quotient_chunks": quotient_chunks,
+            "quotient_chunks": self.quotient_chunks,
         }
 
     def estimated_commit_msms(self) -> int:
@@ -195,13 +203,12 @@ class CircuitReport:
         narrow (limbs, values, selector bits; only the blinding rows
         are full width), while grand products, sigma columns and
         quotient chunks are full width throughout."""
-        quotient_chunks = 1 << (self.extended_k - self.k)
         return (
             self.advice_columns
             + 3 * len(self.lookups)
             + self.shuffles
             + self.permutation_grand_products
-            + quotient_chunks
+            + self.quotient_chunks
             + 1  # IPA opening commitment
         )
 

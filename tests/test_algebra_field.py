@@ -111,6 +111,30 @@ class TestFieldOps:
         with pytest.raises(ZeroDivisionError):
             montgomery_batch_inv([7, 0], field.p)
 
+    def test_euclid_inverse_equals_fermat(self, rng):
+        """Inverses come from ``pow(x, -1, p)``; Fermat's ``x^(p-2)`` is
+        the oracle, over both Pasta fields and in ``Point.to_affine``."""
+        from repro.ecc import PALLAS
+        from repro.ecc.curve import Point
+
+        for f in (SCALAR_FIELD, BASE_FIELD):
+            values = [rng.randrange(1, f.p) for _ in range(20)] + [1, f.p - 1]
+            fermat = [pow(v, f.p - 2, f.p) for v in values]
+            assert [f.inv(v) for v in values] == fermat
+            assert [f.inv(v + f.p) for v in values] == fermat
+            assert montgomery_batch_inv(values, f.p) == fermat
+        p = PALLAS.field.p
+        x, y = PALLAS.generator.to_affine()
+        z = rng.randrange(2, p)
+        scaled = Point(PALLAS, x * z * z % p, y * pow(z, 3, p) % p, z)
+        assert scaled.to_affine() == (x, y)
+
+    def test_inv_of_zero_is_refused_before_pow(self, field):
+        """``pow(0, -1, p)`` would raise a bare ValueError."""
+        for zero in (0, field.p):
+            with pytest.raises(ZeroDivisionError, match="no inverse"):
+                field.inv(zero)
+
     @given(a=elements)
     @settings(max_examples=30)
     def test_sqrt_consistency(self, a):

@@ -129,6 +129,12 @@ class TestLimbEngineParity:
         inv = ctx.tree_inv(vals)
         assert all(v * i % P == 1 for v, i in zip(vals, inv))
 
+    def test_tree_inv_zero_raises_typed_error(self):
+        ctx = numpy_limb.ctx_for(P)
+        with pytest.raises(BatchInversionError) as excinfo:
+            ctx.tree_inv([3, 5, 0, 7])
+        assert excinfo.value.index == 2
+
     @given(a=elements, b=elements, c=elements)
     @settings(
         max_examples=20,

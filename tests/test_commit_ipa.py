@@ -4,6 +4,7 @@ proof sizes, and the deferred (accumulated) verification path."""
 import pytest
 
 from repro.algebra import Polynomial, SCALAR_FIELD
+from repro.algebra.field import deterministic_rng
 from repro.commit import (
     commit_polynomial,
     open_polynomial,
@@ -11,7 +12,8 @@ from repro.commit import (
     setup,
     verify_opening,
 )
-from repro.commit.ipa import reduce_opening
+from repro.commit.ipa import IpaProof, reduce_opening
+from repro.ecc.msm import msm_naive
 from repro.proving.recursion import Accumulator
 from repro.transcript import Transcript
 
@@ -145,6 +147,66 @@ class TestIpaOpening:
         data = proof.to_bytes()
         assert len(data) > 0
         assert data == proof.to_bytes()  # deterministic
+
+
+def _open_two_scalar_fold(params, transcript, coeffs, blind, x):
+    """The protocol as the module docstring states it -- the base is
+    folded ``u^-1 * g_lo + u * g_hi`` by per-element scalar
+    multiplication -- as the oracle for the scaled one-scalar fold."""
+    p, n = F.p, params.n
+    a = [c % p for c in coeffs] + [0] * (n - len(coeffs))
+    b = [pow(x, i, p) for i in range(n)]
+    g = list(params.g)
+    u_prime = params.u * transcript.challenge_scalar(b"ipa-xi")
+    r = blind % p
+    rounds = []
+    while n > 1:
+        n //= 2
+        l_blind, r_blind = F.rand(), F.rand()
+        left = msm_naive(
+            g[n:] + [u_prime, params.w],
+            a[:n] + [sum(s * t for s, t in zip(a[:n], b[n:])) % p, l_blind],
+        )
+        right = msm_naive(
+            g[:n] + [u_prime, params.w],
+            a[n:] + [sum(s * t for s, t in zip(a[n:], b[:n])) % p, r_blind],
+        )
+        transcript.absorb_point(b"ipa-L", left)
+        transcript.absorb_point(b"ipa-R", right)
+        u = transcript.challenge_scalar(b"ipa-u")
+        u_inv = pow(u, p - 2, p)
+        a = [(lo * u + hi * u_inv) % p for lo, hi in zip(a[:n], a[n:])]
+        b = [(lo * u_inv + hi * u) % p for lo, hi in zip(b[:n], b[n:])]
+        g = [lo * u_inv + hi * u for lo, hi in zip(g[:n], g[n:])]
+        r = (r + l_blind * u * u + r_blind * u_inv * u_inv) % p
+        rounds.append((left, right))
+    return IpaProof(rounds=rounds, a=a[0], blind=r)
+
+
+class TestScaledBaseFold:
+    # k = 6 folds 32 elements with the vectorised schedule first; below
+    # that every fold is per element.
+    @pytest.mark.parametrize("k", [3, 5, 6])
+    def test_same_bytes_as_the_two_scalar_fold(self, k, rng):
+        params = setup(k)
+        coeffs = [rng.randrange(F.p) for _ in range(params.n)]
+        blind, x = rng.randrange(F.p), rng.randrange(F.p)
+        commitment = commit_polynomial(params, coeffs, blind)
+        value = Polynomial(F, coeffs).evaluate(x)
+
+        def transcript():
+            t = Transcript(b"pinned")
+            t.absorb_point(b"c", commitment)
+            t.absorb_scalar(b"x", x)
+            t.absorb_scalar(b"v", value)
+            return t
+
+        with deterministic_rng(0x1FA):
+            proof = open_polynomial(params, transcript(), coeffs, blind, x, F)
+        with deterministic_rng(0x1FA):
+            oracle = _open_two_scalar_fold(params, transcript(), coeffs, blind, x)
+        assert proof.to_bytes() == oracle.to_bytes()
+        assert verify_opening(params, transcript(), commitment, x, value, proof, F)
 
 
 class TestDeferredVerification:

@@ -149,6 +149,54 @@ class TestFixedBase:
         assert params_k6.fingerprint() == params_k6.fingerprint()
 
 
+class TestTwoLevelCollapse:
+    """``fixed_base_msm`` collapses its buckets by half-digit: every
+    way the high / low sums can degenerate, against ``msm_naive``."""
+
+    P = PALLAS.generator * 0xC0FFEE
+    Q = PALLAS.generator * 0xFACADE
+
+    @pytest.mark.parametrize(
+        "points, sc",
+        [
+            ([P], [0x37]),  # one bucket
+            ([P], [0x10]),  # high half only
+            ([P], [0x0F]),  # low half only
+            ([P], [0xFF]),
+            ([P, Q], [0x30, 0x0A]),  # one high sum, one low sum, disjoint
+            ([P, -P], [0x21, 0x23]),  # a high sum that cancels to the identity
+            ([P, -P], [0x12, 0x32]),  # a low sum that cancels
+            ([P, P], [0x21, 0x23]),  # a high sum of equal points (doubling)
+            ([P, P], [0x12, 0x32]),  # a low sum of equal points
+            ([P, -P], [0x55, 0x55]),  # the bucket itself cancels
+            ([P, Q], [0, 0]),
+            ([P, Q, P, -Q], [2**254 + 0x1F0F, 0xFFFF, 0x100, 0xF0F0F0]),
+        ],
+    )
+    def test_degenerate_half_digit_sums(self, points, sc):
+        tables = fixed_base.build_tables(PALLAS, points)
+        assert fixed_base.fixed_base_msm(tables, sc) == msm_naive(points, sc)
+
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    @pytest.mark.parametrize("width", [4, 255])
+    def test_column_with_blinding_tail(self, params_k6, engine, width):
+        # What the prover commits: values of one width on the usable
+        # rows, ZK_ROWS full-width blinding rows, then the blind on w.
+        from repro.algebra import backend
+        from repro.plonkish.assignment import ZK_ROWS
+
+        rng = random.Random(width)
+        n, p = params_k6.n, SCALAR_FIELD.p
+        column = [rng.randrange(1 << width) % p for _ in range(n - ZK_ROWS)]
+        column += [rng.randrange(p) for _ in range(ZK_ROWS + 1)]
+        bases = list(params_k6.g) + [params_k6.w]
+        with backend.backend(engine):
+            tables = fixed_base.tables_for_params(params_k6)
+            assert fixed_base.fixed_base_msm(tables, column) == msm_naive(
+                bases, column
+            )
+
+
 class TestFoldBases:
     def test_fold_matches_per_element(self, field):
         rng = random.Random(19)

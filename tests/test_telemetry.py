@@ -368,16 +368,16 @@ class TestCircuitReport:
         assert report.num_constraints == 3
         assert report.max_gate_degree == 3
         assert report.required_degree == 5  # range16 lookup: 1+1+2+1
-        assert report.extended_k == 8  # 5 + bit_length(4)
+        assert report.extended_k == 7  # 5 + ceil(log2(5 - 1))
         (lookup,) = report.lookups
         assert (lookup.name, lookup.width, lookup.degree) == ("range16", 1, 5)
         assert report.copies == 2
         assert report.permutation_grand_products == 1  # ceil(2/3)
         assert report.operator_constraints == {"other": 2, "project": 1}
-        # advice 3 + 3*1 lookup + 1 perm product + 8 quotient chunks + 1 IPA
-        assert report.estimated_commit_msms() == 16
-        assert report.commitment_msm_sizes()["quotient_chunks"] == 8
-        assert report.as_dict()["estimated_commit_msms"] == 16
+        # advice 3 + 3*1 lookup + 1 perm product + 4 quotient chunks + 1 IPA
+        assert report.estimated_commit_msms() == 12
+        assert report.commitment_msm_sizes()["quotient_chunks"] == 4
+        assert report.as_dict()["estimated_commit_msms"] == 12
         rendered = report.render()
         assert "range16" in rendered and "constraints by operator" in rendered
 
