@@ -9,9 +9,13 @@ base-folding MSMs.
 
 Runs standalone (``python benchmarks/bench_service.py [--jobs N]
 [--workers W] [--check]``) or under pytest.  ``--check`` exits nonzero
-unless every proof verifies, the batch accepts, and the batched
-per-proof verify time beats sequential -- the CI service-smoke job
-gates on it.  Results persist to ``benchmarks/results/service.{txt,json}``.
+unless every proof verifies, the batch accepts, and the batch deferred
+exactly ``jobs x opening points`` base-folding MSMs into its one
+finalize -- the CI verification-smoke job gates on it.  The timings
+are reported, not raced: a lone ``verify`` is a batch of one, so what
+batching saves per proof is one ``n``-point fold, which is noise on a
+shared runner.  Results persist to
+``benchmarks/results/service.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,9 @@ def run_service_bench(jobs: int = 8, workers: int = 2) -> dict:
         "batch_per_proof_s": batch_s / jobs,
         "amortization": seq_s / batch_s if batch_s else float("inf"),
         "deferred_openings": batch_report.deferred_openings,
+        "expected_deferred_openings": sum(
+            len(response.proof.openings) for response in responses
+        ),
         "finalize_s": batch_report.finalize_seconds,
         "all_sequential_accepted": all(r.accepted for r in seq_reports),
         "batch_accepted": batch_report.accepted,
@@ -126,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless batched per-proof verify beats sequential",
+        help="exit nonzero unless the batch accepts with every opening deferred",
     )
     args = parser.parse_args(argv)
 
@@ -141,6 +148,14 @@ def main(argv: list[str] | None = None) -> int:
         print("CHECK FAILED: a proof was rejected", file=sys.stderr)
         return 1
     if args.check:
+        if result["deferred_openings"] != result["expected_deferred_openings"]:
+            print(
+                f"CHECK FAILED: batch deferred {result['deferred_openings']} "
+                f"openings, expected {result['expected_deferred_openings']} "
+                "(jobs x opening points)",
+                file=sys.stderr,
+            )
+            return 1
         regressions = trend.track(
             "service",
             {
@@ -148,23 +163,15 @@ def main(argv: list[str] | None = None) -> int:
                 "proofs_per_min": result["proofs_per_min"],
                 "sequential_per_proof_s": result["sequential_per_proof_s"],
                 "batch_per_proof_s": result["batch_per_proof_s"],
-                "amortization": result["amortization"],
             },
-            directions={"proofs_per_min": "higher", "amortization": "higher"},
+            directions={"proofs_per_min": "higher"},
         )
         if trend.report_regressions(regressions):
             return 1
-        if result["batch_per_proof_s"] >= result["sequential_per_proof_s"]:
-            print(
-                "CHECK FAILED: batched verification "
-                f"({result['batch_per_proof_s']:.3f}s/proof) did not beat "
-                f"sequential ({result['sequential_per_proof_s']:.3f}s/proof)",
-                file=sys.stderr,
-            )
-            return 1
         print(
-            f"CHECK OK: batch verify {result['amortization']:.2f}x faster "
-            "per proof than sequential"
+            f"CHECK OK: {result['deferred_openings']} openings settled by one "
+            f"finalize ({result['batch_per_proof_s']:.3f}s/proof batched, "
+            f"{result['sequential_per_proof_s']:.3f}s/proof sequential)"
         )
     return 0
 
@@ -173,7 +180,7 @@ def test_service_bench_smoke():
     """Pytest entry: a 2-job run must verify both ways."""
     result = run_service_bench(jobs=2, workers=2)
     assert result["all_sequential_accepted"] and result["batch_accepted"]
-    assert result["deferred_openings"] >= 2
+    assert result["deferred_openings"] == result["expected_deferred_openings"]
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ without disclosing raw patient data.
 Demonstrates the non-interactive property that motivates PoneglyphDB
 over interactive ZKP systems: X generates ONE proof per query; every
 consumer verifies the same proof independently, asynchronously, with no
-per-verifier interaction -- and the recursion accumulator batches the
-expensive verification work across proofs.
+per-verifier interaction -- and ``batch_verify`` settles the expensive
+verification work of all the proofs with one folded check.
 
 Run:  python examples/healthcare_collaboration.py
 """
@@ -14,8 +14,6 @@ Run:  python examples/healthcare_collaboration.py
 import time
 
 from repro.commit import setup
-from repro.proving.recursion import Accumulator
-from repro.algebra import SCALAR_FIELD
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import DATE, INT, STRING
 from repro.config import ProverConfig
@@ -84,15 +82,11 @@ for label, sql in queries:
 print("\nconsumers verify independently (non-interactive, transferable):")
 for consumer in ("Y", "Z", "W"):
     verifier = VerifierNode(params, metadata, commitment)
-    accumulator = Accumulator(verifier.params, SCALAR_FIELD)
-    t0 = time.time()
-    for label, response in responses:
-        report = verifier.verify(response, accumulator=accumulator)
-        assert report.accepted, (consumer, label, report.reason)
-    assert accumulator.finalize()
+    report = verifier.batch_verify([response for _, response in responses])
+    report.require()
     print(f"  consumer {consumer}: both proofs accepted in "
-          f"{time.time() - t0:.1f}s "
-          f"({accumulator.deferred_count} openings batched into one check)")
+          f"{report.elapsed_seconds:.1f}s "
+          f"({report.deferred_openings} openings batched into one check)")
 
 print("\nX's raw cohort never left the institution; every consumer has a "
       "cryptographic guarantee the answers are correct computations over "

@@ -173,8 +173,8 @@ class Session:
 
         Each proof is still checked individually up to its expensive
         opening claims, which are deferred into a shared recursion
-        accumulator and settled with a single combined MSM -- the
-        per-proof cost drops accordingly (DESIGN.md section 5f)."""
+        accumulator and settled with a single combined MSM (DESIGN.md
+        section 5g); :meth:`verify` is this with one response."""
         return self.verifier().batch_verify(responses)
 
     def aggregate(self, responses: Sequence[QueryResponse]) -> AggProof:

@@ -13,10 +13,11 @@ non-interactive zero-knowledge proof, and verifies such proofs:
    everything at a random point (x) and batch the openings through the
    IPA (:mod:`repro.proving.multiopen`).
 3. :mod:`repro.proving.verifier` -- recompute every challenge, check
-   the combined constraint identity at x, and verify the batched IPA
-   openings -- optionally deferring their linear-time base-folding MSMs
-   into a :class:`repro.proving.recursion.Accumulator` (the recursive
-   proof-composition technique the paper leverages).
+   the combined constraint identity at x, and check the batched IPA
+   openings, their linear-time base-folding MSMs deferred into a
+   :class:`repro.proving.recursion.Accumulator` (the recursive
+   proof-composition technique the paper leverages) that one finalize
+   settles -- for one proof or for many.
 
 What the two sides must agree on exists once: the proof's sections,
 wire codec and transcript order in :mod:`repro.proving.proof`

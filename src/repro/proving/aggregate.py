@@ -1,11 +1,10 @@
 """Recursive proof aggregation: fold N query proofs into one claim.
 
 The paper's verification story leans on recursive proof composition
-reducing overall proof size and verification overhead; PR 6's
-``batch_verify`` already amortizes the per-proof base-folding MSMs into
-one recursion :class:`~repro.proving.recursion.Accumulator` finalize,
-but only for in-memory responses inside one process.  This module makes
-the aggregated claim a *transportable artifact*:
+reducing overall proof size and verification overhead.  This module
+defines the unit every verification surface works on -- the *claim*
+(:class:`AggEntry`: sql, encoded result, scan links, proof bytes) --
+and makes a list of them a *transportable artifact*:
 
 - :func:`aggregate` packages N query responses -- across queries and
   sessions, as long as they share one exact ``PublicParams`` set --
@@ -15,10 +14,11 @@ the aggregated claim a *transportable artifact*:
   scalars, strict UTF-8, no trailing bytes), so an aggregated day of
   traffic can be shipped to a light client or pinned in an audit log;
 - :meth:`repro.system.verifier_node.VerifierNode.verify_aggregate`
-  replays each folded claim's cheap logarithmic checks and settles all
-  of their linear-time MSMs with **one** fixed-base finalize, and
+  decodes it and hands the entries to the same engine as ``verify`` /
+  ``batch_verify``: each claim's cheap logarithmic checks replay, all
+  of their linear-time MSMs settle in **one** fixed-base finalize, and
   :func:`repro.system.audit.audit_aggregate` attests the whole batch by
-  checking that one accumulator instead of replaying every proof.
+  that one check instead of replaying every proof.
 
 Soundness note: the combination weights must be verifier coins, so the
 aggregate carries the *claims* (sql, result, scan links, proof bytes),
@@ -31,7 +31,7 @@ logarithmic work remains, which is exactly the Halo-style cost split.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.algebra.field import Field, SCALAR_FIELD
@@ -63,10 +63,11 @@ _MIN_ENTRY_BYTES = 4 + 4 + 4 + 4 + 4 + 4
 
 @dataclass
 class ScanLinkClaim:
-    """One scan-link binding claim carried inside an aggregate entry
-    (same fields as :class:`repro.system.prover_node.ScanLinkProof`,
-    redeclared here so the proving layer does not depend on the system
-    layer)."""
+    """One scan-link binding claim: the blinding ``delta`` between the
+    proof's advice commitment ``advice_index`` and the database
+    commitment of ``table.column``.  The prover reveals one per scanned
+    column (``QueryResponse.scan_links``) and an aggregate entry
+    carries them verbatim."""
 
     advice_index: int
     table: str
@@ -76,13 +77,27 @@ class ScanLinkClaim:
 
 @dataclass
 class AggEntry:
-    """One folded query claim: everything a verifier needs to replay
-    the proof's cheap checks and contribute its MSM to the fold."""
+    """One query claim: everything a verifier needs to replay the
+    proof's cheap checks and contribute its MSM to the fold.  Every
+    verification surface checks this -- a lone response, a batch and a
+    decoded aggregate differ only in how many there are."""
 
     sql: str
     result_encoded: list[list[int]]
     scan_links: list[ScanLinkClaim]
     proof_bytes: bytes
+
+    @classmethod
+    def from_response(cls, response) -> "AggEntry":
+        """The claim a :class:`~repro.system.prover_node.QueryResponse`
+        makes; the proof is taken as its wire bytes, never as the
+        prover's in-memory object."""
+        return cls(
+            sql=response.sql,
+            result_encoded=[list(row) for row in response.result_encoded],
+            scan_links=[replace(link) for link in response.scan_links],
+            proof_bytes=response.wire_bytes(),
+        )
 
 
 @dataclass
@@ -113,9 +128,11 @@ class AggProof:
 
     def to_bytes(self) -> bytes:
         """Canonical serialization (format ``PDBA``); layout documented
-        in DESIGN.md section 5g.  Scalars are reduced into the scalar
-        field so every value has exactly one encoding; the strict
-        inverse is :meth:`from_bytes`."""
+        in DESIGN.md section 5g.  A claim is encoded as it stands or
+        not at all: what :meth:`from_bytes` would refuse (no entries,
+        ragged rows, a scalar outside ``[0, p)``, an over-long field)
+        raises ``ValueError`` here, so the bytes never say something
+        the object did not."""
         if not self.entries:
             raise ValueError("cannot serialize an empty aggregate")
         if len(self.params_fingerprint) != FINGERPRINT_BYTES:
@@ -126,10 +143,14 @@ class AggProof:
         chunks: list[bytes] = [AGG_MAGIC, self.params_fingerprint]
 
         def put_u32(value: int) -> None:
+            if not 0 <= value < 1 << 32:
+                raise ValueError(f"{value} does not fit a u32 field")
             chunks.append(value.to_bytes(4, "little"))
 
         def put_scalar(value: int) -> None:
-            chunks.append((value % p).to_bytes(SCALAR_BYTES, "little"))
+            if not 0 <= value < p:
+                raise ValueError("non-canonical scalar in aggregate entry")
+            chunks.append(value.to_bytes(SCALAR_BYTES, "little"))
 
         def put_blob(raw: bytes, what: str, max_len: int) -> None:
             if len(raw) > max_len:
@@ -239,12 +260,10 @@ def aggregate(
     """Fold N query responses into one transportable aggregated claim.
 
     ``responses`` are :class:`~repro.system.prover_node.QueryResponse`
-    objects (or anything exposing ``sql`` / ``result_encoded`` /
-    ``scan_links`` / ``wire_bytes()``); ``params`` is the exact public
-    parameter set every proof was created under -- the aggregate is
-    bound to its content fingerprint, and
-    ``VerifierNode.verify_aggregate`` rejects the claim under any other
-    parameters (same size included).
+    objects; ``params`` is the exact public parameter set every proof
+    was created under -- the aggregate is bound to its content
+    fingerprint, and ``VerifierNode.verify_aggregate`` rejects the
+    claim under any other parameters (same size included).
 
     The entries keep each proof's wire bytes verbatim: the random fold
     weights must be the *verifier's* coins, so the fold itself happens
@@ -253,26 +272,9 @@ def aggregate(
     """
     if not responses:
         raise ValueError("cannot aggregate zero proofs")
-    entries = [
-        AggEntry(
-            sql=response.sql,
-            result_encoded=[list(row) for row in response.result_encoded],
-            scan_links=[
-                ScanLinkClaim(
-                    advice_index=link.advice_index,
-                    table=link.table,
-                    column=link.column,
-                    delta=link.delta,
-                )
-                for link in response.scan_links
-            ],
-            proof_bytes=response.wire_bytes(),
-        )
-        for response in responses
-    ]
     return AggProof(
         params_fingerprint=bytes.fromhex(params.fingerprint()),
-        entries=entries,
+        entries=[AggEntry.from_response(response) for response in responses],
     )
 
 

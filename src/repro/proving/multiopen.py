@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.algebra.field import Field
-from repro.commit.ipa import IpaProof, open_polynomial, verify_opening
+from repro.commit.ipa import IpaProof, open_polynomial
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
 from repro.ecc.msm import msm
@@ -36,15 +36,27 @@ class OpeningClaim:
     evaluation: int
 
 
-def _group_by_point(claims: list[OpeningClaim]) -> list[tuple[int, list[OpeningClaim]]]:
+def _fold_by_point(transcript: Transcript, claims: list[OpeningClaim], p: int):
+    """The per-point fold both sides share: draw the batching challenge
+    ``v``, then per distinct point (in order of first appearance)
+    weight the group's claims by ``1, v, v^2, ...``, absorb the point
+    and the combined evaluation, and yield ``(point, group, weights,
+    combined_eval)`` -- the IPA rounds of one point run before the next
+    point is absorbed."""
+    v = transcript.challenge_scalar(b"multiopen-v")
     groups: dict[int, list[OpeningClaim]] = {}
-    order: list[int] = []
     for claim in claims:
-        if claim.point not in groups:
-            groups[claim.point] = []
-            order.append(claim.point)
-        groups[claim.point].append(claim)
-    return [(pt, groups[pt]) for pt in order]
+        groups.setdefault(claim.point, []).append(claim)
+    for point, group in groups.items():
+        weights = [1]
+        for _ in group[1:]:
+            weights.append(weights[-1] * v % p)
+        combined_eval = (
+            sum(w * claim.evaluation for w, claim in zip(weights, group)) % p
+        )
+        transcript.absorb_scalar(b"multiopen-point", point)
+        transcript.absorb_scalar(b"multiopen-eval", combined_eval)
+        yield point, group, weights, combined_eval
 
 
 def multi_open(
@@ -60,23 +72,16 @@ def multi_open(
     challenge and the IPA rounds are added here.
     """
     p = field.p
-    v = transcript.challenge_scalar(b"multiopen-v")
     proofs: list[tuple[int, IpaProof]] = []
-    for point, group in _group_by_point(claims):
+    for point, group, weights, _ in _fold_by_point(transcript, claims, p):
         with telemetry.span("multiopen.open", claims=len(group)):
             combined = [0] * params.n
             combined_blind = 0
-            combined_eval = 0
-            v_pow = 1
-            for claim in group:
+            for weight, claim in zip(weights, group):
                 assert claim.coeffs is not None and claim.blind is not None
                 for i, c in enumerate(claim.coeffs):
-                    combined[i] = (combined[i] + v_pow * c) % p
-                combined_blind = (combined_blind + v_pow * claim.blind) % p
-                combined_eval = (combined_eval + v_pow * claim.evaluation) % p
-                v_pow = v_pow * v % p
-            transcript.absorb_scalar(b"multiopen-point", point)
-            transcript.absorb_scalar(b"multiopen-eval", combined_eval)
+                    combined[i] = (combined[i] + weight * c) % p
+                combined_blind = (combined_blind + weight * claim.blind) % p
             proof = open_polynomial(
                 params, transcript, combined, combined_blind, point, field
             )
@@ -90,46 +95,29 @@ def multi_verify(
     claims: list[OpeningClaim],
     openings: list[tuple[int, IpaProof]],
     field: Field,
-    accumulator: Accumulator | None = None,
+    accumulator: Accumulator,
 ) -> bool:
-    """Verify the batched openings produced by :func:`multi_open`.
+    """Check the batched openings produced by :func:`multi_open`, up to
+    their base-folding MSMs.
 
-    With an :class:`Accumulator`, the linear-time base-folding MSM of
-    each IPA is deferred and amortized (recursive composition); the
-    caller must eventually call ``accumulator.finalize()``.
+    The logarithmic part of every IPA runs here; the linear-time MSM of
+    each is deferred into ``accumulator`` (recursive composition), so
+    ``True`` is provisional until the caller's
+    ``accumulator.finalize()`` also passes.
     """
-    p = field.p
-    v = transcript.challenge_scalar(b"multiopen-v")
-    groups = _group_by_point(claims)
-    if len(groups) != len(openings):
+    if len({claim.point for claim in claims}) != len(openings):
         return False
-    for (point, group), (proof_point, proof) in zip(groups, openings):
-        if point != proof_point:
-            return False
+    folds = _fold_by_point(transcript, claims, field.p)
+    for (point, group, weights, combined_eval), (proof_point, proof) in zip(
+        folds, openings
+    ):
         # Structural rejection before the combining MSM: a proof with a
         # wrong round count can never verify, so fail before doing the
         # expensive group arithmetic on attacker-controlled input.
-        if len(proof.rounds) != params.k:
+        if point != proof_point or len(proof.rounds) != params.k:
             return False
-        commitments: list[Point] = []
-        scalars: list[int] = []
-        combined_eval = 0
-        v_pow = 1
-        for claim in group:
-            commitments.append(claim.commitment)
-            scalars.append(v_pow)
-            combined_eval = (combined_eval + v_pow * claim.evaluation) % p
-            v_pow = v_pow * v % p
-        combined_commitment = msm(commitments, scalars)
-        transcript.absorb_scalar(b"multiopen-point", point)
-        transcript.absorb_scalar(b"multiopen-eval", combined_eval)
-        if accumulator is not None:
-            if not accumulator.defer_opening(
-                params, transcript, combined_commitment, point, combined_eval,
-                proof, field,
-            ):
-                return False
-        elif not verify_opening(
+        combined_commitment = msm([c.commitment for c in group], weights)
+        if not accumulator.defer_opening(
             params, transcript, combined_commitment, point, combined_eval,
             proof, field,
         ):

@@ -26,14 +26,9 @@ performs the single combined check.  Lifecycle rules:
 - :meth:`finalize` **consumes** the accumulator.  The folded claims are
   spent by the check; keeping them around would let a reused
   accumulator re-fold stale claims (or let a failed batch re-verify
-  double-count).  After finalize, :meth:`defer_opening`,
-  :meth:`absorb`, and a second :meth:`finalize` all raise
-  :class:`~repro.errors.StateError` -- callers start a fresh
-  accumulator per batch/epoch.
-- :meth:`absorb` incrementally merges another (live) accumulator's
-  claims under a fresh random weight and consumes the source -- the
-  building block for epoch rollups that fold sub-batches as they
-  complete.
+  double-count).  After finalize, :meth:`defer_opening` and a second
+  :meth:`finalize` raise :class:`~repro.errors.StateError` -- callers
+  start a fresh accumulator per batch.
 """
 
 from __future__ import annotations
@@ -72,14 +67,14 @@ class Accumulator:
 
     @property
     def consumed(self) -> bool:
-        """True once :meth:`finalize` (or :meth:`absorb` by another
-        accumulator) has spent this accumulator's claims."""
+        """True once :meth:`finalize` has spent this accumulator's
+        claims."""
         return self._consumed
 
     def _require_live(self, action: str) -> None:
         if self._consumed:
             raise StateError(
-                f"accumulator already consumed by finalize()/absorb(); "
+                f"accumulator already consumed by finalize(); "
                 f"cannot {action} -- create a fresh Accumulator per batch"
             )
 
@@ -125,39 +120,13 @@ class Accumulator:
         self._deferred += 1
         return True
 
-    def absorb(self, other: "Accumulator") -> None:
-        """Incrementally merge ``other``'s folded claims into this
-        accumulator under a fresh random weight, consuming ``other``.
-
-        Both accumulators must be live and bound to the same parameter
-        fingerprint.  This is the epoch-rollup primitive: sub-batches
-        can be folded as they complete, and one finalize settles all of
-        them.
-        """
-        self._require_live("absorb another accumulator")
-        other._require_live("be absorbed")
-        if other.params_fingerprint != self.params_fingerprint:
-            raise StateError(
-                "cannot absorb an accumulator bound to different public "
-                "parameters"
-            )
-        rho = self.field.rand()
-        p = self.field.p
-        scalars = self._scalars
-        for i, si in enumerate(other._scalars):
-            if si:
-                scalars[i] = (scalars[i] + rho * si) % p
-        self._residual = self._residual + other._residual * rho
-        self._deferred += other._deferred
-        other._consume()
-
     def finalize(self) -> bool:
         """Perform the single combined MSM check for all deferred
         claims, consuming the accumulator.
 
         The claims are spent whether the check passes or fails; any
-        further :meth:`defer_opening`, :meth:`absorb`, or
-        :meth:`finalize` raises :class:`~repro.errors.StateError`.
+        further :meth:`defer_opening` or :meth:`finalize` raises
+        :class:`~repro.errors.StateError`.
         """
         self._require_live("finalize")
         if self._deferred == 0:

@@ -7,10 +7,11 @@ rounds to recompute every Fiat-Shamir challenge
 :meth:`~repro.proving.proof.Proof.absorb_round`), evaluates the
 constraint identity of :mod:`repro.proving.protocol` at the random
 point ``x`` using the opened evaluations, checks it equals
-``h(x) * (x^n - 1)``, and finally verifies the batched IPA openings of
-:func:`~repro.proving.protocol.opening_schedule` -- either immediately
-or deferred into a recursion
-:class:`~repro.proving.recursion.Accumulator`.  Nothing here is a copy
+``h(x) * (x^n - 1)``, and finally checks the batched IPA openings of
+:func:`~repro.proving.protocol.opening_schedule`, their linear-time
+MSMs deferred into a recursion
+:class:`~repro.proving.recursion.Accumulator` -- the caller's, or one
+of its own that it settles before returning.  Nothing here is a copy
 of the prover: both sides walk the same schema, schedule and formulas.
 """
 
@@ -46,6 +47,12 @@ def verify_proof(
 
     ``instance`` holds one list of field values per instance column
     (padded with zeros to the circuit's row count by this function).
+
+    With an ``accumulator``, ``True`` is provisional: the openings'
+    base-folding MSMs are still owed, and the caller settles them (with
+    any other proofs') by ``accumulator.finalize()``.  Without one the
+    proof gets its own accumulator, finalized here, and the answer is
+    final.
     """
     field: Field = vk.field
     p = field.p
@@ -132,6 +139,12 @@ def verify_proof(
                 read(owner, commitment), read(proof, evaluation),
             )
         )
-    return multi_verify(
-        params, transcript, claims, proof.openings, field, accumulator
+    if accumulator is not None:
+        return multi_verify(
+            params, transcript, claims, proof.openings, field, accumulator
+        )
+    own = Accumulator(params, field)
+    return (
+        multi_verify(params, transcript, claims, proof.openings, field, own)
+        and own.finalize()
     )

@@ -7,7 +7,7 @@ asserting every single one is rejected -- either by the strict wire
 decoder (:meth:`repro.proving.proof.Proof.from_bytes`) or by the
 cryptographic checks in :func:`repro.proving.verifier.verify_proof`.
 
-Two mutation families:
+Three mutation families:
 
 **Field-level** (:func:`field_mutators`): every field of the
 :class:`~repro.proving.proof.Proof` dataclass is perturbed through the
@@ -22,7 +22,14 @@ to the honest wire bytes, sampling positions with a stride so the sweep
 stays fast at any proof size.  Swaps of equal bytes are skipped -- they
 reproduce the honest encoding and would be false "accepts".
 
-:func:`run_tamper_suite` drives both families and returns a
+**Claim-level** (:func:`claim_mutators`): the proof is left alone and
+what is claimed *around* it is attacked -- scan links repeated,
+dropped or pointed at another column, deltas and result values bumped
+or shifted by ``+-p``, result rows added and dropped.  These go
+through every surface of
+:class:`~repro.system.verifier_node.VerifierNode`.
+
+:func:`run_tamper_suite` drives the first two families and returns a
 :class:`TamperReport`; the acceptance criterion everywhere is
 ``report.accepted == []``.
 
@@ -37,9 +44,9 @@ the honest prover never emits such bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.proving.proof import SECTIONS, Proof
 from repro.proving.verifier import verify_proof
@@ -72,6 +79,17 @@ class TamperReport:
     #: labels of mutations that VERIFIED -- soundness bugs; must be [].
     accepted: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+
+    def record(self, label: str, outcome: str) -> None:
+        """Tally one mutation's outcome (``"decode"``, ``"verify"`` or
+        ``"accepted"``)."""
+        self.total += 1
+        if outcome == "decode":
+            self.rejected_decode += 1
+        elif outcome == "verify":
+            self.rejected_verify += 1
+        else:
+            self.accepted.append(label)
 
     def summary(self) -> str:
         return (
@@ -155,6 +173,60 @@ def field_mutators(template: Proof) -> Iterator[tuple[str, Mutator]]:
             f"openings[{i}].rounds.drop",
             lambda pr, i=i: pr.openings[i][1].rounds.pop(),
         )
+
+
+# -- claim-level mutations --------------------------------------------------
+
+ClaimMutator = Callable[[Any], None]
+
+
+def claim_mutators(p: int) -> Iterator[tuple[str, ClaimMutator]]:
+    """Yield ``(label, mutate)`` pairs that leave the proof alone (but
+    for one flipped byte) and perturb what is *claimed* around it: the
+    scan links that bind it to the database commitment and the encoded
+    result it is checked against, over the scalar field of order ``p``.
+
+    ``mutate`` edits, in place, anything with ``scan_links`` /
+    ``result_encoded`` / ``proof_bytes`` (a ``QueryResponse``, an
+    ``AggEntry``) whose lists the caller has copied; links are replaced,
+    never written to.  The honest claim needs two scan links and one
+    result row for every mutation to differ from it.
+    """
+
+    def relink(c, **changes) -> None:
+        c.scan_links[0] = replace(c.scan_links[0], **changes)
+
+    def repeat_first(c) -> None:
+        c.scan_links[:] = [c.scan_links[0]] * len(c.scan_links)
+
+    def bump_cell(c, by: int) -> None:
+        c.result_encoded[0][0] += by
+
+    def flip_byte(c) -> None:
+        raw = bytearray(c.proof_bytes)
+        raw[-40] ^= 1  # inside the last opening: decodes, must not verify
+        c.proof_bytes = bytes(raw)
+
+    yield "links.repeat-first", repeat_first
+    yield "links.dup", lambda c: c.scan_links.append(c.scan_links[-1])
+    yield "links.drop", lambda c: c.scan_links.pop()
+    yield "links[0].other-column", lambda c: relink(
+        c, column=c.scan_links[1].column
+    )
+    yield "links[0].other-advice", lambda c: relink(
+        c, advice_index=c.scan_links[1].advice_index
+    )
+    for label, by in (("+1", 1), ("+p", p), ("-p", -p)):
+        yield f"links[0].delta{label}", lambda c, by=by: relink(
+            c, delta=c.scan_links[0].delta + by
+        )
+        yield f"result[0][0]{label}", lambda c, by=by: bump_cell(c, by)
+    yield "result.extra-row", lambda c: c.result_encoded.append(
+        list(c.result_encoded[0])
+    )
+    yield "result.drop-row", lambda c: c.result_encoded.pop()
+    yield "result[0].extra-column", lambda c: c.result_encoded[0].append(0)
+    yield "proof.bit-flip", flip_byte
 
 
 # -- byte-level mutations ---------------------------------------------------
@@ -246,14 +318,9 @@ def run_aggregate_tamper_suite(
     if check_tampered_aggregate(verifier, agg_bytes) != "accepted":
         raise AssertionError("honest aggregate failed its own round-trip")
     for label, mutated in byte_mutations(agg_bytes, stride):
-        outcome = check_tampered_aggregate(verifier, mutated)
-        report.total += 1
-        if outcome == "decode":
-            report.rejected_decode += 1
-        elif outcome == "verify":
-            report.rejected_verify += 1
-        else:
-            report.accepted.append(f"agg-bytes:{label}")
+        report.record(
+            f"agg-bytes:{label}", check_tampered_aggregate(verifier, mutated)
+        )
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 
@@ -278,25 +345,21 @@ def run_tamper_suite(
     if check_tampered_bytes(vk, honest, instance) != "accepted":
         raise AssertionError("honest proof failed its own wire round-trip")
 
-    def record(label: str, outcome: str) -> None:
-        report.total += 1
-        if outcome == "decode":
-            report.rejected_decode += 1
-        elif outcome == "verify":
-            report.rejected_verify += 1
-        else:
-            report.accepted.append(label)
-
     if include_field_level:
         template = Proof.from_bytes(vk, honest)
         for label, mutate in field_mutators(template):
             victim = Proof.from_bytes(vk, honest)
             mutate(victim)
-            record(f"field:{label}", check_tampered_bytes(vk, victim.to_bytes(), instance))
+            report.record(
+                f"field:{label}",
+                check_tampered_bytes(vk, victim.to_bytes(), instance),
+            )
 
     if include_byte_level:
         for label, mutated in byte_mutations(honest, stride):
-            record(f"bytes:{label}", check_tampered_bytes(vk, mutated, instance))
+            report.record(
+                f"bytes:{label}", check_tampered_bytes(vk, mutated, instance)
+            )
 
     report.elapsed_seconds = time.perf_counter() - t0
     return report

@@ -5,8 +5,9 @@
   results plus non-interactive proofs;
 - :class:`~repro.system.verifier_node.VerifierNode` holds only public
   metadata and the database commitment, regenerates the circuit and
-  verifying key deterministically, and checks proofs (optionally
-  batching the expensive checks through the recursion accumulator);
+  verifying key deterministically, and checks proofs -- one, a batch
+  or an aggregate -- settling their expensive checks with one
+  recursion-accumulator finalize;
 - :func:`~repro.system.audit.audit` is the trusted third party that
   attests the published commitment matches the authentic raw database.
 """

@@ -9,6 +9,7 @@ proof links to.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,10 +21,10 @@ from repro.db.commitment import (
     audit_commitment,
 )
 from repro.db.database import Database
+from repro.proving.aggregate import AggProof
 from repro.wire import WireFormatError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.proving.aggregate import AggProof
     from repro.system.verifier_node import VerifierNode
 
 
@@ -65,46 +66,24 @@ def audit_aggregate(
     the content digest of those bytes.  Anyone holding the certificate
     can later match an audit-log entry against the digest without
     re-verifying."""
-    span = telemetry.begin_span("audit_aggregate")
-    try:
-        cert = _audit_aggregate_inner(verifier, agg)
-    except BaseException:
-        span.end(status="error")
-        raise
-    span.set(valid=cert.valid, proofs=cert.proofs).end()
-    cert.elapsed_seconds = span.duration
-    return cert
-
-
-def _audit_aggregate_inner(
-    verifier: "VerifierNode", agg: "AggProof | bytes"
-) -> AggregateAuditCertificate:
-    import hashlib
-
-    from repro.proving.aggregate import AggProof
-
-    if isinstance(agg, (bytes, bytearray, memoryview)):
-        data = bytes(agg)
-    else:
+    with telemetry.timed_span("audit_aggregate") as span:
         try:
-            data = agg.to_bytes()
+            data = agg.to_bytes() if isinstance(agg, AggProof) else bytes(agg)
         except ValueError as exc:
-            return AggregateAuditCertificate(
+            cert = AggregateAuditCertificate(
                 b"", 0, False, f"aggregate not serializable: {exc}"
             )
-    digest = hashlib.blake2b(data, digest_size=20).digest()
-    try:
-        decoded = AggProof.from_bytes(data, verifier.field)
-    except WireFormatError as exc:
-        return AggregateAuditCertificate(
-            digest, 0, False, f"aggregate decode failed: {exc}"
-        )
-    report = verifier.verify_aggregate(decoded)
-    if not report.accepted:
-        return AggregateAuditCertificate(
-            digest, decoded.proofs, False, report.reason
-        )
-    return AggregateAuditCertificate(digest, decoded.proofs, True)
+        else:
+            report = verifier.verify_aggregate(data)
+            cert = AggregateAuditCertificate(
+                hashlib.blake2b(data, digest_size=20).digest(),
+                report.proofs,
+                report.accepted,
+                report.reason,
+            )
+        span.set(valid=cert.valid, proofs=cert.proofs)
+    cert.elapsed_seconds = span.duration
+    return cert
 
 
 def audit(
@@ -122,13 +101,9 @@ def audit(
     exactly what decodes -- including the Merkle-root consistency check
     baked into ``from_bytes``.  The whole check runs under a timed
     ``audit`` telemetry span that also provides ``elapsed_seconds``."""
-    span = telemetry.begin_span("audit", k=commitment.k)
-    try:
+    with telemetry.timed_span("audit", k=commitment.k) as span:
         cert = _audit_inner(db, commitment, secrets, params)
-    except BaseException:
-        span.end(status="error")
-        raise
-    span.set(valid=cert.valid).end()
+        span.set(valid=cert.valid)
     cert.elapsed_seconds = span.duration
     return cert
 

@@ -24,6 +24,7 @@ from repro.db.commitment import (
 )
 from repro.db.database import Database
 from repro.plonkish.assignment import Assignment
+from repro.proving.aggregate import ScanLinkClaim
 from repro.proving.keygen import (
     ProvingKey,
     cached_keygen,
@@ -38,17 +39,6 @@ from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.system.metadata import PublicMetadata
-
-
-@dataclass
-class ScanLinkProof:
-    """Reveals the blinding delta between a scan advice commitment and
-    the corresponding database column commitment."""
-
-    advice_index: int
-    table: str
-    column: str
-    delta: int
 
 
 @dataclass
@@ -70,7 +60,7 @@ class QueryResponse:
     result: list[list[Any]]
     column_names: list[str]
     proof: Proof
-    scan_links: list[ScanLinkProof]
+    scan_links: list[ScanLinkClaim]
     proof_bytes: bytes = b""
     timing: ProverTiming = field(default_factory=ProverTiming)
     circuit_summary: dict[str, int] = field(default_factory=dict)
@@ -228,7 +218,7 @@ class ProverNode:
             # the advice commitments differ from the database commitments
             # only in the W component.
             blind_overrides: dict[int, int] = {}
-            links: list[ScanLinkProof] = []
+            links: list[ScanLinkClaim] = []
             for link in compiled.scan_links:
                 secret = self._secrets.columns[(link.table, link.column)]
                 advice_col = compiled.cs.advice_columns[link.advice_index]
@@ -238,7 +228,7 @@ class ProverNode:
                     secret.blind + delta
                 ) % self.field.p
                 links.append(
-                    ScanLinkProof(
+                    ScanLinkClaim(
                         link.advice_index, link.table, link.column, delta
                     )
                 )

@@ -1,24 +1,33 @@
-"""The verifier: checks query responses against the database commitment.
+"""The verifier: checks query claims against the database commitment.
 
-Workflow (paper Figure 2, phase 5) plus the binding checks:
+One engine serves every surface: ``verify`` (one response),
+``batch_verify`` (many) and ``verify_aggregate`` (a ``PDBA`` envelope)
+all hand a list of claims -- sql, encoded result, scan links, proof
+bytes -- to :meth:`VerifierNode._verify_claims`.  Per claim (paper
+Figure 2, phase 5, plus the binding checks):
 
 1. Recompile the query circuit from public metadata only and
    regenerate the verifying key (deterministic keygen -- no trust in
    prover-supplied keys).
-2. Decode the proof from its **wire bytes** with strict validation
+2. Check the claim has the circuit's shape: result rows of the query's
+   width, canonical scalars, and scan links that are exactly the
+   compiled circuit's scanned columns.
+3. Decode the proof from its **wire bytes** with strict validation
    (:meth:`repro.proving.proof.Proof.from_bytes`) -- the verifier never
    trusts the prover's in-memory proof object, so this path exercises
    exactly what a remote prover could send.
-3. Check every scan link: the proof's advice commitment for a scanned
+4. Check every scan link: the proof's advice commitment for a scanned
    column must equal the published database column commitment shifted
    by ``delta * W`` -- binding the proof to the committed database.
-4. Verify the proof against the claimed result (instance columns).
+5. Verify the proof against the claimed result (instance columns),
+   its openings' linear-time MSMs deferred into the one recursion
+   accumulator the whole list shares and one finalize settles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from repro import telemetry
 
@@ -27,7 +36,7 @@ from repro.commit.params import PublicParams
 from repro.db.commitment import DatabaseCommitment
 from repro.errors import VerificationFailure
 from repro.plonkish.assignment import Assignment
-from repro.proving.aggregate import AggProof
+from repro.proving.aggregate import AggEntry, AggProof
 from repro.proving.keygen import finalize_fixed, keygen
 from repro.proving.proof import Proof
 from repro.proving.recursion import Accumulator
@@ -43,8 +52,6 @@ from repro.system.prover_node import QueryResponse
 #: fingerprint); bounded so a hostile query stream cannot grow the
 #: verifier without limit.
 _VK_CACHE_MAX = 32
-
-_Item = TypeVar("_Item")
 
 
 @dataclass
@@ -79,8 +86,9 @@ class BatchReport:
     ``reports`` holds one :class:`VerificationReport` per response, in
     submission order; ``accepted`` is True only when every individual
     report accepted *and* the shared accumulator's single folded MSM
-    check passed.  ``deferred_openings`` counts the per-proof IPA
-    base-folding MSMs that were amortized into that one final check.
+    check passed.  ``deferred_openings`` counts the IPA base-folding
+    MSMs (one per opening point per proof) that one final check
+    settled.
     """
 
     accepted: bool
@@ -180,270 +188,180 @@ class VerifierNode:
         self._vk_cache[memo_key] = (compiled, pk.vk)
         return compiled, pk.vk
 
-    def verify(
-        self,
-        response: QueryResponse,
-        accumulator: Accumulator | None = None,
-    ) -> VerificationReport:
-        """Check a query response.  The whole check runs under a timed
-        ``verify`` telemetry span, which is also the single source of the
-        report's ``elapsed_seconds`` (no local clock arithmetic)."""
-        return self._verify_timed(
-            response.sql,
-            response.result_encoded,
-            response.scan_links,
-            response.wire_bytes(),
-            accumulator,
-        )
-
-    def _verify_timed(
-        self,
-        sql: str,
-        result_encoded: list[list[int]],
-        scan_links: Sequence,
-        wire: bytes,
-        accumulator: Accumulator | None,
-    ) -> VerificationReport:
-        span = telemetry.begin_span("verify", sql=sql)
-        try:
-            report = self._verify_claim(
-                sql, result_encoded, scan_links, wire, accumulator
-            )
-        except BaseException:
-            span.end(status="error")
-            raise
-        span.set(accepted=report.accepted).end()
-        report.elapsed_seconds = span.duration
-        telemetry.observe("verify.seconds", span.duration)
-        return report
-
-    def _verify_claim(
-        self,
-        sql: str,
-        result_encoded: list[list[int]],
-        scan_links: Sequence,
-        wire: bytes,
-        accumulator: Accumulator | None,
-    ) -> VerificationReport:
-        """The per-claim verification core, shared by :meth:`verify`
-        (claims arrive inside a :class:`QueryResponse`) and
-        :meth:`verify_aggregate` (claims arrive as decoded ``PDBA``
-        entries).  ``scan_links`` is any sequence of objects with
-        ``advice_index`` / ``table`` / ``column`` / ``delta``."""
-        try:
-            with telemetry.span("verify.rebuild_vk"):
-                compiled, vk = self.rebuild_verifying_key(
-                    sql, len(result_encoded)
-                )
-        except Exception as exc:  # malformed query == reject
-            return VerificationReport(False, f"recompilation failed: {exc}")
-
-        # Structural cross-checks before any crypto.
-        if len(compiled.scan_links) != len(scan_links):
-            return VerificationReport(False, "scan link count mismatch")
-        if compiled.limit is not None and len(
-            result_encoded
-        ) > compiled.limit:
-            return VerificationReport(False, "result exceeds LIMIT")
-        if len(result_encoded) > compiled.usable_rows:
-            return VerificationReport(False, "result exceeds circuit capacity")
-
-        # Decode the proof from wire bytes -- the only trusted source.
-        try:
-            proof = Proof.from_bytes(vk, wire)
-        except WireFormatError as exc:
-            return VerificationReport(
-                False,
-                f"proof decode failed: {exc}",
-                proof_size_bytes=len(wire),
-            )
-
-        # Scan links: advice commitment == db column commitment + delta*W.
-        expected_links = {
-            (l.advice_index, l.table, l.column) for l in compiled.scan_links
-        }
-        for link in scan_links:
-            if (link.advice_index, link.table, link.column) not in expected_links:
-                return VerificationReport(False, "unexpected scan link")
-            if link.advice_index >= len(proof.advice_commitments):
-                return VerificationReport(False, "scan link out of range")
-            db_commit = self.commitment.column_commitments.get(
-                (link.table, link.column)
-            )
-            if db_commit is None:
-                return VerificationReport(False, "column not in commitment")
-            advice_commit = proof.advice_commitments[link.advice_index]
-            if advice_commit != db_commit + self.params.w * link.delta:
-                return VerificationReport(
-                    False,
-                    f"scan link broken for {link.table}.{link.column}: the "
-                    "proof was not computed over the committed database",
-                )
-
-        instance = compiled.instance_vectors(result_encoded)
-        with telemetry.span("verify.proof"):
-            ok = verify_proof(vk, proof, instance, accumulator)
-        if not ok:
-            return VerificationReport(
-                False, "proof rejected", proof_size_bytes=len(wire)
-            )
-        return VerificationReport(True, proof_size_bytes=len(wire))
-
-    def _amortized_verify(
-        self,
-        items: Sequence[_Item],
-        verify_item: Callable[
-            [_Item, Accumulator | None], VerificationReport
-        ],
-    ) -> tuple[bool, list[VerificationReport], str, float, int]:
-        """The shared deferred-MSM engine behind :meth:`batch_verify`
-        and :meth:`verify_aggregate`.
-
-        Runs every item's full cheap pipeline against one fresh
-        recursion accumulator, settles all deferred base-folding MSMs
-        with a single finalize, and -- because a failed fold cannot say
-        *which* claim broke -- re-verifies provisionally-accepted items
-        eagerly to attribute the failure.  The accumulator is consumed
-        by its finalize either way (fresh one per call), so stale
-        claims can never leak into a later batch.
-
-        Returns ``(accepted, reports, reason, finalize_seconds,
-        deferred_openings)``.
-        """
-        accumulator = Accumulator(self.params, self.field)
-        reports = [verify_item(item, accumulator) for item in items]
-        deferred = accumulator.deferred_count
-        finalize_sw = telemetry.stopwatch().start()
-        folded_ok = accumulator.finalize()
-        finalize_seconds = finalize_sw.end()
-        reason = ""
-        if not folded_ok:
-            reason = "batch accumulator check failed"
-            for i, item in enumerate(items):
-                if reports[i].accepted:
-                    reports[i] = verify_item(item, None)
-        if not all(rep.accepted for rep in reports):
-            reason = reason or "proof(s) rejected"
-        accepted = folded_ok and all(rep.accepted for rep in reports)
-        return accepted, reports, reason, finalize_seconds, deferred
+    def verify(self, response: QueryResponse) -> VerificationReport:
+        """Check one query response: a batch of one."""
+        claim = AggEntry.from_response(response)
+        return self._verify_claims([claim]).reports[0]
 
     def batch_verify(
         self, responses: Sequence[QueryResponse]
     ) -> BatchReport:
-        """Verify many responses, amortizing the expensive MSMs.
+        """Verify many responses with one folded MSM for all of them
+        (``BatchReport.deferred_openings`` counts what it settled)."""
+        return self._verify_claims(
+            [AggEntry.from_response(response) for response in responses]
+        )
 
-        Each proof runs the full per-proof pipeline (wire decode, scan
-        links, constraint identity, logarithmic IPA round checks), but
-        the *linear-time* base-folding MSM of every IPA opening is
-        deferred into one shared recursion
-        :class:`~repro.proving.recursion.Accumulator` -- the same trick
-        :func:`~repro.proving.multiopen.multi_verify` plays across the
-        IPA rounds of a single proof, lifted across proofs.  One folded
-        MSM at the end replaces ``proofs x openings`` of them.
+    def verify_aggregate(self, agg: "AggProof | bytes") -> AggReport:
+        """Check an aggregated claim: ``PDBA`` wire bytes, or an
+        in-memory :class:`~repro.proving.aggregate.AggProof`, which is
+        first serialized -- what is verified is always what the strict
+        decoder makes of the canonical bytes.
 
-        Soundness: a per-proof report may come back provisionally
-        accepted with its MSM claim still deferred; the batch is
-        accepted only if the final folded check also passes.  When it
-        fails, every provisionally-accepted proof is re-verified
-        individually so the reports attribute the failure to the
-        tampered proof(s) rather than condemning the whole batch
-        blindly.
+        The aggregate must decode, and must be bound to this verifier's
+        exact public parameters (content fingerprint, not just size);
+        its entries are then the claims of one batch.
         """
-        span = telemetry.begin_span("batch_verify", proofs=len(responses))
-        try:
-            accepted, reports, reason, finalize_seconds, deferred = (
-                self._amortized_verify(
-                    responses,
-                    lambda response, acc: self.verify(
-                        response, accumulator=acc
-                    ),
-                )
-            )
-        except BaseException:
-            span.end(status="error")
-            raise
-        span.set(accepted=accepted, deferred=deferred).end()
-        # The amortization histogram: per-proof cost of a batched
-        # verify, comparable against the verify.seconds series.
-        if responses:
-            telemetry.observe(
-                "verify.batch_per_proof_seconds",
-                span.duration / len(responses),
-            )
+        with telemetry.timed_span("verify_aggregate") as span:
+            report = AggReport(accepted=False)
+            try:
+                data = agg.to_bytes() if isinstance(agg, AggProof) else bytes(agg)
+                report.aggregate_size_bytes = len(data)
+                decoded = AggProof.from_bytes(data, self.field)
+            except WireFormatError as exc:
+                report.reason = f"aggregate decode failed: {exc}"
+            except ValueError as exc:
+                report.reason = f"aggregate not serializable: {exc}"
+            else:
+                fingerprint = self.params.fingerprint()
+                if decoded.params_fingerprint != bytes.fromhex(fingerprint):
+                    report.reason = (
+                        "aggregate bound to different public parameters "
+                        f"(expected fingerprint {fingerprint}, "
+                        f"got {decoded.params_fingerprint.hex()})"
+                    )
+                else:
+                    report = AggReport(
+                        **vars(self._verify_claims(decoded.entries)),
+                        aggregate_size_bytes=len(data),
+                    )
+            span.set(accepted=report.accepted, proofs=report.proofs)
+        report.elapsed_seconds = span.duration
+        return report
+
+    def _verify_claims(self, claims: Sequence[AggEntry]) -> BatchReport:
+        """The verification engine behind every surface.
+
+        Each claim runs its full cheap pipeline (:meth:`_check_claim`:
+        recompilation, strict wire decode, scan links, constraint
+        identity, logarithmic IPA rounds) against one fresh recursion
+        :class:`~repro.proving.recursion.Accumulator`, into which the
+        *linear-time* base-folding MSM of every opening is deferred;
+        one finalize then settles all of them -- across the opening
+        points of one proof and across proofs alike.
+
+        Soundness: a per-claim report is provisional until that fold
+        passes, and no report leaves this method before it has run.
+        A failed fold cannot say *which* claim broke, so each
+        provisionally-accepted claim is then verified again on its own
+        (alone, the fold is the verdict).  The accumulator is fresh per
+        call and consumed by its finalize, so stale claims can never
+        leak into a later batch.
+
+        A report's ``elapsed_seconds`` is its claim's own checks plus
+        an equal share of the fold.
+        """
+        accumulator = Accumulator(self.params, self.field)
+        reports: list[VerificationReport] = []
+        with telemetry.timed_span("verify", proofs=len(claims)) as span:
+            for claim in claims:
+                with telemetry.timed_span("verify.claim", sql=claim.sql) as own:
+                    report = self._check_claim(claim, accumulator)
+                report.elapsed_seconds = own.duration
+                reports.append(report)
+            deferred = accumulator.deferred_count
+            with telemetry.timed_span("verify.finalize") as fold:
+                folded = accumulator.finalize()
+            for i, claim in enumerate(claims):
+                reports[i].elapsed_seconds += fold.duration / len(claims)
+                if folded or not reports[i].accepted:
+                    continue
+                if len(claims) > 1:
+                    reports[i] = self._verify_claims([claim]).reports[0]
+                else:
+                    reports[i].accepted = False
+                    reports[i].reason = "proof rejected"
+            accepted = folded and all(rep.accepted for rep in reports)
+            span.set(accepted=accepted, deferred=deferred)
+        if claims:
+            telemetry.observe("verify.seconds", span.duration / len(claims))
+        if accepted:
+            reason = ""
+        elif folded:
+            reason = "proof(s) rejected"
+        else:
+            reason = "batch accumulator check failed"
         return BatchReport(
             accepted=accepted,
             reports=reports,
             reason=reason,
             elapsed_seconds=span.duration,
-            finalize_seconds=finalize_seconds,
+            finalize_seconds=fold.duration,
             deferred_openings=deferred,
         )
 
-    def verify_aggregate(self, agg: "AggProof | bytes") -> AggReport:
-        """Check an aggregated claim (``PDBA`` wire bytes or a decoded
-        :class:`~repro.proving.aggregate.AggProof`) with one final MSM.
+    def _check_claim(
+        self, claim: AggEntry, accumulator: Accumulator
+    ) -> VerificationReport:
+        """Everything about one claim except the deferred MSMs: an
+        accepted report is provisional until ``accumulator`` finalizes."""
+        size = len(claim.proof_bytes)
+        p = self.field.p
+        rows, links = claim.result_encoded, claim.scan_links
 
-        The aggregate must be bound to this verifier's exact public
-        parameters (content fingerprint, not just size).  Every folded
-        entry replays its cheap checks -- strict proof decode, scan
-        links against the database commitment, the constraint identity,
-        the logarithmic IPA rounds -- while all the linear-time
-        base-folding MSMs collapse into a single fixed-base
-        accumulator finalize.  On a failed fold, entries are re-verified
-        eagerly so the report attributes the failure to the tampered
-        entry (or entries) instead of condemning the batch blindly.
-        """
-        span = telemetry.begin_span("verify_aggregate")
+        def rejected(reason: str) -> VerificationReport:
+            return VerificationReport(False, reason, proof_size_bytes=size)
+
         try:
-            report = self._verify_aggregate_inner(agg)
-        except BaseException:
-            span.end(status="error")
-            raise
-        span.set(accepted=report.accepted, proofs=report.proofs).end()
-        report.elapsed_seconds = span.duration
-        return report
+            with telemetry.span("verify.rebuild_vk"):
+                compiled, vk = self.rebuild_verifying_key(claim.sql, len(rows))
+        except Exception as exc:  # malformed query == reject
+            return rejected(f"recompilation failed: {exc}")
 
-    def _verify_aggregate_inner(self, agg: "AggProof | bytes") -> AggReport:
-        if isinstance(agg, (bytes, bytearray, memoryview)):
-            data = bytes(agg)
-            size = len(data)
-            try:
-                agg = AggProof.from_bytes(data, self.field)
-            except WireFormatError as exc:
-                return AggReport(
-                    accepted=False,
-                    reason=f"aggregate decode failed: {exc}",
-                    aggregate_size_bytes=size,
+        # The claim itself, before any crypto: the result has the
+        # circuit's shape, every scalar is the one canonical
+        # representative of its residue (as the ``PDBA`` decoder
+        # demands on the wire), and the scan links are exactly the
+        # compiled circuit's -- each scanned column bound once, none
+        # left out.
+        if compiled.limit is not None and len(rows) > compiled.limit:
+            return rejected("result exceeds LIMIT")
+        if len(rows) > compiled.usable_rows:
+            return rejected("result exceeds circuit capacity")
+        if any(len(row) != len(compiled.instance_columns) for row in rows):
+            return rejected("result row width does not match the query")
+        scalars = [v for row in rows for v in row] + [l.delta for l in links]
+        if not all(isinstance(v, int) and 0 <= v < p for v in scalars):
+            return rejected("non-canonical scalar in result or scan link delta")
+        presented = [(l.advice_index, l.table, l.column) for l in links]
+        expected = {
+            (l.advice_index, l.table, l.column) for l in compiled.scan_links
+        }
+        if len(presented) != len(expected) or set(presented) != expected:
+            return rejected("scan links do not match the query's scanned columns")
+
+        # Decode the proof from wire bytes -- the only trusted source.
+        try:
+            proof = Proof.from_bytes(vk, claim.proof_bytes)
+        except WireFormatError as exc:
+            return rejected(f"proof decode failed: {exc}")
+
+        # Scan links: advice commitment == db column commitment + delta*W.
+        for link in links:
+            db_commit = self.commitment.column_commitments.get(
+                (link.table, link.column)
+            )
+            if db_commit is None:
+                return rejected("column not in commitment")
+            advice_commit = proof.advice_commitments[link.advice_index]
+            if advice_commit != db_commit + self.params.w * link.delta:
+                return rejected(
+                    f"scan link broken for {link.table}.{link.column}: the "
+                    "proof was not computed over the committed database"
                 )
-        else:
-            size = agg.size_bytes()
-        if agg.params_fingerprint != bytes.fromhex(self.params.fingerprint()):
-            return AggReport(
-                accepted=False,
-                reason=(
-                    "aggregate bound to different public parameters "
-                    f"(expected fingerprint {self.params.fingerprint()}, "
-                    f"got {agg.params_fingerprint.hex()})"
-                ),
-                aggregate_size_bytes=size,
-            )
-        accepted, reports, reason, finalize_seconds, deferred = (
-            self._amortized_verify(
-                agg.entries,
-                lambda entry, acc: self._verify_timed(
-                    entry.sql,
-                    entry.result_encoded,
-                    entry.scan_links,
-                    entry.proof_bytes,
-                    acc,
-                ),
-            )
-        )
-        return AggReport(
-            accepted=accepted,
-            reports=reports,
-            reason=reason,
-            finalize_seconds=finalize_seconds,
-            deferred_openings=deferred,
-            aggregate_size_bytes=size,
-        )
+
+        instance = compiled.instance_vectors(rows)
+        with telemetry.span("verify.proof"):
+            if not verify_proof(vk, proof, instance, accumulator):
+                return rejected("proof rejected")
+        return VerificationReport(True, proof_size_bytes=size)

@@ -1,7 +1,8 @@
 """Aggregated proof claims: the PDBA wire format, one-MSM batch
-verification with attribution, the epoch audit hook, and the
-Accumulator lifecycle regressions (params fingerprint binding,
-finalize-consumes semantics, absorb) plus the vk-cache key fix.
+verification, the epoch audit hook, and the Accumulator lifecycle
+regressions (params fingerprint binding, finalize-consumes semantics)
+plus the vk-cache key fix.  Tampered entries and their attribution are
+``tests/test_soundness.py::TestClaimLevelTampering``.
 
 Two layers:
 
@@ -9,8 +10,7 @@ Two layers:
   fixture, shared with the soundness-style tamper checks): two proved
   queries fold into one ``AggProof``, round-trip through ``PDBA``
   bytes, and verify with one accumulator finalize.
-- Pure accumulator state-machine tests over small IPA openings (k=6)
-  -- the regression vectors for the three bugfixes in this PR.
+- Pure accumulator state-machine tests over small IPA openings (k=6).
 """
 
 import copy
@@ -66,6 +66,13 @@ class TestWireFormat:
         assert decoded == agg
         assert decoded.to_bytes() == data
 
+    def test_entries_are_the_responses_claims(self, agg_run):
+        _, responses, agg, _ = agg_run
+        assert agg.entries == [AggEntry.from_response(r) for r in responses]
+        # One scan-link class from prover to wire.
+        links = [link for r in responses for link in r.scan_links]
+        assert links and all(type(link) is ScanLinkClaim for link in links)
+
     def test_header_and_fingerprint(self, agg_run):
         session, _, agg, data = agg_run
         assert data[:4] == AGG_MAGIC
@@ -106,10 +113,13 @@ class TestWireFormat:
 
     def test_noncanonical_scalar_rejected(self, agg_run):
         _, _, agg, _ = agg_run
-        # to_bytes reduces mod p (one canonical encoding per residue)...
-        shifted = copy.deepcopy(agg)
-        shifted.entries[0].scan_links[0].delta += F.p
-        assert shifted.to_bytes() == agg.to_bytes()
+        # to_bytes refuses a scalar outside [0, p) (a claim is encoded
+        # as it stands or not at all)...
+        for shift in (F.p, -F.p):
+            shifted = copy.deepcopy(agg)
+            shifted.entries[0].scan_links[0].delta += shift
+            with pytest.raises(ValueError, match="non-canonical"):
+                shifted.to_bytes()
         # ...and from_bytes rejects any >= p encoding outright.  The
         # first result scalar sits right after the entry's sql blob.
         data = agg.to_bytes()
@@ -161,6 +171,19 @@ class TestVerifyAggregate:
         assert session.batch_verify(responses).accepted
         assert session.verify_aggregate(data).accepted
 
+    def test_unserializable_object_rejected_not_raised(self, agg_run):
+        session, _, agg, _ = agg_run
+        ragged = copy.deepcopy(agg)
+        ragged.entries[0].result_encoded.append([1, 2, 3])
+        negative = copy.deepcopy(agg)
+        negative.entries[0].scan_links[0].advice_index = -1
+        for bad in (AggProof(agg.params_fingerprint, []), ragged, negative):
+            report = session.verify_aggregate(bad)
+            assert not report.accepted and report.reports == []
+            assert "not serializable" in report.reason
+            cert = session.audit_aggregate(bad)
+            assert not cert.valid and "not serializable" in cert.detail
+
     def test_garbage_rejected_at_decode(self, agg_run):
         session, *_ = agg_run
         report = session.verify_aggregate(b"not an aggregate")
@@ -174,27 +197,6 @@ class TestVerifyAggregate:
         report = session.verify_aggregate(forged.to_bytes())
         assert not report.accepted
         assert "different public parameters" in report.reason
-
-    def test_tampered_entry_attributed(self, agg_run):
-        session, _, agg, _ = agg_run
-        # Flip one bit near the end of entry 1's proof: it still
-        # decodes, the fold fails, and attribution pins the entry.
-        forged = copy.deepcopy(agg)
-        flipped = bytearray(forged.entries[1].proof_bytes)
-        flipped[-40] ^= 0x01
-        forged.entries[1].proof_bytes = bytes(flipped)
-        report = session.verify_aggregate(forged.to_bytes())
-        assert not report.accepted
-        assert [rep.accepted for rep in report.reports] == [True, False]
-
-    def test_forged_result_attributed(self, agg_run):
-        session, _, agg, _ = agg_run
-        forged = copy.deepcopy(agg)
-        forged.entries[0].result_encoded[0][0] += 1
-        report = session.verify_aggregate(forged.to_bytes())
-        assert not report.accepted
-        assert not report.reports[0].accepted
-        assert report.reports[1].accepted
 
 
 # -- the epoch audit hook ---------------------------------------------------
@@ -225,7 +227,7 @@ class TestAuditAggregate:
         assert "decode failed" in cert.detail
 
 
-# -- Accumulator lifecycle regressions (the three satellite bugfixes) -------
+# -- Accumulator lifecycle regressions --------------------------------------
 
 
 def _defer_real_opening(acc, params, value_offset=0):
@@ -287,40 +289,6 @@ class TestAccumulatorLifecycle:
         assert acc.finalize()
         with pytest.raises(StateError, match="already consumed"):
             _defer_real_opening(acc, params_k6)
-
-    def test_absorb_merges_and_consumes_source(self, params_k6):
-        main = Accumulator(params_k6, F)
-        sub = Accumulator(params_k6, F)
-        assert _defer_real_opening(main, params_k6)
-        assert _defer_real_opening(sub, params_k6)
-        main.absorb(sub)
-        assert sub.consumed
-        assert main.deferred_count == 2
-        assert main.finalize()
-
-    def test_absorb_propagates_bad_claims(self, params_k6):
-        main = Accumulator(params_k6, F)
-        sub = Accumulator(params_k6, F)
-        assert _defer_real_opening(main, params_k6)
-        assert _defer_real_opening(sub, params_k6, value_offset=1)
-        main.absorb(sub)
-        assert not main.finalize()
-
-    def test_absorb_rejects_foreign_fingerprint(self, params_k6):
-        main = Accumulator(params_k6, F)
-        other = Accumulator(setup(6, label=b"other"), F)
-        with pytest.raises(StateError, match="different public"):
-            main.absorb(other)
-
-    def test_absorb_rejects_consumed_operands(self, params_k6):
-        main = Accumulator(params_k6, F)
-        spent = Accumulator(params_k6, F)
-        assert spent.finalize()
-        with pytest.raises(StateError, match="already consumed"):
-            main.absorb(spent)
-        assert main.finalize()
-        with pytest.raises(StateError, match="already consumed"):
-            main.absorb(Accumulator(params_k6, F))
 
 
 class TestVkCacheKey:

@@ -24,6 +24,10 @@ F = SCALAR_FIELD
 GOLDEN_K5 = "619da66fbfae00d6b12266420355a02c"
 GOLDEN_K6_TPCH = "71b8dcf5e4f78e57d0bbde30ecefe238"
 GOLDEN_K5_TWO_CHUNK_SHUFFLE = "8c582237c5fa3284d7992b794b24d36a"
+#: ``PDBA`` envelope of the k=6 TPC-H response folded twice (20,454
+#: bytes), recorded at 99f270e -- the parent of the one-verification-
+#: core refactor.
+GOLDEN_K6_TPCH_AGGREGATE = "351e2117a572234721ca47cc30d2a167"
 
 
 def assign_broken_mul(cs, cols):
@@ -224,8 +228,8 @@ class TestGoldenProofDigest:
     "proofs stay byte-identical" must leave these digests untouched.
     The first two were recorded at commit cb71d82 (the parent of the
     kernel-toggle removal), the two-chunk + shuffle one at 5f5755b (the
-    parent of the round-pipeline refactor); a deliberate protocol
-    change re-records them.
+    parent of the round-pipeline refactor), the ``PDBA`` envelope at
+    99f270e; a deliberate protocol change re-records them.
 
     Each test also checks the two sides of ``opening_schedule``: the
     claims the prover opened and the claims the verifier checked are
@@ -272,5 +276,7 @@ class TestGoldenProofDigest:
                     "select count(*) as n from nation where n_regionkey >= 2"
                 )
             assert session.verify(response).accepted
+            envelope = session.aggregate([response, response]).to_bytes()
         assert _digest(response.wire_bytes()) == GOLDEN_K6_TPCH
+        assert _digest(envelope) == GOLDEN_K6_TPCH_AGGREGATE
         assert claims["prover"] == claims["verifier"]

@@ -9,12 +9,10 @@ import copy
 
 import pytest
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.commit import setup
 from repro.config import ProverConfig
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
-from repro.proving.recursion import Accumulator
 from repro.system import ProverNode, VerifierNode, audit
 
 K = 7
@@ -71,10 +69,9 @@ class TestHappyPath:
 
     def test_accumulated_verification(self, system):
         _, _, _, verifier, _, response = system
-        acc = Accumulator(verifier.params, F)
-        assert verifier.verify(response, accumulator=acc).accepted
-        assert acc.deferred_count >= 1
-        assert acc.finalize()
+        report = verifier.batch_verify([response, response])
+        assert report.accepted, report.reason
+        assert report.deferred_openings == 2 * len(response.proof.openings)
 
     def test_audit(self, system):
         db, params, prover, *_ = system
