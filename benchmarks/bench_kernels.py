@@ -86,12 +86,13 @@ def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
 
 
 def count_quotient_domain() -> dict:
-    """Prove the example circuit with counters on and set two counts
+    """Prove the example circuit with counters on and set four counts
     beside what the static cost model says they are: the points the
     proof's transforms covered -- every committed or instance column
     once over the ``n`` rows and once over the quotient's
     ``2^extended_k`` coset, plus the quotient's own inverse transform
-    -- and the quotient chunks it committed."""
+    --, the quotient chunks it committed, the commitments it carries in
+    all, and how many of them are lookup helper columns."""
     from repro.proving import create_proof, keygen
     from repro.proving.keygen import PERMUTATION_CHUNK, finalize_fixed
     from repro.telemetry import CircuitReport
@@ -113,19 +114,20 @@ def count_quotient_domain() -> dict:
     finally:
         telemetry.enable(previous)
     report = CircuitReport.from_constraint_system(cs, EXAMPLE_K, PERMUTATION_CHUNK)
-    columns = (
-        report.advice_columns
-        + 3 * len(report.lookups)
-        + report.shuffles
-        + report.permutation_grand_products
-        + report.instance_columns
-    )
+    # Every commitment but the quotient chunks is a column; the model
+    # books one more MSM than the proof carries points, for the IPA.
+    committed_columns = report.estimated_commit_msms() - report.quotient_chunks - 1
+    columns = committed_columns + report.instance_columns
     return {
         "fft_points": int(fft_points),
         "predicted_fft_points": columns * report.rows
         + (columns + 1) * (1 << report.extended_k),
         "h_commitments": len(proof.h_commitments),
         "predicted_quotient_chunks": report.quotient_chunks,
+        "commitments": sum(is_point for *_, is_point in proof.leaves()),
+        "predicted_commitments": report.estimated_commit_msms() - 1,
+        "helper_commitments": len(proof.lookup_helper_commitments),
+        "predicted_helper_columns": report.lookup_helper_columns,
     }
 
 
@@ -279,25 +281,28 @@ def run_benches(
         f"{narrow['digits_frac']:.3f} of the coefficient form"
     )
     quotient = results["quotient_domain"] = count_quotient_domain()
+    counts = (
+        ("fft_points", "predicted_fft_points", "transform points"),
+        ("h_commitments", "predicted_quotient_chunks", "quotient chunks"),
+        ("commitments", "predicted_commitments", "commitments"),
+        ("helper_commitments", "predicted_helper_columns", "lookup helper columns"),
+    )
     report.line(
-        f"\nexample circuit proof: {quotient['fft_points']} transform points "
-        f"(cost model {quotient['predicted_fft_points']}), "
-        f"{quotient['h_commitments']} quotient chunks "
-        f"(cost model {quotient['predicted_quotient_chunks']})"
+        "\nexample circuit proof: "
+        + ", ".join(
+            f"{quotient[got]} {what} (cost model {quotient[want]})"
+            for got, want, what in counts
+        )
     )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
 
-    if check and (
-        quotient["fft_points"] != quotient["predicted_fft_points"]
-        or quotient["h_commitments"] != quotient["predicted_quotient_chunks"]
-    ):
+    wrong = [what for got, want, what in counts if quotient[got] != quotient[want]]
+    if check and wrong:
         print(
-            f"CHECK FAILED: the example proof transformed "
-            f"{quotient['fft_points']} points and committed "
-            f"{quotient['h_commitments']} quotient chunks; the cost model "
-            f"says {quotient['predicted_fft_points']} and "
-            f"{quotient['predicted_quotient_chunks']}: the prover's quotient "
-            "domain and ConstraintSystem.quotient_extension disagree",
+            f"CHECK FAILED: the example proof and the static cost model "
+            f"disagree on {', '.join(wrong)} ({quotient}): the prover and "
+            "ConstraintSystem.quotient_extension / lookup_arguments have "
+            "come apart",
             file=sys.stderr,
         )
         return {**results, "check_ok": False}

@@ -77,7 +77,14 @@ class EqFlagChip:
 class _Decomposition:
     """Shared machinery: allocate ``n_limbs`` advice columns, constrain
     ``target_expr == sum(limb_i * 2^(bits*i))`` under selector ``q``, and
-    look every (selector-gated) limb up in the range table."""
+    look every limb up in the range table.
+
+    The lookups are *not* selector-gated: a bare limb is a degree-1
+    lookup input, so three limbs share one helper column of the lookup
+    argument where a gated ``q * limb`` would leave room for one.  The
+    ungated statement is strictly stronger and every honest witness
+    meets it -- :meth:`assign_row` masks each limb to ``bits`` and
+    rows nobody assigns (or :meth:`assign_inactive`) hold 0."""
 
     def __init__(
         self,
@@ -100,9 +107,7 @@ class _Decomposition:
             recomposed = recomposed + limb.cur() * (1 << (self.bits * i))
         cs.create_gate(f"{name}.recompose", [q * (target - recomposed)])
         for i, limb in enumerate(self.limbs):
-            cs.add_lookup(
-                f"{name}.limb{i}", [q * limb.cur()], [table.column.cur()]
-            )
+            cs.add_lookup(f"{name}.limb{i}", [limb.cur()], [table.column.cur()])
 
     def assign_row(self, asg: Assignment, row: int, value: int) -> None:
         if not 0 <= value < (1 << self.total_bits):

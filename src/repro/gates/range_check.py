@@ -1,15 +1,18 @@
 """Range check gates (paper section 4.1, Designs A-C, plus the naive
 encoding the paper rejects -- kept for the ablation benchmark).
 
-Designs A and B (single and batched membership via the lookup-table
-permutation of Equations 1-3) map directly onto the proving system's
-lookup argument: :func:`assert_member` is the whole gate, and the
-underlying argument *is* the paper's construction -- the prover builds
-the sorted permutation ``P'`` of the inputs and the aligned permutation
-``Q'`` of the table, enforces ``P'_i = Q'_i or P'_i = P'_{i-1}``
-(Equation 1) and the grand-product permutation checks (Equations 2-3).
-Batching (Design B) is inherent: one lookup argument covers every row
-at the same cost shape.
+Designs A and B (single and batched membership in a lookup table) map
+directly onto the proving system's lookup argument:
+:func:`assert_member` is the whole gate.  The *relation* proved is the
+paper's -- every input value occurs in the table -- but the argument
+underneath is a named substitution (DESIGN.md section 2): where the
+paper sorts the inputs into ``P'``, aligns a permutation ``Q'`` of the
+table and enforces ``P'_i = Q'_i or P'_i = P'_{i-1}`` (Equation 1) with
+grand-product permutation checks (Equations 2-3), this implementation
+proves ``sum_i 1 / (beta + input_i) = sum_j m_j / (beta + table_j)``
+with a committed multiplicity column ``m`` (DESIGN.md, "The lookup
+argument").  Batching (Design B) goes further than in the paper: one
+argument covers every row of *every* lookup into the same table.
 
 Design C (bitwise decomposition into u8 cells validated against a
 256-entry table) is :class:`RangeDecomposeChip`.

@@ -8,8 +8,8 @@ A PLONKish circuit is a rectangular matrix of field values with:
 - **polynomial constraints** ("gates") that must vanish on every row,
 - **equality (copy) constraints** between cells, and
 - **lookup arguments** asserting input expressions take values present
-  in table expressions (the Plookup mechanism behind the paper's range
-  check designs).
+  in table expressions (the relation behind the paper's range check
+  designs; proved by one log-derivative sum per table).
 
 :class:`~repro.plonkish.mock_prover.MockProver` checks all of these
 directly against an assignment and reports precise failures; the real

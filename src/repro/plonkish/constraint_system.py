@@ -100,15 +100,63 @@ class Lookup:
     expressions must equal the tuple of table expressions evaluated at
     *some* row.
 
-    This is the Plookup-style mechanism (paper section 4.1): multiple
-    expressions are compressed into one value with a verifier challenge
-    theta, and inclusion is proven with the permutation + adjacency
-    constraints of paper Equations (1) and (3).
+    This is the relation of the paper's lookup-table designs (section
+    4.1, Equations 1-3).  The *argument* that proves it is a named
+    substitution: instead of the paper's sorted permutation + adjacency
+    construction, multiple expressions are compressed into one value
+    with a verifier challenge theta and inclusion is proven by a
+    log-derivative sum shared by every lookup into the same table
+    (:class:`LookupArgument`; DESIGN.md, "The lookup argument").
     """
 
     name: str
     inputs: list[Expression]
     table: list[Expression]
+
+
+def _tuple_degree(exprs: list[Expression]) -> int:
+    """The degree of a theta-compressed tuple of expressions."""
+    return max((e.degree() for e in exprs), default=1)
+
+
+@dataclass(frozen=True)
+class LookupArgument:
+    """One log-derivative lookup argument: every lookup into one table.
+
+    The prover commits one multiplicity column and one running sum per
+    argument, and one helper column ``sum_i 1 / (beta + input_i)`` per
+    *group* of its lookups.  ``groups`` partitions the lookups in
+    declaration order; the helpers of all arguments form one flat list
+    in which this argument's are ``first_helper + g`` for group ``g``.
+    """
+
+    table: list[Expression]
+    groups: list[list[Lookup]]
+    first_helper: int
+
+    @property
+    def lookups(self) -> list[Lookup]:
+        return [lookup for group in self.groups for lookup in group]
+
+    @property
+    def group_degrees(self) -> list[int]:
+        """Per group, the degree of its helper's constraint ``active *
+        (h * prod_i (beta + f_i) - sum_i prod_{j != i} (beta + f_j))``."""
+        return [
+            2 + sum(_tuple_degree(lookup.inputs) for lookup in group)
+            for group in self.groups
+        ]
+
+    @property
+    def table_degree(self) -> int:
+        """The degree of the running sum's step ``active * ((phi(wX) -
+        phi - sum_g h_g) * (beta + t) + m)``."""
+        return 2 + _tuple_degree(self.table)
+
+
+def helper_column_count(arguments: list[LookupArgument]) -> int:
+    """How many helper columns a circuit's lookup arguments commit."""
+    return sum(len(argument.groups) for argument in arguments)
 
 
 @dataclass
@@ -234,32 +282,64 @@ class ConstraintSystem:
                 degree = max(degree, constraint.degree())
         return degree
 
-    def required_degree(self, permutation_chunk: int = 3) -> int:
-        """The constraint degree the proving system must support,
-        accounting for the permutation and lookup argument constraints
-        it will synthesize (see :mod:`repro.proving`).
-
-        Every gate is implicitly multiplied by the fixed active-rows
-        selector (so randomized blinding rows never violate gates even
-        when a gate is guarded by an advice flag), costing one degree.
-        """
+    def _degree_without_lookups(self, permutation_chunk: int) -> int:
+        """What the gates, the permutation argument and the shuffles
+        require; the budget lookup helper groups are packed into."""
+        # Every gate is implicitly multiplied by the fixed active-rows
+        # selector (so randomized blinding rows never violate gates even
+        # when a gate is guarded by an advice flag), costing one degree.
         degree = self.max_gate_degree() + 1
         if self.equality_columns:
             # active * Z(wX) * prod over chunk of (w + beta*delta*X + gamma)
-            degree = max(degree, permutation_chunk + 2)
-        for lookup in self.lookups:
-            input_deg = max((e.degree() for e in lookup.inputs), default=1)
-            table_deg = max((e.degree() for e in lookup.table), default=1)
-            # active * Z * (A + beta) * (S + gamma)
-            degree = max(degree, 1 + 1 + input_deg + table_deg)
+            chunk = min(permutation_chunk, len(self.equality_columns))
+            degree = max(degree, chunk + 2)
         for shuffle in self.shuffles:
             # active * Z * prod over groups of (compressed_group + gamma)
             for groups in (shuffle.input_groups, shuffle.table_groups):
-                total = sum(
-                    max((e.degree() for e in group), default=1)
-                    for group in groups
-                )
-                degree = max(degree, 1 + 1 + total)
+                degree = max(degree, 2 + sum(map(_tuple_degree, groups)))
+        return degree
+
+    def lookup_arguments(self, permutation_chunk: int = 3) -> list[LookupArgument]:
+        """The lookups as the proving system argues them: one
+        :class:`LookupArgument` per distinct table (structurally equal
+        ``table`` expressions, in first-use order), its lookups packed
+        greedily, in declaration order, into helper groups.
+
+        A group takes inputs while its constraint, of degree ``2 + sum
+        of the input degrees``, stays within the degree the rest of the
+        circuit requires anyway -- so sharing a helper never enlarges
+        the quotient domain -- and at least one.  Keygen (``vk``), the
+        proof schema, :meth:`required_degree`, the prover and the cost
+        model all read the grouping from here.
+        """
+        budget = self._degree_without_lookups(permutation_chunk) - 2
+        by_table: dict[str, list[Lookup]] = {}
+        for lookup in self.lookups:
+            key = "|".join(_describe_expr(e) for e in lookup.table)
+            by_table.setdefault(key, []).append(lookup)
+        arguments: list[LookupArgument] = []
+        helpers = 0
+        for lookups in by_table.values():
+            groups: list[list[Lookup]] = []
+            room = 0
+            for lookup in lookups:
+                degree = _tuple_degree(lookup.inputs)
+                if not groups or degree > room:
+                    groups.append([])
+                    room = budget
+                groups[-1].append(lookup)
+                room -= degree
+            arguments.append(LookupArgument(lookups[0].table, groups, helpers))
+            helpers += len(groups)
+        return arguments
+
+    def required_degree(self, permutation_chunk: int = 3) -> int:
+        """The constraint degree the proving system must support,
+        accounting for the permutation, shuffle and lookup argument
+        constraints it will synthesize (see :mod:`repro.proving`)."""
+        degree = self._degree_without_lookups(permutation_chunk)
+        for argument in self.lookup_arguments(permutation_chunk):
+            degree = max(degree, argument.table_degree, *argument.group_degrees)
         return degree
 
     def quotient_extension(self, permutation_chunk: int = 3) -> int:
@@ -345,6 +425,7 @@ class ConstraintSystem:
         return digest
 
     def summary(self) -> dict[str, int]:
+        arguments = self.lookup_arguments()
         return {
             "fixed_columns": len(self.fixed_columns),
             "advice_columns": len(self.advice_columns),
@@ -352,6 +433,8 @@ class ConstraintSystem:
             "gates": len(self.gates),
             "gate_constraints": self.num_constraints(),
             "lookups": len(self.lookups),
+            "lookup_tables": len(arguments),
+            "lookup_helper_columns": helper_column_count(arguments),
             "copy_constraints": len(self.copies),
             "max_gate_degree": self.max_gate_degree(),
         }

@@ -7,9 +7,10 @@ non-interactive zero-knowledge proof, and verifies such proofs:
    polynomials, copy-constraint sigma polynomials, system selectors)
    and the verification key (their commitments).
 2. :mod:`repro.proving.prover` -- the five-round Fiat-Shamir protocol
-   as a table of round functions (``ROUNDS``): commit advice; build
-   lookup permutations (theta); build permutation and lookup grand
-   products (beta, gamma); build the quotient polynomial (y); evaluate
+   as a table of round functions (``ROUNDS``): commit advice; count
+   lookup multiplicities (theta); build permutation and shuffle grand
+   products and the lookups' helper columns and running sums (beta,
+   gamma); build the quotient polynomial (y); evaluate
    everything at a random point (x) and batch the openings through the
    IPA (:mod:`repro.proving.multiopen`).
 3. :mod:`repro.proving.verifier` -- recompute every challenge, check

@@ -27,7 +27,11 @@ from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
 from repro.plonkish.assignment import ZK_ROWS, Assignment
-from repro.plonkish.constraint_system import Column, ColumnKind, ConstraintSystem
+from repro.plonkish.constraint_system import (
+    Column,
+    ConstraintSystem,
+    LookupArgument,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import ArtifactCache
@@ -65,6 +69,8 @@ class VerifyingKey:
     sigma_commitments: list[Point]
     system_commitments: dict[str, Point]
     permutation_chunks: list[list[Column]]
+    #: the lookups, grouped by table and into helper groups
+    lookup_arguments: list[LookupArgument]
     delta: int
 
     @property
@@ -248,6 +254,7 @@ def _keygen(
         sigma_commitments=[pd.commitment for pd in sigmas],
         system_commitments={name: pd.commitment for name, pd in system.items()},
         permutation_chunks=_chunk_columns(cs.equality_columns, PERMUTATION_CHUNK),
+        lookup_arguments=cs.lookup_arguments(PERMUTATION_CHUNK),
         delta=delta,
     )
     return ProvingKey(
@@ -277,8 +284,9 @@ def keygen_fingerprint(
     h = hashlib.blake2b(digest_size=20)
     # The tag versions what a pickled key *holds* for the same inputs:
     # cached keys whose extended_evals were laid out over a domain of
-    # another size must miss, not load.
-    h.update(b"quotient-domain-v2|")
+    # another size, or whose vk has no lookup arguments, must miss, not
+    # load.
+    h.update(b"lookup-arguments-v3|")
     h.update(f"{params.curve.name}|{params.k}|{field.p}|{k}|".encode())
     h.update(params.g[0].to_bytes())
     h.update(cs.fingerprint().encode())

@@ -7,7 +7,7 @@ kind, the shape the verifying key pins for it, its transcript label and
 the round whose message it belongs to.  Everything that has to agree
 on that list walks it instead of re-typing it:
 
-- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB2`` wire
+- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB3`` wire
   codec) and :meth:`Proof.size_bytes`;
 - :meth:`Proof.has_shape`, the structural check that opens
   ``verify_proof``;
@@ -23,7 +23,7 @@ verifier only ever receives bytes, so :meth:`Proof.from_bytes` is the
 strict gate every remote proof passes through.  Decoding enforces (via
 :class:`repro.wire.ByteReader`):
 
-- the ``PDB2`` version header;
+- the ``PDB3`` version header;
 - element counts that match the verifying key's circuit shape exactly
   and are length-checked against the remaining bytes before any
   allocation (the quotient-chunk count is bounded, not pinned);
@@ -46,10 +46,11 @@ from typing import Any, Callable, ClassVar, Iterator
 
 from repro.commit.ipa import IpaProof
 from repro.ecc.curve import Point
+from repro.plonkish.constraint_system import helper_column_count
 from repro.wire import ByteReader, SCALAR_BYTES, WireFormatError, point_wire_size
 
 #: Wire-format version header; bump when the layout changes.
-WIRE_MAGIC = b"PDB2"
+WIRE_MAGIC = b"PDB3"
 
 #: The round whose message is the evaluations at ``x``.
 EVALUATION_ROUND = 5
@@ -57,33 +58,30 @@ EVALUATION_ROUND = 5
 
 @dataclass
 class LookupProofPart:
-    """Commitments and evaluations for one lookup argument."""
+    """Commitments and evaluations for one lookup argument (one per
+    table; its helper columns are in the proof's flat
+    ``lookup_helper_*`` sections)."""
 
-    permuted_input_commitment: Point
-    permuted_table_commitment: Point
-    #: sent one round after the permuted pair
-    z_commitment: Point | None = None
+    #: the multiplicities, fixed before ``beta`` is drawn
+    m_commitment: Point
+    #: the running sum, sent one round later with the helpers
+    phi_commitment: Point | None = None
     # evaluations at the challenge point
-    z_x: int = 0
-    z_wx: int = 0
-    permuted_input_x: int = 0
-    permuted_input_winv_x: int = 0
-    permuted_table_x: int = 0
+    m_x: int = 0
+    phi_x: int = 0
+    phi_wx: int = 0
 
     #: (commitment, transcript label, round that absorbs it), wire order.
     POINTS: ClassVar = (
-        ("permuted_input_commitment", b"lookup-a", 2),
-        ("permuted_table_commitment", b"lookup-s", 2),
-        ("z_commitment", b"lookup-z", 3),
+        ("m_commitment", b"lookup-m", 2),
+        ("phi_commitment", b"lookup-phi", 3),
     )
     #: (evaluation, commitment it opens, rotation of ``x``) -- the wire
     #: order, the transcript order and the opening order at once.
     EVALS: ClassVar = (
-        ("z_x", "z_commitment", 0),
-        ("z_wx", "z_commitment", 1),
-        ("permuted_input_x", "permuted_input_commitment", 0),
-        ("permuted_input_winv_x", "permuted_input_commitment", -1),
-        ("permuted_table_x", "permuted_table_commitment", 0),
+        ("m_x", "m_commitment", 0),
+        ("phi_x", "phi_commitment", 0),
+        ("phi_wx", "phi_commitment", 1),
     )
     EVAL_LABEL: ClassVar = b"eval-lookup"
 
@@ -242,8 +240,11 @@ SECTIONS = (
             lambda vk, queries, n_h: len(vk.cs.advice_columns),
             "advice columns of cs", b"advice", 1),
     Section("lookup_parts", PARTS,
-            lambda vk, queries, n_h: len(vk.cs.lookups),
-            "lookups of cs", part=LookupProofPart),
+            lambda vk, queries, n_h: len(vk.lookup_arguments),
+            "vk.lookup_arguments (one per table)", part=LookupProofPart),
+    Section("lookup_helper_commitments", POINTS,
+            lambda vk, queries, n_h: helper_column_count(vk.lookup_arguments),
+            "helper groups of vk.lookup_arguments", b"lookup-h", 3),
     Section("shuffle_parts", PARTS,
             lambda vk, queries, n_h: len(vk.cs.shuffles),
             "shuffles of cs", part=ShuffleProofPart),
@@ -269,6 +270,10 @@ SECTIONS = (
             lambda vk, queries, n_h: permutation_z_keys(vk),
             "vk.permutation_chunks; chain on all but the last",
             b"eval-perm-z", EVALUATION_ROUND),
+    Section("lookup_helper_evals", SCALARS,
+            lambda vk, queries, n_h: helper_column_count(vk.lookup_arguments),
+            "count of lookup_helper_commitments",
+            b"eval-lookup-h", EVALUATION_ROUND),
     Section("h_evals", SCALARS,
             lambda vk, queries, n_h: n_h,
             "count of h_commitments", b"eval-h", EVALUATION_ROUND),
@@ -277,20 +282,22 @@ SECTIONS = (
 )
 
 #: Within a round the transcript takes the sections in wire order,
-#: except that the lookup and shuffle parts follow the permutation
-#: argument (round-3 grand products and round-5 evaluations alike).
+#: except that the lookup and shuffle arguments follow the permutation
+#: argument (round-3 columns and round-5 evaluations alike), a lookup
+#: argument's helpers ahead of its part.
 TRANSCRIPT_ORDER = tuple(
     {section.attr: section for section in SECTIONS}[attr]
     for attr in (
         "advice_commitments", "permutation_z_commitments", "h_commitments",
         "advice_evals", "fixed_evals", "sigma_evals", "system_evals",
-        "permutation_z_evals", "lookup_parts", "shuffle_parts", "h_evals",
+        "permutation_z_evals", "lookup_helper_commitments",
+        "lookup_helper_evals", "lookup_parts", "shuffle_parts", "h_evals",
     )
 )
 
 
 def wire_layout() -> str:
-    """The ``PDB2`` layout, one line per schema row (DESIGN.md 5c
+    """The ``PDB3`` layout, one line per schema row (DESIGN.md 5c
     carries this text; a tier-1 test keeps the two equal)."""
     rows = [
         f"{section.attr:<26}: u32 count, {section.kind}  # {section.pinned_to}"
@@ -309,6 +316,7 @@ class Proof:
     shuffle_parts: list[ShuffleProofPart]
     permutation_z_commitments: list[Point]
     h_commitments: list[Point]
+    lookup_helper_commitments: list[Point] = field(default_factory=list)
 
     # Evaluations at the x challenge (and rotations thereof).
     advice_evals: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -316,6 +324,7 @@ class Proof:
     sigma_evals: list[int] = field(default_factory=list)
     system_evals: dict[str, int] = field(default_factory=dict)
     permutation_z_evals: list[dict[str, int]] = field(default_factory=list)
+    lookup_helper_evals: list[int] = field(default_factory=list)
     h_evals: list[int] = field(default_factory=list)
 
     # Batched IPA opening proofs, one per distinct evaluation point.
@@ -360,7 +369,7 @@ class Proof:
         return len(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        """Canonical wire serialization (format ``PDB2``).
+        """Canonical wire serialization (format ``PDB3``).
 
         Scalars are reduced into the scalar field before encoding, so a
         residue has exactly one byte representation; the strict inverse

@@ -14,9 +14,10 @@ and used by both :mod:`repro.proving.prover` and
   commitment it opens and the point, in opening-claim order;
 - :func:`combined_constraint` -- the constraint identity: which
   selector gates which term, in which ``y``-fold order, over scalar
-  formulas (:func:`lookup_fraction` and friends, which the prover also
-  builds its grand products from).  The verifier evaluates it at
-  ``x``, the prover on the extended coset; it is the same function.
+  formulas (:func:`shuffle_fraction`, :func:`lookup_denominators` and
+  friends, which the prover also builds its grand products, helper
+  columns and running sums from).  The verifier evaluates it at ``x``,
+  the prover on the extended coset; it is the same function.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.plonkish.constraint_system import Column, ColumnKind, ConstraintSystem
+from repro.plonkish.constraint_system import (
+    Column,
+    ColumnKind,
+    ConstraintSystem,
+    LookupArgument,
+    helper_column_count,
+)
 from repro.proving.keygen import VerifyingKey
 from repro.proving.proof import (
     PERMUTATION_Z_KEYS,
@@ -147,12 +154,14 @@ def opening_schedule(
                 rotations[key],
             )
     for attr, part, count in (
-        ("lookup_parts", LookupProofPart, len(vk.cs.lookups)),
+        ("lookup_parts", LookupProofPart, len(vk.lookup_arguments)),
         ("shuffle_parts", ShuffleProofPart, len(vk.cs.shuffles)),
     ):
         for i in range(count):
             for evaluation, commitment, rotation in part.EVALS:
                 yield (attr, i, evaluation), (attr, i, commitment), rotation
+    for i in range(helper_column_count(vk.lookup_arguments)):
+        yield ("lookup_helper_evals", i), ("lookup_helper_commitments", i), 0
     for i in range(n_h):
         yield ("h_evals", i), ("h_commitments", i), 0
 
@@ -180,7 +189,8 @@ def read(root, path: tuple):
 # ``*_terms`` ones take the three system selectors first -- ``l0``:
 # first row, ``active``: usable rows, ``last``: last usable row -- and
 # return their terms in fold order; the ``*_fraction`` ones return the
-# ``(numer, denom)`` step of a grand product.
+# ``(numer, denom)`` step of a grand product.  The lookup argument is
+# stated in DESIGN.md ("The lookup argument").
 
 #: The system polynomials behind the three selectors, in that order.
 SYSTEM_SELECTORS = ("l0", "l_active", "l_last")
@@ -212,16 +222,23 @@ def permutation_fraction(columns, beta, gamma, p):
     return numer, denom
 
 
-def lookup_fraction(a, s, a_in, s_in, beta, gamma, p):
-    """One row's step of a lookup grand product: compressed input and
-    table over the permuted pair ``(A', S')``."""
-    return (a_in + beta) * (s_in + gamma) % p, (a + beta) * (s + gamma) % p
+def lookup_helper_terms(l0, active, last, h, denominators, p):
+    """A helper column is determined by its group's inputs: ``h =
+    sum_i 1 / d_i`` over the ``d_i = beta + f_i``, cleared of
+    denominators -- ``h * prod_i d_i = sum_i prod_{j != i} d_j``."""
+    product, partial = 1, 0
+    for d in denominators:
+        partial = (partial * d + product) % p
+        product = product * d % p
+    return (active * (h * product - partial) % p,)
 
 
-def lookup_order_terms(l0, active, last, a, a_prev, s, p):
-    """The plookup ordering: ``A'`` starts equal to ``S'`` and every
-    later ``A'`` equals ``S'`` or the ``A'`` above it."""
-    return (l0 * (a - s) % p, active * (a - s) % p * (a - a_prev) % p)
+def lookup_sum_terms(l0, active, last, phi, phi_next, m, helpers, table, p):
+    """A lookup argument's running sum starts at 0, steps on every
+    active row by that row's helpers minus ``m / (beta + t)`` (cleared
+    of the denominator) and is back at 0 after the last one."""
+    step = (phi_next - phi - sum(helpers)) * table + m
+    return (l0 * phi % p, active * step % p, last * phi_next % p)
 
 
 def shuffle_fraction(inputs, tables, gamma, p):
@@ -244,9 +261,31 @@ def compress_rows(vectors, theta: int, p: int) -> list[int]:
     return [compress(row, theta, p) for row in zip(*vectors)]
 
 
+def lookup_denominators(
+    vk: VerifyingKey, argument: LookupArgument, expression, challenges
+) -> tuple[list[list[list[int]]], list[int]]:
+    """The denominators of one lookup argument's log-derivative sum,
+    as vectors over the points ``expression`` evaluates at: ``beta +
+    f_i`` for every input tuple ``f_i`` (grouped like
+    ``argument.groups``) and ``beta + t`` for the table tuple, tuples
+    compressed with ``theta``.  :func:`combined_constraint` folds them
+    into the identity; the prover inverts them over the rows of the
+    domain to build the helper columns and the running sum."""
+    p, theta, beta = vk.field.p, challenges["theta"], challenges["beta"]
+
+    def shifted(exprs):
+        values = compress_rows([expression(e) for e in exprs], theta, p)
+        return [(beta + value) % p for value in values]
+
+    return (
+        [[shifted(lookup.inputs) for lookup in group] for group in argument.groups],
+        shifted(argument.table),
+    )
+
+
 def grand_product_fractions(vk, positions, expression, opened, challenges):
     """Every grand-product argument in protocol order -- permutation
-    chunks (paper Eq. 2/3, chunked), lookups, shuffles (Eq. 5) -- as
+    chunks (paper Eq. 2/3, chunked), then shuffles (Eq. 5) -- as
     ``(evaluation section, index, fractions)`` with one ``(numer,
     denom)`` step per point of ``positions``.  The arguments are those
     of :func:`combined_constraint`; the prover also calls this over the
@@ -273,16 +312,6 @@ def grand_product_fractions(vk, positions, expression, opened, challenges):
             )
         yield "permutation_z_evals", j, [
             permutation_fraction(row, beta, gamma, p) for row in zip(*columns)
-        ]
-    for li, lookup in enumerate(vk.cs.lookups):
-        rows = zip(
-            opened(("lookup_parts", li, "permuted_input_x")),
-            opened(("lookup_parts", li, "permuted_table_x")),
-            compressed(lookup.inputs),
-            compressed(lookup.table),
-        )
-        yield "lookup_parts", li, [
-            lookup_fraction(*row, beta, gamma, p) for row in rows
         ]
     for si, shuffle in enumerate(vk.cs.shuffles):
         rows = zip(
@@ -350,12 +379,17 @@ def combined_constraint(
             if closes:
                 acc = (acc * y + last * (z_next_t - 1)) % p
             combined[t] = acc
-        if attr == "lookup_parts":
-            fold(
-                lookup_order_terms,
-                [
-                    opened((attr, i, name))
-                    for name in ("permuted_input_x", "permuted_input_winv_x", "permuted_table_x")
-                ],
-            )
+
+    for i, argument in enumerate(vk.lookup_arguments):
+        groups, table = lookup_denominators(vk, argument, expression, challenges)
+        helpers = [
+            opened(("lookup_helper_evals", argument.first_helper + g))
+            for g in range(len(groups))
+        ]
+        for helper, denominators in zip(helpers, groups):
+            fold(lookup_helper_terms, [helper, zip(*denominators)])
+        phi, phi_next, m = (
+            opened(("lookup_parts", i, name)) for name in ("phi_x", "phi_wx", "m_x")
+        )
+        fold(lookup_sum_terms, [phi, phi_next, m, zip(*helpers), table])
     return combined

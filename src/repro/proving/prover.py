@@ -23,8 +23,8 @@ degree.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 
 from repro import telemetry
 from repro.errors import ReproError
@@ -44,10 +44,10 @@ from repro.proving.protocol import (
     cell,
     collect_queries,
     combined_constraint,
-    compress_rows,
     draw_challenges,
     grand_product_fractions,
     init_transcript,
+    lookup_denominators,
     opening_schedule,
 )
 from repro.transcript import Transcript
@@ -194,6 +194,11 @@ def _commit_columns(
     return commitments
 
 
+def _fault(state: ProverState, name: str) -> int:
+    """An injected fault's setting (soundness harness only; 0 = off)."""
+    return int(getattr(state.faults, name, 0) or 0)
+
+
 def _row_values(state: ProverState, expr) -> list[int]:
     """``expr`` on every usable row of the assignment (memoized: the
     lookup round and the grand-product round read the same ones)."""
@@ -239,34 +244,94 @@ def commit_advice(state: ProverState) -> dict:
     return {"columns": len(advice)}
 
 
-# ---- round 2: lookup permutations (theta) ---------------------------------
+# ---- round 2: lookup multiplicities (theta) --------------------------------
 def lookup_commit(state: ProverState) -> dict:
+    """Per lookup argument the column ``m``: how many input cells, over
+    all of its lookups and usable rows, equal each table row (a repeated
+    table value is booked on its first row).  Counted on the raw tuples,
+    so ``m`` is fixed before ``beta`` -- and ``theta`` -- can matter."""
     vk = state.pk.vk
     field, usable = vk.field, vk.usable_rows
-    theta = state.challenges["theta"]
-    blinding_rows = vk.n_rows - usable
-    for li, lookup in enumerate(vk.cs.lookups):
-        telemetry.incr("lookup.rows", usable)
-        inputs, table = (
-            compress_rows([_row_values(state, e) for e in exprs], theta, field.p)
-            for exprs in (lookup.inputs, lookup.table)
-        )
-        permuted_inputs, permuted_table = _permute_lookup(lookup.name, inputs, table)
-        permuted_inputs += [field.rand() for _ in range(blinding_rows)]
-        permuted_table += [field.rand() for _ in range(blinding_rows)]
-        commitments = _commit_columns(
-            state,
-            [permuted_inputs, permuted_table],
-            [
-                ("lookup_parts", li, "permuted_input_commitment"),
-                ("lookup_parts", li, "permuted_table_commitment"),
-            ],
-        )
-        state.proof.lookup_parts.append(LookupProofPart(*commitments))
+
+    def tuples(exprs):
+        return zip(*[_row_values(state, e) for e in exprs])
+
+    columns = []
+    for argument in vk.lookup_arguments:
+        first_row: dict[tuple, int] = {}
+        for row, value in enumerate(tuples(argument.table)):
+            first_row.setdefault(value, row)
+        m = [0] * usable
+        for lookup in argument.lookups:
+            telemetry.incr("lookup.rows", usable)
+            for value in tuples(lookup.inputs):
+                row = first_row.get(value)
+                if row is None:
+                    if not _fault(state, "misbook_lookup"):
+                        raise ProvingError(
+                            f"lookup {lookup.name!r}: input value {value} "
+                            "not in table"
+                        )
+                    row = 0
+                m[row] += 1
+        columns.append(m + [field.rand() for _ in range(vk.n_rows - usable)])
+    commitments = _commit_columns(
+        state,
+        columns,
+        [("lookup_parts", i, "m_commitment") for i in range(len(columns))],
+    )
+    state.proof.lookup_parts = [LookupProofPart(c) for c in commitments]
     return {"lookups": len(vk.cs.lookups)}
 
 
-# ---- round 3: grand products (beta, gamma) --------------------------------
+def _log_derivative_columns(
+    state: ProverState, i: int
+) -> tuple[list[list[int]], list[int]]:
+    """The columns lookup argument ``i`` sends once ``beta`` is known:
+    per group the helper ``h_g = sum_{f in g} 1 / (beta + f)`` and the
+    running sum ``phi`` with ``phi[0] = 0`` that steps by ``sum_g h_g -
+    m / (beta + t)`` on every usable row -- one batch inversion for all
+    of them --, random past the rows the constraints read."""
+    vk = state.pk.vk
+    field, p, usable = vk.field, vk.field.p, vk.usable_rows
+    groups, table = lookup_denominators(
+        vk,
+        vk.lookup_arguments[i],
+        lambda expr: _row_values(state, expr),
+        state.challenges,
+    )
+    # Inverted in one batch and read back in the order they went in:
+    # one column per lookup, group by group, then the table's.
+    inverses = iter(
+        field.batch_inv(
+            [d for group in groups for column in group for d in column] + table
+        )
+    )
+    helpers = [
+        [sum(row) % p for row in zip(*[list(islice(inverses, usable)) for _ in group])]
+        for group in groups
+    ]
+    if _fault(state, "bend_helper"):
+        helpers[0][0] = (helpers[0][0] + 1) % p
+        helpers[0][1] = (helpers[0][1] - 1) % p
+    m = state.columns[("lookup_parts", i, "m_commitment")]
+    phi = [0] * (usable + 1)
+    for row, (table_inverse, *cells) in enumerate(zip(inverses, *helpers)):
+        phi[row + 1] = (phi[row] + sum(cells) - m[row] * table_inverse) % p
+    if _fault(state, "close_lookup_sum"):
+        phi[usable] = 0
+    elif phi[usable] and not _fault(state, "misbook_lookup"):
+        raise ProvingError(f"lookup argument {i}: the running sum does not close")
+    if _fault(state, "swap_helpers"):
+        helpers[0], helpers[1] = helpers[1], helpers[0]
+    blinding = state.pk.domain.size - usable
+    return (
+        [h + [field.rand() for _ in range(blinding)] for h in helpers],
+        phi + [field.rand() for _ in range(blinding - 1)],
+    )
+
+
+# ---- round 3: grand products and lookup sums (beta, gamma) -----------------
 def grand_products(state: ProverState) -> dict:
     pk, proof = state.pk, state.proof
     vk = pk.vk
@@ -276,7 +341,7 @@ def grand_products(state: ProverState) -> dict:
         omegas[i] = omegas[i - 1] * pk.domain.omega % p
     opened = _opened_values(state, state.columns.__getitem__, 1)
 
-    arguments = {"permutation_z_evals": [], "lookup_parts": [], "shuffle_parts": []}
+    arguments = {"permutation_z_evals": [], "shuffle_parts": []}
     for attr, i, fractions in grand_product_fractions(
         vk, omegas, lambda expr: _row_values(state, expr), opened, state.challenges
     ):
@@ -293,16 +358,24 @@ def grand_products(state: ProverState) -> dict:
         z_columns,
         [("permutation_z_commitments", j) for j in range(len(z_columns))],
     )
-    for li, fractions in arguments["lookup_parts"]:
-        z = _grand_product(
-            state,
-            fractions,
-            must_close="lookup grand product does not close; an input value "
-            "is missing from the lookup table",
-        )
-        (proof.lookup_parts[li].z_commitment,) = _commit_columns(
-            state, [z], [("lookup_parts", li, "z_commitment")]
-        )
+    helpers: list[list[int]] = []
+    sums: list[list[int]] = []
+    for i in range(len(vk.lookup_arguments)):
+        columns, phi = _log_derivative_columns(state, i)
+        helpers += columns
+        sums.append(phi)
+    proof.lookup_helper_commitments = _commit_columns(
+        state,
+        helpers,
+        [("lookup_helper_commitments", g) for g in range(len(helpers))],
+    )
+    phi_commitments = _commit_columns(
+        state,
+        sums,
+        [("lookup_parts", i, "phi_commitment") for i in range(len(sums))],
+    )
+    for part, commitment in zip(proof.lookup_parts, phi_commitments):
+        part.phi_commitment = commitment
     for si, fractions in arguments["shuffle_parts"]:
         z = _grand_product(
             state,
@@ -394,7 +467,7 @@ def quotient(state: ProverState) -> dict:
     # zero chunks.  The proof stays internally consistent -- every eval
     # and opening is honest -- so only a structural degree bound in the
     # verifier can reject it.
-    for _ in range(int(getattr(state.faults, "extra_h_chunks", 0) or 0)):
+    for _ in range(_fault(state, "extra_h_chunks")):
         pieces.append([0])
     blinds = [field.rand() for _ in pieces]
     commitments = commit_polynomials(vk.params, list(zip(pieces, blinds)))
@@ -413,6 +486,7 @@ def evaluations(state: ProverState) -> dict:
     p = vk.field.p
     proof.sigma_evals = [0] * len(pk.sigmas)
     proof.permutation_z_evals = [{} for _ in vk.permutation_chunks]
+    proof.lookup_helper_evals = [0] * len(proof.lookup_helper_commitments)
     proof.h_evals = [0] * len(proof.h_commitments)
     schedule = list(opening_schedule(vk, state.queries, len(proof.h_commitments)))
     x = state.challenges["x"]
@@ -450,39 +524,3 @@ ROUNDS = (
     ("prove.evaluations", "evaluations", evaluations),
     ("prove.multiopen", "multiopen", multiopen),
 )
-
-
-def _permute_lookup(
-    name: str, a_vals: list[int], s_vals: list[int]
-) -> tuple[list[int], list[int]]:
-    """Build the permuted pairs (A', S') of the Plookup argument:
-    A' is A sorted with duplicates adjacent; S' is a permutation of S
-    aligning each first occurrence in A' with the equal table value.
-
-    Raises :class:`ProvingError` when some input value is absent from
-    the table (no witness exists; this is the soundness path a cheating
-    prover hits).
-    """
-    if len(a_vals) != len(s_vals):
-        raise ProvingError(
-            f"lookup {name!r}: input rows ({len(a_vals)}) != table rows "
-            f"({len(s_vals)}); pad the smaller side"
-        )
-    leftover = Counter(s_vals)
-    a_sorted = sorted(a_vals)
-    s_perm: list[int | None] = [None] * len(s_vals)
-    for i, value in enumerate(a_sorted):
-        if i == 0 or value != a_sorted[i - 1]:
-            if leftover[value] <= 0:
-                raise ProvingError(
-                    f"lookup {name!r}: input value {value} not in table"
-                )
-            leftover[value] -= 1
-            s_perm[i] = value
-    spare = [v for v, count in leftover.items() for _ in range(count)]
-    spare_iter = iter(spare)
-    for i, slot in enumerate(s_perm):
-        if slot is None:
-            s_perm[i] = next(spare_iter)
-    assert all(v is not None for v in s_perm)
-    return a_sorted, s_perm  # type: ignore[return-value]

@@ -34,11 +34,14 @@ through every surface of
 ``report.accepted == []``.
 
 The harness also exposes :class:`ProverFaults`, a fault-injection knob
-consumed by ``create_proof(..., _faults=...)`` to produce *honestly
-computed but structurally out-of-spec* proofs (e.g. zero-padded
-quotient chunks beyond the vk bound) -- the regression vector for the
-h-chunk bound check, which byte mutations alone cannot reach because
-the honest prover never emits such bytes.
+consumed by ``create_proof(..., _faults=...)`` to produce proofs an
+honest prover never emits but a cheating one would: *honestly computed
+but structurally out-of-spec* ones (zero-padded quotient chunks beyond
+the vk bound -- the regression vector for the h-chunk bound check), and
+ones whose lookup-argument advice (multiplicities, helper columns,
+running sum) is chosen to smuggle a value past its table.  Byte
+mutations cannot reach either: the first kind is well-formed, and the
+second needs every later round recomputed around the lie.
 """
 
 from __future__ import annotations
@@ -64,9 +67,34 @@ class ProverFaults:
     honest split.  The zero chunks do not change the quotient
     polynomial, so a verifier without the chunk-count bound accepts the
     proof -- the bound check is what rejects it.
+
+    The others attack the lookup argument's prover-chosen columns; each
+    leaves every constraint but one satisfied, so each has exactly one
+    term of ``protocol.lookup_sum_terms`` / ``lookup_helper_terms``
+    standing between it and acceptance:
+
+    ``misbook_lookup``: an input value missing from its table is booked
+    on the table's row 0 instead of raising, and the running sum is
+    sent although it does not return to 0 (guard: ``last * phi(wX)``).
+
+    ``close_lookup_sum``: the running sum's final cell is overwritten
+    with 0 (with ``misbook_lookup``: the sum now "closes", its last
+    step is wrong; guard: the ``active`` step term).
+
+    ``bend_helper``: every argument's first helper column is off by +1
+    on row 0 and by -1 on row 1, so the running sum it feeds still
+    closes (guard: ``lookup_helper_terms``).
+
+    ``swap_helpers``: every argument's first two helper columns are
+    committed in each other's place; their sum, hence the running sum,
+    is unchanged (guard: ``lookup_helper_terms``).
     """
 
     extra_h_chunks: int = 0
+    misbook_lookup: bool = False
+    close_lookup_sum: bool = False
+    bend_helper: bool = False
+    swap_helpers: bool = False
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from repro.plonkish.assignment import ZK_ROWS
-from repro.plonkish.constraint_system import ConstraintSystem
+from repro.plonkish.constraint_system import ConstraintSystem, helper_column_count
 
 #: Gate-name substrings -> the SQL operator bucket they implement.
 #: The circuit builders (repro.circuits) name gates after the relational
@@ -63,7 +63,9 @@ class GateCost:
 
 @dataclass(frozen=True)
 class LookupCost:
-    """Per-lookup static cost: tuple width and argument degree."""
+    """Per-lookup static cost: tuple width and the degree of the
+    constraint it sits in (its helper group's, or the table's running
+    sum if that is higher)."""
 
     name: str
     width: int
@@ -89,6 +91,8 @@ class CircuitReport:
     required_degree: int
     extended_k: int
     lookups: tuple[LookupCost, ...]
+    lookup_tables: int
+    lookup_helper_columns: int
     shuffles: int
     copies: int
     permutation_chunk: int
@@ -119,17 +123,21 @@ class CircuitReport:
             )
             operator_constraints[bucket] = operator_constraints.get(bucket, 0) + count
 
-        lookups = []
-        for lookup in cs.lookups:
-            input_deg = max((e.degree() for e in lookup.inputs), default=1)
-            table_deg = max((e.degree() for e in lookup.table), default=1)
-            lookups.append(
-                LookupCost(
-                    name=lookup.name,
-                    width=len(lookup.inputs),
-                    degree=2 + input_deg + table_deg,
-                )
+        arguments = cs.lookup_arguments(permutation_chunk)
+        degree_of = {
+            id(lookup): max(group_degree, argument.table_degree)
+            for argument in arguments
+            for group, group_degree in zip(argument.groups, argument.group_degrees)
+            for lookup in group
+        }
+        lookups = [
+            LookupCost(
+                name=lookup.name,
+                width=len(lookup.inputs),
+                degree=degree_of[id(lookup)],
             )
+            for lookup in cs.lookups
+        ]
 
         degree = cs.required_degree(permutation_chunk)
         extended_k = k + cs.quotient_extension(permutation_chunk)
@@ -155,6 +163,8 @@ class CircuitReport:
             required_degree=degree,
             extended_k=extended_k,
             lookups=tuple(lookups),
+            lookup_tables=len(arguments),
+            lookup_helper_columns=helper_column_count(arguments),
             shuffles=len(cs.shuffles),
             copies=len(cs.copies),
             permutation_chunk=permutation_chunk,
@@ -184,7 +194,8 @@ class CircuitReport:
         return {
             "advice": self.rows,
             "fixed": self.rows,
-            "lookup_permuted": self.rows,
+            "lookup_multiplicity": self.rows,
+            "lookup_helper": self.rows,
             "grand_product": self.rows,
             "quotient_chunk": self.rows,
             "quotient_chunks": self.quotient_chunks,
@@ -192,20 +203,23 @@ class CircuitReport:
 
     def estimated_commit_msms(self) -> int:
         """How many size-``rows`` MSMs one ``create_proof`` performs,
-        from shape alone (advice + 2 permuted cols and 1 product per
-        lookup, 1 product per shuffle and permutation chunk, quotient
-        chunks, plus the final multiopen/IPA commitment).
+        from shape alone (advice; per lookup table 1 multiplicity
+        column and 1 running sum, plus 1 helper column per group of
+        lookups; 1 product per shuffle and permutation chunk; quotient
+        chunks; plus the final multiopen/IPA commitment).
 
         Times ``rows + 1`` points this is an *upper bound* on the
         fixed-base work, not the work: the kernel pays per nonzero
         scalar digit (``msm.fixed_base_digits``), and scalar width
-        varies by column kind -- advice and permuted-lookup columns are
-        narrow (limbs, values, selector bits; only the blinding rows
-        are full width), while grand products, sigma columns and
-        quotient chunks are full width throughout."""
+        varies by column kind -- advice and multiplicity columns are
+        narrow (limbs, values, selector bits, counts; only the blinding
+        rows are full width), while helpers, running sums, grand
+        products, sigma columns and quotient chunks are full width
+        throughout."""
         return (
             self.advice_columns
-            + 3 * len(self.lookups)
+            + 2 * self.lookup_tables
+            + self.lookup_helper_columns
             + self.shuffles
             + self.permutation_grand_products
             + self.quotient_chunks
@@ -243,6 +257,8 @@ class CircuitReport:
                 {"name": l.name, "width": l.width, "degree": l.degree}
                 for l in self.lookups
             ],
+            "lookup_tables": self.lookup_tables,
+            "lookup_helper_columns": self.lookup_helper_columns,
             "shuffles": self.shuffles,
             "copies": self.copies,
             "permutation_chunk": self.permutation_chunk,
@@ -261,7 +277,9 @@ class CircuitReport:
             f"instance={self.instance_columns} equality={self.equality_columns}",
             f"degree: max gate {self.max_gate_degree}, required {self.required_degree} "
             f"-> extended_k={self.extended_k}",
-            f"arguments: lookups={len(self.lookups)} shuffles={self.shuffles} "
+            f"arguments: lookups={len(self.lookups)} "
+            f"(tables={self.lookup_tables}, helper columns="
+            f"{self.lookup_helper_columns}) shuffles={self.shuffles} "
             f"copies={self.copies} "
             f"permutation products={self.permutation_grand_products} "
             f"(chunk {self.permutation_chunk})",

@@ -69,7 +69,7 @@ class Transcript:
         """Squeeze a nonzero field element.
 
         Challenges are rejection-sampled away from 0 and 1: several
-        protocol denominators (permutation and lookup grand products)
+        protocol denominators (permutation grand products, lookup sums)
         must not vanish, and the probability of resampling is
         negligible anyway.
         """

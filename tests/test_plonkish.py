@@ -107,7 +107,9 @@ class TestConstraintSystem:
         assert base >= cs.max_gate_degree()
         t = cs.fixed_column("t")
         cs.add_lookup("l", [q.cur() * a.cur()], [t.cur()])
-        assert cs.required_degree() >= 1 + 1 + 2 + 1
+        # active * (h * (beta + q*a) - 1): 1 + 1 + 2; the table's step
+        # term, 1 + 1 + 1, is lower -- the two no longer add.
+        assert cs.required_degree() >= 1 + 1 + 2
 
     def test_summary(self):
         cs, *_ = simple_mul_circuit()

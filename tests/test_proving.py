@@ -21,13 +21,13 @@ from tests.conftest import two_chunk_shuffle_circuit
 
 F = SCALAR_FIELD
 
-GOLDEN_K5 = "619da66fbfae00d6b12266420355a02c"
-GOLDEN_K6_TPCH = "71b8dcf5e4f78e57d0bbde30ecefe238"
-GOLDEN_K5_TWO_CHUNK_SHUFFLE = "8c582237c5fa3284d7992b794b24d36a"
-#: ``PDBA`` envelope of the k=6 TPC-H response folded twice (20,454
-#: bytes), recorded at 99f270e -- the parent of the one-verification-
-#: core refactor.
-GOLDEN_K6_TPCH_AGGREGATE = "351e2117a572234721ca47cc30d2a167"
+#: ``PDB3`` proofs of 2,948 / 7,024 / 4,280 bytes.
+GOLDEN_K5 = "83e53756ec67246444955631d2b6c9f6"
+GOLDEN_K6_TPCH = "414e361fd8d95ef38ae5cdaecfe30be4"
+GOLDEN_K5_TWO_CHUNK_SHUFFLE = "0f796846a02cfe5d0b6be397d0deda26"
+#: ``PDBA`` envelope of the k=6 TPC-H response folded twice (14,646
+#: bytes; the envelope's own magic and layout are those of 99f270e).
+GOLDEN_K6_TPCH_AGGREGATE = "ffaadad2ff77f53a8a826223708ff59d"
 
 
 def assign_broken_mul(cs, cols):
@@ -226,10 +226,10 @@ class TestGoldenProofDigest:
     """Cross-commit byte-identity: under a pinned prover seed the wire
     bytes are a function of the code alone, so a refactor that claims
     "proofs stay byte-identical" must leave these digests untouched.
-    The first two were recorded at commit cb71d82 (the parent of the
-    kernel-toggle removal), the two-chunk + shuffle one at 5f5755b (the
-    parent of the round-pipeline refactor), the ``PDBA`` envelope at
-    99f270e; a deliberate protocol change re-records them.
+    A deliberate protocol change re-records them: all four were last
+    recorded with the log-derivative lookup argument (``PDB2`` ->
+    ``PDB3``), identical under both field backends and with or without
+    a worker pool.
 
     Each test also checks the two sides of ``opening_schedule``: the
     claims the prover opened and the claims the verifier checked are
@@ -249,14 +249,14 @@ class TestGoldenProofDigest:
 
     def test_k5_two_chunks_and_shuffle(self, params_k6_module, claims):
         # The only circuit with more than one permutation chunk (the
-        # "chain" evaluation, a 4th opening point) and a shuffle.
+        # "chain" evaluation, a 3rd opening point) and a shuffle.
         cs, asg, instance = two_chunk_shuffle_circuit()
         with deterministic_rng(0x5EED):
             pk = keygen(params_k6_module, cs, F, K)
             finalize_fixed(pk, asg)
             proof = create_proof(pk, asg)
         assert len(pk.vk.permutation_chunks) == 2 and len(cs.shuffles) == 1
-        assert len(proof.openings) == 4
+        assert len(proof.openings) == 3  # x, omega * x, omega^usable * x
         assert verify_proof(pk.vk, proof, instance)
         assert claims["prover"] == claims["verifier"]
         assert _digest(proof.to_bytes()) == GOLDEN_K5_TWO_CHUNK_SHUFFLE

@@ -149,6 +149,21 @@ def test_quotient_is_the_same_on_a_domain_twice_the_size(after_quotient):
     assert _pieces(wide) == _pieces(state)
 
 
+@pytest.mark.parametrize(
+    "name, degree",
+    [("Q1", 5), ("Q3", 5), ("Q5", 5), ("Q8", 6), ("Q9", 5), ("Q18", 5)],
+)
+def test_gates_not_lookups_set_the_tpch_degree(monkeypatch, name, degree):
+    """A lookup helper group is packed into the degree the rest of the
+    circuit requires, so every TPC-H query sits at ``max gate degree +
+    1``: 5 (a 4n quotient domain, 4 chunks) but for Q8, whose degree-5
+    ``aggarg.*.eq`` gate keeps it at 6 (8n, 5 chunks)."""
+    monkeypatch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
+    cs, _, _ = CIRCUITS[name]()
+    assert cs.required_degree(PERMUTATION_CHUNK) == degree
+    assert cs.max_gate_degree() + 1 == degree
+
+
 def test_cost_model_predicts_the_committed_chunks(after_quotient):
     cs, k, state = after_quotient
     report = CircuitReport.from_constraint_system(cs, k, PERMUTATION_CHUNK)

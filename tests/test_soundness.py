@@ -21,6 +21,7 @@ from repro.config import ProverConfig
 from repro.proving import create_proof, keygen, verify_proof
 from repro.proving.aggregate import aggregate
 from repro.proving.keygen import finalize_fixed
+from repro.proving.prover import ProvingError
 from repro.proving.proof import (
     CHUNKS,
     KEYED,
@@ -47,9 +48,9 @@ from repro.wire import WireFormatError
 from tests.conftest import two_chunk_shuffle_circuit
 
 F = SCALAR_FIELD
-#: ``field_mutators`` labels per fixture, recorded at the parent of the
-#: schema refactor (where they were enumerated by hand).
-PARENT_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_5f5755b.json"
+#: ``field_mutators`` labels per fixture, recorded with the ``PDB3``
+#: layout (the log-derivative lookup argument's first commit).
+RECORDED_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_pdb3.json"
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def proven(params):
 @pytest.fixture(scope="module")
 def proven_two_chunk(params):
     """The same for the two-permutation-chunk + shuffle circuit: the
-    only fixture whose proof has a ``chain`` evaluation, a fourth
+    only fixture whose proof has a ``chain`` evaluation, a third
     opening point and a shuffle part."""
     return prove_honestly(params, *two_chunk_shuffle_circuit())
 
@@ -105,11 +106,14 @@ class TestRoundTrip:
         with pytest.raises(WireFormatError, match="trailing"):
             Proof.from_bytes(pk.vk, proof.to_bytes() + b"\x00")
 
-    def test_bad_magic_rejected(self, proven):
+    @pytest.mark.parametrize("magic", [b"PDB1", b"PDB2"])
+    def test_bad_magic_rejected(self, proven, magic):
+        # PDB2 was the permuted-column lookup layout: refused at the
+        # header, whatever follows.
         pk, _, proof, _ = proven
         data = proof.to_bytes()
-        with pytest.raises(WireFormatError):
-            Proof.from_bytes(pk.vk, b"PDB1" + data[len(WIRE_MAGIC):])
+        with pytest.raises(WireFormatError, match="bad proof header"):
+            Proof.from_bytes(pk.vk, magic + data[len(WIRE_MAGIC):])
 
     def test_empty_and_tiny_inputs_rejected(self, proven):
         pk, *_ = proven
@@ -154,7 +158,9 @@ class TestFieldLevelTampering:
         pk, _, proof, _ = proven_two_chunk
         labels = " ".join(label for label, _ in field_mutators(proof))
         for field_name in (
-            "advice_commitments", "lookup", "shuffle",
+            "advice_commitments", "lookup[0].m_commitment", "lookup[0].m_x",
+            "lookup[0].phi_commitment", "lookup[0].phi_x", "lookup[0].phi_wx",
+            "lookup_helper_commitments", "lookup_helper_evals", "shuffle",
             "permutation_z_commitments", "h_commitments", "advice_evals",
             "fixed_evals", "sigma_evals", "system_evals",
             "permutation_z_evals", "chain", "h_evals", "openings",
@@ -166,13 +172,12 @@ class TestFieldLevelTampering:
         "name, fixture",
         [("example", "proven"), ("two_chunk_shuffle", "proven_two_chunk")],
     )
-    def test_mutators_keep_every_label_of_the_hand_written_list(
-        self, request, name, fixture
-    ):
-        """The schema walk yields at least the mutations the
-        hand-enumerated ``field_mutators`` of commit 5f5755b did."""
+    def test_mutators_keep_every_recorded_label(self, request, name, fixture):
+        """The schema walk yields at least the mutations it did when
+        the ``PDB3`` layout was recorded: a later edit of the schema or
+        of the walk may add mutations, not silently lose one."""
         _, _, proof, _ = request.getfixturevalue(fixture)
-        recorded = json.loads(PARENT_LABELS.read_text())[name]
+        recorded = json.loads(RECORDED_LABELS.read_text())[name]
         labels = {label for label, _ in field_mutators(proof)}
         assert set(recorded) <= labels, sorted(set(recorded) - labels)
 
@@ -229,7 +234,7 @@ class TestShapeCheck:
 
 
 def test_design_doc_carries_the_schema_layout():
-    """DESIGN.md 5c's ``PDB2`` block is ``wire_layout()`` verbatim."""
+    """DESIGN.md 5c's ``PDB3`` block is ``wire_layout()`` verbatim."""
     design = Path(__file__).resolve().parents[1] / "DESIGN.md"
     assert wire_layout() in design.read_text(encoding="utf-8")
 
@@ -282,6 +287,98 @@ class TestQuotientChunkBound:
     def test_unpadded_control_still_verifies(self, proven):
         pk, asg, _, instance = proven
         proof = create_proof(pk, asg, _faults=ProverFaults(extra_h_chunks=0))
+        assert verify_proof(pk.vk, proof, instance)
+
+
+def two_helper_example(x=7):
+    """The example circuit with a second range lookup (on ``b``), so
+    its one lookup argument has two helper columns; ``x`` lands in the
+    range-checked cell of ``a``."""
+    cs, cols = example_circuit()
+    q = cols["q_range"].cur()
+    cs.add_lookup("range16.b", [q * cols["b"].cur()], [cols["table"].cur()])
+    asg, _ = example_assignment(cs, cols, x=x)
+    return cs, asg, [asg.instance_values(cols["out"])[: asg.usable_rows]]
+
+
+def tuple_lookup_circuit(x=7):
+    """The join gate's shape (``DisjointChip``): two flag-gated tuple
+    lookups into one *advice* table of ``(value, tag)`` rows, the table
+    holding a duplicate and all-zero padding.  ``x`` is the value ``a``
+    looks up on row 0; the table has 7, not 99."""
+    from repro.plonkish import Assignment, ConstraintSystem
+
+    cs = ConstraintSystem()
+    names = ("s", "tag", "a", "fa", "b", "fb")
+    s_, tag, a, fa, b, fb = (cs.advice_column(name) for name in names)
+    table = [s_.cur(), tag.cur()]
+    cs.add_lookup("a_in_s", [fa.cur() * a.cur(), fa.cur() * 1], table)
+    cs.add_lookup("b_in_s", [fb.cur() * b.cur(), fb.cur() * 2], table)
+    asg = Assignment(cs, F, K)
+    for row, (value, kind) in enumerate([(7, 1), (9, 2), (7, 1), (12, 1), (3, 2)], 2):
+        asg.assign(s_, row, value)
+        asg.assign(tag, row, kind)
+    for row, value in enumerate([x, 12, 7]):
+        asg.assign(a, row, value)
+        asg.assign(fa, row, 1)
+    for row, value in enumerate([3, 9], start=1):
+        asg.assign(b, row, value)
+        asg.assign(fb, row, 1)
+    return cs, asg, []
+
+
+#: attack -> (faults, witness with a value outside its table?, the one
+#: term of the identity that rejects it, that term removed)
+LOOKUP_ATTACKS = {
+    "misbooked-and-open": (
+        ProverFaults(misbook_lookup=True), True,
+        "lookup_sum_terms", lambda terms: terms[:2],
+    ),
+    "misbooked-and-forced-closed": (
+        ProverFaults(misbook_lookup=True, close_lookup_sum=True), True,
+        "lookup_sum_terms", lambda terms: (terms[0], terms[2]),
+    ),
+    "helper-not-the-sum-of-inverses": (
+        ProverFaults(bend_helper=True), False,
+        "lookup_helper_terms", lambda terms: (),
+    ),
+    "helpers-swapped-between-groups": (
+        ProverFaults(swap_helpers=True), False,
+        "lookup_helper_terms", lambda terms: (),
+    ),
+}
+
+
+class TestLookupArgumentAttacks:
+    """The lookup argument's multiplicities, helper columns and running
+    sum are advice the prover picks; the identity has to *determine*
+    them.  Each attack is an otherwise honest prover lying in one of
+    them so that a single term of ``combined_constraint`` is violated:
+    the proof must be rejected, and -- the mutation check that the test
+    attacks what it says -- accepted once that term is taken out of the
+    identity on both sides."""
+
+    @pytest.mark.parametrize("attack", list(LOOKUP_ATTACKS))
+    @pytest.mark.parametrize("circuit", [two_helper_example, tuple_lookup_circuit])
+    def test_rejected_by_exactly_its_guard(self, params, monkeypatch, circuit, attack):
+        from repro.proving import protocol
+
+        faults, outside, guard, weaken = LOOKUP_ATTACKS[attack]
+        cs, asg, instance = circuit(x=99 if outside else 7)
+        pk = keygen(params, cs, F, K)
+        finalize_fixed(pk, asg)
+        assert len(pk.vk.lookup_arguments[0].groups) == 2
+        if outside:
+            with pytest.raises(ProvingError, match="not in table"):
+                create_proof(pk, asg)
+        proof = create_proof(pk, asg, _faults=faults)
+        assert not verify_proof(pk.vk, proof, instance)
+
+        original = getattr(protocol, guard)
+        monkeypatch.setattr(
+            protocol, guard, lambda *args: weaken(original(*args))
+        )
+        proof = create_proof(pk, asg, _faults=faults)
         assert verify_proof(pk.vk, proof, instance)
 
 

@@ -367,19 +367,24 @@ class TestCircuitReport:
         assert [g.max_degree for g in report.gates] == [2, 3, 2]
         assert report.num_constraints == 3
         assert report.max_gate_degree == 3
-        assert report.required_degree == 5  # range16 lookup: 1+1+2+1
-        assert report.extended_k == 7  # 5 + ceil(log2(5 - 1))
+        # mul gate 3 + 1 = two-column permutation chunk 2 + 2 = range16
+        # helper active * (h * (beta + q_range * a) - 1): 1 + 1 + 2
+        assert report.required_degree == 4
+        assert report.extended_k == 7  # 5 + ceil(log2(4 - 1))
         (lookup,) = report.lookups
-        assert (lookup.name, lookup.width, lookup.degree) == ("range16", 1, 5)
+        assert (lookup.name, lookup.width, lookup.degree) == ("range16", 1, 4)
+        assert (report.lookup_tables, report.lookup_helper_columns) == (1, 1)
         assert report.copies == 2
         assert report.permutation_grand_products == 1  # ceil(2/3)
         assert report.operator_constraints == {"other": 2, "project": 1}
-        # advice 3 + 3*1 lookup + 1 perm product + 4 quotient chunks + 1 IPA
-        assert report.estimated_commit_msms() == 12
-        assert report.commitment_msm_sizes()["quotient_chunks"] == 4
-        assert report.as_dict()["estimated_commit_msms"] == 12
+        # advice 3 + 1 table * (m + phi) + 1 helper + 1 perm product
+        # + 3 quotient chunks + 1 IPA
+        assert report.estimated_commit_msms() == 11
+        assert report.commitment_msm_sizes()["quotient_chunks"] == 3
+        assert report.as_dict()["estimated_commit_msms"] == 11
         rendered = report.render()
         assert "range16" in rendered and "constraints by operator" in rendered
+        assert "lookups=1 (tables=1, helper columns=1)" in rendered
 
     def test_tpch_query_report(self):
         from repro.sql.compiler import QueryCompiler
