@@ -44,6 +44,7 @@ from repro.errors import (
     StateError,
     VerificationFailure,
     WireFormatError,
+    WitnessError,
 )
 from repro.service import (
     JobId,
@@ -93,6 +94,7 @@ __all__ = [
     "ConfigError",
     "StateError",
     "WireFormatError",
+    "WitnessError",
     "VerificationFailure",
     "ServiceError",
     "ServiceClosed",

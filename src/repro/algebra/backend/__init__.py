@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 _ENV_FLAG = "REPRO_FIELD_BACKEND"
 
@@ -57,7 +57,8 @@ class FieldBackend:
 
     @classmethod
     def available(cls) -> bool:
-        """True when this backend's dependencies import on this host."""
+        """True when this backend's dependencies are installed on this
+        host (answered without importing them)."""
         return True
 
     def ntt(self, values: list[int], omega: int, p: int) -> list[int] | None:
@@ -96,16 +97,11 @@ class FieldBackend:
         or decline."""
         return None
 
-    def reduce_column(
-        self, values: Sequence[int], p: int
-    ) -> list[int] | None:
-        """``[v % p for v in values]``, or decline."""
-        return None
-
 
 def _registry() -> dict[str, FieldBackend]:
-    """Name -> backend instance.  Built lazily so importing this module
-    never imports numpy; instances are cached after first use."""
+    """Name -> backend instance, cached after first use.  Neither
+    backend module imports numpy: the numpy engine loads on the first
+    hook call that passes its size threshold."""
     global _BACKENDS
     if _BACKENDS is None:
         from repro.algebra.backend.numpy_backend import NumpyBackend

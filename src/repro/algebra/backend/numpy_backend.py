@@ -10,8 +10,8 @@ inside the engine's certified bounds.
 
 Where the engine wins (measured; see DESIGN.md section 5e):
 
-- NTTs from :data:`~repro.algebra.backend.numpy_limb.MIN_NTT` points
-  up -- the butterflies and twiddle products are pure array ops,
+- NTTs from :data:`MIN_NTT` points up -- the butterflies and twiddle
+  products are pure array ops,
 - Lagrange basis evaluation -- the denominators are *generated* as a
   vector, inverted by the resident product tree, and scaled in one
   pass, so the int boundary is crossed once instead of three times,
@@ -31,18 +31,26 @@ operands already live (or are produced) in limb form.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import importlib.util
+from typing import Callable
 
 from repro.algebra.backend import FieldBackend
-from repro.algebra.backend import numpy_limb
 
-try:  # pragma: no cover - absence exercised on hosts without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+#: vector paths only engage at or above these batch sizes -- below
+#: them ufunc dispatch overhead beats the scalar loop.
+MIN_INV = 2048
+MIN_NTT = 2048
+MIN_EXPR = 1024
 
-#: Below this, reduce_column's array conversion beats nothing.
-MIN_REDUCE = 64
+
+def _limb():
+    """The limb engine.  Imported -- and numpy with it (0.17 s, ~10 MB
+    resident) -- by the first hook call that passes its size threshold,
+    so a workload that never reaches one never pays for it."""
+    from repro.algebra.backend import numpy_limb
+
+    return numpy_limb
+
 
 # Expression-evaluation cost model (ns/element, measured at n=16384;
 # host-relative, but only the *ratios* steer the decision).  A scalar
@@ -74,15 +82,15 @@ class NumpyBackend(FieldBackend):
 
     @classmethod
     def available(cls) -> bool:
-        return numpy_limb.available()
+        return importlib.util.find_spec("numpy") is not None
 
     # -- hooks -----------------------------------------------------------
 
     def ntt(self, values: list, omega: int, p: int) -> list | None:
         n = len(values)
-        if n < numpy_limb.MIN_NTT or n & (n - 1):
+        if n < MIN_NTT or n & (n - 1):
             return None
-        ctx = numpy_limb.ctx_for(p)
+        ctx = _limb().ctx_for(p)
         if ctx is None:
             return None
         return ctx.ntt(values, omega)
@@ -98,9 +106,9 @@ class NumpyBackend(FieldBackend):
         size: int,
         kk: int,
     ) -> list[int] | None:
-        if count < numpy_limb.MIN_INV:
+        if count < MIN_INV:
             return None
-        ctx = numpy_limb.ctx_for(p)
+        ctx = _limb().ctx_for(p)
         if ctx is None:
             return None
         # L_i(x) = (z/n) * omega^i / (x - omega^i); multiplying the
@@ -127,10 +135,7 @@ class NumpyBackend(FieldBackend):
         rotation_factor: int,
         p: int,
     ) -> list[int] | None:
-        if ext_n < numpy_limb.MIN_EXPR:
-            return None
-        ctx = numpy_limb.ctx_for(p)
-        if ctx is None:
+        if ext_n < MIN_EXPR:
             return None
         from repro.plonkish.expression import (
             ColumnQuery,
@@ -162,6 +167,11 @@ class NumpyBackend(FieldBackend):
                 return None  # unknown node type: reference path raises
         gain -= len(cols) * EXPR_LIFT_NS
         if gain < EXPR_MIN_GAIN:
+            return None
+        numpy_limb = _limb()
+        np = numpy_limb.np
+        ctx = numpy_limb.ctx_for(p)
+        if ctx is None:
             return None
 
         mask = float(numpy_limb.MASK)
@@ -232,18 +242,3 @@ class NumpyBackend(FieldBackend):
             np.copyto(full, arr)
             arr = full
         return ctx.lower(arr)
-
-    def reduce_column(
-        self, values: Sequence[int], p: int
-    ) -> list[int] | None:
-        if np is None or len(values) < MIN_REDUCE or p.bit_length() <= 64:
-            return None
-        try:
-            arr = np.asarray(values, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        if not (arr >= 0).all():
-            return None
-        # Every value fits in a nonnegative int64 and p > 2^64, so each
-        # is already its own residue: reduction is the identity.
-        return list(values)

@@ -63,11 +63,6 @@ ADD_LIM = 1 << 31
 #: every ufunc keeps a long contiguous inner dimension.
 EARLY_B = 64
 
-#: vector paths only engage at or above these batch sizes -- below
-#: them ufunc dispatch overhead beats the scalar loop.
-MIN_INV = 2048
-MIN_NTT = 2048
-MIN_EXPR = 1024
 #: product-tree level width at which inversion switches to the scalar
 #: Montgomery core.
 TREE_CUTOFF = 256

@@ -129,7 +129,6 @@ def prover_config(config: BenchConfig) -> ProverConfig:
         workers=config.workers,
         cache_dir=config.cache_dir,
         use_cache=config.use_cache,
-        scale=config.lineitem_rows,
         telemetry=config.telemetry,
     )
 
@@ -188,7 +187,6 @@ def bench_metadata(
             "key_bits": pc.key_bits,
             "workers": pc.workers,
             "use_cache": pc.use_cache,
-            "scale": pc.scale,
             "telemetry": pc.telemetry,
         },
         "lineitem_rows": config.lineitem_rows,

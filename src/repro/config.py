@@ -48,9 +48,6 @@ class ProverConfig:
         (``$REPRO_CACHE_DIR`` or ``~/.cache/poneglyphdb``).
     use_cache:
         Master switch for the on-disk artifact cache.
-    scale:
-        Workload scale for benchmark/TPC-H sessions (lineitem rows);
-        ignored when an explicit database is supplied.
     telemetry:
         Enable the :mod:`repro.telemetry` tracer for the session's
         lifetime.  Proved responses then carry a ``report`` dict with
@@ -74,7 +71,6 @@ class ProverConfig:
     workers: int = 0
     cache_dir: str | os.PathLike[str] | None = None
     use_cache: bool = True
-    scale: int = 64
     telemetry: bool = False
     field_backend: str = "auto"
     field: Field = dc_field(default=SCALAR_FIELD, repr=False)
@@ -98,8 +94,6 @@ class ProverConfig:
             )
         if self.workers < 0:
             raise ConfigError(f"workers must be >= 0, got {self.workers}")
-        if self.scale < 0:
-            raise ConfigError(f"scale must be >= 0, got {self.scale}")
         if self.field_backend not in ("auto", "python", "numpy"):
             raise ConfigError(
                 "field_backend must be one of 'auto', 'python', 'numpy', "

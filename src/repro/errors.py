@@ -38,6 +38,25 @@ class BatchInversionError(ReproError, ValueError, ZeroDivisionError):
         self.index = index
 
 
+class WitnessError(ReproError, ValueError):
+    """The witness of a compiled query cannot be written: at one row a
+    gate was handed operands it has no honest assignment for -- a value
+    wider than the configured ``value_bits`` / ``key_bits``, a zero
+    divisor, a date outside the calendar table.  Names the gate, the
+    row and the operand values; raising the width in
+    :class:`~repro.config.ProverConfig` is the usual fix."""
+
+    def __init__(self, gate: str, row: int, values: list[int], detail: str):
+        super().__init__(gate, row, list(values), detail)  # picklable args
+        self.gate, self.row, self.values, self.detail = self.args
+
+    def __str__(self) -> str:
+        return (
+            f"cannot assign {self.gate} at row {self.row} "
+            f"(operands {self.values}): {self.detail}"
+        )
+
+
 class StateError(ReproError, RuntimeError):
     """An operation was invoked out of lifecycle order -- verifying
     before committing, fetching a result before the job finished."""
@@ -151,6 +170,7 @@ __all__ = [
     "BatchInversionError",
     "ConfigError",
     "StateError",
+    "WitnessError",
     "WireFormatError",
     "VerificationFailure",
     "ServiceError",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 
-from repro.db.types import date_to_int
+from repro.db.types import date_to_int, int_to_date
 from repro.gates.compare import AssertLeChip, AssertLtChip
 from repro.gates.tables import RangeTable
 from repro.plonkish.assignment import Assignment
@@ -20,6 +20,8 @@ from repro.plonkish.expression import Expression
 
 FIRST_YEAR = 1971
 LAST_YEAR = 2099
+_FIRST_DAY = date_to_int(datetime.date(FIRST_YEAR, 1, 1))
+_END_DAY = date_to_int(datetime.date(LAST_YEAR + 1, 1, 1))
 
 
 class YearChip:
@@ -64,8 +66,11 @@ class YearChip:
             row += 1
 
     def assign_row(self, asg: Assignment, row: int, days: int) -> int:
-        from repro.db.types import int_to_date
-
+        if not _FIRST_DAY <= days < _END_DAY:
+            raise ValueError(
+                f"date {days} (days since epoch) outside the calendar "
+                f"table {FIRST_YEAR}..{LAST_YEAR}"
+            )
         year = int_to_date(days).year
         start = date_to_int(datetime.date(year, 1, 1))
         end = date_to_int(datetime.date(year + 1, 1, 1))

@@ -11,9 +11,9 @@ opened evaluations comes from, exactly as in Halo2).
 
 from __future__ import annotations
 
-from repro.algebra import backend as field_backend
 from repro.algebra.field import Field
 from repro.plonkish.constraint_system import Column, ColumnKind, ConstraintSystem
+from repro.plonkish.expression import Expression
 
 #: Rows reserved at the bottom of every column for blinding factors.
 #: One extra row is consumed conceptually by the final running-product
@@ -41,6 +41,13 @@ class Assignment:
         self.instance: list[list[int]] = [
             [0] * self.n_rows for _ in cs.instance_columns
         ]
+        #: kind -> matrix, so a cell access is one dict lookup
+        #: (:meth:`evaluate` reads a cell per column query).
+        self._matrices = {
+            ColumnKind.FIXED: self.fixed,
+            ColumnKind.ADVICE: self.advice,
+            ColumnKind.INSTANCE: self.instance,
+        }
         #: advice column indices whose blinding rows were set explicitly
         #: (database scans replay the committed tail; see
         #: repro.db.commitment).
@@ -49,11 +56,7 @@ class Assignment:
     # -- assignment ------------------------------------------------------------
 
     def _storage(self, column: Column) -> list[int]:
-        if column.kind is ColumnKind.FIXED:
-            return self.fixed[column.index]
-        if column.kind is ColumnKind.ADVICE:
-            return self.advice[column.index]
-        return self.instance[column.index]
+        return self._matrices[column.kind][column.index]
 
     def assign(self, column: Column, row: int, value: int) -> None:
         if not 0 <= row < self.usable_rows:
@@ -68,17 +71,8 @@ class Assignment:
             raise ValueError(
                 f"{len(values)} values exceed usable rows {self.usable_rows}"
             )
-        storage = self._storage(column)
         p = self.field.p
-        # Database scans assign whole columns of machine-sized values;
-        # the field backend can certify them already-reduced in one
-        # vectorized range check instead of n bigint mods.
-        reduced = field_backend.active().reduce_column(values, p)
-        if reduced is not None:
-            storage[: len(reduced)] = reduced
-            return
-        for i, v in enumerate(values):
-            storage[i] = v % p
+        self._storage(column)[: len(values)] = [v % p for v in values]
 
     def value(self, column: Column, row: int) -> int:
         return self._storage(column)[row % self.n_rows]
@@ -87,6 +81,16 @@ class Assignment:
         """Rotation-aware cell read with wrap-around (the evaluation
         domain is cyclic, so rotations wrap as ``omega^n = 1``)."""
         return self._storage(column)[(row + rotation) % self.n_rows]
+
+    def evaluate(self, expr: Expression, row: int) -> int:
+        """``expr`` at ``row``, reading every column query from this
+        assignment -- the one row evaluator: MockProver checks with it,
+        the prover builds its lookup and shuffle vectors with it, and
+        the query compiler computes every witness cell with it."""
+        return expr.evaluate(
+            lambda column, rotation: self.query(column, row, rotation),
+            self.field.p,
+        )
 
     def assign_tail(self, column: Column, tail: list[int]) -> None:
         """Pin an advice column's blinding rows to explicit values.

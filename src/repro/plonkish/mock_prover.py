@@ -64,14 +64,11 @@ class MockProver:
         # multiplies every gate by the fixed active-rows selector, so
         # blinding rows are unconstrained by construction.
         failures = []
-        p = self.field.p
         asg = self.assignment
         for gate in self.cs.gates:
             for c_idx, constraint in enumerate(gate.constraints):
                 for row in range(asg.usable_rows):
-                    value = constraint.evaluate(
-                        lambda col, rot, r=row: asg.query(col, r, rot), p
-                    )
+                    value = asg.evaluate(constraint, row)
                     if value != 0:
                         failures.append(
                             VerifyFailure(
@@ -103,23 +100,16 @@ class MockProver:
 
     def _check_lookups(self) -> list[VerifyFailure]:
         failures = []
-        p = self.field.p
         asg = self.assignment
         rows = range(asg.usable_rows)
         for lookup in self.cs.lookups:
             table_rows = set()
             for row in rows:
                 table_rows.add(
-                    tuple(
-                        e.evaluate(lambda col, rot, r=row: asg.query(col, r, rot), p)
-                        for e in lookup.table
-                    )
+                    tuple(asg.evaluate(e, row) for e in lookup.table)
                 )
             for row in rows:
-                needle = tuple(
-                    e.evaluate(lambda col, rot, r=row: asg.query(col, r, rot), p)
-                    for e in lookup.inputs
-                )
+                needle = tuple(asg.evaluate(e, row) for e in lookup.inputs)
                 if needle not in table_rows:
                     failures.append(
                         VerifyFailure(
@@ -135,7 +125,6 @@ class MockProver:
         from collections import Counter
 
         failures = []
-        p = self.field.p
         asg = self.assignment
         rows = range(asg.usable_rows)
         for shuffle in self.cs.shuffles:
@@ -144,14 +133,7 @@ class MockProver:
                 counter: Counter = Counter()
                 for group in groups:
                     for row in rows:
-                        counter[
-                            tuple(
-                                e.evaluate(
-                                    lambda col, rot, r=row: asg.query(col, r, rot), p
-                                )
-                                for e in group
-                            )
-                        ] += 1
+                        counter[tuple(asg.evaluate(e, row) for e in group)] += 1
                 return counter
 
             inputs = multiset(shuffle.input_groups)

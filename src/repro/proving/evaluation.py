@@ -65,18 +65,3 @@ def evaluate_expression_ext(
         s = expr.scalar % p
         return [a * s % p for a in inner]
     raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-def evaluate_expression_rows(
-    expr: Expression,
-    query: Callable[[object, int, int], int],
-    rows: range,
-    p: int,
-) -> list[int]:
-    """Evaluate ``expr`` for each row in ``rows`` against an assignment
-    (``query(column, row, rotation)``).  Used to build lookup witness
-    vectors."""
-    return [
-        expr.evaluate(lambda col, rot, r=row: query(col, r, rot), p)
-        for row in rows
-    ]

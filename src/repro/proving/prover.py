@@ -34,7 +34,7 @@ from repro.ecc.curve import Point
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.plonkish.expression import Expression
-from repro.proving.evaluation import evaluate_expression_ext, evaluate_expression_rows
+from repro.proving.evaluation import evaluate_expression_ext
 from repro.proving.keygen import PolyData, ProvingKey
 from repro.proving.multiopen import OpeningClaim, multi_open
 from repro.proving.proof import LookupProofPart, Proof, ShuffleProofPart
@@ -203,10 +203,10 @@ def _row_values(state: ProverState, expr) -> list[int]:
     """``expr`` on every usable row of the assignment (memoized: the
     lookup round and the grand-product round read the same ones)."""
     if expr not in state.row_values:
-        vk = state.pk.vk
-        state.row_values[expr] = evaluate_expression_rows(
-            expr, state.assignment.query, range(vk.usable_rows), vk.field.p
-        )
+        asg = state.assignment
+        state.row_values[expr] = [
+            asg.evaluate(expr, row) for row in range(asg.usable_rows)
+        ]
     return state.row_values[expr]
 
 

@@ -12,14 +12,24 @@ cardinalities ride in advice columns.
 columns: selectors, lookup tables, the calendar, the result-binding
 region) that the verifier replays to regenerate the verifying key, and
 a **witness** phase (advice) only the prover runs.
+
+The compiler does not interpret SQL: it emits constraints, and every
+witness cell is computed *from* them.  A witness step evaluates the very
+expressions its chip was constructed from over the assignment
+(:meth:`Assignment.evaluate`), reads only cells written by earlier
+steps, writes only its chip's own cells, and leaves them 0 where the
+chip's selector is off (DESIGN.md, "Gate composition").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from repro.db.database import Database
+from repro.db.types import date_to_int
+from repro.errors import ReproError, WitnessError
 from repro.gates.aggregate import CompactChip, DivModChip, RunningAggChip
 from repro.gates.compare import EqFlagChip, LtFlagChip
 from repro.gates.datetime import YearChip
@@ -69,8 +79,30 @@ _CMP_OPS = {
 }
 
 
-class CompileError(ValueError):
-    pass
+class CompileError(ReproError, ValueError):
+    """The plan cannot become a circuit at this configuration."""
+
+
+def _rows(
+    asg: Assignment, exprs: Sequence[Expression]
+) -> list[tuple[int, ...]]:
+    """``exprs`` evaluated on every usable row of the assignment."""
+    return [
+        tuple(asg.evaluate(e, row) for e in exprs)
+        for row in range(asg.usable_rows)
+    ]
+
+
+def _selected(
+    asg: Assignment, flag: Expression, exprs: Sequence[Expression]
+) -> list[tuple[int, ...]]:
+    """The ``exprs`` tuples of the rows where ``flag`` is non-zero, in
+    row order."""
+    return [
+        tuple(asg.evaluate(e, row) for e in exprs)
+        for row in range(asg.usable_rows)
+        if asg.evaluate(flag, row)
+    ]
 
 
 @dataclass
@@ -79,7 +111,6 @@ class CircuitRelation:
     flag, fixed-point scales, and whether valid rows form a dense
     prefix."""
 
-    node_id: int
     columns: dict[str, Expression]
     valid: Expression
     scales: dict[str, int]
@@ -103,30 +134,25 @@ class OutputMeta:
     source: Optional[str] = None  # "table.column" for dictionary decode
 
 
-class WitnessCtx:
-    """State threaded through witness assignment."""
-
-    def __init__(self, asg: Assignment, db: Database):
-        self.asg = asg
-        self.db = db
-        #: node id -> (positional rows, validity flags)
-        self.rels: dict[int, tuple[list[dict[str, int]], list[int]]] = {}
-        self.result_rows: list[list[int]] = []
-
-
 @dataclass
 class CompiledQuery:
     cs: ConstraintSystem
     k: int
-    range_table: RangeTable
     instance_columns: list[Column]
     outputs: list[OutputMeta]
     scan_links: list[ScanLink]
-    public_steps: list[Callable[[Assignment, int], None]]
-    witness_steps: list[Callable[[WitnessCtx], None]]
-    db_bindings: dict[str, str]
+    #: fixed-column steps, independent of the result (verifier-replayable).
+    public_steps: list[Callable[[Assignment], None]]
+    #: advice steps in construction order: each reads only cells that
+    #: earlier steps (or the scans, or the fixed columns) wrote.
+    witness_steps: list[Callable[[Assignment], None]]
+    #: 1 on the first ``result_count`` rows -- the one fixed column that
+    #: depends on the (public) result cardinality.
+    q_result: Column
+    #: the final relation: validity flag + one expression per output.
+    result_valid: Expression
+    result_columns: list[Expression]
     limit: Optional[int] = None
-    result: list[list[int]] = field(default_factory=list)
 
     @property
     def usable_rows(self) -> int:
@@ -135,19 +161,30 @@ class CompiledQuery:
     def assign_public(self, asg: Assignment, result_count: int) -> None:
         """Fixed columns only -- verifier-replayable."""
         for step in self.public_steps:
-            step(asg, result_count)
+            step(asg)
+        for row in range(result_count):
+            asg.assign(self.q_result, row, 1)
 
     def assign_witness(self, asg: Assignment, db: Database) -> list[list[int]]:
-        """Full assignment; returns the (encoded) result rows."""
-        ctx = WitnessCtx(asg, db)
+        """Full assignment; returns the (encoded) result rows, read off
+        the final relation in the assignment."""
+        self.assign_public(asg, 0)  # q_result waits for the row count
+        for link in self.scan_links:
+            asg.assign_column(
+                self.cs.advice_columns[link.advice_index],
+                db.table(link.table).column(link.column),
+            )
         for step in self.witness_steps:
-            step(ctx)
-        self.result = ctx.result_rows
-        self.assign_public(asg, len(ctx.result_rows))
-        for i, row in enumerate(ctx.result_rows):
+            step(asg)
+        rows = [
+            list(r)
+            for r in _selected(asg, self.result_valid, self.result_columns)
+        ][: self.limit]
+        for i, row in enumerate(rows):
+            asg.assign(self.q_result, i, 1)
             for col, value in zip(self.instance_columns, row):
                 asg.assign(col, i, value)
-        return ctx.result_rows
+        return rows
 
     def instance_vectors(self, result_rows: list[list[int]]) -> list[list[int]]:
         """Instance column vectors for verify_proof."""
@@ -210,27 +247,32 @@ class _Builder:
                 f"k={k} too small for the {self.table.size}-entry range table"
             )
         self.q_all: Column = self.cs.fixed_column("q_all")
-        self.public_steps: list[Callable[[Assignment, int], None]] = []
-        self.witness_steps: list[Callable[[WitnessCtx], None]] = []
+        self.public_steps: list[Callable[[Assignment], None]] = [
+            self.table.assign,
+            lambda asg: asg.assign_column(self.q_all, [1] * self.usable),
+        ]
+        self.witness_steps: list[Callable[[Assignment], None]] = []
         self.scan_links: list[ScanLink] = []
         self.bindings: dict[str, str] = {}
         self._fresh = 0
         self._limit: Optional[int] = None
 
-        def base(asg: Assignment, result_count: int) -> None:
-            self.table.assign(asg)
-            for row in range(asg.usable_rows):
-                asg.assign(self.q_all, row, 1)
-
-        self.public_steps.append(base)
-
     # -- top level -------------------------------------------------------
 
     def run(self, plan: PlanNode) -> CompiledQuery:
         rel = self.build(plan)
-        rel = self._ensure_dense(plan, rel)
-
         out_names = plan.output_names()
+        if not rel.dense:
+            compact = self.compact(
+                "final_compact", rel.valid, [rel.columns[n] for n in out_names]
+            )
+            rel = CircuitRelation(
+                {n: col.cur() for n, col in zip(out_names, compact.out)},
+                compact.q_out.cur(),
+                rel.scales,
+                dense=True,
+            )
+
         q_result = self.cs.fixed_column("q_result")
         instance_columns = [
             self.cs.instance_column(f"result.{name}") for name in out_names
@@ -246,28 +288,6 @@ class _Builder:
         self.cs.create_gate(
             "result_valid", [q_result.cur() * (Constant(1) - rel.valid)]
         )
-
-        def bind_public(asg: Assignment, result_count: int) -> None:
-            for row in range(result_count):
-                asg.assign(q_result, row, 1)
-
-        self.public_steps.append(bind_public)
-
-        limit = self._limit
-
-        def final_step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[rel.node_id]
-            result = [
-                [row[name] for name in out_names]
-                for row, v in zip(rows, valid)
-                if v
-            ]
-            if limit is not None:
-                result = result[:limit]
-            ctx.result_rows = result
-
-        self.witness_steps.append(final_step)
-
         outputs = [
             OutputMeta(
                 name=col.name,
@@ -280,14 +300,15 @@ class _Builder:
         return CompiledQuery(
             cs=self.cs,
             k=self.k,
-            range_table=self.table,
             instance_columns=instance_columns,
             outputs=outputs,
             scan_links=self.scan_links,
             public_steps=self.public_steps,
             witness_steps=self.witness_steps,
-            db_bindings=dict(self.bindings),
-            limit=limit,
+            q_result=q_result,
+            result_valid=rel.valid,
+            result_columns=[rel.columns[name] for name in out_names],
+            limit=self._limit,
         )
 
     def _source_of(self, plan: PlanNode, name: str) -> Optional[str]:
@@ -309,65 +330,83 @@ class _Builder:
                 return f"{table}.{col}"
         return None
 
-    def _ensure_dense(self, node: PlanNode, rel: CircuitRelation) -> CircuitRelation:
-        if rel.dense:
-            return rel
-        names = node.output_names()
-        compact = CompactChip(
-            self.cs,
-            self.name("final_compact"),
-            rel.valid,
-            [rel.columns[n] for n in names],
-            self.q_all.cur(),
-        )
-        new_id = self._new_node_id()
-
-        def step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[rel.node_id]
-            selected = [
-                [row[n] for n in names] for row, v in zip(rows, valid) if v
-            ]
-            compact.assign(ctx.asg, selected)
-            out_rows = [dict(zip(names, r)) for r in selected]
-            ctx.rels[new_id] = (out_rows, [1] * len(out_rows))
-
-        self.witness_steps.append(step)
-        columns = {n: compact.out[j].cur() for j, n in enumerate(names)}
-        return CircuitRelation(
-            new_id, columns, compact.q_out.cur(), dict(rel.scales), dense=True
-        )
-
     # -- helpers -----------------------------------------------------------
 
     def name(self, prefix: str) -> str:
         self._fresh += 1
         return f"{prefix}{self._fresh}"
 
-    _node_counter = 10**9
-
-    def _new_node_id(self) -> int:
-        _Builder._node_counter += 1
-        return _Builder._node_counter
-
-    def materialize(
+    def per_row(
         self,
-        prefix: str,
-        expr: Expression,
-        fn: Callable[[WitnessCtx, int], int],
-    ) -> Column:
-        """Advice column constrained to ``expr`` on all usable rows."""
-        col = self.cs.advice_column(self.name(prefix))
-        self.cs.create_gate(
-            self.name(f"{prefix}.eq"),
-            [self.q_all.cur() * (col.cur() - expr)],
-        )
+        name: str,
+        q: Expression,
+        assign_row: Callable[..., object],
+        *operands: Expression,
+    ) -> None:
+        """Append the witness step of a row-local chip: on every usable
+        row where ``q`` is non-zero, ``assign_row(asg, row, *operand
+        values at that row)``; elsewhere the chip's cells keep 0.  The
+        operands are the expressions the chip was constructed from, so
+        hint and constraint cannot drift apart."""
 
-        def step(ctx: WitnessCtx) -> None:
-            for row in range(self.usable):
-                ctx.asg.assign(col, row, fn(ctx, row))
+        def step(asg: Assignment) -> None:
+            for row in range(asg.usable_rows):
+                if not asg.evaluate(q, row):
+                    continue
+                values = [asg.evaluate(e, row) for e in operands]
+                try:
+                    assign_row(asg, row, *values)
+                except ValueError as exc:
+                    raise WitnessError(name, row, values, str(exc)) from exc
 
         self.witness_steps.append(step)
+
+    def row_chip(self, cls, prefix: str, q: Expression, operands, *extra):
+        """Construct the hinted chip ``cls(cs, name, q, *operands,
+        *extra)`` and register its witness step over the same ``q`` and
+        ``operands``."""
+        name = self.name(prefix)
+        chip = cls(self.cs, name, q, *operands, *extra)
+        self.per_row(name, q, chip.assign_row, *operands)
+        return chip
+
+    def materialize(self, prefix: str, expr: Expression) -> Column:
+        """Advice column constrained to ``expr`` on all usable rows."""
+        col = self.cs.advice_column(self.name(prefix))
+        name = self.name(f"{prefix}.eq")
+        self.cs.create_gate(name, [self.q_all.cur() * (col.cur() - expr)])
+        self.per_row(
+            name,
+            self.q_all.cur(),
+            lambda asg, row, value: asg.assign(col, row, value),
+            expr,
+        )
         return col
+
+    def compact(
+        self, prefix: str, flag: Expression, values: Sequence[Expression]
+    ) -> CompactChip:
+        """A :class:`CompactChip` over ``flag`` / ``values`` whose witness
+        is the flagged tuples in row order."""
+        chip = CompactChip(
+            self.cs, self.name(prefix), flag, values, self.q_all.cur()
+        )
+        self.witness_steps.append(
+            lambda asg: chip.assign(asg, _selected(asg, flag, values))
+        )
+        return chip
+
+    def check_key_width(
+        self, asg: Assignment, what: str, valid: Expression,
+        components: Sequence[Expression],
+    ) -> None:
+        """Composite sort / group keys pack ``key_bits`` per component;
+        a wider value on a valid row would silently reorder them."""
+        for row, (flag, *values) in enumerate(_rows(asg, [valid, *components])):
+            if flag and any(v >> self.key_bits for v in values):
+                raise WitnessError(
+                    what, row, values, f"exceeds {self.key_bits} bits"
+                )
 
     # -- operators -----------------------------------------------------------
 
@@ -389,83 +428,40 @@ class _Builder:
         if isinstance(node, LimitNode):
             rel = self.build(node.child)
             self._limit = node.count
-            new_rel = CircuitRelation(
-                rel.node_id, rel.columns, rel.valid, rel.scales, rel.dense
-            )
-            return new_rel
+            return rel
         raise CompileError(f"cannot compile {type(node).__name__}")
 
     def _scan(self, node: Scan) -> CircuitRelation:
-        table = self.db.table(node.table)
+        rows_count = len(self.db.table(node.table))
         self.bindings[node.binding] = node.table
-        if len(table) > self.usable:
+        if rows_count > self.usable:
             raise CompileError(
-                f"table {node.table} ({len(table)} rows) exceeds circuit "
+                f"table {node.table} ({rows_count} rows) exceeds circuit "
                 f"capacity {self.usable} at k={self.k}"
             )
         valid_col = self.cs.fixed_column(self.name(f"{node.binding}.valid"))
+        self.public_steps.append(
+            lambda asg: asg.assign_column(valid_col, [1] * rows_count)
+        )
         columns: dict[str, Expression] = {}
         scales: dict[str, int] = {}
-        advice_cols: dict[str, Column] = {}
         for out in node.outputs:
-            col_name = out.name.split(".", 1)[1]
+            # The scan link *is* the witness step: assign_witness loads
+            # every linked advice column from the database first.
             advice = self.cs.advice_column(self.name(out.name))
-            self.scan_links.append(ScanLink(advice.index, node.table, col_name))
+            self.scan_links.append(
+                ScanLink(advice.index, node.table, out.name.split(".", 1)[1])
+            )
             columns[out.name] = advice.cur()
             scales[out.name] = out.scale
-            advice_cols[out.name] = advice
-
-        rows_count = len(table)
-
-        def fixed_step(asg: Assignment, result_count: int) -> None:
-            for row in range(rows_count):
-                asg.assign(valid_col, row, 1)
-
-        self.public_steps.append(fixed_step)
-
-        node_id = id(node)
-
-        def witness_step(ctx: WitnessCtx) -> None:
-            data = ctx.db.table(node.table)
-            rows = []
-            for out in node.outputs:
-                col_name = out.name.split(".", 1)[1]
-                ctx.asg.assign_column(
-                    advice_cols[out.name], data.column(col_name)
-                )
-            for i in range(len(data)):
-                rows.append(
-                    {
-                        out.name: data.column(out.name.split(".", 1)[1])[i]
-                        for out in node.outputs
-                    }
-                )
-            ctx.rels[node_id] = (rows, [1] * len(rows))
-
-        self.witness_steps.append(witness_step)
-        return CircuitRelation(node_id, columns, valid_col.cur(), scales)
+        return CircuitRelation(columns, valid_col.cur(), scales)
 
     def _filter(self, node: FilterNode) -> CircuitRelation:
         child = self.build(node.child)
-        flag_expr, flag_fn = self._predicate(node.predicate, child)
-        node_id = id(node)
-
-        def valid_fn(ctx: WitnessCtx, row: int) -> int:
-            rows, valid = ctx.rels[child.node_id]
-            if row >= len(rows):
-                return 0
-            return valid[row] * flag_fn(ctx, row)
-
-        valid_col = self.materialize("fvalid", child.valid * flag_expr, valid_fn)
-
-        def rel_step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[child.node_id]
-            new_valid = [v * flag_fn(ctx, i) for i, v in enumerate(valid)]
-            ctx.rels[node_id] = (rows, new_valid)
-
-        self.witness_steps.append(rel_step)
+        flag = self._predicate(node.predicate, child)
+        valid_col = self.materialize("fvalid", child.valid * flag)
         return CircuitRelation(
-            node_id, dict(child.columns), valid_col.cur(), dict(child.scales)
+            dict(child.columns), valid_col.cur(), dict(child.scales)
         )
 
     def _join(self, node: JoinNode) -> CircuitRelation:
@@ -475,115 +471,73 @@ class _Builder:
         ordered = [node.pk_column] + [
             n for n in right_names if n != node.pk_column
         ]
+        fk = child.columns[node.fk_column]
         t2_exprs = [right.valid * right.columns[n] for n in ordered]
         chip = PkFkJoinChip(
             self.cs,
             self.name("join"),
-            child.columns[node.fk_column],
+            fk,
             child.valid,
             t2_exprs,
             right.valid,
             self.table,
             self.value_limbs,
         )
-
-        def public_step(asg: Assignment, result_count: int) -> None:
-            for row in range(asg.usable_rows - 1):
-                asg.assign(chip._disjoint.q_sort, row, 1)
-
-        self.public_steps.append(public_step)
-
-        node_id = id(node)
-
-        def step(ctx: WitnessCtx) -> None:
-            l_rows, l_valid = ctx.rels[child.node_id]
-            r_rows, r_valid = ctx.rels[right.node_id]
-            t1_keys = [
-                (row[node.fk_column], v) for row, v in zip(l_rows, l_valid)
-            ]
-            t2_rows = [
-                [row[n] for n in ordered]
-                for row, v in zip(r_rows, r_valid)
-                if v
-            ]
-            flags = chip.assign(ctx.asg, t1_keys, t2_rows)
-            pk_index: dict[int, list[int]] = {}
-            for r in t2_rows:
-                pk_index.setdefault(r[0], r)
-            out_rows = []
-            for (row, flag) in zip(l_rows, flags):
-                merged = dict(row)
-                partner = pk_index.get(row[node.fk_column]) if flag else None
-                for j, rname in enumerate(ordered):
-                    merged[rname] = partner[j] if partner else 0
-                out_rows.append(merged)
-            ctx.rels[node_id] = (out_rows, list(flags))
-
-        self.witness_steps.append(step)
-
+        self.public_steps.append(
+            lambda asg: asg.assign_column(
+                chip._disjoint.q_sort, [1] * (self.usable - 1)
+            )
+        )
+        self.witness_steps.append(
+            lambda asg: chip.assign(
+                asg,
+                _rows(asg, [fk, child.valid]),
+                _selected(asg, right.valid, t2_exprs),
+            )
+        )
         columns = dict(child.columns)
         scales = dict(child.scales)
         for j, rname in enumerate(ordered):
             columns[rname] = chip.match[j].cur()
             scales[rname] = right.scales[rname]
-        return CircuitRelation(node_id, columns, chip.out_valid_expr, scales)
+        return CircuitRelation(columns, chip.out_valid_expr, scales)
 
     def _derive(self, node: DeriveNode) -> CircuitRelation:
         child = self.build(node.child)
-        expr, fn = self._scalar(node.expr, child)
-        node_id = id(node)
-
-        if isinstance(node.expr, Extract):
-            # YearChip already produced an advice column.
-            col_expr = expr
-        else:
-            col = self.materialize(
-                f"derive.{node.name}", expr, lambda ctx, row: fn(ctx, row)
-            )
-            col_expr = col.cur()
-
-        def rel_step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[child.node_id]
-            for i, row in enumerate(rows):
-                row[node.name] = fn(ctx, i)
-            ctx.rels[node_id] = (rows, valid)
-
-        self.witness_steps.append(rel_step)
+        expr = self._scalar(node.expr, child)
+        if not isinstance(node.expr, Extract):
+            # (YearChip already produced an advice column.)
+            expr = self.materialize(f"derive.{node.name}", expr).cur()
         columns = dict(child.columns)
-        columns[node.name] = col_expr
+        columns[node.name] = expr
         scales = dict(child.scales)
         scales[node.name] = node.scale
-        return CircuitRelation(node_id, columns, child.valid, scales)
+        return CircuitRelation(columns, child.valid, scales)
 
     def _aggregate(self, node: AggregateNode) -> CircuitRelation:
         child = self.build(node.child)
-        node_id = id(node)
         shift = 1 << self.key_bits
         n_group = len(node.group_keys)
-        n_aggs = len(node.aggregates)
+        group_exprs = [child.columns[k] for k in node.group_keys]
 
         key_expr: Expression = Constant(1)
-        for key_name in node.group_keys:
-            key_expr = key_expr * shift + child.columns[key_name]
-        gated_key = child.valid * key_expr
+        for component in group_exprs:
+            key_expr = key_expr * shift + component
 
         # Aggregate argument columns (materialized so the sort tuple
         # stays degree-2).
         arg_exprs: list[Expression] = []
-        arg_fns: list[Callable[[WitnessCtx, int], int]] = []
         for spec in node.aggregates:
             if spec.arg is None or spec.func is AggFunc.COUNT:
                 arg_exprs.append(Constant(1))
-                arg_fns.append(lambda ctx, row: 1)
             else:
-                expr, fn = self._scalar(spec.arg, child)
-                col = self.materialize(f"aggarg.{spec.name}", expr, fn)
-                arg_exprs.append(col.cur())
-                arg_fns.append(fn)
+                expr = self._scalar(spec.arg, child)
+                arg_exprs.append(
+                    self.materialize(f"aggarg.{spec.name}", expr).cur()
+                )
 
-        tuple_exprs: list[Expression] = [gated_key]
-        tuple_exprs += [child.valid * child.columns[k] for k in node.group_keys]
-        tuple_exprs += [child.valid * e for e in arg_exprs]
+        tuple_exprs: list[Expression] = [child.valid * key_expr]
+        tuple_exprs += [child.valid * e for e in group_exprs + arg_exprs]
         tuple_exprs.append(child.valid)
         key_limbs = -(-(self.key_bits * (n_group + 1)) // self.limb_bits)
         sort = SortChip(
@@ -594,7 +548,8 @@ class _Builder:
         )
         valid_sorted = sort.out[-1]
 
-        running: list[RunningAggChip] = []
+        # One running column per aggregate, plus a row count for AVG.
+        summed: list[tuple[str, Expression]] = []
         for j, spec in enumerate(node.aggregates):
             if spec.func not in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG):
                 raise CompileError(
@@ -602,197 +557,100 @@ class _Builder:
                     "query compiler (SUM/COUNT/AVG cover the paper's "
                     "workload; MIN/MAX/STDDEV gates exist standalone)"
                 )
-            running.append(
-                RunningAggChip(
-                    self.cs,
-                    self.name(f"run.{spec.name}"),
-                    gb.q_first.cur(),
-                    gb.q_rest.cur(),
-                    gb.same.cur(),
-                    sort.out[1 + n_group + j].cur(),
-                )
-            )
-        count_chip = None
+            summed.append((spec.name, sort.out[1 + n_group + j].cur()))
         if any(s.func is AggFunc.AVG for s in node.aggregates):
-            count_chip = RunningAggChip(
+            summed.append(("__count", valid_sorted.cur()))
+        running = [
+            RunningAggChip(
                 self.cs,
-                self.name("run.__count"),
+                self.name(f"run.{name}"),
                 gb.q_first.cur(),
                 gb.q_rest.cur(),
                 gb.same.cur(),
-                valid_sorted.cur(),
+                value,
             )
-
-        compact_values: list[Expression] = [
-            sort.out[1 + j].cur() for j in range(n_group)
+            for name, value in summed
         ]
-        compact_values += [chip.m.cur() for chip in running]
-        if count_chip is not None:
-            compact_values.append(count_chip.m.cur())
-        compact = CompactChip(
-            self.cs,
-            self.name("gcompact"),
-            gb.end_expr * valid_sorted.cur(),
-            compact_values,
-            self.q_all.cur(),
-        )
 
-        usable = self.usable
-
-        def public_step(asg: Assignment, result_count: int) -> None:
+        def public_step(asg: Assignment) -> None:
             asg.assign(gb.q_first, 0, 1)
-            asg.assign(gb.q_last, usable - 1, 1)
-            for row in range(1, usable):
-                asg.assign(gb.q_rest, row, 1)
-            for row in range(usable - 1):
-                asg.assign(sort.q_pair, row, 1)
+            asg.assign(gb.q_last, self.usable - 1, 1)
+            asg.assign_column(gb.q_rest, [0] + [1] * (self.usable - 1))
+            asg.assign_column(sort.q_pair, [1] * (self.usable - 1))
 
         self.public_steps.append(public_step)
+
+        def witness_step(asg: Assignment) -> None:
+            self.check_key_width(
+                asg, "group key component", child.valid, group_exprs
+            )
+            sorted_rows = sort.assign(asg, _rows(asg, tuple_exprs))
+            gb.assign(asg, [r[0] for r in sorted_rows])
+            same, *inputs = zip(
+                *_rows(asg, [gb.same.cur()] + [v for _, v in summed])
+            )
+            for chip, values in zip(running, inputs):
+                chip.assign(asg, values, same)
+
+        self.witness_steps.append(witness_step)
+
+        # Bin-end rows of real groups, in key order, to a dense prefix.
+        compact = self.compact(
+            "gcompact",
+            gb.end_expr * valid_sorted.cur(),
+            [sort.out[1 + j].cur() for j in range(n_group)]
+            + [chip.m.cur() for chip in running],
+        )
 
         columns: dict[str, Expression] = {}
         scales: dict[str, int] = {}
         for j, key_name in enumerate(node.group_keys):
             columns[key_name] = compact.out[j].cur()
             scales[key_name] = child.scales[key_name]
-        count_pos = n_group + len(running)
-        div_chips: dict[str, DivModChip] = {}
         for j, spec in enumerate(node.aggregates):
-            agg_col = compact.out[n_group + j]
+            agg = compact.out[n_group + j].cur()
             if spec.func is AggFunc.AVG:
-                chip = DivModChip(
-                    self.cs,
-                    self.name(f"avg.{spec.name}"),
+                agg = self.row_chip(
+                    DivModChip,
+                    f"avg.{spec.name}",
                     compact.q_out.cur(),
-                    agg_col.cur() * 100,
-                    compact.out[count_pos].cur(),
+                    (agg * 100, compact.out[-1].cur()),
                     self.table,
                     self.value_limbs,
-                )
-                div_chips[spec.name] = chip
-                columns[spec.name] = chip.quot.cur()
-            else:
-                columns[spec.name] = agg_col.cur()
+                ).quot.cur()
+            columns[spec.name] = agg
             scales[spec.name] = spec.scale
-
-        def witness_step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[child.node_id]
-            width = 1 + n_group + n_aggs + 1
-            data = []
-            for i in range(usable):
-                if i < len(rows) and valid[i]:
-                    row = rows[i]
-                    key = 1
-                    for key_name in node.group_keys:
-                        component = row[key_name]
-                        if component >= shift:
-                            raise CompileError(
-                                f"group key component {component} exceeds "
-                                f"{self.key_bits} bits"
-                            )
-                        key = key * shift + component
-                    group_vals = [row[k] for k in node.group_keys]
-                    args = [arg_fns[j](ctx, i) for j in range(n_aggs)]
-                    data.append(tuple([key] + group_vals + args + [1]))
-                else:
-                    data.append((0,) * width)
-            sorted_rows = sort.assign(ctx.asg, data)
-            keys = [r[0] for r in sorted_rows]
-            gb.assign(ctx.asg, keys)
-            same_flags = [0] + [
-                1 if keys[i] == keys[i - 1] else 0 for i in range(1, usable)
-            ]
-            for j, chip in enumerate(running):
-                chip.assign(
-                    ctx.asg, [r[1 + n_group + j] for r in sorted_rows], same_flags
-                )
-            if count_chip is not None:
-                count_chip.assign(
-                    ctx.asg, [r[-1] for r in sorted_rows], same_flags
-                )
-            # Collect real bins.
-            results = []
-            start = 0
-            for i in range(usable + 1):
-                if i == usable or (i > 0 and keys[i] != keys[i - 1]):
-                    end = i - 1
-                    if keys[end] != 0 and sorted_rows[end][-1] == 1:
-                        group_vals = list(sorted_rows[end][1 : 1 + n_group])
-                        sums = [
-                            sum(r[1 + n_group + j] for r in sorted_rows[start:i])
-                            for j in range(n_aggs)
-                        ]
-                        tup = group_vals + sums
-                        if count_chip is not None:
-                            tup.append(i - start)
-                        results.append(tup)
-                    start = i
-            results.sort(key=lambda t: t[:n_group])
-            compact.assign(ctx.asg, results)
-            out_rows = []
-            for i, tup in enumerate(results):
-                row = {}
-                for j, key_name in enumerate(node.group_keys):
-                    row[key_name] = tup[j]
-                for j, spec in enumerate(node.aggregates):
-                    value = tup[n_group + j]
-                    if spec.func is AggFunc.AVG:
-                        count = tup[-1]
-                        value, _ = div_chips[spec.name].assign_row(
-                            ctx.asg, i, value * 100, count
-                        )
-                    row[spec.name] = value
-                out_rows.append(row)
-            ctx.rels[node_id] = (out_rows, [1] * len(out_rows))
-
-        self.witness_steps.append(witness_step)
-        return CircuitRelation(
-            node_id, columns, compact.q_out.cur(), scales, dense=True
-        )
+        return CircuitRelation(columns, compact.q_out.cur(), scales, dense=True)
 
     def _project(self, node: ProjectNode) -> CircuitRelation:
         child = self.build(node.child)
-        node_id = id(node)
         columns: dict[str, Expression] = {}
         scales: dict[str, int] = {}
-        fns: dict[str, Callable[[WitnessCtx, int], int]] = {}
         for (name, expr), out in zip(node.items, node.outputs):
-            compiled, fn = self._scalar(expr, child)
-            if isinstance(expr, ColRef) or compiled.degree() <= 1:
-                columns[name] = compiled
-            else:
-                col = self.materialize(f"proj.{name}", compiled, fn)
-                columns[name] = col.cur()
+            compiled = self._scalar(expr, child)
+            if not isinstance(expr, ColRef) and compiled.degree() > 1:
+                compiled = self.materialize(f"proj.{name}", compiled).cur()
+            columns[name] = compiled
             scales[name] = out.scale
-            fns[name] = fn
-
-        def step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[child.node_id]
-            out_rows = [
-                {name: fns[name](ctx, i) for name, _ in node.items}
-                for i in range(len(rows))
-            ]
-            ctx.rels[node_id] = (out_rows, list(valid))
-
-        self.witness_steps.append(step)
-        return CircuitRelation(node_id, columns, child.valid, scales, child.dense)
+        return CircuitRelation(columns, child.valid, scales, child.dense)
 
     def _order_by(self, node: SortNode) -> CircuitRelation:
         child = self.build(node.child)
-        node_id = id(node)
         shift = 1 << self.key_bits
         bound = shift - 1
         big_bound = 1 << (self.key_bits * (len(node.keys) + 1))
+        key_parts = [child.columns[name] for name, _ in node.keys]
 
         key_expr: Expression = Constant(1)
-        for name, descending in node.keys:
-            component = child.columns[name]
+        for component, (_, descending) in zip(key_parts, node.keys):
             if descending:
                 component = Constant(bound) - component
             key_expr = key_expr * shift + component
-        gated = child.valid * (Constant(big_bound) - key_expr)
 
         out_names = [c.name for c in node.outputs]
-        tuple_exprs: list[Expression] = [gated]
+        tuple_exprs: list[Expression] = [
+            child.valid * (Constant(big_bound) - key_expr)
+        ]
         tuple_exprs += [child.valid * child.columns[n] for n in out_names]
         tuple_exprs.append(child.valid)
         key_limbs = -(-(self.key_bits * (len(node.keys) + 1) + 1) // self.limb_bits)
@@ -805,72 +663,36 @@ class _Builder:
             key_limbs,
             descending=True,
         )
-        usable = self.usable
+        self.public_steps.append(
+            lambda asg: asg.assign_column(sort.q_pair, [1] * (self.usable - 1))
+        )
 
-        def public_step(asg: Assignment, result_count: int) -> None:
-            for row in range(usable - 1):
-                asg.assign(sort.q_pair, row, 1)
-
-        self.public_steps.append(public_step)
-
-        def key_of(row: dict[str, int]) -> int:
-            acc = 1
-            for name, descending in node.keys:
-                v = row[name]
-                if v > bound:
-                    raise CompileError(
-                        f"ORDER BY value {v} exceeds {self.key_bits} bits"
-                    )
-                acc = acc * shift + ((bound - v) if descending else v)
-            return big_bound - acc
-
-        def step(ctx: WitnessCtx) -> None:
-            rows, valid = ctx.rels[child.node_id]
-            data = []
-            for i in range(usable):
-                if i < len(rows) and valid[i]:
-                    data.append(
-                        tuple(
-                            [key_of(rows[i])]
-                            + [rows[i][n] for n in out_names]
-                            + [1]
-                        )
-                    )
-                else:
-                    data.append((0,) * (len(out_names) + 2))
-            sorted_rows = sort.assign(ctx.asg, data)
-            out_rows = [dict(zip(out_names, r[1:-1])) for r in sorted_rows]
-            out_valid = [r[-1] for r in sorted_rows]
-            ctx.rels[node_id] = (out_rows, out_valid)
+        def step(asg: Assignment) -> None:
+            self.check_key_width(asg, "ORDER BY value", child.valid, key_parts)
+            sort.assign(asg, _rows(asg, tuple_exprs))
 
         self.witness_steps.append(step)
         columns = {
             name: sort.out[1 + j].cur() for j, name in enumerate(out_names)
         }
         return CircuitRelation(
-            node_id, columns, sort.out[-1].cur(), dict(child.scales), dense=True
+            columns, sort.out[-1].cur(), dict(child.scales), dense=True
         )
 
     # -- scalar / predicate compilation -----------------------------------
 
     def _scalar(
-        self, expr: Expr, rel: CircuitRelation
-    ) -> tuple[Expression, Callable[[WitnessCtx, int], int]]:
+        self, expr: Expr, rel: CircuitRelation, context: ColRef | None = None
+    ) -> Expression:
+        """``context`` is the column a string literal is compared with:
+        the literal resolves against that column's dictionary."""
         if isinstance(expr, Literal):
-            value, _ = self._encode_literal(expr, None)
-            return Constant(value), (lambda ctx, row, v=value: v)
+            return Constant(self._encode_literal(expr, context))
         if isinstance(expr, ColRef):
             name = f"{expr.table}.{expr.name}" if expr.table else expr.name
             if name not in rel.columns:
                 raise CompileError(f"unknown column {name!r} in relation")
-            circuit_expr = rel.columns[name]
-            rel_id = rel.node_id
-
-            def fn(ctx: WitnessCtx, row: int, name=name, rel_id=rel_id) -> int:
-                rows, _ = ctx.rels[rel_id]
-                return rows[row][name] if row < len(rows) else 0
-
-            return circuit_expr, fn
+            return rel.columns[name]
         if isinstance(expr, BinOp):
             if expr.op in _CMP_OPS:
                 return self._comparison(expr, rel)
@@ -878,146 +700,81 @@ class _Builder:
         if isinstance(expr, Case):
             return self._case(expr, rel)
         if isinstance(expr, Extract):
-            return self._extract_year(expr, rel)
+            chip = self.row_chip(
+                YearChip,
+                "year",
+                rel.valid,
+                (self._scalar(expr.expr, rel),),
+                self.table,
+                self.value_limbs,
+            )
+            self.public_steps.append(chip.assign_table)
+            return chip.year.cur()
         if isinstance(expr, (Logical, Not, Between, InList)):
             return self._predicate(expr, rel)
         raise CompileError(f"cannot compile scalar {type(expr).__name__}")
 
-    def _arith(self, expr: BinOp, rel: CircuitRelation):
-        left_expr, left_fn = self._scalar(expr.left, rel)
-        right_expr, right_fn = self._scalar(expr.right, rel)
-        ls = self._scale_of(expr.left, rel)
-        rs = self._scale_of(expr.right, rel)
+    def _aligned(
+        self, left: Expr, right: Expr, rel: CircuitRelation,
+        context: ColRef | None = None,
+    ) -> tuple[Expression, Expression]:
+        """Both operands compiled and brought to their common
+        fixed-point scale."""
+        ls = self._scale_of(left, rel)
+        rs = self._scale_of(right, rel)
+        scale = max(ls, rs)
+        return (
+            self._scalar(left, rel, context) * (scale // ls),
+            self._scalar(right, rel, context) * (scale // rs),
+        )
+
+    def _arith(self, expr: BinOp, rel: CircuitRelation) -> Expression:
         if expr.op in (BinOpKind.ADD, BinOpKind.SUB):
-            scale = max(ls, rs)
-            le = left_expr * (scale // ls)
-            re = right_expr * (scale // rs)
-            combined = le + re if expr.op is BinOpKind.ADD else le - re
-            sign = 1 if expr.op is BinOpKind.ADD else -1
-
-            def fn(ctx, row):
-                return (
-                    left_fn(ctx, row) * (scale // ls)
-                    + sign * right_fn(ctx, row) * (scale // rs)
-                )
-
-            return combined, fn
+            le, re = self._aligned(expr.left, expr.right, rel)
+            return le + re if expr.op is BinOpKind.ADD else le - re
+        left = self._scalar(expr.left, rel)
+        right = self._scalar(expr.right, rel)
         if expr.op is BinOpKind.MUL:
-            return (
-                left_expr * right_expr,
-                lambda ctx, row: left_fn(ctx, row) * right_fn(ctx, row),
-            )
+            return left * right
         # Division: floor(100 * a * rs / (ls * b)), proven exactly.  The
         # common factor of the scale multipliers is cancelled so the
         # divisor (which must fit the limb decomposition) stays small.
-        import math
-
+        ls = self._scale_of(expr.left, rel)
+        rs = self._scale_of(expr.right, rel)
         g = math.gcd(100 * rs, ls)
-        num_scale = (100 * rs) // g
-        den_scale = ls // g
-        chip = DivModChip(
-            self.cs,
-            self.name("div"),
+        chip = self.row_chip(
+            DivModChip,
+            "div",
             rel.valid,
-            left_expr * num_scale,
-            right_expr * den_scale,
+            (left * ((100 * rs) // g), right * (ls // g)),
             self.table,
             self.value_limbs,
         )
-        rel_id = rel.node_id
+        return chip.quot.cur()
 
-        def fn(ctx: WitnessCtx, row: int) -> int:
-            rows, valid = ctx.rels[rel_id]
-            if row >= len(rows) or not valid[row]:
-                return 0
-            quot, _ = chip.assign_row(
-                ctx.asg,
-                row,
-                left_fn(ctx, row) * num_scale,
-                right_fn(ctx, row) * den_scale,
-            )
-            return quot
+    def _case(self, expr: Case, rel: CircuitRelation) -> Expression:
+        cond = self._predicate(expr.condition, rel)
+        then, otherwise = self._aligned(expr.then, expr.otherwise, rel)
+        return cond * then + (Constant(1) - cond) * otherwise
 
-        return chip.quot.cur(), fn
-
-    def _case(self, expr: Case, rel: CircuitRelation):
-        cond_expr, cond_fn = self._predicate(expr.condition, rel)
-        then_expr, then_fn = self._scalar(expr.then, rel)
-        else_expr, else_fn = self._scalar(expr.otherwise, rel)
-        ts = self._scale_of(expr.then, rel)
-        os_ = self._scale_of(expr.otherwise, rel)
-        scale = max(ts, os_)
-        te = then_expr * (scale // ts)
-        ee = else_expr * (scale // os_)
-        combined = cond_expr * te + (Constant(1) - cond_expr) * ee
-
-        def fn(ctx, row):
-            if cond_fn(ctx, row):
-                return then_fn(ctx, row) * (scale // ts)
-            return else_fn(ctx, row) * (scale // os_)
-
-        return combined, fn
-
-    def _extract_year(self, expr: Extract, rel: CircuitRelation):
-        inner_expr, inner_fn = self._scalar(expr.expr, rel)
-        chip = YearChip(
-            self.cs,
-            self.name("year"),
-            rel.valid,
-            inner_expr,
-            self.table,
-            self.value_limbs,
-        )
-        self.public_steps.append(
-            lambda asg, result_count: chip.assign_table(asg)
-        )
-        rel_id = rel.node_id
-
-        def fn(ctx: WitnessCtx, row: int) -> int:
-            rows, valid = ctx.rels[rel_id]
-            if row >= len(rows) or not valid[row]:
-                return 0
-            return chip.assign_row(ctx.asg, row, inner_fn(ctx, row))
-
-        return chip.year.cur(), fn
-
-    def _predicate(self, expr: Expr, rel: CircuitRelation):
-        """Compile a predicate to a 0/1 flag expression + witness fn."""
+    def _predicate(self, expr: Expr, rel: CircuitRelation) -> Expression:
+        """Compile a predicate to a 0/1 flag expression."""
         if isinstance(expr, Logical):
             parts = [self._predicate(t, rel) for t in expr.terms]
             if expr.op == "and":
-                combined: Expression = parts[0][0]
-                for sub, _ in parts[1:]:
+                combined: Expression = parts[0]
+                for sub in parts[1:]:
                     combined = combined * sub
-
-                def fn(ctx, row):
-                    result = 1
-                    for _, sub_fn in parts:
-                        result &= 1 if sub_fn(ctx, row) else 0
-                    return result
-
             else:
-                inv: Expression = Constant(1)
-                for sub, _ in parts:
-                    inv = inv * (Constant(1) - sub)
-                combined = Constant(1) - inv
-
-                def fn(ctx, row):
-                    # Evaluate every branch (no short-circuit): each
-                    # sub-predicate must assign its chip witnesses.
-                    flags = [sub_fn(ctx, row) for _, sub_fn in parts]
-                    return 1 if any(flags) else 0
-
+                none: Expression = Constant(1)
+                for sub in parts:
+                    none = none * (Constant(1) - sub)
+                combined = Constant(1) - none
             if combined.degree() > 4:
-                col = self.materialize("flag", combined, fn)
-                return col.cur(), fn
-            return combined, fn
+                return self.materialize("flag", combined).cur()
+            return combined
         if isinstance(expr, Not):
-            sub, sub_fn = self._predicate(expr.term, rel)
-            return (
-                Constant(1) - sub,
-                lambda ctx, row: 0 if sub_fn(ctx, row) else 1,
-            )
+            return Constant(1) - self._predicate(expr.term, rel)
         if isinstance(expr, Between):
             lowered = Logical(
                 "and",
@@ -1036,95 +793,39 @@ class _Builder:
             return self._comparison(expr, rel)
         raise CompileError(f"cannot compile predicate {type(expr).__name__}")
 
-    def _comparison(self, expr: BinOp, rel: CircuitRelation):
+    def _comparison(self, expr: BinOp, rel: CircuitRelation) -> Expression:
         context = expr.left if isinstance(expr.left, ColRef) else (
             expr.right if isinstance(expr.right, ColRef) else None
         )
-        left_expr, left_fn = self._scalar_operand(expr.left, rel, context)
-        right_expr, right_fn = self._scalar_operand(expr.right, rel, context)
-        ls = self._scale_of(expr.left, rel)
-        rs = self._scale_of(expr.right, rel)
-        scale = max(ls, rs)
-        le = left_expr * (scale // ls)
-        re = right_expr * (scale // rs)
-        q = rel.valid
-        rel_id = rel.node_id
-
-        def aligned(ctx, row):
-            return (
-                left_fn(ctx, row) * (scale // ls),
-                right_fn(ctx, row) * (scale // rs),
-            )
-
+        le, re = self._aligned(expr.left, expr.right, rel, context)
         if expr.op in (BinOpKind.EQ, BinOpKind.NE):
-            chip = EqFlagChip(self.cs, self.name("eq"), q, le, re)
-
-            def fn(ctx: WitnessCtx, row: int) -> int:
-                rows, valid = ctx.rels[rel_id]
-                if row >= len(rows):
-                    return 0
-                a, b = aligned(ctx, row)
-                bit = chip.assign_row(ctx.asg, row, a, b)
-                if not valid[row]:
-                    return 0
-                return bit if expr.op is BinOpKind.EQ else 1 - bit
-
-            flag = chip.eq_expr
-            if expr.op is BinOpKind.NE:
-                flag = Constant(1) - flag
-            return flag, fn
-
-        swap = expr.op in (BinOpKind.GT, BinOpKind.LE)
-        invert = expr.op in (BinOpKind.GE, BinOpKind.LE)
-        lhs, rhs = (re, le) if swap else (le, re)
-        chip = LtFlagChip(
-            self.cs, self.name("lt"), q, lhs, rhs, self.table, self.value_limbs
-        )
-
-        def fn(ctx: WitnessCtx, row: int) -> int:
-            rows, valid = ctx.rels[rel_id]
-            if row >= len(rows) or not valid[row]:
-                return 0
-            a, b = aligned(ctx, row)
-            if swap:
-                a, b = b, a
-            bit = chip.assign_row(ctx.asg, row, a, b)
-            return 1 - bit if invert else bit
-
-        flag = chip.lt_expr
-        if invert:
+            flag = self.row_chip(EqFlagChip, "eq", rel.valid, (le, re)).eq_expr
+            return flag if expr.op is BinOpKind.EQ else Constant(1) - flag
+        if expr.op in (BinOpKind.GT, BinOpKind.LE):
+            le, re = re, le
+        flag = self.row_chip(
+            LtFlagChip, "lt", rel.valid, (le, re), self.table, self.value_limbs
+        ).lt_expr
+        if expr.op in (BinOpKind.GE, BinOpKind.LE):
             flag = Constant(1) - flag
-        return flag, fn
-
-    def _scalar_operand(self, expr: Expr, rel: CircuitRelation, context):
-        """Like _scalar but strings literals resolve against the other
-        operand's dictionary."""
-        if isinstance(expr, Literal) and expr.kind == "string":
-            value, _ = self._encode_literal(expr, context)
-            return Constant(value), (lambda ctx, row, v=value: v)
-        return self._scalar(expr, rel)
+        return flag
 
     # -- literals / scales ------------------------------------------------
 
-    def _encode_literal(self, lit: Literal, context: ColRef | None):
+    def _encode_literal(self, lit: Literal, context: ColRef | None) -> int:
         if lit.kind == "int":
-            return int(lit.value), 1
+            return int(lit.value)
         if lit.kind == "decimal":
-            return round(lit.value * 100), 100
+            return round(lit.value * 100)
         if lit.kind == "date":
-            from repro.db.types import date_to_int
-
-            return date_to_int(lit.value), 1
+            return date_to_int(lit.value)
         if context is None:
             raise CompileError(
                 f"string literal {lit.value!r} needs a column context"
             )
         table = self.bindings.get(context.table or "", context.table)
-        return (
-            self.db.encoder.decode_literal(
-                f"{table}.{context.name}", lit.value
-            ),
-            1,
+        return self.db.encoder.decode_literal(
+            f"{table}.{context.name}", lit.value
         )
 
     def _scale_of(self, expr: Expr, rel: CircuitRelation) -> int:

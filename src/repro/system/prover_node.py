@@ -35,7 +35,6 @@ from repro.proving.keygen import (
 from repro.proving.proof import Proof
 from repro.proving.prover import ProverTiming, create_proof
 from repro.sql.compiler import CompiledQuery, QueryCompiler
-from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.system.metadata import PublicMetadata
@@ -75,25 +74,11 @@ class QueryResponse:
         return len(self.wire_bytes())
 
 
-#: Legacy ``ProverNode`` keyword -> the ``ProverConfig`` field that
-#: replaced it (used to build an actionable TypeError).
-_LEGACY_KWARGS = {
-    "k": "k",
-    "field_": "field",
-    "limb_bits": "limb_bits",
-    "value_bits": "value_bits",
-    "key_bits": "key_bits",
-}
-
-
 class ProverNode:
     """The database owner / prover P.
 
     Construct with ``ProverNode(db, params, config=ProverConfig(...))``
-    (or, one level up, the :class:`repro.api.PoneglyphDB` facade).  The
-    historical loose-kwarg signature ``ProverNode(db, params, k, ...)``
-    was removed; passing any of its arguments raises a ``TypeError``
-    naming the :class:`~repro.config.ProverConfig` field to use instead.
+    (or, one level up, the :class:`repro.api.PoneglyphDB` facade).
 
     ``key_cache`` is an optional in-memory mapping from keygen
     fingerprints to warm :class:`~repro.proving.keygen.ProvingKey`
@@ -108,29 +93,11 @@ class ProverNode:
         self,
         db: Database,
         params: PublicParams,
-        *legacy_args: Any,
-        config: ProverConfig | None = None,
+        *,
+        config: ProverConfig,
         cache: ArtifactCache | None = None,
         key_cache: MutableMapping[str, ProvingKey] | None = None,
-        **legacy_kwargs: Any,
     ):
-        if legacy_args or legacy_kwargs:
-            offending = list(_LEGACY_KWARGS)[: len(legacy_args)] + [
-                name for name in legacy_kwargs
-            ]
-            replacements = ", ".join(
-                f"{_LEGACY_KWARGS.get(name, name)}=..." for name in offending
-            )
-            raise TypeError(
-                "ProverNode's legacy loose-kwarg signature was removed; "
-                f"instead of {', '.join(offending)} pass "
-                f"config=ProverConfig({replacements})"
-            )
-        if config is None:
-            raise TypeError(
-                "ProverNode requires config=ProverConfig(k=..., "
-                "limb_bits=..., value_bits=..., key_bits=...)"
-            )
         if (1 << config.k) > params.n:
             raise ConfigError("k exceeds public parameter capacity")
         self.config = config
@@ -150,7 +117,6 @@ class ProverNode:
         self.commitment: Optional[DatabaseCommitment] = None
         self._secrets: Optional[CommitmentSecrets] = None
         self._planner = Planner(db)
-        self._executor = Executor(db)
 
     def worker_clone(
         self, key_cache: MutableMapping[str, ProvingKey] | None = None

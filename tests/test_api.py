@@ -3,8 +3,7 @@
 These tests pin the public surface: ``PoneglyphDB.open`` drives the
 full commit -> prove -> verify -> audit workflow, ``ProverConfig``
 validates its knobs, the typed error hierarchy routes every facade
-failure, and the retired loose-kwarg ``ProverNode`` signature fails
-fast with a ``TypeError`` naming the replacement config field.
+failure, and ``ProverNode`` takes its settings from ``config=`` only.
 """
 
 import pytest
@@ -61,7 +60,6 @@ class TestProverConfig:
             {"key_bits": "wide"},
             {"limb_bits": 8, "value_bits": 4},
             {"workers": -1},
-            {"scale": -5},
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -153,21 +151,13 @@ class TestFacade:
 
 
 class TestRetiredLegacySignature:
-    """The loose-kwarg ``ProverNode(db, params, k, ...)`` path is gone;
-    every use fails fast with a TypeError naming the config field."""
+    """``config=ProverConfig(...)`` is the only construction path; the
+    loose-kwarg ``ProverNode(db, params, k, ...)`` signature fails with
+    Python's own TypeError."""
 
     def test_positional_k_rejected_with_guidance(self, tiny_db, params_k6):
-        with pytest.raises(TypeError, match=r"ProverConfig\(.*k="):
+        with pytest.raises(TypeError, match="positional"):
             ProverNode(tiny_db, params_k6, 6)
-
-    def test_legacy_kwargs_rejected_with_guidance(self, tiny_db, params_k6):
-        with pytest.raises(TypeError, match=r"limb_bits"):
-            ProverNode(
-                tiny_db, params_k6,
-                config=ProverConfig(k=6, limb_bits=4, value_bits=16,
-                                    key_bits=16),
-                limb_bits=4,
-            )
 
     def test_missing_config_rejected(self, tiny_db, params_k6):
         with pytest.raises(TypeError, match="config"):

@@ -18,7 +18,7 @@ import pytest
 
 from repro import parallel, telemetry
 from repro.algebra import SCALAR_FIELD, backend
-from repro.algebra.backend import numpy_limb
+from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.algebra.domain import EvaluationDomain
 from repro.cache import ArtifactCache
 from repro.commit import setup
@@ -87,7 +87,7 @@ class TestEquivalence:
         if engine == "numpy":
             if not numpy_limb.available():
                 pytest.skip("numpy not installed")
-            monkeypatch.setattr(numpy_limb, "MIN_NTT", 4)
+            monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
         params = params_k6.truncated(k)
         rng = random.Random(k)
         with backend.backend(engine):

@@ -1,12 +1,21 @@
 """Plan-to-circuit compiler: every operator shape produces a satisfied
-circuit whose result matches the plaintext executor, and tampered
-witnesses violate constraints."""
+circuit whose result matches the plaintext executor -- over the fixed
+tables below and over seeded random ones -- tampered witnesses and
+wrong answers violate constraints, the compiled circuits keep their
+recorded fingerprints, and a witness that cannot be written fails with
+a typed, attributed error."""
+
+import datetime
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra import SCALAR_FIELD as F
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import DATE, DECIMAL, INT, STRING
+from repro.errors import ReproError, WitnessError
 from repro.plonkish import Assignment, MockProver
 from repro.sql.compiler import CompileError, QueryCompiler
 from repro.sql.executor import Executor
@@ -16,8 +25,17 @@ from repro.sql.planner import Planner
 K = 9
 
 
-@pytest.fixture(scope="module")
-def db():
+CUSTOMERS = [(1, "alice", 34), (2, "bob", 28), (3, "carol", 41), (4, "dave", 30)]
+ORDERS = [
+    (1, 1, 120.50, "1995-01-10"),
+    (2, 1, 30.25, "1995-02-11"),
+    (3, 2, 99.99, "1995-03-12"),
+    (4, 3, 12.00, "1996-01-05"),
+    (5, 7, 55.00, "1996-06-06"),
+]
+
+
+def make_db(customers=CUSTOMERS, orders=ORDERS):
     db = Database()
     db.create_table(
         TableSchema(
@@ -29,7 +47,7 @@ def db():
             ],
             primary_key="c_id",
         ),
-        [(1, "alice", 34), (2, "bob", 28), (3, "carol", 41), (4, "dave", 30)],
+        customers,
     )
     db.create_table(
         TableSchema(
@@ -43,15 +61,14 @@ def db():
             primary_key="o_id",
             foreign_keys={"o_cid": ("customers", "c_id")},
         ),
-        [
-            (1, 1, 120.50, "1995-01-10"),
-            (2, 1, 30.25, "1995-02-11"),
-            (3, 2, 99.99, "1995-03-12"),
-            (4, 3, 12.00, "1996-01-05"),
-            (5, 7, 55.00, "1996-06-06"),
-        ],
+        orders,
     )
     return db
+
+
+@pytest.fixture(scope="module")
+def db():
+    return make_db()
 
 
 def compile_and_check(db, sql, k=K):
@@ -116,16 +133,123 @@ QUERIES = {
         "select sum(o_amount) / count(*) as ratio from orders group by o_cid "
         "order by ratio desc limit 1"
     ),
+    # Regressions of the three ways the hand-written witness mirror had
+    # diverged from the constraints (ISSUE 18, B1-B3): an equality flag
+    # on a row an earlier filter dropped, and hinted chips inside the
+    # CASE branch a row does not take.
+    "case_after_filter": (
+        "select sum(case when o_cid = 1 then o_amount else 0 end) as s "
+        "from orders where o_amount > 100"
+    ),
+    "case_division": (
+        "select sum(case when o_cid = 1 then o_amount / 2 else 0 end) as s "
+        "from orders"
+    ),
+    "case_year": (
+        "select sum(case when o_cid = 1 then extract(year from o_date) "
+        "else 0 end) as s from orders"
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(QUERIES))
-def test_operator_shapes(db, name):
-    result, expected, _, _ = compile_and_check(db, QUERIES[name])
+def check_shape(db, name, k=K):
+    result, expected, compiled, asg = compile_and_check(db, QUERIES[name], k)
     if "order" in QUERIES[name]:
         assert result == expected, name
     else:
         assert sorted(result) == sorted(expected), name
+    return result, compiled, asg
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_operator_shapes(db, name):
+    check_shape(db, name)
+
+
+FINGERPRINTS = json.loads(
+    (Path(__file__).parent / "data" / "compiled_circuit_fingerprints.json")
+    .read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS["operator_shapes_k9"]))
+def test_operator_shape_fingerprints(db, name):
+    """The circuit a query compiles to is pinned: a compiler change
+    that moves a column or a constraint must re-record the digest on
+    purpose (tests/data/compiled_circuit_fingerprints.json)."""
+    compiled = QueryCompiler(
+        db, K, limb_bits=4, value_bits=32, key_bits=40
+    ).compile(Planner(db).plan(parse(QUERIES[name])))
+    assert compiled.cs.fingerprint() == FINGERPRINTS["operator_shapes_k9"][name]
+
+
+# -- seeded random data -------------------------------------------------------
+#
+# The query texts stay fixed, the two tables are drawn: 0-6 rows each,
+# duplicate and dangling foreign keys, ages up to 2^value_bits - 1, and
+# orders that fail an amount filter yet match ``o_cid = 1``.  ORDER BY
+# keys cannot tie, so row order is determined: ages are unique, and the
+# amounts are distinct powers of 16 (in cents), which makes the sums of
+# disjoint groups -- and their quotients by a count <= 6 -- distinct.
+
+K_RANDOM = 8  # the smallest k whose usable rows hold the calendar table
+
+
+@st.composite
+def databases(draw):
+    def column(values, n, unique=False):
+        return draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+
+    n = draw(st.integers(0, 6))
+    ages = st.one_of(st.integers(0, 60), st.integers(0, 2**32 - 1))
+    customers = zip(
+        column(st.integers(1, 8), n, unique=True),
+        column(st.sampled_from(["alice", "bob", "carol", "erin"]), n),
+        column(ages, n, unique=True),
+    )
+    n = draw(st.integers(0, 6))
+    dates = st.dates(datetime.date(1994, 1, 1), datetime.date(1997, 12, 31))
+    orders = zip(
+        range(1, n + 1),
+        column(st.integers(1, 8), n),
+        [16**e / 100 for e in column(st.integers(1, 7), n, unique=True)],
+        [d.isoformat() for d in column(dates, n)],
+    )
+    return make_db(list(customers), list(orders))
+
+
+def claim(compiled, asg, rows):
+    """Rebind the public side of an honest assignment -- ``q_result``
+    and the instance columns -- to a claimed result, as a verifier
+    would from a response; returns the names of the violated gates."""
+    for col in [compiled.q_result, *compiled.instance_columns]:
+        for row in range(asg.usable_rows):
+            asg.assign(col, row, 0)
+    for i, values in enumerate(rows):
+        asg.assign(compiled.q_result, i, 1)
+        for col, value in zip(compiled.instance_columns, values):
+            asg.assign(col, i, value)
+    return {f.name.split("#")[0] for f in MockProver(compiled.cs, asg, F).verify()}
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(databases())
+def test_random_data_matches_executor_and_rejects_wrong_answers(db):
+    for name in sorted(QUERIES):
+        result, compiled, asg = check_shape(db, name, K_RANDOM)
+        if not result:
+            continue
+        wrong = {
+            "off by one": [[result[0][0] + 1, *result[0][1:]], *result[1:]],
+            "duplicated row": result + [result[-1]],
+        }
+        if len(result) > 1:
+            wrong["dropped row"] = result[1:]
+        for what, rows in wrong.items():
+            violated = claim(compiled, asg, rows)
+            assert violated and violated <= {"result_binding", "result_valid"}, (
+                name, what, violated,
+            )
 
 
 class TestCompilerStructure:
@@ -171,6 +295,18 @@ class TestCompilerStructure:
         failures = MockProver(compiled.cs, asg, F).verify()
         assert any("result_binding" in f.name for f in failures)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="found by the wrong-answer claims of ISSUE 18: q_result "
+        "binds a *prefix* of the dense final relation and nothing forces "
+        "the first unbound row to be invalid, so a truncated (even empty) "
+        "result satisfies the circuit; closing it adds a gate, which "
+        "moves every fingerprint (ROADMAP item 2)",
+    )
+    def test_truncated_result_is_rejected(self, db):
+        result, compiled, asg = check_shape(db, "group_sum")
+        assert claim(compiled, asg, result[:-1])
+
     def test_table_too_big_rejected(self):
         big = Database()
         big.create_table(
@@ -193,3 +329,56 @@ class TestCompilerStructure:
         )
         with pytest.raises(CompileError, match="standalone"):
             QueryCompiler(db, K, limb_bits=4).compile(plan)
+
+
+class TestWitnessErrors:
+    """Data the configured widths (or a gate's domain) cannot hold
+    fails where the witness is written: typed, and naming the gate, the
+    row and the operand values."""
+
+    @staticmethod
+    def witness(db, sql, **widths):
+        config = {"limb_bits": 4, "value_bits": 32, "key_bits": 40, **widths}
+        compiled = QueryCompiler(db, K, **config).compile(
+            Planner(db).plan(parse(sql))
+        )
+        return compiled.assign_witness(Assignment(compiled.cs, F, K), db)
+
+    def test_comparison_operand_wider_than_value_bits(self, db):
+        with pytest.raises(WitnessError, match="pre-range-checked") as err:
+            self.witness(db, QUERIES["filter_lt"], value_bits=4)
+        assert err.value.gate.startswith("lt")
+        assert (err.value.row, err.value.values) == (0, [34, 31])
+        assert "row 0" in str(err.value) and "[34, 31]" in str(err.value)
+
+    def test_division_by_zero(self, db):
+        with pytest.raises(WitnessError, match="division by zero") as err:
+            self.witness(db, "select o_amount / (o_cid - 1) as r from orders")
+        assert err.value.gate.startswith("div")
+        assert (err.value.row, err.value.values[1]) == (0, 0)
+
+    def test_year_outside_calendar(self):
+        db = make_db(orders=[(1, 1, 5.00, "2100-03-04")])
+        with pytest.raises(WitnessError, match="calendar") as err:
+            self.witness(db, QUERIES["derive_year"])
+        assert err.value.gate.startswith("year") and err.value.row == 0
+
+    @pytest.mark.parametrize(
+        "sql, gate",
+        [
+            ("select c_age, count(*) as n from customers group by c_age",
+             "group key component"),
+            (QUERIES["order_by"], "ORDER BY value"),
+        ],
+    )
+    def test_key_component_wider_than_key_bits(self, db, sql, gate):
+        with pytest.raises(WitnessError, match="exceeds 4 bits") as err:
+            self.witness(db, sql, key_bits=4)
+        assert (err.value.gate, err.value.row, err.value.values) == (gate, 0, [34])
+
+    def test_compiler_errors_are_repro_errors(self):
+        assert issubclass(CompileError, ReproError)
+        assert issubclass(CompileError, ValueError)
+        assert issubclass(WitnessError, ReproError)
+        assert issubclass(WitnessError, ValueError)
+        assert not issubclass(WitnessError, CompileError)

@@ -9,11 +9,13 @@ import copy
 
 import pytest
 
+from repro import PoneglyphDB
 from repro.commit import setup
 from repro.config import ProverConfig
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.system import ProverNode, VerifierNode, audit
+from repro.tpch import generate
 
 K = 7
 CONFIG = ProverConfig(
@@ -229,3 +231,23 @@ class TestRejections:
         )
         cert = audit(other, prover.commitment, prover._secrets, params)
         assert not cert.valid
+
+
+def test_case_flag_after_filter_round_trip(tmp_path):
+    """ISSUE 18 / B1: an equality flag inside CASE, evaluated on rows an
+    earlier filter dropped.  The hand-written witness answered 0 there
+    while the constraint evaluates to 1, so the honest prover's proof
+    was rejected; a witness computed from the constraints verifies."""
+    config = ProverConfig(
+        k=6, limb_bits=4, value_bits=32, key_bits=40,
+        cache_dir=tmp_path / "cache",
+    )
+    with PoneglyphDB.open(generate(16, seed=1), config) as session:
+        session.commit()
+        response = session.prove(
+            "select sum(case when n_regionkey = 1 then n_nationkey else 0 "
+            "end) as s from nation where n_nationkey > 10"
+        )
+        assert response.result_encoded == [[48]]
+        report = session.verify(response)
+        assert report.accepted, report.reason

@@ -1,5 +1,8 @@
 """TPC-H generator and the six evaluation queries."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.algebra import SCALAR_FIELD as F
@@ -124,17 +127,34 @@ class TestQueries:
         )
         assert sum(rel.columns["count_order"]) == expected
 
-    @pytest.mark.parametrize("name", ["Q1", "Q3"])
-    def test_circuit_matches_executor(self, db, name):
+    @staticmethod
+    def circuit_matches_executor(db, name, k):
         plan = Planner(db).plan(parse(QUERIES[name]))
         expected = Executor(db).execute(plan)
         compiled = QueryCompiler(
-            db, 9, limb_bits=4, value_bits=32, key_bits=40
+            db, k, limb_bits=4, value_bits=32, key_bits=40
         ).compile(plan)
-        asg = Assignment(compiled.cs, F, 9)
+        asg = Assignment(compiled.cs, F, k)
         result = compiled.assign_witness(asg, db)
         MockProver(compiled.cs, asg, F).assert_satisfied()
         exp_rows = [list(r.values()) for r in expected.rows()]
-        if compiled.limit is not None:
-            exp_rows = exp_rows[: compiled.limit]
-        assert result == exp_rows
+        assert result == exp_rows[: compiled.limit]
+        return compiled
+
+    @pytest.mark.parametrize("name", ["Q1", "Q3"])
+    def test_circuit_matches_executor(self, db, name):
+        self.circuit_matches_executor(db, name, 9)
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_compiled_circuit_is_pinned_and_satisfied(self, name):
+        """All six queries over 16 lineitem rows at k=8: the witness
+        computed from the circuit satisfies it, the result is the
+        executor's, and the circuit keeps its recorded fingerprint (the
+        per-pass golden digest an optimizer must re-record on
+        purpose)."""
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "compiled_circuit_fingerprints.json")
+            .read_text()
+        )["tpch_k8_generate16_seed1"]
+        compiled = self.circuit_matches_executor(generate(16, seed=1), name, 8)
+        assert compiled.cs.fingerprint() == pinned[name]
