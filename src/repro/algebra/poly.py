@@ -67,7 +67,7 @@ class Polynomial:
         denoms = []
         bases = []
         for i in range(n):
-            basis = _divide_by_linear(full, xs[i], p)
+            basis = divide_by_linear(full, xs[i], p)
             denom = _eval_raw(basis, xs[i], p)
             bases.append(basis)
             denoms.append(denom)
@@ -181,7 +181,7 @@ class Polynomial:
         ``root`` is a root.  This is the witness computation for IPA
         opening proofs.
         """
-        quot = _divide_by_linear(self.coeffs, root, self.field.p)
+        quot = divide_by_linear(self.coeffs, root, self.field.p)
         rem = self.evaluate(root)
         return Polynomial(self.field, quot), rem
 
@@ -219,7 +219,7 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return [c % p for c in out]
 
 
-def _divide_by_linear(coeffs: Sequence[int], root: int, p: int) -> list[int]:
+def divide_by_linear(coeffs: Sequence[int], root: int, p: int) -> list[int]:
     """Synthetic division of a raw coefficient list by (X - root); the
     remainder is discarded."""
     n = len(coeffs)

@@ -171,8 +171,8 @@ class Session:
     ) -> BatchReport:
         """Verify many responses with one folded accumulator check.
 
-        Each proof is still checked individually up to its expensive
-        opening claims, which are deferred into a shared recursion
+        Each proof is still checked individually up to the expensive
+        part of its one opening, which is deferred into a shared recursion
         accumulator and settled with a single combined MSM (DESIGN.md
         section 5g); :meth:`verify` is this with one response."""
         return self.verifier().batch_verify(responses)

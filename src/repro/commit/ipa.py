@@ -61,13 +61,6 @@ class IpaProof:
     a: int
     blind: int
 
-    def size_bytes(self) -> int:
-        """Serialized size (used for the paper's proof-size metrics)."""
-        if not self.rounds:
-            return 2 * 32
-        point_bytes = len(self.rounds[0][0].to_bytes())
-        return 2 * len(self.rounds) * point_bytes + 2 * 32
-
     def to_bytes(self) -> bytes:
         """Canonical serialization: round count, the (L, R) points, then
         the two final scalars reduced into the scalar field."""
@@ -299,7 +292,9 @@ def _open_polynomial(
     into the scalars of the next round's ``L`` / ``R`` MSMs, where a
     field multiplication per coefficient pays for it.  ``L``, ``R``,
     ``a`` and the blind are the same elements either way; the base
-    itself is never published.
+    itself is never published.  Round 0 has folded nothing yet -- its
+    bases are ``params.g`` --, so its two MSMs run against the parameter
+    set's fixed-base tables (``xi`` moves into the scalar of ``u``).
     """
     p = field.p
     n = params.n
@@ -310,6 +305,17 @@ def _open_polynomial(
 
     xi = transcript.challenge_scalar(b"ipa-xi")
     u_prime = params.u * xi
+    tables = fixed_base.tables_for_params(params)
+
+    def cross_term(bases, first, half_a, inner, blind):
+        if len(g) == params.n:  # bases == params.g[first : first + len(half_a)]
+            indices = [*range(first, first + len(half_a)), params.n + 1, params.n]
+            scalars = half_a + [inner * xi % p, blind]
+            return fixed_base.fixed_base_msm(tables, scalars, indices)
+        return msm(
+            bases + [u_prime, params.w],
+            [ai * scale % p for ai in half_a] + [inner, blind],
+        )
 
     r = blind % p
     rounds: list[tuple[Point, Point]] = []
@@ -323,14 +329,8 @@ def _open_polynomial(
         r_blind = field.rand()
         inner_lo_hi = sum(ai * bi for ai, bi in zip(a_lo, b_hi)) % p
         inner_hi_lo = sum(ai * bi for ai, bi in zip(a_hi, b_lo)) % p
-        left = msm(
-            g_hi + [u_prime, params.w],
-            [ai * scale % p for ai in a_lo] + [inner_lo_hi, l_blind],
-        )
-        right = msm(
-            g_lo + [u_prime, params.w],
-            [ai * scale % p for ai in a_hi] + [inner_hi_lo, r_blind],
-        )
+        left = cross_term(g_hi, half, a_lo, inner_lo_hi, l_blind)
+        right = cross_term(g_lo, 0, a_hi, inner_hi_lo, r_blind)
         transcript.absorb_point(b"ipa-L", left)
         transcript.absorb_point(b"ipa-R", right)
         u = transcript.challenge_scalar(b"ipa-u")

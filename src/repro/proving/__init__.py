@@ -10,20 +10,21 @@ non-interactive zero-knowledge proof, and verifies such proofs:
    as a table of round functions (``ROUNDS``): commit advice; count
    lookup multiplicities (theta); build permutation and shuffle grand
    products and the lookups' helper columns and running sums (beta,
-   gamma); build the quotient polynomial (y); evaluate
-   everything at a random point (x) and batch the openings through the
-   IPA (:mod:`repro.proving.multiopen`).
+   gamma); build the quotient polynomial (y); evaluate everything at a
+   random point (x); settle every evaluation, whatever its rotation,
+   with one IPA opening (:mod:`repro.proving.multiopen`).
 3. :mod:`repro.proving.verifier` -- recompute every challenge, check
-   the combined constraint identity at x, and check the batched IPA
-   openings, their linear-time base-folding MSMs deferred into a
+   the combined constraint identity at x, and check that one opening,
+   its linear-time base-folding MSM deferred into a
    :class:`repro.proving.recursion.Accumulator` (the recursive
    proof-composition technique the paper leverages) that one finalize
    settles -- for one proof or for many.
 
 What the two sides must agree on exists once: the proof's sections,
 wire codec and transcript order in :mod:`repro.proving.proof`
-(``SECTIONS``); the challenges per round, the opening schedule and the
-constraint identity in :mod:`repro.proving.protocol`.  The verifier
+(``SECTIONS``); the challenges per round, the opening schedule, its
+point sets and the constraint identity in :mod:`repro.proving.protocol`;
+the opening argument's transcript walk in :mod:`repro.proving.multiopen`.  The verifier
 imports nothing from the prover.
 """
 

@@ -10,7 +10,7 @@ and makes a list of them a *transportable artifact*:
   sessions, as long as they share one exact ``PublicParams`` set --
   into an :class:`AggProof` bound to the parameter fingerprint;
 - :class:`AggProof` has its own strict wire format (``PDBA``, mirroring
-  the ``PDB3``/``PDBC`` discipline: length-checked counts, canonical
+  the ``PDB4``/``PDBC`` discipline: length-checked counts, canonical
   scalars, strict UTF-8, no trailing bytes), so an aggregated day of
   traffic can be shipped to a light client or pinned in an audit log;
 - :meth:`repro.system.verifier_node.VerifierNode.verify_aggregate`
@@ -187,7 +187,7 @@ class AggProof:
 
         Enforces the ``PDBA`` header, the fingerprint width, bounded
         length-checked counts, canonical scalars (``< p``), strict
-        UTF-8 strings, the inner ``PDB3`` proof magic, at least one
+        UTF-8 strings, the inner ``PDB4`` proof magic, at least one
         entry, and no trailing bytes.  The *cryptographic* validity of
         each inner proof is only established by
         ``VerifierNode.verify_aggregate`` (it needs the verifying key);

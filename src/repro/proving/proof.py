@@ -7,7 +7,7 @@ kind, the shape the verifying key pins for it, its transcript label and
 the round whose message it belongs to.  Everything that has to agree
 on that list walks it instead of re-typing it:
 
-- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB3`` wire
+- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB4`` wire
   codec) and :meth:`Proof.size_bytes`;
 - :meth:`Proof.has_shape`, the structural check that opens
   ``verify_proof``;
@@ -23,14 +23,14 @@ verifier only ever receives bytes, so :meth:`Proof.from_bytes` is the
 strict gate every remote proof passes through.  Decoding enforces (via
 :class:`repro.wire.ByteReader`):
 
-- the ``PDB3`` version header;
+- the ``PDB4`` version header;
 - element counts that match the verifying key's circuit shape exactly
   and are length-checked against the remaining bytes before any
-  allocation (the quotient-chunk count is bounded, not pinned);
+  allocation (the quotient-chunk count alone is bounded, not pinned);
 - canonical scalars (``< p``) and canonical on-curve points;
 - ascending, vk-matching evaluation keys (one canonical encoding per
   proof -- re-orderings are rejected);
-- IPA openings with exactly ``log2 n`` rounds each;
+- one IPA opening, of exactly ``log2 n`` rounds;
 - no trailing bytes.
 
 Anything else raises :class:`~repro.wire.WireFormatError`, so
@@ -50,7 +50,7 @@ from repro.plonkish.constraint_system import helper_column_count
 from repro.wire import ByteReader, SCALAR_BYTES, WireFormatError, point_wire_size
 
 #: Wire-format version header; bump when the layout changes.
-WIRE_MAGIC = b"PDB3"
+WIRE_MAGIC = b"PDB4"
 
 #: The round whose message is the evaluations at ``x``.
 EVALUATION_ROUND = 5
@@ -117,7 +117,7 @@ KEYED = "(u32 column, i32 rotation, scalar), keys ascending"  # {(col, rot): eva
 NAMED = "scalars, names ascending"  # {name: eval}
 CHUNKS = "per chunk: scalars, keys ascending"  # [{key: eval}]
 PARTS = "per part: its points, then its scalars"  # [LookupProofPart | ...]
-OPENINGS = "per opening: scalar point + IPA proof"  # [(point, IpaProof)]
+OPENINGS = "IPA proofs"  # [IpaProof]
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class Section:
     #: ``shape(vk, queries, n_h)`` -- what the verifying key pins: the
     #: element count, the ascending keys (KEYED / NAMED) or every
     #: entry's keys (CHUNKS); ``n_h`` is the number of quotient
-    #: commitments the proof itself carries.  ``None``: not pinned.
-    shape: Callable[[Any, Any, int], Any] | None
+    #: commitments the proof itself carries.
+    shape: Callable[[Any, Any, int], Any]
     pinned_to: str  # the same, in words (for the layout block)
     label: bytes = b""  # transcript label (PARTS label each field)
     round: int = 0  # round whose message absorbs it
@@ -196,7 +196,7 @@ class Section:
             POINTS: point,
             KEYED: 8 + SCALAR_BYTES,
             CHUNKS: 2 * SCALAR_BYTES,
-            OPENINGS: 4 + 2 * vk.params.k * point + 3 * SCALAR_BYTES,
+            OPENINGS: 4 + 2 * vk.params.k * point + 2 * SCALAR_BYTES,
         }.get(self.kind, SCALAR_BYTES)
 
     def read(self, reader: ByteReader, what: str, expected, vk):
@@ -223,8 +223,7 @@ class Section:
             ]
         if self.kind is OPENINGS:
             return [
-                (reader.scalar(p, what), IpaProof.read_from(reader, curve, vk.params.k))
-                for _ in range(expected)
+                IpaProof.read_from(reader, curve, vk.params.k) for _ in range(expected)
             ]
         out = {}
         for key in expected:  # KEYED: exactly the circuit's keys, ascending
@@ -232,6 +231,12 @@ class Section:
                 raise WireFormatError(f"{what} keys do not match the circuit")
             out[key] = reader.scalar(p, what)
         return out
+
+
+def _point_set_count(vk, queries, n_h: int) -> int:
+    from repro.proving.protocol import opening_point_sets  # imports this module
+
+    return len(opening_point_sets(vk, queries, n_h))
 
 
 #: The proof schema, in wire order.
@@ -277,8 +282,16 @@ SECTIONS = (
     Section("h_evals", SCALARS,
             lambda vk, queries, n_h: n_h,
             "count of h_commitments", b"eval-h", EVALUATION_ROUND),
-    Section("openings", OPENINGS, None,
-            "one per distinct opening point (checked by multi_verify)"),
+    # The opening argument's messages; repro.proving.multiopen absorbs them.
+    Section("multiopen_f", POINTS,
+            lambda vk, queries, n_h: 1,
+            "one: the opening argument's quotient f"),
+    Section("multiopen_q_evals", SCALARS,
+            _point_set_count,
+            "opening_point_sets(vk): q_i(x3) per set"),
+    Section("openings", OPENINGS,
+            lambda vk, queries, n_h: 1,
+            "one, whatever the rotations"),
 )
 
 #: Within a round the transcript takes the sections in wire order,
@@ -297,7 +310,7 @@ TRANSCRIPT_ORDER = tuple(
 
 
 def wire_layout() -> str:
-    """The ``PDB3`` layout, one line per schema row (DESIGN.md 5c
+    """The ``PDB4`` layout, one line per schema row (DESIGN.md 5c
     carries this text; a tier-1 test keeps the two equal)."""
     rows = [
         f"{section.attr:<26}: u32 count, {section.kind}  # {section.pinned_to}"
@@ -327,13 +340,15 @@ class Proof:
     lookup_helper_evals: list[int] = field(default_factory=list)
     h_evals: list[int] = field(default_factory=list)
 
-    # Batched IPA opening proofs, one per distinct evaluation point.
-    openings: list[tuple[int, IpaProof]] = field(default_factory=list)
+    # The opening argument: [f], the q_i(x3) and the one IPA proof.
+    multiopen_f: list[Point] = field(default_factory=list)
+    multiopen_q_evals: list[int] = field(default_factory=list)
+    openings: list[IpaProof] = field(default_factory=list)
 
     def leaves(self) -> Iterator[tuple[str, Any, Any, bool]]:
-        """Every point and scalar outside the openings, in wire order,
+        """Every point and scalar outside the IPA proof, in wire order,
         as ``(label, container, key, is_point)``."""
-        for section in SECTIONS[:-1]:  # all but the openings
+        for section in SECTIONS[:-1]:  # all but the IPA proof
             records = section.records(getattr(self, section.attr))
             for i, record in enumerate(records):
                 for container, key, is_point in record:
@@ -353,7 +368,6 @@ class Proof:
                 getattr(self, section.attr), section.shape(vk, queries, n_h)
             )
             for section in SECTIONS
-            if section.shape is not None
         )
 
     def absorb_round(self, transcript, number: int) -> None:
@@ -369,7 +383,7 @@ class Proof:
         return len(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        """Canonical wire serialization (format ``PDB3``).
+        """Canonical wire serialization (format ``PDB4``).
 
         Scalars are reduced into the scalar field before encoding, so a
         residue has exactly one byte representation; the strict inverse
@@ -393,8 +407,7 @@ class Proof:
             value = getattr(self, section.attr)
             chunks.append(u32(len(value)))
             if section.kind is OPENINGS:
-                for point, ipa in value:
-                    chunks += (scalar(point), ipa.to_bytes())
+                chunks += [ipa.to_bytes() for ipa in value]
                 continue
             for record in section.records(value):
                 for container, key, is_point in record:
@@ -421,23 +434,20 @@ class Proof:
         values: dict[str, Any] = {}
         for section in SECTIONS:
             what = section.attr.replace("_", " ")
-            if section.shape is None:
-                low, high = 0, reader.remaining
-            else:
-                expected = section.shape(
-                    vk, queries, len(values.get("h_commitments", ()))
-                )
-                high = expected if isinstance(expected, int) else len(expected)
-                # The quotient splits into 1 to 2^(extended_k - k) chunks
-                # of degree < n; any other count cannot come from an
-                # honest prover and would let a cheat inflate its degree.
-                low = 1 if section.bounded else high
+            expected = section.shape(
+                vk, queries, len(values.get("h_commitments", ()))
+            )
+            high = expected if isinstance(expected, int) else len(expected)
+            # The quotient splits into 1 to 2^(extended_k - k) chunks
+            # of degree < n; any other count cannot come from an
+            # honest prover and would let a cheat inflate its degree.
+            low = 1 if section.bounded else high
             count = reader.count(
                 what, element_size=section.element_size(vk), max_count=high
             )
             if count < low:
                 raise WireFormatError(f"{what} count {count} is below {low}")
-            if section.shape is None or section.bounded:
+            if section.bounded:
                 expected = count
             values[section.attr] = section.read(reader, what, expected, vk)
         reader.finish()

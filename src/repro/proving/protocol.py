@@ -11,7 +11,8 @@ and used by both :mod:`repro.proving.prover` and
 - :func:`init_transcript`, :func:`draw_challenges` -- what the
   transcript is bound to and which challenges open each round;
 - :func:`opening_schedule` -- every evaluation the proof carries, the
-  commitment it opens and the point, in opening-claim order;
+  commitment it opens and the rotation -- and :func:`opening_point_sets`,
+  the same grouped the way the opening argument folds it;
 - :func:`combined_constraint` -- the constraint identity: which
   selector gates which term, in which ``y``-fold order, over scalar
   formulas (:func:`shuffle_fraction`, :func:`lookup_denominators` and
@@ -134,8 +135,8 @@ def opening_schedule(
     into the proof (the commitment's into the verifying key for
     ``fixed`` / ``sigma`` / ``system``), and the evaluation is claimed
     at ``omega^rotation * x``.  ``n_h`` is the proof's quotient-chunk
-    count.  Multiopen groups claims by point in first-use order, so
-    this order is part of the protocol.
+    count.  :func:`opening_point_sets` keeps first-use order, so this
+    order is part of the protocol.
     """
     for ci, rotation in queries.advice:
         yield ("advice_evals", (ci, rotation)), ("advice_commitments", ci), rotation
@@ -164,6 +165,28 @@ def opening_schedule(
         yield ("lookup_helper_evals", i), ("lookup_helper_commitments", i), 0
     for i in range(n_h):
         yield ("h_evals", i), ("h_commitments", i), 0
+
+
+def opening_point_sets(
+    vk: VerifyingKey, queries: QuerySet, n_h: int
+) -> list[tuple[tuple[int, ...], list[tuple[tuple, list[tuple]]]]]:
+    """The opening schedule by *point set*: ``(rotations, members)``
+    with one ``(commitment, [its evaluation per rotation])`` member per
+    commitment opened at exactly those rotations of ``x`` (ascending).
+    Sets and members come in first-use order of the schedule; the
+    opening argument (:mod:`repro.proving.multiopen`) weights them by
+    position, and the proof carries one ``multiopen_q_evals`` scalar
+    per set."""
+    opened: dict[tuple, dict[int, tuple]] = {}
+    for evaluation, commitment, rotation in opening_schedule(vk, queries, n_h):
+        opened.setdefault(commitment, {})[rotation] = evaluation
+    sets: dict[tuple[int, ...], list] = {}
+    for commitment, evaluations in opened.items():
+        rotations = tuple(sorted(evaluations))
+        sets.setdefault(rotations, []).append(
+            (commitment, [evaluations[r] for r in rotations])
+        )
+    return list(sets.items())
 
 
 def cell(root, path: tuple) -> tuple:

@@ -4,10 +4,10 @@
 the span, draws the round's challenges, runs the round function over
 the :class:`ProverState` and absorbs the message the round added to the
 proof.  Round functions never touch the transcript (multiopen excepted:
-the IPA is its own sub-protocol), so the order of prover messages
-exists once -- in the proof schema, where the verifier replays it from
-(:meth:`~repro.proving.proof.Proof.absorb_round`).  What is opened
-where is :func:`~repro.proving.protocol.opening_schedule`; the
+the opening argument is its own sub-protocol), so the order of prover
+messages exists once -- in the proof schema, where the verifier replays
+it from (:meth:`~repro.proving.proof.Proof.absorb_round`).  What is opened
+where is :func:`~repro.proving.protocol.opening_point_sets`; the
 constraints are :func:`~repro.proving.protocol.combined_constraint`,
 the function the verifier evaluates at ``x``, here on the coset.
 
@@ -36,7 +36,7 @@ from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.plonkish.expression import Expression
 from repro.proving.evaluation import evaluate_expression_ext
 from repro.proving.keygen import PolyData, ProvingKey
-from repro.proving.multiopen import OpeningClaim, multi_open
+from repro.proving.multiopen import OpeningClaim, PointSet, multi_open
 from repro.proving.proof import LookupProofPart, Proof, ShuffleProofPart
 from repro.proving.protocol import (
     SYSTEM_SELECTORS,
@@ -48,6 +48,7 @@ from repro.proving.protocol import (
     grand_product_fractions,
     init_transcript,
     lookup_denominators,
+    opening_point_sets,
     opening_schedule,
 )
 from repro.transcript import Transcript
@@ -98,7 +99,7 @@ class ProverState:
     columns: dict[tuple, list[int]]
     #: Expression values over the usable rows, by expression object.
     row_values: dict[Expression, list[int]] = dc_field(default_factory=dict)
-    claims: list[OpeningClaim] = dc_field(default_factory=list)
+    point_sets: list[PointSet] = dc_field(default_factory=list)
     #: Challenges by name, added by the driver as each round opens.
     challenges: dict[str, int] = dc_field(default_factory=dict)
 
@@ -488,29 +489,33 @@ def evaluations(state: ProverState) -> dict:
     proof.permutation_z_evals = [{} for _ in vk.permutation_chunks]
     proof.lookup_helper_evals = [0] * len(proof.lookup_helper_commitments)
     proof.h_evals = [0] * len(proof.h_commitments)
-    schedule = list(opening_schedule(vk, state.queries, len(proof.h_commitments)))
     x = state.challenges["x"]
-    points = {r: pk.domain.rotated_point(x, r) for *_, r in schedule}
-    for evaluation, commitment, rotation in schedule:
-        poly = state.polys[commitment]
-        value = evaluate_coeffs(poly.coeffs, points[rotation], p)
-        container, key = cell(proof, evaluation)
-        container[key] = value
-        state.claims.append(
-            OpeningClaim(
-                points[rotation], poly.coeffs, poly.blind, poly.commitment, value,
+    for rotations, members in opening_point_sets(
+        vk, state.queries, len(proof.h_commitments)
+    ):
+        points = [pk.domain.rotated_point(x, r) for r in rotations]
+        claims = []
+        for commitment, evaluations in members:
+            poly = state.polys[commitment]
+            values = [evaluate_coeffs(poly.coeffs, point, p) for point in points]
+            for evaluation, value in zip(evaluations, values):
+                container, key = cell(proof, evaluation)
+                container[key] = value
+            claims.append(
+                OpeningClaim(poly.commitment, values, poly.coeffs, poly.blind)
             )
-        )
+        state.point_sets.append(PointSet(points, claims))
     return {}
 
 
 # ---- multiopen --------------------------------------------------------------
 def multiopen(state: ProverState) -> dict:
-    vk = state.pk.vk
-    state.proof.openings = multi_open(
-        vk.params, state.transcript, state.claims, vk.field
+    vk, proof = state.pk.vk, state.proof
+    f_commitment, proof.multiopen_q_evals, opening = multi_open(
+        vk.params, state.transcript, state.point_sets, vk.field
     )
-    return {"claims": len(state.claims)}
+    proof.multiopen_f, proof.openings = [f_commitment], [opening]
+    return {"point_sets": len(state.point_sets)}
 
 
 #: The rounds, in order: (telemetry span, ProverTiming field, function).

@@ -7,9 +7,10 @@ rounds to recompute every Fiat-Shamir challenge
 :meth:`~repro.proving.proof.Proof.absorb_round`), evaluates the
 constraint identity of :mod:`repro.proving.protocol` at the random
 point ``x`` using the opened evaluations, checks it equals
-``h(x) * (x^n - 1)``, and finally checks the batched IPA openings of
-:func:`~repro.proving.protocol.opening_schedule`, their linear-time
-MSMs deferred into a recursion
+``h(x) * (x^n - 1)``, and finally checks the one IPA opening that
+settles every evaluation (:mod:`repro.proving.multiopen` over
+:func:`~repro.proving.protocol.opening_point_sets`), its linear-time
+MSM deferred into a recursion
 :class:`~repro.proving.recursion.Accumulator` -- the caller's, or one
 of its own that it settles before returning.  Nothing here is a copy
 of the prover: both sides walk the same schema, schedule and formulas.
@@ -21,7 +22,7 @@ from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
 from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.proving.keygen import VerifyingKey
-from repro.proving.multiopen import OpeningClaim, multi_verify
+from repro.proving.multiopen import OpeningClaim, PointSet, multi_verify
 from repro.proving.proof import Proof
 from repro.proving.protocol import (
     ROUND_CHALLENGES,
@@ -31,7 +32,7 @@ from repro.proving.protocol import (
     compress,
     draw_challenges,
     init_transcript,
-    opening_schedule,
+    opening_point_sets,
     read,
 )
 from repro.proving.recursion import Accumulator
@@ -48,8 +49,8 @@ def verify_proof(
     ``instance`` holds one list of field values per instance column
     (padded with zeros to the circuit's row count by this function).
 
-    With an ``accumulator``, ``True`` is provisional: the openings'
-    base-folding MSMs are still owed, and the caller settles them (with
+    With an ``accumulator``, ``True`` is provisional: the opening's
+    base-folding MSM is still owed, and the caller settles it (with
     any other proofs') by ``accumulator.finalize()``.  Without one the
     proof gets its own accumulator, finalized here, and the answer is
     final.
@@ -126,25 +127,22 @@ def verify_proof(
     if combined != h_x * ((x_to_n - 1) % p) % p:
         return False
 
-    # ---- verify the batched openings ----------------------------------------
-    schedule = list(opening_schedule(vk, queries, len(proof.h_commitments)))
-    points = {r: domain.rotated_point(x, r) for *_, r in schedule}
-    claims = []
-    for evaluation, commitment, rotation in schedule:
+    # ---- verify the opening of every evaluation ------------------------------
+    sets = []
+    for rotations, members in opening_point_sets(
+        vk, queries, len(proof.h_commitments)
+    ):
         # Fixed, sigma and system commitments are the verifying key's.
-        owner = vk if hasattr(vk, commitment[0]) else proof
-        claims.append(
+        claims = [
             OpeningClaim(
-                points[rotation], None, None,
-                read(owner, commitment), read(proof, evaluation),
+                read(vk if hasattr(vk, commitment[0]) else proof, commitment),
+                [read(proof, evaluation) for evaluation in evaluations],
             )
-        )
-    if accumulator is not None:
-        return multi_verify(
-            params, transcript, claims, proof.openings, field, accumulator
-        )
-    own = Accumulator(params, field)
-    return (
-        multi_verify(params, transcript, claims, proof.openings, field, own)
-        and own.finalize()
-    )
+            for commitment, evaluations in members
+        ]
+        sets.append(PointSet([domain.rotated_point(x, r) for r in rotations], claims))
+    own = Accumulator(params, field) if accumulator is None else accumulator
+    return multi_verify(
+        params, transcript, sets, proof.multiopen_f[0], proof.multiopen_q_evals,
+        proof.openings[0], field, own,
+    ) and (accumulator is not None or own.finalize())

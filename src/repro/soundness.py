@@ -142,7 +142,7 @@ def field_mutators(template: Proof) -> Iterator[tuple[str, Mutator]]:
     """Yield ``(label, mutate)`` pairs covering every Proof field, by
     walking the proof schema (:data:`repro.proving.proof.SECTIONS`):
     every point shifted, every scalar bumped, every section's container
-    shortened / lengthened / reordered, then the IPA openings' own
+    shortened / lengthened / reordered, then the IPA opening's own
     fields.
 
     ``template`` is only inspected for shape (list lengths, dict keys);
@@ -175,31 +175,25 @@ def field_mutators(template: Proof) -> Iterator[tuple[str, Mutator]]:
 
             yield f"{name}.swap", swap
 
-    for i, (_, ipa) in enumerate(template.openings):
-        yield (
-            f"openings[{i}].point+1",
-            lambda pr, i=i: pr.openings.__setitem__(
-                i, (pr.openings[i][0] + 1, pr.openings[i][1])
-            ),
-        )
+    for i, ipa in enumerate(template.openings):
         for attr in ("a", "blind"):
             yield (
                 f"openings[{i}].{attr}+1",
                 lambda pr, i=i, attr=attr: setattr(
-                    pr.openings[i][1], attr, getattr(pr.openings[i][1], attr) + 1
+                    pr.openings[i], attr, getattr(pr.openings[i], attr) + 1
                 ),
             )
         for j in range(len(ipa.rounds)):
             for side, idx in (("L", 0), ("R", 1)):
                 def tamper_round(pr, i=i, j=j, idx=idx):
-                    pair = list(pr.openings[i][1].rounds[j])
+                    pair = list(pr.openings[i].rounds[j])
                     pair[idx] = _shift(pair[idx])
-                    pr.openings[i][1].rounds[j] = tuple(pair)
+                    pr.openings[i].rounds[j] = tuple(pair)
 
                 yield f"openings[{i}].rounds[{j}].{side}+G", tamper_round
         yield (
             f"openings[{i}].rounds.drop",
-            lambda pr, i=i: pr.openings[i][1].rounds.pop(),
+            lambda pr, i=i: pr.openings[i].rounds.pop(),
         )
 
 
@@ -232,7 +226,7 @@ def claim_mutators(p: int) -> Iterator[tuple[str, ClaimMutator]]:
 
     def flip_byte(c) -> None:
         raw = bytearray(c.proof_bytes)
-        raw[-40] ^= 1  # inside the last opening: decodes, must not verify
+        raw[-40] ^= 1  # inside the IPA proof: decodes, must not verify
         c.proof_bytes = bytes(raw)
 
     yield "links.repeat-first", repeat_first

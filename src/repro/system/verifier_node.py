@@ -20,7 +20,7 @@ Figure 2, phase 5, plus the binding checks):
    column must equal the published database column commitment shifted
    by ``delta * W`` -- binding the proof to the committed database.
 5. Verify the proof against the claimed result (instance columns),
-   its openings' linear-time MSMs deferred into the one recursion
+   its one opening's linear-time MSM deferred into the recursion
    accumulator the whole list shares and one finalize settles.
 """
 
@@ -87,7 +87,7 @@ class BatchReport:
     submission order; ``accepted`` is True only when every individual
     report accepted *and* the shared accumulator's single folded MSM
     check passed.  ``deferred_openings`` counts the IPA base-folding
-    MSMs (one per opening point per proof) that one final check
+    MSMs (one per proof, whatever its rotations) that one final check
     settled.
     """
 
@@ -246,9 +246,9 @@ class VerifierNode:
         recompilation, strict wire decode, scan links, constraint
         identity, logarithmic IPA rounds) against one fresh recursion
         :class:`~repro.proving.recursion.Accumulator`, into which the
-        *linear-time* base-folding MSM of every opening is deferred;
-        one finalize then settles all of them -- across the opening
-        points of one proof and across proofs alike.
+        *linear-time* base-folding MSM of each proof's one opening is
+        deferred; one finalize then settles all of them -- a lone
+        proof's and a batch's alike.
 
         Soundness: a per-claim report is provisional until that fold
         passes, and no report leaves this method before it has run.

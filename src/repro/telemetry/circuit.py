@@ -15,6 +15,7 @@ Circuits*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 from repro.plonkish.assignment import ZK_ROWS
 from repro.plonkish.constraint_system import ConstraintSystem, helper_column_count
@@ -49,6 +50,20 @@ def _bucket_for_gate(name: str) -> str:
         if needle in lowered:
             return bucket
     return "other"
+
+
+#: Uniformly random rows the prover puts under a witness-carrying
+#: column, by the name in its opening-schedule path: all ``ZK_ROWS``,
+#: but one fewer for a running product or sum (its first row past the
+#: usable ones holds its end value).
+_RANDOM_ROWS = {
+    "advice_commitments": ZK_ROWS,
+    "m_commitment": ZK_ROWS,
+    "lookup_helper_commitments": ZK_ROWS,
+    "permutation_z_commitments": ZK_ROWS - 1,
+    "phi_commitment": ZK_ROWS - 1,
+    "z_commitment": ZK_ROWS - 1,
+}
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,12 @@ class CircuitReport:
     copies: int
     permutation_chunk: int
     permutation_grand_products: int
+    #: Point sets of the opening argument (one ``q_i(x3)`` scalar each).
+    opening_point_sets: int
+    #: Blinding budget: min over witness-carrying committed polynomials
+    #: of random rows - (rotations opened + 1 for ``q_i(x3)``); see
+    #: DESIGN.md 5m.  Negative: more evaluations revealed than hidden.
+    zk_margin: int
     operator_constraints: dict[str, int] = dc_field(default_factory=dict)
 
     @classmethod
@@ -147,6 +168,23 @@ class CircuitReport:
             if equality
             else 0
         )
+        # The opening argument's shape, from the function both sides of
+        # the protocol call (repro.proving imports this package).
+        from repro.proving import protocol
+
+        shape = SimpleNamespace(
+            cs=cs, usable_rows=n - ZK_ROWS, lookup_arguments=arguments,
+            sigma_commitments=cs.equality_columns, permutation_chunks=range(chunks),
+            system_commitments=protocol.SYSTEM_SELECTORS,
+        )
+        point_sets = protocol.opening_point_sets(shape, protocol.collect_queries(cs), 0)
+        margins = [
+            _RANDOM_ROWS[name] - (len(rotations) + 1)
+            for rotations, members in point_sets
+            for commitment, _ in members
+            for name in (commitment[0], commitment[-1])
+            if name in _RANDOM_ROWS
+        ]
         return cls(
             k=k,
             rows=n,
@@ -169,6 +207,8 @@ class CircuitReport:
             copies=len(cs.copies),
             permutation_chunk=permutation_chunk,
             permutation_grand_products=chunks,
+            opening_point_sets=len(point_sets),
+            zk_margin=min(margins, default=ZK_ROWS),
             operator_constraints=operator_constraints,
         )
 
@@ -206,7 +246,7 @@ class CircuitReport:
         from shape alone (advice; per lookup table 1 multiplicity
         column and 1 running sum, plus 1 helper column per group of
         lookups; 1 product per shuffle and permutation chunk; quotient
-        chunks; plus the final multiopen/IPA commitment).
+        chunks; plus ``f``, the opening argument's quotient).
 
         Times ``rows + 1`` points this is an *upper bound* on the
         fixed-base work, not the work: the kernel pays per nonzero
@@ -223,7 +263,7 @@ class CircuitReport:
             + self.shuffles
             + self.permutation_grand_products
             + self.quotient_chunks
-            + 1  # IPA opening commitment
+            + 1  # f of the opening argument
         )
 
     def as_dict(self) -> dict:
@@ -263,6 +303,8 @@ class CircuitReport:
             "copies": self.copies,
             "permutation_chunk": self.permutation_chunk,
             "permutation_grand_products": self.permutation_grand_products,
+            "opening_point_sets": self.opening_point_sets,
+            "zk_margin": self.zk_margin,
             "operator_constraints": dict(self.operator_constraints),
             "estimated_commit_msms": self.estimated_commit_msms(),
             "msm_sizes": self.commitment_msm_sizes(),
@@ -283,6 +325,8 @@ class CircuitReport:
             f"copies={self.copies} "
             f"permutation products={self.permutation_grand_products} "
             f"(chunk {self.permutation_chunk})",
+            f"opening: 1 IPA over {self.opening_point_sets} point sets, "
+            f"zk margin {self.zk_margin}",
             f"estimated commit MSMs: {self.estimated_commit_msms()} "
             f"x {self.rows} points (an upper bound: work follows scalar width)",
             "",

@@ -4,7 +4,8 @@
 circuit (paper Example 2.1 + a 4-bit range lookup) with telemetry
 enabled, writes ``trace.jsonl`` and ``span_tree.txt`` to ``OUTDIR``,
 and exits non-zero unless the trace contains every expected prover
-phase span and the phase wall-times cover >= 95% of the prove root.
+phase span, exactly one ``ipa.open`` (one opening per proof) and the
+phase wall-times cover >= 95% of the prove root.
 
 The example circuit builders here are also the golden-value fixture
 for :class:`~repro.telemetry.circuit.CircuitReport` tests.
@@ -125,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     for phase in EXPECTED_PHASES:
         if phase not in child_names:
             failures.append(f"missing phase span {phase!r}")
+    openings = sum(span.name == "ipa.open" for span in root.walk())
+    if openings != 1:
+        failures.append(f"{openings} ipa.open spans in one proof, expected 1")
     report = telemetry.phase_report(
         root, tracer.counters_snapshot(), tracer.gauges_snapshot()
     )

@@ -129,7 +129,7 @@ class TestIpaOpening:
         assert not _open_and_verify(params_k6, coeffs, F.rand(), tamper)
 
     def test_proof_size_is_logarithmic(self):
-        # 2 points per round, k rounds, plus 2 scalars.
+        # The round count, 2 points per round, k rounds, plus 2 scalars.
         for k in (2, 4):
             params = setup(k)
             coeffs = [3] * (1 << k)
@@ -138,7 +138,7 @@ class TestIpaOpening:
             tp = Transcript(b"t")
             proof = open_polynomial(params, tp, coeffs, blind, 5, F)
             assert len(proof.rounds) == k
-            assert proof.size_bytes() == 2 * k * 64 + 64
+            assert len(proof.to_bytes()) == 4 + 2 * k * 64 + 64
 
     def test_proof_serialization(self, params_k6, rng):
         coeffs = [rng.randrange(F.p) for _ in range(12)]
@@ -152,7 +152,9 @@ class TestIpaOpening:
 def _open_two_scalar_fold(params, transcript, coeffs, blind, x):
     """The protocol as the module docstring states it -- the base is
     folded ``u^-1 * g_lo + u * g_hi`` by per-element scalar
-    multiplication -- as the oracle for the scaled one-scalar fold."""
+    multiplication, every ``L`` / ``R`` a generic MSM -- as the oracle
+    for the scaled one-scalar fold and for round 0's cross terms, which
+    the prover takes from the parameter set's fixed-base tables."""
     p, n = F.p, params.n
     a = [c % p for c in coeffs] + [0] * (n - len(coeffs))
     b = [pow(x, i, p) for i in range(n)]

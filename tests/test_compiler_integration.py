@@ -21,6 +21,7 @@ from repro.sql.compiler import CompileError, QueryCompiler
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
+from repro.telemetry.circuit import CircuitReport
 
 K = 9
 
@@ -181,6 +182,9 @@ def test_operator_shape_fingerprints(db, name):
         db, K, limb_bits=4, value_bits=32, key_bits=40
     ).compile(Planner(db).plan(parse(QUERIES[name])))
     assert compiled.cs.fingerprint() == FINGERPRINTS["operator_shapes_k9"][name]
+    # No committed polynomial is opened at more points than it has
+    # random rows to spend (the opening argument's q(x3) included).
+    assert CircuitReport.from_constraint_system(compiled.cs, K).zk_margin >= 0
 
 
 # -- seeded random data -------------------------------------------------------

@@ -21,13 +21,15 @@ from tests.conftest import two_chunk_shuffle_circuit
 
 F = SCALAR_FIELD
 
-#: ``PDB3`` proofs of 2,948 / 7,024 / 4,280 bytes.
-GOLDEN_K5 = "83e53756ec67246444955631d2b6c9f6"
-GOLDEN_K6_TPCH = "414e361fd8d95ef38ae5cdaecfe30be4"
-GOLDEN_K5_TWO_CHUNK_SHUFFLE = "0f796846a02cfe5d0b6be397d0deda26"
-#: ``PDBA`` envelope of the k=6 TPC-H response folded twice (14,646
-#: bytes; the envelope's own magic and layout are those of 99f270e).
-GOLDEN_K6_TPCH_AGGREGATE = "ffaadad2ff77f53a8a826223708ff59d"
+#: ``PDB4`` proofs of 2,312 / 5,456 / 2,936 bytes (``PDB3``, one IPA
+#: per opening point: 2,948 / 7,024 / 4,280).
+GOLDEN_K5 = "32d044aceecad43d6b32545e2f9251de"
+GOLDEN_K6_TPCH = "1b7d264ae21e8e6745ac761145646c57"
+GOLDEN_K5_TWO_CHUNK_SHUFFLE = "868f0eec713ce6b511094f5dd2d4b332"
+#: ``PDBA`` envelope of the k=6 TPC-H response folded twice (11,510
+#: bytes, was 14,646; the envelope's own magic and layout are those of
+#: 99f270e).
+GOLDEN_K6_TPCH_AGGREGATE = "3938ffd5e7607af3de4a0af6606f6585"
 
 
 def assign_broken_mul(cs, cols):
@@ -188,7 +190,7 @@ class TestAccumulator:
         import copy
 
         bad = copy.deepcopy(proof)
-        _, ipa = bad.openings[0]
+        (ipa,) = bad.openings
         ipa.a = (ipa.a + 1) % F.p
         # Constraint check still passes; the deferred MSM must catch it.
         verified = verify_proof(pk.vk, bad, instance, accumulator=acc)
@@ -201,9 +203,9 @@ def _digest(data: bytes) -> str:
 
 @pytest.fixture()
 def claims(monkeypatch):
-    """Record the opening claims each side hands to multiopen, as
-    ``{"prover": [...], "verifier": [...]}`` of ``(point, commitment,
-    evaluation)`` sequences."""
+    """Record the point sets each side hands to the opening argument,
+    as ``{"prover": [...], "verifier": [...]}`` of ``(points,
+    [(commitment, evaluations), ...])`` per set."""
     from repro.proving import prover, verifier
 
     seen = {}
@@ -211,9 +213,12 @@ def claims(monkeypatch):
     def spy(module, name, side):
         original = getattr(module, name)
 
-        def recording(params, transcript, claims, *rest):
-            seen[side] = [(c.point, c.commitment, c.evaluation) for c in claims]
-            return original(params, transcript, claims, *rest)
+        def recording(params, transcript, sets, *rest):
+            seen[side] = [
+                (s.points, [(c.commitment, c.evaluations) for c in s.claims])
+                for s in sets
+            ]
+            return original(params, transcript, sets, *rest)
 
         monkeypatch.setattr(module, name, recording)
 
@@ -227,13 +232,13 @@ class TestGoldenProofDigest:
     bytes are a function of the code alone, so a refactor that claims
     "proofs stay byte-identical" must leave these digests untouched.
     A deliberate protocol change re-records them: all four were last
-    recorded with the log-derivative lookup argument (``PDB2`` ->
-    ``PDB3``), identical under both field backends and with or without
+    recorded with the multipoint opening argument (``PDB3`` ->
+    ``PDB4``), identical under both field backends and with or without
     a worker pool.
 
-    Each test also checks the two sides of ``opening_schedule``: the
-    claims the prover opened and the claims the verifier checked are
-    the same ``(point, commitment, evaluation)`` sequence."""
+    Each test also checks the two sides of ``opening_point_sets``: the
+    sets the prover opened and the sets the verifier checked are the
+    same, set by set and claim by claim -- and one IPA settles them."""
 
     def test_k5_circuit(self, params_k6_module, claims):
         cs, cols = example_circuit()
@@ -256,9 +261,17 @@ class TestGoldenProofDigest:
             finalize_fixed(pk, asg)
             proof = create_proof(pk, asg)
         assert len(pk.vk.permutation_chunks) == 2 and len(cs.shuffles) == 1
-        assert len(proof.openings) == 3  # x, omega * x, omega^usable * x
         assert verify_proof(pk.vk, proof, instance)
         assert claims["prover"] == claims["verifier"]
+        # One opening over three rotations: x, omega * x, omega^usable * x.
+        assert len(proof.openings) == 1
+        assert sorted(len(points) for points, _ in claims["prover"]) == [1, 2, 3]
+        # The blinding budget is one short here, on this hand-built
+        # circuit only: the non-final Z reveals 4 evaluations (those
+        # three and q(x3)) of 3 random rows.  README "Security notes".
+        from repro.telemetry.circuit import CircuitReport
+
+        assert CircuitReport.from_constraint_system(cs, K).zk_margin == -1
         assert _digest(proof.to_bytes()) == GOLDEN_K5_TWO_CHUNK_SHUFFLE
 
     def test_k6_tpch_query(self, claims):
@@ -280,3 +293,42 @@ class TestGoldenProofDigest:
         assert _digest(response.wire_bytes()) == GOLDEN_K6_TPCH
         assert _digest(envelope) == GOLDEN_K6_TPCH_AGGREGATE
         assert claims["prover"] == claims["verifier"]
+
+
+@pytest.mark.parametrize(
+    "sql, rotation_sets",
+    [
+        pytest.param(
+            "select n_name, r_name from nation, region "
+            "where n_regionkey = r_regionkey and r_name = 'ASIA'",
+            {(0,), (0, 1)},
+            id="join",
+        ),
+        pytest.param(None, {(0,), (0, 1), (-1, 0), (-1, 0, 1)}, id="Q1"),
+    ],
+)
+def test_tpch_proof_carries_one_opening(claims, sql, rotation_sets):
+    """Whatever rotations a query's circuit opens, its proof carries
+    one IPA, the verifier defers one base-folding MSM, and both sides
+    fold the same point sets."""
+    from repro.api import PoneglyphDB
+    from repro.config import ProverConfig
+    from repro.proving.protocol import collect_queries, opening_point_sets
+    from repro.tpch import generate, queries
+
+    config = ProverConfig(k=6, limb_bits=4, value_bits=32, key_bits=40, use_cache=False)
+    with PoneglyphDB.open(generate(16, seed=1), config) as session:
+        session.commit()
+        response = session.prove(sql or queries.query("Q1"))
+        report = session.batch_verify([response])
+        assert report.accepted and report.deferred_openings == 1
+        _, vk = session.verifier().rebuild_verifying_key(
+            response.sql, len(response.result)
+        )
+    assert len(response.proof.openings) == 1
+    assert claims["prover"] == claims["verifier"]
+    sets = opening_point_sets(
+        vk, collect_queries(vk.cs), len(response.proof.h_commitments)
+    )
+    assert {rotations for rotations, _ in sets} == rotation_sets
+    assert len(response.proof.multiopen_q_evals) == len(sets)

@@ -593,8 +593,10 @@ class TestDeadlines:
         blown budget partway through a real prove and unwinds it."""
         session = real_run["session"]
         with session.serve(ServiceConfig(workers=1)) as service:
+            # A warm k=6 job runs ~0.3 s since the one-IPA opening
+            # argument; the budget has to end well inside it.
             job = service.submit(
-                SQL_COUNT, rng_seed=SEED_COUNT, deadline_seconds=0.3
+                SQL_COUNT, rng_seed=SEED_COUNT, deadline_seconds=0.1
             )
             with pytest.raises(JobFailed, match="aborted mid-prove"):
                 service.wait(job, timeout=60)

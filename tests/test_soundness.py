@@ -48,9 +48,9 @@ from repro.wire import WireFormatError
 from tests.conftest import two_chunk_shuffle_circuit
 
 F = SCALAR_FIELD
-#: ``field_mutators`` labels per fixture, recorded with the ``PDB3``
-#: layout (the log-derivative lookup argument's first commit).
-RECORDED_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_pdb3.json"
+#: ``field_mutators`` labels per fixture, recorded with the ``PDB4``
+#: layout (the multipoint opening argument's first commit).
+RECORDED_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_pdb4.json"
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +78,8 @@ def proven(params):
 @pytest.fixture(scope="module")
 def proven_two_chunk(params):
     """The same for the two-permutation-chunk + shuffle circuit: the
-    only fixture whose proof has a ``chain`` evaluation, a third
-    opening point and a shuffle part."""
+    only fixture whose proof has a ``chain`` evaluation, a three-point
+    set in its opening argument and a shuffle part."""
     return prove_honestly(params, *two_chunk_shuffle_circuit())
 
 
@@ -106,10 +106,10 @@ class TestRoundTrip:
         with pytest.raises(WireFormatError, match="trailing"):
             Proof.from_bytes(pk.vk, proof.to_bytes() + b"\x00")
 
-    @pytest.mark.parametrize("magic", [b"PDB1", b"PDB2"])
+    @pytest.mark.parametrize("magic", [b"PDB1", b"PDB2", b"PDB3"])
     def test_bad_magic_rejected(self, proven, magic):
-        # PDB2 was the permuted-column lookup layout: refused at the
-        # header, whatever follows.
+        # PDB2 was the permuted-column lookup layout, PDB3 carried one
+        # IPA per opening point: refused at the header, whatever follows.
         pk, _, proof, _ = proven
         data = proof.to_bytes()
         with pytest.raises(WireFormatError, match="bad proof header"):
@@ -163,7 +163,8 @@ class TestFieldLevelTampering:
             "lookup_helper_commitments", "lookup_helper_evals", "shuffle",
             "permutation_z_commitments", "h_commitments", "advice_evals",
             "fixed_evals", "sigma_evals", "system_evals",
-            "permutation_z_evals", "chain", "h_evals", "openings",
+            "permutation_z_evals", "chain", "h_evals", "multiopen_f",
+            "multiopen_q_evals[2]", "openings[0].a", "openings[0].rounds[4].R",
         ):
             assert field_name in labels, f"no mutator touches {field_name}"
 
@@ -174,7 +175,7 @@ class TestFieldLevelTampering:
     )
     def test_mutators_keep_every_recorded_label(self, request, name, fixture):
         """The schema walk yields at least the mutations it did when
-        the ``PDB3`` layout was recorded: a later edit of the schema or
+        the ``PDB4`` layout was recorded: a later edit of the schema or
         of the walk may add mutations, not silently lose one."""
         _, _, proof, _ = request.getfixturevalue(fixture)
         recorded = json.loads(RECORDED_LABELS.read_text())[name]
@@ -186,8 +187,6 @@ def _malformed_sections():
     """(section, what, edit) for a missing, an extra and -- where
     entries have keys -- a mis-keyed entry in every schema section."""
     for section in SECTIONS:
-        if section.shape is None:
-            continue  # openings: counted against the claims by multi_verify
         keyed = section.kind in (KEYED, NAMED)
         new_key = (999, 0) if section.kind is KEYED else "bogus"
         yield section.attr, "missing", (
@@ -234,7 +233,7 @@ class TestShapeCheck:
 
 
 def test_design_doc_carries_the_schema_layout():
-    """DESIGN.md 5c's ``PDB3`` block is ``wire_layout()`` verbatim."""
+    """DESIGN.md 5c's ``PDB4`` block is ``wire_layout()`` verbatim."""
     design = Path(__file__).resolve().parents[1] / "DESIGN.md"
     assert wire_layout() in design.read_text(encoding="utf-8")
 
@@ -389,7 +388,7 @@ class TestCanonicalScalars:
 
     def test_ipa_to_bytes_reduces_mod_p(self, proven):
         _, _, proof, _ = proven
-        _, ipa = proof.openings[0]
+        (ipa,) = proof.openings
         p = ipa.rounds[0][0].curve.scalar_field.p
         shifted = IpaProof(rounds=ipa.rounds, a=ipa.a + p, blind=ipa.blind + p)
         assert shifted.to_bytes() == ipa.to_bytes()
@@ -414,7 +413,7 @@ class TestCanonicalScalars:
 
     def test_ipa_from_bytes_roundtrip(self, proven):
         _, _, proof, _ = proven
-        _, ipa = proof.openings[0]
+        (ipa,) = proof.openings
         curve = ipa.rounds[0][0].curve
         decoded = IpaProof.from_bytes(curve, ipa.to_bytes(), len(ipa.rounds))
         assert decoded == ipa
@@ -424,7 +423,7 @@ class TestCanonicalScalars:
     def test_proof_bytes_noncanonical_scalar_rejected(self, proven):
         pk, _, proof, _ = proven
         data = proof.to_bytes()
-        # The final 32 bytes are the last opening's blind scalar.
+        # The final 32 bytes are the opening's blind scalar.
         v = int.from_bytes(data[-32:], "little")
         assert v < F.p
         tampered = data[:-32] + (v + F.p).to_bytes(32, "little")
@@ -571,14 +570,14 @@ class TestBatchSoundness:
         report = verifier.batch_verify([response, response, response])
         assert report.accepted, report.reason
         assert report.proofs == 3
-        assert report.deferred_openings >= 3
+        assert report.deferred_openings == 3
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_base_fold_per_call_whatever_n(
         self, tpch_proven, monkeypatch, n
     ):
         """A lone ``verify`` is a batch of one: every surface settles
-        all of its openings' base-folding MSMs in a single fixed-base
+        its proofs' openings -- one each -- in a single fixed-base
         MSM (deterministic; replaces the wall-clock "batched beats
         sequential" races the CI smokes used to run)."""
         from repro.ecc import fixed_base
@@ -592,14 +591,13 @@ class TestBatchSoundness:
             return original(tables, scalars)
 
         monkeypatch.setattr(fixed_base, "fixed_base_msm", counting)
-        points = len(response.proof.openings)
         assert verifier.verify(response).accepted
         assert folds == [verifier.params.n]
         report = verifier.batch_verify([response] * n)
         assert report.accepted, report.reason
-        assert report.deferred_openings == n * points
+        assert report.deferred_openings == n
         blob = aggregate([response] * n, verifier.params).to_bytes()
-        assert verifier.verify_aggregate(blob).deferred_openings == n * points
+        assert verifier.verify_aggregate(blob).deferred_openings == n
         assert folds == [verifier.params.n] * 3
 
     def test_empty_batch_is_vacuously_accepted(self, tpch_proven):

@@ -378,12 +378,17 @@ class TestCircuitReport:
         assert report.permutation_grand_products == 1  # ceil(2/3)
         assert report.operator_constraints == {"other": 2, "project": 1}
         # advice 3 + 1 table * (m + phi) + 1 helper + 1 perm product
-        # + 3 quotient chunks + 1 IPA
+        # + 3 quotient chunks + f of the opening argument
         assert report.estimated_commit_msms() == 11
         assert report.commitment_msm_sizes()["quotient_chunks"] == 3
         assert report.as_dict()["estimated_commit_msms"] == 11
+        # {x} and {x, omega x}; Z and phi spend their 3 random rows on
+        # two rotations and the opening argument's q(x3).
+        assert (report.opening_point_sets, report.zk_margin) == (2, 0)
+        assert report.as_dict()["opening_point_sets"] == 2
         rendered = report.render()
         assert "range16" in rendered and "constraints by operator" in rendered
+        assert "1 IPA over 2 point sets, zk margin 0" in rendered
         assert "lookups=1 (tables=1, helper columns=1)" in rendered
 
     def test_tpch_query_report(self):
@@ -413,6 +418,7 @@ class TestInstrumentedProve:
         root = run_instrumented_prove()
         child_names = {c.name for c in root.children}
         assert set(EXPECTED_PHASES) <= child_names
+        assert sum(span.name == "ipa.open" for span in root.walk()) == 1
         report = telemetry.phase_report(root, tele.counters_snapshot())
         assert report["phase_coverage"] >= 0.95
         counters = report["counters"]

@@ -11,6 +11,7 @@ from repro.sql.compiler import QueryCompiler
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
+from repro.telemetry.circuit import CircuitReport
 from repro.tpch import QUERIES, generate, query
 from repro.tpch.datagen import PS_KEY_SHIFT, scale_for_lineitem_rows
 
@@ -158,3 +159,7 @@ class TestQueries:
         )["tpch_k8_generate16_seed1"]
         compiled = self.circuit_matches_executor(generate(16, seed=1), name, 8)
         assert compiled.cs.fingerprint() == pinned[name]
+        # Measured: exactly 0 on all six -- one advice column at three
+        # rotations against 4 random rows, running products and sums at
+        # two against 3; the opening argument's q(x3) is the "+ 1".
+        assert CircuitReport.from_constraint_system(compiled.cs, 8).zk_margin >= 0
