@@ -30,6 +30,7 @@ from repro.config import ProverConfig, ServiceConfig
 from repro.errors import (
     BatchInversionError,
     ConfigError,
+    ContractError,
     DeadlineExceeded,
     JobFailed,
     JobNotFound,
@@ -92,6 +93,7 @@ __all__ = [
     "ReproError",
     "BatchInversionError",
     "ConfigError",
+    "ContractError",
     "StateError",
     "WireFormatError",
     "WitnessError",

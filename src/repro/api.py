@@ -224,7 +224,8 @@ class Session:
         if self.prover.commitment is None or self.prover._secrets is None:
             raise StateError("commit() before auditing")
         return audit(
-            self.db, self.prover.commitment, self.prover._secrets, self.params
+            self.db, self.prover.commitment, self.prover._secrets, self.params,
+            self.config.value_bits,
         )
 
     # -- instrumentation -------------------------------------------------

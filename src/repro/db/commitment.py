@@ -30,7 +30,10 @@ from repro.algebra.field import Field, SCALAR_FIELD
 from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.db.database import Database
+from repro.db.encoding import column_bound
+from repro.db.types import SqlType
 from repro.ecc.curve import Point
+from repro.errors import ContractError
 from repro.plonkish.assignment import ZK_ROWS
 from repro.wire import ByteReader, WireFormatError, point_wire_size
 
@@ -194,19 +197,41 @@ def _commit_all_columns(
     return dict(zip(keys, points))
 
 
+def check_contract(db: Database, value_bits: int) -> None:
+    """Raise :class:`~repro.errors.ContractError` at the first cell
+    outside its column's :func:`~repro.db.encoding.column_bound` (a
+    string code must also be a code: at least 1).  The one range check
+    of all raw values (the paper's Design C): query circuits size their
+    decompositions on these bounds instead of re-proving them."""
+    for table_name in sorted(db.tables):
+        table = db.tables[table_name]
+        for column in table.schema.columns:
+            dictionary = db.encoder.dictionary(f"{table_name}.{column.name}")
+            lo = 1 if column.type.base is SqlType.STRING else 0
+            hi = column_bound(column, dictionary, value_bits)
+            for row, value in enumerate(table.column(column.name)):
+                if not lo <= value <= hi:
+                    raise ContractError(table_name, column.name, row, value, hi)
+
+
 def commit_database(
     db: Database,
     params: PublicParams,
     k: int,
     field_: Field = SCALAR_FIELD,
+    value_bits: int = 64,
 ) -> tuple[DatabaseCommitment, CommitmentSecrets]:
     """Commit every column of every table.
 
     ``k`` must be the circuit size queries will run at (the link checks
-    require a shared basis) and large enough for the biggest table.
+    require a shared basis) and large enough for the biggest table;
+    ``value_bits`` is the width the queries will be compiled at
+    (:func:`check_contract` runs first, so nothing is committed that a
+    circuit would mis-size).
     """
     if (1 << k) > params.n:
         raise ValueError("k exceeds the public parameters' capacity")
+    check_contract(db, value_bits)
     fit = params.truncated(k) if params.k > k else params
     secrets: dict[tuple[str, str], ColumnSecret] = {}
     for table_name in sorted(db.tables):
@@ -231,10 +256,14 @@ def audit_commitment(
     commitment: DatabaseCommitment,
     secrets: CommitmentSecrets,
     params: PublicParams,
+    value_bits: int = 64,
 ) -> bool:
     """The auditor's check (trust model, paper section 3.3): given raw
-    data and the prover's randomness, recompute and compare every
-    column commitment and the root."""
+    data and the prover's randomness, the data keeps the commitment
+    contract at the published ``value_bits`` (:func:`check_contract`
+    raises otherwise, naming the cell), and every recomputed column
+    commitment and the root compare equal."""
+    check_contract(db, value_bits)
     recomputed, _ = _recommit_with(db, params, commitment.k, secrets)
     if set(recomputed.column_commitments) != set(commitment.column_commitments):
         return False

@@ -16,8 +16,9 @@ from __future__ import annotations
 import datetime
 from typing import Any
 
-from repro.db.schema import TableSchema
+from repro.db.schema import ColumnDef
 from repro.db.types import (
+    DATE_END,
     ColumnType,
     SqlType,
     date_to_int,
@@ -93,3 +94,21 @@ class Encoder:
 
     def dictionary(self, qualified: str) -> dict[str, int]:
         return dict(self._dicts.get(qualified, {}))
+
+
+def column_bound(
+    column: ColumnDef, dictionary: dict[str, int], value_bits: int
+) -> int:
+    """The commitment contract: the largest encoded value a committed
+    cell of ``column`` may hold, from public metadata only -- the type,
+    the column's string dictionary, the configured ``value_bits`` --
+    never from cell values, so prover and verifier derive the same
+    number.  The query compiler sizes range checks on it;
+    :func:`repro.db.commitment.check_contract` enforces it when the
+    database is committed and when it is audited."""
+    base = column.type.base
+    if base is SqlType.STRING:
+        return len(dictionary)  # codes are 1..n
+    if base is SqlType.DATE:
+        return DATE_END - 1
+    return (1 << value_bits) - 1

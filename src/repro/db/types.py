@@ -64,6 +64,15 @@ def int_to_date(days: int) -> datetime.date:
     return _EPOCH + datetime.timedelta(days=days)
 
 
+#: The calendar the circuits reason about: ``EXTRACT(YEAR ...)`` looks a
+#: date up in a table with one row per year, and every committed DATE
+#: cell lies before :data:`DATE_END` (the commitment contract,
+#: :func:`repro.db.encoding.column_bound`).
+FIRST_YEAR = 1971
+LAST_YEAR = 2099
+DATE_END = date_to_int(datetime.date(LAST_YEAR + 1, 1, 1))
+
+
 def decimal_to_int(value: float | int) -> int:
     """Fixed-point encode with two digits (banker's issues avoided by
     round-half-away handled upstream; TPC-H generates exact cents)."""

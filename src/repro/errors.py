@@ -57,6 +57,25 @@ class WitnessError(ReproError, ValueError):
         )
 
 
+class ContractError(ReproError, ValueError):
+    """A database cell breaks the commitment contract
+    (:func:`repro.db.encoding.column_bound`): an INT / DECIMAL wider
+    than ``value_bits``, a string code outside its column's dictionary,
+    a date past the calendar.  Circuits are sized on the contract, so
+    such a database is refused before anything is committed.  Names the
+    table, the column and the row."""
+
+    def __init__(self, table: str, column: str, row: int, value: int, bound: int):
+        super().__init__(table, column, row, value, bound)  # picklable args
+        self.table, self.column, self.row, self.value, self.bound = self.args
+
+    def __str__(self) -> str:
+        return (
+            f"{self.table}.{self.column} row {self.row}: encoded value "
+            f"{self.value} is outside the commitment contract [0, {self.bound}]"
+        )
+
+
 class StateError(ReproError, RuntimeError):
     """An operation was invoked out of lifecycle order -- verifying
     before committing, fetching a result before the job finished."""
@@ -169,6 +188,7 @@ __all__ = [
     "ReproError",
     "BatchInversionError",
     "ConfigError",
+    "ContractError",
     "StateError",
     "WitnessError",
     "WireFormatError",

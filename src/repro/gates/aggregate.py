@@ -35,7 +35,10 @@ class RunningAggChip:
     """The running-aggregate column ``M`` over group-by bins.
 
     ``M_i = same_i * M_{i-1} + value_i`` with ``M_0 = value_0``; pass
-    ``value = Constant(1)`` gated by validity for ``COUNT``.
+    ``value = Constant(1)`` gated by validity for ``COUNT``.  ``rows``
+    is how many rows the two selectors cover between them: with ``same``
+    a proven flag, induction over the gate gives ``M <= rows *
+    bound(value)``, which is declared.
     """
 
     def __init__(
@@ -46,6 +49,7 @@ class RunningAggChip:
         q_rest: Expression,
         same: Expression,
         value: Expression,
+        rows: int | None = None,
     ):
         self.m: Column = cs.advice_column(f"{name}.m")
         cs.create_gate(
@@ -55,6 +59,9 @@ class RunningAggChip:
                 q_rest * (self.m.cur() - same * self.m.prev() - value),
             ],
         )
+        step = value.upper_bound(cs.bounds)
+        if rows is not None and step is not None and same.upper_bound(cs.bounds) == 1:
+            cs.declare_bound(self.m, rows * step)
 
     def assign(
         self, asg: Assignment, values: Sequence[int], same_flags: Sequence[int]
@@ -111,6 +118,10 @@ class CompactChip:
         inputs = [flag] + [flag * v for v in values]
         table = [q.cur()] + [q.cur() * col.cur() for col in self.out]
         cs.add_shuffle(f"{name}.compact", [inputs], [table])
+        # Where q_out is 1 the output tuple is one of the flagged ones.
+        cs.declare_bound(q, 1)
+        for col, expr in zip(self.out, inputs[1:]):
+            cs.declare_bound(col, expr.upper_bound(cs.bounds))
 
     def assign(
         self, asg: Assignment, rows: Sequence[Sequence[int]]

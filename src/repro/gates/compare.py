@@ -11,8 +11,12 @@ All comparisons reduce to limb-decomposed range checks:
   Equations 6-7.
 
 Soundness of every chip here assumes its operands already lie in
-``[0, 2^total_bits)``; the database loading layer range-checks all raw
-values once (Design C), after which comparisons stay sound.
+``[0, 2^total_bits)``.  Scanned columns do by the commitment contract
+(:func:`repro.db.encoding.column_bound`, checked when the database is
+committed and by the auditor -- the paper's Design C, "range-check all
+raw values once"); everything derived from them by the bound its own
+constraint proves (``ConstraintSystem.declare_bound``), which is also
+what lets the compiler size ``n_limbs`` below ``value_bits``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ class IsZeroChip:
         self.value_expr = value
         self.is_zero_expr: Expression = Constant(1) - value * self.inv.cur()
         cs.create_gate(name, [q * value * self.is_zero_expr])
+        # value = 0 makes the flag 1; otherwise the gate forces it to 0.
+        cs.declare_bound(self.is_zero_expr, 1)
 
     def assign_row(self, asg: Assignment, row: int, value: int) -> int:
         """Assign the inverse hint; returns the is_zero bit."""
@@ -108,6 +114,7 @@ class _Decomposition:
         cs.create_gate(f"{name}.recompose", [q * (target - recomposed)])
         for i, limb in enumerate(self.limbs):
             cs.add_lookup(f"{name}.limb{i}", [limb.cur()], [table.column.cur()])
+            cs.declare_bound(limb, table.size - 1)
 
     def assign_row(self, asg: Assignment, row: int, value: int) -> None:
         if not 0 <= value < (1 << self.total_bits):
@@ -203,6 +210,7 @@ class LtFlagChip:
         cs.create_gate(
             f"{name}.bool", [q * self.check.cur() * (Constant(1) - self.check.cur())]
         )
+        cs.declare_bound(self.check, 1)
         target = lhs - rhs + self.check.cur() * u
         self._decomp = _Decomposition(cs, name, q, target, table, n_limbs)
         self.lt_expr: Expression = self.check.cur()

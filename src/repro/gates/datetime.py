@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import datetime
 
-from repro.db.types import date_to_int, int_to_date
+from repro.db.types import (
+    DATE_END,
+    FIRST_YEAR,
+    LAST_YEAR,
+    date_to_int,
+    int_to_date,
+)
 from repro.gates.compare import AssertLeChip, AssertLtChip
 from repro.gates.tables import RangeTable
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ConstraintSystem
 from repro.plonkish.expression import Expression
 
-FIRST_YEAR = 1971
-LAST_YEAR = 2099
 _FIRST_DAY = date_to_int(datetime.date(FIRST_YEAR, 1, 1))
-_END_DAY = date_to_int(datetime.date(LAST_YEAR + 1, 1, 1))
 
 
 class YearChip:
@@ -47,6 +50,10 @@ class YearChip:
             [q * self.year.cur(), q * self.start.cur(), q * self.end.cur()],
             [self.t_year.cur(), self.t_start.cur(), self.t_end.cur()],
         )
+        # Where q is 1 the triple is a row of the calendar table.
+        cs.declare_bound(self.year, LAST_YEAR)
+        cs.declare_bound(self.start, DATE_END)
+        cs.declare_bound(self.end, DATE_END)
         self._ge = AssertLeChip(
             cs, f"{name}.ge", q, self.start.cur(), date, table, n_limbs
         )
@@ -66,7 +73,7 @@ class YearChip:
             row += 1
 
     def assign_row(self, asg: Assignment, row: int, days: int) -> int:
-        if not _FIRST_DAY <= days < _END_DAY:
+        if not _FIRST_DAY <= days < DATE_END:
             raise ValueError(
                 f"date {days} (days since epoch) outside the calendar "
                 f"table {FIRST_YEAR}..{LAST_YEAR}"

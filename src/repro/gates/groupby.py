@@ -66,6 +66,11 @@ class GroupByChip:
             ],
         )
 
+        # q_first and q_rest (q_rest.next() and q_last) between them
+        # cover every data row, and an is-zero flag is 0 or 1.
+        cs.declare_bound(self.same, 1)
+        cs.declare_bound(self.end, 1)
+
     @property
     def start_expr(self) -> Expression:
         """1 at the first row of each bin."""

@@ -186,6 +186,10 @@ class PkFkJoinChip:
             [part * col.cur() for col in self.match] + [part],
             list(t2_exprs) + [t2_valid],
         )
+        # Where part is 1 the matched tuple is one of T2's.
+        cs.declare_bound(self.part, 1)
+        for col, expr in zip(self.match, t2_exprs):
+            cs.declare_bound(col, expr.upper_bound(cs.bounds))
         # Property 3: completeness -- non-contributing valid rows have a
         # foreign key disjoint from all primary keys.
         non_contributing = t1_valid * (Constant(1) - part)

@@ -59,6 +59,9 @@ class SortChip:
             [list(in_exprs)],
             [[col.cur() for col in self.out]],
         )
+        # Every output tuple is one of the input tuples.
+        for col, expr in zip(self.out, in_exprs):
+            cs.declare_bound(col, expr.upper_bound(cs.bounds))
         self.q_pair: Column = cs.fixed_column(f"{name}.q_pair")
         key = self.out[key_index]
         lhs, rhs = key.cur(), key.next()

@@ -200,6 +200,11 @@ class ConstraintSystem:
     shuffles: list[Shuffle] = dataclass_field(default_factory=list)
     copies: list[CopyConstraint] = dataclass_field(default_factory=list)
     equality_columns: list[Column] = dataclass_field(default_factory=list)
+    #: Proven upper bounds, declared by whoever creates the constraint
+    #: that proves them (:meth:`declare_bound`).  Facts *about* the
+    #: shape, read when sizing range decompositions; not part of the
+    #: fingerprint.
+    bounds: dict["Column | Expression", int] = dataclass_field(default_factory=dict)
 
     # -- column creation ------------------------------------------------------
 
@@ -252,6 +257,20 @@ class ConstraintSystem:
         if not input_groups:
             raise ValueError(f"shuffle {name!r} has no groups")
         self.shuffles.append(Shuffle(name, input_groups, table_groups))
+
+    def declare_bound(
+        self, target: "Column | Expression", hi: int | None
+    ) -> None:
+        """Record that ``target`` -- a column, or an expression object
+        such as an is-zero flag -- lies in ``[0, hi]`` on every row
+        where the constraint its declarer just created is active (for a
+        relation's columns: where its ``valid`` flag is 1; an honest
+        witness holds 0 elsewhere).  ``hi=None`` (no bound known for
+        what ``target`` inherits from) declares nothing.
+        :meth:`Expression.upper_bound` propagates these through
+        expressions; DESIGN.md, "Bounds"."""
+        if hi is not None:
+            self.bounds[target] = hi
 
     def enable_equality(self, column: Column) -> None:
         """Mark a column as participating in the copy-constraint

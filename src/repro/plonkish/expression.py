@@ -18,10 +18,17 @@ here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.plonkish.constraint_system import Column
+
+#: Declared upper bounds (``ConstraintSystem.bounds``): a column -- or
+#: an expression object, for flags that are no column -- to the largest
+#: value its constraints let it take.
+Bounds = Mapping["Column | Expression", int]
+#: ``(lo, hi)`` over the integers, or None for "nothing is known".
+Interval = Optional[tuple[int, int]]
 
 
 class Expression:
@@ -68,6 +75,28 @@ class Expression:
         column references (modulo p)."""
         raise NotImplementedError
 
+    def upper_bound(self, bounds: Bounds) -> int | None:
+        """The proven upper bound of this expression: ``hi`` such that
+        it evaluates into ``[0, hi]`` on every row where the declared
+        ``bounds`` of its columns hold, or None when a column has no
+        declared bound or the value may be negative (in the field: a
+        huge one).  Interval arithmetic over the integers; a bound of
+        ``p`` or more is vacuous, not wrong."""
+        interval = self.interval(bounds)
+        if interval is None or interval[0] < 0:
+            return None
+        return interval[1]
+
+    def interval(self, bounds: Bounds) -> Interval:
+        """``(lo, hi)`` containing the integer value of this expression
+        when every column query lies in ``[0, its declared bound]``.  An
+        expression declared as a whole takes its declaration."""
+        hi = bounds.get(self)
+        return (0, hi) if hi is not None else self._interval(bounds)
+
+    def _interval(self, bounds: Bounds) -> Interval:
+        raise NotImplementedError
+
     def queries(self) -> set[tuple["Column", int]]:
         """All (column, rotation) pairs referenced."""
         out: set[tuple["Column", int]] = set()
@@ -100,6 +129,9 @@ class Constant(Expression):
     def evaluate(self, query_fn, p):
         return self.value % p
 
+    def _interval(self, bounds):
+        return (self.value, self.value)
+
     def _collect_queries(self, out):
         pass
 
@@ -122,6 +154,10 @@ class ColumnQuery(Expression):
     def evaluate(self, query_fn, p):
         return query_fn(self.column, self.rotation) % p
 
+    def _interval(self, bounds):
+        hi = bounds.get(self.column)
+        return None if hi is None else (0, hi)
+
     def _collect_queries(self, out):
         out.add((self.column, self.rotation))
 
@@ -143,6 +179,12 @@ class Sum(Expression):
 
     def evaluate(self, query_fn, p):
         return (self.left.evaluate(query_fn, p) + self.right.evaluate(query_fn, p)) % p
+
+    def _interval(self, bounds):
+        left, right = self.left.interval(bounds), self.right.interval(bounds)
+        if left is None or right is None:
+            return None
+        return (left[0] + right[0], left[1] + right[1])
 
     def _collect_queries(self, out):
         self.left._collect_queries(out)
@@ -168,6 +210,13 @@ class Product(Expression):
             return 0
         return lhs * self.right.evaluate(query_fn, p) % p
 
+    def _interval(self, bounds):
+        left, right = self.left.interval(bounds), self.right.interval(bounds)
+        if left is None or right is None:
+            return None
+        corners = [a * b for a in left for b in right]
+        return (min(corners), max(corners))
+
     def _collect_queries(self, out):
         self.left._collect_queries(out)
         self.right._collect_queries(out)
@@ -190,6 +239,13 @@ class Scaled(Expression):
 
     def evaluate(self, query_fn, p):
         return self.inner.evaluate(query_fn, p) * self.scalar % p
+
+    def _interval(self, bounds):
+        inner = self.inner.interval(bounds)
+        if inner is None:
+            return None
+        lo, hi = inner[0] * self.scalar, inner[1] * self.scalar
+        return (lo, hi) if lo <= hi else (hi, lo)
 
     def _collect_queries(self, out):
         self.inner._collect_queries(out)

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 from repro.algebra.field import Field
 from repro.plonkish.assignment import Assignment
-from repro.plonkish.constraint_system import ColumnKind, ConstraintSystem
+from repro.plonkish.constraint_system import Column, ConstraintSystem
 
 
 @dataclass
 class VerifyFailure:
     """One violated constraint, with enough context to debug a gate."""
 
-    kind: str  # "gate" | "copy" | "lookup"
+    kind: str  # "gate" | "copy" | "lookup" | "shuffle" | "bound"
     name: str
     row: int
     detail: str
@@ -46,6 +46,7 @@ class MockProver:
         failures.extend(self._check_copies())
         failures.extend(self._check_lookups())
         failures.extend(self._check_shuffles())
+        failures.extend(self._check_bounds())
         return failures
 
     def assert_satisfied(self) -> None:
@@ -78,6 +79,28 @@ class MockProver:
                                 f"evaluates to {value} (expected 0): {constraint}",
                             )
                         )
+        return failures
+
+    def _check_bounds(self) -> list[VerifyFailure]:
+        """Every declared column bound (``ConstraintSystem.bounds``)
+        against the cells: no constraint of the proving system, but a
+        claim circuits are *sized* on -- a wrong declaration fails here,
+        at its source, on the honest witness (whose cells are 0 where a
+        chip is inactive, so every usable row is checked)."""
+        failures = []
+        asg = self.assignment
+        for target, hi in self.cs.bounds.items():
+            if not isinstance(target, Column):
+                continue  # a flag expression: bounded where its gate is on
+            for row in range(asg.usable_rows):
+                value = asg.value(target, row)
+                if value > hi:
+                    failures.append(
+                        VerifyFailure(
+                            "bound", target.name, row,
+                            f"{value} exceeds the declared bound {hi}",
+                        )
+                    )
         return failures
 
     def _check_copies(self) -> list[VerifyFailure]:

@@ -42,10 +42,18 @@ ones whose lookup-argument advice (multiplicities, helper columns,
 running sum) is chosen to smuggle a value past its table.  Byte
 mutations cannot reach either: the first kind is well-formed, and the
 second needs every later round recomputed around the lie.
+
+**Witness-level** (:func:`truncate_result`, :func:`misorder_rows`,
+:func:`merge_groups`): cheats of a *compiled query's* prover, plugged
+into ``ProverFaults.rewrite_witness``.  Each rewrites the honest
+assignment into a self-consistent wrong answer -- every lookup and
+shuffle still holds, so :func:`create_proof` goes through -- that
+breaks exactly one gate; ``MockProver`` names it, the verifier rejects.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -88,6 +96,11 @@ class ProverFaults:
     ``swap_helpers``: every argument's first two helper columns are
     committed in each other's place; their sum, hence the running sum,
     is unchanged (guard: ``lookup_helper_terms``).
+
+    ``rewrite_witness`` is read by ``ProverNode.answer(sql,
+    _faults=...)`` instead: called as ``(compiled, assignment, rows)``
+    on the honest witness, it rewrites the assignment and returns the
+    rows the cheating prover claims (the witness-level cheats below).
     """
 
     extra_h_chunks: int = 0
@@ -95,6 +108,7 @@ class ProverFaults:
     close_lookup_sum: bool = False
     bend_helper: bool = False
     swap_helpers: bool = False
+    rewrite_witness: Callable[[Any, Any, list], list] | None = None
 
 
 @dataclass
@@ -249,6 +263,107 @@ def claim_mutators(p: int) -> Iterator[tuple[str, ClaimMutator]]:
     yield "result.drop-row", lambda c: c.result_encoded.pop()
     yield "result[0].extra-column", lambda c: c.result_encoded[0].append(0)
     yield "proof.bit-flip", flip_byte
+
+
+# -- witness-level cheats ----------------------------------------------------
+
+
+def truncate_result(compiled, asg, rows: list) -> list:
+    """Claim every result row but the last; the witness stays honest.
+    (Guard: ``result_complete``, the row after the claim must not be a
+    valid row of the final relation.)"""
+    return rows[:-1]
+
+
+def _chip_columns(cs, chip: str) -> dict[str, Any]:
+    """The columns of the last chip the compiler named ``<chip><n>``,
+    by the part of their name after that prefix."""
+    found: dict[int, dict[str, Any]] = {}
+    for col in cs.advice_columns:
+        match = re.fullmatch(rf"{chip}(\d+)\.(.+)", col.name)
+        if match:
+            found.setdefault(int(match[1]), {})[match[2]] = col
+    if not found:
+        raise ValueError(f"the circuit has no {chip} chip")
+    return found[max(found)]
+
+
+def _numbered(columns: dict[str, Any], prefix: str) -> list:
+    """``columns[prefix + "0"], columns[prefix + "1"], ...`` (a chip
+    creates them in that order)."""
+    return [
+        col for name, col in columns.items()
+        if re.fullmatch(re.escape(prefix) + r"\d+", name)
+    ]
+
+
+def misorder_rows(compiled, asg, rows: list) -> list:
+    """Swap the first two rows of the final ``ORDER BY``: in the sort's
+    output (still a permutation of its input) and in the claim.  The
+    sortedness limbs of row 0 get the decomposition of the *positive*
+    difference -- in range, every lookup holds -- and row 1's are
+    redone honestly.  (Guard: ``osort.sorted.recompose`` -- no limbs of
+    the packed key's width add up to a negative difference.)  Needs
+    ``ORDER BY`` as the last operator and two rows with distinct keys."""
+    sort = _chip_columns(compiled.cs, "osort")
+    outs, limbs = _numbered(sort, "out"), _numbered(sort, "sorted.limb")
+    table = next(c for c in compiled.cs.fixed_columns if c.name == "u_table")
+    bits = max(asg.fixed[table.index]).bit_length()
+    for col in outs:
+        first, second = asg.value(col, 0), asg.value(col, 1)
+        asg.assign(col, 0, second)
+        asg.assign(col, 1, first)
+    key = [asg.value(outs[0], row) for row in range(3)]
+    if key[0] >= key[1]:
+        raise ValueError("the first two rows do not differ in their sort key")
+    for row, difference in ((0, key[1] - key[0]), (1, key[1] - key[2])):
+        for i, limb in enumerate(limbs):
+            asg.assign(limb, row, (difference >> (bits * i)) % (1 << bits))
+    return compiled.result_rows(asg)
+
+
+def merge_groups(compiled, asg, rows: list) -> list:
+    """Merge the first two groups of the final ``GROUP BY``: the
+    boundary row between them is flagged ``same``, the running
+    aggregates run on across it, and the compacted output -- one row
+    fewer, the second group's key with both groups' aggregates -- is
+    rewritten to match, so both shuffles still hold.  (Guard:
+    ``gb.same`` -- the packed keys of the two rows differ.)  Needs the
+    aggregate (without AVG) as the last operator and two groups."""
+    cs = compiled.cs
+    gb, sort = _chip_columns(cs, "gb"), _chip_columns(cs, "gsort")
+    compact = _chip_columns(cs, "gcompact")
+    same, end, valid = gb["same"], gb["end"], _numbered(sort, "out")[-1]
+    usable = asg.usable_rows
+    boundary = next(
+        row for row in range(1, usable)
+        if asg.value(valid, row - 1) and not asg.value(same, row)
+    )
+    running = [c for c in cs.advice_columns if re.fullmatch(r"run\..*\.m", c.name)]
+    steps = {
+        m: [
+            asg.value(m, row) - asg.value(same, row) * asg.value(m, row - 1)
+            for row in range(usable)
+        ]
+        for m in running
+    }
+    asg.assign(same, boundary, 1)
+    asg.assign(end, boundary - 1, 0)
+    for m, step in steps.items():
+        for row in range(boundary, usable):
+            asg.assign(m, row, asg.value(same, row) * asg.value(m, row - 1) + step[row])
+    shuffle = next(
+        s for s in reversed(cs.shuffles) if re.fullmatch(r"gcompact\d+\.compact", s.name)
+    )
+    tuples = [
+        [asg.evaluate(e, row) for e in shuffle.input_groups[0]]
+        for row in range(usable)
+    ]
+    flagged = [values for flag, *values in tuples if flag]
+    columns = [compact["q_out"], *_numbered(compact, "out")]
+    for col, values in zip(columns, zip(*[[1, *v] for v in flagged])):
+        asg.assign_column(col, list(values) + [0] * (usable - len(values)))
+    return compiled.result_rows(asg)
 
 
 # -- byte-level mutations ---------------------------------------------------

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.db.database import Database
-from repro.db.types import date_to_int
+from repro.db.encoding import column_bound
+from repro.db.types import DATE_END, date_to_int
 from repro.errors import ReproError, WitnessError
 from repro.gates.aggregate import CompactChip, DivModChip, RunningAggChip
 from repro.gates.compare import EqFlagChip, LtFlagChip
@@ -146,9 +147,11 @@ class CompiledQuery:
     #: advice steps in construction order: each reads only cells that
     #: earlier steps (or the scans, or the fixed columns) wrote.
     witness_steps: list[Callable[[Assignment], None]]
-    #: 1 on the first ``result_count`` rows -- the one fixed column that
-    #: depends on the (public) result cardinality.
+    #: 1 on the first ``result_count`` rows, and 1 on the row after them
+    #: (unless the result fills the LIMIT) -- the two fixed columns that
+    #: depend on the (public) result cardinality.
     q_result: Column
+    q_after: Column
     #: the final relation: validity flag + one expression per output.
     result_valid: Expression
     result_columns: list[Expression]
@@ -162,13 +165,27 @@ class CompiledQuery:
         """Fixed columns only -- verifier-replayable."""
         for step in self.public_steps:
             step(asg)
-        for row in range(result_count):
-            asg.assign(self.q_result, row, 1)
+        self._assign_count(asg, result_count)
+
+    def _assign_count(self, asg: Assignment, count: int) -> None:
+        usable = self.usable_rows
+        asg.assign_column(self.q_result, [1] * count + [0] * (usable - count))
+        # A result that fills the LIMIT says nothing about later rows.
+        after = count if count != self.limit else usable
+        asg.assign_column(self.q_after, [int(row == after) for row in range(usable)])
+
+    def bind_result(self, asg: Assignment, rows: list[list[int]]) -> None:
+        """(Re)write the public side of ``asg`` -- the cardinality
+        selectors and the instance columns -- for the claim ``rows``."""
+        self._assign_count(asg, len(rows))
+        for col, vector in zip(self.instance_columns, self.instance_vectors(rows)):
+            asg.assign_column(col, vector)
 
     def assign_witness(self, asg: Assignment, db: Database) -> list[list[int]]:
         """Full assignment; returns the (encoded) result rows, read off
         the final relation in the assignment."""
-        self.assign_public(asg, 0)  # q_result waits for the row count
+        for step in self.public_steps:
+            step(asg)
         for link in self.scan_links:
             asg.assign_column(
                 self.cs.advice_columns[link.advice_index],
@@ -176,15 +193,17 @@ class CompiledQuery:
             )
         for step in self.witness_steps:
             step(asg)
-        rows = [
+        rows = self.result_rows(asg)
+        self.bind_result(asg, rows)
+        return rows
+
+    def result_rows(self, asg: Assignment) -> list[list[int]]:
+        """The valid rows of the final relation as ``asg`` holds it, up
+        to the LIMIT."""
+        return [
             list(r)
             for r in _selected(asg, self.result_valid, self.result_columns)
         ][: self.limit]
-        for i, row in enumerate(rows):
-            asg.assign(self.q_result, i, 1)
-            for col, value in zip(self.instance_columns, row):
-                asg.assign(col, i, value)
-        return rows
 
     def instance_vectors(self, result_rows: list[list[int]]) -> list[list[int]]:
         """Instance column vectors for verify_proof."""
@@ -201,10 +220,14 @@ class CompiledQuery:
 class QueryCompiler:
     """Compiles logical plans against a database's public metadata.
 
-    ``limb_bits``/``value_bits``/``key_bits`` control the lookup-table
-    size and decomposition widths (the paper's u8-cell design is
-    ``limb_bits=8, value_bits=64``); tests shrink them to fit small
-    circuits.  Prover and verifier must agree on them -- they ship in
+    ``limb_bits`` is the lookup-table size; ``value_bits`` /
+    ``key_bits`` cap the widths of range decompositions and of composite
+    key components (the paper's u8-cell design is ``limb_bits=8,
+    value_bits=64``; tests shrink them to fit small circuits).  Below
+    the caps a range check is as wide as the proven upper bounds of its
+    operands need (``ConstraintSystem.bounds``; DESIGN.md, "Bounds"),
+    which for scanned columns come from public metadata only.  Prover
+    and verifier must agree on all of it -- it ships in
     :class:`repro.system.metadata.PublicMetadata`.
     """
 
@@ -237,7 +260,7 @@ class _Builder:
         self.db = db
         self.k = k
         self.limb_bits = limb_bits
-        self.value_limbs = -(-value_bits // limb_bits)
+        self.value_bits = value_bits
         self.key_bits = key_bits
         self.usable = (1 << k) - ZK_ROWS
         self.cs = ConstraintSystem()
@@ -284,10 +307,14 @@ class _Builder:
                 for name, inst in zip(out_names, instance_columns)
             ],
         )
-        # Result rows must actually be valid rows of the final relation.
+        # Result rows must actually be valid rows of the final relation,
+        # and be all of them: the relation is dense, so it ends where
+        # the row after the result is not valid.
         self.cs.create_gate(
             "result_valid", [q_result.cur() * (Constant(1) - rel.valid)]
         )
+        q_after = self.cs.fixed_column("q_after")
+        self.cs.create_gate("result_complete", [q_after.cur() * rel.valid])
         outputs = [
             OutputMeta(
                 name=col.name,
@@ -306,6 +333,7 @@ class _Builder:
             public_steps=self.public_steps,
             witness_steps=self.witness_steps,
             q_result=q_result,
+            q_after=q_after,
             result_valid=rel.valid,
             result_columns=[rel.columns[name] for name in out_names],
             limit=self._limit,
@@ -370,11 +398,43 @@ class _Builder:
         self.per_row(name, q, chip.assign_row, *operands)
         return chip
 
+    def limbs(self, *values: Expression) -> int:
+        """How many range-table limbs hold every one of ``values``: what
+        their proven upper bounds need, or -- when one has none, and at
+        most -- what the configured ``value_bits`` needs."""
+        value_limbs = -(-self.value_bits // self.limb_bits)
+        bounds = [value.upper_bound(self.cs.bounds) for value in values]
+        if None in bounds:
+            return value_limbs
+        return min(value_limbs, max(1, -(-max(bounds).bit_length() // self.limb_bits)))
+
+    def pack_key(
+        self, components: Sequence[Expression], descending: Sequence[bool]
+    ) -> tuple[Expression, list[int]]:
+        """The composite sort / group key ``1 | c_1 | .. | c_n`` (first
+        component most significant; a descending one complemented) and
+        the bit width each component is packed at: what its proven bound
+        needs, at most ``key_bits``.  The key has ``1 + sum(widths)``
+        bits; the leading 1 keeps it apart from padding rows' 0."""
+        widths = []
+        key: Expression = Constant(1)
+        for component, desc in zip(components, descending):
+            bound = component.upper_bound(self.cs.bounds)
+            width = self.key_bits if bound is None else min(
+                self.key_bits, max(1, bound.bit_length())
+            )
+            if desc:
+                component = Constant((1 << width) - 1) - component
+            key = key * (1 << width) + component
+            widths.append(width)
+        return key, widths
+
     def materialize(self, prefix: str, expr: Expression) -> Column:
         """Advice column constrained to ``expr`` on all usable rows."""
         col = self.cs.advice_column(self.name(prefix))
         name = self.name(f"{prefix}.eq")
         self.cs.create_gate(name, [self.q_all.cur() * (col.cur() - expr)])
+        self.cs.declare_bound(col, expr.upper_bound(self.cs.bounds))
         self.per_row(
             name,
             self.q_all.cur(),
@@ -396,17 +456,19 @@ class _Builder:
         )
         return chip
 
+    @staticmethod
     def check_key_width(
-        self, asg: Assignment, what: str, valid: Expression,
-        components: Sequence[Expression],
+        asg: Assignment, what: str, valid: Expression,
+        components: Sequence[Expression], widths: Sequence[int],
     ) -> None:
-        """Composite sort / group keys pack ``key_bits`` per component;
-        a wider value on a valid row would silently reorder them."""
+        """A component wider than it is packed at (:meth:`pack_key`) on
+        a valid row would silently reorder or merge keys."""
         for row, (flag, *values) in enumerate(_rows(asg, [valid, *components])):
-            if flag and any(v >> self.key_bits for v in values):
-                raise WitnessError(
-                    what, row, values, f"exceeds {self.key_bits} bits"
-                )
+            for value, width in zip(values, widths):
+                if flag and value >> width:
+                    raise WitnessError(
+                        what, row, values, f"exceeds {width} bits"
+                    )
 
     # -- operators -----------------------------------------------------------
 
@@ -443,14 +505,23 @@ class _Builder:
         self.public_steps.append(
             lambda asg: asg.assign_column(valid_col, [1] * rows_count)
         )
+        self.cs.declare_bound(valid_col, 1)
         columns: dict[str, Expression] = {}
         scales: dict[str, int] = {}
         for out in node.outputs:
             # The scan link *is* the witness step: assign_witness loads
             # every linked advice column from the database first.
             advice = self.cs.advice_column(self.name(out.name))
-            self.scan_links.append(
-                ScanLink(advice.index, node.table, out.name.split(".", 1)[1])
+            column = out.name.split(".", 1)[1]
+            self.scan_links.append(ScanLink(advice.index, node.table, column))
+            # The commitment contract: public metadata, never cells.
+            self.cs.declare_bound(
+                advice,
+                column_bound(
+                    self.db.schema(node.table).column(column),
+                    self.db.encoder.dictionary(f"{node.table}.{column}"),
+                    self.value_bits,
+                ),
             )
             columns[out.name] = advice.cur()
             scales[out.name] = out.scale
@@ -481,7 +552,7 @@ class _Builder:
             t2_exprs,
             right.valid,
             self.table,
-            self.value_limbs,
+            self.limbs(fk, t2_exprs[0]),
         )
         self.public_steps.append(
             lambda asg: asg.assign_column(
@@ -516,13 +587,9 @@ class _Builder:
 
     def _aggregate(self, node: AggregateNode) -> CircuitRelation:
         child = self.build(node.child)
-        shift = 1 << self.key_bits
         n_group = len(node.group_keys)
         group_exprs = [child.columns[k] for k in node.group_keys]
-
-        key_expr: Expression = Constant(1)
-        for component in group_exprs:
-            key_expr = key_expr * shift + component
+        key_expr, widths = self.pack_key(group_exprs, [False] * n_group)
 
         # Aggregate argument columns (materialized so the sort tuple
         # stays degree-2).
@@ -539,7 +606,7 @@ class _Builder:
         tuple_exprs: list[Expression] = [child.valid * key_expr]
         tuple_exprs += [child.valid * e for e in group_exprs + arg_exprs]
         tuple_exprs.append(child.valid)
-        key_limbs = -(-(self.key_bits * (n_group + 1)) // self.limb_bits)
+        key_limbs = -(-(1 + sum(widths)) // self.limb_bits)
         sort = SortChip(
             self.cs, self.name("gsort"), tuple_exprs, 0, self.table, key_limbs
         )
@@ -568,6 +635,7 @@ class _Builder:
                 gb.q_rest.cur(),
                 gb.same.cur(),
                 value,
+                self.usable,
             )
             for name, value in summed
         ]
@@ -582,7 +650,7 @@ class _Builder:
 
         def witness_step(asg: Assignment) -> None:
             self.check_key_width(
-                asg, "group key component", child.valid, group_exprs
+                asg, "group key component", child.valid, group_exprs, widths
             )
             sorted_rows = sort.assign(asg, _rows(asg, tuple_exprs))
             gb.assign(asg, [r[0] for r in sorted_rows])
@@ -610,13 +678,14 @@ class _Builder:
         for j, spec in enumerate(node.aggregates):
             agg = compact.out[n_group + j].cur()
             if spec.func is AggFunc.AVG:
+                count = compact.out[-1].cur()
                 agg = self.row_chip(
                     DivModChip,
                     f"avg.{spec.name}",
                     compact.q_out.cur(),
-                    (agg * 100, compact.out[-1].cur()),
+                    (agg * 100, count),
                     self.table,
-                    self.value_limbs,
+                    self.limbs(count),
                 ).quot.cur()
             columns[spec.name] = agg
             scales[spec.name] = spec.scale
@@ -636,16 +705,12 @@ class _Builder:
 
     def _order_by(self, node: SortNode) -> CircuitRelation:
         child = self.build(node.child)
-        shift = 1 << self.key_bits
-        bound = shift - 1
-        big_bound = 1 << (self.key_bits * (len(node.keys) + 1))
         key_parts = [child.columns[name] for name, _ in node.keys]
-
-        key_expr: Expression = Constant(1)
-        for component, (_, descending) in zip(key_parts, node.keys):
-            if descending:
-                component = Constant(bound) - component
-            key_expr = key_expr * shift + component
+        key_expr, widths = self.pack_key(
+            key_parts, [descending for _, descending in node.keys]
+        )
+        # Sorted descending on its complement, so padding rows (0) go last.
+        big_bound = 1 << (1 + sum(widths))
 
         out_names = [c.name for c in node.outputs]
         tuple_exprs: list[Expression] = [
@@ -653,7 +718,7 @@ class _Builder:
         ]
         tuple_exprs += [child.valid * child.columns[n] for n in out_names]
         tuple_exprs.append(child.valid)
-        key_limbs = -(-(self.key_bits * (len(node.keys) + 1) + 1) // self.limb_bits)
+        key_limbs = -(-(1 + sum(widths)) // self.limb_bits)
         sort = SortChip(
             self.cs,
             self.name("osort"),
@@ -668,7 +733,9 @@ class _Builder:
         )
 
         def step(asg: Assignment) -> None:
-            self.check_key_width(asg, "ORDER BY value", child.valid, key_parts)
+            self.check_key_width(
+                asg, "ORDER BY value", child.valid, key_parts, widths
+            )
             sort.assign(asg, _rows(asg, tuple_exprs))
 
         self.witness_steps.append(step)
@@ -700,13 +767,14 @@ class _Builder:
         if isinstance(expr, Case):
             return self._case(expr, rel)
         if isinstance(expr, Extract):
+            date = self._scalar(expr.expr, rel)
             chip = self.row_chip(
                 YearChip,
                 "year",
                 rel.valid,
-                (self._scalar(expr.expr, rel),),
+                (date,),
                 self.table,
-                self.value_limbs,
+                self.limbs(date, Constant(DATE_END)),
             )
             self.public_steps.append(chip.assign_table)
             return chip.year.cur()
@@ -742,13 +810,14 @@ class _Builder:
         ls = self._scale_of(expr.left, rel)
         rs = self._scale_of(expr.right, rel)
         g = math.gcd(100 * rs, ls)
+        divisor = right * (ls // g)
         chip = self.row_chip(
             DivModChip,
             "div",
             rel.valid,
-            (left * ((100 * rs) // g), right * (ls // g)),
+            (left * ((100 * rs) // g), divisor),
             self.table,
-            self.value_limbs,
+            self.limbs(divisor),
         )
         return chip.quot.cur()
 
@@ -804,7 +873,7 @@ class _Builder:
         if expr.op in (BinOpKind.GT, BinOpKind.LE):
             le, re = re, le
         flag = self.row_chip(
-            LtFlagChip, "lt", rel.valid, (le, re), self.table, self.value_limbs
+            LtFlagChip, "lt", rel.valid, (le, re), self.table, self.limbs(le, re)
         ).lt_expr
         if expr.op in (BinOpKind.GE, BinOpKind.LE):
             flag = Constant(1) - flag

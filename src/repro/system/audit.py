@@ -91,9 +91,11 @@ def audit(
     commitment: DatabaseCommitment,
     secrets: CommitmentSecrets,
     params: PublicParams,
+    value_bits: int = 64,
 ) -> AuditCertificate:
-    """Recompute every column commitment from the raw database and the
-    prover's disclosed randomness; attest the published root.
+    """Check the raw database against the commitment contract at the
+    published ``value_bits``, recompute every column commitment from it
+    and the prover's disclosed randomness; attest the published root.
 
     The commitment is first round-tripped through its wire encoding
     (:meth:`DatabaseCommitment.to_bytes` / ``from_bytes``): an auditor
@@ -102,7 +104,7 @@ def audit(
     baked into ``from_bytes``.  The whole check runs under a timed
     ``audit`` telemetry span that also provides ``elapsed_seconds``."""
     with telemetry.timed_span("audit", k=commitment.k) as span:
-        cert = _audit_inner(db, commitment, secrets, params)
+        cert = _audit_inner(db, commitment, secrets, params, value_bits)
         span.set(valid=cert.valid)
     cert.elapsed_seconds = span.duration
     return cert
@@ -113,6 +115,7 @@ def _audit_inner(
     commitment: DatabaseCommitment,
     secrets: CommitmentSecrets,
     params: PublicParams,
+    value_bits: int,
 ) -> AuditCertificate:
     try:
         commitment = DatabaseCommitment.from_bytes(
@@ -124,7 +127,7 @@ def _audit_inner(
         )
     try:
         fit = params.truncated(commitment.k) if params.k > commitment.k else params
-        ok = audit_commitment(db, commitment, secrets, fit)
+        ok = audit_commitment(db, commitment, secrets, fit, value_bits)
     except (KeyError, ValueError) as exc:
         return AuditCertificate(commitment.root, False, f"audit error: {exc}")
     if not ok:

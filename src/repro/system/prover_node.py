@@ -143,7 +143,7 @@ class ProverNode:
     def publish_commitment(self) -> DatabaseCommitment:
         """Commit to the database (done once; Table 3 measures this)."""
         self.commitment, self._secrets = commit_database(
-            self.db, self.params, self.k, self.field
+            self.db, self.params, self.k, self.field, self.value_bits
         )
         return self.commitment
 
@@ -154,13 +154,18 @@ class ProverNode:
 
     # -- phases 3-4: answer a query -------------------------------------------
 
-    def answer(self, sql: str) -> QueryResponse:
+    def answer(self, sql: str, _faults: object | None = None) -> QueryResponse:
         """Execute ``sql`` and produce the proof of correct execution.
 
         The whole pipeline runs under one ``prove`` telemetry root span;
         compile/witness/keygen become direct children alongside the
         ``prove.*`` phase spans :func:`create_proof` emits, so the
         response's phase report accounts for essentially all wall time.
+
+        ``_faults`` (:class:`repro.soundness.ProverFaults`, soundness
+        harness only) turns this into a cheating prover: its
+        ``rewrite_witness`` replaces the honest witness and the claimed
+        result, the rest goes to :func:`create_proof`.
         """
         if self.commitment is None or self._secrets is None:
             raise StateError("publish_commitment() must run first")
@@ -180,6 +185,10 @@ class ProverNode:
             phase = telemetry.begin_span("prove.witness")
             asg = Assignment(compiled.cs, self.field, self.k)
             result_encoded = compiled.assign_witness(asg, self.db)
+            cheat = getattr(_faults, "rewrite_witness", None)
+            if cheat is not None:
+                result_encoded = cheat(compiled, asg, result_encoded)
+                compiled.bind_result(asg, result_encoded)
             # Replay the committed blinding tails in the scan columns so
             # the advice commitments differ from the database commitments
             # only in the W component.
@@ -208,7 +217,8 @@ class ProverNode:
             timing.extra["keygen"] = phase.duration
 
             proof = create_proof(
-                pk, asg, timing=timing, advice_blind_overrides=blind_overrides
+                pk, asg, timing=timing, advice_blind_overrides=blind_overrides,
+                _faults=_faults,
             )
         finally:
             root.end()

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
 
 from repro.plonkish.assignment import ZK_ROWS
-from repro.plonkish.constraint_system import ConstraintSystem, helper_column_count
+from repro.plonkish.constraint_system import (
+    ColumnKind,
+    ConstraintSystem,
+    helper_column_count,
+)
+from repro.plonkish.expression import ColumnQuery
 
 #: Gate-name substrings -> the SQL operator bucket they implement.
 #: The circuit builders (repro.circuits) name gates after the relational
@@ -108,6 +113,10 @@ class CircuitReport:
     lookups: tuple[LookupCost, ...]
     lookup_tables: int
     lookup_helper_columns: int
+    #: Lookups of one value into a one-column fixed table: the limbs of
+    #: the range decompositions (one advice column each, three to a
+    #: helper column).
+    range_limbs: int
     shuffles: int
     copies: int
     permutation_chunk: int
@@ -203,6 +212,12 @@ class CircuitReport:
             lookups=tuple(lookups),
             lookup_tables=len(arguments),
             lookup_helper_columns=helper_column_count(arguments),
+            range_limbs=sum(
+                len(lookup.table) == 1
+                and isinstance(lookup.table[0], ColumnQuery)
+                and lookup.table[0].column.kind is ColumnKind.FIXED
+                for lookup in cs.lookups
+            ),
             shuffles=len(cs.shuffles),
             copies=len(cs.copies),
             permutation_chunk=permutation_chunk,
@@ -299,6 +314,7 @@ class CircuitReport:
             ],
             "lookup_tables": self.lookup_tables,
             "lookup_helper_columns": self.lookup_helper_columns,
+            "range_limbs": self.range_limbs,
             "shuffles": self.shuffles,
             "copies": self.copies,
             "permutation_chunk": self.permutation_chunk,
@@ -321,7 +337,8 @@ class CircuitReport:
             f"-> extended_k={self.extended_k}",
             f"arguments: lookups={len(self.lookups)} "
             f"(tables={self.lookup_tables}, helper columns="
-            f"{self.lookup_helper_columns}) shuffles={self.shuffles} "
+            f"{self.lookup_helper_columns}) range limbs={self.range_limbs} "
+            f"shuffles={self.shuffles} "
             f"copies={self.copies} "
             f"permutation products={self.permutation_grand_products} "
             f"(chunk {self.permutation_chunk})",

@@ -142,6 +142,22 @@ class TestFacade:
             assert session.params is params
             assert not session.params_cache_hit
 
+    def test_commit_refuses_a_database_outside_the_contract(
+        self, tiny_db, tiny_config
+    ):
+        """Circuits are sized on ``value_bits``; a wider cell is refused
+        with a typed error naming it, before anything is committed."""
+        from repro import ContractError
+
+        tiny_db.table("t").column("v")[3] = 1 << 16
+        with PoneglyphDB.open(tiny_db, tiny_config) as session:
+            with pytest.raises(ContractError, match=r"t\.v row 3") as err:
+                session.commit()
+            assert (err.value.value, err.value.bound) == (1 << 16, (1 << 16) - 1)
+            assert session.commitment is None
+            with pytest.raises(ContractError):
+                session.prove("select count(*) as n from t")
+
     def test_verify_before_commit_raises(self, tiny_db, tiny_config):
         with PoneglyphDB.open(tiny_db, tiny_config) as session:
             with pytest.raises(RuntimeError):

@@ -16,7 +16,9 @@ from repro.algebra import SCALAR_FIELD as F
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import DATE, DECIMAL, INT, STRING
 from repro.errors import ReproError, WitnessError
-from repro.plonkish import Assignment, MockProver
+from repro.plonkish import Assignment, ConstraintSystem, MockProver
+from repro.plonkish.constraint_system import Column, ColumnKind
+from repro.soundness import merge_groups, misorder_rows
 from repro.sql.compiler import CompileError, QueryCompiler
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
@@ -177,11 +179,12 @@ FINGERPRINTS = json.loads(
 def test_operator_shape_fingerprints(db, name):
     """The circuit a query compiles to is pinned: a compiler change
     that moves a column or a constraint must re-record the digest on
-    purpose (tests/data/compiled_circuit_fingerprints.json)."""
+    purpose (``python -m tests.data.record_fingerprints``)."""
     compiled = QueryCompiler(
         db, K, limb_bits=4, value_bits=32, key_bits=40
     ).compile(Planner(db).plan(parse(QUERIES[name])))
-    assert compiled.cs.fingerprint() == FINGERPRINTS["operator_shapes_k9"][name]
+    pinned = FINGERPRINTS["operator_shapes_k9"][name]
+    assert compiled.cs.fingerprint() == pinned["fingerprint"]
     # No committed polynomial is opened at more points than it has
     # random rows to spend (the opening argument's q(x3) included).
     assert CircuitReport.from_constraint_system(compiled.cs, K).zk_margin >= 0
@@ -223,16 +226,11 @@ def databases(draw):
 
 
 def claim(compiled, asg, rows):
-    """Rebind the public side of an honest assignment -- ``q_result``
-    and the instance columns -- to a claimed result, as a verifier
-    would from a response; returns the names of the violated gates."""
-    for col in [compiled.q_result, *compiled.instance_columns]:
-        for row in range(asg.usable_rows):
-            asg.assign(col, row, 0)
-    for i, values in enumerate(rows):
-        asg.assign(compiled.q_result, i, 1)
-        for col, value in zip(compiled.instance_columns, values):
-            asg.assign(col, i, value)
+    """Rebind the public side of an honest assignment -- the
+    cardinality selectors and the instance columns -- to a claimed
+    result, as a verifier would from a response; returns the names of
+    the violated gates."""
+    compiled.bind_result(asg, rows)
     return {f.name.split("#")[0] for f in MockProver(compiled.cs, asg, F).verify()}
 
 
@@ -246,14 +244,164 @@ def test_random_data_matches_executor_and_rejects_wrong_answers(db):
         wrong = {
             "off by one": [[result[0][0] + 1, *result[0][1:]], *result[1:]],
             "duplicated row": result + [result[-1]],
+            "truncated": result[:-1],
         }
         if len(result) > 1:
             wrong["dropped row"] = result[1:]
         for what, rows in wrong.items():
             violated = claim(compiled, asg, rows)
-            assert violated and violated <= {"result_binding", "result_valid"}, (
-                name, what, violated,
-            )
+            assert violated and violated <= {
+                "result_binding", "result_valid", "result_complete"
+            }, (name, what, violated)
+            assert what != "truncated" or violated == {"result_complete"}
+
+
+# -- bounds -------------------------------------------------------------------
+
+BOUND_SHAPES = [
+    "filter_between", "group_avg_count", "join_filter_agg", "derive_year",
+    "agg_division", "order_by",
+]
+
+
+def constraints_touching(cs, column):
+    """The part of ``cs`` that reads ``column``: what could notice a
+    change to one of its cells."""
+
+    def touches(*exprs):
+        return any(column in {c for c, _ in e.queries()} for e in exprs)
+
+    return ConstraintSystem(
+        fixed_columns=cs.fixed_columns,
+        advice_columns=cs.advice_columns,
+        instance_columns=cs.instance_columns,
+        gates=[g for g in cs.gates if touches(*g.constraints)],
+        lookups=[l for l in cs.lookups if touches(*l.inputs, *l.table)],
+        shuffles=[
+            s for s in cs.shuffles
+            if touches(*sum(s.input_groups + s.table_groups, []))
+        ],
+    )
+
+
+@pytest.mark.parametrize("name", BOUND_SHAPES)
+def test_every_declared_advice_bound_is_enforced(db, name):
+    """A declared bound is a claim that some constraint proves it.  For
+    every bounded advice column of an honest witness there is a cell
+    that cannot be raised to ``bound + 1`` without a gate, lookup or
+    shuffle failing -- except the scanned columns, whose bound is the
+    commitment contract: there the bound check itself is the guard (and,
+    in a proof, the scan link)."""
+    _, compiled, asg = check_shape(db, name, K_RANDOM)
+    scanned = {link.advice_index for link in compiled.scan_links}
+    declared = [
+        (col, hi) for col, hi in compiled.cs.bounds.items()
+        if isinstance(col, Column) and col.kind is ColumnKind.ADVICE
+    ]
+    assert len(declared) > len(scanned)
+    for col, hi in declared:
+        kinds = set()
+        for row in range(asg.usable_rows):
+            honest = asg.value(col, row)
+            asg.assign(col, row, hi + 1)
+            if col.index in scanned:
+                failures = MockProver(compiled.cs, asg, F)._check_bounds()
+            else:
+                part = constraints_touching(compiled.cs, col)
+                failures = MockProver(part, asg, F).verify()
+            asg.assign(col, row, honest)
+            kinds = {f.kind for f in failures}
+            if kinds:
+                break
+        assert kinds and ("bound" in kinds) == (col.index in scanned), col.name
+
+
+def test_bounds_are_public_metadata_only():
+    """Prover and verifier must compile the same circuit: every bound
+    comes from schemas, sizes and dictionaries -- a database and its
+    data-free shell, or two databases that differ only in cell values,
+    give one fingerprint."""
+    from repro.system.metadata import PublicMetadata, shell_database
+    from repro.tpch import QUERIES as TPCH, generate
+
+    def fingerprints(database, queries, k):
+        return [
+            QueryCompiler(database, k, limb_bits=4, value_bits=32, key_bits=40)
+            .compile(Planner(database).plan(parse(sql))).cs.fingerprint()
+            for sql in queries
+        ]
+
+    workloads = [  # the benchmark's: Q1 at k=7, the four small shapes at k=6
+        (generate(32, seed=1), [TPCH["Q1"]], 7),
+        (generate(16, seed=1), list(TPCH.values()), 8),
+        (generate(16, seed=1), [
+            "select count(*) as n from nation where n_regionkey >= 2",
+            "select n_regionkey, count(*) as n from nation "
+            "group by n_regionkey order by n_regionkey",
+            "select sum(s_acctbal) as total from supplier where s_nationkey >= 0",
+            "select n_name, r_name from nation, region "
+            "where n_regionkey = r_regionkey and r_name = 'ASIA'",
+        ], 6),
+        (make_db(), list(QUERIES.values()), K),
+    ]
+    for database, queries, k in workloads:
+        shell = shell_database(PublicMetadata.from_database(database, k, 4, 32, 40))
+        assert fingerprints(database, queries, k) == fingerprints(shell, queries, k)
+    # Same names and sizes, other ages, amounts and dates.
+    other = make_db(
+        [(cid, name, age + 1000) for cid, name, age in CUSTOMERS],
+        [(oid, cid, amount * 3, "2001-02-03") for oid, cid, amount, _ in ORDERS],
+    )
+    queries = list(QUERIES.values())
+    assert fingerprints(make_db(), queries, K) == fingerprints(other, queries, K)
+
+
+class TestKeyPackingCheats:
+    """Composite keys are packed at the width their components' bounds
+    need; the sort and group-by gates still reject the prover who lies
+    about order or group membership (the same cheats go through
+    ``verify`` in tests/test_system_e2e.py)."""
+
+    def test_misordered_rows(self, db):
+        result, compiled, asg = check_shape(db, "order_by")
+        claimed = misorder_rows(compiled, asg, result)
+        assert claimed == [result[1], result[0], *result[2:]]
+        assert claim(compiled, asg, claimed) == {"osort5.sorted.recompose"}
+
+    def test_merged_groups(self, db):
+        sql = "select o_cid, count(*) as n from orders group by o_cid"
+        result, _, compiled, asg = compile_and_check(db, sql)
+        assert result == [[1, 2], [2, 1], [3, 1], [7, 1]]
+        claimed = merge_groups(compiled, asg, result)
+        assert claimed == [[2, 3], [3, 1], [7, 1]]
+        assert claim(compiled, asg, claimed) == {"gb7.same"}
+
+    def test_component_wider_than_its_packed_width(self):
+        """Two components; the second, a string column of three names,
+        is packed at two bits.  A code of 5 there would turn ('c', age
+        30) into the key of ('a', age 31) and merge the two groups.  The
+        honest witness writer refuses; in a cheater's assignment no
+        gate can see it -- the scanned column *is* the input -- so the
+        bound check (the commitment contract; in a proof, the scan
+        link) must."""
+        rows = [(1, "a", 31), (2, "b", 40), (3, "c", 30)]
+        sql = (
+            "select c_age, c_name, count(*) as n from customers "
+            "group by c_age, c_name"
+        )
+        database = make_db(customers=rows)
+        result, _, compiled, asg = compile_and_check(database, sql)
+        assert len(result) == 3
+        (link,) = [l for l in compiled.scan_links if l.column == "c_name"]
+        scanned = compiled.cs.advice_columns[link.advice_index]
+        asg.assign(scanned, 2, 5)
+        assert ("bound", scanned.name, 2) in {
+            (f.kind, f.name, f.row) for f in MockProver(compiled.cs, asg, F).verify()
+        }
+        database.table("customers").column("c_name")[2] = 5
+        with pytest.raises(WitnessError, match="exceeds 2 bits") as err:
+            compiled.assign_witness(Assignment(compiled.cs, F, K), database)
+        assert (err.value.gate, err.value.values) == ("group key component", [30, 5])
 
 
 class TestCompilerStructure:
@@ -299,17 +447,16 @@ class TestCompilerStructure:
         failures = MockProver(compiled.cs, asg, F).verify()
         assert any("result_binding" in f.name for f in failures)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="found by the wrong-answer claims of ISSUE 18: q_result "
-        "binds a *prefix* of the dense final relation and nothing forces "
-        "the first unbound row to be invalid, so a truncated (even empty) "
-        "result satisfies the circuit; closing it adds a gate, which "
-        "moves every fingerprint (ROADMAP item 2)",
-    )
     def test_truncated_result_is_rejected(self, db):
+        """``q_result`` binds a prefix of the dense final relation;
+        ``q_after`` makes it the whole of it (unless a LIMIT cut it)."""
         result, compiled, asg = check_shape(db, "group_sum")
-        assert claim(compiled, asg, result[:-1])
+        assert claim(compiled, asg, result[:-1]) == {"result_complete"}
+        assert claim(compiled, asg, []) == {"result_complete"}
+        result, compiled, asg = check_shape(db, "limit")
+        assert len(result) == compiled.limit
+        assert not claim(compiled, asg, result)
+        assert claim(compiled, asg, result[:-1]) == {"result_complete"}
 
     def test_table_too_big_rejected(self):
         big = Database()

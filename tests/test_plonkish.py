@@ -1,6 +1,7 @@
 """PLONKish constraint system, expressions, assignments, MockProver."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra import SCALAR_FIELD
 from repro.plonkish import Assignment, ConstraintSystem, Constant, MockProver
@@ -219,6 +220,17 @@ class TestMockProver:
         failures = self._satisfied(tamper)
         assert any(f.kind == "shuffle" for f in failures)
 
+    def test_declared_bound_failure(self):
+        """A declared bound is checked like a constraint: the cell that
+        exceeds it is reported, by column and row."""
+
+        def tamper(cs, asg, cols):
+            cs.declare_bound(cols[1], 5)  # a = 6
+            cs.declare_bound(cols[2], 7)  # b = 7: holds
+
+        (failure,) = self._satisfied(tamper)
+        assert (failure.kind, failure.name, failure.row) == ("bound", "a", 0)
+
     def test_assert_satisfied_raises_with_report(self):
         cs, q, a, b, c = simple_mul_circuit()
         asg = Assignment(cs, F, 4)
@@ -228,3 +240,94 @@ class TestMockProver:
         asg.assign(c, 0, 5)
         with pytest.raises(AssertionError, match="mul"):
             MockProver(cs, asg, F).assert_satisfied()
+
+
+class TestBounds:
+    """``Expression.upper_bound``: interval arithmetic over declared
+    column bounds."""
+
+    def test_propagation(self):
+        cs = ConstraintSystem()
+        flag, value, free = (cs.advice_column(n) for n in ("flag", "value", "free"))
+        cs.declare_bound(flag, 1)
+        cs.declare_bound(value, 1000)
+        cs.declare_bound(free, None)  # nothing known: declares nothing
+        bound = lambda expr: expr.upper_bound(cs.bounds)
+        assert bound(Constant(7)) == 7
+        assert bound(flag.cur() * value.cur()) == 1000
+        assert bound(value.next() * 100 + 5) == 100_005  # any rotation
+        assert bound(Constant(1) - flag.cur()) == 1
+        assert bound((Constant(1) - flag.cur()) * value.cur()) == 1000
+        assert bound(Constant(1 << 10) - value.cur()) == 1 << 10
+        # possibly negative, or over a column nobody bounded: no bound
+        assert bound(flag.cur() - value.cur()) is None
+        assert bound(Constant(999) - value.cur()) is None
+        assert bound(flag.cur() * free.cur()) is None
+        assert free not in cs.bounds
+
+    def test_a_declared_expression_takes_its_declaration(self):
+        cs = ConstraintSystem()
+        value, inv = cs.advice_column("value"), cs.advice_column("inv")
+        is_zero = Constant(1) - value.cur() * inv.cur()
+        assert is_zero.upper_bound(cs.bounds) is None
+        cs.declare_bound(is_zero, 1)
+        cs.declare_bound(value, 50)
+        assert is_zero.upper_bound(cs.bounds) == 1
+        assert (is_zero * value.cur() + 2).upper_bound(cs.bounds) == 52
+        # a structurally equal expression built elsewhere is not it
+        again = Constant(1) - value.cur() * inv.cur()
+        assert again.upper_bound(cs.bounds) is None
+
+
+N_COLUMNS = 3
+
+
+def expressions(columns):
+    leaves = st.one_of(
+        st.integers(-20, 20).map(Constant),
+        st.tuples(st.sampled_from(columns), st.integers(-1, 1)).map(
+            lambda cr: cr[0].query(cr[1])
+        ),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda ab: ab[0] + ab[1]),
+            st.tuples(inner, inner).map(lambda ab: ab[0] - ab[1]),
+            st.tuples(inner, inner).map(lambda ab: ab[0] * ab[1]),
+            st.tuples(inner, st.integers(-5, 5)).map(lambda ab: ab[0] * ab[1]),
+        ),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def bounded_assignments(draw):
+    cs = ConstraintSystem()
+    columns = [cs.advice_column(f"c{i}") for i in range(N_COLUMNS)]
+    asg = Assignment(cs, F, 3)
+    for col in columns:
+        hi = draw(st.integers(0, 40))
+        cs.declare_bound(col, hi)
+        asg.assign_column(
+            col, draw(st.lists(st.integers(0, hi), min_size=4, max_size=4))
+        )
+    return cs, asg, draw(expressions(columns))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(bounded_assignments())
+def test_interval_contains_every_evaluation(case):
+    """On cells within their declared bounds, the integer an expression
+    evaluates to lies in its interval -- so ``upper_bound``, when there
+    is one, bounds the field value ``Assignment.evaluate`` returns."""
+    cs, asg, expr = case
+    lo, hi = expr.interval(cs.bounds)
+    bound = expr.upper_bound(cs.bounds)
+    assert bound == (hi if lo >= 0 else None)
+    for row in range(1, 3):  # rotations stay inside the assigned rows
+        value = asg.evaluate(expr, row)
+        signed = value if value <= F.p // 2 else value - F.p
+        assert lo <= signed <= hi
+        if bound is not None:
+            assert value <= bound

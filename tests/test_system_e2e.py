@@ -14,6 +14,13 @@ from repro.commit import setup
 from repro.config import ProverConfig
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
+from repro.errors import ContractError
+from repro.soundness import (
+    ProverFaults,
+    merge_groups,
+    misorder_rows,
+    truncate_result,
+)
 from repro.system import ProverNode, VerifierNode, audit
 from repro.tpch import generate
 
@@ -231,6 +238,69 @@ class TestRejections:
         )
         cert = audit(other, prover.commitment, prover._secrets, params)
         assert not cert.valid
+
+
+class TestCheatingProver:
+    """Wrong answers from a prover that rewrites its witness
+    (``ProverFaults.rewrite_witness``): each is self-consistent but for
+    one gate, so a proof comes out -- and is rejected."""
+
+    @pytest.mark.parametrize(
+        "sql, cheat, claimed",
+        [
+            (SQL, truncate_result, [["west", 575, 2]]),
+            (SQL, misorder_rows, [["east", 430, 2], ["west", 575, 2]]),
+            (
+                "select a_region, count(*) as cnt from accounts group by a_region",
+                merge_groups,
+                [["west", 5]],
+            ),
+        ],
+    )
+    def test_witness_cheat_is_rejected(self, system, sql, cheat, claimed):
+        _, _, prover, verifier, *_ = system
+        response = prover.answer(sql, _faults=ProverFaults(rewrite_witness=cheat))
+        assert response.result == claimed
+        report = verifier.verify(response)
+        assert not report.accepted and report.reason == "proof rejected"
+
+
+class TestCommitmentContract:
+    """The bounds circuits are sized on are checked where the database
+    is committed and where it is audited; a proof over cells the
+    commitment does not hold breaks its scan link."""
+
+    @staticmethod
+    def with_cell(db, column, value):
+        other = copy.deepcopy(db)
+        other.table("accounts").column(column)[0] = value
+        return other
+
+    @pytest.mark.parametrize(
+        "column, value, bound",
+        [("a_region", 3, 2), ("a_region", 0, 2), ("a_balance", 1 << 24, (1 << 24) - 1)],
+    )
+    def test_commit_and_audit_refuse(self, system, column, value, bound):
+        db, params, prover, *_ = system
+        other = self.with_cell(db, column, value)
+        with pytest.raises(ContractError) as err:
+            ProverNode(other, params, config=CONFIG).publish_commitment()
+        assert (err.value.table, err.value.column, err.value.row) == (
+            "accounts", column, 0,
+        )
+        assert (err.value.value, err.value.bound) == (value, bound)
+        cert = audit(
+            other, prover.commitment, prover._secrets, params, CONFIG.value_bits
+        )
+        assert not cert.valid and f"accounts.{column} row 0" in cert.detail
+
+    def test_proof_over_an_uncommitted_cell_breaks_the_scan_link(self, system):
+        db, _, prover, verifier, *_ = system
+        cheater = prover.worker_clone()
+        cheater.db = self.with_cell(db, "a_region", 3)  # no such region
+        response = cheater.answer(SQL)
+        report = verifier.verify(response)
+        assert not report.accepted and "scan link broken" in report.reason
 
 
 def test_case_flag_after_filter_round_trip(tmp_path):

@@ -374,6 +374,7 @@ class TestCircuitReport:
         (lookup,) = report.lookups
         assert (lookup.name, lookup.width, lookup.degree) == ("range16", 1, 4)
         assert (report.lookup_tables, report.lookup_helper_columns) == (1, 1)
+        assert report.range_limbs == report.as_dict()["range_limbs"] == 1
         assert report.copies == 2
         assert report.permutation_grand_products == 1  # ceil(2/3)
         assert report.operator_constraints == {"other": 2, "project": 1}

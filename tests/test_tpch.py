@@ -158,8 +158,18 @@ class TestQueries:
             .read_text()
         )["tpch_k8_generate16_seed1"]
         compiled = self.circuit_matches_executor(generate(16, seed=1), name, 8)
-        assert compiled.cs.fingerprint() == pinned[name]
+        assert compiled.cs.fingerprint() == pinned[name]["fingerprint"]
         # Measured: exactly 0 on all six -- one advice column at three
         # rotations against 4 random rows, running products and sums at
         # two against 3; the opening argument's q(x3) is the "+ 1".
         assert CircuitReport.from_constraint_system(compiled.cs, 8).zk_margin >= 0
+
+
+def test_recorded_fingerprints_are_the_recorder_output():
+    """``tests/data/compiled_circuit_fingerprints.json`` -- digests and
+    the counts beside them -- is what ``python -m
+    tests.data.record_fingerprints`` writes at this commit."""
+    from tests.data import record_fingerprints
+
+    committed = json.loads(record_fingerprints.PATH.read_text())
+    assert record_fingerprints.record() == committed
