@@ -16,8 +16,10 @@ Protocol sketch (non-interactive via the transcript):
    ``C' = <a, G> + r*W + <a, b> * U'`` where ``b = (1, x, .., x^{n-1})``
    and ``U' = xi * U`` for a transcript challenge ``xi``.
 2. ``log n`` halving rounds.  Round j publishes ``L_j, R_j`` (cross
-   terms with fresh blinding), squeezes ``u_j``, and folds
-   ``a, b, G`` to half length.
+   terms with fresh blinding), squeezes ``u_j``, and folds ``a, b``
+   and the base ``G`` to half length -- the base only as the vector
+   ``s`` of challenge products that expresses the folded base over
+   ``G``, so every ``L_j`` / ``R_j`` is a fixed-base MSM.
 3. Finally the prover reveals the folded scalar ``a_0`` and the
    accumulated blinding; the verifier recomputes the folded base
    ``G_0 = <s, G>`` and checks one group equation.
@@ -43,7 +45,7 @@ from repro.ecc.curve import (
     points_from_affine_tuples,
     points_to_affine_tuples,
 )
-from repro.ecc.msm import fold_bases, msm
+from repro.ecc.msm import msm
 from repro.transcript import Transcript
 from repro.wire import ByteReader, SCALAR_BYTES, point_wire_size
 
@@ -255,6 +257,30 @@ def _powers(x: int, n: int, p: int) -> list[int]:
     return out
 
 
+def _extend_products(s: list[int], u: int, u_inv: int, p: int) -> list[int]:
+    """One round's step of the challenge-product vector: after rounds
+    ``0 .. j-1`` the folded base is ``G'[t] = sum_m s[m] * g[m * size +
+    t]`` (``size = n / 2^j``), and round ``j`` splits every block in two,
+    weighted ``u_j^-1`` (low) and ``u_j`` (high).  After all ``k``
+    rounds ``s[i]`` is the weight of ``g[i]`` in the final base."""
+    return [v * w % p for v in s for w in (u_inv, u)]
+
+
+def _folded_b(
+    challenges: Sequence[int], inv_challenges: Sequence[int], x: int, p: int
+) -> int:
+    """The fully folded ``b = (1, x, .., x^(n-1))``, i.e. ``sum_i s[i] *
+    x^i``, in O(k): the sum factors by the bits of ``i``, and round
+    ``j``, which splits on bit ``k-1-j``, contributes ``u_j^-1 + u_j *
+    x^(2^(k-1-j))``."""
+    out = 1
+    x_pow = x % p
+    for u, u_inv in zip(reversed(challenges), reversed(inv_challenges)):
+        out = out * (u_inv + u * x_pow) % p
+        x_pow = x_pow * x_pow % p
+    return out
+
+
 def open_polynomial(
     params: PublicParams,
     transcript: Transcript,
@@ -282,39 +308,38 @@ def _open_polynomial(
     x: int,
     field: Field,
 ) -> IpaProof:
-    """The halving rounds.
+    """The halving rounds, every one against the fixed-base tables.
 
-    The protocol's folded base is ``u^-1 * g_lo + u * g_hi``: two
-    full-width scalars per element.  ``g`` is kept *scaled* instead --
-    ``g_lo + u^2 * g_hi``, which is ``u`` times that -- so each fold
-    multiplies by one scalar, and the factor owed (``scale``, the
-    product of the ``u^-1`` so far: true base ``= scale * g``) goes
-    into the scalars of the next round's ``L`` / ``R`` MSMs, where a
-    field multiplication per coefficient pays for it.  ``L``, ``R``,
-    ``a`` and the blind are the same elements either way; the base
-    itself is never published.  Round 0 has folded nothing yet -- its
-    bases are ``params.g`` --, so its two MSMs run against the parameter
-    set's fixed-base tables (``xi`` moves into the scalar of ``u``).
+    Round ``j``'s ``L`` is ``<a_lo, G'_hi> + <a_lo, b_hi> * xi * u +
+    l_blind * w`` over the folded base ``G'``.  ``G'`` is never
+    materialised: it is ``G'[t] = sum_m s[m] * g[m * size + t]``
+    (:func:`_extend_products`), so ``L`` is the same element as an MSM
+    over ``params.g`` in which ``g[m * size + half + t]`` carries
+    ``a_lo[t] * s[m]`` -- ``n / 2 + 2`` scalars against the parameter
+    set's ``MONOMIAL`` tables (``R`` likewise, low halves, ``a_hi``).
+    ``L``, ``R``, ``a`` and the blind are the elements the textbook
+    fold gives, so every proof byte is too.
     """
     p = field.p
     n = params.n
     a = list(c % p for c in coeffs) + [0] * (n - len(coeffs))
     b = _powers(x % p, n, p)
-    g: list[Point] = list(params.g)
-    scale = 1
+    s = [1]
 
     xi = transcript.challenge_scalar(b"ipa-xi")
-    u_prime = params.u * xi
     tables = fixed_base.tables_for_params(params)
+    tail = [params.n + 1, params.n]  # u, w
 
-    def cross_term(bases, first, half_a, inner, blind):
-        if len(g) == params.n:  # bases == params.g[first : first + len(half_a)]
-            indices = [*range(first, first + len(half_a)), params.n + 1, params.n]
-            scalars = half_a + [inner * xi % p, blind]
-            return fixed_base.fixed_base_msm(tables, scalars, indices)
-        return msm(
-            bases + [u_prime, params.w],
-            [ai * scale % p for ai in half_a] + [inner, blind],
+    def cross_term(offset, half_a, inner, blind):
+        half = len(half_a)
+        indices = [
+            start + t
+            for start in range(offset, params.n, 2 * half)
+            for t in range(half)
+        ]
+        scalars = [sm * at % p for sm in s for at in half_a]
+        return fixed_base.fixed_base_msm(
+            tables, scalars + [inner * xi % p, blind], indices + tail
         )
 
     r = blind % p
@@ -323,14 +348,13 @@ def _open_polynomial(
         half = n // 2
         a_lo, a_hi = a[:half], a[half:]
         b_lo, b_hi = b[:half], b[half:]
-        g_lo, g_hi = g[:half], g[half:]
 
         l_blind = field.rand()
         r_blind = field.rand()
         inner_lo_hi = sum(ai * bi for ai, bi in zip(a_lo, b_hi)) % p
         inner_hi_lo = sum(ai * bi for ai, bi in zip(a_hi, b_lo)) % p
-        left = cross_term(g_hi, half, a_lo, inner_lo_hi, l_blind)
-        right = cross_term(g_lo, 0, a_hi, inner_hi_lo, r_blind)
+        left = cross_term(half, a_lo, inner_lo_hi, l_blind)
+        right = cross_term(0, a_hi, inner_hi_lo, r_blind)
         transcript.absorb_point(b"ipa-L", left)
         transcript.absorb_point(b"ipa-R", right)
         u = transcript.challenge_scalar(b"ipa-u")
@@ -338,11 +362,8 @@ def _open_polynomial(
 
         a = [(lo * u + hi * u_inv) % p for lo, hi in zip(a_lo, a_hi)]
         b = [(lo * u_inv + hi * u) % p for lo, hi in zip(b_lo, b_hi)]
-        u_sq = u * u % p
-        g = fold_bases(g_lo, g_hi, 1, u_sq)
-        scale = scale * u_inv % p
-        u_inv_sq = u_inv * u_inv % p
-        r = (r + l_blind * u_sq + r_blind * u_inv_sq) % p
+        s = _extend_products(s, u, u_inv, p)
+        r = (r + l_blind * u * u + r_blind * u_inv * u_inv) % p
         rounds.append((left, right))
         n = half
 
@@ -352,7 +373,7 @@ def _open_polynomial(
 def reduce_opening(
     params: PublicParams,
     transcript: Transcript,
-    commitment: Point,
+    commitment: tuple[Sequence[Point], Sequence[int]],
     x: int,
     value: int,
     proof: IpaProof,
@@ -360,60 +381,55 @@ def reduce_opening(
 ) -> tuple[list[int], int, Point] | None:
     """Run the cheap (logarithmic) part of opening verification.
 
-    Returns ``(s, a, P)`` such that the opening is valid iff::
+    ``commitment`` is the opened commitment as the combination
+    ``sum_i scalars[i] * bases[i]`` of a ``(bases, scalars)`` pair --
+    the caller's combining terms, not a pre-summed point, so they ride
+    in this function's one MSM.  Returns ``(s, a, P)`` such that the
+    opening is valid iff::
 
         msm(params.g, [a * s_i]) + P == identity
 
-    i.e. everything *except* the linear-time base-folding MSM.  That
-    final check is performed immediately by :func:`verify_opening`, or
-    deferred and amortized across many proofs by the recursion
-    accumulator (:class:`repro.proving.recursion.Accumulator`).
+    i.e. everything *except* the linear-time MSM over ``params.g``.
+    That final check is performed immediately by
+    :func:`verify_opening`, or deferred and amortized across many
+    proofs by the recursion accumulator
+    (:class:`repro.proving.recursion.Accumulator`).
 
     Returns ``None`` when the proof is structurally invalid.
     """
     p = field.p
-    n = params.n
     if len(proof.rounds) != params.k:
         return None
 
     xi = transcript.challenge_scalar(b"ipa-xi")
-    u_prime = params.u * xi
-
-    # Statement commitment with the claimed value folded in.
-    c = commitment + u_prime * (value % p)
-
     challenges: list[int] = []
     for left, right in proof.rounds:
         transcript.absorb_point(b"ipa-L", left)
         transcript.absorb_point(b"ipa-R", right)
         challenges.append(transcript.challenge_scalar(b"ipa-u"))
-
     inv_challenges = field.batch_inv(challenges)
-    for (left, right), u, u_inv in zip(proof.rounds, challenges, inv_challenges):
-        c = c + left * (u * u % p) + right * (u_inv * u_inv % p)
 
-    # s[i] = prod over bits of i of (u_j if bit set else u_j^{-1}),
-    # with round 0 folding the top half (most significant bit).
-    s = [1] * n
-    k = params.k
-    for j, (u, u_inv) in enumerate(zip(challenges, inv_challenges)):
-        bit = k - 1 - j
-        stride = 1 << bit
-        for i in range(n):
-            s[i] = s[i] * (u if i & stride else u_inv) % p
+    s = [1]
+    for u, u_inv in zip(challenges, inv_challenges):
+        s = _extend_products(s, u, u_inv, p)
 
-    b_final = 0
-    x_pow = 1
-    x = x % p
-    for si in s:
-        b_final = (b_final + si * x_pow) % p
-        x_pow = x_pow * x % p
+    b_final = _folded_b(challenges, inv_challenges, x, p)
 
-    # P collects everything that is not msm(G, a*s).
+    # P = a * b * xi * u + blind * w - (C + value * xi * u + sum_j
+    # u_j^2 L_j + u_j^-2 R_j): everything that is not msm(G, a * s).
+    bases, scalars = commitment
+    lefts = [left for left, _ in proof.rounds]
+    rights = [right for _, right in proof.rounds]
     residual = msm(
-        [u_prime, params.w],
-        [proof.a * b_final % p, proof.blind],
-    ) - c
+        [*bases, *lefts, *rights, params.u, params.w],
+        [
+            *(-c for c in scalars),
+            *(-u * u for u in challenges),
+            *(-u_inv * u_inv for u_inv in inv_challenges),
+            xi * (proof.a * b_final - value),
+            proof.blind,
+        ],
+    )
     return s, proof.a, residual
 
 
@@ -428,12 +444,14 @@ def verify_opening(
 ) -> bool:
     """Verify an opening proof.
 
-    The verifier's work is one ``n``-sized MSM (to fold the bases) plus
-    ``O(log n)`` group operations -- the linear MSM is what Halo-style
-    recursion amortizes across proofs (see
-    :mod:`repro.proving.recursion`).
+    The verifier's work is one ``n``-sized fixed-base MSM (the final
+    base ``<s, G>``) plus one MSM over ``2 log n + 3`` points -- the
+    linear MSM is what Halo-style recursion amortizes across proofs
+    (see :mod:`repro.proving.recursion`).
     """
-    reduced = reduce_opening(params, transcript, commitment, x, value, proof, field)
+    reduced = reduce_opening(
+        params, transcript, ([commitment], [1]), x, value, proof, field
+    )
     if reduced is None:
         return False
     s, a, residual = reduced

@@ -11,7 +11,7 @@ recursive proof composition.
 """
 
 from repro.ecc.curve import Curve, Point, PALLAS, VESTA
-from repro.ecc.msm import fold_bases, msm
+from repro.ecc.msm import msm
 from repro.ecc.fixed_base import (
     FixedBaseTables,
     build_tables,
@@ -26,7 +26,6 @@ __all__ = [
     "PALLAS",
     "VESTA",
     "msm",
-    "fold_bases",
     "FixedBaseTables",
     "build_tables",
     "fixed_base_msm",

@@ -3,7 +3,7 @@
 A Jacobian addition costs ~16 field multiplications because it dodges
 the inversion an affine addition needs.  But when *many* independent
 additions happen at once -- Pippenger bucket accumulation, fixed-base
-digit accumulation, the IPA base fold -- their inversions can share one
+digit accumulation, table doubling -- their inversions can share one
 Montgomery batch inversion: each affine addition then costs ~4 field
 multiplications plus an O(1) amortized share of a single inversion, less
 than a third of the Jacobian cost.
@@ -103,84 +103,3 @@ def batch_double(p: int, pts: list) -> list:
         x3 = (lam * lam - 2 * x1) % p
         out.append((x3, (lam * (x1 - x3) - y1) % p))
     return out
-
-
-def batch_add(p: int, lhs: list, rhs: list) -> list:
-    """Elementwise affine addition ``lhs[i] + rhs[i]`` (None-aware)."""
-    denoms: list[int] = []
-    kinds: list[int] = []
-    for a, b in zip(lhs, rhs):
-        if a is None or b is None:
-            kinds.append(3)  # copy the non-identity operand
-        elif a[0] != b[0]:
-            denoms.append(b[0] - a[0])
-            kinds.append(0)
-        elif (a[1] + b[1]) % p == 0:
-            kinds.append(2)
-        else:
-            denoms.append(2 * a[1])
-            kinds.append(1)
-    invs = montgomery_batch_inv(denoms, p) if denoms else []
-    out = []
-    vi = 0
-    for a, b, kind in zip(lhs, rhs, kinds):
-        if kind == 3:
-            out.append(a if b is None else b)
-            continue
-        if kind == 2:
-            out.append(None)
-            continue
-        x1, y1 = a
-        if kind == 0:
-            x2, y2 = b
-            lam = (y2 - y1) * invs[vi] % p
-            vi += 1
-            x3 = (lam * lam - x1 - x2) % p
-        else:
-            lam = 3 * x1 * x1 * invs[vi] % p
-            vi += 1
-            x3 = (lam * lam - 2 * x1) % p
-        out.append((x3, (lam * (x1 - x3) - y1) % p))
-    return out
-
-
-def linear_combination(
-    p: int, streams: Sequence[tuple[list, int]], width: int = 2
-) -> list:
-    """``out[i] = sum_k scalar_k * points_k[i]`` for shared scalars.
-
-    Every stream pairs a point *vector* with one non-negative scalar
-    shared by all elements, so the double-and-add schedule is common to
-    the whole vector: each step is a single elementwise batch pass with
-    one shared inversion.  This is the IPA base-fold kernel -- the
-    per-round ``g' = g_lo + u^2 * g_hi`` -- where the reference
-    path pays a full two-point MSM per element.
-    """
-    if not streams:
-        raise ValueError("linear_combination of zero streams")
-    m = len(streams[0][0])
-    mask = (1 << width) - 1
-    # Per-stream digit tables: [P, 2P, .., (2^width - 1)P] as vectors.
-    tables = []
-    for pts, _scalar in streams:
-        tab = [list(pts)]
-        if width > 1:
-            doubled = batch_double(p, pts)
-            tab.append(doubled)
-            cur = doubled
-            for _ in range(3, 1 << width):
-                cur = batch_add(p, cur, pts)
-                tab.append(cur)
-        tables.append(tab)
-    nbits = max(s.bit_length() for _, s in streams)
-    nwin = max(1, (nbits + width - 1) // width)
-    acc: list = [None] * m
-    for w in range(nwin - 1, -1, -1):
-        if w != nwin - 1:
-            for _ in range(width):
-                acc = batch_double(p, acc)
-        for (pts, scalar), tab in zip(streams, tables):
-            digit = (scalar >> (w * width)) & mask
-            if digit:
-                acc = batch_add(p, acc, tab[digit - 1])
-    return acc

@@ -201,8 +201,9 @@ def fixed_base_msm(
 
 #: A parameter set has two table sets, one per basis a committed vector
 #: can be expressed in: ``MONOMIAL`` over ``g`` (coefficient vectors --
-#: quotient pieces, the IPA folded base) and ``LAGRANGE`` over
-#: :func:`lagrange_bases` (column values on the evaluation domain).
+#: quotient pieces, every IPA round's cross terms, the folded base) and
+#: ``LAGRANGE`` over :func:`lagrange_bases` (column values on the
+#: evaluation domain).
 #: Both hold ``n + 2`` bases: index ``i < n`` is ``g[i]`` / ``L[i]``,
 #: index ``n`` is the blinding base ``w`` and ``n + 1`` is ``u``.
 MONOMIAL = "g"

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from repro import parallel, telemetry
 from repro.ecc import glv
-from repro.ecc.batch_affine import linear_combination, sum_affine_lists
+from repro.ecc.batch_affine import sum_affine_lists
 from repro.ecc.curve import (
     Curve,
     Point,
@@ -167,68 +167,6 @@ def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
             acc = acc.double()
         acc = acc + total
     return acc
-
-
-#: Base folds shorter than this pay a two-point MSM per element -- the
-#: vectorized schedule needs enough elements to amortize its
-#: digit-table construction.
-_FOLD_MIN = 32
-
-
-def fold_bases(
-    g_lo: Sequence[Point],
-    g_hi: Sequence[Point],
-    u_inv: int,
-    u: int,
-) -> list[Point]:
-    """The IPA base fold ``[u_inv * lo + u * hi for lo, hi in zip(..)]``.
-
-    Element by element this is a two-point MSM (two full scalar
-    multiplications) each.  Since *every* element shares the same two
-    scalars, folds of at least ``_FOLD_MIN`` elements run one vectorized
-    double-and-add over the whole vector -- each step a single
-    batch-affine pass with one shared inversion -- after GLV-splitting
-    both scalars to half width.  Same group elements either way.
-    """
-    curve = g_lo[0].curve
-    if len(g_lo) < _FOLD_MIN:
-        return [msm([lo, hi], [u_inv, u]) for lo, hi in zip(g_lo, g_hi)]
-    p = curve.field.p
-    order = curve.scalar_field.p
-    endo = glv.curve_endo(curve)
-    streams: list[tuple[list, int]] = []
-    for pts, s in ((g_lo, u_inv % order), (g_hi, u % order)):
-        coords = points_to_affine_tuples(list(pts))
-        vec = [None if xy == (0, 0) else xy for xy in coords]
-        if endo is None:
-            if s:
-                streams.append((vec, s))
-            continue
-        k1, k2 = glv.decompose(endo, s)
-        if k1:
-            v1 = (
-                vec
-                if k1 > 0
-                else [None if q is None else (q[0], p - q[1]) for q in vec]
-            )
-            streams.append((v1, k1 if k1 > 0 else -k1))
-        if k2:
-            zeta = endo.zeta
-            v2 = [
-                None
-                if q is None
-                else (zeta * q[0] % p, q[1] if k2 > 0 else p - q[1])
-                for q in vec
-            ]
-            streams.append((v2, k2 if k2 > 0 else -k2))
-    if endo is not None:
-        telemetry.incr("msm.glv_splits", 2)
-    if not streams:
-        identity = curve.identity()
-        return [identity for _ in g_lo]
-    acc = linear_combination(p, streams, width=4)
-    identity = curve.identity()
-    return [identity if a is None else Point(curve, *a) for a in acc]
 
 
 # -- public entry points ------------------------------------------------------

@@ -17,8 +17,10 @@ are ``x1 x2 [f] x3 [q_evals] x4``:
 - at ``x3`` the prover sends every ``q_i(x3)``, from which the verifier
   computes what ``f(x3)`` has to be -- from scalars alone;
 - ``x4`` folds ``f + sum_i x4^(i+1) q_i``, opened at ``x3`` by one
-  :func:`~repro.commit.ipa.open_polynomial`.  Its commitment is one MSM
-  in which ``[f]`` and every claimed commitment appear once.
+  :func:`~repro.commit.ipa.open_polynomial`.  The verifier never sums
+  its commitment: ``[f]`` and every claimed commitment enter the IPA
+  reduction's one MSM (:func:`~repro.commit.ipa.reduce_opening`) as
+  terms, beside the opening's own points.
 
 Each polynomial thus reveals one evaluation more than the proof claims
 (``q_i(x3)``); DESIGN.md 5m counts the blinding that pays for it.
@@ -33,7 +35,6 @@ from repro.algebra.poly import divide_by_linear, evaluate_coeffs
 from repro.commit.ipa import IpaProof, commit_polynomial, open_polynomial
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
-from repro.ecc.msm import msm
 from repro.proving.recursion import Accumulator
 from repro.transcript import Transcript
 
@@ -146,7 +147,7 @@ def multi_verify(
     passes.
     """
     p = field.p
-    # Structural rejection before the combining MSM: such a proof can
+    # Structural rejection before the reduction's MSM: such a proof can
     # never verify, so fail before doing the expensive group arithmetic
     # on attacker-controlled input.
     if (
@@ -191,5 +192,5 @@ def multi_verify(
             scalars.append(x4_power * weight % p)
         x2_power, x4_power = x2_power * x2 % p, x4_power * x4 % p
     return accumulator.defer_opening(
-        params, transcript, msm(bases, scalars), x3, expected, opening, field
+        params, transcript, (bases, scalars), x3, expected, opening, field
     )

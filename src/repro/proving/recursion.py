@@ -33,6 +33,8 @@ performs the single combined check.  Lifecycle rules:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.algebra.field import Field
 from repro.commit.ipa import IpaProof, reduce_opening
 from repro.commit.params import PublicParams
@@ -82,7 +84,7 @@ class Accumulator:
         self,
         params: PublicParams,
         transcript: Transcript,
-        commitment: Point,
+        commitment: tuple[Sequence[Point], Sequence[int]],
         x: int,
         value: int,
         proof: IpaProof,
@@ -90,8 +92,10 @@ class Accumulator:
     ) -> bool:
         """Run the logarithmic checks now; stash the MSM claim.
 
-        Returns False if the proof is structurally malformed (callers
-        treat that as an immediate verification failure).  Raises
+        ``commitment`` is a ``(bases, scalars)`` combination, as
+        :func:`~repro.commit.ipa.reduce_opening` takes it.  Returns
+        False if the proof is structurally malformed (callers treat
+        that as an immediate verification failure).  Raises
         :class:`~repro.errors.StateError` when ``params`` is not the
         exact parameter set this accumulator is bound to (equal size is
         not enough: different generators fold into the wrong bases) or

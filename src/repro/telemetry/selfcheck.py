@@ -4,8 +4,11 @@
 circuit (paper Example 2.1 + a 4-bit range lookup) with telemetry
 enabled, writes ``trace.jsonl`` and ``span_tree.txt`` to ``OUTDIR``,
 and exits non-zero unless the trace contains every expected prover
-phase span, exactly one ``ipa.open`` (one opening per proof) and the
-phase wall-times cover >= 95% of the prove root.
+phase span, exactly one ``ipa.open`` (one opening per proof), the
+phase wall-times cover >= 95% of the prove root, and the MSM counters
+say where the group work went: the prover makes no generic MSM and one
+fixed-base MSM per commitment plus two per IPA round, the verifier
+exactly one generic MSM.
 
 The example circuit builders here are also the golden-value fixture
 for :class:`~repro.telemetry.circuit.CircuitReport` tests.
@@ -23,6 +26,13 @@ EXAMPLE_K = 5
 
 #: Direct children the "prove" root must contain after one create_proof.
 EXPECTED_PHASES = ("prove.keygen", *(span for span, _, _ in ROUNDS))
+
+_MSM_COUNTERS = ("msm.calls", "msm.fixed_base_calls")
+
+
+def _msm_counts() -> list[float]:
+    snapshot = telemetry.counters_snapshot()
+    return [snapshot.get(name, 0) for name in _MSM_COUNTERS]
 
 
 def example_circuit():
@@ -80,11 +90,18 @@ def example_assignment(cs, cols, x=7, y=11, z=13):
 
 def run_instrumented_prove():
     """One fully-instrumented example prove; returns the prove root
-    span.  The tracer must already be enabled."""
+    span.  The tracer must already be enabled.
+
+    The MSM counters are read between ``create_proof`` and
+    ``verify_proof`` and set on the root: ``prover_msm_calls`` /
+    ``prover_fixed_base_calls``, ``verifier_msm_calls`` /
+    ``verifier_fixed_base_calls``, and ``expected_fixed_base_calls``
+    (the circuit's commitments plus two per IPA round)."""
     from repro.algebra import SCALAR_FIELD
     from repro.commit import setup
     from repro.proving import create_proof, keygen, verify_proof
     from repro.proving.keygen import finalize_fixed
+    from repro.telemetry.circuit import CircuitReport
 
     cs, cols = example_circuit()
     asg, _ = example_assignment(cs, cols)
@@ -94,13 +111,28 @@ def run_instrumented_prove():
         with telemetry.span("prove.keygen"):
             pk = keygen(params, cs, SCALAR_FIELD, EXAMPLE_K)
             finalize_fixed(pk, asg)
+        before = _msm_counts()
         proof = create_proof(pk, asg)
+        proved = _msm_counts()
     finally:
         root.end()
     telemetry.observe("prove.seconds", root.duration)
     instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
     if not verify_proof(pk.vk, proof, instance):
         raise AssertionError("selfcheck proof did not verify")
+    verified = _msm_counts()
+    report = CircuitReport.from_constraint_system(cs, EXAMPLE_K)
+    (prover_calls, prover_fixed), (verifier_calls, verifier_fixed) = (
+        [b - a for a, b in zip(start, end)]
+        for start, end in ((before, proved), (proved, verified))
+    )
+    root.set(
+        prover_msm_calls=prover_calls,
+        prover_fixed_base_calls=prover_fixed,
+        verifier_msm_calls=verifier_calls,
+        verifier_fixed_base_calls=verifier_fixed,
+        expected_fixed_base_calls=report.estimated_commit_msms() + 2 * EXAMPLE_K,
+    )
     return root
 
 
@@ -139,9 +171,17 @@ def main(argv: list[str] | None = None) -> int:
             f"phase coverage {report['phase_coverage']:.1%} < 95%"
         )
     counters = tracer.counters_snapshot()
-    for counter in ("msm.calls", "fft.calls", "field.inversions"):
+    for counter in ("fft.calls", "field.inversions"):
         if counters.get(counter, 0) <= 0:
             failures.append(f"counter {counter!r} never incremented")
+    work = root.attrs
+    for name, expected in (
+        ("prover_msm_calls", 0),
+        ("prover_fixed_base_calls", work["expected_fixed_base_calls"]),
+        ("verifier_msm_calls", 1),
+    ):
+        if work[name] != expected:
+            failures.append(f"{name} = {work[name]:g}, expected {expected}")
 
     # Histograms: the kernel observe() sites must have recorded, and
     # the whole registry must render as valid Prometheus text format.

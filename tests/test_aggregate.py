@@ -242,7 +242,7 @@ def _defer_real_opening(acc, params, value_offset=0):
     tp = Transcript(b"t")
     proof = open_polynomial(params, tp, coeffs, blind, x, F)
     tv = Transcript(b"t")
-    return acc.defer_opening(params, tv, commitment, x, value, proof, F)
+    return acc.defer_opening(params, tv, ([commitment], [1]), x, value, proof, F)
 
 
 class TestAccumulatorLifecycle:

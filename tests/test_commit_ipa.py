@@ -2,6 +2,8 @@
 proof sizes, and the deferred (accumulated) verification path."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import Polynomial, SCALAR_FIELD
 from repro.algebra.field import deterministic_rng
@@ -12,7 +14,12 @@ from repro.commit import (
     setup,
     verify_opening,
 )
-from repro.commit.ipa import IpaProof, reduce_opening
+from repro.commit.ipa import (
+    IpaProof,
+    _extend_products,
+    _folded_b,
+    reduce_opening,
+)
 from repro.ecc.msm import msm_naive
 from repro.proving.recursion import Accumulator
 from repro.transcript import Transcript
@@ -152,9 +159,10 @@ class TestIpaOpening:
 def _open_two_scalar_fold(params, transcript, coeffs, blind, x):
     """The protocol as the module docstring states it -- the base is
     folded ``u^-1 * g_lo + u * g_hi`` by per-element scalar
-    multiplication, every ``L`` / ``R`` a generic MSM -- as the oracle
-    for the scaled one-scalar fold and for round 0's cross terms, which
-    the prover takes from the parameter set's fixed-base tables."""
+    multiplication, every ``L`` / ``R`` a generic MSM over the folded
+    base -- as the oracle for the prover, which never materialises the
+    folded base and takes every ``L`` / ``R`` from the parameter set's
+    fixed-base tables."""
     p, n = F.p, params.n
     a = [c % p for c in coeffs] + [0] * (n - len(coeffs))
     b = [pow(x, i, p) for i in range(n)]
@@ -185,14 +193,24 @@ def _open_two_scalar_fold(params, transcript, coeffs, blind, x):
     return IpaProof(rounds=rounds, a=a[0], blind=r)
 
 
-class TestScaledBaseFold:
-    # k = 6 folds 32 elements with the vectorised schedule first; below
-    # that every fold is per element.
-    @pytest.mark.parametrize("k", [3, 5, 6])
-    def test_same_bytes_as_the_two_scalar_fold(self, k, rng):
+class TestFixedBaseRounds:
+    @pytest.mark.parametrize(
+        "k, length, x, blind",
+        [
+            *(
+                pytest.param(k, 1 << k, "random", "random", id=str(k))
+                for k in (1, 2, 3, 5, 6, 7)
+            ),
+            pytest.param(5, 11, "random", "random", id="short"),  # zero-padded
+            pytest.param(5, 32, 0, "random", id="x0"),
+            pytest.param(5, 32, "random", 0, id="blind0"),
+        ],
+    )
+    def test_same_bytes_as_the_two_scalar_fold(self, k, length, x, blind, rng):
         params = setup(k)
-        coeffs = [rng.randrange(F.p) for _ in range(params.n)]
-        blind, x = rng.randrange(F.p), rng.randrange(F.p)
+        coeffs = [rng.randrange(F.p) for _ in range(length)]
+        blind = rng.randrange(F.p) if blind == "random" else blind
+        x = rng.randrange(F.p) if x == "random" else x
         commitment = commit_polynomial(params, coeffs, blind)
         value = Polynomial(F, coeffs).evaluate(x)
 
@@ -211,6 +229,36 @@ class TestScaledBaseFold:
         assert verify_opening(params, transcript(), commitment, x, value, proof, F)
 
 
+class TestVerifierFold:
+    """``reduce_opening`` builds ``s`` round by round and evaluates the
+    folded ``b`` as a product over rounds; the oracles are the O(n k)
+    bit loop and the O(n) sum those replace."""
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.integers(1, F.p - 1), min_size=8, max_size=8),
+        st.one_of(st.just(0), st.integers(0, F.p - 1)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_products_and_b_match_the_per_bit_oracle(self, k, us, x):
+        p, n = F.p, 1 << k
+        challenges = us[:k]
+        inverses = [pow(u, p - 2, p) for u in challenges]
+        # s[i] = prod over bits of i of (u_j if bit set else u_j^-1),
+        # with round 0 folding the top half (most significant bit).
+        expected = [1] * n
+        for j, (u, u_inv) in enumerate(zip(challenges, inverses)):
+            stride = 1 << (k - 1 - j)
+            for i in range(n):
+                expected[i] = expected[i] * (u if i & stride else u_inv) % p
+        s = [1]
+        for u, u_inv in zip(challenges, inverses):
+            s = _extend_products(s, u, u_inv, p)
+        assert s == expected
+        b = sum(si * pow(x, i, p) for i, si in enumerate(expected)) % p
+        assert _folded_b(challenges, inverses, x, p) == b
+
+
 class TestDeferredVerification:
     def test_reduce_matches_verify(self, params_k6, rng):
         coeffs = [rng.randrange(F.p) for _ in range(30)]
@@ -221,7 +269,9 @@ class TestDeferredVerification:
         tp = Transcript(b"t")
         proof = open_polynomial(params_k6, tp, coeffs, blind, x, F)
         tv = Transcript(b"t")
-        reduced = reduce_opening(params_k6, tv, commitment, x, value, proof, F)
+        reduced = reduce_opening(
+            params_k6, tv, ([commitment], [1]), x, value, proof, F
+        )
         assert reduced is not None
 
     def test_accumulator_batches_many_openings(self, params_k6, rng):
@@ -235,7 +285,9 @@ class TestDeferredVerification:
             tp = Transcript(b"t")
             proof = open_polynomial(params_k6, tp, coeffs, blind, x, F)
             tv = Transcript(b"t")
-            assert acc.defer_opening(params_k6, tv, commitment, x, value, proof, F)
+            assert acc.defer_opening(
+                params_k6, tv, ([commitment], [1]), x, value, proof, F
+            )
         assert acc.deferred_count == 3
         assert acc.finalize()
 
@@ -250,9 +302,65 @@ class TestDeferredVerification:
         wrong_value = (Polynomial(F, coeffs).evaluate(x) + 1) % F.p
         tv = Transcript(b"t")
         assert acc.defer_opening(
-            params_k6, tv, commitment, x, wrong_value, proof, F
+            params_k6, tv, ([commitment], [1]), x, wrong_value, proof, F
         )  # structurally fine, deferred
         assert not acc.finalize()  # but the combined check fails
 
     def test_empty_accumulator_finalizes(self, params_k6):
         assert Accumulator(params_k6, F).finalize()
+
+
+class TestGroupWork:
+    """Where the opening's group work goes, counted on the benchmark's
+    Q1 at k=7: the prover makes no generic MSM at all -- every
+    commitment and both cross terms of every IPA round run against the
+    fixed-base tables -- and the verifier makes exactly one, beside the
+    accumulator's fixed-base finalize."""
+
+    COUNTERS = ("msm.calls", "msm.glv_splits", "msm.fixed_base_calls")
+
+    def test_q1_k7(self):
+        from repro import telemetry
+        from repro.plonkish import Assignment
+        from repro.proving import create_proof, keygen, verify_proof
+        from repro.proving.keygen import finalize_fixed
+        from repro.sql.compiler import QueryCompiler
+        from repro.sql.parser import parse
+        from repro.sql.planner import Planner
+        from repro.telemetry.circuit import CircuitReport
+        from repro.tpch import QUERIES, generate
+
+        k = 7
+        db = generate(32, seed=1)
+        plan = Planner(db).plan(parse(QUERIES["Q1"]))
+        compiled = QueryCompiler(db, k, 4, 32, 40).compile(plan)
+        asg = Assignment(compiled.cs, F, k)
+        compiled.assign_witness(asg, db)
+        pk = keygen(setup(k), compiled.cs, F, k)
+        finalize_fixed(pk, asg)
+        instance = [
+            asg.instance_values(column)[: asg.usable_rows]
+            for column in compiled.cs.instance_columns
+        ]
+
+        def counts():
+            snapshot = telemetry.counters_snapshot()
+            return [snapshot.get(name, 0) for name in self.COUNTERS]
+
+        previous = telemetry.enable(True)
+        try:
+            before = counts()
+            proof = create_proof(pk, asg)
+            proved = counts()
+            assert verify_proof(pk.vk, proof, instance)
+            verified = counts()
+        finally:
+            telemetry.enable(previous)
+        commits = CircuitReport.from_constraint_system(
+            compiled.cs, k
+        ).estimated_commit_msms()
+        calls, splits, fixed = (b - a for a, b in zip(before, proved))
+        assert (calls, splits) == (0, 0)
+        assert fixed == commits + 2 * k
+        calls, _, fixed = (b - a for a, b in zip(proved, verified))
+        assert (calls, fixed) == (1, 1)

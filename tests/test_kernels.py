@@ -27,7 +27,7 @@ from repro.commit.pedersen import pedersen_commit
 from repro.ecc import PALLAS, VESTA
 from repro.ecc import fixed_base, glv
 from repro.ecc.curve import Point
-from repro.ecc.msm import fold_bases, msm, msm_naive
+from repro.ecc.msm import msm, msm_naive
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 
@@ -195,18 +195,6 @@ class TestTwoLevelCollapse:
             assert fixed_base.fixed_base_msm(tables, column) == msm_naive(
                 bases, column
             )
-
-
-class TestFoldBases:
-    def test_fold_matches_per_element(self, field):
-        rng = random.Random(19)
-        m = 48  # above the vectorized threshold
-        g_lo = _points(m, seed=19)
-        g_hi = _points(m, seed=23)
-        u = rng.randrange(1, field.p)
-        u_inv = field.inv(u)
-        ref = [msm([lo, hi], [u_inv, u]) for lo, hi in zip(g_lo, g_hi)]
-        assert fold_bases(g_lo, g_hi, u_inv, u) == ref
 
 
 class TestNttPlans:

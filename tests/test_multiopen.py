@@ -14,6 +14,7 @@ import pytest
 from repro.algebra import SCALAR_FIELD as F
 from repro.algebra.poly import evaluate_coeffs
 from repro.commit import setup
+from repro.commit import ipa
 from repro.commit.ipa import commit_polynomial
 from repro.proving import multiopen
 from repro.proving.multiopen import OpeningClaim, PointSet, multi_open, multi_verify
@@ -175,7 +176,8 @@ class TestRejection:
         def unreachable(*args, **kwargs):
             raise AssertionError("structural check let the message through")
 
-        monkeypatch.setattr(multiopen, "msm", unreachable)
+        # The claims' commitments are combined inside the IPA reduction's MSM.
+        monkeypatch.setattr(ipa, "msm", unreachable)
         claimed = public(sets)
         assert not accepts(params, (f_commitment, q_evals[:-1], opening), claimed)
         short = type(opening)(opening.rounds[:-1], opening.a, opening.blind)

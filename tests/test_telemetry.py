@@ -473,7 +473,8 @@ class TestSessionReport:
         assert abs(
             sum(report["phases"].values()) - report["total_seconds"]
         ) <= 0.05 * report["total_seconds"]
-        assert report["counters"].get("msm.points", 0) > 0
+        assert report["counters"].get("msm.fixed_base_points", 0) > 0
+        assert report["counters"].get("msm.points", 0) == 0
         assert report["gauges"].get("proof.bytes", 0) > 0
         # timing stays populated alongside the report.
         assert response.timing.total > 0
