@@ -62,6 +62,18 @@ def deterministic_rng(seed: int) -> Iterator[None]:
     finally:
         _RNG_LOCAL.rng = previous
 
+
+def forget_deterministic_rng() -> None:
+    """Drop this thread's :func:`deterministic_rng` stream, so
+    :meth:`Field.rand` draws from ``secrets`` again.
+
+    A process forked inside a seeded scope inherits the stream; the
+    proving service's runner processes call this first, so a job
+    without ``rng_seed`` never draws blinds that anyone holding the
+    seed could predict."""
+    _RNG_LOCAL.rng = None
+
+
 # The Pasta primes (as used by zcash/halo2).
 PALLAS_BASE_MODULUS = (
     0x40000000000000000000000000000000224698FC094CF91B992D30ED00000001

@@ -117,10 +117,14 @@ class ServiceConfig:
     Attributes
     ----------
     workers:
-        Long-lived prover workers.  Each worker keeps its own warm
-        proving-key cache (one entry per circuit fingerprint), so a
-        worker pays keygen/unpickling once per distinct query shape
-        instead of once per job.
+        Long-lived prover workers, and the number of processes that
+        prove: worker 0 proves in the service's own process, each
+        further worker in a process forked when the service opens (so
+        ``workers=1`` forks nothing, and on a host with fewer cores
+        than workers the extra ones buy nothing).  Each worker keeps
+        its own warm proving-key cache (one entry per circuit
+        fingerprint), so a worker pays keygen/unpickling once per
+        distinct query shape instead of once per job.
     max_queue_depth:
         Hard bound on jobs waiting in the queue.  A ``HIGH``-priority
         submission is shed only at this depth.

@@ -35,6 +35,7 @@ schedule differs.
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 from typing import TYPE_CHECKING, Sequence
@@ -220,6 +221,16 @@ _REGISTRY: dict[_Key, FixedBaseTables] = {}
 #: covers the lock table itself.
 _LOCKS: dict[_Key, threading.Lock] = {}
 _LOCKS_GUARD = threading.Lock()
+
+
+def _new_locks_after_fork() -> None:
+    # A parent thread may have held any of these at the fork; in the
+    # child nothing would ever release them.
+    global _LOCKS, _LOCKS_GUARD
+    _LOCKS, _LOCKS_GUARD = {}, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_locks_after_fork)
 
 #: Optional artifact cache for cross-run persistence (see
 #: :func:`configure_cache`; sessions attach their cache here).

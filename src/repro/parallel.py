@@ -18,12 +18,14 @@ Design rules (every consumer relies on them):
 - **No nesting.**  A forked worker inherits this module's globals; the
   parent-PID guard makes ``pmap`` inside a worker run serially instead
   of deadlocking on the inherited pool.
-- **Thread-safe dispatch.**  The proving service's worker threads call
-  ``pmap`` concurrently; pool creation is locked so exactly one
-  process pool ever exists, and ``ProcessPoolExecutor`` serializes the
-  submissions themselves.  ``configure``/``parallelism`` remain
-  process-global settings -- scope them at session setup, not from
-  concurrent jobs.
+- **Thread-safe dispatch.**  Several threads may call ``pmap`` at once
+  (a session's own thread beside the proving service's worker 0); pool
+  creation is locked so exactly one process pool ever exists, and
+  ``ProcessPoolExecutor`` serializes the submissions themselves.  The
+  service's forked runner processes set ``configure(0)``, so
+  ``REPRO_WORKERS`` never starts one pool per worker.
+  ``configure``/``parallelism`` remain process-global settings -- scope
+  them at session setup, not from concurrent jobs.
 
 Configure globally with :func:`configure` (or the ``REPRO_WORKERS``
 environment variable), or per-scope with the :func:`parallelism`
@@ -106,14 +108,26 @@ class WorkerPool:
         return [f.result() for f in futures]
 
     def close(self) -> None:
-        if self._executor is not None:
+        # A forked child only drops its copy: the executor is the
+        # parent's to shut down.
+        if self._executor is not None and os.getpid() == self._parent_pid:
             self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self._executor = None
 
 
 _workers: int = _env_workers()
 _pool: WorkerPool | None = None
 _pool_lock = threading.Lock()
+
+
+def _new_lock_after_fork() -> None:
+    # A parent thread may have held it at the fork; in the child nothing
+    # would ever release it.
+    global _pool_lock
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_lock_after_fork)
 
 
 def configure(workers: int | None) -> None:

@@ -16,15 +16,18 @@ seeded RNG, it:
 - and, in the crash scenario, **tears the journal tail** the way a
   process dying between ``write()`` and completion would.
 
-:func:`run_chaos_suite` drives four scenarios over a real (small-``k``)
-session and asserts the service's core invariants after each:
+:func:`scenario_runner_kill` needs no injector: it SIGKILLs a worker's
+runner process mid-prove, for real.  :func:`run_chaos_suite` drives five
+scenarios over a real (small-``k``) session and asserts the service's
+core invariants after each:
 
 1. no accepted job is ever lost (every submitted job reaches a
    terminal state with its waiter released),
 2. no job completes twice (``Job.completions == 1``),
 3. recovered and retried proofs are **byte-identical** to the
    journaled/baseline digests under their pinned ``rng_seed``,
-4. the worker farm returns to full strength after every kill.
+4. the worker farm returns to full strength after every kill, and a
+   closed or aborted service leaves no runner process behind.
 
 Run it from the command line (the CI ``chaos-smoke`` job)::
 
@@ -40,7 +43,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -236,6 +242,69 @@ def scenario_worker_kill(session, expected, seed: int) -> dict[str, Any]:
         }
 
 
+def runner_processes() -> list:
+    """This process's live runner processes (the forked workers of every
+    open service)."""
+    return [
+        child for child in multiprocessing.active_children()
+        if child.name.endswith("-runner")
+    ]
+
+
+def scenario_runner_kill(session, expected) -> dict[str, Any]:
+    """A real process death: worker 1's runner is SIGKILLed mid-prove.
+
+    The worker reads EOF and dies with its job; the supervisor must
+    retry the orphan and respawn the worker with a fresh runner, the
+    retried proof must be byte-identical, and neither ``close()`` nor
+    ``abort()`` may leave a runner process behind."""
+    from repro.service.service import ProvingService
+
+    config = ServiceConfig(
+        workers=2,
+        max_retries=2,
+        retry_backoff_seconds=0.01,
+        retry_backoff_max=0.05,
+        supervisor_interval=0.02,
+    )
+    with ProvingService(session, config) as service:
+        victim_pid = service.health()["workers"]["prover-worker-1"]["pid"]
+        job_ids = [
+            service.submit(sql, rng_seed=s) for sql, s in CHAOS_QUERIES
+        ]
+        victim = None
+        deadline = time.time() + 60
+        while victim is None and time.time() < deadline:
+            for status in map(service.status, job_ids):
+                # An open prove span: the runner is mid-prove.
+                if status.worker == "prover-worker-1" and status.span_path:
+                    victim = status.job_id
+            time.sleep(0.001)
+        assert victim is not None, "runner-kill: worker 1 never proved"
+        os.kill(victim_pid, signal.SIGKILL)
+        for job_id in job_ids:
+            service.wait(job_id, timeout=300)
+        _assert_invariants(service, expected, "runner-kill")
+        assert service.status(victim).attempts == 1, (
+            "runner-kill: the orphaned job was not retried exactly once"
+        )
+        health = service.health()
+        restarted = service.workers_restarted
+        assert restarted == 1, f"runner-kill: {restarted} respawns"
+        assert health["healthy"], "runner-kill: farm not back at full strength"
+        assert len(health["workers"]) == config.workers
+        assert health["workers"]["prover-worker-1"]["pid"] != victim_pid
+    assert not runner_processes(), "runner-kill: close() left a runner"
+    aborted = ProvingService(session, config)
+    aborted.abort()
+    assert not runner_processes(), "runner-kill: abort() left a runner"
+    return {
+        "killed_pid": victim_pid,
+        "victim": str(victim),
+        "workers_restarted": restarted,
+    }
+
+
 def scenario_duplicate_pops(session, expected, seed: int) -> dict[str, Any]:
     """The queue hands the same job to two workers (duplicated pop) and
     slows others down; ``Job.claim`` must serialize them so each job
@@ -380,6 +449,9 @@ def run_chaos_suite(
         }
         report["scenarios"]["worker_kill"] = scenario_worker_kill(
             session, expected, seed
+        )
+        report["scenarios"]["runner_kill"] = scenario_runner_kill(
+            session, expected
         )
         report["scenarios"]["duplicate_pops"] = scenario_duplicate_pops(
             session, expected, seed + 1

@@ -182,8 +182,8 @@ class Job:
         #: One trace per job: stamped onto every root span the job's
         #: prover thread (and its fork-pool tasks) opens.
         self.trace_id = f"trace-{secrets.token_hex(8)}"
-        #: Names of the currently-open spans on the job's worker
-        #: thread, root first (maintained by the scheduler's observer).
+        #: Names of the currently-open spans of the job's prove, root
+        #: first (mirrored from the runner's span events).
         self.open_spans: list[str] = []
         self.sql = sql
         self.priority = Priority(priority)
@@ -207,7 +207,8 @@ class Job:
         self.submitted_at = time.time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        #: Set exactly once, when the job reaches a terminal state.
+        #: Set exactly once, after the job's terminal transition (and,
+        #: for a worker-finished job, its journal record).
         self.done = threading.Event()
         #: Guards every state transition (claim/requeue/finish/cancel).
         self._lock = threading.Lock()
@@ -254,7 +255,7 @@ class Job:
     def requeue(self) -> bool:
         """Move a non-terminal job back to QUEUED for a retry."""
         with self._lock:
-            if self.done.is_set():
+            if self.completions:
                 return False
             self.state = JobState.QUEUED
             self.worker = None
@@ -266,24 +267,37 @@ class Job:
         racing ``claim`` loses); the caller completes with
         :meth:`finish`."""
         with self._lock:
-            if self.state is not JobState.QUEUED or self.done.is_set():
+            if self.state is not JobState.QUEUED or self.completions:
                 return False
             self.state = JobState.CANCELLED
             return True
 
-    def finish(self, state: JobState, error: str | None = None) -> bool:
+    def finish(
+        self, state: JobState, error: str | None = None, *, release: bool = True
+    ) -> bool:
         """Move to a terminal state exactly once; False if already
-        terminal (the double-completion guard)."""
+        terminal (the double-completion guard).
+
+        With ``release=False`` the waiters stay blocked until
+        :meth:`release`: the caller first makes the outcome durable
+        (journal record, histogram, event), so no client holds a result
+        that a crash could still lose."""
         with self._lock:
-            if self.done.is_set():
+            if self.completions:
                 return False
             self.state = state
             self.error = error
             self.finished_at = time.time()
             self.phase = None
             self.completions += 1
-            self.done.set()
-            return True
+        if release:
+            self.release()
+        return True
+
+    def release(self) -> None:
+        """Wake :meth:`~repro.service.ProvingService.wait` callers (after
+        a :meth:`finish` with ``release=False``)."""
+        self.done.set()
 
     def snapshot(self, queue_position: int | None = None) -> JobStatus:
         return JobStatus(

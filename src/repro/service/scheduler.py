@@ -1,62 +1,69 @@
 """The prover farm: long-lived workers draining the job queue, and
 the supervisor that keeps the farm at full strength.
 
-Each :class:`ProverWorker` is a daemon thread owning a
+Each :class:`ProverWorker` is a daemon thread in the service process
+that claims jobs, journals and reports them, and hands each prove to
+its *runner* (:mod:`repro.service.runner`): worker 0's runner is the
+service's own process, every other worker's is a process forked when
+the worker is spawned.  The runner owns a
 :meth:`~repro.system.prover_node.ProverNode.worker_clone` of the
 session's prover.  The clone shares the heavyweight read-only state
 (database, public parameters, published commitment and its secrets, the
-on-disk artifact cache) but carries a private warm-key mapping, so a
-worker pays key generation -- or even just the disk-cache unpickle --
-once per :meth:`~repro.plonkish.constraint_system.ConstraintSystem.fingerprint`
+on-disk artifact cache) -- by reference in the service, by ``fork`` in
+a runner process -- but carries a private warm-key mapping, so a worker
+pays key generation -- or even just the disk-cache unpickle -- once per
+:meth:`~repro.plonkish.constraint_system.ConstraintSystem.fingerprint`
 and serves every later job of the same query shape from memory.  The
 fixed-base MSM tables live in the process-wide registry
-(:mod:`repro.ecc.fixed_base`) with its registry -> disk -> build
-fallback, so all workers share one warm copy.
+(:mod:`repro.ecc.fixed_base`), built once before the workers spawn, so
+every runner starts with a warm copy.
 
 Failure handling is layered:
 
-- A job exception is caught at the worker loop and *classified*: the
-  typed :class:`~repro.errors.ReproError` hierarchy (plus
-  ``ValueError`` / ``TypeError``-shaped input errors) is deterministic
-  -- the same SQL would fail the same way -- so the job goes straight
-  to ``FAILED``.  Anything else (a transient resource error, an
-  injected crash) is offered to the service's retry policy, which may
-  re-enqueue the job with exponential backoff.
+- A failed job comes back from the runner *classified*: the typed
+  :class:`~repro.errors.ReproError` hierarchy (plus ``ValueError`` /
+  ``TypeError``-shaped input errors) is deterministic -- the same SQL
+  would fail the same way -- so the job goes straight to ``FAILED``.
+  Anything else (a transient resource error, a prover bug) is offered
+  to the service's retry policy, which may re-enqueue the job with
+  exponential backoff.
 - :class:`WorkerKilled` (a ``BaseException``, so no job-level handler
   swallows it) takes down the whole worker thread with its job still
-  ``RUNNING`` -- the fault-injection model of a thread dying mid-job.
-  The :class:`Supervisor` detects the dead thread, hands the orphaned
-  job to the retry policy, and respawns a replacement so the farm
-  returns to full capacity.
+  ``RUNNING`` -- the fault-injection model of a worker dying mid-job.
+  A runner process that dies (EOF on its pipe, e.g. SIGKILL) is the
+  same event.  The :class:`Supervisor` detects the dead thread, hands
+  the orphaned job to the retry policy, and respawns the worker with a
+  new runner so the farm returns to full capacity.
 - Deadlines are enforced cooperatively through the telemetry span
-  observer the worker already installs for live phase tracking: every
-  span begin/end on the job's thread checks the wall-clock budget and
-  aborts the prove with a :class:`~repro.errors.DeadlineExceeded`
-  failure when it is spent (an internal ``BaseException`` carries the
-  abort through the observer dispatch, which only swallows
-  ``Exception``).
+  observer the runner installs for live phase tracking: every span
+  begin/end on the job's thread checks the wall-clock budget and aborts
+  the prove with a :class:`~repro.errors.DeadlineExceeded` failure when
+  it is spent.
 
-Live phase progress comes from the same span stream: while a worker
-runs a job it mirrors every ``prove.*`` span begin/end onto the job
+Live phase progress comes from the same span stream: the runner sends
+every span begin/end of the job, and the worker mirrors it onto the job
 record (the same spans that later form the response's phase report).
+
+A terminal transition is made durable before anyone hears of it: the
+journal record, the ``service.prove_seconds`` sample and the event come
+first, and only then are the job's waiters woken.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
-from contextlib import nullcontext
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import telemetry
-from repro.algebra.field import deterministic_rng
-from repro.errors import RecoveryMismatch, ReproError
+from repro.errors import RecoveryMismatch
 from repro.service.jobs import Job, JobState
 from repro.service.queue import JobQueue
+from repro.service.runner import DEADLINE, TRANSIENT, JobOutcome, JobRequest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.system.prover_node import ProverNode
+    from repro.service.runner import ForkedRunner, InProcessRunner
 
 #: ``on_event(event, job)`` callback the service installs to observe
 #: job lifecycle transitions (``"started"`` / ``"finished"`` /
@@ -69,20 +76,14 @@ RetryHook = Callable[[Job, str], bool]
 
 
 class WorkerKilled(BaseException):
-    """Kills a worker thread mid-job (fault injection).
+    """Kills a worker thread mid-job (fault injection, or its runner
+    process died).
 
     Deliberately a ``BaseException``: the per-job crash containment
     catches ``Exception``-shaped failures, but a *worker death* must
     leave the job ``RUNNING`` and orphaned for the supervisor to
     recover -- the scenario the chaos suite drives.
     """
-
-
-class _DeadlineAbort(BaseException):
-    """Internal cooperative-abort signal raised by the deadline check
-    inside the worker's span observer.  A ``BaseException`` so it
-    passes through the tracer's observer dispatch (which contains
-    ``Exception`` only) and unwinds the prove."""
 
 
 def response_digest(response) -> str:
@@ -94,30 +95,37 @@ def response_digest(response) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-def is_deterministic_failure(exc: BaseException) -> bool:
-    """Whether retrying the same SQL could possibly succeed.
-
-    The typed hierarchy is the classifier: every intentional
-    :class:`~repro.errors.ReproError` (config, wire format, state,
-    verification) is a property of the input, as are ``ValueError`` /
-    ``TypeError`` parse-shaped errors.  Everything else -- resource
-    exhaustion, injected crashes, genuine prover bugs -- is treated as
-    transient and eligible for bounded retry.
-    """
-    return isinstance(exc, (ReproError, ValueError, TypeError, KeyError))
+def mirror_span(job: Job, event: str, name: str, seconds: float) -> None:
+    """Apply one span event of the job's runner to its live status: the
+    open span path for ``status()`` and the ``prove*`` phase
+    bookkeeping."""
+    if event == "begin":
+        job.open_spans.append(name)
+    elif job.open_spans and job.open_spans[-1] == name:
+        job.open_spans.pop()
+    if not name.startswith("prove"):
+        return
+    if event == "begin":
+        job.phase = name
+    else:
+        job.phases[name] = job.phases.get(name, 0.0) + seconds
+        if job.phase == name:
+            job.phase = None
 
 
 class ProverWorker(threading.Thread):
-    """One long-lived prover worker thread."""
+    """One long-lived prover worker: a thread in the service process
+    and the runner that proves its jobs."""
 
-    def __init__(self, name: str, queue: JobQueue, prover: "ProverNode",
+    def __init__(self, name: str, queue: JobQueue,
+                 runner: "InProcessRunner | ForkedRunner",
                  poll_interval: float = 0.05,
                  on_event: Optional[JobEventHook] = None,
                  retry: Optional[RetryHook] = None,
                  chaos=None):
         super().__init__(name=name, daemon=True)
         self._queue = queue
-        self._prover = prover
+        self._runner = runner
         self._poll = poll_interval
         self._on_event = on_event
         self._retry = retry
@@ -137,9 +145,29 @@ class ProverWorker(threading.Thread):
     def stop_requested(self) -> bool:
         return self._stop_event.is_set()
 
+    @property
+    def pid(self) -> int | None:
+        """The process the worker's jobs run in."""
+        return self._runner.pid
+
+    @property
+    def alive(self) -> bool:
+        """Whether the thread and its runner are both alive."""
+        return self.is_alive() and self._runner.is_alive()
+
+    def stop_runner(self, timeout: float) -> None:
+        """Stop the runner once the thread is done with it; a thread
+        still mid-job gets its runner killed (and then reads EOF)."""
+        if self.is_alive():
+            self._runner.kill()
+        else:
+            self._runner.close(timeout)
+
     def run(self) -> None:  # pragma: no branch - loop structure
         try:
             while not self._stop_event.is_set():
+                if not self._runner.is_alive():
+                    raise WorkerKilled(f"{self.name}'s runner exited")
                 job = self._queue.pop(timeout=self._poll)
                 if job is None:
                     if self._queue.closed:
@@ -166,85 +194,85 @@ class ProverWorker(threading.Thread):
         if job.deadline_passed(job.started_at):
             # Expired while queued: fail at dequeue, never prove.
             telemetry.incr("service.deadline_exceeded")
-            job.finish(
+            self.finish_job(
+                job,
                 JobState.FAILED,
-                error=(
-                    f"DeadlineExceeded: {job.deadline_seconds}s deadline "
-                    "passed while queued"
-                ),
+                f"DeadlineExceeded: {job.deadline_seconds}s deadline "
+                "passed while queued",
             )
-            self.failed += 1
-            telemetry.incr("service.jobs_failed")
-            self._emit("failed", job)
             self._current = None
             return
         self._emit("started", job)
-        observer = self._phase_observer(job)
-        telemetry.add_span_observer(observer)
-        died = False
+        request = JobRequest(
+            job.sql, job.rng_seed, str(job.job_id), job.trace_id,
+            job.deadline_at,
+        )
         try:
             if self._chaos is not None:
                 self._chaos.on_prove(job, self.name)
-            seed_scope = (
-                deterministic_rng(job.rng_seed)
-                if job.rng_seed is not None
-                else nullcontext()
-            )
-            # Every root span the job opens here -- on this thread or a
-            # fork-pool worker -- carries the job's trace identity, so
-            # write_trace can stitch one tree per job afterwards.
-            with telemetry.job_scope(
-                job_id=str(job.job_id), trace_id=job.trace_id
-            ), seed_scope:
-                response = self._prover.answer(job.sql)
-            digest = response_digest(response)
-            if (
+            outcome = self._runner.run(request, partial(mirror_span, job))
+        except (EOFError, OSError) as exc:
+            raise WorkerKilled(f"{self.name}'s runner died mid-job") from exc
+        finally:
+            job.open_spans.clear()
+        self._conclude(job, outcome)
+        self._current = None
+
+    def _conclude(self, job: Job, outcome: JobOutcome) -> None:
+        """Turn the runner's outcome into the job's next state."""
+        if outcome.failure is None:
+            digest = response_digest(outcome.response)
+            mismatch = (
                 job.expected_digest is not None
                 and job.rng_seed is not None
                 and digest != job.expected_digest
-            ):
-                raise RecoveryMismatch(
-                    f"replayed proof digest {digest} != journaled "
-                    f"{job.expected_digest} for {job.job_id}"
-                )
-            job.response = response
-            job.result_digest = digest
-            if job.finish(JobState.DONE):
-                self.completed += 1
-                telemetry.incr("service.jobs_done")
-                self._emit("finished", job)
-        except WorkerKilled:
-            died = True
-            raise
-        except _DeadlineAbort:
+            )
+            if not mismatch:
+                job.response = outcome.response
+                job.result_digest = digest
+                self.finish_job(job, JobState.DONE)
+                return
+            error = (
+                f"{RecoveryMismatch.__name__}: replayed proof digest "
+                f"{digest} != journaled {job.expected_digest} for "
+                f"{job.job_id}"
+            )
+        elif outcome.failure == DEADLINE:
             telemetry.incr("service.deadline_exceeded")
-            if job.finish(
-                JobState.FAILED,
-                error=(
-                    f"DeadlineExceeded: aborted mid-prove after its "
-                    f"{job.deadline_seconds}s deadline"
-                ),
-            ):
-                self.failed += 1
-                telemetry.incr("service.jobs_failed")
-                self._emit("failed", job)
-        except BaseException as exc:  # a job must never kill the worker
-            error = f"{type(exc).__name__}: {exc}"
+            error = (
+                f"DeadlineExceeded: aborted mid-prove after its "
+                f"{job.deadline_seconds}s deadline"
+            )
+        else:
+            error = outcome.error or "unknown error"
             if (
-                not is_deterministic_failure(exc)
+                outcome.failure == TRANSIENT
                 and self._retry is not None
                 and self._retry(job, error)
             ):
-                pass  # re-enqueued; the job is not terminal
-            elif job.finish(JobState.FAILED, error=error):
+                return  # re-enqueued; the job is not terminal
+        self.finish_job(job, JobState.FAILED, error)
+
+    def finish_job(
+        self, job: Job, state: JobState, error: str | None = None
+    ) -> None:
+        """The terminal transition, durable before it is visible: the
+        ``finished`` / ``failed`` event (journal record, histogram,
+        event log) goes out first, then the job's waiters wake.  The
+        supervisor uses it for a dead worker's orphan too."""
+        if not job.finish(state, error=error, release=False):
+            return
+        try:
+            if state is JobState.DONE:
+                self.completed += 1
+                telemetry.incr("service.jobs_done")
+                self._emit("finished", job)
+            else:
                 self.failed += 1
                 telemetry.incr("service.jobs_failed")
                 self._emit("failed", job)
         finally:
-            telemetry.remove_span_observer(observer)
-            job.open_spans.clear()
-            if not died:
-                self._current = None
+            job.release()
 
     def _emit(self, event: str, job: Job) -> None:
         """Deliver a lifecycle event to the service hook; a broken hook
@@ -255,36 +283,6 @@ class ProverWorker(threading.Thread):
             self._on_event(event, job)
         except Exception:
             telemetry.incr("service.event_hook_errors")
-
-    def _phase_observer(self, job: Job):
-        """A span observer mirroring this thread's spans onto ``job``
-        (other threads' spans are ignored): the live span path for
-        ``status()``, the ``prove*`` phase bookkeeping, and the
-        cooperative deadline check."""
-        thread_id = threading.get_ident()
-        deadline = job.deadline_at
-
-        def observe(span, event: str) -> None:
-            if threading.get_ident() != thread_id:
-                return
-            if deadline is not None and time.time() > deadline:
-                raise _DeadlineAbort()
-            name = getattr(span, "name", "")
-            if event == "begin":
-                job.open_spans.append(name)
-            else:
-                if job.open_spans and job.open_spans[-1] == name:
-                    job.open_spans.pop()
-            if not name.startswith("prove"):
-                return
-            if event == "begin":
-                job.phase = name
-            else:
-                job.phases[name] = job.phases.get(name, 0.0) + span.duration
-                if job.phase == name:
-                    job.phase = None
-
-        return observe
 
 
 class Supervisor(threading.Thread):

@@ -18,17 +18,22 @@ pieces:
   existing journal replays it -- interrupted (and completed-in-memory)
   jobs are re-enqueued and re-proved, byte-identical to the journaled
   result digest under a pinned ``rng_seed``;
-- a **supervisor** that respawns dead worker threads (recovering their
+- a **supervisor** that respawns dead workers (recovering their
   orphaned jobs) and releases retry-backoff jobs;
 - **retry with exponential backoff + jitter** for jobs that die with a
   worker or fail non-deterministically (never for typed deterministic
   failures), bounded by ``max_retries``;
 - **per-tenant admission quotas** on top of the priority lanes.
 
+Each worker is a thread here plus a *runner* that proves its jobs:
+worker 0's runner is this process, every other worker's a process
+forked at spawn (:mod:`repro.service.runner`), so ``workers=N`` proves
+in N processes.
+
 The service is a context manager; ``close()`` stops admissions,
 cancels still-queued jobs (their waiters are released with a
 ``CANCELLED`` terminal state, never left hanging), and joins the
-worker threads.
+worker threads and their runner processes.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from repro.service.jobs import (
     advance_seq,
 )
 from repro.service.queue import JobQueue
+from repro.service.runner import ForkedRunner, InProcessRunner
 from repro.service.scheduler import ProverWorker, Supervisor
 from repro.telemetry import promtext
 from repro.telemetry.obs import ErrorRing, EventLog
@@ -161,10 +167,20 @@ class ProvingService:
         return cls(session, config, journal_path=journal_path, chaos=chaos)
 
     def _spawn_worker(self, index: int) -> ProverWorker:
+        """Worker ``index`` with a fresh prover clone (an empty warm key
+        cache) and its runner: this process for worker 0, a freshly
+        forked process -- inheriting the committed database, parameters
+        and the fixed-base tables ``_warm_start`` built -- for the
+        rest."""
+        name = f"prover-worker-{index}"
+        prover = self.session.prover.worker_clone(key_cache={})
         return ProverWorker(
-            name=f"prover-worker-{index}",
+            name=name,
             queue=self.queue,
-            prover=self.session.prover.worker_clone(key_cache={}),
+            runner=(
+                InProcessRunner(prover) if index == 0
+                else ForkedRunner(prover, name=f"{name}-runner")
+            ),
             poll_interval=self.config.poll_interval,
             on_event=self._on_job_event,
             retry=self._maybe_retry,
@@ -390,12 +406,21 @@ class ProvingService:
                 entry for entry in self._retries if entry[2] is not job
             ]
             heapq.heapify(self._retries)
-        job.finish(JobState.CANCELLED, error="cancelled by client")
-        telemetry.incr("service.jobs_cancelled")
-        self._journal_append("cancelled", job, error="cancelled by client")
-        self.events_log.emit(
-            "cancelled", job_id=job.job_id, trace_id=job.trace_id
-        )
+        self._cancel(job, "cancelled by client")
+
+    def _cancel(self, job: Job, error: str) -> None:
+        """Finish ``job`` as ``CANCELLED``, journaled before its waiters
+        wake (a no-op for a job already terminal)."""
+        if not job.finish(JobState.CANCELLED, error=error, release=False):
+            return
+        try:
+            telemetry.incr("service.jobs_cancelled")
+            self._journal_append("cancelled", job, error=error)
+            self.events_log.emit(
+                "cancelled", job_id=job.job_id, trace_id=job.trace_id
+            )
+        finally:
+            job.release()
 
     def _on_job_event(self, event: str, job: Job) -> None:
         """Worker-thread hook: one call per job lifecycle transition
@@ -500,9 +525,10 @@ class ProvingService:
             if orphan is not None and not orphan.done.is_set():
                 error = f"worker {worker.name} died mid-job"
                 if not self._maybe_retry(orphan, error):
-                    if orphan.finish(JobState.FAILED, error=error):
-                        telemetry.incr("service.jobs_failed")
-                        self._on_job_event("failed", orphan)
+                    worker.finish_job(orphan, JobState.FAILED, error)
+            # A dead runner is reaped; a live one (only the thread died)
+            # exits at EOF.
+            worker.stop_runner(self.config.shutdown_timeout)
             replacement = self._spawn_worker(i)
             self.workers[i] = replacement
             replacement.start()
@@ -524,9 +550,7 @@ class ProvingService:
             try:
                 self.queue.push(job, force=True)
             except ServiceClosed:
-                job.finish(
-                    JobState.CANCELLED, error="cancelled at service shutdown"
-                )
+                self._cancel(job, "cancelled at service shutdown")
 
     def status(self, job_id: JobId) -> JobStatus:
         """A point-in-time snapshot of the job's state, queue position,
@@ -543,19 +567,19 @@ class ProvingService:
         Raises :class:`~repro.errors.JobFailed` for failed or
         cancelled jobs and :class:`~repro.errors.StateError` when the
         job has not reached a terminal state yet (use :meth:`wait` to
-        block).
+        block) -- or has, but its journal record is not written yet.
         """
         job = self._get(job_id)
+        if not job.done.is_set():
+            raise StateError(
+                f"{job_id} is {job.state.value}; wait() for it to finish"
+            )
         if job.state == JobState.DONE:
             assert job.response is not None
             return job.response
         if job.state == JobState.FAILED:
             raise JobFailed(job_id, job.error or "unknown error")
-        if job.state == JobState.CANCELLED:
-            raise JobFailed(job_id, job.error or "cancelled")
-        raise StateError(
-            f"{job_id} is {job.state.value}; wait() for it to finish"
-        )
+        raise JobFailed(job_id, job.error or "cancelled")
 
     def wait(self, job_id: JobId, timeout: float | None = None) -> "QueryResponse":
         """Block until the job finishes, then return :meth:`result`.
@@ -683,16 +707,19 @@ class ProvingService:
     def health(self) -> dict[str, Any]:
         """An operational snapshot for liveness probes and dashboards.
 
-        Built from the service's own records (worker threads, queue,
-        job table, error ring), so it is meaningful even with telemetry
-        disabled.  Shape::
+        Built from the service's own records (workers and their
+        runners, queue, job table, journal, error ring), so it is
+        meaningful even with telemetry disabled.  ``healthy`` is False
+        once any worker's thread or runner process is dead, or a
+        configured journal has self-disabled after a write error (the
+        service keeps proving, but no longer durably).  Shape::
 
             {
-              "healthy": bool,            # every worker thread alive
+              "healthy": bool,
               "closed": bool,
               "uptime_seconds": float,
-              "workers": {name: {"alive", "current_job", "completed",
-                                 "failed"}},
+              "workers": {name: {"alive", "pid", "current_job",
+                                 "completed", "failed"}},
               "workers_restarted": int,
               "supervisor_alive": bool,
               "queue": {"depth", "depths": {lane: n}, "max_depth",
@@ -714,7 +741,8 @@ class ProvingService:
         for worker in self.workers:
             current = worker._current
             workers[worker.name] = {
-                "alive": worker.is_alive(),
+                "alive": worker.alive,
+                "pid": worker.pid,
                 "current_job": str(current.job_id) if current else None,
                 "completed": worker.completed,
                 "failed": worker.failed,
@@ -737,7 +765,8 @@ class ProvingService:
         warm_hits = int(counters.get("keygen.warm_hits", 0))
         return {
             "healthy": (not self._closed)
-            and all(info["alive"] for info in workers.values()),
+            and all(info["alive"] for info in workers.values())
+            and (self.journal is None or self.journal.active),
             "closed": self._closed,
             "uptime_seconds": time.time() - self.started_at,
             "workers": workers,
@@ -772,7 +801,7 @@ class ProvingService:
             registry.gauge(f"service.queue_depth.{lane.lower()}", depth)
         registry.gauge(
             "service.workers_alive",
-            sum(1 for worker in self.workers if worker.is_alive()),
+            sum(1 for worker in self.workers if worker.alive),
         )
         registry.gauge("service.uptime_seconds", time.time() - self.started_at)
         return promtext.render_registry(registry)
@@ -790,12 +819,13 @@ class ProvingService:
         return self._closed
 
     def close(self) -> None:
-        """Stop admissions, cancel queued jobs, and join the workers.
+        """Stop admissions, cancel queued jobs, and join the workers
+        and their runner processes.
 
         Running jobs are allowed to finish (bounded by
-        ``config.shutdown_timeout`` per worker join); queued and
-        retry-pending jobs are finished as ``CANCELLED`` so every
-        waiter is released.
+        ``config.shutdown_timeout`` per worker join; a runner still
+        proving after that is killed); queued and retry-pending jobs
+        are finished as ``CANCELLED`` so every waiter is released.
         """
         if self._closed:
             return
@@ -805,16 +835,7 @@ class ProvingService:
             pending_retries = [job for _, _, job in self._retries]
             self._retries.clear()
         for job in self.queue.close() + pending_retries:
-            if job.finish(
-                JobState.CANCELLED, error="cancelled at service shutdown"
-            ):
-                telemetry.incr("service.jobs_cancelled")
-                self._journal_append(
-                    "cancelled", job, error="cancelled at service shutdown"
-                )
-                self.events_log.emit(
-                    "cancelled", job_id=job.job_id, trace_id=job.trace_id
-                )
+            self._cancel(job, "cancelled at service shutdown")
         # Supervisor first: a tick caught mid-respawn has published a
         # replacement worker it has not started yet, and joining that
         # raises.
@@ -823,6 +844,7 @@ class ProvingService:
             worker.request_stop()
         for worker in self.workers:
             worker.join(timeout=self.config.shutdown_timeout)
+            worker.stop_runner(self.config.shutdown_timeout)
         self.events_log.emit("closed", uptime_seconds=round(
             time.time() - self.started_at, 6
         ))
@@ -835,17 +857,21 @@ class ProvingService:
         closest an in-process API can come to a crash.
 
         Queued jobs are left un-cancelled (exactly as a killed process
-        would leave them) and nothing further is journaled, so a
-        subsequent :meth:`open` on the same journal exercises real
-        recovery.  A test/chaos aid; production code wants
-        :meth:`close`.
+        would leave them), runner processes are killed mid-job, and
+        nothing further is journaled, so a subsequent :meth:`open` on
+        the same journal exercises real recovery.  A test/chaos aid;
+        production code wants :meth:`close`.
         """
         if self._closed:
             return
         self._closed = True
         self.supervisor.request_stop()
+        # A tick caught mid-respawn must not fork a runner after the
+        # kills below.
+        self.supervisor.join(timeout=self.config.shutdown_timeout)
         for worker in self.workers:
             worker.request_stop()
+            worker.stop_runner(timeout=0)  # mid-job or not
         self.queue.close()
         if self.journal is not None:
             self.journal.close()

@@ -59,6 +59,7 @@ _ENV_ENABLE = "REPRO_TELEMETRY"
 
 #: The ambient tracer every instrumentation site reports to.
 _TRACER = Tracer(enabled=bool(os.environ.get(_ENV_ENABLE)))
+os.register_at_fork(after_in_child=_TRACER.after_fork)
 
 
 def get_tracer() -> Tracer:

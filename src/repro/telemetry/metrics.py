@@ -326,6 +326,12 @@ class MetricsRegistry:
             self._gauges = {}
             self._histograms = {}
 
+    def after_fork(self) -> None:
+        """In a forked child: a new lock, since a parent thread may
+        have held the old one at the fork and never will release it
+        here."""
+        self._lock = threading.Lock()
+
 
 def _series_key(snap: HistogramSnapshot) -> str:
     if not snap.labels:

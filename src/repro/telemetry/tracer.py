@@ -429,6 +429,15 @@ class Tracer:
         self.metrics.reset()
         self._local = threading.local()
 
+    def after_fork(self) -> None:
+        """In a forked child, where only the forking thread survives: new
+        locks (another parent thread may have held the old ones at the
+        fork), and no span observers (they belonged to parent threads
+        that do not exist here)."""
+        self._lock = threading.Lock()
+        self._observers = []
+        self.metrics.after_fork()
+
     def iter_spans(self) -> Iterator[Span]:
         """Every finished span, pre-order per root."""
         with self._lock:

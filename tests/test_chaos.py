@@ -2,10 +2,10 @@
 
 Three layers, all real crypto (small ``k``):
 
-- the in-process chaos scenarios (worker kills, duplicate pops, torn
-  journal tails, cache corruption) from :mod:`repro.service.chaos`,
-  each asserting the no-lost / no-double-completion / byte-identity
-  invariants;
+- the in-process chaos scenarios (worker kills, a SIGKILLed runner
+  process, duplicate pops, torn journal tails, cache corruption) from
+  :mod:`repro.service.chaos`, each asserting the no-lost /
+  no-double-completion / byte-identity invariants;
 - the **SIGKILL end-to-end**: a child process opens a journaled
   service, reaches one job mid-prove with two more queued, and is
   killed with signal 9 -- then this process replays its journal and
@@ -31,6 +31,7 @@ from repro.service.chaos import (
     scenario_cache_corruption,
     scenario_crash_recovery,
     scenario_duplicate_pops,
+    scenario_runner_kill,
     scenario_worker_kill,
 )
 from repro.service.scheduler import response_digest
@@ -54,6 +55,11 @@ class TestChaosScenarios:
         report = scenario_worker_kill(session, expected, seed=11)
         assert report["kills"] == 2
         assert report["workers_restarted"] >= 2
+
+    def test_runner_kill_supervisor_recovers(self, chaos_env):
+        session, expected = chaos_env
+        report = scenario_runner_kill(session, expected)
+        assert report["workers_restarted"] == 1
 
     def test_duplicate_pops_complete_exactly_once(self, chaos_env):
         session, expected = chaos_env

@@ -12,6 +12,8 @@ median while letting in-band noise through.
 """
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -372,16 +374,21 @@ def make_db():
 
 @pytest.fixture()
 def stub_session(monkeypatch, tele):
-    """A committed session whose provers answer instantly under a
-    telemetry span (so jobs produce stitched traces), with gates for
-    blocking and crash injection."""
-    gate = threading.Event()
+    """A committed session whose provers answer quickly under a
+    telemetry span (so jobs produce stitched traces), with a fork-safe
+    gate for blocking (worker 1 proves in a forked runner) and crash
+    injection."""
+    gate = multiprocessing.get_context("fork").Event()
 
     def fake_answer(self, sql):
         with telemetry.span("prove", sql=sql):
             with telemetry.span("prove.stub_phase"):
                 if sql.startswith("block"):
                     assert gate.wait(timeout=30), "test gate never released"
+                elif sql.startswith("q"):
+                    # Long enough that concurrent jobs spread over both
+                    # workers of a two-worker service.
+                    time.sleep(0.02)
             if sql.startswith("crash"):
                 raise RuntimeError("injected prover crash")
         return f"response:{sql}"
@@ -444,6 +451,11 @@ class TestServiceObservability:
             assert (
                 sum(info["completed"] for info in workers.values()) == 8
             )
+            # Worker 1 proved in its own process, and its jobs count in
+            # every total below.
+            assert workers["prover-worker-1"]["completed"] >= 1
+            assert workers["prover-worker-0"]["pid"] == os.getpid()
+            assert workers["prover-worker-1"]["pid"] != os.getpid()
 
             # The exposition is valid Prometheus text format and the
             # prove-latency histogram saw every job.
@@ -481,6 +493,29 @@ class TestServiceObservability:
         health = service.health()
         assert health["closed"] is True
         assert health["healthy"] is False
+
+    def test_lost_journal_makes_the_service_unhealthy(
+        self, stub_session, tmp_path
+    ):
+        """A journal that self-disabled after a write error is lost
+        durability: health must say so, not stay green."""
+        session, _ = stub_session
+        journal_path = tmp_path / "jobs.journal"
+        with session.serve(
+            ServiceConfig(workers=1), journal_path=journal_path
+        ) as service:
+            service.wait(service.submit("q-before"), timeout=10)
+            assert service.health()["healthy"] is True
+            # The journal's file turns unwritable under the running
+            # service.
+            service.journal._handle.close()
+            service.journal._handle = open(journal_path, "rb")
+            service.wait(service.submit("q-after"), timeout=10)
+            health = service.health()
+            assert health["journal"]["active"] is False
+            assert health["workers"]["prover-worker-0"]["alive"]
+            assert health["healthy"] is False
+        assert telemetry.counters_snapshot()["service.journal_errors"] >= 1
 
     def test_worker_crash_surfaces_in_health(self, stub_session):
         session, _ = stub_session
@@ -548,8 +583,10 @@ class TestServiceObservability:
             assert root.attrs["trace_id"] == status.trace_id
             assert root.name == "prove"
             assert [c.name for c in root.children] == ["prove.stub_phase"]
-        # Distinct jobs, distinct traces.
+        # Distinct jobs, distinct traces -- worker 1's included, shipped
+        # back from its runner process.
         assert len({s.trace_id for s in statuses.values()}) == 4
+        assert any(s.worker == "prover-worker-1" for s in statuses.values())
 
     def test_span_path_reported_while_running(self, stub_session):
         session, gate = stub_session

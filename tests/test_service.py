@@ -10,14 +10,23 @@ Two layers of tests:
   ordering, load shedding, crash containment, cancellation, timeouts.
   These pin the service's concurrency behavior deterministically
   without paying for proofs.
+
+Worker 0 proves in this process; worker 1 and up in forked runner
+processes.  A stub or gate a job on worker 1 must see is therefore
+fork-safe (a ``multiprocessing`` event from the fork context), and
+:func:`hold_worker_0` pins a job onto a runner.
 """
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
 import pytest
 
-from repro import PoneglyphDB, ProverConfig, ServiceConfig
+from repro import PoneglyphDB, ProverConfig, ServiceConfig, telemetry
+from repro.algebra import SCALAR_FIELD
 from repro.algebra.field import deterministic_rng
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
@@ -29,13 +38,51 @@ from repro.errors import (
     ServiceOverloaded,
     StateError,
 )
-from repro.service import JobState, Priority, ProvingService
+from repro.service import JobState, Priority, ProvingService, replay
+from repro.service.chaos import runner_processes
+from repro.service.runner import ForkedRunner
 from repro.system import ProverNode
 
 SQL_COUNT = "select count(*) as n from t"
 SQL_SUM = "select sum(v) as s from t where v < 40"
 SEED_COUNT = 0xC0DE
 SEED_SUM = 0xBEEF
+
+#: A job that blocks on the test's gate in this process (worker 0) and
+#: answers at once in a runner process.
+HOLD = "hold"
+
+
+def fork_event():
+    return multiprocessing.get_context("fork").Event()
+
+
+def hold_worker_0(service):
+    """Park worker 0 -- this process -- on a ``HOLD`` job, so the next
+    job has to run on a forked runner.  Returns the held job."""
+    for _ in range(50):
+        job = service.submit(HOLD)
+        assert wait_for(lambda: service.status(job).worker is not None)
+        if service.status(job).worker == "prover-worker-0":
+            return job
+        service.wait(job, timeout=30)  # a runner answered it at once
+    raise AssertionError("worker 0 never took a held job")
+
+
+def hold_in_this_process(monkeypatch, gate):
+    """The real prover, except that ``HOLD`` waits on ``gate`` here
+    and answers at once in a runner process."""
+    service_pid = os.getpid()
+    real_answer = ProverNode.answer
+
+    def answer(self, sql, *args, **kwargs):
+        if sql != HOLD:
+            return real_answer(self, sql, *args, **kwargs)
+        if os.getpid() == service_pid:
+            assert gate.wait(timeout=60), "test gate never released"
+        return f"response:{sql}"
+
+    monkeypatch.setattr(ProverNode, "answer", answer)
 
 
 def make_db():
@@ -244,16 +291,26 @@ class TestRollup:
 @pytest.fixture()
 def stub_session(monkeypatch):
     """A committed session whose provers return fake responses
-    instantly, with an optional gate to hold the worker mid-job."""
-    gate = threading.Event()
+    instantly, with a fork-safe gate to hold a worker mid-job
+    (``block*`` jobs on any worker, ``HOLD`` on worker 0 only).
+
+    ``order`` lists the prover calls made in this process -- every call
+    of a ``workers=1`` service; a test whose jobs may run on worker 1
+    reads order from ``JobStatus`` timestamps instead."""
+    gate = fork_event()
     order = []
+    service_pid = os.getpid()
 
     def fake_answer(self, sql):
-        if sql.startswith("block"):
+        if sql.startswith("block") or (
+            sql == HOLD and os.getpid() == service_pid
+        ):
             assert gate.wait(timeout=30), "test gate never released"
         if sql.startswith("crash"):
             raise RuntimeError("injected prover crash")
         order.append(sql)
+        if sql.startswith("blind"):  # draws a blinding factor
+            return f"response:{sql}:{SCALAR_FIELD.rand()}"
         return f"response:{sql}"
 
     monkeypatch.setattr(ProverNode, "answer", fake_answer)
@@ -603,6 +660,195 @@ class TestDeadlines:
             # The worker survives the abort and serves the next job.
             ok = service.submit(SQL_COUNT, rng_seed=SEED_COUNT)
             service.wait(ok, timeout=60)
+
+    def test_deadline_aborts_mid_prove_on_worker_1(
+        self, real_run, monkeypatch
+    ):
+        """The same abort inside a runner process: its span stream
+        carries the deadline check across the fork."""
+        session = real_run["session"]
+        gate = fork_event()
+        hold_in_this_process(monkeypatch, gate)
+        with session.serve(ServiceConfig(workers=2)) as service:
+            held = hold_worker_0(service)
+            # Worker 1's first job is cold (compile + keygen), well
+            # past a 0.1 s budget.
+            job = service.submit(
+                SQL_COUNT, rng_seed=SEED_COUNT, deadline_seconds=0.1
+            )
+            with pytest.raises(JobFailed, match="aborted mid-prove"):
+                service.wait(job, timeout=60)
+            assert service.status(job).worker == "prover-worker-1"
+            # The runner survives the abort and serves the next job.
+            ok = service.submit(SQL_COUNT, rng_seed=SEED_COUNT)
+            response = service.wait(ok, timeout=60)
+            assert service.status(ok).worker == "prover-worker-1"
+            assert response.wire_bytes() == (
+                real_run["sync"]["count"].wire_bytes()
+            )
+            gate.set()
+            service.wait(held, timeout=30)
+
+
+class TestRunnerProcesses:
+    """Worker 0 proves in this process, workers 1..N-1 in forked
+    runners."""
+
+    def test_workers_n_means_n_processes(self, stub_session):
+        session, *_ = stub_session
+        with session.serve(ServiceConfig(workers=1)) as service:
+            assert runner_processes() == []  # workers=1 forks nothing
+            health = service.health()
+            assert health["workers"]["prover-worker-0"]["pid"] == os.getpid()
+        with session.serve(ServiceConfig(workers=3)) as service:
+            pids = {
+                name: info["pid"]
+                for name, info in service.health()["workers"].items()
+            }
+            assert pids["prover-worker-0"] == os.getpid()
+            assert sorted(p.pid for p in runner_processes()) == sorted(
+                [pids["prover-worker-1"], pids["prover-worker-2"]]
+            )
+        assert runner_processes() == []
+
+    def test_job_on_worker_1_byte_identical_to_sync(
+        self, real_run, monkeypatch
+    ):
+        session = real_run["session"]
+        gate = fork_event()
+        hold_in_this_process(monkeypatch, gate)
+        with session.serve(ServiceConfig(workers=2)) as service:
+            held = hold_worker_0(service)
+            job = service.submit(SQL_SUM, rng_seed=SEED_SUM)
+            response = service.wait(job, timeout=60)
+            status = service.status(job)
+            gate.set()
+            service.wait(held, timeout=30)
+        assert status.worker == "prover-worker-1"
+        assert response.wire_bytes() == real_run["sync"]["sum"].wire_bytes()
+        assert response.result == real_run["sync"]["sum"].result
+        # The runner's spans reached the job's live status.
+        assert "prove.multiopen" in status.phases
+
+    def test_runner_forked_inside_a_seed_scope_draws_fresh_blinds(
+        self, stub_session
+    ):
+        """A runner forked inside ``deterministic_rng`` must not prove a
+        seedless job with the scope's predictable stream."""
+        session, gate, _ = stub_session
+        with deterministic_rng(7):
+            predictable = f"response:blind:{SCALAR_FIELD.rand()}"
+        draws = []
+        for _ in range(2):
+            gate.clear()
+            with deterministic_rng(7):
+                service = session.serve(ServiceConfig(workers=2))
+            with service:
+                held = hold_worker_0(service)
+                job = service.submit("blind")
+                draws.append(service.wait(job, timeout=10))
+                assert service.status(job).worker == "prover-worker-1"
+                gate.set()
+                service.wait(held, timeout=10)
+        assert draws[0] != draws[1]
+        assert predictable not in draws
+
+    def test_runner_respawned_while_telemetry_locks_are_held(
+        self, real_run, monkeypatch
+    ):
+        """The supervisor forks a replacement runner while other threads
+        run.  Locks one of them held at that instant must not deadlock
+        the new runner: it has to finish a job."""
+        session = real_run["session"]
+        gate = fork_event()
+        hold_in_this_process(monkeypatch, gate)
+        locks = (
+            telemetry.get_tracer()._lock, telemetry.metrics_registry()._lock
+        )
+        fork = ForkedRunner.__init__
+
+        def fork_while_locked(self, *args, **kwargs):
+            held, forked = threading.Event(), threading.Event()
+
+            def holder():
+                with locks[0], locks[1]:
+                    held.set()
+                    forked.wait(timeout=30)
+
+            thread = threading.Thread(target=holder)
+            thread.start()
+            assert held.wait(timeout=10)
+            try:
+                fork(self, *args, **kwargs)
+            finally:
+                forked.set()
+                thread.join(timeout=10)
+
+        config = ServiceConfig(workers=2, supervisor_interval=0.02)
+        with session.serve(config) as service:
+            first = service.workers[1].pid
+            monkeypatch.setattr(ForkedRunner, "__init__", fork_while_locked)
+            os.kill(first, signal.SIGKILL)  # idle: no job to retry
+            assert wait_for(
+                lambda: service.workers_restarted == 1
+                and service.workers[1].alive,
+                timeout=30,
+            )
+            assert service.workers[1].pid != first
+            held = hold_worker_0(service)
+            job = service.submit(SQL_SUM, rng_seed=SEED_SUM)
+            response = service.wait(job, timeout=60)
+            assert service.status(job).worker == "prover-worker-1"
+            assert response.wire_bytes() == (
+                real_run["sync"]["sum"].wire_bytes()
+            )
+            gate.set()
+            service.wait(held, timeout=30)
+
+    def test_dead_runner_makes_its_worker_not_alive(self, stub_session):
+        session, *_ = stub_session
+        # No supervisor tick during the test: the dead worker stays dead.
+        config = ServiceConfig(workers=2, supervisor_interval=60.0)
+        with session.serve(config) as service:
+            os.kill(service.workers[1].pid, signal.SIGKILL)
+            assert wait_for(
+                lambda: not service.health()["workers"]["prover-worker-1"][
+                    "alive"
+                ]
+            )
+            health = service.health()
+            assert health["healthy"] is False
+            assert health["workers"]["prover-worker-0"]["alive"]
+
+
+class TestDurability:
+    def test_waiters_wake_only_after_the_outcome_is_journaled(
+        self, stub_session, monkeypatch, tmp_path
+    ):
+        """``wait()`` returns no proof -- and no failure -- whose journal
+        record a crash could still lose."""
+        session, _, _ = stub_session
+        journal_path = tmp_path / "jobs.journal"
+        released = []
+        on_job_event = ProvingService._on_job_event
+
+        def recording_hook(self, event, job):
+            if event in ("finished", "failed"):
+                released.append((event, job.done.is_set()))
+            on_job_event(self, event, job)
+
+        monkeypatch.setattr(ProvingService, "_on_job_event", recording_hook)
+        with session.serve(
+            ServiceConfig(workers=1), journal_path=journal_path
+        ) as service:
+            ok = service.submit("durable")
+            service.wait(ok, timeout=10)
+            assert replay(journal_path).jobs[str(ok)].state == "done"
+            bad = service.submit("crash-1")
+            with pytest.raises(JobFailed):
+                service.wait(bad, timeout=10)
+            assert replay(journal_path).jobs[str(bad)].state == "failed"
+        assert released == [("finished", False), ("failed", False)]
 
 
 class TestQueueRaces:
