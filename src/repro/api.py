@@ -61,7 +61,8 @@ class Session:
 
     Create via :meth:`PoneglyphDB.open`.  The session is a context
     manager; leaving the ``with`` block (or calling :meth:`close`)
-    restores the global parallelism setting it overrode.
+    restores the global parallelism, telemetry and field-backend
+    settings it overrode; so does a construction that raises.
     """
 
     def __init__(
@@ -89,21 +90,25 @@ class Session:
         self._closed = False
 
         self.params_cache_hit = False
-        if params is None:
+        try:
+            if params is None:
+                if self.cache.enabled:
+                    params, self.params_cache_hit = cached_setup(
+                        self.cache, config.k, config.curve
+                    )
+                else:
+                    params = setup(config.k, config.curve)
+            self.params = params
             if self.cache.enabled:
-                params, self.params_cache_hit = cached_setup(
-                    self.cache, config.k, config.curve
-                )
-            else:
-                params = setup(config.k, config.curve)
-        self.params = params
-        if self.cache.enabled:
-            # Let the kernel layer persist its fixed-base MSM tables
-            # next to the cached parameters they derive from.
-            from repro.ecc import fixed_base
+                # Let the kernel layer persist its fixed-base MSM tables
+                # next to the cached parameters they derive from.
+                from repro.ecc import fixed_base
 
-            fixed_base.configure_cache(self.cache)
-        self.prover = ProverNode(db, params, config=config, cache=self.cache)
+                fixed_base.configure_cache(self.cache)
+            self.prover = ProverNode(db, params, config=config, cache=self.cache)
+        except BaseException:
+            self.close()  # a failed open leaves no global setting changed
+            raise
         self._verifier: VerifierNode | None = None
 
     # -- lifecycle ------------------------------------------------------

@@ -77,9 +77,12 @@ class ProverConfig:
     curve: Curve = dc_field(default=PALLAS, repr=False)
 
     def __post_init__(self) -> None:
-        if not 2 <= self.k <= self.field.two_adicity:
+        if not isinstance(self.k, int) or not (
+            2 <= self.k <= self.field.two_adicity
+        ):
             raise ConfigError(
-                f"k must be in [2, {self.field.two_adicity}], got {self.k}"
+                f"k must be an integer in [2, {self.field.two_adicity}], "
+                f"got {self.k!r}"
             )
         for name in ("limb_bits", "value_bits", "key_bits"):
             value = getattr(self, name)
@@ -92,8 +95,10 @@ class ProverConfig:
                 f"value_bits ({self.value_bits}) must be at least "
                 f"limb_bits ({self.limb_bits})"
             )
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers}")
+        if not isinstance(self.workers, int) or self.workers < 0:
+            raise ConfigError(
+                f"workers must be a non-negative integer, got {self.workers!r}"
+            )
         if self.field_backend not in ("auto", "python", "numpy"):
             raise ConfigError(
                 "field_backend must be one of 'auto', 'python', 'numpy', "

@@ -173,10 +173,10 @@ class TestEvaluationDomain:
         # Partial count.
         assert domain.lagrange_basis_evals(x, 3) == batch_prefix(domain, x, 3)
 
-
-def batch_prefix(domain, x, count):
-    return [domain.lagrange_basis_eval(i, x) for i in range(count)]
-
     def test_domain_exceeding_two_adicity_rejected(self):
         with pytest.raises(ValueError):
             EvaluationDomain(F, 33)
+
+
+def batch_prefix(domain, x, count):
+    return [domain.lagrange_basis_eval(i, x) for i in range(count)]

@@ -55,15 +55,22 @@ class TestProverConfig:
         [
             {"k": 1},
             {"k": 99},
+            {"k": "7"},
+            {"k": 7.0},
             {"limb_bits": 0},
             {"value_bits": -3},
             {"key_bits": "wide"},
             {"limb_bits": 8, "value_bits": 4},
             {"workers": -1},
+            {"workers": None},
+            {"workers": "2"},
+            {"workers": 2.5},
         ],
     )
     def test_validation_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        """A typed ConfigError (a ValueError) naming the field, never a
+        bare TypeError from a comparison."""
+        with pytest.raises(errors.ConfigError, match=next(iter(kwargs))):
             ProverConfig(**kwargs)
 
     def test_with_options_revalidates(self):
@@ -130,6 +137,30 @@ class TestFacade:
         assert parallel.workers() == 3
         session.close()
         assert parallel.workers() == 0
+
+    def test_failed_open_restores_global_settings(self, tiny_db):
+        """A session whose construction raises leaves no process-global
+        setting behind: workers, telemetry, field backend."""
+        from repro import telemetry
+        from repro.algebra import backend
+        from repro.commit import setup
+
+        parallel.configure(0)
+        previous = telemetry.enable(False)
+        engine = backend.backend_name()
+        other = "numpy" if engine == "python" else "python"
+        try:
+            config = ProverConfig(
+                k=6, workers=3, telemetry=True, use_cache=False,
+                field_backend=other,
+            )
+            with pytest.raises(errors.ConfigError, match="capacity"):
+                PoneglyphDB.open(tiny_db, config, params=setup(4))
+            assert parallel.workers() == 0
+            assert not telemetry.enabled()
+            assert backend.backend_name() == engine
+        finally:
+            telemetry.enable(previous)
 
     def test_shared_params_and_cache(self, tiny_db, tiny_config, tmp_path):
         shared = ArtifactCache(tmp_path / "shared")
