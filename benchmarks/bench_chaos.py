@@ -12,9 +12,10 @@ Measures the cost of the fault-tolerance machinery end to end:
   job has its byte-identical proof again (``recovery_total_seconds``).
 
 Runs standalone (``python benchmarks/bench_chaos.py [--jobs N]
-[--check]``) or under pytest.  ``--check`` exits nonzero unless every
-recovered proof byte-matches its journaled digest and no regression
-trips the trend tracker -- the CI chaos-smoke job gates on it.
+[--check]``) or under pytest.  It exits nonzero unless every
+recovered proof byte-matches its journaled digest and every job comes
+back -- the CI chaos-smoke job gates on it; ``--check`` also prints a
+one-line verdict.
 Results persist to ``benchmarks/results/chaos.{txt,json}``.
 """
 
@@ -25,9 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.bench.harness import timed
+from repro import telemetry
 from repro.bench.reporting import Report
-from repro.bench import trend
 from repro.config import ServiceConfig
 from repro.service.chaos import CHAOS_QUERIES, baseline_digests, build_session
 from repro.service.journal import replay
@@ -52,11 +52,11 @@ def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
 
         # Unjournaled baseline vs. journaled: the WAL's overhead.
         with session.serve(ServiceConfig(workers=2)) as service:
-            _, plain_s = timed(lambda: drain(service))
+            _, plain_s = telemetry.time_call(lambda: drain(service))
         with session.serve(
             ServiceConfig(workers=2), journal_path=workdir / "overhead.journal"
         ) as service:
-            _, journaled_s = timed(lambda: drain(service))
+            _, journaled_s = telemetry.time_call(lambda: drain(service))
 
         # Build a crashed journal: one job done, the rest accepted but
         # unproved, then abort without drain (the crash model).
@@ -72,7 +72,7 @@ def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
 
         # Recovery: journal replay (parse + re-enqueue) and total time
         # back to a fully re-proved state.
-        folded, replay_s = timed(lambda: replay(journal_path))
+        folded, replay_s = telemetry.time_call(lambda: replay(journal_path))
 
         def recover():
             with ProvingService.open(
@@ -90,7 +90,9 @@ def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
                 )
                 return recovered.recovered_jobs, ok, len(responses)
 
-        (recovered_jobs, byte_identical, reproved), recovery_s = timed(recover)
+        (recovered_jobs, byte_identical, reproved), recovery_s = (
+            telemetry.time_call(recover)
+        )
     finally:
         session.close()
 
@@ -146,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero on lost jobs, digest mismatch, or regression",
+        help="print a one-line verdict when every job recovers",
     )
     args = parser.parse_args(argv)
 
@@ -169,17 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if args.check:
-        regressions = trend.track(
-            "chaos",
-            {
-                "replay_seconds": result["replay_seconds"],
-                "recovery_total_seconds": result["recovery_total_seconds"],
-                "recovery_per_job_s": result["recovery_per_job_s"],
-                "journal_overhead_pct": result["journal_overhead_pct"],
-            },
-        )
-        if trend.report_regressions(regressions):
-            return 1
         print(
             f"CHECK OK: {result['recovered_jobs']} jobs recovered "
             f"byte-identically in {result['recovery_total_seconds']:.2f}s"

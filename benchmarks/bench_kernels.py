@@ -18,11 +18,8 @@ Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]
 [--check]``) or under pytest.  ``--check`` exits nonzero unless (with
 numpy installed, at ``--backend-n`` >= 8192) the vector backend clears
 its floor on the NTT and batch-inversion rows, and the narrow column
-costs at most an eighth of its coefficient form's bucket insertions,
-and the example circuit's proof transforms exactly the points and
-commits exactly the quotient chunks the static cost model predicts for
-the quotient-sized domain (counts, so they cannot flake) -- the CI
-backend-matrix numpy leg gates on it.  Results persist to
+costs at most an eighth of its coefficient form's bucket insertions --
+the CI backend-matrix numpy leg gates on it.  Results persist to
 ``benchmarks/results/kernels.{txt,json}``.
 """
 
@@ -36,7 +33,7 @@ from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import SCALAR_FIELD, montgomery_batch_inv
-from repro.bench.harness import BenchConfig, bench_metadata, timed
+from repro.bench.harness import BenchConfig, bench_metadata
 from repro.bench.reporting import Report
 from repro.commit.ipa import commit_lagrange, commit_polynomial
 from repro.commit.params import setup
@@ -67,7 +64,9 @@ def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
         previous = telemetry.enable(True)
         try:
             before = telemetry.counters_snapshot().get("msm.fixed_base_digits", 0)
-            point, seconds = timed(lambda: commit(params, vector, blind))
+            point, seconds = telemetry.time_call(
+                lambda: commit(params, vector, blind)
+            )
             after = telemetry.counters_snapshot()["msm.fixed_base_digits"]
         finally:
             telemetry.enable(previous)
@@ -82,52 +81,6 @@ def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
         "coeffs": coeffs_row,
         "speedup": coeffs_row["seconds"] / values_row["seconds"],
         "digits_frac": values_row["digits"] / coeffs_row["digits"],
-    }
-
-
-def count_quotient_domain() -> dict:
-    """Prove the example circuit with counters on and set four counts
-    beside what the static cost model says they are: the points the
-    proof's transforms covered -- every committed or instance column
-    once over the ``n`` rows and once over the quotient's
-    ``2^extended_k`` coset, plus the quotient's own inverse transform
-    --, the quotient chunks it committed, the commitments it carries in
-    all, and how many of them are lookup helper columns."""
-    from repro.proving import create_proof, keygen
-    from repro.proving.keygen import PERMUTATION_CHUNK, finalize_fixed
-    from repro.telemetry import CircuitReport
-    from repro.telemetry.selfcheck import (
-        EXAMPLE_K,
-        example_assignment,
-        example_circuit,
-    )
-
-    cs, cols = example_circuit()
-    asg, _ = example_assignment(cs, cols)
-    pk = keygen(setup(EXAMPLE_K), cs, SCALAR_FIELD, EXAMPLE_K)
-    finalize_fixed(pk, asg)
-    previous = telemetry.enable(True)
-    try:
-        before = telemetry.counters_snapshot().get("fft.points", 0)
-        proof = create_proof(pk, asg)
-        fft_points = telemetry.counters_snapshot()["fft.points"] - before
-    finally:
-        telemetry.enable(previous)
-    report = CircuitReport.from_constraint_system(cs, EXAMPLE_K, PERMUTATION_CHUNK)
-    # Every commitment but the quotient chunks is a column; the model
-    # books one more MSM than the proof carries points, for the IPA.
-    committed_columns = report.estimated_commit_msms() - report.quotient_chunks - 1
-    columns = committed_columns + report.instance_columns
-    return {
-        "fft_points": int(fft_points),
-        "predicted_fft_points": columns * report.rows
-        + (columns + 1) * (1 << report.extended_k),
-        "h_commitments": len(proof.h_commitments),
-        "predicted_quotient_chunks": report.quotient_chunks,
-        "commitments": sum(is_point for *_, is_point in proof.leaves()),
-        "predicted_commitments": report.estimated_commit_msms() - 1,
-        "helper_commitments": len(proof.lookup_helper_commitments),
-        "predicted_helper_columns": report.lookup_helper_columns,
     }
 
 
@@ -159,29 +112,31 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     # -- NTT: whole transform through the domain's public entry point.
     with field_backend.backend("python"):
         dom.fft(vals)  # warm the plan cache
-        ref_fft, python_fft_s = timed(lambda: dom.fft(vals))
+        ref_fft, python_fft_s = telemetry.time_call(lambda: dom.fft(vals))
     with field_backend.backend("numpy"):
         dom.fft(vals)  # warm the limb twiddle tables
-        fast_fft, numpy_fft_s = timed(lambda: dom.fft(vals))
+        fast_fft, numpy_fft_s = telemetry.time_call(lambda: dom.fft(vals))
     assert fast_fft == ref_fft, "backend NTT diverged from the reference"
 
     # -- batch inversion: resident product tree vs Montgomery ladder.
-    ref_inv, python_inv_s = timed(lambda: montgomery_batch_inv(vals, p))
+    ref_inv, python_inv_s = telemetry.time_call(
+        lambda: montgomery_batch_inv(vals, p)
+    )
     ctx = numpy_limb.ctx_for(p)
     arr = ctx.lift(vals)
     ctx.tree_inv_arr(arr)  # warm the tree arenas
-    fast_arr, numpy_inv_s = timed(lambda: ctx.tree_inv_arr(arr))
+    fast_arr, numpy_inv_s = telemetry.time_call(lambda: ctx.tree_inv_arr(arr))
     assert ctx.lower(fast_arr) == ref_inv, "tree inversion diverged"
 
     # -- Lagrange basis: the fused consumer of the resident inversion.
     x = rng.randrange(p)
     with field_backend.backend("python"):
-        ref_lag, python_lag_s = timed(
+        ref_lag, python_lag_s = telemetry.time_call(
             lambda: dom.lagrange_basis_evals(x, dom.size)
         )
     with field_backend.backend("numpy"):
         dom.lagrange_basis_evals(x, dom.size)  # warm the power table
-        fast_lag, numpy_lag_s = timed(
+        fast_lag, numpy_lag_s = telemetry.time_call(
             lambda: dom.lagrange_basis_evals(x, dom.size)
         )
     assert fast_lag == ref_lag, "backend Lagrange evals diverged"
@@ -205,11 +160,11 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     expr = Product(ColumnQuery(cols[1]), acc)
     get = lambda col: data[id(col)]
     with field_backend.backend("python"):
-        ref_expr, python_expr_s = timed(
+        ref_expr, python_expr_s = telemetry.time_call(
             lambda: evaluate_expression_ext(expr, get, dom.size, 4, p)
         )
     with field_backend.backend("numpy"):
-        fast_expr, numpy_expr_s = timed(
+        fast_expr, numpy_expr_s = telemetry.time_call(
             lambda: evaluate_expression_ext(expr, get, dom.size, 4, p)
         )
     assert fast_expr == ref_expr, "backend expression eval diverged"
@@ -280,32 +235,8 @@ def run_benches(
         f"speedup {narrow['speedup']:.2f}x, insertions "
         f"{narrow['digits_frac']:.3f} of the coefficient form"
     )
-    quotient = results["quotient_domain"] = count_quotient_domain()
-    counts = (
-        ("fft_points", "predicted_fft_points", "transform points"),
-        ("h_commitments", "predicted_quotient_chunks", "quotient chunks"),
-        ("commitments", "predicted_commitments", "commitments"),
-        ("helper_commitments", "predicted_helper_columns", "lookup helper columns"),
-    )
-    report.line(
-        "\nexample circuit proof: "
-        + ", ".join(
-            f"{quotient[got]} {what} (cost model {quotient[want]})"
-            for got, want, what in counts
-        )
-    )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
 
-    wrong = [what for got, want, what in counts if quotient[got] != quotient[want]]
-    if check and wrong:
-        print(
-            f"CHECK FAILED: the example proof and the static cost model "
-            f"disagree on {', '.join(wrong)} ({quotient}): the prover and "
-            "ConstraintSystem.quotient_extension / lookup_arguments have "
-            "come apart",
-            file=sys.stderr,
-        )
-        return {**results, "check_ok": False}
     if check and narrow["digits_frac"] > NARROW_DIGITS_CEILING:
         print(
             "CHECK FAILED: a narrow column costs "
@@ -352,25 +283,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless the field backend clears its floors, "
-        "narrow columns stay narrow in the commit kernel and the "
-        "quotient domain is the size the cost model predicts",
+        help="exit nonzero unless the field backend clears its floors "
+        "and narrow columns stay narrow in the commit kernel",
     )
     args = parser.parse_args(argv)
     results = run_benches(
         BenchConfig(), check=args.check, backend_n=args.backend_n
     )
-    if args.check and results["check_ok"] and "field_backend" in results:
-        # Only the CLI path feeds the regression history.
-        from repro.bench import trend
-
-        fb_rows = results["field_backend"]
-        metrics = {
-            f"backend_{key}_numpy_s": fb_rows[key]["numpy_s"]
-            for key in ("fft", "batch_inv", "lagrange", "expr_eval")
-        }
-        if trend.report_regressions(trend.track("kernels", metrics)):
-            return 1
     return 0 if results["check_ok"] else 1
 
 

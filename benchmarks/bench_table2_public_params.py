@@ -11,13 +11,13 @@ size) and the artifact cache (the second fetch of the same parameters
 must be a HIT served from disk).
 """
 
+from repro import telemetry
 from repro.bench import (
     BenchConfig,
     bench_cache,
     bench_metadata,
     perf_summary_lines,
     serial_vs_parallel,
-    timed,
 )
 from repro.bench.reporting import Report
 from repro.commit import setup
@@ -34,7 +34,9 @@ def test_table2_public_params(benchmark):
     benchmark.pedantic(generate_k8, rounds=1, iterations=1)
 
     for k in (6, 7, 8, 9):
-        _, measured[k] = timed(lambda: setup(k, label=b"bench-t2-%d" % k))
+        _, measured[k] = telemetry.time_call(
+            lambda: setup(k, label=b"bench-t2-%d" % k)
+        )
 
     # Linear model: seconds per generator from the largest measured run.
     per_generator = measured[9] / (1 << 9)
@@ -64,13 +66,13 @@ def test_table2_public_params(benchmark):
 
     # Artifact cache: a cold fetch builds and stores, a second fetch of
     # the identical description must come back from disk as a HIT.
-    cache = bench_cache(config)
+    cache = bench_cache()
     params_a, first_hit = cached_setup(cache, config.k, label=b"bench-t2-cache")
     params_b, second_hit = cached_setup(cache, config.k, label=b"bench-t2-cache")
     assert second_hit or not cache.enabled
     assert params_a.g == params_b.g and params_a.w == params_b.w
 
-    for line in perf_summary_lines(config, cache, speedups):
+    for line in perf_summary_lines(config, speedups):
         report.line(line)
     report.emit(metadata=bench_metadata(config))
     assert 1.4 < ratio < 2.8

@@ -8,12 +8,12 @@ check the same near-linear shape, then extrapolate per-row cost to the
 paper's scales.
 """
 
+from repro import telemetry
 from repro.bench import (
     BenchConfig,
     bench_cache,
     bench_metadata,
     perf_summary_lines,
-    timed,
 )
 from repro.bench.reporting import Report
 from repro.commit.params import cached_setup
@@ -27,7 +27,7 @@ def _k_for(total_rows: int) -> int:
 
 def test_table3_db_commitment(benchmark):
     config = BenchConfig()
-    cache = bench_cache(config)
+    cache = bench_cache()
     scales = [32, 64, 128]
     # The datasets and parameters are deterministic artifacts: the
     # second run of this bench loads all of them from the cache.
@@ -42,7 +42,7 @@ def test_table3_db_commitment(benchmark):
 
     measured = {}
     for s in scales:
-        _, measured[s] = timed(
+        _, measured[s] = telemetry.time_call(
             lambda s=s: commit_database(dbs[s], params, ks[s])
         )
 
@@ -70,7 +70,7 @@ def test_table3_db_commitment(benchmark):
         f"\nmeasured doubling ratio = {doubling:.2f} "
         "(paper: 5.53/2.89 = 1.91, 10.94/5.53 = 1.98 -- near-linear)"
     )
-    for line in perf_summary_lines(config, cache):
+    for line in perf_summary_lines(config):
         report.line(line)
     report.emit(metadata=bench_metadata(config))
     assert 1.3 < doubling < 3.2

@@ -13,7 +13,14 @@ backend, ``REPRO_NO_CACHE=1`` to force cold runs.
 
 import pytest
 
-from repro.bench import BenchConfig, bench_cache, bench_params, build_tpch_system
+from repro import PoneglyphDB
+from repro.bench import (
+    BenchConfig,
+    bench_cache,
+    bench_params,
+    prover_config,
+    tpch_db,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,16 +29,15 @@ def bench_config():
 
 
 @pytest.fixture(scope="session")
-def artifact_cache(bench_config):
-    return bench_cache(bench_config)
-
-
-@pytest.fixture(scope="session", name="bench_params")
-def bench_params_fixture(bench_config):
-    return bench_params(bench_config)
-
-
-@pytest.fixture(scope="session")
-def tpch_system(bench_config, bench_params):
-    """A committed TPC-H prover/verifier pair at reduced scale."""
-    return build_tpch_system(bench_config, bench_params)
+def tpch_system(bench_config):
+    """A committed TPC-H prover/verifier pair at reduced scale.  The
+    session behind it restores the global settings it changed
+    (parallelism, telemetry, field backend) at teardown."""
+    with PoneglyphDB.open(
+        tpch_db(bench_config),
+        prover_config(bench_config),
+        params=bench_params(bench_config),
+        cache=bench_cache(),
+    ) as session:
+        session.commit()
+        yield session.prover, session.verifier()

@@ -7,13 +7,13 @@ from repro.bench.harness import (
     bench_cache,
     bench_metadata,
     bench_params,
-    build_tpch_system,
     git_revision,
     measure_query_pipeline,
     perf_summary_lines,
+    prover_config,
     real_prove_query,
     serial_vs_parallel,
-    timed,
+    tpch_db,
 )
 from repro.bench.reporting import Report
 
@@ -22,12 +22,12 @@ __all__ = [
     "bench_cache",
     "bench_metadata",
     "bench_params",
-    "build_tpch_system",
     "git_revision",
     "measure_query_pipeline",
     "perf_summary_lines",
+    "prover_config",
     "real_prove_query",
     "serial_vs_parallel",
-    "timed",
+    "tpch_db",
     "Report",
 ]

@@ -1,14 +1,12 @@
 """The observability layer: metrics registry, Prometheus exposition,
-event log / error ring, the bench-regression tracker, and the proving
-service's health/metrics surface.
+event log / error ring, and the proving service's health/metrics
+surface.
 
-Pins the PR's tentpole guarantees: snapshot methods return deep copies
+Pins the layer's guarantees: snapshot methods return deep copies
 (mutating a snapshot never mutates the registry), histogram merge is
 exact across fork snapshots, ``metrics_text()`` emits *valid*
 Prometheus text format (checked by the strict parser, not eyeballed),
-every service job gets one stitched trace keyed by ``job_id``, and the
-trend tracker flags a synthetic >15% regression against the rolling
-median while letting in-band noise through.
+and every service job gets one stitched trace keyed by ``job_id``.
 """
 
 import json
@@ -20,7 +18,6 @@ import time
 import pytest
 
 from repro import PoneglyphDB, ProverConfig, ServiceConfig, telemetry
-from repro.bench import trend
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.errors import JobFailed, ServiceOverloaded
@@ -271,86 +268,6 @@ class TestErrorRing:
         assert [entry["error"] for entry in snapshot] == ["boom-2", "boom-3"]
         snapshot[0]["error"] = "mutated"
         assert ring.snapshot()[0]["error"] == "boom-2"
-
-
-# -- bench trend --------------------------------------------------------------
-
-
-class TestTrend:
-    def seed(self, path, values, metric="prove_s", bench="b"):
-        for value in values:
-            trend.append_entry(bench, {metric: value}, path=path, git_sha="s")
-
-    def test_flags_synthetic_regression(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [1.0, 1.02, 0.98, 1.01])
-        flagged = trend.check_metrics(
-            "b", {"prove_s": 1.20}, trend.load_history(path)
-        )
-        assert len(flagged) == 1
-        regression = flagged[0]
-        assert regression.metric == "prove_s"
-        assert regression.baseline == pytest.approx(1.005)
-        assert regression.ratio > 1.15
-        assert "worse" in regression.describe()
-
-    def test_in_band_noise_passes(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [1.0, 1.02, 0.98, 1.01])
-        assert not trend.check_metrics(
-            "b", {"prove_s": 1.10}, trend.load_history(path)
-        )
-
-    def test_higher_is_better_direction(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [60.0, 58.0, 62.0], metric="proofs_per_min")
-        flagged = trend.check_metrics(
-            "b",
-            {"proofs_per_min": 40.0},
-            trend.load_history(path),
-            directions={"proofs_per_min": "higher"},
-        )
-        assert [regression.metric for regression in flagged] == [
-            "proofs_per_min"
-        ]
-        assert not trend.check_metrics(
-            "b",
-            {"proofs_per_min": 70.0},  # faster is not a regression
-            trend.load_history(path),
-            directions={"proofs_per_min": "higher"},
-        )
-
-    def test_needs_min_samples(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [1.0, 1.0])  # < MIN_SAMPLES
-        assert not trend.check_metrics(
-            "b", {"prove_s": 50.0}, trend.load_history(path)
-        )
-
-    def test_track_appends_even_when_flagging(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [1.0, 1.0, 1.0])
-        flagged = trend.track("b", {"prove_s": 2.0}, path=path)
-        assert flagged
-        assert len(trend.load_history(path)) == 4
-
-    def test_other_benches_do_not_pollute(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [1.0, 1.0, 1.0], bench="other")
-        assert not trend.check_metrics(
-            "b", {"prove_s": 9.0}, trend.load_history(path)
-        )
-
-    def test_malformed_lines_skipped(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        self.seed(path, [1.0])
-        with open(path, "a") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"bench": "b"}\n')  # no metrics dict
-        assert len(trend.load_history(path)) == 1
-
-    def test_selftest_passes(self):
-        assert trend.selftest() == 0
 
 
 # -- service health + exposition ---------------------------------------------

@@ -3,8 +3,9 @@
 Covers the tentpole guarantees: span nesting and exception safety,
 thread- and fork-safe counters (serial and parallel runs report the
 same totals), the < 2% disabled-overhead budget, JSONL round-trips,
-static CircuitReport golden values, and the end-to-end ``report``
-attached to proved responses.
+static CircuitReport golden values (and the example proof's counts
+against them), and the end-to-end ``report`` attached to proved
+responses.
 """
 
 import json
@@ -13,9 +14,13 @@ import threading
 import pytest
 
 from repro import PoneglyphDB, ProverConfig, parallel, telemetry
+from repro.algebra import SCALAR_FIELD
+from repro.commit import setup
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.plonkish.assignment import ZK_ROWS
+from repro.proving import create_proof, keygen
+from repro.proving.keygen import finalize_fixed
 from repro.telemetry.circuit import CircuitReport
 from repro.telemetry.export import write_trace_spans
 from repro.telemetry.selfcheck import (
@@ -355,8 +360,8 @@ class TestObserversAndContext:
 
 
 class TestCircuitReport:
-    def test_example_circuit_golden_values(self):
-        cs, _ = example_circuit()
+    def test_example_circuit_golden_values(self, tele):
+        cs, cols = example_circuit()
         report = CircuitReport.from_constraint_system(cs, EXAMPLE_K)
         assert report.k == EXAMPLE_K and report.rows == 32
         assert report.usable_rows == 32 - ZK_ROWS and report.zk_rows == ZK_ROWS
@@ -391,6 +396,31 @@ class TestCircuitReport:
         assert "range16" in rendered and "constraints by operator" in rendered
         assert "1 IPA over 2 point sets, zk margin 0" in rendered
         assert "lookups=1 (tables=1, helper columns=1)" in rendered
+
+        # The proof is what the model says: its commitments ([f]
+        # included), quotient chunks and lookup helpers, and the points
+        # its transforms cover -- every committed or instance column
+        # once over the n rows and once over the 2^extended_k coset,
+        # plus the quotient's own inverse transform.
+        asg, _ = example_assignment(cs, cols)
+        pk = keygen(setup(EXAMPLE_K), cs, SCALAR_FIELD, EXAMPLE_K)
+        finalize_fixed(pk, asg)
+        before = tele.counters_snapshot().get("fft.points", 0)
+        proof = create_proof(pk, asg)
+        fft_points = tele.counters_snapshot()["fft.points"] - before
+        commitments = report.estimated_commit_msms()
+        assert sum(is_point for *_, is_point in proof.leaves()) == commitments
+        assert len(proof.h_commitments) == report.quotient_chunks
+        assert len(proof.lookup_helper_commitments) == (
+            report.lookup_helper_columns
+        )
+        # Every commitment but the quotient chunks and [f] is a column.
+        columns = (
+            commitments - report.quotient_chunks - 1 + report.instance_columns
+        )
+        assert fft_points == (
+            columns * report.rows + (columns + 1) * (1 << report.extended_k)
+        )
 
     def test_tpch_query_report(self):
         from repro.sql.compiler import QueryCompiler
