@@ -147,6 +147,10 @@ class TestParallelMerge:
         assert sorted(c.attrs["n"] for c in merged) == [1, 2, 3]
 
 
+def best_time(fn, repeats=5):
+    return min(telemetry.time_call(fn)[1] for _ in range(repeats))
+
+
 class TestDisabledOverhead:
     def test_noop_budget_under_two_percent(self, tele):
         """The disabled fast path must cost < 2% of a real prove.
@@ -154,7 +158,8 @@ class TestDisabledOverhead:
         Measured directly: count every instrumentation event one
         instrumented k=5 prove emits (spans + counter bumps), then time
         that many *disabled* span/incr calls and compare against the
-        same prove's disabled wall time.
+        same prove's disabled wall time, each the best of five timings
+        so that one scheduler stall cannot decide the budget.
         """
         root = run_instrumented_prove()
         spans = sum(1 for _ in root.walk())
@@ -166,7 +171,7 @@ class TestDisabledOverhead:
 
         telemetry.enable(False)
         telemetry.reset()
-        _, prove_seconds = telemetry.time_call(run_instrumented_prove)
+        prove_seconds = best_time(run_instrumented_prove)
 
         def burn():
             for _ in range(spans):
@@ -175,7 +180,7 @@ class TestDisabledOverhead:
             for _ in range(events):
                 telemetry.incr("noop", 1)
 
-        _, overhead_seconds = telemetry.time_call(burn)
+        overhead_seconds = best_time(burn)
         telemetry.enable(True)
         assert overhead_seconds < 0.02 * prove_seconds, (
             f"disabled telemetry cost {overhead_seconds:.4f}s for "
