@@ -3,8 +3,9 @@
 A prover answers several queries over a committed TPC-H instance and
 folds the proofs into a single transportable ``AggProof`` (the ``PDBA``
 wire format).  A light client -- or a regulator pinning an audit log --
-then settles the whole batch with **one** fixed-base accumulator
-finalize instead of replaying every proof's linear-time MSMs, which is
+then settles the whole batch with **one** accumulator finalize -- one
+fixed-base and one variable-base MSM -- instead of paying every
+proof's two MSMs, which is
 the paper's recursive proof-composition story made concrete.
 
 Also shows the failure mode that matters: tampering with any single
@@ -45,8 +46,8 @@ with PoneglyphDB.open(db, config) as session:
     report = session.verify_aggregate(wire)
     print(
         f"verify_aggregate: accepted={report.accepted} -- "
-        f"{report.deferred_openings} base-folding MSMs settled by one "
-        f"{report.finalize_seconds * 1e3:.0f}ms finalize"
+        f"{report.deferred_openings} openings settled by one "
+        f"{report.finalize_seconds * 1e3:.0f}ms finalize (two MSMs)"
     )
 
     # -- regulator side: attest the epoch by checking one accumulator --

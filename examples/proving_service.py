@@ -84,8 +84,8 @@ with PoneglyphDB.open(db, config) as session:
     print(
         f"batch of {report.proofs} proofs verified in "
         f"{report.elapsed_seconds:.2f}s "
-        f"({report.deferred_openings} opening MSMs folded into one "
-        f"{report.finalize_seconds:.2f}s check)"
+        f"({report.deferred_openings} openings settled by one "
+        f"{report.finalize_seconds:.2f}s check of two MSMs)"
     )
     for (sql, _), response in zip(jobs, responses):
         print(f"  {sql} -> {response.result}")

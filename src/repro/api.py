@@ -176,10 +176,11 @@ class Session:
     ) -> BatchReport:
         """Verify many responses with one folded accumulator check.
 
-        Each proof is still checked individually up to the expensive
-        part of its one opening, which is deferred into a shared recursion
-        accumulator and settled with a single combined MSM (DESIGN.md
-        section 5g); :meth:`verify` is this with one response."""
+        Each proof is still checked individually up to the two MSMs of
+        its one opening, which are deferred into a shared recursion
+        accumulator and settled for the whole batch by one fixed-base
+        and one variable-base MSM (DESIGN.md section 5g); :meth:`verify`
+        is this with one response."""
         return self.verifier().batch_verify(responses)
 
     def aggregate(self, responses: Sequence[QueryResponse]) -> AggProof:
@@ -192,7 +193,8 @@ class Session:
         """Check an aggregated claim (``PDBA`` bytes or a decoded
         :class:`~repro.proving.aggregate.AggProof`): every folded
         entry's cheap checks replay, all the expensive MSMs settle in
-        one fixed-base accumulator finalize."""
+        one accumulator finalize (one fixed-base plus one variable-base
+        MSM)."""
         return self.verifier().verify_aggregate(agg)
 
     def audit_aggregate(

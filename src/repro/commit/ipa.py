@@ -378,22 +378,22 @@ def reduce_opening(
     value: int,
     proof: IpaProof,
     field: Field,
-) -> tuple[list[int], int, Point] | None:
+) -> tuple[list[int], int, tuple[list[Point], list[int]]] | None:
     """Run the cheap (logarithmic) part of opening verification.
 
     ``commitment`` is the opened commitment as the combination
     ``sum_i scalars[i] * bases[i]`` of a ``(bases, scalars)`` pair --
-    the caller's combining terms, not a pre-summed point, so they ride
-    in this function's one MSM.  Returns ``(s, a, P)`` such that the
-    opening is valid iff::
+    the caller's combining terms, not a pre-summed point.  Returns
+    ``(s, a, (bases, scalars))`` such that the opening is valid iff::
 
-        msm(params.g, [a * s_i]) + P == identity
+        msm(params.g, [a * s_i]) + msm(bases, scalars) == identity
 
-    i.e. everything *except* the linear-time MSM over ``params.g``.
-    That final check is performed immediately by
-    :func:`verify_opening`, or deferred and amortized across many
-    proofs by the recursion accumulator
-    (:class:`repro.proving.recursion.Accumulator`).
+    The second pair holds the caller's terms beside the opening's own
+    points, unevaluated: no group operation runs here.  Both MSMs are
+    computed at once by :func:`verify_opening`, or deferred and
+    amortized across many proofs by the recursion accumulator
+    (:class:`repro.proving.recursion.Accumulator`), which sums every
+    proof's terms into one variable-base MSM.
 
     Returns ``None`` when the proof is structurally invalid.
     """
@@ -415,12 +415,12 @@ def reduce_opening(
 
     b_final = _folded_b(challenges, inv_challenges, x, p)
 
-    # P = a * b * xi * u + blind * w - (C + value * xi * u + sum_j
-    # u_j^2 L_j + u_j^-2 R_j): everything that is not msm(G, a * s).
+    # a * b * xi * u + blind * w - (C + value * xi * u + sum_j u_j^2
+    # L_j + u_j^-2 R_j): everything that is not msm(G, a * s).
     bases, scalars = commitment
     lefts = [left for left, _ in proof.rounds]
     rights = [right for _, right in proof.rounds]
-    residual = msm(
+    return s, proof.a, (
         [*bases, *lefts, *rights, params.u, params.w],
         [
             *(-c for c in scalars),
@@ -430,7 +430,6 @@ def reduce_opening(
             proof.blind,
         ],
     )
-    return s, proof.a, residual
 
 
 def verify_opening(
@@ -445,18 +444,17 @@ def verify_opening(
     """Verify an opening proof.
 
     The verifier's work is one ``n``-sized fixed-base MSM (the final
-    base ``<s, G>``) plus one MSM over ``2 log n + 3`` points -- the
-    linear MSM is what Halo-style recursion amortizes across proofs
-    (see :mod:`repro.proving.recursion`).
+    base ``<s, G>``) plus one MSM over ``2 log n + 3`` points -- both
+    of which Halo-style recursion amortizes across proofs (see
+    :mod:`repro.proving.recursion`).
     """
     reduced = reduce_opening(
         params, transcript, ([commitment], [1]), x, value, proof, field
     )
     if reduced is None:
         return False
-    s, a, residual = reduced
+    s, a, (bases, scalars) = reduced
     p = field.p
-    scalars = [a * si % p for si in s]
     tables = fixed_base.tables_for_params(params)
-    folded = fixed_base.fixed_base_msm(tables, scalars)
-    return (folded + residual).is_identity()
+    folded = fixed_base.fixed_base_msm(tables, [a * si % p for si in s])
+    return (folded + msm(bases, scalars)).is_identity()

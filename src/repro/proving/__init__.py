@@ -15,7 +15,7 @@ non-interactive zero-knowledge proof, and verifies such proofs:
    with one IPA opening (:mod:`repro.proving.multiopen`).
 3. :mod:`repro.proving.verifier` -- recompute every challenge, check
    the combined constraint identity at x, and check that one opening,
-   its linear-time base-folding MSM deferred into a
+   both its MSMs deferred into a
    :class:`repro.proving.recursion.Accumulator` (the recursive
    proof-composition technique the paper leverages) that one finalize
    settles -- for one proof or for many.

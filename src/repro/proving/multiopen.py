@@ -18,9 +18,10 @@ are ``x1 x2 [f] x3 [q_evals] x4``:
   computes what ``f(x3)`` has to be -- from scalars alone;
 - ``x4`` folds ``f + sum_i x4^(i+1) q_i``, opened at ``x3`` by one
   :func:`~repro.commit.ipa.open_polynomial`.  The verifier never sums
-  its commitment: ``[f]`` and every claimed commitment enter the IPA
-  reduction's one MSM (:func:`~repro.commit.ipa.reduce_opening`) as
-  terms, beside the opening's own points.
+  its commitment: ``[f]`` and every claimed commitment are terms of
+  the IPA reduction (:func:`~repro.commit.ipa.reduce_opening`), beside
+  the opening's own points, and the accumulator settles them with
+  every other proof's in one variable-base MSM.
 
 Each polynomial thus reveals one evaluation more than the proof claims
 (``q_i(x3)``); DESIGN.md 5m counts the blinding that pays for it.
@@ -139,17 +140,17 @@ def multi_verify(
     accumulator: Accumulator,
 ) -> bool:
     """Check the opening :func:`multi_open` produced for ``sets``, up
-    to its base-folding MSM.
+    to its MSMs.
 
-    The logarithmic part of the IPA runs here; its linear-time MSM is
+    The logarithmic part of the IPA runs here; both its MSMs are
     deferred into ``accumulator`` (recursive composition), so ``True``
     is provisional until the caller's ``accumulator.finalize()`` also
     passes.
     """
     p = field.p
-    # Structural rejection before the reduction's MSM: such a proof can
-    # never verify, so fail before doing the expensive group arithmetic
-    # on attacker-controlled input.
+    # Structural rejection before the reduction: such a proof can never
+    # verify, so fail before doing any work on attacker-controlled
+    # input.
     if (
         len(q_evals) != len(sets)
         or len(opening.rounds) != params.k

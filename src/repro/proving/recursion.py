@@ -4,15 +4,19 @@ Verifying an IPA opening costs one MSM that is *linear* in the
 commitment size -- too expensive to do per proof when many proofs are
 checked (or when a proof is verified inside another circuit).  The
 accumulation trick [Bowe-Grigg-Hopwood 2019; BCMS 2020] observes that
-the expensive part of every opening check has the shape::
+every opening check has the shape::
 
-    msm(G, a * s) + P == identity
+    msm(G, a * s) + msm(bases, scalars) == identity
 
-where only ``s`` (a tensor of the round challenges) and ``P`` differ per
-proof.  Taking a random linear combination of many such claims yields a
-single claim of the same shape, so a batch of proofs needs **one** MSM
-total -- this is the "recursive proof composition technique reducing the
-overall proof size and computational overhead" the paper builds on.
+where ``s`` is a tensor of the round challenges and ``(bases, scalars)``
+are the proof's own terms (its commitments, its round points, ``u`` and
+``w``).  Taking a random linear combination of many such claims yields a
+single claim of the same shape, so a batch of proofs needs **one**
+fixed-base MSM over ``G`` and **one** variable-base MSM over the union of
+the terms, in which a base that several proofs share (a verifying key's
+commitment, ``u``, ``w``) appears once -- this is the "recursive proof
+composition technique reducing the overall proof size and computational
+overhead" the paper builds on.
 
 :class:`Accumulator` collects deferred claims; :meth:`Accumulator.finalize`
 performs the single combined check.  Lifecycle rules:
@@ -39,13 +43,18 @@ from repro.algebra.field import Field
 from repro.commit.ipa import IpaProof, reduce_opening
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
-from repro.ecc.curve import Point
+from repro.ecc.curve import (
+    Point,
+    points_from_affine_tuples,
+    points_to_affine_tuples,
+)
+from repro.ecc.msm import msm
 from repro.errors import StateError
 from repro.transcript import Transcript
 
 
 class Accumulator:
-    """Accumulates deferred IPA base-folding claims.
+    """Accumulates deferred IPA opening claims.
 
     The random combination weights are the verifier's own coins (they
     must be unpredictable to the prover, which local randomness
@@ -59,7 +68,9 @@ class Accumulator:
         #: must have been reduced against.
         self.params_fingerprint = params.fingerprint()
         self._scalars = [0] * params.n
-        self._residual: Point = params.curve.identity()
+        #: Every deferred opening's variable-base terms, weighted by
+        #: that opening's ``rho``: affine base -> summed scalar.
+        self._terms: dict[tuple[int, int], int] = {}
         self._deferred = 0
         self._consumed = False
 
@@ -90,7 +101,7 @@ class Accumulator:
         proof: IpaProof,
         field: Field,
     ) -> bool:
-        """Run the logarithmic checks now; stash the MSM claim.
+        """Run the logarithmic checks now; stash both MSMs' terms.
 
         ``commitment`` is a ``(bases, scalars)`` combination, as
         :func:`~repro.commit.ipa.reduce_opening` takes it.  Returns
@@ -113,20 +124,26 @@ class Accumulator:
         )
         if reduced is None:
             return False
-        s, a, residual = reduced
+        s, a, (bases, scalars) = reduced
+        # One fresh weight per opening: a weight shared by two openings
+        # would let their errors cancel.
         rho = self.field.rand()
         p = self.field.p
         weight = rho * a % p
-        scalars = self._scalars
+        fixed = self._scalars
         for i, si in enumerate(s):
-            scalars[i] = (scalars[i] + weight * si) % p
-        self._residual = self._residual + residual * rho
+            fixed[i] = (fixed[i] + weight * si) % p
+        terms = self._terms
+        for base, c in zip(points_to_affine_tuples(list(bases)), scalars):
+            terms[base] = (terms.get(base, 0) + rho * c) % p
         self._deferred += 1
         return True
 
     def finalize(self) -> bool:
-        """Perform the single combined MSM check for all deferred
-        claims, consuming the accumulator.
+        """Settle every deferred claim at once, consuming the
+        accumulator: one fixed-base MSM over ``params.g`` plus one
+        variable-base MSM over the summed terms, whatever the number of
+        claims.
 
         The claims are spent whether the check passes or fails; any
         further :meth:`defer_opening` or :meth:`finalize` raises
@@ -138,11 +155,12 @@ class Accumulator:
             return True
         tables = fixed_base.tables_for_params(self.params)
         folded = fixed_base.fixed_base_msm(tables, self._scalars)
-        ok = (folded + self._residual).is_identity()
+        bases = points_from_affine_tuples(self.params.curve, list(self._terms))
+        ok = (folded + msm(bases, list(self._terms.values()))).is_identity()
         self._consume()
         return ok
 
     def _consume(self) -> None:
         self._consumed = True
         self._scalars = []
-        self._residual = self.params.curve.identity()
+        self._terms = {}

@@ -50,8 +50,8 @@ def verify_proof(
     (padded with zeros to the circuit's row count by this function).
 
     With an ``accumulator``, ``True`` is provisional: the opening's
-    base-folding MSM is still owed, and the caller settles it (with
-    any other proofs') by ``accumulator.finalize()``.  Without one the
+    two MSMs are still owed, and the caller settles them (with any
+    other proofs') by ``accumulator.finalize()``.  Without one the
     proof gets its own accumulator, finalized here, and the answer is
     final.
     """

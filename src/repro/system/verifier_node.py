@@ -85,10 +85,10 @@ class BatchReport:
 
     ``reports`` holds one :class:`VerificationReport` per response, in
     submission order; ``accepted`` is True only when every individual
-    report accepted *and* the shared accumulator's single folded MSM
-    check passed.  ``deferred_openings`` counts the IPA base-folding
-    MSMs (one per proof, whatever its rotations) that one final check
-    settled.
+    report accepted *and* the shared accumulator's single folded check
+    (one fixed-base plus one variable-base MSM) passed.
+    ``deferred_openings`` counts the IPA openings (one per proof,
+    whatever its rotations) that one final check settled.
     """
 
     accepted: bool
@@ -196,7 +196,8 @@ class VerifierNode:
     def batch_verify(
         self, responses: Sequence[QueryResponse]
     ) -> BatchReport:
-        """Verify many responses with one folded MSM for all of them
+        """Verify many responses with one folded check for all of them:
+        one fixed-base and one variable-base MSM, whatever their number
         (``BatchReport.deferred_openings`` counts what it settled)."""
         return self._verify_claims(
             [AggEntry.from_response(response) for response in responses]
@@ -245,10 +246,10 @@ class VerifierNode:
         Each claim runs its full cheap pipeline (:meth:`_check_claim`:
         recompilation, strict wire decode, scan links, constraint
         identity, logarithmic IPA rounds) against one fresh recursion
-        :class:`~repro.proving.recursion.Accumulator`, into which the
-        *linear-time* base-folding MSM of each proof's one opening is
-        deferred; one finalize then settles all of them -- a lone
-        proof's and a batch's alike.
+        :class:`~repro.proving.recursion.Accumulator`, into which both
+        MSMs of each proof's one opening are deferred; one finalize
+        then settles all of them with one fixed-base and one
+        variable-base MSM -- a lone proof's and a batch's alike.
 
         Soundness: a per-claim report is provisional until that fold
         passes, and no report leaves this method before it has run.

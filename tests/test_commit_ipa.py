@@ -306,6 +306,24 @@ class TestDeferredVerification:
         )  # structurally fine, deferred
         assert not acc.finalize()  # but the combined check fails
 
+    def test_every_opening_keeps_its_own_weight(self, params_k6, rng):
+        # One proof deferred twice, claiming value + 1 and value - 1:
+        # under one weight shared by both openings the two errors
+        # cancel in the summed terms and the fold would pass.
+        acc = Accumulator(params_k6, F)
+        coeffs = [rng.randrange(F.p) for _ in range(30)]
+        blind = F.rand()
+        commitment = commit_polynomial(params_k6, coeffs, blind)
+        x = F.rand()
+        value = Polynomial(F, coeffs).evaluate(x)
+        proof = open_polynomial(params_k6, Transcript(b"t"), coeffs, blind, x, F)
+        for offset in (1, -1):
+            assert acc.defer_opening(
+                params_k6, Transcript(b"t"), ([commitment], [1]), x,
+                (value + offset) % F.p, proof, F,
+            )
+        assert not acc.finalize()
+
     def test_empty_accumulator_finalizes(self, params_k6):
         assert Accumulator(params_k6, F).finalize()
 

@@ -578,8 +578,12 @@ class TestBatchSoundness:
     ):
         """A lone ``verify`` is a batch of one: every surface settles
         its proofs' openings -- one each -- in a single fixed-base
-        MSM (deterministic; replaces the wall-clock "batched beats
-        sequential" races the CI smokes used to run)."""
+        MSM and a single generic MSM (deterministic; replaces the
+        wall-clock "batched beats sequential" races the CI smokes used
+        to run).  The generic MSM over ``n`` copies of one proof has
+        the lone proof's points: equal bases are summed, not
+        repeated."""
+        from repro import telemetry
         from repro.ecc import fixed_base
 
         _, response, _, verifier = tpch_proven
@@ -590,15 +594,29 @@ class TestBatchSoundness:
             folds.append(len(scalars))
             return original(tables, scalars)
 
+        def msm_work(call):
+            names = ("msm.calls", "msm.points")
+            before = telemetry.counters_snapshot()
+            report = call()
+            after = telemetry.counters_snapshot()
+            assert report.accepted, report.reason
+            return report, [after.get(k, 0) - before.get(k, 0) for k in names]
+
         monkeypatch.setattr(fixed_base, "fixed_base_msm", counting)
-        assert verifier.verify(response).accepted
-        assert folds == [verifier.params.n]
-        report = verifier.batch_verify([response] * n)
-        assert report.accepted, report.reason
-        assert report.deferred_openings == n
         blob = aggregate([response] * n, verifier.params).to_bytes()
-        assert verifier.verify_aggregate(blob).deferred_openings == n
+        previous = telemetry.enable(True)
+        try:
+            _, (calls, points) = msm_work(lambda: verifier.verify(response))
+            assert folds == [verifier.params.n]
+            report, batch = msm_work(lambda: verifier.batch_verify([response] * n))
+            assert report.deferred_openings == n
+            report, agg = msm_work(lambda: verifier.verify_aggregate(blob))
+            assert report.deferred_openings == n
+        finally:
+            telemetry.enable(previous)
         assert folds == [verifier.params.n] * 3
+        assert calls == 1 and points > 0
+        assert batch == agg == [1, points]
 
     def test_empty_batch_is_vacuously_accepted(self, tpch_proven):
         *_, verifier = tpch_proven
