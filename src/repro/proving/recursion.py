@@ -18,6 +18,14 @@ commitment, ``u``, ``w``) appears once -- this is the "recursive proof
 composition technique reducing the overall proof size and computational
 overhead" the paper builds on.
 
+The accumulator owes two kinds of claim: IPA openings
+(:meth:`Accumulator.defer_opening`) and plain group identities
+(:meth:`Accumulator.defer_identity`, "this combination of points is the
+identity"), such as a scan link ``advice - db - delta * W == 0``.  Each
+claim gets its own random weight and lands in the same base -> scalar
+map, so an identity costs no multiplication of its own: its bases join
+the one variable-base MSM.
+
 :class:`Accumulator` collects deferred claims; :meth:`Accumulator.finalize`
 performs the single combined check.  Lifecycle rules:
 
@@ -30,9 +38,10 @@ performs the single combined check.  Lifecycle rules:
 - :meth:`finalize` **consumes** the accumulator.  The folded claims are
   spent by the check; keeping them around would let a reused
   accumulator re-fold stale claims (or let a failed batch re-verify
-  double-count).  After finalize, :meth:`defer_opening` and a second
-  :meth:`finalize` raise :class:`~repro.errors.StateError` -- callers
-  start a fresh accumulator per batch.
+  double-count).  After finalize, :meth:`defer_opening`,
+  :meth:`defer_identity` and a second :meth:`finalize` raise
+  :class:`~repro.errors.StateError` -- callers start a fresh
+  accumulator per batch.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from repro.transcript import Transcript
 
 
 class Accumulator:
-    """Accumulates deferred IPA opening claims.
+    """Accumulates deferred IPA opening claims and group identities.
 
     The random combination weights are the verifier's own coins (they
     must be unpredictable to the prover, which local randomness
@@ -68,8 +77,8 @@ class Accumulator:
         #: must have been reduced against.
         self.params_fingerprint = params.fingerprint()
         self._scalars = [0] * params.n
-        #: Every deferred opening's variable-base terms, weighted by
-        #: that opening's ``rho``: affine base -> summed scalar.
+        #: Every deferred claim's variable-base terms, weighted by that
+        #: claim's ``rho``: affine base -> summed scalar.
         self._terms: dict[tuple[int, int], int] = {}
         self._deferred = 0
         self._consumed = False
@@ -125,40 +134,59 @@ class Accumulator:
         if reduced is None:
             return False
         s, a, (bases, scalars) = reduced
-        # One fresh weight per opening: a weight shared by two openings
-        # would let their errors cancel.
-        rho = self.field.rand()
+        rho = self._add_terms(bases, scalars)
         p = self.field.p
         weight = rho * a % p
         fixed = self._scalars
         for i, si in enumerate(s):
             fixed[i] = (fixed[i] + weight * si) % p
-        terms = self._terms
-        for base, c in zip(points_to_affine_tuples(list(bases)), scalars):
-            terms[base] = (terms.get(base, 0) + rho * c) % p
         self._deferred += 1
         return True
 
+    def defer_identity(
+        self, bases: Sequence[Point], scalars: Sequence[int]
+    ) -> None:
+        """Owe the claim ``sum(scalars[i] * bases[i]) == identity``.
+
+        It is settled by :meth:`finalize` with every other deferred
+        claim, for the price of its bases' places in the one
+        variable-base MSM.  Raises :class:`~repro.errors.StateError`
+        once the accumulator was finalized.
+        """
+        self._require_live("defer another identity")
+        self._add_terms(bases, scalars)
+
+    def _add_terms(self, bases: Sequence[Point], scalars: Sequence[int]) -> int:
+        """Weight ``(bases, scalars)`` by a fresh ``rho`` into the term
+        map; returns that ``rho``.  One fresh weight per claim: a
+        weight shared by two claims would let their errors cancel."""
+        rho = self.field.rand()
+        p = self.field.p
+        terms = self._terms
+        for base, c in zip(points_to_affine_tuples(list(bases)), scalars):
+            terms[base] = (terms.get(base, 0) + rho * c) % p
+        return rho
+
     def finalize(self) -> bool:
         """Settle every deferred claim at once, consuming the
-        accumulator: one fixed-base MSM over ``params.g`` plus one
-        variable-base MSM over the summed terms, whatever the number of
-        claims.
+        accumulator: one fixed-base MSM over ``params.g`` (skipped when
+        no opening was deferred) plus one variable-base MSM over the
+        summed terms, whatever the number of claims.
 
         The claims are spent whether the check passes or fails; any
-        further :meth:`defer_opening` or :meth:`finalize` raises
-        :class:`~repro.errors.StateError`.
+        further :meth:`defer_opening`, :meth:`defer_identity` or
+        :meth:`finalize` raises :class:`~repro.errors.StateError`.
         """
         self._require_live("finalize")
-        if self._deferred == 0:
-            self._consume()
-            return True
-        tables = fixed_base.tables_for_params(self.params)
-        folded = fixed_base.fixed_base_msm(tables, self._scalars)
-        bases = points_from_affine_tuples(self.params.curve, list(self._terms))
-        ok = (folded + msm(bases, list(self._terms.values()))).is_identity()
+        total = self.params.curve.identity()
+        if self._deferred:
+            tables = fixed_base.tables_for_params(self.params)
+            total = fixed_base.fixed_base_msm(tables, self._scalars)
+        if self._terms:
+            bases = points_from_affine_tuples(self.params.curve, list(self._terms))
+            total = total + msm(bases, list(self._terms.values()))
         self._consume()
-        return ok
+        return total.is_identity()
 
     def _consume(self) -> None:
         self._consumed = True

@@ -16,12 +16,15 @@ Figure 2, phase 5, plus the binding checks):
    (:meth:`repro.proving.proof.Proof.from_bytes`) -- the verifier never
    trusts the prover's in-memory proof object, so this path exercises
    exactly what a remote prover could send.
-4. Check every scan link: the proof's advice commitment for a scanned
-   column must equal the published database column commitment shifted
-   by ``delta * W`` -- binding the proof to the committed database.
-5. Verify the proof against the claimed result (instance columns),
+4. Verify the proof against the claimed result (instance columns),
    its one opening's linear-time MSM deferred into the recursion
    accumulator the whole list shares and one finalize settles.
+5. Bind the proof to the committed database: for every scan link the
+   proof's advice commitment for a scanned column must equal the
+   published database column commitment shifted by ``delta * W``.
+   Each link is owed to the same accumulator as a group identity, so
+   it costs no multiplication of its own; a rejected claim checks its
+   links eagerly, so the reason still names the broken one.
 """
 
 from __future__ import annotations
@@ -244,18 +247,20 @@ class VerifierNode:
         """The verification engine behind every surface.
 
         Each claim runs its full cheap pipeline (:meth:`_check_claim`:
-        recompilation, strict wire decode, scan links, constraint
-        identity, logarithmic IPA rounds) against one fresh recursion
-        :class:`~repro.proving.recursion.Accumulator`, into which both
-        MSMs of each proof's one opening are deferred; one finalize
-        then settles all of them with one fixed-base and one
-        variable-base MSM -- a lone proof's and a batch's alike.
+        recompilation, strict wire decode, the scan links' shape,
+        constraint identity, logarithmic IPA rounds) against one fresh
+        recursion :class:`~repro.proving.recursion.Accumulator`, into
+        which both MSMs of each proof's one opening and each of its
+        scan-link identities are deferred; one finalize then settles
+        all of them with one fixed-base and one variable-base MSM -- a
+        lone proof's and a batch's alike.
 
         Soundness: a per-claim report is provisional until that fold
         passes, and no report leaves this method before it has run.
         A failed fold cannot say *which* claim broke, so each
-        provisionally-accepted claim is then verified again on its own
-        (alone, the fold is the verdict).  The accumulator is fresh per
+        provisionally-accepted claim is then verified again on its own;
+        alone, the fold is the verdict, and its scan links are checked
+        eagerly to name a broken one.  The accumulator is fresh per
         call and consumed by its finalize, so stale claims can never
         leak into a later batch.
 
@@ -264,12 +269,14 @@ class VerifierNode:
         """
         accumulator = Accumulator(self.params, self.field)
         reports: list[VerificationReport] = []
+        owed_links: list[list] = []
         with telemetry.timed_span("verify", proofs=len(claims)) as span:
             for claim in claims:
                 with telemetry.timed_span("verify.claim", sql=claim.sql) as own:
-                    report = self._check_claim(claim, accumulator)
+                    report, links = self._check_claim(claim, accumulator)
                 report.elapsed_seconds = own.duration
                 reports.append(report)
+                owed_links.append(links)
             deferred = accumulator.deferred_count
             with telemetry.timed_span("verify.finalize") as fold:
                 folded = accumulator.finalize()
@@ -281,7 +288,7 @@ class VerifierNode:
                     reports[i] = self._verify_claims([claim]).reports[0]
                 else:
                     reports[i].accepted = False
-                    reports[i].reason = "proof rejected"
+                    reports[i].reason = self._rejection_reason(owed_links[i])
             accepted = folded and all(rep.accepted for rep in reports)
             span.set(accepted=accepted, deferred=deferred)
         if claims:
@@ -303,15 +310,18 @@ class VerifierNode:
 
     def _check_claim(
         self, claim: AggEntry, accumulator: Accumulator
-    ) -> VerificationReport:
-        """Everything about one claim except the deferred MSMs: an
-        accepted report is provisional until ``accumulator`` finalizes."""
+    ) -> tuple[VerificationReport, list]:
+        """Everything about one claim except the deferred group work:
+        an accepted report is provisional until ``accumulator``
+        finalizes.  Also returns the scan-link equations owed to it,
+        ``(link, advice commitment, database commitment)`` each, for
+        :meth:`_rejection_reason` should the fold fail."""
         size = len(claim.proof_bytes)
         p = self.field.p
         rows, links = claim.result_encoded, claim.scan_links
 
-        def rejected(reason: str) -> VerificationReport:
-            return VerificationReport(False, reason, proof_size_bytes=size)
+        def rejected(reason: str) -> tuple[VerificationReport, list]:
+            return VerificationReport(False, reason, proof_size_bytes=size), []
 
         try:
             with telemetry.span("verify.rebuild_vk"):
@@ -348,6 +358,7 @@ class VerifierNode:
             return rejected(f"proof decode failed: {exc}")
 
         # Scan links: advice commitment == db column commitment + delta*W.
+        equations = []
         for link in links:
             db_commit = self.commitment.column_commitments.get(
                 (link.table, link.column)
@@ -355,14 +366,29 @@ class VerifierNode:
             if db_commit is None:
                 return rejected("column not in commitment")
             advice_commit = proof.advice_commitments[link.advice_index]
-            if advice_commit != db_commit + self.params.w * link.delta:
-                return rejected(
-                    f"scan link broken for {link.table}.{link.column}: the "
-                    "proof was not computed over the committed database"
-                )
+            equations.append((link, advice_commit, db_commit))
 
         instance = compiled.instance_vectors(rows)
         with telemetry.span("verify.proof"):
             if not verify_proof(vk, proof, instance, accumulator):
-                return rejected("proof rejected")
-        return VerificationReport(True, proof_size_bytes=size)
+                return rejected(self._rejection_reason(equations))
+        # Owed, not multiplied: advice - db - delta*W == identity.
+        for link, advice_commit, db_commit in equations:
+            accumulator.defer_identity(
+                [advice_commit, db_commit, self.params.w],
+                [1, p - 1, -link.delta % p],
+            )
+        return VerificationReport(True, proof_size_bytes=size), equations
+
+    def _rejection_reason(self, equations: list) -> str:
+        """Why a claim that passed the cheap checks is rejected: its
+        first broken scan link, checked eagerly here (one
+        multiplication a link, on the failure path only), else the
+        proof itself."""
+        for link, advice_commit, db_commit in equations:
+            if advice_commit != db_commit + self.params.w * link.delta:
+                return (
+                    f"scan link broken for {link.table}.{link.column}: the "
+                    "proof was not computed over the committed database"
+                )
+        return "proof rejected"

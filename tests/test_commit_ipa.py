@@ -324,6 +324,54 @@ class TestDeferredVerification:
             )
         assert not acc.finalize()
 
+    @staticmethod
+    def _linked_opening(params, rng):
+        """A scan link's two commitments, ``advice == db + delta * W``
+        (one column, two blinds), and an honest opening of ``advice``
+        deferred into a fresh accumulator."""
+        coeffs = [rng.randrange(F.p) for _ in range(30)]
+        blind, delta = F.rand(), F.rand()
+        db = commit_polynomial(params, coeffs, blind)
+        shifted = (blind + delta) % F.p
+        advice = commit_polynomial(params, coeffs, shifted)
+        assert advice == db + params.w * delta
+        x = F.rand()
+        value = Polynomial(F, coeffs).evaluate(x)
+        proof = open_polynomial(params, Transcript(b"t"), coeffs, shifted, x, F)
+        acc = Accumulator(params, F)
+        assert acc.defer_opening(
+            params, Transcript(b"t"), ([advice], [1]), x, value, proof, F
+        )
+        return acc, advice, db, delta
+
+    def test_honest_identity_settles_with_the_opening(self, params_k6, rng):
+        acc, advice, db, delta = self._linked_opening(params_k6, rng)
+        acc.defer_identity([advice, db, params_k6.w], [1, F.p - 1, -delta % F.p])
+        assert acc.deferred_count == 1  # openings only
+        assert acc.finalize()
+
+    def test_every_identity_keeps_its_own_weight(self, params_k6, rng):
+        # The link deferred twice, claiming delta + 1 and delta - 1:
+        # under one weight shared by both identities the two errors
+        # cancel in the summed terms and the fold would pass.
+        acc, advice, db, delta = self._linked_opening(params_k6, rng)
+        for offset in (1, -1):
+            acc.defer_identity(
+                [advice, db, params_k6.w], [1, F.p - 1, -(delta + offset) % F.p]
+            )
+        assert not acc.finalize()
+
+    def test_identities_alone_are_settled(self, params_k6, rng):
+        # No opening deferred: finalize must still check the identities.
+        point = commit_polynomial(params_k6, [rng.randrange(F.p)], F.rand())
+        honest = Accumulator(params_k6, F)
+        honest.defer_identity([point, point], [1, F.p - 1])
+        assert honest.finalize()
+        false = Accumulator(params_k6, F)
+        false.defer_identity([point], [1])
+        assert false.deferred_count == 0
+        assert not false.finalize()
+
     def test_empty_accumulator_finalizes(self, params_k6):
         assert Accumulator(params_k6, F).finalize()
 

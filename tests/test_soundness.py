@@ -527,6 +527,8 @@ class TestClaimLevelTampering:
             assert [rep.accepted for rep in report.reports] == [
                 i != position for i in range(2)
             ], [rep.reason for rep in report.reports]
+            if label.startswith("links"):
+                assert "scan" in report.reports[position].reason
             with pytest.raises(
                 VerificationFailure, match=rf"rejected indices \[{position}\]"
             ):
@@ -577,12 +579,13 @@ class TestBatchSoundness:
         self, tpch_proven, monkeypatch, n
     ):
         """A lone ``verify`` is a batch of one: every surface settles
-        its proofs' openings -- one each -- in a single fixed-base
-        MSM and a single generic MSM (deterministic; replaces the
-        wall-clock "batched beats sequential" races the CI smokes used
-        to run).  The generic MSM over ``n`` copies of one proof has
-        the lone proof's points: equal bases are summed, not
-        repeated."""
+        its proofs' openings -- one each -- and their scan links in a
+        single fixed-base MSM and a single generic MSM (deterministic;
+        replaces the wall-clock "batched beats sequential" races the CI
+        smokes used to run).  No scalar multiplication happens outside
+        them: every GLV split is one of the generic MSM's points.  The
+        generic MSM over ``n`` copies of one proof has the lone proof's
+        points: equal bases are summed, not repeated."""
         from repro import telemetry
         from repro.ecc import fixed_base
 
@@ -595,7 +598,7 @@ class TestBatchSoundness:
             return original(tables, scalars)
 
         def msm_work(call):
-            names = ("msm.calls", "msm.points")
+            names = ("msm.calls", "msm.points", "msm.glv_splits")
             before = telemetry.counters_snapshot()
             report = call()
             after = telemetry.counters_snapshot()
@@ -606,7 +609,9 @@ class TestBatchSoundness:
         blob = aggregate([response] * n, verifier.params).to_bytes()
         previous = telemetry.enable(True)
         try:
-            _, (calls, points) = msm_work(lambda: verifier.verify(response))
+            _, (calls, points, splits) = msm_work(
+                lambda: verifier.verify(response)
+            )
             assert folds == [verifier.params.n]
             report, batch = msm_work(lambda: verifier.batch_verify([response] * n))
             assert report.deferred_openings == n
@@ -616,7 +621,8 @@ class TestBatchSoundness:
             telemetry.enable(previous)
         assert folds == [verifier.params.n] * 3
         assert calls == 1 and points > 0
-        assert batch == agg == [1, points]
+        assert splits == points
+        assert batch == agg == [1, points, points]
 
     def test_empty_batch_is_vacuously_accepted(self, tpch_proven):
         *_, verifier = tpch_proven
