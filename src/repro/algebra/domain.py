@@ -22,6 +22,11 @@ from repro.algebra.field import Field
 #: transform.
 PARALLEL_MIN_SIZE = 256
 
+#: Coset power ladders ``[1, shift, shift^2, ..]`` by ``(size, shift,
+#: p)``, process-local like the NTT plans: a domain's transforms leave
+#: it unchanged, so the domains inside a proving key stay immutable.
+_LADDERS: dict[tuple[int, int, int], list[int]] = {}
+
 
 def fft_in_place(values: list[int], omega: int, p: int) -> None:
     """Iterative Cooley-Tukey NTT over GF(p).
@@ -88,7 +93,6 @@ class EvaluationDomain:
         "omega",
         "omega_inv",
         "size_inv",
-        "_shift_ladders",
     )
 
     def __init__(self, field: Field, k: int):
@@ -102,20 +106,18 @@ class EvaluationDomain:
         self.omega = field.root_of_unity_of_order(self.size)
         self.omega_inv = field.inv(self.omega)
         self.size_inv = field.inv(self.size)
-        # Cached coset power ladders [1, shift, shift^2, ..] keyed by
-        # shift (a domain sees one or two shifts).
-        self._shift_ladders: dict[int, list[int]] = {}
 
     def _shift_powers(self, shift: int) -> list[int]:
-        """The full-size power ladder of ``shift``, cached per domain."""
+        """The full-size power ladder of ``shift``, cached per process."""
         p = self.field.p
         shift %= p
-        ladder = self._shift_ladders.get(shift)
+        key = (self.size, shift, p)
+        ladder = _LADDERS.get(key)
         if ladder is None:
             ladder = [1] * self.size
             for i in range(1, self.size):
                 ladder[i] = ladder[i - 1] * shift % p
-            self._shift_ladders[shift] = ladder
+            _LADDERS[key] = ladder
         return ladder
 
     # -- transforms -----------------------------------------------------

@@ -126,10 +126,11 @@ class ServiceConfig:
         prove: worker 0 proves in the service's own process, each
         further worker in a process forked when the service opens (so
         ``workers=1`` forks nothing, and on a host with fewer cores
-        than workers the extra ones buy nothing).  Each worker keeps
-        its own warm proving-key cache (one entry per circuit
-        fingerprint), so a worker pays keygen/unpickling once per
-        distinct query shape instead of once per job.
+        than workers the extra ones buy nothing).  The workers share
+        the session prover's proving-key memo (one entry per circuit
+        and fixed values; a forked worker adds to its own copy), so
+        keygen/unpickling is paid once per distinct circuit instead of
+        once per job.
     max_queue_depth:
         Hard bound on jobs waiting in the queue.  A ``HIGH``-priority
         submission is shed only at this depth.

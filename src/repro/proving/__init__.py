@@ -5,7 +5,8 @@ non-interactive zero-knowledge proof, and verifies such proofs:
 
 1. :mod:`repro.proving.keygen` -- derive the proving key (fixed-column
    polynomials, copy-constraint sigma polynomials, system selectors)
-   and the verification key (their commitments).
+   and the verification key (their commitments), which ``keygen_vk``
+   builds alone, without transforms.
 2. :mod:`repro.proving.prover` -- the five-round Fiat-Shamir protocol
    as a table of round functions (``ROUNDS``): commit advice; count
    lookup multiplicities (theta); build permutation and shuffle grand
@@ -29,7 +30,7 @@ imports nothing from the prover.
 """
 
 from repro.proving.aggregate import AggEntry, AggProof, ScanLinkClaim, aggregate
-from repro.proving.keygen import ProvingKey, VerifyingKey, keygen
+from repro.proving.keygen import ProvingKey, VerifyingKey, keygen, keygen_vk
 from repro.proving.proof import Proof
 from repro.proving.prover import create_proof
 from repro.proving.recursion import Accumulator
@@ -37,6 +38,7 @@ from repro.proving.verifier import verify_proof
 
 __all__ = [
     "keygen",
+    "keygen_vk",
     "ProvingKey",
     "VerifyingKey",
     "Proof",

@@ -9,6 +9,11 @@ From the circuit shape and the public parameters we derive:
   the blinding rows;
 - the **verifying key**: binding commitments to all of the above.
 
+As in halo2, the verifying key has a builder of its own,
+:func:`keygen_vk`: commitments straight from the column values, no
+transform.  Both keys are built whole from the circuit *and* its fixed
+values, and never changed afterwards, so threads can share them.
+
 Key generation is deterministic: any party can regenerate the keys from
 the public circuit description, so distributing the verifying key needs
 no trust.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro import telemetry
 from repro.algebra.domain import EvaluationDomain
@@ -26,7 +31,7 @@ from repro.algebra.field import Field
 from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
-from repro.plonkish.assignment import ZK_ROWS, Assignment
+from repro.plonkish.assignment import ZK_ROWS
 from repro.plonkish.constraint_system import (
     Column,
     ConstraintSystem,
@@ -37,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import ArtifactCache
 
 logger = logging.getLogger("repro.proving.keygen")
+
+#: Fixed column values, one row-indexed list per fixed column.
+Columns = Sequence[Sequence[int]]
 
 #: Columns covered by one permutation grand-product polynomial.  Keeping
 #: chunks small bounds the constraint degree at ``chunk + 2`` (the
@@ -57,7 +65,7 @@ class PolyData:
     blind: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyingKey:
     params: PublicParams
     field: Field
@@ -78,7 +86,7 @@ class VerifyingKey:
         return 1 << self.k
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProvingKey:
     vk: VerifyingKey
     domain: EvaluationDomain
@@ -87,15 +95,17 @@ class ProvingKey:
     fixed: list[PolyData]
     sigmas: list[PolyData]
     system: dict[str, PolyData]
-    #: raw fixed column values (needed to evaluate lookup tables rowwise)
-    fixed_values: list[list[int]]
     #: sigma values per equality column (row-indexed)
     sigma_values: list[list[int]]
 
 
-def _system_selectors(n: int, usable: int) -> dict[str, list[int]]:
+#: The system row-selectors, in key order.
+_SYSTEM_NAMES = ("l0", "l_last", "l_active")
+
+
+def _system_selectors(n: int, usable: int) -> list[list[int]]:
     """The fixed row-indicator columns used by the synthesized
-    permutation/lookup constraints."""
+    permutation/lookup constraints, in :data:`_SYSTEM_NAMES` order."""
     l0 = [0] * n
     l0[0] = 1
     l_last = [0] * n
@@ -103,7 +113,7 @@ def _system_selectors(n: int, usable: int) -> dict[str, list[int]]:
     l_active = [0] * n
     for i in range(usable):
         l_active[i] = 1
-    return {"l0": l0, "l_last": l_last, "l_active": l_active}
+    return [l0, l_last, l_active]
 
 
 def build_permutation_columns(
@@ -177,161 +187,147 @@ def build_permutation_columns(
     return sigma_values
 
 
-def _chunk_columns(columns: list[Column], chunk: int) -> list[list[Column]]:
-    return [columns[i : i + chunk] for i in range(0, len(columns), chunk)] or []
-
-
-def keygen(
-    params: PublicParams,
-    cs: ConstraintSystem,
-    field: Field,
-    k: int,
-) -> ProvingKey:
-    """Derive proving and verifying keys for a circuit of ``2^k`` rows."""
-    with telemetry.span("keygen", k=k):
-        pk = _keygen(params, cs, field, k)
-    logger.debug(
-        "keygen: k=%d degree=%d extended_k=%d sigmas=%d",
-        k,
-        cs.required_degree(PERMUTATION_CHUNK),
-        pk.vk.extended_k,
-        len(pk.sigmas),
-    )
-    return pk
-
-
-def _keygen(
-    params: PublicParams,
-    cs: ConstraintSystem,
-    field: Field,
-    k: int,
-) -> ProvingKey:
+def _key_columns(
+    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+) -> tuple[list[list[int]], list[Point], VerifyingKey]:
+    """Every key column's values and commitment, in key order -- the
+    system selectors (:data:`_SYSTEM_NAMES` order), the sigmas, the
+    fixed columns -- and the verifying key made of those commitments.
+    Both key builders start here, so they cannot disagree."""
     n = 1 << k
     if n > params.n:
         raise ValueError(f"circuit rows 2^{k} exceed params capacity 2^{params.k}")
     usable = n - ZK_ROWS
     if usable <= 1:
         raise ValueError("circuit too small for blinding rows")
-
-    # The quotient h, not the constraint it divides, is what the coset
-    # evaluations must determine: fewer than (degree - 1) * n
-    # coefficients at constraint degree <= degree * (n - 1).
-    extended_k = k + cs.quotient_extension(PERMUTATION_CHUNK)
-    domain = EvaluationDomain(field, k)
-    extended_domain = EvaluationDomain(field, extended_k)
-    coset_shift = field.multiplicative_generator
-
     fit_params = params.truncated(k) if params.k > k else params
     delta = field.multiplicative_generator
-
-    system_values = _system_selectors(n, usable)
-    sigma_values = build_permutation_columns(cs, field, n, usable, delta)
-
-    # All key polynomials go through the transforms and commitments as
-    # one batch so the worker pool (when configured) sees real fan-out.
-    system_names = list(system_values)
-    all_values = [system_values[name] for name in system_names] + sigma_values
-    all_coeffs = domain.ifft_many(all_values)
-    all_ext = extended_domain.coset_fft_many(all_coeffs, coset_shift)
-    all_commits = commit_lagrange_many(
-        fit_params, [(values, 0) for values in all_values]
-    )
-    polys = [
-        PolyData(coeffs=coeffs, extended_evals=ext, commitment=commitment)
-        for coeffs, ext, commitment in zip(all_coeffs, all_ext, all_commits)
-    ]
-    system = dict(zip(system_names, polys[: len(system_names)]))
-    sigmas = polys[len(system_names) :]
-
+    sigmas = build_permutation_columns(cs, field, n, usable, delta)
+    values = _system_selectors(n, usable) + sigmas + list(fixed)
+    # Lagrange-basis commitments come straight from the values.
+    commitments = commit_lagrange_many(fit_params, [(v, 0) for v in values])
+    n_system, n_key = len(_SYSTEM_NAMES), len(values) - len(fixed)
+    equality = cs.equality_columns
     vk = VerifyingKey(
         params=fit_params,
         field=field,
         cs=cs,
         k=k,
         usable_rows=usable,
-        extended_k=extended_k,
-        fixed_commitments=[],  # filled after fixed assignment is known
-        sigma_commitments=[pd.commitment for pd in sigmas],
-        system_commitments={name: pd.commitment for name, pd in system.items()},
-        permutation_chunks=_chunk_columns(cs.equality_columns, PERMUTATION_CHUNK),
+        # The quotient h, not the constraint it divides, is what the
+        # coset evaluations must determine: fewer than (degree - 1) * n
+        # coefficients at constraint degree <= degree * (n - 1).
+        extended_k=k + cs.quotient_extension(PERMUTATION_CHUNK),
+        fixed_commitments=commitments[n_key:],
+        sigma_commitments=commitments[n_system:n_key],
+        system_commitments=dict(zip(_SYSTEM_NAMES, commitments)),
+        permutation_chunks=[
+            equality[i : i + PERMUTATION_CHUNK]
+            for i in range(0, len(equality), PERMUTATION_CHUNK)
+        ],
         lookup_arguments=cs.lookup_arguments(PERMUTATION_CHUNK),
         delta=delta,
     )
-    return ProvingKey(
-        vk=vk,
-        domain=domain,
-        extended_domain=extended_domain,
-        coset_shift=coset_shift,
-        fixed=[],
-        sigmas=sigmas,
-        system=system,
-        fixed_values=[],
-        sigma_values=sigma_values,
-    )
+    return values, commitments, vk
+
+
+def keygen_vk(
+    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+) -> VerifyingKey:
+    """The verifying key alone: commitments only, no transform.  Equal
+    to ``keygen(...).vk`` for the same arguments."""
+    with telemetry.span("keygen_vk", k=k):
+        return _key_columns(params, cs, field, k, fixed)[2]
+
+
+def keygen(
+    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+) -> ProvingKey:
+    """The proving key of a circuit of ``2^k`` rows whose fixed columns
+    hold ``fixed``, complete with its verifying key.
+
+    Every key polynomial -- system selectors, sigmas, fixed columns --
+    goes through the transforms and commitments as one batch, so the
+    worker pool (when configured) sees real fan-out."""
+    with telemetry.span("keygen", k=k):
+        values, commitments, vk = _key_columns(params, cs, field, k, fixed)
+        domain = EvaluationDomain(field, k)
+        extended_domain = EvaluationDomain(field, vk.extended_k)
+        coset_shift = field.multiplicative_generator
+        coeffs = domain.ifft_many(values)
+        extended = extended_domain.coset_fft_many(coeffs, coset_shift)
+        polys = [PolyData(*poly) for poly in zip(coeffs, extended, commitments)]
+        n_system, n_key = len(_SYSTEM_NAMES), len(values) - len(fixed)
+        pk = ProvingKey(
+            vk=vk,
+            domain=domain,
+            extended_domain=extended_domain,
+            coset_shift=coset_shift,
+            fixed=polys[n_key:],
+            sigmas=polys[n_system:n_key],
+            system=dict(zip(_SYSTEM_NAMES, polys)),
+            sigma_values=values[n_system:n_key],
+        )
+    logger.debug("keygen: k=%d extended_k=%d", k, vk.extended_k)
+    return pk
+
+
+#: Versions what a pickled key *holds* for the same inputs: cached keys
+#: whose extended_evals were laid out over a domain of another size,
+#: whose vk has no lookup arguments, or (v3) which lack their fixed
+#: columns must miss, not load.
+_FINGERPRINT_TAG = b"lookup-arguments-v4|"
 
 
 def keygen_fingerprint(
-    params: PublicParams, cs: ConstraintSystem, field: Field, k: int
+    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
 ) -> str:
     """A stable content hash of everything :func:`keygen` depends on.
 
     Used as the artifact-cache key for proving keys: any change to the
-    circuit shape, the parameter set, the field, or the row count lands
-    in a different cache entry (that *is* the invalidation mechanism).
+    circuit shape, its fixed values, the parameter set, the field, or
+    the row count lands in a different cache entry (that *is* the
+    invalidation mechanism).
     """
     import hashlib
 
     h = hashlib.blake2b(digest_size=20)
-    # The tag versions what a pickled key *holds* for the same inputs:
-    # cached keys whose extended_evals were laid out over a domain of
-    # another size, or whose vk has no lookup arguments, must miss, not
-    # load.
-    h.update(b"lookup-arguments-v3|")
+    h.update(_FINGERPRINT_TAG)
     h.update(f"{params.curve.name}|{params.k}|{field.p}|{k}|".encode())
     h.update(params.g[0].to_bytes())
     h.update(cs.fingerprint().encode())
+    for column in fixed:
+        h.update(b"|" + ",".join(map(str, column)).encode())
     return h.hexdigest()
 
 
 def cached_keygen(
-    cache: "ArtifactCache",
-    params: PublicParams,
-    cs: ConstraintSystem,
-    field: Field,
-    k: int,
+    cache: "ArtifactCache", params: PublicParams, cs: ConstraintSystem,
+    field: Field, k: int, fixed: Columns,
 ) -> tuple[ProvingKey, bool]:
     """:func:`keygen` through the artifact cache.
 
-    Keygen is deterministic, so the pickled :class:`ProvingKey` (before
-    fixed-column finalization -- fixed values belong to the concrete
-    query run) is safe to reuse whenever the fingerprint matches.
-    Returns ``(pk, was_cache_hit)``.
+    Keygen is deterministic, so the pickled :class:`ProvingKey` is safe
+    to reuse whenever the fingerprint matches.  Returns
+    ``(pk, was_cache_hit)``.
     """
-    fingerprint = keygen_fingerprint(params, cs, field, k)
+    fingerprint = keygen_fingerprint(params, cs, field, k, fixed)
     return cache.fetch(
         "pk",
         (fingerprint,),
-        build=lambda: keygen(params, cs, field, k),
+        build=lambda: keygen(params, cs, field, k, fixed),
     )
 
 
-def finalize_fixed(pk: ProvingKey, assignment: Assignment) -> None:
-    """Commit the fixed columns once their values are assigned.
+#: The most keys one memo holds (a prover's proving keys, a verifier's
+#: verifying keys), so a hostile query stream cannot grow it unbounded.
+KEY_MEMO_MAX = 32
 
-    Fixed values are part of the circuit description (the prover fills
-    them during synthesis), so this completes key generation.
-    """
-    with telemetry.span("keygen.finalize_fixed", columns=len(assignment.fixed)):
-        domain, ext, shift = pk.domain, pk.extended_domain, pk.coset_shift
-        fit_params = pk.vk.params
-        pk.fixed_values = [list(col) for col in assignment.fixed]
-        coeffs_list = domain.ifft_many(list(assignment.fixed))
-        ext_list = ext.coset_fft_many(coeffs_list, shift)
-        commits = commit_lagrange_many(
-            fit_params, [(values, 0) for values in pk.fixed_values]
-        )
-        pk.fixed = [
-            PolyData(coeffs=coeffs, extended_evals=ext_evals, commitment=commitment)
-            for coeffs, ext_evals, commitment in zip(coeffs_list, ext_list, commits)
-        ]
-        pk.vk.fixed_commitments = [pd.commitment for pd in pk.fixed]
+
+def remember(memo: dict, key: object, value: object) -> None:
+    """Store ``value`` under ``key``, dropping the oldest entries past
+    :data:`KEY_MEMO_MAX`.  Thread-safe: ``list(memo)`` and a defaulted
+    ``pop`` are each atomic, so racing evictions drop the same keys."""
+    memo[key] = value
+    for stale in list(memo)[:-KEY_MEMO_MAX]:
+        memo.pop(stale, None)

@@ -23,10 +23,11 @@ Both runners execute :func:`run_job` and speak one message set:
   ``keygen.*`` counters and per-job traces look as if the job ran in
   the service process.
 
-A forked runner inherits the database, parameters, commitment secrets
-and fixed-base tables, and keeps its own warm key cache for its whole
-life.  It exits when its pipe closes.  A runner that dies shows up as
-EOF on the pipe, which its worker treats as its own death.  Fork rules
+A forked runner inherits the database, parameters, commitment secrets,
+fixed-base tables and the keys memoized before its fork, and keeps its
+copy of the key memo for its whole life.  It exits when its pipe
+closes.  A runner that dies shows up as EOF on the pipe, which its
+worker treats as its own death.  Fork rules
 (:func:`_serve`): drop the inherited ``deterministic_rng`` stream, run
 the parallel backend serially, close the other runners' pipe ends; the
 modules that own locks re-create them in the child

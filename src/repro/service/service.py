@@ -167,13 +167,13 @@ class ProvingService:
         return cls(session, config, journal_path=journal_path, chaos=chaos)
 
     def _spawn_worker(self, index: int) -> ProverWorker:
-        """Worker ``index`` with a fresh prover clone (an empty warm key
-        cache) and its runner: this process for worker 0, a freshly
-        forked process -- inheriting the committed database, parameters
-        and the fixed-base tables ``_warm_start`` built -- for the
-        rest."""
+        """Worker ``index`` with a prover clone (sharing the session
+        prover's key memo) and its runner: this process for worker 0, a
+        freshly forked process -- inheriting the committed database,
+        parameters, the keys memoized so far and the fixed-base tables
+        ``_warm_start`` built -- for the rest."""
         name = f"prover-worker-{index}"
-        prover = self.session.prover.worker_clone(key_cache={})
+        prover = self.session.prover.worker_clone()
         return ProverWorker(
             name=name,
             queue=self.queue,

@@ -10,7 +10,7 @@ commitment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, MutableMapping, Optional
+from typing import Any, Optional
 
 from repro import telemetry
 from repro.cache import ArtifactCache, resolve_cache
@@ -26,11 +26,12 @@ from repro.db.database import Database
 from repro.plonkish.assignment import Assignment
 from repro.proving.aggregate import ScanLinkClaim
 from repro.proving.keygen import (
+    Columns,
     ProvingKey,
     cached_keygen,
-    finalize_fixed,
     keygen,
     keygen_fingerprint,
+    remember,
 )
 from repro.proving.proof import Proof
 from repro.proving.prover import ProverTiming, create_proof
@@ -80,13 +81,13 @@ class ProverNode:
     Construct with ``ProverNode(db, params, config=ProverConfig(...))``
     (or, one level up, the :class:`repro.api.PoneglyphDB` facade).
 
-    ``key_cache`` is an optional in-memory mapping from keygen
-    fingerprints to warm :class:`~repro.proving.keygen.ProvingKey`
-    objects.  The proving service gives each long-lived worker its own
-    (see :mod:`repro.service.scheduler`), so a worker pays keygen --
-    or even just the disk-cache unpickle -- once per circuit shape
-    instead of once per job.  The mapping must not be shared across
-    threads: ``finalize_fixed`` mutates the cached key in place.
+    Proving keys are memoized in memory by keygen fingerprint (circuit
+    shape and fixed values), at most
+    :data:`~repro.proving.keygen.KEY_MEMO_MAX` of them, so a node pays
+    keygen -- or even just the disk-cache unpickle -- once per circuit
+    instead of once per job.  A key is never changed after it is built,
+    so the memo is shared: every :meth:`worker_clone` holds it by
+    reference, and a forked service runner inherits a copy.
     """
 
     def __init__(
@@ -96,7 +97,6 @@ class ProverNode:
         *,
         config: ProverConfig,
         cache: ArtifactCache | None = None,
-        key_cache: MutableMapping[str, ProvingKey] | None = None,
     ):
         if (1 << config.k) > params.n:
             raise ConfigError("k exceeds public parameter capacity")
@@ -113,29 +113,25 @@ class ProverNode:
         self.cache = cache if cache is not None else resolve_cache(
             config.cache_dir, enabled=config.use_cache
         )
-        self.key_cache = key_cache
+        self._keys: dict[str, ProvingKey] = {}
         self.commitment: Optional[DatabaseCommitment] = None
         self._secrets: Optional[CommitmentSecrets] = None
         self._planner = Planner(db)
 
-    def worker_clone(
-        self, key_cache: MutableMapping[str, ProvingKey] | None = None
-    ) -> "ProverNode":
+    def worker_clone(self) -> "ProverNode":
         """A prover sharing this node's database, parameters, published
-        commitment, and artifact cache, but with its own planner state
-        and warm-key mapping.
+        commitment, artifact cache and key memo, with its own planner.
 
-        The proving service hands one clone to each long-lived worker:
-        the heavyweight state (db, params, commitment secrets) is
-        shared by reference, while everything ``answer()`` mutates is
-        per-clone, so workers never contend on a proving key.
+        The proving service hands one clone to each long-lived worker.
+        Everything shared is read-only once built, and the memo only
+        gains whole keys, so workers never contend on a proving key.
         """
         clone = ProverNode(
-            self.db, self.params, config=self.config, cache=self.cache,
-            key_cache=key_cache if key_cache is not None else {},
+            self.db, self.params, config=self.config, cache=self.cache
         )
         clone.commitment = self.commitment
         clone._secrets = self._secrets
+        clone._keys = self._keys
         return clone
 
     # -- phase 2: commitment -------------------------------------------------
@@ -211,8 +207,7 @@ class ProverNode:
             timing.extra["witness"] = phase.duration
 
             phase = telemetry.begin_span("prove.keygen")
-            pk = self._obtain_proving_key(compiled, timing)
-            finalize_fixed(pk, asg)
+            pk = self._obtain_proving_key(compiled, asg.fixed, timing)
             phase.end()
             timing.extra["keygen"] = phase.duration
 
@@ -242,37 +237,35 @@ class ProverNode:
         )
 
     def _obtain_proving_key(
-        self, compiled: CompiledQuery, timing: ProverTiming
+        self, compiled: CompiledQuery, fixed: Columns, timing: ProverTiming
     ) -> ProvingKey:
-        """The proving key for ``compiled``, warmest source first:
-        in-memory ``key_cache`` (long-lived service workers), then the
-        on-disk artifact cache, then a fresh keygen.
+        """The proving key for ``compiled`` with ``fixed`` values,
+        warmest source first: the in-memory memo, then the on-disk
+        artifact cache, then a fresh keygen.
 
         ``timing.extra`` records which tier served the key
         (``keygen_warm_hit`` / ``keygen_cache_hit``).
         """
         fingerprint = keygen_fingerprint(
-            self.params, compiled.cs, self.field, self.k
+            self.params, compiled.cs, self.field, self.k, fixed
         )
         # Denominator of the warm-hit ratio health() reports
         # (keygen.warm_hits / keygen.requests).
         telemetry.incr("keygen.requests")
-        if self.key_cache is not None:
-            pk = self.key_cache.get(fingerprint)
-            if pk is not None:
-                timing.extra["keygen_warm_hit"] = 1.0
-                telemetry.incr("keygen.warm_hits")
-                return pk
-            timing.extra["keygen_warm_hit"] = 0.0
+        pk = self._keys.get(fingerprint)
+        if pk is not None:
+            timing.extra["keygen_warm_hit"] = 1.0
+            telemetry.incr("keygen.warm_hits")
+            return pk
+        timing.extra["keygen_warm_hit"] = 0.0
         if self.cache.enabled:
             pk, cache_hit = cached_keygen(
-                self.cache, self.params, compiled.cs, self.field, self.k
+                self.cache, self.params, compiled.cs, self.field, self.k, fixed
             )
             timing.extra["keygen_cache_hit"] = 1.0 if cache_hit else 0.0
         else:
-            pk = keygen(self.params, compiled.cs, self.field, self.k)
-        if self.key_cache is not None:
-            self.key_cache[fingerprint] = pk
+            pk = keygen(self.params, compiled.cs, self.field, self.k, fixed)
+        remember(self._keys, fingerprint, pk)
         return pk
 
     @staticmethod

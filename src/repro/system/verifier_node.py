@@ -40,7 +40,7 @@ from repro.db.commitment import DatabaseCommitment
 from repro.errors import VerificationFailure
 from repro.plonkish.assignment import Assignment
 from repro.proving.aggregate import AggEntry, AggProof
-from repro.proving.keygen import finalize_fixed, keygen
+from repro.proving.keygen import keygen_vk, remember
 from repro.proving.proof import Proof
 from repro.proving.recursion import Accumulator
 from repro.proving.verifier import verify_proof
@@ -50,12 +50,6 @@ from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.system.metadata import PublicMetadata, shell_database
 from repro.system.prover_node import QueryResponse
-
-#: Rebuilt verifying keys memoized per (sql, result_rows, params
-#: fingerprint); bounded so a hostile query stream cannot grow the
-#: verifier without limit.
-_VK_CACHE_MAX = 32
-
 
 @dataclass
 class VerificationReport:
@@ -155,13 +149,15 @@ class VerifierNode:
 
     def rebuild_verifying_key(self, sql: str, result_rows: int):
         """Recompile ``sql`` from public metadata and regenerate the
-        verifying key (deterministic keygen; no trust in the prover).
+        verifying key (deterministic :func:`keygen_vk`: commitments
+        only, no prover state; no trust in the prover).
 
         Returns ``(compiled, vk)``.  Raises on malformed queries.
 
         Rebuilds are memoized per ``(sql, result_rows, params
-        fingerprint)``: keygen is a pure function of public data, so a
-        verifier checking many proofs of the same query shape (the
+        fingerprint)``, at most :data:`~repro.proving.keygen.KEY_MEMO_MAX`
+        of them: keygen is a pure function of public data, so a verifier
+        checking many proofs of the same query shape (the
         batch-verification workload) pays compilation + keygen once.
         The fingerprint is part of the key because keygen commits the
         fixed columns under the *current* parameters -- a verifier
@@ -184,12 +180,11 @@ class VerifierNode:
         ).compile(plan)
         asg = Assignment(compiled.cs, self.field, self.metadata.k)
         compiled.assign_public(asg, result_rows)
-        pk = keygen(self.params, compiled.cs, self.field, self.metadata.k)
-        finalize_fixed(pk, asg)
-        if len(self._vk_cache) >= _VK_CACHE_MAX:
-            self._vk_cache.pop(next(iter(self._vk_cache)))
-        self._vk_cache[memo_key] = (compiled, pk.vk)
-        return compiled, pk.vk
+        vk = keygen_vk(
+            self.params, compiled.cs, self.field, self.metadata.k, asg.fixed
+        )
+        remember(self._vk_cache, memo_key, (compiled, vk))
+        return compiled, vk
 
     def verify(self, response: QueryResponse) -> VerificationReport:
         """Check one query response: a batch of one."""

@@ -100,7 +100,6 @@ def run_instrumented_prove():
     from repro.algebra import SCALAR_FIELD
     from repro.commit import setup
     from repro.proving import create_proof, keygen, verify_proof
-    from repro.proving.keygen import finalize_fixed
     from repro.telemetry.circuit import CircuitReport
 
     cs, cols = example_circuit()
@@ -109,8 +108,7 @@ def run_instrumented_prove():
     root = telemetry.begin_span("prove", source="selfcheck", k=EXAMPLE_K)
     try:
         with telemetry.span("prove.keygen"):
-            pk = keygen(params, cs, SCALAR_FIELD, EXAMPLE_K)
-            finalize_fixed(pk, asg)
+            pk = keygen(params, cs, SCALAR_FIELD, EXAMPLE_K, asg.fixed)
         before = _msm_counts()
         proof = create_proof(pk, asg)
         proved = _msm_counts()

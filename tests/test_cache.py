@@ -21,6 +21,7 @@ from repro.cache import (
     resolve_cache,
 )
 from repro.commit.params import PublicParams, cached_setup, setup
+from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import ConstraintSystem
 from repro.proving.keygen import cached_keygen, keygen, keygen_fingerprint
 from repro.tpch.datagen import (
@@ -179,19 +180,54 @@ class TestCachedKeygen:
         cs.create_gate("square", [sel.cur() * (a.cur() * a.cur() - a.next())])
         return cs
 
+    @staticmethod
+    def _fixed(cs, k=4):
+        """The fixed columns of ``cs`` with its selector on rows 0..2."""
+        asg = Assignment(cs, SCALAR_FIELD, k)
+        for row in range(3):
+            asg.assign(cs.fixed_columns[0], row, 1)
+        return asg.fixed
+
     def test_fingerprint_is_stable_and_shape_sensitive(self, params_k6):
         cs1, cs2 = self._tiny_cs(), self._tiny_cs()
-        fp1 = keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 4)
-        assert fp1 == keygen_fingerprint(params_k6, cs2, SCALAR_FIELD, 4)
+        fixed = self._fixed(cs1)
+        fp1 = keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 4, fixed)
+        assert fp1 == keygen_fingerprint(params_k6, cs2, SCALAR_FIELD, 4, fixed)
         cs2.advice_column("extra")
-        assert fp1 != keygen_fingerprint(params_k6, cs2, SCALAR_FIELD, 4)
-        assert fp1 != keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 5)
+        assert fp1 != keygen_fingerprint(params_k6, cs2, SCALAR_FIELD, 4, fixed)
+        assert fp1 != keygen_fingerprint(
+            params_k6, cs1, SCALAR_FIELD, 5, self._fixed(cs1, 5)
+        )
+        # The fixed values are part of the key: one cell changed moves it.
+        moved = [list(column) for column in fixed]
+        moved[0][3] = 1
+        assert fp1 != keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 4, moved)
+
+    def test_key_without_fixed_part_misses(self, cache, params_k6):
+        """A key pickled under the ``v3`` fingerprint -- tag, parameters,
+        field, row count and circuit, but no fixed values: a key that
+        lacks its fixed columns -- is never loaded."""
+        import hashlib
+
+        cs = self._tiny_cs()
+        fixed = self._fixed(cs)
+        h = hashlib.blake2b(digest_size=20)
+        h.update(b"lookup-arguments-v3|")
+        h.update(f"{params_k6.curve.name}|{params_k6.k}|{SCALAR_FIELD.p}|4|".encode())
+        h.update(params_k6.g[0].to_bytes())
+        h.update(cs.fingerprint().encode())
+        stale = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
+        cache.put_bytes(cache_key("pk", h.hexdigest()), pickle.dumps(stale))
+        assert cache.fetch("pk", (h.hexdigest(),), lambda: None)[1]
+        _, hit = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
+        assert not hit
 
     def test_cached_keygen_matches_fresh(self, cache, params_k6):
         cs = self._tiny_cs()
-        fresh = keygen(params_k6, cs, SCALAR_FIELD, 4)
-        pk1, hit1 = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4)
-        pk2, hit2 = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4)
+        fixed = self._fixed(cs)
+        fresh = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
+        pk1, hit1 = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
+        pk2, hit2 = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
         assert (hit1, hit2) == (False, True)
         for pk in (pk1, pk2):
             # keygen is deterministic (fixed-base commitments carry no
@@ -199,16 +235,17 @@ class TestCachedKeygen:
             assert pk.vk.fixed_commitments == fresh.vk.fixed_commitments
             assert pk.vk.sigma_commitments == fresh.vk.sigma_commitments
             assert pk.vk.system_commitments == fresh.vk.system_commitments
-        # The two cache loads are independent objects (finalize_fixed
-        # mutates its argument; a shared instance would corrupt later
-        # fetches).
+        # Each fetch unpickles its own object: the disk cache hands out
+        # no shared instance (sharing is the prover's in-memory memo's
+        # job, and safe there because keys are immutable).
         assert pk1 is not pk2
 
     def test_circuit_change_invalidates(self, cache, params_k6):
         cs = self._tiny_cs()
-        cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4)
+        fixed = self._fixed(cs)
+        cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
         cs.advice_column("extra")
-        _, hit = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4)
+        _, hit = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
         assert not hit
 
 

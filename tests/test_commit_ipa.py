@@ -389,7 +389,6 @@ class TestGroupWork:
         from repro import telemetry
         from repro.plonkish import Assignment
         from repro.proving import create_proof, keygen, verify_proof
-        from repro.proving.keygen import finalize_fixed
         from repro.sql.compiler import QueryCompiler
         from repro.sql.parser import parse
         from repro.sql.planner import Planner
@@ -402,8 +401,7 @@ class TestGroupWork:
         compiled = QueryCompiler(db, k, 4, 32, 40).compile(plan)
         asg = Assignment(compiled.cs, F, k)
         compiled.assign_witness(asg, db)
-        pk = keygen(setup(k), compiled.cs, F, k)
-        finalize_fixed(pk, asg)
+        pk = keygen(setup(k), compiled.cs, F, k, asg.fixed)
         instance = [
             asg.instance_values(column)[: asg.usable_rows]
             for column in compiled.cs.instance_columns

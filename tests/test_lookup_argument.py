@@ -20,7 +20,6 @@ from repro.commit import setup
 from repro.plonkish import Assignment, ConstraintSystem, MockProver
 from repro.plonkish.expression import Constant
 from repro.proving import create_proof, keygen, verify_proof
-from repro.proving.keygen import finalize_fixed
 from repro.proving.prover import ProvingError
 
 K = 4
@@ -129,8 +128,7 @@ def test_mock_prover_and_the_argument_agree(params, spec):
     assert {f.kind for f in failures} <= {"lookup"}
     assert bool(failures) == (spec.stray is not None)
 
-    pk = keygen(params, cs, F, K)
-    finalize_fixed(pk, asg)
+    pk = keygen(params, cs, F, K, asg.fixed)
     try:
         proof = create_proof(pk, asg)
     except ProvingError as exc:

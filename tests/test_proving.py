@@ -13,7 +13,6 @@ from repro.algebra import SCALAR_FIELD
 from repro.algebra.field import deterministic_rng
 from repro.plonkish import MockProver
 from repro.proving import Accumulator, create_proof, keygen, verify_proof
-from repro.proving.keygen import finalize_fixed
 from repro.proving.prover import ProverTiming, ProvingError
 from repro.telemetry.selfcheck import EXAMPLE_K as K
 from repro.telemetry.selfcheck import example_assignment, example_circuit
@@ -48,8 +47,7 @@ def proven(params_k6_module):
     """One honest (pk, proof, instance) triple shared by read-only tests."""
     cs, cols = example_circuit()
     asg, result = example_assignment(cs, cols)
-    pk = keygen(params_k6_module, cs, F, K)
-    finalize_fixed(pk, asg)
+    pk = keygen(params_k6_module, cs, F, K, asg.fixed)
     proof = create_proof(pk, asg)
     instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
     return pk, proof, instance, result
@@ -79,8 +77,7 @@ class TestHonestProofs:
         # proofs are randomized).
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
         p1 = create_proof(pk, asg)
         p2 = create_proof(pk, asg)
         assert p1.advice_commitments != p2.advice_commitments
@@ -91,8 +88,7 @@ class TestHonestProofs:
     def test_timing_instrumentation(self, params_k6_module):
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
         timing = ProverTiming()
         create_proof(pk, asg, timing=timing)
         assert timing.total > 0
@@ -121,8 +117,7 @@ class TestRejection:
     def test_wrong_witness_rejected(self, params_k6_module):
         cs, cols = example_circuit()
         asg, result = assign_broken_mul(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
         proof = create_proof(pk, asg)
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert not verify_proof(pk.vk, proof, instance)
@@ -131,8 +126,7 @@ class TestRejection:
         cs, cols = example_circuit()
         cs.copy(cols["a"], 0, cols["b"], 0)  # 7 != 11, violated
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
         proof = create_proof(pk, asg)
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert not verify_proof(pk.vk, proof, instance)
@@ -140,8 +134,7 @@ class TestRejection:
     def test_lookup_violation_unprovable(self, params_k6_module):
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols, x=99)  # 99 outside [0,16)
-        pk = keygen(params_k6_module, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
         with pytest.raises(ProvingError):
             create_proof(pk, asg)
 
@@ -246,8 +239,7 @@ class TestGoldenProofDigest:
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
         with deterministic_rng(0x5EED):
-            pk = keygen(params_k6_module, cs, F, K)
-            finalize_fixed(pk, asg)
+            pk = keygen(params_k6_module, cs, F, K, asg.fixed)
             proof = create_proof(pk, asg)
         assert _digest(proof.to_bytes()) == GOLDEN_K5
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
@@ -259,8 +251,7 @@ class TestGoldenProofDigest:
         # "chain" evaluation, a 3rd opening point) and a shuffle.
         cs, asg, instance = two_chunk_shuffle_circuit()
         with deterministic_rng(0x5EED):
-            pk = keygen(params_k6_module, cs, F, K)
-            finalize_fixed(pk, asg)
+            pk = keygen(params_k6_module, cs, F, K, asg.fixed)
             proof = create_proof(pk, asg)
         assert len(pk.vk.permutation_chunks) == 2 and len(cs.shuffles) == 1
         assert verify_proof(pk.vk, proof, instance)
@@ -334,3 +325,89 @@ def test_tpch_proof_carries_one_opening(claims, sql, rotation_sets):
     )
     assert {rotations for rotations, _ in sets} == rotation_sets
     assert len(response.proof.multiopen_q_evals) == len(sets)
+
+
+def _compiled_key_inputs(sql, rows, k):
+    """``(params, cs, fixed, asg)`` of ``sql`` compiled over a seeded
+    TPC-H database of ``rows`` lineitems at ``2^k`` rows."""
+    from repro.commit import setup
+    from repro.plonkish import Assignment
+    from repro.sql.compiler import QueryCompiler
+    from repro.sql.parser import parse
+    from repro.sql.planner import Planner
+    from repro.tpch import generate
+
+    db = generate(rows, seed=1)
+    compiled = QueryCompiler(db, k, 4, 32, 40).compile(
+        Planner(db).plan(parse(sql))
+    )
+    asg = Assignment(compiled.cs, F, k)
+    compiled.assign_witness(asg, db)
+    return setup(k), compiled.cs, asg.fixed, asg
+
+
+class TestImmutableKeys:
+    """A key is built whole by one call and never changed afterwards,
+    which is what lets one key serve every thread of a service."""
+
+    @pytest.fixture(scope="class")
+    def q1_key(self):
+        from repro.tpch import QUERIES
+
+        params, cs, fixed, asg = _compiled_key_inputs(QUERIES["Q1"], 32, 7)
+        return keygen(params, cs, F, 7, fixed), asg
+
+    def test_proving_leaves_the_key_unchanged(self, q1_key):
+        import pickle
+
+        pk, asg = q1_key
+        before = pickle.dumps(pk)
+        create_proof(pk, asg)
+        assert pickle.dumps(pk) == before
+
+    def test_key_fields_cannot_be_assigned(self, q1_key):
+        from dataclasses import FrozenInstanceError, fields
+
+        pk, _ = q1_key
+        for key in (pk, pk.vk):
+            for field in fields(key):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(key, field.name, getattr(key, field.name))
+
+    @pytest.mark.parametrize(
+        "sql, rows, k",
+        [
+            pytest.param(None, 32, 7, id="Q1"),
+            pytest.param(
+                "select n_name, r_name from nation, region "
+                "where n_regionkey = r_regionkey and r_name = 'ASIA'",
+                16,
+                6,
+                id="join",
+            ),
+        ],
+    )
+    def test_keygen_vk_is_keygens_vk(self, sql, rows, k):
+        """``keygen_vk`` commits without transforming and equals the
+        proving key's own verifying key, field by field."""
+        from dataclasses import fields
+
+        from repro import telemetry
+        from repro.proving import VerifyingKey, keygen_vk
+        from repro.tpch import QUERIES
+
+        params, cs, fixed, _ = _compiled_key_inputs(sql or QUERIES["Q1"], rows, k)
+        previous = telemetry.enable(True)
+        try:
+            before = telemetry.counters_snapshot().get("fft.calls", 0)
+            vk = keygen_vk(params, cs, F, k, fixed)
+            assert telemetry.counters_snapshot().get("fft.calls", 0) == before
+        finally:
+            telemetry.enable(previous)
+        expected = keygen(params, cs, F, k, fixed).vk
+        assert vk.params.fingerprint() == expected.params.fingerprint()
+        for field in fields(VerifyingKey):
+            if field.name != "params":
+                assert getattr(vk, field.name) == getattr(expected, field.name), (
+                    field.name
+                )

@@ -19,7 +19,7 @@ from repro.algebra.domain import EvaluationDomain
 from repro.commit import setup
 from repro.plonkish import Assignment
 from repro.proving import create_proof, keygen, prover
-from repro.proving.keygen import PERMUTATION_CHUNK, finalize_fixed
+from repro.proving.keygen import PERMUTATION_CHUNK
 from repro.proving.proof import Proof
 from repro.sql.compiler import QueryCompiler
 from repro.sql.parser import parse
@@ -106,8 +106,7 @@ def after_quotient(request, params):
         )
         patch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
         cs, asg, k = CIRCUITS[request.param]()
-        pk = keygen(params, cs, F, k)
-        finalize_fixed(pk, asg)
+        pk = keygen(params, cs, F, k, asg.fixed)
         create_proof(pk, asg)
     return cs, k, seen[0]
 

@@ -20,7 +20,6 @@ from repro.commit.ipa import IpaProof
 from repro.config import ProverConfig
 from repro.proving import create_proof, keygen, verify_proof
 from repro.proving.aggregate import aggregate
-from repro.proving.keygen import finalize_fixed
 from repro.proving.prover import ProvingError
 from repro.proving.proof import (
     CHUNKS,
@@ -59,8 +58,7 @@ def params():
 
 
 def prove_honestly(params, cs, asg, instance):
-    pk = keygen(params, cs, F, K)
-    finalize_fixed(pk, asg)
+    pk = keygen(params, cs, F, K, asg.fixed)
     proof = create_proof(pk, asg)
     assert verify_proof(pk.vk, proof, instance)
     return pk, asg, proof, instance
@@ -132,8 +130,7 @@ class TestRoundTrip:
         witnesses (fresh blinding every example)."""
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols, x=x, y=y, z=z)
-        pk = keygen(params, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params, cs, F, K, asg.fixed)
         proof = create_proof(pk, asg)
         data = proof.to_bytes()
         decoded = Proof.from_bytes(pk.vk, data)
@@ -364,8 +361,7 @@ class TestLookupArgumentAttacks:
 
         faults, outside, guard, weaken = LOOKUP_ATTACKS[attack]
         cs, asg, instance = circuit(x=99 if outside else 7)
-        pk = keygen(params, cs, F, K)
-        finalize_fixed(pk, asg)
+        pk = keygen(params, cs, F, K, asg.fixed)
         assert len(pk.vk.lookup_arguments[0].groups) == 2
         if outside:
             with pytest.raises(ProvingError, match="not in table"):

@@ -303,6 +303,49 @@ class TestCommitmentContract:
         assert not report.accepted and "scan link broken" in report.reason
 
 
+@pytest.fixture(scope="module")
+def tpch_q1():
+    """TPC-H Q1 over 32 lineitems at k=7 (the benchmark's), answered
+    once: ``(params, prover, commitment, response)``."""
+    from repro.tpch import QUERIES
+
+    params = setup(K)
+    prover = ProverNode(
+        generate(32, seed=1),
+        params,
+        config=ProverConfig(
+            k=K, limb_bits=4, value_bits=32, key_bits=40, use_cache=False
+        ),
+    )
+    commitment = prover.publish_commitment()
+    return params, prover, commitment, prover.answer(QUERIES["Q1"])
+
+
+class TestKeys:
+    """Keys are built whole and never changed afterwards: the provers of
+    one node share them, and the verifier builds commitments only."""
+
+    def test_worker_clone_answers_from_the_shared_memo(self, system):
+        _, _, prover, *_ = system
+        response = prover.worker_clone().answer(SQL)
+        assert response.timing.extra["keygen_warm_hit"] == 1.0
+
+    def test_cold_verify_runs_no_transform(self, tpch_q1):
+        from repro import telemetry
+
+        params, prover, commitment, response = tpch_q1
+        verifier = VerifierNode(params, prover.public_metadata(), commitment)
+        previous = telemetry.enable(True)
+        try:
+            before = telemetry.counters_snapshot().get("fft.calls", 0)
+            report = verifier.verify(response)
+            after = telemetry.counters_snapshot().get("fft.calls", 0)
+        finally:
+            telemetry.enable(previous)
+        assert report.accepted, report.reason
+        assert after - before == 0
+
+
 def test_case_flag_after_filter_round_trip(tmp_path):
     """ISSUE 18 / B1: an equality flag inside CASE, evaluated on rows an
     earlier filter dropped.  The hand-written witness answered 0 there

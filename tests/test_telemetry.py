@@ -20,7 +20,6 @@ from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.plonkish.assignment import ZK_ROWS
 from repro.proving import create_proof, keygen
-from repro.proving.keygen import finalize_fixed
 from repro.telemetry.circuit import CircuitReport
 from repro.telemetry.export import write_trace_spans
 from repro.telemetry.selfcheck import (
@@ -408,8 +407,7 @@ class TestCircuitReport:
         # once over the n rows and once over the 2^extended_k coset,
         # plus the quotient's own inverse transform.
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(setup(EXAMPLE_K), cs, SCALAR_FIELD, EXAMPLE_K)
-        finalize_fixed(pk, asg)
+        pk = keygen(setup(EXAMPLE_K), cs, SCALAR_FIELD, EXAMPLE_K, asg.fixed)
         before = tele.counters_snapshot().get("fft.points", 0)
         proof = create_proof(pk, asg)
         fft_points = tele.counters_snapshot()["fft.points"] - before
