@@ -21,7 +21,10 @@ Reads are *self-checking*: every stored artifact is framed as
 bit-flipped, or foreign file is evicted on sight (counted as
 ``cache.corrupt_evictions``) and reads as a miss, so the builder
 recomputes instead of a corrupt artifact reaching the prover -- disk
-corruption degrades to a cold start, never to a wrong proof.
+corruption degrades to a cold start, never to a wrong proof.  Writes
+degrade the same way: an artifact that cannot be stored (say, the cache
+directory is a regular file) is counted as ``cache.write_errors`` and
+simply misses next time.
 """
 
 from __future__ import annotations
@@ -163,20 +166,28 @@ class ArtifactCache:
         return payload
 
     def put_bytes(self, key: str, data: bytes) -> None:
+        """Store ``data`` under ``key``.  A write that fails anywhere --
+        creating the directory, the temp file, writing, renaming -- is
+        logged and counted as ``cache.write_errors``; the value was
+        already built, so the caller goes on and the next read misses."""
         if not self.enabled:
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: never expose a partially written artifact.
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        tmp = None
         try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            # Atomic publish: never expose a partially written artifact.
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(_frame(data))
             os.replace(tmp, self.path_for(key))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        except OSError as exc:
+            telemetry.incr("cache.write_errors")
+            logger.warning("cache WRITE FAILED %s (%s)", key, exc)
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def evict(self, key: str, reason: str = "evicted") -> bool:
         """Remove one artifact (corruption recovery path); counted as

@@ -3,7 +3,8 @@
 A Jacobian addition costs ~16 field multiplications because it dodges
 the inversion an affine addition needs.  But when *many* independent
 additions happen at once -- Pippenger bucket accumulation, fixed-base
-digit accumulation, table doubling -- their inversions can share one
+digit accumulation, table doubling, the lanes of the Lagrange-basis
+group FFT -- their inversions can share one
 Montgomery batch inversion: each affine addition then costs ~4 field
 multiplications plus an O(1) amortized share of a single inversion, less
 than a third of the Jacobian cost.
@@ -83,6 +84,43 @@ def sum_affine_lists(p: int, lists: Sequence[list[tuple[int, int]]]) -> int:
                 still_active.append(pts)
         active = still_active
     return rounds
+
+
+def batch_add(p: int, a: list, b: list) -> list:
+    """Elementwise ``a[i] + b[i]`` with ONE shared inversion.
+
+    Either operand may be ``None`` (the identity); equal points double
+    and inverse pairs cancel to ``None``, so every lane is exact.
+    """
+    denoms: list[int] = []
+    for pt, qt in zip(a, b):
+        if pt is None or qt is None:
+            continue
+        if pt[0] != qt[0]:
+            denoms.append(qt[0] - pt[0])
+        elif pt[1] == qt[1] and pt[1]:
+            denoms.append(2 * pt[1])  # equal points: affine doubling
+    invs = montgomery_batch_inv(denoms, p) if denoms else []
+    out: list = []
+    vi = 0
+    for pt, qt in zip(a, b):
+        if pt is None or qt is None:
+            out.append(qt if pt is None else pt)
+            continue
+        x1, y1 = pt
+        x2, y2 = qt
+        if x1 != x2:
+            lam = (y2 - y1) * invs[vi] % p
+            x3 = (lam * lam - x1 - x2) % p
+        elif y1 == y2 and y1:
+            lam = 3 * x1 * x1 * invs[vi] % p
+            x3 = (lam * lam - 2 * x1) % p
+        else:
+            out.append(None)  # P + (-P)
+            continue
+        vi += 1
+        out.append((x3, (lam * (x1 - x3) - y1) % p))
+    return out
 
 
 def batch_double(p: int, pts: list) -> list:

@@ -44,7 +44,8 @@ from repro import telemetry
 from repro.algebra import fft_plan
 from repro.algebra.domain import EvaluationDomain
 from repro.cache import cache_key
-from repro.ecc.batch_affine import batch_double, sum_affine_lists
+from repro.ecc import glv
+from repro.ecc.batch_affine import batch_add, batch_double, sum_affine_lists
 from repro.ecc.curve import Curve, Point, curve_by_name, points_to_affine_tuples
 from repro.ecc.msm import collapse_buckets
 
@@ -92,9 +93,10 @@ class FixedBaseTables:
 
 
 def build_tables(
-    curve: Curve, points: Sequence[Point], c: int = FIXED_BASE_WINDOW
+    curve: Curve, coords: Sequence, c: int = FIXED_BASE_WINDOW
 ) -> FixedBaseTables:
-    """Precompute shifted window bases for ``points``.
+    """Precompute shifted window bases for the affine points ``coords``
+    (the identity as ``None`` or ``(0, 0)``).
 
     Pure doublings: the whole base vector is doubled ``c`` times per
     window with elementwise batch-affine passes (one shared inversion
@@ -106,7 +108,6 @@ def build_tables(
     p = curve.field.p
     num_bits = curve.scalar_field.p.bit_length()
     windows = (num_bits + c - 1) // c
-    coords = points_to_affine_tuples(list(points))
     vec = [None if xy == (0, 0) else xy for xy in coords]
     shifted = [list(vec)]
     for _ in range(windows - 1):
@@ -249,34 +250,54 @@ def clear_registry() -> None:
     _REGISTRY.clear()
 
 
-def lagrange_bases(params: "PublicParams") -> list[Point]:
+def lagrange_bases(params: "PublicParams") -> list:
     """``L_j = sum_i (n^-1 * omega^(-i*j)) * g[i]``: the group inverse FFT
     of ``params.g`` over the size-``n`` evaluation domain of the scalar
-    field.
+    field, as affine points (``None`` for the identity).
 
     By linearity ``sum_j e_j * L_j == sum_i c_i * g[i]`` whenever ``c``
     is the inverse FFT of ``e``, so committing a column's *values*
     against ``L`` gives the group element its coefficients give against
     ``g`` -- without widening small values into full-width scalars.
+
+    Each butterfly stage is two batch-affine passes: one vectorised GLV
+    ladder (:func:`~repro.ecc.glv.batch_mul`) for all of its twiddle
+    products, one elementwise addition for all of its ``lo +- hi``.
+    ``n^-1`` rides on the last stage's twiddles (that stage scales its
+    ``lo`` too), which makes ``(k - 1) * n / 2 + 2`` products in all.
     """
-    domain = EvaluationDomain(params.curve.scalar_field, params.k)
-    plan = fft_plan.plan_for(domain.size, domain.omega_inv, domain.field.p)
-    pts = list(params.g)
+    curve = params.curve
+    p = curve.field.p
+    order = curve.scalar_field.p
+    domain = EvaluationDomain(curve.scalar_field, params.k)
+    plan = fft_plan.plan_for(domain.size, domain.omega_inv, order)
+    n, n_inv = plan.n, domain.size_inv
+    coords = points_to_affine_tuples(list(params.g))
+    pts = [None if xy == (0, 0) else xy for xy in coords]
     for i, j in plan.swaps:
         pts[i], pts[j] = pts[j], pts[i]
     length = 2
     for ws in plan.stages:
         half = length // 2
-        for start in range(0, plan.n, length):
-            for i in range(half):
-                lo = pts[start + i]
-                hi = pts[start + i + half]
-                if i:  # ws[0] == 1
-                    hi = hi * ws[i]
-                pts[start + i] = lo + hi
-                pts[start + i + half] = lo - hi
+        los = [start + i for start in range(0, n, length) for i in range(half)]
+        his = [j + half for j in los]
+        if length < n:
+            # hi of butterfly i takes ws[i]; ws[0] == 1 needs no product.
+            targets = [j for j in his if j % length != half]
+            twiddles = [ws[j % length - half] for j in targets]
+        else:
+            targets = los + his
+            twiddles = [n_inv] * half + [w * n_inv % order for w in ws]
+        scaled = glv.batch_mul(curve, [pts[j] for j in targets], twiddles)
+        for j, pt in zip(targets, scaled):
+            pts[j] = pt
+        lo = [pts[j] for j in los]
+        hi = [pts[j] for j in his]
+        neg_hi = [None if q is None else (q[0], p - q[1]) for q in hi]
+        for j, pt in zip(los + his, batch_add(p, lo + lo, hi + neg_hi)):
+            pts[j] = pt
         length *= 2
-    return [pt * domain.size_inv for pt in pts]
+    return pts
 
 
 def _disk_key(key: _Key) -> str:
@@ -333,8 +354,12 @@ def tables_for_params(
     with lock:
         tables = _lookup(key, (params.curve.name, params.n + 2))
         if tables is None:
-            bases = list(params.g) if kind == MONOMIAL else lagrange_bases(params)
-            tables = build_tables(params.curve, bases + [params.w, params.u], c)
+            extra = points_to_affine_tuples([params.w, params.u])
+            if kind == MONOMIAL:
+                bases = points_to_affine_tuples(list(params.g))
+            else:
+                bases = lagrange_bases(params)
+            tables = build_tables(params.curve, bases + extra, c)
             _REGISTRY[key] = tables
             telemetry.incr("msm.fixed_base_table_builds")
             if _CACHE is not None:

@@ -121,6 +121,34 @@ class TestArtifactCache:
         cache.put_bytes("empty", b"")
         assert cache.get_bytes("empty") == b""
 
+    def test_unwritable_root_is_counted_and_misses(self, tmp_path, monkeypatch):
+        """A cache whose root is a regular file cannot store anything:
+        every write is logged and counted, ``cached_setup`` and
+        ``tables_for_params`` still return what they built, and the
+        next read is a miss."""
+        from repro import telemetry
+        from repro.ecc import fixed_base
+
+        blocker = tmp_path / "a-file"
+        blocker.write_bytes(b"")
+        cache = ArtifactCache(blocker)
+        monkeypatch.setattr(fixed_base, "_CACHE", cache)
+        was_enabled = telemetry.enable(True)
+        try:
+            before = telemetry.counters_snapshot().get("cache.write_errors", 0)
+            cache.put_bytes("x", b"abc")
+            params, hit1 = cached_setup(cache, 2, label=b"unwritable")
+            tables = fixed_base.tables_for_params(params, kind=fixed_base.LAGRANGE)
+            after = telemetry.counters_snapshot().get("cache.write_errors", 0)
+        finally:
+            telemetry.enable(was_enabled)
+        assert after == before + 3
+        assert cache.get_bytes("x") is None
+        assert len(tables) == params.n + 2
+        again, hit2 = cached_setup(cache, 2, label=b"unwritable")
+        assert (hit1, hit2) == (False, False) and again.g == params.g
+        assert blocker.read_bytes() == b""
+
     def test_disabled_cache_never_stores(self, tmp_path):
         cache = ArtifactCache(tmp_path, enabled=False)
         _, hit1 = cache.fetch("demo", (), lambda: 1)

@@ -4,9 +4,11 @@ Columns are committed by their *values* against the Lagrange-basis
 generators (``commit_lagrange``); the coefficient path
 (``commit_polynomial(ifft(values))``) stays as the oracle.  These tests
 pin the equivalence on every scalar-width shape, the basis itself
-against ``msm_naive``, the per-parameter-set table registry (truncated
-views, distrusted disk entries, single-flight builds) and the worker
-pool's table-hit and table-miss arms.
+against ``msm_naive`` and against the Jacobian group FFT it replaced
+(with the number of scalar products a cold build makes), the
+per-parameter-set table registry (truncated views, distrusted disk
+entries, single-flight builds) and the worker pool's table-hit and
+table-miss arms.
 """
 
 import pickle
@@ -17,7 +19,7 @@ import time
 import pytest
 
 from repro import parallel, telemetry
-from repro.algebra import SCALAR_FIELD, backend
+from repro.algebra import SCALAR_FIELD, backend, fft_plan
 from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.algebra.domain import EvaluationDomain
 from repro.cache import ArtifactCache
@@ -58,6 +60,33 @@ def _vectors(n: int, rng: random.Random) -> dict[str, list[int]]:
         "mixed": narrow[: n - 4] + wide[n - 4 :],
         "short": narrow[: n // 2],
     }
+
+
+def _jacobian_lagrange_bases(params):
+    """The group inverse FFT as it ran on Jacobian ``Point`` arithmetic:
+    one ``endo_mul`` per nontrivial twiddle, then ``n`` more for ``n^-1``."""
+    domain = EvaluationDomain(params.curve.scalar_field, params.k)
+    plan = fft_plan.plan_for(domain.size, domain.omega_inv, domain.field.p)
+    pts = list(params.g)
+    for i, j in plan.swaps:
+        pts[i], pts[j] = pts[j], pts[i]
+    length = 2
+    for ws in plan.stages:
+        half = length // 2
+        for start in range(0, plan.n, length):
+            for i in range(half):
+                lo = pts[start + i]
+                hi = pts[start + i + half]
+                if i:  # ws[0] == 1
+                    hi = hi * ws[i]
+                pts[start + i] = lo + hi
+                pts[start + i + half] = lo - hi
+        length *= 2
+    return [pt * domain.size_inv for pt in pts]
+
+
+def _affine(points):
+    return [None if pt.is_identity() else pt.to_affine() for pt in points]
 
 
 def _oracle(params, evals, blind):
@@ -136,7 +165,30 @@ class TestBasis:
                 domain.size_inv * pow(domain.omega_inv, i * j, P) % P
                 for i in range(params.n)
             ]
-            assert generator == msm_naive(params.g, row)
+            assert generator == msm_naive(params.g, row).to_affine()
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_the_jacobian_group_fft(self, k):
+        params = setup(k, label=b"lagrange-fft")
+        assert fixed_base.lagrange_bases(params) == _affine(
+            _jacobian_lagrange_bases(params)
+        )
+
+    def test_matches_the_jacobian_group_fft_on_a_truncated_view(self, params_k6):
+        small = params_k6.truncated(4)
+        assert fixed_base.lagrange_bases(small) == _affine(
+            _jacobian_lagrange_bases(small)
+        )
+
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_cold_build_scalar_products(self, k, registry_only, counters):
+        """One GLV product per nontrivial twiddle with ``n^-1`` folded
+        into the last stage: ``(k - 1) * n / 2 + 2`` (386 at k=7, where
+        a separate ``n^-1`` pass made 449)."""
+        params = setup(k, label=b"cold-products")
+        before = counters("msm.glv_splits")
+        fixed_base.tables_for_params(params, kind=fixed_base.LAGRANGE)
+        assert counters("msm.glv_splits") - before == (k - 1) * params.n // 2 + 2
 
     def test_table_layout(self, params_k6):
         """Index n is w and n + 1 is u, in both table sets."""
@@ -167,7 +219,9 @@ class TestRegistry:
         cache = ArtifactCache(tmp_path)
         monkeypatch.setattr(fixed_base, "_CACHE", cache)
         key = (kind, params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
-        wrong_shape = fixed_base.build_tables(params.curve, params.g[:2])
+        wrong_shape = fixed_base.build_tables(
+            params.curve, points_to_affine_tuples(params.g[:2])
+        )
         for stale in (b"not a pickle", pickle.dumps("junk"), pickle.dumps(wrong_shape)):
             fixed_base._REGISTRY.pop(key, None)
             cache.put_bytes(fixed_base._disk_key(key), stale)

@@ -5,7 +5,9 @@ The kernel layer (batch-affine Pippenger, GLV splitting, fixed-base
 tables, cached NTT plans) claims the *same group elements and field
 vectors* as the textbook algorithms, so these tests compare each kernel
 against an oracle one level simpler -- ``endo_mul`` against
-double-and-add written here, ``msm`` against ``msm_naive``, the
+double-and-add written here, the elementwise batch-affine addition and
+the vectorised GLV ladder against ``Point`` ``+`` and ``*``, ``msm``
+against ``msm_naive``, the
 fixed-base and commitment paths against ``msm``, the plan NTT against
 direct evaluation -- including the adversarial inputs (duplicate
 points, inverse pairs, zero scalars, identity points) where affine
@@ -25,18 +27,18 @@ from repro.algebra.fft_plan import NttPlan, ntt_in_place, plan_for
 from repro.commit.ipa import commit_polynomial, commit_polynomials
 from repro.commit.pedersen import pedersen_commit
 from repro.ecc import PALLAS, VESTA
-from repro.ecc import fixed_base, glv
-from repro.ecc.curve import Point
+from repro.ecc import batch_affine, fixed_base, glv
+from repro.ecc.curve import Point, points_to_affine_tuples
 from repro.ecc.msm import msm, msm_naive
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 
 
-def _points(n, seed=1):
+def _points(n, seed=1, curve=PALLAS):
     """A deterministic mix of distinct, duplicate, inverse, and
     identity points."""
     rng = random.Random(seed)
-    g = PALLAS.generator
+    g = curve.generator
     pts = []
     for i in range(n):
         kind = rng.randrange(8)
@@ -45,10 +47,15 @@ def _points(n, seed=1):
         elif kind == 1 and pts:
             pts.append(-pts[rng.randrange(len(pts))])  # inverse pair
         elif kind == 2:
-            pts.append(PALLAS.identity())
+            pts.append(curve.identity())
         else:
-            pts.append(g * rng.randrange(1, SCALAR_FIELD.p))
+            pts.append(g * rng.randrange(1, curve.scalar_field.p))
     return pts
+
+
+def _affine(points):
+    """Batch-affine form: coordinates, ``None`` for the identity."""
+    return [None if pt.is_identity() else pt.to_affine() for pt in points]
 
 
 class TestBatchAffineMsm:
@@ -72,6 +79,41 @@ class TestBatchAffineMsm:
         g = PALLAS.generator
         pts = [g, -g, g * 3]
         assert msm(pts, [7, 7, 0]).is_identity()
+
+
+@pytest.mark.parametrize("curve", [PALLAS, VESTA], ids=lambda c: c.name)
+class TestBatchAffineLanes:
+    """The elementwise kernels the Lagrange-basis group FFT runs on."""
+
+    def test_batch_add_matches_point_addition(self, curve):
+        pts = _points(48, seed=21, curve=curve)
+        rng = random.Random(22)
+        g = pts[next(i for i, pt in enumerate(pts) if not pt.is_identity())]
+        identity = curve.identity()
+        # Random pairings from the mixed pool, then lanes whose operands
+        # meet -- doubling and cancellation in the same batch -- and
+        # identities on either side.
+        a = pts + [g, g, -g, identity, g, identity]
+        b = rng.sample(pts, len(pts)) + [g, -g, -g, g, identity, identity]
+        got = batch_affine.batch_add(curve.field.p, _affine(a), _affine(b))
+        assert got == _affine([x + y for x, y in zip(a, b)])
+
+    def test_batch_mul_matches_point_multiplication(self, curve):
+        order = curve.scalar_field.p
+        lam = glv.curve_endo(curve).lam
+        rng = random.Random(23)
+        special = [0, 1, 2, order - 1, lam, order - lam, order + 5]
+        pts = _points(12, seed=24, curve=curve)
+        lanes = [(pt, s) for pt in pts for s in special]
+        lanes += [(pt, rng.randrange(order)) for pt in pts for _ in range(2)]
+        lanes += [(pt, rng.randrange(1 << 20)) for pt in pts[:4]]  # short
+        got = glv.batch_mul(
+            curve, _affine([pt for pt, _ in lanes]), [s for _, s in lanes]
+        )
+        assert got == _affine([pt * s for pt, s in lanes])
+
+    def test_batch_mul_of_nothing(self, curve):
+        assert glv.batch_mul(curve, [], []) == []
 
 
 class TestGlv:
@@ -174,7 +216,7 @@ class TestTwoLevelCollapse:
         ],
     )
     def test_degenerate_half_digit_sums(self, points, sc):
-        tables = fixed_base.build_tables(PALLAS, points)
+        tables = fixed_base.build_tables(PALLAS, points_to_affine_tuples(points))
         assert fixed_base.fixed_base_msm(tables, sc) == msm_naive(points, sc)
 
     @pytest.mark.parametrize("engine", ["python", "numpy"])
