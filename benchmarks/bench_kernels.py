@@ -102,7 +102,7 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     if "numpy" not in field_backend.available_backends():
         return None
     from repro.algebra.backend import numpy_limb
-    from repro.proving.evaluation import evaluate_expression_ext
+    from repro.proving.evaluation import Program, evaluate_on_coset
 
     rng = random.Random(seed)
     p = SCALAR_FIELD.p
@@ -141,12 +141,14 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
         )
     assert fast_lag == ref_lag, "backend Lagrange evals diverged"
 
-    # -- expression evaluation over an extended domain, on a shape the
+    # -- expression evaluation over an extended domain, through the
+    # quotient round's entry point (the compiled program on the python
+    # side, the backend's hook on the numpy side), on a shape the
     # backend's cost model *accepts*: a deep sum chain of rotated
     # queries under one selector product (accumulator-recurrence
     # style).  Shallow product-heavy gates are declined by the model
     # (the lift/lower boundary tax outruns the per-node savings) and
-    # run the identical scalar loop on both sides, so racing one would
+    # run the identical program on both sides, so racing one would
     # measure nothing.
     from repro.plonkish.expression import ColumnQuery, Product, Sum
 
@@ -159,14 +161,15 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
         acc = Sum(acc, ColumnQuery(cols[0], rotation=shift % 4))
     expr = Product(ColumnQuery(cols[1]), acc)
     get = lambda col: data[id(col)]
+    program = Program([expr], p)
+
+    def evaluate():
+        return evaluate_on_coset(program, get, dom.size, 4)(expr)
+
     with field_backend.backend("python"):
-        ref_expr, python_expr_s = telemetry.time_call(
-            lambda: evaluate_expression_ext(expr, get, dom.size, 4, p)
-        )
+        ref_expr, python_expr_s = telemetry.time_call(evaluate)
     with field_backend.backend("numpy"):
-        fast_expr, numpy_expr_s = telemetry.time_call(
-            lambda: evaluate_expression_ext(expr, get, dom.size, 4, p)
-        )
+        fast_expr, numpy_expr_s = telemetry.time_call(evaluate)
     assert fast_expr == ref_expr, "backend expression eval diverged"
 
     def row(python_s, numpy_s):

@@ -93,7 +93,7 @@ class FieldBackend:
         p: int,
     ) -> list[int] | None:
         """Evaluate a PLONKish expression tree over the extended domain
-        (see :func:`repro.proving.evaluation.evaluate_expression_ext`),
+        (see :func:`repro.proving.evaluation.evaluate_on_coset`),
         or decline."""
         return None
 

@@ -19,7 +19,8 @@ Where the engine wins (measured; see DESIGN.md section 5e):
   chains and deep gates over few columns, where the per-node savings
   outrun the lift/lower boundary tax.  A cost model (below) estimates
   the gain per tree and declines unfavorable shapes, so shallow
-  product-heavy gates keep running the scalar reference loop.
+  product-heavy gates stay in the compiled program
+  (:mod:`repro.proving.evaluation`).
 
 Where it loses: list-boundary batch inversion.  Montgomery inversion is
 3n multiplications on either engine, CPython's bigint multiply is

@@ -28,10 +28,14 @@ PARALLEL_MIN_SIZE = 256
 _LADDERS: dict[tuple[int, int, int], list[int]] = {}
 
 
-def fft_in_place(values: list[int], omega: int, p: int) -> None:
+def fft_in_place(
+    values: list[int], omega: int, p: int, filled: int | None = None
+) -> None:
     """Iterative Cooley-Tukey NTT over GF(p).
 
     ``omega`` must be a primitive n-th root of unity for n = len(values).
+    With ``filled`` the values are zero past the first ``filled``, and
+    the stages that would only copy them are skipped.
     The bit-reversal indices and per-stage twiddle ladders come from
     the per-``(n, omega, p)`` plan cache (:mod:`repro.algebra.fft_plan`)
     instead of being rebuilt per call.  The active field backend may
@@ -49,15 +53,18 @@ def fft_in_place(values: list[int], omega: int, p: int) -> None:
     if out is not None:
         values[:] = out
         return
-    fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p))
+    fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p), filled)
 
 
-def _fft_task(vectors: list[list[int]], omega: int, p: int) -> list[list[int]]:
-    """Worker task: forward NTT of every vector (top-level, picklable)."""
+def _fft_task(
+    vectors: list[list[int]], omega: int, p: int, filled: int | None = None
+) -> list[list[int]]:
+    """Worker task: forward NTT of every vector (top-level, picklable),
+    each zero past its first ``filled`` values if given."""
     out = []
     for vec in vectors:
         values = list(vec)
-        fft_in_place(values, omega, p)
+        fft_in_place(values, omega, p, filled)
         out.append(values)
     return out
 
@@ -149,10 +156,13 @@ class EvaluationDomain:
             values[i] = values[i] * ladder[i] % p
 
     def coset_fft(self, coeffs: list[int], shift: int) -> list[int]:
-        """Coefficients -> evaluations over the coset ``shift * H``."""
+        """Coefficients -> evaluations over the coset ``shift * H``.  A
+        polynomial of ``size / 2^s`` coefficients or fewer skips the
+        transform's first ``s`` stages (they only copy its zero
+        padding)."""
         scaled = list(coeffs) + [0] * (self.size - len(coeffs))
         self._coset_scale(scaled, len(coeffs), shift)
-        fft_in_place(scaled, self.omega, self.field.p)
+        fft_in_place(scaled, self.omega, self.field.p, len(coeffs))
         return scaled
 
     def coset_ifft(self, evals: list[int], shift: int) -> list[int]:
@@ -209,6 +219,7 @@ class EvaluationDomain:
         """:meth:`coset_fft` of many polynomials: the coset scaling runs
         in the parent (cheap), the NTTs fan out across workers."""
         p = self.field.p
+        filled = max(map(len, coeffs_list), default=0)
         scaled_list = []
         for coeffs in coeffs_list:
             if len(coeffs) > self.size:
@@ -216,7 +227,7 @@ class EvaluationDomain:
             scaled = list(coeffs) + [0] * (self.size - len(coeffs))
             self._coset_scale(scaled, len(coeffs), shift)
             scaled_list.append(scaled)
-        return self._dispatch_many(_fft_task, scaled_list, self.omega, p)
+        return self._dispatch_many(_fft_task, scaled_list, self.omega, p, filled)
 
     # -- helpers ----------------------------------------------------------
 

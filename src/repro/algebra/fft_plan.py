@@ -90,20 +90,54 @@ def clear_cache() -> None:
     _PLANS.clear()
 
 
-def ntt_in_place(values: list[int], plan: NttPlan) -> None:
+def _block_sources(n: int, skip: int) -> list[int]:
+    """Which input index lands in each ``2^skip``-point block after the
+    bit-reversal of an ``n``-point transform whose input is zero past
+    ``n >> skip``: block ``b`` takes index ``bitreverse(b)`` over the
+    ``log2(n) - skip`` bits that remain (cached per ``(n, skip)``)."""
+    key = (n, skip)
+    sources = _BLOCK_SOURCES.get(key)
+    if sources is None:
+        bits = (n >> skip).bit_length() - 1
+        sources = [
+            int(format(b, f"0{bits}b")[::-1], 2) if bits else 0
+            for b in range(n >> skip)
+        ]
+        _BLOCK_SOURCES[key] = sources
+    return sources
+
+
+_BLOCK_SOURCES: dict[tuple[int, int], list[int]] = {}
+
+
+def ntt_in_place(values: list[int], plan: NttPlan, filled: int | None = None) -> None:
     """Iterative Cooley-Tukey NTT replaying a precomputed plan.
 
     The textbook butterflies; only the per-call index/twiddle
-    recomputation is gone.
+    recomputation is gone.  With ``filled``, the input is zero past its
+    first ``filled`` entries and the stages that would only copy are
+    skipped: after the bit reversal each of the first ``n >> skip``
+    inputs starts a ``2^skip``-point block the rest of which is zero,
+    and the first ``skip`` stages just spread it across its block.
     """
     if len(values) != plan.n:
         raise ValueError("vector length does not match plan size")
     p = plan.p
     n = plan.n
-    for i, j in plan.swaps:
-        values[i], values[j] = values[j], values[i]
-    length = 2
-    for ws in plan.stages:
+    skip = 0
+    while filled and filled << (skip + 1) <= n:
+        skip += 1
+    if skip:
+        block = 1 << skip
+        spread = []
+        for source in _block_sources(n, skip):
+            spread += [values[source]] * block
+        values[:] = spread
+    else:
+        for i, j in plan.swaps:
+            values[i], values[j] = values[j], values[i]
+    length = 2 << skip
+    for ws in plan.stages[skip:]:
         half = length // 2
         for start in range(0, n, length):
             for i in range(half):

@@ -55,7 +55,9 @@ class Assignment:
 
     # -- assignment ------------------------------------------------------------
 
-    def _storage(self, column: Column) -> list[int]:
+    def values_of(self, column: Column) -> list[int]:
+        """The column's cells, all ``n_rows`` of them: the matrix's own
+        list, to read, not to write."""
         return self._matrices[column.kind][column.index]
 
     def assign(self, column: Column, row: int, value: int) -> None:
@@ -63,7 +65,7 @@ class Assignment:
             raise IndexError(
                 f"row {row} outside usable range [0, {self.usable_rows})"
             )
-        self._storage(column)[row] = value % self.field.p
+        self.values_of(column)[row] = value % self.field.p
 
     def assign_column(self, column: Column, values: list[int]) -> None:
         """Assign a column from row 0; remaining usable rows keep 0."""
@@ -72,21 +74,22 @@ class Assignment:
                 f"{len(values)} values exceed usable rows {self.usable_rows}"
             )
         p = self.field.p
-        self._storage(column)[: len(values)] = [v % p for v in values]
+        self.values_of(column)[: len(values)] = [v % p for v in values]
 
     def value(self, column: Column, row: int) -> int:
-        return self._storage(column)[row % self.n_rows]
+        return self.values_of(column)[row % self.n_rows]
 
     def query(self, column: Column, row: int, rotation: int) -> int:
         """Rotation-aware cell read with wrap-around (the evaluation
         domain is cyclic, so rotations wrap as ``omega^n = 1``)."""
-        return self._storage(column)[(row + rotation) % self.n_rows]
+        return self.values_of(column)[(row + rotation) % self.n_rows]
 
     def evaluate(self, expr: Expression, row: int) -> int:
         """``expr`` at ``row``, reading every column query from this
-        assignment -- the one row evaluator: MockProver checks with it,
-        the prover builds its lookup and shuffle vectors with it, and
-        the query compiler computes every witness cell with it."""
+        assignment -- the cell-by-cell evaluator: MockProver checks with
+        it and the query compiler computes every witness cell with it.
+        (The prover runs the verifying key's compiled program over
+        whole columns instead: :mod:`repro.proving.evaluation`.)"""
         return expr.evaluate(
             lambda column, rotation: self.query(column, row, rotation),
             self.field.p,

@@ -18,7 +18,7 @@ here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.plonkish.constraint_system import Column
@@ -97,14 +97,24 @@ class Expression:
     def _interval(self, bounds: Bounds) -> Interval:
         raise NotImplementedError
 
+    def nodes(self) -> Iterator["Expression"]:
+        """Every node of the tree, a shared subtree once per use."""
+        stack: list[Expression] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, (Sum, Product)):
+                stack += (node.left, node.right)
+            elif isinstance(node, Scaled):
+                stack.append(node.inner)
+
     def queries(self) -> set[tuple["Column", int]]:
         """All (column, rotation) pairs referenced."""
-        out: set[tuple["Column", int]] = set()
-        self._collect_queries(out)
-        return out
-
-    def _collect_queries(self, out: set[tuple["Column", int]]) -> None:
-        raise NotImplementedError
+        return {
+            (node.column, node.rotation)
+            for node in self.nodes()
+            if isinstance(node, ColumnQuery)
+        }
 
 
 def _coerce(value: "Expression | int") -> Expression:
@@ -132,9 +142,6 @@ class Constant(Expression):
     def _interval(self, bounds):
         return (self.value, self.value)
 
-    def _collect_queries(self, out):
-        pass
-
     def __repr__(self) -> str:
         return f"{self.value}"
 
@@ -157,9 +164,6 @@ class ColumnQuery(Expression):
     def _interval(self, bounds):
         hi = bounds.get(self.column)
         return None if hi is None else (0, hi)
-
-    def _collect_queries(self, out):
-        out.add((self.column, self.rotation))
 
     def __repr__(self) -> str:
         if self.rotation:
@@ -185,10 +189,6 @@ class Sum(Expression):
         if left is None or right is None:
             return None
         return (left[0] + right[0], left[1] + right[1])
-
-    def _collect_queries(self, out):
-        self.left._collect_queries(out)
-        self.right._collect_queries(out)
 
     def __repr__(self) -> str:
         return f"({self.left} + {self.right})"
@@ -217,10 +217,6 @@ class Product(Expression):
         corners = [a * b for a in left for b in right]
         return (min(corners), max(corners))
 
-    def _collect_queries(self, out):
-        self.left._collect_queries(out)
-        self.right._collect_queries(out)
-
     def __repr__(self) -> str:
         return f"{self.left} * {self.right}"
 
@@ -246,9 +242,6 @@ class Scaled(Expression):
             return None
         lo, hi = inner[0] * self.scalar, inner[1] * self.scalar
         return (lo, hi) if lo <= hi else (hi, lo)
-
-    def _collect_queries(self, out):
-        self.inner._collect_queries(out)
 
     def __repr__(self) -> str:
         return f"{self.scalar} * ({self.inner})"

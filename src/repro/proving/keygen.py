@@ -37,6 +37,11 @@ from repro.plonkish.constraint_system import (
     ConstraintSystem,
     LookupArgument,
 )
+from repro.proving.evaluation import (
+    Program,
+    argument_expressions,
+    gate_expressions,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import ArtifactCache
@@ -80,6 +85,9 @@ class VerifyingKey:
     #: the lookups, grouped by table and into helper groups
     lookup_arguments: list[LookupArgument]
     delta: int
+    #: every expression the constraint identity reads, compiled once
+    #: (gates first, in fold order)
+    program: Program
 
     @property
     def n_rows(self) -> int:
@@ -208,6 +216,7 @@ def _key_columns(
     commitments = commit_lagrange_many(fit_params, [(v, 0) for v in values])
     n_system, n_key = len(_SYSTEM_NAMES), len(values) - len(fixed)
     equality = cs.equality_columns
+    arguments = cs.lookup_arguments(PERMUTATION_CHUNK)
     vk = VerifyingKey(
         params=fit_params,
         field=field,
@@ -225,8 +234,11 @@ def _key_columns(
             equality[i : i + PERMUTATION_CHUNK]
             for i in range(0, len(equality), PERMUTATION_CHUNK)
         ],
-        lookup_arguments=cs.lookup_arguments(PERMUTATION_CHUNK),
+        lookup_arguments=arguments,
         delta=delta,
+        program=Program(
+            gate_expressions(cs) + argument_expressions(cs, arguments), field.p
+        ),
     )
     return values, commitments, vk
 
@@ -274,9 +286,9 @@ def keygen(
 
 #: Versions what a pickled key *holds* for the same inputs: cached keys
 #: whose extended_evals were laid out over a domain of another size,
-#: whose vk has no lookup arguments, or (v3) which lack their fixed
-#: columns must miss, not load.
-_FINGERPRINT_TAG = b"lookup-arguments-v4|"
+#: whose vk has no lookup arguments, (v3) which lack their fixed
+#: columns or (v4) their compiled program must miss, not load.
+_FINGERPRINT_TAG = b"expression-program-v5|"
 
 
 def keygen_fingerprint(

@@ -261,10 +261,10 @@ SECTIONS = (
             "1 <= count <= 2^(extended_k - k)", b"h", 4, bounded=True),
     Section("advice_evals", KEYED,
             lambda vk, queries, n_h: queries.advice,
-            "collect_queries(cs).advice", b"eval-advice", EVALUATION_ROUND),
+            "collect_queries(vk).advice", b"eval-advice", EVALUATION_ROUND),
     Section("fixed_evals", KEYED,
             lambda vk, queries, n_h: queries.fixed,
-            "collect_queries(cs).fixed", b"eval-fixed", EVALUATION_ROUND),
+            "collect_queries(vk).fixed", b"eval-fixed", EVALUATION_ROUND),
     Section("sigma_evals", SCALARS,
             lambda vk, queries, n_h: len(vk.sigma_commitments),
             "vk.sigma_commitments", b"eval-sigma", EVALUATION_ROUND),
@@ -428,7 +428,7 @@ class Proof:
         """
         from repro.proving.protocol import collect_queries
 
-        queries = collect_queries(vk.cs)
+        queries = collect_queries(vk)
         reader = ByteReader(data)
         reader.expect(WIRE_MAGIC, "proof header")
         values: dict[str, Any] = {}

@@ -14,11 +14,13 @@ and used by both :mod:`repro.proving.prover` and
   commitment it opens and the rotation -- and :func:`opening_point_sets`,
   the same grouped the way the opening argument folds it;
 - :func:`combined_constraint` -- the constraint identity: which
-  selector gates which term, in which ``y``-fold order, over scalar
+  selector gates which term, in which ``y``-fold order, over vector
   formulas (:func:`shuffle_fraction`, :func:`lookup_denominators` and
   friends, which the prover also builds its grand products, helper
   columns and running sums from).  The verifier evaluates it at ``x``,
-  the prover on the extended coset; it is the same function.
+  the prover on the extended coset; it is the same function, and the
+  expressions in it are the verifying key's compiled program
+  (:mod:`repro.proving.evaluation`) on both sides.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.plonkish.constraint_system import (
-    Column,
     ColumnKind,
-    ConstraintSystem,
     LookupArgument,
     helper_column_count,
 )
+from repro.proving.evaluation import gate_expressions
 from repro.proving.keygen import VerifyingKey
 from repro.proving.proof import (
     PERMUTATION_Z_KEYS,
@@ -52,43 +53,18 @@ class QuerySet:
     instance: list[tuple[int, int]]
 
 
-def collect_queries(cs: ConstraintSystem) -> QuerySet:
-    """Every (column, rotation) referenced by gates and lookups, plus
-    rotation-0 queries for all equality columns (the permutation
-    argument evaluates them at x)."""
-    advice: set[tuple[int, int]] = set()
-    fixed: set[tuple[int, int]] = set()
-    instance: set[tuple[int, int]] = set()
-
-    def note(column: Column, rotation: int) -> None:
-        if column.kind is ColumnKind.ADVICE:
-            advice.add((column.index, rotation))
-        elif column.kind is ColumnKind.FIXED:
-            fixed.add((column.index, rotation))
-        else:
-            instance.add((column.index, rotation))
-
-    for gate in cs.gates:
-        for constraint in gate.constraints:
-            for column, rotation in constraint.queries():
-                note(column, rotation)
-    for lookup in cs.lookups:
-        for expr in lookup.inputs + lookup.table:
-            for column, rotation in expr.queries():
-                note(column, rotation)
-    for shuffle in cs.shuffles:
-        for groups in (shuffle.input_groups, shuffle.table_groups):
-            for group in groups:
-                for expr in group:
-                    for column, rotation in expr.queries():
-                        note(column, rotation)
-    for column in cs.equality_columns:
-        note(column, 0)
-
+def collect_queries(vk: VerifyingKey) -> QuerySet:
+    """Every (column, rotation) the constraint identity reads -- the
+    leaves of the verifying key's program, among them a rotation-0
+    query per equality column (the permutation argument evaluates them
+    at x)."""
+    found: dict[ColumnKind, list] = {kind: [] for kind in ColumnKind}
+    for column, rotation in vk.program.leaves():
+        found[column.kind].append((column.index, rotation))
     return QuerySet(
-        advice=sorted(advice),
-        fixed=sorted(fixed),
-        instance=sorted(instance),
+        advice=sorted(found[ColumnKind.ADVICE]),
+        fixed=sorted(found[ColumnKind.FIXED]),
+        instance=sorted(found[ColumnKind.INSTANCE]),
     )
 
 
@@ -208,12 +184,13 @@ def read(root, path: tuple):
 
 # -- the constraint identity ------------------------------------------------
 #
-# Formulas over the values of one row (or of the point ``x``).  The
+# Formulas over vectors: the values at every point at once -- the rows
+# of the domain, the extended coset, or the single point ``x``.  The
 # ``*_terms`` ones take the three system selectors first -- ``l0``:
 # first row, ``active``: usable rows, ``last``: last usable row -- and
-# return their terms in fold order; the ``*_fraction`` ones return the
-# ``(numer, denom)`` step of a grand product.  The lookup argument is
-# stated in DESIGN.md ("The lookup argument").
+# return their terms in fold order, unreduced; the ``*_fraction`` ones
+# return the numerator and denominator of a grand product's step.  The
+# lookup argument is stated in DESIGN.md ("The lookup argument").
 
 #: The system polynomials behind the three selectors, in that order.
 SYSTEM_SELECTORS = ("l0", "l_active", "l_last")
@@ -228,60 +205,80 @@ def compress(values, challenge: int, p: int) -> int:
     return acc
 
 
-def gate_terms(l0, active, last, value, p):
-    """A gate constraint, gated to the active rows so advice cells
-    randomized in the blinding region never violate it."""
-    return (active * value % p,)
+def compress_rows(exprs, expression, theta: int, p: int) -> list[int]:
+    """:func:`compress` point by point: one tuple stream from the values
+    of its expressions, each read once, in order.  Summed as ``sum_i
+    theta^(n-1-i) * v_i`` with one reduction per point -- the same field
+    elements."""
+    if len(exprs) == 1:  # a one-element tuple compresses to itself
+        return expression(exprs[0])
+    weights = [1]
+    for _ in exprs[1:]:
+        weights.append(weights[-1] * theta % p)
+    acc = None
+    for expr, weight in zip(exprs, reversed(weights)):
+        values = expression(expr)
+        if acc is None:
+            acc = [weight * v for v in values]
+        else:
+            acc = [s + weight * v for s, v in zip(acc, values)]
+    return [s % p for s in acc]
 
 
-def permutation_fraction(columns, beta, gamma, p):
-    """One row's step of a permutation chunk's grand product (paper
-    Eq. 2/3, chunked).  ``columns`` holds, per equality column,
-    ``(value, identity position, sigma position)``."""
-    numer = denom = 1
-    for value, identity, sigma in columns:
-        numer = numer * ((value + beta * identity + gamma) % p) % p
-        denom = denom * ((value + beta * sigma + gamma) % p) % p
-    return numer, denom
+def _shifted_product(vectors, gamma: int, p: int) -> list[int]:
+    """``prod_i (vectors[i] + gamma)`` point by point."""
+    acc = [(v + gamma) % p for v in vectors[0]]
+    for vector in vectors[1:]:
+        acc = [a * (v + gamma) % p for a, v in zip(acc, vector)]
+    return acc
+
+
+def permutation_fraction(columns, positions, beta, gamma, p):
+    """A permutation chunk's grand-product step (paper Eq. 2/3,
+    chunked).  ``columns`` holds, per equality column, ``(values,
+    shift, sigma)``: its identity position at a point ``X`` is ``shift
+    * X``, its sigma position ``sigma``."""
+    identities, sigmas = [], []
+    for values, shift, sigma in columns:
+        scale = beta * shift % p
+        identities.append([v + scale * x for v, x in zip(values, positions)])
+        sigmas.append([v + beta * s for v, s in zip(values, sigma)])
+    return _shifted_product(identities, gamma, p), _shifted_product(sigmas, gamma, p)
 
 
 def lookup_helper_terms(l0, active, last, h, denominators, p):
     """A helper column is determined by its group's inputs: ``h =
     sum_i 1 / d_i`` over the ``d_i = beta + f_i``, cleared of
     denominators -- ``h * prod_i d_i = sum_i prod_{j != i} d_j``."""
-    product, partial = 1, 0
-    for d in denominators:
-        partial = (partial * d + product) % p
-        product = product * d % p
-    return (active * (h * product - partial) % p,)
+    product, partial = denominators[0], [1] * len(h)
+    for d in denominators[1:]:
+        partial = [(s * e + q) % p for s, e, q in zip(partial, d, product)]
+        product = [q * e % p for q, e in zip(product, d)]
+    return ([a * (x * q - s) for a, x, q, s in zip(active, h, product, partial)],)
 
 
 def lookup_sum_terms(l0, active, last, phi, phi_next, m, helpers, table, p):
     """A lookup argument's running sum starts at 0, steps on every
     active row by that row's helpers minus ``m / (beta + t)`` (cleared
     of the denominator) and is back at 0 after the last one."""
-    step = (phi_next - phi - sum(helpers)) * table + m
-    return (l0 * phi % p, active * step % p, last * phi_next % p)
+    helper_sum = [sum(point) for point in zip(*helpers)]
+    return (
+        [a * f for a, f in zip(l0, phi)],
+        [
+            a * ((f_next - f - s) * t + mult)
+            for a, f, f_next, s, t, mult in zip(
+                active, phi, phi_next, helper_sum, table, m
+            )
+        ],
+        [a * f_next for a, f_next in zip(last, phi_next)],
+    )
 
 
 def shuffle_fraction(inputs, tables, gamma, p):
-    """One row's step of a shuffle grand product (paper Eq. 5,
-    generalized to tuple groups): compressed input groups over
-    compressed table groups."""
-    numer = denom = 1
-    for value in inputs:
-        numer = numer * ((value + gamma) % p) % p
-    for value in tables:
-        denom = denom * ((value + gamma) % p) % p
-    return numer, denom
-
-
-def compress_rows(vectors, theta: int, p: int) -> list[int]:
-    """:func:`compress` row by row: one tuple stream from the value
-    vectors of its expressions."""
-    if len(vectors) == 1:  # a one-element tuple compresses to itself
-        return vectors[0]
-    return [compress(row, theta, p) for row in zip(*vectors)]
+    """A shuffle grand product's step (paper Eq. 5, generalized to
+    tuple groups): compressed input groups over compressed table
+    groups."""
+    return _shifted_product(inputs, gamma, p), _shifted_product(tables, gamma, p)
 
 
 def lookup_denominators(
@@ -297,7 +294,7 @@ def lookup_denominators(
     p, theta, beta = vk.field.p, challenges["theta"], challenges["beta"]
 
     def shifted(exprs):
-        values = compress_rows([expression(e) for e in exprs], theta, p)
+        values = compress_rows(exprs, expression, theta, p)
         return [(beta + value) % p for value in values]
 
     return (
@@ -309,41 +306,38 @@ def lookup_denominators(
 def grand_product_fractions(vk, positions, expression, opened, challenges):
     """Every grand-product argument in protocol order -- permutation
     chunks (paper Eq. 2/3, chunked), then shuffles (Eq. 5) -- as
-    ``(evaluation section, index, fractions)`` with one ``(numer,
-    denom)`` step per point of ``positions``.  The arguments are those
-    of :func:`combined_constraint`; the prover also calls this over the
+    ``(evaluation section, index, numerators, denominators)`` with one
+    step per point of ``positions``.  The arguments are those of
+    :func:`combined_constraint`; the prover also calls this over the
     rows of the domain to build each ``Z``."""
     p = vk.field.p
     theta, beta, gamma = (challenges[c] for c in ("theta", "beta", "gamma"))
 
     def compressed(exprs):
-        return compress_rows([expression(e) for e in exprs], theta, p)
+        return compress_rows(exprs, expression, theta, p)
 
     # Equality column i sits on the coset delta^i * X of the identity
     # permutation; sigma_i says where its cells are copied from.
     index = {col: i for i, col in enumerate(vk.cs.equality_columns)}
     for j, chunk in enumerate(vk.permutation_chunks):
-        columns = []
-        for col in chunk:
-            shift = pow(vk.delta, index[col], p)
-            columns.append(
-                zip(
-                    expression(col.cur()),
-                    [shift * x % p for x in positions],
-                    opened(("sigma_evals", index[col])),
-                )
+        columns = [
+            (
+                expression(col.cur()),
+                pow(vk.delta, index[col], p),
+                opened(("sigma_evals", index[col])),
             )
-        yield "permutation_z_evals", j, [
-            permutation_fraction(row, beta, gamma, p) for row in zip(*columns)
+            for col in chunk
         ]
-    for si, shuffle in enumerate(vk.cs.shuffles):
-        rows = zip(
-            zip(*map(compressed, shuffle.input_groups)),
-            zip(*map(compressed, shuffle.table_groups)),
+        yield "permutation_z_evals", j, *permutation_fraction(
+            columns, positions, beta, gamma, p
         )
-        yield "shuffle_parts", si, [
-            shuffle_fraction(inputs, tables, gamma, p) for inputs, tables in rows
-        ]
+    for si, shuffle in enumerate(vk.cs.shuffles):
+        yield "shuffle_parts", si, *shuffle_fraction(
+            [compressed(group) for group in shuffle.input_groups],
+            [compressed(group) for group in shuffle.table_groups],
+            gamma,
+            p,
+        )
 
 
 def combined_constraint(
@@ -360,28 +354,34 @@ def combined_constraint(
     over those points:
 
     - ``selectors``: the ``l0``, ``l_active`` and ``l_last`` values;
-    - ``expression(e)``: the values of a gate / lookup expression;
+    - ``expression(e)``: the values of a gate / lookup expression (the
+      verifying key's :class:`~repro.proving.evaluation.Program`, run
+      over those points);
     - ``opened(path)``: the values behind the evaluation the proof
       carries at ``path`` (:func:`opening_schedule`), i.e. of its
       polynomial at that evaluation's rotation.
     """
     p, y = vk.field.p, challenges["y"]
+    l0, active, last = selectors
     ones = [1] * len(positions)
+
+    # The gates come first, each gated to the active rows (so advice
+    # cells randomized in the blinding region never violate one):
+    # folding active * c_j term by term is active times the y-fold of
+    # the c_j, one product in all instead of one per constraint.
     combined = [0] * len(positions)
+    constraints = gate_expressions(vk.cs)
+    if constraints:
+        gates = compress_rows(constraints, expression, y, p)
+        combined = [a * g % p for a, g in zip(active, gates)]
 
-    def fold(formula, columns) -> None:
-        for t, row in enumerate(zip(*selectors, *columns)):
-            acc = combined[t]
-            for term in formula(*row, p):
-                acc = (acc * y + term) % p
-            combined[t] = acc
-
-    for gate in vk.cs.gates:
-        for constraint in gate.constraints:
-            fold(gate_terms, [expression(constraint)])
+    def fold(*terms) -> None:
+        nonlocal combined
+        for term in terms:
+            combined = [(c * y + t) % p for c, t in zip(combined, term)]
 
     last_chunk = len(vk.permutation_chunks) - 1
-    for attr, i, fractions in grand_product_fractions(
+    for attr, i, numer, denom in grand_product_fractions(
         vk, positions, expression, opened, challenges
     ):
         # Z starts at 1 -- a permutation chunk after the first where the
@@ -394,14 +394,15 @@ def combined_constraint(
         else:
             z, z_next = opened((attr, i, "z_x")), opened((attr, i, "z_wx"))
             start = ones
-        closes = attr != "permutation_z_evals" or i == last_chunk
-        rows = zip(*selectors, z, z_next, start, fractions)
-        for t, (l0, active, last, z_t, z_next_t, start_t, (numer, denom)) in enumerate(rows):
-            acc = (combined[t] * y + l0 * (z_t - start_t)) % p
-            acc = (acc * y + active * (z_next_t * denom - z_t * numer)) % p
-            if closes:
-                acc = (acc * y + last * (z_next_t - 1)) % p
-            combined[t] = acc
+        fold(
+            [a * (u - s) for a, u, s in zip(l0, z, start)],
+            [
+                a * (u_next * d - u * nm)
+                for a, u, u_next, nm, d in zip(active, z, z_next, numer, denom)
+            ],
+        )
+        if attr != "permutation_z_evals" or i == last_chunk:
+            fold([a * (u_next - 1) for a, u_next in zip(last, z_next)])
 
     for i, argument in enumerate(vk.lookup_arguments):
         groups, table = lookup_denominators(vk, argument, expression, challenges)
@@ -410,9 +411,9 @@ def combined_constraint(
             for g in range(len(groups))
         ]
         for helper, denominators in zip(helpers, groups):
-            fold(lookup_helper_terms, [helper, zip(*denominators)])
+            fold(*lookup_helper_terms(l0, active, last, helper, denominators, p))
         phi, phi_next, m = (
             opened(("lookup_parts", i, name)) for name in ("phi_x", "phi_wx", "m_x")
         )
-        fold(lookup_sum_terms, [phi, phi_next, m, zip(*helpers), table])
+        fold(*lookup_sum_terms(l0, active, last, phi, phi_next, m, helpers, table, p))
     return combined

@@ -24,7 +24,9 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import islice
+from typing import Callable
 
 from repro import telemetry
 from repro.errors import ReproError
@@ -34,7 +36,11 @@ from repro.ecc.curve import Point
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.plonkish.expression import Expression
-from repro.proving.evaluation import evaluate_expression_ext
+from repro.proving.evaluation import (
+    argument_expressions,
+    evaluate_on_coset,
+    rotated,
+)
 from repro.proving.keygen import PolyData, ProvingKey
 from repro.proving.multiopen import OpeningClaim, PointSet, multi_open
 from repro.proving.proof import LookupProofPart, Proof, ShuffleProofPart
@@ -97,8 +103,8 @@ class ProverState:
     #: The values of those polynomials over the domain's rows (the
     #: sigmas and every column committed so far), under the same paths.
     columns: dict[tuple, list[int]]
-    #: Expression values over the usable rows, by expression object.
-    row_values: dict[Expression, list[int]] = dc_field(default_factory=dict)
+    #: Expression values over the usable rows (:func:`_row_values`).
+    rows: Callable[[Expression], list[int]] | None = None
     point_sets: list[PointSet] = dc_field(default_factory=list)
     #: Challenges by name, added by the driver as each round opens.
     challenges: dict[str, int] = dc_field(default_factory=dict)
@@ -137,7 +143,7 @@ def create_proof(
         pk=pk,
         assignment=assignment,
         transcript=init_transcript(pk.vk, assignment.instance),
-        queries=collect_queries(pk.vk.cs),
+        queries=collect_queries(pk.vk),
         blind_overrides=advice_blind_overrides or {},
         faults=_faults,
         proof=Proof([], [], [], [], []),
@@ -200,28 +206,33 @@ def _fault(state: ProverState, name: str) -> int:
     return int(getattr(state.faults, name, 0) or 0)
 
 
-def _row_values(state: ProverState, expr) -> list[int]:
-    """``expr`` on every usable row of the assignment (memoized: the
-    lookup round and the grand-product round read the same ones)."""
-    if expr not in state.row_values:
-        asg = state.assignment
-        state.row_values[expr] = [
-            asg.evaluate(expr, row) for row in range(asg.usable_rows)
-        ]
-    return state.row_values[expr]
+def _row_values(state: ProverState) -> Callable[[Expression], list[int]]:
+    """The values of the lookup, shuffle and equality expressions on
+    every usable row of the assignment: the verifying key's program,
+    run once and memoized (the lookup round and the grand-product round
+    read the same ones)."""
+    if state.rows is None:
+        vk, asg = state.pk.vk, state.assignment
+        usable = asg.usable_rows
+        values = vk.program.run(
+            lambda column, rotation: rotated(asg.values_of(column), rotation)[:usable],
+            usable,
+            roots=argument_expressions(vk.cs, vk.lookup_arguments),
+        )
+        state.rows = cache(values)
+    return state.rows
 
 
 def _grand_product(
-    state: ProverState, fractions, start: int = 1, must_close: str = ""
+    state: ProverState, numer, denom, start: int = 1, must_close: str = ""
 ) -> list[int]:
     """The column ``Z`` with ``Z[0] = start`` that steps by each usable
-    row's ``(numer, denom)`` fraction, random past ``Z[usable]``.  With
+    row's fraction ``numer / denom``, random past ``Z[usable]``.  With
     ``must_close`` a product that does not return to 1 has no witness
     and raises :class:`ProvingError` with that message."""
     field = state.pk.vk.field
     p, n, usable = field.p, state.pk.domain.size, state.pk.vk.usable_rows
-    numer, denom = zip(*fractions)
-    denom_inv = field.batch_inv(list(denom))
+    denom_inv = field.batch_inv(denom)
     z = [0] * n
     z[0] = start
     for i in range(usable):
@@ -255,7 +266,7 @@ def lookup_commit(state: ProverState) -> dict:
     field, usable = vk.field, vk.usable_rows
 
     def tuples(exprs):
-        return zip(*[_row_values(state, e) for e in exprs])
+        return zip(*map(_row_values(state), exprs))
 
     columns = []
     for argument in vk.lookup_arguments:
@@ -298,7 +309,7 @@ def _log_derivative_columns(
     groups, table = lookup_denominators(
         vk,
         vk.lookup_arguments[i],
-        lambda expr: _row_values(state, expr),
+        _row_values(state),
         state.challenges,
     )
     # Inverted in one batch and read back in the order they went in:
@@ -343,16 +354,16 @@ def grand_products(state: ProverState) -> dict:
     opened = _opened_values(state, state.columns.__getitem__, 1)
 
     arguments = {"permutation_z_evals": [], "shuffle_parts": []}
-    for attr, i, fractions in grand_product_fractions(
-        vk, omegas, lambda expr: _row_values(state, expr), opened, state.challenges
+    for attr, i, *fraction in grand_product_fractions(
+        vk, omegas, _row_values(state), opened, state.challenges
     ):
-        arguments[attr].append((i, fractions))
+        arguments[attr].append((i, fraction))
 
     # Permutation chunks: each starts where the previous one ended.
     z_columns: list[list[int]] = []
     start = 1
-    for j, fractions in arguments["permutation_z_evals"]:
-        z_columns.append(_grand_product(state, fractions, start))
+    for j, fraction in arguments["permutation_z_evals"]:
+        z_columns.append(_grand_product(state, *fraction, start))
         start = z_columns[-1][usable]
     proof.permutation_z_commitments = _commit_columns(
         state,
@@ -377,10 +388,10 @@ def grand_products(state: ProverState) -> dict:
     )
     for part, commitment in zip(proof.lookup_parts, phi_commitments):
         part.phi_commitment = commitment
-    for si, fractions in arguments["shuffle_parts"]:
+    for si, fraction in arguments["shuffle_parts"]:
         z = _grand_product(
             state,
-            fractions,
+            *fraction,
             must_close=f"shuffle {vk.cs.shuffles[si].name!r} grand product does "
             "not close; the two sides are not equal as multisets",
         )
@@ -405,9 +416,7 @@ def _opened_values(state: ProverState, values_of, step: int):
 
     def opened(evaluation: tuple) -> list[int]:
         commitment, rotation = slots[evaluation]
-        values = values_of(commitment)
-        s = rotation * step % len(values)
-        return values[s:] + values[:s] if s else values
+        return rotated(values_of(commitment), rotation * step)
 
     return opened
 
@@ -440,9 +449,7 @@ def quotient(state: ProverState) -> dict:
         vk,
         [pk.system[name].extended_evals for name in SYSTEM_SELECTORS],
         x_ext,
-        lambda expr: evaluate_expression_ext(
-            expr, column_ext, ext_n, rotation_factor, p
-        ),
+        evaluate_on_coset(vk.program, column_ext, ext_n, rotation_factor),
         _opened_values(state, extended, rotation_factor),
         state.challenges,
     )

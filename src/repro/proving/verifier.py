@@ -62,7 +62,7 @@ def verify_proof(
     usable = vk.usable_rows
     params = vk.params
     domain = EvaluationDomain(field, vk.k)
-    queries = collect_queries(cs)
+    queries = collect_queries(vk)
 
     # Structural checks before any crypto.
     if len(instance) != len(cs.instance_columns):
@@ -117,7 +117,7 @@ def verify_proof(
         vk,
         [[proof.system_evals[name]] for name in SYSTEM_SELECTORS],
         [x],
-        lambda expr: [expr.evaluate(query_eval, p)],
+        vk.program.run(lambda col, rotation: [query_eval(col, rotation)], 1),
         lambda path: [read(proof, path)],
         challenges,
     )

@@ -56,7 +56,7 @@ from typing import Any, Sequence
 from repro import telemetry
 from repro.config import ProverConfig, ServiceConfig
 from repro.service.jobs import JobState
-from repro.service.journal import encode_record
+from repro.service.journal import encode_record, replay
 from repro.service.scheduler import WorkerKilled, response_digest
 
 #: The chaos workload: small aggregates over the tiny fixture table,
@@ -475,8 +475,11 @@ def run_chaos_suite(
 
 def _child_main(journal: str, k: int) -> int:
     """The SIGKILL victim: open a journaled single-worker service,
-    submit the chaos workload, report READY once the first job is
-    mid-prove with the rest queued, then wait to be killed."""
+    submit the chaos workload, report READY once the journal on disk
+    shows the first job mid-prove with the rest queued, then wait to be
+    killed.  (The in-memory state turns RUNNING before the ``running``
+    record is appended; a kill in between would leave a journal that
+    never saw the job start.)"""
     session = build_session(k=k)
     service = session.serve(
         ServiceConfig(workers=1, supervisor_interval=0.05),
@@ -487,16 +490,15 @@ def _child_main(journal: str, k: int) -> int:
     ]
     deadline = time.time() + 60
     while time.time() < deadline:
-        states = [service.status(j).state for j in job_ids]
-        if states[0] == JobState.RUNNING and all(
-            s == JobState.QUEUED for s in states[1:]
-        ):
+        folded = replay(journal).jobs
+        states = [folded[j].state if j in folded else None for j in job_ids]
+        if states[0] == "running" and all(s == "submitted" for s in states[1:]):
             break
-        if any(s.finished for s in states):  # pragma: no cover - timing
-            break
-        time.sleep(0.002)
+        if any(service.status(j).state.finished for j in job_ids):
+            break  # pragma: no cover - timing
+        time.sleep(0.005)
     print(
-        "READY " + json.dumps({"jobs": [str(j) for j in job_ids]}),
+        "READY " + json.dumps({"jobs": job_ids}),
         flush=True,
     )
     time.sleep(120)  # killed long before this returns

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
 
+from repro.algebra.field import SCALAR_FIELD
 from repro.plonkish.assignment import ZK_ROWS
 from repro.plonkish.constraint_system import (
     ColumnKind,
@@ -127,6 +128,15 @@ class CircuitReport:
     #: of random rows - (rotations opened + 1 for ``q_i(x3)``); see
     #: DESIGN.md 5m.  Negative: more evaluations revealed than hidden.
     zk_margin: int
+    #: The expression trees the constraint identity reads (gates,
+    #: lookup inputs and tables, shuffle groups, equality queries) and
+    #: their nodes, a shared subtree counted per use ...
+    expressions: int
+    expression_nodes: int
+    #: ... and the operations of the program they compile to
+    #: (:class:`repro.proving.evaluation.Program`): ``leaves``,
+    #: ``products``, ``linear``.
+    program_ops: dict[str, int]
     operator_constraints: dict[str, int] = dc_field(default_factory=dict)
 
     @classmethod
@@ -178,15 +188,21 @@ class CircuitReport:
             else 0
         )
         # The opening argument's shape, from the function both sides of
-        # the protocol call (repro.proving imports this package).
-        from repro.proving import protocol
+        # the protocol call, and the identity's program, from the
+        # compiler keygen runs (repro.proving imports this package).
+        from repro.proving import evaluation, protocol
 
+        expressions = evaluation.gate_expressions(cs)
+        expressions += evaluation.argument_expressions(cs, arguments)
+        expressions = list(dict.fromkeys(expressions))
+        program = evaluation.Program(expressions, SCALAR_FIELD.p)
         shape = SimpleNamespace(
             cs=cs, usable_rows=n - ZK_ROWS, lookup_arguments=arguments,
             sigma_commitments=cs.equality_columns, permutation_chunks=range(chunks),
-            system_commitments=protocol.SYSTEM_SELECTORS,
+            system_commitments=protocol.SYSTEM_SELECTORS, program=program,
         )
-        point_sets = protocol.opening_point_sets(shape, protocol.collect_queries(cs), 0)
+        queries = protocol.collect_queries(shape)
+        point_sets = protocol.opening_point_sets(shape, queries, 0)
         margins = [
             _RANDOM_ROWS[name] - (len(rotations) + 1)
             for rotations, members in point_sets
@@ -224,6 +240,9 @@ class CircuitReport:
             permutation_grand_products=chunks,
             opening_point_sets=len(point_sets),
             zk_margin=min(margins, default=ZK_ROWS),
+            expressions=len(expressions),
+            expression_nodes=sum(1 for expr in expressions for _ in expr.nodes()),
+            program_ops=program.counts(),
             operator_constraints=operator_constraints,
         )
 
@@ -321,6 +340,9 @@ class CircuitReport:
             "permutation_grand_products": self.permutation_grand_products,
             "opening_point_sets": self.opening_point_sets,
             "zk_margin": self.zk_margin,
+            "expressions": self.expressions,
+            "expression_nodes": self.expression_nodes,
+            "program_ops": dict(self.program_ops),
             "operator_constraints": dict(self.operator_constraints),
             "estimated_commit_msms": self.estimated_commit_msms(),
             "msm_sizes": self.commitment_msm_sizes(),
@@ -344,6 +366,9 @@ class CircuitReport:
             f"(chunk {self.permutation_chunk})",
             f"opening: 1 IPA over {self.opening_point_sets} point sets, "
             f"zk margin {self.zk_margin}",
+            f"expressions: {self.expressions} trees of {self.expression_nodes} "
+            f"nodes -> program of {sum(self.program_ops.values())} ops "
+            + " ".join(f"{kind}={count}" for kind, count in self.program_ops.items()),
             f"estimated commit MSMs: {self.estimated_commit_msms()} "
             f"x {self.rows} points (an upper bound: work follows scalar width)",
             "",

@@ -321,7 +321,7 @@ def test_tpch_proof_carries_one_opening(claims, sql, rotation_sets):
     assert len(response.proof.openings) == 1
     assert claims["prover"] == claims["verifier"]
     sets = opening_point_sets(
-        vk, collect_queries(vk.cs), len(response.proof.h_commitments)
+        vk, collect_queries(vk), len(response.proof.h_commitments)
     )
     assert {rotations for rotations, _ in sets} == rotation_sets
     assert len(response.proof.multiopen_q_evals) == len(sets)

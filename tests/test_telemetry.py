@@ -400,6 +400,12 @@ class TestCircuitReport:
         assert "range16" in rendered and "constraints by operator" in rendered
         assert "1 IPA over 2 point sets, zk margin 0" in rendered
         assert "lookups=1 (tables=1, helper columns=1)" in rendered
+        # 3 gates, the lookup's input and table and 2 equality queries:
+        # 7 trees of 28 nodes, compiled to 9 leaves, 5 products and 3
+        # linear ops (a + b - c, a * b - c, c - out).
+        assert (report.expressions, report.expression_nodes) == (7, 28)
+        assert report.program_ops == {"leaves": 9, "products": 5, "linear": 3}
+        assert "7 trees of 28 nodes -> program of 17 ops" in rendered
 
         # The proof is what the model says: its commitments ([f]
         # included), quotient chunks and lookup helpers, and the points
