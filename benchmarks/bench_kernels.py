@@ -2,9 +2,8 @@
 
 Races the numpy limb-vector engine against the pure-Python backend --
 both are supported hosts, selected by what is installed -- on the
-whole-vector ops the backend hooks cover (NTT, Lagrange basis,
-extended-domain expression evaluation) plus the resident product-tree
-inversion, through the ``repro.algebra.backend`` switch.  One more row
+whole-vector ops the backend hooks cover (NTT, Lagrange basis) plus
+the resident product-tree inversion, through the ``repro.algebra.backend`` switch.  One more row
 commits a limb-shaped column (4-bit data, full-width blinding rows)
 by its values against the Lagrange-basis tables and by its
 coefficients, the way every column was committed before.  Results are
@@ -102,7 +101,6 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     if "numpy" not in field_backend.available_backends():
         return None
     from repro.algebra.backend import numpy_limb
-    from repro.proving.evaluation import Program, evaluate_on_coset
 
     rng = random.Random(seed)
     p = SCALAR_FIELD.p
@@ -141,37 +139,6 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
         )
     assert fast_lag == ref_lag, "backend Lagrange evals diverged"
 
-    # -- expression evaluation over an extended domain, through the
-    # quotient round's entry point (the compiled program on the python
-    # side, the backend's hook on the numpy side), on a shape the
-    # backend's cost model *accepts*: a deep sum chain of rotated
-    # queries under one selector product (accumulator-recurrence
-    # style).  Shallow product-heavy gates are declined by the model
-    # (the lift/lower boundary tax outruns the per-node savings) and
-    # run the identical program on both sides, so racing one would
-    # measure nothing.
-    from repro.plonkish.expression import ColumnQuery, Product, Sum
-
-    cols = [object() for _ in range(2)]
-    data = {
-        id(c): [rng.randrange(p) for _ in range(dom.size)] for c in cols
-    }
-    acc = ColumnQuery(cols[0])
-    for shift in range(1, 17):
-        acc = Sum(acc, ColumnQuery(cols[0], rotation=shift % 4))
-    expr = Product(ColumnQuery(cols[1]), acc)
-    get = lambda col: data[id(col)]
-    program = Program([expr], p)
-
-    def evaluate():
-        return evaluate_on_coset(program, get, dom.size, 4)(expr)
-
-    with field_backend.backend("python"):
-        ref_expr, python_expr_s = telemetry.time_call(evaluate)
-    with field_backend.backend("numpy"):
-        fast_expr, numpy_expr_s = telemetry.time_call(evaluate)
-    assert fast_expr == ref_expr, "backend expression eval diverged"
-
     def row(python_s, numpy_s):
         return {
             "python_s": python_s,
@@ -184,7 +151,6 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
         "fft": row(python_fft_s, numpy_fft_s),
         "batch_inv": row(python_inv_s, numpy_inv_s),
         "lagrange": row(python_lag_s, numpy_lag_s),
-        "expr_eval": row(python_expr_s, numpy_expr_s),
     }
 
 
@@ -211,7 +177,6 @@ def run_benches(
             ("fft", f"ntt ({bn} pts)"),
             ("batch_inv", f"batch inv resident ({bn})"),
             ("lagrange", f"lagrange basis ({bn})"),
-            ("expr_eval", f"expression eval ({bn})"),
         ):
             r = backend_rows[key]
             rows.append(

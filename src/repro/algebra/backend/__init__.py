@@ -1,24 +1,24 @@
 """Pluggable field-arithmetic backends.
 
 The reference prover does all field arithmetic on plain Python ints.
-That is the correctness baseline, but several hot paths -- NTT
-butterflies, fused Lagrange evaluation, extended-domain expression
-evaluation -- are *data parallel*, and a vectorized engine can run them
-on whole arrays at once.  This package provides that seam:
-
-- :mod:`~repro.algebra.backend.reference` -- the pure-Python backend
-  (declines every hook; callers run their reference loops),
-- :mod:`~repro.algebra.backend.numpy_backend` -- limb-vector arithmetic
-  on numpy int64 arrays (:mod:`~repro.algebra.backend.numpy_limb`).
+That is the correctness baseline, but two hot paths -- NTT butterflies
+and fused Lagrange evaluation -- are *data parallel*, and a vectorized
+engine can run them on whole arrays at once.  This package provides
+that seam: :class:`FieldBackend` itself is the pure-Python backend
+(it declines every hook; callers run their reference loops), and
+:mod:`~repro.algebra.backend.numpy_backend` does limb-vector arithmetic
+on numpy int64 arrays (:mod:`~repro.algebra.backend.numpy_limb`).
+Constraint expressions are not a hook: every engine evaluates them
+with the compiled program of :mod:`repro.proving.evaluation`.
 
 Every hook is **bit-identical** to the reference path: same field
 elements out, same proof bytes under
 :func:`repro.algebra.field.deterministic_rng`, same telemetry counter
 totals (counters are incremented by the call sites *before* dispatch).
 A hook returns ``None`` to decline -- wrong modulus, vector too short
-to amortize the array dispatch, unsupported shape -- and the caller
-falls through to its reference loop.  That makes backend selection a
-pure performance knob, never a correctness one.
+to amortize the array dispatch -- and the caller falls through to its
+reference loop.  That makes backend selection a pure performance knob,
+never a correctness one.
 
 Selection: the ``REPRO_FIELD_BACKEND`` environment variable picks
 ``auto`` (default), ``python`` or ``numpy``; :func:`set_backend` /
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 _ENV_FLAG = "REPRO_FIELD_BACKEND"
 
@@ -41,10 +41,10 @@ _AUTO_ORDER = ("numpy", "python")
 
 
 class FieldBackend:
-    """Base class: every hook declines, callers run their reference
-    loops.  Subclasses override the hooks they can accelerate; each
-    MUST return bit-identical results to the reference path or ``None``
-    to decline.
+    """The pure-Python backend: every hook declines, callers run their
+    reference loops.  Subclasses override the hooks they can
+    accelerate; each MUST return bit-identical results to the reference
+    path or ``None`` to decline.
 
     Hooks never raise on unsupported inputs -- unsupported means
     decline.  Zero-element checks and telemetry counters belong to the
@@ -84,31 +84,17 @@ class FieldBackend:
         (all denominators nonzero).  Decline with ``None``."""
         return None
 
-    def eval_expression_ext(
-        self,
-        expr: object,
-        get_column_ext: Callable[[object], list[int]],
-        ext_n: int,
-        rotation_factor: int,
-        p: int,
-    ) -> list[int] | None:
-        """Evaluate a PLONKish expression tree over the extended domain
-        (see :func:`repro.proving.evaluation.evaluate_on_coset`),
-        or decline."""
-        return None
-
 
 def _registry() -> dict[str, FieldBackend]:
-    """Name -> backend instance, cached after first use.  Neither
-    backend module imports numpy: the numpy engine loads on the first
+    """Name -> backend instance, cached after first use.  Importing the
+    numpy backend does not import numpy: the numpy engine loads on the first
     hook call that passes its size threshold."""
     global _BACKENDS
     if _BACKENDS is None:
         from repro.algebra.backend.numpy_backend import NumpyBackend
-        from repro.algebra.backend.reference import PythonBackend
 
         _BACKENDS = {
-            "python": PythonBackend(),
+            "python": FieldBackend(),
             "numpy": NumpyBackend(),
         }
     return _BACKENDS

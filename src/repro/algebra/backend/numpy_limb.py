@@ -14,9 +14,9 @@ halves (every partial sum stays far below 2^53, so float64 arithmetic
 is exact), followed by bulk carry rounds.  Outputs are *bounded*, not
 canonical -- ``|limb| <= OUT_LIM`` -- and chain directly into further
 muls/adds; :meth:`_Ctx.canon` produces canonical limbs only at the
-boundary.  Because inverses, NTT outputs, and expression values are
-unique field elements, everything this backend returns is identical to
-the scalar reference path bit for bit.
+boundary.  Because inverses and NTT outputs are unique field elements,
+everything this backend returns is identical to the scalar reference
+path bit for bit.
 
 Magnitude contract: callers track a per-array bound ``mag`` on
 ``max |limb|`` and must keep ``L * mag_a * mag_b <= 2^62`` for every
@@ -391,14 +391,6 @@ class _Ctx:
             downs = [np.empty((self.L, w), np.int64) for w in widths[:-1]]
             bufs = cache[n] = (ups, downs)
         return bufs
-
-    def tree_inv(self, vals: list, scale: int = 1) -> list:
-        """Product-tree batch inversion of canonical nonzero ints;
-        ``scale`` multiplies every output for free (it scales the root
-        inverse once)."""
-        arr = self._buf_for("tree_in", (self.L, len(vals)), np.int64)
-        self.lift_into(vals, arr)
-        return self.lower(self.tree_inv_arr(arr, scale))
 
     def tree_inv_arr(self, arr: "np.ndarray", scale: int = 1) -> "np.ndarray":
         """Array-resident product-tree inversion (limbs in, limbs out).

@@ -6,7 +6,8 @@ Pippenger's bucket method computes an n-point MSM in roughly
 ``n * 255`` for naive per-point scalar multiplication.
 
 Two independent kernel optimizations ride on top (both produce the
-same group elements as :func:`msm_naive`, the test oracle):
+same group elements as the point-by-point sum ``msm_naive`` in
+``tests/msm_oracle.py``, the test oracle):
 
 - **GLV splitting** (:mod:`repro.ecc.glv`): every scalar is decomposed
   against the curve's cube-root endomorphism into two ~128-bit halves,
@@ -200,13 +201,3 @@ def msm(points: Sequence[Point], scalars: Sequence[int]) -> Point:
         pt, s = pairs[0]
         return pt * s
     return _pippenger(curve, pairs)
-
-
-def msm_naive(points: Sequence[Point], scalars: Sequence[int]) -> Point:
-    """Reference implementation used in tests to validate :func:`msm`."""
-    if not points:
-        raise ValueError("msm of zero points; use curve.identity()")
-    acc = points[0].curve.identity()
-    for pt, s in zip(points, scalars):
-        acc = acc + pt * s
-    return acc

@@ -61,6 +61,11 @@ class YearChip:
             cs, f"{name}.lt", q, date, self.end.cur(), table, n_limbs
         )
 
+    @staticmethod
+    def table_rows() -> int:
+        """Rows of the calendar table: one per supported year."""
+        return LAST_YEAR - FIRST_YEAR + 1
+
     def assign_table(self, asg: Assignment) -> None:
         """Fill the calendar table (one row per supported year)."""
         row = 0

@@ -21,7 +21,6 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable, Iterable
 
-from repro.algebra import backend as field_backend
 from repro.plonkish.constraint_system import (
     Column,
     ConstraintSystem,
@@ -244,33 +243,28 @@ class Program:
         leaf: Leaf,
         length: int,
         roots: Iterable[Expression] | None = None,
-        given: dict[int, list[int]] | None = None,
     ) -> Callable[[Expression], list[int]]:
         """Evaluate the program over vectors of ``length`` points and
         return the values of an expression: ``values(expr)``.
 
         Operations run in order as values are asked for, and only those
-        that ``roots`` (default: every compiled expression) need; slots
-        in ``given`` are taken as computed.  A value is kept until it
-        has been read as many times as its expression was given to the
-        compiler (a rotation-0 leaf, the caller's own list, always), so
-        a caller that reads each expression as often as it was given
-        holds one vector at a time; a further read computes it again.
-        Vectors may be the leaves' own lists: read them, never write
-        them."""
+        that ``roots`` (default: every compiled expression) need.  A
+        value is kept until it has been read as many times as its
+        expression was given to the compiler (a rotation-0 leaf, the
+        caller's own list, always), so a caller that reads each
+        expression as often as it was given holds one vector at a time;
+        a further read computes it again.  Vectors may be the leaves'
+        own lists: read them, never write them."""
         vectors: list = [None] * len(self.ops)
-        for slot, values in (given or {}).items():
-            vectors[slot] = values
         needed = None
-        if roots is not None or given:
+        if roots is not None:
             needed = [False] * len(self.ops)
-            stack = list(self._reads if roots is None else map(self.slot, roots))
+            stack = list(map(self.slot, roots))
             while stack:
                 slot = stack.pop()
                 if not needed[slot]:
                     needed[slot] = True
-                    if vectors[slot] is None:
-                        stack += self._operands[slot]
+                    stack += self._operands[slot]
         handed: set[int] = set()
         reads = dict(self._reads)  # still to come, per compiled expression
         done = 0  # operations up to here have run
@@ -339,23 +333,10 @@ def evaluate_on_coset(
 ) -> Callable[[Expression], list[int]]:
     """Every expression of ``program`` at every point of the extended
     coset, whose columns ``get_column_ext`` gives (a query at rotation
-    ``r`` is the column shifted by ``r * rotation_factor`` points).
-
-    The active field backend may take any expression whole
-    (:meth:`~repro.algebra.backend.FieldBackend.eval_expression_ext`);
-    the program computes the rest.  Same values either way."""
-    engine = field_backend.active()
-    given = {}
-    for expr in program.roots:
-        values = engine.eval_expression_ext(
-            expr, get_column_ext, ext_n, rotation_factor, program.p
-        )
-        if values is not None:
-            given[program.slot(expr)] = values
+    ``r`` is the column shifted by ``r * rotation_factor`` points)."""
     return program.run(
         lambda column, rotation: rotated(
             get_column_ext(column), rotation * rotation_factor
         ),
         ext_n,
-        given=given,
     )

@@ -767,6 +767,11 @@ class _Builder:
         if isinstance(expr, Case):
             return self._case(expr, rel)
         if isinstance(expr, Extract):
+            years = YearChip.table_rows()
+            if self.usable < years:
+                raise CompileError(
+                    f"k={self.k} too small for the {years}-year calendar table"
+                )
             date = self._scalar(expr.expr, rel)
             chip = self.row_chip(
                 YearChip,

@@ -2,10 +2,9 @@
 
 Walks an expression tree recursively with one whole-list operation per
 node and no sharing -- the simplest correct evaluator, which
-:class:`repro.proving.evaluation.Program` and the field backends'
-``eval_expression_ext`` hook must match value for value.  A column
-query at rotation ``r`` is the column's values cyclically shifted by
-``r * rotation_factor`` positions.
+:class:`repro.proving.evaluation.Program` must match value for value.
+A column query at rotation ``r`` is the column's values cyclically
+shifted by ``r * rotation_factor`` positions.
 """
 
 from __future__ import annotations

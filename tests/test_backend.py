@@ -6,8 +6,8 @@ produced.  These tests pin that contract three ways:
 
 - hypothesis parity of the limb engine's primitive ops against plain
   int arithmetic,
-- hook-level parity (NTT, Lagrange basis, expression evaluation)
-  between the ``python`` and ``numpy`` backends,
+- hook-level parity (NTT, Lagrange basis) between the ``python`` and
+  ``numpy`` backends,
 - an end-to-end prove under ``deterministic_rng`` whose wire bytes must
   not depend on the backend, with telemetry counter totals equal too.
 
@@ -37,27 +37,11 @@ from repro.algebra.field import (
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT
 from repro.errors import BatchInversionError, ConfigError
-from repro.plonkish.expression import (
-    ColumnQuery,
-    Constant,
-    Product,
-    Scaled,
-    Sum,
-)
-from repro.proving.evaluation import Program, evaluate_on_coset
-from tests.expression_oracle import evaluate_expression_ext
 
 NUMPY_OK = numpy_limb.available()
 needs_numpy = pytest.mark.skipif(not NUMPY_OK, reason="numpy not installed")
 
 P = SCALAR_FIELD.p
-
-
-def coset_eval(expr, get, ext_n, rotation_factor):
-    """``expr`` through the prover's entry point: the active backend's
-    hook, else the compiled program."""
-    program = Program([expr], P)
-    return evaluate_on_coset(program, get, ext_n, rotation_factor)(expr)
 
 elements = st.integers(min_value=0, max_value=P - 1)
 
@@ -67,10 +51,6 @@ def small_thresholds(monkeypatch):
     """Route even test-sized vectors through the vector engine."""
     monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
     monkeypatch.setattr(numpy_backend, "MIN_INV", 4)
-    monkeypatch.setattr(numpy_backend, "MIN_EXPR", 4)
-    # Force the expression cost model to accept every tree so parity
-    # tests exercise the vector walk even on shapes it would decline.
-    monkeypatch.setattr(numpy_backend, "EXPR_MIN_GAIN", float("-inf"))
 
 
 class TestSelection:
@@ -154,13 +134,13 @@ class TestLimbEngineParity:
     @settings(max_examples=20, deadline=None)
     def test_tree_inv_matches_int(self, vals):
         ctx = numpy_limb.ctx_for(P)
-        inv = ctx.tree_inv(vals)
+        inv = ctx.lower(ctx.tree_inv_arr(ctx.lift(vals)))
         assert all(v * i % P == 1 for v, i in zip(vals, inv))
 
     def test_tree_inv_zero_raises_typed_error(self):
         ctx = numpy_limb.ctx_for(P)
         with pytest.raises(BatchInversionError) as excinfo:
-            ctx.tree_inv([3, 5, 0, 7])
+            ctx.tree_inv_arr(ctx.lift([3, 5, 0, 7]))
         assert excinfo.value.index == 2
 
     @given(a=elements, b=elements, c=elements)
@@ -236,83 +216,6 @@ class TestHookParity:
         with backend.backend("numpy"):
             evals = dom.lagrange_basis_evals(inside, dom.size)
         assert evals == [1 if i == 3 else 0 for i in range(dom.size)]
-
-    def test_expression_eval_matches(self, small_thresholds):
-        rng = random.Random(14)
-        ext_n = 64
-        cols = {"a": object(), "b": object()}
-        data = {
-            id(c): [rng.randrange(P) for _ in range(ext_n)]
-            for c in cols.values()
-        }
-        get = lambda c: data[id(c)]
-        qa, qb = ColumnQuery(cols["a"]), ColumnQuery(cols["b"], rotation=1)
-        # (a * b + 3) * (a<-2> + 7*b) -- rotations, products, a scaled
-        # term, a constant, and enough depth to cross a normalize.
-        expr = Product(
-            Sum(Product(qa, qb), Constant(3)),
-            Sum(ColumnQuery(cols["a"], rotation=-2), Scaled(qb, 7)),
-        )
-        ref = evaluate_expression_ext(expr, get, ext_n, 4, P)
-        with backend.backend("numpy"):
-            fast = coset_eval(expr, get, ext_n, 4)
-        assert fast == ref
-
-    def test_expression_eval_deep_sum_chain(self, small_thresholds):
-        """Many stacked sums force the magnitude-driven renormalization
-        inside the vector walk; results must still match exactly."""
-        rng = random.Random(15)
-        ext_n = 32
-        col = object()
-        data = [rng.randrange(P) for _ in range(ext_n)]
-        get = lambda c: data
-        expr = ColumnQuery(col)
-        for _ in range(40):
-            expr = Sum(expr, ColumnQuery(col))
-        expr = Product(expr, expr)
-        ref = evaluate_expression_ext(expr, get, ext_n, 1, P)
-        with backend.backend("numpy"):
-            fast = coset_eval(expr, get, ext_n, 1)
-        assert fast == ref
-
-    def test_expression_cost_model_declines_shallow_product_tree(
-        self, monkeypatch
-    ):
-        """At the default margin the hook refuses trees where the
-        lift/lower boundary tax outruns the per-node savings -- a
-        shallow product over two columns is the canonical loser."""
-        monkeypatch.setattr(numpy_backend, "MIN_EXPR", 4)
-        engine = backend._registry()["numpy"]
-        a, b = object(), object()
-        expr = Product(ColumnQuery(a), ColumnQuery(b))
-        data = [1] * 64
-        got = engine.eval_expression_ext(expr, lambda c: data, 64, 1, P)
-        assert got is None
-
-    def test_expression_cost_model_accepts_sum_chain(self, monkeypatch):
-        """A deep sum chain over one column is vector-favorable and is
-        accepted at the *default* margin (no forced acceptance)."""
-        monkeypatch.setattr(numpy_backend, "MIN_EXPR", 4)
-        engine = backend._registry()["numpy"]
-        rng = random.Random(21)
-        ext_n = 64
-        col = object()
-        data = [rng.randrange(P) for _ in range(ext_n)]
-        expr = ColumnQuery(col)
-        for _ in range(16):
-            expr = Sum(expr, ColumnQuery(col, rotation=1))
-        got = engine.eval_expression_ext(
-            expr, lambda c: data, ext_n, 1, P
-        )
-        assert got is not None
-        ref = evaluate_expression_ext(expr, lambda c: data, ext_n, 1, P)
-        assert got == ref
-
-    def test_expression_eval_constant_only(self, small_thresholds):
-        expr = Sum(Constant(41), Constant(1))
-        with backend.backend("numpy"):
-            got = coset_eval(expr, lambda c: [], 16, 1)
-        assert got == [42] * 16
 
     def test_zero_error_index_backend_independent(self):
         for name in ("python", "numpy"):

@@ -20,9 +20,9 @@ from repro.commit.ipa import (
     _folded_b,
     reduce_opening,
 )
-from repro.ecc.msm import msm_naive
 from repro.proving.recursion import Accumulator
 from repro.transcript import Transcript
+from tests.msm_oracle import msm_naive
 
 F = SCALAR_FIELD
 

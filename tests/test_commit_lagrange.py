@@ -42,7 +42,7 @@ from repro.db.commitment import (
 from repro.db.types import DECIMAL, INT
 from repro.ecc import PALLAS, fixed_base
 from repro.ecc.curve import points_to_affine_tuples
-from repro.ecc.msm import msm_naive
+from tests.msm_oracle import msm_naive
 
 P = SCALAR_FIELD.p
 BUILDS = "msm.fixed_base_table_builds"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.algebra import BASE_FIELD, SCALAR_FIELD
 from repro.ecc import PALLAS, VESTA, Point, msm
 from repro.ecc.curve import batch_to_affine
-from repro.ecc.msm import msm_naive
+from tests.msm_oracle import msm_naive
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 

@@ -159,7 +159,16 @@ class TestProgramEqualsOracle:
         rng = random.Random(3)
         data = _columns(rng, 32)
         q, a = ColumnQuery(COLUMNS[3]), ColumnQuery(COLUMNS[0], 1)
-        roots = [q * (a - 1) * a, q * (1 - a), Scaled(a, -1) + 5]
+        chain = a
+        for _ in range(40):
+            chain = Sum(chain, ColumnQuery(COLUMNS[0], 1))
+        roots = [
+            q * (a - 1) * a,
+            q * (1 - a),
+            Scaled(a, -1) + 5,
+            Product(chain, chain),  # a 40-deep sum chain, squared
+            Sum(Constant(41), Constant(1)),  # no column at all
+        ]
         program = Program(roots, P)
         for name in backend.available_backends():
             with backend.backend(name):

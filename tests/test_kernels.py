@@ -29,7 +29,8 @@ from repro.commit.pedersen import pedersen_commit
 from repro.ecc import PALLAS, VESTA
 from repro.ecc import batch_affine, fixed_base, glv
 from repro.ecc.curve import Point, points_to_affine_tuples
-from repro.ecc.msm import msm, msm_naive
+from repro.ecc.msm import msm
+from tests.msm_oracle import msm_naive
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 

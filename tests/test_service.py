@@ -627,6 +627,24 @@ class TestRetriesAndSupervision:
             # burn three proofs to fail identically, so attempts stays 0.
             assert service.status(job).attempts == 0
 
+    def test_circuit_too_big_for_k_never_retried(self):
+        """Q8 at k=7 cannot hold its calendar table: a compile error,
+        so a property of the input like a parse error."""
+        from repro.tpch import QUERIES, generate
+
+        config = ProverConfig(
+            k=7, limb_bits=4, value_bits=32, key_bits=40, use_cache=False
+        )
+        with PoneglyphDB.open(generate(32, seed=1), config) as session:
+            session.commit()
+            with session.serve(
+                ServiceConfig(workers=1, max_retries=3, retry_backoff_seconds=0.01)
+            ) as service:
+                job = service.submit(QUERIES["Q8"])
+                with pytest.raises(JobFailed, match="CompileError"):
+                    service.wait(job, timeout=60)
+                assert service.status(job).attempts == 0
+
 
 class TestDeadlines:
     def test_deadline_expired_while_queued_fails_at_dequeue(

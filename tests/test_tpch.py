@@ -7,7 +7,7 @@ import pytest
 
 from repro.algebra import SCALAR_FIELD as F
 from repro.plonkish import Assignment, MockProver
-from repro.sql.compiler import QueryCompiler
+from repro.sql.compiler import CompileError, QueryCompiler
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
@@ -173,3 +173,14 @@ def test_recorded_fingerprints_are_the_recorder_output():
 
     committed = json.loads(record_fingerprints.PATH.read_text())
     assert record_fingerprints.record() == committed
+
+
+@pytest.mark.parametrize("name", ["Q8", "Q9"])
+def test_calendar_larger_than_usable_rows_is_a_compile_error(name):
+    """``EXTRACT(YEAR ...)`` needs the 129-row calendar table, which
+    does not fit the 124 usable rows at k=7: the compiler says so
+    before any key is built."""
+    db = generate(32, seed=1)
+    plan = Planner(db).plan(parse(QUERIES[name]))
+    with pytest.raises(CompileError, match="129-year calendar table"):
+        QueryCompiler(db, 7, 4, 32, 40).compile(plan)
