@@ -87,8 +87,8 @@ class FieldBackend:
 
 def _registry() -> dict[str, FieldBackend]:
     """Name -> backend instance, cached after first use.  Importing the
-    numpy backend does not import numpy: the numpy engine loads on the first
-    hook call that passes its size threshold."""
+    numpy backend does not import numpy: the numpy engine loads on the
+    first hook call that passes its size threshold."""
     global _BACKENDS
     if _BACKENDS is None:
         from repro.algebra.backend.numpy_backend import NumpyBackend
