@@ -104,6 +104,20 @@ class TestSelection:
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
 
+    def test_engines_offer_only_the_ntt_and_lagrange_hooks(self):
+        """The field engines accelerate the NTT and the Lagrange basis
+        and nothing else: constraint expressions have one evaluator,
+        the compiled program."""
+        for engine in backend._registry().values():
+            hooks = {
+                name
+                for name in dir(engine)
+                if not name.startswith("_")
+                and callable(getattr(engine, name))
+                and name != "available"
+            }
+            assert hooks == {"ntt", "lagrange_evals"}, engine.name
+
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ConfigError):
             ProverConfig(field_backend="cuda")

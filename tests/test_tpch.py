@@ -184,3 +184,12 @@ def test_calendar_larger_than_usable_rows_is_a_compile_error(name):
     plan = Planner(db).plan(parse(QUERIES[name]))
     with pytest.raises(CompileError, match="129-year calendar table"):
         QueryCompiler(db, 7, 4, 32, 40).compile(plan)
+
+
+@pytest.mark.parametrize("name", ["Q8", "Q9"])
+def test_calendar_fits_once_usable_rows_allow(name):
+    """The calendar check rejects only sizes it does not fit: at k=8
+    the 129-row table fits the usable rows and the query compiles."""
+    db = generate(32, seed=1)
+    plan = Planner(db).plan(parse(QUERIES[name]))
+    QueryCompiler(db, 8, 4, 32, 40).compile(plan)
