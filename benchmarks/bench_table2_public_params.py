@@ -5,10 +5,9 @@ Paper: 2^15 -> 104 s, 2^16 -> 221 s, 2^17 -> 410 s, 2^18 -> 832 s
 doubles per k increment (linear in the number of generators).
 
 We measure generation at k = 6..9 and extrapolate the per-generator
-cost linearly to the paper's sizes.  The report footer also measures
-the parallel backend (serial vs ``workers`` generation of the largest
-size) and the artifact cache (the second fetch of the same parameters
-must be a HIT served from disk).
+cost linearly to the paper's sizes.  The report footer also checks the
+artifact cache (the second fetch of the same parameters must be a HIT
+served from disk).
 """
 
 from repro import telemetry
@@ -17,7 +16,6 @@ from repro.bench import (
     bench_cache,
     bench_metadata,
     perf_summary_lines,
-    serial_vs_parallel,
 )
 from repro.bench.reporting import Report
 from repro.commit import setup
@@ -56,14 +54,6 @@ def test_table2_public_params(benchmark):
     ratio = measured[9] / measured[8]
     report.line(f"\nmeasured 2^9/2^8 ratio = {ratio:.2f} (paper's table: ~2.0)")
 
-    # Parallel backend: derive the 2^9 generators serially vs with
-    # workers; results are bit-identical, only the wall clock moves.
-    speedups = {}
-    if config.workers > 1:
-        speedups["setup 2^9"] = serial_vs_parallel(
-            lambda: setup(9, label=b"bench-t2-par"), config.workers
-        )
-
     # Artifact cache: a cold fetch builds and stores, a second fetch of
     # the identical description must come back from disk as a HIT.
     cache = bench_cache()
@@ -72,7 +62,7 @@ def test_table2_public_params(benchmark):
     assert second_hit or not cache.enabled
     assert params_a.g == params_b.g and params_a.w == params_b.w
 
-    for line in perf_summary_lines(config, speedups):
+    for line in perf_summary_lines():
         report.line(line)
     report.emit(metadata=bench_metadata(config))
     assert 1.4 < ratio < 2.8

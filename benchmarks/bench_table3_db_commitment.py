@@ -70,7 +70,7 @@ def test_table3_db_commitment(benchmark):
         f"\nmeasured doubling ratio = {doubling:.2f} "
         "(paper: 5.53/2.89 = 1.91, 10.94/5.53 = 1.98 -- near-linear)"
     )
-    for line in perf_summary_lines(config):
+    for line in perf_summary_lines():
         report.line(line)
     report.emit(metadata=bench_metadata(config))
     assert 1.3 < doubling < 3.2

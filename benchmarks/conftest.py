@@ -7,8 +7,7 @@ the calibrated cost model (see DESIGN.md, substitutions).
 Public parameters, proving keys, and the TPC-H database load through
 the on-disk artifact cache, so the second run of any benchmark skips
 regeneration (reports print the HIT/MISS trace).  Set
-``REPRO_BENCH_WORKERS=N`` to route the crypto through the parallel
-backend, ``REPRO_NO_CACHE=1`` to force cold runs.
+``REPRO_NO_CACHE=1`` to force cold runs.
 """
 
 import pytest
@@ -32,7 +31,7 @@ def bench_config():
 def tpch_system(bench_config):
     """A committed TPC-H prover/verifier pair at reduced scale.  The
     session behind it restores the global settings it changed
-    (parallelism, telemetry, field backend) at teardown."""
+    (telemetry, field backend) at teardown."""
     with PoneglyphDB.open(
         tpch_db(bench_config),
         prover_config(bench_config),

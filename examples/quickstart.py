@@ -16,9 +16,10 @@ facade:
 
 Run:  python examples/quickstart.py
 
-Knobs (see ProverConfig): ``workers=N`` fans the crypto out over N
-processes with bit-identical results; ``use_cache=False`` forces cold
-parameter and key generation.
+Knobs (see ProverConfig): ``use_cache=False`` forces cold parameter
+and key generation.  To prove many queries in parallel processes, serve
+the session (``session.serve(ServiceConfig(workers=N))``; see
+examples/proving_service.py).
 """
 
 import time

@@ -12,15 +12,10 @@ All transforms operate in place on lists of raw ints.
 
 from __future__ import annotations
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.algebra import fft_plan
 from repro.algebra.field import Field
-
-#: Batched transforms only fan out to workers when each vector is at
-#: least this long -- below it, pickling the data costs more than the
-#: transform.
-PARALLEL_MIN_SIZE = 256
 
 #: Coset power ladders ``[1, shift, shift^2, ..]`` by ``(size, shift,
 #: p)``, process-local like the NTT plans: a domain's transforms leave
@@ -54,31 +49,6 @@ def fft_in_place(
         values[:] = out
         return
     fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p), filled)
-
-
-def _fft_task(
-    vectors: list[list[int]], omega: int, p: int, filled: int | None = None
-) -> list[list[int]]:
-    """Worker task: forward NTT of every vector (top-level, picklable),
-    each zero past its first ``filled`` values if given."""
-    out = []
-    for vec in vectors:
-        values = list(vec)
-        fft_in_place(values, omega, p, filled)
-        out.append(values)
-    return out
-
-
-def _ifft_task(
-    vectors: list[list[int]], omega_inv: int, size_inv: int, p: int
-) -> list[list[int]]:
-    """Worker task: inverse NTT + 1/n scaling of every vector."""
-    out = []
-    for vec in vectors:
-        values = list(vec)
-        fft_in_place(values, omega_inv, p)
-        out.append([v * size_inv % p for v in values])
-    return out
 
 
 class EvaluationDomain:
@@ -174,60 +144,46 @@ class EvaluationDomain:
 
     # -- batched transforms -----------------------------------------------
 
-    def _dispatch_many(self, task, vectors: list[list[int]], *extra):
-        """Chunk ``vectors`` across the worker pool (order-preserving;
-        serial fallback runs the identical task function inline)."""
-        if (
-            not vectors
-            or len(vectors) < 2
-            or self.size < PARALLEL_MIN_SIZE
-            or not parallel.is_parallel()
-        ):
-            return task(vectors, *extra)
-        chunks = parallel.chunked(vectors, parallel.workers())
-        out: list[list[int]] = []
-        for part in parallel.pmap(task, [(c, *extra) for c in chunks]):
-            out.extend(part)
-        return out
-
     def fft_many(self, coeffs_list: list[list[int]]) -> list[list[int]]:
-        """:meth:`fft` of many polynomials, in parallel when configured."""
-        padded = []
+        """:meth:`fft` of many polynomials."""
+        p = self.field.p
+        out = []
         for coeffs in coeffs_list:
             if len(coeffs) > self.size:
                 raise ValueError("polynomial larger than domain")
-            padded.append(list(coeffs) + [0] * (self.size - len(coeffs)))
-        return self._dispatch_many(_fft_task, padded, self.omega, self.field.p)
+            values = list(coeffs) + [0] * (self.size - len(coeffs))
+            fft_in_place(values, self.omega, p)
+            out.append(values)
+        return out
 
     def ifft_many(self, evals_list: list[list[int]]) -> list[list[int]]:
-        """:meth:`ifft` of many evaluation vectors, in parallel when
-        configured (bit-identical to the serial path)."""
+        """:meth:`ifft` of many evaluation vectors."""
+        p, n_inv = self.field.p, self.size_inv
+        out = []
         for evals in evals_list:
             if len(evals) != self.size:
                 raise ValueError("evaluation vector must match domain size")
-        return self._dispatch_many(
-            _ifft_task,
-            [list(e) for e in evals_list],
-            self.omega_inv,
-            self.size_inv,
-            self.field.p,
-        )
+            values = list(evals)
+            fft_in_place(values, self.omega_inv, p)
+            out.append([v * n_inv % p for v in values])
+        return out
 
     def coset_fft_many(
         self, coeffs_list: list[list[int]], shift: int
     ) -> list[list[int]]:
-        """:meth:`coset_fft` of many polynomials: the coset scaling runs
-        in the parent (cheap), the NTTs fan out across workers."""
+        """:meth:`coset_fft` of many polynomials, every transform
+        skipping the stages that the longest one's zero padding allows."""
         p = self.field.p
         filled = max(map(len, coeffs_list), default=0)
-        scaled_list = []
+        out = []
         for coeffs in coeffs_list:
             if len(coeffs) > self.size:
                 raise ValueError("polynomial larger than domain")
             scaled = list(coeffs) + [0] * (self.size - len(coeffs))
             self._coset_scale(scaled, len(coeffs), shift)
-            scaled_list.append(scaled)
-        return self._dispatch_many(_fft_task, scaled_list, self.omega, p, filled)
+            fft_in_place(scaled, self.omega, p, filled)
+            out.append(scaled)
+        return out
 
     # -- helpers ----------------------------------------------------------
 

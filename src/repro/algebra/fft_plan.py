@@ -7,11 +7,10 @@ module precomputes the plan -- bit-reversal swap pairs and the full
 twiddle table of every stage -- once per ``(n, omega, p)`` and
 :func:`repro.algebra.domain.fft_in_place` replays it.
 
-Plans live in a module-level cache: the parent process and each forked
-worker build a plan at most once and hit it thereafter (the
-``fft.twiddle_hits`` / ``fft.twiddle_builds`` counters record the
-traffic).  Plans are plain picklable data, so they can also ship
-across the fork boundary inside task arguments if a caller prefers.
+Plans live in a module-level cache: each process builds a plan at most
+once and hits it thereafter (the ``fft.twiddle_hits`` /
+``fft.twiddle_builds`` counters record the traffic); a forked service
+runner inherits the plans built before its fork.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class NttPlan:
             length *= 2
         self.stages = stages
 
-    # Plans are pure data; pickling ships them to workers when needed.
+    # Plans are pure data.
     def __getstate__(self):
         return (self.n, self.omega, self.p, self.swaps, self.stages)
 
@@ -64,8 +63,8 @@ class NttPlan:
         self.n, self.omega, self.p, self.swaps, self.stages = state
 
 
-#: Process-local plan cache.  Forked workers inherit the parent's
-#: plans; ones built after the fork are rebuilt per worker on miss.
+#: Process-local plan cache.  Forked service runners inherit the
+#: parent's plans; ones built after the fork are rebuilt per runner.
 _PLANS: dict[tuple[int, int, int], NttPlan] = {}
 
 

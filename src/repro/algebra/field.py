@@ -50,10 +50,8 @@ def deterministic_rng(seed: int) -> Iterator[None]:
     the ``secrets`` CSPRNG.
 
     Scopes nest; each ``with`` installs a fresh stream and restores the
-    previous one on exit.  A forked worker inherits the installing
-    thread's stream, but all blinding draws happen on the proving
-    thread itself, so parallel-backend fan-out does not perturb the
-    sequence.
+    previous one on exit.  All blinding draws happen on the proving
+    thread, so the stream fixes every blind of a prove.
     """
     previous = getattr(_RNG_LOCAL, "rng", None)
     _RNG_LOCAL.rng = _random.Random(seed)
@@ -83,19 +81,13 @@ PALLAS_SCALAR_MODULUS = (
 )
 
 
-#: Minimum vector length before batch inversion fans out to workers
-#: (below it the per-chunk pickle + inversion overhead dominates).
-_PARALLEL_INV_MIN = 8192
-
-
 def montgomery_batch_inv(values: Sequence[int], p: int) -> list[int]:
     """Montgomery batch inversion: O(n) multiplications, one inversion.
 
     Does NOT feed the ``field.inversions`` telemetry counter -- use
     :meth:`Field.batch_inv` for workload inversions.  This raw form is
-    for bookkeeping conversions (point normalization, worker chunks)
-    whose call count depends on the execution backend, which would make
-    serial and parallel counter totals disagree.
+    for bookkeeping conversions (point normalization, batch-affine
+    rounds), which are not workload metrics.
 
     A zero input raises :class:`~repro.errors.BatchInversionError`
     naming the offending index (detected up front, before any work).
@@ -115,11 +107,6 @@ def montgomery_batch_inv(values: Sequence[int], p: int) -> list[int]:
         out[i] = prefix[i] * inv_acc % p
         inv_acc = inv_acc * vals[i] % p
     return out
-
-
-def _batch_inv_task(values: list[int], p: int) -> list[int]:
-    """Worker task: Montgomery batch inversion of one chunk."""
-    return montgomery_batch_inv(values, p)
 
 
 class Field:
@@ -217,31 +204,11 @@ class Field:
         naming the offending index (callers in the prover guarantee
         nonzero denominators by construction; when that contract breaks
         the error says exactly where).
-
-        Large inputs are inverted in chunks across the worker pool when
-        one is configured (one extra inversion per chunk; the inverses
-        themselves are unique, so results are identical either way).
         """
-        p = self.p
-        n = len(values)
-        if n == 0:
+        if len(values) == 0:
             return []
-        # Counted once per element here, before any parallel dispatch,
-        # so serial and parallel totals agree (the per-chunk inversions in
-        # workers are an implementation detail, not a workload metric).
-        telemetry.incr("field.inversions", n)
-        if n >= _PARALLEL_INV_MIN:
-            from repro import parallel
-
-            if parallel.is_parallel():
-                chunks = parallel.chunked(list(values), parallel.workers())
-                out: list[int] = []
-                for part in parallel.pmap(
-                    _batch_inv_task, [(chunk, p) for chunk in chunks]
-                ):
-                    out.extend(part)
-                return out
-        return montgomery_batch_inv(values, p)
+        telemetry.incr("field.inversions", len(values))
+        return montgomery_batch_inv(values, self.p)
 
     def sum(self, values: Iterable[int]) -> int:
         total = 0

@@ -6,17 +6,19 @@ single object::
 
     from repro import PoneglyphDB, ProverConfig
 
-    with PoneglyphDB.open(db, ProverConfig(k=7, workers=4)) as session:
+    with PoneglyphDB.open(db, ProverConfig(k=7)) as session:
         session.commit()
         response = session.prove("select count(*) from patients")
         assert session.verify(response).accepted
 
 The facade owns the cross-cutting plumbing the lower layers expose as
 knobs: it obtains public parameters through the artifact cache, applies
-the configured worker count to the parallel backend for the session's
-lifetime (restoring the previous setting on close), and keeps the
+the configured telemetry and field backend for the session's lifetime
+(restoring the previous settings on close), and keeps the
 prover/verifier pair consistent so a proved response verifies against
-the same commitment without ferrying metadata by hand.
+the same commitment without ferrying metadata by hand.  A session
+proves serially, one job at a time; :meth:`Session.serve` proves in
+parallel, one forked process per service worker.
 
 The role classes (:class:`~repro.system.prover_node.ProverNode`,
 :class:`~repro.system.verifier_node.VerifierNode`, the auditor) remain
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.cache import ArtifactCache, resolve_cache
 from repro.commit.params import PublicParams, cached_setup, setup
@@ -61,8 +63,8 @@ class Session:
 
     Create via :meth:`PoneglyphDB.open`.  The session is a context
     manager; leaving the ``with`` block (or calling :meth:`close`)
-    restores the global parallelism, telemetry and field-backend
-    settings it overrode; so does a construction that raises.
+    restores the global telemetry and field-backend settings it
+    overrode; so does a construction that raises.
     """
 
     def __init__(
@@ -79,8 +81,6 @@ class Session:
             if cache is not None
             else resolve_cache(config.cache_dir, enabled=config.use_cache)
         )
-        self._previous_workers = parallel.workers()
-        parallel.configure(config.workers)
         self._previous_telemetry = (
             telemetry.enable(True) if config.telemetry else telemetry.enabled()
         )
@@ -114,10 +114,9 @@ class Session:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Restore the parallelism, telemetry and field-backend
-        settings the session overrode."""
+        """Restore the telemetry and field-backend settings the session
+        overrode."""
         if not self._closed:
-            parallel.configure(self._previous_workers)
             if self.config.telemetry:
                 telemetry.enable(self._previous_telemetry)
             field_backend.set_backend(self._previous_field_backend)

@@ -12,7 +12,6 @@ from repro.bench.harness import (
     perf_summary_lines,
     prover_config,
     real_prove_query,
-    serial_vs_parallel,
     tpch_db,
 )
 from repro.bench.reporting import Report
@@ -27,7 +26,6 @@ __all__ = [
     "perf_summary_lines",
     "prover_config",
     "real_prove_query",
-    "serial_vs_parallel",
     "tpch_db",
     "Report",
 ]

@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import os
 import subprocess
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.algebra.field import SCALAR_FIELD
 from repro.baselines.cost_models import PaperCalibration, column_work
@@ -50,27 +49,13 @@ SEED = 19920873
 TELEMETRY = True
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
 @dataclass
 class BenchConfig:
     """The reduced-scale size of one benchmark: ``lineitem_rows`` of
-    TPC-H data in a ``2^k``-row circuit.
-
-    ``workers`` routes the crypto through the parallel backend
-    (``REPRO_BENCH_WORKERS`` overrides the default).
-    """
+    TPC-H data in a ``2^k``-row circuit."""
 
     lineitem_rows: int = 64
     k: int = 8
-    workers: int = field(
-        default_factory=lambda: _env_int("REPRO_BENCH_WORKERS", 0)
-    )
 
 
 @functools.cache
@@ -106,7 +91,6 @@ def prover_config(config: BenchConfig) -> ProverConfig:
         limb_bits=LIMB_BITS,
         value_bits=VALUE_BITS,
         key_bits=KEY_BITS,
-        workers=config.workers,
         telemetry=TELEMETRY,
     )
 
@@ -143,13 +127,11 @@ def bench_metadata(
             "limb_bits": pc.limb_bits,
             "value_bits": pc.value_bits,
             "key_bits": pc.key_bits,
-            "workers": pc.workers,
             "use_cache": bench_cache().enabled,
             "telemetry": pc.telemetry,
         },
         "lineitem_rows": config.lineitem_rows,
         "seed": SEED,
-        "workers": config.workers,
         "host_cpus": os.cpu_count(),
         "field_backend": field_backend.backend_name(),
         "telemetry": (
@@ -163,45 +145,17 @@ def bench_metadata(
 # -- perf-summary helpers ----------------------------------------------------
 
 
-def serial_vs_parallel(
-    fn: Callable[[], object], workers: int
-) -> tuple[float, float, float]:
-    """Time ``fn`` under the serial backend and again with ``workers``
-    workers; return ``(serial_s, parallel_s, speedup)``.
-
-    Speedup is reported as measured -- on a single-core host the
-    parallel run pays fork/pickle overhead and the ratio can dip below
-    1.0; on a multicore host it approaches the worker count.
-    """
-    with parallel.parallelism(0):
-        _, serial_s = telemetry.time_call(fn)
-    with parallel.parallelism(workers):
-        _, parallel_s = telemetry.time_call(fn)
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    return serial_s, parallel_s, speedup
-
-
-def perf_summary_lines(
-    config: BenchConfig,
-    speedups: dict[str, tuple[float, float, float]] | None = None,
-) -> list[str]:
-    """The standard perf footer for a benchmark report: backend
-    configuration, serial-vs-parallel speedups, and cache traffic."""
+def perf_summary_lines() -> list[str]:
+    """The standard perf footer for a benchmark report: the commit, the
+    host and the artifact cache's traffic."""
     store = bench_cache()
-    lines = [
+    return [
         "",
-        f"backend: workers={config.workers or 'serial'} "
-        f"(host cpus={os.cpu_count()}), "
+        f"commit {git_revision()[:12]}, host cpus={os.cpu_count()}, "
         f"cache={'on' if store.enabled else 'off'}",
+        f"artifact cache: {store.stats.summary()}",
+        *store.stats.events,
     ]
-    for label, (serial_s, parallel_s, speedup) in (speedups or {}).items():
-        lines.append(
-            f"{label}: serial {serial_s:.3f}s vs parallel {parallel_s:.3f}s "
-            f"-> speedup {speedup:.2f}x"
-        )
-    lines.append(f"artifact cache: {store.stats.summary()}")
-    lines.extend(store.stats.events)
-    return lines
 
 
 @dataclass

@@ -50,7 +50,7 @@ class Report:
         ``metadata`` (typically :func:`repro.bench.harness.bench_metadata`)
         additionally writes ``<name>.json`` next to the text report, so
         every persisted result is stamped with the commit, prover
-        configuration, worker count, and telemetry metrics it ran with.
+        configuration, host, and telemetry metrics it ran with.
         """
         text = self.render()
         print("\n" + text)

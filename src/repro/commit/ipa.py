@@ -34,17 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro import parallel, telemetry
-from repro.algebra.domain import EvaluationDomain
+from repro import telemetry
 from repro.algebra.field import Field
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
-from repro.ecc.curve import (
-    Point,
-    curve_by_name,
-    points_from_affine_tuples,
-    points_to_affine_tuples,
-)
+from repro.ecc.curve import Point
 from repro.ecc.msm import msm
 from repro.transcript import Transcript
 from repro.wire import ByteReader, SCALAR_BYTES, point_wire_size
@@ -170,84 +164,28 @@ def commit_lagrange(
     return _commit(params, evals, blind, fixed_base.LAGRANGE)
 
 
-def _commit_batch_task(
-    curve_name: str,
-    fingerprint: str,
-    kind: str,
-    g_coords: list[tuple[int, int]],
-    w_coord: tuple[int, int],
-    jobs: list[tuple[list[int], int]],
-) -> list[tuple[int, int]]:
-    """Worker task: commit each (padded vector, blind) job.
-
-    Workers prefer the ``kind`` tables under ``fingerprint`` (inherited
-    at fork or read from the attached disk cache).  On a miss they fall
-    back to the oracle -- the generic MSM over the shipped ``g`` and
-    ``w``, of the inverse FFT for a Lagrange-basis job -- identical
-    elements either way.  Inside a worker the MSM itself runs serially
-    (no nested pools).
-    """
-    curve = curve_by_name(curve_name)
-    tables = fixed_base.lookup_tables(fingerprint, kind=kind)
-    if tables is not None:
-        return points_to_affine_tuples(
-            [
-                fixed_base.fixed_base_msm(tables, vector + [blind])
-                for vector, blind in jobs
-            ]
-        )
-    bases = points_from_affine_tuples(curve, g_coords + [w_coord])
-    if kind == fixed_base.LAGRANGE:
-        domain = EvaluationDomain(curve.scalar_field, len(g_coords).bit_length() - 1)
-        jobs = [(domain.ifft(vector), blind) for vector, blind in jobs]
-    return points_to_affine_tuples(
-        [msm(bases, vector + [blind]) for vector, blind in jobs]
-    )
-
-
-def _commit_many(
-    params: PublicParams, items: Sequence[tuple[Sequence[int], int]], kind: str
-) -> list[Point]:
-    if not parallel.is_parallel() or len(items) < 2:
-        return [_commit(params, vector, blind, kind) for vector, blind in items]
-    jobs = [(_padded(params, vector), blind) for vector, blind in items]
-    # Build (or load) the tables in the parent first: workers forked
-    # afterwards inherit the registry; ones forked earlier fall back
-    # through the disk cache or to the oracle.
-    fixed_base.tables_for_params(params, kind=kind)
-    g_coords = points_to_affine_tuples(list(params.g))
-    w_coord = params.w.to_affine()
-    tasks = [
-        (params.curve.name, params.fingerprint(), kind, g_coords, w_coord, chunk)
-        for chunk in parallel.chunked(jobs, parallel.workers())
-    ]
-    out: list[Point] = []
-    for chunk in parallel.pmap(_commit_batch_task, tasks):
-        out.extend(points_from_affine_tuples(params.curve, chunk))
-    return out
-
-
 def commit_polynomials(
     params: PublicParams, items: Sequence[tuple[Sequence[int], int]]
 ) -> list[Point]:
-    """Commit many ``(coeffs, blind)`` pairs, one MSM per polynomial,
-    across the worker pool when one is configured.
-
-    Results are identical to calling :func:`commit_polynomial` in a
-    loop (each commitment is an independent pure function); only the
-    scheduling differs.
-    """
+    """:func:`commit_polynomial` of many ``(coeffs, blind)`` pairs, one
+    fixed-base MSM each, under one telemetry span."""
     with telemetry.span("commit.polynomials", count=len(items)):
-        return _commit_many(params, items, fixed_base.MONOMIAL)
+        return [
+            _commit(params, coeffs, blind, fixed_base.MONOMIAL)
+            for coeffs, blind in items
+        ]
 
 
 def commit_lagrange_many(
     params: PublicParams, items: Sequence[tuple[Sequence[int], int]]
 ) -> list[Point]:
-    """:func:`commit_lagrange` of many ``(evals, blind)`` pairs, across
-    the worker pool when one is configured (identical results)."""
+    """:func:`commit_lagrange` of many ``(evals, blind)`` pairs, under
+    one telemetry span."""
     with telemetry.span("commit.lagrange", count=len(items)):
-        return _commit_many(params, items, fixed_base.LAGRANGE)
+        return [
+            _commit(params, evals, blind, fixed_base.LAGRANGE)
+            for evals, blind in items
+        ]
 
 
 def _powers(x: int, n: int, p: int) -> list[int]:

@@ -6,12 +6,9 @@ logs nobody knows.  Generation uses hash-to-curve on public strings --
 "publicly verifiable randomness", no trusted setup -- and is a one-time
 cost, reusable for every circuit of at most ``2^k`` rows.
 
-Each generator is an independent hash-to-curve evaluation, so with
-workers configured in :mod:`repro.parallel` derivation is split across
-processes (bit-identical output: every generator is a pure function of
-its index).  Because the result is also a pure function of
-``(curve, k, label)``, it is a prime artifact-cache candidate -- see
-:func:`cached_setup`.
+Every generator is a pure function of its index, and the whole set a
+pure function of ``(curve, k, label)``, so it is a prime artifact-cache
+candidate -- see :func:`cached_setup`.
 """
 
 from __future__ import annotations
@@ -20,23 +17,12 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro import parallel
-from repro.ecc.curve import (
-    Curve,
-    PALLAS,
-    Point,
-    curve_by_name,
-    points_from_affine_tuples,
-)
+from repro.ecc.curve import Curve, PALLAS, Point, curve_by_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import ArtifactCache
 
 _DOMAIN = b"poneglyphdb-params-v1"
-
-#: Parameter sets smaller than this generate serially even with a pool
-#: (the fork/collect overhead exceeds the hashing work).
-_PARALLEL_MIN_N = 64
 
 
 @dataclass
@@ -122,42 +108,18 @@ class PublicParams:
         return cls(curve=curve, k=k, g=points[:n], w=points[n], u=points[n + 1])
 
 
-def _derive_generators_task(
-    curve_name: str, label: bytes, start: int, stop: int
-) -> list[tuple[int, int]]:
-    """Worker task: hash-to-curve the generators ``[start, stop)``."""
-    curve = curve_by_name(curve_name)
-    return [
-        curve.hash_to_curve(
-            _DOMAIN, label + b"|g|" + i.to_bytes(8, "little")
-        ).to_affine()
-        for i in range(start, stop)
-    ]
-
-
 def setup(k: int, curve: Curve = PALLAS, label: bytes = b"") -> PublicParams:
     """Generate public parameters supporting circuits of ``2^k`` rows.
 
     Deterministic in ``(k, curve, label)`` so provers and verifiers can
-    regenerate identical parameters independently; with a worker pool
-    configured the ``2^k`` hash-to-curve derivations run in parallel.
+    regenerate identical parameters independently.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = 1 << k
-    if parallel.is_parallel() and n >= _PARALLEL_MIN_N:
-        tasks = [
-            (curve.name, label, lo, hi)
-            for lo, hi in parallel.chunk_bounds(n, parallel.workers())
-        ]
-        g: list[Point] = []
-        for chunk in parallel.pmap(_derive_generators_task, tasks):
-            g.extend(points_from_affine_tuples(curve, chunk))
-    else:
-        g = [
-            curve.hash_to_curve(_DOMAIN, label + b"|g|" + i.to_bytes(8, "little"))
-            for i in range(n)
-        ]
+    g = [
+        curve.hash_to_curve(_DOMAIN, label + b"|g|" + i.to_bytes(8, "little"))
+        for i in range(1 << k)
+    ]
     w = curve.hash_to_curve(_DOMAIN, label + b"|w")
     u = curve.hash_to_curve(_DOMAIN, label + b"|u")
     return PublicParams(curve=curve, k=k, g=g, w=w, u=u)

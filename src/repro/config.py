@@ -1,8 +1,8 @@
 """The consolidated configuration objects.
 
 Before :class:`ProverConfig` existed, the same knobs -- circuit ``k``,
-limb/value/key bit widths, and more recently worker counts and cache
-directories -- were loose keyword arguments scattered across
+limb/value/key bit widths, and more recently cache directories -- were
+loose keyword arguments scattered across
 ``ProverNode.__init__``, keygen call sites, and every benchmark.
 :class:`ProverConfig` is the one validated home for all of them, and
 since the legacy loose-kwarg shims were retired it is the *only*
@@ -14,7 +14,8 @@ the load-shedding policy.
 
 Validation failures raise :class:`repro.errors.ConfigError` (a
 ``ValueError`` subclass, so historical ``except ValueError`` handlers
-keep working).
+keep working) -- wrong types included: an integer field takes an
+``int`` and a duration an ``int`` or ``float``, never a ``bool``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ from typing import Any
 from repro.algebra.field import Field, SCALAR_FIELD
 from repro.ecc.curve import Curve, PALLAS
 from repro.errors import ConfigError
+
+
+def _is_int(value: Any) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """An ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,7 +53,10 @@ class ProverConfig:
         width, and join-key width.  The paper's full-scale design is
         ``8 / 64 / 48``; tests and benchmarks shrink all three.
     workers:
-        Worker processes for the parallel backend (0 or 1 = serial).
+        0 or 1, both meaning serial: a session proves one job at a
+        time in its own process.  Kept for callers that pass
+        ``workers=0``; to prove jobs in parallel processes, serve the
+        session with ``ServiceConfig(workers=N)``.
     cache_dir:
         Artifact-cache directory; ``None`` picks the default
         (``$REPRO_CACHE_DIR`` or ``~/.cache/poneglyphdb``).
@@ -77,7 +91,7 @@ class ProverConfig:
     curve: Curve = dc_field(default=PALLAS, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or not (
+        if not _is_int(self.k) or not (
             2 <= self.k <= self.field.two_adicity
         ):
             raise ConfigError(
@@ -86,7 +100,7 @@ class ProverConfig:
             )
         for name in ("limb_bits", "value_bits", "key_bits"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
@@ -95,9 +109,11 @@ class ProverConfig:
                 f"value_bits ({self.value_bits}) must be at least "
                 f"limb_bits ({self.limb_bits})"
             )
-        if not isinstance(self.workers, int) or self.workers < 0:
+        if not _is_int(self.workers) or self.workers not in (0, 1):
             raise ConfigError(
-                f"workers must be a non-negative integer, got {self.workers!r}"
+                f"workers must be 0 or 1 (a session proves serially; "
+                f"ServiceConfig(workers=N) proves jobs in N processes), "
+                f"got {self.workers!r}"
             )
         if self.field_backend not in ("auto", "python", "numpy"):
             raise ConfigError(
@@ -218,55 +234,47 @@ class ServiceConfig:
     default_tenant_quota: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             raise ConfigError(
                 f"service workers must be a positive integer, got "
                 f"{self.workers!r}"
             )
-        if not isinstance(self.max_queue_depth, int) or self.max_queue_depth < 1:
+        if not _is_int(self.max_queue_depth) or self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be a positive integer, got "
                 f"{self.max_queue_depth!r}"
             )
         if (
-            not isinstance(self.high_priority_reserve, int)
+            not _is_int(self.high_priority_reserve)
             or not 0 <= self.high_priority_reserve < self.max_queue_depth
         ):
             raise ConfigError(
                 f"high_priority_reserve must be in [0, max_queue_depth), got "
                 f"{self.high_priority_reserve!r}"
             )
-        if self.poll_interval <= 0:
-            raise ConfigError(
-                f"poll_interval must be positive, got {self.poll_interval!r}"
-            )
-        if self.shutdown_timeout <= 0:
-            raise ConfigError(
-                f"shutdown_timeout must be positive, got "
-                f"{self.shutdown_timeout!r}"
-            )
         for name in ("event_log_capacity", "error_ring_size"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if not _is_int(self.max_retries) or self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be a non-negative integer, got "
                 f"{self.max_retries!r}"
             )
         for name in (
-            "retry_backoff_seconds", "retry_backoff_max", "supervisor_interval"
+            "poll_interval", "shutdown_timeout", "retry_backoff_seconds",
+            "retry_backoff_max", "supervisor_interval",
         ):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not (_is_real(value) and value > 0):
                 raise ConfigError(
-                    f"{name} must be positive, got {value!r}"
+                    f"{name} must be a positive number, got {value!r}"
                 )
-        if self.default_deadline_seconds is not None and (
-            not isinstance(self.default_deadline_seconds, (int, float))
-            or self.default_deadline_seconds <= 0
+        if self.default_deadline_seconds is not None and not (
+            _is_real(self.default_deadline_seconds)
+            and self.default_deadline_seconds > 0
         ):
             raise ConfigError(
                 f"default_deadline_seconds must be positive or None, got "
@@ -286,14 +294,14 @@ class ServiceConfig:
                         f"tenant names must be non-empty strings, got "
                         f"{tenant!r}"
                     )
-                if not isinstance(quota, int) or quota < 1:
+                if not _is_int(quota) or quota < 1:
                     raise ConfigError(
                         f"quota for tenant {tenant!r} must be a positive "
                         f"integer, got {quota!r}"
                     )
             object.__setattr__(self, "tenant_quotas", normalized)
         if self.default_tenant_quota is not None and (
-            not isinstance(self.default_tenant_quota, int)
+            not _is_int(self.default_tenant_quota)
             or self.default_tenant_quota < 1
         ):
             raise ConfigError(

@@ -175,7 +175,7 @@ def _commit_all_columns(
     secrets: dict[tuple[str, str], ColumnSecret],
 ) -> dict[tuple[str, str], Point]:
     """Commit every column using the per-column randomness in
-    ``secrets``; columns fan out across the worker pool.
+    ``secrets``, in one :func:`commit_lagrange_many` batch.
 
     Each padded column is committed as the values, over the size-``2^k``
     evaluation domain, of a polynomial -- exactly how the proving system

@@ -216,10 +216,9 @@ class Point:
         if self.z == 1:
             return (self.x, self.y)
         p = self.curve.field.p
-        # Raw inversion, not Field.inv: normalization happens at
-        # serialization boundaries whose count depends on the execution
-        # backend (worker tasks re-serialize), so it must not feed the
-        # field.inversions workload counter.  z is nonzero mod p here.
+        # Raw inversion, not Field.inv: normalization is representation
+        # bookkeeping, not workload, so it must not feed the
+        # field.inversions counter.  z is nonzero mod p here.
         z_inv = pow(self.z, -1, p)
         z_inv2 = z_inv * z_inv % p
         return (self.x * z_inv2 % p, self.y * z_inv2 % p * z_inv % p)
@@ -315,8 +314,8 @@ VESTA = Curve(
     gy=2,
 )
 
-#: Registry used to ship points across process boundaries by name
-#: (worker tasks reattach affine coordinates to the curve singleton).
+#: Registry that reattaches serialized points to the curve singleton
+#: by name (parameter files and pickled fixed-base tables).
 CURVES: dict[str, Curve] = {PALLAS.name: PALLAS, VESTA.name: VESTA}
 
 
@@ -328,8 +327,8 @@ def curve_by_name(name: str) -> Curve:
 
 
 def points_to_affine_tuples(points: list[Point]) -> list[tuple[int, int]]:
-    """Plain-data form of many points for worker-task arguments (the
-    identity maps to ``(0, 0)``, mirroring :meth:`Point.to_affine`)."""
+    """Plain-data affine form of many points, with one shared inversion
+    (the identity maps to ``(0, 0)``, mirroring :meth:`Point.to_affine`)."""
     return batch_to_affine(points)
 
 

@@ -25,7 +25,7 @@ committed by their values against the Lagrange set
 Tables are keyed by the :meth:`~repro.commit.params.PublicParams.fingerprint`
 of the parameter set and the basis (``MONOMIAL`` / ``LAGRANGE``, whose
 layout is stated once, at the registry below).  A process-local
-registry serves repeat lookups (forked workers inherit it for free);
+registry serves repeat lookups (forked service runners inherit it);
 optionally an :class:`~repro.cache.ArtifactCache` attached via
 :func:`configure_cache` persists tables across runs next to the cached
 parameters themselves.  The result is always the same group element
@@ -213,8 +213,9 @@ LAGRANGE = "lagrange"
 
 _Key = tuple[str, str, int]  # (kind, params fingerprint, window width)
 
-#: Process-local tables.  Forked workers inherit whatever the parent
-#: built before the pool started; later misses disk-load per worker.
+#: Process-local tables.  A forked service runner inherits whatever
+#: the parent built before the fork (the service builds them when it
+#: opens); a later miss loads from disk or builds in the runner.
 _REGISTRY: dict[_Key, FixedBaseTables] = {}
 
 #: One build lock per table set, so concurrent first users (service
@@ -326,14 +327,6 @@ def _lookup(key: _Key, shape: tuple[str, int] | None = None):
     if tables is not None:
         telemetry.incr("msm.fixed_base_table_hits")
     return tables
-
-
-def lookup_tables(
-    fingerprint: str, c: int = FIXED_BASE_WINDOW, kind: str = MONOMIAL
-) -> FixedBaseTables | None:
-    """Registry (then disk) lookup only -- never builds, never blocks.
-    Worker tasks use this: on a miss they fall back to the generic MSM."""
-    return _lookup((kind, fingerprint, c))
 
 
 def tables_for_params(

@@ -17,30 +17,18 @@ same group elements as the point-by-point sum ``msm_naive`` in
   pairwise additions with one shared Montgomery batch inversion
   instead of one ~16-multiplication Jacobian add per pair.
 
-The bucket windows are independent, so with workers configured in
-:mod:`repro.parallel` they are computed across processes and combined
-in the usual doubling chain; the result is bit-identical to the serial
-path because only window *ownership* moves, never the arithmetic.
+All bucket windows share one batch-affine accumulation and combine in
+the usual doubling chain.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.ecc import glv
 from repro.ecc.batch_affine import sum_affine_lists
-from repro.ecc.curve import (
-    Curve,
-    Point,
-    curve_by_name,
-    points_from_affine_tuples,
-    points_to_affine_tuples,
-)
-
-#: Below this many nonzero pairs the fork/pickle overhead of farming
-#: out windows exceeds the bucket work itself.
-PARALLEL_THRESHOLD = 64
+from repro.ecc.curve import Curve, Point, points_to_affine_tuples
 
 #: Below this many nonzero pairs :func:`msm` sums per-point GLV scalar
 #: multiplications directly -- bucket machinery only pays off once the
@@ -84,23 +72,21 @@ def _affine_window_sums(
     curve: Curve,
     entries: list[tuple[int, int, int]],
     c: int,
-    w_lo: int,
-    w_hi: int,
+    num_windows: int,
 ) -> list[Point]:
-    """Window sums ``[w_lo, w_hi)`` over GLV-split affine entries.
+    """The ``num_windows`` window sums over GLV-split affine entries.
 
-    All windows of the range share one batch-affine accumulation, so
-    the per-round inversion amortizes across every bucket of every
-    window at once.
+    All windows share one batch-affine accumulation, so the per-round
+    inversion amortizes across every bucket of every window at once.
     """
     p = curve.field.p
     mask = (1 << c) - 1
     per_window: list[dict[int, list[tuple[int, int]]]] = [
-        {} for _ in range(w_lo, w_hi)
+        {} for _ in range(num_windows)
     ]
     for x, y, s in entries:
         pt = (x, y)
-        for w, buckets in enumerate(per_window, start=w_lo):
+        for w, buckets in enumerate(per_window):
             idx = (s >> (w * c)) & mask
             if idx:
                 buckets.setdefault(idx, []).append(pt)
@@ -120,20 +106,6 @@ def _affine_window_sums(
     ]
 
 
-def _affine_window_sums_task(
-    curve_name: str,
-    entries: list[tuple[int, int, int]],
-    c: int,
-    w_lo: int,
-    w_hi: int,
-) -> list[tuple[int, int]]:
-    """Worker task: batch-affine window sums for a window range."""
-    curve = curve_by_name(curve_name)
-    return points_to_affine_tuples(
-        _affine_window_sums(curve, entries, c, w_lo, w_hi)
-    )
-
-
 def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     """Batch-affine Pippenger over GLV-split half-width scalars."""
     if len(pairs) < _TINY_MSM:
@@ -148,20 +120,7 @@ def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     c = _window_size(len(entries))
     num_bits = max(s.bit_length() for _, _, s in entries)
     num_windows = (num_bits + c - 1) // c
-    if (
-        not parallel.is_parallel()
-        or len(pairs) < PARALLEL_THRESHOLD
-        or num_windows < 2
-    ):
-        window_sums = _affine_window_sums(curve, entries, c, 0, num_windows)
-    else:
-        tasks = [
-            (curve.name, entries, c, lo, hi)
-            for lo, hi in parallel.chunk_bounds(num_windows, parallel.workers())
-        ]
-        window_sums = []
-        for chunk in parallel.pmap(_affine_window_sums_task, tasks):
-            window_sums.extend(points_from_affine_tuples(curve, chunk))
+    window_sums = _affine_window_sums(curve, entries, c, num_windows)
     acc = window_sums[-1]
     for total in reversed(window_sums[:-1]):
         for _ in range(c):
@@ -190,8 +149,6 @@ def msm(points: Sequence[Point], scalars: Sequence[int]) -> Point:
         s %= order  # reduced once, reused for both the filter and the sum
         if s and not pt.is_identity():
             pairs.append((pt, s))
-    # Counted here (not in the window workers) so serial and parallel
-    # runs report identical totals.
     telemetry.incr("msm.calls")
     telemetry.incr("msm.points", len(pairs))
     telemetry.observe("msm.points_per_call", len(pairs))

@@ -259,8 +259,7 @@ def keygen(
     hold ``fixed``, complete with its verifying key.
 
     Every key polynomial -- system selectors, sigmas, fixed columns --
-    goes through the transforms and commitments as one batch, so the
-    worker pool (when configured) sees real fan-out."""
+    goes through the transforms and commitments as one batch."""
     with telemetry.span("keygen", k=k):
         values, commitments, vk = _key_columns(params, cs, field, k, fixed)
         domain = EvaluationDomain(field, k)

@@ -186,9 +186,7 @@ def _commit_columns(
 ) -> list[Point]:
     """iFFT, blind and commit evaluation-form columns, and remember
     under ``paths`` how to open each.  The MSMs take the column values
-    (narrow scalars); the coefficients are for the later rounds.
-    Batched: the transforms and MSMs are independent, so they fan out
-    across the worker pool when one is configured."""
+    (narrow scalars); the coefficients are for the later rounds."""
     pk = state.pk
     coeffs = pk.domain.ifft_many(columns)
     blinds = [pk.vk.field.rand() for _ in columns]

@@ -108,7 +108,7 @@ class JobStatus:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     #: The job-scoped trace id stamped on every telemetry root span the
-    #: job produces (prover thread and fork-pool workers alike).
+    #: job produces, in whichever runner proves it.
     trace_id: str = ""
     #: The live span path on the job's worker, root first (e.g.
     #: ``"prove/prove.multiopen"``); ``""`` unless running with
@@ -180,7 +180,7 @@ class Job:
             else JobId(f"job-{self.seq:06d}-{secrets.token_hex(4)}")
         )
         #: One trace per job: stamped onto every root span the job's
-        #: prover thread (and its fork-pool tasks) opens.
+        #: prover thread opens.
         self.trace_id = f"trace-{secrets.token_hex(8)}"
         #: Names of the currently-open spans of the job's prove, root
         #: first (mirrored from the runner's span events).

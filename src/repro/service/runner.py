@@ -19,7 +19,7 @@ Both runners execute :func:`run_job` and speak one message set:
   classification.  A forked runner runs the job under
   :func:`repro.telemetry.run_captured` and ships the job's telemetry
   snapshot with the outcome; :meth:`ForkedRunner.run` folds it into the
-  service's tracer (:func:`repro.telemetry.absorb_task_results`), so
+  service's tracer (:func:`repro.telemetry.merge_captured`), so
   ``keygen.*`` counters and per-job traces look as if the job ran in
   the service process.
 
@@ -28,10 +28,11 @@ fixed-base tables and the keys memoized before its fork, and keeps its
 copy of the key memo for its whole life.  It exits when its pipe
 closes.  A runner that dies shows up as EOF on the pipe, which its
 worker treats as its own death.  Fork rules
-(:func:`_serve`): drop the inherited ``deterministic_rng`` stream, run
-the parallel backend serially, close the other runners' pipe ends; the
-modules that own locks re-create them in the child
-(``os.register_at_fork``).  See DESIGN.md section 5f.
+(:func:`_serve`): drop the inherited ``deterministic_rng`` stream and
+close the other runners' pipe ends; the modules that own locks
+re-create them in the child (``os.register_at_fork``).  The runners are
+the only parallelism: each proves one job at a time, serially.  See
+DESIGN.md section 5f.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.algebra.field import deterministic_rng, forget_deterministic_rng
 from repro.errors import ReproError
 
@@ -123,9 +124,9 @@ def run_job(
         else nullcontext()
     )
     try:
-        # Every root span the job opens -- on this thread or a fork-pool
-        # worker -- carries the job's trace identity, so write_trace can
-        # stitch one tree per job afterwards.
+        # Every root span the job opens carries the job's trace
+        # identity, so write_trace can stitch one tree per job
+        # afterwards.
         with telemetry.job_scope(
             job_id=request.job_id, trace_id=request.trace_id
         ), seed_scope:
@@ -224,7 +225,8 @@ class ForkedRunner:
             if kind == "span":
                 on_span(*body)
                 continue
-            (outcome,) = telemetry.absorb_task_results([tuple(body)])
+            outcome, snapshot = body
+            telemetry.merge_captured(snapshot)
             return outcome
 
     def close(self, timeout: float) -> None:
@@ -251,7 +253,6 @@ def _serve(conn, prover: "ProverNode") -> None:
     # Ctrl-C is the service's to handle; the runner follows its pipe.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     forget_deterministic_rng()
-    parallel.configure(0)  # no pool per runner
 
     def on_span(event: str, name: str, seconds: float) -> None:
         conn.send(("span", event, name, seconds))

@@ -29,7 +29,7 @@ libraries never construct their own (tests may).
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, TypeVar
 
 from repro.telemetry.export import (
     Trace,
@@ -63,7 +63,7 @@ os.register_at_fork(after_in_child=_TRACER.after_fork)
 
 
 def get_tracer() -> Tracer:
-    """The ambient tracer (one per process; workers inherit by fork)."""
+    """The ambient tracer (one per process; forked runners inherit it)."""
     return _TRACER
 
 
@@ -183,10 +183,9 @@ def metrics_summary() -> dict:
 
 def job_scope(**fields: Any):
     """``with telemetry.job_scope(job_id=..., trace_id=...):`` -- stamp
-    every root span opened by this thread (and by fork-pool tasks it
-    dispatches) with the given context, so a service job's whole span
-    forest is attributable to its job.  Nestable; inner scopes shadow
-    outer keys."""
+    every root span opened by this thread with the given context, so a
+    service job's whole span forest is attributable to its job.
+    Nestable; inner scopes shadow outer keys."""
     return _TRACER.scoped_context(**fields)
 
 
@@ -196,45 +195,27 @@ def current_context() -> dict[str, Any]:
     return _TRACER.context()
 
 
-# -- worker-pool capture/merge ------------------------------------------------
+# -- forked-runner capture/merge ---------------------------------------------
 
 
 def run_captured(
-    fn: Callable[..., T],
-    args: tuple,
-    context: dict[str, Any] | None = None,
+    fn: Callable[..., T], args: tuple
 ) -> tuple[T, TraceSnapshot | None]:
-    """Worker-side shim used by :func:`repro.parallel.pmap`: run the
-    task under a fresh capture and return ``(result, snapshot)``.
-
-    ``context`` is the dispatching thread's :func:`current_context`,
-    re-entered here so spans a forked worker opens for a service job
-    still carry that job's ``trace_id`` when they merge back.
-    """
-    # The context must be re-entered INSIDE the capture: capture()
-    # swaps the tracer's thread-local state (span stack + context) for
-    # a fresh one, so a scope opened before it would be invisible.
+    """Runner-side half: ``fn(*args)`` under a fresh capture, returned
+    as ``(result, snapshot)``.  A forked service runner inherits the
+    service's tracer, history included; the snapshot holds only what
+    this call recorded (``None`` with telemetry off)."""
     with _TRACER.capture() as cap:
-        if context:
-            with _TRACER.scoped_context(**context):
-                result = fn(*args)
-        else:
-            result = fn(*args)
+        result = fn(*args)
     return result, cap.snapshot()
 
 
-def absorb_task_results(
-    pairs: Sequence[tuple[T, TraceSnapshot | None]]
-) -> list[T]:
-    """Parent-side shim: merge every worker snapshot (counters add,
-    spans re-parent under the active span, tagged by chunk index) and
-    return the unwrapped results in order."""
-    out: list[T] = []
-    for index, (result, snapshot) in enumerate(pairs):
-        if snapshot is not None:
-            _TRACER.merge(snapshot, chunk=index)
-        out.append(result)
-    return out
+def merge_captured(snapshot: TraceSnapshot | None) -> None:
+    """Service-side half: fold a runner's snapshot into the ambient
+    tracer -- counters and histograms add, spans re-parent under the
+    active span (see :meth:`Tracer.merge`)."""
+    if snapshot is not None:
+        _TRACER.merge(snapshot)
 
 
 def __getattr__(name: str):
@@ -260,7 +241,6 @@ __all__ = [
     "Trace",
     "TraceSnapshot",
     "Tracer",
-    "absorb_task_results",
     "add_span_observer",
     "begin_span",
     "counters_snapshot",
@@ -275,6 +255,7 @@ __all__ = [
     "incr",
     "job_scope",
     "metrics_registry",
+    "merge_captured",
     "metrics_summary",
     "observe",
     "phase_report",

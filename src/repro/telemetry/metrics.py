@@ -15,8 +15,8 @@ Design constraints (same contract as the tracer, DESIGN.md 5h):
   copies so no caller can ever mutate registry state through a
   returned object (a regression test pins this).
 - **Fork-mergeable.**  ``snapshot()`` / ``merge()`` are the
-  counter/histogram halves of the tracer's worker capture: counters
-  and bucket counts add, gauges last-write-win, min/max widen.
+  counter/histogram halves of the tracer's forked-runner capture:
+  counters and bucket counts add, gauges last-write-win, min/max widen.
 
 Histograms use **fixed log-scale buckets** so that merging is exact
 (no rebucketing) and Prometheus exposition is straightforward:
@@ -287,7 +287,7 @@ class MetricsRegistry:
         gauges: Mapping[str, float] | None = None,
         histograms: Iterable[Mapping] | None = None,
     ) -> None:
-        """Fold a worker snapshot in: counters and bucket counts add,
+        """Fold a runner's snapshot in: counters and bucket counts add,
         gauges last-write-win, min/max widen.  A bucket-layout clash
         (same series name, different bounds -- only possible across
         code versions) falls back to re-observing the remote sum as

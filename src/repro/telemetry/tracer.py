@@ -8,8 +8,8 @@ Design constraints (see DESIGN.md section 5d):
   must cost one attribute check per instrumentation site so
   ``create_proof`` regresses < 2% (guarded by a CI test).
 - **Thread and fork safety.**  Counters mutate under a lock; the span
-  stack is thread-local; worker processes of :mod:`repro.parallel`
-  capture their own spans/counters and ship them back to the parent as
+  stack is thread-local; the proving service's forked runners capture
+  their own spans/counters and ship them back to the service as
   picklable snapshots (see :meth:`Tracer.capture` / :meth:`Tracer.merge`).
 
 Two span flavours exist because their disabled behaviour differs:
@@ -199,7 +199,7 @@ class _SpanScope:
 
 @dataclass
 class TraceSnapshot:
-    """A picklable capture of one scope's telemetry (worker -> parent).
+    """A picklable capture of one scope's telemetry (runner -> service).
 
     ``histograms`` carries each series' bucket counts in the
     :meth:`~repro.telemetry.metrics.HistogramSnapshot.as_dict` layout,
@@ -445,15 +445,15 @@ class Tracer:
         for root in roots:
             yield from root.walk()
 
-    # -- fork/worker capture and merge ----------------------------------
+    # -- forked-runner capture and merge ---------------------------------
 
     @contextmanager
     def capture(self):
         """Collect everything recorded inside the scope into a fresh
         buffer and restore prior state afterwards.
 
-        The worker-side half of the parallel-pool merge: a forked
-        worker inherits the parent tracer (enabled, with the parent's
+        The runner-side half of the forked-runner merge: a forked
+        runner inherits the service's tracer (enabled, with its
         history); ``capture`` shields that history and yields a handle
         whose ``snapshot()`` holds only the scope's own spans/counters.
         Returns a handle with ``snapshot() -> None`` when disabled.
@@ -480,13 +480,12 @@ class Tracer:
                 self.metrics, self.roots = saved
             self._local = saved_local
 
-    def merge(self, snapshot: TraceSnapshot, chunk: int | None = None) -> None:
-        """Fold a worker's snapshot into this tracer.
+    def merge(self, snapshot: TraceSnapshot) -> None:
+        """Fold a runner's snapshot into this tracer.
 
         Counters and histogram buckets add, gauges last-write-win, and
         the snapshot's root spans are re-parented under the currently
-        active span (or become roots), tagged with the originating
-        ``chunk`` index.
+        active span (or become roots).
         """
         self.metrics.merge(
             counters=snapshot.counters,
@@ -496,8 +495,6 @@ class Tracer:
         parent = self.current_span()
         for span_dict in snapshot.spans:
             span = self._revive(span_dict, parent)
-            if chunk is not None:
-                span.attrs["chunk"] = chunk
             if parent is None:
                 with self._lock:
                     self.roots.append(span)

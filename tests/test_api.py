@@ -9,8 +9,8 @@ failure, and ``ProverNode`` takes its settings from ``config=`` only.
 import pytest
 
 import repro
-from repro import ArtifactCache, PoneglyphDB, ProverConfig, Session
-from repro import errors, parallel
+from repro import ArtifactCache, PoneglyphDB, ProverConfig, ServiceConfig, Session
+from repro import errors
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.system import ProverNode, VerifierNode
@@ -73,12 +73,52 @@ class TestProverConfig:
         with pytest.raises(errors.ConfigError, match=next(iter(kwargs))):
             ProverConfig(**kwargs)
 
+    def test_workers_is_serial_only(self):
+        """``workers`` takes 0 or 1, both serial; more workers are the
+        proving service's, and the error says so."""
+        assert ProverConfig(workers=0).workers == 0
+        assert ProverConfig(workers=1).workers == 1
+        with pytest.raises(errors.ConfigError, match=r"ServiceConfig\(workers=N\)"):
+            ProverConfig(workers=2)
+
     def test_with_options_revalidates(self):
         config = ProverConfig(k=6)
         assert config.with_options(k=7).k == 7
         assert config.k == 6  # frozen original untouched
         with pytest.raises(ValueError):
             config.with_options(workers=-2)
+
+
+#: Every integer and float field of both configs, with whether ``None``
+#: is a valid value of it.
+_NUMERIC_FIELDS = [
+    (ProverConfig, name, False)
+    for name in ("k", "limb_bits", "value_bits", "key_bits", "workers")
+] + [
+    (ServiceConfig, name, name.startswith("default_"))
+    for name in (
+        "workers", "max_queue_depth", "high_priority_reserve",
+        "event_log_capacity", "error_ring_size", "max_retries",
+        "default_tenant_quota", "poll_interval", "shutdown_timeout",
+        "retry_backoff_seconds", "retry_backoff_max",
+        "default_deadline_seconds", "supervisor_interval",
+    )
+]
+
+
+@pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+@pytest.mark.parametrize(
+    "config_class, name, optional", _NUMERIC_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, name, _ in _NUMERIC_FIELDS],
+)
+def test_numeric_fields_reject_wrong_types(config_class, name, optional, value):
+    """A bool is not a number here, and a string or ``None`` is a typed
+    ConfigError naming the field, never a bare TypeError."""
+    if value is None and optional:
+        assert getattr(config_class(**{name: None}), name) is None
+        return
+    with pytest.raises(errors.ConfigError, match=name):
+        config_class(**{name: value})
 
 
 class TestFacade:
@@ -129,34 +169,22 @@ class TestFacade:
             assert not session.cache.enabled
             assert not session.params_cache_hit
 
-    def test_session_restores_parallelism(self, tiny_db, tiny_config):
-        parallel.configure(0)
-        session = PoneglyphDB.open(
-            tiny_db, tiny_config.with_options(workers=3, use_cache=False)
-        )
-        assert parallel.workers() == 3
-        session.close()
-        assert parallel.workers() == 0
-
     def test_failed_open_restores_global_settings(self, tiny_db):
         """A session whose construction raises leaves no process-global
-        setting behind: workers, telemetry, field backend."""
+        setting behind: telemetry, field backend."""
         from repro import telemetry
         from repro.algebra import backend
         from repro.commit import setup
 
-        parallel.configure(0)
         previous = telemetry.enable(False)
         engine = backend.backend_name()
         other = "numpy" if engine == "python" else "python"
         try:
             config = ProverConfig(
-                k=6, workers=3, telemetry=True, use_cache=False,
-                field_backend=other,
+                k=6, telemetry=True, use_cache=False, field_backend=other,
             )
             with pytest.raises(errors.ConfigError, match="capacity"):
                 PoneglyphDB.open(tiny_db, config, params=setup(4))
-            assert parallel.workers() == 0
             assert not telemetry.enabled()
             assert backend.backend_name() == engine
         finally:

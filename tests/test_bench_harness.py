@@ -1,10 +1,10 @@
-"""The benchmark harness: a ``BenchConfig`` sets only the data size,
-circuit size and worker count, ``REPRO_NO_CACHE=1`` forces cold runs,
-and a bench session restores the global settings it changes."""
+"""The benchmark harness: a ``BenchConfig`` sets only the data size
+and circuit size, ``REPRO_NO_CACHE=1`` forces cold runs, and a bench
+session restores the global settings it changes."""
 
 import pytest
 
-from repro import PoneglyphDB, bench, parallel, telemetry
+from repro import PoneglyphDB, bench, telemetry
 from repro.ecc import fixed_base
 from repro.sql import Executor, Planner, parse
 from repro.tpch.queries import QUERIES
@@ -22,14 +22,8 @@ def bench_env(tmp_path, monkeypatch):
     bench.bench_cache.cache_clear()
 
 
-def test_only_size_and_workers_are_settable():
-    assert list(vars(bench.BenchConfig())) == ["lineitem_rows", "k", "workers"]
-
-
-@pytest.mark.parametrize("value, workers", [("2", 2), ("two", 0), ("", 0)])
-def test_workers_default_from_environment(monkeypatch, value, workers):
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", value)
-    assert bench.prover_config(bench.BenchConfig()).workers == workers
+def test_only_size_is_settable():
+    assert list(vars(bench.BenchConfig())) == ["lineitem_rows", "k"]
 
 
 def test_no_cache_forces_cold_runs(bench_env, monkeypatch):
@@ -42,19 +36,18 @@ def test_no_cache_forces_cold_runs(bench_env, monkeypatch):
 
 def test_session_restores_global_settings(bench_env):
     """The session the ``tpch_system`` bench fixture opens."""
-    config = bench.BenchConfig(lineitem_rows=16, k=6, workers=0)
+    config = bench.BenchConfig(lineitem_rows=16, k=6)
     previous = telemetry.enable(False)
     try:
-        with parallel.parallelism(3):
-            with PoneglyphDB.open(
-                bench.tpch_db(config),
-                bench.prover_config(config),
-                params=bench.bench_params(config),
-                cache=bench.bench_cache(),
-            ) as session:
-                assert parallel.workers() == 0 and telemetry.enabled()
-                session.commit()
-            assert parallel.workers() == 3 and not telemetry.enabled()
+        with PoneglyphDB.open(
+            bench.tpch_db(config),
+            bench.prover_config(config),
+            params=bench.bench_params(config),
+            cache=bench.bench_cache(),
+        ) as session:
+            assert telemetry.enabled()
+            session.commit()
+        assert not telemetry.enabled()
     finally:
         telemetry.enable(previous)
 

@@ -7,8 +7,7 @@ pin the equivalence on every scalar-width shape, the basis itself
 against ``msm_naive`` and against the Jacobian group FFT it replaced
 (with the number of scalar products a cold build makes), the
 per-parameter-set table registry (truncated views, distrusted disk
-entries, single-flight builds) and the worker pool's table-hit and
-table-miss arms.
+entries, single-flight builds).
 """
 
 import pickle
@@ -18,18 +17,16 @@ import time
 
 import pytest
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.algebra import SCALAR_FIELD, backend, fft_plan
 from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.algebra.domain import EvaluationDomain
 from repro.cache import ArtifactCache
 from repro.commit import setup
 from repro.commit.ipa import (
-    _commit_batch_task,
     commit_lagrange,
     commit_lagrange_many,
     commit_polynomial,
-    commit_polynomials,
 )
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.commitment import (
@@ -40,7 +37,7 @@ from repro.db.commitment import (
     padded_column,
 )
 from repro.db.types import DECIMAL, INT
-from repro.ecc import PALLAS, fixed_base
+from repro.ecc import fixed_base
 from repro.ecc.curve import points_to_affine_tuples
 from tests.msm_oracle import msm_naive
 
@@ -263,51 +260,6 @@ class TestRegistry:
             t.join()
         assert counters(BUILDS) == before + 1
         assert results[0] is results[1]
-
-
-def _square(x):
-    return x * x
-
-
-class TestWorkerPool:
-    @pytest.mark.parametrize("kind", [fixed_base.MONOMIAL, fixed_base.LAGRANGE])
-    def test_task_without_tables_falls_back_to_the_oracle(
-        self, kind, params_k6, registry_only
-    ):
-        """A fork worker that cannot find the tables (registry miss, no
-        disk cache entry) commits over the shipped bases instead."""
-        rng = random.Random(43)
-        vector = [rng.randrange(P) for _ in range(params_k6.n)]
-        blind = rng.randrange(P)
-        (got,) = _commit_batch_task(
-            PALLAS.name,
-            "no-such-fingerprint",
-            kind,
-            points_to_affine_tuples(list(params_k6.g)),
-            params_k6.w.to_affine(),
-            [(vector, blind)],
-        )
-        commit = commit_polynomial if kind == fixed_base.MONOMIAL else commit_lagrange
-        assert got == commit(params_k6, vector, blind).to_affine()
-
-    @pytest.mark.parametrize("inherited", [True, False])
-    def test_pool_matches_serial(self, inherited, registry_only):
-        """``workers=2`` gives the serial bytes whether the workers were
-        forked after the tables were built (they inherit the registry)
-        or before (they miss, and take the oracle)."""
-        params = setup(4, label=b"pool-%d" % inherited)
-        rng = random.Random(47)
-        items = [(v, rng.randrange(P)) for v in _vectors(params.n, rng).values()]
-        with parallel.parallelism(2):
-            if not inherited:
-                # Fork the pool now, before this parameter set has tables.
-                assert parallel.pmap(_square, [(2,), (3,)]) == [4, 9]
-            pooled = commit_lagrange_many(params, items)
-            pooled_coeffs = commit_polynomials(params, items)
-        assert [p.to_bytes() for p in pooled] == [
-            p.to_bytes() for p in commit_lagrange_many(params, items)
-        ]
-        assert pooled_coeffs == commit_polynomials(params, items)
 
 
 class TestDatabaseCommitment:

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import parallel
 from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.fft_plan import NttPlan, ntt_in_place, plan_for
@@ -281,40 +280,25 @@ class TestNttPlans:
             ntt_in_place([1, 2], plan)
 
 
-class TestBackendParity:
-    """Serial and parallel execution must be bit-identical (window
-    ownership moves across processes, arithmetic does not)."""
+class TestBatchedMatchesSingle:
+    """The batched entry points are loops over the single-call kernels."""
 
-    def test_msm_parallel_matches_serial(self):
-        rng = random.Random(31)
-        pts = _points(128, seed=31)
-        sc = [rng.randrange(SCALAR_FIELD.p) for _ in pts]
-        serial = msm(pts, sc)
-        with parallel.parallelism(2):
-            par = msm(pts, sc)
-        assert serial == par
-
-    def test_batch_commit_parallel_matches_serial(self, params_k6):
-        rng = random.Random(37)
-        items = [
-            (
-                [rng.randrange(SCALAR_FIELD.p) for _ in range(params_k6.n)],
-                rng.randrange(SCALAR_FIELD.p),
-            )
-            for _ in range(4)
-        ]
-        serial = commit_polynomials(params_k6, items)
-        with parallel.parallelism(2):
-            par = commit_polynomials(params_k6, items)
-        assert [p.to_bytes() for p in serial] == [p.to_bytes() for p in par]
-
-    def test_fft_many_parallel_matches_serial(self, field):
+    def test_fft_many_and_ifft_many(self, field):
         dom = EvaluationDomain(field, 8)
         rng = random.Random(41)
         vecs = [
-            [rng.randrange(field.p) for _ in range(dom.size)] for _ in range(4)
+            [rng.randrange(field.p) for _ in range(n)] for n in (dom.size, 5)
         ]
-        serial = dom.fft_many(vecs)
-        with parallel.parallelism(2):
-            par = dom.fft_many(vecs)
-        assert serial == par
+        evals = dom.fft_many(vecs)
+        assert evals == [dom.fft(v) for v in vecs]
+        assert dom.ifft_many(evals) == [dom.ifft(e) for e in evals]
+
+    def test_commit_polynomials(self, params_k6):
+        rng = random.Random(37)
+        items = [
+            ([rng.randrange(SCALAR_FIELD.p) for _ in range(n)], rng.randrange(9))
+            for n in (params_k6.n, 3)
+        ]
+        assert commit_polynomials(params_k6, items) == [
+            commit_polynomial(params_k6, coeffs, blind) for coeffs, blind in items
+        ]

@@ -1,19 +1,21 @@
 """The telemetry layer: spans, counters, exporters, circuit reports.
 
 Covers the tentpole guarantees: span nesting and exception safety,
-thread- and fork-safe counters (serial and parallel runs report the
-same totals), the < 2% disabled-overhead budget, JSONL round-trips,
+thread-safe counters, the capture/merge a forked service runner ships
+its job's telemetry through, the < 2% disabled-overhead budget, JSONL
+round-trips,
 static CircuitReport golden values (and the example proof's counts
 against them), and the end-to-end ``report`` attached to proved
 responses.
 """
 
 import json
+import multiprocessing
 import threading
 
 import pytest
 
-from repro import PoneglyphDB, ProverConfig, parallel, telemetry
+from repro import PoneglyphDB, ProverConfig, telemetry
 from repro.algebra import SCALAR_FIELD
 from repro.commit import setup
 from repro.db import ColumnDef, Database, TableSchema
@@ -41,11 +43,34 @@ def tele():
     telemetry.enable(previous)
 
 
-def _pmap_task(n):
-    """Module-level so the worker pool can pickle it."""
-    with telemetry.span("test.task", n=n):
-        telemetry.incr("test.work", n)
+def _job(n, job_id=None):
+    """A stand-in for ``service.runner.run_job``: the job opens its own
+    scope, then records a span and a counter."""
+    with telemetry.job_scope(**({"job_id": job_id} if job_id else {})):
+        with telemetry.span("test.task", n=n):
+            telemetry.incr("test.work", n)
     return n * n
+
+
+def _serve_one(conn, fn, args):
+    conn.send(telemetry.run_captured(fn, args))
+
+
+def _run_in_fork(fn, *args):
+    """``fn(*args)`` run as ``service.runner._serve`` runs a job: under
+    :func:`telemetry.run_captured` in a forked child, whose
+    ``(result, snapshot)`` comes back over a pipe."""
+    context = multiprocessing.get_context("fork")
+    parent_end, child_end = context.Pipe()
+    process = context.Process(target=_serve_one, args=(child_end, fn, args))
+    process.start()
+    child_end.close()
+    try:
+        assert parent_end.poll(60), "forked child sent nothing"
+        return parent_end.recv()
+    finally:
+        process.join(timeout=60)
+        assert process.exitcode == 0
 
 
 class TestSpans:
@@ -109,22 +134,46 @@ class TestSpans:
         assert tele.counters_snapshot()["test.threads"] == 4000
 
 
-class TestParallelMerge:
-    def test_serial_and_parallel_totals_match(self, tele):
-        tasks = [(n,) for n in range(1, 7)]
-        with parallel.parallelism(0):
-            serial = parallel.pmap(_pmap_task, tasks)
-        serial_total = tele.counters_snapshot()["test.work"]
-        tele.reset()
-        with parallel.parallelism(2):
-            par = parallel.pmap(_pmap_task, tasks)
-        assert par == serial == [n * n for n in range(1, 7)]
-        assert tele.counters_snapshot()["test.work"] == serial_total == 21
+class TestRunnerMerge:
+    """What ``ForkedRunner.run`` relies on: a forked child's snapshot
+    holds only its own job, and merging it adds counters and re-parents
+    spans."""
+
+    def test_counters_add(self, tele):
+        tele.incr("test.work", 5)  # the child inherits this at the fork
+        result, snapshot = _run_in_fork(_job, 3)
+        assert result == 9
+        assert snapshot.counters["test.work"] == 3
+        tele.merge_captured(snapshot)
+        assert tele.counters_snapshot()["test.work"] == 8
+
+    def test_spans_reparent_under_the_active_span(self, tele):
+        _, snapshot = _run_in_fork(_job, 2)
+        with tele.span("parent"):
+            tele.merge_captured(snapshot)
+        (root,) = tele.get_tracer().roots
+        (merged,) = root.children
+        assert merged.name == "test.task"
+        assert merged.parent_id == root.span_id
+        assert merged.attrs == {"n": 2}  # no chunk tag
+
+    def test_job_context_propagates(self, tele):
+        _, snapshot = _run_in_fork(_job, 1, "job-42")
+        tele.merge_captured(snapshot)
+        (root,) = tele.get_tracer().roots
+        assert root.attrs == {"n": 1, "job_id": "job-42"}
+
+    def test_disabled_capture_merges_nothing(self):
+        previous = telemetry.enable(False)
+        try:
+            assert telemetry.run_captured(_job, (2,)) == (4, None)
+            telemetry.merge_captured(None)
+        finally:
+            telemetry.enable(previous)
 
     def test_point_normalization_is_uncounted(self, tele):
-        # to_affine / batch_to_affine run a backend-dependent number of
-        # times (worker tasks re-serialize points), so they must not
-        # feed field.inversions or serial != parallel totals.
+        # to_affine / batch_to_affine are representation bookkeeping,
+        # not workload, so they must not feed field.inversions.
         from repro.ecc.curve import PALLAS, batch_to_affine
 
         points = [PALLAS.generator * s for s in (2, 3, 5)]
@@ -133,17 +182,6 @@ class TestParallelMerge:
             point.to_affine()
         batch_to_affine(points)
         assert tele.counters_snapshot().get("field.inversions", 0) == before
-
-    def test_worker_spans_merge_with_chunk_tags(self, tele):
-        with parallel.parallelism(2):
-            with tele.span("parent"):
-                parallel.pmap(_pmap_task, [(1,), (2,), (3,)])
-        (root,) = tele.get_tracer().roots
-        assert root.name == "parent"
-        merged = [c for c in root.children if c.name == "test.task"]
-        assert len(merged) == 3
-        assert sorted(c.attrs["chunk"] for c in merged) == [0, 1, 2]
-        assert sorted(c.attrs["n"] for c in merged) == [1, 2, 3]
 
 
 def best_time(fn, repeats=5):
@@ -348,19 +386,6 @@ class TestObserversAndContext:
             with tele.span("prove", job_id="explicit") as root:
                 pass
         assert root.attrs["job_id"] == "explicit"
-
-    def test_context_propagates_to_fork_workers(self, tele):
-        """Root spans captured in fork-pool workers carry the parent's
-        job context after the merge."""
-        with parallel.parallelism(2):
-            with tele.job_scope(job_id="job-42"):
-                with tele.span("parent"):
-                    parallel.pmap(_pmap_task, [(1,), (2,)])
-        (root,) = tele.get_tracer().roots
-        assert root.attrs["job_id"] == "job-42"
-        merged = [c for c in root.children if c.name == "test.task"]
-        assert len(merged) == 2
-        assert all(c.attrs["job_id"] == "job-42" for c in merged)
 
 
 class TestCircuitReport:
