@@ -6,8 +6,11 @@ whole-vector ops the backend hooks cover (NTT, Lagrange basis) plus
 the resident product-tree inversion, through the ``repro.algebra.backend`` switch.  One more row
 commits a limb-shaped column (4-bit data, full-width blinding rows)
 by its values against the Lagrange-basis tables and by its
-coefficients, the way every column was committed before.  Results are
-asserted equal before any speedup is reported.
+coefficients, the way every column was committed before.  A last,
+record-only row times the verifier's variable-base MSM on an input
+shaped like a 139-base ``finalize`` and counts its bucket insertions
+(``msm.digits``).  Results are asserted equal before any speedup is
+reported.
 
 End-to-end prove/verify time is the benchmark of record's job
 (``BENCHMARK.json``, ``benchmarks/e2e/``); this file only answers
@@ -36,7 +39,7 @@ from repro.bench.harness import BenchConfig, bench_metadata
 from repro.bench.reporting import Report
 from repro.commit.ipa import commit_lagrange, commit_polynomial
 from repro.commit.params import setup
-from repro.ecc import fixed_base
+from repro.ecc import PALLAS, fixed_base, msm
 
 #: A narrow column may cost at most this fraction of the bucket
 #: insertions its coefficient form costs (measured: 275 against 4,112 at k=7, ~1/15).
@@ -81,6 +84,32 @@ def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
         "speedup": coeffs_row["seconds"] / values_row["seconds"],
         "digits_frac": values_row["digits"] / coeffs_row["digits"],
     }
+
+
+def bench_finalize_msm(n: int = 139, seed: int = 139, repeat: int = 5) -> dict:
+    """The verifier's variable-base MSM on a finalize-shaped input (``n``
+    random bases, ``n`` full-width scalars): best-of-``repeat`` seconds
+    and bucket insertions (``msm.digits``), the point checked against
+    one scalar multiplication per base first.  Record-only: no floor."""
+    rng = random.Random(seed)
+    order = PALLAS.scalar_field.p
+    bases = [PALLAS.generator * rng.randrange(1, order) for _ in range(n)]
+    scalars = [rng.randrange(order) for _ in range(n)]
+    expected = PALLAS.identity()
+    for base, s in zip(bases, scalars):
+        expected = expected + base * s
+    previous = telemetry.enable(True)
+    try:
+        before = telemetry.counters_snapshot().get("msm.digits", 0)
+        point = msm(bases, scalars)
+        digits = telemetry.counters_snapshot()["msm.digits"] - before
+    finally:
+        telemetry.enable(previous)
+    assert point == expected, "msm diverged from the per-point sum"
+    seconds = min(
+        telemetry.time_call(lambda: msm(bases, scalars))[1] for _ in range(repeat)
+    )
+    return {"n": n, "seconds": seconds, "digits": int(digits)}
 
 
 def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
@@ -162,8 +191,12 @@ def run_benches(
     if backend_rows is not None:
         results["field_backend"] = backend_rows
     narrow = results["narrow_commit"] = bench_narrow_commit()
+    finalize = results["finalize_msm"] = bench_finalize_msm()
 
-    report = Report("kernels", "Kernels: field-backend race, narrow-column commit")
+    report = Report(
+        "kernels",
+        "Kernels: field-backend race, narrow-column commit, finalize MSM",
+    )
     report.line(
         "every row runs both backends on identical inputs (results "
         "asserted equal first)\n"
@@ -202,6 +235,20 @@ def run_benches(
     report.line(
         f"speedup {narrow['speedup']:.2f}x, insertions "
         f"{narrow['digits_frac']:.3f} of the coefficient form"
+    )
+    report.line(
+        f"\nvariable-base msm of a {finalize['n']}-base finalize "
+        "(best of 5, record only)"
+    )
+    report.table(
+        ["bases", "seconds", "bucket insertions"],
+        [
+            (
+                str(finalize["n"]),
+                f"{finalize['seconds']:.4f}",
+                str(finalize["digits"]),
+            )
+        ],
     )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
 

@@ -1,24 +1,27 @@
-"""Pippenger multi-scalar multiplication.
+"""Pippenger multi-scalar multiplication with signed digits.
 
-The IPA commitment cost is dominated by MSMs ``sum_i s_i * G_i``.
-Pippenger's bucket method computes an n-point MSM in roughly
-``n * 255 / c + 2^c`` group additions for window size ``c``, versus
-``n * 255`` for naive per-point scalar multiplication.
-
-Two independent kernel optimizations ride on top (both produce the
-same group elements as the point-by-point sum ``msm_naive`` in
-``tests/msm_oracle.py``, the test oracle):
+The verifier's one variable-base MSM (``Accumulator.finalize``) is the
+only caller that matters: ``sum_i s_i * P_i`` over a few dozen to a few
+hundred bases that change with every proof, so nothing can be
+precomputed.  The kernel produces the same group element as the
+point-by-point sum ``msm_naive`` in ``tests/msm_oracle.py`` (the test
+oracle); four choices make it cheap:
 
 - **GLV splitting** (:mod:`repro.ecc.glv`): every scalar is decomposed
   against the curve's cube-root endomorphism into two ~128-bit halves,
   halving the number of bucket windows and the doubling chain.
-- **Batch-affine buckets** (:mod:`repro.ecc.batch_affine`): bucket
-  accumulation runs on affine coordinates, resolving each round of
-  pairwise additions with one shared Montgomery batch inversion
-  instead of one ~16-multiplication Jacobian add per pair.
-
-All bucket windows share one batch-affine accumulation and combine in
-the usual doubling chain.
+- **Signed digits**: each half is recoded into base-``2^c`` digits in
+  ``(-2^(c-1), 2^(c-1)]`` (one extra window takes the last carry).  A
+  negative digit inserts ``-P = (x, p - y)``, so a window needs only
+  ``2^(c-1)`` buckets, and a wider window costs half the buckets it
+  would unsigned.
+- **Batch-affine buckets** (:mod:`repro.ecc.batch_affine`): every
+  window's buckets fill in one batch-affine accumulation, each round of
+  pairwise additions sharing one Montgomery batch inversion.
+- **Batch-affine window sums**: ``sum_d d * B_d`` of every window is a
+  running sum taken for all windows at once, one shared inversion per
+  digit step; only the final doubling chain across windows is
+  Jacobian.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 from repro import telemetry
 from repro.ecc import glv
-from repro.ecc.batch_affine import sum_affine_lists
+from repro.ecc.batch_affine import batch_add, sum_affine_lists
 from repro.ecc.curve import Curve, Point, points_to_affine_tuples
 
 #: Below this many nonzero pairs :func:`msm` sums per-point GLV scalar
@@ -35,79 +38,100 @@ from repro.ecc.curve import Curve, Point, points_to_affine_tuples
 #: shared inversions amortize.
 _TINY_MSM = 8
 
+#: The window widths :func:`_window_size` chooses from.
+_WINDOWS = range(3, 9)
 
-def _window_size(n: int) -> int:
-    """Window size for batch-affine buckets: smaller than the classic
-    ``log2(n)`` so buckets collect several points each.
+#: One shared inversion (one lane-collapse step) in affine additions:
+#: measured ~7 on CPython, where a lane's addition is ~5.5 us and an
+#: otherwise empty one-lane ``batch_add`` ~43 us.
+_INVERSION_COST = 7
 
-    The classic choice makes buckets singletons, which starves the
-    shared inversion: all the work lands in the per-bucket Jacobian
-    collapse.  Batched affine adds cost ~4 multiplications against ~16
-    for the collapse's Jacobian ops, so the optimum shifts toward more
-    collisions per bucket (~2^c = n/16) and fewer live buckets.
+
+def _window_count(bits: int, c: int) -> int:
+    """``W(c)``: windows of ``c``-bit signed digits for ``bits``-bit
+    scalars, the last one for the carry out of the top digit."""
+    return -(-bits // c) + 1
+
+
+def _window_size(m: int, bits: int) -> int:
+    """The window width ``c`` in 3..8 for ``m`` entries of ``bits``-bit
+    scalars: the one of least counted work
+
+        m * W(c)  +  2^(c-1) * W(c)  +  _INVERSION_COST * (2^(c-1) + 1)
+
+    in affine additions.  The first term is the bucket insertions: the
+    batch-affine fill adds all but the first point of each bucket, and
+    the running-sum lane of :func:`_window_sums` adds that first point.
+    The second is the total lane, one addition per window per digit
+    step.  The third is the shared inversion of each of those steps.
+    For ~128-bit GLV halves the count picks c = 5 up to 104 entries, 6
+    up to 256, 7 up to 448 and 8 beyond -- the fastest width measured
+    on the verifier's own MSMs at every size tried (120 to 746
+    entries).  c = 9 would only win past 2,816 entries, far above any
+    verifier MSM, hence the cap.
     """
-    if n < 64:
-        return 3
-    return max(3, min(n.bit_length() - 5, 16))
+
+    def cost(c: int) -> int:
+        windows = _window_count(bits, c)
+        steps = 1 << (c - 1)
+        return (m + steps) * windows + _INVERSION_COST * (steps + 1)
+
+    return min(_WINDOWS, key=cost)
 
 
-def collapse_buckets(curve: Curve, buckets: dict[int, Point]) -> Point:
-    """``sum_k k * buckets[k]`` by descending running sums, multiplying
-    across empty runs (``total += gap * running``) instead of visiting
-    every empty slot."""
-    total = curve.identity()
-    running = curve.identity()
-    prev = 0
-    for idx in sorted(buckets, reverse=True):
-        if prev:
-            total = total + running * (prev - idx)
-        running = running + buckets[idx]
-        prev = idx
-    if prev:
-        total = total + running * prev
-    return total
+def _signed_buckets(
+    p: int, entries: list[tuple[int, int, int]], c: int, windows: int
+) -> list[list[tuple[int, int]]]:
+    """Every entry's signed digits, inserted into buckets.
 
-
-def _affine_window_sums(
-    curve: Curve,
-    entries: list[tuple[int, int, int]],
-    c: int,
-    num_windows: int,
-) -> list[Point]:
-    """The ``num_windows`` window sums over GLV-split affine entries.
-
-    All windows share one batch-affine accumulation, so the per-round
-    inversion amortizes across every bucket of every window at once.
+    ``buckets[(d - 1) * windows + w]`` holds the points whose window-``w``
+    digit is ``+-d``, negated for ``-d``; rows by digit, so one digit
+    step of :func:`_window_sums` reads one contiguous slice.
     """
-    p = curve.field.p
-    mask = (1 << c) - 1
-    per_window: list[dict[int, list[tuple[int, int]]]] = [
-        {} for _ in range(num_windows)
-    ]
+    half = 1 << (c - 1)
+    full = 1 << c
+    mask = full - 1
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(half * windows)]
     for x, y, s in entries:
-        pt = (x, y)
-        for w, buckets in enumerate(per_window):
-            idx = (s >> (w * c)) & mask
-            if idx:
-                buckets.setdefault(idx, []).append(pt)
-    all_lists = [pts for buckets in per_window for pts in buckets.values()]
-    rounds = sum_affine_lists(p, all_lists)
-    telemetry.incr("msm.batch_affine_rounds", rounds)
-    return [
-        collapse_buckets(
-            curve,
-            {
-                idx: Point(curve, *pts[0])
-                for idx, pts in buckets.items()
-                if pts
-            },
-        )
-        for buckets in per_window
-    ]
+        pos = (x, y)
+        neg = (x, p - y)
+        w = 0
+        while s:
+            d = s & mask
+            s >>= c
+            if d > half:  # digit d - 2^c: insert -P, carry one up
+                s += 1
+                buckets[(full - d - 1) * windows + w].append(neg)
+            elif d:
+                buckets[(d - 1) * windows + w].append(pos)
+            w += 1
+    return buckets
+
+
+def _window_sums(
+    p: int, buckets: list[list[tuple[int, int]]], half: int, windows: int
+) -> list:
+    """``sum_d d * B_d`` of every window, as affine points or ``None``.
+
+    Descending running sums, all windows as lanes of one
+    :func:`~repro.ecc.batch_affine.batch_add` per digit step: the step
+    for ``d`` adds ``B_d`` into ``running`` and the previous ``running``
+    (``sum_{j > d} B_j``) into ``total`` -- both read only the previous
+    step, so they share its inversion -- and one last addition of
+    ``running`` completes ``sum_d d * B_d``.
+    """
+    running: list = [None] * windows
+    total: list = [None] * windows
+    for d in range(half, 0, -1):
+        row = buckets[(d - 1) * windows : d * windows]
+        live = [pts[0] if pts else None for pts in row]
+        step = batch_add(p, running + total, live + running)
+        running, total = step[:windows], step[windows:]
+    return batch_add(p, total, running)
 
 
 def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
-    """Batch-affine Pippenger over GLV-split half-width scalars."""
+    """Signed-digit, batch-affine Pippenger over GLV-split scalars."""
     if len(pairs) < _TINY_MSM:
         acc = curve.identity()
         for pt, s in pairs:
@@ -117,15 +141,22 @@ def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     entries = glv.split_entries(curve, coords, [s for _, s in pairs])
     if not entries:
         return curve.identity()
-    c = _window_size(len(entries))
-    num_bits = max(s.bit_length() for _, _, s in entries)
-    num_windows = (num_bits + c - 1) // c
-    window_sums = _affine_window_sums(curve, entries, c, num_windows)
-    acc = window_sums[-1]
-    for total in reversed(window_sums[:-1]):
-        for _ in range(c):
-            acc = acc.double()
-        acc = acc + total
+    p = curve.field.p
+    bits = max(s.bit_length() for _, _, s in entries)
+    c = _window_size(len(entries), bits)
+    windows = _window_count(bits, c)
+    buckets = _signed_buckets(p, entries, c, windows)
+    # Bucket insertions: the kernel's unit of work (entries times the
+    # nonzero signed digits of their scalars).
+    telemetry.incr("msm.digits", sum(map(len, buckets)))
+    telemetry.incr("msm.batch_affine_rounds", sum_affine_lists(p, buckets))
+    acc = curve.identity()
+    for total in reversed(_window_sums(p, buckets, 1 << (c - 1), windows)):
+        if not acc.is_identity():
+            for _ in range(c):
+                acc = acc.double()
+        if total is not None:
+            acc = acc + Point(curve, *total)
     return acc
 
 

@@ -2,7 +2,8 @@
 
 README's "Environment" table lists every ``REPRO_*`` environment
 variable; a variable the library reads but the table omits, or one the
-table lists but nothing reads any more, fails here.
+table lists but nothing reads any more, fails here.  Nothing outside
+ROADMAP.md and CHANGES.md cites ROADMAP's numbered items.
 """
 
 import ast
@@ -43,3 +44,26 @@ def test_readme_environment_table_matches_the_code():
     documented = _names_in_the_readme_table()
     assert documented == _names_read_by_the_library()
     assert "REPRO_TELEMETRY" in documented
+
+
+#: A pointer into ROADMAP's numbered list goes stale when the list is
+#: renumbered; the code and its documentation describe things instead.
+#: (A pattern, so this file does not match itself; it also catches the
+#: phrase wrapped across two lines.)
+ROADMAP_ITEM = re.compile(rb"ROADMAP\s+item")
+
+
+def test_no_roadmap_item_cross_references():
+    paths = [ROOT / "README.md", ROOT / "DESIGN.md"]
+    for tree in ("src", "tests"):
+        paths += [
+            path
+            for path in (ROOT / tree).rglob("*")
+            if path.is_file() and "__pycache__" not in path.parts
+        ]
+    stale = [
+        str(path.relative_to(ROOT))
+        for path in paths
+        if ROADMAP_ITEM.search(path.read_bytes())
+    ]
+    assert stale == []

@@ -14,12 +14,14 @@ points, inverse pairs, zero scalars, identity points) where affine
 arithmetic has exceptional cases.
 """
 
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.fft_plan import NttPlan, ntt_in_place, plan_for
@@ -30,6 +32,9 @@ from repro.ecc import batch_affine, fixed_base, glv
 from repro.ecc.curve import Point, points_to_affine_tuples
 from repro.ecc.msm import msm
 from tests.msm_oracle import msm_naive
+
+# The module, not the ``msm`` function ``repro.ecc`` re-exports.
+msm_kernel = importlib.import_module("repro.ecc.msm")
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 
@@ -79,6 +84,140 @@ class TestBatchAffineMsm:
         g = PALLAS.generator
         pts = [g, -g, g * 3]
         assert msm(pts, [7, 7, 0]).is_identity()
+
+
+def _distinct(curve, n, seed):
+    """``n`` random points, pairwise unrelated."""
+    rng = random.Random(seed)
+    return [curve.generator * rng.randrange(1, curve.scalar_field.p) for _ in range(n)]
+
+
+def _short(rng, bits=96):
+    """A scalar short enough that its GLV split is ``(s, 0)``, so its
+    digits are the kernel's digits."""
+    return rng.randrange(1, 1 << bits)
+
+
+@pytest.mark.parametrize("c", list(msm_kernel._WINDOWS))
+@pytest.mark.parametrize("curve", [PALLAS, VESTA], ids=lambda c: c.name)
+class TestSignedDigitMsm:
+    """The signed-digit kernel at every window width the rule can pick,
+    against ``msm_naive``, on the inputs where signed recoding and the
+    batch-affine lanes have edge cases."""
+
+    @pytest.fixture(autouse=True)
+    def force_window(self, monkeypatch, c):
+        monkeypatch.setattr(msm_kernel, "_window_size", lambda m, bits: c)
+
+    def check(self, points, sc):
+        assert msm(points, sc) == msm_naive(points, sc)
+
+    def test_special_scalars(self, curve, c):
+        order = curve.scalar_field.p
+        lam = glv.curve_endo(curve).lam
+        special = [0, 1, order - 1, lam, order - lam]
+        pts = _distinct(curve, 2 * len(special), seed=c)
+        self.check(pts, special + special[::-1])
+
+    def test_carries_reach_the_extra_window(self, curve, c):
+        # Every unsigned digit above 2^(c-1): each becomes negative and
+        # carries, the top one into the window past the scalar's width.
+        # Digits of exactly 2^(c-1) stay positive and carry nothing.
+        half, nw = 1 << (c - 1), 96 // c
+        over = sum((half + 1) << (w * c) for w in range(nw))
+        at = sum(half << (w * c) for w in range(nw))
+        ones = (1 << (nw * c)) - 1
+        endo = glv.curve_endo(curve)
+        for s in (over, at, ones):
+            assert glv.decompose(endo, s) == (s, 0)
+        windows = msm_kernel._window_count(over.bit_length(), c)
+        buckets = msm_kernel._signed_buckets(curve.field.p, [(1, 2, over)], c, windows)
+        assert buckets[windows - 1], "no carry into the extra window"
+        self.check(_distinct(curve, 9, seed=c), [over, at, ones] * 3)
+
+    def test_both_glv_halves_negative(self, curve, c):
+        endo = glv.curve_endo(curve)
+        rng = random.Random(c)
+        both = []
+        while len(both) < _TINY:
+            k = rng.randrange(curve.scalar_field.p)
+            k1, k2 = glv.decompose(endo, k)
+            if k1 < 0 and k2 < 0:
+                both.append(k)
+        self.check(_distinct(curve, len(both), seed=c + 1), both)
+
+    def test_duplicate_points_share_buckets(self, curve, c):
+        # Equal points with equal scalars land in the same buckets, so
+        # the batch-affine fill doubles.
+        rng = random.Random(c)
+        pt = _distinct(curve, 1, seed=c)[0]
+        s = rng.randrange(curve.scalar_field.p)
+        self.check([pt] * _TINY + [-pt, pt], [s] * _TINY + [s, 2 * s])
+
+    def test_inverse_points_cancel_in_lanes(self, curve, c):
+        # Window 0 holds only P in bucket 3 and -P in bucket 2 (the
+        # running lane cancels), or 2P in bucket 1 and -P in bucket 2
+        # (the total lane cancels); the filler has no window-0 digit.
+        rng = random.Random(c)
+        pt, *filler = _distinct(curve, _TINY + 1, seed=c)
+        rest = [_short(rng) << c for _ in filler]
+        self.check([pt, -pt] + filler, [3, 2] + rest)
+        self.check([pt, pt, -pt] + filler, [1, 1, 2] + rest)
+
+    def test_windows_with_no_live_bucket(self, curve, c):
+        rng = random.Random(c)
+        pts = _distinct(curve, _TINY + 2, seed=c)
+        gappy = [1 + (1 << 90), _short(rng, 40) << 60] * (len(pts) // 2)
+        self.check(pts, gappy)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_pairs_around_the_tiny_cutoff(self, curve, c, n):
+        rng = random.Random(n)
+        pts = _distinct(curve, n, seed=100 + n)
+        self.check(pts, [rng.randrange(curve.scalar_field.p) for _ in pts])
+
+
+_TINY = msm_kernel._TINY_MSM
+
+
+def _signed_digit_count(s, c):
+    """Nonzero base-2^c digits of ``s`` in ``(-2^(c-1), 2^(c-1)]``."""
+    count = 0
+    while s:
+        d = s % (1 << c)
+        if d > 1 << (c - 1):
+            d -= 1 << c
+        count += d != 0
+        s = (s - d) >> c
+    return count
+
+
+class TestMsmDigits:
+    def test_counts_signed_digits_of_a_finalize_sized_msm(self):
+        # Shaped like the verifier's finalize over a Q1 proof: 139
+        # random bases, 139 full-width scalars.
+        rng = random.Random(139)
+        pts = _distinct(PALLAS, 139, seed=139)
+        sc = [rng.randrange(SCALAR_FIELD.p) for _ in pts]
+        previous = telemetry.enable(True)
+        try:
+            before = telemetry.counters_snapshot().get("msm.digits", 0)
+            msm(pts, sc)
+            digits = telemetry.counters_snapshot()["msm.digits"] - before
+        finally:
+            telemetry.enable(previous)
+        entries = glv.split_entries(PALLAS, points_to_affine_tuples(pts), sc)
+        bits = max(s.bit_length() for *_, s in entries)
+        c = msm_kernel._window_size(len(entries), bits)
+        assert digits == sum(_signed_digit_count(s, c) for *_, s in entries)
+        # The unsigned c = 4 schedule this kernel replaced: one
+        # insertion per nonzero nibble.
+        unsigned = sum(
+            (s >> shift) & 15 != 0
+            for *_, s in entries
+            for shift in range(0, s.bit_length(), 4)
+        )
+        assert digits <= 0.8 * unsigned
 
 
 @pytest.mark.parametrize("curve", [PALLAS, VESTA], ids=lambda c: c.name)
