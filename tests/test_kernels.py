@@ -35,6 +35,7 @@ from tests.msm_oracle import msm_naive
 
 # The module, not the ``msm`` function ``repro.ecc`` re-exports.
 msm_kernel = importlib.import_module("repro.ecc.msm")
+_TINY = msm_kernel._TINY_MSM
 
 scalars = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 
@@ -175,9 +176,6 @@ class TestSignedDigitMsm:
         rng = random.Random(n)
         pts = _distinct(curve, n, seed=100 + n)
         self.check(pts, [rng.randrange(curve.scalar_field.p) for _ in pts])
-
-
-_TINY = msm_kernel._TINY_MSM
 
 
 def _signed_digit_count(s, c):
