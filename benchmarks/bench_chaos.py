@@ -11,12 +11,10 @@ Measures the cost of the fault-tolerance machinery end to end:
   re-enqueue (``replay_seconds``), and how long until every recovered
   job has its byte-identical proof again (``recovery_total_seconds``).
 
-Runs standalone (``python benchmarks/bench_chaos.py [--jobs N]
-[--check]``) or under pytest.  It exits nonzero unless every
-recovered proof byte-matches its journaled digest and every job comes
-back -- the CI chaos-smoke job gates on it; ``--check`` also prints a
-one-line verdict.
-Results persist to ``benchmarks/results/chaos.{txt,json}``.
+Runs standalone (``python benchmarks/bench_chaos.py [--jobs N]``) or
+under pytest.  It exits nonzero unless every recovered proof
+byte-matches its journaled digest and every job comes back.  Results
+persist to ``benchmarks/results/chaos.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -145,11 +143,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=6)
     parser.add_argument("--k", type=int, default=6)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="print a one-line verdict when every job recovers",
-    )
     args = parser.parse_args(argv)
 
     result = run_chaos_bench(jobs=args.jobs, k=args.k)
@@ -158,23 +151,18 @@ def main(argv: list[str] | None = None) -> int:
 
     if not result["byte_identical"]:
         print(
-            "CHECK FAILED: a recovered proof did not byte-match its "
+            "FAILED: a recovered proof did not byte-match its "
             "journaled digest",
             file=sys.stderr,
         )
         return 1
     if result["recovered_jobs"] != result["jobs"]:
         print(
-            f"CHECK FAILED: recovered {result['recovered_jobs']} of "
+            f"FAILED: recovered {result['recovered_jobs']} of "
             f"{result['jobs']} jobs",
             file=sys.stderr,
         )
         return 1
-    if args.check:
-        print(
-            f"CHECK OK: {result['recovered_jobs']} jobs recovered "
-            f"byte-identically in {result['recovery_total_seconds']:.2f}s"
-        )
     return 0
 
 

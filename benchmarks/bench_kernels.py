@@ -6,8 +6,8 @@ whole-vector ops the backend hooks cover (NTT, Lagrange basis) plus
 the resident product-tree inversion, through the ``repro.algebra.backend`` switch.  One more row
 commits a limb-shaped column (4-bit data, full-width blinding rows)
 by its values against the Lagrange-basis tables and by its
-coefficients, the way every column was committed before.  A last,
-record-only row times the verifier's variable-base MSM on an input
+coefficients, the way every column was committed before.  A last row
+times the verifier's variable-base MSM on an input
 shaped like a 139-base ``finalize`` and counts its bucket insertions
 (``msm.digits``).  Results are asserted equal before any speedup is
 reported.
@@ -16,12 +16,8 @@ End-to-end prove/verify time is the benchmark of record's job
 (``BENCHMARK.json``, ``benchmarks/e2e/``); this file only answers
 "does the vector engine still beat the scalar loops it replaces".
 
-Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]
-[--check]``) or under pytest.  ``--check`` exits nonzero unless (with
-numpy installed, at ``--backend-n`` >= 8192) the vector backend clears
-its floor on the NTT and batch-inversion rows, and the narrow column
-costs at most an eighth of its coefficient form's bucket insertions --
-the CI backend-matrix numpy leg gates on it.  Results persist to
+Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]``)
+or under pytest.  Record only: no row is a gate.  Results persist to
 ``benchmarks/results/kernels.{txt,json}``.
 """
 
@@ -41,17 +37,12 @@ from repro.commit.ipa import commit_lagrange, commit_polynomial
 from repro.commit.params import setup
 from repro.ecc import PALLAS, fixed_base, msm
 
-#: A narrow column may cost at most this fraction of the bucket
-#: insertions its coefficient form costs (measured: 275 against 4,112 at k=7, ~1/15).
-NARROW_DIGITS_CEILING = 1 / 8
-
-
-def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
+def bench_narrow_commit(k: int = 7, seed: int = 23, repeat: int = 5) -> dict:
     """One limb-shaped column -- 4-bit values, then the four full-width
     blinding rows -- committed as values (``commit_lagrange``) and as
     coefficients (``commit_polynomial`` of the inverse FFT): same group
-    element, seconds and bucket insertions (``msm.fixed_base_digits``)
-    of each."""
+    element, best-of-``repeat`` seconds after one counted warm call, and
+    bucket insertions (``msm.fixed_base_digits``) of each."""
     rng = random.Random(seed)
     p = SCALAR_FIELD.p
     params = setup(k)
@@ -66,12 +57,14 @@ def bench_narrow_commit(k: int = 7, seed: int = 23) -> dict:
         previous = telemetry.enable(True)
         try:
             before = telemetry.counters_snapshot().get("msm.fixed_base_digits", 0)
-            point, seconds = telemetry.time_call(
-                lambda: commit(params, vector, blind)
-            )
+            point = commit(params, vector, blind)
             after = telemetry.counters_snapshot()["msm.fixed_base_digits"]
         finally:
             telemetry.enable(previous)
+        seconds = min(
+            telemetry.time_call(lambda: commit(params, vector, blind))[1]
+            for _ in range(repeat)
+        )
         return point, {"seconds": seconds, "digits": int(after - before)}
 
     as_values, values_row = measure(commit_lagrange, column)
@@ -90,7 +83,7 @@ def bench_finalize_msm(n: int = 139, seed: int = 139, repeat: int = 5) -> dict:
     """The verifier's variable-base MSM on a finalize-shaped input (``n``
     random bases, ``n`` full-width scalars): best-of-``repeat`` seconds
     and bucket insertions (``msm.digits``), the point checked against
-    one scalar multiplication per base first.  Record-only: no floor."""
+    one scalar multiplication per base first."""
     rng = random.Random(seed)
     order = PALLAS.scalar_field.p
     bases = [PALLAS.generator * rng.randrange(1, order) for _ in range(n)]
@@ -183,9 +176,7 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     }
 
 
-def run_benches(
-    config: BenchConfig, check: bool = False, backend_n: int = 16384
-) -> dict:
+def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
     results = {}
     backend_rows = bench_field_backend(n=backend_n)
     if backend_rows is not None:
@@ -223,7 +214,7 @@ def run_benches(
         report.table(["op", "python (s)", "numpy (s)", "speedup"], rows)
     report.line(
         f"\nfixed-base commit of a 4-bit column ({narrow['n']} rows + blind): "
-        "values vs coefficients, same point"
+        "values vs coefficients, same point (best of 5)"
     )
     report.table(
         ["committed as", "seconds", "bucket insertions"],
@@ -238,7 +229,7 @@ def run_benches(
     )
     report.line(
         f"\nvariable-base msm of a {finalize['n']}-base finalize "
-        "(best of 5, record only)"
+        "(best of 5)"
     )
     report.table(
         ["bases", "seconds", "bucket insertions"],
@@ -251,39 +242,12 @@ def run_benches(
         ],
     )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
-
-    if check and narrow["digits_frac"] > NARROW_DIGITS_CEILING:
-        print(
-            "CHECK FAILED: a narrow column costs "
-            f"{narrow['digits_frac']:.3f} of its coefficient form's bucket "
-            f"insertions (> {NARROW_DIGITS_CEILING:.3f}): columns are "
-            "reaching the MSM as full-width scalars again",
-            file=sys.stderr,
-        )
-        return {**results, "check_ok": False}
-
-    # Backend floors only apply at sizes where the vector engine's
-    # dispatch overhead is amortized (small smoke runs skip them); set
-    # below the steady-state measurements (~1.5x NTT, ~1.3x resident
-    # inversion at 16384) to absorb CI jitter.
-    if check and backend_rows is not None and backend_rows["n"] >= 8192:
-        for key, floor in (("fft", 1.25), ("batch_inv", 1.05)):
-            got = backend_rows[key]["speedup"]
-            if got < floor:
-                print(
-                    f"CHECK FAILED: field backend {key} speedup "
-                    f"{got:.2f}x < {floor}x at n={backend_rows['n']}",
-                    file=sys.stderr,
-                )
-                return {**results, "check_ok": False}
-    return {**results, "check_ok": True}
+    return results
 
 
 def test_kernel_microbench(bench_config):
-    """Pytest entry: the backend race at bench scale, floors checked
-    (the CI job uses the CLI)."""
-    results = run_benches(bench_config, check=True)
-    assert results["check_ok"], "a kernel check failed (see stderr)"
+    """Pytest entry: every row at bench scale, results asserted equal."""
+    run_benches(bench_config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -293,19 +257,11 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=16384,
         help="field-backend race size (default 16384, the extended "
-        "domain of a 2^12 circuit; floors gate at >= 8192)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless the field backend clears its floors "
-        "and narrow columns stay narrow in the commit kernel",
+        "domain of a 2^12 circuit)",
     )
     args = parser.parse_args(argv)
-    results = run_benches(
-        BenchConfig(), check=args.check, backend_n=args.backend_n
-    )
-    return 0 if results["check_ok"] else 1
+    run_benches(BenchConfig(), backend_n=args.backend_n)
+    return 0
 
 
 if __name__ == "__main__":

@@ -524,8 +524,8 @@ def multiopen(state: ProverState) -> dict:
 
 
 #: The rounds, in order: (telemetry span, ProverTiming field, function).
-#: The span names are also what ``telemetry.selfcheck`` expects and what
-#: the benchmark of record books kernel time under.
+#: The span names are also what ``tests/test_telemetry.py`` expects and
+#: what the benchmark of record books kernel time under.
 ROUNDS = (
     ("prove.commit_advice", "commit_advice", commit_advice),
     ("prove.lookup_commit", "lookups", lookup_commit),

@@ -17,9 +17,8 @@ seeded RNG, it:
   process dying between ``write()`` and completion would.
 
 :func:`scenario_runner_kill` needs no injector: it SIGKILLs a worker's
-runner process mid-prove, for real.  :func:`run_chaos_suite` drives five
-scenarios over a real (small-``k``) session and asserts the service's
-core invariants after each:
+runner process mid-prove, for real.  Each scenario runs over a real
+(small-``k``) session and asserts the service's core invariants:
 
 1. no accepted job is ever lost (every submitted job reaches a
    terminal state with its waiter released),
@@ -29,34 +28,24 @@ core invariants after each:
 4. the worker farm returns to full strength after every kill, and a
    closed or aborted service leaves no runner process behind.
 
-Run it from the command line (the CI ``chaos-smoke`` job)::
-
-    python -m repro.service.chaos --seed 3
-
-``--child`` mode is the victim half of the SIGKILL end-to-end test
-(``tests/test_chaos.py``): it opens a journaled service, submits jobs,
-prints ``READY`` once one is mid-prove with the rest queued, and waits
-to be killed -- for real, by signal 9, from the test process.
+``tests/test_chaos.py`` runs every scenario, plus a real SIGKILL of a
+journaled service in a child process (``tests/chaos_victim.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import multiprocessing
 import os
 import random
 import signal
-import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
-from repro import telemetry
 from repro.config import ProverConfig, ServiceConfig
 from repro.service.jobs import JobState
-from repro.service.journal import encode_record, replay
+from repro.service.journal import encode_record
 from repro.service.scheduler import WorkerKilled, response_digest
 
 #: The chaos workload: small aggregates over the tiny fixture table,
@@ -412,128 +401,3 @@ def scenario_cache_corruption(seed: int, workdir: Path) -> dict[str, Any]:
             f"cache-corruption: artifact {i} not repaired on disk"
         )
     return {"corrupted": 4, "evicted": evictions}
-
-
-# -- the suite ----------------------------------------------------------------
-
-
-def run_chaos_suite(
-    seed: int = 0xC0FFEE,
-    workdir: str | Path | None = None,
-    k: int = 6,
-    session=None,
-) -> dict[str, Any]:
-    """Run every chaos scenario against one small real session.
-
-    Raises ``AssertionError`` the moment an invariant breaks; returns a
-    JSON-able report otherwise.  Fully deterministic for a given
-    ``seed`` (proof bytes, fault schedule, torn-tail offsets).
-    """
-    import tempfile
-
-    started = time.monotonic()
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    owns_session = session is None
-    if session is None:
-        session = build_session(k=k)
-    try:
-        expected = baseline_digests(session)
-        report: dict[str, Any] = {
-            "seed": seed,
-            "k": k,
-            "queries": len(CHAOS_QUERIES),
-            "scenarios": {},
-        }
-        report["scenarios"]["worker_kill"] = scenario_worker_kill(
-            session, expected, seed
-        )
-        report["scenarios"]["runner_kill"] = scenario_runner_kill(
-            session, expected
-        )
-        report["scenarios"]["duplicate_pops"] = scenario_duplicate_pops(
-            session, expected, seed + 1
-        )
-        report["scenarios"]["crash_recovery"] = scenario_crash_recovery(
-            session, expected, seed + 2, workdir
-        )
-        report["scenarios"]["cache_corruption"] = scenario_cache_corruption(
-            seed + 3, workdir
-        )
-        report["elapsed_seconds"] = round(time.monotonic() - started, 3)
-        report["ok"] = True
-        return report
-    finally:
-        if owns_session:
-            session.close()
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def _child_main(journal: str, k: int) -> int:
-    """The SIGKILL victim: open a journaled single-worker service,
-    submit the chaos workload, report READY once the journal on disk
-    shows the first job mid-prove with the rest queued, then wait to be
-    killed.  (The in-memory state turns RUNNING before the ``running``
-    record is appended; a kill in between would leave a journal that
-    never saw the job start.)"""
-    session = build_session(k=k)
-    service = session.serve(
-        ServiceConfig(workers=1, supervisor_interval=0.05),
-        journal_path=journal,
-    )
-    job_ids = [
-        service.submit(sql, rng_seed=seed) for sql, seed in CHAOS_QUERIES
-    ]
-    deadline = time.time() + 60
-    while time.time() < deadline:
-        folded = replay(journal).jobs
-        states = [folded[j].state if j in folded else None for j in job_ids]
-        if states[0] == "running" and all(s == "submitted" for s in states[1:]):
-            break
-        if any(service.status(j).state.finished for j in job_ids):
-            break  # pragma: no cover - timing
-        time.sleep(0.005)
-    print(
-        "READY " + json.dumps({"jobs": job_ids}),
-        flush=True,
-    )
-    time.sleep(120)  # killed long before this returns
-    return 1  # pragma: no cover - only reached if the parent forgot us
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Deterministic chaos suite for the proving service"
-    )
-    parser.add_argument("--seed", type=int, default=0xC0FFEE)
-    parser.add_argument("--k", type=int, default=6)
-    parser.add_argument(
-        "--workdir", default=None, help="scratch dir for journals/caches"
-    )
-    parser.add_argument(
-        "--child",
-        action="store_true",
-        help="SIGKILL-victim mode used by the crash-recovery e2e test",
-    )
-    parser.add_argument(
-        "--journal", default=None, help="journal path (with --child)"
-    )
-    args = parser.parse_args(argv)
-    if args.child:
-        if not args.journal:
-            parser.error("--child requires --journal")
-        return _child_main(args.journal, args.k)
-    telemetry.enable(True)
-    report = run_chaos_suite(
-        seed=args.seed, workdir=args.workdir, k=args.k
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

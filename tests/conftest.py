@@ -12,7 +12,57 @@ import pytest
 
 from repro.algebra import SCALAR_FIELD
 from repro.commit import setup
-from repro.telemetry.selfcheck import example_assignment, example_circuit
+from repro.plonkish import Assignment, ConstraintSystem
+
+EXAMPLE_K = 5
+
+
+def example_circuit():
+    """The paper's Example 2.1 pipeline f(x,y,z) = 3*(x+y)*z plus a
+    4-bit range lookup on column a — the repo's canonical small circuit
+    (k=5), shared by the protocol tests."""
+    cs = ConstraintSystem()
+    q_add = cs.selector("q_add")
+    q_mul = cs.selector("q_mul")
+    q_range = cs.selector("q_range")
+    q_out = cs.selector("q_out")
+    table = cs.fixed_column("range_table")
+    a = cs.advice_column("a")
+    b = cs.advice_column("b")
+    c = cs.advice_column("c")
+    out = cs.instance_column("out")
+    cs.create_gate("add", [q_add.cur() * (a.cur() + b.cur() - c.cur())])
+    cs.create_gate("mul", [q_mul.cur() * (a.cur() * b.cur() - c.cur())])
+    cs.create_gate("out", [q_out.cur() * (c.cur() - out.cur())])
+    cs.add_lookup("range16", [q_range.cur() * a.cur()], [table.cur()])
+    cs.copy(c, 0, b, 1)
+    cs.copy(c, 1, b, 2)
+    return cs, dict(
+        q_add=q_add, q_mul=q_mul, q_range=q_range, q_out=q_out,
+        table=table, a=a, b=b, c=c, out=out,
+    )
+
+
+def example_assignment(cs, cols, x=7, y=11, z=13):
+    asg = Assignment(cs, SCALAR_FIELD, EXAMPLE_K)
+    asg.assign_column(cols["table"], list(range(16)))
+    asg.assign(cols["q_add"], 0, 1)
+    asg.assign(cols["a"], 0, x)
+    asg.assign(cols["b"], 0, y)
+    asg.assign(cols["c"], 0, x + y)
+    asg.assign(cols["q_range"], 0, 1)
+    asg.assign(cols["q_mul"], 1, 1)
+    asg.assign(cols["a"], 1, z)
+    asg.assign(cols["b"], 1, x + y)
+    asg.assign(cols["c"], 1, (x + y) * z)
+    asg.assign(cols["q_mul"], 2, 1)
+    asg.assign(cols["a"], 2, 3)
+    asg.assign(cols["b"], 2, (x + y) * z)
+    result = 3 * (x + y) * z
+    asg.assign(cols["c"], 2, result)
+    asg.assign(cols["q_out"], 2, 1)
+    asg.assign(cols["out"], 2, result)
+    return asg, result
 
 
 @pytest.fixture(scope="session")

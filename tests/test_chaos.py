@@ -6,10 +6,11 @@ Three layers, all real crypto (small ``k``):
   process, duplicate pops, torn journal tails, cache corruption) from
   :mod:`repro.service.chaos`, each asserting the no-lost /
   no-double-completion / byte-identity invariants;
-- the **SIGKILL end-to-end**: a child process opens a journaled
-  service, reaches one job mid-prove with two more queued, and is
-  killed with signal 9 -- then this process replays its journal and
-  must recover all three jobs byte-identically;
+- the **SIGKILL end-to-end**: a child process
+  (``python -m tests.chaos_victim``) opens a journaled service,
+  reaches one job mid-prove with two more queued, and is killed with
+  signal 9 -- then this process replays its journal and must recover
+  all three jobs byte-identically;
 - journal-on-close hygiene (a cleanly closed service leaves a journal
   whose replay has nothing pending).
 """
@@ -89,9 +90,7 @@ class TestSigkillRecovery:
             [
                 sys.executable,
                 "-m",
-                "repro.service.chaos",
-                "--child",
-                "--journal",
+                "tests.chaos_victim",
                 str(journal_path),
             ],
             cwd=REPO_ROOT,

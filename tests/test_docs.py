@@ -2,7 +2,9 @@
 
 README's "Environment" table lists every ``REPRO_*`` environment
 variable; a variable the library reads but the table omits, or one the
-table lists but nothing reads any more, fails here.  Nothing outside
+table lists but nothing reads any more, fails here.  Every command the
+docs and CI quote runs something that exists, and every ``--flag``
+quoted after a script is one its parser defines.  Nothing outside
 ROADMAP.md and CHANGES.md cites ROADMAP's numbered items.
 """
 
@@ -67,3 +69,82 @@ def test_no_roadmap_item_cross_references():
         if ROADMAP_ITEM.search(path.read_bytes())
     ]
     assert stale == []
+
+
+#: Where commands are quoted: prose whose code spans are read, and the
+#: CI workflow whose lines are.
+COMMAND_DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+CI_WORKFLOW = ".github/workflows/ci.yml"
+#: ``python -m pkg.mod ARGS`` or ``python path/to/script.py ARGS``; the
+#: whitespace classes let a command wrap across lines.
+COMMAND = re.compile(
+    r"python3?\s+(?:-m\s+(?P<module>[\w.]+)|(?P<script>[\w/]+\.py))"
+    r"(?P<args>(?:[ \t\n]+[^\s`]+)*)"
+)
+FLAG = re.compile(r"--[a-z][\w-]*")
+
+
+def _quoted_commands():
+    """(source, code) for every inline code span, fenced-block line and
+    workflow line that holds a ``python`` command."""
+    units = []
+    for name in COMMAND_DOCS:
+        text = (ROOT / name).read_text()
+        fenced = re.findall(r"```.*?```", text, flags=re.S)
+        units += [(name, line) for block in fenced for line in block.splitlines()]
+        text = re.sub(r"```.*?```", "", text, flags=re.S)
+        units += [(name, span) for span in re.findall(r"`([^`]+)`", text)]
+    units += [
+        (CI_WORKFLOW, line)
+        for line in (ROOT / CI_WORKFLOW).read_text().splitlines()
+    ]
+    return [
+        (source, match)
+        for source, unit in units
+        for match in COMMAND.finditer(unit)
+    ]
+
+
+def _module_file(module: str) -> Path | None:
+    parts = module.split(".")
+    for base in (ROOT / "src", ROOT):
+        for path in (
+            base.joinpath(*parts).with_suffix(".py"),
+            base.joinpath(*parts, "__main__.py"),
+        ):
+            if path.is_file():
+                return path
+    return None
+
+
+def test_quoted_commands_exist():
+    commands = _quoted_commands()
+    assert any(m["module"] == "repro.telemetry.report" for _, m in commands)
+    broken = []
+    for source, match in commands:
+        module, script = match["module"], match["script"]
+        if module == "pytest":
+            continue
+        if module is not None:
+            path = _module_file(module)
+            runnable = path is not None and (
+                path.name == "__main__.py"
+                or 'if __name__ == "__main__":' in path.read_text()
+            )
+            if not runnable:
+                broken.append(f"{source}: python -m {module}")
+                continue
+        else:
+            path = ROOT / script
+            if not path.is_file():
+                broken.append(f"{source}: {script} does not exist")
+                continue
+        if not path.is_relative_to(ROOT / "benchmarks"):
+            continue
+        source_text = path.read_text()
+        broken += [
+            f"{source}: {path.relative_to(ROOT)} defines no {flag}"
+            for flag in FLAG.findall(match["args"])
+            if f'"{flag}"' not in source_text
+        ]
+    assert broken == []

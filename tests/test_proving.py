@@ -14,9 +14,12 @@ from repro.algebra.field import deterministic_rng
 from repro.plonkish import MockProver
 from repro.proving import Accumulator, create_proof, keygen, verify_proof
 from repro.proving.prover import ProverTiming, ProvingError
-from repro.telemetry.selfcheck import EXAMPLE_K as K
-from repro.telemetry.selfcheck import example_assignment, example_circuit
-from tests.conftest import two_chunk_shuffle_circuit
+from tests.conftest import EXAMPLE_K as K
+from tests.conftest import (
+    example_assignment,
+    example_circuit,
+    two_chunk_shuffle_circuit,
+)
 
 F = SCALAR_FIELD
 

@@ -25,9 +25,13 @@ from repro.sql.compiler import QueryCompiler
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.telemetry import CircuitReport
-from repro.telemetry.selfcheck import EXAMPLE_K, example_assignment, example_circuit
 from repro.tpch import QUERIES, generate
-from tests.conftest import two_chunk_shuffle_circuit
+from tests.conftest import (
+    EXAMPLE_K,
+    example_assignment,
+    example_circuit,
+    two_chunk_shuffle_circuit,
+)
 
 
 def _example():

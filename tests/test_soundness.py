@@ -40,11 +40,14 @@ from repro.soundness import (
     run_aggregate_tamper_suite,
     run_tamper_suite,
 )
-from repro.telemetry.selfcheck import EXAMPLE_K as K
-from repro.telemetry.selfcheck import example_assignment, example_circuit
 from repro.errors import VerificationFailure
 from repro.wire import WireFormatError
-from tests.conftest import two_chunk_shuffle_circuit
+from tests.conftest import EXAMPLE_K as K
+from tests.conftest import (
+    example_assignment,
+    example_circuit,
+    two_chunk_shuffle_circuit,
+)
 
 F = SCALAR_FIELD
 #: ``field_mutators`` labels per fixture, recorded with the ``PDB4``

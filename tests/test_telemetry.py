@@ -21,16 +21,16 @@ from repro.commit import setup
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.plonkish.assignment import ZK_ROWS
-from repro.proving import create_proof, keygen
+from repro.proving import create_proof, keygen, verify_proof
+from repro.proving.prover import ROUNDS
+from repro.telemetry import promtext
+from repro.telemetry import report as report_cli
 from repro.telemetry.circuit import CircuitReport
 from repro.telemetry.export import write_trace_spans
-from repro.telemetry.selfcheck import (
-    EXAMPLE_K,
-    EXPECTED_PHASES,
-    example_assignment,
-    example_circuit,
-    run_instrumented_prove,
-)
+from tests.conftest import EXAMPLE_K, example_assignment, example_circuit
+
+#: Direct children the "prove" root must contain after one create_proof.
+EXPECTED_PHASES = ("prove.keygen", *(span for span, _, _ in ROUNDS))
 
 
 @pytest.fixture()
@@ -182,6 +182,26 @@ class TestRunnerMerge:
             point.to_affine()
         batch_to_affine(points)
         assert tele.counters_snapshot().get("field.inversions", 0) == before
+
+
+def run_instrumented_prove():
+    """Prove and verify the example circuit under a "prove" root span
+    (keygen included) and observe ``prove.seconds``; returns the root.
+    The tracer's state is the caller's."""
+    cs, cols = example_circuit()
+    asg, _ = example_assignment(cs, cols)
+    params = setup(EXAMPLE_K)
+    root = telemetry.begin_span("prove", k=EXAMPLE_K)
+    try:
+        with telemetry.span("prove.keygen"):
+            pk = keygen(params, cs, SCALAR_FIELD, EXAMPLE_K, asg.fixed)
+        proof = create_proof(pk, asg)
+    finally:
+        root.end()
+    telemetry.observe("prove.seconds", root.duration)
+    instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
+    assert verify_proof(pk.vk, proof, instance)
+    return root
 
 
 def best_time(fn, repeats=5):
@@ -479,7 +499,7 @@ class TestCircuitReport:
 
 
 class TestInstrumentedProve:
-    def test_selfcheck_phases_and_counters(self, tele):
+    def test_phases_counters_and_histograms(self, tele):
         root = run_instrumented_prove()
         child_names = {c.name for c in root.children}
         assert set(EXPECTED_PHASES) <= child_names
@@ -489,6 +509,30 @@ class TestInstrumentedProve:
         counters = report["counters"]
         for name in ("msm.calls", "msm.points", "fft.calls", "field.inversions"):
             assert counters.get(name, 0) > 0, name
+        registry = telemetry.metrics_registry()
+        for name in ("prove.seconds", "msm.points_per_call", "fft.points_per_call"):
+            snap = registry.histogram(name)
+            assert snap is not None and snap.count > 0, name
+        samples = promtext.parse(promtext.render_registry(registry))
+        assert any("prove_seconds" in name for name in samples)
+
+    def test_report_and_promtext_clis(self, tele, tmp_path, capsys):
+        run_instrumented_prove()
+        path = tmp_path / "trace.jsonl"
+        telemetry.write_trace(path, tele.get_tracer())
+        capsys.readouterr()
+
+        assert report_cli.main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "prove.quotient" in out and "% of parent" in out
+        assert "phase coverage" in out
+        assert promtext.main([str(path)]) == 0
+        samples = promtext.parse(capsys.readouterr().out)
+        assert any("prove_seconds" in name for name in samples)
+
+        missing = str(tmp_path / "missing.jsonl")
+        assert report_cli.main([missing]) == 2
+        assert promtext.main([missing]) == 2
 
     def test_example_circuit_is_provable_fixture(self):
         # Keep the shared fixture honest independent of telemetry.
