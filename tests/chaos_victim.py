@@ -19,7 +19,7 @@ from repro.service.journal import replay
 
 
 def main(journal: str) -> int:
-    session = build_session(k=6)
+    session = build_session()
     service = session.serve(
         ServiceConfig(workers=1, supervisor_interval=0.05),
         journal_path=journal,
