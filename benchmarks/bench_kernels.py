@@ -5,12 +5,11 @@ both are supported hosts, selected by what is installed -- on the
 whole-vector ops the backend hooks cover (NTT, Lagrange basis) plus
 the resident product-tree inversion, through the ``repro.algebra.backend`` switch.  One more row
 commits a limb-shaped column (4-bit data, full-width blinding rows)
-by its values against the Lagrange-basis tables and by its
-coefficients, the way every column was committed before.  A last row
-times the verifier's variable-base MSM on an input
-shaped like a 139-base ``finalize`` and counts its bucket insertions
-(``msm.digits``).  Results are asserted equal before any speedup is
-reported.
+and a full-width column by their values, and counts the bucket
+insertions of each.  A last row times the verifier's variable-base
+MSM on an input shaped like a 139-base ``finalize`` and counts its
+bucket insertions (``msm.digits``).  Results are asserted equal
+before any speedup is reported.
 
 End-to-end prove/verify time is the benchmark of record's job
 (``BENCHMARK.json``, ``benchmarks/e2e/``); this file only answers
@@ -18,14 +17,19 @@ End-to-end prove/verify time is the benchmark of record's job
 
 Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]``)
 or under pytest.  Record only: no row is a gate.  Results persist to
-``benchmarks/results/kernels.{txt,json}``.
+``benchmarks/results/kernels.{txt,json}``; README's numpy-engine table
+is rendered from that record (``--readme-table`` prints it).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
+import statistics
 import sys
+import time
+from pathlib import Path
 
 from repro import telemetry
 from repro.algebra import backend as field_backend
@@ -33,55 +37,77 @@ from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import SCALAR_FIELD, montgomery_batch_inv
 from repro.bench.harness import BenchConfig, bench_metadata
 from repro.bench.reporting import Report
-from repro.commit.ipa import commit_lagrange, commit_polynomial
+from repro.commit.ipa import commit_lagrange
 from repro.commit.params import setup
 from repro.ecc import PALLAS, fixed_base, msm
 
+RECORD = Path(__file__).resolve().parent / "results" / "kernels.json"
+
 def bench_narrow_commit(k: int = 7, seed: int = 23, repeat: int = 5) -> dict:
-    """One limb-shaped column -- 4-bit values, then the four full-width
-    blinding rows -- committed as values (``commit_lagrange``) and as
-    coefficients (``commit_polynomial`` of the inverse FFT): same group
-    element, best-of-``repeat`` seconds after one counted warm call, and
-    bucket insertions (``msm.fixed_base_digits``) of each."""
+    """Two columns committed by their values (``commit_lagrange``): a
+    limb-shaped one -- 4-bit values, then the four full-width blinding
+    rows -- and a full-width one.  Each point is checked against the
+    generic MSM over ``g`` first; then best-of-``repeat`` seconds after
+    one counted warm call, and bucket insertions
+    (``msm.fixed_base_digits``) of each."""
     rng = random.Random(seed)
     p = SCALAR_FIELD.p
     params = setup(k)
-    column = [rng.randrange(16) for _ in range(params.n - 4)]
-    column += [rng.randrange(p) for _ in range(4)]
+    narrow = [rng.randrange(16) for _ in range(params.n - 4)]
+    narrow += [rng.randrange(p) for _ in range(4)]
+    wide = [rng.randrange(p) for _ in range(params.n)]
     blind = rng.randrange(p)
-    coeffs = EvaluationDomain(SCALAR_FIELD, k).ifft(column)
-    for kind in (fixed_base.MONOMIAL, fixed_base.LAGRANGE):
-        fixed_base.tables_for_params(params, kind=kind)  # untimed build
+    fixed_base.tables_for_params(params)  # untimed build
 
-    def measure(commit, vector):
+    def measure(column):
         previous = telemetry.enable(True)
         try:
             before = telemetry.counters_snapshot().get("msm.fixed_base_digits", 0)
-            point = commit(params, vector, blind)
+            point = commit_lagrange(params, column, blind)
             after = telemetry.counters_snapshot()["msm.fixed_base_digits"]
         finally:
             telemetry.enable(previous)
+        expected = msm([*params.g, params.w], [*column, blind])
+        assert point == expected, "value commitment diverged from the msm"
         seconds = min(
-            telemetry.time_call(lambda: commit(params, vector, blind))[1]
+            telemetry.time_call(lambda: commit_lagrange(params, column, blind))[1]
             for _ in range(repeat)
         )
-        return point, {"seconds": seconds, "digits": int(after - before)}
+        return {"seconds": seconds, "digits": int(after - before)}
 
-    as_values, values_row = measure(commit_lagrange, column)
-    as_coeffs, coeffs_row = measure(commit_polynomial, coeffs)
-    assert as_values == as_coeffs, "Lagrange commit diverged from the oracle"
+    narrow_row, wide_row = measure(narrow), measure(wide)
     return {
         "n": params.n,
-        "values": values_row,
-        "coeffs": coeffs_row,
-        "speedup": coeffs_row["seconds"] / values_row["seconds"],
-        "digits_frac": values_row["digits"] / coeffs_row["digits"],
+        "narrow": narrow_row,
+        "wide": wide_row,
+        "speedup": wide_row["seconds"] / narrow_row["seconds"],
+        "digits_frac": narrow_row["digits"] / wide_row["digits"],
     }
 
 
-def bench_finalize_msm(n: int = 139, seed: int = 139, repeat: int = 5) -> dict:
+def per_call_seconds(
+    call, samples: int = 5, min_loop_s: float = 0.25
+) -> list[float]:
+    """``samples`` measurements of ``call``'s seconds per call, each
+    from a loop that runs for at least ``min_loop_s``, so that one
+    scheduler burst moves a sample by a fraction of itself."""
+    out = []
+    for _ in range(samples):
+        calls, start = 0, time.perf_counter()
+        while True:
+            call()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= min_loop_s:
+                break
+        out.append(elapsed / calls)
+    return out
+
+
+def bench_finalize_msm(n: int = 139, seed: int = 139, samples: int = 5) -> dict:
     """The verifier's variable-base MSM on a finalize-shaped input (``n``
-    random bases, ``n`` full-width scalars): best-of-``repeat`` seconds
+    random bases, ``n`` full-width scalars): the median and
+    interquartile range of ``samples`` loops of at least 0.25 s each,
     and bucket insertions (``msm.digits``), the point checked against
     one scalar multiplication per base first."""
     rng = random.Random(seed)
@@ -99,10 +125,15 @@ def bench_finalize_msm(n: int = 139, seed: int = 139, repeat: int = 5) -> dict:
     finally:
         telemetry.enable(previous)
     assert point == expected, "msm diverged from the per-point sum"
-    seconds = min(
-        telemetry.time_call(lambda: msm(bases, scalars))[1] for _ in range(repeat)
-    )
-    return {"n": n, "seconds": seconds, "digits": int(digits)}
+    seconds = per_call_seconds(lambda: msm(bases, scalars), samples)
+    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    return {
+        "n": n,
+        "median_s": statistics.median(seconds),
+        "iqr_s": q3 - q1,
+        "samples_s": seconds,
+        "digits": int(digits),
+    }
 
 
 def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
@@ -213,36 +244,64 @@ def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
             )
         report.table(["op", "python (s)", "numpy (s)", "speedup"], rows)
     report.line(
-        f"\nfixed-base commit of a 4-bit column ({narrow['n']} rows + blind): "
-        "values vs coefficients, same point (best of 5)"
+        f"\nfixed-base commit by values ({narrow['n']} rows + blind): a "
+        "4-bit column (4 full-width blinding rows) against a full-width "
+        "one, each point checked against the generic msm (best of 5)"
     )
     report.table(
-        ["committed as", "seconds", "bucket insertions"],
+        ["column", "seconds", "bucket insertions"],
         [
             (form, f"{narrow[form]['seconds']:.4f}", str(narrow[form]["digits"]))
-            for form in ("values", "coeffs")
+            for form in ("narrow", "wide")
         ],
     )
     report.line(
         f"speedup {narrow['speedup']:.2f}x, insertions "
-        f"{narrow['digits_frac']:.3f} of the coefficient form"
+        f"{narrow['digits_frac']:.3f} of the full-width column"
     )
     report.line(
         f"\nvariable-base msm of a {finalize['n']}-base finalize "
-        "(best of 5)"
+        f"(median and IQR of {len(finalize['samples_s'])} loops of >= 0.25 s)"
     )
     report.table(
-        ["bases", "seconds", "bucket insertions"],
+        ["bases", "median s", "IQR s", "bucket insertions"],
         [
             (
                 str(finalize["n"]),
-                f"{finalize['seconds']:.4f}",
+                f"{finalize['median_s']:.4f}",
+                f"{finalize['iqr_s']:.4f}",
                 str(finalize["digits"]),
             )
         ],
     )
     report.emit(metadata={**bench_metadata(config), "kernels": results})
     return results
+
+
+#: README's numpy-engine rows: record key, label.
+README_ROWS = (
+    ("fft", "NTT, 2^{log_n} points"),
+    ("lagrange", "Lagrange basis at a point"),
+    ("batch_inv", "batch inversion (vector-resident)"),
+)
+
+
+def readme_table(record: dict) -> str:
+    """README's numpy-engine table, rendered from a ``kernels.json``
+    record (``tests/test_docs.py`` holds the README to it)."""
+    rows = record["kernels"]["field_backend"]
+    log_n = rows["n"].bit_length() - 1
+    lines = [
+        "| hot loop | python (s) | numpy (s) | speedup |",
+        "|---|---|---|---|",
+    ]
+    for key, label in README_ROWS:
+        r = rows[key]
+        lines.append(
+            f"| {label.format(log_n=log_n)} | {r['python_s']:.3f} | "
+            f"{r['numpy_s']:.3f} | **{r['speedup']:.2f}×** |"
+        )
+    return "\n".join(lines)
 
 
 def test_kernel_microbench(bench_config):
@@ -259,7 +318,16 @@ def main(argv: list[str] | None = None) -> int:
         help="field-backend race size (default 16384, the extended "
         "domain of a 2^12 circuit)",
     )
+    parser.add_argument(
+        "--readme-table",
+        action="store_true",
+        help="print README's numpy-engine table from the committed "
+        "record and exit (runs nothing)",
+    )
     args = parser.parse_args(argv)
+    if args.readme_table:
+        print(readme_table(json.loads(RECORD.read_text())))
+        return 0
     run_benches(BenchConfig(), backend_n=args.backend_n)
     return 0
 

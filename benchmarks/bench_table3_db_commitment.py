@@ -5,7 +5,8 @@ in database size; committed once, reused for every query).
 
 We commit the full 8-table TPC-H database at three reduced scales and
 check the same near-linear shape, then extrapolate per-row cost to the
-paper's scales.
+paper's scales.  Every scale's fixed-base tables are built by an
+untimed commit first, so each timed commit is a warm one.
 """
 
 from repro import telemetry
@@ -35,10 +36,13 @@ def test_table3_db_commitment(benchmark):
     ks = {s: _k_for(max(len(t) for t in dbs[s].tables.values())) for s in scales}
     params, _ = cached_setup(cache, max(ks.values()))
 
-    def commit_small():
-        return commit_database(dbs[scales[0]], params, ks[scales[0]])
+    def warm_every_scale():
+        # One commit per scale: the truncated parameter set of each k
+        # has a table set of its own, built here, not in the timings.
+        for s in scales:
+            commit_database(dbs[s], params, ks[s])
 
-    benchmark.pedantic(commit_small, rounds=1, iterations=1)
+    benchmark.pedantic(warm_every_scale, rounds=1, iterations=1)
 
     measured = {}
     for s in scales:

@@ -1,20 +1,24 @@
-"""The Inner Product Argument polynomial commitment (Halo / BCMS style).
+"""The Inner Product Argument polynomial commitment (Halo / BCMS style),
+in evaluation form.
 
-Given a Pedersen commitment ``C = <a, G> + r*W`` to the coefficients of
-a polynomial ``p`` -- computed from them (:func:`commit_polynomial`) or,
-for a circuit or database column, from its values against the
-Lagrange-basis generators (:func:`commit_lagrange`; same ``C``) -- and
-a public evaluation point ``x``, the prover
-convinces the verifier that ``p(x) = v`` with a proof of ``2 log n``
-group elements plus two scalars.  This is the scheme the paper selects
-(section 3.2) for its linear prover, logarithmic proofs, and
-compatibility with PLONKish circuits.
+The public-parameter generators ``G`` are the Lagrange basis of the
+size-``n`` evaluation domain: a polynomial ``p`` is committed by its
+values there, ``C = <(p(1), p(omega), ..), G> + r*W``
+(:func:`commit_lagrange`; :func:`commit_polynomial` takes coefficients
+through one FFT first).  Given a public evaluation point ``x``, the
+prover convinces the verifier that ``p(x) = v`` with a proof of
+``2 log n`` group elements plus two scalars.  This is the scheme the
+paper selects (section 3.2) for its linear prover, logarithmic proofs,
+and compatibility with PLONKish circuits; the evaluation form follows
+Feist's note "Inner Product Arguments" (2021).
 
 Protocol sketch (non-interactive via the transcript):
 
 1. Fold the claimed value into the commitment: the statement becomes
-   ``C' = <a, G> + r*W + <a, b> * U'`` where ``b = (1, x, .., x^{n-1})``
-   and ``U' = xi * U`` for a transcript challenge ``xi``.
+   ``C' = <a, G> + r*W + <a, b> * U'`` where ``a`` is the ``n`` values,
+   ``b = (L_0(x), .., L_{n-1}(x))`` the Lagrange basis at ``x`` (so
+   ``<a, b> = p(x)``) and ``U' = xi * U`` for a transcript challenge
+   ``xi``.
 2. ``log n`` halving rounds.  Round j publishes ``L_j, R_j`` (cross
    terms with fresh blinding), squeezes ``u_j``, and folds ``a, b``
    and the base ``G`` to half length -- the base only as the vector
@@ -22,7 +26,8 @@ Protocol sketch (non-interactive via the transcript):
    ``G``, so every ``L_j`` / ``R_j`` is a fixed-base MSM.
 3. Finally the prover reveals the folded scalar ``a_0`` and the
    accumulated blinding; the verifier recomputes the folded base
-   ``G_0 = <s, G>`` and checks one group equation.
+   ``G_0 = <s, G>`` and the folded ``b_0 = <s, b>`` and checks one
+   group equation.
 
 Zero-knowledge of the *circuit* witness does not rest on hiding ``a``
 here: as in Halo2, advice polynomials carry random blinding rows, so
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import telemetry
+from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
@@ -128,52 +134,28 @@ def _padded(params: PublicParams, vector: Sequence[int]) -> list[int]:
     return list(vector) + [0] * (params.n - len(vector))
 
 
-def _commit(
-    params: PublicParams, vector: Sequence[int], blind: int, kind: str
-) -> Point:
-    # In both table sets index i < n is the i-th basis element and
-    # index n is w, so the padded vector followed by the blind lines up
-    # with the default indices.
-    tables = fixed_base.tables_for_params(params, kind=kind)
-    return fixed_base.fixed_base_msm(tables, _padded(params, vector) + [blind])
+def _commit(params: PublicParams, evals: Sequence[int], blind: int) -> Point:
+    # Index i < n of the table set is g[i] and index n is w, so the
+    # padded vector followed by the blind lines up with the default
+    # indices.
+    tables = fixed_base.tables_for_params(params)
+    return fixed_base.fixed_base_msm(tables, _padded(params, evals) + [blind])
 
 
-def commit_polynomial(
-    params: PublicParams, coeffs: Sequence[int], blind: int
-) -> Point:
-    """Commit to polynomial coefficients (little-endian):
-    ``<coeffs, g> + blind * w``.
-
-    For data born as coefficients (the quotient pieces) and as the test
-    oracle of :func:`commit_lagrange`; the MSM runs against the
-    parameter set's fixed-base tables."""
-    return _commit(params, coeffs, blind, fixed_base.MONOMIAL)
+def _domain(params: PublicParams) -> EvaluationDomain:
+    return EvaluationDomain(params.curve.scalar_field, params.k)
 
 
 def commit_lagrange(
     params: PublicParams, evals: Sequence[int], blind: int
 ) -> Point:
     """Commit to the polynomial with values ``evals`` over the size-``n``
-    evaluation domain (zero on the rows past ``len(evals)``).
+    evaluation domain (zero on the rows past ``len(evals)``):
+    ``<evals, g> + blind * w``.
 
-    The same group element as ``commit_polynomial(params, ifft(evals),
-    blind)``, computed against the Lagrange-basis tables
-    (:func:`repro.ecc.fixed_base.lagrange_bases`) so the MSM pays only
-    for the bits the column's values have -- every column of a circuit
-    and of the database is committed this way."""
-    return _commit(params, evals, blind, fixed_base.LAGRANGE)
-
-
-def commit_polynomials(
-    params: PublicParams, items: Sequence[tuple[Sequence[int], int]]
-) -> list[Point]:
-    """:func:`commit_polynomial` of many ``(coeffs, blind)`` pairs, one
-    fixed-base MSM each, under one telemetry span."""
-    with telemetry.span("commit.polynomials", count=len(items)):
-        return [
-            _commit(params, coeffs, blind, fixed_base.MONOMIAL)
-            for coeffs, blind in items
-        ]
+    The MSM pays only for the bits the values have -- every column of a
+    circuit and of the database is committed this way."""
+    return _commit(params, evals, blind)
 
 
 def commit_lagrange_many(
@@ -182,17 +164,31 @@ def commit_lagrange_many(
     """:func:`commit_lagrange` of many ``(evals, blind)`` pairs, under
     one telemetry span."""
     with telemetry.span("commit.lagrange", count=len(items)):
+        return [_commit(params, evals, blind) for evals, blind in items]
+
+
+def commit_polynomial(
+    params: PublicParams, coeffs: Sequence[int], blind: int
+) -> Point:
+    """Commit to polynomial coefficients (little-endian, at most ``n``):
+    one size-``n`` FFT to the values, then :func:`commit_lagrange`.
+    For data born as coefficients -- the quotient pieces and the
+    multiopen's ``f``."""
+    values = _domain(params).fft(_padded(params, coeffs))
+    return _commit(params, values, blind)
+
+
+def commit_polynomials(
+    params: PublicParams, items: Sequence[tuple[Sequence[int], int]]
+) -> list[Point]:
+    """:func:`commit_polynomial` of many ``(coeffs, blind)`` pairs, one
+    FFT and one fixed-base MSM each, under one telemetry span."""
+    with telemetry.span("commit.polynomials", count=len(items)):
+        values = _domain(params).fft_many([_padded(params, c) for c, _ in items])
         return [
-            _commit(params, evals, blind, fixed_base.LAGRANGE)
-            for evals, blind in items
+            _commit(params, evals, blind)
+            for evals, (_, blind) in zip(values, items)
         ]
-
-
-def _powers(x: int, n: int, p: int) -> list[int]:
-    out = [1] * n
-    for i in range(1, n):
-        out[i] = out[i - 1] * x % p
-    return out
 
 
 def _extend_products(s: list[int], u: int, u_inv: int, p: int) -> list[int]:
@@ -204,44 +200,40 @@ def _extend_products(s: list[int], u: int, u_inv: int, p: int) -> list[int]:
     return [v * w % p for v in s for w in (u_inv, u)]
 
 
-def _folded_b(
-    challenges: Sequence[int], inv_challenges: Sequence[int], x: int, p: int
-) -> int:
-    """The fully folded ``b = (1, x, .., x^(n-1))``, i.e. ``sum_i s[i] *
-    x^i``, in O(k): the sum factors by the bits of ``i``, and round
-    ``j``, which splits on bit ``k-1-j``, contributes ``u_j^-1 + u_j *
-    x^(2^(k-1-j))``."""
-    out = 1
-    x_pow = x % p
-    for u, u_inv in zip(reversed(challenges), reversed(inv_challenges)):
-        out = out * (u_inv + u * x_pow) % p
-        x_pow = x_pow * x_pow % p
-    return out
+def _folded_b(s: Sequence[int], x: int, field: Field) -> int:
+    """The fully folded ``b = (L_0(x), .., L_{n-1}(x))``, i.e. ``sum_i
+    s[i] * L_i(x)``: O(n) field work and one batch inversion beside the
+    ``s`` vector the verifier builds anyway."""
+    n = len(s)
+    domain = EvaluationDomain(field, n.bit_length() - 1)
+    weights = domain.lagrange_basis_evals(x, n)
+    return sum(si * li for si, li in zip(s, weights)) % field.p
 
 
 def open_polynomial(
     params: PublicParams,
     transcript: Transcript,
-    coeffs: Sequence[int],
+    evals: Sequence[int],
     blind: int,
     x: int,
     field: Field,
 ) -> IpaProof:
     """Produce an opening proof for ``p(x)`` against the commitment made
-    with ``blind``.
+    with ``blind``, where ``evals`` are the values of ``p`` over the
+    size-``n`` domain (:func:`commit_lagrange`'s vector).
 
     The caller must already have absorbed the commitment, the point and
     the claimed evaluation into ``transcript`` (the verifier mirrors
     this), so the challenges bind the full statement.
     """
     with telemetry.span("ipa.open", n=params.n):
-        return _open_polynomial(params, transcript, coeffs, blind, x, field)
+        return _open_polynomial(params, transcript, evals, blind, x, field)
 
 
 def _open_polynomial(
     params: PublicParams,
     transcript: Transcript,
-    coeffs: Sequence[int],
+    evals: Sequence[int],
     blind: int,
     x: int,
     field: Field,
@@ -254,14 +246,13 @@ def _open_polynomial(
     (:func:`_extend_products`), so ``L`` is the same element as an MSM
     over ``params.g`` in which ``g[m * size + half + t]`` carries
     ``a_lo[t] * s[m]`` -- ``n / 2 + 2`` scalars against the parameter
-    set's ``MONOMIAL`` tables (``R`` likewise, low halves, ``a_hi``).
-    ``L``, ``R``, ``a`` and the blind are the elements the textbook
-    fold gives, so every proof byte is too.
+    set's tables (``R`` likewise, low halves, ``a_hi``).  ``L``, ``R``,
+    ``a`` and the blind are the elements the textbook fold gives.
     """
     p = field.p
     n = params.n
-    a = list(c % p for c in coeffs) + [0] * (n - len(coeffs))
-    b = _powers(x % p, n, p)
+    a = [v % p for v in _padded(params, evals)]
+    b = EvaluationDomain(field, params.k).lagrange_basis_evals(x, n)
     s = [1]
 
     xi = transcript.challenge_scalar(b"ipa-xi")
@@ -317,7 +308,8 @@ def reduce_opening(
     proof: IpaProof,
     field: Field,
 ) -> tuple[list[int], int, tuple[list[Point], list[int]]] | None:
-    """Run the cheap (logarithmic) part of opening verification.
+    """Run the cheap part of opening verification: the transcript, the
+    challenge products ``s`` and the folded ``b`` (O(n) field work).
 
     ``commitment`` is the opened commitment as the combination
     ``sum_i scalars[i] * bases[i]`` of a ``(bases, scalars)`` pair --
@@ -351,7 +343,7 @@ def reduce_opening(
     for u, u_inv in zip(challenges, inv_challenges):
         s = _extend_products(s, u, u_inv, p)
 
-    b_final = _folded_b(challenges, inv_challenges, x, p)
+    b_final = _folded_b(s, x, field)
 
     # a * b * xi * u + blind * w - (C + value * xi * u + sum_j u_j^2
     # L_j + u_j^-2 R_j): everything that is not msm(G, a * s).

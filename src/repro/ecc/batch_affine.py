@@ -3,8 +3,7 @@
 A Jacobian addition costs ~16 field multiplications because it dodges
 the inversion an affine addition needs.  But when *many* independent
 additions happen at once -- Pippenger bucket accumulation, fixed-base
-digit accumulation, table doubling, the lanes of the Lagrange-basis
-group FFT -- their inversions can share one
+digit accumulation, table doubling -- their inversions can share one
 Montgomery batch inversion: each affine addition then costs ~4 field
 multiplications plus an O(1) amortized share of a single inversion, less
 than a third of the Jacobian cost.

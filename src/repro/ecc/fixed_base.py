@@ -1,10 +1,10 @@
 """Fixed-base MSM over precomputed window tables.
 
 Every Pedersen/IPA commitment in a proving session is an MSM against
-the *same* bases: the public-parameter generators ``G_i`` (for a
-coefficient vector) or their Lagrange-basis images ``L_j`` (for a
-column's values over the evaluation domain), plus the blinding base
-``W`` and the inner-product base ``U``.  Those bases never change, so
+the *same* bases: the public-parameter generators ``G_i`` -- the
+Lagrange basis of the size-``n`` evaluation domain, so a vector is
+committed by its values on that domain -- plus the blinding base ``W``
+and the inner-product base ``U``.  Those bases never change, so
 the doubling chains that dominate a generic Pippenger run can be paid
 once: for window width ``c`` we precompute the shifted bases
 ``B[i][j] = 2^(j*c) * base_i`` for every window ``j``.
@@ -17,14 +17,13 @@ buckets are reduced with one batch-affine accumulation
 collapse finishes the job: the same batched addition folds the 255
 buckets into 15 + 15 half-digit sums, and only those go through a
 Jacobian running sum.  The unit of work is the
-*nonzero digit*, not the point: a 4-bit limb costs one bucket
-insertion where a full-width scalar costs 32, which is why columns are
-committed by their values against the Lagrange set
-(:func:`lagrange_bases`) rather than by their coefficients.
+*nonzero digit*, not the point: a 4-bit value costs one bucket
+insertion where a full-width scalar costs 32, which is why every
+column is committed by its values.
 
 Tables are keyed by the :meth:`~repro.commit.params.PublicParams.fingerprint`
-of the parameter set and the basis (``MONOMIAL`` / ``LAGRANGE``, whose
-layout is stated once, at the registry below).  A process-local
+of the parameter set (one table set per set; its layout is stated
+once, at the registry below).  A process-local
 registry serves repeat lookups (forked service runners inherit it);
 optionally an :class:`~repro.cache.ArtifactCache` attached via
 :func:`configure_cache` persists tables across runs next to the cached
@@ -41,11 +40,8 @@ import threading
 from typing import TYPE_CHECKING, Sequence
 
 from repro import telemetry
-from repro.algebra import fft_plan
-from repro.algebra.domain import EvaluationDomain
 from repro.cache import cache_key
-from repro.ecc import glv
-from repro.ecc.batch_affine import batch_add, batch_double, sum_affine_lists
+from repro.ecc.batch_affine import batch_double, sum_affine_lists
 from repro.ecc.curve import Curve, Point, curve_by_name, points_to_affine_tuples
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -219,17 +215,10 @@ def fixed_base_msm(
 
 # -- per-parameter-set table registry ----------------------------------------
 
-#: A parameter set has two table sets, one per basis a committed vector
-#: can be expressed in: ``MONOMIAL`` over ``g`` (coefficient vectors --
-#: quotient pieces, every IPA round's cross terms, the folded base) and
-#: ``LAGRANGE`` over :func:`lagrange_bases` (column values on the
-#: evaluation domain).
-#: Both hold ``n + 2`` bases: index ``i < n`` is ``g[i]`` / ``L[i]``,
-#: index ``n`` is the blinding base ``w`` and ``n + 1`` is ``u``.
-MONOMIAL = "g"
-LAGRANGE = "lagrange"
-
-_Key = tuple[str, str, int]  # (kind, params fingerprint, window width)
+#: A parameter set has one table set of ``n + 2`` bases: index ``i < n``
+#: is ``g[i]``, index ``n`` is the blinding base ``w`` and ``n + 1`` is
+#: ``u``.
+_Key = tuple[str, int]  # (params fingerprint, window width)
 
 #: Process-local tables.  A forked service runner inherits whatever
 #: the parent built before the fork (the service builds them when it
@@ -269,58 +258,10 @@ def clear_registry() -> None:
     _REGISTRY.clear()
 
 
-def lagrange_bases(params: "PublicParams") -> list:
-    """``L_j = sum_i (n^-1 * omega^(-i*j)) * g[i]``: the group inverse FFT
-    of ``params.g`` over the size-``n`` evaluation domain of the scalar
-    field, as affine points (``None`` for the identity).
-
-    By linearity ``sum_j e_j * L_j == sum_i c_i * g[i]`` whenever ``c``
-    is the inverse FFT of ``e``, so committing a column's *values*
-    against ``L`` gives the group element its coefficients give against
-    ``g`` -- without widening small values into full-width scalars.
-
-    Each butterfly stage is two batch-affine passes: one vectorised GLV
-    ladder (:func:`~repro.ecc.glv.batch_mul`) for all of its twiddle
-    products, one elementwise addition for all of its ``lo +- hi``.
-    ``n^-1`` rides on the last stage's twiddles (that stage scales its
-    ``lo`` too), which makes ``(k - 1) * n / 2 + 2`` products in all.
-    """
-    curve = params.curve
-    p = curve.field.p
-    order = curve.scalar_field.p
-    domain = EvaluationDomain(curve.scalar_field, params.k)
-    plan = fft_plan.plan_for(domain.size, domain.omega_inv, order)
-    n, n_inv = plan.n, domain.size_inv
-    coords = points_to_affine_tuples(list(params.g))
-    pts = [None if xy == (0, 0) else xy for xy in coords]
-    for i, j in plan.swaps:
-        pts[i], pts[j] = pts[j], pts[i]
-    length = 2
-    for ws in plan.stages:
-        half = length // 2
-        los = [start + i for start in range(0, n, length) for i in range(half)]
-        his = [j + half for j in los]
-        if length < n:
-            # hi of butterfly i takes ws[i]; ws[0] == 1 needs no product.
-            targets = [j for j in his if j % length != half]
-            twiddles = [ws[j % length - half] for j in targets]
-        else:
-            targets = los + his
-            twiddles = [n_inv] * half + [w * n_inv % order for w in ws]
-        scaled = glv.batch_mul(curve, [pts[j] for j in targets], twiddles)
-        for j, pt in zip(targets, scaled):
-            pts[j] = pt
-        lo = [pts[j] for j in los]
-        hi = [pts[j] for j in his]
-        neg_hi = [None if q is None else (q[0], p - q[1]) for q in hi]
-        for j, pt in zip(los + his, batch_add(p, lo + lo, hi + neg_hi)):
-            pts[j] = pt
-        length *= 2
-    return pts
-
-
 def _disk_key(key: _Key) -> str:
-    return cache_key("fixedbase-" + key[0], *key[1:])
+    # "g" names the base vector; entries written when a second,
+    # derived basis had tables of its own stay readable.
+    return cache_key("fixedbase-g", *key)
 
 
 def _lookup(key: _Key, shape: tuple[str, int] | None = None):
@@ -337,7 +278,7 @@ def _lookup(key: _Key, shape: tuple[str, int] | None = None):
                 tables = None
             if not (
                 isinstance(tables, FixedBaseTables)
-                and tables.c == key[2]
+                and tables.c == key[1]
                 and shape in (None, (tables.curve_name, len(tables)))
             ):
                 return None
@@ -348,16 +289,16 @@ def _lookup(key: _Key, shape: tuple[str, int] | None = None):
 
 
 def tables_for_params(
-    params: "PublicParams", c: int = FIXED_BASE_WINDOW, kind: str = MONOMIAL
+    params: "PublicParams", c: int = FIXED_BASE_WINDOW
 ) -> FixedBaseTables:
-    """The (cached) ``kind`` table set of ``params``.
+    """The (cached) table set of ``params``.
 
     Built on first use per parameter fingerprint -- once, however many
     threads ask at the same time -- registered in-process, and
     persisted through the attached artifact cache when one is
     configured.
     """
-    key = (kind, params.fingerprint(), c)
+    key = (params.fingerprint(), c)
     if key in _REGISTRY:
         return _lookup(key)
     with _LOCKS_GUARD:
@@ -365,12 +306,8 @@ def tables_for_params(
     with lock:
         tables = _lookup(key, (params.curve.name, params.n + 2))
         if tables is None:
-            extra = points_to_affine_tuples([params.w, params.u])
-            if kind == MONOMIAL:
-                bases = points_to_affine_tuples(list(params.g))
-            else:
-                bases = lagrange_bases(params)
-            tables = build_tables(params.curve, bases + extra, c)
+            bases = points_to_affine_tuples([*params.g, params.w, params.u])
+            tables = build_tables(params.curve, bases, c)
             _REGISTRY[key] = tables
             telemetry.incr("msm.fixed_base_table_builds")
             if _CACHE is not None:

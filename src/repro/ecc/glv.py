@@ -20,10 +20,8 @@ get ``None`` and callers fall back to plain scalars.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Sequence
 
 from repro import telemetry
-from repro.ecc.batch_affine import batch_add, batch_double
 
 
 class Endo:
@@ -185,60 +183,4 @@ def endo_mul(pt, n: int, endo: Endo):
         w2 = (a2 >> shift) & 0xF
         if w2:
             acc = acc + t2[w2 - 1]
-    return acc
-
-
-def batch_mul(curve, coords: list, scalars: Sequence[int]) -> list:
-    """Elementwise ``scalars[i] * coords[i]`` over affine points
-    (``None`` is the identity): :func:`endo_mul` for many lanes at once.
-
-    Every lane runs the same interleaved 4-bit window schedule over its
-    two GLV halves, so each doubling or addition step across all lanes
-    is one batch-affine pass sharing one inversion.  Same group element
-    as ``Point * scalar`` in every lane.
-    """
-    p = curve.field.p
-    order = curve.scalar_field.p
-    endo = curve_endo(curve)
-    if endo is not None:
-        telemetry.incr("msm.glv_splits", len(scalars))
-    base: list = []
-    a1s: list[int] = []
-    a2s: list[int] = []
-    flips: list[bool] = []
-    for pt, s in zip(coords, scalars):
-        s %= order
-        k1, k2 = decompose(endo, s) if endo is not None else (s, 0)
-        if pt is None or not s:
-            pt, k1, k2 = None, 0, 0
-        else:
-            pt = (pt[0], pt[1] if k1 >= 0 else p - pt[1])
-        base.append(pt)
-        a1s.append(abs(k1))
-        a2s.append(abs(k2))
-        flips.append((k1 >= 0) != (k2 >= 0))
-    m = len(base)
-    # rows[d][i] = d * base[i], row 0 the identity: the k1 half's window
-    # table.  The k2 half reads the same rows through the endomorphism,
-    # with the relative sign of the two halves folded in (without an
-    # endomorphism every k2 is 0 and reads the identity row).
-    rows = [[None] * m, base, batch_double(p, base)]
-    while len(rows) < 16:
-        rows.append(batch_add(p, rows[-1], base))
-    zeta = endo.zeta if endo is not None else 1
-    bits = max((a.bit_length() for a in a1s + a2s), default=0)
-    top = ((bits + 3) // 4) * 4 - 4
-    acc: list = [None] * m
-    for shift in range(top, -1, -4):
-        if shift != top:
-            for _ in range(4):
-                acc = batch_double(p, acc)
-        k1_terms = [rows[(a >> shift) & 15][i] for i, a in enumerate(a1s)]
-        acc = batch_add(p, acc, k1_terms)
-        k2_rows = [rows[(a >> shift) & 15][i] for i, a in enumerate(a2s)]
-        k2_terms = [
-            None if q is None else (zeta * q[0] % p, p - q[1] if flip else q[1])
-            for q, flip in zip(k2_rows, flips)
-        ]
-        acc = batch_add(p, acc, k2_terms)
     return acc

@@ -88,6 +88,10 @@ class VerifyingKey:
     #: every expression the constraint identity reads, compiled once
     #: (gates first, in fold order)
     program: Program
+    #: :func:`keygen_fingerprint` of the parameters, the circuit shape
+    #: (gates, lookups, shuffles, copies), the fixed values and ``k``;
+    #: the proof transcript absorbs it first
+    fingerprint: str
 
     @property
     def n_rows(self) -> int:
@@ -239,6 +243,7 @@ def _key_columns(
         program=Program(
             gate_expressions(cs) + argument_expressions(cs, arguments), field.p
         ),
+        fingerprint=keygen_fingerprint(fit_params, cs, field, k, fixed),
     )
     return values, commitments, vk
 
@@ -286,8 +291,10 @@ def keygen(
 #: Versions what a pickled key *holds* for the same inputs: cached keys
 #: whose extended_evals were laid out over a domain of another size,
 #: whose vk has no lookup arguments, (v3) which lack their fixed
-#: columns or (v4) their compiled program must miss, not load.
-_FINGERPRINT_TAG = b"expression-program-v5|"
+#: columns, (v4) their compiled program or (v5) their own fingerprint,
+#: or whose commitments were made over another basis, must miss, not
+#: load.
+_FINGERPRINT_TAG = b"lagrange-generators-v6|"
 
 
 def keygen_fingerprint(
@@ -298,14 +305,15 @@ def keygen_fingerprint(
     Used as the artifact-cache key for proving keys: any change to the
     circuit shape, its fixed values, the parameter set, the field, or
     the row count lands in a different cache entry (that *is* the
-    invalidation mechanism).
+    invalidation mechanism).  Over the parameters the key is built on,
+    it is also :attr:`VerifyingKey.fingerprint`, which binds the proof
+    transcript to the whole statement.
     """
     import hashlib
 
     h = hashlib.blake2b(digest_size=20)
     h.update(_FINGERPRINT_TAG)
-    h.update(f"{params.curve.name}|{params.k}|{field.p}|{k}|".encode())
-    h.update(params.g[0].to_bytes())
+    h.update(f"{params.fingerprint()}|{field.p}|{k}|".encode())
     h.update(cs.fingerprint().encode())
     for column in fixed:
         h.update(b"|" + ",".join(map(str, column)).encode())

@@ -17,7 +17,8 @@ are ``x1 x2 [f] x3 [q_evals] x4``:
 - at ``x3`` the prover sends every ``q_i(x3)``, from which the verifier
   computes what ``f(x3)`` has to be -- from scalars alone;
 - ``x4`` folds ``f + sum_i x4^(i+1) q_i``, opened at ``x3`` by one
-  :func:`~repro.commit.ipa.open_polynomial`.  The verifier never sums
+  :func:`~repro.commit.ipa.open_polynomial` of its values on the
+  domain.  The verifier never sums
   its commitment: ``[f]`` and every claimed commitment are terms of
   the IPA reduction (:func:`~repro.commit.ipa.reduce_opening`), beside
   the opening's own points, and the accumulator settles them with
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
 from repro.algebra.poly import divide_by_linear, evaluate_coeffs
 from repro.commit.ipa import IpaProof, commit_polynomial, open_polynomial
@@ -88,7 +90,9 @@ def multi_open(
     IPA proof)``.
 
     The claims' commitments and evaluations must already be in the
-    transcript (the main protocol absorbed them).  The division by
+    transcript (the main protocol absorbed them).  Polynomials stay in
+    coefficient form here; ``f`` and the opened combination each pass
+    through one size-``n`` FFT, to be committed or opened by value.  The division by
     ``prod (X - s)`` is exact for true claims; a remainder is dropped,
     and the verifier's ``f(x3)`` then disagrees with the opening.
     """
@@ -124,8 +128,9 @@ def multi_open(
         x4_power = x4_power * x4 % p
         final = [(a + x4_power * c) % p for a, c in zip(final, q)]
         final_blind = (final_blind + x4_power * blind) % p
+    values = EvaluationDomain(field, params.k).fft(final)
     return f_commitment, q_evals, open_polynomial(
-        params, transcript, final, final_blind, x3, field
+        params, transcript, values, final_blind, x3, field
     )
 
 

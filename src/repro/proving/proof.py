@@ -7,7 +7,7 @@ kind, the shape the verifying key pins for it, its transcript label and
 the round whose message it belongs to.  Everything that has to agree
 on that list walks it instead of re-typing it:
 
-- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB4`` wire
+- :meth:`Proof.to_bytes` / :meth:`Proof.from_bytes` (the ``PDB5`` wire
   codec) and :meth:`Proof.size_bytes`;
 - :meth:`Proof.has_shape`, the structural check that opens
   ``verify_proof``;
@@ -23,7 +23,7 @@ verifier only ever receives bytes, so :meth:`Proof.from_bytes` is the
 strict gate every remote proof passes through.  Decoding enforces (via
 :class:`repro.wire.ByteReader`):
 
-- the ``PDB4`` version header;
+- the ``PDB5`` version header;
 - element counts that match the verifying key's circuit shape exactly
   and are length-checked against the remaining bytes before any
   allocation (the quotient-chunk count alone is bounded, not pinned);
@@ -50,7 +50,7 @@ from repro.plonkish.constraint_system import helper_column_count
 from repro.wire import ByteReader, SCALAR_BYTES, WireFormatError, point_wire_size
 
 #: Wire-format version header; bump when the layout changes.
-WIRE_MAGIC = b"PDB4"
+WIRE_MAGIC = b"PDB5"
 
 #: The round whose message is the evaluations at ``x``.
 EVALUATION_ROUND = 5
@@ -310,7 +310,7 @@ TRANSCRIPT_ORDER = tuple(
 
 
 def wire_layout() -> str:
-    """The ``PDB4`` layout, one line per schema row (DESIGN.md 5c
+    """The ``PDB5`` layout, one line per schema row (DESIGN.md 5c
     carries this text; a tier-1 test keeps the two equal)."""
     rows = [
         f"{section.attr:<26}: u32 count, {section.kind}  # {section.pinned_to}"
@@ -383,7 +383,7 @@ class Proof:
         return len(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        """Canonical wire serialization (format ``PDB4``).
+        """Canonical wire serialization (format ``PDB5``).
 
         Scalars are reduced into the scalar field before encoding, so a
         residue has exactly one byte representation; the strict inverse

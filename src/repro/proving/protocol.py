@@ -70,8 +70,11 @@ def collect_queries(vk: VerifyingKey) -> QuerySet:
 
 def init_transcript(vk: VerifyingKey, instance: list[list[int]]) -> Transcript:
     """Create the protocol transcript and bind it to the verifying key
-    and the public instance values."""
+    and the public instance values.  The key's fingerprint goes first:
+    it covers the gates, lookups, shuffles and copies, which no
+    commitment below does."""
     tr = Transcript(b"poneglyphdb-proof-v1", vk.field)
+    tr.absorb_bytes(b"vk", bytes.fromhex(vk.fingerprint))
     tr.absorb_scalar(b"k", vk.k)
     tr.absorb_scalar(b"usable", vk.usable_rows)
     tr.absorb_points(b"vk-fixed", vk.fixed_commitments)

@@ -190,8 +190,8 @@ class ProvingService:
     def _warm_start(self) -> None:
         """Pre-build shared process-wide artifacts before taking jobs.
 
-        Both fixed-base MSM table sets are keyed by the session's public
-        parameters and shared by every worker, so building them once
+        The fixed-base MSM table set is keyed by the session's public
+        parameters and shared by every worker, so building it once
         here (registry -> disk cache -> fresh build) keeps the first
         job's latency in line with steady state -- also for a service
         that replays a journal before anyone committed in this process.
@@ -200,8 +200,7 @@ class ProvingService:
         first commitment.
         """
         try:
-            for kind in (fixed_base.MONOMIAL, fixed_base.LAGRANGE):
-                fixed_base.tables_for_params(self.session.params, kind=kind)
+            fixed_base.tables_for_params(self.session.params)
         except (OSError, MemoryError):
             telemetry.incr("service.warm_start_errors")
             logger.warning("fixed-base table warm start failed", exc_info=True)

@@ -19,6 +19,7 @@ import pytest
 
 from repro import PoneglyphDB, ProverConfig
 from repro.algebra import Polynomial, SCALAR_FIELD
+from repro.algebra.domain import EvaluationDomain
 from repro.commit import commit_polynomial, open_polynomial, setup
 from repro.errors import StateError, WireFormatError
 from repro.proving.aggregate import (
@@ -240,7 +241,8 @@ def _defer_real_opening(acc, params, value_offset=0):
     x = F.rand()
     value = (Polynomial(F, coeffs).evaluate(x) + value_offset) % F.p
     tp = Transcript(b"t")
-    proof = open_polynomial(params, tp, coeffs, blind, x, F)
+    values = EvaluationDomain(F, params.k).fft(coeffs)
+    proof = open_polynomial(params, tp, values, blind, x, F)
     tv = Transcript(b"t")
     return acc.defer_opening(params, tv, ([commitment], [1]), x, value, proof, F)
 

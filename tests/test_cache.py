@@ -138,7 +138,7 @@ class TestArtifactCache:
             before = telemetry.counters_snapshot().get("cache.write_errors", 0)
             cache.put_bytes("x", b"abc")
             params, hit1 = cached_setup(cache, 2, label=b"unwritable")
-            tables = fixed_base.tables_for_params(params, kind=fixed_base.LAGRANGE)
+            tables = fixed_base.tables_for_params(params)
             after = telemetry.counters_snapshot().get("cache.write_errors", 0)
         finally:
             telemetry.enable(was_enabled)

@@ -1,13 +1,19 @@
 """IPA polynomial commitment: hiding/binding behaviour, open/verify,
-proof sizes, and the deferred (accumulated) verification path."""
+proof sizes, and the deferred (accumulated) verification path.
+
+A polynomial is committed and opened by its values on the size-``n``
+domain (``params.g`` is the Lagrange basis); the tests write it down by
+its coefficients and take the values through one FFT."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import Polynomial, SCALAR_FIELD
+from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import deterministic_rng
 from repro.commit import (
+    commit_lagrange,
     commit_polynomial,
     open_polynomial,
     pedersen_commit,
@@ -27,6 +33,11 @@ from tests.msm_oracle import msm_naive
 F = SCALAR_FIELD
 
 
+def _values(params, coeffs):
+    """The values over ``params``' domain that the IPA opens."""
+    return EvaluationDomain(F, params.k).fft(list(coeffs))
+
+
 def _open_and_verify(params, coeffs, x, tamper=None):
     blind = F.rand()
     commitment = commit_polynomial(params, coeffs, blind)
@@ -35,7 +46,7 @@ def _open_and_verify(params, coeffs, x, tamper=None):
     tp.absorb_point(b"c", commitment)
     tp.absorb_scalar(b"x", x)
     tp.absorb_scalar(b"v", value)
-    proof = open_polynomial(params, tp, coeffs, blind, x, F)
+    proof = open_polynomial(params, tp, _values(params, coeffs), blind, x, F)
     if tamper:
         commitment, x, value, proof = tamper(commitment, x, value, proof)
     tv = Transcript(b"t")
@@ -100,6 +111,39 @@ class TestIpaOpening:
     def test_constant_polynomial(self, params_k6):
         assert _open_and_verify(params_k6, [42], 7)
 
+    @pytest.mark.parametrize("row", [0, 1, 37, 63])
+    def test_point_in_the_domain(self, params_k6, rng, row):
+        # L_i(omega^j) = [i == j]: b is a unit vector and the claimed
+        # value is the committed value at that row.
+        coeffs = [rng.randrange(F.p) for _ in range(40)]
+        x = pow(EvaluationDomain(F, params_k6.k).omega, row, F.p)
+        assert _open_and_verify(params_k6, coeffs, x)
+
+        def tamper(c, x, v, proof):
+            return c, x, (v + 1) % F.p, proof
+
+        assert not _open_and_verify(params_k6, coeffs, x, tamper)
+
+    def test_truncated_params(self, params_k6, rng):
+        # The first 2^k generators are the Lagrange basis of the
+        # size-2^k domain.
+        small = params_k6.truncated(4)
+        coeffs = [rng.randrange(F.p) for _ in range(16)]
+        for x in (F.rand(), pow(EvaluationDomain(F, 4).omega, 5, F.p)):
+            assert _open_and_verify(small, coeffs, x)
+
+            def tamper(c, x, v, proof):
+                return c, x, (v + 1) % F.p, proof
+
+            assert not _open_and_verify(small, coeffs, x, tamper)
+
+    def test_commitment_is_the_naive_msm_over_g(self, params_k6, rng):
+        coeffs = [rng.randrange(F.p) for _ in range(64)]
+        values, blind = _values(params_k6, coeffs), F.rand()
+        expected = msm_naive([*params_k6.g, params_k6.w], [*values, blind])
+        assert commit_lagrange(params_k6, values, blind) == expected
+        assert commit_polynomial(params_k6, coeffs, blind) == expected
+
     def test_wrong_value_rejected(self, params_k6, rng):
         coeffs = [rng.randrange(F.p) for _ in range(20)]
 
@@ -139,11 +183,14 @@ class TestIpaOpening:
         # The round count, 2 points per round, k rounds, plus 2 scalars.
         for k in (2, 4):
             params = setup(k)
-            coeffs = [3] * (1 << k)
+            values = [3] * (1 << k)  # the constant 3
             blind = F.rand()
-            commitment = commit_polynomial(params, coeffs, blind)
+            commitment = commit_lagrange(params, values, blind)
             tp = Transcript(b"t")
-            proof = open_polynomial(params, tp, coeffs, blind, 5, F)
+            proof = open_polynomial(params, tp, values, blind, 5, F)
+            assert verify_opening(
+                params, Transcript(b"t"), commitment, 5, 3, proof, F
+            )
             assert len(proof.rounds) == k
             assert len(proof.to_bytes()) == 4 + 2 * k * 64 + 64
 
@@ -156,16 +203,17 @@ class TestIpaOpening:
         assert data == proof.to_bytes()  # deterministic
 
 
-def _open_two_scalar_fold(params, transcript, coeffs, blind, x):
+def _open_two_scalar_fold(params, transcript, values, blind, x):
     """The protocol as the module docstring states it -- the base is
     folded ``u^-1 * g_lo + u * g_hi`` by per-element scalar
     multiplication, every ``L`` / ``R`` a generic MSM over the folded
-    base -- as the oracle for the prover, which never materialises the
-    folded base and takes every ``L`` / ``R`` from the parameter set's
-    fixed-base tables."""
+    base, ``b`` one Lagrange basis value at a time -- as the oracle for
+    the prover, which never materialises the folded base and takes
+    every ``L`` / ``R`` from the parameter set's fixed-base tables."""
     p, n = F.p, params.n
-    a = [c % p for c in coeffs] + [0] * (n - len(coeffs))
-    b = [pow(x, i, p) for i in range(n)]
+    a = [c % p for c in values] + [0] * (n - len(values))
+    domain = EvaluationDomain(F, params.k)
+    b = [domain.lagrange_basis_eval(i, x) for i in range(n)]
     g = list(params.g)
     u_prime = params.u * transcript.challenge_scalar(b"ipa-xi")
     r = blind % p
@@ -203,16 +251,18 @@ class TestFixedBaseRounds:
             ),
             pytest.param(5, 11, "random", "random", id="short"),  # zero-padded
             pytest.param(5, 32, 0, "random", id="x0"),
+            pytest.param(5, 32, 1, "random", id="x-in-domain"),
             pytest.param(5, 32, "random", 0, id="blind0"),
         ],
     )
     def test_same_bytes_as_the_two_scalar_fold(self, k, length, x, blind, rng):
         params = setup(k)
-        coeffs = [rng.randrange(F.p) for _ in range(length)]
+        values = [rng.randrange(F.p) for _ in range(length)]
         blind = rng.randrange(F.p) if blind == "random" else blind
         x = rng.randrange(F.p) if x == "random" else x
-        commitment = commit_polynomial(params, coeffs, blind)
-        value = Polynomial(F, coeffs).evaluate(x)
+        commitment = commit_lagrange(params, values, blind)
+        padded = values + [0] * (params.n - length)
+        value = Polynomial(F, EvaluationDomain(F, k).ifft(padded)).evaluate(x)
 
         def transcript():
             t = Transcript(b"pinned")
@@ -222,22 +272,26 @@ class TestFixedBaseRounds:
             return t
 
         with deterministic_rng(0x1FA):
-            proof = open_polynomial(params, transcript(), coeffs, blind, x, F)
+            proof = open_polynomial(params, transcript(), values, blind, x, F)
         with deterministic_rng(0x1FA):
-            oracle = _open_two_scalar_fold(params, transcript(), coeffs, blind, x)
+            oracle = _open_two_scalar_fold(params, transcript(), values, blind, x)
         assert proof.to_bytes() == oracle.to_bytes()
         assert verify_opening(params, transcript(), commitment, x, value, proof, F)
 
 
 class TestVerifierFold:
-    """``reduce_opening`` builds ``s`` round by round and evaluates the
-    folded ``b`` as a product over rounds; the oracles are the O(n k)
-    bit loop and the O(n) sum those replace."""
+    """``reduce_opening`` builds ``s`` round by round and folds ``b``
+    against one batch of Lagrange basis values; the oracles are the
+    O(n k) bit loop and one basis value (one inversion) at a time."""
 
     @given(
         st.integers(1, 8),
         st.lists(st.integers(1, F.p - 1), min_size=8, max_size=8),
-        st.one_of(st.just(0), st.integers(0, F.p - 1)),
+        st.one_of(
+            st.just(0),
+            st.integers(0, F.p - 1),
+            st.integers(0, 255).map(lambda row: ("row", row)),
+        ),
     )
     @settings(max_examples=25, deadline=None)
     def test_products_and_b_match_the_per_bit_oracle(self, k, us, x):
@@ -255,8 +309,13 @@ class TestVerifierFold:
         for u, u_inv in zip(challenges, inverses):
             s = _extend_products(s, u, u_inv, p)
         assert s == expected
-        b = sum(si * pow(x, i, p) for i, si in enumerate(expected)) % p
-        assert _folded_b(challenges, inverses, x, p) == b
+        domain = EvaluationDomain(F, k)
+        if isinstance(x, tuple):  # a domain element: L_i(x) = [i == row]
+            x = pow(domain.omega, x[1], p)
+        b = sum(
+            si * domain.lagrange_basis_eval(i, x) for i, si in enumerate(expected)
+        ) % p
+        assert _folded_b(s, x, F) == b
 
 
 class TestDeferredVerification:
@@ -267,7 +326,9 @@ class TestDeferredVerification:
         x = F.rand()
         value = Polynomial(F, coeffs).evaluate(x)
         tp = Transcript(b"t")
-        proof = open_polynomial(params_k6, tp, coeffs, blind, x, F)
+        proof = open_polynomial(
+            params_k6, tp, _values(params_k6, coeffs), blind, x, F
+        )
         tv = Transcript(b"t")
         reduced = reduce_opening(
             params_k6, tv, ([commitment], [1]), x, value, proof, F
@@ -283,7 +344,9 @@ class TestDeferredVerification:
             x = F.rand()
             value = Polynomial(F, coeffs).evaluate(x)
             tp = Transcript(b"t")
-            proof = open_polynomial(params_k6, tp, coeffs, blind, x, F)
+            proof = open_polynomial(
+                params_k6, tp, _values(params_k6, coeffs), blind, x, F
+            )
             tv = Transcript(b"t")
             assert acc.defer_opening(
                 params_k6, tv, ([commitment], [1]), x, value, proof, F
@@ -298,7 +361,9 @@ class TestDeferredVerification:
         commitment = commit_polynomial(params_k6, coeffs, blind)
         x = F.rand()
         tp = Transcript(b"t")
-        proof = open_polynomial(params_k6, tp, coeffs, blind, x, F)
+        proof = open_polynomial(
+            params_k6, tp, _values(params_k6, coeffs), blind, x, F
+        )
         wrong_value = (Polynomial(F, coeffs).evaluate(x) + 1) % F.p
         tv = Transcript(b"t")
         assert acc.defer_opening(
@@ -316,7 +381,9 @@ class TestDeferredVerification:
         commitment = commit_polynomial(params_k6, coeffs, blind)
         x = F.rand()
         value = Polynomial(F, coeffs).evaluate(x)
-        proof = open_polynomial(params_k6, Transcript(b"t"), coeffs, blind, x, F)
+        proof = open_polynomial(
+            params_k6, Transcript(b"t"), _values(params_k6, coeffs), blind, x, F
+        )
         for offset in (1, -1):
             assert acc.defer_opening(
                 params_k6, Transcript(b"t"), ([commitment], [1]), x,
@@ -337,7 +404,9 @@ class TestDeferredVerification:
         assert advice == db + params.w * delta
         x = F.rand()
         value = Polynomial(F, coeffs).evaluate(x)
-        proof = open_polynomial(params, Transcript(b"t"), coeffs, shifted, x, F)
+        proof = open_polynomial(
+            params, Transcript(b"t"), _values(params, coeffs), shifted, x, F
+        )
         acc = Accumulator(params, F)
         assert acc.defer_opening(
             params, Transcript(b"t"), ([advice], [1]), x, value, proof, F

@@ -1,13 +1,12 @@
-"""Lagrange-basis commitments: same group elements as the coefficient path.
+"""Value commitments over the hashed Lagrange generators.
 
-Columns are committed by their *values* against the Lagrange-basis
-generators (``commit_lagrange``); the coefficient path
-(``commit_polynomial(ifft(values))``) stays as the oracle.  These tests
-pin the equivalence on every scalar-width shape, the basis itself
-against ``msm_naive`` and against the Jacobian group FFT it replaced
-(with the number of scalar products a cold build makes), the
-per-parameter-set table registry (truncated views, distrusted disk
-entries, single-flight builds).
+``params.g`` is the Lagrange basis of the size-``n`` domain, so a
+column is committed by its *values* (``commit_lagrange``) and data born
+as coefficients goes through one FFT first (``commit_polynomial``).
+These tests pin both against ``msm_naive`` over ``params.g`` on every
+scalar-width shape, the table set (layout, no scalar product in a cold
+build) and the per-parameter-set registry (truncated views, distrusted
+disk entries, single-flight builds).
 """
 
 import pickle
@@ -18,7 +17,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.algebra import SCALAR_FIELD, backend, fft_plan
+from repro.algebra import SCALAR_FIELD, backend
 from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.algebra.domain import EvaluationDomain
 from repro.cache import ArtifactCache
@@ -59,37 +58,9 @@ def _vectors(n: int, rng: random.Random) -> dict[str, list[int]]:
     }
 
 
-def _jacobian_lagrange_bases(params):
-    """The group inverse FFT as it ran on Jacobian ``Point`` arithmetic:
-    one ``endo_mul`` per nontrivial twiddle, then ``n`` more for ``n^-1``."""
-    domain = EvaluationDomain(params.curve.scalar_field, params.k)
-    plan = fft_plan.plan_for(domain.size, domain.omega_inv, domain.field.p)
-    pts = list(params.g)
-    for i, j in plan.swaps:
-        pts[i], pts[j] = pts[j], pts[i]
-    length = 2
-    for ws in plan.stages:
-        half = length // 2
-        for start in range(0, plan.n, length):
-            for i in range(half):
-                lo = pts[start + i]
-                hi = pts[start + i + half]
-                if i:  # ws[0] == 1
-                    hi = hi * ws[i]
-                pts[start + i] = lo + hi
-                pts[start + i + half] = lo - hi
-        length *= 2
-    return [pt * domain.size_inv for pt in pts]
-
-
-def _affine(points):
-    return [None if pt.is_identity() else pt.to_affine() for pt in points]
-
-
 def _oracle(params, evals, blind):
-    domain = EvaluationDomain(SCALAR_FIELD, params.k)
-    padded = list(evals) + [0] * (params.n - len(evals))
-    return commit_polynomial(params, domain.ifft(padded), blind)
+    """``<evals, g> + blind * w`` by the textbook MSM."""
+    return msm_naive([*params.g[: len(evals)], params.w], [*evals, blind])
 
 
 @pytest.fixture()
@@ -110,18 +81,23 @@ class TestEquivalence:
     @pytest.mark.parametrize("engine", ["python", "numpy"])
     @pytest.mark.parametrize("k", [3, 5, 6])
     def test_matches_coefficient_path(self, params_k6, k, engine, monkeypatch):
+        """Values, and the coefficients they interpolate through the
+        FFT, commit to the naive MSM over ``g``."""
         if engine == "numpy":
             if not numpy_limb.available():
                 pytest.skip("numpy not installed")
             monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
         params = params_k6.truncated(k)
+        domain = EvaluationDomain(SCALAR_FIELD, k)
         rng = random.Random(k)
         with backend.backend(engine):
             for shape, evals in _vectors(params.n, rng).items():
                 blind = rng.randrange(P)
-                assert commit_lagrange(params, evals, blind) == _oracle(
-                    params, evals, blind
-                ), shape
+                expected = _oracle(params, evals, blind)
+                assert commit_lagrange(params, evals, blind) == expected, shape
+                padded = evals + [0] * (params.n - len(evals))
+                coeffs = domain.ifft(padded)
+                assert commit_polynomial(params, coeffs, blind) == expected, shape
 
     def test_batched_matches_single(self, params_k6):
         rng = random.Random(5)
@@ -133,89 +109,67 @@ class TestEquivalence:
     def test_oversized_vector_rejected(self, params_k6):
         with pytest.raises(ValueError):
             commit_lagrange(params_k6, [1] * (params_k6.n + 1), 0)
+        with pytest.raises(ValueError):
+            commit_polynomial(params_k6, [1] * (params_k6.n + 1), 0)
 
     def test_narrow_values_stay_narrow(self, params_k6, counters):
-        """The point of the exercise: the same column costs far fewer
-        bucket insertions as values than as coefficients."""
+        """The point of committing values: a 4-bit column costs far
+        fewer bucket insertions than a full-width one."""
         rng = random.Random(9)
-        evals = _vectors(params_k6.n, rng)["mixed"]
-        coeffs = EvaluationDomain(SCALAR_FIELD, 6).ifft(evals)
+        vectors = _vectors(params_k6.n, rng)
         before = counters("msm.fixed_base_digits")
-        commit_lagrange(params_k6, evals, 1)
-        as_values = counters("msm.fixed_base_digits") - before
-        commit_polynomial(params_k6, coeffs, 1)
-        as_coeffs = counters("msm.fixed_base_digits") - before - as_values
+        commit_lagrange(params_k6, vectors["mixed"], 1)
+        narrow = counters("msm.fixed_base_digits") - before
+        commit_lagrange(params_k6, vectors["wide"], 1)
+        wide = counters("msm.fixed_base_digits") - before - narrow
         # 60 one-digit rows + 4 blinding rows + the blind, against 65
         # full-width scalars of ~32 digits each.
-        assert as_values <= 60 + 5 * 32
-        assert as_coeffs > 8 * as_values
+        assert narrow <= 60 + 5 * 32
+        assert wide > 8 * narrow
 
 
-class TestBasis:
-    def test_each_generator_is_a_row_of_the_inverse_dft(self):
-        params = setup(3)
-        domain = EvaluationDomain(SCALAR_FIELD, 3)
-        basis = fixed_base.lagrange_bases(params)
-        assert len(basis) == params.n
-        for j, generator in enumerate(basis):
-            row = [
-                domain.size_inv * pow(domain.omega_inv, i * j, P) % P
-                for i in range(params.n)
-            ]
-            assert generator == msm_naive(params.g, row).to_affine()
-
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_matches_the_jacobian_group_fft(self, k):
-        params = setup(k, label=b"lagrange-fft")
-        assert fixed_base.lagrange_bases(params) == _affine(
-            _jacobian_lagrange_bases(params)
+class TestTables:
+    def test_cold_build_makes_no_scalar_product(self, registry_only, counters):
+        """The table set is ``g``, ``w`` and ``u`` doubled: no basis is
+        derived, so a cold build makes no GLV product."""
+        params = setup(7, label=b"cold-products")
+        before = counters("msm.glv_splits"), counters(BUILDS)
+        tables = fixed_base.tables_for_params(params)
+        assert (counters("msm.glv_splits"), counters(BUILDS)) == (
+            before[0], before[1] + 1
         )
-
-    def test_matches_the_jacobian_group_fft_on_a_truncated_view(self, params_k6):
-        small = params_k6.truncated(4)
-        assert fixed_base.lagrange_bases(small) == _affine(
-            _jacobian_lagrange_bases(small)
+        assert [row[0] for row in tables.tables] == points_to_affine_tuples(
+            [*params.g, params.w, params.u]
         )
-
-    @pytest.mark.parametrize("k", [3, 7])
-    def test_cold_build_scalar_products(self, k, registry_only, counters):
-        """One GLV product per nontrivial twiddle with ``n^-1`` folded
-        into the last stage: ``(k - 1) * n / 2 + 2`` (386 at k=7, where
-        a separate ``n^-1`` pass made 449)."""
-        params = setup(k, label=b"cold-products")
-        before = counters("msm.glv_splits")
-        fixed_base.tables_for_params(params, kind=fixed_base.LAGRANGE)
-        assert counters("msm.glv_splits") - before == (k - 1) * params.n // 2 + 2
 
     def test_table_layout(self, params_k6):
-        """Index n is w and n + 1 is u, in both table sets."""
+        """Index n is w and n + 1 is u."""
         n = params_k6.n
-        for kind in (fixed_base.MONOMIAL, fixed_base.LAGRANGE):
-            tables = fixed_base.tables_for_params(params_k6, kind=kind)
-            assert len(tables) == n + 2
-            got = fixed_base.fixed_base_msm(tables, [3, 5], [n, n + 1])
-            assert got == params_k6.w * 3 + params_k6.u * 5
+        tables = fixed_base.tables_for_params(params_k6)
+        assert len(tables) == n + 2
+        got = fixed_base.fixed_base_msm(tables, [3, 5], [n, n + 1])
+        assert got == params_k6.w * 3 + params_k6.u * 5
 
 
 class TestRegistry:
     def test_truncated_params_get_their_own_tables(self, params_k6):
         small = params_k6.truncated(4)
-        full = fixed_base.tables_for_params(params_k6, kind=fixed_base.LAGRANGE)
-        own = fixed_base.tables_for_params(small, kind=fixed_base.LAGRANGE)
+        full = fixed_base.tables_for_params(params_k6)
+        own = fixed_base.tables_for_params(small)
         assert own is not full and len(own) == small.n + 2
-        # L_j of the 16-row domain is not a prefix of the 64-row basis.
-        assert own.tables[1] != full.tables[1]
+        # The 16-row basis is the first 16 generators; w and u follow.
+        assert own.tables[: small.n] == full.tables[: small.n]
+        assert own.tables[small.n] == full.tables[params_k6.n]
         evals = [7] * small.n
         assert commit_lagrange(small, evals, 3) == _oracle(small, evals, 3)
 
-    @pytest.mark.parametrize("kind", [fixed_base.MONOMIAL, fixed_base.LAGRANGE])
     def test_untrustworthy_disk_entry_is_rebuilt(
-        self, kind, tmp_path, monkeypatch, counters
+        self, tmp_path, monkeypatch, counters
     ):
-        params = setup(3, label=b"disk-" + kind.encode())
+        params = setup(3, label=b"disk")
         cache = ArtifactCache(tmp_path)
         monkeypatch.setattr(fixed_base, "_CACHE", cache)
-        key = (kind, params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
+        key = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
         wrong_shape = fixed_base.build_tables(
             params.curve, points_to_affine_tuples(params.g[:2])
         )
@@ -223,21 +177,20 @@ class TestRegistry:
             fixed_base._REGISTRY.pop(key, None)
             cache.put_bytes(fixed_base._disk_key(key), stale)
             before = counters(BUILDS)
-            tables = fixed_base.tables_for_params(params, kind=kind)
+            tables = fixed_base.tables_for_params(params)
             assert counters(BUILDS) == before + 1
             assert len(tables) == params.n + 2
         # The rebuild replaced the entry: a cold registry now loads it.
         fixed_base._REGISTRY.pop(key)
         before = counters(BUILDS)
-        reloaded = fixed_base.tables_for_params(params, kind=kind)
+        reloaded = fixed_base.tables_for_params(params)
         assert counters(BUILDS) == before
         assert reloaded.tables == tables.tables
 
-    @pytest.mark.parametrize("kind", [fixed_base.MONOMIAL, fixed_base.LAGRANGE])
     def test_concurrent_cold_lookups_build_once(
-        self, kind, registry_only, monkeypatch, counters
+        self, registry_only, monkeypatch, counters
     ):
-        params = setup(3, label=b"single-flight-" + kind.encode())
+        params = setup(3, label=b"single-flight")
         real_build = fixed_base.build_tables
 
         def slow_build(*args, **kwargs):
@@ -250,7 +203,7 @@ class TestRegistry:
 
         def worker():
             barrier.wait()
-            results.append(fixed_base.tables_for_params(params, kind=kind))
+            results.append(fixed_base.tables_for_params(params))
 
         before = counters(BUILDS)
         threads = [threading.Thread(target=worker) for _ in range(2)]
@@ -263,9 +216,10 @@ class TestRegistry:
 
 
 class TestDatabaseCommitment:
-    def test_audit_accepts_the_coefficient_path_commitment(self, params_k6):
-        """A commitment published by the coefficient-path code (the
-        parent commit's, reproduced here as the oracle) still audits."""
+    def test_audit_accepts_the_naive_msm_commitment(self, params_k6):
+        """A commitment whose column points come from the textbook MSM
+        over the padded values is byte for byte the published one, and
+        audits."""
         db = Database()
         db.create_table(
             TableSchema("t", [ColumnDef("a", INT), ColumnDef("b", DECIMAL)]),

@@ -5,10 +5,13 @@ variable; a variable the library reads but the table omits, or one the
 table lists but nothing reads any more, fails here.  Every command the
 docs and CI quote runs something that exists, and every ``--flag``
 quoted after a script is one its parser defines.  Nothing outside
-ROADMAP.md and CHANGES.md cites ROADMAP's numbered items.
+ROADMAP.md and CHANGES.md cites ROADMAP's numbered items.  README's
+numpy-engine table is the kernel record rendered, not a transcript.
 """
 
 import ast
+import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -46,6 +49,15 @@ def test_readme_environment_table_matches_the_code():
     documented = _names_in_the_readme_table()
     assert documented == _names_read_by_the_library()
     assert "REPRO_TELEMETRY" in documented
+
+
+def test_readme_engine_table_is_the_kernel_record():
+    path = ROOT / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    record = json.loads(bench.RECORD.read_text())
+    assert bench.readme_table(record) in (ROOT / "README.md").read_text()
 
 
 #: A pointer into ROADMAP's numbered list goes stale when the list is

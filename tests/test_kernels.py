@@ -25,7 +25,7 @@ from repro import telemetry
 from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.fft_plan import NttPlan, ntt_in_place, plan_for
-from repro.commit.ipa import commit_polynomial, commit_polynomials
+from repro.commit.ipa import commit_lagrange, commit_polynomial, commit_polynomials
 from repro.commit.pedersen import pedersen_commit
 from repro.ecc import PALLAS, VESTA
 from repro.ecc import batch_affine, fixed_base, glv
@@ -235,23 +235,6 @@ class TestBatchAffineLanes:
         got = batch_affine.batch_add(curve.field.p, _affine(a), _affine(b))
         assert got == _affine([x + y for x, y in zip(a, b)])
 
-    def test_batch_mul_matches_point_multiplication(self, curve):
-        order = curve.scalar_field.p
-        lam = glv.curve_endo(curve).lam
-        rng = random.Random(23)
-        special = [0, 1, 2, order - 1, lam, order - lam, order + 5]
-        pts = _points(12, seed=24, curve=curve)
-        lanes = [(pt, s) for pt in pts for s in special]
-        lanes += [(pt, rng.randrange(order)) for pt in pts for _ in range(2)]
-        lanes += [(pt, rng.randrange(1 << 20)) for pt in pts[:4]]  # short
-        got = glv.batch_mul(
-            curve, _affine([pt for pt, _ in lanes]), [s for _, s in lanes]
-        )
-        assert got == _affine([pt * s for pt, s in lanes])
-
-    def test_batch_mul_of_nothing(self, curve):
-        assert glv.batch_mul(curve, [], []) == []
-
 
 class TestGlv:
     def test_endo_exists_for_pasta(self):
@@ -321,7 +304,7 @@ class TestFixedBase:
             list(params_k6.g[: len(vals)]) + [params_k6.w], vals + [blind]
         )
         assert pedersen_commit(params_k6, vals, blind) == ref
-        assert commit_polynomial(params_k6, vals, blind) == ref
+        assert commit_lagrange(params_k6, vals, blind) == ref
 
     def test_fingerprint_distinguishes_truncation(self, params_k6):
         assert params_k6.fingerprint() != params_k6.truncated(5).fingerprint()

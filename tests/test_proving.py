@@ -23,17 +23,17 @@ from tests.conftest import (
 
 F = SCALAR_FIELD
 
-#: ``PDB4`` proofs of 2,312 / 5,088 / 2,936 bytes.  The compiled one
-#: (k=6) was 5,456 before range checks were sized by proven bounds
-#: (18 -> 9 limb lookups; ``q_after`` added): its two digests are
-#: re-recorded with the circuit; the hand-built k=5 ones do not move.
-GOLDEN_K5 = "32d044aceecad43d6b32545e2f9251de"
-GOLDEN_K6_TPCH = "b3ab57679c4c5ee016656e14465866e9"
-GOLDEN_K5_TWO_CHUNK_SHUFFLE = "868f0eec713ce6b511094f5dd2d4b332"
+#: ``PDB5`` proofs of 2,312 / 5,088 / 2,936 bytes (the sizes are
+#: asserted beside the digests).  Recorded when the generators became
+#: the Lagrange basis and the key fingerprint opened the transcript:
+#: every commitment and challenge moved, no size did.
+GOLDEN_K5 = "118a475861eaf3d7c32a98d77d52e478"
+GOLDEN_K6_TPCH = "204734ca4737c67890fd1dce3f2c2a8e"
+GOLDEN_K5_TWO_CHUNK_SHUFFLE = "8e8ed2d42cc41c111f3fb6bd5065281f"
 #: ``PDBA`` envelope of the k=6 TPC-H response folded twice (10,774
-#: bytes, was 11,510; the envelope's own magic and layout are those of
-#: 99f270e).
-GOLDEN_K6_TPCH_AGGREGATE = "19c468155e5f1ae664acd382c14ff8f1"
+#: bytes; the envelope's own magic and layout are unchanged, the
+#: inner proofs are ``PDB5``).
+GOLDEN_K6_TPCH_AGGREGATE = "ee298f45da2a6a258e696d546093c145"
 
 
 def assign_broken_mul(cs, cols):
@@ -169,6 +169,29 @@ class TestRejection:
         assert not verify_proof(pk.vk, proof, too_long)
 
 
+class TestTranscriptBinding:
+    def test_a_different_gate_draws_a_different_theta(self, params_k6_module):
+        """Two circuits whose fixed, sigma and system commitments are
+        equal but whose gates differ: the key fingerprint, absorbed
+        first, separates their transcripts before any challenge."""
+        from repro.proving import keygen_vk
+        from repro.proving.protocol import draw_challenges, init_transcript
+
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
+        other, other_cols = example_circuit()
+        other.create_gate("extra", [other_cols["q_add"].cur() * other_cols["a"].cur()])
+        vks = [keygen_vk(params_k6_module, c, F, K, asg.fixed) for c in (cs, other)]
+        for attr in ("fixed_commitments", "sigma_commitments", "system_commitments"):
+            assert getattr(vks[0], attr) == getattr(vks[1], attr)
+        assert vks[0].fingerprint != vks[1].fingerprint
+        instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
+        theta = [
+            draw_challenges(init_transcript(vk, instance), 2)["theta"] for vk in vks
+        ]
+        assert theta[0] != theta[1]
+
+
 class TestAccumulator:
     def test_deferred_verification(self, proven, params_k6_module):
         pk, proof, instance, _ = proven
@@ -230,9 +253,8 @@ class TestGoldenProofDigest:
     bytes are a function of the code alone, so a refactor that claims
     "proofs stay byte-identical" must leave these digests untouched.
     A deliberate protocol change re-records them: all four were last
-    recorded with the multipoint opening argument (``PDB3`` ->
-    ``PDB4``), identical under both field backends and with or without
-    a worker pool.
+    recorded with ``PDB5`` (Lagrange generators, the key fingerprint
+    absorbed first), identical under both field backends.
 
     Each test also checks the two sides of ``opening_point_sets``: the
     sets the prover opened and the sets the verifier checked are the
@@ -244,6 +266,7 @@ class TestGoldenProofDigest:
         with deterministic_rng(0x5EED):
             pk = keygen(params_k6_module, cs, F, K, asg.fixed)
             proof = create_proof(pk, asg)
+        assert len(proof.to_bytes()) == 2312
         assert _digest(proof.to_bytes()) == GOLDEN_K5
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert verify_proof(pk.vk, proof, instance)
@@ -268,6 +291,7 @@ class TestGoldenProofDigest:
         from repro.telemetry.circuit import CircuitReport
 
         assert CircuitReport.from_constraint_system(cs, K).zk_margin == -1
+        assert len(proof.to_bytes()) == 2936
         assert _digest(proof.to_bytes()) == GOLDEN_K5_TWO_CHUNK_SHUFFLE
 
     def test_k6_tpch_query(self, claims):
@@ -286,7 +310,9 @@ class TestGoldenProofDigest:
                 )
             assert session.verify(response).accepted
             envelope = session.aggregate([response, response]).to_bytes()
+        assert len(response.proof.to_bytes()) == 5088
         assert _digest(response.wire_bytes()) == GOLDEN_K6_TPCH
+        assert len(envelope) == 10774
         assert _digest(envelope) == GOLDEN_K6_TPCH_AGGREGATE
         assert claims["prover"] == claims["verifier"]
 

@@ -219,7 +219,7 @@ class TestWarmStart:
         fixed_base.clear_registry()
         with session.serve(ServiceConfig(workers=1)) as service:
             fingerprint = session.params.fingerprint()
-            key = (fixed_base.MONOMIAL, fingerprint, fixed_base.FIXED_BASE_WINDOW)
+            key = (fingerprint, fixed_base.FIXED_BASE_WINDOW)
             assert key in fixed_base._REGISTRY
             builds = telemetry.counters_snapshot().get(
                 "msm.fixed_base_table_builds", 0

@@ -51,7 +51,8 @@ from tests.conftest import (
 
 F = SCALAR_FIELD
 #: ``field_mutators`` labels per fixture, recorded with the ``PDB4``
-#: layout (the multipoint opening argument's first commit).
+#: layout (the multipoint opening argument's first commit), which
+#: ``PDB5`` keeps section for section.
 RECORDED_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_pdb4.json"
 
 
@@ -107,10 +108,11 @@ class TestRoundTrip:
         with pytest.raises(WireFormatError, match="trailing"):
             Proof.from_bytes(pk.vk, proof.to_bytes() + b"\x00")
 
-    @pytest.mark.parametrize("magic", [b"PDB1", b"PDB2", b"PDB3"])
+    @pytest.mark.parametrize("magic", [b"PDB1", b"PDB2", b"PDB3", b"PDB4"])
     def test_bad_magic_rejected(self, proven, magic):
         # PDB2 was the permuted-column lookup layout, PDB3 carried one
-        # IPA per opening point: refused at the header, whatever follows.
+        # IPA per opening point, PDB4 committed over a derived Lagrange
+        # basis: refused at the header, whatever follows.
         pk, _, proof, _ = proven
         data = proof.to_bytes()
         with pytest.raises(WireFormatError, match="bad proof header"):
@@ -233,7 +235,7 @@ class TestShapeCheck:
 
 
 def test_design_doc_carries_the_schema_layout():
-    """DESIGN.md 5c's ``PDB4`` block is ``wire_layout()`` verbatim."""
+    """DESIGN.md 5c's ``PDB5`` block is ``wire_layout()`` verbatim."""
     design = Path(__file__).resolve().parents[1] / "DESIGN.md"
     assert wire_layout() in design.read_text(encoding="utf-8")
 
