@@ -5,7 +5,9 @@ Paper: 2^15 -> 104 s, 2^16 -> 221 s, 2^17 -> 410 s, 2^18 -> 832 s
 doubles per k increment (linear in the number of generators).
 
 We measure generation at k = 6..9 and extrapolate the per-generator
-cost linearly to the paper's sizes.  The report footer also checks the
+cost linearly to the paper's sizes.  Generation is hash-to-curve and
+nothing else: the hashed generators are the Lagrange basis the columns
+are committed in, so no basis is derived from them.  The report footer also checks the
 artifact cache (the second fetch of the same parameters must be a HIT
 served from disk).
 """

@@ -251,15 +251,10 @@ class EvaluationDomain:
             # Field.batch_inv; keep the counters backend-independent.
             telemetry.incr("field.inversions", count)
             return fused
-        omegas = [1] * count
-        for i in range(1, count):
-            omegas[i] = omegas[i - 1] * self.omega % p
-        denominators = [(x - w) % p for w in omegas]
-        inverses = self.field.batch_inv(denominators)
-        return [
-            z * w % p * n_inv % p * inv % p
-            for w, inv in zip(omegas, inverses)
-        ]
+        omegas = self._shift_powers(self.omega)[:count]
+        inverses = self.field.batch_inv([(x - w) % p for w in omegas])
+        kk = z * n_inv % p
+        return [kk * w % p * inv % p for w, inv in zip(omegas, inverses)]
 
     def lagrange_basis_eval(self, i: int, x: int) -> int:
         """Evaluate the i-th Lagrange basis polynomial L_i(X) over H at

@@ -259,8 +259,6 @@ def clear_registry() -> None:
 
 
 def _disk_key(key: _Key) -> str:
-    # "g" names the base vector; entries written when a second,
-    # derived basis had tables of its own stay readable.
     return cache_key("fixedbase-g", *key)
 
 

@@ -261,9 +261,8 @@ class CircuitReport:
         """Estimated per-phase MSM sizes (points per multi-scalar mul).
 
         Every column/polynomial commitment is one size-``rows`` MSM
-        (over the column's values against the Lagrange-basis tables, or
-        a quotient chunk's coefficients); the quotient splits into
-        :attr:`quotient_chunks` chunks of the same size.
+        over its values (a quotient chunk's after one FFT); the quotient
+        splits into :attr:`quotient_chunks` chunks of the same size.
         """
         return {
             "advice": self.rows,
