@@ -34,7 +34,9 @@ class PublicParams:
     k:
         log2 of the maximum number of circuit rows supported.
     g:
-        ``2^k`` commitment bases, one per coefficient.
+        ``2^k`` commitment bases, one per row of the size-``2^k``
+        evaluation domain: a vector is committed by its values there,
+        so ``g`` is read as that domain's Lagrange basis.
     w:
         The blinding base (commitments are Pedersen-hiding).
     u:

@@ -18,11 +18,11 @@ are ``x1 x2 [f] x3 [q_evals] x4``:
   computes what ``f(x3)`` has to be -- from scalars alone;
 - ``x4`` folds ``f + sum_i x4^(i+1) q_i``, opened at ``x3`` by one
   :func:`~repro.commit.ipa.open_polynomial` of its values on the
-  domain.  The verifier never sums
-  its commitment: ``[f]`` and every claimed commitment are terms of
-  the IPA reduction (:func:`~repro.commit.ipa.reduce_opening`), beside
-  the opening's own points, and the accumulator settles them with
-  every other proof's in one variable-base MSM.
+  domain.  The verifier never sums its commitment: ``[f]`` and every
+  claimed commitment are terms of the IPA reduction
+  (:func:`~repro.commit.ipa.reduce_opening`), beside the opening's own
+  points, and the accumulator settles them with every other proof's
+  in one variable-base MSM.
 
 Each polynomial thus reveals one evaluation more than the proof claims
 (``q_i(x3)``); DESIGN.md 5m counts the blinding that pays for it.
@@ -92,9 +92,10 @@ def multi_open(
     The claims' commitments and evaluations must already be in the
     transcript (the main protocol absorbed them).  Polynomials stay in
     coefficient form here; ``f`` and the opened combination each pass
-    through one size-``n`` FFT, to be committed or opened by value.  The division by
-    ``prod (X - s)`` is exact for true claims; a remainder is dropped,
-    and the verifier's ``f(x3)`` then disagrees with the opening.
+    through one size-``n`` FFT, to be committed or opened by value.
+    The division by ``prod (X - s)`` is exact for true claims; a
+    remainder is dropped, and the verifier's ``f(x3)`` then disagrees
+    with the opening.
     """
     p, n = field.p, params.n
     q_polys: list[list[int]] = []
