@@ -137,6 +137,29 @@ class TestIpaOpening:
 
             assert not _open_and_verify(small, coeffs, x, tamper)
 
+    @pytest.mark.parametrize("x", ["random", 0, "row"])
+    def test_values_open_to_their_lagrange_sum(self, x, rng):
+        """The statement straight from the values, no coefficients in
+        sight: ``v = sum_i a_i * L_i(x)``, each basis value computed on
+        its own."""
+        params = setup(4)
+        domain = EvaluationDomain(F, 4)
+        if x == "random":
+            x = F.rand()
+        elif x == "row":
+            x = pow(domain.omega, 9, F.p)
+        values = [rng.randrange(F.p) for _ in range(params.n)]
+        blind = F.rand()
+        commitment = commit_lagrange(params, values, blind)
+        value = sum(
+            a * domain.lagrange_basis_eval(i, x) for i, a in enumerate(values)
+        ) % F.p
+        proof = open_polynomial(params, Transcript(b"t"), values, blind, x, F)
+        for claimed, honest in ((value, True), ((value + 1) % F.p, False)):
+            assert verify_opening(
+                params, Transcript(b"t"), commitment, x, claimed, proof, F
+            ) is honest
+
     def test_commitment_is_the_naive_msm_over_g(self, params_k6, rng):
         coeffs = [rng.randrange(F.p) for _ in range(64)]
         values, blind = _values(params_k6, coeffs), F.rand()
@@ -353,6 +376,22 @@ class TestDeferredVerification:
             )
         assert acc.deferred_count == 3
         assert acc.finalize()
+
+    def test_accumulator_at_a_domain_point(self, params_k6, rng):
+        # b is a unit vector there: the deferred fold settles the
+        # committed value at that row and nothing else.
+        coeffs = [rng.randrange(F.p) for _ in range(30)]
+        values = _values(params_k6, coeffs)
+        blind = F.rand()
+        commitment = commit_lagrange(params_k6, values, blind)
+        x = pow(EvaluationDomain(F, params_k6.k).omega, 21, F.p)
+        proof = open_polynomial(params_k6, Transcript(b"t"), values, blind, x, F)
+        for claimed, honest in ((values[21], True), ((values[21] + 1) % F.p, False)):
+            acc = Accumulator(params_k6, F)
+            assert acc.defer_opening(
+                params_k6, Transcript(b"t"), ([commitment], [1]), x, claimed, proof, F
+            )
+            assert acc.finalize() is honest
 
     def test_accumulator_catches_bad_proof(self, params_k6, rng):
         acc = Accumulator(params_k6, F)

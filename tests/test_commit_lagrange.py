@@ -2,9 +2,9 @@
 
 ``params.g`` is the Lagrange basis of the size-``n`` domain, so a
 column is committed by its *values* (``commit_lagrange``) and data born
-as coefficients goes through one FFT first (``commit_polynomial``).
-These tests pin both against ``msm_naive`` over ``params.g`` on every
-scalar-width shape, the table set (layout, no scalar product in a cold
+as coefficients goes through one FFT first (``commit_polynomial``, or
+``commit_polynomials`` for a batch).  These tests pin them against
+``msm_naive`` over ``params.g`` on every scalar-width shape, the table set (layout, no scalar product in a cold
 build) and the per-parameter-set registry (truncated views, distrusted
 disk entries, single-flight builds).
 """
@@ -26,6 +26,7 @@ from repro.commit.ipa import (
     commit_lagrange,
     commit_lagrange_many,
     commit_polynomial,
+    commit_polynomials,
 )
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.commitment import (
@@ -112,6 +113,37 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             commit_polynomial(params_k6, [1] * (params_k6.n + 1), 0)
 
+    def test_short_coefficients_are_zero_padded(self, params_k6):
+        """Fewer than ``n`` coefficients are the polynomial of that
+        degree: its values over the whole domain are committed."""
+        rng = random.Random(11)
+        domain = EvaluationDomain(SCALAR_FIELD, params_k6.k)
+        for length in (1, 3, params_k6.n // 2 + 1):
+            coeffs = [rng.randrange(P) for _ in range(length)]
+            blind = rng.randrange(P)
+            values = domain.fft(coeffs + [0] * (params_k6.n - length))
+            assert commit_polynomial(params_k6, coeffs, blind) == _oracle(
+                params_k6, values, blind
+            ), length
+
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    def test_batched_polynomials_match_single(self, params_k6, engine, monkeypatch):
+        """The quotient pieces' path: one batched FFT, then one value
+        commitment each."""
+        if engine == "numpy":
+            if not numpy_limb.available():
+                pytest.skip("numpy not installed")
+            monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
+        rng = random.Random(13)
+        items = [
+            ([rng.randrange(P) for _ in range(length)], rng.randrange(P))
+            for length in (params_k6.n, 5, 1)
+        ]
+        with backend.backend(engine):
+            assert commit_polynomials(params_k6, items) == [
+                commit_polynomial(params_k6, coeffs, blind) for coeffs, blind in items
+            ]
+
     def test_narrow_values_stay_narrow(self, params_k6, counters):
         """The point of committing values: a 4-bit column costs far
         fewer bucket insertions than a full-width one."""
@@ -129,10 +161,11 @@ class TestEquivalence:
 
 
 class TestTables:
-    def test_cold_build_makes_no_scalar_product(self, registry_only, counters):
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_cold_build_makes_no_scalar_product(self, k, registry_only, counters):
         """The table set is ``g``, ``w`` and ``u`` doubled: no basis is
         derived, so a cold build makes no GLV product."""
-        params = setup(7, label=b"cold-products")
+        params = setup(k, label=b"cold-products")
         before = counters("msm.glv_splits"), counters(BUILDS)
         tables = fixed_base.tables_for_params(params)
         assert (counters("msm.glv_splits"), counters(BUILDS)) == (

@@ -191,6 +191,21 @@ class TestTranscriptBinding:
         ]
         assert theta[0] != theta[1]
 
+    def test_fingerprint_is_over_the_fitted_params(self, params_k6):
+        """Keygen on a larger parameter set commits over its first
+        ``2^k`` generators; the key fingerprint hashes that view, so it
+        matches a key made on the view itself."""
+        from repro.proving import keygen_vk
+        from repro.proving.keygen import keygen_fingerprint
+
+        assert params_k6.k > K
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
+        fit = params_k6.truncated(K)
+        expected = keygen_fingerprint(fit, cs, F, K, asg.fixed)
+        for params in (params_k6, fit):
+            assert keygen_vk(params, cs, F, K, asg.fixed).fingerprint == expected
+        assert expected != keygen_fingerprint(params_k6, cs, F, K, asg.fixed)
 
 class TestAccumulator:
     def test_deferred_verification(self, proven, params_k6_module):
