@@ -18,18 +18,16 @@ End-to-end prove/verify time is the benchmark of record's job
 Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]``)
 or under pytest.  Record only: no row is a gate.  Results persist to
 ``benchmarks/results/kernels.{txt,json}``; README's numpy-engine table
-is rendered from that record (``--readme-table`` prints it).
+is rendered from that record (:func:`readme_table`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import statistics
 import sys
 import time
-from pathlib import Path
 
 from repro import telemetry
 from repro.algebra import backend as field_backend
@@ -40,8 +38,6 @@ from repro.bench.reporting import Report
 from repro.commit.ipa import commit_lagrange
 from repro.commit.params import setup
 from repro.ecc import PALLAS, fixed_base, msm
-
-RECORD = Path(__file__).resolve().parent / "results" / "kernels.json"
 
 def bench_narrow_commit(k: int = 7, seed: int = 23, repeat: int = 5) -> dict:
     """Two columns committed by their values (``commit_lagrange``): a
@@ -318,16 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         help="field-backend race size (default 16384, the extended "
         "domain of a 2^12 circuit)",
     )
-    parser.add_argument(
-        "--readme-table",
-        action="store_true",
-        help="print README's numpy-engine table from the committed "
-        "record and exit (runs nothing)",
-    )
     args = parser.parse_args(argv)
-    if args.readme_table:
-        print(readme_table(json.loads(RECORD.read_text())))
-        return 0
     run_benches(BenchConfig(), backend_n=args.backend_n)
     return 0
 

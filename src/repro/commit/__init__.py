@@ -9,7 +9,6 @@ hashes -- no trusted setup.
 """
 
 from repro.commit.params import PublicParams, setup
-from repro.commit.pedersen import pedersen_commit
 from repro.commit.ipa import (
     IpaProof,
     commit_lagrange,
@@ -21,7 +20,6 @@ from repro.commit.ipa import (
 __all__ = [
     "PublicParams",
     "setup",
-    "pedersen_commit",
     "IpaProof",
     "commit_lagrange",
     "commit_polynomial",

@@ -4,8 +4,8 @@ in evaluation form.
 The public-parameter generators ``G`` are the Lagrange basis of the
 size-``n`` evaluation domain: a polynomial ``p`` is committed by its
 values there, ``C = <(p(1), p(omega), ..), G> + r*W``
-(:func:`commit_lagrange`; :func:`commit_polynomial` takes coefficients
-through one FFT first).  Given a public evaluation point ``x``, the
+(:func:`commit_lagrange`; coefficients pass through one FFT first,
+:func:`values_of`).  Given a public evaluation point ``x``, the
 prover convinces the verifier that ``p(x) = v`` with a proof of
 ``2 log n`` group elements plus two scalars.  This is the scheme the
 paper selects (section 3.2) for its linear prover, logarithmic proofs,
@@ -142,10 +142,6 @@ def _commit(params: PublicParams, evals: Sequence[int], blind: int) -> Point:
     return fixed_base.fixed_base_msm(tables, _padded(params, evals) + [blind])
 
 
-def _domain(params: PublicParams) -> EvaluationDomain:
-    return EvaluationDomain(params.curve.scalar_field, params.k)
-
-
 def commit_lagrange(
     params: PublicParams, evals: Sequence[int], blind: int
 ) -> Point:
@@ -167,14 +163,23 @@ def commit_lagrange_many(
         return [_commit(params, evals, blind) for evals, blind in items]
 
 
+def values_of(
+    params: PublicParams, polys: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The values over the size-``n`` domain of polynomials given by
+    their coefficients (little-endian, at most ``n`` each): one FFT
+    each.  Data born as coefficients -- the quotient pieces and the
+    multiopen's ``f`` -- reaches :func:`commit_lagrange` and
+    :func:`open_polynomial` only through here."""
+    domain = EvaluationDomain(params.curve.scalar_field, params.k)
+    return domain.fft_many([_padded(params, c) for c in polys])
+
+
 def commit_polynomial(
     params: PublicParams, coeffs: Sequence[int], blind: int
 ) -> Point:
-    """Commit to polynomial coefficients (little-endian, at most ``n``):
-    one size-``n`` FFT to the values, then :func:`commit_lagrange`.
-    For data born as coefficients -- the quotient pieces and the
-    multiopen's ``f``."""
-    values = _domain(params).fft(_padded(params, coeffs))
+    """:func:`commit_lagrange` of :func:`values_of` ``coeffs``."""
+    (values,) = values_of(params, [coeffs])
     return _commit(params, values, blind)
 
 
@@ -184,7 +189,7 @@ def commit_polynomials(
     """:func:`commit_polynomial` of many ``(coeffs, blind)`` pairs, one
     FFT and one fixed-base MSM each, under one telemetry span."""
     with telemetry.span("commit.polynomials", count=len(items)):
-        values = _domain(params).fft_many([_padded(params, c) for c, _ in items])
+        values = values_of(params, [coeffs for coeffs, _ in items])
         return [
             _commit(params, evals, blind)
             for evals, (_, blind) in zip(values, items)

@@ -32,10 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.domain import EvaluationDomain
 from repro.algebra.field import Field
 from repro.algebra.poly import divide_by_linear, evaluate_coeffs
-from repro.commit.ipa import IpaProof, commit_polynomial, open_polynomial
+from repro.commit.ipa import (
+    IpaProof,
+    commit_polynomial,
+    open_polynomial,
+    values_of,
+)
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
 from repro.proving.recursion import Accumulator
@@ -129,7 +133,7 @@ def multi_open(
         x4_power = x4_power * x4 % p
         final = [(a + x4_power * c) % p for a, c in zip(final, q)]
         final_blind = (final_blind + x4_power * blind) % p
-    values = EvaluationDomain(field, params.k).fft(final)
+    (values,) = values_of(params, [final])
     return f_commitment, q_evals, open_polynomial(
         params, transcript, values, final_blind, x3, field
     )

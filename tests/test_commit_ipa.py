@@ -16,7 +16,6 @@ from repro.commit import (
     commit_lagrange,
     commit_polynomial,
     open_polynomial,
-    pedersen_commit,
     setup,
     verify_opening,
 )
@@ -77,26 +76,29 @@ class TestPublicParams:
 
 
 class TestPedersen:
+    """``commit_lagrange`` is a Pedersen vector commitment over
+    ``g + [w]``."""
+
     def test_homomorphic(self, params_k6, rng):
         v1 = [rng.randrange(F.p) for _ in range(8)]
         v2 = [rng.randrange(F.p) for _ in range(8)]
         r1, r2 = F.rand(), F.rand()
-        c1 = pedersen_commit(params_k6, v1, r1)
-        c2 = pedersen_commit(params_k6, v2, r2)
-        summed = pedersen_commit(
+        c1 = commit_lagrange(params_k6, v1, r1)
+        c2 = commit_lagrange(params_k6, v2, r2)
+        summed = commit_lagrange(
             params_k6, [(a + b) % F.p for a, b in zip(v1, v2)], (r1 + r2) % F.p
         )
         assert c1 + c2 == summed
 
     def test_hiding_blind_changes_commitment(self, params_k6):
         values = [1, 2, 3]
-        assert pedersen_commit(params_k6, values, 1) != pedersen_commit(
+        assert commit_lagrange(params_k6, values, 1) != commit_lagrange(
             params_k6, values, 2
         )
 
     def test_oversized_vector_rejected(self, params_k6):
         with pytest.raises(ValueError):
-            pedersen_commit(params_k6, [1] * 65, 0)
+            commit_lagrange(params_k6, [1] * 65, 0)
 
 
 class TestIpaOpening:

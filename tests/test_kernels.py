@@ -26,7 +26,6 @@ from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
 from repro.algebra.fft_plan import NttPlan, ntt_in_place, plan_for
 from repro.commit.ipa import commit_lagrange, commit_polynomial, commit_polynomials
-from repro.commit.pedersen import pedersen_commit
 from repro.ecc import PALLAS, VESTA
 from repro.ecc import batch_affine, fixed_base, glv
 from repro.ecc.curve import Point, points_to_affine_tuples
@@ -303,7 +302,6 @@ class TestFixedBase:
         ref = msm(
             list(params_k6.g[: len(vals)]) + [params_k6.w], vals + [blind]
         )
-        assert pedersen_commit(params_k6, vals, blind) == ref
         assert commit_lagrange(params_k6, vals, blind) == ref
 
     def test_fingerprint_distinguishes_truncation(self, params_k6):

@@ -222,8 +222,8 @@ class TestDisabledOverhead:
         that many *disabled* span/incr calls and compare against the
         same prove's disabled run.  Both sides are CPU time of this
         process, sampled five times in alternation, and the budget is
-        judged on the best pair: a burst of host load slows a prove and
-        the burn beside it alike, so it cannot decide the ratio.
+        judged best against best: the fastest burn against the fastest
+        prove.
         """
         root = run_instrumented_prove()
         spans = sum(1 for _ in root.walk())
@@ -247,9 +247,8 @@ class TestDisabledOverhead:
             for _ in range(5)
         ]
         telemetry.enable(True)
-        prove_seconds, overhead_seconds = min(
-            samples, key=lambda pair: pair[1] / pair[0]
-        )
+        prove_seconds = min(prove for prove, _ in samples)
+        overhead_seconds = min(burn for _, burn in samples)
         assert overhead_seconds < 0.02 * prove_seconds, (
             f"disabled telemetry cost {overhead_seconds:.4f}s for "
             f"{spans} spans + {events} incrs vs {prove_seconds:.2f}s prove"
