@@ -7,7 +7,7 @@ Measures the cost of the fault-tolerance machinery end to end:
   submit/finish paths);
 - **recovery latency**: after an ``abort()`` (the in-process crash
   model) with completed, running, and queued jobs on the journal, how
-  long ``ProvingService.open`` takes to replay the journal and
+  long a service opened on the journal takes to replay it and
   re-enqueue (``replay_seconds``), and how long until every recovered
   job has its byte-identical proof again (``recovery_total_seconds``).
 
@@ -29,7 +29,6 @@ from repro.bench.reporting import Report
 from repro.config import ServiceConfig
 from repro.service.chaos import CHAOS_QUERIES, baseline_digests, build_session
 from repro.service.journal import replay
-from repro.service.service import ProvingService
 
 
 def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
@@ -58,8 +57,8 @@ def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
 
         # Build a crashed journal: one job done, the rest accepted but
         # unproved, then abort without drain (the crash model).
-        service = ProvingService(
-            session, ServiceConfig(workers=1), journal_path=journal_path
+        service = session.serve(
+            ServiceConfig(workers=1), journal_path=journal_path
         )
         first_sql, first_seed = workload[0]
         done = service.submit(first_sql, rng_seed=first_seed)
@@ -73,8 +72,8 @@ def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
         folded, replay_s = telemetry.time_call(lambda: replay(journal_path))
 
         def recover():
-            with ProvingService.open(
-                session, ServiceConfig(workers=2), journal_path=journal_path
+            with session.serve(
+                ServiceConfig(workers=2), journal_path=journal_path
             ) as recovered:
                 job_ids = list(recovered._jobs)
                 responses = [

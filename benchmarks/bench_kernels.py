@@ -100,6 +100,12 @@ def per_call_seconds(
     return out
 
 
+def median_iqr(samples: list[float]) -> tuple[float, float]:
+    """The median of ``samples`` and their interquartile range."""
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return statistics.median(samples), q3 - q1
+
+
 def bench_finalize_msm(n: int = 139, seed: int = 139, samples: int = 5) -> dict:
     """The verifier's variable-base MSM on a finalize-shaped input (``n``
     random bases, ``n`` full-width scalars): the median and
@@ -122,19 +128,23 @@ def bench_finalize_msm(n: int = 139, seed: int = 139, samples: int = 5) -> dict:
         telemetry.enable(previous)
     assert point == expected, "msm diverged from the per-point sum"
     seconds = per_call_seconds(lambda: msm(bases, scalars), samples)
-    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    median_s, iqr_s = median_iqr(seconds)
     return {
         "n": n,
-        "median_s": statistics.median(seconds),
-        "iqr_s": q3 - q1,
+        "median_s": median_s,
+        "iqr_s": iqr_s,
         "samples_s": seconds,
         "digits": int(digits),
     }
 
 
-def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
+def bench_field_backend(
+    n: int = 16384, seed: int = 17, samples: int = 5
+) -> dict | None:
     """Numpy limb-vector backend vs the pure-Python reference on
-    whole-vector field ops, results asserted equal first.
+    whole-vector field ops, results asserted equal first.  Each engine's
+    time for each op is the median and interquartile range of
+    ``samples`` loops of at least 0.25 s (:func:`per_call_seconds`).
 
     Returns ``None`` when numpy is not installed (the rows are skipped;
     the fallback path is what the rest of the suite measures then).
@@ -159,47 +169,58 @@ def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     # -- NTT: whole transform through the domain's public entry point.
     with field_backend.backend("python"):
         dom.fft(vals)  # warm the plan cache
-        ref_fft, python_fft_s = telemetry.time_call(lambda: dom.fft(vals))
+        ref_fft = dom.fft(vals)
+        python_fft = per_call_seconds(lambda: dom.fft(vals), samples)
     with field_backend.backend("numpy"):
         dom.fft(vals)  # warm the limb twiddle tables
-        fast_fft, numpy_fft_s = telemetry.time_call(lambda: dom.fft(vals))
+        fast_fft = dom.fft(vals)
+        numpy_fft = per_call_seconds(lambda: dom.fft(vals), samples)
     assert fast_fft == ref_fft, "backend NTT diverged from the reference"
 
     # -- batch inversion: resident product tree vs Montgomery ladder.
-    ref_inv, python_inv_s = telemetry.time_call(
-        lambda: montgomery_batch_inv(vals, p)
+    ref_inv = montgomery_batch_inv(vals, p)
+    python_inv = per_call_seconds(
+        lambda: montgomery_batch_inv(vals, p), samples
     )
     ctx = numpy_limb.ctx_for(p)
     arr = ctx.lift(vals)
     ctx.tree_inv_arr(arr)  # warm the tree arenas
-    fast_arr, numpy_inv_s = telemetry.time_call(lambda: ctx.tree_inv_arr(arr))
+    fast_arr = ctx.tree_inv_arr(arr)
+    numpy_inv = per_call_seconds(lambda: ctx.tree_inv_arr(arr), samples)
     assert ctx.lower(fast_arr) == ref_inv, "tree inversion diverged"
 
     # -- Lagrange basis: the fused consumer of the resident inversion.
     x = rng.randrange(p)
     with field_backend.backend("python"):
-        ref_lag, python_lag_s = telemetry.time_call(
-            lambda: dom.lagrange_basis_evals(x, dom.size)
+        ref_lag = dom.lagrange_basis_evals(x, dom.size)
+        python_lag = per_call_seconds(
+            lambda: dom.lagrange_basis_evals(x, dom.size), samples
         )
     with field_backend.backend("numpy"):
         dom.lagrange_basis_evals(x, dom.size)  # warm the power table
-        fast_lag, numpy_lag_s = telemetry.time_call(
-            lambda: dom.lagrange_basis_evals(x, dom.size)
+        fast_lag = dom.lagrange_basis_evals(x, dom.size)
+        numpy_lag = per_call_seconds(
+            lambda: dom.lagrange_basis_evals(x, dom.size), samples
         )
     assert fast_lag == ref_lag, "backend Lagrange evals diverged"
 
-    def row(python_s, numpy_s):
+    def row(python_samples, numpy_samples):
+        python_s, python_iqr_s = median_iqr(python_samples)
+        numpy_s, numpy_iqr_s = median_iqr(numpy_samples)
         return {
             "python_s": python_s,
+            "python_iqr_s": python_iqr_s,
             "numpy_s": numpy_s,
-            "speedup": python_s / numpy_s if numpy_s else float("inf"),
+            "numpy_iqr_s": numpy_iqr_s,
+            "speedup": python_s / numpy_s,
         }
 
     return {
         "n": dom.size,
-        "fft": row(python_fft_s, numpy_fft_s),
-        "batch_inv": row(python_inv_s, numpy_inv_s),
-        "lagrange": row(python_lag_s, numpy_lag_s),
+        "samples": samples,
+        "fft": row(python_fft, numpy_fft),
+        "batch_inv": row(python_inv, numpy_inv),
+        "lagrange": row(python_lag, numpy_lag),
     }
 
 
@@ -224,6 +245,9 @@ def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
     else:
         rows = []
         bn = backend_rows["n"]
+        report.line(
+            f"median and IQR of {backend_rows['samples']} loops of >= 0.25 s"
+        )
         for key, label in (
             ("fft", f"ntt ({bn} pts)"),
             ("batch_inv", f"batch inv resident ({bn})"),
@@ -233,12 +257,16 @@ def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
             rows.append(
                 (
                     label,
-                    f"{r['python_s']:.3f}",
-                    f"{r['numpy_s']:.3f}",
+                    f"{r['python_s']:.4f}",
+                    f"{r['python_iqr_s']:.4f}",
+                    f"{r['numpy_s']:.4f}",
+                    f"{r['numpy_iqr_s']:.4f}",
                     f"{r['speedup']:.2f}x",
                 )
             )
-        report.table(["op", "python (s)", "numpy (s)", "speedup"], rows)
+        report.table(
+            ["op", "python s", "IQR s", "numpy s", "IQR s", "speedup"], rows
+        )
     report.line(
         f"\nfixed-base commit by values ({narrow['n']} rows + blind): a "
         "4-bit column (4 full-width blinding rows) against a full-width "
@@ -288,14 +316,17 @@ def readme_table(record: dict) -> str:
     rows = record["kernels"]["field_backend"]
     log_n = rows["n"].bit_length() - 1
     lines = [
-        "| hot loop | python (s) | numpy (s) | speedup |",
+        "| hot loop | python, s: median (IQR) | numpy, s: median (IQR) "
+        "| speedup |",
         "|---|---|---|---|",
     ]
     for key, label in README_ROWS:
         r = rows[key]
         lines.append(
-            f"| {label.format(log_n=log_n)} | {r['python_s']:.3f} | "
-            f"{r['numpy_s']:.3f} | **{r['speedup']:.2f}×** |"
+            f"| {label.format(log_n=log_n)} "
+            f"| {r['python_s']:.4f} ({r['python_iqr_s']:.4f}) "
+            f"| {r['numpy_s']:.4f} ({r['numpy_iqr_s']:.4f}) "
+            f"| **{r['speedup']:.2f}×** |"
         )
     return "\n".join(lines)
 

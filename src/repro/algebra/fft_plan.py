@@ -81,14 +81,6 @@ def plan_for(n: int, omega: int, p: int) -> NttPlan:
     return plan
 
 
-def cache_size() -> int:
-    return len(_PLANS)
-
-
-def clear_cache() -> None:
-    _PLANS.clear()
-
-
 def _block_sources(n: int, skip: int) -> list[int]:
     """Which input index lands in each ``2^skip``-point block after the
     bit-reversal of an ``n``-point transform whose input is zero past

@@ -105,9 +105,6 @@ class Polynomial:
     def evaluate(self, x: int) -> int:
         return _eval_raw(self.coeffs, x, self.field.p)
 
-    def evaluate_many(self, xs: Sequence[int]) -> list[int]:
-        return [self.evaluate(x) for x in xs]
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.cache import ArtifactCache, resolve_cache
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.params import PublicParams, cached_setup, setup
 from repro.config import ProverConfig, ServiceConfig
 from repro.db.commitment import DatabaseCommitment
@@ -94,10 +95,10 @@ class Session:
             if params is None:
                 if self.cache.enabled:
                     params, self.params_cache_hit = cached_setup(
-                        self.cache, config.k, config.curve
+                        self.cache, config.k
                     )
                 else:
-                    params = setup(config.k, config.curve)
+                    params = setup(config.k)
             self.params = params
             if self.cache.enabled:
                 # Let the kernel layer persist its fixed-base MSM tables
@@ -157,7 +158,7 @@ class Session:
                 self.params,
                 self.prover.public_metadata(),
                 self.prover.commitment,
-                self.config.field,
+                SCALAR_FIELD,
             )
         return self._verifier
 
@@ -215,9 +216,9 @@ class Session:
         Returns a :class:`~repro.service.service.ProvingService` (a
         context manager) whose workers share this session's database,
         parameters, and commitment.  Commits first if needed.
-        ``journal_path`` (or ``config.journal_path``) enables the
-        durable job journal -- opening an existing journal replays it
-        and recovers interrupted jobs; see DESIGN.md section 5i."""
+        ``journal_path`` enables the durable job journal -- opening an
+        existing journal replays it and recovers interrupted jobs; see
+        DESIGN.md section 5i."""
         from repro.service.service import ProvingService
 
         return ProvingService(
@@ -255,8 +256,8 @@ class PoneglyphDB:
         """Open a proving session over ``db``.
 
         ``config`` defaults to ``ProverConfig()``; pass ``params`` to
-        reuse pre-generated public parameters (they must support at
-        least ``2^config.k`` rows), and ``cache`` to share one
+        reuse pre-generated public parameters (they must be on Pallas
+        and support at least ``2^config.k`` rows), and ``cache`` to share one
         :class:`~repro.cache.ArtifactCache` across sessions.
         """
         return Session(db, config or ProverConfig(), params, cache)

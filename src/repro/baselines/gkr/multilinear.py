@@ -22,13 +22,6 @@ class MultilinearPoly:
         self.k = n.bit_length() - 1
         self.values = [v % field.p for v in values]
 
-    @classmethod
-    def zero_padded(
-        cls, values: list[int], field: Field = SCALAR_FIELD
-    ) -> "MultilinearPoly":
-        n = 1 << max(1, (len(values) - 1).bit_length()) if len(values) > 1 else 1
-        return cls(list(values) + [0] * (n - len(values)), field)
-
     def evaluate(self, point: list[int]) -> int:
         """Evaluate at an arbitrary field point by successive folding."""
         if len(point) != self.k:

@@ -154,7 +154,6 @@ def perf_summary_lines() -> list[str]:
         f"commit {git_revision()[:12]}, host cpus={os.cpu_count()}, "
         f"cache={'on' if store.enabled else 'off'}",
         f"artifact cache: {store.stats.summary()}",
-        *store.stats.events,
     ]
 
 

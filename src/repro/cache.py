@@ -34,7 +34,7 @@ import logging
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -111,7 +111,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    events: list[str] = field(default_factory=list)
 
     def record(self, key: str, hit: bool) -> None:
         if hit:
@@ -120,7 +119,6 @@ class CacheStats:
             self.misses += 1
         telemetry.incr("cache.hit" if hit else "cache.miss")
         logger.debug("cache %s %s", "HIT" if hit else "MISS", key)
-        self.events.append(f"cache {'HIT ' if hit else 'MISS'} {key}")
 
     def summary(self) -> str:
         return f"{self.hits} hit(s), {self.misses} miss(es)"
@@ -201,7 +199,6 @@ class ArtifactCache:
         if "corrupt" in reason:
             telemetry.incr("cache.corrupt_evictions")
         logger.warning("cache EVICT %s (%s)", key, reason)
-        self.stats.events.append(f"cache EVICT {key} ({reason})")
         return removed
 
     # -- high-level helpers ---------------------------------------------

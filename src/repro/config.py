@@ -15,28 +15,31 @@ the load-shedding policy.
 Validation failures raise :class:`repro.errors.ConfigError` (a
 ``ValueError`` subclass, so historical ``except ValueError`` handlers
 keep working) -- wrong types included: an integer field takes an
-``int`` and a duration an ``int`` or ``float``, never a ``bool``.
+``int``, never a ``bool``.
+
+A setting is a field here only when the benchmark sets it, it picks a
+deployment path, it switches safety behaviour, or a test switches the
+behaviour it controls.  The service's tuning numbers (poll and
+supervisor periods, shutdown timeout, ring sizes, retry backoff) are
+constants of :mod:`repro.service.service`, and each setting has one way
+to set it: a job's deadline is ``submit(deadline_seconds=)``, the
+journal is ``Session.serve(..., journal_path=)``, and a changed copy of
+a config is :func:`dataclasses.replace`, which re-runs validation.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from typing import Any
 
-from repro.algebra.field import Field, SCALAR_FIELD
-from repro.ecc.curve import Curve, PALLAS
+from repro.algebra.field import SCALAR_FIELD
 from repro.errors import ConfigError
 
 
 def _is_int(value: Any) -> bool:
     """An ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value: Any) -> bool:
-    """An ``int`` or ``float`` that is not a ``bool``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,10 @@ class ProverConfig:
         the fastest available, ``python`` / ``numpy`` force one.  All
         engines produce bit-identical proofs; this is purely a
         performance knob.
-    field / curve:
-        The circuit field and commitment curve (the paper's choices by
-        default).
+
+    The circuit field is always the Pallas scalar field and the
+    commitment curve always Pallas, as in the paper: there is no knob
+    for either.
     """
 
     k: int = 8
@@ -87,15 +91,13 @@ class ProverConfig:
     use_cache: bool = True
     telemetry: bool = False
     field_backend: str = "auto"
-    field: Field = dc_field(default=SCALAR_FIELD, repr=False)
-    curve: Curve = dc_field(default=PALLAS, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.k) or not (
-            2 <= self.k <= self.field.two_adicity
+            2 <= self.k <= SCALAR_FIELD.two_adicity
         ):
             raise ConfigError(
-                f"k must be an integer in [2, {self.field.two_adicity}], "
+                f"k must be an integer in [2, {SCALAR_FIELD.two_adicity}], "
                 f"got {self.k!r}"
             )
         for name in ("limb_bits", "value_bits", "key_bits"):
@@ -125,10 +127,6 @@ class ProverConfig:
     def n_rows(self) -> int:
         return 1 << self.k
 
-    def with_options(self, **changes: Any) -> "ProverConfig":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -155,53 +153,24 @@ class ServiceConfig:
         ``LOW`` submissions are shed once the queue reaches
         ``max_queue_depth - high_priority_reserve``, keeping headroom
         for latency-sensitive traffic during overload.
-    poll_interval:
-        Worker queue-poll period in seconds; bounds shutdown latency.
-    shutdown_timeout:
-        Seconds :meth:`~repro.service.ProvingService.close` waits for
-        in-flight jobs before giving up the join.
     event_log_path:
         When set, every job lifecycle event (submitted / started /
         finished / failed / shed / cancelled) is appended as one JSON
         line to this file as it happens; the most recent events are
         always also buffered in memory (``ProvingService.events()``).
-    event_log_capacity:
-        How many recent events the in-memory ring retains.
-    error_ring_size:
-        How many recent job failures ``health()`` reports.
-    journal_path:
-        When set, every job lifecycle transition is appended to this
-        durable write-ahead journal, and opening a service on an
-        existing journal replays it: interrupted jobs are re-enqueued
-        and re-proved (byte-identical under a pinned ``rng_seed``; see
-        :mod:`repro.service.journal` and DESIGN.md section 5i).
     journal_fsync:
-        ``fsync`` the journal after every append.  Off by default: a
-        plain flush survives process crashes (SIGKILL included); fsync
-        additionally survives machine/OS crashes at a large latency
-        cost per transition.
+        ``fsync`` the journal (``Session.serve(..., journal_path=)``)
+        after every append.  Off by default: a plain flush survives
+        process crashes (SIGKILL included); fsync additionally survives
+        machine/OS crashes at a large latency cost per transition.
     max_retries:
         How many times a job that *dies with its worker* (or fails
         non-deterministically) is re-enqueued before it is failed for
         good.  Deterministic failures -- the typed
         :class:`repro.errors.ReproError` hierarchy, bad SQL -- are
-        never retried.  0 (the default) disables retries.
-    retry_backoff_seconds:
-        Base of the exponential retry backoff: attempt ``n`` waits
-        ``base * 2**(n-1)`` seconds (plus jitter, capped by
-        ``retry_backoff_max``) before re-enqueueing.
-    retry_backoff_max:
-        Upper bound on a single retry's backoff delay.
-    default_deadline_seconds:
-        Deadline applied to jobs submitted without an explicit
-        ``deadline_seconds``.  ``None`` (default) = no deadline.
-        Deadlines are enforced cooperatively: an expired queued job
-        fails at dequeue, and a running job is aborted at its next
-        telemetry span boundary (so mid-prove enforcement needs the
-        session's telemetry enabled).
-    supervisor_interval:
-        Period of the supervisor thread that respawns dead workers and
-        releases due retries.
+        never retried.  0 (the default) disables retries; the backoff
+        between attempts is fixed (``repro.service.service``'s
+        ``RETRY_BACKOFF_SECONDS`` and ``RETRY_BACKOFF_MAX``).
     tenant_quotas:
         Per-tenant admission bounds: tenant name -> max jobs that may
         be queued or running at once.  A submission over its tenant's
@@ -218,18 +187,9 @@ class ServiceConfig:
     workers: int = 2
     max_queue_depth: int = 64
     high_priority_reserve: int = 8
-    poll_interval: float = 0.05
-    shutdown_timeout: float = 30.0
     event_log_path: str | os.PathLike[str] | None = None
-    event_log_capacity: int = 256
-    error_ring_size: int = 32
-    journal_path: str | os.PathLike[str] | None = None
     journal_fsync: bool = False
     max_retries: int = 0
-    retry_backoff_seconds: float = 0.1
-    retry_backoff_max: float = 5.0
-    default_deadline_seconds: float | None = None
-    supervisor_interval: float = 0.05
     tenant_quotas: Any = None
     default_tenant_quota: int | None = None
 
@@ -252,33 +212,10 @@ class ServiceConfig:
                 f"high_priority_reserve must be in [0, max_queue_depth), got "
                 f"{self.high_priority_reserve!r}"
             )
-        for name in ("event_log_capacity", "error_ring_size"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
         if not _is_int(self.max_retries) or self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be a non-negative integer, got "
                 f"{self.max_retries!r}"
-            )
-        for name in (
-            "poll_interval", "shutdown_timeout", "retry_backoff_seconds",
-            "retry_backoff_max", "supervisor_interval",
-        ):
-            value = getattr(self, name)
-            if not (_is_real(value) and value > 0):
-                raise ConfigError(
-                    f"{name} must be a positive number, got {value!r}"
-                )
-        if self.default_deadline_seconds is not None and not (
-            _is_real(self.default_deadline_seconds)
-            and self.default_deadline_seconds > 0
-        ):
-            raise ConfigError(
-                f"default_deadline_seconds must be positive or None, got "
-                f"{self.default_deadline_seconds!r}"
             )
         if self.tenant_quotas is not None:
             try:
@@ -317,7 +254,3 @@ class ServiceConfig:
         if self.tenant_quotas and tenant in self.tenant_quotas:
             return self.tenant_quotas[tenant]
         return self.default_tenant_quota
-
-    def with_options(self, **changes: Any) -> "ServiceConfig":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **changes)

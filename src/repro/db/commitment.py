@@ -57,9 +57,6 @@ class DatabaseCommitment:
     column_commitments: dict[tuple[str, str], Point]
     root: bytes
 
-    def commitment_for(self, table: str, column: str) -> Point:
-        return self.column_commitments[(table, column)]
-
     def to_bytes(self) -> bytes:
         """Canonical wire serialization of the published commitment
         (format ``PDBC``): the circuit size ``k``, every column

@@ -72,11 +72,6 @@ class GroupByChip:
         cs.declare_bound(self.end, 1)
 
     @property
-    def start_expr(self) -> Expression:
-        """1 at the first row of each bin."""
-        return Constant(1) - self.same.cur()
-
-    @property
     def end_expr(self) -> Expression:
         return self.end.cur()
 

@@ -114,16 +114,3 @@ class SortChip:
                 )
             key = (key << bits_per_attr) | v
         return key
-
-    @staticmethod
-    def composite_key_expr(
-        exprs: Sequence[Expression], bits_per_attr: int = 32
-    ) -> Expression:
-        """The in-circuit counterpart of :meth:`composite_key`."""
-        key: Expression | None = None
-        shift = 1 << bits_per_attr
-        for expr in exprs:
-            key = expr if key is None else key * shift + expr
-        if key is None:
-            raise ValueError("no attributes")
-        return key

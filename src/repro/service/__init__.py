@@ -7,8 +7,9 @@ the resulting proofs in amortized batches.  See DESIGN.md section 5f.
 
 Fault tolerance (DESIGN.md section 5i): a durable, checksummed job
 journal (:mod:`repro.service.journal`) makes the service crash-safe --
-:meth:`ProvingService.open` replays it and re-proves interrupted jobs
-byte-identically under their pinned ``rng_seed`` -- while a supervisor
+``Session.serve(..., journal_path=)`` on an existing journal replays it
+and re-proves interrupted jobs byte-identically under their pinned
+``rng_seed`` -- while a supervisor
 respawns dead workers, bounded retries with exponential backoff absorb
 transient failures, deadlines bound per-job wall clock, and per-tenant
 quotas fence admissions.  :mod:`repro.service.chaos` is the seeded

@@ -201,13 +201,7 @@ def scenario_worker_kill(session, expected, seed: int) -> dict[str, Any]:
     orphaned job to the retry policy and respawn the worker, and the
     retried proof must still be byte-identical."""
     chaos = ChaosInjector(seed, kills=2)
-    config = ServiceConfig(
-        workers=2,
-        max_retries=2,
-        retry_backoff_seconds=0.01,
-        retry_backoff_max=0.05,
-        supervisor_interval=0.02,
-    )
+    config = ServiceConfig(workers=2, max_retries=2)
     from repro.service.service import ProvingService
 
     with ProvingService(session, config, chaos=chaos) as service:
@@ -249,13 +243,7 @@ def scenario_runner_kill(session, expected) -> dict[str, Any]:
     ``abort()`` may leave a runner process behind."""
     from repro.service.service import ProvingService
 
-    config = ServiceConfig(
-        workers=2,
-        max_retries=2,
-        retry_backoff_seconds=0.01,
-        retry_backoff_max=0.05,
-        supervisor_interval=0.02,
-    )
+    config = ServiceConfig(workers=2, max_retries=2)
     with ProvingService(session, config) as service:
         victim_pid = service.health()["workers"]["prover-worker-1"]["pid"]
         job_ids = [
@@ -299,7 +287,7 @@ def scenario_duplicate_pops(session, expected, seed: int) -> dict[str, Any]:
     slows others down; ``Job.claim`` must serialize them so each job
     still completes exactly once."""
     chaos = ChaosInjector(seed, dup_pops=2, delayed_pops=3, max_delay=0.02)
-    config = ServiceConfig(workers=2, supervisor_interval=0.02)
+    config = ServiceConfig(workers=2)
     from repro.service.service import ProvingService
 
     with ProvingService(session, config, chaos=chaos) as service:
@@ -330,7 +318,7 @@ def scenario_crash_recovery(
 
     service = ProvingService(
         session,
-        ServiceConfig(workers=1, supervisor_interval=0.02),
+        ServiceConfig(workers=1),
         journal_path=journal_path,
     )
     first_sql, first_seed = CHAOS_QUERIES[0]
@@ -351,9 +339,9 @@ def scenario_crash_recovery(
     with open(journal_path, "ab") as handle:
         handle.write(torn_frame[:cut])
 
-    with ProvingService.open(
+    with ProvingService(
         session,
-        ServiceConfig(workers=2, supervisor_interval=0.02),
+        ServiceConfig(workers=2),
         journal_path=journal_path,
     ) as recovered:
         assert recovered.replay is not None

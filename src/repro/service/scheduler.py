@@ -120,7 +120,7 @@ class ProverWorker(threading.Thread):
 
     def __init__(self, name: str, queue: JobQueue,
                  runner: "InProcessRunner | ForkedRunner",
-                 poll_interval: float = 0.05,
+                 poll_interval: float,
                  on_event: Optional[JobEventHook] = None,
                  retry: Optional[RetryHook] = None,
                  chaos=None):

@@ -6,18 +6,19 @@ into a job-oriented server: clients ``submit()`` SQL and get an opaque
 for queue position and live prover phase, and collect the
 :class:`~repro.system.prover_node.QueryResponse` with ``result()`` or
 the blocking ``wait()``.  Verification stays on the session/verifier
-side; ``batch_verify()`` is re-exported here for symmetry so a serving
-deployment can amortize its check MSMs across a drained batch.
+side: :meth:`~repro.api.Session.batch_verify` and
+:meth:`~repro.api.Session.verify_aggregate` amortize the check MSMs of
+a drained batch or a :meth:`ProvingService.rollup`.
 
 Fault tolerance (DESIGN.md section 5i) is built from four coupled
 pieces:
 
 - a **durable job journal** (:mod:`repro.service.journal`): with
   ``journal_path`` set, every lifecycle transition is appended to a
-  checksummed write-ahead log, and :meth:`ProvingService.open` on an
-  existing journal replays it -- interrupted (and completed-in-memory)
-  jobs are re-enqueued and re-proved, byte-identical to the journaled
-  result digest under a pinned ``rng_seed``;
+  checksummed write-ahead log, and a service opened on an existing
+  journal replays it -- interrupted (and completed-in-memory) jobs are
+  re-enqueued and re-proved, byte-identical to the journaled result
+  digest under a pinned ``rng_seed``;
 - a **supervisor** that respawns dead workers (recovering their
   orphaned jobs) and releases retry-backoff jobs;
 - **retry with exponential backoff + jitter** for jobs that die with a
@@ -76,18 +77,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Session
     from repro.proving.aggregate import AggProof
     from repro.system.prover_node import QueryResponse
-    from repro.system.verifier_node import AggReport, BatchReport
 
 logger = logging.getLogger("repro.service")
+
+#: Worker queue-poll period in seconds; bounds shutdown latency.
+POLL_INTERVAL = 0.05
+#: Period of the supervisor thread that respawns dead workers and
+#: releases due retries.
+SUPERVISOR_INTERVAL = 0.05
+#: Seconds :meth:`ProvingService.close` waits for each worker (and its
+#: runner) before giving up the join.
+SHUTDOWN_TIMEOUT = 30.0
+#: How many recent lifecycle events the in-memory event ring keeps.
+EVENT_LOG_CAPACITY = 256
+#: How many recent job failures ``health()`` reports.
+ERROR_RING_SIZE = 32
+#: Retry backoff: attempt ``n`` waits ``RETRY_BACKOFF_SECONDS *
+#: 2**(n-1)`` seconds times a jitter in [1, 1.25), capped at
+#: ``RETRY_BACKOFF_MAX``.
+RETRY_BACKOFF_SECONDS = 0.1
+RETRY_BACKOFF_MAX = 5.0
 
 
 class ProvingService:
     """A pool of long-lived prover workers behind a priority queue.
 
-    Construct directly, via :meth:`repro.api.Session.serve`, or --
-    when a durable journal is wanted -- via :meth:`open`.  The session
-    must outlive the service; the service commits the database on
+    Open one with :meth:`repro.api.Session.serve`.  The session must
+    outlive the service; the service commits the database on
     construction if the session has not already.
+
+    With ``journal_path`` naming an existing journal, the service
+    replays it before taking new work: jobs the previous incarnation
+    accepted but did not terminally fail or cancel are re-enqueued
+    ahead of new submissions and re-proved -- byte-identical to any
+    journaled result digest when their ``rng_seed`` was pinned.  A torn
+    final record (the crash signature) is tolerated; earlier corruption
+    raises :class:`~repro.errors.JournalCorrupt`.
 
     ``chaos`` is the deterministic fault-injection port
     (:mod:`repro.service.chaos`); leave it ``None`` outside tests.
@@ -119,10 +144,9 @@ class ProvingService:
         self._closed = False
         self.started_at = time.time()
         self.events_log = EventLog(
-            path=self.config.event_log_path,
-            capacity=self.config.event_log_capacity,
+            path=self.config.event_log_path, capacity=EVENT_LOG_CAPACITY
         )
-        self.errors = ErrorRing(capacity=self.config.error_ring_size)
+        self.errors = ErrorRing(capacity=ERROR_RING_SIZE)
         #: Retry backlog: ``(due_monotonic, seq, job)`` released by the
         #: supervisor once each backoff elapses.
         self._retries: list[tuple[float, int, Job]] = []
@@ -131,40 +155,15 @@ class ProvingService:
         self.recovered_jobs = 0
         self.journal: JobJournal | None = None
         self.replay: journal_mod.JournalReplay | None = None
-        path = journal_path if journal_path is not None else self.config.journal_path
-        if path is not None:
-            self._open_journal(path)
+        if journal_path is not None:
+            self._open_journal(journal_path)
         self.workers = [
             self._spawn_worker(i) for i in range(self.config.workers)
         ]
         for worker in self.workers:
             worker.start()
-        self.supervisor = Supervisor(
-            self._supervise, self.config.supervisor_interval
-        )
+        self.supervisor = Supervisor(self._supervise, SUPERVISOR_INTERVAL)
         self.supervisor.start()
-
-    @classmethod
-    def open(
-        cls,
-        session: "Session",
-        config: ServiceConfig | None = None,
-        *,
-        journal_path=None,
-        chaos=None,
-    ) -> "ProvingService":
-        """Open a (possibly crash-recovering) proving service.
-
-        With ``journal_path`` (or ``config.journal_path``) naming an
-        existing journal, the service replays it before taking new
-        work: jobs the previous incarnation accepted but did not
-        terminally fail or cancel are re-enqueued ahead of new
-        submissions and re-proved -- byte-identical to any journaled
-        result digest when their ``rng_seed`` was pinned.  A torn
-        final record (the crash signature) is tolerated; earlier
-        corruption raises :class:`~repro.errors.JournalCorrupt`.
-        """
-        return cls(session, config, journal_path=journal_path, chaos=chaos)
 
     def _spawn_worker(self, index: int) -> ProverWorker:
         """Worker ``index`` with a prover clone (sharing the session
@@ -181,7 +180,7 @@ class ProvingService:
                 InProcessRunner(prover) if index == 0
                 else ForkedRunner(prover, name=f"{name}-runner")
             ),
-            poll_interval=self.config.poll_interval,
+            poll_interval=POLL_INTERVAL,
             on_event=self._on_job_event,
             retry=self._maybe_retry,
             chaos=self._chaos,
@@ -310,8 +309,6 @@ class ProvingService:
         """
         if self._closed:
             raise ServiceClosed("proving service is shut down")
-        if deadline_seconds is None:
-            deadline_seconds = self.config.default_deadline_seconds
         job = Job(
             sql,
             priority=priority,
@@ -481,14 +478,14 @@ class ProvingService:
         if not job.requeue():
             return False
         job.attempts += 1
-        base = self.config.retry_backoff_seconds * (2 ** (job.attempts - 1))
+        base = RETRY_BACKOFF_SECONDS * (2 ** (job.attempts - 1))
         # Deterministic jitter (seeded by the job's identity and
         # attempt) keeps chaos runs reproducible while still spreading
         # synchronized retry herds in production.
         jitter = 1.0 + 0.25 * random.Random(
             (job.seq << 8) | job.attempts
         ).random()
-        backoff = min(base * jitter, self.config.retry_backoff_max)
+        backoff = min(base * jitter, RETRY_BACKOFF_MAX)
         telemetry.incr("service.jobs_retried")
         telemetry.observe("service.retry_backoff_seconds", backoff)
         self._journal_append(
@@ -527,7 +524,7 @@ class ProvingService:
                     worker.finish_job(orphan, JobState.FAILED, error)
             # A dead runner is reaped; a live one (only the thread died)
             # exits at EOF.
-            worker.stop_runner(self.config.shutdown_timeout)
+            worker.stop_runner(SHUTDOWN_TIMEOUT)
             replacement = self._spawn_worker(i)
             self.workers[i] = replacement
             replacement.start()
@@ -593,11 +590,6 @@ class ProvingService:
                 job_id, f"{job_id} still {job.state.value} after {timeout}s"
             )
         return self.result(job_id)
-
-    def batch_verify(self, responses: Sequence["QueryResponse"]) -> "BatchReport":
-        """Verify many responses with one folded accumulator check
-        (delegates to the session's verifier)."""
-        return self.session.verifier().batch_verify(responses)
 
     # -- aggregation -----------------------------------------------------
 
@@ -665,11 +657,6 @@ class ProvingService:
             self._rolled.update(job_ids)
         telemetry.incr("service.rollups")
         return agg
-
-    def verify_aggregate(self, agg: "AggProof | bytes") -> "AggReport":
-        """Check an aggregated claim with one accumulator finalize
-        (delegates to the session's verifier)."""
-        return self.session.verifier().verify_aggregate(agg)
 
     # -- introspection ---------------------------------------------------
 
@@ -822,7 +809,7 @@ class ProvingService:
         and their runner processes.
 
         Running jobs are allowed to finish (bounded by
-        ``config.shutdown_timeout`` per worker join; a runner still
+        :data:`SHUTDOWN_TIMEOUT` per worker join; a runner still
         proving after that is killed); queued and retry-pending jobs
         are finished as ``CANCELLED`` so every waiter is released.
         """
@@ -838,12 +825,12 @@ class ProvingService:
         # Supervisor first: a tick caught mid-respawn has published a
         # replacement worker it has not started yet, and joining that
         # raises.
-        self.supervisor.join(timeout=self.config.shutdown_timeout)
+        self.supervisor.join(timeout=SHUTDOWN_TIMEOUT)
         for worker in self.workers:
             worker.request_stop()
         for worker in self.workers:
-            worker.join(timeout=self.config.shutdown_timeout)
-            worker.stop_runner(self.config.shutdown_timeout)
+            worker.join(timeout=SHUTDOWN_TIMEOUT)
+            worker.stop_runner(SHUTDOWN_TIMEOUT)
         self.events_log.emit("closed", uptime_seconds=round(
             time.time() - self.started_at, 6
         ))
@@ -857,8 +844,8 @@ class ProvingService:
 
         Queued jobs are left un-cancelled (exactly as a killed process
         would leave them), runner processes are killed mid-job, and
-        nothing further is journaled, so a subsequent :meth:`open` on
-        the same journal exercises real recovery.  A test/chaos aid;
+        nothing further is journaled, so a service opened next on the
+        same journal exercises real recovery.  A test/chaos aid;
         production code wants :meth:`close`.
         """
         if self._closed:
@@ -867,7 +854,7 @@ class ProvingService:
         self.supervisor.request_stop()
         # A tick caught mid-respawn must not fork a runner after the
         # kills below.
-        self.supervisor.join(timeout=self.config.shutdown_timeout)
+        self.supervisor.join(timeout=SHUTDOWN_TIMEOUT)
         for worker in self.workers:
             worker.request_stop()
             worker.stop_runner(timeout=0)  # mid-job or not

@@ -60,12 +60,6 @@ class Relation:
     def rows(self) -> list[dict[str, int]]:
         return [self.row(i) for i in range(self.num_rows)]
 
-    def scale_of(self, name: str) -> int:
-        for col in self.outputs:
-            if col.name == name:
-                return col.scale
-        raise KeyError(name)
-
 
 class ExecError(ValueError):
     pass

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro import telemetry
+from repro.algebra.field import SCALAR_FIELD
 from repro.cache import ArtifactCache, resolve_cache
 from repro.commit.params import PublicParams
 from repro.config import ProverConfig
@@ -23,6 +24,7 @@ from repro.db.commitment import (
     commit_database,
 )
 from repro.db.database import Database
+from repro.ecc.curve import PALLAS
 from repro.plonkish.assignment import Assignment
 from repro.proving.aggregate import ScanLinkClaim
 from repro.proving.keygen import (
@@ -98,6 +100,12 @@ class ProverNode:
         config: ProverConfig,
         cache: ArtifactCache | None = None,
     ):
+        if params.curve is not PALLAS:
+            raise ConfigError(
+                f"public parameters must be on Pallas, got "
+                f"{params.curve.name}: the circuit field is Pallas's "
+                "scalar field"
+            )
         if (1 << config.k) > params.n:
             raise ConfigError("k exceeds public parameter capacity")
         self.config = config
@@ -106,7 +114,7 @@ class ProverNode:
             params.truncated(config.k) if params.k > config.k else params
         )
         self.k = config.k
-        self.field = config.field
+        self.field = SCALAR_FIELD
         self.limb_bits = config.limb_bits
         self.value_bits = config.value_bits
         self.key_bits = config.key_bits

@@ -99,10 +99,6 @@ class BatchReport:
     def proofs(self) -> int:
         return len(self.reports)
 
-    @property
-    def per_proof_seconds(self) -> float:
-        return self.elapsed_seconds / len(self.reports) if self.reports else 0.0
-
     def require(self) -> "BatchReport":
         """Return ``self`` if the whole batch accepted, else raise
         :class:`~repro.errors.VerificationFailure`."""

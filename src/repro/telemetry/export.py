@@ -35,10 +35,6 @@ class Trace:
     gauges: dict[str, float] = dc_field(default_factory=dict)
     histograms: list[dict] = dc_field(default_factory=list)
 
-    def iter_spans(self) -> Iterable[Span]:
-        for root in self.roots:
-            yield from root.walk()
-
     def histogram_snapshots(self):
         from repro.telemetry.metrics import HistogramSnapshot
 

@@ -438,13 +438,6 @@ class Tracer:
         self._observers = []
         self.metrics.after_fork()
 
-    def iter_spans(self) -> Iterator[Span]:
-        """Every finished span, pre-order per root."""
-        with self._lock:
-            roots = list(self.roots)
-        for root in roots:
-            yield from root.walk()
-
     # -- forked-runner capture and merge ---------------------------------
 
     @contextmanager

@@ -20,10 +20,7 @@ from repro.service.journal import replay
 
 def main(journal: str) -> int:
     session = build_session()
-    service = session.serve(
-        ServiceConfig(workers=1, supervisor_interval=0.05),
-        journal_path=journal,
-    )
+    service = session.serve(ServiceConfig(workers=1), journal_path=journal)
     job_ids = [
         service.submit(sql, rng_seed=seed) for sql, seed in CHAOS_QUERIES
     ]

@@ -81,13 +81,6 @@ class TestProverConfig:
         with pytest.raises(errors.ConfigError, match=r"ServiceConfig\(workers=N\)"):
             ProverConfig(workers=2)
 
-    def test_with_options_revalidates(self):
-        config = ProverConfig(k=6)
-        assert config.with_options(k=7).k == 7
-        assert config.k == 6  # frozen original untouched
-        with pytest.raises(ValueError):
-            config.with_options(workers=-2)
-
 
 #: Every integer and float field of both configs, with whether ``None``
 #: is a valid value of it.
@@ -98,10 +91,7 @@ _NUMERIC_FIELDS = [
     (ServiceConfig, name, name.startswith("default_"))
     for name in (
         "workers", "max_queue_depth", "high_priority_reserve",
-        "event_log_capacity", "error_ring_size", "max_retries",
-        "default_tenant_quota", "poll_interval", "shutdown_timeout",
-        "retry_backoff_seconds", "retry_backoff_max",
-        "default_deadline_seconds", "supervisor_interval",
+        "max_retries", "default_tenant_quota",
     )
 ]
 
@@ -189,6 +179,15 @@ class TestFacade:
             assert backend.backend_name() == engine
         finally:
             telemetry.enable(previous)
+
+    def test_params_off_pallas_rejected(self, tiny_db, tiny_config):
+        """The circuit field is Pallas's scalar field, so parameters on
+        any other curve could only yield proofs the verifier rejects."""
+        from repro.commit import setup
+        from repro.ecc.curve import VESTA
+
+        with pytest.raises(errors.ConfigError, match="Pallas"):
+            PoneglyphDB.open(tiny_db, tiny_config, params=setup(6, VESTA))
 
     def test_shared_params_and_cache(self, tiny_db, tiny_config, tmp_path):
         shared = ArtifactCache(tmp_path / "shared")

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import ServiceConfig
-from repro.service import JobState, ProvingService, replay
+from repro.service import JobState, replay
 from repro.service.chaos import (
     CHAOS_QUERIES,
     baseline_digests,
@@ -132,10 +132,8 @@ class TestSigkillRecovery:
         assert [j.job_id for j in folded.pending()] == ready["jobs"]
 
         # Recover in this process and demand byte-identical proofs.
-        with ProvingService.open(
-            session,
-            ServiceConfig(workers=2, supervisor_interval=0.02),
-            journal_path=journal_path,
+        with session.serve(
+            ServiceConfig(workers=2), journal_path=journal_path
         ) as recovered:
             assert recovered.recovered_jobs == 3
             health = recovered.health()
@@ -163,10 +161,8 @@ class TestJournalLifecycle:
         too*: reopening must not resurrect them."""
         session, _ = chaos_env
         journal_path = tmp_path / "clean.journal"
-        service = ProvingService(
-            session,
-            ServiceConfig(workers=1, supervisor_interval=0.05),
-            journal_path=journal_path,
+        service = session.serve(
+            ServiceConfig(workers=1), journal_path=journal_path
         )
         sql, seed = CHAOS_QUERIES[0]
         first = service.submit(sql, rng_seed=seed)

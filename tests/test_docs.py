@@ -7,13 +7,18 @@ docs and CI quote runs something that exists, and every ``--flag``
 quoted after a script is one its parser defines.  Nothing outside
 ROADMAP.md and CHANGES.md cites ROADMAP's numbered items.  README's
 numpy-engine table is the kernel record rendered, not a transcript.
+Every keyword the docs and examples pass to ``ProverConfig(...)`` or
+``ServiceConfig(...)`` is a field of that class.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import re
 from pathlib import Path
+
+from repro.config import ProverConfig, ServiceConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
@@ -166,3 +171,51 @@ def test_quoted_commands_exist():
             if f'"{flag}"' not in source_text
         ]
     assert broken == []
+
+
+#: A config construction, and a keyword argument at its top level.
+CONFIG_CALL = re.compile(r"\b(ProverConfig|ServiceConfig)\(")
+KEYWORD = re.compile(r"\s*(\w+)\s*=(?!=)")
+
+
+def _config_keywords():
+    """(source, class name, keyword) for every keyword passed to a
+    ``ProverConfig(...)`` or ``ServiceConfig(...)`` in README.md,
+    DESIGN.md and the examples."""
+    paths = [ROOT / "README.md", ROOT / "DESIGN.md"]
+    paths += sorted((ROOT / "examples").glob("*.py"))
+    found = []
+    for path in paths:
+        text = path.read_text()
+        for call in CONFIG_CALL.finditer(text):
+            depth, top, i = 1, [], call.end()
+            while depth and i < len(text):
+                ch = text[i]
+                if ch in "([{":
+                    depth += 1
+                elif ch in ")]}":
+                    depth -= 1
+                elif depth == 1:
+                    top.append(ch)
+                i += 1
+            found += [
+                (path.name, call[1], keyword[1])
+                for argument in "".join(top).split(",")
+                if (keyword := KEYWORD.match(argument))
+            ]
+    return found
+
+
+def test_config_keywords_in_the_docs_are_fields():
+    fields = {
+        cls.__name__: {field.name for field in dataclasses.fields(cls)}
+        for cls in (ProverConfig, ServiceConfig)
+    }
+    found = _config_keywords()
+    assert ("README.md", "ServiceConfig", "max_retries") in found
+    stale = [
+        f"{source}: {cls}({keyword}=...)"
+        for source, cls, keyword in found
+        if keyword not in fields[cls]
+    ]
+    assert stale == []

@@ -246,7 +246,7 @@ class TestRollup:
                 [SQL_COUNT, SQL_SUM], rng_seed=SEED_SUM - 1
             )
             agg = service.rollup(jobs, timeout=300)
-            report = service.verify_aggregate(agg.to_bytes())
+            report = session.verify_aggregate(agg.to_bytes())
             yield service, jobs, agg, report
 
     def test_rollup_folds_all_jobs_in_order(self, rollup_run):
@@ -267,6 +267,7 @@ class TestRollup:
 
     def test_epoch_rollup_sweeps_only_new_jobs(self, rollup_run):
         service, *_ = rollup_run
+        session = service.session
         # Everything proved so far is already folded into epoch 1.
         with pytest.raises(StateError, match="no completed jobs"):
             service.rollup()
@@ -274,7 +275,7 @@ class TestRollup:
         service.wait(job, timeout=300)
         epoch2 = service.rollup()
         assert epoch2.proofs == 1
-        assert service.verify_aggregate(epoch2.to_bytes()).accepted
+        assert session.verify_aggregate(epoch2.to_bytes()).accepted
         with pytest.raises(StateError, match="no completed jobs"):
             service.rollup()
 
@@ -574,13 +575,7 @@ class TestRetriesAndSupervision:
 
         session, _, _ = stub_session
         chaos = ChaosInjector(seed=5, kills=1)
-        config = ServiceConfig(
-            workers=1,
-            max_retries=2,
-            retry_backoff_seconds=0.01,
-            retry_backoff_max=0.05,
-            supervisor_interval=0.02,
-        )
+        config = ServiceConfig(workers=1, max_retries=2)
         with session.serve(config, chaos=chaos) as service:
             job = service.submit("survives-a-kill")
             assert service.wait(job, timeout=30) == "response:survives-a-kill"
@@ -602,12 +597,7 @@ class TestRetriesAndSupervision:
             def on_prove(self, job, worker):
                 raise WorkerKilled("chaos: every attempt dies")
 
-        config = ServiceConfig(
-            workers=1,
-            max_retries=1,
-            retry_backoff_seconds=0.01,
-            supervisor_interval=0.02,
-        )
+        config = ServiceConfig(workers=1, max_retries=1)
         with session.serve(config, chaos=AlwaysKill(seed=0)) as service:
             job = service.submit("doomed")
             with pytest.raises(JobFailed, match="died mid-job"):
@@ -616,10 +606,7 @@ class TestRetriesAndSupervision:
 
     def test_deterministic_failure_never_retried(self, real_run):
         session = real_run["session"]
-        config = ServiceConfig(
-            workers=1, max_retries=3, retry_backoff_seconds=0.01,
-            supervisor_interval=0.02,
-        )
+        config = ServiceConfig(workers=1, max_retries=3)
         with session.serve(config) as service:
             job = service.submit("definitely not sql")
             with pytest.raises(JobFailed):
@@ -639,7 +626,7 @@ class TestRetriesAndSupervision:
         with PoneglyphDB.open(generate(32, seed=1), config) as session:
             session.commit()
             with session.serve(
-                ServiceConfig(workers=1, max_retries=3, retry_backoff_seconds=0.01)
+                ServiceConfig(workers=1, max_retries=3)
             ) as service:
                 job = service.submit(QUERIES["Q8"])
                 with pytest.raises(JobFailed, match="CompileError"):
@@ -803,7 +790,7 @@ class TestRunnerProcesses:
                 forked.set()
                 thread.join(timeout=10)
 
-        config = ServiceConfig(workers=2, supervisor_interval=0.02)
+        config = ServiceConfig(workers=2)
         with session.serve(config) as service:
             first = service.workers[1].pid
             monkeypatch.setattr(ForkedRunner, "__init__", fork_while_locked)
@@ -824,11 +811,15 @@ class TestRunnerProcesses:
             gate.set()
             service.wait(held, timeout=30)
 
-    def test_dead_runner_makes_its_worker_not_alive(self, stub_session):
+    def test_dead_runner_makes_its_worker_not_alive(
+        self, stub_session, monkeypatch
+    ):
+        from repro.service import service as service_mod
+
         session, *_ = stub_session
         # No supervisor tick during the test: the dead worker stays dead.
-        config = ServiceConfig(workers=2, supervisor_interval=60.0)
-        with session.serve(config) as service:
+        monkeypatch.setattr(service_mod, "SUPERVISOR_INTERVAL", 60.0)
+        with session.serve(ServiceConfig(workers=2)) as service:
             os.kill(service.workers[1].pid, signal.SIGKILL)
             assert wait_for(
                 lambda: not service.health()["workers"]["prover-worker-1"][
@@ -868,6 +859,32 @@ class TestDurability:
                 service.wait(bad, timeout=10)
             assert replay(journal_path).jobs[str(bad)].state == "failed"
         assert released == [("finished", False), ("failed", False)]
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"journal_fsync": True}], ids=["default", "fsync"]
+    )
+    def test_journal_fsync_syncs_every_record(
+        self, stub_session, monkeypatch, tmp_path, options
+    ):
+        """``journal_fsync=True`` costs one ``os.fsync`` per appended
+        record; the default only flushes."""
+        session, _, _ = stub_session
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        with session.serve(
+            ServiceConfig(workers=1, **options),
+            journal_path=tmp_path / "jobs.journal",
+        ) as service:
+            service.wait(service.submit("durable"), timeout=10)
+        assert service.journal.appended == 3  # submitted, running, done
+        expected = service.journal.appended if options else 0
+        assert len(synced) == expected
 
 
 class TestQueueRaces:
@@ -980,20 +997,11 @@ class TestServiceConfig:
             {"max_queue_depth": 0},
             {"high_priority_reserve": -1},
             {"high_priority_reserve": 64, "max_queue_depth": 64},
-            {"poll_interval": 0},
-            {"shutdown_timeout": 0},
         ],
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             ServiceConfig(**kwargs)
-
-    def test_with_options(self):
-        config = ServiceConfig(workers=2)
-        assert config.with_options(workers=4).workers == 4
-        assert config.workers == 2
-        with pytest.raises(ConfigError):
-            config.with_options(workers=0)
 
 
 class TestDeterministicRng:
