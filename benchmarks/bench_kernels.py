@@ -144,7 +144,8 @@ def bench_field_backend(
     """Numpy limb-vector backend vs the pure-Python reference on
     whole-vector field ops, results asserted equal first.  Each engine's
     time for each op is the median and interquartile range of
-    ``samples`` loops of at least 0.25 s (:func:`per_call_seconds`).
+    ``samples`` loops of at least 0.25 s (:func:`per_call_seconds`),
+    the two engines' loops taken in turn.
 
     Returns ``None`` when numpy is not installed (the rows are skipped;
     the fallback path is what the rest of the suite measures then).
@@ -166,47 +167,16 @@ def bench_field_backend(
     dom = EvaluationDomain(SCALAR_FIELD, n.bit_length() - 1)
     vals = [rng.randrange(1, p) for _ in range(dom.size)]
 
-    # -- NTT: whole transform through the domain's public entry point.
-    with field_backend.backend("python"):
-        dom.fft(vals)  # warm the plan cache
-        ref_fft = dom.fft(vals)
-        python_fft = per_call_seconds(lambda: dom.fft(vals), samples)
-    with field_backend.backend("numpy"):
-        dom.fft(vals)  # warm the limb twiddle tables
-        fast_fft = dom.fft(vals)
-        numpy_fft = per_call_seconds(lambda: dom.fft(vals), samples)
-    assert fast_fft == ref_fft, "backend NTT diverged from the reference"
-
-    # -- batch inversion: resident product tree vs Montgomery ladder.
-    ref_inv = montgomery_batch_inv(vals, p)
-    python_inv = per_call_seconds(
-        lambda: montgomery_batch_inv(vals, p), samples
-    )
-    ctx = numpy_limb.ctx_for(p)
-    arr = ctx.lift(vals)
-    ctx.tree_inv_arr(arr)  # warm the tree arenas
-    fast_arr = ctx.tree_inv_arr(arr)
-    numpy_inv = per_call_seconds(lambda: ctx.tree_inv_arr(arr), samples)
-    assert ctx.lower(fast_arr) == ref_inv, "tree inversion diverged"
-
-    # -- Lagrange basis: the fused consumer of the resident inversion.
-    x = rng.randrange(p)
-    with field_backend.backend("python"):
-        ref_lag = dom.lagrange_basis_evals(x, dom.size)
-        python_lag = per_call_seconds(
-            lambda: dom.lagrange_basis_evals(x, dom.size), samples
-        )
-    with field_backend.backend("numpy"):
-        dom.lagrange_basis_evals(x, dom.size)  # warm the power table
-        fast_lag = dom.lagrange_basis_evals(x, dom.size)
-        numpy_lag = per_call_seconds(
-            lambda: dom.lagrange_basis_evals(x, dom.size), samples
-        )
-    assert fast_lag == ref_lag, "backend Lagrange evals diverged"
-
-    def row(python_samples, numpy_samples):
-        python_s, python_iqr_s = median_iqr(python_samples)
-        numpy_s, numpy_iqr_s = median_iqr(numpy_samples)
+    def race(python_call, numpy_call):
+        """Loops of the two engines in turn, so a slow spell of the host
+        lands on both sides: their medians, IQRs and speedup."""
+        timed = {"python": [], "numpy": []}
+        for _ in range(samples):
+            for engine, call in zip(timed, (python_call, numpy_call)):
+                with field_backend.backend(engine):
+                    timed[engine] += per_call_seconds(call, samples=1)
+        python_s, python_iqr_s = median_iqr(timed["python"])
+        numpy_s, numpy_iqr_s = median_iqr(timed["numpy"])
         return {
             "python_s": python_s,
             "python_iqr_s": python_iqr_s,
@@ -215,12 +185,45 @@ def bench_field_backend(
             "speedup": python_s / numpy_s,
         }
 
+    # -- NTT: whole transform through the domain's public entry point.
+    with field_backend.backend("python"):
+        ref_fft = dom.fft(vals)  # and warm the plan cache
+    with field_backend.backend("numpy"):
+        dom.fft(vals)  # warm the limb twiddle tables
+        fast_fft = dom.fft(vals)
+    assert fast_fft == ref_fft, "backend NTT diverged from the reference"
+    fft = race(lambda: dom.fft(vals), lambda: dom.fft(vals))
+
+    # -- batch inversion: resident product tree vs Montgomery ladder.
+    ref_inv = montgomery_batch_inv(vals, p)
+    ctx = numpy_limb.ctx_for(p)
+    arr = ctx.lift(vals)
+    ctx.tree_inv_arr(arr)  # warm the tree arenas
+    fast_inv = ctx.lower(ctx.tree_inv_arr(arr))
+    assert fast_inv == ref_inv, "tree inversion diverged"
+    batch_inv = race(
+        lambda: montgomery_batch_inv(vals, p), lambda: ctx.tree_inv_arr(arr)
+    )
+
+    # -- Lagrange basis: the fused consumer of the resident inversion.
+    x = rng.randrange(p)
+    with field_backend.backend("python"):
+        ref_lag = dom.lagrange_basis_evals(x, dom.size)
+    with field_backend.backend("numpy"):
+        dom.lagrange_basis_evals(x, dom.size)  # warm the power table
+        fast_lag = dom.lagrange_basis_evals(x, dom.size)
+    assert fast_lag == ref_lag, "backend Lagrange evals diverged"
+    lagrange = race(
+        lambda: dom.lagrange_basis_evals(x, dom.size),
+        lambda: dom.lagrange_basis_evals(x, dom.size),
+    )
+
     return {
         "n": dom.size,
         "samples": samples,
-        "fft": row(python_fft, numpy_fft),
-        "batch_inv": row(python_inv, numpy_inv),
-        "lagrange": row(python_lag, numpy_lag),
+        "fft": fft,
+        "batch_inv": batch_inv,
+        "lagrange": lagrange,
     }
 
 
