@@ -6,7 +6,7 @@ the calibrated cost model (see DESIGN.md, substitutions).
 
 Public parameters, proving keys, and the TPC-H database load through
 the on-disk artifact cache, so the second run of any benchmark skips
-regeneration (reports print the HIT/MISS trace).  Set
+regeneration (reports print the cache's hit and miss counts).  Set
 ``REPRO_NO_CACHE=1`` to force cold runs.
 """
 
