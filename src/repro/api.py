@@ -257,7 +257,7 @@ class PoneglyphDB:
 
         ``config`` defaults to ``ProverConfig()``; pass ``params`` to
         reuse pre-generated public parameters (they must be on Pallas
-        and support at least ``2^config.k`` rows), and ``cache`` to share one
-        :class:`~repro.cache.ArtifactCache` across sessions.
+        and support at least ``2^config.k`` rows), and ``cache`` to
+        share one :class:`~repro.cache.ArtifactCache` across sessions.
         """
         return Session(db, config or ProverConfig(), params, cache)
