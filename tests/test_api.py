@@ -6,6 +6,8 @@ validates its knobs, the typed error hierarchy routes every facade
 failure, and ``ProverNode`` takes its settings from ``config=`` only.
 """
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -81,9 +83,40 @@ class TestProverConfig:
         with pytest.raises(errors.ConfigError, match=r"ServiceConfig\(workers=N\)"):
             ProverConfig(workers=2)
 
+    def test_replace_revalidates(self):
+        """A changed copy is :func:`dataclasses.replace`, which runs the
+        same validation as the constructor."""
+        config = ProverConfig(k=6)
+        assert dataclasses.replace(config, k=7).k == 7
+        assert config.k == 6  # frozen original untouched
+        with pytest.raises(errors.ConfigError, match="workers"):
+            dataclasses.replace(config, workers=-2)
 
-#: Every integer and float field of both configs, with whether ``None``
-#: is a valid value of it.
+
+@pytest.mark.parametrize(
+    "config_class, names",
+    [
+        (ProverConfig, {
+            "k", "limb_bits", "value_bits", "key_bits", "workers",
+            "cache_dir", "use_cache", "telemetry", "field_backend",
+        }),
+        (ServiceConfig, {
+            "workers", "max_queue_depth", "high_priority_reserve",
+            "event_log_path", "journal_fsync", "max_retries",
+            "tenant_quotas", "default_tenant_quota",
+        }),
+    ],
+    ids=["ProverConfig", "ServiceConfig"],
+)
+def test_config_fields_are_the_settings(config_class, names):
+    """Each field is a setting the benchmark sets, a deployment path, a
+    safety switch or a behaviour a test switches (``config.py``'s rule);
+    a new one is added here on purpose, not by accident."""
+    assert {field.name for field in dataclasses.fields(config_class)} == names
+
+
+#: Every integer field of both configs, with whether ``None`` is a
+#: valid value of it.
 _NUMERIC_FIELDS = [
     (ProverConfig, name, False)
     for name in ("k", "limb_bits", "value_bits", "key_bits", "workers")
@@ -96,14 +129,15 @@ _NUMERIC_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+@pytest.mark.parametrize("value", [True, "1", None, 1.5], ids=repr)
 @pytest.mark.parametrize(
     "config_class, name, optional", _NUMERIC_FIELDS,
     ids=[f"{cls.__name__}.{name}" for cls, name, _ in _NUMERIC_FIELDS],
 )
 def test_numeric_fields_reject_wrong_types(config_class, name, optional, value):
-    """A bool is not a number here, and a string or ``None`` is a typed
-    ConfigError naming the field, never a bare TypeError."""
+    """A bool or a float is not an integer here, and a string or
+    ``None`` is a typed ConfigError naming the field, never a bare
+    TypeError."""
     if value is None and optional:
         assert getattr(config_class(**{name: None}), name) is None
         return

@@ -17,6 +17,7 @@ fork-safe (a ``multiprocessing`` event from the fork context), and
 :func:`hold_worker_0` pins a job onto a runner.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -604,6 +605,55 @@ class TestRetriesAndSupervision:
                 service.wait(job, timeout=30)
             assert service.status(job).attempts == 1  # budget spent
 
+    def test_retry_backoff_doubles_up_to_the_cap(
+        self, stub_session, monkeypatch
+    ):
+        """Attempt ``n`` waits ``RETRY_BACKOFF_SECONDS * 2**(n-1)`` times
+        a jitter in [1, 1.25), never more than ``RETRY_BACKOFF_MAX``."""
+        from repro.service import service as service_mod
+        from repro.service.chaos import ChaosInjector
+        from repro.service.scheduler import WorkerKilled
+
+        session, _, _ = stub_session
+
+        class AlwaysKill(ChaosInjector):
+            def on_prove(self, job, worker):
+                raise WorkerKilled("chaos: every attempt dies")
+
+        monkeypatch.setattr(service_mod, "RETRY_BACKOFF_SECONDS", 0.01)
+        monkeypatch.setattr(service_mod, "RETRY_BACKOFF_MAX", 0.03)
+        config = ServiceConfig(workers=1, max_retries=3)
+        with session.serve(config, chaos=AlwaysKill(seed=0)) as service:
+            job = service.submit("doomed")
+            with pytest.raises(JobFailed, match="died mid-job"):
+                service.wait(job, timeout=30)
+            backoffs = [
+                event["backoff_seconds"]
+                for event in service.events()
+                if event["event"] == "retry"
+            ]
+        assert len(backoffs) == 3
+        assert 0.01 <= backoffs[0] < 0.0125
+        assert 0.02 <= backoffs[1] < 0.025
+        assert backoffs[2] == 0.03  # 0.04 and up, capped
+
+    def test_rings_keep_the_module_constants(self, stub_session, monkeypatch):
+        """The event ring keeps the last ``EVENT_LOG_CAPACITY`` events and
+        ``health()`` the last ``ERROR_RING_SIZE`` failures."""
+        from repro.service import service as service_mod
+
+        session, _, _ = stub_session
+        monkeypatch.setattr(service_mod, "EVENT_LOG_CAPACITY", 4)
+        monkeypatch.setattr(service_mod, "ERROR_RING_SIZE", 2)
+        with session.serve(ServiceConfig(workers=1)) as service:
+            for i in range(3):
+                with pytest.raises(JobFailed, match="injected"):
+                    service.wait(service.submit(f"crash-{i}"), timeout=10)
+            assert len(service.events()) == 4
+            assert service.events_log.emitted > 4
+            assert len(service.health()["last_errors"]) == 2
+            assert service.errors.total == 3
+
     def test_deterministic_failure_never_retried(self, real_run):
         session = real_run["session"]
         config = ServiceConfig(workers=1, max_retries=3)
@@ -886,6 +936,42 @@ class TestDurability:
         expected = service.journal.appended if options else 0
         assert len(synced) == expected
 
+    def test_journal_fsync_syncs_cancel_and_failure_records(
+        self, stub_session, monkeypatch, tmp_path
+    ):
+        """Terminal records that are not ``done`` are synced too."""
+        session, gate, _ = stub_session
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        journal_path = tmp_path / "jobs.journal"
+        with session.serve(
+            ServiceConfig(workers=1, journal_fsync=True),
+            journal_path=journal_path,
+        ) as service:
+            blocker = service.submit("block-0")
+            assert wait_for(
+                lambda: service.status(blocker).state == JobState.RUNNING
+            )
+            doomed = service.submit("never-runs")
+            service.cancel(doomed)
+            gate.set()
+            service.wait(blocker, timeout=10)
+            bad = service.submit("crash-1")
+            with pytest.raises(JobFailed):
+                service.wait(bad, timeout=10)
+        jobs = replay(journal_path).jobs
+        assert jobs[str(doomed)].state == "cancelled"
+        assert jobs[str(bad)].state == "failed"
+        # blocker 3, doomed submitted + cancelled, bad 3
+        assert service.journal.appended == 8
+        assert len(synced) == 8
+
 
 class TestQueueRaces:
     """Direct JobQueue coverage: exact shed boundaries and the
@@ -997,11 +1083,42 @@ class TestServiceConfig:
             {"max_queue_depth": 0},
             {"high_priority_reserve": -1},
             {"high_priority_reserve": 64, "max_queue_depth": 64},
+            {"max_retries": -1},
+            {"default_tenant_quota": 0},
+            {"tenant_quotas": 5},
+            {"tenant_quotas": {"": 1}},
+            {"tenant_quotas": {"acme": 0}},
+            {"tenant_quotas": {"acme": True}},
         ],
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             ServiceConfig(**kwargs)
+
+    def test_replace_revalidates(self):
+        """A changed copy is :func:`dataclasses.replace`, which runs the
+        same validation as the constructor."""
+        config = ServiceConfig(workers=2)
+        assert dataclasses.replace(config, workers=4).workers == 4
+        assert config.workers == 2
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config, workers=0)
+
+    @pytest.mark.parametrize(
+        "tenant, expected",
+        [(None, None), ("acme", 2), ("other", 1)],
+        ids=["anonymous", "listed", "default"],
+    )
+    def test_quota_for(self, tenant, expected):
+        config = ServiceConfig(
+            tenant_quotas={"acme": 2}, default_tenant_quota=1
+        )
+        assert config.quota_for(tenant) == expected
+
+    def test_quota_for_without_a_default_is_unbounded(self):
+        config = ServiceConfig(tenant_quotas={"acme": 2})
+        assert config.quota_for("other") is None
+        assert ServiceConfig().quota_for("acme") is None
 
 
 class TestDeterministicRng:
