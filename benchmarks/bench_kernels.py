@@ -81,11 +81,14 @@ def bench_narrow_commit(k: int = 7, seed: int = 23, repeat: int = 5) -> dict:
     }
 
 
-def per_call_seconds(
-    call, samples: int = 5, min_loop_s: float = 0.25
-) -> list[float]:
+#: Timed loops per measured row, and the least seconds each loop runs.
+SAMPLES = 5
+MIN_LOOP_S = 0.25
+
+
+def per_call_seconds(call, samples: int) -> list[float]:
     """``samples`` measurements of ``call``'s seconds per call, each
-    from a loop that runs for at least ``min_loop_s``, so that one
+    from a loop that runs for at least ``MIN_LOOP_S``, so that one
     scheduler burst moves a sample by a fraction of itself."""
     out = []
     for _ in range(samples):
@@ -94,7 +97,7 @@ def per_call_seconds(
             call()
             calls += 1
             elapsed = time.perf_counter() - start
-            if elapsed >= min_loop_s:
+            if elapsed >= MIN_LOOP_S:
                 break
         out.append(elapsed / calls)
     return out
@@ -106,10 +109,10 @@ def median_iqr(samples: list[float]) -> tuple[float, float]:
     return statistics.median(samples), q3 - q1
 
 
-def bench_finalize_msm(n: int = 139, seed: int = 139, samples: int = 5) -> dict:
+def bench_finalize_msm(n: int = 139, seed: int = 139) -> dict:
     """The verifier's variable-base MSM on a finalize-shaped input (``n``
     random bases, ``n`` full-width scalars): the median and
-    interquartile range of ``samples`` loops of at least 0.25 s each,
+    interquartile range of ``SAMPLES`` loops of at least ``MIN_LOOP_S``,
     and bucket insertions (``msm.digits``), the point checked against
     one scalar multiplication per base first."""
     rng = random.Random(seed)
@@ -127,7 +130,7 @@ def bench_finalize_msm(n: int = 139, seed: int = 139, samples: int = 5) -> dict:
     finally:
         telemetry.enable(previous)
     assert point == expected, "msm diverged from the per-point sum"
-    seconds = per_call_seconds(lambda: msm(bases, scalars), samples)
+    seconds = per_call_seconds(lambda: msm(bases, scalars), SAMPLES)
     median_s, iqr_s = median_iqr(seconds)
     return {
         "n": n,
@@ -138,13 +141,11 @@ def bench_finalize_msm(n: int = 139, seed: int = 139, samples: int = 5) -> dict:
     }
 
 
-def bench_field_backend(
-    n: int = 16384, seed: int = 17, samples: int = 5
-) -> dict | None:
+def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
     """Numpy limb-vector backend vs the pure-Python reference on
     whole-vector field ops, results asserted equal first.  Each engine's
     time for each op is the median and interquartile range of
-    ``samples`` loops of at least 0.25 s (:func:`per_call_seconds`),
+    ``SAMPLES`` loops of at least ``MIN_LOOP_S`` (:func:`per_call_seconds`),
     the two engines' loops taken in turn.
 
     Returns ``None`` when numpy is not installed (the rows are skipped;
@@ -171,7 +172,7 @@ def bench_field_backend(
         """Loops of the two engines in turn, so a slow spell of the host
         lands on both sides: their medians, IQRs and speedup."""
         timed = {"python": [], "numpy": []}
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             for engine, call in zip(timed, (python_call, numpy_call)):
                 with field_backend.backend(engine):
                     timed[engine] += per_call_seconds(call, samples=1)
@@ -220,7 +221,7 @@ def bench_field_backend(
 
     return {
         "n": dom.size,
-        "samples": samples,
+        "samples": SAMPLES,
         "fft": fft,
         "batch_inv": batch_inv,
         "lagrange": lagrange,
@@ -249,7 +250,7 @@ def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
         rows = []
         bn = backend_rows["n"]
         report.line(
-            f"median and IQR of {backend_rows['samples']} loops of >= 0.25 s"
+            f"median and IQR of {SAMPLES} loops of >= {MIN_LOOP_S} s"
         )
         for key, label in (
             ("fft", f"ntt ({bn} pts)"),
@@ -288,7 +289,7 @@ def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
     )
     report.line(
         f"\nvariable-base msm of a {finalize['n']}-base finalize "
-        f"(median and IQR of {len(finalize['samples_s'])} loops of >= 0.25 s)"
+        f"(median and IQR of {SAMPLES} loops of >= {MIN_LOOP_S} s)"
     )
     report.table(
         ["bases", "median s", "IQR s", "bucket insertions"],

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.cache import ArtifactCache, resolve_cache
-from repro.algebra.field import SCALAR_FIELD
 from repro.commit.params import PublicParams, cached_setup, setup
 from repro.config import ProverConfig, ServiceConfig
 from repro.db.commitment import DatabaseCommitment
@@ -158,7 +157,6 @@ class Session:
                 self.params,
                 self.prover.public_metadata(),
                 self.prover.commitment,
-                SCALAR_FIELD,
             )
         return self._verifier
 

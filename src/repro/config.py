@@ -20,8 +20,9 @@ keep working) -- wrong types included: an integer field takes an
 A setting is a field here only when the benchmark sets it, it picks a
 deployment path, it switches safety behaviour, or a test switches the
 behaviour it controls.  The service's tuning numbers (poll and
-supervisor periods, shutdown timeout, ring sizes, retry backoff) are
-constants of :mod:`repro.service.service`, and each setting has one way
+supervisor periods, shutdown timeout, retry backoff) are constants of
+:mod:`repro.service.service`, its event and error rings keep the
+defaults of :mod:`repro.telemetry.obs`, and each setting has one way
 to set it: a job's deadline is ``submit(deadline_seconds=)``, the
 journal is ``Session.serve(..., journal_path=)``, and a changed copy of
 a config is :func:`dataclasses.replace`, which re-runs validation.

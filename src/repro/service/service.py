@@ -88,10 +88,6 @@ SUPERVISOR_INTERVAL = 0.05
 #: Seconds :meth:`ProvingService.close` waits for each worker (and its
 #: runner) before giving up the join.
 SHUTDOWN_TIMEOUT = 30.0
-#: How many recent lifecycle events the in-memory event ring keeps.
-EVENT_LOG_CAPACITY = 256
-#: How many recent job failures ``health()`` reports.
-ERROR_RING_SIZE = 32
 #: Retry backoff: attempt ``n`` waits ``RETRY_BACKOFF_SECONDS *
 #: 2**(n-1)`` seconds times a jitter in [1, 1.25), capped at
 #: ``RETRY_BACKOFF_MAX``.
@@ -143,10 +139,8 @@ class ProvingService:
         self._lock = threading.Lock()
         self._closed = False
         self.started_at = time.time()
-        self.events_log = EventLog(
-            path=self.config.event_log_path, capacity=EVENT_LOG_CAPACITY
-        )
-        self.errors = ErrorRing(capacity=ERROR_RING_SIZE)
+        self.events_log = EventLog(path=self.config.event_log_path)
+        self.errors = ErrorRing()
         #: Retry backlog: ``(due_monotonic, seq, job)`` released by the
         #: supervisor once each backoff elapses.
         self._retries: list[tuple[float, int, Job]] = []

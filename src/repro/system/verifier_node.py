@@ -34,7 +34,7 @@ from typing import Sequence
 
 from repro import telemetry
 
-from repro.algebra.field import Field, SCALAR_FIELD
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.params import PublicParams
 from repro.db.commitment import DatabaseCommitment
 from repro.errors import VerificationFailure
@@ -131,14 +131,13 @@ class VerifierNode:
         params: PublicParams,
         metadata: PublicMetadata,
         commitment: DatabaseCommitment,
-        field_: Field = SCALAR_FIELD,
     ):
         self.params = (
             params.truncated(metadata.k) if params.k > metadata.k else params
         )
         self.metadata = metadata
         self.commitment = commitment
-        self.field = field_
+        self.field = SCALAR_FIELD
         self._shell = shell_database(metadata)
         self._planner = Planner(self._shell)
         self._vk_cache: dict[tuple[str, int, str], tuple] = {}

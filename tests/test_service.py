@@ -637,23 +637,6 @@ class TestRetriesAndSupervision:
         assert 0.02 <= backoffs[1] < 0.025
         assert backoffs[2] == 0.03  # 0.04 and up, capped
 
-    def test_rings_keep_the_module_constants(self, stub_session, monkeypatch):
-        """The event ring keeps the last ``EVENT_LOG_CAPACITY`` events and
-        ``health()`` the last ``ERROR_RING_SIZE`` failures."""
-        from repro.service import service as service_mod
-
-        session, _, _ = stub_session
-        monkeypatch.setattr(service_mod, "EVENT_LOG_CAPACITY", 4)
-        monkeypatch.setattr(service_mod, "ERROR_RING_SIZE", 2)
-        with session.serve(ServiceConfig(workers=1)) as service:
-            for i in range(3):
-                with pytest.raises(JobFailed, match="injected"):
-                    service.wait(service.submit(f"crash-{i}"), timeout=10)
-            assert len(service.events()) == 4
-            assert service.events_log.emitted > 4
-            assert len(service.health()["last_errors"]) == 2
-            assert service.errors.total == 3
-
     def test_deterministic_failure_never_retried(self, real_run):
         session = real_run["session"]
         config = ServiceConfig(workers=1, max_retries=3)
@@ -935,42 +918,6 @@ class TestDurability:
         assert service.journal.appended == 3  # submitted, running, done
         expected = service.journal.appended if options else 0
         assert len(synced) == expected
-
-    def test_journal_fsync_syncs_cancel_and_failure_records(
-        self, stub_session, monkeypatch, tmp_path
-    ):
-        """Terminal records that are not ``done`` are synced too."""
-        session, gate, _ = stub_session
-        synced = []
-        real_fsync = os.fsync
-
-        def counting_fsync(fd):
-            synced.append(fd)
-            real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", counting_fsync)
-        journal_path = tmp_path / "jobs.journal"
-        with session.serve(
-            ServiceConfig(workers=1, journal_fsync=True),
-            journal_path=journal_path,
-        ) as service:
-            blocker = service.submit("block-0")
-            assert wait_for(
-                lambda: service.status(blocker).state == JobState.RUNNING
-            )
-            doomed = service.submit("never-runs")
-            service.cancel(doomed)
-            gate.set()
-            service.wait(blocker, timeout=10)
-            bad = service.submit("crash-1")
-            with pytest.raises(JobFailed):
-                service.wait(bad, timeout=10)
-        jobs = replay(journal_path).jobs
-        assert jobs[str(doomed)].state == "cancelled"
-        assert jobs[str(bad)].state == "failed"
-        # blocker 3, doomed submitted + cancelled, bad 3
-        assert service.journal.appended == 8
-        assert len(synced) == 8
 
 
 class TestQueueRaces:
