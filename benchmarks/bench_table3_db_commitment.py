@@ -5,8 +5,10 @@ in database size; committed once, reused for every query).
 
 We commit the full 8-table TPC-H database at three reduced scales and
 check the same near-linear shape, then extrapolate per-row cost to the
-paper's scales.  Every scale's fixed-base tables are built by an
-untimed commit first, so each timed commit is a warm one.
+paper's scales.  The scales sit in circuits of k = 7, 8 and 9, so each
+step doubles both the rows and the committed domain.  Every scale's
+fixed-base tables are built by an untimed commit first, so each timed
+commit is a warm one.
 """
 
 from repro import telemetry
@@ -19,7 +21,7 @@ from repro.bench import (
 from repro.bench.reporting import Report
 from repro.commit.params import cached_setup
 from repro.db.commitment import commit_database
-from repro.tpch.datagen import generate_cached
+from repro.tpch.datagen import generate
 
 
 def _k_for(total_rows: int) -> int:
@@ -29,10 +31,10 @@ def _k_for(total_rows: int) -> int:
 def test_table3_db_commitment(benchmark):
     config = BenchConfig()
     cache = bench_cache()
-    scales = [32, 64, 128]
-    # The datasets and parameters are deterministic artifacts: the
-    # second run of this bench loads all of them from the cache.
-    dbs = {s: generate_cached(s, cache=cache)[0] for s in scales}
+    scales = [64, 128, 256]
+    # The parameters are a deterministic artifact: the second run of
+    # this bench loads them from the cache.
+    dbs = {s: generate(s) for s in scales}
     ks = {s: _k_for(max(len(t) for t in dbs[s].tables.values())) for s in scales}
     params, _ = cached_setup(cache, max(ks.values()))
 

@@ -4,10 +4,10 @@ All benchmarks run real cryptography at the reduced scale defined by
 :class:`repro.bench.BenchConfig` and extrapolate to paper scale with
 the calibrated cost model (see DESIGN.md, substitutions).
 
-Public parameters, proving keys, and the TPC-H database load through
-the on-disk artifact cache, so the second run of any benchmark skips
-regeneration (reports print the cache's hit and miss counts).  Set
-``REPRO_NO_CACHE=1`` to force cold runs.
+Public parameters and their fixed-base tables load through the on-disk
+artifact cache, so the second run of any benchmark skips their
+generation (reports print the cache's hit and miss counts).  Point
+``REPRO_CACHE_DIR`` at an empty directory to force a cold run.
 """
 
 import pytest

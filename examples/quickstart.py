@@ -5,9 +5,9 @@ about a minute on a laptop, through the `repro.PoneglyphDB` session
 facade:
 
 1. the data owner opens a session over a private database (public
-   parameters come from the on-disk artifact cache -- the second run
-   of this script skips their generation) and publishes the database
-   commitment,
+   parameters and their fixed-base tables come from the on-disk
+   artifact cache -- the second run of this script skips their
+   generation) and publishes the database commitment,
 2. an auditor attests the commitment matches the authentic data,
 3. a client sends a SQL query; the owner answers with the result plus
    a non-interactive zero-knowledge proof,
@@ -17,7 +17,7 @@ facade:
 Run:  python examples/quickstart.py
 
 Knobs (see ProverConfig): ``use_cache=False`` forces cold parameter
-and key generation.  To prove many queries in parallel processes, serve
+and table generation.  To prove many queries in parallel processes, serve
 the session (``session.serve(ServiceConfig(workers=N))``; see
 examples/proving_service.py).
 """

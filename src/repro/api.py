@@ -12,7 +12,8 @@ single object::
         assert session.verify(response).accepted
 
 The facade owns the cross-cutting plumbing the lower layers expose as
-knobs: it obtains public parameters through the artifact cache, applies
+knobs: it obtains public parameters and their fixed-base MSM tables
+through its artifact cache (no layer below it reads the cache), applies
 the configured telemetry and field backend for the session's lifetime
 (restoring the previous settings on close), and keeps the
 prover/verifier pair consistent so a proved response verifies against
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro import telemetry
 from repro.algebra import backend as field_backend
 from repro.cache import ArtifactCache, resolve_cache
-from repro.commit.params import PublicParams, cached_setup, setup
+from repro.commit.params import PublicParams, cached_setup, cached_tables, setup
 from repro.config import ProverConfig, ServiceConfig
 from repro.db.commitment import DatabaseCommitment
 from repro.db.database import Database
@@ -99,13 +100,11 @@ class Session:
                 else:
                     params = setup(config.k)
             self.params = params
+            self.prover = ProverNode(db, params, config=config)
             if self.cache.enabled:
-                # Let the kernel layer persist its fixed-base MSM tables
-                # next to the cached parameters they derive from.
-                from repro.ecc import fixed_base
-
-                fixed_base.configure_cache(self.cache)
-            self.prover = ProverNode(db, params, config=config, cache=self.cache)
+                # The prover's table set persists next to the parameters
+                # it derives from; loading it registers it in process.
+                cached_tables(self.cache, self.prover.params)
         except BaseException:
             self.close()  # a failed open leaves no global setting changed
             raise

@@ -1,8 +1,8 @@
 """Shared benchmark machinery.
 
 The benchmarks run real cryptography at reduced scale.  This module
-fixes the reduced-scale geometry (so every bench agrees), loads the
-TPC-H database and public parameters through the artifact cache, and
+fixes the reduced-scale geometry (so every bench agrees), generates the
+TPC-H database, loads public parameters through the artifact cache, and
 measures the pieces the paper's tables need: witness generation,
 circuit statistics, full proofs, and verification.
 """
@@ -29,7 +29,7 @@ from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.system.prover_node import ProverNode
 from repro.system.verifier_node import VerifierNode
-from repro.tpch.datagen import generate_cached
+from repro.tpch.datagen import generate
 from repro.tpch.queries import QUERIES
 
 #: ``limb_bits=4 / value_bits=32 / key_bits=40`` shrink the paper's
@@ -62,20 +62,20 @@ class BenchConfig:
 def bench_cache() -> ArtifactCache:
     """The default on-disk artifact cache, shared by every benchmark in
     one process (so cumulative hit/miss stats make sense in reports).
-    Public parameters, proving keys, and the generated TPC-H database
-    load through it, so the second run of a benchmark skips straight to
-    proving; ``REPRO_NO_CACHE=1`` turns every lookup into a miss."""
+    Public parameters and their fixed-base tables load through it, so
+    the second run of a benchmark skips their generation; point
+    ``REPRO_CACHE_DIR`` at an empty directory for a cold run."""
     return ArtifactCache()
 
 
 @functools.cache
 def _tpch_db(lineitem_rows: int) -> Database:
-    return generate_cached(lineitem_rows, SEED, bench_cache())[0]
+    return generate(lineitem_rows, SEED)
 
 
 def tpch_db(config: BenchConfig) -> Database:
-    """The benchmark's TPC-H database, loaded through the artifact
-    cache (a deterministic function of ``(lineitem_rows, SEED)``)."""
+    """The benchmark's TPC-H database (a deterministic function of
+    ``(lineitem_rows, SEED)``, generated once per process)."""
     return _tpch_db(config.lineitem_rows)
 
 
@@ -127,7 +127,6 @@ def bench_metadata(
             "limb_bits": pc.limb_bits,
             "value_bits": pc.value_bits,
             "key_bits": pc.key_bits,
-            "use_cache": bench_cache().enabled,
             "telemetry": pc.telemetry,
         },
         "lineitem_rows": config.lineitem_rows,
@@ -148,12 +147,10 @@ def bench_metadata(
 def perf_summary_lines() -> list[str]:
     """The standard perf footer for a benchmark report: the commit, the
     host and the artifact cache's traffic."""
-    store = bench_cache()
     return [
         "",
-        f"commit {git_revision()[:12]}, host cpus={os.cpu_count()}, "
-        f"cache={'on' if store.enabled else 'off'}",
-        f"artifact cache: {store.stats.summary()}",
+        f"commit {git_revision()[:12]}, host cpus={os.cpu_count()}",
+        f"artifact cache: {bench_cache().stats.summary()}",
     ]
 
 

@@ -1,12 +1,13 @@
 """Content-addressed on-disk cache for expensive proving artifacts.
 
-Public parameters, proving keys, and generated TPC-H databases are all
-deterministic functions of small descriptions -- ``(curve, k, label)``,
-a circuit fingerprint, a ``(scale, seed)`` pair -- yet regenerating
-them dominates the setup time of every benchmark and prover run
-(Table 2 of the paper measures parameter generation alone in minutes).
-This module stores such artifacts on disk keyed by the BLAKE2b hash of
-their full description, so a second run skips straight to proving.
+Public parameters and their fixed-base MSM tables are deterministic
+functions of a small description -- ``(curve, k, label)``, the
+parameters' fingerprint -- yet regenerating them dominates the setup
+time of a cold run (Table 2 of the paper measures parameter generation
+alone in minutes).  This module stores such artifacts on disk keyed by
+the BLAKE2b hash of their full description, so a second run skips
+straight to proving.  Every artifact has a typed codec: the cache
+stores bytes, never code.
 
 Keys are content *descriptions*, not content hashes: two runs asking
 for the same ``(kind, description)`` get the same file.  Any change to
@@ -24,7 +25,9 @@ recomputes instead of a corrupt artifact reaching the prover -- disk
 corruption degrades to a cold start, never to a wrong proof.  Writes
 degrade the same way: an artifact that cannot be stored (say, the cache
 directory is a regular file) is counted as ``cache.write_errors`` and
-simply misses next time.
+simply misses next time.  A payload whose frame is sound but which its
+decoder refuses (a foreign or stale artifact stored under this key) is
+evicted, counted and logged the same way, then rebuilt.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 from repro import telemetry
 
@@ -50,7 +52,6 @@ T = TypeVar("T")
 CACHE_FORMAT_VERSION = 2
 
 _ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_DISABLE = "REPRO_NO_CACHE"
 
 #: On-disk artifact frame: magic, u64-le payload length, payload, then
 #: a BLAKE2b-16 digest of the payload.
@@ -127,9 +128,8 @@ class CacheStats:
 class ArtifactCache:
     """A directory of content-addressed artifacts.
 
-    ``enabled=False`` (or the ``REPRO_NO_CACHE`` environment variable)
-    turns every lookup into a miss that skips the disk entirely --
-    the builder always runs, nothing is stored.
+    ``enabled=False`` turns every lookup into a miss that skips the
+    disk entirely -- the builder always runs, nothing is stored.
     """
 
     def __init__(
@@ -138,7 +138,7 @@ class ArtifactCache:
         enabled: bool = True,
     ):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.enabled = enabled and not os.environ.get(_ENV_DISABLE)
+        self.enabled = enabled
         self.stats = CacheStats()
 
     # -- raw bytes ------------------------------------------------------
@@ -159,7 +159,7 @@ class ArtifactCache:
             # A damaged artifact must never reach a builder's
             # deserializer: evict it and read as a miss so the value
             # is recomputed from scratch.
-            self.evict(key, reason="corrupt frame")
+            self._evict(key, "corrupt frame")
             return None
         return payload
 
@@ -187,19 +187,15 @@ class ArtifactCache:
                 except OSError:
                     pass
 
-    def evict(self, key: str, reason: str = "evicted") -> bool:
-        """Remove one artifact (corruption recovery path); counted as
-        ``cache.corrupt_evictions`` when the reason says corrupt."""
-        path = self.path_for(key)
+    def _evict(self, key: str, reason: str) -> None:
+        """Remove a corrupt artifact, counted as
+        ``cache.corrupt_evictions`` and logged."""
         try:
-            path.unlink()
-            removed = True
+            self.path_for(key).unlink()
         except OSError:
-            removed = False
-        if "corrupt" in reason:
-            telemetry.incr("cache.corrupt_evictions")
+            pass
+        telemetry.incr("cache.corrupt_evictions")
         logger.warning("cache EVICT %s (%s)", key, reason)
-        return removed
 
     # -- high-level helpers ---------------------------------------------
 
@@ -208,58 +204,29 @@ class ArtifactCache:
         kind: str,
         description: tuple,
         build: Callable[[], T],
-        serialize: Callable[[T], bytes] | None = None,
-        deserialize: Callable[[bytes], T] | None = None,
+        serialize: Callable[[T], bytes],
+        deserialize: Callable[[bytes], T],
     ) -> tuple[T, bool]:
         """Load the artifact for ``(kind, description)`` or build and
         store it.  Returns ``(value, was_cache_hit)``.
 
-        Without explicit codecs the value goes through ``pickle``;
-        artifacts with a stable wire format (public parameters) pass
-        their own ``serialize``/``deserialize`` pair.
+        ``deserialize`` raises ``ValueError`` for a payload it refuses;
+        that entry is evicted as corrupt and rebuilt over.
         """
         key = cache_key(kind, *description)
         raw = self.get_bytes(key)
         if raw is not None:
             try:
-                value = (
-                    deserialize(raw) if deserialize else pickle.loads(raw)
-                )
+                value = deserialize(raw)
+            except ValueError as exc:
+                self._evict(key, f"corrupt payload: {exc}")
+            else:
                 self.stats.record(key, hit=True)
                 return value, True
-            except Exception:
-                # Corrupt or stale-format artifact: rebuild below.
-                pass
         value = build()
         self.stats.record(key, hit=False)
-        data = (
-            serialize(value)
-            if serialize
-            else pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        self.put_bytes(key, data)
+        self.put_bytes(key, serialize(value))
         return value, False
-
-    def clear(self, kind: str | None = None) -> int:
-        """Delete artifacts (optionally only one kind); returns count."""
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        prefix = f"{kind}-" if kind else ""
-        for entry in self.root.glob(f"{prefix}*.bin"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-class NullCache(ArtifactCache):
-    """A cache that never stores anything (the ``cache_dir=None`` path)."""
-
-    def __init__(self) -> None:
-        super().__init__(root=Path(os.devnull).parent, enabled=False)
 
 
 def resolve_cache(
@@ -269,6 +236,4 @@ def resolve_cache(
     """Coerce the user-facing ``cache_dir``-style argument to a cache."""
     if isinstance(cache, ArtifactCache):
         return cache
-    if cache is None and not enabled:
-        return NullCache()
     return ArtifactCache(cache, enabled=enabled)

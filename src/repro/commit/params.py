@@ -8,7 +8,8 @@ cost, reusable for every circuit of at most ``2^k`` rows.
 
 Every generator is a pure function of its index, and the whole set a
 pure function of ``(curve, k, label)``, so it is a prime artifact-cache
-candidate -- see :func:`cached_setup`.
+candidate -- see :func:`cached_setup`, and :func:`cached_tables` for the
+fixed-base MSM tables derived from a set.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.ecc import fixed_base
 from repro.ecc.curve import Curve, PALLAS, Point, curve_by_name
+from repro.ecc.fixed_base import FixedBaseTables
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import ArtifactCache
@@ -95,6 +98,8 @@ class PublicParams:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicParams":
+        if not data or len(data) < data[0] + 2:
+            raise ValueError("truncated public-parameter header")
         name_len = data[0]
         curve = curve_by_name(data[1 : 1 + name_len].decode())
         k = data[1 + name_len]
@@ -146,3 +151,27 @@ def cached_setup(
         serialize=PublicParams.to_bytes,
         deserialize=PublicParams.from_bytes,
     )
+
+
+def cached_tables(
+    cache: "ArtifactCache", params: PublicParams
+) -> tuple[FixedBaseTables, bool]:
+    """The fixed-base table set of ``params`` through the artifact
+    cache, registered in process either way.
+
+    Returns ``(tables, was_cache_hit)``.  The key is the parameter
+    fingerprint and the window width; a stored set is decoded by
+    :meth:`~repro.ecc.fixed_base.FixedBaseTables.from_bytes` and must
+    pass :func:`~repro.ecc.fixed_base.check_tables` against ``params``,
+    or the cache evicts it and it is built again.
+    """
+    tables, hit = cache.fetch(
+        "fixedbase",
+        (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW),
+        build=lambda: fixed_base.tables_for_params(params),
+        serialize=FixedBaseTables.to_bytes,
+        deserialize=lambda raw: fixed_base.check_tables(
+            params, FixedBaseTables.from_bytes(raw)
+        ),
+    )
+    return fixed_base.register(params, tables), hit

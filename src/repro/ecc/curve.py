@@ -315,7 +315,7 @@ VESTA = Curve(
 )
 
 #: Registry that reattaches serialized points to the curve singleton
-#: by name (parameter files and pickled fixed-base tables).
+#: by name (stored parameters and fixed-base tables).
 CURVES: dict[str, Curve] = {PALLAS.name: PALLAS, VESTA.name: VESTA}
 
 

@@ -23,29 +23,28 @@ column is committed by its values.
 
 Tables are keyed by the :meth:`~repro.commit.params.PublicParams.fingerprint`
 of the parameter set (one table set per set; its layout is stated
-once, at the registry below).  A process-local
-registry serves repeat lookups (forked service runners inherit it);
-optionally an :class:`~repro.cache.ArtifactCache` attached via
-:func:`configure_cache` persists tables across runs next to the cached
-parameters themselves.  The result is always the same group element
-the generic :func:`~repro.ecc.msm.msm` would produce -- only the
-schedule differs.
+once, at the registry below) in a process-local registry, which
+forked service runners inherit.  Persisting a table set across runs
+is the session's business (:func:`repro.commit.params.cached_tables`):
+it stores :meth:`FixedBaseTables.to_bytes`, loads through
+:meth:`FixedBaseTables.from_bytes` and :func:`check_tables`, and
+registers the result with :func:`register`.  The result of an MSM is
+always the same group element the generic :func:`~repro.ecc.msm.msm`
+would produce -- only the schedule differs.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import random
 import threading
 from typing import TYPE_CHECKING, Sequence
 
 from repro import telemetry
-from repro.cache import cache_key
 from repro.ecc.batch_affine import batch_double, sum_affine_lists
 from repro.ecc.curve import Curve, Point, curve_by_name, points_to_affine_tuples
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache import ArtifactCache
     from repro.commit.params import PublicParams
 
 #: Window width for the shifted-base tables.  Memory per base is
@@ -54,13 +53,17 @@ if TYPE_CHECKING:  # pragma: no cover
 #: buckets) next to the number of digit insertions.
 FIXED_BASE_WINDOW = 8
 
+#: Stored entries :func:`check_tables` recomputes from the parameters.
+SPOT_CHECKS = 4
+
 
 class FixedBaseTables:
     """Shifted window multiples of a fixed base vector.
 
     ``tables[i][j]`` is the affine ``(x, y)`` of ``2^(j*c) * base_i``
-    (``None`` when the multiple is the identity).  Plain picklable data
-    so tables travel through the artifact cache and fork boundaries.
+    (``None`` when the multiple is the identity).  Plain data, so
+    tables cross fork boundaries as they are; on disk they take the
+    typed form of :meth:`to_bytes`.
     """
 
     __slots__ = ("curve_name", "c", "windows", "tables")
@@ -80,11 +83,60 @@ class FixedBaseTables:
     def __len__(self) -> int:
         return len(self.tables)
 
-    def __getstate__(self):
-        return (self.curve_name, self.c, self.windows, self.tables)
+    def to_bytes(self) -> bytes:
+        """Curve name (u8 length, then the name), ``c`` and the window
+        count (u8 each), the base count (u32-le), then every entry base
+        by base as little-endian ``x || y``; the identity is all zeros
+        (never an affine point when ``b != 0``)."""
+        size = curve_by_name(self.curve_name).field._byte_length
+        name = self.curve_name.encode()
+        zero = bytes(2 * size)
+        out = [
+            bytes([len(name)]), name, bytes([self.c, self.windows]),
+            len(self.tables).to_bytes(4, "little"),
+        ]
+        for row in self.tables:
+            out.extend(
+                zero if xy is None
+                else xy[0].to_bytes(size, "little") + xy[1].to_bytes(size, "little")
+                for xy in row
+            )
+        return b"".join(out)
 
-    def __setstate__(self, state):
-        self.curve_name, self.c, self.windows, self.tables = state
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "FixedBaseTables":
+        """Strict inverse of :meth:`to_bytes`: ``ValueError`` on a bad
+        header or length, a non-canonical coordinate (``>= p``) or an
+        entry off the curve."""
+        if not data or len(data) < data[0] + 7:
+            raise ValueError("truncated fixed-base table header")
+        end = 1 + data[0]
+        curve = curve_by_name(data[1:end].decode())
+        c, windows = data[end], data[end + 1]
+        count = int.from_bytes(data[end + 2 : end + 6], "little")
+        if c < 1 or windows != -(-curve.scalar_field.p.bit_length() // c):
+            raise ValueError(f"window count {windows} does not fit c = {c}")
+        size = curve.field._byte_length
+        body = memoryview(data)[end + 6 :]
+        if len(body) != count * windows * 2 * size:
+            raise ValueError("fixed-base table body has the wrong length")
+        p, b = curve.field.p, curve.b
+        entries: list = []
+        for off in range(0, len(body), 2 * size):
+            x = int.from_bytes(body[off : off + size], "little")
+            y = int.from_bytes(body[off + size : off + 2 * size], "little")
+            if x == 0 and y == 0:
+                entries.append(None)
+            elif x >= p or y >= p:
+                raise ValueError("non-canonical fixed-base table coordinate")
+            elif (y * y - x * x * x - b) % p:
+                raise ValueError(f"fixed-base table entry is not on {curve.name}")
+            else:
+                entries.append((x, y))
+        tables = [
+            entries[i * windows : (i + 1) * windows] for i in range(count)
+        ]
+        return cls(curve.name, c, windows, tables)
 
 
 def build_tables(
@@ -221,12 +273,13 @@ def fixed_base_msm(
 _Key = tuple[str, int]  # (params fingerprint, window width)
 
 #: Process-local tables.  A forked service runner inherits whatever
-#: the parent built before the fork (the service builds them when it
-#: opens); a later miss loads from disk or builds in the runner.
+#: the parent built or loaded before the fork (the session loads them
+#: when it opens, the service builds them if it has not); a later miss
+#: builds in the runner.
 _REGISTRY: dict[_Key, FixedBaseTables] = {}
 
 #: One build lock per table set, so concurrent first users (service
-#: workers, verifier threads) load or build it once; ``_LOCKS_GUARD``
+#: workers, verifier threads) build it once; ``_LOCKS_GUARD``
 #: covers the lock table itself.
 _LOCKS: dict[_Key, threading.Lock] = {}
 _LOCKS_GUARD = threading.Lock()
@@ -241,76 +294,79 @@ def _new_locks_after_fork() -> None:
 
 os.register_at_fork(after_in_child=_new_locks_after_fork)
 
-#: Optional artifact cache for cross-run persistence (see
-#: :func:`configure_cache`; sessions attach their cache here).
-_CACHE: "ArtifactCache | None" = None
-
-
-def configure_cache(cache: "ArtifactCache | None") -> None:
-    """Attach (or detach, with ``None``) the on-disk artifact cache used
-    to persist tables across runs."""
-    global _CACHE
-    _CACHE = cache
-
 
 def clear_registry() -> None:
     """Drop every in-process table (tests)."""
     _REGISTRY.clear()
 
 
-def _disk_key(key: _Key) -> str:
-    return cache_key("fixedbase-g", *key)
+def _bases(params: "PublicParams") -> list:
+    return points_to_affine_tuples([*params.g, params.w, params.u])
 
 
-def _lookup(key: _Key, shape: tuple[str, int] | None = None):
-    """Registry, then disk.  A disk entry that is not a table set of
-    this window width -- and, when the caller knows them, of ``shape =
-    (curve name, base count)`` -- is ignored, so it gets rebuilt over."""
-    tables = _REGISTRY.get(key)
-    if tables is None and _CACHE is not None:
-        raw = _CACHE.get_bytes(_disk_key(key))
-        if raw is not None:
-            try:
-                tables = pickle.loads(raw)
-            except Exception:
-                tables = None
-            if not (
-                isinstance(tables, FixedBaseTables)
-                and tables.c == key[1]
-                and shape in (None, (tables.curve_name, len(tables)))
-            ):
-                return None
-            _REGISTRY[key] = tables
-    if tables is not None:
-        telemetry.incr("msm.fixed_base_table_hits")
+def spot_positions(
+    params: "PublicParams", windows: int
+) -> list[tuple[int, int]]:
+    """The ``(base, window)`` entries :func:`check_tables` recomputes:
+    :data:`SPOT_CHECKS` of them past window 0, seeded by the parameter
+    fingerprint."""
+    rng = random.Random(params.fingerprint())
+    return [
+        (rng.randrange(params.n + 2), rng.randrange(1, windows))
+        for _ in range(SPOT_CHECKS)
+    ]
+
+
+def check_tables(
+    params: "PublicParams", tables: FixedBaseTables, c: int = FIXED_BASE_WINDOW
+) -> FixedBaseTables:
+    """``tables`` if it is the table set of ``params`` at width ``c``,
+    else ``ValueError``: same curve, width and base count, window 0 the
+    parameter bases, and every entry at :func:`spot_positions` equal to
+    ``2^(j*c) * base_i`` recomputed by doubling."""
+    bases = _bases(params)
+    if (tables.curve_name, tables.c, len(tables)) != (
+        params.curve.name, c, len(bases)
+    ):
+        raise ValueError(
+            f"table set is {tables.curve_name} c={tables.c} over "
+            f"{len(tables)} bases, not {params.curve.name} c={c} over "
+            f"{len(bases)}"
+        )
+    if [row[0] or (0, 0) for row in tables.tables] != bases:
+        raise ValueError("table window 0 is not the parameter bases")
+    for i, j in spot_positions(params, tables.windows):
+        pt = Point(params.curve, *bases[i])
+        for _ in range(j * c):
+            pt = pt.double()
+        if (tables.tables[i][j] or (0, 0)) != pt.to_affine():
+            raise ValueError(f"table entry ({i}, {j}) is not 2^{j * c} * base")
     return tables
+
+
+def register(params: "PublicParams", tables: FixedBaseTables) -> FixedBaseTables:
+    """Serve ``tables`` (already checked against ``params``) from the
+    registry; a set registered first wins."""
+    return _REGISTRY.setdefault((params.fingerprint(), tables.c), tables)
 
 
 def tables_for_params(
     params: "PublicParams", c: int = FIXED_BASE_WINDOW
 ) -> FixedBaseTables:
-    """The (cached) table set of ``params``.
-
-    Built on first use per parameter fingerprint -- once, however many
-    threads ask at the same time -- registered in-process, and
-    persisted through the attached artifact cache when one is
-    configured.
-    """
+    """The registered table set of ``params``, built on first use per
+    parameter fingerprint -- once, however many threads ask at the
+    same time."""
     key = (params.fingerprint(), c)
-    if key in _REGISTRY:
-        return _lookup(key)
-    with _LOCKS_GUARD:
-        lock = _LOCKS.setdefault(key, threading.Lock())
-    with lock:
-        tables = _lookup(key, (params.curve.name, params.n + 2))
-        if tables is None:
-            bases = points_to_affine_tuples([*params.g, params.w, params.u])
-            tables = build_tables(params.curve, bases, c)
-            _REGISTRY[key] = tables
-            telemetry.incr("msm.fixed_base_table_builds")
-            if _CACHE is not None:
-                _CACHE.put_bytes(
-                    _disk_key(key),
-                    pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL),
-                )
+    tables = _REGISTRY.get(key)
+    if tables is None:
+        with _LOCKS_GUARD:
+            lock = _LOCKS.setdefault(key, threading.Lock())
+        with lock:
+            tables = _REGISTRY.get(key)
+            if tables is None:
+                tables = build_tables(params.curve, _bases(params), c)
+                _REGISTRY[key] = tables
+                telemetry.incr("msm.fixed_base_table_builds")
+                return tables
+    telemetry.incr("msm.fixed_base_table_hits")
     return tables

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro import telemetry
 from repro.algebra.domain import EvaluationDomain
@@ -42,9 +42,6 @@ from repro.proving.evaluation import (
     argument_expressions,
     gate_expressions,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache import ArtifactCache
 
 logger = logging.getLogger("repro.proving.keygen")
 
@@ -288,12 +285,10 @@ def keygen(
     return pk
 
 
-#: Versions what a pickled key *holds* for the same inputs: cached keys
-#: whose extended_evals were laid out over a domain of another size,
-#: whose vk has no lookup arguments, (v3) which lack their fixed
-#: columns, (v4) their compiled program or (v5) their own fingerprint,
-#: or whose commitments were made over another basis, must miss, not
-#: load.
+#: Versions what a key built from the same inputs holds (bumped when the
+#: key's layout or commitment basis changed).  It feeds
+#: :attr:`VerifyingKey.fingerprint` and through it every transcript, so
+#: changing it changes every proof.
 _FINGERPRINT_TAG = b"lagrange-generators-v6|"
 
 
@@ -302,12 +297,11 @@ def keygen_fingerprint(
 ) -> str:
     """A stable content hash of everything :func:`keygen` depends on.
 
-    Used as the artifact-cache key for proving keys: any change to the
-    circuit shape, its fixed values, the parameter set, the field, or
-    the row count lands in a different cache entry (that *is* the
-    invalidation mechanism).  Over the parameters the key is built on,
-    it is also :attr:`VerifyingKey.fingerprint`, which binds the proof
-    transcript to the whole statement.
+    Keys the provers' in-memory key memo: any change to the circuit
+    shape, its fixed values, the parameter set, the field, or the row
+    count lands in a different entry.  Over the parameters the key is
+    built on, it is also :attr:`VerifyingKey.fingerprint`, which binds
+    the proof transcript to the whole statement.
     """
     import hashlib
 
@@ -318,24 +312,6 @@ def keygen_fingerprint(
     for column in fixed:
         h.update(b"|" + ",".join(map(str, column)).encode())
     return h.hexdigest()
-
-
-def cached_keygen(
-    cache: "ArtifactCache", params: PublicParams, cs: ConstraintSystem,
-    field: Field, k: int, fixed: Columns,
-) -> tuple[ProvingKey, bool]:
-    """:func:`keygen` through the artifact cache.
-
-    Keygen is deterministic, so the pickled :class:`ProvingKey` is safe
-    to reuse whenever the fingerprint matches.  Returns
-    ``(pk, was_cache_hit)``.
-    """
-    fingerprint = keygen_fingerprint(params, cs, field, k, fixed)
-    return cache.fetch(
-        "pk",
-        (fingerprint,),
-        build=lambda: keygen(params, cs, field, k, fixed),
-    )
 
 
 #: The most keys one memo holds (a prover's proving keys, a verifier's

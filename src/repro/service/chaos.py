@@ -370,9 +370,15 @@ def scenario_cache_corruption(seed: int, workdir: Path) -> dict[str, Any]:
     rng = random.Random(seed)
     cache = ArtifactCache(workdir / "chaos-cache")
     evictions = 0
+
+    def fetch(i: int, payload: bytes) -> tuple[bytes, bool]:
+        return cache.fetch(
+            "chaos", (i,), lambda: payload, serialize=bytes, deserialize=bytes
+        )
+
     for i in range(4):
-        payload = {"artifact": i, "rows": list(range(32 + i))}
-        cache.fetch("chaos", (i,), lambda p=payload: p)
+        payload = bytes(range(32 + i))
+        fetch(i, payload)
         path = cache.path_for(cache_key("chaos", i))
         raw = bytearray(path.read_bytes())
         if i % 2 == 0:
@@ -380,11 +386,11 @@ def scenario_cache_corruption(seed: int, workdir: Path) -> dict[str, Any]:
             path.write_bytes(bytes(raw))
         else:
             path.write_bytes(bytes(raw[: rng.randrange(1, len(raw))]))
-        rebuilt, hit = cache.fetch("chaos", (i,), lambda p=payload: p)
+        rebuilt, hit = fetch(i, payload)
         assert not hit, f"cache-corruption: damaged artifact {i} served"
         assert rebuilt == payload
         evictions += 1
-        value, hit = cache.fetch("chaos", (i,), lambda p=payload: p)
+        value, hit = fetch(i, payload)
         assert hit and value == payload, (
             f"cache-corruption: artifact {i} not repaired on disk"
         )

@@ -9,15 +9,14 @@ the worker is spawned.  The runner owns a
 :meth:`~repro.system.prover_node.ProverNode.worker_clone` of the
 session's prover.  The clone shares the heavyweight read-only state
 (database, public parameters, published commitment and its secrets, the
-on-disk artifact cache, the in-memory proving-key memo) -- by reference
-in the service, by ``fork`` in a runner process.  Keys are never changed
-once built, so the service's threads share one memo: the farm pays key
-generation -- or even just the disk-cache unpickle -- once per circuit
-(shape and fixed values) and serves every later job of it from memory.
-A forked runner inherits the keys memoized before its fork and adds its
-own.  The fixed-base MSM tables live in the process-wide registry
-(:mod:`repro.ecc.fixed_base`), built once before the workers spawn, so
-every runner starts with a warm copy.
+in-memory proving-key memo) -- by reference in the service, by ``fork``
+in a runner process.  Keys are never changed once built, so the
+service's threads share one memo: the farm pays key generation once per
+circuit (shape and fixed values) and serves every later job of it from
+memory.  A forked runner inherits the keys memoized before its fork and
+adds its own.  The fixed-base MSM tables live in the process-wide
+registry (:mod:`repro.ecc.fixed_base`), loaded or built once before the
+workers spawn, so every runner starts with a warm copy.
 
 Failure handling is layered:
 

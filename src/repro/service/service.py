@@ -181,20 +181,20 @@ class ProvingService:
         )
 
     def _warm_start(self) -> None:
-        """Pre-build shared process-wide artifacts before taking jobs.
+        """Make sure the fixed-base MSM table set of the session's
+        parameters is in the process registry before taking jobs.
 
-        The fixed-base MSM table set is keyed by the session's public
-        parameters and shared by every worker, so building it once
-        here (registry -> disk cache -> fresh build) keeps the first
-        job's latency in line with steady state -- also for a service
-        that replays a journal before anyone committed in this process.
-        Best-effort: a cache directory that cannot be written (or a
-        host too small to hold the tables) leaves the build to the
-        first commitment.
+        Every worker shares it, and forked runners inherit it, so the
+        first job's latency stays in line with steady state -- also for
+        a service that replays a journal before anyone committed in
+        this process.  A session with a cache loaded it when it opened,
+        so this is a registry lookup; without one it is built here.
+        Best-effort: a host too small to hold the tables leaves the
+        build to the first commitment.
         """
         try:
             fixed_base.tables_for_params(self.session.params)
-        except (OSError, MemoryError):
+        except MemoryError:
             telemetry.incr("service.warm_start_errors")
             logger.warning("fixed-base table warm start failed", exc_info=True)
 

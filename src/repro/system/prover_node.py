@@ -14,7 +14,6 @@ from typing import Any, Optional
 
 from repro import telemetry
 from repro.algebra.field import SCALAR_FIELD
-from repro.cache import ArtifactCache, resolve_cache
 from repro.commit.params import PublicParams
 from repro.config import ProverConfig
 from repro.errors import ConfigError, StateError
@@ -30,7 +29,6 @@ from repro.proving.aggregate import ScanLinkClaim
 from repro.proving.keygen import (
     Columns,
     ProvingKey,
-    cached_keygen,
     keygen,
     keygen_fingerprint,
     remember,
@@ -86,8 +84,8 @@ class ProverNode:
     Proving keys are memoized in memory by keygen fingerprint (circuit
     shape and fixed values), at most
     :data:`~repro.proving.keygen.KEY_MEMO_MAX` of them, so a node pays
-    keygen -- or even just the disk-cache unpickle -- once per circuit
-    instead of once per job.  A key is never changed after it is built,
+    keygen once per circuit instead of once per job; keys never go to
+    disk.  A key is never changed after it is built,
     so the memo is shared: every :meth:`worker_clone` holds it by
     reference, and a forked service runner inherits a copy.
     """
@@ -98,7 +96,6 @@ class ProverNode:
         params: PublicParams,
         *,
         config: ProverConfig,
-        cache: ArtifactCache | None = None,
     ):
         if params.curve is not PALLAS:
             raise ConfigError(
@@ -118,9 +115,6 @@ class ProverNode:
         self.limb_bits = config.limb_bits
         self.value_bits = config.value_bits
         self.key_bits = config.key_bits
-        self.cache = cache if cache is not None else resolve_cache(
-            config.cache_dir, enabled=config.use_cache
-        )
         self._keys: dict[str, ProvingKey] = {}
         self.commitment: Optional[DatabaseCommitment] = None
         self._secrets: Optional[CommitmentSecrets] = None
@@ -128,15 +122,13 @@ class ProverNode:
 
     def worker_clone(self) -> "ProverNode":
         """A prover sharing this node's database, parameters, published
-        commitment, artifact cache and key memo, with its own planner.
+        commitment and key memo, with its own planner.
 
         The proving service hands one clone to each long-lived worker.
         Everything shared is read-only once built, and the memo only
         gains whole keys, so workers never contend on a proving key.
         """
-        clone = ProverNode(
-            self.db, self.params, config=self.config, cache=self.cache
-        )
+        clone = ProverNode(self.db, self.params, config=self.config)
         clone.commitment = self.commitment
         clone._secrets = self._secrets
         clone._keys = self._keys
@@ -247,12 +239,12 @@ class ProverNode:
     def _obtain_proving_key(
         self, compiled: CompiledQuery, fixed: Columns, timing: ProverTiming
     ) -> ProvingKey:
-        """The proving key for ``compiled`` with ``fixed`` values,
-        warmest source first: the in-memory memo, then the on-disk
-        artifact cache, then a fresh keygen.
+        """The proving key for ``compiled`` with ``fixed`` values: the
+        in-memory memo's, else a fresh keygen.
 
-        ``timing.extra`` records which tier served the key
-        (``keygen_warm_hit`` / ``keygen_cache_hit``).
+        ``timing.extra["keygen_warm_hit"]`` records whether the memo
+        served it; ``keygen_cache_hit`` is 0.0 on every fresh keygen,
+        which is how a benchmark finds the cold ones.
         """
         fingerprint = keygen_fingerprint(
             self.params, compiled.cs, self.field, self.k, fixed
@@ -266,13 +258,8 @@ class ProverNode:
             telemetry.incr("keygen.warm_hits")
             return pk
         timing.extra["keygen_warm_hit"] = 0.0
-        if self.cache.enabled:
-            pk, cache_hit = cached_keygen(
-                self.cache, self.params, compiled.cs, self.field, self.k, fixed
-            )
-            timing.extra["keygen_cache_hit"] = 1.0 if cache_hit else 0.0
-        else:
-            pk = keygen(self.params, compiled.cs, self.field, self.k, fixed)
+        timing.extra["keygen_cache_hit"] = 0.0
+        pk = keygen(self.params, compiled.cs, self.field, self.k, fixed)
         remember(self._keys, fingerprint, pk)
         return pk
 

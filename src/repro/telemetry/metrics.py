@@ -141,7 +141,7 @@ class HistogramSnapshot:
         return out
 
     def as_dict(self) -> dict:
-        """JSON/pickle-safe form (trace files, fork snapshots)."""
+        """JSON-safe form (trace files, fork snapshots)."""
         return {
             "name": self.name,
             "labels": [list(pair) for pair in self.labels],

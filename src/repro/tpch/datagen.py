@@ -28,26 +28,16 @@ single-key join operators.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import logging
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.db.database import Database
 from repro.db.schema import ColumnDef, TableSchema
 from repro.db.types import DATE, DECIMAL, INT, STRING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache import ArtifactCache
-
 logger = logging.getLogger("repro.tpch.datagen")
-
-#: Bump when the generator's output changes for the same (rows, seed) --
-#: it is part of the artifact-cache description, so old cached databases
-#: are invalidated automatically.
-DATAGEN_VERSION = 1
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 NATIONS = [
@@ -327,54 +317,3 @@ def _generate(lineitem_rows: int, seed: int) -> Database:
         )
     db.create_table(schemas["lineitem"], lineitem_rows_out)
     return db
-
-
-# -- cacheable artifact -------------------------------------------------------
-
-
-def dataset_fingerprint(lineitem_rows: int, seed: int = 19920873) -> str:
-    """A stable identity for the dataset a ``generate`` call would
-    produce.  Depends only on the generation inputs (plus
-    :data:`DATAGEN_VERSION`), so it can be computed without generating
-    anything -- it is the artifact-cache key for TPC-H databases."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"tpch:v{DATAGEN_VERSION}:{lineitem_rows}:{seed}".encode())
-    return h.hexdigest()
-
-
-def database_digest(db: Database) -> str:
-    """A content hash over every table's encoded columns, row by row.
-    Two databases with identical logical content agree; used by tests to
-    check cached artifacts byte-for-byte match fresh generation."""
-    h = hashlib.blake2b(digest_size=16)
-    for name in sorted(db.tables):
-        table = db.tables[name]
-        h.update(name.encode())
-        h.update(b"\x00")
-        for column in sorted(table.columns):
-            h.update(column.encode())
-            h.update(b"\x00")
-            for value in table.columns[column]:
-                h.update(value.to_bytes((value.bit_length() + 8) // 8, "big"))
-                h.update(b"\x00")
-    return h.hexdigest()
-
-
-def generate_cached(
-    lineitem_rows: int,
-    seed: int = 19920873,
-    cache: "ArtifactCache | None" = None,
-) -> tuple[Database, bool]:
-    """``generate``, but loading through the artifact cache.
-
-    Returns ``(database, cache_hit)``.  The cache key is
-    :func:`dataset_fingerprint`, so bumping the generator version or
-    changing scale/seed transparently regenerates."""
-    from repro.cache import resolve_cache
-
-    store = resolve_cache(cache)
-    return store.fetch(
-        "tpch",
-        (dataset_fingerprint(lineitem_rows, seed),),
-        build=lambda: generate(lineitem_rows, seed),
-    )

@@ -175,15 +175,36 @@ class TestFacade:
             assert session.verify(response).accepted
 
     def test_second_session_hits_cache(self, tiny_db, tiny_config):
-        with PoneglyphDB.open(tiny_db, tiny_config) as first:
-            first.prove("select count(*) as n from t")
-            assert not first.params_cache_hit  # cold cache
-        with PoneglyphDB.open(tiny_db, tiny_config) as second:
-            assert second.params_cache_hit
-            response = second.prove("select count(*) as n from t")
-            assert response.timing.extra.get("keygen_cache_hit") == 1.0
-            assert second.verify(response).accepted
-            assert "hit" in second.cache_summary()
+        """A second session over a warm directory builds neither the
+        parameters nor their fixed-base tables, and proves the same
+        bytes under pinned blinds."""
+        from repro import telemetry
+        from repro.algebra.field import deterministic_rng
+        from repro.ecc import fixed_base
+
+        sql = "select count(*) as n from t"
+        previous = telemetry.enable(True)
+        try:
+            with PoneglyphDB.open(tiny_db, tiny_config) as first:
+                assert not first.params_cache_hit  # cold cache
+                with deterministic_rng(5):
+                    cold = first.prove(sql)
+            fixed_base.clear_registry()
+            builds = telemetry.counters_snapshot().get(
+                "msm.fixed_base_table_builds", 0
+            )
+            with PoneglyphDB.open(tiny_db, tiny_config) as second:
+                assert second.params_cache_hit
+                with deterministic_rng(5):
+                    warm = second.prove(sql)
+                assert second.verify(warm).accepted
+                assert second.cache_summary() == "2 hit(s), 0 miss(es)"
+            assert telemetry.counters_snapshot().get(
+                "msm.fixed_base_table_builds", 0
+            ) == builds
+        finally:
+            telemetry.enable(previous)
+        assert warm.wire_bytes() == cold.wire_bytes()
 
     def test_cache_disabled(self, tiny_db, tmp_path):
         config = ProverConfig(
@@ -192,6 +213,23 @@ class TestFacade:
         with PoneglyphDB.open(tiny_db, config) as session:
             assert not session.cache.enabled
             assert not session.params_cache_hit
+
+    def test_cache_free_session_writes_into_no_other_sessions_cache(
+        self, tiny_db, tiny_config
+    ):
+        """A session's cache ends with the session: one opened later
+        with ``use_cache=False`` (another k, so other tables) writes
+        nothing into the directory of a closed session that had one."""
+        from repro.ecc import fixed_base
+
+        with PoneglyphDB.open(tiny_db, tiny_config) as cached:
+            cached.commit()
+        stored = sorted(tiny_config.cache_dir.iterdir())
+        fixed_base.clear_registry()
+        config = dataclasses.replace(tiny_config, k=5, use_cache=False)
+        with PoneglyphDB.open(tiny_db, config) as uncached:
+            uncached.commit()
+        assert sorted(tiny_config.cache_dir.iterdir()) == stored
 
     def test_failed_open_restores_global_settings(self, tiny_db):
         """A session whose construction raises leaves no process-global
@@ -276,9 +314,9 @@ class TestRetiredLegacySignature:
             k=6, limb_bits=4, value_bits=16, key_bits=16, use_cache=False
         )
         prover = ProverNode(tiny_db, params_k6, config=config)
-        assert not prover.cache.enabled
         commitment = prover.publish_commitment()
         response = prover.answer("select count(*) as n from t")
+        assert len(prover._keys) == 1  # the key lives in the memo only
         verifier = VerifierNode(params_k6, prover.public_metadata(), commitment)
         assert verifier.verify(response).accepted
 

@@ -1,22 +1,18 @@
 """The benchmark harness: a ``BenchConfig`` sets only the data size
-and circuit size, ``REPRO_NO_CACHE=1`` forces cold runs, and a bench
-session restores the global settings it changes."""
+and circuit size, an empty ``REPRO_CACHE_DIR`` makes a cold run, and a
+bench session restores the global settings it changes."""
 
 import pytest
 
 from repro import PoneglyphDB, bench, telemetry
-from repro.ecc import fixed_base
 from repro.sql import Executor, Planner, parse
 from repro.tpch.queries import QUERIES
 
 
 @pytest.fixture()
 def bench_env(tmp_path, monkeypatch):
-    """A private artifact cache, rebuilt around the test."""
+    """A private, empty artifact cache, rebuilt around the test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    # Opening a session points the fixed-base table cache at its store.
-    monkeypatch.setattr(fixed_base, "_CACHE", fixed_base._CACHE)
     bench.bench_cache.cache_clear()
     yield tmp_path
     bench.bench_cache.cache_clear()
@@ -26,12 +22,15 @@ def test_only_size_is_settable():
     assert list(vars(bench.BenchConfig())) == ["lineitem_rows", "k"]
 
 
-def test_no_cache_forces_cold_runs(bench_env, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    for _ in range(2):
-        bench.bench_params(bench.BenchConfig(lineitem_rows=16, k=4))
-    assert bench.bench_cache().stats.summary() == "0 hit(s), 2 miss(es)"
-    assert list(bench_env.iterdir()) == []
+def test_empty_cache_dir_makes_a_cold_run(bench_env):
+    """A cold figure run points ``REPRO_CACHE_DIR`` at an empty
+    directory: the first lookup builds and stores, a repeat loads."""
+    config = bench.BenchConfig(lineitem_rows=16, k=4)
+    cold = bench.bench_params(config)
+    assert bench.bench_cache().stats.summary() == "0 hit(s), 1 miss(es)"
+    assert [p.name.split("-")[0] for p in bench_env.iterdir()] == ["params"]
+    assert bench.bench_params(config).g == cold.g
+    assert bench.bench_cache().stats.summary() == "1 hit(s), 1 miss(es)"
 
 
 def test_session_restores_global_settings(bench_env):

@@ -1,41 +1,67 @@
-"""The artifact cache: round trips, invalidation, and the cached
-builders for public parameters, proving keys, and TPC-H data.
+"""The artifact cache: round trips, invalidation, loud decode failures,
+and the cached builders for public parameters and fixed-base tables.
 
 Invalidation in this design is key derivation: the key embeds the full
-artifact description (format version, curve, k, circuit fingerprint,
-generator seed), so any change to the inputs lands in a different file
-and the stale artifact is simply never read again.
+artifact description (format version, curve, k, parameter fingerprint),
+so any change to the inputs lands in a different file and the stale
+artifact is simply never read again.  Every artifact goes through a
+typed codec; a payload its decoder refuses is evicted, counted and
+logged, then rebuilt.
 """
 
-import pickle
+import json
 
 import pytest
 
+from repro import telemetry
 from repro.algebra import SCALAR_FIELD
 from repro.cache import (
     ArtifactCache,
     CACHE_FORMAT_VERSION,
-    NullCache,
     cache_key,
     default_cache_dir,
     resolve_cache,
 )
-from repro.commit.params import PublicParams, cached_setup, setup
+from repro.commit.params import PublicParams, cached_setup, cached_tables, setup
+from repro.ecc import fixed_base
+from repro.ecc.curve import points_to_affine_tuples
+from repro.ecc.fixed_base import FixedBaseTables
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import ConstraintSystem
-from repro.proving.keygen import cached_keygen, keygen, keygen_fingerprint
-from repro.tpch.datagen import (
-    DATAGEN_VERSION,
-    database_digest,
-    dataset_fingerprint,
-    generate,
-    generate_cached,
-)
+from repro.proving.keygen import keygen, keygen_fingerprint
 
 
 @pytest.fixture()
 def cache(tmp_path):
     return ArtifactCache(tmp_path / "artifacts")
+
+
+def fetch_json(cache, kind, description, build):
+    """``cache.fetch`` with a JSON codec (the tests' plain artifacts)."""
+    return cache.fetch(
+        kind, description, build,
+        serialize=lambda value: json.dumps(value).encode(),
+        deserialize=json.loads,
+    )
+
+
+BUILDS = "msm.fixed_base_table_builds"
+
+
+@pytest.fixture()
+def counters():
+    """Telemetry on; yields a callable reading one counter."""
+    previous = telemetry.enable(True)
+    yield lambda name: telemetry.counters_snapshot().get(name, 0)
+    telemetry.enable(previous)
+
+
+@pytest.fixture()
+def evictions():
+    """Telemetry on; yields a callable reading ``cache.corrupt_evictions``."""
+    previous = telemetry.enable(True)
+    yield lambda: telemetry.counters_snapshot().get("cache.corrupt_evictions", 0)
+    telemetry.enable(previous)
 
 
 class TestArtifactCache:
@@ -46,16 +72,16 @@ class TestArtifactCache:
             calls.append(1)
             return {"answer": 42, "items": [1, 2, 3]}
 
-        value1, hit1 = cache.fetch("demo", ("a", 1), build)
-        value2, hit2 = cache.fetch("demo", ("a", 1), build)
+        value1, hit1 = fetch_json(cache, "demo", ("a", 1), build)
+        value2, hit2 = fetch_json(cache, "demo", ("a", 1), build)
         assert (hit1, hit2) == (False, True)
         assert value1 == value2
         assert len(calls) == 1  # the second fetch came from disk
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_description_change_invalidates(self, cache):
-        cache.fetch("demo", ("a", 1), lambda: "old")
-        value, hit = cache.fetch("demo", ("a", 2), lambda: "new")
+        fetch_json(cache, "demo", ("a", 1), lambda: "old")
+        value, hit = fetch_json(cache, "demo", ("a", 2), lambda: "new")
         assert not hit and value == "new"
         assert cache_key("demo", "a", 1) != cache_key("demo", "a", 2)
 
@@ -69,21 +95,38 @@ class TestArtifactCache:
         assert cache_key("other", "x") != key
 
     def test_corrupt_artifact_rebuilds(self, cache):
-        cache.fetch("demo", ("k",), lambda: [1, 2, 3])
+        fetch_json(cache, "demo", ("k",), lambda: [1, 2, 3])
         key = cache_key("demo", "k")
-        cache.path_for(key).write_bytes(b"not a pickle")
-        value, hit = cache.fetch("demo", ("k",), lambda: [1, 2, 3])
+        cache.path_for(key).write_bytes(b"not a frame")
+        value, hit = fetch_json(cache, "demo", ("k",), lambda: [1, 2, 3])
         assert not hit and value == [1, 2, 3]
         # And the rebuild repaired the artifact on disk.
-        assert pickle.loads(cache.get_bytes(key)) == [1, 2, 3]
+        assert json.loads(cache.get_bytes(key)) == [1, 2, 3]
+
+    def test_undecodable_payload_is_evicted_counted_and_logged(
+        self, cache, evictions, caplog
+    ):
+        """A sound frame around a payload the decoder refuses is not a
+        silent miss: the entry is evicted as corrupt, counted, logged,
+        and rebuilt over."""
+        key = cache_key("demo", "bad")
+        cache.put_bytes(key, b"{not json")
+        before = evictions()
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            value, hit = fetch_json(cache, "demo", ("bad",), lambda: [4, 5])
+        assert (value, hit) == ([4, 5], False)
+        assert evictions() == before + 1
+        assert any(
+            "EVICT" in r.getMessage() and "corrupt payload" in r.getMessage()
+            for r in caplog.records
+        )
+        assert json.loads(cache.get_bytes(key)) == [4, 5]
 
     def test_bit_flip_detected_and_evicted(self, cache):
         """A single flipped payload bit fails the frame digest: the
         artifact is evicted, counted, and rebuilt -- it never reaches
-        the deserializer (which might happily unpickle garbage)."""
-        from repro import telemetry
-
-        cache.fetch("demo", ("flip",), lambda: list(range(64)))
+        the deserializer."""
+        fetch_json(cache, "demo", ("flip",), lambda: list(range(64)))
         key = cache_key("demo", "flip")
         path = cache.path_for(key)
         raw = bytearray(path.read_bytes())
@@ -102,12 +145,12 @@ class TestArtifactCache:
         finally:
             telemetry.enable(was_enabled)
         assert after == before + 1
-        value, hit = cache.fetch("demo", ("flip",), lambda: list(range(64)))
+        value, hit = fetch_json(cache, "demo", ("flip",), lambda: list(range(64)))
         assert not hit and value == list(range(64))
         assert cache.get_bytes(key) is not None  # repaired
 
     def test_truncated_artifact_evicted(self, cache):
-        cache.fetch("demo", ("trunc",), lambda: b"x" * 1000)
+        fetch_json(cache, "demo", ("trunc",), lambda: "x" * 1000)
         key = cache_key("demo", "trunc")
         path = cache.path_for(key)
         path.write_bytes(path.read_bytes()[:37])
@@ -121,24 +164,20 @@ class TestArtifactCache:
         cache.put_bytes("empty", b"")
         assert cache.get_bytes("empty") == b""
 
-    def test_unwritable_root_is_counted_and_misses(self, tmp_path, monkeypatch):
+    def test_unwritable_root_is_counted_and_misses(self, tmp_path):
         """A cache whose root is a regular file cannot store anything:
         every write is logged and counted, ``cached_setup`` and
-        ``tables_for_params`` still return what they built, and the
-        next read is a miss."""
-        from repro import telemetry
-        from repro.ecc import fixed_base
-
+        ``cached_tables`` still return what they built, and the next
+        read is a miss."""
         blocker = tmp_path / "a-file"
         blocker.write_bytes(b"")
         cache = ArtifactCache(blocker)
-        monkeypatch.setattr(fixed_base, "_CACHE", cache)
         was_enabled = telemetry.enable(True)
         try:
             before = telemetry.counters_snapshot().get("cache.write_errors", 0)
             cache.put_bytes("x", b"abc")
             params, hit1 = cached_setup(cache, 2, label=b"unwritable")
-            tables = fixed_base.tables_for_params(params)
+            tables, _ = cached_tables(cache, params)
             after = telemetry.counters_snapshot().get("cache.write_errors", 0)
         finally:
             telemetry.enable(was_enabled)
@@ -151,25 +190,18 @@ class TestArtifactCache:
 
     def test_disabled_cache_never_stores(self, tmp_path):
         cache = ArtifactCache(tmp_path, enabled=False)
-        _, hit1 = cache.fetch("demo", (), lambda: 1)
-        _, hit2 = cache.fetch("demo", (), lambda: 1)
+        _, hit1 = fetch_json(cache, "demo", (), lambda: 1)
+        _, hit2 = fetch_json(cache, "demo", (), lambda: 1)
         assert not hit1 and not hit2
         assert list(tmp_path.iterdir()) == []
 
-    def test_env_disable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert not ArtifactCache(tmp_path).enabled
-
-    def test_clear_by_kind(self, cache):
-        cache.fetch("a", (1,), lambda: 1)
-        cache.fetch("b", (1,), lambda: 2)
-        assert cache.clear("a") == 1
-        assert cache.clear() == 1
-
-    def test_null_cache(self):
-        null = NullCache()
-        assert not null.enabled
-        assert resolve_cache(None, enabled=False).enabled is False
+    def test_resolve_cache(self, tmp_path):
+        """``use_cache=False`` is a disabled cache; a given cache is
+        used as it is."""
+        off = resolve_cache(tmp_path, enabled=False)
+        assert isinstance(off, ArtifactCache) and not off.enabled
+        on = ArtifactCache(tmp_path)
+        assert resolve_cache(on) is on
 
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "x"))
@@ -189,6 +221,21 @@ class TestCachedParams:
         with pytest.raises(ValueError):
             PublicParams.from_bytes(b"\x06pallas\x04" + b"\x00" * 7)
 
+    def test_garbage_params_entry_is_evicted_and_rebuilt(
+        self, cache, evictions, caplog
+    ):
+        """A params entry with a valid frame and a body that is not
+        public parameters is evicted, counted, logged and rebuilt."""
+        key = cache_key("params", "pallas", 3, b"garbage")
+        cache.put_bytes(key, b"\x06pallas\x03" + b"\x01" * 640)  # 10 points
+        before = evictions()
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            params, hit = cached_setup(cache, 3, label=b"garbage")
+        assert not hit and params.g == setup(3, label=b"garbage").g
+        assert evictions() == before + 1
+        assert any("corrupt payload" in r.getMessage() for r in caplog.records)
+        assert PublicParams.from_bytes(cache.get_bytes(key)).g == params.g
+
     def test_cached_setup_round_trip(self, cache):
         params1, hit1 = cached_setup(cache, 4, label=b"t")
         params2, hit2 = cached_setup(cache, 4, label=b"t")
@@ -200,7 +247,7 @@ class TestCachedParams:
         assert not hit3 and not hit4
 
 
-class TestCachedKeygen:
+class TestKeygenFingerprint:
     def _tiny_cs(self, selector_value=1):
         cs = ConstraintSystem()
         sel = cs.selector("s")
@@ -231,65 +278,65 @@ class TestCachedKeygen:
         moved[0][3] = 1
         assert fp1 != keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 4, moved)
 
-    def test_key_without_fixed_part_misses(self, cache, params_k6):
-        """A key pickled under the ``v3`` fingerprint -- tag, parameters,
-        field, row count and circuit, but no fixed values: a key that
-        lacks its fixed columns -- is never loaded."""
-        import hashlib
-
+    def test_keygen_is_deterministic(self, params_k6):
+        """Keys are rebuilt, never stored: two keygens over the same
+        inputs commit to the same columns (fixed-base commitments carry
+        no blinding)."""
         cs = self._tiny_cs()
         fixed = self._fixed(cs)
-        h = hashlib.blake2b(digest_size=20)
-        h.update(b"lookup-arguments-v3|")
-        h.update(f"{params_k6.curve.name}|{params_k6.k}|{SCALAR_FIELD.p}|4|".encode())
-        h.update(params_k6.g[0].to_bytes())
-        h.update(cs.fingerprint().encode())
-        stale = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
-        cache.put_bytes(cache_key("pk", h.hexdigest()), pickle.dumps(stale))
-        assert cache.fetch("pk", (h.hexdigest(),), lambda: None)[1]
-        _, hit = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
-        assert not hit
+        one = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
+        two = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
+        assert one.vk.fixed_commitments == two.vk.fixed_commitments
+        assert one.vk.sigma_commitments == two.vk.sigma_commitments
+        assert one.vk.system_commitments == two.vk.system_commitments
+        assert one.vk.fingerprint == two.vk.fingerprint
 
-    def test_cached_keygen_matches_fresh(self, cache, params_k6):
-        cs = self._tiny_cs()
-        fixed = self._fixed(cs)
-        fresh = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
-        pk1, hit1 = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
-        pk2, hit2 = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
+
+class TestCachedTables:
+    """The fixed-base table set's typed codec and its check against
+    the parameters it claims to derive from."""
+
+    def test_codec_round_trip(self):
+        params = setup(3, label=b"codec")
+        tables = fixed_base.build_tables(
+            params.curve, points_to_affine_tuples([*params.g, params.w, params.u])
+        )
+        data = tables.to_bytes()
+        back = FixedBaseTables.from_bytes(data)
+        assert (back.curve_name, back.c, back.windows) == (
+            tables.curve_name, tables.c, tables.windows
+        )
+        assert back.tables == tables.tables
+        assert back.to_bytes() == data
+        assert fixed_base.check_tables(params, back) is back
+
+    @pytest.mark.parametrize("damage", ["off-curve", "non-canonical", "short"])
+    def test_from_bytes_refuses_damaged_coordinates(self, damage):
+        params = setup(2, label=b"codec")
+        tables = fixed_base.build_tables(
+            params.curve, points_to_affine_tuples([*params.g, params.w, params.u])
+        )
+        data = bytearray(tables.to_bytes())
+        last = len(data) - 64  # the last entry's x || y
+        if damage == "off-curve":
+            data[last] ^= 1
+        elif damage == "non-canonical":
+            x = int.from_bytes(data[last : last + 32], "little")
+            data[last : last + 32] = (x + params.curve.field.p).to_bytes(
+                32, "little"
+            )
+        else:
+            del data[-1]
+        with pytest.raises(ValueError):
+            FixedBaseTables.from_bytes(bytes(data))
+
+    def test_second_fetch_loads_without_a_build(self, cache, counters):
+        params = setup(3, label=b"tables-load")
+        first, hit1 = cached_tables(cache, params)
+        fixed_base._REGISTRY.pop((params.fingerprint(), first.c))
+        builds = counters(BUILDS)
+        second, hit2 = cached_tables(cache, params)
         assert (hit1, hit2) == (False, True)
-        for pk in (pk1, pk2):
-            # keygen is deterministic (fixed-base commitments carry no
-            # blinding), so the cached key matches a fresh one exactly.
-            assert pk.vk.fixed_commitments == fresh.vk.fixed_commitments
-            assert pk.vk.sigma_commitments == fresh.vk.sigma_commitments
-            assert pk.vk.system_commitments == fresh.vk.system_commitments
-        # Each fetch unpickles its own object: the disk cache hands out
-        # no shared instance (sharing is the prover's in-memory memo's
-        # job, and safe there because keys are immutable).
-        assert pk1 is not pk2
-
-    def test_circuit_change_invalidates(self, cache, params_k6):
-        cs = self._tiny_cs()
-        fixed = self._fixed(cs)
-        cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
-        cs.advice_column("extra")
-        _, hit = cached_keygen(cache, params_k6, cs, SCALAR_FIELD, 4, fixed)
-        assert not hit
-
-
-class TestCachedTpch:
-    def test_fingerprint_depends_on_inputs_only(self):
-        assert dataset_fingerprint(16, 1) == dataset_fingerprint(16, 1)
-        assert dataset_fingerprint(16, 1) != dataset_fingerprint(16, 2)
-        assert dataset_fingerprint(16, 1) != dataset_fingerprint(32, 1)
-        assert DATAGEN_VERSION >= 1
-
-    def test_generate_cached_round_trip(self, cache):
-        db1, hit1 = generate_cached(16, seed=7, cache=cache)
-        db2, hit2 = generate_cached(16, seed=7, cache=cache)
-        assert (hit1, hit2) == (False, True)
-        assert database_digest(db1) == database_digest(db2)
-        assert database_digest(db1) == database_digest(generate(16, seed=7))
-        # Different scale regenerates.
-        _, hit3 = generate_cached(24, seed=7, cache=cache)
-        assert not hit3
+        assert counters(BUILDS) == builds
+        assert second.tables == first.tables
+        assert fixed_base.tables_for_params(params) is second  # registered

@@ -4,12 +4,12 @@
 column is committed by its *values* (``commit_lagrange``) and data born
 as coefficients goes through one FFT first (``commit_polynomial``, or
 ``commit_polynomials`` for a batch).  These tests pin them against
-``msm_naive`` over ``params.g`` on every scalar-width shape, the table set (layout, no scalar product in a cold
-build) and the per-parameter-set registry (truncated views, distrusted
-disk entries, single-flight builds).
+``msm_naive`` over ``params.g`` on every scalar-width shape, the table
+set (layout, no scalar product in a cold build) and the
+per-parameter-set registry (truncated views, distrusted disk entries,
+single-flight builds).
 """
 
-import pickle
 import random
 import threading
 import time
@@ -20,8 +20,9 @@ from repro import telemetry
 from repro.algebra import SCALAR_FIELD, backend
 from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.algebra.domain import EvaluationDomain
-from repro.cache import ArtifactCache
+from repro.cache import ArtifactCache, cache_key
 from repro.commit import setup
+from repro.commit.params import cached_tables
 from repro.commit.ipa import (
     commit_lagrange,
     commit_lagrange_many,
@@ -62,12 +63,6 @@ def _vectors(n: int, rng: random.Random) -> dict[str, list[int]]:
 def _oracle(params, evals, blind):
     """``<evals, g> + blind * w`` by the textbook MSM."""
     return msm_naive([*params.g[: len(evals)], params.w], [*evals, blind])
-
-
-@pytest.fixture()
-def registry_only(monkeypatch):
-    """No disk cache behind the table registry."""
-    monkeypatch.setattr(fixed_base, "_CACHE", None)
 
 
 @pytest.fixture()
@@ -162,7 +157,7 @@ class TestEquivalence:
 
 class TestTables:
     @pytest.mark.parametrize("k", [3, 7])
-    def test_cold_build_makes_no_scalar_product(self, k, registry_only, counters):
+    def test_cold_build_makes_no_scalar_product(self, k, counters):
         """The table set is ``g``, ``w`` and ``u`` doubled: no basis is
         derived, so a cold build makes no GLV product."""
         params = setup(k, label=b"cold-products")
@@ -196,33 +191,53 @@ class TestRegistry:
         evals = [7] * small.n
         assert commit_lagrange(small, evals, 3) == _oracle(small, evals, 3)
 
-    def test_untrustworthy_disk_entry_is_rebuilt(
-        self, tmp_path, monkeypatch, counters
-    ):
+    def test_untrustworthy_disk_entry_is_rebuilt(self, tmp_path, counters, caplog):
+        """A stored table set with a sound frame that is not this
+        parameter set's -- another set's tables, the wrong base count,
+        an altered entry where :func:`check_tables` looks, or no table
+        set at all -- is evicted, counted, logged, and rebuilt over."""
         params = setup(3, label=b"disk")
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(fixed_base, "_CACHE", cache)
-        key = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
-        wrong_shape = fixed_base.build_tables(
-            params.curve, points_to_affine_tuples(params.g[:2])
+        key = cache_key(
+            "fixedbase", params.fingerprint(), fixed_base.FIXED_BASE_WINDOW
         )
-        for stale in (b"not a pickle", pickle.dumps("junk"), pickle.dumps(wrong_shape)):
-            fixed_base._REGISTRY.pop(key, None)
-            cache.put_bytes(fixed_base._disk_key(key), stale)
-            before = counters(BUILDS)
-            tables = fixed_base.tables_for_params(params)
-            assert counters(BUILDS) == before + 1
-            assert len(tables) == params.n + 2
+        bases = points_to_affine_tuples([*params.g, params.w, params.u])
+        good = fixed_base.build_tables(params.curve, bases)
+        foreign = setup(3, label=b"foreign")
+        altered = fixed_base.FixedBaseTables.from_bytes(good.to_bytes())
+        i, j = fixed_base.spot_positions(params, good.windows)[0]
+        x, y = altered.tables[i][j]
+        altered.tables[i][j] = (x, params.curve.field.p - y)  # still on the curve
+        planted = {
+            "foreign": fixed_base.build_tables(
+                foreign.curve,
+                points_to_affine_tuples([*foreign.g, foreign.w, foreign.u]),
+            ).to_bytes(),
+            "base count": fixed_base.build_tables(params.curve, bases[:2]).to_bytes(),
+            "altered entry": altered.to_bytes(),
+            "not tables": b"not a table set",
+        }
+        registry_key = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
+        for name, payload in planted.items():
+            fixed_base._REGISTRY.pop(registry_key, None)
+            cache.put_bytes(key, payload)
+            evicted, built = counters("cache.corrupt_evictions"), counters(BUILDS)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.cache"):
+                tables, hit = cached_tables(cache, params)
+            assert not hit, name
+            assert counters("cache.corrupt_evictions") == evicted + 1, name
+            assert counters(BUILDS) == built + 1, name
+            assert any("EVICT" in r.getMessage() for r in caplog.records), name
+            assert tables.tables == good.tables, name
         # The rebuild replaced the entry: a cold registry now loads it.
-        fixed_base._REGISTRY.pop(key)
-        before = counters(BUILDS)
-        reloaded = fixed_base.tables_for_params(params)
-        assert counters(BUILDS) == before
-        assert reloaded.tables == tables.tables
+        fixed_base._REGISTRY.pop(registry_key)
+        built = counters(BUILDS)
+        reloaded, hit = cached_tables(cache, params)
+        assert hit and counters(BUILDS) == built
+        assert reloaded.tables == good.tables
 
-    def test_concurrent_cold_lookups_build_once(
-        self, registry_only, monkeypatch, counters
-    ):
+    def test_concurrent_cold_lookups_build_once(self, monkeypatch, counters):
         params = setup(3, label=b"single-flight")
         real_build = fixed_base.build_tables
 

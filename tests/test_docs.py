@@ -8,7 +8,9 @@ quoted after a script is one its parser defines.  Nothing outside
 ROADMAP.md and CHANGES.md cites ROADMAP's numbered items.  README's
 numpy-engine table is the kernel record rendered, not a transcript.
 Every keyword the docs and examples pass to ``ProverConfig(...)`` or
-``ServiceConfig(...)`` is a field of that class.
+``ServiceConfig(...)`` is a field of that class.  No module of the
+library imports or calls ``pickle``: what the artifact cache reads back
+from disk goes through a typed codec, never through code.
 """
 
 import ast
@@ -54,6 +56,25 @@ def test_readme_environment_table_matches_the_code():
     documented = _names_in_the_readme_table()
     assert documented == _names_read_by_the_library()
     assert "REPRO_TELEMETRY" in documented
+
+
+def test_no_pickle_in_the_library():
+    """Neither ``import pickle`` / ``from pickle import ...`` nor a use
+    of the name ``pickle`` in any module under ``src/``."""
+    uses = []
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                modules = [node.id]
+            else:
+                continue
+            if any(m.split(".")[0] in ("pickle", "cPickle") for m in modules):
+                uses.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert uses == []
 
 
 def test_readme_engine_table_is_the_kernel_record():

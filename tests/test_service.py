@@ -207,16 +207,13 @@ class TestRealService:
 
 
 class TestWarmStart:
-    def test_open_builds_fixed_base_tables_before_first_job(
-        self, real_run, monkeypatch
-    ):
+    def test_open_builds_fixed_base_tables_before_first_job(self, real_run):
         """Opening a service pays the fixed-base table build up front,
         so the first job finds the tables in the registry."""
         from repro import telemetry
         from repro.ecc import fixed_base
 
         session = real_run["session"]
-        monkeypatch.setattr(fixed_base, "_CACHE", None)  # registry only
         fixed_base.clear_registry()
         with session.serve(ServiceConfig(workers=1)) as service:
             fingerprint = session.params.fingerprint()
