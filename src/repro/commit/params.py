@@ -18,6 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.cache import cache_key
 from repro.ecc import fixed_base
 from repro.ecc.curve import Curve, PALLAS, Point, curve_by_name
 from repro.ecc.fixed_base import FixedBaseTables
@@ -160,14 +161,22 @@ def cached_tables(
     cache, registered in process either way.
 
     Returns ``(tables, was_cache_hit)``.  The key is the parameter
-    fingerprint and the window width; a stored set is decoded by
+    fingerprint and the window width.  A set the registry holds is a
+    hit that reads nothing once its entry exists (it is written if
+    not).  Otherwise a stored set is decoded by
     :meth:`~repro.ecc.fixed_base.FixedBaseTables.from_bytes` and must
     pass :func:`~repro.ecc.fixed_base.check_tables` against ``params``,
     or the cache evicts it and it is built again.
     """
+    description = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
+    key = cache_key("fixedbase", *description)
+    tables = fixed_base.registered(params)
+    if tables is not None and cache.path_for(key).exists():
+        cache.stats.record(key, hit=True)
+        return tables, True
     tables, hit = cache.fetch(
         "fixedbase",
-        (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW),
+        description,
         build=lambda: fixed_base.tables_for_params(params),
         serialize=FixedBaseTables.to_bytes,
         deserialize=lambda raw: fixed_base.check_tables(

@@ -317,13 +317,19 @@ def spot_positions(
     ]
 
 
-def check_tables(
-    params: "PublicParams", tables: FixedBaseTables, c: int = FIXED_BASE_WINDOW
-) -> FixedBaseTables:
-    """``tables`` if it is the table set of ``params`` at width ``c``,
-    else ``ValueError``: same curve, width and base count, window 0 the
-    parameter bases, and every entry at :func:`spot_positions` equal to
-    ``2^(j*c) * base_i`` recomputed by doubling."""
+def check_tables(params: "PublicParams", tables: FixedBaseTables) -> FixedBaseTables:
+    """``tables`` if it looks like the table set of ``params`` at width
+    :data:`FIXED_BASE_WINDOW`, else ``ValueError``: same curve, width
+    and base count, window 0 the parameter bases, and every entry at
+    :func:`spot_positions` equal to ``2^(j*c) * base_i`` recomputed by
+    doubling.
+
+    This catches a foreign, stale or damaged set, not a crafted one:
+    the spot positions follow from the public fingerprint, so whoever
+    can write the cache directory can alter every other entry to
+    another curve point and pass.  The cache directory must be trusted;
+    a full check would cost about as much as a rebuild."""
+    c = FIXED_BASE_WINDOW
     bases = _bases(params)
     if (tables.curve_name, tables.c, len(tables)) != (
         params.curve.name, c, len(bases)
@@ -342,6 +348,11 @@ def check_tables(
         if (tables.tables[i][j] or (0, 0)) != pt.to_affine():
             raise ValueError(f"table entry ({i}, {j}) is not 2^{j * c} * base")
     return tables
+
+
+def registered(params: "PublicParams") -> FixedBaseTables | None:
+    """The table set of ``params`` if the registry holds it (no build)."""
+    return _REGISTRY.get((params.fingerprint(), FIXED_BASE_WINDOW))
 
 
 def register(params: "PublicParams", tables: FixedBaseTables) -> FixedBaseTables:

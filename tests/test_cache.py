@@ -45,22 +45,11 @@ def fetch_json(cache, kind, description, build):
     )
 
 
-BUILDS = "msm.fixed_base_table_builds"
-
-
 @pytest.fixture()
 def counters():
     """Telemetry on; yields a callable reading one counter."""
     previous = telemetry.enable(True)
     yield lambda name: telemetry.counters_snapshot().get(name, 0)
-    telemetry.enable(previous)
-
-
-@pytest.fixture()
-def evictions():
-    """Telemetry on; yields a callable reading ``cache.corrupt_evictions``."""
-    previous = telemetry.enable(True)
-    yield lambda: telemetry.counters_snapshot().get("cache.corrupt_evictions", 0)
     telemetry.enable(previous)
 
 
@@ -104,18 +93,18 @@ class TestArtifactCache:
         assert json.loads(cache.get_bytes(key)) == [1, 2, 3]
 
     def test_undecodable_payload_is_evicted_counted_and_logged(
-        self, cache, evictions, caplog
+        self, cache, counters, caplog
     ):
         """A sound frame around a payload the decoder refuses is not a
         silent miss: the entry is evicted as corrupt, counted, logged,
         and rebuilt over."""
         key = cache_key("demo", "bad")
         cache.put_bytes(key, b"{not json")
-        before = evictions()
+        before = counters("cache.corrupt_evictions")
         with caplog.at_level("WARNING", logger="repro.cache"):
             value, hit = fetch_json(cache, "demo", ("bad",), lambda: [4, 5])
         assert (value, hit) == ([4, 5], False)
-        assert evictions() == before + 1
+        assert counters("cache.corrupt_evictions") == before + 1
         assert any(
             "EVICT" in r.getMessage() and "corrupt payload" in r.getMessage()
             for r in caplog.records
@@ -222,17 +211,17 @@ class TestCachedParams:
             PublicParams.from_bytes(b"\x06pallas\x04" + b"\x00" * 7)
 
     def test_garbage_params_entry_is_evicted_and_rebuilt(
-        self, cache, evictions, caplog
+        self, cache, counters, caplog
     ):
         """A params entry with a valid frame and a body that is not
         public parameters is evicted, counted, logged and rebuilt."""
         key = cache_key("params", "pallas", 3, b"garbage")
         cache.put_bytes(key, b"\x06pallas\x03" + b"\x01" * 640)  # 10 points
-        before = evictions()
+        before = counters("cache.corrupt_evictions")
         with caplog.at_level("WARNING", logger="repro.cache"):
             params, hit = cached_setup(cache, 3, label=b"garbage")
         assert not hit and params.g == setup(3, label=b"garbage").g
-        assert evictions() == before + 1
+        assert counters("cache.corrupt_evictions") == before + 1
         assert any("corrupt payload" in r.getMessage() for r in caplog.records)
         assert PublicParams.from_bytes(cache.get_bytes(key)).g == params.g
 
@@ -329,14 +318,3 @@ class TestCachedTables:
             del data[-1]
         with pytest.raises(ValueError):
             FixedBaseTables.from_bytes(bytes(data))
-
-    def test_second_fetch_loads_without_a_build(self, cache, counters):
-        params = setup(3, label=b"tables-load")
-        first, hit1 = cached_tables(cache, params)
-        fixed_base._REGISTRY.pop((params.fingerprint(), first.c))
-        builds = counters(BUILDS)
-        second, hit2 = cached_tables(cache, params)
-        assert (hit1, hit2) == (False, True)
-        assert counters(BUILDS) == builds
-        assert second.tables == first.tables
-        assert fixed_base.tables_for_params(params) is second  # registered

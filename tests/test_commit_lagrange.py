@@ -236,6 +236,10 @@ class TestRegistry:
         reloaded, hit = cached_tables(cache, params)
         assert hit and counters(BUILDS) == built
         assert reloaded.tables == good.tables
+        assert fixed_base.tables_for_params(params) is reloaded  # registered
+        # A registered set is served without reading the entry.
+        cache.put_bytes(key, b"not a table set")
+        assert cached_tables(cache, params) == (reloaded, True)
 
     def test_concurrent_cold_lookups_build_once(self, monkeypatch, counters):
         params = setup(3, label=b"single-flight")
