@@ -12,10 +12,9 @@
    limb-decomposed comparison per adjacent pair -- linear in n.
 """
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.bench.reporting import Report
 from repro.gates import NaiveRangeCheckChip, RangeDecomposeChip, RangeTable
-from repro.plonkish import Assignment, ConstraintSystem, MockProver
+from repro.plonkish import ConstraintSystem
 
 
 def _naive_circuit(bound: int) -> ConstraintSystem:

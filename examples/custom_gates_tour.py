@@ -8,7 +8,6 @@ witness being caught.  Useful as a template for adding new operators.
 Run:  python examples/custom_gates_tour.py
 """
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.gates import (
     GroupByChip,
     LtFlagChip,
@@ -28,7 +27,7 @@ table = RangeTable(cs, bits=4)
 q = cs.selector("q")
 a, b = cs.advice_column("a"), cs.advice_column("b")
 lt = LtFlagChip(cs, "lt", q.cur(), a.cur(), b.cur(), table, n_limbs=2)
-asg = Assignment(cs, F, K)
+asg = Assignment(cs, K)
 table.assign(asg)
 for row, (x, y) in enumerate([(3, 200), (200, 3), (77, 77)]):
     asg.assign(q, row, 1)
@@ -36,7 +35,7 @@ for row, (x, y) in enumerate([(3, 200), (200, 3), (77, 77)]):
     asg.assign(b, row, y)
     flag = lt.assign_row(asg, row, x, y)
     print(f"  {x} < {y} -> check bit {flag}")
-MockProver(cs, asg, F).assert_satisfied()
+MockProver(cs, asg).assert_satisfied()
 print("  constraints satisfied\n")
 
 # ------------------------------------------------------------- 4.2-4.5
@@ -56,7 +55,7 @@ agg = RunningAggChip(
     sort.out[1].cur(),
 )
 data = [(1, 2), (3, 6), (2, 8), (1, 10)]  # exactly Figure 5's table
-asg = Assignment(cs, F, K)
+asg = Assignment(cs, K)
 table.assign(asg)
 for i, (key, value) in enumerate(data):
     asg.assign(k_col, i, key)
@@ -68,7 +67,7 @@ bins = gb.assign(asg, keys)
 same = [0] + [1 if keys[i] == keys[i - 1] else 0 for i in range(1, len(keys))]
 running = agg.assign(asg, [r[1] for r in sorted_rows], same)
 print("  group sums:", {keys[end]: running[end] for _, end in bins})
-MockProver(cs, asg, F).assert_satisfied()
+MockProver(cs, asg).assert_satisfied()
 print("  constraints satisfied (expected {1: 12, 2: 8, 3: 6})\n")
 
 # ---------------------------------------------------------------- 4.4
@@ -86,7 +85,7 @@ join = PkFkJoinChip(
 )
 t1 = [1, 3, 6, 1, 6]                      # Figure 6's D1 column
 t2 = [(3, 11), (1, 12), (5, 13), (4, 14), (7, 15)]  # (D1', D2')
-asg = Assignment(cs, F, K)
+asg = Assignment(cs, K)
 table.assign(asg)
 for i, key in enumerate(t1):
     asg.assign(fk, i, key)
@@ -97,12 +96,12 @@ for i, (key, value) in enumerate(t2):
     asg.assign(t2v, i, 1)
 flags = join.assign(asg, [(key, 1) for key in t1], t2)
 print("  contribution flags:", flags, "(keys 6 have no partner)")
-MockProver(cs, asg, F).assert_satisfied()
+MockProver(cs, asg).assert_satisfied()
 print("  constraints satisfied")
 
 # A cheating prover claiming fk=6 joined is caught.
 asg.assign(join.part, 2, 1)
-failures = MockProver(cs, asg, F).verify()
+failures = MockProver(cs, asg).verify()
 print(f"  cheating witness -> {len(failures)} constraint violations "
       f"(e.g. {failures[0].name})")
 assert failures

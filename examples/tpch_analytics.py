@@ -12,7 +12,6 @@ Run:  python examples/tpch_analytics.py          (fast: mock-checked)
 import sys
 import time
 
-from repro.algebra import SCALAR_FIELD
 from repro.commit import setup
 from repro.plonkish import Assignment, MockProver
 from repro.sql.compiler import QueryCompiler
@@ -66,9 +65,9 @@ for name in ("Q1", "Q3", "Q5"):
         t0 = time.time()
         compiled = QueryCompiler(db, K, limb_bits=4, value_bits=32,
                                  key_bits=40).compile(plan)
-        asg = Assignment(compiled.cs, SCALAR_FIELD, K)
+        asg = Assignment(compiled.cs, K)
         encoded = compiled.assign_witness(asg, db)
-        MockProver(compiled.cs, asg, SCALAR_FIELD).assert_satisfied()
+        MockProver(compiled.cs, asg).assert_satisfied()
         print(f"circuit satisfied in {time.time() - t0:.1f}s "
               f"({len(compiled.cs.advice_columns)} advice columns, "
               f"{len(compiled.cs.lookups)} lookups)")

@@ -4,35 +4,32 @@ PoneglyphDB's circuits live over the scalar field of the Pallas curve
 (a 255-bit prime field with two-adicity 32, as used by Halo2).  This
 package provides:
 
-- :mod:`repro.algebra.field` -- prime-field arithmetic contexts and an
-  ergonomic element wrapper,
-- :mod:`repro.algebra.poly` -- dense univariate polynomials,
+- :mod:`repro.algebra.field` -- prime-field arithmetic contexts and the
+  two Pasta fields (:data:`~repro.algebra.field.SCALAR_FIELD` is the
+  circuit field),
+- :mod:`repro.algebra.poly` -- Horner evaluation and division by
+  ``X - r`` on raw coefficient lists,
 - :mod:`repro.algebra.domain` -- radix-2 FFT evaluation domains used by
   the PLONKish prover.
 
-Internally, field elements are plain Python integers in ``[0, p)`` and
-all operations are routed through a :class:`~repro.algebra.field.Field`
-context object.  This keeps the prover's inner loops allocation-free
-while still offering the operator-overloaded
-:class:`~repro.algebra.field.Felt` wrapper at API boundaries.
+Field elements are plain Python integers in ``[0, p)`` everywhere, and
+all operations that need the modulus or cached constants are routed
+through a :class:`~repro.algebra.field.Field` context object, which
+keeps the prover's inner loops allocation-free.
 """
 
 from repro.algebra.field import (
     BASE_FIELD,
     SCALAR_FIELD,
     Field,
-    Felt,
     deterministic_rng,
 )
 from repro.algebra.domain import EvaluationDomain
-from repro.algebra.poly import Polynomial
 
 __all__ = [
     "BASE_FIELD",
     "SCALAR_FIELD",
     "Field",
-    "Felt",
     "EvaluationDomain",
-    "Polynomial",
     "deterministic_rng",
 ]

@@ -11,21 +11,20 @@ Both primes have two-adicity 32 (``2^32 | p - 1``), which is what makes
 radix-2 FFTs over them possible -- the property Halo2 and this
 reproduction rely on for the vanishing argument.
 
-Design note: raw field elements are plain Python ``int`` values in
-``[0, p)``.  A :class:`Field` object is the arithmetic context (it knows
-the modulus and caches derived constants such as roots of unity), and
-:class:`Felt` is a thin operator-overloaded wrapper used at public API
-boundaries and in tests.  Hot loops in the prover work directly on ints.
+Design note: field elements are plain Python ``int`` values in
+``[0, p)``, and a :class:`Field` object is the arithmetic context (it
+knows the modulus and caches derived constants such as roots of unity).
+The circuit field has exactly one name, :data:`SCALAR_FIELD`: the
+proving stack reads it directly and takes no field argument.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random as _random
 import secrets
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro import telemetry
 from repro.errors import BatchInversionError
@@ -159,27 +158,7 @@ class Field:
         self.multiplicative_generator = generator
         self.root_of_unity = pow(generator, t, modulus)
 
-    # -- basic ops ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def square(self, a: int) -> int:
-        return (a * a) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
+    # -- inversion ------------------------------------------------------
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
@@ -187,14 +166,6 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         telemetry.incr("field.inversions")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    # -- batch operations ----------------------------------------------
 
     def batch_inv(self, values: Sequence[int]) -> list[int]:
         """Invert many nonzero elements with a single field inversion.
@@ -209,19 +180,6 @@ class Field:
             return []
         telemetry.incr("field.inversions", len(values))
         return montgomery_batch_inv(values, self.p)
-
-    def sum(self, values: Iterable[int]) -> int:
-        total = 0
-        for v in values:
-            total += v
-        return total % self.p
-
-    def product(self, values: Iterable[int]) -> int:
-        acc = 1
-        p = self.p
-        for v in values:
-            acc = acc * v % p
-        return acc
 
     # -- square roots (needed for hash-to-curve) ------------------------
 
@@ -266,29 +224,8 @@ class Field:
             return rng.randrange(self.p)
         return secrets.randbelow(self.p)
 
-    def from_signed(self, v: int) -> int:
-        """Embed a signed integer, mapping negatives to ``p - |v|``."""
-        return v % self.p
-
-    def to_signed(self, a: int) -> int:
-        """Lift back to a signed integer, choosing the representative
-        closest to zero (used to decode small query outputs)."""
-        a %= self.p
-        return a - self.p if a > self.p // 2 else a
-
-    def from_bytes(self, data: bytes) -> int:
-        return int.from_bytes(data, "little") % self.p
-
     def to_bytes(self, a: int) -> bytes:
         return (a % self.p).to_bytes(self._byte_length, "little")
-
-    def hash_to_field(self, *chunks: bytes) -> int:
-        """Hash arbitrary bytes to a field element (64-byte expand to
-        keep the output statistically uniform)."""
-        h = hashlib.blake2b(digest_size=64)
-        for chunk in chunks:
-            h.update(chunk)
-        return int.from_bytes(h.digest(), "little") % self.p
 
     # -- roots of unity ---------------------------------------------------
 
@@ -310,9 +247,6 @@ class Field:
 
     # -- misc ------------------------------------------------------------
 
-    def felt(self, v: int) -> "Felt":
-        return Felt(self, v % self.p)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Field({self.name}, 2^{self.p.bit_length() - 1}-ish modulus)"
 
@@ -321,76 +255,6 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(("Field", self.p))
-
-
-class Felt:
-    """Operator-overloaded field element bound to a :class:`Field`.
-
-    Arithmetic between a ``Felt`` and a plain ``int`` is supported and
-    returns a ``Felt``; mixing elements of different fields raises.
-    """
-
-    __slots__ = ("field", "n")
-
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n % field.p
-
-    def _coerce(self, other: "Felt | int") -> int:
-        if isinstance(other, Felt):
-            if other.field.p != self.field.p:
-                raise ValueError("field mismatch")
-            return other.n
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "Felt | int") -> "Felt":
-        return Felt(self.field, self.n + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Felt | int") -> "Felt":
-        return Felt(self.field, self.n - self._coerce(other))
-
-    def __rsub__(self, other: "Felt | int") -> "Felt":
-        return Felt(self.field, self._coerce(other) - self.n)
-
-    def __mul__(self, other: "Felt | int") -> "Felt":
-        return Felt(self.field, self.n * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Felt | int") -> "Felt":
-        return Felt(self.field, self.n * self.field.inv(self._coerce(other)))
-
-    def __rtruediv__(self, other: "Felt | int") -> "Felt":
-        return Felt(self.field, self._coerce(other) * self.field.inv(self.n))
-
-    def __pow__(self, e: int) -> "Felt":
-        return Felt(self.field, self.field.pow(self.n, e))
-
-    def __neg__(self) -> "Felt":
-        return Felt(self.field, -self.n)
-
-    def inv(self) -> "Felt":
-        return Felt(self.field, self.field.inv(self.n))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Felt):
-            return other.field.p == self.field.p and other.n == self.n
-        if isinstance(other, int):
-            return self.n == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.n))
-
-    def __int__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return f"Felt({self.n})"
 
 
 #: Pallas base field -- coordinates of Pallas curve points live here.

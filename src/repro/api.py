@@ -14,8 +14,9 @@ single object::
 The facade owns the cross-cutting plumbing the lower layers expose as
 knobs: it obtains public parameters and their fixed-base MSM tables
 through its artifact cache (no layer below it reads the cache), applies
-the configured telemetry and field backend for the session's lifetime
-(restoring the previous settings on close), and keeps the
+the configured telemetry and any explicitly chosen field backend for
+the session's lifetime (restoring the previous settings on close), and
+keeps the
 prover/verifier pair consistent so a proved response verifies against
 the same commitment without ferrying metadata by hand.  A session
 proves serially, one job at a time; :meth:`Session.serve` proves in
@@ -85,8 +86,11 @@ class Session:
         self._previous_telemetry = (
             telemetry.enable(True) if config.telemetry else telemetry.enabled()
         )
-        self._previous_field_backend = field_backend.set_backend(
-            config.field_backend
+        # "auto" keeps the process's engine (REPRO_FIELD_BACKEND).
+        self._previous_field_backend = (
+            None
+            if config.field_backend == "auto"
+            else field_backend.set_backend(config.field_backend)
         )
         self._closed = False
 
@@ -118,7 +122,8 @@ class Session:
         if not self._closed:
             if self.config.telemetry:
                 telemetry.enable(self._previous_telemetry)
-            field_backend.set_backend(self._previous_field_backend)
+            if self._previous_field_backend is not None:
+                field_backend.set_backend(self._previous_field_backend)
             self._closed = True
 
     def __enter__(self) -> "Session":

@@ -91,7 +91,7 @@ def gkr_prove(
     """Prove correct evaluation of ``circuit`` on ``inputs``."""
     p = field.p
     values = circuit.evaluate(inputs, field)
-    transcript = Transcript(b"gkr", field)
+    transcript = Transcript(b"gkr")
     outputs = values[-1]
     transcript.absorb_scalars(b"outputs", outputs)
 
@@ -141,7 +141,7 @@ def gkr_verify(
     p = field.p
     if len(proof.layers) != len(circuit.layers):
         return False
-    transcript = Transcript(b"gkr", field)
+    transcript = Transcript(b"gkr")
     transcript.absorb_scalars(b"outputs", proof.outputs)
     out_k = circuit.layers[-1].k
     if len(proof.outputs) != 1 << out_k:

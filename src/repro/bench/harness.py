@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.algebra import backend as field_backend
-from repro.algebra.field import SCALAR_FIELD
 from repro.baselines.cost_models import PaperCalibration, column_work
 from repro.cache import ArtifactCache
 from repro.commit.params import PublicParams, cached_setup
@@ -181,13 +180,13 @@ def measure_query_pipeline(
         db, config.k, LIMB_BITS, VALUE_BITS, KEY_BITS
     ).compile(plan)
     sw = telemetry.stopwatch().start()
-    asg = Assignment(compiled.cs, SCALAR_FIELD, config.k)
+    asg = Assignment(compiled.cs, config.k)
     result = compiled.assign_witness(asg, db)
     witness_seconds = sw.end()
     mock_seconds = 0.0
     if check:
         _, mock_seconds = telemetry.time_call(
-            lambda: MockProver(compiled.cs, asg, SCALAR_FIELD).assert_satisfied()
+            lambda: MockProver(compiled.cs, asg).assert_satisfied()
         )
     return PipelineMeasurement(
         query=query_name,

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from repro import telemetry
 from repro.algebra.domain import EvaluationDomain
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
 from repro.ecc.curve import Point
@@ -171,7 +171,7 @@ def values_of(
     each.  Data born as coefficients -- the quotient pieces and the
     multiopen's ``f`` -- reaches :func:`commit_lagrange` and
     :func:`open_polynomial` only through here."""
-    domain = EvaluationDomain(params.curve.scalar_field, params.k)
+    domain = EvaluationDomain(SCALAR_FIELD, params.k)
     return domain.fft_many([_padded(params, c) for c in polys])
 
 
@@ -205,14 +205,14 @@ def _extend_products(s: list[int], u: int, u_inv: int, p: int) -> list[int]:
     return [v * w % p for v in s for w in (u_inv, u)]
 
 
-def _folded_b(s: Sequence[int], x: int, field: Field) -> int:
+def _folded_b(s: Sequence[int], x: int) -> int:
     """The fully folded ``b = (L_0(x), .., L_{n-1}(x))``, i.e. ``sum_i
     s[i] * L_i(x)``: O(n) field work and one batch inversion beside the
     ``s`` vector the verifier builds anyway."""
     n = len(s)
-    domain = EvaluationDomain(field, n.bit_length() - 1)
+    domain = EvaluationDomain(SCALAR_FIELD, n.bit_length() - 1)
     weights = domain.lagrange_basis_evals(x, n)
-    return sum(si * li for si, li in zip(s, weights)) % field.p
+    return sum(si * li for si, li in zip(s, weights)) % SCALAR_FIELD.p
 
 
 def open_polynomial(
@@ -221,7 +221,6 @@ def open_polynomial(
     evals: Sequence[int],
     blind: int,
     x: int,
-    field: Field,
 ) -> IpaProof:
     """Produce an opening proof for ``p(x)`` against the commitment made
     with ``blind``, where ``evals`` are the values of ``p`` over the
@@ -232,7 +231,7 @@ def open_polynomial(
     this), so the challenges bind the full statement.
     """
     with telemetry.span("ipa.open", n=params.n):
-        return _open_polynomial(params, transcript, evals, blind, x, field)
+        return _open_polynomial(params, transcript, evals, blind, x)
 
 
 def _open_polynomial(
@@ -241,7 +240,6 @@ def _open_polynomial(
     evals: Sequence[int],
     blind: int,
     x: int,
-    field: Field,
 ) -> IpaProof:
     """The halving rounds, every one against the fixed-base tables.
 
@@ -254,10 +252,10 @@ def _open_polynomial(
     set's tables (``R`` likewise, low halves, ``a_hi``).  ``L``, ``R``,
     ``a`` and the blind are the elements the textbook fold gives.
     """
-    p = field.p
+    p = SCALAR_FIELD.p
     n = params.n
     a = [v % p for v in _padded(params, evals)]
-    b = EvaluationDomain(field, params.k).lagrange_basis_evals(x, n)
+    b = EvaluationDomain(SCALAR_FIELD, params.k).lagrange_basis_evals(x, n)
     s = [1]
 
     xi = transcript.challenge_scalar(b"ipa-xi")
@@ -283,8 +281,8 @@ def _open_polynomial(
         a_lo, a_hi = a[:half], a[half:]
         b_lo, b_hi = b[:half], b[half:]
 
-        l_blind = field.rand()
-        r_blind = field.rand()
+        l_blind = SCALAR_FIELD.rand()
+        r_blind = SCALAR_FIELD.rand()
         inner_lo_hi = sum(ai * bi for ai, bi in zip(a_lo, b_hi)) % p
         inner_hi_lo = sum(ai * bi for ai, bi in zip(a_hi, b_lo)) % p
         left = cross_term(half, a_lo, inner_lo_hi, l_blind)
@@ -292,7 +290,7 @@ def _open_polynomial(
         transcript.absorb_point(b"ipa-L", left)
         transcript.absorb_point(b"ipa-R", right)
         u = transcript.challenge_scalar(b"ipa-u")
-        u_inv = field.inv(u)
+        u_inv = SCALAR_FIELD.inv(u)
 
         a = [(lo * u + hi * u_inv) % p for lo, hi in zip(a_lo, a_hi)]
         b = [(lo * u_inv + hi * u) % p for lo, hi in zip(b_lo, b_hi)]
@@ -311,7 +309,6 @@ def reduce_opening(
     x: int,
     value: int,
     proof: IpaProof,
-    field: Field,
 ) -> tuple[list[int], int, tuple[list[Point], list[int]]] | None:
     """Run the cheap part of opening verification: the transcript, the
     challenge products ``s`` and the folded ``b`` (O(n) field work).
@@ -332,7 +329,7 @@ def reduce_opening(
 
     Returns ``None`` when the proof is structurally invalid.
     """
-    p = field.p
+    p = SCALAR_FIELD.p
     if len(proof.rounds) != params.k:
         return None
 
@@ -342,13 +339,13 @@ def reduce_opening(
         transcript.absorb_point(b"ipa-L", left)
         transcript.absorb_point(b"ipa-R", right)
         challenges.append(transcript.challenge_scalar(b"ipa-u"))
-    inv_challenges = field.batch_inv(challenges)
+    inv_challenges = SCALAR_FIELD.batch_inv(challenges)
 
     s = [1]
     for u, u_inv in zip(challenges, inv_challenges):
         s = _extend_products(s, u, u_inv, p)
 
-    b_final = _folded_b(s, x, field)
+    b_final = _folded_b(s, x)
 
     # a * b * xi * u + blind * w - (C + value * xi * u + sum_j u_j^2
     # L_j + u_j^-2 R_j): everything that is not msm(G, a * s).
@@ -374,7 +371,6 @@ def verify_opening(
     x: int,
     value: int,
     proof: IpaProof,
-    field: Field,
 ) -> bool:
     """Verify an opening proof.
 
@@ -384,12 +380,12 @@ def verify_opening(
     :mod:`repro.proving.recursion`).
     """
     reduced = reduce_opening(
-        params, transcript, ([commitment], [1]), x, value, proof, field
+        params, transcript, ([commitment], [1]), x, value, proof
     )
     if reduced is None:
         return False
     s, a, (bases, scalars) = reduced
-    p = field.p
+    p = SCALAR_FIELD.p
     tables = fixed_base.tables_for_params(params)
     folded = fixed_base.fixed_base_msm(tables, [a * si % p for si in s])
     return (folded + msm(bases, scalars)).is_identity()

@@ -73,10 +73,12 @@ class ProverConfig:
         instrumentation is a no-op.
     field_backend:
         Field-arithmetic engine for the session
-        (:mod:`repro.algebra.backend`): ``auto`` (the default) picks
-        the fastest available, ``python`` / ``numpy`` force one.  All
-        engines produce bit-identical proofs; this is purely a
-        performance knob.
+        (:mod:`repro.algebra.backend`): ``auto`` (the default) leaves
+        the process's engine alone -- the one ``REPRO_FIELD_BACKEND``
+        selects, else the fastest available -- and ``python`` /
+        ``numpy`` force one for the session's lifetime.  All engines
+        produce bit-identical proofs; this is purely a performance
+        knob.
 
     The circuit field is always the Pallas scalar field and the
     commitment curve always Pallas, as in the paper: there is no knob

@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.algebra.field import Field, SCALAR_FIELD
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.db.database import Database
@@ -215,7 +215,6 @@ def commit_database(
     db: Database,
     params: PublicParams,
     k: int,
-    field_: Field = SCALAR_FIELD,
     value_bits: int = 64,
 ) -> tuple[DatabaseCommitment, CommitmentSecrets]:
     """Commit every column of every table.
@@ -234,8 +233,8 @@ def commit_database(
     for table_name in sorted(db.tables):
         table = db.tables[table_name]
         for column_name in table.schema.column_names():
-            tail = [field_.rand() for _ in range(ZK_ROWS)]
-            blind = field_.rand()
+            tail = [SCALAR_FIELD.rand() for _ in range(ZK_ROWS)]
+            blind = SCALAR_FIELD.rand()
             secrets[(table_name, column_name)] = ColumnSecret(blind, tail)
     commitments = _commit_all_columns(db, fit, k, secrets)
     leaves = [

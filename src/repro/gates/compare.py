@@ -21,7 +21,7 @@ what lets the compiler size ``n_limbs`` below ``value_bits``.
 
 from __future__ import annotations
 
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.gates.tables import RangeTable
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ConstraintSystem
@@ -52,12 +52,11 @@ class IsZeroChip:
 
     def assign_row(self, asg: Assignment, row: int, value: int) -> int:
         """Assign the inverse hint; returns the is_zero bit."""
-        field: Field = asg.field
-        value %= field.p
+        value %= SCALAR_FIELD.p
         if value == 0:
             asg.assign(self.inv, row, 0)
             return 1
-        asg.assign(self.inv, row, field.inv(value))
+        asg.assign(self.inv, row, SCALAR_FIELD.inv(value))
         return 0
 
 

@@ -11,7 +11,7 @@ opened evaluations comes from, exactly as in Halo2).
 
 from __future__ import annotations
 
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.plonkish.constraint_system import Column, ColumnKind, ConstraintSystem
 from repro.plonkish.expression import Expression
 
@@ -24,9 +24,8 @@ ZK_ROWS = 4
 class Assignment:
     """The value matrix for one concrete instance of a circuit."""
 
-    def __init__(self, cs: ConstraintSystem, field: Field, k: int):
+    def __init__(self, cs: ConstraintSystem, k: int):
         self.cs = cs
-        self.field = field
         self.k = k
         self.n_rows = 1 << k
         self.usable_rows = self.n_rows - ZK_ROWS
@@ -65,7 +64,7 @@ class Assignment:
             raise IndexError(
                 f"row {row} outside usable range [0, {self.usable_rows})"
             )
-        self.values_of(column)[row] = value % self.field.p
+        self.values_of(column)[row] = value % SCALAR_FIELD.p
 
     def assign_column(self, column: Column, values: list[int]) -> None:
         """Assign a column from row 0; remaining usable rows keep 0."""
@@ -73,7 +72,7 @@ class Assignment:
             raise ValueError(
                 f"{len(values)} values exceed usable rows {self.usable_rows}"
             )
-        p = self.field.p
+        p = SCALAR_FIELD.p
         self.values_of(column)[: len(values)] = [v % p for v in values]
 
     def value(self, column: Column, row: int) -> int:
@@ -92,7 +91,7 @@ class Assignment:
         whole columns instead: :mod:`repro.proving.evaluation`.)"""
         return expr.evaluate(
             lambda column, rotation: self.query(column, row, rotation),
-            self.field.p,
+            SCALAR_FIELD.p,
         )
 
     def assign_tail(self, column: Column, tail: list[int]) -> None:
@@ -108,7 +107,7 @@ class Assignment:
         if len(tail) != blinding_rows:
             raise ValueError(f"tail must have {blinding_rows} entries")
         storage = self.advice[column.index]
-        p = self.field.p
+        p = SCALAR_FIELD.p
         for offset, value in enumerate(tail):
             storage[self.usable_rows + offset] = value % p
         self._pinned_tails.add(column.index)
@@ -120,7 +119,7 @@ class Assignment:
             if index in self._pinned_tails:
                 continue
             for row in range(self.usable_rows, self.n_rows):
-                col_values[row] = self.field.rand()
+                col_values[row] = SCALAR_FIELD.rand()
 
     def instance_values(self, column: Column) -> list[int]:
         if column.kind is not ColumnKind.INSTANCE:

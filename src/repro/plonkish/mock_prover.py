@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.field import Field
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import Column, ConstraintSystem
 
@@ -34,10 +33,9 @@ class VerifyFailure:
 class MockProver:
     """Checks an assignment against its constraint system."""
 
-    def __init__(self, cs: ConstraintSystem, assignment: Assignment, field: Field):
+    def __init__(self, cs: ConstraintSystem, assignment: Assignment):
         self.cs = cs
         self.assignment = assignment
-        self.field = field
 
     def verify(self) -> list[VerifyFailure]:
         """All constraint violations (empty list == satisfied)."""

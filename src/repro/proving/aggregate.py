@@ -34,7 +34,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.algebra.field import Field, SCALAR_FIELD
+from repro.algebra.field import SCALAR_FIELD
 from repro.wire import ByteReader, SCALAR_BYTES, WireFormatError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -180,9 +180,7 @@ class AggProof:
         return b"".join(chunks)
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, field_: Field = SCALAR_FIELD
-    ) -> "AggProof":
+    def from_bytes(cls, data: bytes) -> "AggProof":
         """Strictly decode aggregate wire bytes.
 
         Enforces the ``PDBA`` header, the fingerprint width, bounded
@@ -195,7 +193,7 @@ class AggProof:
         """
         from repro.proving.proof import WIRE_MAGIC
 
-        p = field_.p
+        p = SCALAR_FIELD.p
         reader = ByteReader(data)
         reader.expect(AGG_MAGIC, "aggregate header")
         fingerprint = reader.take(FINGERPRINT_BYTES, "params fingerprint")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro import telemetry
 from repro.algebra.domain import EvaluationDomain
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
@@ -70,7 +70,6 @@ class PolyData:
 @dataclass(frozen=True)
 class VerifyingKey:
     params: PublicParams
-    field: Field
     cs: ConstraintSystem
     k: int
     usable_rows: int
@@ -126,7 +125,7 @@ def _system_selectors(n: int, usable: int) -> list[list[int]]:
 
 
 def build_permutation_columns(
-    cs: ConstraintSystem, field: Field, n: int, usable: int, delta: int
+    cs: ConstraintSystem, n: int, usable: int, delta: int
 ) -> list[list[int]]:
     """Compute the sigma column values from the copy constraints.
 
@@ -174,8 +173,8 @@ def build_permutation_columns(
         for idx, pos in enumerate(members):
             sigma_map[pos] = members[(idx + 1) % len(members)]
 
-    p = field.p
-    omega = field.root_of_unity_of_order(n)
+    p = SCALAR_FIELD.p
+    omega = SCALAR_FIELD.root_of_unity_of_order(n)
     omegas = [1] * n
     for i in range(1, n):
         omegas[i] = omegas[i - 1] * omega % p
@@ -197,7 +196,7 @@ def build_permutation_columns(
 
 
 def _key_columns(
-    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+    params: PublicParams, cs: ConstraintSystem, k: int, fixed: Columns
 ) -> tuple[list[list[int]], list[Point], VerifyingKey]:
     """Every key column's values and commitment, in key order -- the
     system selectors (:data:`_SYSTEM_NAMES` order), the sigmas, the
@@ -210,8 +209,8 @@ def _key_columns(
     if usable <= 1:
         raise ValueError("circuit too small for blinding rows")
     fit_params = params.truncated(k) if params.k > k else params
-    delta = field.multiplicative_generator
-    sigmas = build_permutation_columns(cs, field, n, usable, delta)
+    delta = SCALAR_FIELD.multiplicative_generator
+    sigmas = build_permutation_columns(cs, n, usable, delta)
     values = _system_selectors(n, usable) + sigmas + list(fixed)
     # Lagrange-basis commitments come straight from the values.
     commitments = commit_lagrange_many(fit_params, [(v, 0) for v in values])
@@ -220,7 +219,6 @@ def _key_columns(
     arguments = cs.lookup_arguments(PERMUTATION_CHUNK)
     vk = VerifyingKey(
         params=fit_params,
-        field=field,
         cs=cs,
         k=k,
         usable_rows=usable,
@@ -238,24 +236,25 @@ def _key_columns(
         lookup_arguments=arguments,
         delta=delta,
         program=Program(
-            gate_expressions(cs) + argument_expressions(cs, arguments), field.p
+            gate_expressions(cs) + argument_expressions(cs, arguments),
+            SCALAR_FIELD.p,
         ),
-        fingerprint=keygen_fingerprint(fit_params, cs, field, k, fixed),
+        fingerprint=keygen_fingerprint(fit_params, cs, k, fixed),
     )
     return values, commitments, vk
 
 
 def keygen_vk(
-    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+    params: PublicParams, cs: ConstraintSystem, k: int, fixed: Columns
 ) -> VerifyingKey:
     """The verifying key alone: commitments only, no transform.  Equal
     to ``keygen(...).vk`` for the same arguments."""
     with telemetry.span("keygen_vk", k=k):
-        return _key_columns(params, cs, field, k, fixed)[2]
+        return _key_columns(params, cs, k, fixed)[2]
 
 
 def keygen(
-    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+    params: PublicParams, cs: ConstraintSystem, k: int, fixed: Columns
 ) -> ProvingKey:
     """The proving key of a circuit of ``2^k`` rows whose fixed columns
     hold ``fixed``, complete with its verifying key.
@@ -263,10 +262,10 @@ def keygen(
     Every key polynomial -- system selectors, sigmas, fixed columns --
     goes through the transforms and commitments as one batch."""
     with telemetry.span("keygen", k=k):
-        values, commitments, vk = _key_columns(params, cs, field, k, fixed)
-        domain = EvaluationDomain(field, k)
-        extended_domain = EvaluationDomain(field, vk.extended_k)
-        coset_shift = field.multiplicative_generator
+        values, commitments, vk = _key_columns(params, cs, k, fixed)
+        domain = EvaluationDomain(SCALAR_FIELD, k)
+        extended_domain = EvaluationDomain(SCALAR_FIELD, vk.extended_k)
+        coset_shift = SCALAR_FIELD.multiplicative_generator
         coeffs = domain.ifft_many(values)
         extended = extended_domain.coset_fft_many(coeffs, coset_shift)
         polys = [PolyData(*poly) for poly in zip(coeffs, extended, commitments)]
@@ -293,12 +292,12 @@ _FINGERPRINT_TAG = b"lagrange-generators-v6|"
 
 
 def keygen_fingerprint(
-    params: PublicParams, cs: ConstraintSystem, field: Field, k: int, fixed: Columns
+    params: PublicParams, cs: ConstraintSystem, k: int, fixed: Columns
 ) -> str:
     """A stable content hash of everything :func:`keygen` depends on.
 
     Keys the provers' in-memory key memo: any change to the circuit
-    shape, its fixed values, the parameter set, the field, or the row
+    shape, its fixed values, the parameter set or the row
     count lands in a different entry.  Over the parameters the key is
     built on, it is also :attr:`VerifyingKey.fingerprint`, which binds
     the proof transcript to the whole statement.
@@ -307,7 +306,7 @@ def keygen_fingerprint(
 
     h = hashlib.blake2b(digest_size=20)
     h.update(_FINGERPRINT_TAG)
-    h.update(f"{params.fingerprint()}|{field.p}|{k}|".encode())
+    h.update(f"{params.fingerprint()}|{SCALAR_FIELD.p}|{k}|".encode())
     h.update(cs.fingerprint().encode())
     for column in fixed:
         h.update(b"|" + ",".join(map(str, column)).encode())

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.algebra.poly import divide_by_linear, evaluate_coeffs
 from repro.commit.ipa import (
     IpaProof,
@@ -88,7 +88,6 @@ def multi_open(
     params: PublicParams,
     transcript: Transcript,
     sets: list[PointSet],
-    field: Field,
 ) -> tuple[Point, list[int], IpaProof]:
     """Open every claim of ``sets`` at once: ``([f], the q_i(x3), the
     IPA proof)``.
@@ -101,10 +100,10 @@ def multi_open(
     remainder is dropped, and the verifier's ``f(x3)`` then disagrees
     with the opening.
     """
-    p, n = field.p, params.n
+    p, n = SCALAR_FIELD.p, params.n
     q_polys: list[list[int]] = []
     q_blinds: list[int] = []
-    final, final_blind = [0] * n, field.rand()  # f first, then the q_i
+    final, final_blind = [0] * n, SCALAR_FIELD.rand()  # f first, then the q_i
 
     def commit_f(weights, x2) -> Point:
         x2_power = 1
@@ -135,7 +134,7 @@ def multi_open(
         final_blind = (final_blind + x4_power * blind) % p
     (values,) = values_of(params, [final])
     return f_commitment, q_evals, open_polynomial(
-        params, transcript, values, final_blind, x3, field
+        params, transcript, values, final_blind, x3
     )
 
 
@@ -146,7 +145,6 @@ def multi_verify(
     f_commitment: Point,
     q_evals: list[int],
     opening: IpaProof,
-    field: Field,
     accumulator: Accumulator,
 ) -> bool:
     """Check the opening :func:`multi_open` produced for ``sets``, up
@@ -157,7 +155,7 @@ def multi_verify(
     is provisional until the caller's ``accumulator.finalize()`` also
     passes.
     """
-    p = field.p
+    p = SCALAR_FIELD.p
     # Structural rejection before the reduction: such a proof can never
     # verify, so fail before doing any work on attacker-controlled
     # input.
@@ -189,7 +187,7 @@ def multi_verify(
             denominators.append(weight)
         if 0 in denominators:
             return False
-        term, *barycentric = field.batch_inv(denominators)
+        term, *barycentric = SCALAR_FIELD.batch_inv(denominators)
         term *= q_eval
         for k, inverse in enumerate(barycentric):
             value = sum(
@@ -203,5 +201,5 @@ def multi_verify(
             scalars.append(x4_power * weight % p)
         x2_power, x4_power = x2_power * x2 % p, x4_power * x4 % p
     return accumulator.defer_opening(
-        params, transcript, (bases, scalars), x3, expected, opening, field
+        params, transcript, (bases, scalars), x3, expected, opening
     )

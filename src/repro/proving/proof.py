@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterator
 
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.ipa import IpaProof
 from repro.ecc.curve import Point
 from repro.plonkish.constraint_system import helper_column_count
@@ -201,7 +202,7 @@ class Section:
 
     def read(self, reader: ByteReader, what: str, expected, vk):
         """Decode the elements that follow the count."""
-        curve, p = vk.params.curve, vk.field.p
+        curve, p = vk.params.curve, SCALAR_FIELD.p
         if self.kind is POINTS:
             return [reader.point(curve, what) for _ in range(expected)]
         if self.kind is SCALARS:
@@ -389,12 +390,7 @@ class Proof:
         residue has exactly one byte representation; the strict inverse
         is :meth:`from_bytes`.
         """
-        # Every scalar lives in the scalar field of the commitments' curve.
-        p = next(
-            container[key].curve.scalar_field.p
-            for _, container, key, is_point in self.leaves()
-            if is_point
-        )
+        p = SCALAR_FIELD.p
 
         def scalar(value: int) -> bytes:
             return (value % p).to_bytes(SCALAR_BYTES, "little")

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.algebra.field import SCALAR_FIELD
 from repro.plonkish.constraint_system import (
     ColumnKind,
     LookupArgument,
@@ -73,7 +74,7 @@ def init_transcript(vk: VerifyingKey, instance: list[list[int]]) -> Transcript:
     and the public instance values.  The key's fingerprint goes first:
     it covers the gates, lookups, shuffles and copies, which no
     commitment below does."""
-    tr = Transcript(b"poneglyphdb-proof-v1", vk.field)
+    tr = Transcript(b"poneglyphdb-proof-v1")
     tr.absorb_bytes(b"vk", bytes.fromhex(vk.fingerprint))
     tr.absorb_scalar(b"k", vk.k)
     tr.absorb_scalar(b"usable", vk.usable_rows)
@@ -294,7 +295,7 @@ def lookup_denominators(
     compressed with ``theta``.  :func:`combined_constraint` folds them
     into the identity; the prover inverts them over the rows of the
     domain to build the helper columns and the running sum."""
-    p, theta, beta = vk.field.p, challenges["theta"], challenges["beta"]
+    p, theta, beta = SCALAR_FIELD.p, challenges["theta"], challenges["beta"]
 
     def shifted(exprs):
         values = compress_rows(exprs, expression, theta, p)
@@ -313,7 +314,7 @@ def grand_product_fractions(vk, positions, expression, opened, challenges):
     step per point of ``positions``.  The arguments are those of
     :func:`combined_constraint`; the prover also calls this over the
     rows of the domain to build each ``Z``."""
-    p = vk.field.p
+    p = SCALAR_FIELD.p
     theta, beta, gamma = (challenges[c] for c in ("theta", "beta", "gamma"))
 
     def compressed(exprs):
@@ -364,7 +365,7 @@ def combined_constraint(
       carries at ``path`` (:func:`opening_schedule`), i.e. of its
       polynomial at that evaluation's rotation.
     """
-    p, y = vk.field.p, challenges["y"]
+    p, y = SCALAR_FIELD.p, challenges["y"]
     l0, active, last = selectors
     ones = [1] * len(positions)
 

@@ -30,6 +30,7 @@ from typing import Callable
 
 from repro import telemetry
 from repro.errors import ReproError
+from repro.algebra.field import SCALAR_FIELD
 from repro.algebra.poly import evaluate_coeffs
 from repro.commit.ipa import commit_lagrange_many, commit_polynomials
 from repro.ecc.curve import Point
@@ -189,7 +190,7 @@ def _commit_columns(
     (narrow scalars); the coefficients are for the later rounds."""
     pk = state.pk
     coeffs = pk.domain.ifft_many(columns)
-    blinds = [pk.vk.field.rand() for _ in columns]
+    blinds = [SCALAR_FIELD.rand() for _ in columns]
     if pinned_blinds:
         blinds = [pinned_blinds.get(i, blind) for i, blind in enumerate(blinds)]
     commitments = commit_lagrange_many(pk.vk.params, list(zip(columns, blinds)))
@@ -228,9 +229,9 @@ def _grand_product(
     row's fraction ``numer / denom``, random past ``Z[usable]``.  With
     ``must_close`` a product that does not return to 1 has no witness
     and raises :class:`ProvingError` with that message."""
-    field = state.pk.vk.field
-    p, n, usable = field.p, state.pk.domain.size, state.pk.vk.usable_rows
-    denom_inv = field.batch_inv(denom)
+    p, n = SCALAR_FIELD.p, state.pk.domain.size
+    usable = state.pk.vk.usable_rows
+    denom_inv = SCALAR_FIELD.batch_inv(denom)
     z = [0] * n
     z[0] = start
     for i in range(usable):
@@ -238,7 +239,7 @@ def _grand_product(
     if must_close and z[usable] != 1:
         raise ProvingError(must_close)
     for i in range(usable + 1, n):
-        z[i] = field.rand()
+        z[i] = SCALAR_FIELD.rand()
     return z
 
 
@@ -261,7 +262,7 @@ def lookup_commit(state: ProverState) -> dict:
     table value is booked on its first row).  Counted on the raw tuples,
     so ``m`` is fixed before ``beta`` -- and ``theta`` -- can matter."""
     vk = state.pk.vk
-    field, usable = vk.field, vk.usable_rows
+    usable = vk.usable_rows
 
     def tuples(exprs):
         return zip(*map(_row_values(state), exprs))
@@ -284,7 +285,8 @@ def lookup_commit(state: ProverState) -> dict:
                         )
                     row = 0
                 m[row] += 1
-        columns.append(m + [field.rand() for _ in range(vk.n_rows - usable)])
+        blinds = [SCALAR_FIELD.rand() for _ in range(vk.n_rows - usable)]
+        columns.append(m + blinds)
     commitments = _commit_columns(
         state,
         columns,
@@ -303,7 +305,7 @@ def _log_derivative_columns(
     m / (beta + t)`` on every usable row -- one batch inversion for all
     of them --, random past the rows the constraints read."""
     vk = state.pk.vk
-    field, p, usable = vk.field, vk.field.p, vk.usable_rows
+    p, usable = SCALAR_FIELD.p, vk.usable_rows
     groups, table = lookup_denominators(
         vk,
         vk.lookup_arguments[i],
@@ -313,7 +315,7 @@ def _log_derivative_columns(
     # Inverted in one batch and read back in the order they went in:
     # one column per lookup, group by group, then the table's.
     inverses = iter(
-        field.batch_inv(
+        SCALAR_FIELD.batch_inv(
             [d for group in groups for column in group for d in column] + table
         )
     )
@@ -336,8 +338,8 @@ def _log_derivative_columns(
         helpers[0], helpers[1] = helpers[1], helpers[0]
     blinding = state.pk.domain.size - usable
     return (
-        [h + [field.rand() for _ in range(blinding)] for h in helpers],
-        phi + [field.rand() for _ in range(blinding - 1)],
+        [h + [SCALAR_FIELD.rand() for _ in range(blinding)] for h in helpers],
+        phi + [SCALAR_FIELD.rand() for _ in range(blinding - 1)],
     )
 
 
@@ -345,7 +347,7 @@ def _log_derivative_columns(
 def grand_products(state: ProverState) -> dict:
     pk, proof = state.pk, state.proof
     vk = pk.vk
-    p, usable = vk.field.p, vk.usable_rows
+    p, usable = SCALAR_FIELD.p, vk.usable_rows
     omegas = [1] * usable
     for i in range(1, usable):
         omegas[i] = omegas[i - 1] * pk.domain.omega % p
@@ -423,7 +425,7 @@ def _opened_values(state: ProverState, values_of, step: int):
 def quotient(state: ProverState) -> dict:
     pk, assignment = state.pk, state.assignment
     vk = pk.vk
-    field, p, n = vk.field, vk.field.p, pk.domain.size
+    p, n = SCALAR_FIELD.p, pk.domain.size
     ext_domain, shift = pk.extended_domain, pk.coset_shift
     ext_n = ext_domain.size
     rotation_factor = ext_n // n
@@ -461,7 +463,7 @@ def quotient(state: ProverState) -> dict:
     for _ in range(period):
         zh_distinct.append((acc - 1) % p)
         acc = acc * omega_ext_n % p
-    zh_inv = field.batch_inv(zh_distinct)
+    zh_inv = SCALAR_FIELD.batch_inv(zh_distinct)
     h_coeffs = ext_domain.coset_ifft(
         [combined[t] * zh_inv[t % period] % p for t in range(ext_n)], shift
     )
@@ -475,7 +477,7 @@ def quotient(state: ProverState) -> dict:
     # verifier can reject it.
     for _ in range(_fault(state, "extra_h_chunks")):
         pieces.append([0])
-    blinds = [field.rand() for _ in pieces]
+    blinds = [SCALAR_FIELD.rand() for _ in pieces]
     commitments = commit_polynomials(vk.params, list(zip(pieces, blinds)))
     state.proof.h_commitments = commitments
     for i, (piece, commitment, blind) in enumerate(zip(pieces, commitments, blinds)):
@@ -489,7 +491,7 @@ def quotient(state: ProverState) -> dict:
 def evaluations(state: ProverState) -> dict:
     pk, proof = state.pk, state.proof
     vk = pk.vk
-    p = vk.field.p
+    p = SCALAR_FIELD.p
     proof.sigma_evals = [0] * len(pk.sigmas)
     proof.permutation_z_evals = [{} for _ in vk.permutation_chunks]
     proof.lookup_helper_evals = [0] * len(proof.lookup_helper_commitments)
@@ -517,7 +519,7 @@ def evaluations(state: ProverState) -> dict:
 def multiopen(state: ProverState) -> dict:
     vk, proof = state.pk.vk, state.proof
     f_commitment, proof.multiopen_q_evals, opening = multi_open(
-        vk.params, state.transcript, state.point_sets, vk.field
+        vk.params, state.transcript, state.point_sets
     )
     proof.multiopen_f, proof.openings = [f_commitment], [opening]
     return {"point_sets": len(state.point_sets)}

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.commit.ipa import IpaProof, reduce_opening
 from repro.commit.params import PublicParams
 from repro.ecc import fixed_base
@@ -70,9 +70,8 @@ class Accumulator:
     guarantees for a verifier checking received proofs).
     """
 
-    def __init__(self, params: PublicParams, field: Field):
+    def __init__(self, params: PublicParams):
         self.params = params
-        self.field = field
         #: Content hash of the exact parameter set every folded claim
         #: must have been reduced against.
         self.params_fingerprint = params.fingerprint()
@@ -108,7 +107,6 @@ class Accumulator:
         x: int,
         value: int,
         proof: IpaProof,
-        field: Field,
     ) -> bool:
         """Run the logarithmic checks now; stash both MSMs' terms.
 
@@ -129,13 +127,13 @@ class Accumulator:
                 f"{params.fingerprint()[:12]}...)"
             )
         reduced = reduce_opening(
-            params, transcript, commitment, x, value, proof, field
+            params, transcript, commitment, x, value, proof
         )
         if reduced is None:
             return False
         s, a, (bases, scalars) = reduced
         rho = self._add_terms(bases, scalars)
-        p = self.field.p
+        p = SCALAR_FIELD.p
         weight = rho * a % p
         fixed = self._scalars
         for i, si in enumerate(s):
@@ -160,8 +158,8 @@ class Accumulator:
         """Weight ``(bases, scalars)`` by a fresh ``rho`` into the term
         map; returns that ``rho``.  One fresh weight per claim: a
         weight shared by two claims would let their errors cancel."""
-        rho = self.field.rand()
-        p = self.field.p
+        rho = SCALAR_FIELD.rand()
+        p = SCALAR_FIELD.p
         terms = self._terms
         for base, c in zip(points_to_affine_tuples(list(bases)), scalars):
             terms[base] = (terms.get(base, 0) + rho * c) % p

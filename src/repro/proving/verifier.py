@@ -19,7 +19,7 @@ of the prover: both sides walk the same schema, schedule and formulas.
 from __future__ import annotations
 
 from repro.algebra.domain import EvaluationDomain
-from repro.algebra.field import Field
+from repro.algebra.field import SCALAR_FIELD
 from repro.plonkish.constraint_system import Column, ColumnKind
 from repro.proving.keygen import VerifyingKey
 from repro.proving.multiopen import OpeningClaim, PointSet, multi_verify
@@ -55,13 +55,12 @@ def verify_proof(
     proof gets its own accumulator, finalized here, and the answer is
     final.
     """
-    field: Field = vk.field
-    p = field.p
+    p = SCALAR_FIELD.p
     cs = vk.cs
     n = vk.n_rows
     usable = vk.usable_rows
     params = vk.params
-    domain = EvaluationDomain(field, vk.k)
+    domain = EvaluationDomain(SCALAR_FIELD, vk.k)
     queries = collect_queries(vk)
 
     # Structural checks before any crypto.
@@ -141,8 +140,8 @@ def verify_proof(
             for commitment, evaluations in members
         ]
         sets.append(PointSet([domain.rotated_point(x, r) for r in rotations], claims))
-    own = Accumulator(params, field) if accumulator is None else accumulator
+    own = Accumulator(params) if accumulator is None else accumulator
     return multi_verify(
         params, transcript, sets, proof.multiopen_f[0], proof.multiopen_q_evals,
-        proof.openings[0], field, own,
+        proof.openings[0], own,
     ) and (accumulator is not None or own.finalize())

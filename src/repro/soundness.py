@@ -430,7 +430,7 @@ def check_tampered_aggregate(verifier, data: bytes) -> str:
     from repro.proving.aggregate import AggProof
 
     try:
-        AggProof.from_bytes(data, verifier.field)
+        AggProof.from_bytes(data)
     except WireFormatError:
         return "decode"
     return "accepted" if verifier.verify_aggregate(data).accepted else "verify"

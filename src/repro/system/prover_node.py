@@ -75,6 +75,18 @@ class QueryResponse:
         return len(self.wire_bytes())
 
 
+def require_pallas(params: PublicParams) -> None:
+    """Refuse public parameters on any curve but Pallas: the circuit
+    field is Pallas's scalar field, so commitments on another curve
+    could only yield proofs the verifier rejects."""
+    if params.curve is not PALLAS:
+        raise ConfigError(
+            f"public parameters must be on Pallas, got "
+            f"{params.curve.name}: the circuit field is Pallas's "
+            "scalar field"
+        )
+
+
 class ProverNode:
     """The database owner / prover P.
 
@@ -97,12 +109,7 @@ class ProverNode:
         *,
         config: ProverConfig,
     ):
-        if params.curve is not PALLAS:
-            raise ConfigError(
-                f"public parameters must be on Pallas, got "
-                f"{params.curve.name}: the circuit field is Pallas's "
-                "scalar field"
-            )
+        require_pallas(params)
         if (1 << config.k) > params.n:
             raise ConfigError("k exceeds public parameter capacity")
         self.config = config
@@ -111,7 +118,6 @@ class ProverNode:
             params.truncated(config.k) if params.k > config.k else params
         )
         self.k = config.k
-        self.field = SCALAR_FIELD
         self.limb_bits = config.limb_bits
         self.value_bits = config.value_bits
         self.key_bits = config.key_bits
@@ -139,7 +145,7 @@ class ProverNode:
     def publish_commitment(self) -> DatabaseCommitment:
         """Commit to the database (done once; Table 3 measures this)."""
         self.commitment, self._secrets = commit_database(
-            self.db, self.params, self.k, self.field, self.value_bits
+            self.db, self.params, self.k, self.value_bits
         )
         return self.commitment
 
@@ -179,7 +185,7 @@ class ProverNode:
             timing.extra["compile"] = phase.duration
 
             phase = telemetry.begin_span("prove.witness")
-            asg = Assignment(compiled.cs, self.field, self.k)
+            asg = Assignment(compiled.cs, self.k)
             result_encoded = compiled.assign_witness(asg, self.db)
             cheat = getattr(_faults, "rewrite_witness", None)
             if cheat is not None:
@@ -194,10 +200,10 @@ class ProverNode:
                 secret = self._secrets.columns[(link.table, link.column)]
                 advice_col = compiled.cs.advice_columns[link.advice_index]
                 asg.assign_tail(advice_col, secret.tail)
-                delta = self.field.rand()
+                delta = SCALAR_FIELD.rand()
                 blind_overrides[link.advice_index] = (
                     secret.blind + delta
-                ) % self.field.p
+                ) % SCALAR_FIELD.p
                 links.append(
                     ScanLinkClaim(
                         link.advice_index, link.table, link.column, delta
@@ -247,7 +253,7 @@ class ProverNode:
         which is how a benchmark finds the cold ones.
         """
         fingerprint = keygen_fingerprint(
-            self.params, compiled.cs, self.field, self.k, fixed
+            self.params, compiled.cs, self.k, fixed
         )
         # Denominator of the warm-hit ratio health() reports
         # (keygen.warm_hits / keygen.requests).
@@ -259,7 +265,7 @@ class ProverNode:
             return pk
         timing.extra["keygen_warm_hit"] = 0.0
         timing.extra["keygen_cache_hit"] = 0.0
-        pk = keygen(self.params, compiled.cs, self.field, self.k, fixed)
+        pk = keygen(self.params, compiled.cs, self.k, fixed)
         remember(self._keys, fingerprint, pk)
         return pk
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import telemetry
-
 from repro.algebra.field import SCALAR_FIELD
 from repro.commit.params import PublicParams
 from repro.db.commitment import DatabaseCommitment
@@ -49,7 +48,7 @@ from repro.sql.compiler import QueryCompiler
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.system.metadata import PublicMetadata, shell_database
-from repro.system.prover_node import QueryResponse
+from repro.system.prover_node import QueryResponse, require_pallas
 
 @dataclass
 class VerificationReport:
@@ -132,12 +131,12 @@ class VerifierNode:
         metadata: PublicMetadata,
         commitment: DatabaseCommitment,
     ):
+        require_pallas(params)
         self.params = (
             params.truncated(metadata.k) if params.k > metadata.k else params
         )
         self.metadata = metadata
         self.commitment = commitment
-        self.field = SCALAR_FIELD
         self._shell = shell_database(metadata)
         self._planner = Planner(self._shell)
         self._vk_cache: dict[tuple[str, int, str], tuple] = {}
@@ -173,11 +172,9 @@ class VerifierNode:
             self.metadata.value_bits,
             self.metadata.key_bits,
         ).compile(plan)
-        asg = Assignment(compiled.cs, self.field, self.metadata.k)
+        asg = Assignment(compiled.cs, self.metadata.k)
         compiled.assign_public(asg, result_rows)
-        vk = keygen_vk(
-            self.params, compiled.cs, self.field, self.metadata.k, asg.fixed
-        )
+        vk = keygen_vk(self.params, compiled.cs, self.metadata.k, asg.fixed)
         remember(self._vk_cache, memo_key, (compiled, vk))
         return compiled, vk
 
@@ -211,7 +208,7 @@ class VerifierNode:
             try:
                 data = agg.to_bytes() if isinstance(agg, AggProof) else bytes(agg)
                 report.aggregate_size_bytes = len(data)
-                decoded = AggProof.from_bytes(data, self.field)
+                decoded = AggProof.from_bytes(data)
             except WireFormatError as exc:
                 report.reason = f"aggregate decode failed: {exc}"
             except ValueError as exc:
@@ -257,7 +254,7 @@ class VerifierNode:
         A report's ``elapsed_seconds`` is its claim's own checks plus
         an equal share of the fold.
         """
-        accumulator = Accumulator(self.params, self.field)
+        accumulator = Accumulator(self.params)
         reports: list[VerificationReport] = []
         owed_links: list[list] = []
         with telemetry.timed_span("verify", proofs=len(claims)) as span:
@@ -307,7 +304,7 @@ class VerifierNode:
         ``(link, advice commitment, database commitment)`` each, for
         :meth:`_rejection_reason` should the fold fail."""
         size = len(claim.proof_bytes)
-        p = self.field.p
+        p = SCALAR_FIELD.p
         rows, links = claim.result_encoded, claim.scan_links
 
         def rejected(reason: str) -> tuple[VerificationReport, list]:

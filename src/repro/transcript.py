@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.algebra.field import Field, SCALAR_FIELD
+from repro.algebra.field import SCALAR_FIELD
 from repro.ecc.curve import Point
 
 
 class Transcript:
-    """A Fiat-Shamir sponge bound to a challenge field."""
+    """A Fiat-Shamir sponge whose challenges are circuit-field elements
+    (:data:`~repro.algebra.field.SCALAR_FIELD`)."""
 
-    __slots__ = ("field", "_state", "_counter")
+    __slots__ = ("_state", "_counter")
 
-    def __init__(self, label: bytes, field: Field = SCALAR_FIELD):
-        self.field = field
+    def __init__(self, label: bytes):
         self._state = hashlib.blake2b(
             b"poneglyphdb-transcript-v2:" + label, digest_size=64
         ).digest()
@@ -50,10 +50,10 @@ class Transcript:
         self._counter = 0
 
     def absorb_scalar(self, label: bytes, value: int) -> None:
-        self.absorb_bytes(label, self.field.to_bytes(value))
+        self.absorb_bytes(label, SCALAR_FIELD.to_bytes(value))
 
     def absorb_scalars(self, label: bytes, values: list[int]) -> None:
-        joined = b"".join(self.field.to_bytes(v) for v in values)
+        joined = b"".join(SCALAR_FIELD.to_bytes(v) for v in values)
         self.absorb_bytes(label, len(values).to_bytes(4, "little") + joined)
 
     def absorb_point(self, label: bytes, point: Point) -> None:
@@ -80,7 +80,7 @@ class Transcript:
             h.update(label)
             h.update(self._counter.to_bytes(8, "little"))
             self._counter += 1
-            value = int.from_bytes(h.digest(), "little") % self.field.p
+            value = int.from_bytes(h.digest(), "little") % SCALAR_FIELD.p
             if value not in (0, 1):
                 return value
 
@@ -90,6 +90,6 @@ class Transcript:
     def fork(self, label: bytes) -> "Transcript":
         """An independent transcript branch (used by the recursive
         accumulator to derive sub-challenges)."""
-        child = Transcript(label, self.field)
+        child = Transcript(label)
         child.absorb_bytes(b"fork-parent", self._state)
         return child

@@ -44,7 +44,7 @@ def example_circuit():
 
 
 def example_assignment(cs, cols, x=7, y=11, z=13):
-    asg = Assignment(cs, SCALAR_FIELD, EXAMPLE_K)
+    asg = Assignment(cs, EXAMPLE_K)
     asg.assign_column(cols["table"], list(range(16)))
     asg.assign(cols["q_add"], 0, 1)
     asg.assign(cols["a"], 0, x)

@@ -18,8 +18,9 @@ import copy
 import pytest
 
 from repro import PoneglyphDB, ProverConfig
-from repro.algebra import Polynomial, SCALAR_FIELD
+from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
+from repro.algebra.poly import evaluate_coeffs
 from repro.commit import commit_polynomial, open_polynomial, setup
 from repro.errors import StateError, WireFormatError
 from repro.proving.aggregate import (
@@ -239,12 +240,12 @@ def _defer_real_opening(acc, params, value_offset=0):
     blind = F.rand()
     commitment = commit_polynomial(params, coeffs, blind)
     x = F.rand()
-    value = (Polynomial(F, coeffs).evaluate(x) + value_offset) % F.p
+    value = (evaluate_coeffs(coeffs, x, F.p) + value_offset) % F.p
     tp = Transcript(b"t")
     values = EvaluationDomain(F, params.k).fft(coeffs)
-    proof = open_polynomial(params, tp, values, blind, x, F)
+    proof = open_polynomial(params, tp, values, blind, x)
     tv = Transcript(b"t")
-    return acc.defer_opening(params, tv, ([commitment], [1]), x, value, proof, F)
+    return acc.defer_opening(params, tv, ([commitment], [1]), x, value, proof)
 
 
 class TestAccumulatorLifecycle:
@@ -259,9 +260,9 @@ class TestAccumulatorLifecycle:
         other = setup(6, label=b"other")
         assert other.n == params_k6.n
         assert other.fingerprint() != params_k6.fingerprint()
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         with pytest.raises(StateError, match="different public parameters"):
-            acc.defer_opening(other, Transcript(b"t"), None, 0, 0, None, F)
+            acc.defer_opening(other, Transcript(b"t"), None, 0, 0, None)
         # The mismatch must not have consumed or polluted the state.
         assert acc.deferred_count == 0
         assert _defer_real_opening(acc, params_k6)
@@ -270,7 +271,7 @@ class TestAccumulatorLifecycle:
     def test_finalize_consumes_on_success(self, params_k6):
         # Regression: finalize used to leave _scalars/_residual intact,
         # so a reused accumulator re-folded stale claims.
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         assert _defer_real_opening(acc, params_k6)
         assert acc.finalize()
         assert acc.consumed
@@ -280,14 +281,14 @@ class TestAccumulatorLifecycle:
             acc.finalize()
 
     def test_finalize_consumes_on_failure(self, params_k6):
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         assert _defer_real_opening(acc, params_k6, value_offset=1)
         assert not acc.finalize()
         with pytest.raises(StateError, match="already consumed"):
             acc.finalize()
 
     def test_empty_finalize_still_consumes(self, params_k6):
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         assert acc.finalize()
         with pytest.raises(StateError, match="already consumed"):
             _defer_real_opening(acc, params_k6)

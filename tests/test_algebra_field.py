@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import BASE_FIELD, SCALAR_FIELD, Field, Felt
+from repro.algebra import BASE_FIELD, SCALAR_FIELD, Field
 from repro.algebra.field import montgomery_batch_inv
 from repro.errors import BatchInversionError
 
@@ -55,12 +55,6 @@ class TestFieldBasics:
 
 
 class TestFieldOps:
-    @given(a=elements, b=elements)
-    @settings(max_examples=50)
-    def test_add_sub_roundtrip(self, a, b):
-        f = SCALAR_FIELD
-        assert f.sub(f.add(a, b), b) == a % f.p
-
     @given(a=elements)
     @settings(max_examples=50)
     def test_inverse(self, a):
@@ -69,19 +63,13 @@ class TestFieldOps:
             with pytest.raises(ZeroDivisionError):
                 f.inv(a)
         else:
-            assert f.mul(a, f.inv(a)) == 1
-
-    @given(a=elements, b=elements, c=elements)
-    @settings(max_examples=50)
-    def test_distributivity(self, a, b, c):
-        f = SCALAR_FIELD
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert a * f.inv(a) % f.p == 1
 
     def test_batch_inv_matches_single(self, field, rng):
         values = [rng.randrange(1, field.p) for _ in range(37)]
         batch = field.batch_inv(values)
         for v, inv in zip(values, batch):
-            assert field.mul(v, inv) == 1
+            assert v * inv % field.p == 1
 
     def test_batch_inv_empty(self, field):
         assert field.batch_inv([]) == []
@@ -143,48 +131,18 @@ class TestFieldOps:
         if root is None:
             assert f.legendre(a) == -1
         else:
-            assert f.mul(root, root) == a % f.p
+            assert root * root % f.p == a % f.p
 
-    def test_signed_roundtrip(self, field):
-        for v in (-5, -1, 0, 1, 123456):
-            assert field.to_signed(field.from_signed(v)) == v
+    def test_to_bytes_is_fixed_width_little_endian(self, field, rng):
+        """The transcript absorbs scalars as these 32 bytes."""
+        for v in [0, 1, field.p - 1] + [rng.randrange(field.p) for _ in range(5)]:
+            data = field.to_bytes(v)
+            assert len(data) == 32
+            assert int.from_bytes(data, "little") == v
 
-    def test_pow_negative_exponent(self, field):
-        assert field.mul(field.pow(7, -3), field.pow(7, 3)) == 1
-
-    def test_hash_to_field_deterministic(self, field):
-        assert field.hash_to_field(b"a", b"b") == field.hash_to_field(b"a", b"b")
-        assert field.hash_to_field(b"a") != field.hash_to_field(b"b")
-
-    def test_bytes_roundtrip(self, field, rng):
-        for _ in range(5):
-            v = rng.randrange(field.p)
-            assert field.from_bytes(field.to_bytes(v)) == v
-
-
-class TestFelt:
-    def test_operators(self, field):
-        a = field.felt(10)
-        b = field.felt(3)
-        assert (a + b).n == 13
-        assert (a - b).n == 7
-        assert (a * b).n == 30
-        assert (a / b * b) == a
-        assert (a ** 2).n == 100
-        assert (-a + a).n == 0
-        assert (5 + a).n == 15
-        assert (5 - a) == field.felt(-5)
-        assert a.inv() * a == field.felt(1)
-        assert int(b) == 3
-
-    def test_int_comparison(self, field):
-        assert field.felt(-1) == field.p - 1
-
-    def test_cross_field_mixing_raises(self):
-        a = BASE_FIELD.felt(1)
-        b = SCALAR_FIELD.felt(1)
-        with pytest.raises(ValueError):
-            _ = a + b
-
-    def test_felt_hashable(self, field):
-        assert len({field.felt(1), field.felt(1), field.felt(2)}) == 2
+    def test_to_bytes_is_canonical(self, field, rng):
+        """A residue has one encoding, whichever representative comes
+        in."""
+        v = rng.randrange(field.p)
+        assert field.to_bytes(v + field.p) == field.to_bytes(v)
+        assert field.to_bytes(-v) == field.to_bytes(field.p - v)

@@ -1,10 +1,11 @@
-"""Polynomial arithmetic and FFT evaluation domains."""
+"""Coefficient-list helpers and FFT evaluation domains."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import EvaluationDomain, Polynomial, SCALAR_FIELD
+from repro.algebra import EvaluationDomain, SCALAR_FIELD
+from repro.algebra.poly import divide_by_linear, evaluate_coeffs
 
 F = SCALAR_FIELD
 
@@ -13,87 +14,57 @@ small_coeffs = st.lists(
 )
 
 
-def poly(coeffs):
-    return Polynomial(F, coeffs)
+def power_sum(coeffs, x):
+    """``sum c_i x^i`` term by term: the oracle for Horner."""
+    return sum(c * pow(x, i, F.p) for i, c in enumerate(coeffs)) % F.p
 
 
-class TestPolynomial:
-    def test_degree_and_zero(self):
-        assert Polynomial.zero(F).degree == -1
-        assert Polynomial.zero(F).is_zero()
-        assert poly([0, 0, 0]).is_zero()
-        assert poly([1, 2]).degree == 1
-        assert Polynomial.constant(F, 7).degree == 0
-        assert Polynomial.monomial(F, 3).degree == 3
+def times_linear(quotient, root):
+    """``quotient * (X - root)`` as a coefficient list."""
+    out = [0] * (len(quotient) + 1)
+    for i, c in enumerate(quotient):
+        out[i + 1] = (out[i + 1] + c) % F.p
+        out[i] = (out[i] - c * root) % F.p
+    return out
 
-    @given(a=small_coeffs, b=small_coeffs)
+
+class TestCoefficientHelpers:
+    """``evaluate_coeffs`` and ``divide_by_linear``: the multiopen
+    quotient's two kernels."""
+
+    @given(coeffs=small_coeffs, x=st.integers(min_value=0, max_value=F.p - 1))
     @settings(max_examples=40)
-    def test_add_commutes(self, a, b):
-        assert poly(a) + poly(b) == poly(b) + poly(a)
+    def test_evaluate_coeffs_matches_power_sum(self, coeffs, x):
+        assert evaluate_coeffs(coeffs, x, F.p) == power_sum(coeffs, x)
 
-    @given(a=small_coeffs, b=small_coeffs)
+    @given(
+        coeffs=st.lists(
+            st.integers(min_value=0, max_value=F.p - 1), min_size=2, max_size=12
+        ),
+        root=st.integers(min_value=0, max_value=F.p - 1),
+    )
     @settings(max_examples=40)
-    def test_mul_matches_eval(self, a, b):
-        x = 987654321
-        product = poly(a) * poly(b)
-        expected = poly(a).evaluate(x) * poly(b).evaluate(x) % F.p
-        assert product.evaluate(x) == expected
+    def test_divide_by_linear_identity(self, coeffs, root):
+        """``quotient * (X - r) + c(r) == c`` for every ``c`` and ``r``."""
+        quotient = divide_by_linear(coeffs, root, F.p)
+        assert len(quotient) == len(coeffs) - 1
+        rebuilt = times_linear(quotient, root)
+        rebuilt[0] = (rebuilt[0] + evaluate_coeffs(coeffs, root, F.p)) % F.p
+        assert rebuilt == [c % F.p for c in coeffs]
 
-    @given(a=small_coeffs, b=small_coeffs)
-    @settings(max_examples=30)
-    def test_divmod_identity(self, a, b):
-        pa, pb = poly(a), poly(b)
-        if pb.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                pa.divmod(pb)
-            return
-        q, r = pa.divmod(pb)
-        assert q * pb + r == pa
-        assert r.degree < pb.degree or r.is_zero()
+    @pytest.mark.parametrize("coeffs", [[], [7]], ids=["empty", "constant"])
+    def test_divide_by_linear_of_a_constant_is_empty(self, coeffs):
+        """A constant divided by ``X - r`` leaves no quotient: all of
+        it is the remainder ``c(r)``."""
+        assert divide_by_linear(coeffs, 5, F.p) == []
 
-    def test_fft_mul_path(self, rng):
-        a = [rng.randrange(F.p) for _ in range(70)]
-        b = [rng.randrange(F.p) for _ in range(65)]
-        product = poly(a) * poly(b)
-        x = rng.randrange(F.p)
-        assert product.evaluate(x) == poly(a).evaluate(x) * poly(b).evaluate(x) % F.p
-
-    def test_divide_by_linear(self, rng):
-        coeffs = [rng.randrange(F.p) for _ in range(9)]
-        root = rng.randrange(F.p)
-        pl = poly(coeffs)
-        quotient, remainder = pl.divide_by_linear(root)
-        assert remainder == pl.evaluate(root)
-        # quotient * (X - root) + remainder == pl
-        x_minus_root = poly([(-root) % F.p, 1])
-        assert quotient * x_minus_root + Polynomial.constant(F, remainder) == pl
-
-    def test_interpolate(self):
-        xs = [1, 5, 9, 13]
-        ys = [2, 4, 100, 7]
-        pl = Polynomial.interpolate(F, xs, ys)
-        assert pl.degree <= 3
-        for x, y in zip(xs, ys):
-            assert pl.evaluate(x) == y
-
-    def test_interpolate_empty(self):
-        assert Polynomial.interpolate(F, [], []).is_zero()
-
-    def test_interpolate_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Polynomial.interpolate(F, [1], [1, 2])
-
-    def test_vanishing(self):
-        roots = [3, 7, 11]
-        pl = Polynomial.vanishing(F, roots)
-        assert pl.degree == 3
-        for r in roots:
-            assert pl.evaluate(r) == 0
-        assert pl.evaluate(4) != 0
-
-    def test_scale(self):
-        pl = poly([1, 2, 3]).scale(5)
-        assert pl.coeffs == [5, 10, 15]
+    def test_divide_by_linear_is_exact_at_roots(self, rng):
+        """Dividing out each root of ``(X - a)(X - b) * g`` in turn --
+        what the multiopen does per point set -- leaves ``g``."""
+        g = [rng.randrange(F.p) for _ in range(6)]
+        a, b = rng.randrange(F.p), rng.randrange(F.p)
+        c = times_linear(times_linear(g, a), b)
+        assert divide_by_linear(divide_by_linear(c, a, F.p), b, F.p) == g
 
 
 class TestEvaluationDomain:
@@ -106,10 +77,9 @@ class TestEvaluationDomain:
     def test_fft_matches_direct_evaluation(self, rng):
         domain = EvaluationDomain(F, 4)
         coeffs = [rng.randrange(F.p) for _ in range(16)]
-        pl = poly(coeffs)
         evals = domain.fft(coeffs)
         for x, expected in zip(domain.elements(), evals):
-            assert pl.evaluate(x) == expected
+            assert evaluate_coeffs(coeffs, x, F.p) == expected
 
     def test_coset_fft_roundtrip(self, rng):
         domain = EvaluationDomain(F, 5)
@@ -118,9 +88,21 @@ class TestEvaluationDomain:
         evals = domain.coset_fft(coeffs, shift)
         assert domain.coset_ifft(evals, shift) == coeffs
         # spot check against direct evaluation on the coset
-        pl = poly(coeffs)
         point = shift * domain.omega % F.p
-        assert pl.evaluate(point) == evals[1]
+        assert evaluate_coeffs(coeffs, point, F.p) == evals[1]
+
+    def test_pointwise_product_is_the_polynomial_product(self, rng):
+        """Evaluations multiply pointwise to the product polynomial's
+        when the domain holds its degree (the convolution theorem)."""
+        domain = EvaluationDomain(F, 7)
+        a = [rng.randrange(F.p) for _ in range(70)]
+        b = [rng.randrange(F.p) for _ in range(58)]
+        product = domain.ifft(
+            [u * v % F.p for u, v in zip(domain.fft(a), domain.fft(b))]
+        )
+        x = rng.randrange(F.p)
+        expected = evaluate_coeffs(a, x, F.p) * evaluate_coeffs(b, x, F.p) % F.p
+        assert evaluate_coeffs(product, x, F.p) == expected
 
     def test_zero_padding(self):
         domain = EvaluationDomain(F, 3)

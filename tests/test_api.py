@@ -252,14 +252,24 @@ class TestFacade:
         finally:
             telemetry.enable(previous)
 
-    def test_params_off_pallas_rejected(self, tiny_db, tiny_config):
+    @pytest.mark.parametrize("role", ["prover", "verifier"])
+    def test_params_off_pallas_rejected(self, tiny_db, tiny_config, role):
         """The circuit field is Pallas's scalar field, so parameters on
-        any other curve could only yield proofs the verifier rejects."""
+        any other curve could only yield proofs the verifier rejects:
+        both roles refuse them up front."""
         from repro.commit import setup
         from repro.ecc.curve import VESTA
 
+        vesta = setup(6, VESTA)
+        if role == "prover":
+            with pytest.raises(errors.ConfigError, match="Pallas"):
+                PoneglyphDB.open(tiny_db, tiny_config, params=vesta)
+            return
+        with PoneglyphDB.open(tiny_db, tiny_config) as session:
+            commitment = session.commit()
+            metadata = session.prover.public_metadata()
         with pytest.raises(errors.ConfigError, match="Pallas"):
-            PoneglyphDB.open(tiny_db, tiny_config, params=setup(6, VESTA))
+            VerifierNode(vesta, metadata, commitment)
 
     def test_shared_params_and_cache(self, tiny_db, tiny_config, tmp_path):
         shared = ArtifactCache(tmp_path / "shared")

@@ -118,6 +118,18 @@ class TestSelection:
             }
             assert hooks == {"ntt", "lagrange_evals"}, engine.name
 
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    def test_default_session_keeps_the_process_engine(self, engine):
+        """``field_backend="auto"`` (the default) is not a request: the
+        session runs on the engine the process selected, e.g. by
+        ``REPRO_FIELD_BACKEND``, before, during and after it."""
+        with backend.backend(engine):
+            selected = backend.backend_name()
+            session = PoneglyphDB.open(_make_db(), ProverConfig(k=6, use_cache=False))
+            with session:
+                assert backend.backend_name() == selected
+            assert backend.backend_name() == selected
+
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ConfigError):
             ProverConfig(field_backend="cuda")

@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.algebra import SCALAR_FIELD
 from repro.cache import (
     ArtifactCache,
     CACHE_FORMAT_VERSION,
@@ -247,7 +246,7 @@ class TestKeygenFingerprint:
     @staticmethod
     def _fixed(cs, k=4):
         """The fixed columns of ``cs`` with its selector on rows 0..2."""
-        asg = Assignment(cs, SCALAR_FIELD, k)
+        asg = Assignment(cs, k)
         for row in range(3):
             asg.assign(cs.fixed_columns[0], row, 1)
         return asg.fixed
@@ -255,17 +254,26 @@ class TestKeygenFingerprint:
     def test_fingerprint_is_stable_and_shape_sensitive(self, params_k6):
         cs1, cs2 = self._tiny_cs(), self._tiny_cs()
         fixed = self._fixed(cs1)
-        fp1 = keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 4, fixed)
-        assert fp1 == keygen_fingerprint(params_k6, cs2, SCALAR_FIELD, 4, fixed)
+        fp1 = keygen_fingerprint(params_k6, cs1, 4, fixed)
+        assert fp1 == keygen_fingerprint(params_k6, cs2, 4, fixed)
         cs2.advice_column("extra")
-        assert fp1 != keygen_fingerprint(params_k6, cs2, SCALAR_FIELD, 4, fixed)
+        assert fp1 != keygen_fingerprint(params_k6, cs2, 4, fixed)
         assert fp1 != keygen_fingerprint(
-            params_k6, cs1, SCALAR_FIELD, 5, self._fixed(cs1, 5)
+            params_k6, cs1, 5, self._fixed(cs1, 5)
         )
         # The fixed values are part of the key: one cell changed moves it.
         moved = [list(column) for column in fixed]
         moved[0][3] = 1
-        assert fp1 != keygen_fingerprint(params_k6, cs1, SCALAR_FIELD, 4, moved)
+        assert fp1 != keygen_fingerprint(params_k6, cs1, 4, moved)
+
+    def test_fingerprint_is_pinned(self, params_k6):
+        """Every proof's transcript absorbs the key fingerprint first,
+        so its layout -- tag, parameters, circuit-field modulus, ``k``,
+        shape, fixed values -- is pinned, not just its sensitivity."""
+        cs = self._tiny_cs()
+        assert keygen_fingerprint(params_k6, cs, 4, self._fixed(cs)) == (
+            "3f7dc465aa08523fcf94b754626eee7917a174b9"
+        )
 
     def test_keygen_is_deterministic(self, params_k6):
         """Keys are rebuilt, never stored: two keygens over the same
@@ -273,8 +281,8 @@ class TestKeygenFingerprint:
         no blinding)."""
         cs = self._tiny_cs()
         fixed = self._fixed(cs)
-        one = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
-        two = keygen(params_k6, cs, SCALAR_FIELD, 4, fixed)
+        one = keygen(params_k6, cs, 4, fixed)
+        two = keygen(params_k6, cs, 4, fixed)
         assert one.vk.fixed_commitments == two.vk.fixed_commitments
         assert one.vk.sigma_commitments == two.vk.sigma_commitments
         assert one.vk.system_commitments == two.vk.system_commitments

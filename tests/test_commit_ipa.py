@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import Polynomial, SCALAR_FIELD
+from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
+from repro.algebra.poly import evaluate_coeffs
 from repro.algebra.field import deterministic_rng
 from repro.commit import (
     commit_lagrange,
@@ -40,19 +41,19 @@ def _values(params, coeffs):
 def _open_and_verify(params, coeffs, x, tamper=None):
     blind = F.rand()
     commitment = commit_polynomial(params, coeffs, blind)
-    value = Polynomial(F, coeffs).evaluate(x)
+    value = evaluate_coeffs(coeffs, x, F.p)
     tp = Transcript(b"t")
     tp.absorb_point(b"c", commitment)
     tp.absorb_scalar(b"x", x)
     tp.absorb_scalar(b"v", value)
-    proof = open_polynomial(params, tp, _values(params, coeffs), blind, x, F)
+    proof = open_polynomial(params, tp, _values(params, coeffs), blind, x)
     if tamper:
         commitment, x, value, proof = tamper(commitment, x, value, proof)
     tv = Transcript(b"t")
     tv.absorb_point(b"c", commitment)
     tv.absorb_scalar(b"x", x)
     tv.absorb_scalar(b"v", value)
-    return verify_opening(params, tv, commitment, x, value, proof, F)
+    return verify_opening(params, tv, commitment, x, value, proof)
 
 
 class TestPublicParams:
@@ -156,10 +157,10 @@ class TestIpaOpening:
         value = sum(
             a * domain.lagrange_basis_eval(i, x) for i, a in enumerate(values)
         ) % F.p
-        proof = open_polynomial(params, Transcript(b"t"), values, blind, x, F)
+        proof = open_polynomial(params, Transcript(b"t"), values, blind, x)
         for claimed, honest in ((value, True), ((value + 1) % F.p, False)):
             assert verify_opening(
-                params, Transcript(b"t"), commitment, x, claimed, proof, F
+                params, Transcript(b"t"), commitment, x, claimed, proof
             ) is honest
 
     def test_commitment_is_the_naive_msm_over_g(self, params_k6, rng):
@@ -212,9 +213,9 @@ class TestIpaOpening:
             blind = F.rand()
             commitment = commit_lagrange(params, values, blind)
             tp = Transcript(b"t")
-            proof = open_polynomial(params, tp, values, blind, 5, F)
+            proof = open_polynomial(params, tp, values, blind, 5)
             assert verify_opening(
-                params, Transcript(b"t"), commitment, 5, 3, proof, F
+                params, Transcript(b"t"), commitment, 5, 3, proof
             )
             assert len(proof.rounds) == k
             assert len(proof.to_bytes()) == 4 + 2 * k * 64 + 64
@@ -222,7 +223,7 @@ class TestIpaOpening:
     def test_proof_serialization(self, params_k6, rng):
         coeffs = [rng.randrange(F.p) for _ in range(12)]
         tp = Transcript(b"t")
-        proof = open_polynomial(params_k6, tp, coeffs, F.rand(), 5, F)
+        proof = open_polynomial(params_k6, tp, coeffs, F.rand(), 5)
         data = proof.to_bytes()
         assert len(data) > 0
         assert data == proof.to_bytes()  # deterministic
@@ -287,7 +288,7 @@ class TestFixedBaseRounds:
         x = rng.randrange(F.p) if x == "random" else x
         commitment = commit_lagrange(params, values, blind)
         padded = values + [0] * (params.n - length)
-        value = Polynomial(F, EvaluationDomain(F, k).ifft(padded)).evaluate(x)
+        value = evaluate_coeffs(EvaluationDomain(F, k).ifft(padded), x, F.p)
 
         def transcript():
             t = Transcript(b"pinned")
@@ -297,11 +298,11 @@ class TestFixedBaseRounds:
             return t
 
         with deterministic_rng(0x1FA):
-            proof = open_polynomial(params, transcript(), values, blind, x, F)
+            proof = open_polynomial(params, transcript(), values, blind, x)
         with deterministic_rng(0x1FA):
             oracle = _open_two_scalar_fold(params, transcript(), values, blind, x)
         assert proof.to_bytes() == oracle.to_bytes()
-        assert verify_opening(params, transcript(), commitment, x, value, proof, F)
+        assert verify_opening(params, transcript(), commitment, x, value, proof)
 
 
 class TestVerifierFold:
@@ -340,7 +341,7 @@ class TestVerifierFold:
         b = sum(
             si * domain.lagrange_basis_eval(i, x) for i, si in enumerate(expected)
         ) % p
-        assert _folded_b(s, x, F) == b
+        assert _folded_b(s, x) == b
 
 
 class TestDeferredVerification:
@@ -349,32 +350,32 @@ class TestDeferredVerification:
         blind = F.rand()
         commitment = commit_polynomial(params_k6, coeffs, blind)
         x = F.rand()
-        value = Polynomial(F, coeffs).evaluate(x)
+        value = evaluate_coeffs(coeffs, x, F.p)
         tp = Transcript(b"t")
         proof = open_polynomial(
-            params_k6, tp, _values(params_k6, coeffs), blind, x, F
+            params_k6, tp, _values(params_k6, coeffs), blind, x
         )
         tv = Transcript(b"t")
         reduced = reduce_opening(
-            params_k6, tv, ([commitment], [1]), x, value, proof, F
+            params_k6, tv, ([commitment], [1]), x, value, proof
         )
         assert reduced is not None
 
     def test_accumulator_batches_many_openings(self, params_k6, rng):
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         for _ in range(3):
             coeffs = [rng.randrange(F.p) for _ in range(30)]
             blind = F.rand()
             commitment = commit_polynomial(params_k6, coeffs, blind)
             x = F.rand()
-            value = Polynomial(F, coeffs).evaluate(x)
+            value = evaluate_coeffs(coeffs, x, F.p)
             tp = Transcript(b"t")
             proof = open_polynomial(
-                params_k6, tp, _values(params_k6, coeffs), blind, x, F
+                params_k6, tp, _values(params_k6, coeffs), blind, x
             )
             tv = Transcript(b"t")
             assert acc.defer_opening(
-                params_k6, tv, ([commitment], [1]), x, value, proof, F
+                params_k6, tv, ([commitment], [1]), x, value, proof
             )
         assert acc.deferred_count == 3
         assert acc.finalize()
@@ -387,28 +388,28 @@ class TestDeferredVerification:
         blind = F.rand()
         commitment = commit_lagrange(params_k6, values, blind)
         x = pow(EvaluationDomain(F, params_k6.k).omega, 21, F.p)
-        proof = open_polynomial(params_k6, Transcript(b"t"), values, blind, x, F)
+        proof = open_polynomial(params_k6, Transcript(b"t"), values, blind, x)
         for claimed, honest in ((values[21], True), ((values[21] + 1) % F.p, False)):
-            acc = Accumulator(params_k6, F)
+            acc = Accumulator(params_k6)
             assert acc.defer_opening(
-                params_k6, Transcript(b"t"), ([commitment], [1]), x, claimed, proof, F
+                params_k6, Transcript(b"t"), ([commitment], [1]), x, claimed, proof
             )
             assert acc.finalize() is honest
 
     def test_accumulator_catches_bad_proof(self, params_k6, rng):
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         coeffs = [rng.randrange(F.p) for _ in range(30)]
         blind = F.rand()
         commitment = commit_polynomial(params_k6, coeffs, blind)
         x = F.rand()
         tp = Transcript(b"t")
         proof = open_polynomial(
-            params_k6, tp, _values(params_k6, coeffs), blind, x, F
+            params_k6, tp, _values(params_k6, coeffs), blind, x
         )
-        wrong_value = (Polynomial(F, coeffs).evaluate(x) + 1) % F.p
+        wrong_value = (evaluate_coeffs(coeffs, x, F.p) + 1) % F.p
         tv = Transcript(b"t")
         assert acc.defer_opening(
-            params_k6, tv, ([commitment], [1]), x, wrong_value, proof, F
+            params_k6, tv, ([commitment], [1]), x, wrong_value, proof
         )  # structurally fine, deferred
         assert not acc.finalize()  # but the combined check fails
 
@@ -416,19 +417,19 @@ class TestDeferredVerification:
         # One proof deferred twice, claiming value + 1 and value - 1:
         # under one weight shared by both openings the two errors
         # cancel in the summed terms and the fold would pass.
-        acc = Accumulator(params_k6, F)
+        acc = Accumulator(params_k6)
         coeffs = [rng.randrange(F.p) for _ in range(30)]
         blind = F.rand()
         commitment = commit_polynomial(params_k6, coeffs, blind)
         x = F.rand()
-        value = Polynomial(F, coeffs).evaluate(x)
+        value = evaluate_coeffs(coeffs, x, F.p)
         proof = open_polynomial(
-            params_k6, Transcript(b"t"), _values(params_k6, coeffs), blind, x, F
+            params_k6, Transcript(b"t"), _values(params_k6, coeffs), blind, x
         )
         for offset in (1, -1):
             assert acc.defer_opening(
                 params_k6, Transcript(b"t"), ([commitment], [1]), x,
-                (value + offset) % F.p, proof, F,
+                (value + offset) % F.p, proof,
             )
         assert not acc.finalize()
 
@@ -444,13 +445,13 @@ class TestDeferredVerification:
         advice = commit_polynomial(params, coeffs, shifted)
         assert advice == db + params.w * delta
         x = F.rand()
-        value = Polynomial(F, coeffs).evaluate(x)
+        value = evaluate_coeffs(coeffs, x, F.p)
         proof = open_polynomial(
-            params, Transcript(b"t"), _values(params, coeffs), shifted, x, F
+            params, Transcript(b"t"), _values(params, coeffs), shifted, x
         )
-        acc = Accumulator(params, F)
+        acc = Accumulator(params)
         assert acc.defer_opening(
-            params, Transcript(b"t"), ([advice], [1]), x, value, proof, F
+            params, Transcript(b"t"), ([advice], [1]), x, value, proof
         )
         return acc, advice, db, delta
 
@@ -474,16 +475,16 @@ class TestDeferredVerification:
     def test_identities_alone_are_settled(self, params_k6, rng):
         # No opening deferred: finalize must still check the identities.
         point = commit_polynomial(params_k6, [rng.randrange(F.p)], F.rand())
-        honest = Accumulator(params_k6, F)
+        honest = Accumulator(params_k6)
         honest.defer_identity([point, point], [1, F.p - 1])
         assert honest.finalize()
-        false = Accumulator(params_k6, F)
+        false = Accumulator(params_k6)
         false.defer_identity([point], [1])
         assert false.deferred_count == 0
         assert not false.finalize()
 
     def test_empty_accumulator_finalizes(self, params_k6):
-        assert Accumulator(params_k6, F).finalize()
+        assert Accumulator(params_k6).finalize()
 
 
 class TestGroupWork:
@@ -509,9 +510,9 @@ class TestGroupWork:
         db = generate(32, seed=1)
         plan = Planner(db).plan(parse(QUERIES["Q1"]))
         compiled = QueryCompiler(db, k, 4, 32, 40).compile(plan)
-        asg = Assignment(compiled.cs, F, k)
+        asg = Assignment(compiled.cs, k)
         compiled.assign_witness(asg, db)
-        pk = keygen(setup(k), compiled.cs, F, k, asg.fixed)
+        pk = keygen(setup(k), compiled.cs, k, asg.fixed)
         instance = [
             asg.instance_values(column)[: asg.usable_rows]
             for column in compiled.cs.instance_columns

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import DATE, DECIMAL, INT, STRING
 from repro.errors import ReproError, WitnessError
@@ -80,9 +79,9 @@ def compile_and_check(db, sql, k=K):
     compiled = QueryCompiler(
         db, k, limb_bits=4, value_bits=32, key_bits=40
     ).compile(plan)
-    asg = Assignment(compiled.cs, F, k)
+    asg = Assignment(compiled.cs, k)
     result = compiled.assign_witness(asg, db)
-    MockProver(compiled.cs, asg, F).assert_satisfied()
+    MockProver(compiled.cs, asg).assert_satisfied()
     exp_rows = [list(r.values()) for r in expected.rows()]
     if compiled.limit is not None:
         exp_rows = exp_rows[: compiled.limit]
@@ -231,7 +230,7 @@ def claim(compiled, asg, rows):
     result, as a verifier would from a response; returns the names of
     the violated gates."""
     compiled.bind_result(asg, rows)
-    return {f.name.split("#")[0] for f in MockProver(compiled.cs, asg, F).verify()}
+    return {f.name.split("#")[0] for f in MockProver(compiled.cs, asg).verify()}
 
 
 @settings(max_examples=6, derandomize=True, deadline=None)
@@ -305,10 +304,10 @@ def test_every_declared_advice_bound_is_enforced(db, name):
             honest = asg.value(col, row)
             asg.assign(col, row, hi + 1)
             if col.index in scanned:
-                failures = MockProver(compiled.cs, asg, F)._check_bounds()
+                failures = MockProver(compiled.cs, asg)._check_bounds()
             else:
                 part = constraints_touching(compiled.cs, col)
-                failures = MockProver(part, asg, F).verify()
+                failures = MockProver(part, asg).verify()
             asg.assign(col, row, honest)
             kinds = {f.kind for f in failures}
             if kinds:
@@ -396,11 +395,11 @@ class TestKeyPackingCheats:
         scanned = compiled.cs.advice_columns[link.advice_index]
         asg.assign(scanned, 2, 5)
         assert ("bound", scanned.name, 2) in {
-            (f.kind, f.name, f.row) for f in MockProver(compiled.cs, asg, F).verify()
+            (f.kind, f.name, f.row) for f in MockProver(compiled.cs, asg).verify()
         }
         database.table("customers").column("c_name")[2] = 5
         with pytest.raises(WitnessError, match="exceeds 2 bits") as err:
-            compiled.assign_witness(Assignment(compiled.cs, F, K), database)
+            compiled.assign_witness(Assignment(compiled.cs, K), database)
         assert (err.value.gate, err.value.values) == ("group key component", [30, 5])
 
 
@@ -421,14 +420,14 @@ class TestCompilerStructure:
         compiled = QueryCompiler(
             db, K, limb_bits=4, value_bits=32, key_bits=40
         ).compile(plan)
-        asg_full = Assignment(compiled.cs, F, K)
+        asg_full = Assignment(compiled.cs, K)
         result = compiled.assign_witness(asg_full, db)
 
         plan2 = Planner(db).plan(parse(sql))
         compiled2 = QueryCompiler(
             db, K, limb_bits=4, value_bits=32, key_bits=40
         ).compile(plan2)
-        asg_public = Assignment(compiled2.cs, F, K)
+        asg_public = Assignment(compiled2.cs, K)
         compiled2.assign_public(asg_public, len(result))
         assert asg_full.fixed == asg_public.fixed
 
@@ -444,7 +443,7 @@ class TestCompilerStructure:
         _, _, compiled, asg = compile_and_check(db, QUERIES["group_sum"])
         inst_col = compiled.instance_columns[1]
         asg.assign(inst_col, 0, asg.value(inst_col, 0) + 1)
-        failures = MockProver(compiled.cs, asg, F).verify()
+        failures = MockProver(compiled.cs, asg).verify()
         assert any("result_binding" in f.name for f in failures)
 
     def test_truncated_result_is_rejected(self, db):
@@ -493,7 +492,7 @@ class TestWitnessErrors:
         compiled = QueryCompiler(db, K, **config).compile(
             Planner(db).plan(parse(sql))
         )
-        return compiled.assign_witness(Assignment(compiled.cs, F, K), db)
+        return compiled.assign_witness(Assignment(compiled.cs, K), db)
 
     def test_comparison_operand_wider_than_value_bits(self, db):
         with pytest.raises(WitnessError, match="pre-range-checked") as err:

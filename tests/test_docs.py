@@ -10,11 +10,15 @@ numpy-engine table is the kernel record rendered, not a transcript.
 Every keyword the docs and examples pass to ``ProverConfig(...)`` or
 ``ServiceConfig(...)`` is a field of that class.  No module of the
 library imports or calls ``pickle``: what the artifact cache reads back
-from disk goes through a typed codec, never through code.
+from disk goes through a typed codec, never through code.  The circuit
+field has one name, ``SCALAR_FIELD``: no function or object of the
+proving stack takes or keeps a field of its own, and ``repro.algebra``
+offers no polynomial or element wrapper that nothing calls.
 """
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import json
 import re
@@ -75,6 +79,67 @@ def test_no_pickle_in_the_library():
             if any(m.split(".")[0] in ("pickle", "cPickle") for m in modules):
                 uses.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert uses == []
+
+
+#: The proving stack: every module here reads the circuit field as
+#: ``repro.algebra.field.SCALAR_FIELD``.  (``repro.algebra`` and
+#: ``repro.ecc`` take a field or curve argument on purpose: curve
+#: arithmetic needs both Pasta fields.)
+PROVING_STACK = (
+    "transcript.py", "plonkish", "proving", "commit", "db", "system",
+    "sql", "gates", "soundness.py",
+)
+
+
+def _proving_stack_trees():
+    for name in PROVING_STACK:
+        root = ROOT / "src" / "repro" / name
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+            yield path.relative_to(ROOT), ast.parse(path.read_text(), str(path))
+
+
+def test_no_field_parameter_in_the_proving_stack():
+    """No function of the proving stack takes a ``field`` / ``field_``
+    parameter: the circuit field is a constant, not a setting."""
+    found = []
+    for path, tree in _proving_stack_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = args.posonlyargs + args.args + args.kwonlyargs
+                found += [
+                    f"{path}:{node.lineno} {arg.arg}"
+                    for arg in names
+                    if arg.arg in ("field", "field_")
+                ]
+    assert found == []
+
+
+def test_no_field_attribute_in_the_proving_stack():
+    """No object of the proving stack keeps its own copy of the field:
+    no ``self.field = ...`` and no dataclass field named ``field``."""
+    found = []
+    for path, tree in _proving_stack_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr == "field" and getattr(node.value, "id", "") == "self":
+                    found.append(f"{path}:{node.lineno} self.field")
+            elif isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path}:{item.lineno} {node.name}.field"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and getattr(item.target, "id", "") == "field"
+                ]
+    assert found == []
+
+
+def test_algebra_offers_no_polynomial_or_element_wrapper():
+    """No ``Polynomial`` or ``Felt``: the library works on raw
+    coefficient lists and ints."""
+    for module in ("repro.algebra", "repro.algebra.field", "repro.algebra.poly"):
+        namespace = vars(importlib.import_module(module))
+        assert not {"Polynomial", "Felt"} & set(namespace), module
 
 
 def test_readme_engine_table_is_the_kernel_record():

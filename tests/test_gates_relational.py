@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.gates import (
     CompactChip,
     DivModChip,
@@ -40,51 +39,51 @@ class TestSortChip:
         sort = SortChip(
             cs, "s", [valid.cur() * v.cur(), valid.cur()], 0, table, 2
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         for i, value in enumerate(values):
             asg.assign(v, i, value)
             asg.assign(valid, i, 1)
         out = sort.assign(asg, [(value, 1) for value in values])
         assert [r[0] for r in out] == sorted(values)
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_descending(self):
         cs, table = _cs()
         v = cs.advice_column("v")
         sort = SortChip(cs, "s", [v.cur()], 0, table, 2, descending=True)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         data = [5, 1, 9, 3]
         asg.assign_column(v, data)
         out = sort.assign(asg, [(x,) for x in data])
         assert [r[0] for r in out] == sorted(data, reverse=True)
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_swapped_output_breaks_shuffle(self):
         cs, table = _cs()
         v = cs.advice_column("v")
         sort = SortChip(cs, "s", [v.cur()], 0, table, 2)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign_column(v, [4, 2])
         sort.assign(asg, [(4,), (2,)])
         asg.assign(sort.out[0], 0, 3)  # not a permutation any more
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert any(f.kind == "shuffle" for f in failures)
 
     def test_unsorted_output_breaks_order_constraint(self):
         cs, table = _cs()
         v = cs.advice_column("v")
         sort = SortChip(cs, "s", [v.cur()], 0, table, 2)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign_column(v, [4, 2])
         sort.assign(asg, [(4,), (2,)])
         # swap the two sorted outputs: still a permutation
         asg.assign(sort.out[0], 0, 4)
         asg.assign(sort.out[0], 1, 2)
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert failures, "sortedness (Eq. 4 adjacent check) must fail"
 
     def test_composite_key_preserves_lexicographic_order(self):
@@ -108,35 +107,35 @@ class TestGroupByChip:
         cs, table = _cs()
         key = cs.advice_column("key")
         gb = GroupByChip(cs, "g", key.cur(), key.prev())
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         keys = [1, 1, 2, 5, 5, 5, 9]
         asg.assign_column(key, keys)
         bins = gb.assign(asg, keys)
         assert bins == [(0, 1), (2, 2), (3, 5), (6, 6)]
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_single_group(self):
         cs, table = _cs()
         key = cs.advice_column("key")
         gb = GroupByChip(cs, "g", key.cur(), key.prev())
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign_column(key, [7, 7, 7])
         assert gb.assign(asg, [7, 7, 7]) == [(0, 2)]
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_forged_boundary_caught(self):
         cs, table = _cs()
         key = cs.advice_column("key")
         gb = GroupByChip(cs, "g", key.cur(), key.prev())
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         keys = [1, 1, 2]
         asg.assign_column(key, keys)
         gb.assign(asg, keys)
         asg.assign(gb.same, 1, 0)  # claim row 1 starts a new bin
-        assert MockProver(cs, asg, F).verify()
+        assert MockProver(cs, asg).verify()
 
 
 class TestRunningAggAndCompact:
@@ -149,7 +148,7 @@ class TestRunningAggAndCompact:
             cs, "sum", gb.q_first.cur(), gb.q_rest.cur(), gb.same.cur(),
             val.cur(),
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         keys = [1, 1, 2, 3]
         vals = [2, 10, 8, 6]
@@ -159,7 +158,7 @@ class TestRunningAggAndCompact:
         same = [0, 1, 0, 0]
         running = agg.assign(asg, vals, same)
         assert [running[e] for _, e in bins] == [12, 8, 6]
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_compact_moves_flagged_rows(self):
         cs, table = _cs()
@@ -169,7 +168,7 @@ class TestRunningAggAndCompact:
         compact = CompactChip(
             cs, "c", flag.cur(), [flag.cur() * val.cur()], q_all.cur()
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         for row in range(asg.usable_rows):
             asg.assign(q_all, row, 1)
@@ -178,7 +177,7 @@ class TestRunningAggAndCompact:
             asg.assign(flag, i, fl)
             asg.assign(val, i, v)
         compact.assign(asg, [(7,), (9,)])
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_compact_wrong_count_caught(self):
         cs, table = _cs()
@@ -188,14 +187,14 @@ class TestRunningAggAndCompact:
         compact = CompactChip(
             cs, "c", flag.cur(), [flag.cur() * val.cur()], q_all.cur()
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         for row in range(asg.usable_rows):
             asg.assign(q_all, row, 1)
         asg.assign(flag, 0, 1)
         asg.assign(val, 0, 7)
         compact.assign(asg, [(7,), (7,)])  # claims two rows, only one real
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert any(f.kind == "shuffle" for f in failures)
 
     def test_density_prefix_enforced(self):
@@ -203,14 +202,14 @@ class TestRunningAggAndCompact:
         flag = cs.advice_column("flag")
         q_all = cs.fixed_column("q_all")
         compact = CompactChip(cs, "c", flag.cur(), [], q_all.cur())
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         for row in range(asg.usable_rows):
             asg.assign(q_all, row, 1)
         # q_out = [0, 1, ...]: a gap -- violates the prefix constraint.
         asg.assign(compact.q_out, 1, 1)
         asg.assign(flag, 0, 1)
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert any("density" in f.name for f in failures)
 
 
@@ -223,14 +222,14 @@ class TestDivModSqrt:
         a = cs.advice_column("a")
         b = cs.advice_column("b")
         chip = DivModChip(cs, "d", q.cur(), a.cur(), b.cur(), table, 2)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign(q, 0, 1)
         asg.assign(a, 0, dividend)
         asg.assign(b, 0, divisor)
         quot, rem = chip.assign_row(asg, 0, dividend, divisor)
         assert (quot, rem) == divmod(dividend, divisor)
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_division_by_zero_rejected(self):
         cs, table = _cs()
@@ -238,7 +237,7 @@ class TestDivModSqrt:
         a = cs.advice_column("a")
         b = cs.advice_column("b")
         chip = DivModChip(cs, "d", q.cur(), a.cur(), b.cur(), table, 2)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         with pytest.raises(ValueError):
             chip.assign_row(asg, 0, 5, 0)
 
@@ -251,12 +250,12 @@ class TestDivModSqrt:
         q = cs.selector("q")
         a = cs.advice_column("a")
         chip = SqrtChip(cs, "s", q.cur(), a.cur(), table, 4)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign(q, 0, 1)
         asg.assign(a, 0, x)
         assert chip.assign_row(asg, 0, x) == math.isqrt(x)
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
 
 class TestJoin:
@@ -272,7 +271,7 @@ class TestJoin:
             [t2v.cur() * pk.cur(), t2v.cur() * val.cur()], t2v.cur(),
             table, 2,
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         for i, key in enumerate(t1):
             asg.assign(fk, i, key)
@@ -292,7 +291,7 @@ class TestJoin:
             [(3, 11), (1, 12), (5, 13), (4, 14), (7, 15)],
         )
         assert flags == [1, 1, 0, 1, 0]
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_invented_partner_caught(self):
         cs, asg, chip = self._setup([6], [(3, 11)])
@@ -301,7 +300,7 @@ class TestJoin:
         asg.assign(chip.part, 0, 1)
         asg.assign(chip.match[0], 0, 6)
         asg.assign(chip.match[1], 0, 999)
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert any(f.kind == "lookup" for f in failures)
 
     def test_hidden_match_caught(self):
@@ -310,11 +309,11 @@ class TestJoin:
         cs, asg, chip = self._setup([3], [(3, 11)])
         chip.assign(asg, [(3, 1)], [(3, 11)])
         asg.assign(chip.part, 0, 1)  # honest
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
         asg.assign(chip.part, 0, 0)  # now hide the match
         for col in chip.match:
             asg.assign(col, 0, 0)
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert failures
 
     def test_dummy_rows_do_not_join(self):
@@ -322,7 +321,7 @@ class TestJoin:
         asg.assign(cs.advice_columns[1], 1, 0)  # t1v row 1 -> dummy
         flags = chip.assign(asg, [(3, 1), (4, 0)], [(3, 11)])
         assert flags == [1, 0]
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
 
 class TestDisjoint:
@@ -335,7 +334,7 @@ class TestDisjoint:
         chip = DisjointChip(
             cs, "d", a.cur(), af.cur(), b.cur(), bf.cur(), table, 2
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         for i, v in enumerate([1, 5, 5]):
             asg.assign(a, i, v)
@@ -344,7 +343,7 @@ class TestDisjoint:
             asg.assign(b, i, v)
             asg.assign(bf, i, 1)
         chip.assign(asg, [1, 5, 5], [2, 9])
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_overlap_unprovable(self):
         cs, table = _cs()
@@ -355,14 +354,14 @@ class TestDisjoint:
         chip = DisjointChip(
             cs, "d", a.cur(), af.cur(), b.cur(), bf.cur(), table, 2
         )
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign(a, 0, 5)
         asg.assign(af, 0, 1)
         asg.assign(b, 0, 5)
         asg.assign(bf, 0, 1)
         chip.assign(asg, [5], [5])  # overlapping!
-        failures = MockProver(cs, asg, F).verify()
+        failures = MockProver(cs, asg).verify()
         assert failures, "equal values with different tags must violate"
 
 
@@ -373,13 +372,13 @@ class TestSetOps:
         a = cs.advice_column("a")
         b = cs.advice_column("b")
         ops.assert_equal([a.cur()], [b.cur()])
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         asg.assign_column(a, [3, 1, 2])
         asg.assign_column(b, [1, 2, 3])
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
         asg.assign(b, 0, 9)
-        assert MockProver(cs, asg, F).verify()
+        assert MockProver(cs, asg).verify()
 
     def test_dedup_flags(self):
         cs, table = _cs()
@@ -388,7 +387,7 @@ class TestSetOps:
         key = cs.advice_column("key")
         chip = DedupChip(cs, "dd", q_first.cur(), q_rest.cur(),
                          key.cur(), key.prev())
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         keys = [1, 1, 2, 2, 2, 7]
         asg.assign_column(key, keys)
@@ -397,7 +396,7 @@ class TestSetOps:
             asg.assign(q_rest, i, 1)
         flags = chip.assign(asg, keys)
         assert flags == [1, 0, 1, 0, 0, 1]
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
 
 class TestStrings:
@@ -408,14 +407,14 @@ class TestStrings:
         code = cs.advice_column("code")
         chip = StringMatchChip(cs, "m", q.cur(), code.cur(), "een", chars)
         dictionary = {1: "green", 2: "blue"}
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         table.assign(asg)
         chars.assign(asg, dictionary)
         asg.assign(q, 0, 1)
         asg.assign(code, 0, 1)
         pos = chip.assign_row(asg, 0, 1, "green")
         assert pos == 3  # 'een' at 1-based position 3
-        MockProver(cs, asg, F).assert_satisfied()
+        MockProver(cs, asg).assert_satisfied()
 
     def test_missing_pattern_rejected(self):
         cs, table = _cs()
@@ -423,7 +422,7 @@ class TestStrings:
         q = cs.selector("q")
         code = cs.advice_column("code")
         chip = StringMatchChip(cs, "m", q.cur(), code.cur(), "xyz", chars)
-        asg = Assignment(cs, F, K)
+        asg = Assignment(cs, K)
         with pytest.raises(ValueError):
             chip.assign_row(asg, 0, 1, "green")
 

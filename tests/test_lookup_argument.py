@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.commit import setup
 from repro.plonkish import Assignment, ConstraintSystem, MockProver
 from repro.plonkish.expression import Constant
@@ -47,7 +46,7 @@ class CircuitSpec:
 
 @st.composite
 def circuit_specs(draw):
-    usable = Assignment(ConstraintSystem(), F, K).usable_rows
+    usable = Assignment(ConstraintSystem(), K).usable_rows
     tables = []
     for _ in range(draw(st.integers(1, 2))):
         width = draw(st.integers(1, 3))
@@ -103,7 +102,7 @@ def build(spec: CircuitSpec):
         cs.add_lookup(f"in{i}", gated, [column.cur() for column in columns])
         inputs.append((flag, cells))
 
-    asg = Assignment(cs, F, K)
+    asg = Assignment(cs, K)
     for columns, rows in zip(table_columns, spec.tables):
         for r, row in enumerate(rows):
             for column, value in zip(columns, row):
@@ -124,11 +123,11 @@ def build(spec: CircuitSpec):
 @given(spec=circuit_specs())
 def test_mock_prover_and_the_argument_agree(params, spec):
     cs, asg = build(spec)
-    failures = MockProver(cs, asg, F).verify()
+    failures = MockProver(cs, asg).verify()
     assert {f.kind for f in failures} <= {"lookup"}
     assert bool(failures) == (spec.stray is not None)
 
-    pk = keygen(params, cs, F, K, asg.fixed)
+    pk = keygen(params, cs, K, asg.fixed)
     try:
         proof = create_proof(pk, asg)
     except ProvingError as exc:

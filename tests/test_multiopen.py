@@ -68,9 +68,9 @@ def public(sets) -> list[PointSet]:
 
 
 def accepts(params, message, verifier_sets, transcript=None) -> bool:
-    accumulator = Accumulator(params, F)
+    accumulator = Accumulator(params)
     provisional = multi_verify(
-        params, transcript or Transcript(b"t"), verifier_sets, *message, F, accumulator
+        params, transcript or Transcript(b"t"), verifier_sets, *message, accumulator
     )
     assert accumulator.deferred_count == int(provisional)
     return provisional and accumulator.finalize()
@@ -80,7 +80,7 @@ def accepts(params, message, verifier_sets, transcript=None) -> bool:
 def honest(params):
     """(sets, message) of one honest run over the mixed shape."""
     sets = random_sets(params, MIXED)
-    return sets, multi_open(params, Transcript(b"t"), sets, F)
+    return sets, multi_open(params, Transcript(b"t"), sets)
 
 
 class TestRoundTrip:
@@ -91,7 +91,7 @@ class TestRoundTrip:
     )
     def test_honest_opening_verifies(self, params, shape):
         sets = random_sets(params, shape)
-        f_commitment, q_evals, opening = multi_open(params, Transcript(b"t"), sets, F)
+        f_commitment, q_evals, opening = multi_open(params, Transcript(b"t"), sets)
         assert len(q_evals) == len(shape) and len(opening.rounds) == K
         assert accepts(params, (f_commitment, q_evals, opening), public(sets))
 
@@ -102,7 +102,7 @@ class TestRoundTrip:
         claim.coeffs = claim.coeffs[:3]
         claim.commitment = commit_polynomial(params, claim.coeffs, claim.blind)
         claim.evaluations = [evaluate_coeffs(claim.coeffs, A, F.p)]
-        message = multi_open(params, Transcript(b"t"), sets, F)
+        message = multi_open(params, Transcript(b"t"), sets)
         assert accepts(params, message, public(sets))
 
 
@@ -114,7 +114,7 @@ class TestRejection:
         sets, _ = honest
         claimed = public(sets)
         claimed[1].claims[0].evaluations[1] += 1
-        message = multi_open(params, Transcript(b"t"), sets, F)
+        message = multi_open(params, Transcript(b"t"), sets)
         assert not accepts(params, message, claimed)
 
     @pytest.mark.parametrize("which", [0, 3])
@@ -131,14 +131,14 @@ class TestRejection:
             return commit_polynomial(params, [coeffs[0] + 1, *coeffs[1:]], blind)
 
         monkeypatch.setattr(multiopen, "commit_polynomial", commit_other)
-        message = multi_open(params, Transcript(b"t"), sets, F)
+        message = multi_open(params, Transcript(b"t"), sets)
         assert not accepts(params, message, public(sets))
 
     def test_polynomial_listed_in_the_wrong_set(self, params):
         """Every claim true on both sides, but the verifier has one
         polynomial under the other point."""
         sets = random_sets(params, (([A], 2), ([B], 2)))
-        message = multi_open(params, Transcript(b"t"), sets, F)
+        message = multi_open(params, Transcript(b"t"), sets)
         claimed = public(sets)
         moved = claimed[0].claims.pop()
         moved.evaluations = [evaluate_coeffs(sets[0].claims[1].coeffs, B, F.p)]
@@ -161,11 +161,11 @@ class TestRejection:
         monkeypatch.setattr(
             multiopen,
             "open_polynomial",
-            lambda params, transcript, coeffs, blind, x, field: open_polynomial(
-                params, transcript, coeffs, blind, x + 1, field
+            lambda params, transcript, coeffs, blind, x: open_polynomial(
+                params, transcript, coeffs, blind, x + 1
             ),
         )
-        message = multi_open(params, Transcript(b"t"), sets, F)
+        message = multi_open(params, Transcript(b"t"), sets)
         assert not accepts(params, message, public(sets))
 
     def test_malformed_message_rejected_before_any_group_arithmetic(
@@ -205,16 +205,16 @@ class TestDegenerateChallenges:
     @pytest.mark.parametrize("x3", [A, B, C])
     def test_x3_on_a_set_point_rejects(self, params, honest, x3):
         sets, _ = honest
-        message = multi_open(params, RiggedTranscript(x3), sets, F)
+        message = multi_open(params, RiggedTranscript(x3), sets)
         assert not accepts(params, message, public(sets), RiggedTranscript(x3))
 
     def test_rigged_transcript_is_otherwise_honest(self, params, honest):
         sets, _ = honest
-        message = multi_open(params, RiggedTranscript(C + 1), sets, F)
+        message = multi_open(params, RiggedTranscript(C + 1), sets)
         assert accepts(params, message, public(sets), RiggedTranscript(C + 1))
 
     def test_coinciding_points_reject(self, params):
         """``x = 0`` makes every rotation of it the same point."""
         sets = random_sets(params, (([0, 0], 2),))
-        message = multi_open(params, Transcript(b"t"), sets, F)
+        message = multi_open(params, Transcript(b"t"), sets)
         assert not accepts(params, message, public(sets))

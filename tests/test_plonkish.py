@@ -122,31 +122,48 @@ class TestConstraintSystem:
 class TestAssignment:
     def test_usable_rows(self):
         cs, *_ = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         assert asg.n_rows == 16
         assert asg.usable_rows == 16 - ZK_ROWS
 
     def test_blinding_rows_protected(self):
         cs, q, a, b, c = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         with pytest.raises(IndexError):
             asg.assign(a, asg.usable_rows, 1)
 
     def test_assign_column_overflow(self):
         cs, q, a, b, c = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         with pytest.raises(ValueError):
             asg.assign_column(a, [1] * (asg.usable_rows + 1))
 
+    @pytest.mark.parametrize("write", ["assign", "assign_column", "assign_tail"])
+    def test_writes_store_circuit_field_residues(self, write):
+        cs, q, a, b, c = simple_mul_circuit()
+        asg = Assignment(cs, 4)
+        raw = [-1, F.p + 5]
+        if write == "assign":
+            for row, value in enumerate(raw):
+                asg.assign(a, row, value)
+            rows = [0, 1]
+        elif write == "assign_column":
+            asg.assign_column(a, raw)
+            rows = [0, 1]
+        else:
+            asg.assign_tail(a, raw + [0] * (ZK_ROWS - len(raw)))
+            rows = [asg.usable_rows, asg.usable_rows + 1]
+        assert [asg.value(a, row) for row in rows] == [F.p - 1, 5]
+
     def test_query_wraps(self):
         cs, q, a, b, c = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         asg.assign(a, 0, 77)
         assert asg.query(a, asg.n_rows - 1, 1) == 77
 
     def test_fill_blinding_randomizes_tail(self):
         cs, q, a, b, c = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         asg.fill_blinding()
         tail = [asg.value(a, r) for r in range(asg.usable_rows, asg.n_rows)]
         assert any(v != 0 for v in tail)
@@ -154,12 +171,12 @@ class TestAssignment:
     def test_too_small_circuit_rejected(self):
         cs, *_ = simple_mul_circuit()
         with pytest.raises(ValueError):
-            Assignment(cs, F, 2)
+            Assignment(cs, 2)
 
     def test_instance_values(self):
         cs, *_ = simple_mul_circuit()
         out = cs.instance_column("out")
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         asg.assign(out, 1, 9)
         assert asg.instance_values(out)[1] == 9
         with pytest.raises(ValueError):
@@ -169,14 +186,14 @@ class TestAssignment:
 class TestMockProver:
     def _satisfied(self, tamper=None):
         cs, q, a, b, c = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         asg.assign(q, 0, 1)
         asg.assign(a, 0, 6)
         asg.assign(b, 0, 7)
         asg.assign(c, 0, 42)
         if tamper:
             tamper(cs, asg, (q, a, b, c))
-        return MockProver(cs, asg, F).verify()
+        return MockProver(cs, asg).verify()
 
     def test_satisfied(self):
         assert self._satisfied() == []
@@ -233,13 +250,13 @@ class TestMockProver:
 
     def test_assert_satisfied_raises_with_report(self):
         cs, q, a, b, c = simple_mul_circuit()
-        asg = Assignment(cs, F, 4)
+        asg = Assignment(cs, 4)
         asg.assign(q, 0, 1)
         asg.assign(a, 0, 2)
         asg.assign(b, 0, 2)
         asg.assign(c, 0, 5)
         with pytest.raises(AssertionError, match="mul"):
-            MockProver(cs, asg, F).assert_satisfied()
+            MockProver(cs, asg).assert_satisfied()
 
 
 class TestBounds:
@@ -305,7 +322,7 @@ def expressions(columns):
 def bounded_assignments(draw):
     cs = ConstraintSystem()
     columns = [cs.advice_column(f"c{i}") for i in range(N_COLUMNS)]
-    asg = Assignment(cs, F, 3)
+    asg = Assignment(cs, 3)
     for col in columns:
         hi = draw(st.integers(0, 40))
         cs.declare_bound(col, hi)

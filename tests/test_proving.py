@@ -50,7 +50,7 @@ def proven(params_k6_module):
     """One honest (pk, proof, instance) triple shared by read-only tests."""
     cs, cols = example_circuit()
     asg, result = example_assignment(cs, cols)
-    pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+    pk = keygen(params_k6_module, cs, K, asg.fixed)
     proof = create_proof(pk, asg)
     instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
     return pk, proof, instance, result
@@ -71,7 +71,7 @@ class TestHonestProofs:
     def test_mock_agrees(self):
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
-        assert MockProver(cs, asg, F).verify() == []
+        assert MockProver(cs, asg).verify() == []
 
     def test_proof_is_nondeterministic_but_both_verify(
         self, params_k6_module
@@ -80,7 +80,7 @@ class TestHonestProofs:
         # proofs are randomized).
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
         p1 = create_proof(pk, asg)
         p2 = create_proof(pk, asg)
         assert p1.advice_commitments != p2.advice_commitments
@@ -91,7 +91,7 @@ class TestHonestProofs:
     def test_timing_instrumentation(self, params_k6_module):
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
         timing = ProverTiming()
         create_proof(pk, asg, timing=timing)
         assert timing.total > 0
@@ -120,7 +120,7 @@ class TestRejection:
     def test_wrong_witness_rejected(self, params_k6_module):
         cs, cols = example_circuit()
         asg, result = assign_broken_mul(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
         proof = create_proof(pk, asg)
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert not verify_proof(pk.vk, proof, instance)
@@ -129,7 +129,7 @@ class TestRejection:
         cs, cols = example_circuit()
         cs.copy(cols["a"], 0, cols["b"], 0)  # 7 != 11, violated
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
         proof = create_proof(pk, asg)
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert not verify_proof(pk.vk, proof, instance)
@@ -137,7 +137,7 @@ class TestRejection:
     def test_lookup_violation_unprovable(self, params_k6_module):
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols, x=99)  # 99 outside [0,16)
-        pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
         with pytest.raises(ProvingError):
             create_proof(pk, asg)
 
@@ -181,7 +181,7 @@ class TestTranscriptBinding:
         asg, _ = example_assignment(cs, cols)
         other, other_cols = example_circuit()
         other.create_gate("extra", [other_cols["q_add"].cur() * other_cols["a"].cur()])
-        vks = [keygen_vk(params_k6_module, c, F, K, asg.fixed) for c in (cs, other)]
+        vks = [keygen_vk(params_k6_module, c, K, asg.fixed) for c in (cs, other)]
         for attr in ("fixed_commitments", "sigma_commitments", "system_commitments"):
             assert getattr(vks[0], attr) == getattr(vks[1], attr)
         assert vks[0].fingerprint != vks[1].fingerprint
@@ -202,15 +202,15 @@ class TestTranscriptBinding:
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
         fit = params_k6.truncated(K)
-        expected = keygen_fingerprint(fit, cs, F, K, asg.fixed)
+        expected = keygen_fingerprint(fit, cs, K, asg.fixed)
         for params in (params_k6, fit):
-            assert keygen_vk(params, cs, F, K, asg.fixed).fingerprint == expected
-        assert expected != keygen_fingerprint(params_k6, cs, F, K, asg.fixed)
+            assert keygen_vk(params, cs, K, asg.fixed).fingerprint == expected
+        assert expected != keygen_fingerprint(params_k6, cs, K, asg.fixed)
 
 class TestAccumulator:
     def test_deferred_verification(self, proven, params_k6_module):
         pk, proof, instance, _ = proven
-        acc = Accumulator(pk.vk.params, F)
+        acc = Accumulator(pk.vk.params)
         assert verify_proof(pk.vk, proof, instance, accumulator=acc)
         assert acc.deferred_count >= 1
         assert acc.finalize()
@@ -219,7 +219,7 @@ class TestAccumulator:
         self, proven, params_k6_module
     ):
         pk, proof, instance, result = proven
-        acc = Accumulator(pk.vk.params, F)
+        acc = Accumulator(pk.vk.params)
         assert verify_proof(pk.vk, proof, instance, accumulator=acc)
         # Proof against a wrong instance fails fast (constraint check),
         # so craft a subtly-broken batch: tamper an opening proof value.
@@ -279,7 +279,7 @@ class TestGoldenProofDigest:
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols)
         with deterministic_rng(0x5EED):
-            pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+            pk = keygen(params_k6_module, cs, K, asg.fixed)
             proof = create_proof(pk, asg)
         assert len(proof.to_bytes()) == 2312
         assert _digest(proof.to_bytes()) == GOLDEN_K5
@@ -292,7 +292,7 @@ class TestGoldenProofDigest:
         # "chain" evaluation, a 3rd opening point) and a shuffle.
         cs, asg, instance = two_chunk_shuffle_circuit()
         with deterministic_rng(0x5EED):
-            pk = keygen(params_k6_module, cs, F, K, asg.fixed)
+            pk = keygen(params_k6_module, cs, K, asg.fixed)
             proof = create_proof(pk, asg)
         assert len(pk.vk.permutation_chunks) == 2 and len(cs.shuffles) == 1
         assert verify_proof(pk.vk, proof, instance)
@@ -385,7 +385,7 @@ def _compiled_key_inputs(sql, rows, k):
     compiled = QueryCompiler(db, k, 4, 32, 40).compile(
         Planner(db).plan(parse(sql))
     )
-    asg = Assignment(compiled.cs, F, k)
+    asg = Assignment(compiled.cs, k)
     compiled.assign_witness(asg, db)
     return setup(k), compiled.cs, asg.fixed, asg
 
@@ -399,7 +399,7 @@ class TestImmutableKeys:
         from repro.tpch import QUERIES
 
         params, cs, fixed, asg = _compiled_key_inputs(QUERIES["Q1"], 32, 7)
-        return keygen(params, cs, F, 7, fixed), asg
+        return keygen(params, cs, 7, fixed), asg
 
     def test_proving_leaves_the_key_unchanged(self, q1_key):
         import pickle
@@ -444,11 +444,11 @@ class TestImmutableKeys:
         previous = telemetry.enable(True)
         try:
             before = telemetry.counters_snapshot().get("fft.calls", 0)
-            vk = keygen_vk(params, cs, F, k, fixed)
+            vk = keygen_vk(params, cs, k, fixed)
             assert telemetry.counters_snapshot().get("fft.calls", 0) == before
         finally:
             telemetry.enable(previous)
-        expected = keygen(params, cs, F, k, fixed).vk
+        expected = keygen(params, cs, k, fixed).vk
         assert vk.params.fingerprint() == expected.params.fingerprint()
         for field in fields(VerifyingKey):
             if field.name != "params":

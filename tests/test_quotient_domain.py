@@ -51,7 +51,7 @@ def _query(sql, k, rows=8, value_bits=32, key_bits=40):
         compiled = QueryCompiler(
             db, k, limb_bits=4, value_bits=value_bits, key_bits=key_bits
         ).compile(Planner(db).plan(parse(sql)))
-        asg = Assignment(compiled.cs, F, k)
+        asg = Assignment(compiled.cs, k)
         compiled.assign_witness(asg, db)
         return compiled.cs, asg, k
 
@@ -110,7 +110,7 @@ def after_quotient(request, params):
         )
         patch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
         cs, asg, k = CIRCUITS[request.param]()
-        pk = keygen(params, cs, F, k, asg.fixed)
+        pk = keygen(params, cs, k, asg.fixed)
         create_proof(pk, asg)
     return cs, k, seen[0]
 

@@ -62,7 +62,7 @@ def params():
 
 
 def prove_honestly(params, cs, asg, instance):
-    pk = keygen(params, cs, F, K, asg.fixed)
+    pk = keygen(params, cs, K, asg.fixed)
     proof = create_proof(pk, asg)
     assert verify_proof(pk.vk, proof, instance)
     return pk, asg, proof, instance
@@ -135,7 +135,7 @@ class TestRoundTrip:
         witnesses (fresh blinding every example)."""
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols, x=x, y=y, z=z)
-        pk = keygen(params, cs, F, K, asg.fixed)
+        pk = keygen(params, cs, K, asg.fixed)
         proof = create_proof(pk, asg)
         data = proof.to_bytes()
         decoded = Proof.from_bytes(pk.vk, data)
@@ -315,7 +315,7 @@ def tuple_lookup_circuit(x=7):
     table = [s_.cur(), tag.cur()]
     cs.add_lookup("a_in_s", [fa.cur() * a.cur(), fa.cur() * 1], table)
     cs.add_lookup("b_in_s", [fb.cur() * b.cur(), fb.cur() * 2], table)
-    asg = Assignment(cs, F, K)
+    asg = Assignment(cs, K)
     for row, (value, kind) in enumerate([(7, 1), (9, 2), (7, 1), (12, 1), (3, 2)], 2):
         asg.assign(s_, row, value)
         asg.assign(tag, row, kind)
@@ -366,7 +366,7 @@ class TestLookupArgumentAttacks:
 
         faults, outside, guard, weaken = LOOKUP_ATTACKS[attack]
         cs, asg, instance = circuit(x=99 if outside else 7)
-        pk = keygen(params, cs, F, K, asg.fixed)
+        pk = keygen(params, cs, K, asg.fixed)
         assert len(pk.vk.lookup_arguments[0].groups) == 2
         if outside:
             with pytest.raises(ProvingError, match="not in table"):

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro import PoneglyphDB, ProverConfig, telemetry
-from repro.algebra import SCALAR_FIELD
 from repro.commit import setup
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
@@ -195,7 +194,7 @@ def run_instrumented_prove():
     root = telemetry.begin_span("prove", k=EXAMPLE_K)
     try:
         with telemetry.span("prove.keygen"):
-            pk = keygen(params, cs, SCALAR_FIELD, EXAMPLE_K, asg.fixed)
+            pk = keygen(params, cs, EXAMPLE_K, asg.fixed)
         proof = create_proof(pk, asg)
     finally:
         root.end()
@@ -470,7 +469,7 @@ class TestCircuitReport:
         # transform to values for each quotient chunk, [f] and the
         # opened combination (committed or opened by value).
         asg, _ = example_assignment(cs, cols)
-        pk = keygen(setup(EXAMPLE_K), cs, SCALAR_FIELD, EXAMPLE_K, asg.fixed)
+        pk = keygen(setup(EXAMPLE_K), cs, EXAMPLE_K, asg.fixed)
         before = tele.counters_snapshot().get("fft.points", 0)
         proof = create_proof(pk, asg)
         fft_points = tele.counters_snapshot()["fft.points"] - before

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.algebra import SCALAR_FIELD as F
 from repro.plonkish import Assignment, MockProver
 from repro.sql.compiler import CompileError, QueryCompiler
 from repro.sql.executor import Executor
@@ -135,9 +134,9 @@ class TestQueries:
         compiled = QueryCompiler(
             db, k, limb_bits=4, value_bits=32, key_bits=40
         ).compile(plan)
-        asg = Assignment(compiled.cs, F, k)
+        asg = Assignment(compiled.cs, k)
         result = compiled.assign_witness(asg, db)
-        MockProver(compiled.cs, asg, F).assert_satisfied()
+        MockProver(compiled.cs, asg).assert_satisfied()
         exp_rows = [list(r.values()) for r in expected.rows()]
         assert result == exp_rows[: compiled.limit]
         return compiled

@@ -46,7 +46,17 @@ class TestTranscript:
     def test_challenge_never_zero_or_one(self):
         tr = Transcript(b"test")
         for value in tr.challenge_scalars(b"c", 50):
-            assert value not in (0, 1)
+            assert 2 <= value < F.p
+
+    def test_scalars_absorb_as_residues(self):
+        """``v`` and ``v + p`` are one circuit-field element, so they
+        make one transcript."""
+        t1, t2 = Transcript(b"test"), Transcript(b"test")
+        t1.absorb_scalar(b"a", 7)
+        t1.absorb_scalars(b"b", [1, F.p - 1])
+        t2.absorb_scalar(b"a", 7 + F.p)
+        t2.absorb_scalars(b"b", [1 + F.p, -1])
+        assert t1.challenge_scalar(b"c") == t2.challenge_scalar(b"c")
 
     def test_absorb_resets_challenge_counter(self):
         t1 = Transcript(b"test")
