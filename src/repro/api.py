@@ -16,9 +16,8 @@ knobs: it obtains public parameters and their fixed-base MSM tables
 through its artifact cache (no layer below it reads the cache), applies
 the configured telemetry and any explicitly chosen field backend for
 the session's lifetime (restoring the previous settings on close), and
-keeps the
-prover/verifier pair consistent so a proved response verifies against
-the same commitment without ferrying metadata by hand.  A session
+keeps the prover/verifier pair consistent so a proved response verifies
+against the same commitment without ferrying metadata by hand.  A session
 proves serially, one job at a time; :meth:`Session.serve` proves in
 parallel, one forked process per service worker.
 
