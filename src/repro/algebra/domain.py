@@ -23,14 +23,10 @@ from repro.algebra.field import Field
 _LADDERS: dict[tuple[int, int, int], list[int]] = {}
 
 
-def fft_in_place(
-    values: list[int], omega: int, p: int, filled: int | None = None
-) -> None:
+def fft_in_place(values: list[int], omega: int, p: int) -> None:
     """Iterative Cooley-Tukey NTT over GF(p).
 
     ``omega`` must be a primitive n-th root of unity for n = len(values).
-    With ``filled`` the values are zero past the first ``filled``, and
-    the stages that would only copy them are skipped.
     The bit-reversal indices and per-stage twiddle ladders come from
     the per-``(n, omega, p)`` plan cache (:mod:`repro.algebra.fft_plan`)
     instead of being rebuilt per call.  The active field backend may
@@ -48,7 +44,7 @@ def fft_in_place(
     if out is not None:
         values[:] = out
         return
-    fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p), filled)
+    fft_plan.ntt_in_place(values, fft_plan.plan_for(n, omega, p))
 
 
 class EvaluationDomain:
@@ -126,14 +122,8 @@ class EvaluationDomain:
             values[i] = values[i] * ladder[i] % p
 
     def coset_fft(self, coeffs: list[int], shift: int) -> list[int]:
-        """Coefficients -> evaluations over the coset ``shift * H``.  A
-        polynomial of ``size / 2^s`` coefficients or fewer skips the
-        transform's first ``s`` stages (they only copy its zero
-        padding)."""
-        scaled = list(coeffs) + [0] * (self.size - len(coeffs))
-        self._coset_scale(scaled, len(coeffs), shift)
-        fft_in_place(scaled, self.omega, self.field.p, len(coeffs))
-        return scaled
+        """Coefficients -> evaluations over the coset ``shift * H``."""
+        return self.coset_fft_many([coeffs], shift)[0]
 
     def coset_ifft(self, evals: list[int], shift: int) -> list[int]:
         """Evaluations over ``shift * H`` -> coefficients."""
@@ -171,17 +161,15 @@ class EvaluationDomain:
     def coset_fft_many(
         self, coeffs_list: list[list[int]], shift: int
     ) -> list[list[int]]:
-        """:meth:`coset_fft` of many polynomials, every transform
-        skipping the stages that the longest one's zero padding allows."""
+        """:meth:`coset_fft` of many polynomials."""
         p = self.field.p
-        filled = max(map(len, coeffs_list), default=0)
         out = []
         for coeffs in coeffs_list:
             if len(coeffs) > self.size:
                 raise ValueError("polynomial larger than domain")
             scaled = list(coeffs) + [0] * (self.size - len(coeffs))
             self._coset_scale(scaled, len(coeffs), shift)
-            fft_in_place(scaled, self.omega, p, filled)
+            fft_in_place(scaled, self.omega, p)
             out.append(scaled)
         return out
 

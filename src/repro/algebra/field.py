@@ -192,23 +192,31 @@ class Field:
         return 1 if r == 1 else -1
 
     def sqrt(self, a: int) -> int | None:
-        """Tonelli-Shanks square root, or None when ``a`` is a non-residue."""
+        """Tonelli-Shanks square root, or None when ``a`` is a non-residue.
+
+        One exponentiation: with ``p - 1 = q * 2^s``, ``w = a^((q-1)/2)``
+        gives ``r = a * w = a^((q+1)/2)`` and ``t = r * w = a^q``.  A
+        non-residue is the ``t`` whose order is the whole ``2^m`` the
+        loop allows; the squaring loop finds that out, so no Legendre
+        symbol is computed first."""
         p = self.p
         a %= p
         if a == 0:
             return 0
-        if self.legendre(a) != 1:
-            return None
         # p - 1 = q * 2^s with q odd, decomposed once in __init__; the
         # non-residue power z^q is exactly root_of_unity.
         q, s = self._tonelli_q, self.two_adicity
-        m, c, t, r = s, self.root_of_unity, pow(a, q, p), pow(a, (q + 1) // 2, p)
+        w = pow(a, (q - 1) // 2, p)
+        r = a * w % p
+        m, c, t = s, self.root_of_unity, r * w % p
         while t != 1:
-            # Find least i with t^(2^i) == 1.
+            # Find least i with t^(2^i) == 1; i == m only for a non-residue.
             i, t2i = 0, t
             while t2i != 1:
                 t2i = t2i * t2i % p
                 i += 1
+                if i == m:
+                    return None
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p

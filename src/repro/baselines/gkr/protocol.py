@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algebra.field import Field, SCALAR_FIELD
+from repro.algebra.field import SCALAR_FIELD
 from repro.baselines.gkr.circuit import GateKind, LayeredCircuit
 from repro.baselines.gkr.multilinear import MultilinearPoly, eq_weights
 from repro.baselines.gkr.sumcheck import (
@@ -86,11 +86,10 @@ def _uv_value_tables(prev_values: list[int], prev_k: int, p: int):
 def gkr_prove(
     circuit: LayeredCircuit,
     inputs: list[int],
-    field: Field = SCALAR_FIELD,
 ) -> GkrProof:
     """Prove correct evaluation of ``circuit`` on ``inputs``."""
-    p = field.p
-    values = circuit.evaluate(inputs, field)
+    p = SCALAR_FIELD.p
+    values = circuit.evaluate(inputs)
     transcript = Transcript(b"gkr")
     outputs = values[-1]
     transcript.absorb_scalars(b"outputs", outputs)
@@ -101,19 +100,17 @@ def gkr_prove(
 
     layer_proofs: list[LayerProof] = []
     # Weights over gates of the current layer (eq(z, g) initially).
-    weights = eq_weights(z, field)
+    weights = eq_weights(z)
     for layer_index in range(len(circuit.layers) - 1, -1, -1):
         layer = circuit.layers[layer_index]
         prev_values = values[layer_index]
         prev_k = max(1, (len(prev_values) - 1).bit_length())
         add_t, mul_t = _wiring_tables(layer, prev_k, weights, p)
         b_t, c_t = _uv_value_tables(prev_values, prev_k, p)
-        proof, point, _finals = sumcheck_prove(
-            (add_t, b_t, c_t, mul_t), transcript, field
-        )
+        proof, point, _finals = sumcheck_prove((add_t, b_t, c_t, mul_t), transcript)
         u_point = point[:prev_k]
         v_point = point[prev_k:]
-        w_poly = MultilinearPoly(prev_values, field)
+        w_poly = MultilinearPoly(prev_values)
         w_u = w_poly.evaluate(u_point)
         w_v = w_poly.evaluate(v_point)
         transcript.absorb_scalars(b"gkr-w", [w_u, w_v])
@@ -121,8 +118,8 @@ def gkr_prove(
         if layer_index > 0:
             alpha = transcript.challenge_scalar(b"gkr-alpha")
             beta = transcript.challenge_scalar(b"gkr-beta")
-            wu_weights = eq_weights(u_point, field)
-            wv_weights = eq_weights(v_point, field)
+            wu_weights = eq_weights(u_point)
+            wv_weights = eq_weights(v_point)
             weights = [
                 (alpha * a + beta * b) % p
                 for a, b in zip(wu_weights, wv_weights)
@@ -134,11 +131,10 @@ def gkr_verify(
     circuit: LayeredCircuit,
     inputs: list[int],
     proof: GkrProof,
-    field: Field = SCALAR_FIELD,
 ) -> bool:
     """Verify a GKR proof (inputs known to the verifier, as in the
     vSQL model of public auxiliary data / committed inputs)."""
-    p = field.p
+    p = SCALAR_FIELD.p
     if len(proof.layers) != len(circuit.layers):
         return False
     transcript = Transcript(b"gkr")
@@ -147,7 +143,7 @@ def gkr_verify(
     if len(proof.outputs) != 1 << out_k:
         return False
     z = transcript.challenge_scalars(b"gkr-z", out_k)
-    claim = MultilinearPoly(proof.outputs, field).evaluate(z)
+    claim = MultilinearPoly(proof.outputs).evaluate(z)
 
     # Weight functional over gate indices: starts as eq(z, .), becomes
     # the alpha/beta combination after each layer.
@@ -162,23 +158,19 @@ def gkr_verify(
         )
         prev_k = max(1, (prev_size - 1).bit_length())
         layer_proof = proof.layers[step]
-        ok, point, reduced = sumcheck_verify(
-            claim, layer_proof.sumcheck, transcript, field
-        )
+        ok, point, reduced = sumcheck_verify(claim, layer_proof.sumcheck, transcript)
         if not ok or len(point) != 2 * prev_k:
             return False
         u_point = point[:prev_k]
         v_point = point[prev_k:]
         # Evaluate the wiring predicates at (weights, u*, v*): sum over
         # gates of weight(g) * eq(u*, left) * eq(v*, right).
-        eq_u = eq_weights(u_point, field)
-        eq_v = eq_weights(v_point, field)
+        eq_u = eq_weights(u_point)
+        eq_v = eq_weights(v_point)
         add_val = 0
         mul_val = 0
         gates = layer.padded()
-        gate_weight_tables = [
-            (scale, eq_weights(pt, field)) for scale, pt in weight_points
-        ]
+        gate_weight_tables = [(scale, eq_weights(pt)) for scale, pt in weight_points]
         for g, gate in enumerate(gates):
             w = 0
             for scale, table in gate_weight_tables:
@@ -202,7 +194,7 @@ def gkr_verify(
             # Input layer: check the claimed W values directly.
             k0 = circuit.input_k
             padded_inputs = list(inputs) + [0] * ((1 << k0) - len(inputs))
-            input_poly = MultilinearPoly(padded_inputs, field)
+            input_poly = MultilinearPoly(padded_inputs)
             if input_poly.evaluate(u_point) != w_u:
                 return False
             if input_poly.evaluate(v_point) != w_v:

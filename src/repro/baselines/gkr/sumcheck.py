@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.field import Field, SCALAR_FIELD
+from repro.algebra.field import SCALAR_FIELD
 from repro.transcript import Transcript
 
 
@@ -37,11 +37,10 @@ def _h(a: int, b: int, c: int, d: int, p: int) -> int:
 def sumcheck_prove(
     tables: tuple[list[int], list[int], list[int], list[int]],
     transcript: Transcript,
-    field: Field = SCALAR_FIELD,
 ) -> tuple[SumcheckProof, list[int], tuple[int, int, int, int]]:
     """Run the prover; returns the proof, the challenge point, and the
     final (A, B, C, D) evaluations at that point."""
-    p = field.p
+    p = SCALAR_FIELD.p
     a, b, c, d = (list(t) for t in tables)
     m = (len(a) - 1).bit_length()
     if any(len(t) != 1 << m for t in (a, b, c, d)):
@@ -100,12 +99,11 @@ def sumcheck_verify(
     claim: int,
     proof: SumcheckProof,
     transcript: Transcript,
-    field: Field = SCALAR_FIELD,
 ) -> tuple[bool, list[int], int]:
     """Check the round consistency; returns (ok, challenge point,
     final reduced claim) -- the caller must still check the final claim
     against the actual polynomial at the challenge point."""
-    p = field.p
+    p = SCALAR_FIELD.p
     current = claim % p
     challenges: list[int] = []
     for g0, g1, g2, g3 in proof.rounds:

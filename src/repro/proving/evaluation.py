@@ -8,8 +8,8 @@ over interned ``(column, rotation)`` leaves, in the manner of halo2's
 tree, each ``Sum`` / ``Scaled`` / ``Constant`` chain one linear
 operation with one reduction (DESIGN.md 5e).
 
-One program serves every kind of vector: the extended coset for the
-quotient (:func:`evaluate_on_coset`), the usable rows for the prover's
+One program serves every kind of vector: each n-point part of the
+extended coset for the quotient, the usable rows for the prover's
 lookup and grand-product columns, and length-1 vectors at ``x`` for the
 verifier.  A gate therefore cannot mean one thing to the prover and
 another to the verifier.
@@ -324,19 +324,3 @@ def _linear(const: int, terms, vectors: list, p: int) -> list[int]:
         return [(s + const) % p for s in acc]
     return [s % p for s in acc]
 
-
-def evaluate_on_coset(
-    program: Program,
-    get_column_ext: Callable[[Column], list[int]],
-    ext_n: int,
-    rotation_factor: int,
-) -> Callable[[Expression], list[int]]:
-    """Every expression of ``program`` at every point of the extended
-    coset, whose columns ``get_column_ext`` gives (a query at rotation
-    ``r`` is the column shifted by ``r * rotation_factor`` points)."""
-    return program.run(
-        lambda column, rotation: rotated(
-            get_column_ext(column), rotation * rotation_factor
-        ),
-        ext_n,
-    )

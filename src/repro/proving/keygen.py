@@ -2,11 +2,11 @@
 
 From the circuit shape and the public parameters we derive:
 
-- the **proving key**: coefficient and extended-coset-evaluation forms
-  of every fixed polynomial, the permutation sigma polynomials encoding
-  all copy constraints, and the system row-selectors (l0 / l_last /
-  l_active) that gate the permutation and lookup arguments away from
-  the blinding rows;
+- the **proving key**: the coefficients of every fixed polynomial, of
+  the permutation sigma polynomials encoding all copy constraints, and
+  of the system row-selectors (l0 / l_last / l_active) that gate the
+  permutation and lookup arguments away from the blinding rows, and
+  the values of all of them on each part of the quotient's coset;
 - the **verifying key**: binding commitments to all of the above.
 
 As in halo2, the verifying key has a builder of its own,
@@ -56,13 +56,11 @@ PERMUTATION_CHUNK = 3
 
 @dataclass
 class PolyData:
-    """One committed polynomial in the forms the prover needs: the key's
+    """One committed polynomial as the prover opens it: the key's
     fixed / sigma / system polynomials, and -- with their ``blind`` --
-    the ones each proof commits (whose extended evaluations the
-    quotient round fills in on first use)."""
+    the ones each proof commits."""
 
     coeffs: list[int]
-    extended_evals: list[int] | None = dc_field(default=None, repr=False)
     commitment: Point | None = None
     blind: int = 0
 
@@ -98,17 +96,44 @@ class VerifyingKey:
 class ProvingKey:
     vk: VerifyingKey
     domain: EvaluationDomain
-    extended_domain: EvaluationDomain
-    coset_shift: int
     fixed: list[PolyData]
     sigmas: list[PolyData]
     system: dict[str, PolyData]
     #: sigma values per equality column (row-indexed)
     sigma_values: list[list[int]]
+    #: The quotient's coset in parts (:func:`coset_part_shifts`): part
+    #: ``j`` is ``part_shifts[j] * H``, and ``coset_parts[j]`` maps each
+    #: key polynomial's path (``("fixed_commitments", i)``,
+    #: ``("sigma_commitments", i)``, ``("system_commitments", name)``)
+    #: to its n values there.
+    part_shifts: list[int]
+    coset_parts: list[dict[tuple, list[int]]] = dc_field(repr=False)
+
+    def polys(self) -> dict[tuple, PolyData]:
+        """Every key polynomial by its path."""
+        return {
+            **{("system_commitments", name): p for name, p in self.system.items()},
+            **{("sigma_commitments", i): p for i, p in enumerate(self.sigmas)},
+            **{("fixed_commitments", i): p for i, p in enumerate(self.fixed)},
+        }
 
 
 #: The system row-selectors, in key order.
 _SYSTEM_NAMES = ("l0", "l_last", "l_active")
+
+
+def coset_part_shifts(k: int, extended_k: int) -> list[int]:
+    """The quotient's coset ``zeta * <omega_ext>`` of ``2^extended_k``
+    points as ``R = 2^(extended_k - k)`` disjoint cosets of the row
+    domain ``H``: part ``j`` is ``zeta * omega_ext^j * H``, since
+    ``omega_ext^R`` generates ``H``.  ``zeta`` is the field's
+    multiplicative generator, so no part meets ``H``."""
+    p = SCALAR_FIELD.p
+    omega_ext = SCALAR_FIELD.root_of_unity_of_order(1 << extended_k)
+    shifts = [SCALAR_FIELD.multiplicative_generator]
+    for _ in range(1, 1 << (extended_k - k)):
+        shifts.append(shifts[-1] * omega_ext % p)
+    return shifts
 
 
 def _system_selectors(n: int, usable: int) -> list[list[int]]:
@@ -260,26 +285,31 @@ def keygen(
     hold ``fixed``, complete with its verifying key.
 
     Every key polynomial -- system selectors, sigmas, fixed columns --
-    goes through the transforms and commitments as one batch."""
+    goes through the transforms and commitments as one batch: one
+    inverse FFT to coefficients, then one n-point coset FFT per part of
+    the quotient's coset."""
     with telemetry.span("keygen", k=k):
         values, commitments, vk = _key_columns(params, cs, k, fixed)
         domain = EvaluationDomain(SCALAR_FIELD, k)
-        extended_domain = EvaluationDomain(SCALAR_FIELD, vk.extended_k)
-        coset_shift = SCALAR_FIELD.multiplicative_generator
         coeffs = domain.ifft_many(values)
-        extended = extended_domain.coset_fft_many(coeffs, coset_shift)
-        polys = [PolyData(*poly) for poly in zip(coeffs, extended, commitments)]
+        polys = [PolyData(*poly) for poly in zip(coeffs, commitments)]
         n_system, n_key = len(_SYSTEM_NAMES), len(values) - len(fixed)
         pk = ProvingKey(
             vk=vk,
             domain=domain,
-            extended_domain=extended_domain,
-            coset_shift=coset_shift,
             fixed=polys[n_key:],
             sigmas=polys[n_system:n_key],
             system=dict(zip(_SYSTEM_NAMES, polys)),
             sigma_values=values[n_system:n_key],
+            part_shifts=coset_part_shifts(k, vk.extended_k),
+            coset_parts=[],
         )
+        by_path = pk.polys()
+        coeffs = [poly.coeffs for poly in by_path.values()]
+        for shift in pk.part_shifts:
+            pk.coset_parts.append(
+                dict(zip(by_path, domain.coset_fft_many(coeffs, shift)))
+            )
     logger.debug("keygen: k=%d extended_k=%d", k, vk.extended_k)
     return pk
 

@@ -13,6 +13,7 @@ and used by both :mod:`repro.proving.prover` and
 - :func:`opening_schedule` -- every evaluation the proof carries, the
   commitment it opens and the rotation -- and :func:`opening_point_sets`,
   the same grouped the way the opening argument folds it;
+  :func:`quotient_paths`, the proof's polynomials the identity reads;
 - :func:`combined_constraint` -- the constraint identity: which
   selector gates which term, in which ``y``-fold order, over vector
   formulas (:func:`shuffle_fraction`, :func:`lookup_denominators` and
@@ -145,6 +146,27 @@ def opening_schedule(
         yield ("lookup_helper_evals", i), ("lookup_helper_commitments", i), 0
     for i in range(n_h):
         yield ("h_evals", i), ("h_commitments", i), 0
+
+
+#: The schedule's commitment paths into the verifying key: polynomials
+#: of the circuit, not of a proof.
+KEY_COMMITMENTS = ("fixed_commitments", "sigma_commitments", "system_commitments")
+
+
+def quotient_paths(vk: VerifyingKey, queries: QuerySet) -> list[tuple]:
+    """The polynomials of a proof that the constraint identity reads, by
+    commitment path: every one the schedule opens but the key's and the
+    quotient's own pieces, then each instance column a query reads (the
+    verifier computes those, so they are never opened).  The prover
+    evaluates exactly these on each part of the quotient's coset; the
+    key's come with the key."""
+    opened = dict.fromkeys(
+        commitment
+        for _, commitment, _ in opening_schedule(vk, queries, 0)
+        if commitment[0] not in KEY_COMMITMENTS
+    )
+    instance = dict.fromkeys(("instance", ci) for ci, _ in queries.instance)
+    return list(opened) + list(instance)
 
 
 def opening_point_sets(

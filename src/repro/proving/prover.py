@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import islice
+from operator import mul
 from typing import Callable
 
 from repro import telemetry
@@ -35,13 +36,9 @@ from repro.algebra.poly import evaluate_coeffs
 from repro.commit.ipa import commit_lagrange_many, commit_polynomials
 from repro.ecc.curve import Point
 from repro.plonkish.assignment import Assignment
-from repro.plonkish.constraint_system import Column, ColumnKind
+from repro.plonkish.constraint_system import ColumnKind
 from repro.plonkish.expression import Expression
-from repro.proving.evaluation import (
-    argument_expressions,
-    evaluate_on_coset,
-    rotated,
-)
+from repro.proving.evaluation import argument_expressions, rotated
 from repro.proving.keygen import PolyData, ProvingKey
 from repro.proving.multiopen import OpeningClaim, PointSet, multi_open
 from repro.proving.proof import LookupProofPart, Proof, ShuffleProofPart
@@ -57,6 +54,7 @@ from repro.proving.protocol import (
     lookup_denominators,
     opening_point_sets,
     opening_schedule,
+    quotient_paths,
 )
 from repro.transcript import Transcript
 
@@ -135,11 +133,6 @@ def create_proof(
     """
     sw_total = telemetry.stopwatch().start()
     assignment.fill_blinding()
-    key_polys = {
-        "fixed_commitments": enumerate(pk.fixed),
-        "sigma_commitments": enumerate(pk.sigmas),
-        "system_commitments": pk.system.items(),
-    }
     state = ProverState(
         pk=pk,
         assignment=assignment,
@@ -148,11 +141,7 @@ def create_proof(
         blind_overrides=advice_blind_overrides or {},
         faults=_faults,
         proof=Proof([], [], [], [], []),
-        polys={
-            (attr, key): poly
-            for attr, items in key_polys.items()
-            for key, poly in items
-        },
+        polys=pk.polys(),
         columns={
             ("sigma_commitments", i): v for i, v in enumerate(pk.sigma_values)
         },
@@ -351,7 +340,7 @@ def grand_products(state: ProverState) -> dict:
     omegas = [1] * usable
     for i in range(1, usable):
         omegas[i] = omegas[i - 1] * pk.domain.omega % p
-    opened = _opened_values(state, state.columns.__getitem__, 1)
+    opened = _opened_values(state, state.columns.__getitem__)
 
     arguments = {"permutation_z_evals": [], "shuffle_parts": []}
     for attr, i, *fraction in grand_product_fractions(
@@ -402,11 +391,12 @@ def grand_products(state: ProverState) -> dict:
     return {"chunks": len(vk.permutation_chunks)}
 
 
-def _opened_values(state: ProverState, values_of, step: int):
+def _opened_values(state: ProverState, values_of):
     """The ``opened`` argument of the protocol's constraint functions:
     resolves an evaluation path through the opening schedule to
-    ``values_of(commitment path)`` rotated by the evaluation's rotation,
-    one row being ``step`` positions."""
+    ``values_of(commitment path)`` rotated by the evaluation's rotation
+    (one row, one position: the usable rows and every part of the
+    quotient's coset are cosets of the row domain)."""
     slots = {
         evaluation: (commitment, rotation)
         for evaluation, commitment, rotation in opening_schedule(
@@ -416,61 +406,29 @@ def _opened_values(state: ProverState, values_of, step: int):
 
     def opened(evaluation: tuple) -> list[int]:
         commitment, rotation = slots[evaluation]
-        return rotated(values_of(commitment), rotation * step)
+        return rotated(values_of(commitment), rotation)
 
     return opened
 
 
 # ---- round 4: quotient polynomial (y) --------------------------------------
 def quotient(state: ProverState) -> dict:
-    pk, assignment = state.pk, state.assignment
-    vk = pk.vk
-    p, n = SCALAR_FIELD.p, pk.domain.size
-    ext_domain, shift = pk.extended_domain, pk.coset_shift
-    ext_n = ext_domain.size
-    rotation_factor = ext_n // n
-
-    for ci, coeffs in enumerate(pk.domain.ifft_many(list(assignment.instance))):
+    """``h = C / Z_H`` for the combined constraint ``C``, one part of
+    the extended coset at a time (:func:`_quotient_part`), and ``h``'s
+    n-coefficient pieces committed."""
+    pk = state.pk
+    for ci, coeffs in enumerate(pk.domain.ifft_many(list(state.assignment.instance))):
         state.polys[("instance", ci)] = PolyData(coeffs)
+    paths = quotient_paths(pk.vk, state.queries)
+    remainders: list[list[int]] = []
+    peak = 0
+    for shift, key_values in zip(pk.part_shifts, pk.coset_parts):
+        remainder, held = _quotient_part(state, paths, shift, key_values)
+        peak = max(peak, held + sum(map(len, remainders)))
+        remainders.append(remainder)
+    telemetry.gauge("quotient.peak_extended_values", peak)
 
-    def extended(path: tuple) -> list[int]:
-        poly = state.polys[path]
-        if poly.extended_evals is None:
-            poly.extended_evals = ext_domain.coset_fft(poly.coeffs, shift)
-        return poly.extended_evals
-
-    def column_ext(col: Column) -> list[int]:
-        return extended((_COLUMN_PATHS[col.kind], col.index))
-
-    x_ext = [shift % p] * ext_n
-    for t in range(1, ext_n):
-        x_ext[t] = x_ext[t - 1] * ext_domain.omega % p
-    combined = combined_constraint(
-        vk,
-        [pk.system[name].extended_evals for name in SYSTEM_SELECTORS],
-        x_ext,
-        evaluate_on_coset(vk.program, column_ext, ext_n, rotation_factor),
-        _opened_values(state, extended, rotation_factor),
-        state.challenges,
-    )
-
-    # Divide by the vanishing polynomial Z_H(X) = X^n - 1 (nonzero on
-    # the coset).  Its values repeat with period ext_n / n.
-    period = rotation_factor
-    omega_ext_n = pow(ext_domain.omega, n, p)
-    zh_distinct = []
-    acc = pow(shift, n, p)
-    for _ in range(period):
-        zh_distinct.append((acc - 1) % p)
-        acc = acc * omega_ext_n % p
-    zh_inv = SCALAR_FIELD.batch_inv(zh_distinct)
-    h_coeffs = ext_domain.coset_ifft(
-        [combined[t] * zh_inv[t % period] % p for t in range(ext_n)], shift
-    )
-    # Trim trailing zeros, then split into n-sized pieces.
-    while len(h_coeffs) > 1 and h_coeffs[-1] == 0:
-        h_coeffs.pop()
-    pieces = [h_coeffs[i : i + n] for i in range(0, len(h_coeffs), n)] or [[0]]
+    pieces = _quotient_pieces(remainders, pk.part_shifts[0])
     # Fault injection (soundness harness only): pad the quotient with
     # zero chunks.  The proof stays internally consistent -- every eval
     # and opening is honest -- so only a structural degree bound in the
@@ -478,13 +436,83 @@ def quotient(state: ProverState) -> dict:
     for _ in range(_fault(state, "extra_h_chunks")):
         pieces.append([0])
     blinds = [SCALAR_FIELD.rand() for _ in pieces]
-    commitments = commit_polynomials(vk.params, list(zip(pieces, blinds)))
+    commitments = commit_polynomials(pk.vk.params, list(zip(pieces, blinds)))
     state.proof.h_commitments = commitments
     for i, (piece, commitment, blind) in enumerate(zip(pieces, commitments, blinds)):
         state.polys[("h_commitments", i)] = PolyData(
             piece, commitment=commitment, blind=blind
         )
-    return {"extended_n": ext_n}
+    return {"extended_n": pk.domain.size * len(remainders)}
+
+
+def _quotient_part(
+    state: ProverState, paths: list[tuple], shift: int, key_values: dict
+) -> tuple[list[int], int]:
+    """``h mod (X^n - shift^n)`` from the part ``shift * H`` of the
+    extended coset, and how many values the part evaluated.
+
+    The polynomials under ``paths`` are evaluated there by one n-point
+    coset FFT (``key_values`` holds the key's), a rotation by ``r`` rows
+    is a shift by ``r`` positions inside the part, and ``Z_H = shift^n
+    - 1`` is one constant.  Dividing by it and one n-point inverse
+    coset FFT give the remainder; the evaluations go with the call."""
+    pk, vk = state.pk, state.pk.vk
+    p, n = SCALAR_FIELD.p, pk.domain.size
+    coeffs = [state.polys[path].coeffs for path in paths]
+    fresh = pk.domain.coset_fft_many(coeffs, shift)
+    values = {**key_values, **dict(zip(paths, fresh))}
+    positions = [shift] * n
+    for i in range(1, n):
+        positions[i] = positions[i - 1] * pk.domain.omega % p
+    combined = combined_constraint(
+        vk,
+        [values[("system_commitments", name)] for name in SYSTEM_SELECTORS],
+        positions,
+        vk.program.run(
+            lambda column, rotation: rotated(
+                values[_COLUMN_PATHS[column.kind], column.index], rotation
+            ),
+            n,
+        ),
+        _opened_values(state, values.__getitem__),
+        state.challenges,
+    )
+    zh_inv = SCALAR_FIELD.inv(pow(shift, n, p) - 1)
+    remainder = pk.domain.coset_ifft([c * zh_inv % p for c in combined], shift)
+    return remainder, sum(map(len, fresh))
+
+
+def _quotient_pieces(remainders: list[list[int]], zeta: int) -> list[list[int]]:
+    """The n-coefficient pieces ``h_0, h_1, ..`` of ``h = sum_q h_q
+    X^(qn)`` from its remainders ``r_j = h mod (X^n - c_j)`` on the
+    parts, ``c_j = s_j^n = zeta^n * w^j`` with ``w`` a primitive R-th
+    root of unity: ``r_j = sum_q zeta^(qn) w^(jq) h_q``, so an R-point
+    inverse DFT per coefficient index, scaled by ``zeta^(-qn)``, gives
+    the pieces.  Trailing zero coefficients are trimmed (at least one
+    stays), so the last piece may be short and all-zero ones go."""
+    p = SCALAR_FIELD.p
+    parts, n = len(remainders), len(remainders[0])
+    w_inv = SCALAR_FIELD.inv(SCALAR_FIELD.root_of_unity_of_order(parts))
+    zeta_n_inv = SCALAR_FIELD.inv(pow(zeta, n, p))
+    # weights[q][j] = zeta^(-qn) * w^(-jq) / R
+    scale = SCALAR_FIELD.inv(parts)
+    weights = []
+    for q in range(parts):
+        row, step = [], pow(w_inv, q, p)
+        for j in range(parts):
+            row.append(scale * pow(step, j, p) % p)
+        weights.append(row)
+        scale = scale * zeta_n_inv % p
+    by_index = list(zip(*remainders))
+    pieces = [
+        [sum(map(mul, row, column)) % p for column in by_index] for row in weights
+    ]
+    while len(pieces) > 1 and not any(pieces[-1]):
+        pieces.pop()
+    last = pieces[-1]
+    while len(last) > 1 and last[-1] == 0:
+        last.pop()
+    return pieces
 
 
 # ---- round 5: evaluations at x ---------------------------------------------

@@ -137,6 +137,9 @@ class CircuitReport:
     #: (:class:`repro.proving.evaluation.Program`): ``leaves``,
     #: ``products``, ``linear``.
     program_ops: dict[str, int]
+    #: The polynomials of the proof (not of the key) that the quotient
+    #: round evaluates on each part of its coset.
+    quotient_polys: int
     operator_constraints: dict[str, int] = dc_field(default_factory=dict)
 
     @classmethod
@@ -243,6 +246,7 @@ class CircuitReport:
             expressions=len(expressions),
             expression_nodes=sum(1 for expr in expressions for _ in expr.nodes()),
             program_ops=program.counts(),
+            quotient_polys=len(protocol.quotient_paths(shape, queries)),
             operator_constraints=operator_constraints,
         )
 
@@ -256,6 +260,21 @@ class CircuitReport:
         which is ``degree - 1`` pieces -- at most the ``2^(extended_k -
         k)`` the quotient's domain holds and the verifier allows."""
         return self.required_degree - 1
+
+    @property
+    def quotient_parts(self) -> int:
+        """The n-point cosets of ``H`` the quotient's coset of
+        ``2^extended_k`` points splits into, one round part each."""
+        return 1 << (self.extended_k - self.k)
+
+    @property
+    def peak_extended_values(self) -> int:
+        """The most coset values the quotient round holds at once: in
+        its last part, every proof polynomial's ``rows`` values there
+        and the ``rows``-coefficient remainder of ``h`` that each
+        earlier part left.  The key's values on the parts are the key's
+        and are not counted, nor are the program's temporaries."""
+        return (self.quotient_polys + self.quotient_parts - 1) * self.rows
 
     def commitment_msm_sizes(self) -> dict[str, int]:
         """Estimated per-phase MSM sizes (points per multi-scalar mul).
@@ -342,6 +361,8 @@ class CircuitReport:
             "expressions": self.expressions,
             "expression_nodes": self.expression_nodes,
             "program_ops": dict(self.program_ops),
+            "quotient_polys": self.quotient_polys,
+            "peak_extended_values": self.peak_extended_values,
             "operator_constraints": dict(self.operator_constraints),
             "estimated_commit_msms": self.estimated_commit_msms(),
             "msm_sizes": self.commitment_msm_sizes(),
@@ -368,6 +389,9 @@ class CircuitReport:
             f"expressions: {self.expressions} trees of {self.expression_nodes} "
             f"nodes -> program of {sum(self.program_ops.values())} ops "
             + " ".join(f"{kind}={count}" for kind, count in self.program_ops.items()),
+            f"quotient: {self.quotient_parts} parts of {self.rows} points, "
+            f"{self.quotient_polys} proof polynomials, peak "
+            f"{self.peak_extended_values} values held",
             f"estimated commit MSMs: {self.estimated_commit_msms()} "
             f"x {self.rows} points (an upper bound: work follows scalar width)",
             "",

@@ -10,6 +10,29 @@ from repro.errors import BatchInversionError
 
 FIELDS = [BASE_FIELD, SCALAR_FIELD]
 
+
+def _sqrt_oracle(f: Field, a: int) -> int | None:
+    """Textbook Tonelli-Shanks: the Legendre symbol first, then
+    ``t = a^q`` and ``r = a^((q+1)/2)`` as two more exponentiations."""
+    p = f.p
+    a %= p
+    if a == 0:
+        return 0
+    if f.legendre(a) != 1:
+        return None
+    q = (p - 1) >> f.two_adicity
+    m, c = f.two_adicity, f.root_of_unity
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2i = 0, t
+        while t2i != 1:
+            t2i = t2i * t2i % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
 elements = st.integers(min_value=0, max_value=SCALAR_FIELD.p - 1)
 
 
@@ -122,6 +145,20 @@ class TestFieldOps:
         for zero in (0, field.p):
             with pytest.raises(ZeroDivisionError, match="no inverse"):
                 field.inv(zero)
+
+    @pytest.mark.parametrize("f", FIELDS)
+    def test_sqrt_matches_the_legendre_first_oracle(self, f):
+        """The same root as the textbook algorithm on residues, and None
+        on the same non-residues, 0 and ``p - 1`` included."""
+        import random
+
+        rng = random.Random(7)
+        cases = [0, 1, f.p - 1, f.multiplicative_generator, 4, f.root_of_unity]
+        cases += [rng.randrange(f.p) for _ in range(40)]
+        cases += [x * x % f.p for x in cases[-10:]]
+        for a in cases:
+            assert f.sqrt(a) == _sqrt_oracle(f, a), a
+        assert {f.sqrt(a) is None for a in cases} == {True, False}
 
     @given(a=elements)
     @settings(max_examples=30)

@@ -75,9 +75,9 @@ class TestSumcheck:
             for i in range(16)
         ) % F.p
         tp = Transcript(b"sc")
-        proof, point, finals = sumcheck_prove(tables, tp, F)
+        proof, point, finals = sumcheck_prove(tables, tp)
         tv = Transcript(b"sc")
-        ok, challenges, reduced = sumcheck_verify(claim, proof, tv, F)
+        ok, challenges, reduced = sumcheck_verify(claim, proof, tv)
         assert ok and challenges == point
         fa, fb, fc, fd = finals
         assert reduced == (fa * (fb + fc) + fd * fb * fc) % F.p
@@ -87,9 +87,9 @@ class TestSumcheck:
     def test_wrong_claim_rejected(self, rng):
         tables = self._tables(3, rng)
         tp = Transcript(b"sc")
-        proof, _, _ = sumcheck_prove(tables, tp, F)
+        proof, _, _ = sumcheck_prove(tables, tp)
         tv = Transcript(b"sc")
-        ok, _, _ = sumcheck_verify(12345, proof, tv, F)
+        ok, _, _ = sumcheck_verify(12345, proof, tv)
         assert not ok
 
 

@@ -13,7 +13,8 @@ library imports or calls ``pickle``: what the artifact cache reads back
 from disk goes through a typed codec, never through code.  The circuit
 field has one name, ``SCALAR_FIELD``: no function or object of the
 proving stack takes or keeps a field of its own, and ``repro.algebra``
-offers no polynomial or element wrapper that nothing calls.
+offers no polynomial or element wrapper that nothing calls.  No
+polynomial keeps its evaluations on the quotient's whole coset.
 """
 
 import ast
@@ -131,6 +132,30 @@ def test_no_field_attribute_in_the_proving_stack():
                     if isinstance(item, ast.AnnAssign)
                     and getattr(item.target, "id", "") == "field"
                 ]
+    assert found == []
+
+
+def _identifiers(tree: ast.AST):
+    """(line, name) for every name a module binds, reads or passes:
+    variables, attributes, parameters, keywords, definitions."""
+    for node in ast.walk(tree):
+        for attr in ("id", "attr", "arg", "name"):
+            name = getattr(node, attr, None)
+            if isinstance(name, str):
+                yield getattr(node, "lineno", 0), name
+
+
+def test_no_whole_coset_copy_in_the_library():
+    """The quotient round evaluates a polynomial one n-point part of its
+    coset at a time and drops the part with the round's step; nothing in
+    the library keeps a polynomial's evaluations on the whole extended
+    coset (the old ``extended_evals`` of every committed polynomial)."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        for line, name in _identifiers(ast.parse(path.read_text(), str(path)))
+        if name == "extended_evals"
+    ]
     assert found == []
 
 

@@ -1,12 +1,12 @@
-"""The compiled expression program and the pruned coset transform.
+"""The compiled expression program and the coset transform.
 
 :class:`repro.proving.evaluation.Program` replaces a recursive
 evaluator; that evaluator lives on in ``tests/expression_oracle.py``
 and every kind of vector the program runs over -- the extended coset,
 the usable rows, a single point -- is checked against it on random
 trees.  The counts pin what the compiler shares.  The coset transform
-skips the stages that only copy zero padding; it must equal the full
-transform for every filled length.
+of a polynomial shorter than the domain must equal the plan transform
+of its scaled, zero-padded coefficients for every length.
 """
 
 import random
@@ -30,11 +30,11 @@ from repro.plonkish.expression import (
 from repro.proving.evaluation import (
     Program,
     argument_expressions,
-    evaluate_on_coset,
     gate_expressions,
     rotated,
 )
 from tests.expression_oracle import evaluate_expression_ext
+from tests.quotient_oracle import evaluate_on_coset
 
 P = SCALAR_FIELD.p
 COLUMNS = [Column(ColumnKind.ADVICE, i, f"a{i}") for i in range(3)] + [
@@ -226,7 +226,7 @@ class TestProgramCounts:
         assert report.as_dict()["program_ops"] == report.program_ops
 
 
-class TestPrunedCosetFft:
+class TestCosetFft:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_equals_the_full_transform_for_every_filled_length(self, k):
         domain = EvaluationDomain(SCALAR_FIELD, k)
@@ -240,7 +240,7 @@ class TestPrunedCosetFft:
             fft_plan.ntt_in_place(full, plan)
             assert domain.coset_fft(coeffs, shift) == full, filled
 
-    def test_batched_path_prunes_too(self):
+    def test_batched_path_matches_single(self):
         domain = EvaluationDomain(SCALAR_FIELD, 5)
         rng = random.Random(9)
         polys = [[rng.randrange(P) for _ in range(n)] for n in (8, 3, 8)]

@@ -3,24 +3,27 @@
 ``ConstraintSystem.quotient_extension`` gives the prover a coset of
 ``2^ceil(log2(degree - 1)) * n`` points: just enough to determine ``h``
 when ``required_degree`` is right, and no longer enough to hide it when
-``required_degree`` under-counts.  The oracle here recomputes ``h`` on
-a coset of twice the size -- which has the slack the old ``degree * n``
-sizing had -- and wants the same pieces; the cost model has to predict
-the number of pieces the prover then commits.
+``required_degree`` under-counts.  The prover works through that coset
+one n-point part at a time; the oracle (``tests/quotient_oracle.py``)
+recomputes ``h`` on the whole coset at once, and on a coset of twice
+the size -- which has the slack the old ``degree * n`` sizing had --,
+and wants the same pieces.  The cost model has to predict the number
+of pieces the prover then commits, and the most coset values the round
+holds at once.
 """
 
 import sys
-from dataclasses import replace
 
 import pytest
 
-from repro.algebra import SCALAR_FIELD as F
-from repro.algebra.domain import EvaluationDomain
+from repro import telemetry
+from repro.algebra import backend
+from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.commit import setup
 from repro.plonkish import Assignment
 from repro.proving import create_proof, keygen, prover
 from repro.proving.keygen import PERMUTATION_CHUNK
-from repro.proving.proof import Proof
+from repro.proving.protocol import quotient_paths
 from repro.sql.compiler import QueryCompiler
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
@@ -32,6 +35,7 @@ from tests.conftest import (
     example_circuit,
     two_chunk_shuffle_circuit,
 )
+from tests.quotient_oracle import quotient_on_coset
 
 
 def _example():
@@ -75,19 +79,40 @@ CIRCUITS = {
 }
 
 
+#: Circuits proved again under each engine with their whole-coset
+#: oracle: Q1 at the benchmark's k=7 (four parts), the protocol paths
+#: no TPC-H circuit reaches, and an extension of 8 (Q8: eight parts).
+ORACLE_CIRCUITS = {
+    "Q1_k7": _query(QUERIES["Q1"], 7, rows=32),
+    "two_chunk_shuffle": _two_chunk_shuffle,
+    "Q8": CIRCUITS["Q8"],
+}
+ENGINES = ("python", "numpy")
+
+
 @pytest.fixture(scope="module")
-def params():
-    return setup(6)
+def built():
+    """The module's parameter sets and prover states, dropped with it."""
+    cache = {}
+    yield cache
+    cache.clear()
 
 
-@pytest.fixture(scope="module", params=list(CIRCUITS))
-def after_quotient(request, params):
-    """``(cs, k, state)``: the prover's state once round 4 has run.
+def _after_quotient(built: dict, name: str, engine: str = "python"):
+    """``(cs, k, state, peak)``: the prover's state once round 4 has run
+    under ``engine``, and the peak its telemetry gauge read (cached in
+    ``built``).
 
     The quotient is a statement about polynomials, so the columns'
     commitments (most of a proof's time) are stubbed out: rounds 1-3
     still build every polynomial, the challenges are just different
-    ones.  The quotient pieces are committed for real."""
+    ones.  The quotient pieces are committed for real.  Under numpy the
+    engine's NTT threshold is lowered so the n-point parts go through
+    it."""
+    if (name, engine) in built:
+        return built[name, engine]
+    if engine == "numpy" and not numpy_limb.available():
+        pytest.skip("numpy not installed")
     seen = []
 
     def quotient(state):
@@ -97,22 +122,41 @@ def after_quotient(request, params):
     def no_commitments(params, items):
         return [params.curve.identity()] * len(items)
 
-    with pytest.MonkeyPatch.context() as patch:
-        # (the package re-exports the function under the module's name)
-        patch.setattr(
-            sys.modules["repro.proving.keygen"], "commit_lagrange_many", no_commitments
-        )
-        patch.setattr(prover, "commit_lagrange_many", no_commitments)
-        patch.setattr(
-            prover,
-            "ROUNDS",
-            prover.ROUNDS[:3] + (("prove.quotient", "quotient", quotient),),
-        )
-        patch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
-        cs, asg, k = CIRCUITS[request.param]()
-        pk = keygen(params, cs, k, asg.fixed)
-        create_proof(pk, asg)
-    return cs, k, seen[0]
+    build = {**CIRCUITS, **ORACLE_CIRCUITS}[name]
+    previous = telemetry.enable(True)
+    try:
+        with pytest.MonkeyPatch.context() as patch, backend.backend(engine):
+            # (the package re-exports the function under the module's name)
+            patch.setattr(
+                sys.modules["repro.proving.keygen"],
+                "commit_lagrange_many",
+                no_commitments,
+            )
+            patch.setattr(prover, "commit_lagrange_many", no_commitments)
+            patch.setattr(
+                prover,
+                "ROUNDS",
+                prover.ROUNDS[:3] + (("prove.quotient", "quotient", quotient),),
+            )
+            patch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
+            patch.setattr(numpy_backend, "MIN_NTT", 4)
+            cs, asg, k = build()
+            if k not in built:
+                built[k] = setup(k)
+            pk = keygen(built[k], cs, k, asg.fixed)
+            telemetry.reset()
+            create_proof(pk, asg)
+            peak = telemetry.gauges_snapshot()["quotient.peak_extended_values"]
+    finally:
+        telemetry.reset()
+        telemetry.enable(previous)
+    built[name, engine] = cs, k, seen[0], peak
+    return built[name, engine]
+
+
+@pytest.fixture(scope="module", params=list(CIRCUITS))
+def after_quotient(request, built):
+    return _after_quotient(built, request.param)
 
 
 def _pieces(state):
@@ -122,34 +166,40 @@ def _pieces(state):
     ]
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
+def test_parts_give_the_whole_coset_quotient(built, name, engine):
+    """Coefficient for coefficient, whichever engine ran the parts; and
+    the polynomials the prover evaluates per part are exactly the ones
+    the identity reads."""
+    _, _, state, _ = _after_quotient(built, name, engine)
+    vk = state.pk.vk
+    assert len(state.pk.part_shifts) == 1 << (vk.extended_k - vk.k)
+    with backend.backend("python"):
+        pieces, read = quotient_on_coset(state, vk.extended_k)
+    assert _pieces(state) == pieces
+    key = state.pk.coset_parts[0]
+    assert {path for path in read if path not in key} == set(
+        quotient_paths(vk, state.queries)
+    )
+
+
 def test_quotient_is_the_same_on_a_domain_twice_the_size(after_quotient):
-    _, _, state = after_quotient
-    pk = state.pk
-    big = EvaluationDomain(F, pk.extended_domain.k + 1)
-    # Every extended evaluation is recomputed over the larger coset:
-    # the system selectors here, everything else lazily in quotient().
-    wide_pk = replace(
-        pk,
-        extended_domain=big,
-        system={
-            name: replace(
-                poly, extended_evals=big.coset_fft(poly.coeffs, pk.coset_shift)
-            )
-            for name, poly in pk.system.items()
-        },
-    )
-    wide = replace(
-        state,
-        pk=wide_pk,
-        proof=Proof([], [], [], [], []),
-        polys={
-            path: replace(poly, extended_evals=None)
-            for path, poly in state.polys.items()
-            if path[0] != "h_commitments"
-        },
-    )
-    prover.quotient(wide)
-    assert _pieces(wide) == _pieces(state)
+    _, _, state, _ = after_quotient
+    pieces, _ = quotient_on_coset(state, state.pk.vk.extended_k + 1)
+    assert _pieces(state) == pieces
+
+
+@pytest.mark.parametrize("name", ["Q1_k7", "two_chunk_shuffle"])
+def test_cost_model_predicts_the_peak_extended_values(built, name):
+    """The quotient round's gauge reads what the report predicts from
+    the shape alone: per part n values of every proof polynomial, plus
+    the remainders of ``h`` the parts before left."""
+    cs, k, state, peak = _after_quotient(built, name)
+    report = CircuitReport.from_constraint_system(cs, k, PERMUTATION_CHUNK)
+    assert peak == report.peak_extended_values
+    assert report.quotient_parts == len(state.pk.part_shifts)
+    assert report.quotient_polys == len(quotient_paths(state.pk.vk, state.queries))
 
 
 @pytest.mark.parametrize(
@@ -168,7 +218,7 @@ def test_gates_not_lookups_set_the_tpch_degree(monkeypatch, name, degree):
 
 
 def test_cost_model_predicts_the_committed_chunks(after_quotient):
-    cs, k, state = after_quotient
+    cs, k, state, _ = after_quotient
     report = CircuitReport.from_constraint_system(cs, k, PERMUTATION_CHUNK)
     committed = len(state.proof.h_commitments)
     assert report.commitment_msm_sizes()["quotient_chunks"] == committed
