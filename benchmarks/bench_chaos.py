@@ -27,8 +27,12 @@ from pathlib import Path
 from repro import telemetry
 from repro.bench.reporting import Report
 from repro.config import ServiceConfig
-from repro.service.chaos import CHAOS_QUERIES, baseline_digests, build_session
 from repro.service.journal import replay
+
+# The chaos fixture lives with the tests; standalone runs put the
+# repository root on the path to reach it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.chaos import CHAOS_QUERIES, baseline_digests, build_session  # noqa: E402
 
 
 def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:

@@ -210,7 +210,6 @@ class Session:
         config: ServiceConfig | None = None,
         *,
         journal_path=None,
-        chaos=None,
     ) -> "ProvingService":
         """Start an async proving service over this session.
 
@@ -223,8 +222,7 @@ class Session:
         from repro.service.service import ProvingService
 
         return ProvingService(
-            self, config or ServiceConfig(),
-            journal_path=journal_path, chaos=chaos,
+            self, config or ServiceConfig(), journal_path=journal_path
         )
 
     def audit(self) -> AuditCertificate:

@@ -13,8 +13,8 @@ on that list walks it instead of re-typing it:
   ``verify_proof``;
 - :meth:`Proof.absorb_round`, the Fiat-Shamir absorption order shared
   by the prover's rounds and the verifier's replay;
-- :meth:`Proof.leaves`, from which :mod:`repro.soundness` builds its
-  field-level mutations;
+- :meth:`Proof.leaves`, from which the tamper harness
+  (``tests/soundness.py``) builds its field-level mutations;
 - :func:`wire_layout`, the layout block in DESIGN.md section 5c.
 
 The byte serialization defines the "proof size" metric reported in the
@@ -36,7 +36,7 @@ strict gate every remote proof passes through.  Decoding enforces (via
 Anything else raises :class:`~repro.wire.WireFormatError`, so
 ``Proof.from_bytes(vk, Proof.to_bytes(p)) == p`` and every malformed
 mutation of honest bytes is rejected before the cryptographic checks
-run (exercised exhaustively by :mod:`repro.soundness`).
+run (exercised exhaustively by ``tests/soundness.py``).
 """
 
 from __future__ import annotations

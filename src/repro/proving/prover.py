@@ -94,7 +94,6 @@ class ProverState:
     transcript: Transcript  # read by the driver and by multiopen only
     queries: QuerySet
     blind_overrides: dict[int, int]
-    faults: object | None
     proof: Proof  # filled round by round
     #: The polynomial behind every commitment, keyed by the path
     #: :func:`~repro.proving.protocol.opening_schedule` gives it.
@@ -114,7 +113,6 @@ def create_proof(
     assignment: Assignment,
     timing: ProverTiming | None = None,
     advice_blind_overrides: dict[int, int] | None = None,
-    _faults: object | None = None,
 ) -> Proof:
     """Generate a non-interactive proof for ``assignment``.
 
@@ -125,11 +123,6 @@ def create_proof(
     advice columns (by index) -- database scans use this so the prover
     can reveal the blinding delta that links the advice commitment to
     the public database commitment.
-
-    ``_faults`` is the fault-injection hook for the soundness harness
-    (:class:`repro.soundness.ProverFaults`): it makes the prover emit
-    *structurally deviant but otherwise honestly-computed* proofs that
-    the verifier must still reject.  Never set it in production code.
     """
     sw_total = telemetry.stopwatch().start()
     assignment.fill_blinding()
@@ -139,7 +132,6 @@ def create_proof(
         transcript=init_transcript(pk.vk, assignment.instance),
         queries=collect_queries(pk.vk),
         blind_overrides=advice_blind_overrides or {},
-        faults=_faults,
         proof=Proof([], [], [], [], []),
         polys=pk.polys(),
         columns={
@@ -187,11 +179,6 @@ def _commit_columns(
         state.polys[path] = PolyData(poly, commitment=commitment, blind=blind)
     state.columns.update(zip(paths, columns))
     return commitments
-
-
-def _fault(state: ProverState, name: str) -> int:
-    """An injected fault's setting (soundness harness only; 0 = off)."""
-    return int(getattr(state.faults, name, 0) or 0)
 
 
 def _row_values(state: ProverState) -> Callable[[Expression], list[int]]:
@@ -251,30 +238,10 @@ def lookup_commit(state: ProverState) -> dict:
     table value is booked on its first row).  Counted on the raw tuples,
     so ``m`` is fixed before ``beta`` -- and ``theta`` -- can matter."""
     vk = state.pk.vk
-    usable = vk.usable_rows
-
-    def tuples(exprs):
-        return zip(*map(_row_values(state), exprs))
-
     columns = []
     for argument in vk.lookup_arguments:
-        first_row: dict[tuple, int] = {}
-        for row, value in enumerate(tuples(argument.table)):
-            first_row.setdefault(value, row)
-        m = [0] * usable
-        for lookup in argument.lookups:
-            telemetry.incr("lookup.rows", usable)
-            for value in tuples(lookup.inputs):
-                row = first_row.get(value)
-                if row is None:
-                    if not _fault(state, "misbook_lookup"):
-                        raise ProvingError(
-                            f"lookup {lookup.name!r}: input value {value} "
-                            "not in table"
-                        )
-                    row = 0
-                m[row] += 1
-        blinds = [SCALAR_FIELD.rand() for _ in range(vk.n_rows - usable)]
+        m = _multiplicities(state, argument)
+        blinds = [SCALAR_FIELD.rand() for _ in range(vk.n_rows - vk.usable_rows)]
         columns.append(m + blinds)
     commitments = _commit_columns(
         state,
@@ -285,14 +252,54 @@ def lookup_commit(state: ProverState) -> dict:
     return {"lookups": len(vk.cs.lookups)}
 
 
+def _multiplicities(state: ProverState, argument) -> list[int]:
+    """The column ``m`` of one lookup argument over the usable rows;
+    :class:`ProvingError` for an input value its table does not hold."""
+    usable = state.pk.vk.usable_rows
+
+    def tuples(exprs):
+        return zip(*map(_row_values(state), exprs))
+
+    first_row: dict[tuple, int] = {}
+    for row, value in enumerate(tuples(argument.table)):
+        first_row.setdefault(value, row)
+    m = [0] * usable
+    for lookup in argument.lookups:
+        telemetry.incr("lookup.rows", usable)
+        for value in tuples(lookup.inputs):
+            row = first_row.get(value)
+            if row is None:
+                raise ProvingError(
+                    f"lookup {lookup.name!r}: input value {value} not in table"
+                )
+            m[row] += 1
+    return m
+
+
 def _log_derivative_columns(
     state: ProverState, i: int
 ) -> tuple[list[list[int]], list[int]]:
     """The columns lookup argument ``i`` sends once ``beta`` is known:
-    per group the helper ``h_g = sum_{f in g} 1 / (beta + f)`` and the
-    running sum ``phi`` with ``phi[0] = 0`` that steps by ``sum_g h_g -
-    m / (beta + t)`` on every usable row -- one batch inversion for all
-    of them --, random past the rows the constraints read."""
+    the helpers (:func:`_lookup_helpers`) and the running sum
+    (:func:`_running_sum`), random past the rows the constraints
+    read."""
+    usable = state.pk.vk.usable_rows
+    helpers, table_inverses = _lookup_helpers(state, i)
+    m = state.columns[("lookup_parts", i, "m_commitment")]
+    phi = _running_sum(i, helpers, table_inverses, m)
+    blinding = state.pk.domain.size - usable
+    return (
+        [h + [SCALAR_FIELD.rand() for _ in range(blinding)] for h in helpers],
+        phi + [SCALAR_FIELD.rand() for _ in range(blinding - 1)],
+    )
+
+
+def _lookup_helpers(
+    state: ProverState, i: int
+) -> tuple[list[list[int]], list[int]]:
+    """Per group of lookup argument ``i`` the helper ``h_g = sum_{f in
+    g} 1 / (beta + f)`` over the usable rows, and ``1 / (beta + t)``
+    for its table: one batch inversion for all of them."""
     vk = state.pk.vk
     p, usable = SCALAR_FIELD.p, vk.usable_rows
     groups, table = lookup_denominators(
@@ -312,24 +319,23 @@ def _log_derivative_columns(
         [sum(row) % p for row in zip(*[list(islice(inverses, usable)) for _ in group])]
         for group in groups
     ]
-    if _fault(state, "bend_helper"):
-        helpers[0][0] = (helpers[0][0] + 1) % p
-        helpers[0][1] = (helpers[0][1] - 1) % p
-    m = state.columns[("lookup_parts", i, "m_commitment")]
-    phi = [0] * (usable + 1)
-    for row, (table_inverse, *cells) in enumerate(zip(inverses, *helpers)):
+    return helpers, list(inverses)
+
+
+def _running_sum(
+    i: int, helpers: list[list[int]], table_inverses: list[int], m: list[int]
+) -> list[int]:
+    """The running sum ``phi`` of lookup argument ``i``: ``phi[0] = 0``,
+    stepping by ``sum_g h_g - m / (beta + t)`` on every usable row.  A
+    sum that does not return to 0 has no witness and raises
+    :class:`ProvingError`."""
+    p = SCALAR_FIELD.p
+    phi = [0] * (len(table_inverses) + 1)
+    for row, (table_inverse, *cells) in enumerate(zip(table_inverses, *helpers)):
         phi[row + 1] = (phi[row] + sum(cells) - m[row] * table_inverse) % p
-    if _fault(state, "close_lookup_sum"):
-        phi[usable] = 0
-    elif phi[usable] and not _fault(state, "misbook_lookup"):
+    if phi[-1]:
         raise ProvingError(f"lookup argument {i}: the running sum does not close")
-    if _fault(state, "swap_helpers"):
-        helpers[0], helpers[1] = helpers[1], helpers[0]
-    blinding = state.pk.domain.size - usable
-    return (
-        [h + [SCALAR_FIELD.rand() for _ in range(blinding)] for h in helpers],
-        phi + [SCALAR_FIELD.rand() for _ in range(blinding - 1)],
-    )
+    return phi
 
 
 # ---- round 3: grand products and lookup sums (beta, gamma) -----------------
@@ -429,12 +435,6 @@ def quotient(state: ProverState) -> dict:
     telemetry.gauge("quotient.peak_extended_values", peak)
 
     pieces = _quotient_pieces(remainders, pk.part_shifts[0])
-    # Fault injection (soundness harness only): pad the quotient with
-    # zero chunks.  The proof stays internally consistent -- every eval
-    # and opening is honest -- so only a structural degree bound in the
-    # verifier can reject it.
-    for _ in range(_fault(state, "extra_h_chunks")):
-        pieces.append([0])
     blinds = [SCALAR_FIELD.rand() for _ in pieces]
     commitments = commit_polynomials(pk.vk.params, list(zip(pieces, blinds)))
     state.proof.h_commitments = commitments

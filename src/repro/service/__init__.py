@@ -12,8 +12,10 @@ and re-proves interrupted jobs byte-identically under their pinned
 ``rng_seed`` -- while a supervisor
 respawns dead workers, bounded retries with exponential backoff absorb
 transient failures, deadlines bound per-job wall clock, and per-tenant
-quotas fence admissions.  :mod:`repro.service.chaos` is the seeded
-fault-injection harness that proves those properties hold.
+quotas fence admissions.  The seeded fault-injection harness that
+checks those properties lives with the tests (``tests/chaos.py``): a
+subclass of :class:`ProvingService` whose ``_spawn_worker`` wraps each
+worker's runner and queue, so the service itself has no fault port.
 """
 
 from repro.config import ServiceConfig

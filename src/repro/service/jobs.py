@@ -9,9 +9,10 @@ enums both sides share.
 
 State transitions go through :meth:`Job.claim` / :meth:`Job.requeue` /
 :meth:`Job.finish`, which are atomic and idempotent: a job that two
-workers race to start (a duplicated queue pop under fault injection)
-is claimed exactly once, and a job can never reach a terminal state
-twice -- the invariants the chaos suite asserts.
+workers race to start (a duplicated queue pop, which the chaos harness
+in ``tests/chaos.py`` injects) is claimed exactly once, and a job can
+never reach a terminal state twice -- the invariants that harness
+asserts.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ class Job:
         #: Guards every state transition (claim/requeue/finish/cancel).
         self._lock = threading.Lock()
         #: Terminal-transition count; >1 would mean a double completion
-        #: (the chaos suite's core invariant) and is made impossible by
+        #: (the chaos harness's core invariant) and is made impossible by
         #: :meth:`finish`'s idempotency.
         self.completions = 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 
 from repro import telemetry
 from repro.errors import ServiceClosed, ServiceOverloaded
@@ -26,19 +25,9 @@ from repro.service.jobs import Job, JobState, Priority
 
 
 class JobQueue:
-    """A bounded, priority-ordered queue of :class:`Job` records.
+    """A bounded, priority-ordered queue of :class:`Job` records."""
 
-    ``chaos`` is the fault-injection port (``None`` in production, zero
-    cost): an object that may delay a pop or ask for it to be
-    duplicated -- see :mod:`repro.service.chaos`.
-    """
-
-    def __init__(
-        self,
-        max_depth: int,
-        high_priority_reserve: int = 0,
-        chaos=None,
-    ):
+    def __init__(self, max_depth: int, high_priority_reserve: int = 0):
         if max_depth < 1:
             raise ValueError("max_depth must be positive")
         if not 0 <= high_priority_reserve < max_depth:
@@ -49,7 +38,6 @@ class JobQueue:
         self._cond = threading.Condition()
         self._closed = False
         self.shed_count = 0
-        self._chaos = chaos
 
     def __len__(self) -> int:
         with self._cond:
@@ -94,18 +82,7 @@ class JobQueue:
             while not self._heap:
                 if self._closed or not self._cond.wait(timeout=timeout):
                     return None
-            job = heapq.heappop(self._heap)[1]
-            if self._chaos is not None and self._chaos.duplicate_pop(job):
-                # Fault injection: leave a second copy in the heap so
-                # another worker pops the same job.  Job.claim() is the
-                # guard that must make this harmless.
-                heapq.heappush(self._heap, (job.order_key, job))
-                self._cond.notify()
-        if self._chaos is not None:
-            delay = self._chaos.pop_delay(job)
-            if delay > 0:
-                time.sleep(delay)
-        return job
+            return heapq.heappop(self._heap)[1]
 
     def remove(self, job: Job) -> bool:
         """Withdraw a specific queued job (client cancellation); False

@@ -29,7 +29,8 @@ Failure handling is layered:
   exponential backoff.
 - :class:`WorkerKilled` (a ``BaseException``, so no job-level handler
   swallows it) takes down the whole worker thread with its job still
-  ``RUNNING`` -- the fault-injection model of a worker dying mid-job.
+  ``RUNNING`` -- the model of a worker dying mid-job (the chaos harness
+  in ``tests/chaos.py`` raises it from a wrapped runner).
   A runner process that dies (EOF on its pipe, e.g. SIGKILL) is the
   same event.  The :class:`Supervisor` detects the dead thread, hands
   the orphaned job to the retry policy, and respawns the worker with a
@@ -76,13 +77,13 @@ RetryHook = Callable[[Job, str], bool]
 
 
 class WorkerKilled(BaseException):
-    """Kills a worker thread mid-job (fault injection, or its runner
-    process died).
+    """Kills a worker thread mid-job: its runner process died, or a
+    test's wrapped runner raised it.
 
     Deliberately a ``BaseException``: the per-job crash containment
     catches ``Exception``-shaped failures, but a *worker death* must
     leave the job ``RUNNING`` and orphaned for the supervisor to
-    recover -- the scenario the chaos suite drives.
+    recover -- the scenario ``tests/chaos.py`` drives.
     """
 
 
@@ -121,15 +122,13 @@ class ProverWorker(threading.Thread):
                  runner: "InProcessRunner | ForkedRunner",
                  poll_interval: float,
                  on_event: Optional[JobEventHook] = None,
-                 retry: Optional[RetryHook] = None,
-                 chaos=None):
+                 retry: Optional[RetryHook] = None):
         super().__init__(name=name, daemon=True)
         self._queue = queue
         self._runner = runner
         self._poll = poll_interval
         self._on_event = on_event
         self._retry = retry
-        self._chaos = chaos
         self._stop_event = threading.Event()
         self._current: Job | None = None
         #: Per-worker completion counters surfaced by ``stats()``.
@@ -208,8 +207,6 @@ class ProverWorker(threading.Thread):
             job.deadline_at,
         )
         try:
-            if self._chaos is not None:
-                self._chaos.on_prove(job, self.name)
             outcome = self._runner.run(request, partial(mirror_span, job))
         except (EOFError, OSError) as exc:
             raise WorkerKilled(f"{self.name}'s runner died mid-job") from exc

@@ -109,9 +109,6 @@ class ProvingService:
     journaled result digest when their ``rng_seed`` was pinned.  A torn
     final record (the crash signature) is tolerated; earlier corruption
     raises :class:`~repro.errors.JournalCorrupt`.
-
-    ``chaos`` is the deterministic fault-injection port
-    (:mod:`repro.service.chaos`); leave it ``None`` outside tests.
     """
 
     def __init__(
@@ -120,18 +117,14 @@ class ProvingService:
         config: ServiceConfig | None = None,
         *,
         journal_path=None,
-        chaos=None,
     ):
         self.config = config or ServiceConfig()
         self.session = session
-        self._chaos = chaos
         if session.prover.commitment is None:
             session.commit()
         self._warm_start()
         self.queue = JobQueue(
-            self.config.max_queue_depth,
-            self.config.high_priority_reserve,
-            chaos=chaos,
+            self.config.max_queue_depth, self.config.high_priority_reserve
         )
         self._jobs: dict[JobId, Job] = {}
         #: Jobs already folded into a previous :meth:`rollup` epoch.
@@ -177,7 +170,6 @@ class ProvingService:
             poll_interval=POLL_INTERVAL,
             on_event=self._on_job_event,
             retry=self._maybe_retry,
-            chaos=self._chaos,
         )
 
     def _warm_start(self) -> None:
@@ -474,7 +466,7 @@ class ProvingService:
         job.attempts += 1
         base = RETRY_BACKOFF_SECONDS * (2 ** (job.attempts - 1))
         # Deterministic jitter (seeded by the job's identity and
-        # attempt) keeps chaos runs reproducible while still spreading
+        # attempt) keeps test runs reproducible while still spreading
         # synchronized retry herds in production.
         jitter = 1.0 + 0.25 * random.Random(
             (job.seq << 8) | job.attempts
@@ -839,8 +831,9 @@ class ProvingService:
         Queued jobs are left un-cancelled (exactly as a killed process
         would leave them), runner processes are killed mid-job, and
         nothing further is journaled, so a service opened next on the
-        same journal exercises real recovery.  A test/chaos aid;
-        production code wants :meth:`close`.
+        same journal exercises real recovery.  The crash-recovery
+        scenarios of ``tests/chaos.py`` and ``benchmarks/bench_chaos.py``
+        use it; production code wants :meth:`close`.
         """
         if self._closed:
             return

@@ -156,18 +156,13 @@ class ProverNode:
 
     # -- phases 3-4: answer a query -------------------------------------------
 
-    def answer(self, sql: str, _faults: object | None = None) -> QueryResponse:
+    def answer(self, sql: str) -> QueryResponse:
         """Execute ``sql`` and produce the proof of correct execution.
 
         The whole pipeline runs under one ``prove`` telemetry root span;
         compile/witness/keygen become direct children alongside the
         ``prove.*`` phase spans :func:`create_proof` emits, so the
         response's phase report accounts for essentially all wall time.
-
-        ``_faults`` (:class:`repro.soundness.ProverFaults`, soundness
-        harness only) turns this into a cheating prover: its
-        ``rewrite_witness`` replaces the honest witness and the claimed
-        result, the rest goes to :func:`create_proof`.
         """
         if self.commitment is None or self._secrets is None:
             raise StateError("publish_commitment() must run first")
@@ -185,12 +180,7 @@ class ProverNode:
             timing.extra["compile"] = phase.duration
 
             phase = telemetry.begin_span("prove.witness")
-            asg = Assignment(compiled.cs, self.k)
-            result_encoded = compiled.assign_witness(asg, self.db)
-            cheat = getattr(_faults, "rewrite_witness", None)
-            if cheat is not None:
-                result_encoded = cheat(compiled, asg, result_encoded)
-                compiled.bind_result(asg, result_encoded)
+            asg, result_encoded = self._witness(compiled)
             # Replay the committed blinding tails in the scan columns so
             # the advice commitments differ from the database commitments
             # only in the W component.
@@ -218,8 +208,7 @@ class ProverNode:
             timing.extra["keygen"] = phase.duration
 
             proof = create_proof(
-                pk, asg, timing=timing, advice_blind_overrides=blind_overrides,
-                _faults=_faults,
+                pk, asg, timing=timing, advice_blind_overrides=blind_overrides
             )
         finally:
             root.end()
@@ -241,6 +230,14 @@ class ProverNode:
             circuit_summary=compiled.cs.summary(),
             report=self._phase_report(root, counters_before),
         )
+
+    def _witness(
+        self, compiled: CompiledQuery
+    ) -> tuple[Assignment, list[list[int]]]:
+        """The assignment of ``compiled`` over this node's database and
+        the encoded result rows it claims."""
+        asg = Assignment(compiled.cs, self.k)
+        return asg, compiled.assign_witness(asg, self.db)
 
     def _obtain_proving_key(
         self, compiled: CompiledQuery, fixed: Columns, timing: ProverTiming

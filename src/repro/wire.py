@@ -16,8 +16,8 @@ place the decoding rules live:
 
 Every decoder in :mod:`repro.proving.proof`, :mod:`repro.commit.ipa`
 and :mod:`repro.db.commitment` is built on this reader, so the
-fault-injection harness (:mod:`repro.soundness`) exercises a single,
-uniform rejection surface.
+tamper harness (``tests/soundness.py``) exercises a single, uniform
+rejection surface.
 """
 
 from __future__ import annotations

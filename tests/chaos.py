@@ -2,11 +2,14 @@
 
 Crash safety is a claim about *every* interleaving, but tests only run
 a few -- so this module makes the dangerous interleavings first-class
-and reproducible.  A :class:`ChaosInjector` is handed to the service
-(``ProvingService(session, config, chaos=...)``) and, driven by a
-seeded RNG, it:
+and reproducible.  A :class:`ChaosService` is a
+:class:`~repro.service.service.ProvingService` whose ``_spawn_worker``
+-- through which every worker is built, at first start and at each
+respawn -- wraps the worker's runner and its view of the queue; the
+service has no fault port of its own.  Its :class:`ChaosInjector`,
+driven by a seeded RNG:
 
-- **kills workers mid-prove** (raising
+- **kills workers mid-prove** (the wrapped runner raises
   :class:`~repro.service.scheduler.WorkerKilled`, the thread-death
   model the supervisor must recover from),
 - **duplicates queue pops** (two workers receive the same job;
@@ -29,7 +32,9 @@ runner process mid-prove, for real.  Each scenario runs over a real
    closed or aborted service leaves no runner process behind.
 
 ``tests/test_chaos.py`` runs every scenario, plus a real SIGKILL of a
-journaled service in a child process (``tests/chaos_victim.py``).
+journaled service in a child process (``tests/chaos_victim.py``);
+``benchmarks/bench_chaos.py`` reuses the fixture session and its
+baseline digests.
 """
 
 from __future__ import annotations
@@ -40,13 +45,16 @@ import random
 import signal
 import threading
 import time
+from contextlib import suppress
 from pathlib import Path
 from typing import Any
 
 from repro.config import ProverConfig, ServiceConfig
+from repro.errors import ServiceClosed
 from repro.service.jobs import JobState
 from repro.service.journal import encode_record
 from repro.service.scheduler import WorkerKilled, response_digest
+from repro.service.service import ProvingService
 
 #: The chaos workload: small aggregates over the tiny fixture table,
 #: each with a pinned blinding seed so every proof is byte-reproducible.
@@ -58,7 +66,8 @@ CHAOS_QUERIES: tuple[tuple[str, int], ...] = (
 
 
 class ChaosInjector:
-    """Seeded fault decisions, injected at the service's chaos ports.
+    """Seeded fault decisions, consulted by a :class:`ChaosService`'s
+    wrapped runners and queue views.
 
     All knobs are *budgets*: ``kills`` worker deaths (only ever on a
     job's first attempt, so bounded retries always converge),
@@ -83,10 +92,11 @@ class ChaosInjector:
         self.max_delay = max_delay
         self.events: list[str] = []
 
-    # -- ports the service calls ----------------------------------------
+    # -- decisions the wrappers ask for ---------------------------------
 
     def on_prove(self, job, worker: str) -> None:
-        """Called by a worker as it starts proving ``job``; may raise
+        """Called as ``worker``'s runner starts proving ``job`` (a
+        :class:`~repro.service.jobs.JobStatus`); may raise
         :class:`WorkerKilled` to take the worker thread down."""
         with self._lock:
             if self.kills_left <= 0 or job.attempts > 0:
@@ -111,6 +121,62 @@ class ChaosInjector:
             delay = self._rng.random() * self.max_delay
             self.events.append(f"delay pop {job.job_id} {delay:.4f}s")
             return delay
+
+
+class ChaosService(ProvingService):
+    """A proving service whose workers run into ``chaos``'s faults."""
+
+    def __init__(self, session, config: ServiceConfig, chaos: ChaosInjector):
+        self.chaos = chaos  # read by _spawn_worker, which __init__ calls
+        super().__init__(session, config)
+
+    def _spawn_worker(self, index: int):
+        worker = super()._spawn_worker(index)
+        worker._runner = _KillingRunner(worker._runner, self, worker.name)
+        worker._queue = _ChaosQueue(worker._queue, self.chaos)
+        return worker
+
+
+class _KillingRunner:
+    """A worker's runner that asks the injector before every prove."""
+
+    def __init__(self, runner, service: ChaosService, worker: str):
+        self._runner = runner
+        self._service = service
+        self._worker = worker
+
+    def __getattr__(self, name: str):
+        return getattr(self._runner, name)
+
+    def run(self, request, on_span):
+        status = self._service.status(request.job_id)
+        self._service.chaos.on_prove(status, self._worker)
+        return self._runner.run(request, on_span)
+
+
+class _ChaosQueue:
+    """A worker's view of the service queue: a pop may leave a second
+    copy of its job behind, for another worker (``Job.claim`` must make
+    that harmless), or be slowed down."""
+
+    def __init__(self, queue, chaos: ChaosInjector):
+        self._queue = queue
+        self._chaos = chaos
+
+    def __getattr__(self, name: str):
+        return getattr(self._queue, name)
+
+    def pop(self, timeout: float | None = None):
+        job = self._queue.pop(timeout)
+        if job is None:
+            return None
+        if self._chaos.duplicate_pop(job):
+            with suppress(ServiceClosed):
+                self._queue.push(job, force=True)
+        delay = self._chaos.pop_delay(job)
+        if delay > 0:
+            time.sleep(delay)
+        return job
 
 
 # -- the tiny real-crypto fixture ---------------------------------------------
@@ -202,9 +268,7 @@ def scenario_worker_kill(session, expected, seed: int) -> dict[str, Any]:
     retried proof must still be byte-identical."""
     chaos = ChaosInjector(seed, kills=2)
     config = ServiceConfig(workers=2, max_retries=2)
-    from repro.service.service import ProvingService
-
-    with ProvingService(session, config, chaos=chaos) as service:
+    with ChaosService(session, config, chaos) as service:
         _submit_all(service)
         deadline = time.time() + 30
         while service.workers_restarted < 2 and time.time() < deadline:
@@ -241,8 +305,6 @@ def scenario_runner_kill(session, expected) -> dict[str, Any]:
     retry the orphan and respawn the worker with a fresh runner, the
     retried proof must be byte-identical, and neither ``close()`` nor
     ``abort()`` may leave a runner process behind."""
-    from repro.service.service import ProvingService
-
     config = ServiceConfig(workers=2, max_retries=2)
     with ProvingService(session, config) as service:
         victim_pid = service.health()["workers"]["prover-worker-1"]["pid"]
@@ -288,9 +350,7 @@ def scenario_duplicate_pops(session, expected, seed: int) -> dict[str, Any]:
     still completes exactly once."""
     chaos = ChaosInjector(seed, dup_pops=2, delayed_pops=3, max_delay=0.02)
     config = ServiceConfig(workers=2)
-    from repro.service.service import ProvingService
-
-    with ProvingService(session, config, chaos=chaos) as service:
+    with ChaosService(session, config, chaos) as service:
         _submit_all(service)
         _assert_invariants(service, expected, "duplicate-pop")
         return {"events": list(chaos.events)}
@@ -311,8 +371,6 @@ def scenario_crash_recovery(
     them all byte-identically -- the completed job against the digest
     journaled before the crash.
     """
-    from repro.service.service import ProvingService
-
     journal_path = workdir / f"chaos-{seed}.journal"
     rng = random.Random(seed)
 

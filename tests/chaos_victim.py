@@ -14,8 +14,8 @@ import sys
 import time
 
 from repro.config import ServiceConfig
-from repro.service.chaos import CHAOS_QUERIES, build_session
 from repro.service.journal import replay
+from tests.chaos import CHAOS_QUERIES, build_session
 
 
 def main(journal: str) -> int:

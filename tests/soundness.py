@@ -1,4 +1,5 @@
-"""Malicious-prover soundness harness.
+"""Malicious-prover soundness harness (run by ``tests/test_soundness.py``,
+``tests/test_system_e2e.py`` and ``tests/test_compiler_integration.py``).
 
 The completeness tests show honest proofs verify; this module attacks
 the other direction.  A *tamper engine* takes one honest
@@ -33,20 +34,25 @@ through every surface of
 :class:`TamperReport`; the acceptance criterion everywhere is
 ``report.accepted == []``.
 
-The harness also exposes :class:`ProverFaults`, a fault-injection knob
-consumed by ``create_proof(..., _faults=...)`` to produce proofs an
-honest prover never emits but a cheating one would: *honestly computed
-but structurally out-of-spec* ones (zero-padded quotient chunks beyond
-the vk bound -- the regression vector for the h-chunk bound check), and
-ones whose lookup-argument advice (multiplicities, helper columns,
-running sum) is chosen to smuggle a value past its table.  Byte
-mutations cannot reach either: the first kind is well-formed, and the
-second needs every later round recomputed around the lie.
+The harness also makes proofs an honest prover never emits but a
+cheating one would.  :class:`ProverFaults` replaces, for one test
+(through pytest's ``monkeypatch``), prover-private functions that
+:func:`repro.proving.prover.create_proof` calls by name: *honestly
+computed but structurally out-of-spec* proofs (zero-padded quotient
+chunks beyond the vk bound -- the regression vector for the h-chunk
+bound check), and ones whose lookup-argument advice (multiplicities,
+helper columns, running sum) is chosen to smuggle a value past its
+table.  Byte mutations cannot reach either: the first kind is
+well-formed, and the second needs every later round recomputed around
+the lie.  Where a lie must get past one of the prover's own
+``ProvingError`` checks, the replacement computes that column itself;
+the honest check is never switched off.
 
 **Witness-level** (:func:`truncate_result`, :func:`misorder_rows`,
-:func:`merge_groups`): cheats of a *compiled query's* prover, plugged
-into ``ProverFaults.rewrite_witness``.  Each rewrites the honest
-assignment into a self-consistent wrong answer -- every lookup and
+:func:`merge_groups`): cheats of a *compiled query's* prover, run by
+:class:`CheatingProver`, a :class:`~repro.system.prover_node.ProverNode`
+whose witness-building method rewrites the honest assignment.  Each
+cheat makes it a self-consistent wrong answer -- every lookup and
 shuffle still holds, so :func:`create_proof` goes through -- that
 breaks exactly one gate; ``MockProver`` names it, the verifier rejects.
 """
@@ -56,25 +62,27 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterator
 
+from repro.algebra.field import SCALAR_FIELD
+from repro.proving import prover
 from repro.proving.proof import SECTIONS, Proof
 from repro.proving.verifier import verify_proof
+from repro.system.prover_node import ProverNode
 from repro.wire import WireFormatError
 
 
 @dataclass
 class ProverFaults:
-    """Fault-injection switches for ``create_proof(..., _faults=...)``.
-
-    Never set in production; exists so soundness tests can make an
-    otherwise-honest prover emit structurally deviant proofs.
+    """Faults of an otherwise honest prover; :meth:`install` puts them
+    in place of prover-private functions for one test.
 
     ``extra_h_chunks``: append this many zero quotient chunks after the
-    honest split.  The zero chunks do not change the quotient
-    polynomial, so a verifier without the chunk-count bound accepts the
-    proof -- the bound check is what rejects it.
+    honest split (``_quotient_pieces``).  The zero chunks do not change
+    the quotient polynomial, so a verifier without the chunk-count
+    bound accepts the proof -- the bound check is what rejects it.
 
     The others attack the lookup argument's prover-chosen columns; each
     leaves every constraint but one satisfied, so each has exactly one
@@ -82,8 +90,9 @@ class ProverFaults:
     standing between it and acceptance:
 
     ``misbook_lookup``: an input value missing from its table is booked
-    on the table's row 0 instead of raising, and the running sum is
-    sent although it does not return to 0 (guard: ``last * phi(wX)``).
+    on the table's row 0 (``_multiplicities``), and the running sum is
+    sent although it does not return to 0 (``_running_sum``; guard:
+    ``last * phi(wX)``).
 
     ``close_lookup_sum``: the running sum's final cell is overwritten
     with 0 (with ``misbook_lookup``: the sum now "closes", its last
@@ -91,16 +100,11 @@ class ProverFaults:
 
     ``bend_helper``: every argument's first helper column is off by +1
     on row 0 and by -1 on row 1, so the running sum it feeds still
-    closes (guard: ``lookup_helper_terms``).
+    closes (``_lookup_helpers``; guard: ``lookup_helper_terms``).
 
     ``swap_helpers``: every argument's first two helper columns are
     committed in each other's place; their sum, hence the running sum,
-    is unchanged (guard: ``lookup_helper_terms``).
-
-    ``rewrite_witness`` is read by ``ProverNode.answer(sql,
-    _faults=...)`` instead: called as ``(compiled, assignment, rows)``
-    on the honest witness, it rewrites the assignment and returns the
-    rows the cheating prover claims (the witness-level cheats below).
+    is unchanged (``_lookup_helpers``; guard: ``lookup_helper_terms``).
     """
 
     extra_h_chunks: int = 0
@@ -108,7 +112,68 @@ class ProverFaults:
     close_lookup_sum: bool = False
     bend_helper: bool = False
     swap_helpers: bool = False
-    rewrite_witness: Callable[[Any, Any, list], list] | None = None
+
+    def install(self, monkeypatch) -> None:
+        """Replace the prover functions these faults lie in, until
+        ``monkeypatch`` (the test's fixture) undoes it."""
+
+        def wrap(name: str, after: Callable) -> None:
+            honest = getattr(prover, name)
+            monkeypatch.setattr(
+                prover, name, lambda *args: after(honest(*args))
+            )
+
+        padding = [[0]] * self.extra_h_chunks
+        wrap("_quotient_pieces", lambda pieces: pieces + padding)
+        if self.bend_helper:
+            wrap("_lookup_helpers", _bend_first_helper)
+        if self.swap_helpers:
+            wrap("_lookup_helpers", _swap_first_helpers)
+        if self.misbook_lookup:
+            monkeypatch.setattr(prover, "_multiplicities", misbooked_multiplicities)
+        if self.misbook_lookup or self.close_lookup_sum:
+            running_sum = partial(_unchecked_running_sum, self.close_lookup_sum)
+            monkeypatch.setattr(prover, "_running_sum", running_sum)
+
+
+def _bend_first_helper(result):
+    helpers, table_inverses = result
+    p = SCALAR_FIELD.p
+    helpers[0][0] = (helpers[0][0] + 1) % p
+    helpers[0][1] = (helpers[0][1] - 1) % p
+    return helpers, table_inverses
+
+
+def _swap_first_helpers(result):
+    helpers, table_inverses = result
+    helpers[0], helpers[1] = helpers[1], helpers[0]
+    return helpers, table_inverses
+
+
+def misbooked_multiplicities(state, argument) -> list[int]:
+    """``m`` as the honest prover counts it, but an input value missing
+    from the table is booked on row 0 instead of raising."""
+    rows = prover._row_values(state)
+    table = list(zip(*map(rows, argument.table)))
+    m = [0] * len(table)
+    for lookup in argument.lookups:
+        for value in zip(*map(rows, lookup.inputs)):
+            m[table.index(value) if value in table else 0] += 1
+    return m
+
+
+def _unchecked_running_sum(
+    close: bool, i: int, helpers, table_inverses, m
+) -> list[int]:
+    """The running sum as the honest prover computes it, sent whether or
+    not it returns to 0; with ``close`` its last cell is forced to 0."""
+    p = SCALAR_FIELD.p
+    phi = [0]
+    for row, (table_inverse, *cells) in enumerate(zip(table_inverses, *helpers)):
+        phi.append((phi[-1] + sum(cells) - m[row] * table_inverse) % p)
+    if close:
+        phi[-1] = 0
+    return phi
 
 
 @dataclass
@@ -266,6 +331,27 @@ def claim_mutators(p: int) -> Iterator[tuple[str, ClaimMutator]]:
 
 
 # -- witness-level cheats ----------------------------------------------------
+
+
+class CheatingProver(ProverNode):
+    """A prover sharing ``honest``'s database, parameters, published
+    commitment and key memo that claims what ``cheat`` makes of its
+    witness: called as ``(compiled, assignment, rows)`` on the honest
+    one, ``cheat`` rewrites the assignment and returns the rows to
+    claim."""
+
+    def __init__(self, honest: ProverNode, cheat: Callable[[Any, Any, list], list]):
+        super().__init__(honest.db, honest.params, config=honest.config)
+        self.commitment = honest.commitment
+        self._secrets = honest._secrets
+        self._keys = honest._keys
+        self.cheat = cheat
+
+    def _witness(self, compiled):
+        asg, rows = super()._witness(compiled)
+        rows = self.cheat(compiled, asg, rows)
+        compiled.bind_result(asg, rows)
+        return asg, rows
 
 
 def truncate_result(compiled, asg, rows: list) -> list:

@@ -4,7 +4,7 @@ Three layers, all real crypto (small ``k``):
 
 - the in-process chaos scenarios (worker kills, a SIGKILLed runner
   process, duplicate pops, torn journal tails, cache corruption) from
-  :mod:`repro.service.chaos`, each asserting the no-lost /
+  ``tests/chaos.py``, each asserting the no-lost /
   no-double-completion / byte-identity invariants;
 - the **SIGKILL end-to-end**: a child process
   (``python -m tests.chaos_victim``) opens a journaled service,
@@ -25,7 +25,8 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.service import JobState, replay
-from repro.service.chaos import (
+from repro.service.scheduler import response_digest
+from tests.chaos import (
     CHAOS_QUERIES,
     baseline_digests,
     build_session,
@@ -35,7 +36,6 @@ from repro.service.chaos import (
     scenario_runner_kill,
     scenario_worker_kill,
 )
-from repro.service.scheduler import response_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -17,12 +17,12 @@ from repro.db.types import DATE, DECIMAL, INT, STRING
 from repro.errors import ReproError, WitnessError
 from repro.plonkish import Assignment, ConstraintSystem, MockProver
 from repro.plonkish.constraint_system import Column, ColumnKind
-from repro.soundness import merge_groups, misorder_rows
 from repro.sql.compiler import CompileError, QueryCompiler
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.telemetry.circuit import CircuitReport
+from tests.soundness import merge_groups, misorder_rows
 
 K = 9
 

@@ -14,7 +14,11 @@ from disk goes through a typed codec, never through code.  The circuit
 field has one name, ``SCALAR_FIELD``: no function or object of the
 proving stack takes or keeps a field of its own, and ``repro.algebra``
 offers no polynomial or element wrapper that nothing calls.  No
-polynomial keeps its evaluations on the quotient's whole coset.
+polynomial keeps its evaluations on the quotient's whole coset.  Every
+module of the library is reached by ``import repro`` but for a named
+few; test harnesses live in ``tests/``, and no production signature
+carries a fault-injection port for them.  Every ``repro.…`` name the
+docs quote resolves.
 """
 
 import ast
@@ -88,7 +92,7 @@ def test_no_pickle_in_the_library():
 #: arithmetic needs both Pasta fields.)
 PROVING_STACK = (
     "transcript.py", "plonkish", "proving", "commit", "db", "system",
-    "sql", "gates", "soundness.py",
+    "sql", "gates",
 )
 
 
@@ -143,6 +147,154 @@ def _identifiers(tree: ast.AST):
             name = getattr(node, attr, None)
             if isinstance(name, str):
                 yield getattr(node, "lineno", 0), name
+
+
+#: Modules ``import repro`` does not reach, on purpose: each is its own
+#: entry point.  A name covers the package and its submodules.
+UNREACHED_ON_PURPOSE = {
+    "repro.tpch": "the TPC-H data generator, imported by its users",
+    "repro.telemetry.report": "the `python -m repro.telemetry.report` CLI",
+    "repro.baselines": "the systems the paper compares against (zkSQL, GKR)",
+    "repro.bench": "the harness of the figure scripts in benchmarks/",
+}
+
+
+def _library_modules() -> dict[str, Path]:
+    """Every module under ``src/repro`` by dotted name."""
+    modules = {}
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported_names(path: Path):
+    """Every dotted name an import statement anywhere in the module
+    (top level, function body, ``if TYPE_CHECKING``) names: the module
+    imported and, for ``from M import a``, ``M.a``, which is a module
+    when ``a`` is a submodule.  (The library has no relative imports.)"""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _reached_from_the_package_root() -> set[str]:
+    modules = _library_modules()
+    reached, todo = set(), ["repro"]
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        for name in _imported_names(modules[module]):
+            parts = name.split(".")
+            # Importing a.b.c runs a, a.b and a.b.c.
+            todo += [
+                prefix for i in range(1, len(parts) + 1)
+                if (prefix := ".".join(parts[:i])) in modules
+            ]
+    return reached
+
+
+def _on_purpose(module: str) -> bool:
+    return any(
+        module == name or module.startswith(name + ".")
+        for name in UNREACHED_ON_PURPOSE
+    )
+
+
+def test_every_library_module_is_reached_by_import_repro():
+    """A module nothing imports is dead code or a harness that belongs
+    with the tests; the walk follows imports statically from
+    ``src/repro/__init__.py``, function-level ones included (such as
+    ``repro.telemetry.__getattr__``'s import of ``CircuitReport``)."""
+    reached = _reached_from_the_package_root()
+    unreached = sorted(set(_library_modules()) - reached)
+    assert [m for m in unreached if not _on_purpose(m)] == []
+    assert "repro.telemetry.circuit" in reached
+    for name in UNREACHED_ON_PURPOSE:
+        assert name in unreached, f"{name} is reached: drop it from the list"
+
+
+#: Parameter names of the fault-injection ports the harnesses in
+#: ``tests/soundness.py`` and ``tests/chaos.py`` replaced with seams.
+FAULT_PORTS = ("_faults", "chaos")
+
+
+def test_no_fault_port_in_the_library():
+    """The harnesses reach the prover and the service through what the
+    honest path already has (a module function called by name, a
+    witness-building method, ``ProvingService._spawn_worker``): no
+    function takes a fault parameter, the prover state keeps no faults,
+    and nothing under ``src/`` imports the tests."""
+    from repro.proving.prover import ProverState
+
+    found = []
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = args.posonlyargs + args.args + args.kwonlyargs
+                found += [
+                    f"{path.relative_to(ROOT)}:{node.lineno} {arg.arg}"
+                    for arg in names
+                    if arg.arg in FAULT_PORTS
+                ]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = (
+                    [alias.name for alias in node.names]
+                    if isinstance(node, ast.Import) else [node.module or ""]
+                )
+                found += [
+                    f"{path.relative_to(ROOT)}:{node.lineno} imports {m}"
+                    for m in modules
+                    if m.split(".")[0] == "tests"
+                ]
+    assert found == []
+    assert "faults" not in {f.name for f in dataclasses.fields(ProverState)}
+
+
+#: A dotted name in the library's namespace, not part of a path or of a
+#: longer dotted name.
+LIBRARY_NAME = re.compile(r"(?<![\w./])repro(?:\.\w+)+")
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or an attribute (chain) of the
+    longest module it starts with."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_library_names_in_the_docs_resolve():
+    """Every ``repro.…`` name in a code span or block of the prose docs
+    is a module or an attribute of one, so a moved or deleted module
+    cannot stay quoted."""
+    found = []
+    for name in COMMAND_DOCS:
+        text = (ROOT / name).read_text()
+        spans = re.findall(r"```.*?```", text, flags=re.S)
+        spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+        found += [
+            (name, match) for span in spans for match in LIBRARY_NAME.findall(span)
+        ]
+    assert ("README.md", "repro.telemetry.report") in found
+    assert [f"{source}: {n}" for source, n in found if not _resolves(n)] == []
 
 
 def test_no_whole_coset_copy_in_the_library():

@@ -40,9 +40,9 @@ from repro.errors import (
     StateError,
 )
 from repro.service import JobState, Priority, ProvingService, replay
-from repro.service.chaos import runner_processes
 from repro.service.runner import ForkedRunner
 from repro.system import ProverNode
+from tests.chaos import ChaosInjector, ChaosService, runner_processes
 
 SQL_COUNT = "select count(*) as n from t"
 SQL_SUM = "select sum(v) as s from t where v < 40"
@@ -569,12 +569,10 @@ class TestTenantQuotas:
 
 class TestRetriesAndSupervision:
     def test_killed_worker_job_retried_and_farm_respawned(self, stub_session):
-        from repro.service.chaos import ChaosInjector
-
         session, _, _ = stub_session
         chaos = ChaosInjector(seed=5, kills=1)
         config = ServiceConfig(workers=1, max_retries=2)
-        with session.serve(config, chaos=chaos) as service:
+        with ChaosService(session, config, chaos) as service:
             job = service.submit("survives-a-kill")
             assert service.wait(job, timeout=30) == "response:survives-a-kill"
             status = service.status(job)
@@ -586,7 +584,6 @@ class TestRetriesAndSupervision:
             assert len(health["workers"]) == 1  # still exactly one slot
 
     def test_retry_budget_exhaustion_fails_job(self, stub_session):
-        from repro.service.chaos import ChaosInjector
         from repro.service.scheduler import WorkerKilled
 
         session, _, _ = stub_session
@@ -596,7 +593,7 @@ class TestRetriesAndSupervision:
                 raise WorkerKilled("chaos: every attempt dies")
 
         config = ServiceConfig(workers=1, max_retries=1)
-        with session.serve(config, chaos=AlwaysKill(seed=0)) as service:
+        with ChaosService(session, config, AlwaysKill(seed=0)) as service:
             job = service.submit("doomed")
             with pytest.raises(JobFailed, match="died mid-job"):
                 service.wait(job, timeout=30)
@@ -608,7 +605,6 @@ class TestRetriesAndSupervision:
         """Attempt ``n`` waits ``RETRY_BACKOFF_SECONDS * 2**(n-1)`` times
         a jitter in [1, 1.25), never more than ``RETRY_BACKOFF_MAX``."""
         from repro.service import service as service_mod
-        from repro.service.chaos import ChaosInjector
         from repro.service.scheduler import WorkerKilled
 
         session, _, _ = stub_session
@@ -620,7 +616,7 @@ class TestRetriesAndSupervision:
         monkeypatch.setattr(service_mod, "RETRY_BACKOFF_SECONDS", 0.01)
         monkeypatch.setattr(service_mod, "RETRY_BACKOFF_MAX", 0.03)
         config = ServiceConfig(workers=1, max_retries=3)
-        with session.serve(config, chaos=AlwaysKill(seed=0)) as service:
+        with ChaosService(session, config, AlwaysKill(seed=0)) as service:
             job = service.submit("doomed")
             with pytest.raises(JobFailed, match="died mid-job"):
                 service.wait(job, timeout=30)

@@ -30,16 +30,6 @@ from repro.proving.proof import (
     Proof,
     wire_layout,
 )
-from repro.soundness import (
-    ProverFaults,
-    byte_mutations,
-    check_tampered_aggregate,
-    check_tampered_bytes,
-    claim_mutators,
-    field_mutators,
-    run_aggregate_tamper_suite,
-    run_tamper_suite,
-)
 from repro.errors import VerificationFailure
 from repro.wire import WireFormatError
 from tests.conftest import EXAMPLE_K as K
@@ -47,6 +37,17 @@ from tests.conftest import (
     example_assignment,
     example_circuit,
     two_chunk_shuffle_circuit,
+)
+from tests.soundness import (
+    ProverFaults,
+    byte_mutations,
+    check_tampered_aggregate,
+    check_tampered_bytes,
+    claim_mutators,
+    field_mutators,
+    misbooked_multiplicities,
+    run_aggregate_tamper_suite,
+    run_tamper_suite,
 )
 
 F = SCALAR_FIELD
@@ -274,20 +275,20 @@ class TestQuotientChunkBound:
     code without the bound check the padded proof verifies (the zero
     chunks change nothing algebraically), so both assertions fail."""
 
-    def test_padded_quotient_rejected(self, proven):
+    def test_padded_quotient_rejected(self, proven, monkeypatch):
         pk, asg, _, instance = proven
         bound = 1 << (pk.vk.extended_k - pk.vk.k)
-        padded = create_proof(
-            pk, asg, _faults=ProverFaults(extra_h_chunks=bound)
-        )
+        ProverFaults(extra_h_chunks=bound).install(monkeypatch)
+        padded = create_proof(pk, asg)
         assert len(padded.h_commitments) > bound  # the fault took effect
         assert not verify_proof(pk.vk, padded, instance)
         with pytest.raises(WireFormatError, match="h commitments"):
             Proof.from_bytes(pk.vk, padded.to_bytes())
 
-    def test_unpadded_control_still_verifies(self, proven):
+    def test_unpadded_control_still_verifies(self, proven, monkeypatch):
         pk, asg, _, instance = proven
-        proof = create_proof(pk, asg, _faults=ProverFaults(extra_h_chunks=0))
+        ProverFaults(extra_h_chunks=0).install(monkeypatch)
+        proof = create_proof(pk, asg)
         assert verify_proof(pk.vk, proof, instance)
 
 
@@ -371,15 +372,29 @@ class TestLookupArgumentAttacks:
         if outside:
             with pytest.raises(ProvingError, match="not in table"):
                 create_proof(pk, asg)
-        proof = create_proof(pk, asg, _faults=faults)
+        faults.install(monkeypatch)
+        proof = create_proof(pk, asg)
         assert not verify_proof(pk.vk, proof, instance)
 
         original = getattr(protocol, guard)
         monkeypatch.setattr(
             protocol, guard, lambda *args: weaken(original(*args))
         )
-        proof = create_proof(pk, asg, _faults=faults)
+        proof = create_proof(pk, asg)
         assert verify_proof(pk.vk, proof, instance)
+
+    @pytest.mark.parametrize("circuit", [two_helper_example, tuple_lookup_circuit])
+    def test_honest_running_sum_check_stays_on(self, params, monkeypatch, circuit):
+        """A value booked on a table row it is not on gets no proof out
+        of the honest rest of the prover: the running sum it feeds does
+        not close, and the prover refuses."""
+        from repro.proving import prover
+
+        cs, asg, _ = circuit(x=99)
+        pk = keygen(params, cs, K, asg.fixed)
+        monkeypatch.setattr(prover, "_multiplicities", misbooked_multiplicities)
+        with pytest.raises(ProvingError, match="running sum does not close"):
+            create_proof(pk, asg)
 
 
 class TestCanonicalScalars:

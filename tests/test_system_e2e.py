@@ -15,14 +15,14 @@ from repro.config import ProverConfig
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT, STRING
 from repro.errors import ContractError
-from repro.soundness import (
-    ProverFaults,
+from repro.system import ProverNode, VerifierNode, audit
+from repro.tpch import generate
+from tests.soundness import (
+    CheatingProver,
     merge_groups,
     misorder_rows,
     truncate_result,
 )
-from repro.system import ProverNode, VerifierNode, audit
-from repro.tpch import generate
 
 K = 7
 CONFIG = ProverConfig(
@@ -242,8 +242,8 @@ class TestRejections:
 
 class TestCheatingProver:
     """Wrong answers from a prover that rewrites its witness
-    (``ProverFaults.rewrite_witness``): each is self-consistent but for
-    one gate, so a proof comes out -- and is rejected."""
+    (``tests.soundness.CheatingProver``): each is self-consistent but
+    for one gate, so a proof comes out -- and is rejected."""
 
     @pytest.mark.parametrize(
         "sql, cheat, claimed",
@@ -259,7 +259,7 @@ class TestCheatingProver:
     )
     def test_witness_cheat_is_rejected(self, system, sql, cheat, claimed):
         _, _, prover, verifier, *_ = system
-        response = prover.answer(sql, _faults=ProverFaults(rewrite_witness=cheat))
+        response = CheatingProver(prover, cheat).answer(sql)
         assert response.result == claimed
         report = verifier.verify(response)
         assert not report.accepted and report.reason == "proof rejected"
