@@ -32,7 +32,12 @@ from repro.service.journal import replay
 # The chaos fixture lives with the tests; standalone runs put the
 # repository root on the path to reach it.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.chaos import CHAOS_QUERIES, baseline_digests, build_session  # noqa: E402
+from tests.chaos import (  # noqa: E402
+    CHAOS_QUERIES,
+    ChaosService,
+    baseline_digests,
+    build_session,
+)
 
 
 def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
@@ -61,8 +66,8 @@ def run_chaos_bench(jobs: int = 6, k: int = 6) -> dict:
 
         # Build a crashed journal: one job done, the rest accepted but
         # unproved, then abort without drain (the crash model).
-        service = session.serve(
-            ServiceConfig(workers=1), journal_path=journal_path
+        service = ChaosService(
+            session, ServiceConfig(workers=1), journal_path=journal_path
         )
         first_sql, first_seed = workload[0]
         done = service.submit(first_sql, rng_seed=first_seed)

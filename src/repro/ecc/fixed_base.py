@@ -9,24 +9,36 @@ the doubling chains that dominate a generic Pippenger run can be paid
 once: for window width ``c`` we precompute the shifted bases
 ``B[i][j] = 2^(j*c) * base_i`` for every window ``j``.
 
-A commitment then needs **zero doublings**: each scalar's base-``2^c``
-digits index straight into one shared bucket set (all shifted bases
-are plain affine points, so windows do not need separate buckets), the
-buckets are reduced with one batch-affine accumulation
+The windows cover :data:`HALF_BITS` = 128 bits, not the full 255: a
+wider scalar is split by the curve's cube-root endomorphism
+(:mod:`repro.ecc.glv`) into two halves below ``2^128``,
+``s = k1 + lambda * k2``, and ``lambda * B`` is
+``phi(B) = (zeta * x, y)``.  So each base's row carries the 16 windows
+of ``B`` and then the same 16 of ``phi(B)``, at one field product per
+``phi`` entry, and building the rows takes (16 - 1) * 8 = 120 batch
+doublings (:data:`BUILD_PASSES`) instead of the 248 that 32 full-width
+windows would.  Values below ``2^128`` -- every narrow column -- skip
+the split.
+
+A commitment then needs **zero doublings**: each scalar's (or half's)
+base-``2^c`` digits index straight into one shared bucket set (all
+shifted bases are plain affine points, so windows do not need separate
+buckets), the buckets are reduced with one batch-affine accumulation
 (:func:`~repro.ecc.batch_affine.sum_affine_lists`), and a two-level
 collapse finishes the job: the same batched addition folds the 255
 buckets into 15 + 15 half-digit sums, and only those go through a
 Jacobian running sum.  The unit of work is the
 *nonzero digit*, not the point: a 4-bit value costs one bucket
-insertion where a full-width scalar costs 32, which is why every
-column is committed by its values.
+insertion where a full-width scalar costs 32 (16 per half), which is
+why every column is committed by its values.
 
 Tables are keyed by the :meth:`~repro.commit.params.PublicParams.fingerprint`
 of the parameter set (one table set per set; its layout is stated
 once, at the registry below) in a process-local registry, which
 forked service runners inherit.  Persisting a table set across runs
 is the session's business (:func:`repro.commit.params.cached_tables`):
-it stores :meth:`FixedBaseTables.to_bytes`, loads through
+it stores :meth:`FixedBaseTables.to_bytes` (the ``B`` windows only;
+the ``phi`` ones are derived again on load), loads through
 :meth:`FixedBaseTables.from_bytes` and :func:`check_tables`, and
 registers the result with :func:`register`.  The result of an MSM is
 always the same group element the generic :func:`~repro.ecc.msm.msm`
@@ -38,56 +50,88 @@ from __future__ import annotations
 import os
 import random
 import threading
+from collections import defaultdict
 from typing import TYPE_CHECKING, Sequence
 
 from repro import telemetry
+from repro.ecc import glv
 from repro.ecc.batch_affine import batch_double, sum_affine_lists
 from repro.ecc.curve import Curve, Point, curve_by_name, points_to_affine_tuples
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.commit.params import PublicParams
 
-#: Window width for the shifted-base tables.  Memory per base is
-#: ``ceil(255 / c)`` affine points; c = 8 keeps that at 32 points
-#: (~2 KiB) per base while the shared bucket set stays small (255
-#: buckets) next to the number of digit insertions.
+#: Window width for the shifted-base tables: one byte, so a scalar's
+#: digits are its little-endian bytes and the shared bucket set has
+#: 255 buckets per sign.
 FIXED_BASE_WINDOW = 8
+
+#: Width of the scalars the table rows cover.  A scalar below
+#: ``2^HALF_BITS`` is used as it is; a wider one is split by
+#: :func:`~repro.ecc.glv.decompose` into two halves that
+#: :func:`~repro.ecc.glv.half_bound` keeps below ``2^127`` on both Pasta
+#: curves (checked when a table set is made).
+HALF_BITS = 128
+
+#: Windows per half: ``2^(j*c) * P`` for ``j < WINDOWS``.  A base's
+#: row holds them and then the same windows of ``phi(P)``, so
+#: ``2 * WINDOWS`` affine points (32, ~2 KiB of coordinates) per base
+#: in memory.
+WINDOWS = HALF_BITS // FIXED_BASE_WINDOW
+
+#: Batch-doubling passes of one :func:`build_tables` run, however many
+#: bases there are.
+BUILD_PASSES = (WINDOWS - 1) * FIXED_BASE_WINDOW
+
+_HALF_BYTES = HALF_BITS // 8
 
 #: Stored entries :func:`check_tables` recomputes from the parameters.
 SPOT_CHECKS = 4
 
 
 class FixedBaseTables:
-    """Shifted window multiples of a fixed base vector.
+    """Shifted window multiples of a fixed base vector and of its
+    endomorphism image.
 
     ``tables[i][j]`` is the affine ``(x, y)`` of ``2^(j*c) * base_i``
-    (``None`` when the multiple is the identity).  Plain data, so
-    tables cross fork boundaries as they are; on disk they take the
-    typed form of :meth:`to_bytes`.
+    (``None`` when the base is the identity) for ``j <`` :data:`WINDOWS`,
+    and ``tables[i][WINDOWS + j]`` is ``phi`` of that entry,
+    ``(zeta * x, y)``.  The constructor takes the first halves and
+    derives the ``phi`` halves, one product per entry.  Plain data, so
+    tables cross fork boundaries as they are; on disk only the first
+    halves are stored, in the typed form of :meth:`to_bytes`.
     """
 
-    __slots__ = ("curve_name", "c", "windows", "tables")
+    __slots__ = ("curve_name", "tables")
 
-    def __init__(
-        self,
-        curve_name: str,
-        c: int,
-        windows: int,
-        tables: list,
-    ):
+    c = FIXED_BASE_WINDOW
+    windows = WINDOWS
+
+    def __init__(self, curve_name: str, halves: list):
+        curve = curve_by_name(curve_name)
+        endo = glv.curve_endo(curve)
+        if endo is None or glv.half_bound(endo) >> (HALF_BITS - 1):
+            raise ValueError(
+                f"{curve_name} has no endomorphism splitting scalars "
+                f"into {HALF_BITS}-bit halves"
+            )
+        p, zeta = curve.field.p, endo.zeta
         self.curve_name = curve_name
-        self.c = c
-        self.windows = windows
-        self.tables = tables
+        self.tables = [
+            row + [None if xy is None else (zeta * xy[0] % p, xy[1]) for xy in row]
+            for row in halves
+        ]
 
     def __len__(self) -> int:
         return len(self.tables)
 
     def to_bytes(self) -> bytes:
         """Curve name (u8 length, then the name), ``c`` and the window
-        count (u8 each), the base count (u32-le), then every entry base
-        by base as little-endian ``x || y``; the identity is all zeros
-        (never an affine point when ``b != 0``)."""
+        count (u8 each), the base count (u32-le), then the first
+        :data:`WINDOWS` entries of every row, base by base, as
+        little-endian ``x || y``; the identity is all zeros (never an
+        affine point when ``b != 0``).  The ``phi`` halves are not
+        stored."""
         size = curve_by_name(self.curve_name).field._byte_length
         name = self.curve_name.encode()
         zero = bytes(2 * size)
@@ -99,23 +143,27 @@ class FixedBaseTables:
             out.extend(
                 zero if xy is None
                 else xy[0].to_bytes(size, "little") + xy[1].to_bytes(size, "little")
-                for xy in row
+                for xy in row[: self.windows]
             )
         return b"".join(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FixedBaseTables":
         """Strict inverse of :meth:`to_bytes`: ``ValueError`` on a bad
-        header or length, a non-canonical coordinate (``>= p``) or an
-        entry off the curve."""
+        header or length (a set of another window layout, such as the
+        32 full-width windows of older files, included), a
+        non-canonical coordinate (``>= p``) or an entry off the curve."""
         if not data or len(data) < data[0] + 7:
             raise ValueError("truncated fixed-base table header")
         end = 1 + data[0]
         curve = curve_by_name(data[1:end].decode())
         c, windows = data[end], data[end + 1]
         count = int.from_bytes(data[end + 2 : end + 6], "little")
-        if c < 1 or windows != -(-curve.scalar_field.p.bit_length() // c):
-            raise ValueError(f"window count {windows} does not fit c = {c}")
+        if (c, windows) != (cls.c, cls.windows):
+            raise ValueError(
+                f"table layout c = {c} over {windows} windows is not "
+                f"c = {cls.c} over {cls.windows}"
+            )
         size = curve.field._byte_length
         body = memoryview(data)[end + 6 :]
         if len(body) != count * windows * 2 * size:
@@ -136,35 +184,27 @@ class FixedBaseTables:
         tables = [
             entries[i * windows : (i + 1) * windows] for i in range(count)
         ]
-        return cls(curve.name, c, windows, tables)
+        return cls(curve.name, tables)
 
 
-def build_tables(
-    curve: Curve, coords: Sequence, c: int = FIXED_BASE_WINDOW
-) -> FixedBaseTables:
+def build_tables(curve: Curve, coords: Sequence) -> FixedBaseTables:
     """Precompute shifted window bases for the affine points ``coords``
     (the identity as ``None`` or ``(0, 0)``).
 
     Pure doublings: the whole base vector is doubled ``c`` times per
     window with elementwise batch-affine passes (one shared inversion
-    each), so building costs ~255 batch passes regardless of how many
-    bases there are.
+    each), so building costs :data:`BUILD_PASSES` (120) batch passes
+    however many bases there are; the ``phi`` halves cost one product
+    per entry.
     """
-    if c < 1:
-        raise ValueError("window width must be positive")
     p = curve.field.p
-    num_bits = curve.scalar_field.p.bit_length()
-    windows = (num_bits + c - 1) // c
     vec = [None if xy == (0, 0) else xy for xy in coords]
-    shifted = [list(vec)]
-    for _ in range(windows - 1):
-        for _ in range(c):
+    shifted = [vec]
+    for _ in range(WINDOWS - 1):
+        for _ in range(FIXED_BASE_WINDOW):
             vec = batch_double(p, vec)
-        shifted.append(list(vec))
-    tables = [
-        [shifted[j][i] for j in range(windows)] for i in range(len(coords))
-    ]
-    return FixedBaseTables(curve.name, c, windows, tables)
+        shifted.append(vec)
+    return FixedBaseTables(curve.name, [list(row) for row in zip(*shifted)])
 
 
 def collapse_buckets(curve: Curve, buckets: dict[int, Point]) -> Point:
@@ -196,13 +236,23 @@ def fixed_base_msm(
     ``indices`` defaults to ``range(len(scalars))``.  Same group element
     as the generic MSM over the corresponding bases; no doubling chain,
     one shared bucket set across every window of every scalar.
+
+    A scalar below ``2^HALF_BITS`` puts its bytes on the base's own
+    row.  A wider one is split so that both halves are non-negative:
+    :func:`~repro.ecc.glv.decompose` of ``s - (1 + lambda) * 2^127``
+    gives ``r1 + lambda * r2`` with ``|r1|, |r2| < 2^127``, so
+    ``s = (2^127 + r1) + lambda * (2^127 + r2)`` with both halves in
+    ``[0, 2^128)``, whose 32 bytes index the row's 16 ``P`` windows
+    and then its 16 ``phi(P)`` ones; no entry is ever negated.
     """
     curve = curve_by_name(tables.curve_name)
     order = curve.scalar_field.p
-    c = tables.c
-    mask = (1 << c) - 1
+    endo = glv.curve_endo(curve)
+    mid = 1 << (HALF_BITS - 1)
+    shift = (1 + endo.lam) * mid % order
+    both = mid + (mid << HALF_BITS)
     rows = tables.tables
-    buckets: dict[int, list[tuple[int, int]]] = {}
+    buckets: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     live = 0
     if indices is None:
         indices = range(len(scalars))
@@ -210,25 +260,25 @@ def fixed_base_msm(
         s %= order
         if not s:
             continue
-        row = rows[idx]
         live += 1
-        w = 0
-        while s:
-            d = s & mask
+        row = rows[idx]
+        if row[0] is None:  # the identity base: no entry to insert
+            continue
+        if s < 256:  # one digit, the common narrow-column value
+            buckets[s].append(row[0])
+            continue
+        if s >> HALF_BITS:
+            r1, r2 = glv.decompose(endo, (s - shift) % order)
+            digits = (both + r1 + (r2 << HALF_BITS)).to_bytes(2 * _HALF_BYTES, "little")
+        else:
+            digits = s.to_bytes(_HALF_BYTES, "little")
+        for d, pt in zip(digits, row):
             if d:
-                pt = row[w]
-                if pt is not None:
-                    lst = buckets.get(d)
-                    if lst is None:
-                        buckets[d] = [pt]
-                    else:
-                        lst.append(pt)
-            s >>= c
-            w += 1
+                buckets[d].append(pt)
     telemetry.incr("msm.fixed_base_calls")
     telemetry.incr("msm.fixed_base_points", live)
     # Bucket insertions: the kernel's unit of work (points times the
-    # nonzero base-2^c digits of their scalars).
+    # nonzero base-2^c digits of their scalars or halves).
     telemetry.incr(
         "msm.fixed_base_digits", sum(len(pts) for pts in buckets.values())
     )
@@ -242,7 +292,7 @@ def fixed_base_msm(
     # and L is more of the batched affine addition that filled the
     # buckets; what is left for Jacobian arithmetic is two running sums
     # over at most 2^h - 1 entries each, instead of one over 2^c - 1.
-    half = c // 2
+    half = FIXED_BASE_WINDOW // 2
     low = (1 << half) - 1
     his: dict[int, list[tuple[int, int]]] = {}
     los: dict[int, list[tuple[int, int]]] = {}
@@ -331,13 +381,10 @@ def check_tables(params: "PublicParams", tables: FixedBaseTables) -> FixedBaseTa
     a full check would cost about as much as a rebuild."""
     c = FIXED_BASE_WINDOW
     bases = _bases(params)
-    if (tables.curve_name, tables.c, len(tables)) != (
-        params.curve.name, c, len(bases)
-    ):
+    if (tables.curve_name, len(tables)) != (params.curve.name, len(bases)):
         raise ValueError(
-            f"table set is {tables.curve_name} c={tables.c} over "
-            f"{len(tables)} bases, not {params.curve.name} c={c} over "
-            f"{len(bases)}"
+            f"table set is {tables.curve_name} over {len(tables)} bases, "
+            f"not {params.curve.name} over {len(bases)}"
         )
     if [row[0] or (0, 0) for row in tables.tables] != bases:
         raise ValueError("table window 0 is not the parameter bases")
@@ -361,13 +408,11 @@ def register(params: "PublicParams", tables: FixedBaseTables) -> FixedBaseTables
     return _REGISTRY.setdefault((params.fingerprint(), tables.c), tables)
 
 
-def tables_for_params(
-    params: "PublicParams", c: int = FIXED_BASE_WINDOW
-) -> FixedBaseTables:
+def tables_for_params(params: "PublicParams") -> FixedBaseTables:
     """The registered table set of ``params``, built on first use per
     parameter fingerprint -- once, however many threads ask at the
     same time."""
-    key = (params.fingerprint(), c)
+    key = (params.fingerprint(), FIXED_BASE_WINDOW)
     tables = _REGISTRY.get(key)
     if tables is None:
         with _LOCKS_GUARD:
@@ -375,7 +420,7 @@ def tables_for_params(
         with lock:
             tables = _REGISTRY.get(key)
             if tables is None:
-                tables = build_tables(params.curve, _bases(params), c)
+                tables = build_tables(params.curve, _bases(params))
                 _REGISTRY[key] = tables
                 telemetry.incr("msm.fixed_base_table_builds")
                 return tables

@@ -86,11 +86,14 @@ def curve_endo(curve) -> "Endo | None":
     l = pow(curve.scalar_field.multiplicative_generator, (n - 1) // 3, n)
     g = curve.generator
     gx, gy = g.to_affine()
+    # One scalar multiplication: l^2 = -1 - l, so (l^2) * G = -G - l * G.
+    lg = g * l
+    candidates = ((l, lg), (l * l % n, -g - lg))
     endo = None
     for zeta in (z, z * z % p):
         phi_g = type(g)(curve, zeta * gx % p, gy)
-        for lam in (l, l * l % n):
-            if g * lam == phi_g:
+        for lam, lam_g in candidates:
+            if lam_g == phi_g:
                 v1, v2 = _short_basis(n, lam)
                 endo = Endo(zeta, lam, v1, v2)
                 break
@@ -100,6 +103,16 @@ def curve_endo(curve) -> "Endo | None":
     return endo
 
 
+def half_bound(endo: Endo) -> int:
+    """A bound ``B`` with ``|k1|, |k2| <= B`` for every
+    :func:`decompose` output.
+
+    Rounding leaves ``(k1, k2) = e1 * v1 + e2 * v2`` with
+    ``|e1|, |e2| <= 1/2``, so each half is at most half the sum of the
+    basis coordinates it collects."""
+    return max(abs(endo.a1) + abs(endo.a2), abs(endo.b1) + abs(endo.b2)) // 2
+
+
 def _round_div(a: int, b: int) -> int:
     """Nearest-integer division (b > 0)."""
     return (a + (b >> 1)) // b
@@ -107,7 +120,7 @@ def _round_div(a: int, b: int) -> int:
 
 def decompose(endo: Endo, k: int) -> tuple[int, int]:
     """Split ``k`` into ``(k1, k2)`` with ``k1 + lam*k2 = k mod n`` and
-    both halves around 128 bits (possibly negative)."""
+    both halves at most :func:`half_bound` in size (possibly negative)."""
     det = endo.det
     if det < 0:
         c1 = _round_div(-endo.b2 * k, -det)

@@ -824,32 +824,6 @@ class ProvingService:
         if self.journal is not None:
             self.journal.close()
 
-    def abort(self) -> None:
-        """Hard-stop the service *without* the graceful drain -- the
-        closest an in-process API can come to a crash.
-
-        Queued jobs are left un-cancelled (exactly as a killed process
-        would leave them), runner processes are killed mid-job, and
-        nothing further is journaled, so a service opened next on the
-        same journal exercises real recovery.  The crash-recovery
-        scenarios of ``tests/chaos.py`` and ``benchmarks/bench_chaos.py``
-        use it; production code wants :meth:`close`.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.supervisor.request_stop()
-        # A tick caught mid-respawn must not fork a runner after the
-        # kills below.
-        self.supervisor.join(timeout=SHUTDOWN_TIMEOUT)
-        for worker in self.workers:
-            worker.request_stop()
-            worker.stop_runner(timeout=0)  # mid-job or not
-        self.queue.close()
-        if self.journal is not None:
-            self.journal.close()
-        self.events_log.close()
-
     def __enter__(self) -> "ProvingService":
         return self
 

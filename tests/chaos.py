@@ -6,7 +6,8 @@ and reproducible.  A :class:`ChaosService` is a
 :class:`~repro.service.service.ProvingService` whose ``_spawn_worker``
 -- through which every worker is built, at first start and at each
 respawn -- wraps the worker's runner and its view of the queue; the
-service has no fault port of its own.  Its :class:`ChaosInjector`,
+service has no fault port of its own, and no crash either: the
+subclass adds :meth:`ChaosService.abort`.  Its :class:`ChaosInjector`,
 driven by a seeded RNG:
 
 - **kills workers mid-prove** (the wrapped runner raises
@@ -54,7 +55,7 @@ from repro.errors import ServiceClosed
 from repro.service.jobs import JobState
 from repro.service.journal import encode_record
 from repro.service.scheduler import WorkerKilled, response_digest
-from repro.service.service import ProvingService
+from repro.service.service import SHUTDOWN_TIMEOUT, ProvingService
 
 #: The chaos workload: small aggregates over the tiny fixture table,
 #: each with a pinned blinding seed so every proof is byte-reproducible.
@@ -124,17 +125,52 @@ class ChaosInjector:
 
 
 class ChaosService(ProvingService):
-    """A proving service whose workers run into ``chaos``'s faults."""
+    """A proving service whose workers run into ``chaos``'s faults
+    (none without an injector), and which can be crashed with
+    :meth:`abort`."""
 
-    def __init__(self, session, config: ServiceConfig, chaos: ChaosInjector):
-        self.chaos = chaos  # read by _spawn_worker, which __init__ calls
-        super().__init__(session, config)
+    def __init__(
+        self,
+        session,
+        config: ServiceConfig,
+        chaos: ChaosInjector | None = None,
+        *,
+        journal_path=None,
+    ):
+        # Read by _spawn_worker, which __init__ calls.
+        self.chaos = chaos or ChaosInjector(0)
+        super().__init__(session, config, journal_path=journal_path)
 
     def _spawn_worker(self, index: int):
         worker = super()._spawn_worker(index)
         worker._runner = _KillingRunner(worker._runner, self, worker.name)
         worker._queue = _ChaosQueue(worker._queue, self.chaos)
         return worker
+
+    def abort(self) -> None:
+        """Hard-stop the service *without* the graceful drain -- the
+        closest an in-process API can come to a crash.
+
+        Queued jobs are left un-cancelled (exactly as a killed process
+        would leave them), runner processes are killed mid-job, and
+        nothing further is journaled, so a service opened next on the
+        same journal exercises real recovery.  The crash-recovery
+        scenarios here and ``benchmarks/bench_chaos.py`` use it.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.supervisor.request_stop()
+        # A tick caught mid-respawn must not fork a runner after the
+        # kills below.
+        self.supervisor.join(timeout=SHUTDOWN_TIMEOUT)
+        for worker in self.workers:
+            worker.request_stop()
+            worker.stop_runner(timeout=0)  # mid-job or not
+        self.queue.close()
+        if self.journal is not None:
+            self.journal.close()
+        self.events_log.close()
 
 
 class _KillingRunner:
@@ -334,7 +370,7 @@ def scenario_runner_kill(session, expected) -> dict[str, Any]:
         assert len(health["workers"]) == config.workers
         assert health["workers"]["prover-worker-1"]["pid"] != victim_pid
     assert not runner_processes(), "runner-kill: close() left a runner"
-    aborted = ProvingService(session, config)
+    aborted = ChaosService(session, config)
     aborted.abort()
     assert not runner_processes(), "runner-kill: abort() left a runner"
     return {
@@ -374,7 +410,7 @@ def scenario_crash_recovery(
     journal_path = workdir / f"chaos-{seed}.journal"
     rng = random.Random(seed)
 
-    service = ProvingService(
+    service = ChaosService(
         session,
         ServiceConfig(workers=1),
         journal_path=journal_path,

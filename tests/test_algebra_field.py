@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import BASE_FIELD, SCALAR_FIELD, Field
-from repro.algebra.field import montgomery_batch_inv
+from repro.algebra.field import jacobi, montgomery_batch_inv
 from repro.errors import BatchInversionError
 
 FIELDS = [BASE_FIELD, SCALAR_FIELD]
@@ -159,6 +159,19 @@ class TestFieldOps:
         for a in cases:
             assert f.sqrt(a) == _sqrt_oracle(f, a), a
         assert {f.sqrt(a) is None for a in cases} == {True, False}
+
+    @pytest.mark.parametrize("f", FIELDS)
+    def test_jacobi_screen_agrees_with_legendre(self, f):
+        """The reciprocity symbol ``sqrt`` screens with is Euler's
+        criterion on both fields."""
+        import random
+
+        rng = random.Random(19)
+        cases = [0, 1, f.p - 1, 2, f.multiplicative_generator, f.p]
+        cases += [rng.randrange(f.p) for _ in range(200)]
+        for a in cases:
+            assert jacobi(a, f.p) == f.legendre(a), a
+        assert {jacobi(a, f.p) for a in cases} == {-1, 0, 1}
 
     @given(a=elements)
     @settings(max_examples=30)

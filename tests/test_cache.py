@@ -22,7 +22,7 @@ from repro.cache import (
     resolve_cache,
 )
 from repro.commit.params import PublicParams, cached_setup, cached_tables, setup
-from repro.ecc import fixed_base
+from repro.ecc import batch_affine, fixed_base
 from repro.ecc.curve import points_to_affine_tuples
 from repro.ecc.fixed_base import FixedBaseTables
 from repro.plonkish.assignment import Assignment
@@ -326,3 +326,71 @@ class TestCachedTables:
             del data[-1]
         with pytest.raises(ValueError):
             FixedBaseTables.from_bytes(bytes(data))
+
+
+def _full_width_layout(params) -> bytes:
+    """The table file of the earlier layout: 32 windows of every base
+    covering the whole 255-bit scalar, in the same frame."""
+    bases = points_to_affine_tuples([*params.g, params.w, params.u])
+    p, c, windows = params.curve.field.p, 8, 32
+    shifted = [bases]
+    for _ in range(windows - 1):
+        vec = shifted[-1]
+        for _ in range(c):
+            vec = batch_affine.batch_double(p, vec)
+        shifted.append(vec)
+    name = params.curve.name.encode()
+    out = [bytes([len(name)]), name, bytes([c, windows])]
+    out.append(len(bases).to_bytes(4, "little"))
+    for i in range(len(bases)):
+        for j in range(windows):
+            x, y = shifted[j][i]
+            out.append(x.to_bytes(32, "little") + y.to_bytes(32, "little"))
+    return b"".join(out)
+
+
+class TestHalfScalarLayout:
+    """Only the ``P`` rows are stored; ``phi`` is derived on load, and
+    a file of the full-width layout is refused and rebuilt."""
+
+    def test_stored_file_is_half_the_full_width_one(self):
+        params = setup(3, label=b"layout")
+        old = _full_width_layout(params)
+        new = fixed_base.tables_for_params(params).to_bytes()
+        header = 1 + len(params.curve.name) + 2 + 4  # name, c, windows, count
+        assert old[: header - 5] == new[: header - 5]
+        assert (old[header - 5], new[header - 5]) == (32, fixed_base.WINDOWS)
+        assert old[header - 4 : header] == new[header - 4 : header]
+        assert (len(new) - header) * 2 == len(old) - header
+
+    def test_load_derives_the_phi_rows_the_build_made(self):
+        params = setup(3, label=b"layout")
+        built = fixed_base.build_tables(
+            params.curve, points_to_affine_tuples([*params.g, params.w, params.u])
+        )
+        data = built.to_bytes()
+        loaded = FixedBaseTables.from_bytes(data)
+        assert loaded.tables == built.tables  # the phi halves included
+        assert len(loaded) == params.n + 2
+        assert all(len(row) == 2 * fixed_base.WINDOWS for row in loaded.tables)
+        assert len(data) == 1 + 6 + 2 + 4 + len(loaded) * fixed_base.WINDOWS * 64
+
+    def test_full_width_file_is_refused_and_rebuilt(self, tmp_path, counters, caplog):
+        params = setup(3, label=b"old-layout")
+        old = _full_width_layout(params)
+        with pytest.raises(ValueError, match="layout"):
+            FixedBaseTables.from_bytes(old)
+        cache = ArtifactCache(tmp_path)
+        description = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
+        key = cache_key("fixedbase", *description)
+        cache.put_bytes(key, old)
+        fixed_base._REGISTRY.pop(description, None)
+        evicted = counters("cache.corrupt_evictions")
+        builds = counters("msm.fixed_base_table_builds")
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            tables, hit = cached_tables(cache, params)
+        assert not hit
+        assert counters("cache.corrupt_evictions") == evicted + 1
+        assert counters("msm.fixed_base_table_builds") == builds + 1
+        assert any("layout" in r.getMessage() for r in caplog.records)
+        assert cache.get_bytes(key) == tables.to_bytes()

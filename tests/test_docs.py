@@ -18,7 +18,9 @@ polynomial keeps its evaluations on the quotient's whole coset.  Every
 module of the library is reached by ``import repro`` but for a named
 few; test harnesses live in ``tests/``, and no production signature
 carries a fault-injection port for them.  Every ``repro.…`` name the
-docs quote resolves.
+docs quote resolves.  DESIGN.md's fixed-base table counts (windows
+per half, points per base, doubling passes of a build) are the
+module's constants.
 """
 
 import ast
@@ -332,6 +334,25 @@ def test_readme_engine_table_is_the_kernel_record():
         "README's numpy-engine table is not the kernel record; "
         f"replace it with:\n{table}"
     )
+
+
+def test_design_quotes_the_fixed_base_layout():
+    from repro.ecc import fixed_base
+
+    text = " ".join((ROOT / "DESIGN.md").read_text().split())
+    quoted = {
+        pattern: set(re.findall(pattern, text))
+        for pattern in (
+            r"(\d+) windows per half",
+            r"(\d+) points per base",
+            r"(\d+) `batch_double` passes",
+        )
+    }
+    assert list(quoted.values()) == [
+        {str(fixed_base.WINDOWS)},
+        {str(2 * fixed_base.WINDOWS)},
+        {str(fixed_base.BUILD_PASSES)},
+    ]
 
 
 #: A pointer into ROADMAP's numbered list goes stale when the list is

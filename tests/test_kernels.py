@@ -309,6 +309,102 @@ class TestFixedBase:
         assert params_k6.fingerprint() == params_k6.fingerprint()
 
 
+def _halves_with_signs(curve, signs, seed=5):
+    """A scalar whose GLV halves carry ``signs`` (``(+1, -1)`` etc.)."""
+    endo = glv.curve_endo(curve)
+    rng = random.Random(seed)
+    while True:
+        k = rng.randrange(curve.scalar_field.p)
+        k1, k2 = glv.decompose(endo, k)
+        if ((k1 > 0) - (k1 < 0), (k2 > 0) - (k2 < 0)) == signs:
+            return k
+
+
+class TestHalfScalarTables:
+    """The table rows cover ``HALF_BITS``; wider scalars go through the
+    GLV split onto the ``phi`` rows."""
+
+    @pytest.mark.parametrize("curve", [PALLAS, VESTA], ids=lambda c: c.name)
+    def test_half_scalar_bound_from_the_basis(self, curve):
+        """Rounding against the short basis leaves each half at most
+        half the basis coordinates it collects, below ``2^127`` and so
+        inside the rows' ``HALF_BITS``."""
+        endo = glv.curve_endo(curve)
+        bound = max(abs(endo.a1) + abs(endo.a2), abs(endo.b1) + abs(endo.b2)) // 2
+        assert glv.half_bound(endo) == bound
+        assert bound < 1 << 127 <= 1 << (fixed_base.HALF_BITS - 1)
+        n = curve.scalar_field.p
+        rng = random.Random(3)
+        ks = [0, 1, n - 1, endo.lam, n - endo.lam, (1 << 128) - 1, 1 << 128]
+        ks += [rng.randrange(n) for _ in range(500)]
+        for k in ks:
+            k1, k2 = glv.decompose(endo, k)
+            assert max(abs(k1), abs(k2)) <= bound, k
+            assert (k1 + endo.lam * k2 - k) % n == 0, k
+
+    @pytest.mark.parametrize("curve", [PALLAS, VESTA], ids=lambda c: c.name)
+    def test_edge_scalars_match_naive(self, curve):
+        endo = glv.curve_endo(curve)
+        n = curve.scalar_field.p
+        g = curve.generator
+        points = [g * (7 + 13 * i) for i in range(9)]
+        rng = random.Random(11)
+        sc = [
+            0, 1, n - 1, endo.lam, n - endo.lam, (1 << 128) - 1, 1 << 128,
+            _halves_with_signs(curve, (-1, -1)),
+            _halves_with_signs(curve, (1, -1)),
+            _halves_with_signs(curve, (-1, 1)),
+        ]
+        sc += [rng.randrange(16), rng.randrange(1 << 32)]
+        tables = fixed_base.build_tables(curve, points_to_affine_tuples(points))
+        for s in sc:  # one scalar at a time, then all of them at once
+            for i, pt in enumerate(points):
+                got = fixed_base.fixed_base_msm(tables, [s], [i])
+                assert got == msm_naive([pt], [s]), (s, i)
+        chosen = [i % len(points) for i in range(len(sc))]
+        assert fixed_base.fixed_base_msm(tables, sc, chosen) == msm_naive(
+            [points[i] for i in chosen], sc
+        )
+
+    def test_indices_path_with_an_identity_entry(self):
+        """What the IPA's cross terms pass: out-of-order indices, a
+        repeated base, full-width and narrow scalars; the identity base
+        contributes nothing."""
+        g = PALLAS.generator
+        points = [g * 3, PALLAS.identity(), g * 5, -(g * 3)]
+        tables = fixed_base.build_tables(PALLAS, points_to_affine_tuples(points))
+        assert tables.tables[1] == [None] * 2 * fixed_base.WINDOWS
+        n = SCALAR_FIELD.p
+        idx = [2, 1, 0, 3, 0, 1]
+        sc = [n - 2, n - 1, 1 << 200, 9, _halves_with_signs(PALLAS, (-1, -1)), 7]
+        assert fixed_base.fixed_base_msm(tables, sc, idx) == msm_naive(
+            [points[i] for i in idx], sc
+        )
+
+    def test_build_runs_the_stated_doubling_passes(self, monkeypatch):
+        passes = []
+        real = fixed_base.batch_double
+
+        def counting(p, pts):
+            passes.append(len(pts))
+            return real(p, pts)
+
+        monkeypatch.setattr(fixed_base, "batch_double", counting)
+        points = [PALLAS.generator * 11, PALLAS.generator * 12]
+        tables = fixed_base.build_tables(PALLAS, points_to_affine_tuples(points))
+        assert len(passes) == (tables.windows - 1) * tables.c
+        assert len(passes) == fixed_base.BUILD_PASSES == 120
+        assert passes == [2] * 120
+        # 16 windows of P and 16 of phi(P): 32 points per base.
+        assert [len(row) for row in tables.tables] == [32, 32]
+        endo = glv.curve_endo(PALLAS)
+        for pt, row in zip(points, tables.tables):
+            for j in (0, 1, fixed_base.WINDOWS - 1):
+                shifted = pt * (1 << (8 * j))
+                assert row[j] == shifted.to_affine()
+                assert row[fixed_base.WINDOWS + j] == (shifted * endo.lam).to_affine()
+
+
 class TestTwoLevelCollapse:
     """``fixed_base_msm`` collapses its buckets by half-digit: every
     way the high / low sums can degenerate, against ``msm_naive``."""
