@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Window width for the shifted-base tables: one byte, so a scalar's
 #: digits are its little-endian bytes and the shared bucket set has
-#: 255 buckets per sign.
+#: 255 buckets.
 FIXED_BASE_WINDOW = 8
 
 #: Width of the scalars the table rows cover.  A scalar below
@@ -368,11 +368,13 @@ def spot_positions(
 
 
 def check_tables(params: "PublicParams", tables: FixedBaseTables) -> FixedBaseTables:
-    """``tables`` if it looks like the table set of ``params`` at width
-    :data:`FIXED_BASE_WINDOW`, else ``ValueError``: same curve, width
-    and base count, window 0 the parameter bases, and every entry at
+    """``tables`` if it looks like the table set of ``params``, else
+    ``ValueError``: same curve and base count (the window layout is the
+    class's own, which :meth:`FixedBaseTables.from_bytes` enforces),
+    window 0 the parameter bases, and every entry at
     :func:`spot_positions` equal to ``2^(j*c) * base_i`` recomputed by
-    doubling.
+    doubling.  The ``phi`` halves are derived from these entries, so
+    they need no check of their own.
 
     This catches a foreign, stale or damaged set, not a crafted one:
     the spot positions follow from the public fingerprint, so whoever
