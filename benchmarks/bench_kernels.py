@@ -1,9 +1,9 @@
-"""Field-backend and commit-kernel microbenchmarks.
+"""NTT-engine and commit-kernel microbenchmarks.
 
-Races the numpy limb-vector engine against the pure-Python backend --
-both are supported hosts, selected by what is installed -- on the
-whole-vector ops the backend hooks cover (NTT, Lagrange basis) plus
-the resident product-tree inversion, through the ``repro.algebra.backend`` switch.  One more row
+Races the plan NTT against the numpy limb engine through the gate
+(``repro.algebra.backend.ntt``, its ``MIN_NTT`` threshold moved to
+send every size down one path, then the other) at 2^10 ... 2^14
+points: the evidence for where ``MIN_NTT`` sits.  One more row
 commits a limb-shaped column (4-bit data, full-width blinding rows)
 and a full-width column by their values, and counts the bucket
 insertions of each.  A last row times the verifier's variable-base
@@ -13,26 +13,25 @@ before any speedup is reported.
 
 End-to-end prove/verify time is the benchmark of record's job
 (``BENCHMARK.json``, ``benchmarks/e2e/``); this file only answers
-"does the vector engine still beat the scalar loops it replaces".
+"from which size does the vector engine beat the plan it replaces".
 
-Runs standalone (``python benchmarks/bench_kernels.py [--backend-n N]``)
-or under pytest.  Record only: no row is a gate.  Results persist to
-``benchmarks/results/kernels.{txt,json}``; README's numpy-engine table
+Runs standalone (``python benchmarks/bench_kernels.py``) or under
+pytest.  Record only: no row is a gate.  Results persist to
+``benchmarks/results/kernels.{txt,json}``; README's NTT-engine table
 is rendered from that record (:func:`readme_table`).
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import statistics
-import sys
 import time
+from contextlib import contextmanager
 
 from repro import telemetry
-from repro.algebra import backend as field_backend
+from repro.algebra import backend
 from repro.algebra.domain import EvaluationDomain
-from repro.algebra.field import SCALAR_FIELD, montgomery_batch_inv
+from repro.algebra.field import SCALAR_FIELD
 from repro.bench.harness import BenchConfig, bench_metadata
 from repro.bench.reporting import Report
 from repro.commit.ipa import commit_lagrange
@@ -141,135 +140,100 @@ def bench_finalize_msm(n: int = 139, seed: int = 139) -> dict:
     }
 
 
-def bench_field_backend(n: int = 16384, seed: int = 17) -> dict | None:
-    """Numpy limb-vector backend vs the pure-Python reference on
-    whole-vector field ops, results asserted equal first.  Each engine's
-    time for each op is the median and interquartile range of
-    ``SAMPLES`` loops of at least ``MIN_LOOP_S`` (:func:`per_call_seconds`),
-    the two engines' loops taken in turn.
+@contextmanager
+def ntt_path(path: str):
+    """Send every NTT down ``path`` (``"plan"`` or ``"engine"``) by
+    moving the gate's ``MIN_NTT`` threshold, restored on exit."""
+    previous = backend.MIN_NTT
+    backend.MIN_NTT = 1 << 62 if path == "plan" else 1
+    try:
+        yield
+    finally:
+        backend.MIN_NTT = previous
 
-    Returns ``None`` when numpy is not installed (the rows are skipped;
-    the fallback path is what the rest of the suite measures then).
 
-    The batch-inversion row is measured *vector-resident* (operands and
-    results in limb-array form): that is how the backend actually uses
-    the product tree -- the Lagrange hook generates the denominators as
-    a vector and consumes the inverses in place.  Crossing the int
-    boundary both ways costs ~600ns/element, which is more than the
-    ladder itself saves over CPython's C-speed bigint multiply; that
-    is why the hook protocol has no list-in/list-out batch inversion.
-    """
-    if "numpy" not in field_backend.available_backends():
+#: log2 of the NTT sizes raced: both sides of ``MIN_NTT``.
+NTT_LOG_SIZES = range(10, 15)
+
+
+def bench_ntt(seed: int = 17) -> dict | None:
+    """The plan NTT against the limb engine through
+    ``EvaluationDomain.fft`` at each size of :data:`NTT_LOG_SIZES`,
+    results asserted equal first.  Each path's time is the median and
+    interquartile range of ``SAMPLES`` loops of at least ``MIN_LOOP_S``
+    (:func:`per_call_seconds`), the two paths' loops taken in turn so a
+    slow spell of the host lands on both.
+
+    Returns ``None`` when numpy is not installed: there is nothing to
+    race, the plan is the only path."""
+    if not backend.available():
         return None
-    from repro.algebra.backend import numpy_limb
-
     rng = random.Random(seed)
     p = SCALAR_FIELD.p
-    dom = EvaluationDomain(SCALAR_FIELD, n.bit_length() - 1)
-    vals = [rng.randrange(1, p) for _ in range(dom.size)]
-
-    def race(python_call, numpy_call):
-        """Loops of the two engines in turn, so a slow spell of the host
-        lands on both sides: their medians, IQRs and speedup."""
-        timed = {"python": [], "numpy": []}
+    rows = []
+    for log_n in NTT_LOG_SIZES:
+        dom = EvaluationDomain(SCALAR_FIELD, log_n)
+        vals = [rng.randrange(p) for _ in range(dom.size)]
+        out = {}
+        for path in ("plan", "engine"):
+            with ntt_path(path):
+                dom.fft(vals)  # warm the plan cache / the limb twiddle tables
+                out[path] = dom.fft(vals)
+        assert out["engine"] == out["plan"], f"engine NTT diverged at n={dom.size}"
+        timed = {"plan": [], "engine": []}
         for _ in range(SAMPLES):
-            for engine, call in zip(timed, (python_call, numpy_call)):
-                with field_backend.backend(engine):
-                    timed[engine] += per_call_seconds(call, samples=1)
-        python_s, python_iqr_s = median_iqr(timed["python"])
-        numpy_s, numpy_iqr_s = median_iqr(timed["numpy"])
-        return {
-            "python_s": python_s,
-            "python_iqr_s": python_iqr_s,
-            "numpy_s": numpy_s,
-            "numpy_iqr_s": numpy_iqr_s,
-            "speedup": python_s / numpy_s,
-        }
-
-    # -- NTT: whole transform through the domain's public entry point.
-    with field_backend.backend("python"):
-        ref_fft = dom.fft(vals)  # and warm the plan cache
-    with field_backend.backend("numpy"):
-        dom.fft(vals)  # warm the limb twiddle tables
-        fast_fft = dom.fft(vals)
-    assert fast_fft == ref_fft, "backend NTT diverged from the reference"
-    fft = race(lambda: dom.fft(vals), lambda: dom.fft(vals))
-
-    # -- batch inversion: resident product tree vs Montgomery ladder.
-    ref_inv = montgomery_batch_inv(vals, p)
-    ctx = numpy_limb.ctx_for(p)
-    arr = ctx.lift(vals)
-    ctx.tree_inv_arr(arr)  # warm the tree arenas
-    fast_inv = ctx.lower(ctx.tree_inv_arr(arr))
-    assert fast_inv == ref_inv, "tree inversion diverged"
-    batch_inv = race(
-        lambda: montgomery_batch_inv(vals, p), lambda: ctx.tree_inv_arr(arr)
-    )
-
-    # -- Lagrange basis: the fused consumer of the resident inversion.
-    x = rng.randrange(p)
-    with field_backend.backend("python"):
-        ref_lag = dom.lagrange_basis_evals(x, dom.size)
-    with field_backend.backend("numpy"):
-        dom.lagrange_basis_evals(x, dom.size)  # warm the power table
-        fast_lag = dom.lagrange_basis_evals(x, dom.size)
-    assert fast_lag == ref_lag, "backend Lagrange evals diverged"
-    lagrange = race(
-        lambda: dom.lagrange_basis_evals(x, dom.size),
-        lambda: dom.lagrange_basis_evals(x, dom.size),
-    )
-
-    return {
-        "n": dom.size,
-        "samples": SAMPLES,
-        "fft": fft,
-        "batch_inv": batch_inv,
-        "lagrange": lagrange,
-    }
+            for path in timed:
+                with ntt_path(path):
+                    timed[path] += per_call_seconds(lambda: dom.fft(vals), samples=1)
+        plan_s, plan_iqr_s = median_iqr(timed["plan"])
+        engine_s, engine_iqr_s = median_iqr(timed["engine"])
+        rows.append(
+            {
+                "n": dom.size,
+                "plan_s": plan_s,
+                "plan_iqr_s": plan_iqr_s,
+                "engine_s": engine_s,
+                "engine_iqr_s": engine_iqr_s,
+                "speedup": plan_s / engine_s,
+            }
+        )
+    return {"min_ntt": backend.MIN_NTT, "samples": SAMPLES, "rows": rows}
 
 
-def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
+def run_benches(config: BenchConfig) -> dict:
     results = {}
-    backend_rows = bench_field_backend(n=backend_n)
-    if backend_rows is not None:
-        results["field_backend"] = backend_rows
+    ntt = bench_ntt()
+    if ntt is not None:
+        results["ntt"] = ntt
     narrow = results["narrow_commit"] = bench_narrow_commit()
     finalize = results["finalize_msm"] = bench_finalize_msm()
 
     report = Report(
         "kernels",
-        "Kernels: field-backend race, narrow-column commit, finalize MSM",
+        "Kernels: NTT plan vs engine, narrow-column commit, finalize MSM",
     )
-    report.line(
-        "every row runs both backends on identical inputs (results "
-        "asserted equal first)\n"
-    )
-    if backend_rows is None:
-        report.line("numpy not installed: nothing to race")
+    if ntt is None:
+        report.line("numpy not installed: the plan is the only NTT path")
     else:
-        rows = []
-        bn = backend_rows["n"]
         report.line(
-            f"median and IQR of {SAMPLES} loops of >= {MIN_LOOP_S} s"
+            "NTT through EvaluationDomain.fft, plan and engine on identical "
+            f"inputs (results asserted equal first; MIN_NTT = "
+            f"{ntt['min_ntt']}); median and IQR of {SAMPLES} loops of "
+            f">= {MIN_LOOP_S} s"
         )
-        for key, label in (
-            ("fft", f"ntt ({bn} pts)"),
-            ("batch_inv", f"batch inv resident ({bn})"),
-            ("lagrange", f"lagrange basis ({bn})"),
-        ):
-            r = backend_rows[key]
-            rows.append(
+        report.table(
+            ["points", "plan s", "IQR s", "engine s", "IQR s", "speedup"],
+            [
                 (
-                    label,
-                    f"{r['python_s']:.4f}",
-                    f"{r['python_iqr_s']:.4f}",
-                    f"{r['numpy_s']:.4f}",
-                    f"{r['numpy_iqr_s']:.4f}",
+                    str(r["n"]),
+                    f"{r['plan_s']:.4f}",
+                    f"{r['plan_iqr_s']:.4f}",
+                    f"{r['engine_s']:.4f}",
+                    f"{r['engine_iqr_s']:.4f}",
                     f"{r['speedup']:.2f}x",
                 )
-            )
-        report.table(
-            ["op", "python s", "IQR s", "numpy s", "IQR s", "speedup"], rows
+                for r in ntt["rows"]
+            ],
         )
     report.line(
         f"\nfixed-base commit by values ({narrow['n']} rows + blind): a "
@@ -306,30 +270,19 @@ def run_benches(config: BenchConfig, backend_n: int = 16384) -> dict:
     return results
 
 
-#: README's numpy-engine rows: record key, label.
-README_ROWS = (
-    ("fft", "NTT, 2^{log_n} points"),
-    ("lagrange", "Lagrange basis at a point"),
-    ("batch_inv", "batch inversion (vector-resident)"),
-)
-
-
 def readme_table(record: dict) -> str:
-    """README's numpy-engine table, rendered from a ``kernels.json``
+    """README's NTT-engine table, rendered from a ``kernels.json``
     record (``tests/test_docs.py`` holds the README to it)."""
-    rows = record["kernels"]["field_backend"]
-    log_n = rows["n"].bit_length() - 1
     lines = [
-        "| hot loop | python, s: median (IQR) | numpy, s: median (IQR) "
+        "| points | plan, s: median (IQR) | engine, s: median (IQR) "
         "| speedup |",
         "|---|---|---|---|",
     ]
-    for key, label in README_ROWS:
-        r = rows[key]
+    for r in record["kernels"]["ntt"]["rows"]:
         lines.append(
-            f"| {label.format(log_n=log_n)} "
-            f"| {r['python_s']:.4f} ({r['python_iqr_s']:.4f}) "
-            f"| {r['numpy_s']:.4f} ({r['numpy_iqr_s']:.4f}) "
+            f"| {r['n']:,} "
+            f"| {r['plan_s']:.4f} ({r['plan_iqr_s']:.4f}) "
+            f"| {r['engine_s']:.4f} ({r['engine_iqr_s']:.4f}) "
             f"| **{r['speedup']:.2f}×** |"
         )
     return "\n".join(lines)
@@ -340,19 +293,5 @@ def test_kernel_microbench(bench_config):
     run_benches(bench_config)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--backend-n",
-        type=int,
-        default=16384,
-        help="field-backend race size (default 16384, the extended "
-        "domain of a 2^12 circuit)",
-    )
-    args = parser.parse_args(argv)
-    run_benches(BenchConfig(), backend_n=args.backend_n)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    run_benches(BenchConfig())

@@ -30,8 +30,8 @@ def bench_config():
 @pytest.fixture(scope="session")
 def tpch_system(bench_config):
     """A committed TPC-H prover/verifier pair at reduced scale.  The
-    session behind it restores the global settings it changed
-    (telemetry, field backend) at teardown."""
+    session behind it restores the global setting it changed
+    (telemetry) at teardown."""
     with PoneglyphDB.open(
         tpch_db(bench_config),
         prover_config(bench_config),

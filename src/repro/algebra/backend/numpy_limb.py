@@ -1,59 +1,52 @@
-"""numpy limb-vector field arithmetic (the ``numpy`` backend).
+"""numpy limb-vector NTT (the engine behind :func:`repro.algebra.backend.ntt`).
 
 A batch of field elements is a C-contiguous ``(L, n)`` int64 array of
-``W = 28``-bit limbs, limb-major: each limb row is contiguous, so the
-schoolbook product accumulates with ``L`` contiguous block adds and the
+``W = 28``-bit limbs, limb-major: each limb row is contiguous, so a
+twiddle product accumulates with ``L`` contiguous block adds and the
 carry/fold passes are whole-array ops.  The boundary representation
 stays plain Python ints; :meth:`_Ctx.lift` / :meth:`_Ctx.lower` convert
 whole batches at once through little-endian byte buffers.
 
-Reduction uses the *fold dgemm* trick rather than Montgomery form: the
-high product limbs are mapped back into ``L`` limbs by two exact
-float64 matrix products against the fold matrix split into 14-bit
-halves (every partial sum stays far below 2^53, so float64 arithmetic
-is exact), followed by bulk carry rounds.  Outputs are *bounded*, not
-canonical -- ``|limb| <= OUT_LIM`` -- and chain directly into further
-muls/adds; :meth:`_Ctx.canon` produces canonical limbs only at the
-boundary.  Because inverses and NTT outputs are unique field elements,
-everything this backend returns is identical to the scalar reference
-path bit for bit.
+Each stage's twiddle product accumulates straight into ``L`` limb rows
+plus one catch row, against per-stage tables of ``tw * 2^(W*i) mod p``;
+the catch row folds back in 14-bit halves so every partial product
+stays far below 2^63.  Stage outputs are *bounded*, not canonical --
+``|limb| <= OUT_LIM`` -- and feed the next stage directly;
+:meth:`_Ctx.canon` produces canonical limbs only at the boundary.
+Because NTT outputs are unique field elements, everything the engine
+returns is identical to the plan transform bit for bit.
 
-Magnitude contract: callers track a per-array bound ``mag`` on
-``max |limb|`` and must keep ``L * mag_a * mag_b <= 2^62`` for every
-product (``_Ctx.normalize`` restores ``mag <= OUT_LIM`` in two carry
-rounds).  The engine only supports sparse primes ``p = 2^s + c``
+Magnitude contract: the transform tracks a bound ``mag`` on
+``max |limb|`` and keeps ``L * mag * MASK <= 2^62`` before every
+twiddle product (``_Ctx.normalize`` restores ``mag <= OUT_LIM`` in two
+carry rounds).  The engine only supports sparse primes ``p = 2^s + c``
 with small ``c`` (both Pasta fields qualify); other moduli are
-declined and fall back to the reference path.
+declined and fall back to the plan transform.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.errors import BatchInversionError
-
-try:  # the backend registers as unavailable when numpy is absent
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via availability flag
-    np = None
+import numpy as np
 
 #: limb width in bits; 10 limbs cover the 255-bit Pasta primes with
 #: headroom for bounded (non-canonical) intermediate limbs.
 W = 28
 MASK = (1 << W) - 1
-#: the fold matrix is split into HALF_W-bit halves so the float64
-#: dgemm partial sums stay exact (< 2^53).
+#: the catch row folds back in HALF_W-bit halves so every fold
+#: product stays below 2^42.
 HALF_W = 14
 #: int64 lanes per element in the conversion byte buffers.
 LANES = 5
 NBYTES = 8 * LANES
-#: mul block width (empirically fastest on streaming cores; chunking
-#: finer than this costs more in ufunc dispatch than it saves in cache).
+#: carry-pass block width (empirically fastest on streaming cores;
+#: chunking finer than this costs more in ufunc dispatch than it saves
+#: in cache).
 CHUNK = 4096
-#: bound on |limb| of every mul output / normalized array (the
-#: three-round finalizes land at 2^29 + ~100 in the worst chains).
+#: bound on |limb| of every twiddle-product output / normalized array.
 OUT_LIM = (1 << 29) + 128
-#: product certification: L * mag_a * mag_b must stay below this.
+#: product certification: L * mag * MASK must stay below this.
 MAX_PROD = 1 << 62
 #: largest |limb| any array may reach before it must be normalized
 #: (canonicalization is certified from this bound).
@@ -63,17 +56,9 @@ ADD_LIM = 1 << 31
 #: every ufunc keeps a long contiguous inner dimension.
 EARLY_B = 64
 
-#: product-tree level width at which inversion switches to the scalar
-#: Montgomery core.
-TREE_CUTOFF = 256
-
-#: magnitude self-checks (certified unnecessary; see _mul_chunk) --
+#: magnitude self-checks (certified unnecessary; see _twiddle_mul) --
 #: the limb-parity tests switch them on.
 _DEBUG = False
-
-
-def available() -> bool:
-    return np is not None
 
 
 # -- per-modulus context ------------------------------------------------------
@@ -92,7 +77,7 @@ def ctx_for(p: int):
 
 def _supported(p: int) -> bool:
     """Sparse-prime test: p = 2^s + c, c small, s inside the top limb."""
-    if np is None or p < 3 or p % 2 == 0:
+    if p < 3 or p % 2 == 0:
         return False
     s = p.bit_length() - 1
     c = p - (1 << s)
@@ -103,21 +88,6 @@ def _supported(p: int) -> bool:
         and c.bit_length() <= s // 2
         and W * (nl - 1) < s  # bit s lands strictly inside the top limb
     )
-
-
-class _Ws:
-    """Preallocated per-width scratch for one mul chunk."""
-
-    __slots__ = ("c", "q", "chf", "rf", "rq", "ob", "res")
-
-    def __init__(self, l: int, n: int):
-        self.c = np.zeros((2 * l + 1, n), np.int64)
-        self.q = np.empty((2 * l + 1, n), np.int64)
-        self.chf = np.empty((l + 1, n), np.float64)
-        self.rf = np.empty((2 * l, n), np.float64)
-        self.rq = np.empty((l, n), np.int64)
-        self.ob = np.empty((l, n), np.int64)
-        self.res = np.empty((l, n), np.int64)
 
 
 class _Ctx:
@@ -135,25 +105,12 @@ class _Ctx:
         def row(v, nl=l):
             return [(v >> (W * j)) & MASK for j in range(nl)]
 
-        # Fold matrix: column t holds the limbs of 2^(W*(L+t)) mod p --
-        # it maps the L+1 high product rows back into L limbs.  Split
-        # into HALF_W-bit halves so each dgemm stays float64-exact.
-        fold = np.array(
-            [row(pow(2, W * (l + t), p)) for t in range(l + 1)], np.int64
-        ).T.copy()
-        fold_lo = (fold & ((1 << HALF_W) - 1)).astype(np.float64)
-        fold_hi = (fold >> HALF_W).astype(np.float64)
-        #: both 14-bit halves stacked so the fold is one dgemm call.
-        self.fold_st = np.ascontiguousarray(np.vstack([fold_lo, fold_hi]))
         #: limbs of 2^(W*L) mod p: folds a carry out of the top limb.
         self.fold0 = np.array(row(pow(2, W * l, p)), np.int64)
         #: limbs of 2^(W*L + 14) / 2^(W*(L+1)) mod p: fold the 14-bit
-        #: halves / the overflow of a catch-row split (NTT stage mul).
+        #: halves / the overflow of a catch-row split.
         self.fold0_14 = np.array(row(pow(2, W * l + HALF_W, p)), np.int64)
         self.fold1 = np.array(row(pow(2, W * (l + 1), p)), np.int64)
-        #: limbs of 2^(W*(2L+1)) mod p: folds the product catch-row's
-        #: pre-split carry (weight = one limb above the catch row).
-        self.fold_top = np.array(row(pow(2, W * (2 * l + 1), p)), np.int64)
         self.p_limbs = np.array(row(p), np.int64)
         nc = (self.c.bit_length() + W - 1) // W
         self.c_limbs = np.array(row(self.c, nc), np.int64).reshape(nc, 1)
@@ -161,7 +118,7 @@ class _Ctx:
         #: NTT twiddle/permutation cache keyed (n, omega); read-only
         #: after construction, so safe to share across threads.
         self._ntt: dict = {}
-        #: mutable scratch (mul workspaces, NTT ping-pong buffers) is
+        #: mutable scratch (carry buffers, NTT ping-pong buffers) is
         #: thread-local: concurrent verifier threads must not share it.
         self._scratch = threading.local()
 
@@ -220,96 +177,6 @@ class _Ctx:
 
     # -- bounded arithmetic ---------------------------------------------
 
-    def _ws_for(self, n: int) -> _Ws:
-        cache = getattr(self._scratch, "ws", None)
-        if cache is None:
-            cache = self._scratch.ws = {}
-        ws = cache.get(n)
-        if ws is None:
-            ws = cache[n] = _Ws(self.L, n)
-        return ws
-
-    def mul_into(self, a, b, out) -> None:
-        """``out = a * b mod p`` (value-exact; limbs bounded by OUT_LIM).
-
-        ``a`` or ``b`` may be a broadcast ``(L, 1)`` column (a scalar
-        operand).  Callers guarantee ``L * mag_a * mag_b <= 2^62``.
-        Wide batches run in CHUNK-column blocks so the workspace stays
-        cache-resident.
-        """
-        n = out.shape[1]
-        for lo in range(0, n, CHUNK):
-            hi = min(lo + CHUNK, n)
-            self._mul_chunk(
-                a if a.shape[1] == 1 else a[:, lo:hi],
-                b if b.shape[1] == 1 else b[:, lo:hi],
-                out[:, lo:hi],
-            )
-
-    def mul(self, a, b):
-        n = max(a.shape[1], b.shape[1])
-        out = np.empty((self.L, n), np.int64)
-        self.mul_into(a, b, out)
-        return out
-
-    def _mul_chunk(self, a, b, out) -> None:
-        l = self.L
-        n = out.shape[1]
-        w = self._ws_for(n)
-        c, q = w.c, w.q
-        # Schoolbook product: L contiguous block-adds; the first
-        # iteration writes rows 0..L-1 directly, rows L..2L start at 0.
-        np.multiply(a[0], b, out=c[:l])
-        c[l:] = 0
-        for i in range(1, l):
-            np.multiply(a[i], b, out=q[:l])
-            c[i : i + l] += q[:l]
-        # Two carry passes restricted to rows L-1..2L -- only the dgemm
-        # input rows need limbs below 2^28; rows 0..L-2 ride along into
-        # the finalize at full product magnitude (int64 stays safe:
-        # every recombined limb is < 2^62).  Row 2L catches row 2L-1's
-        # carry and keeps its own (re-shifted) so nothing is lost.
-        cs = c[l - 1 :]
-        qs = q[: l + 2]
-        for _ in range(2):
-            np.right_shift(cs, W, out=qs)
-            np.bitwise_and(cs, MASK, out=cs)
-            cs[1:] += qs[:-1]
-            cs[l + 1] += qs[l + 1] << W
-        # Pre-split the catch row so the dgemm input stays below 2^28.
-        q_top = c[2 * l] >> W
-        c[2 * l] &= MASK
-        # Fold the L+1 high rows back into L limbs with one exact
-        # float64 matmul against the stacked 14-bit fold halves (every
-        # partial sum stays < 2^53).
-        np.copyto(w.chf, c[l:], casting="unsafe")
-        np.matmul(self.fold_st, w.chf, out=w.rf)
-        # Finalize in contiguous scratch when `out` is a strided view
-        # (a column block of a wider array) -- the dozen finalize
-        # passes then run at full speed and one copy pays the stride.
-        res = out if out.flags.c_contiguous else w.res
-        np.copyto(res, w.rf[:l], casting="unsafe")
-        np.copyto(w.rq, w.rf[l:], casting="unsafe")
-        w.rq <<= HALF_W
-        res += w.rq
-        res += c[:l]
-        np.multiply(self.fold_top.reshape(l, 1), q_top, out=w.ob)
-        res += w.ob
-        # Finalize: three carry+top-fold rounds bring |limb| under
-        # OUT_LIM unconditionally.  Certification sketch: fold0 and
-        # fold_top are canonical (< p < 2^255), so their top limb is
-        # <= 4 and the fold matrix's top row is <= 4; row L-1 enters at
-        # ~2^33.6, so its carry shrinks to ~2^5.6 after round 1, to
-        # {0, 1} after round 2, and round 3 lands every limb at
-        # <= MASK + MASK + small < OUT_LIM.
-        rq = w.rq
-        for _ in range(3):
-            self._carry_round(res, rq, w.ob)
-        if _DEBUG and np.any(np.abs(res) > OUT_LIM):
-            raise AssertionError("mul finalize exceeded OUT_LIM")  # pragma: no cover
-        if res is not out:
-            np.copyto(out, res)
-
     def _carry_round(self, r, rq, tmp=None) -> None:
         """One bulk carry round with the top spill folded via fold0."""
         l = self.L
@@ -330,10 +197,12 @@ class _Ctx:
         n = r.shape[1]
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
-            w = self._ws_for(hi - lo)
+            shape = (self.L, hi - lo)
+            rq = self._buf_for("norm_q", shape, np.int64)
+            tmp = self._buf_for("norm_t", shape, np.int64)
             blk = r[:, lo:hi]
-            self._carry_round(blk, w.rq, w.ob)
-            self._carry_round(blk, w.rq, w.ob)
+            self._carry_round(blk, rq, tmp)
+            self._carry_round(blk, rq, tmp)
         return float(OUT_LIM)
 
     # -- canonicalization ------------------------------------------------
@@ -373,76 +242,6 @@ class _Ctx:
             carry = r[k] >> W
             r[k] &= MASK
             r[k + 1] += carry
-
-    # -- batch inversion -------------------------------------------------
-
-    def _tree_bufs_for(self, n: int):
-        """Preallocated level arrays for the up and down sweeps."""
-        cache = getattr(self._scratch, "tree_bufs", None)
-        if cache is None:
-            cache = self._scratch.tree_bufs = {}
-        bufs = cache.get(n)
-        if bufs is None:
-            widths = [n]
-            while widths[-1] > TREE_CUTOFF:
-                wd = widths[-1]
-                widths.append(wd // 2 + (wd & 1))
-            ups = [np.empty((self.L, w), np.int64) for w in widths[1:]]
-            downs = [np.empty((self.L, w), np.int64) for w in widths[:-1]]
-            bufs = cache[n] = (ups, downs)
-        return bufs
-
-    def tree_inv_arr(self, arr: "np.ndarray", scale: int = 1) -> "np.ndarray":
-        """Array-resident product-tree inversion (limbs in, limbs out).
-
-        Pairs first half against second half at every level, so both
-        sweeps run on contiguous views and the down-sweep is two muls
-        per level -- no gathers, scatters, or assembling copies.  The
-        root level inverts with the scalar Montgomery core.  All level
-        storage is preallocated per ``n``; the result lives in a
-        reusable buffer (consume before the next call, or copy).
-        """
-        p = self.p
-        ups, downs = self._tree_bufs_for(arr.shape[1])
-        levels = [arr]
-        cur = arr
-        for nxt in ups:
-            wd = cur.shape[1]
-            half = wd // 2
-            self.mul_into(cur[:, :half], cur[:, half : 2 * half], nxt[:, :half])
-            if wd & 1:
-                nxt[:, half] = cur[:, wd - 1]
-            levels.append(nxt)
-            cur = nxt
-        root = self.lower(cur)
-        m = len(root)
-        prefix = [0] * m
-        acc = 1
-        for i, v in enumerate(root):
-            prefix[i] = acc
-            acc = acc * v % p
-        if not acc:  # some input was zero; say which before pow() refuses
-            raise BatchInversionError(
-                next(i for i, v in enumerate(self.lower(arr)) if not v % p)
-            )
-        inv_acc = pow(acc, -1, p) * scale % p
-        out = [0] * m
-        for i in range(m - 1, -1, -1):
-            out[i] = prefix[i] * inv_acc % p
-            inv_acc = inv_acc * root[i] % p
-        inv = self.lift(out)
-        for lvl, nxt in zip(reversed(levels[:-1]), reversed(downs)):
-            wd = lvl.shape[1]
-            half = wd // 2
-            # inv[i] = 1/(lvl[i] * lvl[half+i]); two muls on contiguous
-            # half-views recover both children (the strided output
-            # halves are absorbed by the mul's scratch finalize).
-            self.mul_into(inv[:, :half], lvl[:, half : 2 * half], nxt[:, :half])
-            self.mul_into(inv[:, :half], lvl[:, :half], nxt[:, half : 2 * half])
-            if wd & 1:
-                nxt[:, wd - 1] = inv[:, half]
-            inv = nxt
-        return inv
 
     # -- NTT ---------------------------------------------------------------
 

@@ -13,8 +13,7 @@ All transforms operate in place on lists of raw ints.
 from __future__ import annotations
 
 from repro import telemetry
-from repro.algebra import backend as field_backend
-from repro.algebra import fft_plan
+from repro.algebra import backend, fft_plan
 from repro.algebra.field import Field
 
 #: Coset power ladders ``[1, shift, shift^2, ..]`` by ``(size, shift,
@@ -29,10 +28,10 @@ def fft_in_place(values: list[int], omega: int, p: int) -> None:
     ``omega`` must be a primitive n-th root of unity for n = len(values).
     The bit-reversal indices and per-stage twiddle ladders come from
     the per-``(n, omega, p)`` plan cache (:mod:`repro.algebra.fft_plan`)
-    instead of being rebuilt per call.  The active field backend may
-    take the transform over entirely (numpy limb-vector butterflies
-    above its size threshold); its output is bit-identical to the plan
-    path, so proofs do not depend on which engine ran.
+    instead of being rebuilt per call.  From ``backend.MIN_NTT`` points
+    up, with numpy installed, the limb engine takes the transform over
+    (:func:`repro.algebra.backend.ntt`); its output is bit-identical to
+    the plan path, so proofs do not depend on which engine ran.
     """
     n = len(values)
     if n & (n - 1):
@@ -40,7 +39,7 @@ def fft_in_place(values: list[int], omega: int, p: int) -> None:
     telemetry.incr("fft.calls")
     telemetry.incr("fft.points", n)
     telemetry.observe("fft.points_per_call", n)
-    out = field_backend.active().ntt(values, omega, p)
+    out = backend.ntt(values, omega, p)
     if out is not None:
         values[:] = out
         return
@@ -204,13 +203,6 @@ class EvaluationDomain:
         Montgomery batch inversion -- the verifier
         uses this to evaluate instance columns at each distinct opening
         point (see ``proving/verifier.py``).
-
-        The active field backend may fuse the whole computation: the
-        identity ``L_i(x) = (z/n) / (x * omega^-i - 1)`` (multiply the
-        numerator and denominator by ``omega^-i``) lets a vector engine
-        generate the denominators, invert them with a resident product
-        tree, and scale them without crossing the int boundary between
-        steps.  Same field elements out either way.
         """
         p = self.field.p
         count = min(count, self.size)
@@ -224,24 +216,9 @@ class EvaluationDomain:
                 out.append(1 if x == w else 0)
                 w = w * self.omega % p
             return out
-        n_inv = self.size_inv
-        fused = field_backend.active().lagrange_evals(
-            x,
-            count,
-            p=p,
-            omega=self.omega,
-            omega_inv=self.omega_inv,
-            size=self.size,
-            kk=z * n_inv % p,
-        )
-        if fused is not None:
-            # The reference path counts one inversion per basis via
-            # Field.batch_inv; keep the counters backend-independent.
-            telemetry.incr("field.inversions", count)
-            return fused
         omegas = self._shift_powers(self.omega)[:count]
         inverses = self.field.batch_inv([(x - w) % p for w in omegas])
-        kk = z * n_inv % p
+        kk = z * self.size_inv % p
         return [kk * w % p * inv % p for w, inv in zip(omegas, inverses)]
 
     def lagrange_basis_eval(self, i: int, x: int) -> int:

@@ -14,10 +14,10 @@ single object::
 The facade owns the cross-cutting plumbing the lower layers expose as
 knobs: it obtains public parameters and their fixed-base MSM tables
 through its artifact cache (no layer below it reads the cache), applies
-the configured telemetry and any explicitly chosen field backend for
-the session's lifetime (restoring the previous settings on close), and
-keeps the prover/verifier pair consistent so a proved response verifies
-against the same commitment without ferrying metadata by hand.  A session
+the configured telemetry for the session's lifetime (restoring the
+previous setting on close), and keeps the prover/verifier pair
+consistent so a proved response verifies against the same commitment
+without ferrying metadata by hand.  A session
 proves serially, one job at a time; :meth:`Session.serve` proves in
 parallel, one forked process per service worker.
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import telemetry
-from repro.algebra import backend as field_backend
 from repro.cache import ArtifactCache, resolve_cache
 from repro.commit.params import PublicParams, cached_setup, cached_tables, setup
 from repro.config import ProverConfig, ServiceConfig
@@ -64,8 +63,8 @@ class Session:
 
     Create via :meth:`PoneglyphDB.open`.  The session is a context
     manager; leaving the ``with`` block (or calling :meth:`close`)
-    restores the global telemetry and field-backend settings it
-    overrode; so does a construction that raises.
+    restores the global telemetry setting it overrode; so does a
+    construction that raises.
     """
 
     def __init__(
@@ -84,12 +83,6 @@ class Session:
         )
         self._previous_telemetry = (
             telemetry.enable(True) if config.telemetry else telemetry.enabled()
-        )
-        # "auto" keeps the process's engine (REPRO_FIELD_BACKEND).
-        self._previous_field_backend = (
-            None
-            if config.field_backend == "auto"
-            else field_backend.set_backend(config.field_backend)
         )
         self._closed = False
 
@@ -116,13 +109,10 @@ class Session:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Restore the telemetry and field-backend settings the session
-        overrode."""
+        """Restore the telemetry setting the session overrode."""
         if not self._closed:
             if self.config.telemetry:
                 telemetry.enable(self._previous_telemetry)
-            if self._previous_field_backend is not None:
-                field_backend.set_backend(self._previous_field_backend)
             self._closed = True
 
     def __enter__(self) -> "Session":

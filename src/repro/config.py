@@ -72,13 +72,9 @@ class ProverConfig:
         per-phase wall times and counters; off (the default) the
         instrumentation is a no-op.
     field_backend:
-        Field-arithmetic engine for the session
-        (:mod:`repro.algebra.backend`): ``auto`` (the default) leaves
-        the process's engine alone -- the one ``REPRO_FIELD_BACKEND``
-        selects, else the fastest available -- and ``python`` /
-        ``numpy`` force one for the session's lifetime.  All engines
-        produce bit-identical proofs; this is purely a performance
-        knob.
+        Only ``"auto"``: the NTT engine is chosen by transform size
+        (:mod:`repro.algebra.backend`), never by configuration.  Kept,
+        like ``workers``, for callers that pass ``field_backend="auto"``.
 
     The circuit field is always the Pallas scalar field and the
     commitment curve always Pallas, as in the paper: there is no knob
@@ -120,10 +116,10 @@ class ProverConfig:
                 f"ServiceConfig(workers=N) proves jobs in N processes), "
                 f"got {self.workers!r}"
             )
-        if self.field_backend not in ("auto", "python", "numpy"):
+        if self.field_backend != "auto":
             raise ConfigError(
-                "field_backend must be one of 'auto', 'python', 'numpy', "
-                f"got {self.field_backend!r}"
+                "field_backend must be 'auto' (the NTT engine is chosen "
+                f"by transform size), got {self.field_backend!r}"
             )
 
     @property

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.algebra import SCALAR_FIELD
+from repro.algebra import SCALAR_FIELD, backend
 from repro.commit import setup
 from repro.plonkish import Assignment, ConstraintSystem
 
@@ -63,6 +63,27 @@ def example_assignment(cs, cols, x=7, y=11, z=13):
     asg.assign(cols["q_out"], 2, 1)
     asg.assign(cols["out"], 2, result)
     return asg, result
+
+
+#: The ways an NTT can run: the plan transform (``MIN_NTT`` above every
+#: test size), the numpy limb engine (``MIN_NTT`` lowered to 4, so
+#: test-sized transforms reach it) and the engine's threshold passed on
+#: a host without numpy (the gate falls back to the plan).
+NTT_PATHS = ("plan", "engine", "unavailable")
+
+
+def route_ntt(patch, path: str) -> None:
+    """Send every NTT of 4 points or more down ``path`` (one of
+    :data:`NTT_PATHS`) through ``patch``, a ``pytest.MonkeyPatch``;
+    skips the engine path on a host without numpy."""
+    if path == "plan":
+        patch.setattr(backend, "MIN_NTT", 1 << 62)
+        return
+    patch.setattr(backend, "MIN_NTT", 4)
+    if path == "unavailable":
+        patch.setattr(backend, "available", lambda: False)
+    elif not backend.available():
+        pytest.skip("numpy not installed")
 
 
 @pytest.fixture(scope="session")

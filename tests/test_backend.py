@@ -1,21 +1,21 @@
-"""Field-arithmetic backends: selection, parity, byte-identical proofs.
+"""The NTT engine, chosen by size: the gate, parity, byte-identical proofs.
 
-The vectorized engines must be *invisible* except for speed: every hook
-either declines or returns exactly what the reference loop would have
-produced.  These tests pin that contract three ways:
+The numpy limb engine must be invisible except for speed: every
+transform it takes returns exactly what the plan transform would have.
+These tests pin that contract three ways:
 
-- hypothesis parity of the limb engine's primitive ops against plain
-  int arithmetic,
-- hook-level parity (NTT, Lagrange basis) between the ``python`` and
-  ``numpy`` backends,
-- an end-to-end prove under ``deterministic_rng`` whose wire bytes must
-  not depend on the backend, with telemetry counter totals equal too.
+- the gate: which path a transform takes for its size and whether
+  numpy is installed, and that nothing below ``MIN_NTT`` imports numpy,
+- hypothesis parity of the limb engine's NTT against the plan
+  transform, on both Pasta fields, with its magnitude self-checks on,
+- an end-to-end prove under ``deterministic_rng`` whose wire bytes and
+  telemetry counter totals must not depend on the path the NTTs took.
 
-The engine thresholds (``MIN_NTT`` etc.) are monkeypatched down where
-needed so the small circuit sizes used in tests actually route through
-the vector code instead of being declined for being too short.
+``tests.conftest.route_ntt`` moves ``MIN_NTT`` (and hides numpy) so that
+the small circuit sizes used in tests reach each path.
 """
 
+import importlib.util
 import random
 import subprocess
 import sys
@@ -26,129 +26,114 @@ from hypothesis import strategies as st
 
 from repro import PoneglyphDB, ProverConfig, telemetry
 from repro.algebra import backend
-from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.algebra.domain import EvaluationDomain
-from repro.algebra.field import (
-    BASE_FIELD,
-    SCALAR_FIELD,
-    deterministic_rng,
-    montgomery_batch_inv,
-)
+from repro.algebra.fft_plan import ntt_in_place, plan_for
+from repro.algebra.field import BASE_FIELD, SCALAR_FIELD, deterministic_rng
 from repro.db import ColumnDef, Database, TableSchema
 from repro.db.types import INT
-from repro.errors import BatchInversionError, ConfigError
+from repro.errors import ConfigError
+from tests.conftest import NTT_PATHS, route_ntt
 
-NUMPY_OK = numpy_limb.available()
+NUMPY_OK = backend.available()
 needs_numpy = pytest.mark.skipif(not NUMPY_OK, reason="numpy not installed")
+if NUMPY_OK:
+    from repro.algebra.backend import numpy_limb
 
 P = SCALAR_FIELD.p
 
 elements = st.integers(min_value=0, max_value=P - 1)
 
 
-@pytest.fixture()
-def small_thresholds(monkeypatch):
-    """Route even test-sized vectors through the vector engine."""
-    monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
-    monkeypatch.setattr(numpy_backend, "MIN_INV", 4)
+def _plan_ntt(values, field, k):
+    """The plan transform of ``values`` over the size-``2^k`` domain."""
+    out = list(values)
+    ntt_in_place(out, plan_for(1 << k, field.root_of_unity_of_order(1 << k), field.p))
+    return out
 
 
-class TestSelection:
-    def test_default_resolves_to_an_available_backend(self):
-        assert backend.backend_name() in backend.available_backends()
+class TestGate:
+    def test_backend_name_says_whether_numpy_is_installed(self, monkeypatch):
+        installed = importlib.util.find_spec("numpy") is not None
+        assert backend.backend_name() == ("numpy" if installed else "python")
+        monkeypatch.setattr(backend, "available", lambda: False)
+        assert backend.backend_name() == "python"
 
-    def test_python_always_available(self):
-        assert "python" in backend.available_backends()
-
-    def test_set_backend_returns_previous(self):
-        previous = backend.set_backend("python")
-        try:
-            assert backend.backend_name() == "python"
-        finally:
-            backend.set_backend(previous)
-
-    def test_context_manager_restores(self):
-        before = backend.backend_name()
-        with backend.backend("python"):
-            assert backend.backend_name() == "python"
-        assert backend.backend_name() == before
-
-    def test_unknown_name_degrades_to_auto(self):
-        """A typo'd REPRO_FIELD_BACKEND must not break anything."""
-        with backend.backend("no-such-engine"):
-            assert backend.backend_name() in backend.available_backends()
-
-    def test_unavailable_backend_falls_back(self, monkeypatch):
-        """Requesting numpy on a host without it degrades down the
-        auto chain instead of crashing."""
+    def test_unavailable_engine_falls_back_to_the_plan(self, monkeypatch):
+        """On a host without numpy the gate declines at any size, and
+        the transform runs on the plan."""
+        monkeypatch.setattr(backend, "MIN_NTT", 4)
         monkeypatch.setitem(sys.modules, "numpy", None)
-        with backend.backend("numpy"):
-            assert backend.backend_name() == "python"
+        assert not backend.available()
+        assert backend.backend_name() == "python"
+        values = list(range(16))
+        assert backend.ntt(values, SCALAR_FIELD.root_of_unity_of_order(16), P) is None
+        assert EvaluationDomain(SCALAR_FIELD, 4).fft(values) == _plan_ntt(
+            values, SCALAR_FIELD, 4
+        )
 
     @needs_numpy
-    def test_numpy_not_imported_below_the_thresholds(self):
-        """Selecting the numpy backend costs nothing until a hook call
-        passes its size threshold: the k <= 7 workloads of the benchmark
-        of record never do, and must not pay numpy's import."""
+    def test_below_min_ntt_the_gate_declines(self):
+        omega = SCALAR_FIELD.root_of_unity_of_order(backend.MIN_NTT // 2)
+        half = [1] * (backend.MIN_NTT // 2)
+        assert backend.ntt(half, omega, P) is None
+
+    @needs_numpy
+    def test_the_record_never_loads_numpy(self):
+        """A whole k=6 session -- open, commit, a Q1 prove, verify --
+        stays below ``MIN_NTT``, so it never pays numpy's import (0.17 s
+        and ~10 MB on ``setup_s`` and ``peak_rss_mb`` of every workload
+        of the benchmark of record); one ``MIN_NTT``-point transform
+        does import it."""
         probe = (
-            "import sys\n"
+            "import sys, tempfile\n"
+            "from repro import PoneglyphDB, ProverConfig\n"
             "from repro.algebra import SCALAR_FIELD as F, backend\n"
-            "from repro.algebra.domain import EvaluationDomain\n"
-            "backend.set_backend('numpy')\n"
-            "assert backend.backend_name() == 'numpy'\n"
-            "domain = EvaluationDomain(F, 6)\n"
-            "domain.fft(list(range(64)))\n"
-            "assert 'numpy' not in sys.modules, 'imported below MIN_NTT'\n"
-            "EvaluationDomain(F, 11).fft(list(range(2048)))\n"
+            "from repro.algebra.domain import fft_in_place\n"
+            "from repro.tpch import QUERIES, generate\n"
+            "config = ProverConfig(k=6, limb_bits=4, value_bits=32,\n"
+            "    key_bits=40, cache_dir=tempfile.mkdtemp())\n"
+            "with PoneglyphDB.open(generate(8, seed=11), config) as s:\n"
+            "    s.commit()\n"
+            "    assert s.verify(s.prove(QUERIES['Q1'])).accepted\n"
+            "assert 'numpy' not in sys.modules, 'a k=6 session imported numpy'\n"
+            "n = backend.MIN_NTT\n"
+            "fft_in_place(list(range(n)), F.root_of_unity_of_order(n), F.p)\n"
             "assert 'numpy' in sys.modules, 'not imported at MIN_NTT'\n"
         )
-        subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=300)
 
-    def test_engines_offer_only_the_ntt_and_lagrange_hooks(self):
-        """The field engines accelerate the NTT and the Lagrange basis
-        and nothing else: constraint expressions have one evaluator,
-        the compiled program."""
-        for engine in backend._registry().values():
-            hooks = {
-                name
-                for name in dir(engine)
-                if not name.startswith("_")
-                and callable(getattr(engine, name))
-                and name != "available"
-            }
-            assert hooks == {"ntt", "lagrange_evals"}, engine.name
+    def test_the_engine_offers_only_the_ntt(self):
+        """No selection API and no second hook: constraint expressions,
+        the Lagrange basis and batch inversion run on plain ints."""
+        assert set(backend.__all__) == {"MIN_NTT", "available", "backend_name", "ntt"}
 
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_default_session_keeps_the_process_engine(self, engine):
-        """``field_backend="auto"`` (the default) is not a request: the
-        session runs on the engine the process selected, e.g. by
-        ``REPRO_FIELD_BACKEND``, before, during and after it."""
-        with backend.backend(engine):
-            selected = backend.backend_name()
-            session = PoneglyphDB.open(_make_db(), ProverConfig(k=6, use_cache=False))
-            with session:
-                assert backend.backend_name() == selected
-            assert backend.backend_name() == selected
+    def test_config_rejects_every_engine_name_but_auto(self):
+        for name in ("cuda", "python", "numpy", ""):
+            with pytest.raises(ConfigError, match="field_backend"):
+                ProverConfig(field_backend=name)
 
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ConfigError):
-            ProverConfig(field_backend="cuda")
-
-    def test_config_accepts_known_backends(self):
-        for name in ("auto", "python", "numpy"):
-            assert ProverConfig(field_backend=name).field_backend == name
+    def test_config_accepts_auto(self):
+        assert ProverConfig(field_backend="auto").field_backend == "auto"
 
 
 @needs_numpy
 class TestLimbEngineParity:
-    """The limb engine's primitives against plain int arithmetic."""
+    """The limb engine's NTT against the plan transform."""
 
-    @given(a=elements, b=elements)
-    @settings(max_examples=30, deadline=None)
-    def test_mul_matches_int(self, a, b):
-        ctx = numpy_limb.ctx_for(P)
-        got = ctx.lower(ctx.mul(ctx.lift([a]), ctx.lift([b])))
-        assert got == [a * b % P]
+    @given(k=st.integers(2, 7), seed=st.integers(0, 2**32))
+    @settings(
+        max_examples=20,
+        deadline=None,
+        # the patch is the same for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_ntt_matches_the_plan(self, monkeypatch, k, seed):
+        monkeypatch.setattr(numpy_limb, "_DEBUG", True)  # twiddle-mul bound
+        rng = random.Random(seed)
+        values = [rng.randrange(P) for _ in range(1 << k)]
+        omega = SCALAR_FIELD.root_of_unity_of_order(1 << k)
+        got = numpy_limb.ctx_for(P).ntt(values, omega)
+        assert got == _plan_ntt(values, SCALAR_FIELD, k)
 
     @given(vals=st.lists(elements, min_size=1, max_size=40))
     @settings(max_examples=30, deadline=None)
@@ -156,99 +141,63 @@ class TestLimbEngineParity:
         ctx = numpy_limb.ctx_for(P)
         assert ctx.lower(ctx.lift(vals)) == vals
 
-    @given(vals=st.lists(st.integers(1, P - 1), min_size=1, max_size=40))
-    @settings(max_examples=20, deadline=None)
-    def test_tree_inv_matches_int(self, vals):
-        ctx = numpy_limb.ctx_for(P)
-        inv = ctx.lower(ctx.tree_inv_arr(ctx.lift(vals)))
-        assert all(v * i % P == 1 for v, i in zip(vals, inv))
-
-    def test_tree_inv_zero_raises_typed_error(self):
-        ctx = numpy_limb.ctx_for(P)
-        with pytest.raises(BatchInversionError) as excinfo:
-            ctx.tree_inv_arr(ctx.lift([3, 5, 0, 7]))
-        assert excinfo.value.index == 2
-
-    @given(a=elements, b=elements, c=elements)
-    @settings(
-        max_examples=20,
-        deadline=None,
-        # the patch is the same for every example
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_add_mul_chain_matches_int(self, monkeypatch, a, b, c):
-        """(a*b + c) * (b + c) with non-canonical intermediates, with
-        the engine's certified-magnitude self-checks switched on."""
+    @pytest.mark.parametrize("fill", ["top", "alternating"])
+    def test_ntt_of_extreme_values(self, monkeypatch, fill):
+        """Every limb at its largest canonical value (``p - 1``), and
+        ``0`` / ``p - 1`` alternating, through the transposed early
+        stages and the natural-layout tail at 2^9 points, with the
+        certified-magnitude self-checks switched on."""
         monkeypatch.setattr(numpy_limb, "_DEBUG", True)
-        ctx = numpy_limb.ctx_for(P)
-        A, B, C = ctx.lift([a]), ctx.lift([b]), ctx.lift([c])
-        got = ctx.lower(ctx.mul(ctx.mul(A, B) + C, B + C))
-        assert got == [(a * b + c) * (b + c) % P]
+        k = 9
+        values = [
+            P - 1 if fill == "top" or i % 2 else 0 for i in range(1 << k)
+        ]
+        omega = SCALAR_FIELD.root_of_unity_of_order(1 << k)
+        got = numpy_limb.ctx_for(P).ntt(values, omega)
+        assert got == _plan_ntt(values, SCALAR_FIELD, k)
 
     def test_base_field_supported_too(self):
         ctx = numpy_limb.ctx_for(BASE_FIELD.p)
         assert ctx is not None
         rng = random.Random(5)
-        vals = [rng.randrange(BASE_FIELD.p) for _ in range(9)]
-        got = ctx.lower(ctx.mul(ctx.lift(vals), ctx.lift(vals)))
-        assert got == [v * v % BASE_FIELD.p for v in vals]
+        k = 8
+        values = [rng.randrange(BASE_FIELD.p) for _ in range(1 << k)]
+        omega = BASE_FIELD.root_of_unity_of_order(1 << k)
+        assert ctx.ntt(values, omega) == _plan_ntt(values, BASE_FIELD, k)
+
+
+def _on(path, call):
+    """``call()`` with every NTT of 4 points or more routed down ``path``."""
+    with pytest.MonkeyPatch.context() as patch:
+        route_ntt(patch, path)
+        return call()
 
 
 @needs_numpy
-class TestHookParity:
+class TestGateParity:
     def test_ntt_matches_reference(self, monkeypatch):
         monkeypatch.setattr(numpy_limb, "_DEBUG", True)  # twiddle-mul bound
         rng = random.Random(11)
         dom = EvaluationDomain(SCALAR_FIELD, 11)
         vals = [rng.randrange(P) for _ in range(dom.size)]
-        with backend.backend("python"):
-            ref = dom.fft(vals)
-        with backend.backend("numpy"):
-            fast = dom.fft(vals)
-        assert fast == ref
+        assert _on("engine", lambda: dom.fft(vals)) == _on(
+            "plan", lambda: dom.fft(vals)
+        )
 
     def test_fft_round_trip(self):
         rng = random.Random(12)
         dom = EvaluationDomain(SCALAR_FIELD, 11)
         coeffs = [rng.randrange(P) for _ in range(dom.size)]
-        with backend.backend("numpy"):
-            assert dom.ifft(dom.fft(coeffs)) == coeffs
+        assert _on("engine", lambda: dom.ifft(dom.fft(coeffs))) == coeffs
 
     def test_coset_fft_matches_reference(self):
         rng = random.Random(13)
         dom = EvaluationDomain(SCALAR_FIELD, 11)
         coeffs = [rng.randrange(P) for _ in range(dom.size)]
         shift = SCALAR_FIELD.multiplicative_generator
-        with backend.backend("python"):
-            ref = dom.coset_fft(coeffs, shift)
-        with backend.backend("numpy"):
-            fast = dom.coset_fft(coeffs, shift)
-        assert fast == ref
-
-    def test_lagrange_evals_match(self, small_thresholds):
-        rng = random.Random(10)
-        dom = EvaluationDomain(SCALAR_FIELD, 5)
-        for x in [0, 1, P - 1] + [rng.randrange(P) for _ in range(7)]:
-            with backend.backend("python"):
-                ref = dom.lagrange_basis_evals(x, dom.size)
-            with backend.backend("numpy"):
-                fast = dom.lagrange_basis_evals(x, dom.size)
-            assert fast == ref, f"x={x}"
-
-    def test_lagrange_point_inside_domain(self, small_thresholds):
-        """z == 0 short-circuits before any backend dispatch."""
-        dom = EvaluationDomain(SCALAR_FIELD, 5)
-        inside = pow(dom.omega, 3, P)
-        with backend.backend("numpy"):
-            evals = dom.lagrange_basis_evals(inside, dom.size)
-        assert evals == [1 if i == 3 else 0 for i in range(dom.size)]
-
-    def test_zero_error_index_backend_independent(self):
-        for name in ("python", "numpy"):
-            with backend.backend(name):
-                with pytest.raises(BatchInversionError) as excinfo:
-                    montgomery_batch_inv([4, 5, P, 7], P)
-            assert excinfo.value.index == 2
+        assert _on("engine", lambda: dom.coset_fft(coeffs, shift)) == _on(
+            "plan", lambda: dom.coset_fft(coeffs, shift)
+        )
 
 
 def _make_db():
@@ -264,14 +213,11 @@ def _make_db():
     return db
 
 
-@needs_numpy
 class TestEndToEnd:
-    def test_proofs_byte_identical_and_counters_equal(
-        self, small_thresholds
-    ):
+    def test_proofs_byte_identical_and_counters_equal(self):
         """Same session (so the database-commitment blinding is shared),
         same pinned prover seed: the wire bytes and the telemetry
-        counter totals must not depend on the backend."""
+        counter totals must not depend on the path the NTTs took."""
         config = ProverConfig(
             k=6,
             limb_bits=4,
@@ -280,11 +226,13 @@ class TestEndToEnd:
             use_cache=False,
             telemetry=True,
         )
+        paths = NTT_PATHS if NUMPY_OK else ("plan", "unavailable")
         with PoneglyphDB.open(_make_db(), config) as session:
             session.commit()
             results = {}
-            for name in ("python", "numpy"):
-                with backend.backend(name):
+            for path in paths:
+                with pytest.MonkeyPatch.context() as patch:
+                    route_ntt(patch, path)
                     telemetry.reset()
                     # Each leg builds its own proving key: the prover's
                     # key memo would serve the second leg warm.
@@ -295,17 +243,17 @@ class TestEndToEnd:
                         )
                     counters = telemetry.counters_snapshot()
                     assert session.verify(response).accepted, (
-                        f"proof rejected under backend {name}"
+                        f"proof rejected on the {path} path"
                     )
-                    results[name] = (response.wire_bytes(), counters)
-        assert results["numpy"][0] == results["python"][0]
+                    results[path] = (response.wire_bytes(), counters)
+
         # Workload counters (inversions, fft calls/points, msm sizes,
-        # ...) are incremented before backend dispatch and must agree
-        # exactly.  The fft.twiddle_* pair is plan-cache bookkeeping --
-        # the numpy engine keeps its own twiddle tables and bypasses
-        # the plan cache -- and msm.fixed_base_table_* says which leg
-        # found the process-wide table registry cold (the first one,
-        # unless an earlier test warmed it): those may differ.
+        # ...) are incremented before the gate and must agree exactly.
+        # The fft.twiddle_* pair is plan-cache bookkeeping -- the numpy
+        # engine keeps its own twiddle tables and bypasses the plan
+        # cache -- and msm.fixed_base_table_* says which leg found the
+        # process-wide table registry cold (the first one, unless an
+        # earlier test warmed it): those may differ.
         def workload(counters):
             return {
                 key: value
@@ -313,15 +261,9 @@ class TestEndToEnd:
                 if not key.startswith(("fft.twiddle_", "msm.fixed_base_table_"))
             }
 
-        assert workload(results["numpy"][1]) == workload(
-            results["python"][1]
-        )
-        assert results["python"][1]["field.inversions"] > 0
-        assert results["python"][1]["fft.calls"] > 0
-
-    def test_session_restores_previous_backend(self):
-        before = backend.backend_name()
-        config = ProverConfig(k=6, use_cache=False, field_backend="python")
-        with PoneglyphDB.open(_make_db(), config):
-            assert backend.backend_name() == "python"
-        assert backend.backend_name() == before
+        reference_bytes, reference_counters = results["plan"]
+        for path in paths:
+            assert results[path][0] == reference_bytes, path
+            assert workload(results[path][1]) == workload(reference_counters), path
+        assert reference_counters["field.inversions"] > 0
+        assert reference_counters["fft.calls"] > 0

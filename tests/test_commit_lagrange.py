@@ -17,8 +17,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.algebra import SCALAR_FIELD, backend
-from repro.algebra.backend import numpy_backend, numpy_limb
+from repro.algebra import SCALAR_FIELD
 from repro.algebra.domain import EvaluationDomain
 from repro.cache import ArtifactCache, cache_key
 from repro.commit import setup
@@ -40,6 +39,7 @@ from repro.db.commitment import (
 from repro.db.types import DECIMAL, INT
 from repro.ecc import fixed_base
 from repro.ecc.curve import points_to_affine_tuples
+from tests.conftest import route_ntt
 from tests.msm_oracle import msm_naive
 
 P = SCALAR_FIELD.p
@@ -74,26 +74,22 @@ def counters():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    @pytest.mark.parametrize("path", ["plan", "engine"])
     @pytest.mark.parametrize("k", [3, 5, 6])
-    def test_matches_coefficient_path(self, params_k6, k, engine, monkeypatch):
+    def test_matches_coefficient_path(self, params_k6, k, path, monkeypatch):
         """Values, and the coefficients they interpolate through the
         FFT, commit to the naive MSM over ``g``."""
-        if engine == "numpy":
-            if not numpy_limb.available():
-                pytest.skip("numpy not installed")
-            monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
+        route_ntt(monkeypatch, path)
         params = params_k6.truncated(k)
         domain = EvaluationDomain(SCALAR_FIELD, k)
         rng = random.Random(k)
-        with backend.backend(engine):
-            for shape, evals in _vectors(params.n, rng).items():
-                blind = rng.randrange(P)
-                expected = _oracle(params, evals, blind)
-                assert commit_lagrange(params, evals, blind) == expected, shape
-                padded = evals + [0] * (params.n - len(evals))
-                coeffs = domain.ifft(padded)
-                assert commit_polynomial(params, coeffs, blind) == expected, shape
+        for shape, evals in _vectors(params.n, rng).items():
+            blind = rng.randrange(P)
+            expected = _oracle(params, evals, blind)
+            assert commit_lagrange(params, evals, blind) == expected, shape
+            padded = evals + [0] * (params.n - len(evals))
+            coeffs = domain.ifft(padded)
+            assert commit_polynomial(params, coeffs, blind) == expected, shape
 
     def test_batched_matches_single(self, params_k6):
         rng = random.Random(5)
@@ -121,23 +117,19 @@ class TestEquivalence:
                 params_k6, values, blind
             ), length
 
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_batched_polynomials_match_single(self, params_k6, engine, monkeypatch):
+    @pytest.mark.parametrize("path", ["plan", "engine"])
+    def test_batched_polynomials_match_single(self, params_k6, path, monkeypatch):
         """The quotient pieces' path: one batched FFT, then one value
         commitment each."""
-        if engine == "numpy":
-            if not numpy_limb.available():
-                pytest.skip("numpy not installed")
-            monkeypatch.setattr(numpy_backend, "MIN_NTT", 4)
+        route_ntt(monkeypatch, path)
         rng = random.Random(13)
         items = [
             ([rng.randrange(P) for _ in range(length)], rng.randrange(P))
             for length in (params_k6.n, 5, 1)
         ]
-        with backend.backend(engine):
-            assert commit_polynomials(params_k6, items) == [
-                commit_polynomial(params_k6, coeffs, blind) for coeffs, blind in items
-            ]
+        assert commit_polynomials(params_k6, items) == [
+            commit_polynomial(params_k6, coeffs, blind) for coeffs, blind in items
+        ]
 
     def test_narrow_values_stay_narrow(self, params_k6, counters):
         """The point of committing values: a 4-bit column costs far

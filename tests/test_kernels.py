@@ -433,12 +433,10 @@ class TestTwoLevelCollapse:
         tables = fixed_base.build_tables(PALLAS, points_to_affine_tuples(points))
         assert fixed_base.fixed_base_msm(tables, sc) == msm_naive(points, sc)
 
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
     @pytest.mark.parametrize("width", [4, 255])
-    def test_column_with_blinding_tail(self, params_k6, engine, width):
+    def test_column_with_blinding_tail(self, params_k6, width):
         # What the prover commits: values of one width on the usable
         # rows, ZK_ROWS full-width blinding rows, then the blind on w.
-        from repro.algebra import backend
         from repro.plonkish.assignment import ZK_ROWS
 
         rng = random.Random(width)
@@ -446,11 +444,10 @@ class TestTwoLevelCollapse:
         column = [rng.randrange(1 << width) % p for _ in range(n - ZK_ROWS)]
         column += [rng.randrange(p) for _ in range(ZK_ROWS + 1)]
         bases = list(params_k6.g) + [params_k6.w]
-        with backend.backend(engine):
-            tables = fixed_base.tables_for_params(params_k6)
-            assert fixed_base.fixed_base_msm(tables, column) == msm_naive(
-                bases, column
-            )
+        tables = fixed_base.tables_for_params(params_k6)
+        assert fixed_base.fixed_base_msm(tables, column) == msm_naive(
+            bases, column
+        )
 
 
 class TestNttPlans:

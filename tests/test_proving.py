@@ -269,7 +269,7 @@ class TestGoldenProofDigest:
     "proofs stay byte-identical" must leave these digests untouched.
     A deliberate protocol change re-records them: all four were last
     recorded with ``PDB5`` (Lagrange generators, the key fingerprint
-    absorbed first), identical under both field backends.
+    absorbed first), identical on either NTT path.
 
     Each test also checks the two sides of ``opening_point_sets``: the
     sets the prover opened and the sets the verifier checked are the

@@ -17,8 +17,6 @@ import sys
 import pytest
 
 from repro import telemetry
-from repro.algebra import backend
-from repro.algebra.backend import numpy_backend, numpy_limb
 from repro.commit import setup
 from repro.plonkish import Assignment
 from repro.proving import create_proof, keygen, prover
@@ -33,6 +31,7 @@ from tests.conftest import (
     EXAMPLE_K,
     example_assignment,
     example_circuit,
+    route_ntt,
     two_chunk_shuffle_circuit,
 )
 from tests.quotient_oracle import quotient_on_coset
@@ -79,7 +78,7 @@ CIRCUITS = {
 }
 
 
-#: Circuits proved again under each engine with their whole-coset
+#: Circuits proved again on each NTT path with their whole-coset
 #: oracle: Q1 at the benchmark's k=7 (four parts), the protocol paths
 #: no TPC-H circuit reaches, and an extension of 8 (Q8: eight parts).
 ORACLE_CIRCUITS = {
@@ -87,7 +86,7 @@ ORACLE_CIRCUITS = {
     "two_chunk_shuffle": _two_chunk_shuffle,
     "Q8": CIRCUITS["Q8"],
 }
-ENGINES = ("python", "numpy")
+PATHS = ("plan", "engine")
 
 
 @pytest.fixture(scope="module")
@@ -98,21 +97,18 @@ def built():
     cache.clear()
 
 
-def _after_quotient(built: dict, name: str, engine: str = "python"):
+def _after_quotient(built: dict, name: str, path: str = "plan"):
     """``(cs, k, state, peak)``: the prover's state once round 4 has run
-    under ``engine``, and the peak its telemetry gauge read (cached in
-    ``built``).
+    with its NTTs on ``path`` (``tests.conftest.route_ntt``), and the
+    peak its telemetry gauge read (cached in ``built``).
 
     The quotient is a statement about polynomials, so the columns'
     commitments (most of a proof's time) are stubbed out: rounds 1-3
     still build every polynomial, the challenges are just different
-    ones.  The quotient pieces are committed for real.  Under numpy the
-    engine's NTT threshold is lowered so the n-point parts go through
-    it."""
-    if (name, engine) in built:
-        return built[name, engine]
-    if engine == "numpy" and not numpy_limb.available():
-        pytest.skip("numpy not installed")
+    ones.  The quotient pieces are committed for real.  On the engine
+    path its threshold is lowered so the n-point parts go through it."""
+    if (name, path) in built:
+        return built[name, path]
     seen = []
 
     def quotient(state):
@@ -125,7 +121,8 @@ def _after_quotient(built: dict, name: str, engine: str = "python"):
     build = {**CIRCUITS, **ORACLE_CIRCUITS}[name]
     previous = telemetry.enable(True)
     try:
-        with pytest.MonkeyPatch.context() as patch, backend.backend(engine):
+        with pytest.MonkeyPatch.context() as patch:
+            route_ntt(patch, path)
             # (the package re-exports the function under the module's name)
             patch.setattr(
                 sys.modules["repro.proving.keygen"],
@@ -139,7 +136,6 @@ def _after_quotient(built: dict, name: str, engine: str = "python"):
                 prover.ROUNDS[:3] + (("prove.quotient", "quotient", quotient),),
             )
             patch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
-            patch.setattr(numpy_backend, "MIN_NTT", 4)
             cs, asg, k = build()
             if k not in built:
                 built[k] = setup(k)
@@ -150,8 +146,8 @@ def _after_quotient(built: dict, name: str, engine: str = "python"):
     finally:
         telemetry.reset()
         telemetry.enable(previous)
-    built[name, engine] = cs, k, seen[0], peak
-    return built[name, engine]
+    built[name, path] = cs, k, seen[0], peak
+    return built[name, path]
 
 
 @pytest.fixture(scope="module", params=list(CIRCUITS))
@@ -166,16 +162,17 @@ def _pieces(state):
     ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
-def test_parts_give_the_whole_coset_quotient(built, name, engine):
-    """Coefficient for coefficient, whichever engine ran the parts; and
-    the polynomials the prover evaluates per part are exactly the ones
-    the identity reads."""
-    _, _, state, _ = _after_quotient(built, name, engine)
+def test_parts_give_the_whole_coset_quotient(built, name, path):
+    """Coefficient for coefficient, whichever NTT path ran the parts;
+    and the polynomials the prover evaluates per part are exactly the
+    ones the identity reads."""
+    _, _, state, _ = _after_quotient(built, name, path)
     vk = state.pk.vk
     assert len(state.pk.part_shifts) == 1 << (vk.extended_k - vk.k)
-    with backend.backend("python"):
+    with pytest.MonkeyPatch.context() as patch:
+        route_ntt(patch, "plan")
         pieces, read = quotient_on_coset(state, vk.extended_k)
     assert _pieces(state) == pieces
     key = state.pk.coset_parts[0]
