@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro import PoneglyphDB, ProverConfig, telemetry
 from repro.algebra import backend
-from repro.algebra.domain import EvaluationDomain
+from repro.algebra.domain import EvaluationDomain, fft_in_place
 from repro.algebra.fft_plan import ntt_in_place, plan_for
 from repro.algebra.field import BASE_FIELD, SCALAR_FIELD, deterministic_rng
 from repro.db import ColumnDef, Database, TableSchema
@@ -76,6 +76,33 @@ class TestGate:
         omega = SCALAR_FIELD.root_of_unity_of_order(backend.MIN_NTT // 2)
         half = [1] * (backend.MIN_NTT // 2)
         assert backend.ntt(half, omega, P) is None
+
+    @needs_numpy
+    def test_at_min_ntt_the_gate_engages(self):
+        """``MIN_NTT`` points are the first size the engine takes, and
+        its answer is the plan's."""
+        n = backend.MIN_NTT
+        rng = random.Random(7)
+        values = [rng.randrange(P) for _ in range(n)]
+        got = backend.ntt(values, SCALAR_FIELD.root_of_unity_of_order(n), P)
+        assert got == _plan_ntt(values, SCALAR_FIELD, n.bit_length() - 1)
+
+    def test_unsupported_modulus_falls_back_to_the_plan(self, monkeypatch):
+        """The engine handles sparse primes only: for any other modulus
+        the gate declines above the threshold too, and the transform is
+        still the DFT."""
+        p, n = 97, 16  # 97 = 2^6 + 33, not sparse; 16 divides 96
+        omega = pow(5, (p - 1) // n, p)  # 5 generates GF(97)*
+        assert pow(omega, n // 2, p) != 1
+        monkeypatch.setattr(backend, "MIN_NTT", 4)
+        values = list(range(3, 3 + n))
+        assert backend.ntt(values, omega, p) is None
+        dft = [
+            sum(v * pow(omega, i * j, p) for j, v in enumerate(values)) % p
+            for i in range(n)
+        ]
+        fft_in_place(values, omega, p)
+        assert values == dft
 
     @needs_numpy
     def test_the_record_never_loads_numpy(self):
@@ -197,6 +224,53 @@ class TestGateParity:
         shift = SCALAR_FIELD.multiplicative_generator
         assert _on("engine", lambda: dom.coset_fft(coeffs, shift)) == _on(
             "plan", lambda: dom.coset_fft(coeffs, shift)
+        )
+
+    def test_coset_round_trip(self):
+        rng = random.Random(17)
+        dom = EvaluationDomain(SCALAR_FIELD, 11)
+        coeffs = [rng.randrange(P) for _ in range(dom.size)]
+        shift = SCALAR_FIELD.multiplicative_generator
+        assert (
+            _on("engine", lambda: dom.coset_ifft(dom.coset_fft(coeffs, shift), shift))
+            == coeffs
+        )
+
+    def test_ifft_matches_reference(self):
+        rng = random.Random(14)
+        dom = EvaluationDomain(SCALAR_FIELD, 11)
+        evals = [rng.randrange(P) for _ in range(dom.size)]
+        assert _on("engine", lambda: dom.ifft(evals)) == _on(
+            "plan", lambda: dom.ifft(evals)
+        )
+
+    def test_batched_transforms_match_reference(self):
+        """``fft_many`` / ``ifft_many`` / ``coset_fft_many``, with short
+        inputs zero-padded, at a size below the real threshold."""
+        rng = random.Random(15)
+        dom = EvaluationDomain(SCALAR_FIELD, 6)
+        batch = [
+            [rng.randrange(P) for _ in range(length)]
+            for length in (dom.size, 9, 1)
+        ]
+        full = [row + [0] * (dom.size - len(row)) for row in batch]
+        shift = SCALAR_FIELD.multiplicative_generator
+
+        def run():
+            return (
+                dom.fft_many(batch),
+                dom.ifft_many(full),
+                dom.coset_fft_many(batch, shift),
+            )
+
+        assert _on("engine", run) == _on("plan", run)
+
+    def test_base_field_fft_matches_reference(self):
+        rng = random.Random(16)
+        dom = EvaluationDomain(BASE_FIELD, 10)
+        coeffs = [rng.randrange(BASE_FIELD.p) for _ in range(dom.size)]
+        assert _on("engine", lambda: dom.fft(coeffs)) == _on(
+            "plan", lambda: dom.fft(coeffs)
         )
 
 

@@ -39,7 +39,7 @@ from repro.db.commitment import (
 from repro.db.types import DECIMAL, INT
 from repro.ecc import fixed_base
 from repro.ecc.curve import points_to_affine_tuples
-from tests.conftest import route_ntt
+from tests.conftest import NTT_PATHS, route_ntt
 from tests.msm_oracle import msm_naive
 
 P = SCALAR_FIELD.p
@@ -74,7 +74,7 @@ def counters():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("path", ["plan", "engine"])
+    @pytest.mark.parametrize("path", NTT_PATHS)
     @pytest.mark.parametrize("k", [3, 5, 6])
     def test_matches_coefficient_path(self, params_k6, k, path, monkeypatch):
         """Values, and the coefficients they interpolate through the
@@ -117,7 +117,7 @@ class TestEquivalence:
                 params_k6, values, blind
             ), length
 
-    @pytest.mark.parametrize("path", ["plan", "engine"])
+    @pytest.mark.parametrize("path", NTT_PATHS)
     def test_batched_polynomials_match_single(self, params_k6, path, monkeypatch):
         """The quotient pieces' path: one batched FFT, then one value
         commitment each."""

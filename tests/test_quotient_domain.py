@@ -29,6 +29,7 @@ from repro.telemetry import CircuitReport
 from repro.tpch import QUERIES, generate
 from tests.conftest import (
     EXAMPLE_K,
+    NTT_PATHS,
     example_assignment,
     example_circuit,
     route_ntt,
@@ -86,9 +87,6 @@ ORACLE_CIRCUITS = {
     "two_chunk_shuffle": _two_chunk_shuffle,
     "Q8": CIRCUITS["Q8"],
 }
-PATHS = ("plan", "engine")
-
-
 @pytest.fixture(scope="module")
 def built():
     """The module's parameter sets and prover states, dropped with it."""
@@ -162,7 +160,7 @@ def _pieces(state):
     ]
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", NTT_PATHS)
 @pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
 def test_parts_give_the_whole_coset_quotient(built, name, path):
     """Coefficient for coefficient, whichever NTT path ran the parts;
