@@ -47,13 +47,6 @@ from repro.errors import (
     WireFormatError,
     WitnessError,
 )
-from repro.service import (
-    JobId,
-    JobState,
-    JobStatus,
-    Priority,
-    ProvingService,
-)
 from repro.proving.aggregate import AggProof, aggregate
 from repro.system import (
     AggReport,
@@ -63,6 +56,22 @@ from repro.system import (
     VerificationReport,
     VerifierNode,
 )
+
+#: The service's names load it on first access (or on
+#: ``Session.serve``), so a process that only proves and verifies never
+#: imports the scheduler, the journal or ``multiprocessing``.
+_SERVICE_NAMES = frozenset(
+    {"JobId", "JobState", "JobStatus", "Priority", "ProvingService"}
+)
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_NAMES:
+        import repro.service
+
+        return getattr(repro.service, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __all__ = [
     # Session facade

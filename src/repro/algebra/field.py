@@ -21,13 +21,16 @@ proving stack reads it directly and takes no field argument.
 from __future__ import annotations
 
 import random as _random
-import secrets
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro import telemetry
 from repro.errors import BatchInversionError
+
+#: The CSPRNG behind :meth:`Field.rand` outside a seeded scope: it
+#: reads ``os.urandom`` on every draw and keeps no state to fork.
+_SYSTEM_RNG = _random.SystemRandom()
 
 #: Thread-local override stream for :meth:`Field.rand` (see
 #: :func:`deterministic_rng`).  Thread-local so concurrent proving jobs
@@ -45,8 +48,8 @@ def deterministic_rng(seed: int) -> Iterator[None]:
     and therefore serialize to identical wire bytes.  The proving
     service uses it to let clients cross-check an async proof against a
     synchronous one (and tests to pin proof bytes).  Production proving
-    must run outside this scope, where :meth:`Field.rand` keeps using
-    the ``secrets`` CSPRNG.
+    must run outside this scope, where :meth:`Field.rand` keeps drawing
+    from ``random.SystemRandom`` (``os.urandom``).
 
     Scopes nest; each ``with`` installs a fresh stream and restores the
     previous one on exit.  All blinding draws happen on the proving
@@ -62,7 +65,8 @@ def deterministic_rng(seed: int) -> Iterator[None]:
 
 def forget_deterministic_rng() -> None:
     """Drop this thread's :func:`deterministic_rng` stream, so
-    :meth:`Field.rand` draws from ``secrets`` again.
+    :meth:`Field.rand` draws from ``random.SystemRandom`` (``os.urandom``)
+    again.
 
     A process forked inside a seeded scope inherits the stream; the
     proving service's runner processes call this first, so a job
@@ -249,7 +253,7 @@ class Field:
         rng = getattr(_RNG_LOCAL, "rng", None)
         if rng is not None:
             return rng.randrange(self.p)
-        return secrets.randbelow(self.p)
+        return _SYSTEM_RNG.randrange(self.p)
 
     def to_bytes(self, a: int) -> bytes:
         return (a % self.p).to_bytes(self._byte_length, "little")

@@ -32,7 +32,6 @@ evicted, counted and logged the same way, then rebuilt.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import tempfile
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from repro import telemetry
+from repro.hashing import blake2b
 
 logger = logging.getLogger("repro.cache")
 
@@ -61,7 +61,7 @@ _FRAME_HEADER_SIZE = len(_FRAME_MAGIC) + 8
 
 
 def _frame(payload: bytes) -> bytes:
-    digest = hashlib.blake2b(payload, digest_size=_FRAME_DIGEST_SIZE).digest()
+    digest = blake2b(payload, digest_size=_FRAME_DIGEST_SIZE).digest()
     return (
         _FRAME_MAGIC + len(payload).to_bytes(8, "little") + payload + digest
     )
@@ -79,7 +79,7 @@ def _unframe(raw: bytes) -> bytes | None:
         return None
     payload = raw[_FRAME_HEADER_SIZE:_FRAME_HEADER_SIZE + length]
     digest = raw[_FRAME_HEADER_SIZE + length:]
-    expect = hashlib.blake2b(payload, digest_size=_FRAME_DIGEST_SIZE).digest()
+    expect = blake2b(payload, digest_size=_FRAME_DIGEST_SIZE).digest()
     if digest != expect:
         return None
     return payload
@@ -95,7 +95,7 @@ def default_cache_dir() -> Path:
 
 def cache_key(kind: str, *description: object) -> str:
     """The content address: BLAKE2b over kind + canonicalized description."""
-    h = hashlib.blake2b(digest_size=20)
+    h = blake2b(digest_size=20)
     h.update(f"v{CACHE_FORMAT_VERSION}|{kind}".encode())
     for part in description:
         if isinstance(part, bytes):

@@ -14,7 +14,6 @@ fixed-base MSM tables derived from a set.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -22,6 +21,7 @@ from repro.cache import cache_key
 from repro.ecc import fixed_base
 from repro.ecc.curve import Curve, PALLAS, Point, curve_by_name
 from repro.ecc.fixed_base import FixedBaseTables
+from repro.hashing import blake2b
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import ArtifactCache
@@ -70,7 +70,7 @@ class PublicParams:
         different fingerprint than its parent.
         """
         if self._fingerprint is None:
-            self._fingerprint = hashlib.blake2b(
+            self._fingerprint = blake2b(
                 self.to_bytes(), digest_size=20
             ).hexdigest()
         return self._fingerprint

@@ -22,7 +22,6 @@ a commitment-shift argument; see DESIGN.md limitations.)
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro import telemetry
@@ -34,6 +33,7 @@ from repro.db.encoding import column_bound
 from repro.db.types import SqlType
 from repro.ecc.curve import Point
 from repro.errors import ContractError
+from repro.hashing import blake2b
 from repro.plonkish.assignment import ZK_ROWS
 from repro.wire import ByteReader, WireFormatError, point_wire_size
 
@@ -131,16 +131,16 @@ class CommitmentSecrets:
 def _merkle_root(leaves: list[bytes]) -> bytes:
     """A plain binary Merkle tree (duplicate last node on odd levels)."""
     if not leaves:
-        return hashlib.blake2b(b"empty", digest_size=32).digest()
+        return blake2b(b"empty", digest_size=32).digest()
     level = [
-        hashlib.blake2b(b"leaf:" + leaf, digest_size=32).digest()
+        blake2b(b"leaf:" + leaf, digest_size=32).digest()
         for leaf in leaves
     ]
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
         level = [
-            hashlib.blake2b(
+            blake2b(
                 b"node:" + level[i] + level[i + 1], digest_size=32
             ).digest()
             for i in range(0, len(level), 2)

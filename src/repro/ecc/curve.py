@@ -12,8 +12,6 @@ paper's artifact inherits hardening from the Rust `halo2` crate).
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.algebra.field import (
     BASE_FIELD,
     SCALAR_FIELD,
@@ -22,6 +20,7 @@ from repro.algebra.field import (
     PALLAS_SCALAR_MODULUS,
     montgomery_batch_inv,
 )
+from repro.hashing import blake2b
 
 
 class Curve:
@@ -59,7 +58,7 @@ class Curve:
         p = self.field.p
         counter = 0
         while True:
-            digest = hashlib.blake2b(
+            digest = blake2b(
                 domain + message + counter.to_bytes(4, "little"),
                 digest_size=64,
             ).digest()

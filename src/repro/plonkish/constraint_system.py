@@ -10,10 +10,10 @@ in an :class:`~repro.plonkish.assignment.Assignment`.
 from __future__ import annotations
 
 import enum
-import hashlib
 import logging
 from dataclasses import dataclass, field as dataclass_field
 
+from repro.hashing import blake2b
 from repro.plonkish.expression import (
     ColumnQuery,
     Constant,
@@ -397,7 +397,7 @@ class ConstraintSystem:
         parameter description), so the fingerprint doubles as the cache
         invalidation rule.
         """
-        h = hashlib.blake2b(digest_size=20)
+        h = blake2b(digest_size=20)
 
         def put(text: str) -> None:
             h.update(text.encode())

@@ -30,11 +30,11 @@ logarithmic work remains, which is exactly the Halo-style cost split.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.algebra.field import SCALAR_FIELD
+from repro.hashing import blake2b
 from repro.wire import ByteReader, SCALAR_BYTES, WireFormatError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,7 +122,7 @@ class AggProof:
     def digest(self) -> bytes:
         """Content hash of the canonical wire bytes -- what an audit
         log pins for one epoch's aggregated claim."""
-        return hashlib.blake2b(self.to_bytes(), digest_size=20).digest()
+        return blake2b(self.to_bytes(), digest_size=20).digest()
 
     # -- canonical wire format (PDBA) ------------------------------------
 

@@ -31,6 +31,7 @@ from repro.algebra.field import SCALAR_FIELD
 from repro.commit.ipa import commit_lagrange_many
 from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
+from repro.hashing import blake2b
 from repro.plonkish.assignment import ZK_ROWS
 from repro.plonkish.constraint_system import (
     Column,
@@ -332,9 +333,7 @@ def keygen_fingerprint(
     built on, it is also :attr:`VerifyingKey.fingerprint`, which binds
     the proof transcript to the whole statement.
     """
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=20)
+    h = blake2b(digest_size=20)
     h.update(_FINGERPRINT_TAG)
     h.update(f"{params.fingerprint()}|{SCALAR_FIELD.p}|{k}|".encode())
     h.update(cs.fingerprint().encode())

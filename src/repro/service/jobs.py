@@ -18,7 +18,7 @@ asserts.
 from __future__ import annotations
 
 import itertools
-import secrets
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -178,11 +178,11 @@ class Job:
         self.job_id = (
             job_id
             if job_id is not None
-            else JobId(f"job-{self.seq:06d}-{secrets.token_hex(4)}")
+            else JobId(f"job-{self.seq:06d}-{os.urandom(4).hex()}")
         )
         #: One trace per job: stamped onto every root span the job's
         #: prover thread opens.
-        self.trace_id = f"trace-{secrets.token_hex(8)}"
+        self.trace_id = f"trace-{os.urandom(8).hex()}"
         #: Names of the currently-open spans of the job's prove, root
         #: first (mirrored from the runner's span events).
         self.open_spans: list[str] = []

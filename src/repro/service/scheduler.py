@@ -52,13 +52,13 @@ first, and only then are the job's waiters woken.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import telemetry
 from repro.errors import RecoveryMismatch
+from repro.hashing import blake2b
 from repro.service.jobs import Job, JobState
 from repro.service.queue import JobQueue
 from repro.service.runner import DEADLINE, TRANSIENT, JobOutcome, JobRequest
@@ -93,7 +93,7 @@ def response_digest(response) -> str:
     Falls back to ``repr`` for stubbed responses in tests."""
     wire = getattr(response, "wire_bytes", None)
     data = wire() if callable(wire) else repr(response).encode()
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
+    return blake2b(data, digest_size=16).hexdigest()
 
 
 def mirror_span(job: Job, event: str, name: str, seconds: float) -> None:

@@ -9,7 +9,6 @@ proof links to.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,6 +20,7 @@ from repro.db.commitment import (
     audit_commitment,
 )
 from repro.db.database import Database
+from repro.hashing import blake2b
 from repro.proving.aggregate import AggProof
 from repro.wire import WireFormatError
 
@@ -76,7 +76,7 @@ def audit_aggregate(
         else:
             report = verifier.verify_aggregate(data)
             cert = AggregateAuditCertificate(
-                hashlib.blake2b(data, digest_size=20).digest(),
+                blake2b(data, digest_size=20).digest(),
                 report.proofs,
                 report.accepted,
                 report.reason,

@@ -20,10 +20,9 @@ separate this framing from the unframed ``v1`` encoding.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.algebra.field import SCALAR_FIELD
 from repro.ecc.curve import Point
+from repro.hashing import blake2b
 
 
 class Transcript:
@@ -33,7 +32,7 @@ class Transcript:
     __slots__ = ("_state", "_counter")
 
     def __init__(self, label: bytes):
-        self._state = hashlib.blake2b(
+        self._state = blake2b(
             b"poneglyphdb-transcript-v2:" + label, digest_size=64
         ).digest()
         self._counter = 0
@@ -41,7 +40,7 @@ class Transcript:
     # -- absorbing ----------------------------------------------------------
 
     def absorb_bytes(self, label: bytes, data: bytes) -> None:
-        h = hashlib.blake2b(digest_size=64)
+        h = blake2b(digest_size=64)
         h.update(self._state)
         h.update(len(label).to_bytes(4, "little"))
         h.update(label)
@@ -74,7 +73,7 @@ class Transcript:
         negligible anyway.
         """
         while True:
-            h = hashlib.blake2b(digest_size=64)
+            h = blake2b(digest_size=64)
             h.update(self._state)
             h.update(b"challenge:")
             h.update(label)

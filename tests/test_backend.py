@@ -5,7 +5,9 @@ transform it takes returns exactly what the plan transform would have.
 These tests pin that contract three ways:
 
 - the gate: which path a transform takes for its size and whether
-  numpy is installed, and that nothing below ``MIN_NTT`` imports numpy,
+  numpy is installed, and that nothing below ``MIN_NTT`` imports numpy
+  (the same probe holds a whole session to the proving stack: no
+  OpenSSL, no service),
 - hypothesis parity of the limb engine's NTT against the plan
   transform, on both Pasta fields, with its magnitude self-checks on,
 - an end-to-end prove under ``deterministic_rng`` whose wire bytes and
@@ -104,29 +106,44 @@ class TestGate:
         fft_in_place(values, omega, p)
         assert values == dft
 
-    @needs_numpy
-    def test_the_record_never_loads_numpy(self):
+    def test_the_record_loads_only_the_proving_stack(self):
         """A whole k=6 session -- open, commit, a Q1 prove, verify --
-        stays below ``MIN_NTT``, so it never pays numpy's import (0.17 s
-        and ~10 MB on ``setup_s`` and ``peak_rss_mb`` of every workload
-        of the benchmark of record); one ``MIN_NTT``-point transform
-        does import it."""
+        loads neither OpenSSL (``_hashlib``, which ``hashlib``, ``hmac``
+        and ``secrets`` all import) nor the proving service and
+        ``multiprocessing``: each would add to ``peak_rss_mb`` on every
+        workload of the benchmark of record, and the session uses none
+        of it.  Reading ``repro.ProvingService`` loads the service.
+        With numpy installed, the session also stays below ``MIN_NTT``,
+        so it never pays numpy's import (0.17 s and ~10 MB on
+        ``setup_s`` and ``peak_rss_mb``); one ``MIN_NTT``-point
+        transform does import it."""
+        unloaded = [
+            "_hashlib", "hashlib", "hmac", "secrets", "multiprocessing",
+            "repro.service",
+        ] + (["numpy"] if NUMPY_OK else [])
         probe = (
             "import sys, tempfile\n"
+            "import repro\n"
             "from repro import PoneglyphDB, ProverConfig\n"
-            "from repro.algebra import SCALAR_FIELD as F, backend\n"
-            "from repro.algebra.domain import fft_in_place\n"
             "from repro.tpch import QUERIES, generate\n"
             "config = ProverConfig(k=6, limb_bits=4, value_bits=32,\n"
             "    key_bits=40, cache_dir=tempfile.mkdtemp())\n"
             "with PoneglyphDB.open(generate(8, seed=11), config) as s:\n"
             "    s.commit()\n"
             "    assert s.verify(s.prove(QUERIES['Q1'])).accepted\n"
-            "assert 'numpy' not in sys.modules, 'a k=6 session imported numpy'\n"
-            "n = backend.MIN_NTT\n"
-            "fft_in_place(list(range(n)), F.root_of_unity_of_order(n), F.p)\n"
-            "assert 'numpy' in sys.modules, 'not imported at MIN_NTT'\n"
+            f"loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
+            "assert loaded == [], f'a k=6 session imported {loaded}'\n"
+            "repro.ProvingService\n"
+            "assert 'repro.service' in sys.modules, 'service not loaded'\n"
         )
+        if NUMPY_OK:
+            probe += (
+                "from repro.algebra import SCALAR_FIELD as F, backend\n"
+                "from repro.algebra.domain import fft_in_place\n"
+                "n = backend.MIN_NTT\n"
+                "fft_in_place(list(range(n)), F.root_of_unity_of_order(n), F.p)\n"
+                "assert 'numpy' in sys.modules, 'not imported at MIN_NTT'\n"
+            )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=300)
 
     def test_the_engine_offers_only_the_ntt(self):

@@ -86,9 +86,12 @@ class TestSigkillRecovery:
     ):
         session, expected = chaos_env
         journal_path = tmp_path / "victim.journal"
+        # -B: the environment below drops PYTHONDONTWRITEBYTECODE, and
+        # bytecode left in the checkout would speed up its later imports.
         child = subprocess.Popen(
             [
                 sys.executable,
+                "-B",
                 "-m",
                 "tests.chaos_victim",
                 str(journal_path),
