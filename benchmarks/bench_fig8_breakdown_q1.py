@@ -18,10 +18,10 @@ from repro.bench.reporting import Report
 STAGES = [
     ("compile", "compile circuit"),
     ("witness", "witness generation (all gates)"),
-    ("keygen", "keygen (fixed + sigma commitments)"),
+    ("keygen", "keygen (fixed + selector commitments)"),
     ("commit_advice", "commit advice columns"),
     ("lookup_commit", "lookup arguments (range checks/filters)"),
-    ("grand_products", "permutation + shuffle products (sort/group-by)"),
+    ("grand_products", "shuffle products + lookup sums (sort/group-by)"),
     ("quotient", "quotient (gate constraints incl. 8 aggregations)"),
     ("evaluations", "evaluations at x"),
     ("multiopen", "multiopen (IPA)"),

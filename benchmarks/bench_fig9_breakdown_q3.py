@@ -15,7 +15,7 @@ STAGES = [
     ("keygen", "keygen"),
     ("commit_advice", "commit advice columns"),
     ("lookup_commit", "lookup arguments (3 filters + join membership)"),
-    ("grand_products", "permutation + shuffle products (joins/sort)"),
+    ("grand_products", "shuffle products + lookup sums (joins/sort)"),
     ("quotient", "quotient (gates)"),
     ("evaluations", "evaluations at x"),
     ("multiopen", "multiopen (IPA)"),

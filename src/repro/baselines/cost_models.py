@@ -52,14 +52,13 @@ def column_work(cs: ConstraintSystem) -> float:
     """Scale-independent per-row prover work of a compiled circuit, in
     'column units': committed polynomials dominate Halo2's prover
     (one MSM + a handful of FFTs each), with lookups contributing three
-    auxiliary columns and shuffles/permutation chunks one each."""
+    auxiliary columns and shuffles one each."""
     advice = len(cs.advice_columns)
     fixed = len(cs.fixed_columns)
     lookups = len(cs.lookups)
     shuffles = len(cs.shuffles)
-    perm_chunks = (len(cs.equality_columns) + 2) // 3
     h_pieces = 8  # quotient pieces at the typical extended degree
-    return advice + fixed + 3 * lookups + shuffles + perm_chunks + h_pieces
+    return advice + fixed + 3 * lookups + shuffles + h_pieces
 
 
 @dataclass

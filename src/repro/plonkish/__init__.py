@@ -6,7 +6,8 @@ A PLONKish circuit is a rectangular matrix of field values with:
 - **advice columns** (the private witness),
 - **instance columns** (public inputs/outputs),
 - **polynomial constraints** ("gates") that must vanish on every row,
-- **equality (copy) constraints** between cells, and
+- **shuffle arguments** asserting two tuple streams are equal as
+  multisets, and
 - **lookup arguments** asserting input expressions take values present
   in table expressions (the relation behind the paper's range check
   designs; proved by one log-derivative sum per table).

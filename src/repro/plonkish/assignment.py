@@ -3,10 +3,10 @@
 An :class:`Assignment` is the witness matrix: one list of field values
 per column, ``n_rows`` long, where ``n_rows`` is a power of two.  The
 last :data:`ZK_ROWS` rows are reserved for blinding -- gates must be
-selector-disabled there, copy constraints and lookups may not touch
-them, and the prover fills advice cells there with fresh randomness
-before committing (this is where the zero-knowledge property of the
-opened evaluations comes from, exactly as in Halo2).
+selector-disabled there, lookups and shuffles may not touch them, and
+the prover fills advice cells there with fresh randomness before
+committing (this is where the zero-knowledge property of the opened
+evaluations comes from, exactly as in Halo2).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.plonkish.expression import Expression
 
 #: Rows reserved at the bottom of every column for blinding factors.
 #: One extra row is consumed conceptually by the final running-product
-#: slot of the permutation/lookup arguments.
+#: slot of the grand-product and lookup arguments.
 ZK_ROWS = 4
 
 

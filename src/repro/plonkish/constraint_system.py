@@ -1,4 +1,4 @@
-"""Circuit configuration: columns, gates, copy constraints, lookups.
+"""Circuit configuration: columns, gates, lookups, shuffles.
 
 A :class:`ConstraintSystem` is the *shape* of a circuit -- which columns
 exist and which constraints relate them -- independent of any concrete
@@ -179,16 +179,6 @@ class Shuffle:
 
 
 @dataclass
-class CopyConstraint:
-    """Cell equality: ``(left_col, left_row) == (right_col, right_row)``."""
-
-    left_col: Column
-    left_row: int
-    right_col: Column
-    right_row: int
-
-
-@dataclass
 class ConstraintSystem:
     """The declarative description of a circuit's shape."""
 
@@ -198,8 +188,6 @@ class ConstraintSystem:
     gates: list[Gate] = dataclass_field(default_factory=list)
     lookups: list[Lookup] = dataclass_field(default_factory=list)
     shuffles: list[Shuffle] = dataclass_field(default_factory=list)
-    copies: list[CopyConstraint] = dataclass_field(default_factory=list)
-    equality_columns: list[Column] = dataclass_field(default_factory=list)
     #: Proven upper bounds, declared by whoever creates the constraint
     #: that proves them (:meth:`declare_bound`).  Facts *about* the
     #: shape, read when sizing range decompositions; not part of the
@@ -272,26 +260,6 @@ class ConstraintSystem:
         if hi is not None:
             self.bounds[target] = hi
 
-    def enable_equality(self, column: Column) -> None:
-        """Mark a column as participating in the copy-constraint
-        permutation argument."""
-        if column.kind is ColumnKind.INSTANCE:
-            raise ValueError(
-                "instance columns are compared via public evaluation, "
-                "not the permutation argument, in this implementation"
-            )
-        if column not in self.equality_columns:
-            self.equality_columns.append(column)
-
-    def copy(
-        self, left_col: Column, left_row: int, right_col: Column, right_row: int
-    ) -> None:
-        """Constrain two cells to be equal (paper's "equality constraints")."""
-        for col in (left_col, right_col):
-            if col not in self.equality_columns:
-                self.enable_equality(col)
-        self.copies.append(CopyConstraint(left_col, left_row, right_col, right_row))
-
     # -- analysis -------------------------------------------------------------
 
     def max_gate_degree(self) -> int:
@@ -301,24 +269,20 @@ class ConstraintSystem:
                 degree = max(degree, constraint.degree())
         return degree
 
-    def _degree_without_lookups(self, permutation_chunk: int) -> int:
-        """What the gates, the permutation argument and the shuffles
-        require; the budget lookup helper groups are packed into."""
+    def _degree_without_lookups(self) -> int:
+        """What the gates and the shuffles require; the budget lookup
+        helper groups are packed into."""
         # Every gate is implicitly multiplied by the fixed active-rows
         # selector (so randomized blinding rows never violate gates even
         # when a gate is guarded by an advice flag), costing one degree.
         degree = self.max_gate_degree() + 1
-        if self.equality_columns:
-            # active * Z(wX) * prod over chunk of (w + beta*delta*X + gamma)
-            chunk = min(permutation_chunk, len(self.equality_columns))
-            degree = max(degree, chunk + 2)
         for shuffle in self.shuffles:
             # active * Z * prod over groups of (compressed_group + gamma)
             for groups in (shuffle.input_groups, shuffle.table_groups):
                 degree = max(degree, 2 + sum(map(_tuple_degree, groups)))
         return degree
 
-    def lookup_arguments(self, permutation_chunk: int = 3) -> list[LookupArgument]:
+    def lookup_arguments(self) -> list[LookupArgument]:
         """The lookups as the proving system argues them: one
         :class:`LookupArgument` per distinct table (structurally equal
         ``table`` expressions, in first-use order), its lookups packed
@@ -331,7 +295,7 @@ class ConstraintSystem:
         proof schema, :meth:`required_degree`, the prover and the cost
         model all read the grouping from here.
         """
-        budget = self._degree_without_lookups(permutation_chunk) - 2
+        budget = self._degree_without_lookups() - 2
         by_table: dict[str, list[Lookup]] = {}
         for lookup in self.lookups:
             key = "|".join(_describe_expr(e) for e in lookup.table)
@@ -352,16 +316,16 @@ class ConstraintSystem:
             helpers += len(groups)
         return arguments
 
-    def required_degree(self, permutation_chunk: int = 3) -> int:
+    def required_degree(self) -> int:
         """The constraint degree the proving system must support,
-        accounting for the permutation, shuffle and lookup argument
-        constraints it will synthesize (see :mod:`repro.proving`)."""
-        degree = self._degree_without_lookups(permutation_chunk)
-        for argument in self.lookup_arguments(permutation_chunk):
+        accounting for the shuffle and lookup argument constraints it
+        will synthesize (see :mod:`repro.proving`)."""
+        degree = self._degree_without_lookups()
+        for argument in self.lookup_arguments():
             degree = max(degree, argument.table_degree, *argument.group_degrees)
         return degree
 
-    def quotient_extension(self, permutation_chunk: int = 3) -> int:
+    def quotient_extension(self) -> int:
         """``log2`` of the factor by which the quotient's evaluation
         domain exceeds the circuit's ``n`` rows:
         ``ceil(log2(degree - 1))`` for ``degree =``
@@ -379,7 +343,7 @@ class ConstraintSystem:
         (:class:`~repro.telemetry.circuit.CircuitReport`) reports the
         same ``extended_k`` from it.
         """
-        degree = self.required_degree(permutation_chunk)
+        degree = self.required_degree()
         return max(1, (degree - 2).bit_length())
 
     def num_constraints(self) -> int:
@@ -392,8 +356,8 @@ class ConstraintSystem:
 
         Two ConstraintSystems built from the same query over the same
         schema produce the same fingerprint; any structural change --
-        an extra column, a different constraint, a new copy -- changes
-        it.  Proving keys are cached under this value (plus the
+        an extra column, a different constraint, a new lookup --
+        changes it.  Proving keys are cached under this value (plus the
         parameter description), so the fingerprint doubles as the cache
         invalidation rule.
         """
@@ -407,11 +371,14 @@ class ConstraintSystem:
             ("F", self.fixed_columns),
             ("A", self.advice_columns),
             ("I", self.instance_columns),
-            ("E", self.equality_columns),
         ):
             put(label)
             for col in columns:
                 put(_describe_column(col))
+        # The permutation argument's equality columns were hashed here;
+        # the label of that empty list stays until the next wire version
+        # (``PDB6``), so every fingerprint -- and proof -- stays put.
+        put("E")
         for gate in self.gates:
             put(f"G:{gate.name}")
             for constraint in gate.constraints:
@@ -431,15 +398,10 @@ class ConstraintSystem:
                         put(_describe_expr(expr))
                     put(",")
                 put("|")
-        for copy in self.copies:
-            put(
-                f"C:{_describe_column(copy.left_col)}@{copy.left_row}="
-                f"{_describe_column(copy.right_col)}@{copy.right_row}"
-            )
         digest = h.hexdigest()
         logger.debug(
-            "fingerprint %s: %d gates, %d lookups, %d copies",
-            digest, len(self.gates), len(self.lookups), len(self.copies),
+            "fingerprint %s: %d gates, %d lookups, %d shuffles",
+            digest, len(self.gates), len(self.lookups), len(self.shuffles),
         )
         return digest
 
@@ -454,6 +416,5 @@ class ConstraintSystem:
             "lookups": len(self.lookups),
             "lookup_tables": len(arguments),
             "lookup_helper_columns": helper_column_count(arguments),
-            "copy_constraints": len(self.copies),
             "max_gate_degree": self.max_gate_degree(),
         }

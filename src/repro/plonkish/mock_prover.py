@@ -1,7 +1,7 @@
 """MockProver: direct constraint checking with precise diagnostics.
 
 The MockProver evaluates every gate polynomial on every row, checks
-every copy constraint and every lookup directly against the assignment
+every lookup and every shuffle directly against the assignment
 -- no cryptography.  It accepts an assignment iff the real prover could
 produce a proof that the real verifier accepts (both reduce to the same
 satisfiability predicate), so it is the tool of choice for testing the
@@ -21,7 +21,7 @@ from repro.plonkish.constraint_system import Column, ConstraintSystem
 class VerifyFailure:
     """One violated constraint, with enough context to debug a gate."""
 
-    kind: str  # "gate" | "copy" | "lookup" | "shuffle" | "bound"
+    kind: str  # "gate" | "lookup" | "shuffle" | "bound"
     name: str
     row: int
     detail: str
@@ -41,7 +41,6 @@ class MockProver:
         """All constraint violations (empty list == satisfied)."""
         failures: list[VerifyFailure] = []
         failures.extend(self._check_gates())
-        failures.extend(self._check_copies())
         failures.extend(self._check_lookups())
         failures.extend(self._check_shuffles())
         failures.extend(self._check_bounds())
@@ -99,24 +98,6 @@ class MockProver:
                             f"{value} exceeds the declared bound {hi}",
                         )
                     )
-        return failures
-
-    def _check_copies(self) -> list[VerifyFailure]:
-        failures = []
-        asg = self.assignment
-        for copy in self.cs.copies:
-            left = asg.value(copy.left_col, copy.left_row)
-            right = asg.value(copy.right_col, copy.right_row)
-            if left != right:
-                failures.append(
-                    VerifyFailure(
-                        "copy",
-                        f"{copy.left_col.name}[{copy.left_row}] == "
-                        f"{copy.right_col.name}[{copy.right_row}]",
-                        copy.left_row,
-                        f"{left} != {right}",
-                    )
-                )
         return failures
 
     def _check_lookups(self) -> list[VerifyFailure]:

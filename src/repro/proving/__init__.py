@@ -4,14 +4,12 @@ This package turns a PLONKish circuit plus an assignment into a
 non-interactive zero-knowledge proof, and verifies such proofs:
 
 1. :mod:`repro.proving.keygen` -- derive the proving key (fixed-column
-   polynomials, copy-constraint sigma polynomials, system selectors)
-   and the verification key (their commitments), which ``keygen_vk``
-   builds alone, without transforms.
+   polynomials and system selectors) and the verification key (their
+   commitments), which ``keygen_vk`` builds alone, without transforms.
 2. :mod:`repro.proving.prover` -- the five-round Fiat-Shamir protocol
    as a table of round functions (``ROUNDS``): commit advice; count
-   lookup multiplicities (theta); build permutation and shuffle grand
-   products and the lookups' helper columns and running sums (beta,
-   gamma); build the quotient polynomial (y); evaluate everything at a
+   lookup multiplicities (theta); build the shuffle grand products and
+   the lookups' helper columns and running sums (beta, gamma); build the quotient polynomial (y); evaluate everything at a
    random point (x); settle every evaluation, whatever its rotation,
    with one IPA opening (:mod:`repro.proving.multiopen`).
 3. :mod:`repro.proving.verifier` -- recompute every challenge, check

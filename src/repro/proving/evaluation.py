@@ -1,12 +1,12 @@
 """The constraint identity's expressions as one straight-line program.
 
 Every expression the identity reads -- gate constraints, lookup inputs
-and tables, shuffle groups, equality-column queries -- is compiled once
-per verifying key into a :class:`Program`: a list of vector operations
-over interned ``(column, rotation)`` leaves, in the manner of halo2's
-``GraphEvaluator``: leaves fetched once, products shared across every
-tree, each ``Sum`` / ``Scaled`` / ``Constant`` chain one linear
-operation with one reduction (DESIGN.md 5e).
+and tables, shuffle groups -- is compiled once per verifying key into a
+:class:`Program`: a list of vector operations over interned ``(column,
+rotation)`` leaves, in the manner of halo2's ``GraphEvaluator``: leaves
+fetched once, products shared across every tree, each ``Sum`` /
+``Scaled`` / ``Constant`` chain one linear operation with one reduction
+(DESIGN.md 5e).
 
 One program serves every kind of vector: each n-point part of the
 extended coset for the quotient, the usable rows for the prover's
@@ -59,8 +59,7 @@ def argument_expressions(
     cs: ConstraintSystem, arguments: list[LookupArgument]
 ) -> list[Expression]:
     """Every other expression the identity reads: per lookup argument
-    its table and its lookups' inputs, the shuffle groups, and one
-    rotation-0 query per equality column."""
+    its table and its lookups' inputs, and the shuffle groups."""
     out: list[Expression] = []
     for argument in arguments:
         out += argument.table
@@ -69,7 +68,6 @@ def argument_expressions(
     for shuffle in cs.shuffles:
         for group in shuffle.input_groups + shuffle.table_groups:
             out += group
-    out += [column.cur() for column in cs.equality_columns]
     return out
 
 

@@ -2,10 +2,9 @@
 
 From the circuit shape and the public parameters we derive:
 
-- the **proving key**: the coefficients of every fixed polynomial, of
-  the permutation sigma polynomials encoding all copy constraints, and
+- the **proving key**: the coefficients of every fixed polynomial and
   of the system row-selectors (l0 / l_last / l_active) that gate the
-  permutation and lookup arguments away from the blinding rows, and
+  gates, shuffle and lookup arguments away from the blinding rows, and
   the values of all of them on each part of the quotient's coset;
 - the **verifying key**: binding commitments to all of the above.
 
@@ -33,11 +32,7 @@ from repro.commit.params import PublicParams
 from repro.ecc.curve import Point
 from repro.hashing import blake2b
 from repro.plonkish.assignment import ZK_ROWS
-from repro.plonkish.constraint_system import (
-    Column,
-    ConstraintSystem,
-    LookupArgument,
-)
+from repro.plonkish.constraint_system import ConstraintSystem, LookupArgument
 from repro.proving.evaluation import (
     Program,
     argument_expressions,
@@ -49,16 +44,10 @@ logger = logging.getLogger("repro.proving.keygen")
 #: Fixed column values, one row-indexed list per fixed column.
 Columns = Sequence[Sequence[int]]
 
-#: Columns covered by one permutation grand-product polynomial.  Keeping
-#: chunks small bounds the constraint degree at ``chunk + 2`` (the
-#: paper's "low-order polynomial constraints" design rule).
-PERMUTATION_CHUNK = 3
-
-
 @dataclass
 class PolyData:
     """One committed polynomial as the prover opens it: the key's
-    fixed / sigma / system polynomials, and -- with their ``blind`` --
+    fixed / system polynomials, and -- with their ``blind`` --
     the ones each proof commits."""
 
     coeffs: list[int]
@@ -74,17 +63,14 @@ class VerifyingKey:
     usable_rows: int
     extended_k: int
     fixed_commitments: list[Point]
-    sigma_commitments: list[Point]
     system_commitments: dict[str, Point]
-    permutation_chunks: list[list[Column]]
     #: the lookups, grouped by table and into helper groups
     lookup_arguments: list[LookupArgument]
-    delta: int
     #: every expression the constraint identity reads, compiled once
     #: (gates first, in fold order)
     program: Program
     #: :func:`keygen_fingerprint` of the parameters, the circuit shape
-    #: (gates, lookups, shuffles, copies), the fixed values and ``k``;
+    #: (gates, lookups, shuffles), the fixed values and ``k``;
     #: the proof transcript absorbs it first
     fingerprint: str
 
@@ -98,15 +84,11 @@ class ProvingKey:
     vk: VerifyingKey
     domain: EvaluationDomain
     fixed: list[PolyData]
-    sigmas: list[PolyData]
     system: dict[str, PolyData]
-    #: sigma values per equality column (row-indexed)
-    sigma_values: list[list[int]]
     #: The quotient's coset in parts (:func:`coset_part_shifts`): part
     #: ``j`` is ``part_shifts[j] * H``, and ``coset_parts[j]`` maps each
     #: key polynomial's path (``("fixed_commitments", i)``,
-    #: ``("sigma_commitments", i)``, ``("system_commitments", name)``)
-    #: to its n values there.
+    #: ``("system_commitments", name)``) to its n values there.
     part_shifts: list[int]
     coset_parts: list[dict[tuple, list[int]]] = dc_field(repr=False)
 
@@ -114,7 +96,6 @@ class ProvingKey:
         """Every key polynomial by its path."""
         return {
             **{("system_commitments", name): p for name, p in self.system.items()},
-            **{("sigma_commitments", i): p for i, p in enumerate(self.sigmas)},
             **{("fixed_commitments", i): p for i, p in enumerate(self.fixed)},
         }
 
@@ -139,7 +120,8 @@ def coset_part_shifts(k: int, extended_k: int) -> list[int]:
 
 def _system_selectors(n: int, usable: int) -> list[list[int]]:
     """The fixed row-indicator columns used by the synthesized
-    permutation/lookup constraints, in :data:`_SYSTEM_NAMES` order."""
+    gate, shuffle and lookup constraints, in :data:`_SYSTEM_NAMES`
+    order."""
     l0 = [0] * n
     l0[0] = 1
     l_last = [0] * n
@@ -150,83 +132,12 @@ def _system_selectors(n: int, usable: int) -> list[list[int]]:
     return [l0, l_last, l_active]
 
 
-def build_permutation_columns(
-    cs: ConstraintSystem, n: int, usable: int, delta: int
-) -> list[list[int]]:
-    """Compute the sigma column values from the copy constraints.
-
-    Positions ``(column, row)`` over all equality-enabled columns are
-    joined into cycles by union-find; sigma maps each position to the
-    next one in its cycle.  Position ``(c, i)`` is encoded as the field
-    element ``delta^c * omega^i``, giving disjoint cosets per column.
-    """
-    columns = cs.equality_columns
-    col_of = {col: idx for idx, col in enumerate(columns)}
-
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(pos: tuple[int, int]) -> tuple[int, int]:
-        root = pos
-        while parent.get(root, root) != root:
-            root = parent[root]
-        # Path compression.
-        while parent.get(pos, pos) != root:
-            parent[pos], pos = root, parent[pos]
-        return root
-
-    def union(a: tuple[int, int], b: tuple[int, int]) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for copy in cs.copies:
-        if copy.left_row >= usable or copy.right_row >= usable:
-            raise ValueError("copy constraints may not touch blinding rows")
-        union(
-            (col_of[copy.left_col], copy.left_row),
-            (col_of[copy.right_col], copy.right_row),
-        )
-
-    # Gather cycles.
-    cycles: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for c in range(len(columns)):
-        for i in range(usable):
-            cycles.setdefault(find((c, i)), []).append((c, i))
-
-    # sigma: next position in cycle (identity for singleton cycles).
-    sigma_map: dict[tuple[int, int], tuple[int, int]] = {}
-    for members in cycles.values():
-        for idx, pos in enumerate(members):
-            sigma_map[pos] = members[(idx + 1) % len(members)]
-
-    p = SCALAR_FIELD.p
-    omega = SCALAR_FIELD.root_of_unity_of_order(n)
-    omegas = [1] * n
-    for i in range(1, n):
-        omegas[i] = omegas[i - 1] * omega % p
-    deltas = [1] * max(1, len(columns))
-    for c in range(1, len(columns)):
-        deltas[c] = deltas[c - 1] * delta % p
-
-    sigma_values = []
-    for c in range(len(columns)):
-        col_vals = [0] * n
-        for i in range(n):
-            if i < usable:
-                tc, ti = sigma_map[(c, i)]
-            else:
-                tc, ti = c, i  # identity on blinding rows (unconstrained)
-            col_vals[i] = deltas[tc] * omegas[ti] % p
-        sigma_values.append(col_vals)
-    return sigma_values
-
-
 def _key_columns(
     params: PublicParams, cs: ConstraintSystem, k: int, fixed: Columns
 ) -> tuple[list[list[int]], list[Point], VerifyingKey]:
     """Every key column's values and commitment, in key order -- the
-    system selectors (:data:`_SYSTEM_NAMES` order), the sigmas, the
-    fixed columns -- and the verifying key made of those commitments.
+    system selectors (:data:`_SYSTEM_NAMES` order), then the fixed
+    columns -- and the verifying key made of those commitments.
     Both key builders start here, so they cannot disagree."""
     n = 1 << k
     if n > params.n:
@@ -235,14 +146,10 @@ def _key_columns(
     if usable <= 1:
         raise ValueError("circuit too small for blinding rows")
     fit_params = params.truncated(k) if params.k > k else params
-    delta = SCALAR_FIELD.multiplicative_generator
-    sigmas = build_permutation_columns(cs, n, usable, delta)
-    values = _system_selectors(n, usable) + sigmas + list(fixed)
+    values = _system_selectors(n, usable) + list(fixed)
     # Lagrange-basis commitments come straight from the values.
     commitments = commit_lagrange_many(fit_params, [(v, 0) for v in values])
-    n_system, n_key = len(_SYSTEM_NAMES), len(values) - len(fixed)
-    equality = cs.equality_columns
-    arguments = cs.lookup_arguments(PERMUTATION_CHUNK)
+    arguments = cs.lookup_arguments()
     vk = VerifyingKey(
         params=fit_params,
         cs=cs,
@@ -251,16 +158,10 @@ def _key_columns(
         # The quotient h, not the constraint it divides, is what the
         # coset evaluations must determine: fewer than (degree - 1) * n
         # coefficients at constraint degree <= degree * (n - 1).
-        extended_k=k + cs.quotient_extension(PERMUTATION_CHUNK),
-        fixed_commitments=commitments[n_key:],
-        sigma_commitments=commitments[n_system:n_key],
+        extended_k=k + cs.quotient_extension(),
+        fixed_commitments=commitments[len(_SYSTEM_NAMES):],
         system_commitments=dict(zip(_SYSTEM_NAMES, commitments)),
-        permutation_chunks=[
-            equality[i : i + PERMUTATION_CHUNK]
-            for i in range(0, len(equality), PERMUTATION_CHUNK)
-        ],
         lookup_arguments=arguments,
-        delta=delta,
         program=Program(
             gate_expressions(cs) + argument_expressions(cs, arguments),
             SCALAR_FIELD.p,
@@ -285,23 +186,20 @@ def keygen(
     """The proving key of a circuit of ``2^k`` rows whose fixed columns
     hold ``fixed``, complete with its verifying key.
 
-    Every key polynomial -- system selectors, sigmas, fixed columns --
-    goes through the transforms and commitments as one batch: one
-    inverse FFT to coefficients, then one n-point coset FFT per part of
-    the quotient's coset."""
+    Every key polynomial -- system selectors, fixed columns -- goes
+    through the transforms and commitments as one batch: one inverse
+    FFT to coefficients, then one n-point coset FFT per part of the
+    quotient's coset."""
     with telemetry.span("keygen", k=k):
         values, commitments, vk = _key_columns(params, cs, k, fixed)
         domain = EvaluationDomain(SCALAR_FIELD, k)
         coeffs = domain.ifft_many(values)
         polys = [PolyData(*poly) for poly in zip(coeffs, commitments)]
-        n_system, n_key = len(_SYSTEM_NAMES), len(values) - len(fixed)
         pk = ProvingKey(
             vk=vk,
             domain=domain,
-            fixed=polys[n_key:],
-            sigmas=polys[n_system:n_key],
+            fixed=polys[len(_SYSTEM_NAMES):],
             system=dict(zip(_SYSTEM_NAMES, polys)),
-            sigma_values=values[n_system:n_key],
             part_shifts=coset_part_shifts(k, vk.extended_k),
             coset_parts=[],
         )

@@ -24,6 +24,7 @@ strict gate every remote proof passes through.  Decoding enforces (via
 :class:`repro.wire.ByteReader`):
 
 - the ``PDB5`` version header;
+- a count of 0 in each reserved section (:data:`RESERVED`);
 - element counts that match the verifying key's circuit shape exactly
   and are length-checked against the remaining bytes before any
   allocation (the quotient-chunk count alone is bounded, not pinned);
@@ -100,43 +101,39 @@ class ShuffleProofPart:
     EVAL_LABEL: ClassVar = b"eval-shuffle"
 
 
-#: Evaluation keys of one permutation grand product, in opening order:
-#: at ``x``, at ``omega * x`` and -- for every chunk but the last, whose
-#: end value seeds the next chunk -- at ``omega^usable * x``.
-PERMUTATION_Z_KEYS = ("x", "wx", "chain")
-
-
-def permutation_z_keys(vk) -> list[tuple[str, ...]]:
-    chunks = len(vk.permutation_chunks)
-    return [PERMUTATION_Z_KEYS[: 3 if j < chunks - 1 else 2] for j in range(chunks)]
-
-
 # Element kinds; each constant is also the element's wire layout.
 POINTS = "points"
 SCALARS = "scalars"
 KEYED = "(u32 column, i32 rotation, scalar), keys ascending"  # {(col, rot): eval}
 NAMED = "scalars, names ascending"  # {name: eval}
-CHUNKS = "per chunk: scalars, keys ascending"  # [{key: eval}]
 PARTS = "per part: its points, then its scalars"  # [LookupProofPart | ...]
 OPENINGS = "IPA proofs"  # [IpaProof]
+#: No ``Proof`` attribute: a section of the permutation argument
+#: (deleted, no circuit had a copy constraint), kept on the wire with a
+#: count of 0 and its transcript absorb, so ``PDB5`` proofs stay
+#: byte-identical; the next wire version drops all three.
+RESERVED = "nothing (reserved)"
 
 
 @dataclass(frozen=True)
 class Section:
     """One row of the proof schema."""
 
-    attr: str  # the Proof attribute
+    attr: str  # the Proof attribute (a reserved section's name)
     kind: str
     #: ``shape(vk, queries, n_h)`` -- what the verifying key pins: the
-    #: element count, the ascending keys (KEYED / NAMED) or every
-    #: entry's keys (CHUNKS); ``n_h`` is the number of quotient
-    #: commitments the proof itself carries.
+    #: element count or the ascending keys (KEYED / NAMED); ``n_h`` is
+    #: the number of quotient commitments the proof itself carries.
     shape: Callable[[Any, Any, int], Any]
     pinned_to: str  # the same, in words (for the layout block)
     label: bytes = b""  # transcript label (PARTS label each field)
     round: int = 0  # round whose message absorbs it
     part: type | None = None  # PARTS: the record class
     bounded: bool = False  # shape is an upper bound (>= 1), not a pin
+
+    def value(self, proof):
+        """This section of ``proof`` (empty if it is reserved)."""
+        return () if self.kind is RESERVED else getattr(proof, self.attr)
 
     def records(self, value) -> list[list[tuple[Any, Any, bool]]]:
         """The elements in wire order, each a list of cells
@@ -149,8 +146,6 @@ class Section:
                 [(vars(part), name, is_point) for name, is_point in names]
                 for part in value
             ]
-        if self.kind is CHUNKS:
-            return [[(entry, key, False) for key in sorted(entry)] for entry in value]
         keys = sorted(value) if isinstance(value, dict) else range(len(value))
         return [[(value, key, self.kind is POINTS)] for key in keys]
 
@@ -160,8 +155,6 @@ class Section:
             return 1 <= len(value) <= expected
         if self.kind in (KEYED, NAMED):
             return set(value) == set(expected)
-        if self.kind is CHUNKS:
-            return [set(entry) for entry in value] == [set(k) for k in expected]
         return len(value) == expected
 
     def absorb(self, transcript, value, number: int) -> None:
@@ -178,11 +171,13 @@ class Section:
                     )
         elif self.round != number:
             return
-        elif self.kind is POINTS:
+        elif self.kind in (POINTS, RESERVED):
+            # A reserved section absorbs the empty list it always held:
+            # a u32 count of 0, the same bytes for points or scalars.
             transcript.absorb_points(self.label, value)
         elif self.kind is SCALARS:
             transcript.absorb_scalars(self.label, value)
-        else:  # KEYED, NAMED, CHUNKS: one scalar at a time, keys ascending
+        else:  # KEYED, NAMED: one scalar at a time, keys ascending
             for record in self.records(value):
                 for container, key, _ in record:
                     transcript.absorb_scalar(self.label, container[key])
@@ -196,7 +191,6 @@ class Section:
         return {
             POINTS: point,
             KEYED: 8 + SCALAR_BYTES,
-            CHUNKS: 2 * SCALAR_BYTES,
             OPENINGS: 4 + 2 * vk.params.k * point + 2 * SCALAR_BYTES,
         }.get(self.kind, SCALAR_BYTES)
 
@@ -209,11 +203,6 @@ class Section:
             return [reader.scalar(p, what) for _ in range(expected)]
         if self.kind is NAMED:
             return {name: reader.scalar(p, what) for name in expected}
-        if self.kind is CHUNKS:
-            return [
-                {key: reader.scalar(p, what) for key in sorted(keys)}
-                for keys in expected
-            ]
         if self.kind is PARTS:
             return [
                 self.part(
@@ -232,6 +221,14 @@ class Section:
                 raise WireFormatError(f"{what} keys do not match the circuit")
             out[key] = reader.scalar(p, what)
         return out
+
+
+def _reserved(attr: str, label: bytes = b"", round: int = 0) -> Section:
+    """A section of the deleted permutation argument (:data:`RESERVED`)."""
+    return Section(
+        attr, RESERVED, lambda vk, queries, n_h: 0,
+        "always 0 (the deleted permutation argument's)", label, round,
+    )
 
 
 def _point_set_count(vk, queries, n_h: int) -> int:
@@ -254,9 +251,7 @@ SECTIONS = (
     Section("shuffle_parts", PARTS,
             lambda vk, queries, n_h: len(vk.cs.shuffles),
             "shuffles of cs", part=ShuffleProofPart),
-    Section("permutation_z_commitments", POINTS,
-            lambda vk, queries, n_h: len(vk.permutation_chunks),
-            "vk.permutation_chunks", b"perm-z", 3),
+    _reserved("permutation_z_commitments", b"perm-z", 3),
     Section("h_commitments", POINTS,
             lambda vk, queries, n_h: 1 << (vk.extended_k - vk.k),
             "1 <= count <= 2^(extended_k - k)", b"h", 4, bounded=True),
@@ -266,16 +261,11 @@ SECTIONS = (
     Section("fixed_evals", KEYED,
             lambda vk, queries, n_h: queries.fixed,
             "collect_queries(vk).fixed", b"eval-fixed", EVALUATION_ROUND),
-    Section("sigma_evals", SCALARS,
-            lambda vk, queries, n_h: len(vk.sigma_commitments),
-            "vk.sigma_commitments", b"eval-sigma", EVALUATION_ROUND),
+    _reserved("sigma_evals", b"eval-sigma", EVALUATION_ROUND),
     Section("system_evals", NAMED,
             lambda vk, queries, n_h: sorted(vk.system_commitments),
             "vk.system_commitments", b"eval-system", EVALUATION_ROUND),
-    Section("permutation_z_evals", CHUNKS,
-            lambda vk, queries, n_h: permutation_z_keys(vk),
-            "vk.permutation_chunks; chain on all but the last",
-            b"eval-perm-z", EVALUATION_ROUND),
+    _reserved("permutation_z_evals"),
     Section("lookup_helper_evals", SCALARS,
             lambda vk, queries, n_h: helper_column_count(vk.lookup_arguments),
             "count of lookup_helper_commitments",
@@ -296,16 +286,17 @@ SECTIONS = (
 )
 
 #: Within a round the transcript takes the sections in wire order,
-#: except that the lookup and shuffle arguments follow the permutation
-#: argument (round-3 columns and round-5 evaluations alike), a lookup
-#: argument's helpers ahead of its part.
+#: except that the lookup and shuffle arguments follow the reserved
+#: permutation sections (round-3 columns and round-5 evaluations
+#: alike), a lookup argument's helpers ahead of its part.  The reserved
+#: ``permutation_z_evals`` absorbs nothing (an empty list of entries).
 TRANSCRIPT_ORDER = tuple(
     {section.attr: section for section in SECTIONS}[attr]
     for attr in (
         "advice_commitments", "permutation_z_commitments", "h_commitments",
         "advice_evals", "fixed_evals", "sigma_evals", "system_evals",
-        "permutation_z_evals", "lookup_helper_commitments",
-        "lookup_helper_evals", "lookup_parts", "shuffle_parts", "h_evals",
+        "lookup_helper_commitments", "lookup_helper_evals", "lookup_parts",
+        "shuffle_parts", "h_evals",
     )
 )
 
@@ -328,16 +319,13 @@ class Proof:
     advice_commitments: list[Point]
     lookup_parts: list[LookupProofPart]
     shuffle_parts: list[ShuffleProofPart]
-    permutation_z_commitments: list[Point]
     h_commitments: list[Point]
     lookup_helper_commitments: list[Point] = field(default_factory=list)
 
     # Evaluations at the x challenge (and rotations thereof).
     advice_evals: dict[tuple[int, int], int] = field(default_factory=dict)
     fixed_evals: dict[tuple[int, int], int] = field(default_factory=dict)
-    sigma_evals: list[int] = field(default_factory=list)
     system_evals: dict[str, int] = field(default_factory=dict)
-    permutation_z_evals: list[dict[str, int]] = field(default_factory=list)
     lookup_helper_evals: list[int] = field(default_factory=list)
     h_evals: list[int] = field(default_factory=list)
 
@@ -350,13 +338,11 @@ class Proof:
         """Every point and scalar outside the IPA proof, in wire order,
         as ``(label, container, key, is_point)``."""
         for section in SECTIONS[:-1]:  # all but the IPA proof
-            records = section.records(getattr(self, section.attr))
+            records = section.records(section.value(self))
             for i, record in enumerate(records):
                 for container, key, is_point in record:
                     if section.kind is PARTS:
                         label = f"{section.attr.removesuffix('_parts')}[{i}].{key}"
-                    elif section.kind is CHUNKS:
-                        label = f"{section.attr}[{i}][{key}]"
                     else:
                         label = f"{section.attr}[{key}]"
                     yield label, container, key, is_point
@@ -365,9 +351,7 @@ class Proof:
         """Whether every section has exactly the shape ``vk`` pins."""
         n_h = len(self.h_commitments)
         return all(
-            section.fits(
-                getattr(self, section.attr), section.shape(vk, queries, n_h)
-            )
+            section.fits(section.value(self), section.shape(vk, queries, n_h))
             for section in SECTIONS
         )
 
@@ -375,7 +359,7 @@ class Proof:
         """Absorb the message of round ``number`` (1-5) into the
         transcript: the one absorption order both sides use."""
         for section in TRANSCRIPT_ORDER:
-            section.absorb(transcript, getattr(self, section.attr), number)
+            section.absorb(transcript, section.value(self), number)
 
     def size_bytes(self) -> int:
         """Serialized proof size in bytes: the length of
@@ -400,7 +384,7 @@ class Proof:
 
         chunks: list[bytes] = [WIRE_MAGIC]
         for section in SECTIONS:
-            value = getattr(self, section.attr)
+            value = section.value(self)
             chunks.append(u32(len(value)))
             if section.kind is OPENINGS:
                 chunks += [ipa.to_bytes() for ipa in value]
@@ -445,6 +429,7 @@ class Proof:
                 raise WireFormatError(f"{what} count {count} is below {low}")
             if section.bounded:
                 expected = count
-            values[section.attr] = section.read(reader, what, expected, vk)
+            if section.kind is not RESERVED:
+                values[section.attr] = section.read(reader, what, expected, vk)
         reader.finish()
         return cls(**values)

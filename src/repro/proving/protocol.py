@@ -16,7 +16,7 @@ and used by both :mod:`repro.proving.prover` and
   :func:`quotient_paths`, the proof's polynomials the identity reads;
 - :func:`combined_constraint` -- the constraint identity: which
   selector gates which term, in which ``y``-fold order, over vector
-  formulas (:func:`shuffle_fraction`, :func:`lookup_denominators` and
+  formulas (:func:`shuffle_fractions`, :func:`lookup_denominators` and
   friends, which the prover also builds its grand products, helper
   columns and running sums from).  The verifier evaluates it at ``x``,
   the prover on the extended coset; it is the same function, and the
@@ -37,12 +37,7 @@ from repro.plonkish.constraint_system import (
 )
 from repro.proving.evaluation import gate_expressions
 from repro.proving.keygen import VerifyingKey
-from repro.proving.proof import (
-    PERMUTATION_Z_KEYS,
-    LookupProofPart,
-    ShuffleProofPart,
-    permutation_z_keys,
-)
+from repro.proving.proof import LookupProofPart, ShuffleProofPart
 from repro.transcript import Transcript
 
 
@@ -57,9 +52,7 @@ class QuerySet:
 
 def collect_queries(vk: VerifyingKey) -> QuerySet:
     """Every (column, rotation) the constraint identity reads -- the
-    leaves of the verifying key's program, among them a rotation-0
-    query per equality column (the permutation argument evaluates them
-    at x)."""
+    leaves of the verifying key's program."""
     found: dict[ColumnKind, list] = {kind: [] for kind in ColumnKind}
     for column, rotation in vk.program.leaves():
         found[column.kind].append((column.index, rotation))
@@ -73,14 +66,17 @@ def collect_queries(vk: VerifyingKey) -> QuerySet:
 def init_transcript(vk: VerifyingKey, instance: list[list[int]]) -> Transcript:
     """Create the protocol transcript and bind it to the verifying key
     and the public instance values.  The key's fingerprint goes first:
-    it covers the gates, lookups, shuffles and copies, which no
-    commitment below does."""
+    it covers the gates, lookups and shuffles, which no commitment
+    below does.  ``vk-sigma`` absorbs the empty list the deleted
+    permutation argument's key held, so ``PDB5`` proofs stay
+    byte-identical; it goes with the reserved proof sections
+    (:data:`repro.proving.proof.RESERVED`)."""
     tr = Transcript(b"poneglyphdb-proof-v1")
     tr.absorb_bytes(b"vk", bytes.fromhex(vk.fingerprint))
     tr.absorb_scalar(b"k", vk.k)
     tr.absorb_scalar(b"usable", vk.usable_rows)
     tr.absorb_points(b"vk-fixed", vk.fixed_commitments)
-    tr.absorb_points(b"vk-sigma", vk.sigma_commitments)
+    tr.absorb_points(b"vk-sigma", [])
     for name in sorted(vk.system_commitments):
         tr.absorb_point(b"vk-system", vk.system_commitments[name])
     for column_values in instance:
@@ -114,7 +110,7 @@ def opening_schedule(
     Yields ``(evaluation, commitment, rotation)``: the first two are
     paths -- ``(attribute, key)`` or ``(attribute, index, field)`` --
     into the proof (the commitment's into the verifying key for
-    ``fixed`` / ``sigma`` / ``system``), and the evaluation is claimed
+    ``fixed`` / ``system``), and the evaluation is claimed
     at ``omega^rotation * x``.  ``n_h`` is the proof's quotient-chunk
     count.  :func:`opening_point_sets` keeps first-use order, so this
     order is part of the protocol.
@@ -123,18 +119,8 @@ def opening_schedule(
         yield ("advice_evals", (ci, rotation)), ("advice_commitments", ci), rotation
     for ci, rotation in queries.fixed:
         yield ("fixed_evals", (ci, rotation)), ("fixed_commitments", ci), rotation
-    for gi in range(len(vk.sigma_commitments)):
-        yield ("sigma_evals", gi), ("sigma_commitments", gi), 0
     for name in sorted(vk.system_commitments):
         yield ("system_evals", name), ("system_commitments", name), 0
-    rotations = dict(zip(PERMUTATION_Z_KEYS, (0, 1, vk.usable_rows)))
-    for j, keys in enumerate(permutation_z_keys(vk)):
-        for key in keys:
-            yield (
-                ("permutation_z_evals", j, key),
-                ("permutation_z_commitments", j),
-                rotations[key],
-            )
     for attr, part, count in (
         ("lookup_parts", LookupProofPart, len(vk.lookup_arguments)),
         ("shuffle_parts", ShuffleProofPart, len(vk.cs.shuffles)),
@@ -150,7 +136,7 @@ def opening_schedule(
 
 #: The schedule's commitment paths into the verifying key: polynomials
 #: of the circuit, not of a proof.
-KEY_COMMITMENTS = ("fixed_commitments", "sigma_commitments", "system_commitments")
+KEY_COMMITMENTS = ("fixed_commitments", "system_commitments")
 
 
 def quotient_paths(vk: VerifyingKey, queries: QuerySet) -> list[tuple]:
@@ -214,8 +200,8 @@ def read(root, path: tuple):
 # of the domain, the extended coset, or the single point ``x``.  The
 # ``*_terms`` ones take the three system selectors first -- ``l0``:
 # first row, ``active``: usable rows, ``last``: last usable row -- and
-# return their terms in fold order, unreduced; the ``*_fraction`` ones
-# return the numerator and denominator of a grand product's step.  The
+# return their terms in fold order, unreduced; :func:`shuffle_fractions`
+# returns the numerator and denominator of a grand product's step.  The
 # lookup argument is stated in DESIGN.md ("The lookup argument").
 
 #: The system polynomials behind the three selectors, in that order.
@@ -259,19 +245,6 @@ def _shifted_product(vectors, gamma: int, p: int) -> list[int]:
     return acc
 
 
-def permutation_fraction(columns, positions, beta, gamma, p):
-    """A permutation chunk's grand-product step (paper Eq. 2/3,
-    chunked).  ``columns`` holds, per equality column, ``(values,
-    shift, sigma)``: its identity position at a point ``X`` is ``shift
-    * X``, its sigma position ``sigma``."""
-    identities, sigmas = [], []
-    for values, shift, sigma in columns:
-        scale = beta * shift % p
-        identities.append([v + scale * x for v, x in zip(values, positions)])
-        sigmas.append([v + beta * s for v, s in zip(values, sigma)])
-    return _shifted_product(identities, gamma, p), _shifted_product(sigmas, gamma, p)
-
-
 def lookup_helper_terms(l0, active, last, h, denominators, p):
     """A helper column is determined by its group's inputs: ``h =
     sum_i 1 / d_i`` over the ``d_i = beta + f_i``, cleared of
@@ -300,13 +273,6 @@ def lookup_sum_terms(l0, active, last, phi, phi_next, m, helpers, table, p):
     )
 
 
-def shuffle_fraction(inputs, tables, gamma, p):
-    """A shuffle grand product's step (paper Eq. 5, generalized to
-    tuple groups): compressed input groups over compressed table
-    groups."""
-    return _shifted_product(inputs, gamma, p), _shifted_product(tables, gamma, p)
-
-
 def lookup_denominators(
     vk: VerifyingKey, argument: LookupArgument, expression, challenges
 ) -> tuple[list[list[list[int]]], list[int]]:
@@ -329,55 +295,39 @@ def lookup_denominators(
     )
 
 
-def grand_product_fractions(vk, positions, expression, opened, challenges):
-    """Every grand-product argument in protocol order -- permutation
-    chunks (paper Eq. 2/3, chunked), then shuffles (Eq. 5) -- as
-    ``(evaluation section, index, numerators, denominators)`` with one
-    step per point of ``positions``.  The arguments are those of
-    :func:`combined_constraint`; the prover also calls this over the
-    rows of the domain to build each ``Z``."""
+def shuffle_fractions(vk, expression, challenges):
+    """Every shuffle's grand-product step, in protocol order, as
+    ``(numerators, denominators)`` with one step per point
+    ``expression`` evaluates at (paper Eq. 5, generalized to tuple
+    groups): compressed input groups over compressed table groups.
+    :func:`combined_constraint` folds them into the identity; the
+    prover also calls this over the rows of the domain to build each
+    ``Z``."""
     p = SCALAR_FIELD.p
-    theta, beta, gamma = (challenges[c] for c in ("theta", "beta", "gamma"))
+    theta, gamma = challenges["theta"], challenges["gamma"]
 
-    def compressed(exprs):
-        return compress_rows(exprs, expression, theta, p)
-
-    # Equality column i sits on the coset delta^i * X of the identity
-    # permutation; sigma_i says where its cells are copied from.
-    index = {col: i for i, col in enumerate(vk.cs.equality_columns)}
-    for j, chunk in enumerate(vk.permutation_chunks):
-        columns = [
-            (
-                expression(col.cur()),
-                pow(vk.delta, index[col], p),
-                opened(("sigma_evals", index[col])),
-            )
-            for col in chunk
-        ]
-        yield "permutation_z_evals", j, *permutation_fraction(
-            columns, positions, beta, gamma, p
-        )
-    for si, shuffle in enumerate(vk.cs.shuffles):
-        yield "shuffle_parts", si, *shuffle_fraction(
-            [compressed(group) for group in shuffle.input_groups],
-            [compressed(group) for group in shuffle.table_groups],
+    def product(groups):
+        return _shifted_product(
+            [compress_rows(group, expression, theta, p) for group in groups],
             gamma,
             p,
         )
+
+    for shuffle in vk.cs.shuffles:
+        yield product(shuffle.input_groups), product(shuffle.table_groups)
 
 
 def combined_constraint(
     vk: VerifyingKey,
     selectors,
-    positions: list[int],
     expression,
     opened,
     challenges: dict[str, int],
 ) -> list[int]:
-    """The whole constraint identity, folded with ``y``, at every point
-    of ``positions`` at once -- the extended coset for the prover, the
-    single point ``x`` for the verifier.  Every argument is a vector
-    over those points:
+    """The whole constraint identity, folded with ``y``, at a vector of
+    points at once -- the extended coset for the prover, the single
+    point ``x`` for the verifier.  Every argument is a vector over
+    those points:
 
     - ``selectors``: the ``l0``, ``l_active`` and ``l_last`` values;
     - ``expression(e)``: the values of a gate / lookup expression (the
@@ -389,13 +339,12 @@ def combined_constraint(
     """
     p, y = SCALAR_FIELD.p, challenges["y"]
     l0, active, last = selectors
-    ones = [1] * len(positions)
 
     # The gates come first, each gated to the active rows (so advice
     # cells randomized in the blinding region never violate one):
     # folding active * c_j term by term is active times the y-fold of
     # the c_j, one product in all instead of one per constraint.
-    combined = [0] * len(positions)
+    combined = [0] * len(l0)
     constraints = gate_expressions(vk.cs)
     if constraints:
         gates = compress_rows(constraints, expression, y, p)
@@ -406,29 +355,18 @@ def combined_constraint(
         for term in terms:
             combined = [(c * y + t) % p for c, t in zip(combined, term)]
 
-    last_chunk = len(vk.permutation_chunks) - 1
-    for attr, i, numer, denom in grand_product_fractions(
-        vk, positions, expression, opened, challenges
-    ):
-        # Z starts at 1 -- a permutation chunk after the first where the
-        # previous one ended (its Z at omega^usable * X) --, steps by
-        # its fraction on every active row and ends at 1; of the
-        # permutation chunks only the last does.
-        if attr == "permutation_z_evals":
-            z, z_next = opened((attr, i, "x")), opened((attr, i, "wx"))
-            start = opened((attr, i - 1, "chain")) if i else ones
-        else:
-            z, z_next = opened((attr, i, "z_x")), opened((attr, i, "z_wx"))
-            start = ones
+    for i, (numer, denom) in enumerate(shuffle_fractions(vk, expression, challenges)):
+        # Z starts at 1, steps by its fraction on every active row and
+        # ends at 1.
+        z, z_next = (opened(("shuffle_parts", i, name)) for name in ("z_x", "z_wx"))
         fold(
-            [a * (u - s) for a, u, s in zip(l0, z, start)],
+            [a * (u - 1) for a, u in zip(l0, z)],
             [
                 a * (u_next * d - u * nm)
                 for a, u, u_next, nm, d in zip(active, z, z_next, numer, denom)
             ],
+            [a * (u_next - 1) for a, u_next in zip(last, z_next)],
         )
-        if attr != "permutation_z_evals" or i == last_chunk:
-            fold([a * (u_next - 1) for a, u_next in zip(last, z_next)])
 
     for i, argument in enumerate(vk.lookup_arguments):
         groups, table = lookup_denominators(vk, argument, expression, challenges)

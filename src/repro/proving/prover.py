@@ -49,12 +49,12 @@ from repro.proving.protocol import (
     collect_queries,
     combined_constraint,
     draw_challenges,
-    grand_product_fractions,
     init_transcript,
     lookup_denominators,
     opening_point_sets,
     opening_schedule,
     quotient_paths,
+    shuffle_fractions,
 )
 from repro.transcript import Transcript
 
@@ -72,6 +72,8 @@ class ProverTiming:
 
     commit_advice: float = 0.0
     lookups: float = 0.0
+    #: round 3: the shuffle products and the lookup sums (the name is
+    #: older; ``benchmarks/e2e/layers.py`` reads it)
     permutations: float = 0.0
     quotient: float = 0.0
     evaluations: float = 0.0
@@ -98,9 +100,9 @@ class ProverState:
     #: The polynomial behind every commitment, keyed by the path
     #: :func:`~repro.proving.protocol.opening_schedule` gives it.
     polys: dict[tuple, PolyData]
-    #: The values of those polynomials over the domain's rows (the
-    #: sigmas and every column committed so far), under the same paths.
-    columns: dict[tuple, list[int]]
+    #: The values of those polynomials over the domain's rows (every
+    #: column committed so far), under the same paths.
+    columns: dict[tuple, list[int]] = dc_field(default_factory=dict)
     #: Expression values over the usable rows (:func:`_row_values`).
     rows: Callable[[Expression], list[int]] | None = None
     point_sets: list[PointSet] = dc_field(default_factory=list)
@@ -132,11 +134,8 @@ def create_proof(
         transcript=init_transcript(pk.vk, assignment.instance),
         queries=collect_queries(pk.vk),
         blind_overrides=advice_blind_overrides or {},
-        proof=Proof([], [], [], [], []),
+        proof=Proof([], [], [], []),
         polys=pk.polys(),
-        columns={
-            ("sigma_commitments", i): v for i, v in enumerate(pk.sigma_values)
-        },
     )
     for number, (span, timing_field, run_round) in enumerate(ROUNDS, start=1):
         phase = telemetry.begin_span(span)
@@ -182,8 +181,8 @@ def _commit_columns(
 
 
 def _row_values(state: ProverState) -> Callable[[Expression], list[int]]:
-    """The values of the lookup, shuffle and equality expressions on
-    every usable row of the assignment: the verifying key's program,
+    """The values of the lookup and shuffle expressions on every usable
+    row of the assignment: the verifying key's program,
     run once and memoized (the lookup round and the grand-product round
     read the same ones)."""
     if state.rows is None:
@@ -198,22 +197,23 @@ def _row_values(state: ProverState) -> Callable[[Expression], list[int]]:
     return state.rows
 
 
-def _grand_product(
-    state: ProverState, numer, denom, start: int = 1, must_close: str = ""
-) -> list[int]:
-    """The column ``Z`` with ``Z[0] = start`` that steps by each usable
-    row's fraction ``numer / denom``, random past ``Z[usable]``.  With
-    ``must_close`` a product that does not return to 1 has no witness
-    and raises :class:`ProvingError` with that message."""
+def _grand_product(state: ProverState, numer, denom, name: str) -> list[int]:
+    """The column ``Z`` with ``Z[0] = 1`` that steps by each usable
+    row's fraction ``numer / denom``, random past ``Z[usable]``.  A
+    product that does not return to 1 has no witness and raises
+    :class:`ProvingError` naming shuffle ``name``."""
     p, n = SCALAR_FIELD.p, state.pk.domain.size
     usable = state.pk.vk.usable_rows
     denom_inv = SCALAR_FIELD.batch_inv(denom)
     z = [0] * n
-    z[0] = start
+    z[0] = 1
     for i in range(usable):
         z[i + 1] = z[i] * numer[i] % p * denom_inv[i] % p
-    if must_close and z[usable] != 1:
-        raise ProvingError(must_close)
+    if z[usable] != 1:
+        raise ProvingError(
+            f"shuffle {name!r} grand product does not close; the two sides "
+            "are not equal as multisets"
+        )
     for i in range(usable + 1, n):
         z[i] = SCALAR_FIELD.rand()
     return z
@@ -340,31 +340,7 @@ def _running_sum(
 
 # ---- round 3: grand products and lookup sums (beta, gamma) -----------------
 def grand_products(state: ProverState) -> dict:
-    pk, proof = state.pk, state.proof
-    vk = pk.vk
-    p, usable = SCALAR_FIELD.p, vk.usable_rows
-    omegas = [1] * usable
-    for i in range(1, usable):
-        omegas[i] = omegas[i - 1] * pk.domain.omega % p
-    opened = _opened_values(state, state.columns.__getitem__)
-
-    arguments = {"permutation_z_evals": [], "shuffle_parts": []}
-    for attr, i, *fraction in grand_product_fractions(
-        vk, omegas, _row_values(state), opened, state.challenges
-    ):
-        arguments[attr].append((i, fraction))
-
-    # Permutation chunks: each starts where the previous one ended.
-    z_columns: list[list[int]] = []
-    start = 1
-    for j, fraction in arguments["permutation_z_evals"]:
-        z_columns.append(_grand_product(state, *fraction, start))
-        start = z_columns[-1][usable]
-    proof.permutation_z_commitments = _commit_columns(
-        state,
-        z_columns,
-        [("permutation_z_commitments", j) for j in range(len(z_columns))],
-    )
+    proof, vk = state.proof, state.pk.vk
     helpers: list[list[int]] = []
     sums: list[list[int]] = []
     for i in range(len(vk.lookup_arguments)):
@@ -383,26 +359,22 @@ def grand_products(state: ProverState) -> dict:
     )
     for part, commitment in zip(proof.lookup_parts, phi_commitments):
         part.phi_commitment = commitment
-    for si, fraction in arguments["shuffle_parts"]:
-        z = _grand_product(
-            state,
-            *fraction,
-            must_close=f"shuffle {vk.cs.shuffles[si].name!r} grand product does "
-            "not close; the two sides are not equal as multisets",
-        )
+    fractions = shuffle_fractions(vk, _row_values(state), state.challenges)
+    for si, (shuffle, fraction) in enumerate(zip(vk.cs.shuffles, fractions)):
+        z = _grand_product(state, *fraction, shuffle.name)
         (commitment,) = _commit_columns(
             state, [z], [("shuffle_parts", si, "z_commitment")]
         )
         proof.shuffle_parts.append(ShuffleProofPart(commitment))
-    return {"chunks": len(vk.permutation_chunks)}
+    return {"shuffles": len(vk.cs.shuffles)}
 
 
 def _opened_values(state: ProverState, values_of):
-    """The ``opened`` argument of the protocol's constraint functions:
-    resolves an evaluation path through the opening schedule to
-    ``values_of(commitment path)`` rotated by the evaluation's rotation
-    (one row, one position: the usable rows and every part of the
-    quotient's coset are cosets of the row domain)."""
+    """The ``opened`` argument of the constraint identity: resolves an
+    evaluation path through the opening schedule to ``values_of
+    (commitment path)`` rotated by the evaluation's rotation (one row,
+    one position: every part of the quotient's coset is a coset of the
+    row domain)."""
     slots = {
         evaluation: (commitment, rotation)
         for evaluation, commitment, rotation in opening_schedule(
@@ -461,13 +433,9 @@ def _quotient_part(
     coeffs = [state.polys[path].coeffs for path in paths]
     fresh = pk.domain.coset_fft_many(coeffs, shift)
     values = {**key_values, **dict(zip(paths, fresh))}
-    positions = [shift] * n
-    for i in range(1, n):
-        positions[i] = positions[i - 1] * pk.domain.omega % p
     combined = combined_constraint(
         vk,
         [values[("system_commitments", name)] for name in SYSTEM_SELECTORS],
-        positions,
         vk.program.run(
             lambda column, rotation: rotated(
                 values[_COLUMN_PATHS[column.kind], column.index], rotation
@@ -520,8 +488,6 @@ def evaluations(state: ProverState) -> dict:
     pk, proof = state.pk, state.proof
     vk = pk.vk
     p = SCALAR_FIELD.p
-    proof.sigma_evals = [0] * len(pk.sigmas)
-    proof.permutation_z_evals = [{} for _ in vk.permutation_chunks]
     proof.lookup_helper_evals = [0] * len(proof.lookup_helper_commitments)
     proof.h_evals = [0] * len(proof.h_commitments)
     x = state.challenges["x"]

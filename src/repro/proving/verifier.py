@@ -115,7 +115,6 @@ def verify_proof(
     (combined,) = combined_constraint(
         vk,
         [[proof.system_evals[name]] for name in SYSTEM_SELECTORS],
-        [x],
         vk.program.run(lambda col, rotation: [query_eval(col, rotation)], 1),
         lambda path: [read(proof, path)],
         challenges,
@@ -131,7 +130,7 @@ def verify_proof(
     for rotations, members in opening_point_sets(
         vk, queries, len(proof.h_commitments)
     ):
-        # Fixed, sigma and system commitments are the verifying key's.
+        # Fixed and system commitments are the verifying key's.
         claims = [
             OpeningClaim(
                 read(vk if hasattr(vk, commitment[0]) else proof, commitment),

@@ -2,7 +2,7 @@
 
 Prove-time spans tell you *where the seconds went*; this pass tells you
 *why* -- the circuit-shape quantities (rows, columns, gate constraints
-per SQL operator, lookup widths, permutation chunks, MSM sizes) that
+per SQL operator, lookup widths, shuffles, MSM sizes) that
 drive each phase's cost.  Joining the two reproduces the paper's
 per-operator decomposition (Figures 8-9) without re-running anything:
 the report is derived purely from a :class:`ConstraintSystem` and ``k``.
@@ -66,7 +66,6 @@ _RANDOM_ROWS = {
     "advice_commitments": ZK_ROWS,
     "m_commitment": ZK_ROWS,
     "lookup_helper_commitments": ZK_ROWS,
-    "permutation_z_commitments": ZK_ROWS - 1,
     "phi_commitment": ZK_ROWS - 1,
     "z_commitment": ZK_ROWS - 1,
 }
@@ -105,7 +104,6 @@ class CircuitReport:
     fixed_columns: int
     advice_columns: int
     instance_columns: int
-    equality_columns: int
     gates: tuple[GateCost, ...]
     num_constraints: int
     max_gate_degree: int
@@ -119,9 +117,6 @@ class CircuitReport:
     #: helper column).
     range_limbs: int
     shuffles: int
-    copies: int
-    permutation_chunk: int
-    permutation_grand_products: int
     #: Point sets of the opening argument (one ``q_i(x3)`` scalar each).
     opening_point_sets: int
     #: Blinding budget: min over witness-carrying committed polynomials
@@ -129,7 +124,7 @@ class CircuitReport:
     #: DESIGN.md 5m.  Negative: more evaluations revealed than hidden.
     zk_margin: int
     #: The expression trees the constraint identity reads (gates,
-    #: lookup inputs and tables, shuffle groups, equality queries) and
+    #: lookup inputs and tables, shuffle groups) and
     #: their nodes, a shared subtree counted per use ...
     expressions: int
     expression_nodes: int
@@ -143,12 +138,7 @@ class CircuitReport:
     operator_constraints: dict[str, int] = dc_field(default_factory=dict)
 
     @classmethod
-    def from_constraint_system(
-        cls,
-        cs: ConstraintSystem,
-        k: int,
-        permutation_chunk: int = 3,
-    ) -> "CircuitReport":
+    def from_constraint_system(cls, cs: ConstraintSystem, k: int) -> "CircuitReport":
         n = 1 << k
         gates = []
         operator_constraints: dict[str, int] = {}
@@ -166,7 +156,7 @@ class CircuitReport:
             )
             operator_constraints[bucket] = operator_constraints.get(bucket, 0) + count
 
-        arguments = cs.lookup_arguments(permutation_chunk)
+        arguments = cs.lookup_arguments()
         degree_of = {
             id(lookup): max(group_degree, argument.table_degree)
             for argument in arguments
@@ -182,14 +172,8 @@ class CircuitReport:
             for lookup in cs.lookups
         ]
 
-        degree = cs.required_degree(permutation_chunk)
-        extended_k = k + cs.quotient_extension(permutation_chunk)
-        equality = len(cs.equality_columns)
-        chunks = (
-            (equality + permutation_chunk - 1) // permutation_chunk
-            if equality
-            else 0
-        )
+        degree = cs.required_degree()
+        extended_k = k + cs.quotient_extension()
         # The opening argument's shape, from the function both sides of
         # the protocol call, and the identity's program, from the
         # compiler keygen runs (repro.proving imports this package).
@@ -200,8 +184,7 @@ class CircuitReport:
         expressions = list(dict.fromkeys(expressions))
         program = evaluation.Program(expressions, SCALAR_FIELD.p)
         shape = SimpleNamespace(
-            cs=cs, usable_rows=n - ZK_ROWS, lookup_arguments=arguments,
-            sigma_commitments=cs.equality_columns, permutation_chunks=range(chunks),
+            cs=cs, lookup_arguments=arguments,
             system_commitments=protocol.SYSTEM_SELECTORS, program=program,
         )
         queries = protocol.collect_queries(shape)
@@ -222,7 +205,6 @@ class CircuitReport:
             fixed_columns=len(cs.fixed_columns),
             advice_columns=len(cs.advice_columns),
             instance_columns=len(cs.instance_columns),
-            equality_columns=equality,
             gates=tuple(gates),
             num_constraints=cs.num_constraints(),
             max_gate_degree=cs.max_gate_degree(),
@@ -238,9 +220,6 @@ class CircuitReport:
                 for lookup in cs.lookups
             ),
             shuffles=len(cs.shuffles),
-            copies=len(cs.copies),
-            permutation_chunk=permutation_chunk,
-            permutation_grand_products=chunks,
             opening_point_sets=len(point_sets),
             zk_margin=min(margins, default=ZK_ROWS),
             expressions=len(expressions),
@@ -297,8 +276,8 @@ class CircuitReport:
         """How many size-``rows`` MSMs one ``create_proof`` performs,
         from shape alone (advice; per lookup table 1 multiplicity
         column and 1 running sum, plus 1 helper column per group of
-        lookups; 1 product per shuffle and permutation chunk; quotient
-        chunks; plus ``f``, the opening argument's quotient).
+        lookups; 1 product per shuffle; quotient chunks; plus ``f``, the
+        opening argument's quotient).
 
         Times ``rows + 1`` points this is an *upper bound* on the
         fixed-base work, not the work: the kernel pays per nonzero
@@ -306,14 +285,12 @@ class CircuitReport:
         varies by column kind -- advice and multiplicity columns are
         narrow (limbs, values, selector bits, counts; only the blinding
         rows are full width), while helpers, running sums, grand
-        products, sigma columns and quotient chunks are full width
-        throughout."""
+        products and quotient chunks are full width throughout."""
         return (
             self.advice_columns
             + 2 * self.lookup_tables
             + self.lookup_helper_columns
             + self.shuffles
-            + self.permutation_grand_products
             + self.quotient_chunks
             + 1  # f of the opening argument
         )
@@ -330,7 +307,6 @@ class CircuitReport:
                 "fixed": self.fixed_columns,
                 "advice": self.advice_columns,
                 "instance": self.instance_columns,
-                "equality": self.equality_columns,
             },
             "gates": [
                 {
@@ -353,9 +329,6 @@ class CircuitReport:
             "lookup_helper_columns": self.lookup_helper_columns,
             "range_limbs": self.range_limbs,
             "shuffles": self.shuffles,
-            "copies": self.copies,
-            "permutation_chunk": self.permutation_chunk,
-            "permutation_grand_products": self.permutation_grand_products,
             "opening_point_sets": self.opening_point_sets,
             "zk_margin": self.zk_margin,
             "expressions": self.expressions,
@@ -374,16 +347,13 @@ class CircuitReport:
             f"circuit {self.fingerprint[:12]}  k={self.k}  "
             f"rows={self.rows} (usable {self.usable_rows}, blinding {self.zk_rows})",
             f"columns: fixed={self.fixed_columns} advice={self.advice_columns} "
-            f"instance={self.instance_columns} equality={self.equality_columns}",
+            f"instance={self.instance_columns}",
             f"degree: max gate {self.max_gate_degree}, required {self.required_degree} "
             f"-> extended_k={self.extended_k}",
             f"arguments: lookups={len(self.lookups)} "
             f"(tables={self.lookup_tables}, helper columns="
             f"{self.lookup_helper_columns}) range limbs={self.range_limbs} "
-            f"shuffles={self.shuffles} "
-            f"copies={self.copies} "
-            f"permutation products={self.permutation_grand_products} "
-            f"(chunk {self.permutation_chunk})",
+            f"shuffles={self.shuffles}",
             f"opening: 1 IPA over {self.opening_point_sets} point sets, "
             f"zk margin {self.zk_margin}",
             f"expressions: {self.expressions} trees of {self.expression_nodes} "

@@ -20,7 +20,9 @@ EXAMPLE_K = 5
 def example_circuit():
     """The paper's Example 2.1 pipeline f(x,y,z) = 3*(x+y)*z plus a
     4-bit range lookup on column a — the repo's canonical small circuit
-    (k=5), shared by the protocol tests."""
+    (k=5), shared by the protocol tests.  Each mul row reads its ``b``
+    from the row above's ``c`` (a rotation, as the SQL compiler wires
+    its gates)."""
     cs = ConstraintSystem()
     q_add = cs.selector("q_add")
     q_mul = cs.selector("q_mul")
@@ -33,10 +35,9 @@ def example_circuit():
     out = cs.instance_column("out")
     cs.create_gate("add", [q_add.cur() * (a.cur() + b.cur() - c.cur())])
     cs.create_gate("mul", [q_mul.cur() * (a.cur() * b.cur() - c.cur())])
+    cs.create_gate("wire", [q_mul.cur() * (b.cur() - c.prev())])
     cs.create_gate("out", [q_out.cur() * (c.cur() - out.cur())])
     cs.add_lookup("range16", [q_range.cur() * a.cur()], [table.cur()])
-    cs.copy(c, 0, b, 1)
-    cs.copy(c, 1, b, 2)
     return cs, dict(
         q_add=q_add, q_mul=q_mul, q_range=q_range, q_out=q_out,
         table=table, a=a, b=b, c=c, out=out,
@@ -108,25 +109,34 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def two_chunk_shuffle_circuit():
-    """The example circuit widened to the protocol paths no TPC-H
-    circuit reaches: a fourth equality column (two permutation chunks,
-    so the ``chain`` evaluation and the ``omega^usable * x`` opening
-    exist) and one shuffle (``d`` is a permutation of ``c``)."""
+def shuffle_circuit():
+    """The example circuit with one shuffle (``d`` is a permutation of
+    ``c``): the smallest proof with a shuffle part.  A gate pins ``d``
+    on rows 1 and 2 and ``a`` on row 3 to ``c`` one row up; the shuffle
+    leaves ``d[0] = c[2]`` as the only way to balance."""
     cs, cols = example_circuit()
     a, c = cols["a"], cols["c"]
     d = cs.advice_column("d")
     q_shuf = cs.selector("q_shuf")
+    q_lag = cs.selector("q_lag")
+    q_echo = cs.selector("q_echo")
     cs.add_shuffle(
         "c~d", [[q_shuf.cur() * c.cur()]], [[q_shuf.cur() * d.cur()]]
     )
-    cs.copy(c, 2, a, 3)
-    cs.copy(d, 0, a, 3)
-    cs.copy(d, 1, c, 0)
+    cs.create_gate(
+        "lag",
+        [
+            q_lag.cur() * (d.cur() - c.prev()),
+            q_echo.cur() * (a.cur() - c.prev()),
+        ],
+    )
     asg, result = example_assignment(cs, cols)
     for row in range(3):
         asg.assign(q_shuf, row, 1)
         asg.assign(d, row, asg.value(c, (row + 2) % 3))
+    for row in (1, 2):
+        asg.assign(q_lag, row, 1)
+    asg.assign(q_echo, 3, 1)
     asg.assign(a, 3, result)
     instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
     return cs, asg, instance

@@ -73,7 +73,6 @@ def quotient_on_coset(state, ext_k: int) -> tuple[list[list[int]], set[tuple]]:
     combined = combined_constraint(
         vk,
         [values_of(("system_commitments", name)) for name in SYSTEM_SELECTORS],
-        positions,
         evaluate_on_coset(
             vk.program,
             lambda column: values_of((_COLUMN_PATHS[column.kind], column.index)),

@@ -236,7 +236,7 @@ def field_mutators(template: Proof) -> Iterator[tuple[str, Mutator]]:
         yield f"{label}+{'G' if is_point else '1'}", bump
 
     for section in SECTIONS:
-        name, value = section.attr, getattr(template, section.attr)
+        name, value = section.attr, section.value(template)
         if not value:
             continue
         if isinstance(value, dict):

@@ -284,7 +284,6 @@ class TestKeygenFingerprint:
         one = keygen(params_k6, cs, 4, fixed)
         two = keygen(params_k6, cs, 4, fixed)
         assert one.vk.fixed_commitments == two.vk.fixed_commitments
-        assert one.vk.sigma_commitments == two.vk.sigma_commitments
         assert one.vk.system_commitments == two.vk.system_commitments
         assert one.vk.fingerprint == two.vk.fingerprint
 

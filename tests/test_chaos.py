@@ -124,6 +124,8 @@ class TestSigkillRecovery:
         finally:
             child.kill()  # SIGKILL: no atexit, no flush, no cleanup
             child.wait(timeout=30)
+            child.stdout.close()
+            child.stderr.close()
 
         # The journal alone must witness the kill-time shape: all three
         # accepted, >=2 still queued, >=1 taken by the worker.

@@ -91,17 +91,6 @@ class TestConstraintSystem:
         with pytest.raises(ValueError):
             cs.add_shuffle("empty", [], [])
 
-    def test_instance_equality_rejected(self):
-        cs = ConstraintSystem()
-        inst = cs.instance_column("i")
-        with pytest.raises(ValueError):
-            cs.enable_equality(inst)
-
-    def test_copy_auto_enables_equality(self):
-        cs, q, a, b, c = simple_mul_circuit()
-        cs.copy(a, 0, b, 1)
-        assert a in cs.equality_columns and b in cs.equality_columns
-
     def test_required_degree_accounts_for_arguments(self):
         cs, q, a, b, c = simple_mul_circuit()
         base = cs.required_degree()
@@ -207,13 +196,6 @@ class TestMockProver:
         assert failures[0].kind == "gate"
         assert failures[0].row == 0
         assert "mul" in failures[0].name
-
-    def test_copy_failure(self):
-        def tamper(cs, asg, cols):
-            cs.copy(cols[1], 0, cols[2], 0)  # a == b, but 6 != 7
-
-        failures = self._satisfied(tamper)
-        assert any(f.kind == "copy" for f in failures)
 
     def test_lookup_failure(self):
         def tamper(cs, asg, cols):

@@ -18,18 +18,19 @@ from tests.conftest import EXAMPLE_K as K
 from tests.conftest import (
     example_assignment,
     example_circuit,
-    two_chunk_shuffle_circuit,
+    shuffle_circuit,
 )
 
 F = SCALAR_FIELD
 
-#: ``PDB5`` proofs of 2,312 / 5,088 / 2,936 bytes (the sizes are
-#: asserted beside the digests).  Recorded when the generators became
-#: the Lagrange basis and the key fingerprint opened the transcript:
-#: every commitment and challenge moved, no size did.
-GOLDEN_K5 = "118a475861eaf3d7c32a98d77d52e478"
+#: ``PDB5`` proofs of 2,192 / 5,088 / 2,544 bytes (the sizes are
+#: asserted beside the digests).  The TPC-H digest was recorded when
+#: the generators became the Lagrange basis and the key fingerprint
+#: opened the transcript; the two fixtures' when the permutation
+#: argument went and gates took the place of their copy constraints.
+GOLDEN_K5 = "c7c51fbacc16e042eff7dcb41e5b98fb"
 GOLDEN_K6_TPCH = "204734ca4737c67890fd1dce3f2c2a8e"
-GOLDEN_K5_TWO_CHUNK_SHUFFLE = "8e8ed2d42cc41c111f3fb6bd5065281f"
+GOLDEN_K5_SHUFFLE = "60b202de114e93c0d6a906a3913a0740"
 #: ``PDBA`` envelope of the k=6 TPC-H response folded twice (10,774
 #: bytes; the envelope's own magic and layout are unchanged, the
 #: inner proofs are ``PDB5``).
@@ -125,15 +126,6 @@ class TestRejection:
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert not verify_proof(pk.vk, proof, instance)
 
-    def test_copy_violation_rejected(self, params_k6_module):
-        cs, cols = example_circuit()
-        cs.copy(cols["a"], 0, cols["b"], 0)  # 7 != 11, violated
-        asg, _ = example_assignment(cs, cols)
-        pk = keygen(params_k6_module, cs, K, asg.fixed)
-        proof = create_proof(pk, asg)
-        instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
-        assert not verify_proof(pk.vk, proof, instance)
-
     def test_lookup_violation_unprovable(self, params_k6_module):
         cs, cols = example_circuit()
         asg, _ = example_assignment(cs, cols, x=99)  # 99 outside [0,16)
@@ -171,8 +163,8 @@ class TestRejection:
 
 class TestTranscriptBinding:
     def test_a_different_gate_draws_a_different_theta(self, params_k6_module):
-        """Two circuits whose fixed, sigma and system commitments are
-        equal but whose gates differ: the key fingerprint, absorbed
+        """Two circuits whose fixed and system commitments are equal
+        but whose gates differ: the key fingerprint, absorbed
         first, separates their transcripts before any challenge."""
         from repro.proving import keygen_vk
         from repro.proving.protocol import draw_challenges, init_transcript
@@ -182,7 +174,7 @@ class TestTranscriptBinding:
         other, other_cols = example_circuit()
         other.create_gate("extra", [other_cols["q_add"].cur() * other_cols["a"].cur()])
         vks = [keygen_vk(params_k6_module, c, K, asg.fixed) for c in (cs, other)]
-        for attr in ("fixed_commitments", "sigma_commitments", "system_commitments"):
+        for attr in ("fixed_commitments", "system_commitments"):
             assert getattr(vks[0], attr) == getattr(vks[1], attr)
         assert vks[0].fingerprint != vks[1].fingerprint
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
@@ -267,9 +259,10 @@ class TestGoldenProofDigest:
     """Cross-commit byte-identity: under a pinned prover seed the wire
     bytes are a function of the code alone, so a refactor that claims
     "proofs stay byte-identical" must leave these digests untouched.
-    A deliberate protocol change re-records them: all four were last
-    recorded with ``PDB5`` (Lagrange generators, the key fingerprint
-    absorbed first), identical on either NTT path.
+    A deliberate protocol change re-records them: the two TPC-H ones
+    were last recorded with ``PDB5`` (Lagrange generators, the key
+    fingerprint absorbed first), the two fixtures' when gates replaced
+    their copy constraints; all four identical on either NTT path.
 
     Each test also checks the two sides of ``opening_point_sets``: the
     sets the prover opened and the sets the verifier checked are the
@@ -281,33 +274,31 @@ class TestGoldenProofDigest:
         with deterministic_rng(0x5EED):
             pk = keygen(params_k6_module, cs, K, asg.fixed)
             proof = create_proof(pk, asg)
-        assert len(proof.to_bytes()) == 2312
+        assert len(proof.to_bytes()) == 2192
         assert _digest(proof.to_bytes()) == GOLDEN_K5
         instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
         assert verify_proof(pk.vk, proof, instance)
         assert claims["prover"] == claims["verifier"]
 
-    def test_k5_two_chunks_and_shuffle(self, params_k6_module, claims):
-        # The only circuit with more than one permutation chunk (the
-        # "chain" evaluation, a 3rd opening point) and a shuffle.
-        cs, asg, instance = two_chunk_shuffle_circuit()
+    def test_k5_shuffle(self, params_k6_module, claims):
+        cs, asg, instance = shuffle_circuit()
         with deterministic_rng(0x5EED):
             pk = keygen(params_k6_module, cs, K, asg.fixed)
             proof = create_proof(pk, asg)
-        assert len(pk.vk.permutation_chunks) == 2 and len(cs.shuffles) == 1
+        assert len(proof.shuffle_parts) == 1
         assert verify_proof(pk.vk, proof, instance)
         assert claims["prover"] == claims["verifier"]
-        # One opening over three rotations: x, omega * x, omega^usable * x.
+        # One opening over three point sets: {x}, {omega^-1 x, x} and
+        # {x, omega x}.
         assert len(proof.openings) == 1
-        assert sorted(len(points) for points, _ in claims["prover"]) == [1, 2, 3]
-        # The blinding budget is one short here, on this hand-built
-        # circuit only: the non-final Z reveals 4 evaluations (those
-        # three and q(x3)) of 3 random rows.  README "Security notes".
+        assert sorted(len(points) for points, _ in claims["prover"]) == [1, 2, 2]
+        # Every witness column keeps a random row to spare or none: no
+        # polynomial reveals more evaluations than it has random rows.
         from repro.telemetry.circuit import CircuitReport
 
-        assert CircuitReport.from_constraint_system(cs, K).zk_margin == -1
-        assert len(proof.to_bytes()) == 2936
-        assert _digest(proof.to_bytes()) == GOLDEN_K5_TWO_CHUNK_SHUFFLE
+        assert CircuitReport.from_constraint_system(cs, K).zk_margin == 0
+        assert len(proof.to_bytes()) == 2544
+        assert _digest(proof.to_bytes()) == GOLDEN_K5_SHUFFLE
 
     def test_k6_tpch_query(self, claims):
         from repro.api import PoneglyphDB

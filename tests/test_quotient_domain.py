@@ -20,7 +20,6 @@ from repro import telemetry
 from repro.commit import setup
 from repro.plonkish import Assignment
 from repro.proving import create_proof, keygen, prover
-from repro.proving.keygen import PERMUTATION_CHUNK
 from repro.proving.protocol import quotient_paths
 from repro.sql.compiler import QueryCompiler
 from repro.sql.parser import parse
@@ -33,7 +32,7 @@ from tests.conftest import (
     example_assignment,
     example_circuit,
     route_ntt,
-    two_chunk_shuffle_circuit,
+    shuffle_circuit,
 )
 from tests.quotient_oracle import quotient_on_coset
 
@@ -44,8 +43,8 @@ def _example():
     return cs, asg, EXAMPLE_K
 
 
-def _two_chunk_shuffle():
-    cs, asg, _ = two_chunk_shuffle_circuit()
+def _shuffle():
+    cs, asg, _ = shuffle_circuit()
     return cs, asg, EXAMPLE_K
 
 
@@ -70,7 +69,7 @@ LAST_YEAR = 2020
 #: then the six TPC-H queries.
 CIRCUITS = {
     "example": _example,
-    "two_chunk_shuffle": _two_chunk_shuffle,
+    "shuffle": _shuffle,
     "nation_count": _query(
         "select count(*) as n from nation where n_regionkey >= 2",
         6, rows=16, value_bits=24, key_bits=16,
@@ -80,11 +79,11 @@ CIRCUITS = {
 
 
 #: Circuits proved again on each NTT path with their whole-coset
-#: oracle: Q1 at the benchmark's k=7 (four parts), the protocol paths
-#: no TPC-H circuit reaches, and an extension of 8 (Q8: eight parts).
+#: oracle: Q1 at the benchmark's k=7 (four parts), the smallest proof
+#: with a shuffle, and an extension of 8 (Q8: eight parts).
 ORACLE_CIRCUITS = {
     "Q1_k7": _query(QUERIES["Q1"], 7, rows=32),
-    "two_chunk_shuffle": _two_chunk_shuffle,
+    "shuffle": _shuffle,
     "Q8": CIRCUITS["Q8"],
 }
 @pytest.fixture(scope="module")
@@ -185,13 +184,13 @@ def test_quotient_is_the_same_on_a_domain_twice_the_size(after_quotient):
     assert _pieces(state) == pieces
 
 
-@pytest.mark.parametrize("name", ["Q1_k7", "two_chunk_shuffle"])
+@pytest.mark.parametrize("name", ["Q1_k7", "shuffle"])
 def test_cost_model_predicts_the_peak_extended_values(built, name):
     """The quotient round's gauge reads what the report predicts from
     the shape alone: per part n values of every proof polynomial, plus
     the remainders of ``h`` the parts before left."""
     cs, k, state, peak = _after_quotient(built, name)
-    report = CircuitReport.from_constraint_system(cs, k, PERMUTATION_CHUNK)
+    report = CircuitReport.from_constraint_system(cs, k)
     assert peak == report.peak_extended_values
     assert report.quotient_parts == len(state.pk.part_shifts)
     assert report.quotient_polys == len(quotient_paths(state.pk.vk, state.queries))
@@ -208,13 +207,13 @@ def test_gates_not_lookups_set_the_tpch_degree(monkeypatch, name, degree):
     ``aggarg.*.eq`` gate keeps it at 6 (8n, 5 chunks)."""
     monkeypatch.setattr("repro.gates.datetime.LAST_YEAR", LAST_YEAR)
     cs, _, _ = CIRCUITS[name]()
-    assert cs.required_degree(PERMUTATION_CHUNK) == degree
+    assert cs.required_degree() == degree
     assert cs.max_gate_degree() + 1 == degree
 
 
 def test_cost_model_predicts_the_committed_chunks(after_quotient):
     cs, k, state, _ = after_quotient
-    report = CircuitReport.from_constraint_system(cs, k, PERMUTATION_CHUNK)
+    report = CircuitReport.from_constraint_system(cs, k)
     committed = len(state.proof.h_commitments)
     assert report.commitment_msm_sizes()["quotient_chunks"] == committed
     assert committed <= 1 << (state.pk.vk.extended_k - k)

@@ -22,9 +22,9 @@ from repro.proving import create_proof, keygen, verify_proof
 from repro.proving.aggregate import aggregate
 from repro.proving.prover import ProvingError
 from repro.proving.proof import (
-    CHUNKS,
     KEYED,
     NAMED,
+    RESERVED,
     SECTIONS,
     WIRE_MAGIC,
     Proof,
@@ -36,7 +36,7 @@ from tests.conftest import EXAMPLE_K as K
 from tests.conftest import (
     example_assignment,
     example_circuit,
-    two_chunk_shuffle_circuit,
+    shuffle_circuit,
 )
 from tests.soundness import (
     ProverFaults,
@@ -51,10 +51,10 @@ from tests.soundness import (
 )
 
 F = SCALAR_FIELD
-#: ``field_mutators`` labels per fixture, recorded with the ``PDB4``
-#: layout (the multipoint opening argument's first commit), which
-#: ``PDB5`` keeps section for section.
-RECORDED_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_pdb4.json"
+#: ``field_mutators`` labels per fixture, recorded with the ``PDB5``
+#: layout once the permutation argument went (its three sections
+#: reserved and empty) and gates replaced the fixtures' copies.
+RECORDED_LABELS = Path(__file__).parent / "data" / "field_mutator_labels_pdb5.json"
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +79,13 @@ def proven(params):
 
 
 @pytest.fixture(scope="module")
-def proven_two_chunk(params):
-    """The same for the two-permutation-chunk + shuffle circuit: the
-    only fixture whose proof has a ``chain`` evaluation, a three-point
-    set in its opening argument and a shuffle part."""
-    return prove_honestly(params, *two_chunk_shuffle_circuit())
+def proven_shuffle(params):
+    """The same for the shuffle circuit: the only fixture whose proof
+    has a shuffle part."""
+    return prove_honestly(params, *shuffle_circuit())
 
 
-@pytest.fixture(scope="module", params=["proven", "proven_two_chunk"])
+@pytest.fixture(scope="module", params=["proven", "proven_shuffle"])
 def field_fixture(request):
     return request.getfixturevalue(request.param)
 
@@ -157,28 +156,27 @@ class TestFieldLevelTampering:
         assert report.rejected_decode > 0  # structural mutations
         assert report.rejected_verify > 0  # value mutations
 
-    def test_mutators_cover_all_proof_fields(self, proven_two_chunk):
-        pk, _, proof, _ = proven_two_chunk
+    def test_mutators_cover_all_proof_fields(self, proven_shuffle):
+        pk, _, proof, _ = proven_shuffle
         labels = " ".join(label for label, _ in field_mutators(proof))
         for field_name in (
             "advice_commitments", "lookup[0].m_commitment", "lookup[0].m_x",
             "lookup[0].phi_commitment", "lookup[0].phi_x", "lookup[0].phi_wx",
             "lookup_helper_commitments", "lookup_helper_evals", "shuffle",
-            "permutation_z_commitments", "h_commitments", "advice_evals",
-            "fixed_evals", "sigma_evals", "system_evals",
-            "permutation_z_evals", "chain", "h_evals", "multiopen_f",
-            "multiopen_q_evals[2]", "openings[0].a", "openings[0].rounds[4].R",
+            "h_commitments", "advice_evals", "fixed_evals", "system_evals",
+            "h_evals", "multiopen_f", "multiopen_q_evals[2]", "openings[0].a",
+            "openings[0].rounds[4].R",
         ):
             assert field_name in labels, f"no mutator touches {field_name}"
 
 
     @pytest.mark.parametrize(
         "name, fixture",
-        [("example", "proven"), ("two_chunk_shuffle", "proven_two_chunk")],
+        [("example", "proven"), ("shuffle", "proven_shuffle")],
     )
     def test_mutators_keep_every_recorded_label(self, request, name, fixture):
         """The schema walk yields at least the mutations it did when
-        the ``PDB4`` layout was recorded: a later edit of the schema or
+        the labels were recorded: a later edit of the schema or
         of the walk may add mutations, not silently lose one."""
         _, _, proof, _ = request.getfixturevalue(fixture)
         recorded = json.loads(RECORDED_LABELS.read_text())[name]
@@ -188,8 +186,11 @@ class TestFieldLevelTampering:
 
 def _malformed_sections():
     """(section, what, edit) for a missing, an extra and -- where
-    entries have keys -- a mis-keyed entry in every schema section."""
+    entries have keys -- a mis-keyed entry in every schema section but
+    the reserved ones (no ``Proof`` attribute to edit)."""
     for section in SECTIONS:
+        if section.kind is RESERVED:
+            continue
         keyed = section.kind in (KEYED, NAMED)
         new_key = (999, 0) if section.kind is KEYED else "bogus"
         yield section.attr, "missing", (
@@ -200,10 +201,9 @@ def _malformed_sections():
             if keyed
             else (lambda v: v.append(v[-1]))
         )
-        if keyed or section.kind is CHUNKS:
-            def rekey(v, k=new_key, keyed=keyed):
-                entry = v if keyed else v[0]
-                entry[k] = entry.pop(next(iter(entry)))
+        if keyed:
+            def rekey(v, k=new_key):
+                v[k] = v.pop(next(iter(v)))
 
             yield section.attr, "mis-keyed", rekey
 
@@ -218,13 +218,13 @@ class TestShapeCheck:
         [pytest.param(a, w, e, id=f"{a}-{w}") for a, w, e in _malformed_sections()],
     )
     def test_malformed_section_refused_before_multi_verify(
-        self, proven_two_chunk, monkeypatch, attr, what, edit
+        self, proven_shuffle, monkeypatch, attr, what, edit
     ):
         import copy
 
         from repro.proving import verifier
 
-        pk, _, proof, instance = proven_two_chunk
+        pk, _, proof, instance = proven_shuffle
         bad = copy.deepcopy(proof)
         edit(getattr(bad, attr))
 
@@ -452,7 +452,7 @@ class TestCanonicalScalars:
         pk, _, proof, _ = proven
         data = proof.to_bytes()
         shifted = Proof.from_bytes(pk.vk, data)
-        shifted.sigma_evals[0] += F.p
+        shifted.h_evals[0] += F.p
         assert shifted.to_bytes() == data
 
 
@@ -490,6 +490,38 @@ class TestTpchSoundness:
         decoded = Proof.from_bytes(vk, response.wire_bytes())
         assert decoded == response.proof
         assert decoded.to_bytes() == response.wire_bytes()
+
+    def test_reserved_sections_are_empty_and_stay_empty(self, tpch_proven):
+        """The permutation argument's three sections stay on the wire
+        with a u32 count of 0.  A count of 1 followed by one element of
+        the section's former kind is refused at decode (the byte sweep
+        samples too few positions to pin these bytes)."""
+        vk, response, _, _ = tpch_proven
+        data = response.wire_bytes()
+        proof = Proof.from_bytes(vk, data)
+        scalar = (1).to_bytes(32, "little")
+        elements = {
+            "permutation_z_commitments": proof.advice_commitments[0].to_bytes(),
+            "sigma_evals": scalar,
+            # a last chunk's Z at x and at omega * x
+            "permutation_z_evals": 2 * scalar,
+        }
+        offset = len(WIRE_MAGIC)
+        for section in SECTIONS[:-1]:  # every element size is fixed but IPA's
+            if section.kind is RESERVED:
+                assert data[offset : offset + 4] == bytes(4), section.attr
+                tampered = (
+                    data[:offset]
+                    + (1).to_bytes(4, "little")
+                    + elements.pop(section.attr)
+                    + data[offset + 4 :]
+                )
+                with pytest.raises(WireFormatError, match="exceeds bound 0"):
+                    Proof.from_bytes(vk, tampered)
+            count = len(section.value(proof))
+            offset += 4 + count * section.element_size(vk)
+        assert not elements
+        assert offset < len(data)
 
     def test_sampled_byte_mutations_rejected(self, tpch_proven):
         vk, response, instance, _ = tpch_proven

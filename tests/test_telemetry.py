@@ -425,41 +425,40 @@ class TestCircuitReport:
         assert report.usable_rows == 32 - ZK_ROWS and report.zk_rows == ZK_ROWS
         assert report.fingerprint == cs.fingerprint()
         assert (report.fixed_columns, report.advice_columns) == (5, 3)
-        assert (report.instance_columns, report.equality_columns) == (1, 2)
-        assert [g.name for g in report.gates] == ["add", "mul", "out"]
-        assert [g.max_degree for g in report.gates] == [2, 3, 2]
-        assert report.num_constraints == 3
+        assert report.instance_columns == 1
+        assert [g.name for g in report.gates] == ["add", "mul", "wire", "out"]
+        assert [g.max_degree for g in report.gates] == [2, 3, 2, 2]
+        assert report.num_constraints == 4
         assert report.max_gate_degree == 3
-        # mul gate 3 + 1 = two-column permutation chunk 2 + 2 = range16
-        # helper active * (h * (beta + q_range * a) - 1): 1 + 1 + 2
+        # mul gate 3 + 1 = range16 helper
+        # active * (h * (beta + q_range * a) - 1): 1 + 1 + 2
         assert report.required_degree == 4
         assert report.extended_k == 7  # 5 + ceil(log2(4 - 1))
         (lookup,) = report.lookups
         assert (lookup.name, lookup.width, lookup.degree) == ("range16", 1, 4)
         assert (report.lookup_tables, report.lookup_helper_columns) == (1, 1)
         assert report.range_limbs == report.as_dict()["range_limbs"] == 1
-        assert report.copies == 2
-        assert report.permutation_grand_products == 1  # ceil(2/3)
-        assert report.operator_constraints == {"other": 2, "project": 1}
-        # advice 3 + 1 table * (m + phi) + 1 helper + 1 perm product
-        # + 3 quotient chunks + f of the opening argument
-        assert report.estimated_commit_msms() == 11
+        assert report.operator_constraints == {"other": 3, "project": 1}
+        # advice 3 + 1 table * (m + phi) + 1 helper + 3 quotient chunks
+        # + f of the opening argument
+        assert report.estimated_commit_msms() == 10
         assert report.commitment_msm_sizes()["quotient_chunks"] == 3
-        assert report.as_dict()["estimated_commit_msms"] == 11
-        # {x} and {x, omega x}; Z and phi spend their 3 random rows on
-        # two rotations and the opening argument's q(x3).
-        assert (report.opening_point_sets, report.zk_margin) == (2, 0)
-        assert report.as_dict()["opening_point_sets"] == 2
+        assert report.as_dict()["estimated_commit_msms"] == 10
+        # {x}, {omega^-1 x, x} (c, read one row up by the wire gate)
+        # and {x, omega x}; phi spends its 3 random rows on two
+        # rotations and the opening argument's q(x3).
+        assert (report.opening_point_sets, report.zk_margin) == (3, 0)
+        assert report.as_dict()["opening_point_sets"] == 3
         rendered = report.render()
         assert "range16" in rendered and "constraints by operator" in rendered
-        assert "1 IPA over 2 point sets, zk margin 0" in rendered
+        assert "1 IPA over 3 point sets, zk margin 0" in rendered
         assert "lookups=1 (tables=1, helper columns=1)" in rendered
-        # 3 gates, the lookup's input and table and 2 equality queries:
-        # 7 trees of 28 nodes, compiled to 9 leaves, 5 products and 3
-        # linear ops (a + b - c, a * b - c, c - out).
-        assert (report.expressions, report.expression_nodes) == (7, 28)
-        assert report.program_ops == {"leaves": 9, "products": 5, "linear": 3}
-        assert "7 trees of 28 nodes -> program of 17 ops" in rendered
+        # 4 gates and the lookup's input and table: 6 trees of 32
+        # nodes, compiled to 10 leaves (c twice), 6 products and 4
+        # linear ops (a + b - c, a * b - c, b - c', c - out).
+        assert (report.expressions, report.expression_nodes) == (6, 32)
+        assert report.program_ops == {"leaves": 10, "products": 6, "linear": 4}
+        assert "6 trees of 32 nodes -> program of 20 ops" in rendered
 
         # The proof is what the model says: its commitments ([f]
         # included), quotient chunks and lookup helpers, and the points
