@@ -46,6 +46,33 @@ def assign_broken_mul(cs, cols):
     return asg, result + 1
 
 
+def advice(cs, name):
+    """The advice column of ``cs`` called ``name``."""
+    return next(col for col in cs.advice_columns if col.name == name)
+
+
+def swap(asg, column, i, j):
+    """Exchange two cells of ``column``."""
+    vi, vj = asg.value(column, i), asg.value(column, j)
+    asg.assign(column, i, vj)
+    asg.assign(column, j, vi)
+
+
+#: The shuffle circuit's wires, each cut alone: the edit, then the gate
+#: constraint and the row where MockProver must find the cut.  Swapping
+#: two cells of ``d`` keeps the shuffle balanced, so only a lag wire
+#: breaks; ``a`` on row 3 is read by the echo wire alone.
+SHUFFLE_WIRE_CUTS = {
+    "lag-row1": (lambda cs, asg: swap(asg, advice(cs, "d"), 0, 1), "lag#0", 1),
+    "lag-row2": (lambda cs, asg: swap(asg, advice(cs, "d"), 0, 2), "lag#0", 2),
+    "echo-row3": (
+        lambda cs, asg: asg.assign(advice(cs, "a"), 3, asg.value(advice(cs, "a"), 3) + 1),
+        "lag#1",
+        3,
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def proven(params_k6_module):
     """One honest (pk, proof, instance) triple shared by read-only tests."""
@@ -161,6 +188,61 @@ class TestRejection:
         assert not verify_proof(pk.vk, proof, too_long)
 
 
+class TestWiring:
+    """The fixtures wire one gate's output into the next by rotations,
+    as the SQL compiler does, where they once used copy constraints.
+    Each wire cut alone is found by MockProver at its gate and row, and
+    the proof of the cut witness does not verify."""
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_cut_example_wire_rejected(self, params_k6_module, row):
+        # ``b`` on mul row ``row`` is one more than ``c`` above it; the
+        # products from that row on are recomputed, so every other
+        # gate holds.
+        cs, cols = example_circuit()
+        asg, _ = example_assignment(cs, cols)
+        a, b, c = cols["a"], cols["b"], cols["c"]
+        asg.assign(b, row, asg.value(b, row) + 1)
+        for r in range(row, 3):
+            if r > row:
+                asg.assign(b, r, asg.value(c, r - 1))
+            asg.assign(c, r, asg.value(a, r) * asg.value(b, r))
+        asg.assign(cols["out"], 2, asg.value(c, 2))
+        failures = MockProver(cs, asg).verify()
+        assert [(f.kind, f.name, f.row) for f in failures] == [("gate", "wire#0", row)]
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
+        proof = create_proof(pk, asg)
+        instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
+        assert not verify_proof(pk.vk, proof, instance)
+
+    def test_mock_agrees_on_the_shuffle_circuit(self):
+        cs, asg, _ = shuffle_circuit()
+        assert MockProver(cs, asg).verify() == []
+
+    @pytest.mark.parametrize("cut", sorted(SHUFFLE_WIRE_CUTS))
+    def test_cut_shuffle_circuit_wire_rejected(self, params_k6_module, cut):
+        edit, name, row = SHUFFLE_WIRE_CUTS[cut]
+        cs, asg, instance = shuffle_circuit()
+        edit(cs, asg)
+        failures = MockProver(cs, asg).verify()
+        assert [(f.kind, f.name, f.row) for f in failures] == [("gate", name, row)]
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
+        proof = create_proof(pk, asg)
+        assert not verify_proof(pk.vk, proof, instance)
+
+    def test_unbalanced_shuffle_unprovable(self, params_k6_module):
+        # ``d[0] = c[2]`` is the one cell no lag wire pins: only the
+        # shuffle holds it.
+        cs, asg, _ = shuffle_circuit()
+        d = advice(cs, "d")
+        asg.assign(d, 0, asg.value(d, 0) + 1)
+        failures = MockProver(cs, asg).verify()
+        assert [(f.kind, f.name) for f in failures] == [("shuffle", "c~d")]
+        pk = keygen(params_k6_module, cs, K, asg.fixed)
+        with pytest.raises(ProvingError, match="c~d"):
+            create_proof(pk, asg)
+
+
 class TestTranscriptBinding:
     def test_a_different_gate_draws_a_different_theta(self, params_k6_module):
         """Two circuits whose fixed and system commitments are equal
@@ -198,6 +280,39 @@ class TestTranscriptBinding:
         for params in (params_k6, fit):
             assert keygen_vk(params, cs, K, asg.fixed).fingerprint == expected
         assert expected != keygen_fingerprint(params_k6, cs, K, asg.fixed)
+
+    @pytest.mark.parametrize(
+        "label, before, after",
+        [
+            (b"vk-sigma", b"vk-fixed", b"vk-system"),
+            (b"perm-z", b"lookup-m", b"lookup-h"),
+            (b"eval-sigma", b"eval-fixed", b"eval-system"),
+        ],
+    )
+    def test_reserved_absorb_stays_in_place(
+        self, proven, monkeypatch, label, before, after
+    ):
+        """The deleted permutation argument's three absorbs stay, each
+        an empty list (a u32 count of 0) between the same neighbours as
+        before, so no ``PDB5`` challenge -- and no TPC-H proof byte --
+        moves."""
+        from repro.transcript import Transcript
+
+        absorbed = []
+        absorb_bytes = Transcript.absorb_bytes
+
+        def record(self, label, data):
+            absorbed.append((label, data))
+            absorb_bytes(self, label, data)
+
+        monkeypatch.setattr(Transcript, "absorb_bytes", record)
+        pk, proof, instance, _ = proven
+        assert verify_proof(pk.vk, proof, instance)
+        labels = [name for name, _ in absorbed]
+        assert labels.count(label) == 1
+        i = labels.index(label)
+        assert absorbed[i][1] == bytes(4)
+        assert labels[i - 1 : i + 2] == [before, label, after]
 
 class TestAccumulator:
     def test_deferred_verification(self, proven, params_k6_module):
