@@ -4,9 +4,10 @@ Races the plan NTT against the numpy limb engine through the gate
 (``repro.algebra.backend.ntt``, its ``MIN_NTT`` threshold moved to
 send every size down one path, then the other) at 2^10 ... 2^14
 points: the evidence for where ``MIN_NTT`` sits.  One more row
-commits a limb-shaped column (4-bit data, full-width blinding rows)
-and a full-width column by their values, and counts the bucket
-insertions of each.  A last row times the verifier's variable-base
+commits a limb-shaped column (4-bit data, full-width blinding rows),
+a full-width column and a lookup-helper-shaped one (one full-width
+value on 118 of 128 rows, also by the plain fixed-base MSM of its
+values) and counts the bucket insertions of each.  A last row times the verifier's variable-base
 MSM on an input shaped like a 139-base ``finalize`` and counts its
 bucket insertions (``msm.digits``).  Results are asserted equal
 before any speedup is reported.
@@ -39,11 +40,14 @@ from repro.commit.params import setup
 from repro.ecc import PALLAS, fixed_base, msm
 
 def bench_narrow_commit(k: int = 7, seed: int = 23, repeat: int = 5) -> dict:
-    """Two columns committed by their values (``commit_lagrange``): a
+    """Columns committed by their values (``commit_lagrange``): a
     limb-shaped one -- 4-bit values, then the four full-width blinding
-    rows -- and a full-width one.  Each point is checked against the
-    generic MSM over ``g`` first; then best-of-``repeat`` seconds after
-    one counted warm call, and bucket insertions
+    rows -- a full-width one, and a lookup-helper-shaped one, one
+    full-width value on 118 of the 128 rows.  The helper is also
+    committed by the plain ``fixed_base_msm`` of its values, without
+    the offset by its most frequent value.  Each point is checked
+    against the generic MSM over ``g`` first; then best-of-``repeat``
+    seconds after one counted warm call, and bucket insertions
     (``msm.fixed_base_digits``) of each."""
     rng = random.Random(seed)
     p = SCALAR_FIELD.p
@@ -51,32 +55,41 @@ def bench_narrow_commit(k: int = 7, seed: int = 23, repeat: int = 5) -> dict:
     narrow = [rng.randrange(16) for _ in range(params.n - 4)]
     narrow += [rng.randrange(p) for _ in range(4)]
     wide = [rng.randrange(p) for _ in range(params.n)]
+    helper = [rng.randrange(p)] * 118 + [rng.randrange(p) for _ in range(10)]
+    rng.shuffle(helper)
     blind = rng.randrange(p)
-    fixed_base.tables_for_params(params)  # untimed build
+    tables = fixed_base.tables_for_params(params)  # untimed build
 
-    def measure(column):
+    def measure(column, commit=commit_lagrange):
         previous = telemetry.enable(True)
         try:
             before = telemetry.counters_snapshot().get("msm.fixed_base_digits", 0)
-            point = commit_lagrange(params, column, blind)
+            point = commit(params, column, blind)
             after = telemetry.counters_snapshot()["msm.fixed_base_digits"]
         finally:
             telemetry.enable(previous)
         expected = msm([*params.g, params.w], [*column, blind])
         assert point == expected, "value commitment diverged from the msm"
         seconds = min(
-            telemetry.time_call(lambda: commit_lagrange(params, column, blind))[1]
+            telemetry.time_call(lambda: commit(params, column, blind))[1]
             for _ in range(repeat)
         )
         return {"seconds": seconds, "digits": int(after - before)}
 
+    def plain(params, column, blind):
+        return fixed_base.fixed_base_msm(tables, [*column, blind])
+
     narrow_row, wide_row = measure(narrow), measure(wide)
+    helper_row, plain_row = measure(helper), measure(helper, plain)
     return {
         "n": params.n,
         "narrow": narrow_row,
         "wide": wide_row,
+        "helper": helper_row,
+        "helper_plain": plain_row,
         "speedup": wide_row["seconds"] / narrow_row["seconds"],
         "digits_frac": narrow_row["digits"] / wide_row["digits"],
+        "helper_speedup": plain_row["seconds"] / helper_row["seconds"],
     }
 
 
@@ -238,18 +251,21 @@ def run_benches(config: BenchConfig) -> dict:
     report.line(
         f"\nfixed-base commit by values ({narrow['n']} rows + blind): a "
         "4-bit column (4 full-width blinding rows) against a full-width "
-        "one, each point checked against the generic msm (best of 5)"
+        "one, and a helper-shaped column (one full-width value on 118 "
+        "rows) by commit_lagrange and by the plain fixed_base_msm of its "
+        "values; each point checked against the generic msm (best of 5)"
     )
     report.table(
         ["column", "seconds", "bucket insertions"],
         [
             (form, f"{narrow[form]['seconds']:.4f}", str(narrow[form]["digits"]))
-            for form in ("narrow", "wide")
+            for form in ("narrow", "wide", "helper", "helper_plain")
         ],
     )
     report.line(
         f"speedup {narrow['speedup']:.2f}x, insertions "
-        f"{narrow['digits_frac']:.3f} of the full-width column"
+        f"{narrow['digits_frac']:.3f} of the full-width column; helper "
+        f"{narrow['helper_speedup']:.2f}x the plain msm of its values"
     )
     report.line(
         f"\nvariable-base msm of a {finalize['n']}-base finalize "

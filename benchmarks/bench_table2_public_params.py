@@ -9,8 +9,8 @@ extrapolate it linearly to the paper's sizes.  Two parts, each in its
 own column: generating the parameters is hash-to-curve and nothing
 else (the hashed generators are the Lagrange basis the columns are
 committed in, so no basis is derived from them), and the fixed-base
-table build doubles the ``n + 2`` bases through 16 windows and adds
-their endomorphism images.  The report footer also checks the
+table build sums ``g`` into one more base and doubles the ``n + 3``
+bases through 16 windows and adds their endomorphism images.  The report footer also checks the
 artifact cache (the second fetch of the same parameters must be a HIT
 served from disk).
 """

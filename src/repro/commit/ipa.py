@@ -29,6 +29,16 @@ Protocol sketch (non-interactive via the transcript):
    ``G_0 = <s, G>`` and the folded ``b_0 = <s, b>`` and checks one
    group equation.
 
+Every value commitment passes through one function, ``_commit``.  It
+pays the fixed-base kernel's unit, a nonzero base-256 digit: 32 for a
+full-width value, one per byte below ``2^128``.  A log-derivative
+helper or a grand product holds one full-width value on most rows (the
+helper of an all-zero input, say), so a column is committed against its
+most frequent full-width value ``c``: ``<v - c, G> + r*W + c * G_sum``
+with ``G_sum = sum_i G_i``, a base of the parameter set's fixed-base
+tables.  It is the same element, so proofs and the verifier do not
+change; :func:`_offset` states when ``c`` is worth taking.
+
 Zero-knowledge of the *circuit* witness does not rest on hiding ``a``
 here: as in Halo2, advice polynomials carry random blinding rows, so
 the revealed folded scalar is statistically independent of the witness.
@@ -36,7 +46,9 @@ the revealed folded scalar is statistically independent of the witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 from repro import telemetry
@@ -134,12 +146,45 @@ def _padded(params: PublicParams, vector: Sequence[int]) -> list[int]:
     return list(vector) + [0] * (params.n - len(vector))
 
 
+def _offset(n: int, evals: Sequence[int]) -> int:
+    """The value a column of ``n`` rows (``evals``, then zeros) is
+    committed against: its most frequent full-width value ``c`` (at or
+    above ``2^128``), or 0 for none.
+
+    Against ``c`` a row holding ``c`` costs no digit instead of 32 and
+    ``c * G_sum`` costs one full-width scalar; other wide values stay
+    wide, and every value below ``2^128`` (a zero row included) may
+    turn wide, 32 digits at most.  So ``c`` is taken only when its
+    repeats minus one exceed the narrow values, and then the commit
+    never costs more digits than without it."""
+    p = SCALAR_FIELD.p
+    narrow = n - len(evals)
+    c, repeats = 0, 0
+    for v, m in Counter(v % p for v in evals).items():
+        if not v >> fixed_base.HALF_BITS:
+            narrow += m
+        elif m > repeats:
+            c, repeats = v, m
+    return c if repeats - 1 > narrow else 0
+
+
 def _commit(params: PublicParams, evals: Sequence[int], blind: int) -> Point:
-    # Index i < n of the table set is g[i] and index n is w, so the
-    # padded vector followed by the blind lines up with the default
-    # indices.
+    # Index i < n of the table set is g[i], index n is w and n + 2 is
+    # G_sum; rows past evals are zero, so unshifted they need no scalar.
+    n = params.n
+    if len(evals) > n:
+        raise ValueError("polynomial exceeds parameter capacity")
     tables = fixed_base.tables_for_params(params)
-    return fixed_base.fixed_base_msm(tables, _padded(params, evals) + [blind])
+    c = _offset(n, evals)
+    if not c:
+        return fixed_base.fixed_base_msm(
+            tables, chain(evals, (blind,)), chain(range(len(evals)), (n,))
+        )
+    return fixed_base.fixed_base_msm(
+        tables,
+        chain((v - c for v in evals), repeat(-c, n - len(evals)), (blind, c)),
+        chain(range(n), (n, n + 2)),
+    )
 
 
 def commit_lagrange(
@@ -150,7 +195,10 @@ def commit_lagrange(
     ``<evals, g> + blind * w``.
 
     The MSM pays only for the bits the values have -- every column of a
-    circuit and of the database is committed this way."""
+    circuit and of the database is committed this way -- and a column
+    that repeats one full-width value pays for it once: it is computed
+    as ``<evals - c, g> + blind * w + c * G_sum`` with ``c`` chosen by
+    :func:`_offset`, the same group element."""
     return _commit(params, evals, blind)
 
 

@@ -3,8 +3,9 @@
 Every Pedersen/IPA commitment in a proving session is an MSM against
 the *same* bases: the public-parameter generators ``G_i`` -- the
 Lagrange basis of the size-``n`` evaluation domain, so a vector is
-committed by its values on that domain -- plus the blinding base ``W``
-and the inner-product base ``U``.  Those bases never change, so
+committed by its values on that domain -- plus the blinding base ``W``,
+the inner-product base ``U`` and ``G_sum = sum_i G_i``, on which a
+column's most frequent value is paid once.  Those bases never change, so
 the doubling chains that dominate a generic Pippenger run can be paid
 once: for window width ``c`` we precompute the shifted bases
 ``B[i][j] = 2^(j*c) * base_i`` for every window ``j``.
@@ -51,7 +52,7 @@ import os
 import random
 import threading
 from collections import defaultdict
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import telemetry
 from repro.ecc import glv
@@ -228,12 +229,15 @@ def collapse_buckets(curve: Curve, buckets: dict[int, Point]) -> Point:
 
 def fixed_base_msm(
     tables: FixedBaseTables,
-    scalars: Sequence[int],
-    indices: Sequence[int] | None = None,
+    scalars: Iterable[int],
+    indices: Iterable[int] | None = None,
 ) -> Point:
     """``sum_i scalars[i] * base[indices[i]]`` against precomputed tables.
 
-    ``indices`` defaults to ``range(len(scalars))``.  Same group element
+    ``indices`` defaults to ``range(len(scalars))``; given indices, the
+    scalars may be any iterable, read once as the loop needs them
+    (:func:`repro.commit.ipa.commit_lagrange` passes its offset values
+    that way, with no second list).  Same group element
     as the generic MSM over the corresponding bases; no doubling chain,
     one shared bucket set across every window of every scalar.
 
@@ -317,9 +321,13 @@ def fixed_base_msm(
 
 # -- per-parameter-set table registry ----------------------------------------
 
-#: A parameter set has one table set of ``n + 2`` bases: index ``i < n``
-#: is ``g[i]``, index ``n`` is the blinding base ``w`` and ``n + 1`` is
-#: ``u``.
+#: A parameter set has one table set of ``n + 3`` bases: index ``i < n``
+#: is ``g[i]``, index ``n`` is the blinding base ``w``, ``n + 1`` is
+#: ``u`` and ``n + 2`` is ``G_sum = sum_i g[i]``, the base a column's
+#: commitment offset goes on (:func:`repro.commit.ipa.commit_lagrange`).
+#: ``G_sum`` is derived here, never stored in the parameters.
+TAIL_BASES = 3
+
 _Key = tuple[str, int]  # (params fingerprint, window width)
 
 #: Process-local tables.  A forked service runner inherits whatever
@@ -351,7 +359,12 @@ def clear_registry() -> None:
 
 
 def _bases(params: "PublicParams") -> list:
-    return points_to_affine_tuples([*params.g, params.w, params.u])
+    """The table set's bases in registry order; ``G_sum`` is summed
+    from ``g`` in one batch-affine pass (``k`` shared inversions)."""
+    bases = points_to_affine_tuples([*params.g, params.w, params.u])
+    total = [bases[: params.n]]
+    sum_affine_lists(params.curve.field.p, total)
+    return [*bases, total[0][0] if total[0] else (0, 0)]
 
 
 def spot_positions(
@@ -362,7 +375,7 @@ def spot_positions(
     fingerprint."""
     rng = random.Random(params.fingerprint())
     return [
-        (rng.randrange(params.n + 2), rng.randrange(1, windows))
+        (rng.randrange(params.n + TAIL_BASES), rng.randrange(1, windows))
         for _ in range(SPOT_CHECKS)
     ]
 

@@ -20,3 +20,13 @@ def msm_naive(points: Sequence[Point], scalars: Sequence[int]) -> Point:
     for pt, s in zip(points, scalars):
         acc = acc + pt * s
     return acc
+
+
+def table_bases(params) -> list[tuple[int, int]]:
+    """The affine bases of a parameter set's fixed-base tables, in
+    registry order: ``g``, ``w``, ``u``, then ``G_sum = sum_i g[i]``
+    added one point at a time."""
+    g_sum = params.curve.identity()
+    for pt in params.g:
+        g_sum = g_sum + pt
+    return [pt.to_affine() for pt in (*params.g, params.w, params.u, g_sum)]

@@ -23,11 +23,11 @@ from repro.cache import (
 )
 from repro.commit.params import PublicParams, cached_setup, cached_tables, setup
 from repro.ecc import batch_affine, fixed_base
-from repro.ecc.curve import points_to_affine_tuples
 from repro.ecc.fixed_base import FixedBaseTables
 from repro.plonkish.assignment import Assignment
 from repro.plonkish.constraint_system import ConstraintSystem
 from repro.proving.keygen import keygen, keygen_fingerprint
+from tests.msm_oracle import table_bases
 
 
 @pytest.fixture()
@@ -171,7 +171,7 @@ class TestArtifactCache:
             telemetry.enable(was_enabled)
         assert after == before + 3
         assert cache.get_bytes("x") is None
-        assert len(tables) == params.n + 2
+        assert len(tables) == params.n + 3
         again, hit2 = cached_setup(cache, 2, label=b"unwritable")
         assert (hit1, hit2) == (False, False) and again.g == params.g
         assert blocker.read_bytes() == b""
@@ -294,9 +294,7 @@ class TestCachedTables:
 
     def test_codec_round_trip(self):
         params = setup(3, label=b"codec")
-        tables = fixed_base.build_tables(
-            params.curve, points_to_affine_tuples([*params.g, params.w, params.u])
-        )
+        tables = fixed_base.build_tables(params.curve, table_bases(params))
         data = tables.to_bytes()
         back = FixedBaseTables.from_bytes(data)
         assert (back.curve_name, back.c, back.windows) == (
@@ -306,12 +304,38 @@ class TestCachedTables:
         assert back.to_bytes() == data
         assert fixed_base.check_tables(params, back) is back
 
+    def test_set_without_g_sum_is_refused_and_rebuilt(
+        self, tmp_path, counters, caplog
+    ):
+        """A stored set of the earlier ``n + 2`` bases (``g``, ``w``,
+        ``u``: no ``G_sum``) decodes, but ``check_tables`` refuses its
+        base count, so the cache evicts it and builds the ``n + 3``."""
+        params = setup(3, label=b"no-g-sum")
+        old = fixed_base.build_tables(params.curve, table_bases(params)[:-1])
+        stored = FixedBaseTables.from_bytes(old.to_bytes())
+        with pytest.raises(ValueError, match="base"):
+            fixed_base.check_tables(params, stored)
+        cache = ArtifactCache(tmp_path)
+        description = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
+        key = cache_key("fixedbase", *description)
+        cache.put_bytes(key, old.to_bytes())
+        fixed_base._REGISTRY.pop(description, None)
+        evicted = counters("cache.corrupt_evictions")
+        builds = counters("msm.fixed_base_table_builds")
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            tables, hit = cached_tables(cache, params)
+        assert not hit
+        assert counters("cache.corrupt_evictions") == evicted + 1
+        assert counters("msm.fixed_base_table_builds") == builds + 1
+        assert any("EVICT" in r.getMessage() for r in caplog.records)
+        assert len(tables) == params.n + 3
+        assert [row[0] for row in tables.tables] == table_bases(params)
+        assert cache.get_bytes(key) == tables.to_bytes()
+
     @pytest.mark.parametrize("damage", ["off-curve", "non-canonical", "short"])
     def test_from_bytes_refuses_damaged_coordinates(self, damage):
         params = setup(2, label=b"codec")
-        tables = fixed_base.build_tables(
-            params.curve, points_to_affine_tuples([*params.g, params.w, params.u])
-        )
+        tables = fixed_base.build_tables(params.curve, table_bases(params))
         data = bytearray(tables.to_bytes())
         last = len(data) - 64  # the last entry's x || y
         if damage == "off-curve":
@@ -330,7 +354,7 @@ class TestCachedTables:
 def _full_width_layout(params) -> bytes:
     """The table file of the earlier layout: 32 windows of every base
     covering the whole 255-bit scalar, in the same frame."""
-    bases = points_to_affine_tuples([*params.g, params.w, params.u])
+    bases = table_bases(params)
     p, c, windows = params.curve.field.p, 8, 32
     shifted = [bases]
     for _ in range(windows - 1):
@@ -364,13 +388,11 @@ class TestHalfScalarLayout:
 
     def test_load_derives_the_phi_rows_the_build_made(self):
         params = setup(3, label=b"layout")
-        built = fixed_base.build_tables(
-            params.curve, points_to_affine_tuples([*params.g, params.w, params.u])
-        )
+        built = fixed_base.build_tables(params.curve, table_bases(params))
         data = built.to_bytes()
         loaded = FixedBaseTables.from_bytes(data)
         assert loaded.tables == built.tables  # the phi halves included
-        assert len(loaded) == params.n + 2
+        assert len(loaded) == params.n + 3
         assert all(len(row) == 2 * fixed_base.WINDOWS for row in loaded.tables)
         assert len(data) == 1 + 6 + 2 + 4 + len(loaded) * fixed_base.WINDOWS * 64
 
