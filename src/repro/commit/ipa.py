@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Sequence
 
 from repro import telemetry
@@ -146,21 +145,19 @@ def _padded(params: PublicParams, vector: Sequence[int]) -> list[int]:
     return list(vector) + [0] * (params.n - len(vector))
 
 
-def _offset(n: int, evals: Sequence[int]) -> int:
-    """The value a column of ``n`` rows (``evals``, then zeros) is
-    committed against: its most frequent full-width value ``c`` (at or
-    above ``2^128``), or 0 for none.
+def _offset(values: Sequence[int]) -> int:
+    """The value a column's ``values`` are committed against: the most
+    frequent full-width one ``c`` (at or above ``2^128``), or 0 for none.
 
     Against ``c`` a row holding ``c`` costs no digit instead of 32 and
     ``c * G_sum`` costs one full-width scalar; other wide values stay
-    wide, and every value below ``2^128`` (a zero row included) may
-    turn wide, 32 digits at most.  So ``c`` is taken only when its
-    repeats minus one exceed the narrow values, and then the commit
-    never costs more digits than without it."""
+    wide, and every value below ``2^128`` (a zero included) may turn
+    wide, 32 digits at most.  So ``c`` is taken only when its repeats
+    minus one exceed the narrow values, and then the commit never costs
+    more digits than without it."""
     p = SCALAR_FIELD.p
-    narrow = n - len(evals)
-    c, repeats = 0, 0
-    for v, m in Counter(v % p for v in evals).items():
+    narrow, c, repeats = 0, 0, 0
+    for v, m in Counter(v % p for v in values).items():
         if not v >> fixed_base.HALF_BITS:
             narrow += m
         elif m > repeats:
@@ -169,22 +166,15 @@ def _offset(n: int, evals: Sequence[int]) -> int:
 
 
 def _commit(params: PublicParams, evals: Sequence[int], blind: int) -> Point:
-    # Index i < n of the table set is g[i], index n is w and n + 2 is
-    # G_sum; rows past evals are zero, so unshifted they need no scalar.
-    n = params.n
-    if len(evals) > n:
-        raise ValueError("polynomial exceeds parameter capacity")
+    # Index i < n of the table set is g[i], index n is w, n + 1 is u
+    # and n + 2 is G_sum, so the padded vector, the blind, a zero for u
+    # and the offset line up with the default indices.
     tables = fixed_base.tables_for_params(params)
-    c = _offset(n, evals)
+    values = _padded(params, evals)
+    c = _offset(values)
     if not c:
-        return fixed_base.fixed_base_msm(
-            tables, chain(evals, (blind,)), chain(range(len(evals)), (n,))
-        )
-    return fixed_base.fixed_base_msm(
-        tables,
-        chain((v - c for v in evals), repeat(-c, n - len(evals)), (blind, c)),
-        chain(range(n), (n, n + 2)),
-    )
+        return fixed_base.fixed_base_msm(tables, values + [blind])
+    return fixed_base.fixed_base_msm(tables, [*(v - c for v in values), blind, 0, c])
 
 
 def commit_lagrange(

@@ -52,7 +52,7 @@ import os
 import random
 import threading
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import telemetry
 from repro.ecc import glv
@@ -229,15 +229,12 @@ def collapse_buckets(curve: Curve, buckets: dict[int, Point]) -> Point:
 
 def fixed_base_msm(
     tables: FixedBaseTables,
-    scalars: Iterable[int],
-    indices: Iterable[int] | None = None,
+    scalars: Sequence[int],
+    indices: Sequence[int] | None = None,
 ) -> Point:
     """``sum_i scalars[i] * base[indices[i]]`` against precomputed tables.
 
-    ``indices`` defaults to ``range(len(scalars))``; given indices, the
-    scalars may be any iterable, read once as the loop needs them
-    (:func:`repro.commit.ipa.commit_lagrange` passes its offset values
-    that way, with no second list).  Same group element
+    ``indices`` defaults to ``range(len(scalars))``.  Same group element
     as the generic MSM over the corresponding bases; no doubling chain,
     one shared bucket set across every window of every scalar.
 
