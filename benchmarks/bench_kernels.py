@@ -7,9 +7,9 @@ points: the evidence for where ``MIN_NTT`` sits.  One more row
 commits a limb-shaped column (4-bit data, full-width blinding rows),
 a full-width column and a lookup-helper-shaped one (one full-width
 value on 118 of 128 rows, also by the plain fixed-base MSM of its
-values) and counts the bucket insertions of each.  A last row times the verifier's variable-base
-MSM on an input shaped like a 139-base ``finalize`` and counts its
-bucket insertions (``msm.digits``).  Results are asserted equal
+values) and counts the bucket insertions of each.  A last row times
+the verifier's variable-base MSM on an input shaped like a 139-base
+``finalize`` and counts its bucket insertions (``msm.digits``).  Results are asserted equal
 before any speedup is reported.
 
 End-to-end prove/verify time is the benchmark of record's job

@@ -10,9 +10,9 @@ own column: generating the parameters is hash-to-curve and nothing
 else (the hashed generators are the Lagrange basis the columns are
 committed in, so no basis is derived from them), and the fixed-base
 table build sums ``g`` into one more base and doubles the ``n + 3``
-bases through 16 windows and adds their endomorphism images.  The report footer also checks the
-artifact cache (the second fetch of the same parameters must be a HIT
-served from disk).
+bases through 16 windows and adds their endomorphism images.  The
+report footer also checks the artifact cache (the second fetch of the
+same parameters must be a HIT served from disk).
 """
 
 from repro import telemetry
