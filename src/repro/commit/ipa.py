@@ -153,8 +153,10 @@ def _offset(values: Sequence[int]) -> int:
     ``c * G_sum`` costs one full-width scalar; other wide values stay
     wide, and every value below ``2^128`` (a zero included) may turn
     wide, 32 digits at most.  So ``c`` is taken only when its repeats
-    minus one exceed the narrow values, and then the commit never costs
-    more digits than without it."""
+    minus one exceed the narrow values.  The rule prices a wide value at
+    32 digits, which is what it costs in expectation, not a bound: a
+    GLV half with a zero byte costs less, so near the boundary a shifted
+    commit can cost a few digits more than the plain one."""
     p = SCALAR_FIELD.p
     narrow, c, repeats = 0, 0, 0
     for v, m in Counter(v % p for v in values).items():
@@ -168,12 +170,11 @@ def _offset(values: Sequence[int]) -> int:
 def _commit(params: PublicParams, evals: Sequence[int], blind: int) -> Point:
     # Index i < n of the table set is g[i], index n is w, n + 1 is u
     # and n + 2 is G_sum, so the padded vector, the blind, a zero for u
-    # and the offset line up with the default indices.
+    # and the offset line up with the default indices.  With c = 0 the
+    # kernel skips the two zero scalars.
     tables = fixed_base.tables_for_params(params)
     values = _padded(params, evals)
     c = _offset(values)
-    if not c:
-        return fixed_base.fixed_base_msm(tables, values + [blind])
     return fixed_base.fixed_base_msm(tables, [*(v - c for v in values), blind, 0, c])
 
 

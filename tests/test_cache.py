@@ -304,34 +304,6 @@ class TestCachedTables:
         assert back.to_bytes() == data
         assert fixed_base.check_tables(params, back) is back
 
-    def test_set_without_g_sum_is_refused_and_rebuilt(
-        self, tmp_path, counters, caplog
-    ):
-        """A stored set of the earlier ``n + 2`` bases (``g``, ``w``,
-        ``u``: no ``G_sum``) decodes, but ``check_tables`` refuses its
-        base count, so the cache evicts it and builds the ``n + 3``."""
-        params = setup(3, label=b"no-g-sum")
-        old = fixed_base.build_tables(params.curve, table_bases(params)[:-1])
-        stored = FixedBaseTables.from_bytes(old.to_bytes())
-        with pytest.raises(ValueError, match="base"):
-            fixed_base.check_tables(params, stored)
-        cache = ArtifactCache(tmp_path)
-        description = (params.fingerprint(), fixed_base.FIXED_BASE_WINDOW)
-        key = cache_key("fixedbase", *description)
-        cache.put_bytes(key, old.to_bytes())
-        fixed_base._REGISTRY.pop(description, None)
-        evicted = counters("cache.corrupt_evictions")
-        builds = counters("msm.fixed_base_table_builds")
-        with caplog.at_level("WARNING", logger="repro.cache"):
-            tables, hit = cached_tables(cache, params)
-        assert not hit
-        assert counters("cache.corrupt_evictions") == evicted + 1
-        assert counters("msm.fixed_base_table_builds") == builds + 1
-        assert any("EVICT" in r.getMessage() for r in caplog.records)
-        assert len(tables) == params.n + 3
-        assert [row[0] for row in tables.tables] == table_bases(params)
-        assert cache.get_bytes(key) == tables.to_bytes()
-
     @pytest.mark.parametrize("damage", ["off-curve", "non-canonical", "short"])
     def test_from_bytes_refuses_damaged_coordinates(self, damage):
         params = setup(2, label=b"codec")

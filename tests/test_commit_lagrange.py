@@ -375,9 +375,10 @@ class TestRegistry:
 
     def test_untrustworthy_disk_entry_is_rebuilt(self, tmp_path, counters, caplog):
         """A stored table set with a sound frame that is not this
-        parameter set's -- another set's tables, the wrong base count,
-        an altered entry where :func:`check_tables` looks, or no table
-        set at all -- is evicted, counted, logged, and rebuilt over."""
+        parameter set's -- another set's tables, the wrong base count
+        (the earlier ``n + 2`` layout without ``G_sum`` among them), an
+        altered entry where :func:`check_tables` looks, or no table set
+        at all -- is evicted, counted, logged, and rebuilt over."""
         params = setup(3, label=b"disk")
         cache = ArtifactCache(tmp_path)
         key = cache_key(
@@ -395,6 +396,7 @@ class TestRegistry:
                 foreign.curve, table_bases(foreign)
             ).to_bytes(),
             "base count": fixed_base.build_tables(params.curve, bases[:2]).to_bytes(),
+            "no G_sum": fixed_base.build_tables(params.curve, bases[:-1]).to_bytes(),
             "altered entry": altered.to_bytes(),
             "not tables": b"not a table set",
         }
