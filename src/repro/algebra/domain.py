@@ -38,7 +38,6 @@ def fft_in_place(values: list[int], omega: int, p: int) -> None:
         raise ValueError("fft size must be a power of two")
     telemetry.incr("fft.calls")
     telemetry.incr("fft.points", n)
-    telemetry.observe("fft.points_per_call", n)
     out = backend.ntt(values, omega, p)
     if out is not None:
         values[:] = out

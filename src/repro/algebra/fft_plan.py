@@ -8,14 +8,11 @@ twiddle table of every stage -- once per ``(n, omega, p)`` and
 :func:`repro.algebra.domain.fft_in_place` replays it.
 
 Plans live in a module-level cache: each process builds a plan at most
-once and hits it thereafter (the ``fft.twiddle_hits`` /
-``fft.twiddle_builds`` counters record the traffic); a forked service
-runner inherits the plans built before its fork.
+once and hits it thereafter; a forked service runner inherits the plans
+built before its fork.
 """
 
 from __future__ import annotations
-
-from repro import telemetry
 
 
 class NttPlan:
@@ -75,9 +72,6 @@ def plan_for(n: int, omega: int, p: int) -> NttPlan:
     if plan is None:
         plan = NttPlan(n, omega, p)
         _PLANS[key] = plan
-        telemetry.incr("fft.twiddle_builds")
-    else:
-        telemetry.incr("fft.twiddle_hits")
     return plan
 
 

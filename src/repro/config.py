@@ -20,12 +20,12 @@ keep working) -- wrong types included: an integer field takes an
 A setting is a field here only when the benchmark sets it, it picks a
 deployment path, it switches safety behaviour, or a test switches the
 behaviour it controls.  The service's tuning numbers (poll and
-supervisor periods, shutdown timeout, retry backoff) are constants of
-:mod:`repro.service.service`, its event and error rings keep the
-defaults of :mod:`repro.telemetry.obs`, and each setting has one way
-to set it: a job's deadline is ``submit(deadline_seconds=)``, the
-journal is ``Session.serve(..., journal_path=)``, and a changed copy of
-a config is :func:`dataclasses.replace`, which re-runs validation.
+supervisor periods, shutdown timeout, retry backoff, the length of
+``health()``'s error list) are constants of
+:mod:`repro.service.service`, and each setting has one way to set it:
+a job's deadline is ``submit(deadline_seconds=)``, the journal is
+``Session.serve(..., journal_path=)``, and a changed copy of a config
+is :func:`dataclasses.replace`, which re-runs validation.
 """
 
 from __future__ import annotations
@@ -152,11 +152,6 @@ class ServiceConfig:
         ``LOW`` submissions are shed once the queue reaches
         ``max_queue_depth - high_priority_reserve``, keeping headroom
         for latency-sensitive traffic during overload.
-    event_log_path:
-        When set, every job lifecycle event (submitted / started /
-        finished / failed / shed / cancelled) is appended as one JSON
-        line to this file as it happens; the most recent events are
-        always also buffered in memory (``ProvingService.events()``).
     journal_fsync:
         ``fsync`` the journal (``Session.serve(..., journal_path=)``)
         after every append.  Off by default: a plain flush survives
@@ -186,7 +181,6 @@ class ServiceConfig:
     workers: int = 2
     max_queue_depth: int = 64
     high_priority_reserve: int = 8
-    event_log_path: str | os.PathLike[str] | None = None
     journal_fsync: bool = False
     max_retries: int = 0
     tenant_quotas: Any = None

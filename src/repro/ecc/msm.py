@@ -182,7 +182,6 @@ def msm(points: Sequence[Point], scalars: Sequence[int]) -> Point:
             pairs.append((pt, s))
     telemetry.incr("msm.calls")
     telemetry.incr("msm.points", len(pairs))
-    telemetry.observe("msm.points_per_call", len(pairs))
     if not pairs:
         return curve.identity()
     if len(pairs) == 1:

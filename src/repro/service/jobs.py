@@ -281,7 +281,7 @@ class Job:
 
         With ``release=False`` the waiters stay blocked until
         :meth:`release`: the caller first makes the outcome durable
-        (journal record, histogram, event), so no client holds a result
+        (its journal record), so no client holds a result
         that a crash could still lose."""
         with self._lock:
             if self.completions:

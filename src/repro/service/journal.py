@@ -254,8 +254,7 @@ class JobJournal:
     ``fsync=True`` additionally pushes each record to stable storage.
     Append failures after a successful open never raise into the
     proving hot path -- they disable the journal and bump the
-    ``service.journal_errors`` counter, mirroring the event log's
-    self-disabling sink.
+    ``service.journal_errors`` counter.
     """
 
     def __init__(self, path: str | os.PathLike[str], fsync: bool = False):

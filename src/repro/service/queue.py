@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import threading
 
-from repro import telemetry
 from repro.errors import ServiceClosed, ServiceOverloaded
 from repro.service.jobs import Job, JobState, Priority
 
@@ -64,14 +63,12 @@ class JobQueue:
             depth = len(self._heap)
             if not force and depth >= self.depth_limit(job.priority):
                 self.shed_count += 1
-                telemetry.incr("service.jobs_shed")
                 raise ServiceOverloaded(
                     f"queue depth {depth} at {job.priority.name} admission "
                     f"bound {self.depth_limit(job.priority)}; job shed",
                     queue_depth=depth,
                 )
             heapq.heappush(self._heap, (job.order_key, job))
-            telemetry.incr("service.jobs_queued")
             self._cond.notify()
 
     def pop(self, timeout: float | None = None) -> Job | None:

@@ -19,9 +19,9 @@ Both runners execute :func:`run_job` and speak one message set:
   classification.  A forked runner runs the job under
   :func:`repro.telemetry.run_captured` and ships the job's telemetry
   snapshot with the outcome; :meth:`ForkedRunner.run` folds it into the
-  service's tracer (:func:`repro.telemetry.merge_captured`), so
-  ``keygen.*`` counters and per-job traces look as if the job ran in
-  the service process.
+  service's tracer (:func:`repro.telemetry.merge_captured`), so its
+  counters and per-job traces look as if the job ran in the service
+  process.
 
 A forked runner inherits the database, parameters, commitment secrets,
 fixed-base tables and the keys memoized before its fork, and keeps its

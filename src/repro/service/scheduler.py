@@ -46,8 +46,8 @@ every span begin/end of the job, and the worker mirrors it onto the job
 record (the same spans that later form the response's phase report).
 
 A terminal transition is made durable before anyone hears of it: the
-journal record, the ``service.prove_seconds`` sample and the event come
-first, and only then are the job's waiters woken.
+journal record comes first, and only then are the job's waiters
+woken.
 """
 
 from __future__ import annotations
@@ -187,9 +187,6 @@ class ProverWorker(threading.Thread):
             telemetry.incr("service.duplicate_pops_skipped")
             return
         self._current = job
-        telemetry.observe(
-            "service.queue_wait_seconds", job.started_at - job.submitted_at
-        )
         if job.deadline_passed(job.started_at):
             # Expired while queued: fail at dequeue, never prove.
             telemetry.incr("service.deadline_exceeded")
@@ -254,19 +251,17 @@ class ProverWorker(threading.Thread):
         self, job: Job, state: JobState, error: str | None = None
     ) -> None:
         """The terminal transition, durable before it is visible: the
-        ``finished`` / ``failed`` event (journal record, histogram,
-        event log) goes out first, then the job's waiters wake.  The
+        ``finished`` / ``failed`` event (its journal record) goes out
+        first, then the job's waiters wake.  The
         supervisor uses it for a dead worker's orphan too."""
         if not job.finish(state, error=error, release=False):
             return
         try:
             if state is JobState.DONE:
                 self.completed += 1
-                telemetry.incr("service.jobs_done")
                 self._emit("finished", job)
             else:
                 self.failed += 1
-                telemetry.incr("service.jobs_failed")
                 self._emit("failed", job)
         finally:
             job.release()

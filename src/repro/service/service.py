@@ -7,8 +7,8 @@ for queue position and live prover phase, and collect the
 :class:`~repro.system.prover_node.QueryResponse` with ``result()`` or
 the blocking ``wait()``.  Verification stays on the session/verifier
 side: :meth:`~repro.api.Session.batch_verify` and
-:meth:`~repro.api.Session.verify_aggregate` amortize the check MSMs of
-a drained batch or a :meth:`ProvingService.rollup`.
+:meth:`~repro.api.Session.aggregate` amortize the check MSMs of a
+drained batch.
 
 Fault tolerance (DESIGN.md section 5i) is built from four coupled
 pieces:
@@ -44,7 +44,8 @@ import logging
 import random
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Sequence
+from collections import deque
+from typing import TYPE_CHECKING, Any
 
 from repro import telemetry
 from repro.config import ServiceConfig
@@ -70,12 +71,9 @@ from repro.service.jobs import (
 from repro.service.queue import JobQueue
 from repro.service.runner import ForkedRunner, InProcessRunner
 from repro.service.scheduler import ProverWorker, Supervisor
-from repro.telemetry import promtext
-from repro.telemetry.obs import ErrorRing, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Session
-    from repro.proving.aggregate import AggProof
     from repro.system.prover_node import QueryResponse
 
 logger = logging.getLogger("repro.service")
@@ -93,6 +91,28 @@ SHUTDOWN_TIMEOUT = 30.0
 #: ``RETRY_BACKOFF_MAX``.
 RETRY_BACKOFF_SECONDS = 0.1
 RETRY_BACKOFF_MAX = 5.0
+#: Failures :meth:`ProvingService.health` keeps in ``last_errors``.
+ERROR_RING_CAPACITY = 32
+
+
+class ErrorRing:
+    """The last failures, oldest evicted, for ``health()`` snapshots:
+    "what broke recently" without reading the journal."""
+
+    def __init__(self, capacity: int = ERROR_RING_CAPACITY):
+        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+
+    def record(self, error: str, **fields: Any) -> None:
+        entry = {"ts": time.time(), "error": str(error)}
+        entry.update({k: str(v) for k, v in fields.items()})
+        with self._lock:
+            self._ring.append(entry)
+
+    def snapshot(self) -> list[dict[str, Any]]:
+        """Oldest first; copies a caller cannot mutate the ring through."""
+        with self._lock:
+            return [dict(entry) for entry in self._ring]
 
 
 class ProvingService:
@@ -127,12 +147,9 @@ class ProvingService:
             self.config.max_queue_depth, self.config.high_priority_reserve
         )
         self._jobs: dict[JobId, Job] = {}
-        #: Jobs already folded into a previous :meth:`rollup` epoch.
-        self._rolled: set[JobId] = set()
         self._lock = threading.Lock()
         self._closed = False
         self.started_at = time.time()
-        self.events_log = EventLog(path=self.config.event_log_path)
         self.errors = ErrorRing()
         #: Retry backlog: ``(due_monotonic, seq, job)`` released by the
         #: supervisor once each backoff elapses.
@@ -195,7 +212,6 @@ class ProvingService:
     def _open_journal(self, path) -> None:
         """Replay any existing journal at ``path``, restore its jobs,
         and start appending to it."""
-        replay_started = time.time()
         replay = journal_mod.replay(path)
         self.replay = replay
         self.journal = JobJournal(path, fsync=self.config.journal_fsync)
@@ -217,25 +233,6 @@ class ProvingService:
                 self._jobs[job.job_id] = job
             self.queue.push(job, force=True)
             self.recovered_jobs += 1
-            telemetry.incr("service.recoveries")
-            self.events_log.emit(
-                "recovered",
-                job_id=job.job_id,
-                prior_state=jj.state,
-                attempts=jj.attempts,
-                expected_digest=jj.digest,
-            )
-        telemetry.observe(
-            "service.journal_replay_seconds", time.time() - replay_started
-        )
-        if replay.records or replay.torn_tail_bytes:
-            self.events_log.emit(
-                "journal_replayed",
-                records=replay.records,
-                torn_tail_bytes=replay.torn_tail_bytes,
-                recovered=self.recovered_jobs,
-                terminal=len(replay.terminal()),
-            )
 
     def _restore_job(self, jj: journal_mod.JournaledJob) -> Job:
         """A live job rebuilt from its journaled final state.
@@ -316,13 +313,6 @@ class ProvingService:
                 )
                 if active >= quota:
                     telemetry.incr("service.tenant_rejections")
-                    self.events_log.emit(
-                        "tenant_rejected",
-                        job_id=job.job_id,
-                        tenant=tenant,
-                        quota=quota,
-                        active=active,
-                    )
                     raise ServiceOverloaded(
                         f"tenant {tenant!r} has {active} active jobs at its "
                         f"quota of {quota}; back off and retry later",
@@ -333,16 +323,9 @@ class ProvingService:
             self._jobs[job.job_id] = job
         try:
             self.queue.push(job)
-        except Exception as exc:
+        except Exception:
             with self._lock:
                 self._jobs.pop(job.job_id, None)
-            self.events_log.emit(
-                "shed",
-                job_id=job.job_id,
-                priority=job.priority.name,
-                queue_depth=len(self.queue),
-                reason=f"{type(exc).__name__}: {exc}",
-            )
             raise
         self._journal_append(
             "submitted",
@@ -354,14 +337,6 @@ class ProvingService:
             deadline_seconds=job.deadline_seconds,
             max_retries=job.max_retries,
             seq=job.seq,
-        )
-        self.events_log.emit(
-            "submitted",
-            job_id=job.job_id,
-            trace_id=job.trace_id,
-            priority=job.priority.name,
-            tenant=job.tenant,
-            queue_depth=len(self.queue),
         )
         return job.job_id
 
@@ -396,11 +371,7 @@ class ProvingService:
         if not job.finish(JobState.CANCELLED, error=error, release=False):
             return
         try:
-            telemetry.incr("service.jobs_cancelled")
             self._journal_append("cancelled", job, error=error)
-            self.events_log.emit(
-                "cancelled", job_id=job.job_id, trace_id=job.trace_id
-            )
         finally:
             job.release()
 
@@ -411,31 +382,8 @@ class ProvingService:
             self._journal_append(
                 "running", job, worker=job.worker, attempt=job.attempts
             )
-            self.events_log.emit(
-                "started",
-                job_id=job.job_id,
-                trace_id=job.trace_id,
-                worker=job.worker,
-                attempt=job.attempts,
-                queue_wait_seconds=round(
-                    (job.started_at or 0.0) - job.submitted_at, 6
-                ),
-            )
-            return
-        run_seconds = 0.0
-        if job.finished_at is not None and job.started_at is not None:
-            run_seconds = job.finished_at - job.started_at
-        if event == "finished":
-            telemetry.observe("service.prove_seconds", run_seconds)
+        elif event == "finished":
             self._journal_append("done", job, digest=job.result_digest)
-            self.events_log.emit(
-                "finished",
-                job_id=job.job_id,
-                trace_id=job.trace_id,
-                worker=job.worker,
-                run_seconds=round(run_seconds, 6),
-                digest=job.result_digest,
-            )
         elif event == "failed":
             self.errors.record(
                 job.error or "unknown error",
@@ -443,14 +391,6 @@ class ProvingService:
                 worker=job.worker or "",
             )
             self._journal_append("failed", job, error=job.error)
-            self.events_log.emit(
-                "failed",
-                job_id=job.job_id,
-                trace_id=job.trace_id,
-                worker=job.worker,
-                error=job.error,
-                run_seconds=round(run_seconds, 6),
-            )
 
     # -- retry + supervision ---------------------------------------------
 
@@ -472,22 +412,12 @@ class ProvingService:
             (job.seq << 8) | job.attempts
         ).random()
         backoff = min(base * jitter, RETRY_BACKOFF_MAX)
-        telemetry.incr("service.jobs_retried")
-        telemetry.observe("service.retry_backoff_seconds", backoff)
         self._journal_append(
             "retry",
             job,
             attempt=job.attempts,
             error=error,
             backoff_seconds=round(backoff, 6),
-        )
-        self.events_log.emit(
-            "retry",
-            job_id=job.job_id,
-            attempt=job.attempts,
-            max_retries=job.max_retries,
-            backoff_seconds=round(backoff, 6),
-            error=error,
         )
         with self._retry_lock:
             heapq.heappush(
@@ -515,14 +445,6 @@ class ProvingService:
             self.workers[i] = replacement
             replacement.start()
             self.workers_restarted += 1
-            telemetry.incr("service.workers_restarted")
-            self.events_log.emit(
-                "worker_restarted",
-                worker=worker.name,
-                orphaned_job=(
-                    str(orphan.job_id) if orphan is not None else None
-                ),
-            )
         now = time.monotonic()
         due: list[Job] = []
         with self._retry_lock:
@@ -576,73 +498,6 @@ class ProvingService:
                 job_id, f"{job_id} still {job.state.value} after {timeout}s"
             )
         return self.result(job_id)
-
-    # -- aggregation -----------------------------------------------------
-
-    def submit_aggregate(
-        self,
-        sqls: Sequence[str],
-        priority: Priority = Priority.NORMAL,
-        rng_seed: int | None = None,
-    ) -> list[JobId]:
-        """Fan a batch of queries out to the prover farm for later
-        :meth:`rollup` into one aggregated claim.
-
-        Each query becomes an independent job (they prove in parallel
-        across the workers); when ``rng_seed`` is given, job ``i`` pins
-        its blinds to ``rng_seed + i`` so the whole batch reproduces
-        byte for byte."""
-        if not sqls:
-            raise ValueError("cannot submit an empty aggregate batch")
-        return [
-            self.submit(
-                sql,
-                priority=priority,
-                rng_seed=None if rng_seed is None else rng_seed + i,
-            )
-            for i, sql in enumerate(sqls)
-        ]
-
-    def rollup(
-        self,
-        job_ids: Sequence[JobId] | None = None,
-        timeout: float | None = None,
-    ) -> "AggProof":
-        """Fold finished jobs into one transportable aggregated claim.
-
-        With ``job_ids``, waits for exactly those jobs (``timeout`` per
-        :meth:`wait`) and folds them in the given order.  Without, this
-        is the *epoch* hook: every completed job not folded by a
-        previous rollup is swept in submission order, so calling
-        ``rollup()`` at an interval partitions the service's traffic
-        into disjoint aggregated epochs.  Raises
-        :class:`~repro.errors.StateError` when there is nothing to roll
-        up, and :class:`~repro.errors.JobFailed` if a requested job
-        failed."""
-        from repro.proving.aggregate import aggregate
-
-        if job_ids is None:
-            with self._lock:
-                candidates = sorted(
-                    (
-                        job
-                        for job in self._jobs.values()
-                        if job.state == JobState.DONE
-                        and job.job_id not in self._rolled
-                    ),
-                    key=lambda job: job.seq,
-                )
-            job_ids = [job.job_id for job in candidates]
-            if not job_ids:
-                raise StateError("no completed jobs to roll up")
-        elif not job_ids:
-            raise StateError("cannot roll up an empty job list")
-        responses = [self.wait(job_id, timeout=timeout) for job_id in job_ids]
-        agg = aggregate(responses, self.session.params)
-        with self._lock:
-            self._rolled.update(job_ids)
-        telemetry.incr("service.rollups")
-        return agg
 
     # -- introspection ---------------------------------------------------
 
@@ -701,7 +556,6 @@ class ProvingService:
               "journal": {"path", "active", "appended",
                           "records_replayed", "torn_tail_bytes",
                           "recovered_jobs"} | None,
-              "keygen": {"requests", "warm_hits", "warm_hit_ratio"},
               "last_errors": [...recent failures, oldest first...],
             }
         """
@@ -732,9 +586,6 @@ class ProvingService:
                 "torn_tail_bytes": replay.torn_tail_bytes if replay else 0,
                 "recovered_jobs": self.recovered_jobs,
             }
-        counters = telemetry.metrics_registry().counters_snapshot()
-        requests = int(counters.get("keygen.requests", 0))
-        warm_hits = int(counters.get("keygen.warm_hits", 0))
         return {
             "healthy": (not self._closed)
             and all(info["alive"] for info in workers.values())
@@ -753,36 +604,8 @@ class ProvingService:
             "jobs": states,
             "retries_pending": retries_pending,
             "journal": journal_info,
-            "keygen": {
-                "requests": requests,
-                "warm_hits": warm_hits,
-                "warm_hit_ratio": (
-                    warm_hits / requests if requests else 0.0
-                ),
-            },
             "last_errors": self.errors.snapshot(),
         }
-
-    def metrics_text(self) -> str:
-        """The ambient metrics registry in Prometheus text exposition
-        format, with the service's live gauges refreshed first (see
-        :mod:`repro.telemetry.promtext`)."""
-        registry = telemetry.metrics_registry()
-        registry.gauge("service.queue_depth", len(self.queue))
-        for lane, depth in self.queue.depths().items():
-            registry.gauge(f"service.queue_depth.{lane.lower()}", depth)
-        registry.gauge(
-            "service.workers_alive",
-            sum(1 for worker in self.workers if worker.alive),
-        )
-        registry.gauge("service.uptime_seconds", time.time() - self.started_at)
-        return promtext.render_registry(registry)
-
-    def events(self, n: int | None = None) -> list[dict[str, Any]]:
-        """The most recent job lifecycle events, oldest first (the
-        in-memory ring; see ``config.event_log_path`` for the on-disk
-        stream)."""
-        return self.events_log.tail(n)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -817,10 +640,6 @@ class ProvingService:
         for worker in self.workers:
             worker.join(timeout=SHUTDOWN_TIMEOUT)
             worker.stop_runner(SHUTDOWN_TIMEOUT)
-        self.events_log.emit("closed", uptime_seconds=round(
-            time.time() - self.started_at, 6
-        ))
-        self.events_log.close()
         if self.journal is not None:
             self.journal.close()
 

@@ -213,7 +213,6 @@ class ProverNode:
         finally:
             root.end()
         timing.total = root.duration
-        self._observe_latency(root)
 
         proof_bytes = proof.to_bytes()
         telemetry.gauge("proof.bytes", len(proof_bytes))
@@ -252,38 +251,15 @@ class ProverNode:
         fingerprint = keygen_fingerprint(
             self.params, compiled.cs, self.k, fixed
         )
-        # Denominator of the warm-hit ratio health() reports
-        # (keygen.warm_hits / keygen.requests).
-        telemetry.incr("keygen.requests")
         pk = self._keys.get(fingerprint)
         if pk is not None:
             timing.extra["keygen_warm_hit"] = 1.0
-            telemetry.incr("keygen.warm_hits")
             return pk
         timing.extra["keygen_warm_hit"] = 0.0
         timing.extra["keygen_cache_hit"] = 0.0
         pk = keygen(self.params, compiled.cs, self.k, fixed)
         remember(self._keys, fingerprint, pk)
         return pk
-
-    @staticmethod
-    def _observe_latency(root) -> None:
-        """Feed the prove-latency histograms: one ``prove.seconds``
-        sample for the whole pipeline plus one per-phase sample
-        (``prove.phase_seconds{phase=...}``), so the exposition layer
-        can report p50/p95/p99 per query *and* per phase across a
-        service's lifetime."""
-        if not telemetry.enabled() or not isinstance(root, telemetry.Span):
-            return
-        telemetry.observe("prove.seconds", root.duration)
-        for child in root.children:
-            name = child.name
-            if name.startswith("prove."):
-                telemetry.observe(
-                    "prove.phase_seconds",
-                    child.duration,
-                    labels={"phase": name[len("prove."):]},
-                )
 
     @staticmethod
     def _phase_report(root, counters_before: dict[str, float]) -> dict | None:

@@ -161,7 +161,6 @@ class VerifierNode:
         memo_key = (sql, result_rows, self.params.fingerprint())
         cached = self._vk_cache.get(memo_key)
         if cached is not None:
-            telemetry.incr("verify.vk_cache_hits")
             return cached
         query = parse(sql)
         plan = self._planner.plan(query)
@@ -278,8 +277,6 @@ class VerifierNode:
                     reports[i].reason = self._rejection_reason(owed_links[i])
             accepted = folded and all(rep.accepted for rep in reports)
             span.set(accepted=accepted, deferred=deferred)
-        if claims:
-            telemetry.observe("verify.seconds", span.duration / len(claims))
         if accepted:
             reason = ""
         elif folded:

@@ -39,12 +39,7 @@ from repro.telemetry.export import (
     render_tree,
     write_trace,
 )
-from repro.telemetry.metrics import (
-    LATENCY_BUCKETS,
-    SIZE_BUCKETS,
-    HistogramSnapshot,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import (
     NOOP_SPAN,
     Span,
@@ -135,7 +130,7 @@ def time_call(fn: Callable[[], T]) -> tuple[T, float]:
     return result, sw.duration
 
 
-# -- counters, gauges, histograms ---------------------------------------------
+# -- counters and gauges -------------------------------------------------------
 
 
 def incr(name: str, value: float = 1) -> None:
@@ -149,16 +144,8 @@ def gauge(name: str, value: float) -> None:
     _TRACER.gauge(name, value)
 
 
-def observe(name: str, value: float, labels=None, bounds=None) -> None:
-    """Record one histogram sample (``telemetry.observe("prove.seconds",
-    dt)``); no-op when disabled.  Bucket bounds are fixed at the
-    series' first observation -- explicit ``bounds``, else a log-scale
-    default picked by name (see :mod:`repro.telemetry.metrics`)."""
-    _TRACER.observe(name, value, labels=labels, bounds=bounds)
-
-
 def metrics_registry() -> MetricsRegistry:
-    """The ambient tracer's metrics registry (exposition reads this)."""
+    """The ambient tracer's metrics registry."""
     return _TRACER.metrics
 
 
@@ -170,14 +157,9 @@ def gauges_snapshot() -> dict[str, float]:
     return _TRACER.gauges_snapshot()
 
 
-def histogram(name: str, labels=None) -> HistogramSnapshot | None:
-    """One histogram series' snapshot (p50/p95/p99 via ``.summary()``)."""
-    return _TRACER.metrics.histogram(name, labels=labels)
-
-
 def metrics_summary() -> dict:
-    """Counters + gauges + histogram summaries in one deep-copied dict
-    (bench-report stamping; callers may mutate the result freely)."""
+    """Counters + gauges in one copied dict (bench-report stamping;
+    callers may mutate the result freely)."""
     return _TRACER.metrics.summary()
 
 
@@ -215,7 +197,7 @@ def run_captured(
 
 def merge_captured(snapshot: TraceSnapshot | None) -> None:
     """Service-side half: fold a runner's snapshot into the ambient
-    tracer -- counters and histograms add, spans re-parent under the
+    tracer -- counters add, spans re-parent under the
     active span (see :meth:`Tracer.merge`)."""
     if snapshot is not None:
         _TRACER.merge(snapshot)
@@ -234,11 +216,8 @@ def __getattr__(name: str):
 
 __all__ = [
     "CircuitReport",
-    "HistogramSnapshot",
-    "LATENCY_BUCKETS",
     "MetricsRegistry",
     "NOOP_SPAN",
-    "SIZE_BUCKETS",
     "Span",
     "Stopwatch",
     "Trace",
@@ -254,13 +233,11 @@ __all__ = [
     "gauge",
     "gauges_snapshot",
     "get_tracer",
-    "histogram",
     "incr",
     "job_scope",
     "metrics_registry",
     "merge_captured",
     "metrics_summary",
-    "observe",
     "phase_report",
     "read_trace",
     "remove_span_observer",

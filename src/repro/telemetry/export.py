@@ -23,22 +23,11 @@ TRACE_VERSION = 1
 
 @dataclass
 class Trace:
-    """A deserialized trace file: span forest plus flat metrics.
-
-    ``histograms`` holds each histogram series in its
-    :meth:`~repro.telemetry.metrics.HistogramSnapshot.as_dict` layout
-    (use :meth:`histogram_snapshots` for quantile math).
-    """
+    """A deserialized trace file: span forest plus flat metrics."""
 
     roots: list[Span] = dc_field(default_factory=list)
     counters: dict[str, float] = dc_field(default_factory=dict)
     gauges: dict[str, float] = dc_field(default_factory=dict)
-    histograms: list[dict] = dc_field(default_factory=list)
-
-    def histogram_snapshots(self):
-        from repro.telemetry.metrics import HistogramSnapshot
-
-        return [HistogramSnapshot.from_dict(data) for data in self.histograms]
 
     def job_roots(self) -> dict[str, list[Span]]:
         """Root spans grouped by their stamped ``job_id`` attribute --
@@ -90,7 +79,6 @@ def write_trace(path: str | os.PathLike[str], tracer: Tracer) -> None:
             "version": TRACE_VERSION,
             "counters": tracer.counters_snapshot(),
             "gauges": tracer.gauges_snapshot(),
-            "histograms": tracer.metrics.histograms_as_dicts(),
         }
         handle.write(json.dumps(meta, sort_keys=True) + "\n")
         for root in list(tracer.roots):
@@ -100,7 +88,9 @@ def write_trace(path: str | os.PathLike[str], tracer: Tracer) -> None:
 
 def read_trace(path: str | os.PathLike[str]) -> Trace:
     """Parse a JSONL trace back into a span forest (strict inverse of
-    :func:`write_trace` -- ids and parent links are preserved)."""
+    :func:`write_trace` -- ids and parent links are preserved).  Other
+    keys of the meta record are ignored, so a file whose meta still
+    carries the ``histograms`` list earlier writers added loads too."""
     trace = Trace()
     shell = Tracer(enabled=False)  # spans need a tracer backref only
     by_id: dict[int, Span] = {}
@@ -118,7 +108,6 @@ def read_trace(path: str | os.PathLike[str]) -> Trace:
                     )
                 trace.counters = record.get("counters", {})
                 trace.gauges = record.get("gauges", {})
-                trace.histograms = record.get("histograms", [])
             elif kind == "span":
                 span = Span(
                     shell,
@@ -139,23 +128,6 @@ def read_trace(path: str | os.PathLike[str]) -> Trace:
                 else:
                     trace.roots.append(span)
     return trace
-
-
-def write_trace_spans(path: str | os.PathLike[str], trace: Trace) -> None:
-    """Re-serialize a parsed :class:`Trace` (round-trip testing aid)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        meta = {
-            "type": "meta",
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "counters": trace.counters,
-            "gauges": trace.gauges,
-            "histograms": trace.histograms,
-        }
-        handle.write(json.dumps(meta, sort_keys=True) + "\n")
-        for root in trace.roots:
-            for record in _span_records(root):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # -- human-readable rendering -------------------------------------------------

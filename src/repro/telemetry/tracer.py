@@ -34,7 +34,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -199,17 +199,11 @@ class _SpanScope:
 
 @dataclass
 class TraceSnapshot:
-    """A picklable capture of one scope's telemetry (runner -> service).
-
-    ``histograms`` carries each series' bucket counts in the
-    :meth:`~repro.telemetry.metrics.HistogramSnapshot.as_dict` layout,
-    so the parent-side merge is an exact bucket-wise addition.
-    """
+    """A picklable capture of one scope's telemetry (runner -> service)."""
 
     counters: dict[str, float] = dc_field(default_factory=dict)
     gauges: dict[str, float] = dc_field(default_factory=dict)
     spans: list[dict] = dc_field(default_factory=list)
-    histograms: list[dict] = dc_field(default_factory=list)
 
 
 class _Capture:
@@ -248,8 +242,8 @@ class Tracer:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        #: The flat-metrics store; ``incr``/``gauge``/``observe``
-        #: delegate here (see :mod:`repro.telemetry.metrics`).
+        #: The flat-metrics store; ``incr``/``gauge`` delegate here
+        #: (see :mod:`repro.telemetry.metrics`).
         self.metrics = MetricsRegistry()
         self.roots: list[Span] = []
         self._local = threading.local()
@@ -389,7 +383,7 @@ class Tracer:
         wall/CPU time (a :class:`Stopwatch` when disabled)."""
         return _SpanScope(self, name, timed=True, attrs=attrs)
 
-    # -- counters, gauges, histograms ------------------------------------
+    # -- counters and gauges ---------------------------------------------
 
     def incr(self, name: str, value: float = 1) -> None:
         if not self.enabled:
@@ -400,19 +394,6 @@ class Tracer:
         if not self.enabled:
             return
         self.metrics.gauge(name, value)
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        labels: Mapping[str, Any] | None = None,
-        bounds=None,
-    ) -> None:
-        """Record a histogram sample (no-op when disabled); see
-        :meth:`MetricsRegistry.observe`."""
-        if not self.enabled:
-            return
-        self.metrics.observe(name, value, labels=labels, bounds=bounds)
 
     def counters_snapshot(self) -> dict[str, float]:
         return self.metrics.counters_snapshot()
@@ -468,7 +449,6 @@ class Tracer:
                     counters=self.metrics.counters_snapshot(),
                     gauges=self.metrics.gauges_snapshot(),
                     spans=[span_to_dict(root) for root in self.roots],
-                    histograms=self.metrics.histograms_as_dicts(),
                 )
                 self.metrics, self.roots = saved
             self._local = saved_local
@@ -476,15 +456,11 @@ class Tracer:
     def merge(self, snapshot: TraceSnapshot) -> None:
         """Fold a runner's snapshot into this tracer.
 
-        Counters and histogram buckets add, gauges last-write-win, and
+        Counters add, gauges last-write-win, and
         the snapshot's root spans are re-parented under the currently
         active span (or become roots).
         """
-        self.metrics.merge(
-            counters=snapshot.counters,
-            gauges=snapshot.gauges,
-            histograms=getattr(snapshot, "histograms", None),
-        )
+        self.metrics.merge(counters=snapshot.counters, gauges=snapshot.gauges)
         parent = self.current_span()
         for span_dict in snapshot.spans:
             span = self._revive(span_dict, parent)

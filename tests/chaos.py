@@ -170,7 +170,6 @@ class ChaosService(ProvingService):
         self.queue.close()
         if self.journal is not None:
             self.journal.close()
-        self.events_log.close()
 
 
 class _KillingRunner:

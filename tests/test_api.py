@@ -102,7 +102,7 @@ class TestProverConfig:
         }),
         (ServiceConfig, {
             "workers", "max_queue_depth", "high_priority_reserve",
-            "event_log_path", "journal_fsync", "max_retries",
+            "journal_fsync", "max_retries",
             "tenant_quotas", "default_tenant_quota",
         }),
     ],

@@ -340,16 +340,14 @@ class TestEndToEnd:
 
         # Workload counters (inversions, fft calls/points, msm sizes,
         # ...) are incremented before the gate and must agree exactly.
-        # The fft.twiddle_* pair is plan-cache bookkeeping -- the numpy
-        # engine keeps its own twiddle tables and bypasses the plan
-        # cache -- and msm.fixed_base_table_* says which leg found the
-        # process-wide table registry cold (the first one, unless an
-        # earlier test warmed it): those may differ.
+        # msm.fixed_base_table_* says which leg found the process-wide
+        # table registry cold (the first one, unless an earlier test
+        # warmed it): those may differ.
         def workload(counters):
             return {
                 key: value
                 for key, value in counters.items()
-                if not key.startswith(("fft.twiddle_", "msm.fixed_base_table_"))
+                if not key.startswith("msm.fixed_base_table_")
             }
 
         reference_bytes, reference_counters = results["plan"]

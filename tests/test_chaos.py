@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.config import ServiceConfig
 from repro.service import JobState, replay
 from repro.service.scheduler import response_digest
@@ -40,6 +41,13 @@ from tests.chaos import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def counted(name):
+    """How far counter ``name`` has moved since this call (the
+    ``chaos_env`` session keeps telemetry on)."""
+    before = telemetry.counters_snapshot().get(name, 0)
+    return lambda: telemetry.counters_snapshot().get(name, 0) - before
+
+
 @pytest.fixture(scope="module")
 def chaos_env():
     """One committed small-``k`` session plus the synchronous-path
@@ -53,19 +61,25 @@ def chaos_env():
 class TestChaosScenarios:
     def test_worker_kill_supervisor_recovers(self, chaos_env):
         session, expected = chaos_env
+        killed = counted("service.workers_killed")
         report = scenario_worker_kill(session, expected, seed=11)
         assert report["kills"] == 2
         assert report["workers_restarted"] >= 2
+        assert killed() == 2
 
     def test_runner_kill_supervisor_recovers(self, chaos_env):
         session, expected = chaos_env
+        killed = counted("service.workers_killed")
         report = scenario_runner_kill(session, expected)
         assert report["workers_restarted"] == 1
+        assert killed() == 1
 
     def test_duplicate_pops_complete_exactly_once(self, chaos_env):
         session, expected = chaos_env
+        skipped = counted("service.duplicate_pops_skipped")
         report = scenario_duplicate_pops(session, expected, seed=12)
         assert any("dup pop" in event for event in report["events"])
+        assert skipped() >= 1
 
     def test_crash_recovery_with_torn_tail(self, chaos_env, tmp_path):
         session, expected = chaos_env

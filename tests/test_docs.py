@@ -18,9 +18,12 @@ polynomial keeps its evaluations on the quotient's whole coset.  Every
 module of the library is reached by ``import repro`` but for a named
 few; test harnesses live in ``tests/``, and no production signature
 carries a fault-injection port for them.  Every ``repro.…`` name the
-docs quote resolves.  DESIGN.md's fixed-base table counts (windows
+docs quote resolves, and every ``session.…(`` / ``service.…(`` call
+they show is a method.  DESIGN.md's fixed-base table counts (windows
 per half, points per base, doubling passes of a build) are the
-module's constants.
+module's constants.  Every counter or gauge the library names has a
+reader: a test, a benchmark or its record, ``BENCHMARK.json``, or
+library code.
 """
 
 import ast
@@ -30,6 +33,8 @@ import importlib.util
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 from repro.config import ProverConfig, ServiceConfig
 
@@ -503,3 +508,143 @@ def test_config_keywords_in_the_docs_are_fields():
         if keyword not in fields[cls]
     ]
     assert stale == []
+
+
+#: ``telemetry.incr`` / ``telemetry.gauge`` and the registry's own
+#: ``metrics.incr`` / ``metrics.gauge``.
+METRIC_CALLS = {"incr", "gauge"}
+METRIC_OWNERS = {"telemetry", "metrics"}
+
+
+def _metric_names(
+    source: Path = ROOT / "src" / "repro",
+) -> tuple[dict[str, str], set[str]]:
+    """The literal names ``source`` passes to a counter or gauge call
+    (name -> first call site), and every other string constant there,
+    which is where library code reads a name back."""
+    emitted: dict[str, str] = {}
+    constants: set[str] = set()
+    for path in sorted(source.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = set()
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in METRIC_CALLS
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                continue
+            owner = node.func.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) in METRIC_OWNERS:
+                names.add(id(node.args[0]))
+                site = f"{path.relative_to(source.parent.parent)}:{node.lineno}"
+                emitted.setdefault(node.args[0].value, site)
+        constants |= {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in names
+        }
+    return emitted, constants
+
+
+def _metric_reader_text() -> str:
+    paths = [ROOT / "BENCHMARK.json"]
+    paths += sorted((ROOT / "tests").rglob("*.py"))
+    for pattern in ("*.py", "*.json"):
+        paths += sorted((ROOT / "benchmarks").rglob(pattern))
+    return "\n".join(path.read_text() for path in paths)
+
+
+def _unread(emitted: dict[str, str], constants: set[str], readers: str):
+    return [
+        f"{site}: {name}"
+        for name, site in sorted(emitted.items())
+        if name not in constants
+        and f'"{name}"' not in readers
+        and f"'{name}'" not in readers
+    ]
+
+
+def test_every_metric_name_has_a_reader():
+    emitted, constants = _metric_names()
+    assert "msm.calls" in emitted
+    assert _unread(emitted, constants, _metric_reader_text()) == []
+
+
+def test_metric_guard_sees_literal_counter_and_gauge_calls(tmp_path):
+    """The guard collects the first argument of ``telemetry.`` /
+    ``metrics.`` ``incr`` and ``gauge`` when it is a literal, and
+    nothing else."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def work(name, registry):\n"
+        "    telemetry.incr('x.calls')\n"
+        "    self.metrics.gauge('x.depth', 3)\n"
+        "    telemetry.incr(name)\n"
+        "    registry.incr('y.other_owner')\n"
+        "    telemetry.span('x.span')\n"
+        "    telemetry.incr('x.calls', 2)\n"
+    )
+    emitted, constants = _metric_names(package)
+    assert emitted == {
+        "x.calls": "src/pkg/mod.py:2",
+        "x.depth": "src/pkg/mod.py:3",
+    }
+    assert {"y.other_owner", "x.span"} <= constants
+    assert "x.calls" not in constants
+
+
+def test_metric_guard_flags_a_name_nobody_reads(tmp_path):
+    """A name is read when a reader file quotes it or another string
+    constant of the library spells it; one that neither does is
+    reported with its call site."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "READ_BACK = 'x.read_back'\n"
+        "def work():\n"
+        "    telemetry.incr('x.read_back')\n"
+        "    telemetry.incr('x.quoted')\n"
+        "    telemetry.incr('x.unread')\n"
+    )
+    emitted, constants = _metric_names(package)
+    readers = 'assert counters["x.quoted"] == 1\n'
+    assert _unread(emitted, constants, readers) == [
+        "src/pkg/mod.py:5: x.unread"
+    ]
+
+
+#: Receivers the docs' examples call methods on, and the class each is.
+DOC_RECEIVERS = {
+    "session": "repro.api.Session",
+    "service": "repro.service.ProvingService",
+}
+
+
+@pytest.mark.parametrize("receiver", sorted(DOC_RECEIVERS))
+def test_methods_the_docs_call_exist(receiver):
+    """Every ``session.name(`` / ``service.name(`` the prose docs quote
+    is a method of the class, so a deleted method cannot stay in an
+    example."""
+    module, _, cls = DOC_RECEIVERS[receiver].rpartition(".")
+    target = getattr(importlib.import_module(module), cls)
+    called = {
+        (name, method)
+        for name in COMMAND_DOCS
+        for method in re.findall(
+            rf"\b{receiver}\.([a-z_]+)\(", (ROOT / name).read_text()
+        )
+    }
+    assert called
+    missing = [
+        f"{name}: {receiver}.{method}()"
+        for name, method in sorted(called)
+        if not callable(getattr(target, method, None))
+    ]
+    assert missing == []

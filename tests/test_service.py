@@ -178,6 +178,40 @@ class TestRealService:
         assert stats["shed_count"] == 0
         assert sum(w["completed"] for w in stats["workers"].values()) == 2
 
+    def test_health_reads_the_same_with_telemetry_off(self, real_run):
+        """``health()`` is built from the service's own records, so the
+        same two jobs leave the same snapshot whether telemetry is on
+        or off (uptime and process ids aside)."""
+
+        def health_after_two_jobs(enabled):
+            previous = telemetry.enable(enabled)
+            try:
+                with real_run["session"].serve(
+                    ServiceConfig(workers=1)
+                ) as service:
+                    for sql, seed in (
+                        (SQL_COUNT, SEED_COUNT), (SQL_SUM, SEED_SUM)
+                    ):
+                        service.wait(
+                            service.submit(sql, rng_seed=seed), timeout=300
+                        )
+                    assert wait_for(
+                        lambda: service.health()["workers"][
+                            "prover-worker-0"
+                        ]["current_job"] is None
+                    )
+                    health = service.health()
+            finally:
+                telemetry.enable(previous)
+            del health["uptime_seconds"]
+            for info in health["workers"].values():
+                del info["pid"]
+            return health
+
+        off = health_after_two_jobs(False)
+        assert off == health_after_two_jobs(True)
+        assert off["jobs"] == {"DONE": 2}
+
     def test_batch_verify_accepts_and_amortizes(self, real_run):
         session = real_run["session"]
         responses = [real_run["async"]["count"], real_run["async"]["sum"]]
@@ -228,61 +262,43 @@ class TestWarmStart:
         assert counters.get("service.warm_start_errors", 0) == 0
 
 
-class TestRollup:
-    """``submit_aggregate`` fans a batch out to the prover farm;
-    ``rollup`` folds finished jobs into one transportable ``AggProof``
-    epoch, verified with a single accumulator finalize."""
+class TestServedAggregate:
+    """Served jobs fold into one transportable ``AggProof`` with
+    ``session.aggregate``, verified with a single accumulator
+    finalize."""
 
     @pytest.fixture(scope="class")
-    def rollup_run(self, real_run):
+    def aggregate_run(self, real_run):
         session = real_run["session"]
         with session.serve(ServiceConfig(workers=2)) as service:
-            # rng_seed such that job 1's derived seed (rng_seed + 1)
-            # matches the synchronous SUM proof -- pins the per-job
-            # seed derivation, not just the fan-out.
-            jobs = service.submit_aggregate(
-                [SQL_COUNT, SQL_SUM], rng_seed=SEED_SUM - 1
+            jobs = [
+                service.submit(SQL_COUNT, rng_seed=SEED_COUNT),
+                service.submit(SQL_SUM, rng_seed=SEED_SUM),
+            ]
+            agg = session.aggregate(
+                [service.wait(job, timeout=300) for job in jobs]
             )
-            agg = service.rollup(jobs, timeout=300)
-            report = session.verify_aggregate(agg.to_bytes())
-            yield service, jobs, agg, report
+        report = session.verify_aggregate(agg.to_bytes())
+        return agg, report
 
-    def test_rollup_folds_all_jobs_in_order(self, rollup_run):
-        _, jobs, agg, _ = rollup_run
-        assert len(jobs) == 2
+    def test_aggregate_folds_all_jobs_in_order(self, aggregate_run):
+        agg, _ = aggregate_run
         assert agg.proofs == 2
         assert [entry.sql for entry in agg.entries] == [SQL_COUNT, SQL_SUM]
 
-    def test_rollup_verifies_with_one_finalize(self, rollup_run):
-        *_, report = rollup_run
+    def test_aggregate_verifies_with_one_finalize(self, aggregate_run):
+        _, report = aggregate_run
         assert report.accepted, report.reason
         assert report.deferred_openings >= 2
 
-    def test_derived_seeds_reproduce_sync_proofs(self, rollup_run, real_run):
-        _, _, agg, _ = rollup_run
+    def test_seeded_jobs_reproduce_sync_proofs(self, aggregate_run, real_run):
+        agg, _ = aggregate_run
         sync_sum = real_run["sync"]["sum"]
         assert agg.entries[1].proof_bytes == sync_sum.wire_bytes()
 
-    def test_epoch_rollup_sweeps_only_new_jobs(self, rollup_run):
-        service, *_ = rollup_run
-        session = service.session
-        # Everything proved so far is already folded into epoch 1.
-        with pytest.raises(StateError, match="no completed jobs"):
-            service.rollup()
-        job = service.submit(SQL_COUNT, rng_seed=SEED_COUNT)
-        service.wait(job, timeout=300)
-        epoch2 = service.rollup()
-        assert epoch2.proofs == 1
-        assert session.verify_aggregate(epoch2.to_bytes()).accepted
-        with pytest.raises(StateError, match="no completed jobs"):
-            service.rollup()
-
-    def test_empty_submissions_rejected(self, rollup_run):
-        service, *_ = rollup_run
-        with pytest.raises(ValueError, match="empty aggregate batch"):
-            service.submit_aggregate([])
-        with pytest.raises(StateError, match="empty job list"):
-            service.rollup([])
+    def test_empty_submissions_rejected(self, real_run):
+        with pytest.raises(ValueError, match="cannot aggregate zero proofs"):
+            real_run["session"].aggregate([])
 
 
 # -- scheduler behavior with a stubbed prover ---------------------------------
@@ -329,6 +345,18 @@ def wait_for(predicate, timeout=10.0):
             return True
         time.sleep(0.005)
     return False
+
+
+@pytest.fixture()
+def counted():
+    """Telemetry on for the test; ``counted(name)`` is how far counter
+    ``name`` has moved since the test began."""
+    previous = telemetry.enable(True)
+    before = telemetry.counters_snapshot()
+    yield lambda name: (
+        telemetry.counters_snapshot().get(name, 0) - before.get(name, 0)
+    )
+    telemetry.enable(previous)
 
 
 class TestScheduling:
@@ -503,6 +531,32 @@ class TestCancellation:
                 service.cancel("job-999999-deadbeef")
 
 
+    def test_stats_count_every_finished_state(self, stub_session):
+        """``stats()`` and ``health()`` count jobs by state from the job
+        table, telemetry on or off: done, failed and cancelled jobs
+        each show up once."""
+        session, gate, _ = stub_session
+        with session.serve(ServiceConfig(workers=1)) as service:
+            blocker = service.submit("block-2")
+            assert wait_for(
+                lambda: service.status(blocker).state == JobState.RUNNING
+            )
+            doomed = service.submit("never-runs")
+            crash = service.submit("crash-2")
+            service.cancel(doomed)
+            assert service.stats()["jobs"] == {
+                "RUNNING": 1, "CANCELLED": 1, "QUEUED": 1,
+            }
+            gate.set()
+            service.wait(blocker, timeout=10)
+            with pytest.raises(JobFailed, match="injected prover crash"):
+                service.wait(crash, timeout=10)
+            stats = service.stats()
+            assert stats["jobs"] == {"DONE": 1, "FAILED": 1, "CANCELLED": 1}
+            assert service.health()["jobs"] == stats["jobs"]
+            assert stats["queue_depth"] == 0 and stats["retries_pending"] == 0
+
+
 class TestJobTimeout:
     def test_wait_raises_typed_timeout(self, stub_session):
         from repro.errors import JobTimeout, ServiceError
@@ -523,7 +577,7 @@ class TestJobTimeout:
 
 
 class TestTenantQuotas:
-    def test_quota_bounds_active_jobs_per_tenant(self, stub_session):
+    def test_quota_bounds_active_jobs_per_tenant(self, stub_session, counted):
         session, gate, _ = stub_session
         config = ServiceConfig(
             workers=1,
@@ -546,6 +600,7 @@ class TestTenantQuotas:
                 service.submit("q5", tenant="other")
             # ...and untenanted jobs are never quota-checked.
             service.submit("q6")
+            assert counted("service.tenant_rejections") == 2
             gate.set()
             service.wait(second, timeout=10)
             # Finished jobs release quota capacity.
@@ -568,7 +623,9 @@ class TestTenantQuotas:
 
 
 class TestRetriesAndSupervision:
-    def test_killed_worker_job_retried_and_farm_respawned(self, stub_session):
+    def test_killed_worker_job_retried_and_farm_respawned(
+        self, stub_session, counted
+    ):
         session, _, _ = stub_session
         chaos = ChaosInjector(seed=5, kills=1)
         config = ServiceConfig(workers=1, max_retries=2)
@@ -577,6 +634,7 @@ class TestRetriesAndSupervision:
             assert service.wait(job, timeout=30) == "response:survives-a-kill"
             status = service.status(job)
             assert status.attempts == 1  # one kill, one retry
+            assert counted("service.workers_killed") == 1
             assert service.workers_restarted >= 1
             health = service.health()
             assert health["workers_restarted"] >= 1
@@ -600,7 +658,7 @@ class TestRetriesAndSupervision:
             assert service.status(job).attempts == 1  # budget spent
 
     def test_retry_backoff_doubles_up_to_the_cap(
-        self, stub_session, monkeypatch
+        self, stub_session, monkeypatch, tmp_path
     ):
         """Attempt ``n`` waits ``RETRY_BACKOFF_SECONDS * 2**(n-1)`` times
         a jitter in [1, 1.25), never more than ``RETRY_BACKOFF_MAX``."""
@@ -616,19 +674,42 @@ class TestRetriesAndSupervision:
         monkeypatch.setattr(service_mod, "RETRY_BACKOFF_SECONDS", 0.01)
         monkeypatch.setattr(service_mod, "RETRY_BACKOFF_MAX", 0.03)
         config = ServiceConfig(workers=1, max_retries=3)
-        with ChaosService(session, config, AlwaysKill(seed=0)) as service:
+        path = tmp_path / "jobs.journal"
+        with ChaosService(
+            session, config, AlwaysKill(seed=0), journal_path=path
+        ) as service:
             job = service.submit("doomed")
             with pytest.raises(JobFailed, match="died mid-job"):
                 service.wait(job, timeout=30)
             backoffs = [
-                event["backoff_seconds"]
-                for event in service.events()
-                if event["event"] == "retry"
+                record["backoff_seconds"]
+                for record in service.journal
+                if record["rec"] == "retry"
             ]
         assert len(backoffs) == 3
         assert 0.01 <= backoffs[0] < 0.0125
         assert 0.02 <= backoffs[1] < 0.025
         assert backoffs[2] == 0.03  # 0.04 and up, capped
+
+    def test_a_raising_tick_is_counted_and_supervision_goes_on(
+        self, counted
+    ):
+        from repro.service.scheduler import Supervisor
+
+        ticks = []
+
+        def tick():
+            ticks.append(None)
+            raise RuntimeError("broken tick")
+
+        supervisor = Supervisor(tick, interval=0.001)
+        supervisor.start()
+        try:
+            assert wait_for(lambda: len(ticks) >= 3)
+        finally:
+            supervisor.request_stop()
+            supervisor.join(timeout=10)
+        assert counted("service.supervisor_errors") == len(ticks)
 
     def test_deterministic_failure_never_retried(self, real_run):
         session = real_run["session"]
@@ -662,7 +743,7 @@ class TestRetriesAndSupervision:
 
 class TestDeadlines:
     def test_deadline_expired_while_queued_fails_at_dequeue(
-        self, stub_session
+        self, stub_session, counted
     ):
         session, gate, order = stub_session
         with session.serve(ServiceConfig(workers=1)) as service:
@@ -676,8 +757,9 @@ class TestDeadlines:
             with pytest.raises(JobFailed, match="passed while queued"):
                 service.wait(doomed, timeout=10)
         assert "expired" not in order
+        assert counted("service.deadline_exceeded") == 1
 
-    def test_deadline_aborts_mid_prove(self, real_run):
+    def test_deadline_aborts_mid_prove(self, real_run, counted):
         """The cooperative abort path: the span observer notices the
         blown budget partway through a real prove and unwinds it."""
         session = real_run["session"]
@@ -689,6 +771,7 @@ class TestDeadlines:
             )
             with pytest.raises(JobFailed, match="aborted mid-prove"):
                 service.wait(job, timeout=60)
+            assert counted("service.deadline_exceeded") == 1
             # The worker survives the abort and serves the next job.
             ok = service.submit(SQL_COUNT, rng_seed=SEED_COUNT)
             service.wait(ok, timeout=60)
@@ -885,6 +968,24 @@ class TestDurability:
                 service.wait(bad, timeout=10)
             assert replay(journal_path).jobs[str(bad)].state == "failed"
         assert released == [("finished", False), ("failed", False)]
+
+    def test_a_raising_event_hook_fails_no_job(
+        self, stub_session, monkeypatch, counted
+    ):
+        """A broken hook is the service's bug: it is counted, and the
+        job it was told about still finishes and wakes its waiter."""
+        session, _, _ = stub_session
+
+        def broken_hook(self, event, job):
+            if event == "finished":
+                raise RuntimeError("broken hook")
+
+        monkeypatch.setattr(ProvingService, "_on_job_event", broken_hook)
+        with session.serve(ServiceConfig(workers=1)) as service:
+            job = service.submit("q")
+            assert service.wait(job, timeout=10) == "response:q"
+            assert service.status(job).state == JobState.DONE
+        assert counted("service.event_hook_errors") == 1
 
     @pytest.mark.parametrize(
         "options", [{}, {"journal_fsync": True}], ids=["default", "fsync"]

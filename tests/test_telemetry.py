@@ -3,10 +3,9 @@
 Covers the tentpole guarantees: span nesting and exception safety,
 thread-safe counters, the capture/merge a forked service runner ships
 its job's telemetry through, the < 2% disabled-overhead budget, JSONL
-round-trips,
-static CircuitReport golden values (and the example proof's counts
-against them), and the end-to-end ``report`` attached to proved
-responses.
+round-trips (and a trace an earlier writer left), static CircuitReport
+golden values (and the example proof's counts against them), and the
+end-to-end ``report`` attached to proved responses.
 """
 
 import json
@@ -23,10 +22,9 @@ from repro.db.types import INT, STRING
 from repro.plonkish.assignment import ZK_ROWS
 from repro.proving import create_proof, keygen, verify_proof
 from repro.proving.prover import ROUNDS
-from repro.telemetry import promtext
 from repro.telemetry import report as report_cli
 from repro.telemetry.circuit import CircuitReport
-from repro.telemetry.export import write_trace_spans
+from repro.telemetry.export import TRACE_FORMAT, TRACE_VERSION, _span_records
 from tests.conftest import EXAMPLE_K, example_assignment, example_circuit
 
 #: Direct children the "prove" root must contain after one create_proof.
@@ -186,8 +184,8 @@ class TestRunnerMerge:
 
 def run_instrumented_prove():
     """Prove and verify the example circuit under a "prove" root span
-    (keygen included) and observe ``prove.seconds``; returns the root.
-    The tracer's state is the caller's."""
+    (keygen included); returns the root.  The tracer's state is the
+    caller's."""
     cs, cols = example_circuit()
     asg, _ = example_assignment(cs, cols)
     params = setup(EXAMPLE_K)
@@ -198,7 +196,6 @@ def run_instrumented_prove():
         proof = create_proof(pk, asg)
     finally:
         root.end()
-    telemetry.observe("prove.seconds", root.duration)
     instance = [asg.instance_values(cols["out"])[: asg.usable_rows]]
     assert verify_proof(pk.vk, proof, instance)
     return root
@@ -254,6 +251,23 @@ class TestDisabledOverhead:
         )
 
 
+def write_trace_spans(path, trace) -> None:
+    """Re-serialize a parsed trace, the inverse ``write_trace`` must
+    be byte-identical to."""
+    with open(path, "w", encoding="utf-8") as handle:
+        meta = {
+            "type": "meta",
+            "format": TRACE_FORMAT,
+            "version": TRACE_VERSION,
+            "counters": trace.counters,
+            "gauges": trace.gauges,
+        }
+        handle.write(json.dumps(meta, sort_keys=True) + "\n")
+        for root in trace.roots:
+            for record in _span_records(root):
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 class TestExportRoundTrip:
     def test_jsonl_round_trip(self, tele, tmp_path):
         with tele.span("prove", k=5):
@@ -271,6 +285,40 @@ class TestExportRoundTrip:
         assert root.children[0].name == "prove.quotient"
         write_trace_spans(second, trace)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_meta_line_holds_counters_and_gauges_only(self, tele, tmp_path):
+        tele.incr("fft.calls", 2)
+        tele.gauge("proof.bytes", 10)
+        path = tmp_path / "trace.jsonl"
+        telemetry.write_trace(path, tele.get_tracer())
+        meta = json.loads(path.read_text().splitlines()[0])
+        assert meta == {
+            "type": "meta",
+            "format": TRACE_FORMAT,
+            "version": 1,
+            "counters": {"fft.calls": 2},
+            "gauges": {"proof.bytes": 10},
+        }
+        assert TRACE_VERSION == 1
+
+    def test_reads_a_trace_that_carries_histograms(self, tmp_path):
+        """Earlier writers of version 1 also put a ``histograms`` list
+        in the meta line; such a file still loads."""
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            '{"counters": {"fft.calls": 3}, "format": "repro-trace", '
+            '"gauges": {}, "histograms": [{"bounds": [1.0], "count": 1, '
+            '"counts": [1, 0], "labels": [], "max": 0.5, "min": 0.5, '
+            '"name": "prove.seconds", "sum": 0.5}], "type": "meta", '
+            '"version": 1}\n'
+            '{"attrs": {}, "cpu": 0.1, "duration": 0.5, "id": 1, '
+            '"name": "prove", "parent": null, "start": 0.0, '
+            '"status": "ok", "type": "span"}\n'
+        )
+        trace = telemetry.read_trace(old)
+        assert trace.counters == {"fft.calls": 3}
+        (root,) = trace.roots
+        assert root.name == "prove" and root.duration == 0.5
 
     def test_read_rejects_foreign_files(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -510,7 +558,7 @@ class TestCircuitReport:
 
 
 class TestInstrumentedProve:
-    def test_phases_counters_and_histograms(self, tele):
+    def test_phases_and_counters(self, tele):
         root = run_instrumented_prove()
         child_names = {c.name for c in root.children}
         assert set(EXPECTED_PHASES) <= child_names
@@ -520,14 +568,8 @@ class TestInstrumentedProve:
         counters = report["counters"]
         for name in ("msm.calls", "msm.points", "fft.calls", "field.inversions"):
             assert counters.get(name, 0) > 0, name
-        registry = telemetry.metrics_registry()
-        for name in ("prove.seconds", "msm.points_per_call", "fft.points_per_call"):
-            snap = registry.histogram(name)
-            assert snap is not None and snap.count > 0, name
-        samples = promtext.parse(promtext.render_registry(registry))
-        assert any("prove_seconds" in name for name in samples)
 
-    def test_report_and_promtext_clis(self, tele, tmp_path, capsys):
+    def test_report_cli(self, tele, tmp_path, capsys):
         run_instrumented_prove()
         path = tmp_path / "trace.jsonl"
         telemetry.write_trace(path, tele.get_tracer())
@@ -537,13 +579,9 @@ class TestInstrumentedProve:
         out = capsys.readouterr().out
         assert "prove.quotient" in out and "% of parent" in out
         assert "phase coverage" in out
-        assert promtext.main([str(path)]) == 0
-        samples = promtext.parse(capsys.readouterr().out)
-        assert any("prove_seconds" in name for name in samples)
 
         missing = str(tmp_path / "missing.jsonl")
         assert report_cli.main([missing]) == 2
-        assert promtext.main([missing]) == 2
 
     def test_example_circuit_is_provable_fixture(self):
         # Keep the shared fixture honest independent of telemetry.
