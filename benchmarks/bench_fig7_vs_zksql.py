@@ -5,39 +5,19 @@ Paper shape: PoneglyphDB is comparable to interactive ZKSQL overall,
 at least ~40% faster on Q1 and Q9 (fewer range-check/sort operations),
 and uses 23-60% of ZKSQL's memory.
 
-Method: every query's circuit is compiled and witnessed for real at
-reduced scale (exact per-row structure), the calibrated cost model maps
-that structure to paper-hardware seconds/GB, and the ZKSQL simulator
-prices the same logical plans at 60k-row cardinalities.
+The ZKSQL comparison is not reproduced: ZKSQL's artifact is closed, so
+there is no ZKSQL series to measure.  What runs here is our side,
+measured: every query is compiled, witnessed and checked by the
+MockProver at reduced scale, and the report prints those seconds and
+the circuit's shape beside the paper's cited numbers.
 """
 
-from repro.baselines.zksql import ZkSqlSimulator
-from repro.bench.harness import (
-    bench_metadata,
-    calibration_from_q1,
-    measure_query_pipeline,
-    tpch_db,
-)
+from repro.bench.harness import bench_metadata, measure_query_pipeline
 from repro.bench.reporting import Report
-from repro.sql.parser import parse
-from repro.sql.planner import Planner
 from repro.tpch.queries import QUERIES
 
-PAPER_PONE = {"Q1": 180, "Q3": 161, "Q5": 313}  # Table 4 anchors
-PAPER_SCALE = 60_000
-
-
-def _paper_scale_sizes() -> dict[str, int]:
-    return {
-        "lineitem": 60_000,
-        "orders": 15_000,
-        "customer": 1_500,
-        "part": 2_000,
-        "partsupp": 8_000,
-        "supplier": 100,
-        "nation": 25,
-        "region": 5,
-    }
+#: Table 4: PoneglyphDB's proving seconds at 60k rows.
+PAPER_PONE_SECONDS = {"Q1": 180, "Q3": 161, "Q5": 313}
 
 
 def test_fig7_vs_zksql(bench_config, benchmark):
@@ -48,67 +28,40 @@ def test_fig7_vs_zksql(bench_config, benchmark):
         rounds=1,
         iterations=1,
     )
-    calibration = calibration_from_q1(bench_config)
 
-    db = tpch_db(bench_config)
-    planner = Planner(db)
-    simulator = ZkSqlSimulator(_paper_scale_sizes())
-
-    rows = []
-    memory_rows = []
-    for m in measurements:
-        pone_seconds = calibration.proving_seconds(m.work, PAPER_SCALE)
-        pone_memory = calibration.memory_gb(m.work, PAPER_SCALE)
-        plan = planner.plan(parse(QUERIES[m.query]))
-        zk = simulator.estimate(plan, m.query)
-        zk_seconds = zk.proving_seconds
-        zk_memory = zk.memory_bytes / (1 << 30)
-        rows.append(
-            (
-                m.query,
-                f"{m.witness_seconds + m.mock_seconds:.2f}",
-                f"{pone_seconds:.0f}",
-                f"{zk_seconds:.0f}",
-                f"{zk_seconds / pone_seconds:.2f}x",
-                PAPER_PONE.get(m.query, "-"),
-            )
-        )
-        memory_rows.append(
-            (
-                m.query,
-                f"{pone_memory:.2f}",
-                f"{zk_memory:.2f}",
-                f"{pone_memory / zk_memory:.0%}",
-            )
-        )
-
-    report = Report("fig7_vs_zksql", "Figure 7: PoneglyphDB vs ZKSQL (60k rows)")
-    report.line("proving time:")
+    report = Report("fig7_vs_zksql", "Figure 7: PoneglyphDB vs ZKSQL")
+    report.line(
+        f"measured at {bench_config.lineitem_rows} lineitem rows, "
+        f"k={bench_config.k}: witness generation plus the MockProver "
+        "check of every constraint, and the circuit's shape:"
+    )
     report.table(
         [
             "query",
-            "measured small-scale (s)",
-            "Pone est. @60k (s)",
-            "ZKSQL est. @60k (s)",
-            "ZKSQL/Pone",
-            "paper Pone (s)",
+            "witness + check (s)",
+            "advice cols",
+            "lookups",
+            "shuffles",
+            "paper Pone @60k (s)",
         ],
-        rows,
-    )
-    report.line("\nmemory:")
-    report.table(
-        ["query", "Pone est. (GB)", "ZKSQL est. (GB)", "Pone/ZKSQL"],
-        memory_rows,
+        [
+            (
+                m.query,
+                f"{m.witness_seconds + m.mock_seconds:.2f}",
+                m.advice_columns,
+                m.lookups,
+                m.shuffles,
+                PAPER_PONE_SECONDS.get(m.query, "-"),
+            )
+            for m in measurements
+        ],
     )
     report.line(
-        "\npaper shape: Pone ~comparable overall, >=40% faster on Q1/Q9; "
-        "Pone memory 23-60% of ZKSQL's."
+        "\npaper (60k rows): Pone comparable to ZKSQL overall, >=40% faster "
+        "on Q1/Q9; Pone memory 23-60% of ZKSQL's."
+    )
+    report.line(
+        "ZKSQL is not reproduced: its artifact is closed, so no ZKSQL "
+        "column is printed and no ratio to it is claimed."
     )
     report.emit(metadata=bench_metadata(bench_config))
-
-    by_query = {r[0]: r for r in rows}
-    # Q1 advantage holds (ZKSQL/Pone ratio > 1.3 on Q1).
-    assert float(by_query["Q1"][4].rstrip("x")) > 1.3
-    # Memory band: every query's Pone/ZKSQL ratio below 100%.
-    for row in memory_rows:
-        assert float(row[3].rstrip("%")) < 100

@@ -1,8 +1,8 @@
 """Shared benchmark fixtures.
 
 All benchmarks run real cryptography at the reduced scale defined by
-:class:`repro.bench.BenchConfig` and extrapolate to paper scale with
-the calibrated cost model (see DESIGN.md, substitutions).
+:class:`repro.bench.BenchConfig` and print what they measure beside
+the paper's reported numbers (see DESIGN.md, substitutions).
 
 Public parameters and their fixed-base tables load through the on-disk
 artifact cache, so the second run of any benchmark skips their

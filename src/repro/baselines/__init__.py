@@ -1,16 +1,10 @@
-"""Comparison baselines from the paper's evaluation.
+"""The comparison baseline from the paper's evaluation that runs here.
 
 - :mod:`repro.baselines.gkr` -- a working GKR/sumcheck proving system
   (the protocol behind Libra and vSQL), used for Table 4: layered
   arithmetic circuits, multilinear sumcheck, prover and verifier.
-- :mod:`repro.baselines.zksql` -- a cost simulator for ZKSQL's
-  interactive boolean-circuit protocol, used for Figure 7.
-- :mod:`repro.baselines.cost_models` -- calibrated constants mapping
-  measured constraint/gate counts to the paper's reported
-  hardware-scale numbers (see DESIGN.md, substitutions).
+
+ZKSQL (Figure 7) is not reproduced: its artifact is closed, so
+``benchmarks/bench_fig7_vs_zksql.py`` prints our measured rows beside
+the paper's cited numbers.
 """
-
-from repro.baselines.zksql import ZkSqlSimulator
-from repro.baselines.cost_models import PaperCalibration
-
-__all__ = ["ZkSqlSimulator", "PaperCalibration"]

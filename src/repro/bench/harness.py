@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.algebra import backend as field_backend
-from repro.baselines.cost_models import PaperCalibration, column_work
 from repro.cache import ArtifactCache
 from repro.commit.params import PublicParams, cached_setup
 from repro.config import ProverConfig
@@ -33,10 +32,7 @@ from repro.tpch.queries import QUERIES
 
 #: ``limb_bits=4 / value_bits=32 / key_bits=40`` shrink the paper's
 #: u8/64-bit design so the 16-entry range table and the decompositions
-#: fit circuits a pure-Python prover can drive end to end.  The
-#: *structure* (constraints per row, columns per operator) is what the
-#: calibration extrapolates from, and it is bit-width-faithful when
-#: scaled back up (see cost_models).
+#: fit circuits a pure-Python prover can drive end to end.
 LIMB_BITS = 4
 VALUE_BITS = 32
 KEY_BITS = 40
@@ -165,14 +161,13 @@ class PipelineMeasurement:
     lookups: int
     shuffles: int
     gate_constraints: int
-    work: float = 0.0
 
 
 def measure_query_pipeline(
-    config: BenchConfig, query_name: str, check: bool = True
+    config: BenchConfig, query_name: str
 ) -> PipelineMeasurement:
-    """Compile + witness (+ MockProver check) one TPC-H query; returns
-    the circuit statistics the calibration consumes."""
+    """Compile, witness and MockProver-check one TPC-H query; returns
+    the seconds of the last two and the circuit's shape."""
     db = tpch_db(config)
     sql = QUERIES[query_name]
     plan = Planner(db).plan(parse(sql))
@@ -183,11 +178,9 @@ def measure_query_pipeline(
     asg = Assignment(compiled.cs, config.k)
     result = compiled.assign_witness(asg, db)
     witness_seconds = sw.end()
-    mock_seconds = 0.0
-    if check:
-        _, mock_seconds = telemetry.time_call(
-            lambda: MockProver(compiled.cs, asg).assert_satisfied()
-        )
+    _, mock_seconds = telemetry.time_call(
+        lambda: MockProver(compiled.cs, asg).assert_satisfied()
+    )
     return PipelineMeasurement(
         query=query_name,
         witness_seconds=witness_seconds,
@@ -197,7 +190,6 @@ def measure_query_pipeline(
         lookups=len(compiled.cs.lookups),
         shuffles=len(compiled.cs.shuffles),
         gate_constraints=compiled.cs.num_constraints(),
-        work=column_work(compiled.cs),
     )
 
 
@@ -215,9 +207,3 @@ def real_prove_query(
     report = verifier.verify(response)
     report.require()
     return response, report
-
-
-def calibration_from_q1(config: BenchConfig) -> PaperCalibration:
-    """Anchor the paper-scale model on Q1's measured circuit work."""
-    q1 = measure_query_pipeline(config, "Q1", check=False)
-    return PaperCalibration.from_q1(q1.work)

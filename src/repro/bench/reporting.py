@@ -1,9 +1,8 @@
 """ASCII table reporting for benchmark results.
 
 Every benchmark renders a table mirroring the paper's, with measured
-(reduced-scale) numbers, paper-scale estimates from the calibration
-model, and the paper's reported values side by side.  Reports print to
-stdout and persist under ``benchmarks/results/``.
+(reduced-scale) numbers and the paper's reported values side by side.
+Reports print to stdout and persist under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -118,7 +118,6 @@ class CacheStats:
             self.hits += 1
         else:
             self.misses += 1
-        telemetry.incr("cache.hit" if hit else "cache.miss")
         logger.debug("cache %s %s", "HIT" if hit else "MISS", key)
 
     def summary(self) -> str:

@@ -26,16 +26,14 @@ from repro.algebra.field import montgomery_batch_inv
 Affine = "tuple[int, int] | None"
 
 
-def sum_affine_lists(p: int, lists: Sequence[list[tuple[int, int]]]) -> int:
+def sum_affine_lists(p: int, lists: Sequence[list[tuple[int, int]]]) -> None:
     """Reduce every list of affine points to at most one point, in place.
 
     Each round pairs up the entries of every list and resolves all the
     pairwise additions with ONE shared batch inversion; a list of ``m``
     points finishes in ``ceil(log2 m)`` rounds.  Lists may end empty
-    when their points cancel to the identity.  Returns the number of
-    shared-inversion rounds (the ``msm.batch_affine_rounds`` counter).
+    when their points cancel to the identity.
     """
-    rounds = 0
     active = [pts for pts in lists if len(pts) > 1]
     while active:
         denoms: list[int] = []
@@ -52,7 +50,6 @@ def sum_affine_lists(p: int, lists: Sequence[list[tuple[int, int]]]) -> int:
                 else:
                     denoms.append(2 * y1)
                     kinds.append(1)  # equal points: affine doubling
-        rounds += 1
         invs = montgomery_batch_inv(denoms, p)
         vi = 0
         ki = 0
@@ -82,7 +79,6 @@ def sum_affine_lists(p: int, lists: Sequence[list[tuple[int, int]]]) -> int:
             if len(new) > 1:
                 still_active.append(pts)
         active = still_active
-    return rounds
 
 
 def batch_add(p: int, a: list, b: list) -> list:

@@ -286,7 +286,7 @@ def fixed_base_msm(
     if not buckets:
         return curve.identity()
     p = curve.field.p
-    rounds = sum_affine_lists(p, list(buckets.values()))
+    sum_affine_lists(p, list(buckets.values()))
     # Two-level collapse of sum_d d * bucket[d].  With d = hi * 2^h + lo
     # that is 2^h * sum_hi hi * H[hi] + sum_lo lo * L[lo], where H / L
     # add up the buckets that share a high / low half-digit.  Forming H
@@ -303,8 +303,7 @@ def fixed_base_msm(
                 his.setdefault(d >> half, []).append(pts[0])
             if d & low:
                 los.setdefault(d & low, []).append(pts[0])
-    rounds += sum_affine_lists(p, [*his.values(), *los.values()])
-    telemetry.incr("msm.batch_affine_rounds", rounds)
+    sum_affine_lists(p, [*his.values(), *los.values()])
     hi_sum, lo_sum = (
         collapse_buckets(
             curve, {i: Point(curve, *pts[0]) for i, pts in part.items() if pts}
@@ -435,6 +434,4 @@ def tables_for_params(params: "PublicParams") -> FixedBaseTables:
                 tables = build_tables(params.curve, _bases(params))
                 _REGISTRY[key] = tables
                 telemetry.incr("msm.fixed_base_table_builds")
-                return tables
-    telemetry.incr("msm.fixed_base_table_hits")
     return tables

@@ -149,7 +149,7 @@ def _pippenger(curve: Curve, pairs: list[tuple[Point, int]]) -> Point:
     # Bucket insertions: the kernel's unit of work (entries times the
     # nonzero signed digits of their scalars).
     telemetry.incr("msm.digits", sum(map(len, buckets)))
-    telemetry.incr("msm.batch_affine_rounds", sum_affine_lists(p, buckets))
+    sum_affine_lists(p, buckets)
     acc = curve.identity()
     for total in reversed(_window_sums(p, buckets, 1 << (c - 1), windows)):
         if not acc.is_identity():

@@ -4,7 +4,7 @@ The measurement substrate for the paper's Figures 8-9 (per-phase
 proof-generation breakdowns) and for future performance work: nested
 spans with wall/CPU time, flat counters/gauges for the quantities that
 drive proving cost (``msm.points``, ``fft.calls``, ``field.inversions``,
-``lookup.rows``, ``proof.bytes``, ``cache.hit``/``cache.miss``), a
+``lookup.rows``, ``proof.bytes``, ``cache.corrupt_evictions``), a
 JSONL trace exporter with a CLI renderer, and a static
 :class:`~repro.telemetry.circuit.CircuitReport` cost pass over circuit
 shapes.

@@ -1,4 +1,4 @@
-"""Baselines: the GKR/sumcheck stack (Libra) and the ZKSQL simulator."""
+"""Baselines: the GKR/sumcheck stack (Libra)."""
 
 import random
 
@@ -7,11 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import SCALAR_FIELD as F
-from repro.baselines.cost_models import (
-    PAPER,
-    PaperCalibration,
-    circuit_rows_for_scale,
-)
 from repro.baselines.gkr import (
     Gate,
     GateKind,
@@ -23,10 +18,6 @@ from repro.baselines.gkr import (
 from repro.baselines.gkr.multilinear import eq_eval, eq_weights
 from repro.baselines.gkr.sql_circuits import DagBuilder, filter_sum_circuit
 from repro.baselines.gkr.sumcheck import sumcheck_prove, sumcheck_verify
-from repro.baselines.zksql import ZkSqlSimulator
-from repro.sql.parser import parse
-from repro.sql.planner import Planner
-from repro.tpch import QUERIES, generate
 from repro.transcript import Transcript
 
 
@@ -171,50 +162,3 @@ class TestLibraSqlCircuits:
         assert stats["relays"] > 0  # the paper's relay-gate overhead
         proof = gkr_prove(circuit, inputs)
         assert gkr_verify(circuit, inputs, proof)
-
-
-class TestZkSqlSimulator:
-    @pytest.fixture(scope="class")
-    def planner(self):
-        return Planner(generate(64))
-
-    def test_q1_cheaper_than_q5(self, planner):
-        sizes = {
-            "lineitem": 60_000, "orders": 15_000, "customer": 1_500,
-            "part": 2_000, "partsupp": 8_000, "supplier": 100,
-            "nation": 25, "region": 5,
-        }
-        sim = ZkSqlSimulator(sizes)
-        q1 = sim.estimate(planner.plan(parse(QUERIES["Q1"])), "Q1")
-        q5 = sim.estimate(planner.plan(parse(QUERIES["Q5"])), "Q5")
-        assert q1.total_gates < q5.total_gates  # joins dominate
-        assert q1.proving_seconds > 0
-        assert q5.total_rounds > q1.total_rounds  # more operators
-
-    def test_memory_model_positive(self, planner):
-        sim = ZkSqlSimulator({"lineitem": 60_000, "orders": 15_000,
-                              "customer": 1_500})
-        est = sim.estimate(planner.plan(parse(QUERIES["Q1"])), "Q1")
-        assert est.memory_bytes > 0
-
-
-class TestCalibration:
-    def test_circuit_rows_match_paper_table2(self):
-        # 60k lineitem needs 2^17 rows; 240k needs 2^19 > paper's 2^18
-        # (the paper packs tighter; same order of magnitude).
-        assert circuit_rows_for_scale(60_000) == 1 << 17
-        assert circuit_rows_for_scale(240_000) >= 1 << 18
-
-    def test_anchor_reproduces_q1(self):
-        cal = PaperCalibration.from_q1(q1_work=500.0)
-        assert cal.proving_seconds(500.0, 60_000) == pytest.approx(
-            PAPER["fig10_q1_seconds"][60_000]
-        )
-        assert cal.memory_gb(500.0, 60_000) == pytest.approx(1.53)
-
-    def test_estimates_scale_linearly(self):
-        cal = PaperCalibration.from_q1(q1_work=500.0)
-        t60 = cal.proving_seconds(500.0, 60_000)
-        t240 = cal.proving_seconds(500.0, 240_000)
-        # Paper's Q1 ratio is 683/180 = 3.79 (super-base-linear).
-        assert 2.5 < t240 / t60 < 5.5
