@@ -1,11 +1,13 @@
 """Baselines: the GKR/sumcheck stack (Libra)."""
 
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import baselines
 from repro.algebra import SCALAR_FIELD as F
 from repro.baselines.gkr import (
     Gate,
@@ -162,3 +164,9 @@ class TestLibraSqlCircuits:
         assert stats["relays"] > 0  # the paper's relay-gate overhead
         proof = gkr_prove(circuit, inputs)
         assert gkr_verify(circuit, inputs, proof)
+
+
+def test_package_is_the_gkr_baseline_alone():
+    """Only the baseline that runs for real lives in the library; the
+    paper's ZKSQL numbers are cited by the Fig. 7 script, not modelled."""
+    assert [m.name for m in pkgutil.iter_modules(baselines.__path__)] == ["gkr"]

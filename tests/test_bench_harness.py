@@ -5,6 +5,7 @@ bench session restores the global settings it changes."""
 import pytest
 
 from repro import PoneglyphDB, bench, telemetry
+from repro.bench import harness
 from repro.sql import Executor, Planner, parse
 from repro.tpch.queries import QUERIES
 
@@ -58,3 +59,31 @@ def test_query_pipeline_matches_the_executor(bench_env, name):
     db = bench.tpch_db(config)
     rows = Executor(db).execute(Planner(db).plan(parse(QUERIES[name]))).rows()
     assert measured.result_rows == len(rows) and measured.advice_columns > 0
+
+
+def test_query_pipeline_always_checks_the_constraints(bench_env, monkeypatch):
+    """Every measurement runs the MockProver: an unsatisfied circuit
+    fails the measurement instead of timing a skipped check."""
+
+    class Refusing:
+        def __init__(self, cs, asg):
+            pass
+
+        def assert_satisfied(self):
+            raise AssertionError("constraint 0 not satisfied")
+
+    monkeypatch.setattr(harness, "MockProver", Refusing)
+    with pytest.raises(AssertionError, match="not satisfied"):
+        bench.measure_query_pipeline(bench.BenchConfig(lineitem_rows=16, k=8), "Q1")
+
+
+@pytest.mark.parametrize("lineitem_rows, k", [(64, 8), (128, 9), (256, 10)])
+def test_fig10_scales_each_fit_their_own_circuit(bench_env, lineitem_rows, k):
+    """Figure 10's three scales double the rows and the circuit
+    together; Q1 is satisfied at each and answers as the executor does."""
+    config = bench.BenchConfig(lineitem_rows=lineitem_rows, k=k)
+    measured = bench.measure_query_pipeline(config, "Q1")
+    db = bench.tpch_db(config)
+    assert len(db.table("lineitem")) == lineitem_rows
+    rows = Executor(db).execute(Planner(db).plan(parse(QUERIES["Q1"]))).rows()
+    assert measured.result_rows == len(rows) > 0

@@ -67,6 +67,16 @@ class TestArtifactCache:
         assert len(calls) == 1  # the second fetch came from disk
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
+    def test_stats_are_the_one_record_of_lookups(self, cache, counters):
+        """Hits and misses land on ``cache.stats``; a lookup adds no
+        telemetry counter of its own, even with telemetry on."""
+        before = telemetry.counters_snapshot()
+        for _ in range(3):
+            fetch_json(cache, "demo", ("stats",), lambda: "value")
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+        assert cache.stats.summary() == "2 hit(s), 1 miss(es)"
+        assert telemetry.counters_snapshot() == before
+
     def test_description_change_invalidates(self, cache):
         fetch_json(cache, "demo", ("a", 1), lambda: "old")
         value, hit = fetch_json(cache, "demo", ("a", 2), lambda: "new")

@@ -373,6 +373,16 @@ class TestRegistry:
         evals = [7] * small.n
         assert commit_lagrange(small, evals, 3) == _oracle(small, evals, 3)
 
+    def test_warm_lookup_serves_the_registered_set(self, counters):
+        """A repeat lookup returns the very set the first one built and
+        builds nothing."""
+        params = setup(3, label=b"warm-registry")
+        first = fixed_base.tables_for_params(params)
+        built = counters(BUILDS)
+        assert fixed_base.tables_for_params(params) is first
+        assert fixed_base.registered(params) is first
+        assert counters(BUILDS) == built
+
     def test_untrustworthy_disk_entry_is_rebuilt(self, tmp_path, counters, caplog):
         """A stored table set with a sound frame that is not this
         parameter set's -- another set's tables, the wrong base count
